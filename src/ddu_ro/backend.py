@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csr_array
 
 # Solve statuses. Run-level statuses live in model.py; these are per-solve.
 OPTIMAL = "Optimal"
@@ -46,6 +47,10 @@ _RAY_TOL = 1e-8
 
 class BackendError(Exception):
     """Raised on contract violations (bad arguments, impossible extractions)."""
+
+
+class SolveTimeLimit(BackendError):
+    """A solve that a routine needs to finish ran out of its time limit."""
 
 
 def selected_adapter() -> str:
@@ -152,17 +157,27 @@ class LinearModel:
     def has_integers(self) -> bool:
         return any(v.integer for v in self.vars)
 
-    def dense(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """Constraint data as (A, senses, rhs) with one row per constraint."""
-        A = np.zeros((self.n_constrs, self.n_vars))
-        rhs = np.zeros(self.n_constrs)
-        senses = []
+    def sparse(self) -> tuple[csr_array, list[str], np.ndarray]:
+        """Constraint data as (A, senses, rhs), A in CSR with one row per
+        constraint, built straight from the row dicts."""
+        indptr = np.zeros(self.n_constrs + 1, dtype=np.int64)
+        indices: list[int] = []
+        data: list[float] = []
         for i, con in enumerate(self.constrs):
-            for j, v in con.coeffs.items():
-                A[i, j] = v
-            rhs[i] = con.rhs
-            senses.append(con.sense)
+            indices.extend(con.coeffs.keys())
+            data.extend(con.coeffs.values())
+            indptr[i + 1] = len(indices)
+        A = csr_array((np.asarray(data, dtype=float),
+                       np.asarray(indices, dtype=np.int64), indptr),
+                      shape=(self.n_constrs, self.n_vars))
+        senses = [con.sense for con in self.constrs]
+        rhs = np.array([con.rhs for con in self.constrs], dtype=float)
         return A, senses, rhs
+
+    def dense(self) -> tuple[np.ndarray, list[str], np.ndarray]:
+        """Constraint data as (A, senses, rhs) with A a dense array."""
+        A, senses, rhs = self.sparse()
+        return A.toarray(), senses, rhs
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
@@ -312,13 +327,12 @@ def solve_mip(model: LinearModel, time_limit: float | None = None,
     """Solve with integrality. No duals or basis; see extract_basis_after_mip."""
     if not model.has_integers:
         return solve_lp(model, time_limit=time_limit)
-    n = model.n_vars
     c = model.objective_vector()
     sign = 1.0
     if model.sense == "max":
         c = -c
         sign = -1.0
-    A, senses, rhs = model.dense()
+    A, senses, rhs = model.sparse()
     lo = np.array([-np.inf if s == LEQ else rhs[i] for i, s in enumerate(senses)])
     hi = np.array([np.inf if s == GEQ else rhs[i] for i, s in enumerate(senses)])
     lb = np.array([v.lb for v in model.vars])

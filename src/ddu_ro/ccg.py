@@ -516,6 +516,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     u_mid: np.ndarray | None = None
     t = 0
 
+    def out_of_time(what: str) -> RunResult:
+        meta["reason"] = f"{what} hit the wall clock"
+        return done("TimeLimit", lb, ub, incumbent, records, meta)
+
     def record(t: int, cut_kind: str, seed_id: str) -> None:
         records.append(IterationRecord(
             t=t, lb=float(lb), ub=float(ub), gap=relative_gap(lb, ub),
@@ -552,8 +556,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             record(t, "none", "master-infeasible")
             return done("Infeasible", lb, np.inf, None, records, meta)
         if out.status == backend.TIME_LIMIT:
-            meta["reason"] = "master hit the wall clock"
-            return done("TimeLimit", lb, ub, incumbent, records, meta)
+            return out_of_time("master")
         if out.status != backend.OPTIMAL:
             raise BackendError(f"master solve ended {out.status}")
         lb = max(lb, float(out.objective))
@@ -567,6 +570,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
         remaining = max(config.time_limit_s - (time.monotonic() - t0), 0.01)
         r1 = sp1(inst, x_star, M=config.big_M, time_limit=remaining)
+        if r1.status == backend.TIME_LIMIT:
+            return out_of_time("feasibility subproblem")
 
         if r1.value <= feas_tol:
             remaining = max(config.time_limit_s - (time.monotonic() - t0), 0.01)
@@ -576,6 +581,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             else:
                 r2 = sp2(inst, x_star, M=config.big_M, time_limit=remaining,
                          compute_basis=(variant == "basis"))
+            if r2.status == backend.TIME_LIMIT:
+                return out_of_time("worst-case subproblem")
+            if r2.status != backend.OPTIMAL:
+                raise BackendError(f"worst-case subproblem ended {r2.status}")
             pi_star = r2.pi
 
             if mode == "mip":
@@ -588,6 +597,11 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     y_d = np.round(y_full[:inst.Y.n_int_y])
                     s4 = sp4(inst, x_star, y_d, M=config.big_M,
                              time_limit=remaining)
+                    if s4.status == backend.TIME_LIMIT:
+                        return out_of_time("frozen-recourse subproblem")
+                    if s4.status not in (backend.OPTIMAL, backend.UNBOUNDED):
+                        raise BackendError(f"frozen-recourse subproblem ended "
+                                           f"{s4.status}")
                     if np.isfinite(s4.value) and float(inst.c1 @ x_star) + s4.value < ub:
                         ub = float(inst.c1 @ x_star) + s4.value
                         incumbent = x_star

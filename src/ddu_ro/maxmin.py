@@ -4,7 +4,7 @@ optimality-condition blocks the cutting-plane masters embed.
 Two reformulation routes are provided and cross-checked: replacing the inner
 LP by its KKT system (complementarities linearized with indicator big-Ms) and
 dualizing the inner LP into a disjoint bilinear program (linearized exactly
-when the outer variables are binary). Blocks built at a fixed first stage are
+when every vertex of the outer set is binary). Blocks built at a fixed first stage are
 always purely linear; blocks with a symbolic first stage require any
 matrix-coefficient dependence to sit on binary components, since products with
 continuous components have no exact linearization.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
+from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from .model import BasisId, Instance, UncertaintySet
 
 _ZERO_RC_TOL = 1e-9
@@ -236,6 +236,8 @@ def check_inner_feasibility(problem: MaxMinProblem, M: float = 1e4,
         n_int_out=problem.n_int_out, name=problem.name + "_feas",
     )
     res = solve_maxmin_kkt(ext, M=M, time_limit=time_limit)
+    if res.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("feasibility reformulation ran out of time")
     if res.status != backend.OPTIMAL:
         raise BackendError(f"feasibility reformulation ended {res.status}")
     return max(0.0, float(res.value)), res.outer
@@ -316,20 +318,29 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
                       check_feasibility: bool = True) -> MaxMinResult:
     """max{(d - B_x z)' pi : z in outer set, pi in Pi}.
 
-    All-binary outer sets get the exact product linearization (pi capped at M,
-    which is sound whenever dual vertices stay below it; the audit in the
-    calling layer catches violations). Otherwise the KKT route answers.
+    Outer sets whose coordinates are all capped at one and whose vertices
+    are 0/1 get the exact product linearization over binary z: either every
+    coordinate is declared integer, or the set has integral vertices
+    (has_integral_vertices), so that the maximum of the convex inner value
+    sits at a binary vertex anyway. pi is capped at M there, which is sound
+    whenever the optimal dual stays below it; the audit in the calling layer
+    catches violations. Otherwise the KKT route answers.
     Inner infeasibility at some z makes the program unbounded: the result
     then carries a dual ray and the witness z instead of a point.
     """
     if check_feasibility:
-        v_f, witness = check_inner_feasibility(problem, M=M, time_limit=time_limit)
+        try:
+            v_f, witness = check_inner_feasibility(problem, M=M,
+                                                   time_limit=time_limit)
+        except SolveTimeLimit:
+            return MaxMinResult(status=backend.TIME_LIMIT)
         if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
             ray = _dual_ray_at(problem, witness)
             return MaxMinResult(status=backend.UNBOUNDED, outer=witness, ray=ray)
 
-    binary_outer = (problem.n_int_out == problem.n_out and
-                    _outer_is_binary(problem))
+    binary_outer = _outer_is_binary(problem) and (
+        problem.n_int_out == problem.n_out
+        or has_integral_vertices(problem.A_out, problem.b_out))
     if not binary_outer:
         return solve_maxmin_kkt(problem, M=M, time_limit=time_limit)
 
@@ -379,18 +390,43 @@ def _outer_is_binary(problem: MaxMinProblem) -> bool:
     return True
 
 
+def has_interval_rows(A: np.ndarray) -> bool:
+    """Every row is +/- a 0/1 vector whose ones are consecutive.
+
+    Such an interval matrix is totally unimodular, and so is [A | I]
+    (Schrijver, Theory of Linear and Integer Programming, 1986, sec. 19)."""
+    for row in np.atleast_2d(np.asarray(A, dtype=float)):
+        nz = np.flatnonzero(row)
+        if nz.size and (abs(row[nz[0]]) != 1.0 or np.any(row[nz] != row[nz[0]])
+                        or nz[-1] - nz[0] + 1 != nz.size):
+            return False
+    return True
+
+
+def has_integral_vertices(A: np.ndarray, b: np.ndarray) -> bool:
+    """{z >= 0 : A z <= b} has integral vertices because A is an interval
+    matrix and b is integral."""
+    b = np.asarray(b, dtype=float)
+    return has_interval_rows(A) and bool(np.all(
+        np.abs(b - np.round(b)) <= 1e-9 * np.maximum(1.0, np.abs(b))))
+
+
+def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
+                       name: str = "dual_lp") -> LinearModel:
+    """max{rhs' pi : B_y' pi <= c_y, pi >= 0}: the dual of the recourse LP
+    min{c_y' y : B_y y >= rhs, y >= 0}. Variable i is pi_i, for i = 0..m-1."""
+    lp = LinearModel(name=name)
+    pi_ids = lp.add_vars(B_y.shape[0], prefix="pi")
+    lp.add_block(pi_ids, B_y.T, LEQ, c_y)
+    lp.set_objective({pi_ids[i]: rhs[i] for i in range(rhs.size)
+                      if rhs[i] != 0.0}, sense="max")
+    return lp
+
+
 def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray) -> np.ndarray:
     """Extreme ray of Pi certifying inner infeasibility at the witness z."""
-    m_rows, ny = problem.B_y.shape
-    lp = LinearModel(name="dual_at_witness")
-    pi_ids = lp.add_vars(m_rows, prefix="pi")
-    for j in range(ny):
-        coeffs = {pi_ids[i]: problem.B_y[i, j] for i in range(m_rows)
-                  if problem.B_y[i, j] != 0.0}
-        lp.add_constr(coeffs, LEQ, problem.c_y[j])
-    rhs_eff = problem.d - problem.B_x @ z
-    lp.set_objective({pi_ids[i]: rhs_eff[i] for i in range(m_rows)
-                      if rhs_eff[i] != 0.0}, sense="max")
+    lp = dual_polyhedron_lp(problem.B_y, problem.c_y,
+                            problem.d - problem.B_x @ z, name="dual_at_witness")
     out = backend.solve_lp(lp)
     if out.status != backend.UNBOUNDED:
         raise BackendError("witness did not make the dual LP unbounded")
@@ -467,6 +503,11 @@ def build_optimality_block(model: LinearModel, inst: Instance,
     else:
         c_struct = -(inst.Y.E.T @ beta)
         c_slack = np.zeros(mu)
+    if U.F.is_constant and has_interval_rows(U.F.base):
+        # [F | I] is totally unimodular, so some optimal dual is a vertex
+        # with |lam_i| <= ||c||_1, and its reduced costs stay below 2 ||c||_1:
+        # a bound from the block's own cost row, whatever the seed's scale
+        M = max(M, 2.0 * float(np.abs(c_struct).sum() + np.abs(c_slack).sum()))
 
     # primal rows, with explicit slack columns so degenerate-row
     # complementarities of the perturbed objective can bind on them

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .backend import GEQ, LEQ, BackendError, LinearModel
+from .backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from .instances import recourse_value
 from .maxmin import (
     MaxMinProblem,
     ParametricLPResult,
     check_inner_feasibility,
+    dual_polyhedron_lp,
     lp_parametric,
     maxmin_from_instance,
     solve_maxmin_dual,
@@ -44,7 +45,10 @@ def sp1(inst: Instance, x: np.ndarray, M: float = 1e4,
     """Worst-case artificial mass of the recourse over U(x): zero means every
     scenario is servable, positive comes with the witness scenario."""
     problem = maxmin_from_instance(inst, x)
-    v_f, u_f = check_inner_feasibility(problem, M=M, time_limit=time_limit)
+    try:
+        v_f, u_f = check_inner_feasibility(problem, M=M, time_limit=time_limit)
+    except SolveTimeLimit:
+        return SubproblemReport(kind="SP1", status=backend.TIME_LIMIT)
     return SubproblemReport(kind="SP1", value=v_f, u=u_f)
 
 
@@ -52,8 +56,15 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
         time_limit: float | None = None, compute_basis: bool = False,
         kind: str = "SP2") -> SubproblemReport:
     """Worst-case recourse cost at x with the dual extreme point that
-    certifies it. Audits the split identity: the subproblem value must equal
-    (d - B1 x)' pi plus the parametric-LP value at pi."""
+    certifies it.
+
+    Whichever route solved the max-min, pi is re-solved as a vertex of Pi:
+    the simplex optimum of the recourse dual at the worst-case scenario u*.
+    The max-min's own pi may sit at its cap M on rows of zero weight, and
+    seeds off the vertices of Pi need master multipliers beyond any bound.
+    Two audits follow: the max-min value must equal that uncapped LP value
+    (a binding cap fails it), and the split identity must hold: the value
+    equals (d - B1 x)' pi plus the parametric-LP value at pi."""
     problem = maxmin_from_instance(inst, x)
     res = solve_maxmin_dual(problem, M=M, time_limit=time_limit,
                             check_feasibility=False)
@@ -63,7 +74,20 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
             "the feasibility subproblem should have caught this")
     if res.status != backend.OPTIMAL:
         return SubproblemReport(kind=kind, status=res.status)
-    pi = res.dual
+    out = backend.solve_lp(dual_polyhedron_lp(
+        problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
+        name=f"{kind}_vertex_dual"), time_limit=time_limit)
+    if out.status == backend.TIME_LIMIT:
+        return SubproblemReport(kind=kind, status=out.status)
+    if not out.is_optimal:
+        raise BackendError(f"recourse dual at the worst-case scenario ended "
+                           f"{out.status}")
+    cap_gap = abs(res.value - out.objective)
+    if cap_gap > _AUDIT_TOL * max(1.0, abs(res.value)):
+        raise BackendError(f"worst-case value {res.value:.10g} differs from the "
+                           f"recourse value {out.objective:.10g} at its scenario: "
+                           "the dual bound M binds")
+    pi = out.x
     infeas = _pi_violation(inst, pi)
     if infeas > _PI_FEAS_TOL:
         raise BackendError(f"returned dual violates its polyhedron by {infeas:.2e}")
@@ -89,16 +113,8 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     x = np.asarray(x, dtype=float)
     u_f = np.asarray(u_f, dtype=float)
     Y = inst.Y
-    m_rows = Y.n_rows
-    lp = LinearModel(name="sp3")
-    pi_ids = lp.add_vars(m_rows, prefix="pi")
-    for j in range(Y.dim):
-        coeffs = {pi_ids[i]: Y.B2[i, j] for i in range(m_rows)
-                  if Y.B2[i, j] != 0.0}
-        lp.add_constr(coeffs, LEQ, Y.c2[j])
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
-    lp.set_objective({pi_ids[i]: rhs_eff[i] for i in range(m_rows)
-                      if rhs_eff[i] != 0.0}, sense="max")
+    lp = dual_polyhedron_lp(Y.B2, Y.c2, rhs_eff, name="sp3")
     out = backend.solve_lp(lp)
     if out.status == backend.INFEASIBLE:
         raise BackendError("dual polyhedron empty: recourse LP unbounded below")
@@ -180,18 +196,11 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
     u_star = np.asarray(u_star, dtype=float)
     Y = inst.Y
     m_rows = Y.n_rows
-    lp = LinearModel(name="sp2_pol")
-    pi_ids = lp.add_vars(m_rows, prefix="pi")
-    for j in range(Y.dim):
-        coeffs = {pi_ids[i]: Y.B2[i, j] for i in range(m_rows)
-                  if Y.B2[i, j] != 0.0}
-        lp.add_constr(coeffs, LEQ, Y.c2[j])
-    anchor = Y.d - Y.B1 @ x_star - Y.E @ u_star
-    lp.add_constr({pi_ids[i]: anchor[i] for i in range(m_rows)
-                   if anchor[i] != 0.0}, GEQ, eta_s)
     core = Y.d - Y.B1 @ x0 - Y.E @ u_ref
-    lp.set_objective({pi_ids[i]: core[i] for i in range(m_rows)
-                      if core[i] != 0.0}, sense="max")
+    lp = dual_polyhedron_lp(Y.B2, Y.c2, core, name="sp2_pol")
+    anchor = Y.d - Y.B1 @ x_star - Y.E @ u_star
+    lp.add_constr({i: anchor[i] for i in range(m_rows) if anchor[i] != 0.0},
+                  GEQ, eta_s)
     out = backend.solve_lp(lp, time_limit=time_limit)
     if not out.is_optimal:
         return SubproblemReport(kind="SP2POL", status=out.status,

@@ -6,17 +6,21 @@ import json
 import numpy as np
 import pytest
 
-from ddu_ro import backend
+from ddu_ro import backend, ccg, maxmin
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, basis_solution,
                         build_master_v1, build_master_v2, build_master_v3,
                         records_to_csv, run, run_diu_approx,
                         run_mip_recourse_approx, run_result_to_dict)
 from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
                               gen_reliable_pmedian, gen_robust_fl,
-                              oracle_exact, recourse_value, t1, t1_infeasible)
+                              oracle_exact, recourse_value, t1, t1_infeasible,
+                              uncertainty_set_from_dict,
+                              uncertainty_set_to_dict)
 from ddu_ro.model import (AffineMatrixMap, BasisId, DualPoint, DualRay,
                           FirstStageSet, Instance, RecourseSet,
                           UncertaintySet)
+from ddu_ro.maxmin import MaxMinResult, dual_polyhedron_lp
+from ddu_ro.subproblems import SubproblemReport
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -25,6 +29,9 @@ FLT_W = 4737.267202466099
 
 PM4 = dict(n_sites=4, seed=3, p=2, k=1, rho=0.3, theta=0.0)
 PM4_DIU_W = 9557.670493655241
+
+PM8_W = 15344.279309770583     # oracle value of pm_uk8, the default 8 sites
+PM5_PAIR_W = 14320.768922448526  # oracle value of pm_pair5 (5 sites, p = 2)
 
 FL2 = dict(n_sites=2, seed=1, capacity_lower_frac=1.5, capacity_upper_frac=1.5)
 FL2_MIP_W = -52261.99993668124
@@ -204,6 +211,74 @@ def test_replicate_master_bound_insensitive_to_linearization_M():
             assert out.objective <= wstar + 1e-6 * max(1.0, abs(wstar))
 
 
+@pytest.mark.parametrize("builder", [build_master_v1, build_master_v2])
+def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(builder):
+    # a legitimate extreme point of Pi, taken where site 4 is built and
+    # disrupted, prices that disruption above big_M. At the optimum site 4
+    # is closed, so the block pins u_4 <= 0 with a multiplier of at least
+    # ||E' beta||_1: a single global M cuts the optimum off, the block bound
+    # derived from the seed's own cost row keeps it
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=0), "ddu_uk")
+    best = oracle_exact(inst)
+    assert list(np.flatnonzero(best.x[:5])) == [0, 2]
+    x_seed = best.x.copy()
+    x_seed[:5] = [0.0, 1.0, 0.0, 0.0, 1.0]
+    Y = inst.Y
+    seed_lp = backend.solve_lp(dual_polyhedron_lp(
+        Y.B2, Y.c2, Y.d - Y.B1 @ x_seed - Y.E @ np.eye(5)[4]))
+    assert seed_lp.status == backend.OPTIMAL
+    beta = seed_lp.x
+    cfg = AlgorithmConfig(variant="parametric")
+    assert np.abs(inst.Y.E.T @ beta).sum() > cfg.big_M
+    state = MasterState(inst, cfg)
+    model = builder(state, [DualPoint(beta)])
+    for k, xk in zip(state.x_ids, best.x):
+        model.fix_var(k, xk)
+    out = backend.solve(model)
+    assert out.status == backend.OPTIMAL
+    assert out.objective <= best.value + 1e-6 * abs(best.value)
+
+
+def _rows_permuted(inst: Instance, seed: int) -> Instance:
+    # the same sets with their rows reordered; the permutations are drawn for
+    # U, X, Y and then each surrogate set of the metadata, in that order
+    rng = np.random.default_rng(seed)
+
+    def permute_set(U: UncertaintySet) -> UncertaintySet:
+        p = rng.permutation(U.n_rows)
+        F = AffineMatrixMap(base=U.F.base[p],
+                            terms=tuple((k, Mk[p]) for k, Mk in U.F.terms))
+        return UncertaintySet(F=F, G=U.G[p], h=U.h[p], n_int_u=U.n_int_u)
+
+    X, Y = inst.X, inst.Y
+    U2 = permute_set(inst.U)
+    px = rng.permutation(X.A.shape[0])
+    py = rng.permutation(Y.n_rows)
+    X2 = FirstStageSet(A=X.A[px], b=X.b[px], n_int=X.n_int, lb=X.lb, ub=X.ub)
+    Y2 = RecourseSet(B1=Y.B1[py], B2=Y.B2[py], E=Y.E[py], d=Y.d[py], c2=Y.c2,
+                     n_int_y=Y.n_int_y)
+    meta = dict(inst.metadata)
+    if "ddu_sets" in meta:
+        meta["ddu_sets"] = [uncertainty_set_to_dict(permute_set(
+            uncertainty_set_from_dict(d))) for d in meta["ddu_sets"]]
+    return Instance(name=inst.name, c1=inst.c1, X=X2, U=U2, Y=Y2, metadata=meta)
+
+
+@pytest.mark.parametrize("make, config, perm_seed, value", [
+    # with capped duals as seeds this copy closed Optimal at 16290.32
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"),
+     dict(variant="parametric"), 2, PM8_W),
+    # and this one was reported Infeasible
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair"),
+     dict(diu_approx="metadata"), 3, PM5_PAIR_W),
+], ids=["pm_uk8-parametric", "pm_pair5-diu"])
+def test_row_order_leaves_the_pmedian_optimum_unchanged(make, config, perm_seed,
+                                                         value):
+    res = run(_rows_permuted(make(), perm_seed), AlgorithmConfig(**config))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(value, rel=1e-6)
+
+
 def test_seed_counts_stay_within_the_dual_description():
     # T1: B2 = [1], c2 = 1, so the dual interval [0, 1] has two extreme
     # points and no rays; cap_toy adds the ray direction (1, 1)
@@ -251,6 +326,46 @@ def test_iteration_cap_reports_stalled_with_valid_bounds():
 def test_time_limit_returns_incumbent():
     res = run(_flt(), AlgorithmConfig(variant="parametric", time_limit_s=1e-9))
     assert res.status == "TimeLimit"
+
+
+def test_sp2_time_limit_keeps_bounds_and_incumbent(monkeypatch):
+    real_sp2 = ccg.sp2
+    calls = []
+
+    def second_call_times_out(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= 2:
+            return SubproblemReport(kind="SP2", status=backend.TIME_LIMIT)
+        return real_sp2(*args, **kwargs)
+
+    monkeypatch.setattr(ccg, "sp2", second_call_times_out)
+    res = run(_diu_box(), AlgorithmConfig(variant="parametric", tol=0.0))
+    assert len(calls) == 2
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "worst-case subproblem hit the wall clock"
+    assert res.x is not None and np.isfinite(res.ub)
+    assert res.lb <= 2.4 + 1e-9 <= res.ub + 1e-9
+
+
+def test_feasibility_time_limit_keeps_bounds_and_incumbent(monkeypatch):
+    real_kkt = maxmin.solve_maxmin_kkt
+    calls = []
+
+    def second_feasibility_call_times_out(problem, **kwargs):
+        if problem.name.endswith("_feas"):
+            calls.append(1)
+            if len(calls) >= 2:
+                return MaxMinResult(status=backend.TIME_LIMIT)
+        return real_kkt(problem, **kwargs)
+
+    monkeypatch.setattr(maxmin, "solve_maxmin_kkt",
+                        second_feasibility_call_times_out)
+    res = run(_diu_box(), AlgorithmConfig(variant="parametric", tol=0.0))
+    assert len(calls) == 2
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "feasibility subproblem hit the wall clock"
+    assert res.x is not None and np.isfinite(res.ub)
+    assert res.lb <= 2.4 + 1e-9 <= res.ub + 1e-9
 
 
 def test_config_rejects_bad_combinations():

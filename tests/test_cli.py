@@ -47,6 +47,20 @@ def test_solve_time_limit_exits_three_with_partial_trace(t1_path, tmp_path):
         "status"] == "TimeLimit"
 
 
+def test_solve_subproblem_time_limit_exits_three(t1_path, tmp_path, monkeypatch):
+    # a worst-case subproblem that runs out of time reports no value; the
+    # run must end TimeLimit rather than fail on the missing number
+    from ddu_ro import backend, ccg
+    from ddu_ro.subproblems import SubproblemReport
+    monkeypatch.setattr(ccg, "sp2", lambda *a, **k: SubproblemReport(
+        kind="SP2", status=backend.TIME_LIMIT))
+    out = str(tmp_path / "tl")
+    assert cli.main(["solve", t1_path, "--out", out]) == 3
+    payload = json.loads(open(os.path.join(out, "run.json")).read())
+    assert payload["status"] == "TimeLimit"
+    assert payload["lb"] is not None
+
+
 def test_bad_flags_exit_sixty_four(t1_path, capsys):
     assert cli.main(["solve", t1_path, "--variant", "newton"]) == 64
     assert cli.main(["frobnicate"]) == 64

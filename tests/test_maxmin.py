@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddu_ro import backend, t1
+from ddu_ro import backend, maxmin, t1
 from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel
-from ddu_ro.instances import enumerate_vertices
+from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
+                              gen_reliable_pmedian, gen_robust_fl)
 from ddu_ro.maxmin import (
     MaxMinProblem,
     basis_of_point,
@@ -13,6 +14,8 @@ from ddu_ro.maxmin import (
     build_optimality_block,
     check_inner_feasibility,
     ensure_unique_optimum,
+    has_integral_vertices,
+    has_interval_rows,
     lp_parametric,
     maxmin_from_instance,
     perturb_for_uniqueness,
@@ -20,6 +23,7 @@ from ddu_ro.maxmin import (
     solve_maxmin_kkt,
 )
 from ddu_ro.model import AffineMatrixMap, BasisId, Instance, UncertaintySet
+from ddu_ro.subproblems import sp2
 
 
 def test_lp_parametric_on_t1_box():
@@ -243,3 +247,77 @@ def test_unique_representation_requires_cost_row():
     with pytest.raises(ValueError, match="cost row"):
         build_optimality_block(m, t1(), beta=np.array([1.0]),
                                representation="unique", x_fixed=np.array([0.0]))
+
+
+# -- the product route on sets with integral vertices ---------------------------
+
+def _pm_uk(n_sites: int, p: int = 3, seed: int = 0) -> Instance:
+    return gen_reliable_pmedian(PMedianParams(n_sites=n_sites, p=p, seed=seed),
+                                "ddu_uk")
+
+
+def _open_sites(inst: Instance, sites) -> np.ndarray:
+    x = np.zeros(inst.dim_x)
+    x[list(sites)] = 1.0
+    return x
+
+
+def test_integral_vertex_check_accepts_ddu_uk_at_binary_x():
+    inst = _pm_uk(6)
+    for sites in ((0, 1, 2), (3, 4, 5), (1, 3, 5)):
+        problem = maxmin_from_instance(inst, _open_sites(inst, sites))
+        assert has_interval_rows(problem.A_out)
+        assert has_integral_vertices(problem.A_out, problem.b_out)
+
+
+def test_integral_vertex_check_rejects_other_sets():
+    fl = gen_robust_fl(FLParams(n_sites=3, seed=0), "rhs")
+    x = np.zeros(fl.dim_x)
+    x[:fl.X.n_int] = 1.0
+    problem = maxmin_from_instance(fl, x)
+    assert not has_integral_vertices(problem.A_out, problem.b_out)
+    assert not has_interval_rows([[1.0, 0.0, 1.0]])
+    assert not has_interval_rows([[1.0, -1.0, 0.0]])
+    assert not has_interval_rows([[2.0, 2.0, 0.0]])
+    assert has_interval_rows([[0.0, -1.0, -1.0], [0.0, 0.0, 0.0]])
+    assert not has_integral_vertices(np.eye(2), [1.0, 0.5])
+    assert has_integral_vertices(np.eye(2), [1.0, 0.0])
+
+
+def test_product_and_kkt_routes_agree_on_pmedian(monkeypatch):
+    names = []
+    solve_mip = backend.solve_mip
+
+    def recording(model, **kw):
+        names.append(model.name)
+        return solve_mip(model, **kw)
+
+    monkeypatch.setattr(backend, "solve_mip", recording)
+    cases = [(_pm_uk(5, p=2), (0, 3)), (_pm_uk(6), (0, 2, 4)), (_pm_uk(6), (1, 2, 5))]
+    product = []
+    for inst, sites in cases:
+        x = _open_sites(inst, sites)
+        names.clear()
+        product.append(sp2(inst, x))
+        assert [n for n in names if n.endswith("_bilin")], names
+    monkeypatch.setattr(maxmin, "has_integral_vertices", lambda A, b: False)
+    for (inst, sites), r in zip(cases, product):
+        names.clear()
+        k = sp2(inst, _open_sites(inst, sites))
+        assert names and all(n.endswith("_kkt") for n in names)
+        assert r.value == pytest.approx(k.value, rel=1e-6)
+        assert r.audit_gap <= 1e-6 * abs(r.value)
+
+
+def test_product_route_seed_is_a_vertex_dual_below_the_cap():
+    inst = _pm_uk(6)
+    x = _open_sites(inst, (0, 2, 4))
+    raw = solve_maxmin_dual(maxmin_from_instance(inst, x), M=1e4,
+                            check_feasibility=False)
+    r = sp2(inst, x, M=1e4)
+    # the product MIP may leave duals of zero-weight rows at their cap; the
+    # seed handed on is the simplex vertex of the recourse dual instead
+    assert r.pi.max() < 1e3
+    assert np.all(r.pi >= 0.0)
+    assert np.all(inst.Y.B2.T @ r.pi <= inst.Y.c2 + 1e-7)
+    assert r.value == pytest.approx(raw.value, rel=1e-9)
