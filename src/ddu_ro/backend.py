@@ -421,7 +421,8 @@ def extract_basis_after_mip(model: LinearModel, mip_outcome: SolveOutcome,
 
 # -- ray extraction -----------------------------------------------------------
 
-def extract_ray(model: LinearModel, kind: str = "unbounded") -> np.ndarray:
+def extract_ray(model: LinearModel, kind: str = "unbounded",
+                time_limit: float | None = None) -> np.ndarray:
     """Certificate for an LP the solver refused.
 
     kind="unbounded": a primal ray r of the recession cone with c'r > 0
@@ -433,15 +434,18 @@ def extract_ray(model: LinearModel, kind: str = "unbounded") -> np.ndarray:
     (y_i <= 0 on <=-rows, y_i >= 0 on >=-rows, free on equalities) with
     A'y nonpositive where x is lower-bounded, zero on free coordinates,
     and y'rhs > 0, proving emptiness.
+
+    time_limit bounds the ray LP of kind="unbounded"; running out raises
+    SolveTimeLimit.
     """
     if kind == "unbounded":
-        return _primal_ray(model)
+        return _primal_ray(model, time_limit)
     if kind == "infeasible":
         return _farkas_ray(model)
     raise BackendError(f"unknown ray kind {kind!r}")
 
 
-def _primal_ray(model: LinearModel) -> np.ndarray:
+def _primal_ray(model: LinearModel, time_limit: float | None) -> np.ndarray:
     n = model.n_vars
     ray_lp = LinearModel(name=model.name + "_ray")
     ids = []
@@ -459,7 +463,9 @@ def _primal_ray(model: LinearModel) -> np.ndarray:
     sense = model.sense
     obj = {ids[j]: v for j, v in model.obj.items()}
     ray_lp.set_objective(obj, sense=sense)
-    out = solve_lp(ray_lp)
+    out = solve_lp(ray_lp, time_limit=time_limit)
+    if out.status == TIME_LIMIT:
+        raise SolveTimeLimit("ray LP ran out of time")
     if not out.is_optimal:
         raise BackendError(f"ray LP not optimal ({out.status})")
     r = out.x[:n]

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
-from .maxmin import (OptimalityBlock, build_optimality_block,
+from .maxmin import (OptimalityBlock, _binary_product, build_optimality_block,
                      ensure_unique_optimum, lp_parametric)
 from .model import (BasisId, DualPoint, DualRay, Instance, IterationRecord,
                     RunResult, UncertaintySet, add_first_stage,
                     add_recourse_rows, add_recourse_vars,
-                    add_uncertainty_rows, add_uncertainty_vars,
-                    build_deterministic_mip, relative_gap)
+                    add_uncertainty_vars, build_deterministic_mip,
+                    range_probe, relative_gap)
 from .subproblems import (recourse_mip_at, sp1, sp2, sp2_mip_relax,
                           sp2_pareto_lp, sp3, sp4)
 
@@ -192,16 +192,6 @@ def _binary_product_free(model: LinearModel, x_id: int, v_id: int, M: float,
     return w
 
 
-def _binary_product_nonneg(model: LinearModel, x_id: int, v_id: int, M: float,
-                           name: str) -> int:
-    """w = x * v for binary x and 0 <= v <= M, by the exact envelope."""
-    w = model.add_var(0.0, M, name=name)
-    model.add_constr({w: 1.0, x_id: -M}, LEQ, 0.0)
-    model.add_constr({w: 1.0, v_id: -1.0}, LEQ, 0.0)
-    model.add_constr({w: 1.0, v_id: -1.0, x_id: -M}, GEQ, -M)
-    return w
-
-
 def _coupled_columns(U: UncertaintySet) -> set[int]:
     cols = {k for k in range(U.G.shape[1]) if np.any(U.G[:, k])}
     cols.update(k for k, _ in U.F.terms)
@@ -255,7 +245,7 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     def prod(x_id: int, v_id: int, free: bool, name: str) -> int:
         key = (x_id, v_id)
         if key not in prod_cache:
-            maker = _binary_product_free if free else _binary_product_nonneg
+            maker = _binary_product_free if free else _binary_product
             prod_cache[key] = maker(model, x_id, v_id, M, name=name)
         return prod_cache[key]
 
@@ -663,7 +653,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     seed_id = _add_basis_seed(state, b)
                 kind = "basis"
         else:
-            r3 = sp3(inst, x_star, r1.u)
+            remaining = max(config.time_limit_s - (time.monotonic() - t0), 0.01)
+            r3 = sp3(inst, x_star, r1.u, time_limit=remaining)
+            if r3.status == backend.TIME_LIMIT:
+                return out_of_time("feasibility ray subproblem")
             gamma = r3.ray
             if _vector_seen(derived_rays, gamma):
                 return closure(t, "dual-ray")
@@ -725,7 +718,7 @@ def _deterministic_floor(inst: Instance, M: float) -> tuple[LinearModel, dict]:
                 if Mk[i, j] != 0.0:
                     key = (k, j)
                     if key not in prod:
-                        prod[key] = _binary_product_nonneg(
+                        prod[key] = _binary_product(
                             m, x_ids[k], u_ids[j], M, name=f"w{k}_{j}")
                     coeffs[prod[key]] = coeffs.get(prod[key], 0.0) + Mk[i, j]
         for k in range(inst.dim_x):
@@ -764,18 +757,11 @@ def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
 def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:
     """Midpoint of the per-coordinate range of the uncertainty set at x0,
     the default core scenario of the stabilized cut selection."""
-    lo = np.zeros(inst.U.dim)
-    hi = np.zeros(inst.U.dim)
-    for j in range(inst.U.dim):
-        for sense, box in (("min", lo), ("max", hi)):
-            m = LinearModel(name="ubox")
-            u_ids = add_uncertainty_vars(m, inst.U, prefix="u")
-            add_uncertainty_rows(m, inst.U, u_ids, x_fixed=x0)
-            m.set_objective({u_ids[j]: 1.0}, sense)
-            out = backend.solve_lp(m)
-            if out.status != backend.OPTIMAL:
-                raise BackendError(f"uncertainty range probe ended {out.status}")
-            box[j] = out.x[u_ids[j]]
+    Fx, rhs = inst.U.F.evaluate(x0), inst.U.h + inst.U.G @ x0
+    lo = np.array([range_probe(Fx, rhs, j, "min") for j in range(inst.U.dim)])
+    hi = np.array([range_probe(Fx, rhs, j, "max") for j in range(inst.U.dim)])
+    if not np.all(np.isfinite(hi)):
+        raise BackendError("uncertainty range probe ended Unbounded")
     return (lo + hi) / 2.0
 
 

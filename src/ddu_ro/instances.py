@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .backend import GEQ, LEQ, LinearModel
+from .backend import GEQ, LinearModel
 from .model import (
     AffineMatrixMap,
     FirstStageSet,
@@ -32,6 +32,7 @@ from .model import (
     add_first_stage,
     instance_from_dict,
     instance_to_dict,
+    range_probe,
 )
 
 
@@ -154,17 +155,14 @@ def _integer_points(Fx: np.ndarray, rhs: np.ndarray,
     mu, n = Fx.shape
     ubs = []
     for j in range(n):
-        lp = LinearModel(name="u_bound")
-        u_ids = lp.add_vars(n, lb=0.0, prefix="u")
-        if mu:
-            lp.add_block(u_ids, Fx, LEQ, rhs)
-        lp.set_objective({u_ids[j]: 1.0}, sense="max")
-        out = backend.solve_lp(lp)
-        if out.status == backend.UNBOUNDED:
+        try:
+            hi = range_probe(Fx, rhs, j)
+        except backend.BackendError as exc:
+            raise OracleError("U(x) is empty at the probed x "
+                              "(nonemptiness violated)") from exc
+        if hi == np.inf:
             raise OracleError(f"u[{j}] unbounded: integer enumeration impossible")
-        if not out.is_optimal:
-            raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-        ubs.append(int(np.floor(out.objective + 1e-9)))
+        ubs.append(int(np.floor(hi + 1e-9)))
     total = 1
     for b in ubs:
         total *= b + 1

@@ -1,13 +1,19 @@
 """Max-min linear programs over a polyhedral outer set and the
 optimality-condition blocks the cutting-plane masters embed.
 
-Two reformulation routes are provided and cross-checked: replacing the inner
-LP by its KKT system (complementarities linearized with indicator big-Ms) and
-dualizing the inner LP into a disjoint bilinear program (linearized exactly
-when every vertex of the outer set is binary). Blocks built at a fixed first stage are
-always purely linear; blocks with a symbolic first stage require any
-matrix-coefficient dependence to sit on binary components, since products with
-continuous components have no exact linearization.
+Three routes solve a max-min and are cross-checked against each other:
+- the KKT route replaces the inner LP by its KKT system, complementarities
+  linearized with indicator big-Ms; it applies to every problem;
+- the product route dualizes the inner LP into a disjoint bilinear program,
+  linearized exactly when every vertex of the outer set is binary;
+- the network route answers the feasibility check when the recourse matrix
+  has network columns: the feasibility dual then has 0/1 vertices, so pi is
+  binary and each product pi_i z_j is linearized exactly over the probed
+  range of z_j, with no big-M.
+Blocks built at a fixed first stage are always purely linear; blocks with a
+symbolic first stage require any matrix-coefficient dependence to sit on
+binary components, since products with continuous components have no exact
+linearization.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .model import BasisId, Instance, UncertaintySet
+from .model import BasisId, Instance, UncertaintySet, range_probe
 
 _ZERO_RC_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-6
+_POLISH_TOL = 1e-4    # relative, the product MIP's value against its LP polish
 
 
 @dataclass(eq=False)
@@ -226,8 +233,20 @@ def check_inner_feasibility(problem: MaxMinProblem, M: float = 1e4,
 
     Zero means the inner LP is feasible at every outer point; a positive value
     comes with the witness outer point where it is not.
+
+    The dual of the inner LP is max{(d - B_x z)' pi : pi in Pi_1}, with
+    Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has network columns and
+    every z_j that the objective reads has a finite range over the outer set,
+    the network route solves it (_feasibility_by_network); otherwise the KKT
+    route does. Either raises SolveTimeLimit when a solve runs out of time.
     """
     m_rows, ny = problem.B_y.shape
+    if has_network_columns(problem.B_y):
+        caps = {j: range_probe(problem.A_out, problem.b_out, j,
+                               time_limit=time_limit)
+                for j in np.flatnonzero(problem.B_x.any(axis=0))}
+        if all(np.isfinite(list(caps.values()))):
+            return _feasibility_by_network(problem, caps, time_limit)
     ext = MaxMinProblem(
         A_out=problem.A_out, b_out=problem.b_out,
         c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
@@ -241,6 +260,69 @@ def check_inner_feasibility(problem: MaxMinProblem, M: float = 1e4,
     if res.status != backend.OPTIMAL:
         raise BackendError(f"feasibility reformulation ended {res.status}")
     return max(0.0, float(res.value)), res.outer
+
+
+def has_network_columns(B: np.ndarray) -> bool:
+    """Every entry is 0 or +/-1, and every column has at most one +1 and at
+    most one -1.
+
+    B is then the incidence matrix of a directed graph, some arc ends left
+    out, so B' is totally unimodular, and {0 <= pi <= 1, B' pi <= 0} has 0/1
+    vertices (Schrijver, Theory of Linear and Integer Programming, 1986,
+    sec. 19)."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    return bool(np.all((B == 0.0) | (np.abs(B) == 1.0))
+                and np.all((B == 1.0).sum(axis=0) <= 1)
+                and np.all((B == -1.0).sum(axis=0) <= 1))
+
+
+def _feasibility_by_network(problem: MaxMinProblem, caps: dict[int, float],
+                            time_limit: float | None
+                            ) -> tuple[float, np.ndarray]:
+    """v_f = max (d - B_x z)' pi over z in the outer set and binary pi in
+    Pi_1, exact because Pi_1 has 0/1 vertices (has_network_columns).
+
+    caps[j], the probed maximum of each z_j the objective reads, is the
+    M of the exact envelope w_ij = pi_i z_j and also the bound of z_j: a
+    bound holds exactly in the MIP, while the rows that imply it hold only
+    to feasibility tolerance, which the maximizing z would exploit. The
+    value is then polished by the recourse feasibility LP at the witness z*,
+    which must agree with the MIP's value."""
+    m_rows, ny = problem.B_y.shape
+    n_out = problem.n_out
+    m = LinearModel(name=problem.name + "_feas_net")
+    z_ids = [m.add_var(0.0, caps.get(j, np.inf), integer=j < problem.n_int_out,
+                       name=f"z{j}") for j in range(n_out)]
+    if problem.A_out.shape[0]:
+        m.add_block(z_ids, problem.A_out, LEQ, problem.b_out)
+    pi_ids = m.add_vars(m_rows, ub=1.0, integer=True, prefix="pi")
+    if ny:
+        m.add_block(pi_ids, problem.B_y.T, LEQ, np.zeros(ny))
+    obj = {pi_ids[i]: problem.d[i] for i in range(m_rows) if problem.d[i] != 0.0}
+    for i, j in zip(*np.nonzero(problem.B_x)):
+        w = _binary_product(m, pi_ids[i], z_ids[j], caps[j], name=f"w{i}_{j}")
+        obj[w] = -problem.B_x[i, j]
+    m.set_objective(obj, sense="max")
+    out = backend.solve_mip(m, time_limit=time_limit)
+    if out.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("feasibility product MIP ran out of time")
+    if not out.is_optimal:
+        raise BackendError(f"feasibility product MIP ended {out.status}")
+
+    z = out.x[:n_out]
+    polish = backend.solve_lp(dual_polyhedron_lp(
+        np.hstack([problem.B_y, np.eye(m_rows)]),
+        np.concatenate([np.zeros(ny), np.ones(m_rows)]),
+        problem.d - problem.B_x @ z, name=problem.name + "_feas_polish"),
+        time_limit=time_limit)
+    if polish.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("feasibility polish LP ran out of time")
+    if not polish.is_optimal:
+        raise BackendError(f"feasibility polish LP ended {polish.status}")
+    if abs(polish.objective - out.objective) > _POLISH_TOL * max(1.0, abs(out.objective)):
+        raise BackendError(f"worst-case unserved mass {out.objective:.10g} differs "
+                           f"from {polish.objective:.10g} at its witness")
+    return max(0.0, float(polish.objective)), z
 
 
 # -- KKT route ------------------------------------------------------------------
@@ -332,11 +414,12 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
         try:
             v_f, witness = check_inner_feasibility(problem, M=M,
                                                    time_limit=time_limit)
+            if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
+                ray = _dual_ray_at(problem, witness, time_limit)
+                return MaxMinResult(status=backend.UNBOUNDED, outer=witness,
+                                    ray=ray)
         except SolveTimeLimit:
             return MaxMinResult(status=backend.TIME_LIMIT)
-        if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
-            ray = _dual_ray_at(problem, witness)
-            return MaxMinResult(status=backend.UNBOUNDED, outer=witness, ray=ray)
 
     binary_outer = _outer_is_binary(problem) and (
         problem.n_int_out == problem.n_out
@@ -361,11 +444,8 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
             bij = problem.B_x[i, j]
             if bij == 0.0:
                 continue
-            w = m.add_var(0.0, M, name=f"w{i}_{j}")      # w = pi_i z_j
-            m.add_constr({w: 1.0, z_ids[j]: -M}, LEQ, 0.0)
-            m.add_constr({w: 1.0, pi_ids[i]: -1.0}, LEQ, 0.0)
-            m.add_constr({w: 1.0, pi_ids[i]: -1.0, z_ids[j]: -M}, GEQ, -M)
-            obj[w] = obj.get(w, 0.0) - bij
+            w = _binary_product(m, z_ids[j], pi_ids[i], M, name=f"w{i}_{j}")
+            obj[w] = -bij
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m, time_limit=time_limit)
     if not out.is_optimal:
@@ -423,14 +503,17 @@ def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
     return lp
 
 
-def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray) -> np.ndarray:
+def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray,
+                 time_limit: float | None = None) -> np.ndarray:
     """Extreme ray of Pi certifying inner infeasibility at the witness z."""
     lp = dual_polyhedron_lp(problem.B_y, problem.c_y,
                             problem.d - problem.B_x @ z, name="dual_at_witness")
-    out = backend.solve_lp(lp)
+    out = backend.solve_lp(lp, time_limit=time_limit)
+    if out.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("dual LP at the witness ran out of time")
     if out.status != backend.UNBOUNDED:
         raise BackendError("witness did not make the dual LP unbounded")
-    return backend.extract_ray(lp, kind="unbounded")
+    return backend.extract_ray(lp, kind="unbounded", time_limit=time_limit)
 
 
 # -- optimality blocks ----------------------------------------------------------

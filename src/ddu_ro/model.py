@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .backend import EQ, GEQ, LEQ, LinearModel
+from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 
 # Run-level statuses (per-solve statuses live in backend.py).
 OPTIMAL = "Optimal"
@@ -278,6 +278,28 @@ def add_uncertainty_vars(model: LinearModel, U: UncertaintySet,
             for j in range(U.dim)]
 
 
+def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max",
+                time_limit: float | None = None) -> float:
+    """max (or min) z_j over {z >= 0 : A z <= b}, such as U(x) with
+    A = F(x) and b = h + G x; +inf when z_j is unbounded above.
+
+    Integrality is ignored. Raises SolveTimeLimit when the LP runs out of
+    time and BackendError when the set is empty."""
+    m = LinearModel(name="range_probe")
+    z_ids = m.add_vars(A.shape[1], prefix="z")
+    if A.shape[0]:
+        m.add_block(z_ids, A, LEQ, b)
+    m.set_objective({z_ids[j]: 1.0}, sense)
+    out = backend.solve_lp(m, time_limit=time_limit)
+    if out.status == backend.UNBOUNDED:
+        return np.inf
+    if out.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("range probe ran out of time")
+    if not out.is_optimal:
+        raise BackendError(f"range probe ended {out.status}")
+    return float(out.objective)
+
+
 def add_uncertainty_rows(model: LinearModel, U: UncertaintySet, u_ids: list[int],
                          x_ids: list[int] | None = None,
                          x_fixed: np.ndarray | None = None,
@@ -446,15 +468,13 @@ def validate(inst: Instance, probe_boundedness: bool = True) -> ValidationReport
         px = witness_x
         if px is None:
             px = np.where(np.isfinite(X.ub), X.ub, np.maximum(X.lb, 1.0))
+        Fx, rhs = U.F.evaluate(px), U.h + U.G @ px
         for j in range(nu):
-            probe = LinearModel(name="a2_probe")
-            u_ids = add_uncertainty_vars(probe, U)
-            for uid in u_ids:
-                probe.vars[uid].integer = False
-            add_uncertainty_rows(probe, U, u_ids, x_fixed=px)
-            probe.set_objective({u_ids[j]: 1.0}, sense="max")
-            if backend.solve_lp(probe).status == backend.UNBOUNDED:
-                report.a2_unbounded_dims.append(j)
+            try:
+                if range_probe(Fx, rhs, j) == np.inf:
+                    report.a2_unbounded_dims.append(j)
+            except BackendError:
+                break     # U(px) is empty: nothing to probe
 
     if report.a3_status != backend.OPTIMAL:
         report.errors.append(

@@ -107,7 +107,8 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
                             audit_gap=audit)
 
 
-def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
+def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
+        time_limit: float | None = None) -> SubproblemReport:
     """Extreme ray of the dual polyhedron certifying that the recourse at
     (x, u_f) is infeasible."""
     x = np.asarray(x, dtype=float)
@@ -115,13 +116,18 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     Y = inst.Y
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
     lp = dual_polyhedron_lp(Y.B2, Y.c2, rhs_eff, name="sp3")
-    out = backend.solve_lp(lp)
+    out = backend.solve_lp(lp, time_limit=time_limit)
+    if out.status == backend.TIME_LIMIT:
+        return SubproblemReport(kind="SP3", status=out.status)
     if out.status == backend.INFEASIBLE:
         raise BackendError("dual polyhedron empty: recourse LP unbounded below")
     if out.status != backend.UNBOUNDED:
         raise BackendError(
             "recourse is feasible at the supplied scenario: no ray exists")
-    gamma = backend.extract_ray(lp, kind="unbounded")
+    try:
+        gamma = backend.extract_ray(lp, kind="unbounded", time_limit=time_limit)
+    except SolveTimeLimit:
+        return SubproblemReport(kind="SP3", status=backend.TIME_LIMIT)
     if float(rhs_eff @ gamma) <= 1e-8:
         raise BackendError("extracted ray does not certify infeasibility")
     cone_gap = float(np.max(Y.B2.T @ gamma)) if Y.dim else 0.0

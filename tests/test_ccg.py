@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg, maxmin
+from ddu_ro import backend, ccg
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, basis_solution,
                         build_master_v1, build_master_v2, build_master_v3,
                         records_to_csv, run, run_diu_approx,
@@ -19,7 +19,7 @@ from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
 from ddu_ro.model import (AffineMatrixMap, BasisId, DualPoint, DualRay,
                           FirstStageSet, Instance, RecourseSet,
                           UncertaintySet)
-from ddu_ro.maxmin import MaxMinResult, dual_polyhedron_lp
+from ddu_ro.maxmin import dual_polyhedron_lp
 from ddu_ro.subproblems import SubproblemReport
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
@@ -348,24 +348,58 @@ def test_sp2_time_limit_keeps_bounds_and_incumbent(monkeypatch):
 
 
 def test_feasibility_time_limit_keeps_bounds_and_incumbent(monkeypatch):
-    real_kkt = maxmin.solve_maxmin_kkt
+    # B2 = [[1]] has network columns, so sp1 solves the "_feas_net" MIP
+    real_mip = backend.solve_mip
     calls = []
 
-    def second_feasibility_call_times_out(problem, **kwargs):
-        if problem.name.endswith("_feas"):
+    def second_feasibility_call_times_out(model, **kwargs):
+        if model.name.endswith("_feas_net"):
             calls.append(1)
             if len(calls) >= 2:
-                return MaxMinResult(status=backend.TIME_LIMIT)
-        return real_kkt(problem, **kwargs)
+                return backend.SolveOutcome(status=backend.TIME_LIMIT)
+        return real_mip(model, **kwargs)
 
-    monkeypatch.setattr(maxmin, "solve_maxmin_kkt",
-                        second_feasibility_call_times_out)
+    monkeypatch.setattr(backend, "solve_mip", second_feasibility_call_times_out)
     res = run(_diu_box(), AlgorithmConfig(variant="parametric", tol=0.0))
     assert len(calls) == 2
     assert res.status == "TimeLimit"
     assert res.meta["reason"] == "feasibility subproblem hit the wall clock"
     assert res.x is not None and np.isfinite(res.ub)
     assert res.lb <= 2.4 + 1e-9 <= res.ub + 1e-9
+
+
+def _ray_toy() -> Instance:
+    # U(x) = [0, 1 + x]; x = 1 covers the first row but caps u + y2 at 1.5,
+    # which u = 2 breaks; benders sees that only through a feasibility cut,
+    # after x = 0 has set the incumbent at w* = 1
+    return Instance(
+        name="ray_toy", c1=np.array([0.1]),
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                        ub=np.array([1.0])),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.array([[1.0]])),
+                         G=np.array([[1.0]]), h=np.array([1.0])),
+        Y=RecourseSet(B1=np.array([[3.0], [-10.0]]),
+                      B2=np.array([[1.0, 0.0], [0.0, -1.0]]),
+                      E=np.array([[-1.0], [-1.0]]), d=np.array([0.0, -11.5]),
+                      c2=np.array([1.0, 0.0])))
+
+
+def test_ray_time_limit_keeps_bounds_and_incumbent(monkeypatch):
+    full = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    assert full.status == "Optimal" and full.objective == pytest.approx(1.0)
+    assert [r.cut_kind for r in full.iterations][:2] == ["optimality", "feasibility"]
+
+    def times_out(*args, time_limit=None):
+        assert time_limit is not None and time_limit > 0
+        return SubproblemReport(kind="SP3", status=backend.TIME_LIMIT)
+
+    monkeypatch.setattr(ccg, "sp3", times_out)
+    res = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "feasibility ray subproblem hit the wall clock"
+    assert res.x == pytest.approx([0.0])
+    assert res.ub == pytest.approx(1.0)
+    assert res.lb <= 1.0 + 1e-9
 
 
 def test_config_rejects_bad_combinations():

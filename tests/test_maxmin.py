@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddu_ro import backend, maxmin, t1
-from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel
+from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_reliable_pmedian, gen_robust_fl)
 from ddu_ro.maxmin import (
@@ -16,6 +16,7 @@ from ddu_ro.maxmin import (
     ensure_unique_optimum,
     has_integral_vertices,
     has_interval_rows,
+    has_network_columns,
     lp_parametric,
     maxmin_from_instance,
     perturb_for_uniqueness,
@@ -284,7 +285,9 @@ def test_integral_vertex_check_rejects_other_sets():
     assert has_integral_vertices(np.eye(2), [1.0, 0.0])
 
 
-def test_product_and_kkt_routes_agree_on_pmedian(monkeypatch):
+@pytest.fixture
+def mip_names(monkeypatch):
+    """The names of the MIPs solved while the test runs, in order."""
     names = []
     solve_mip = backend.solve_mip
 
@@ -293,18 +296,22 @@ def test_product_and_kkt_routes_agree_on_pmedian(monkeypatch):
         return solve_mip(model, **kw)
 
     monkeypatch.setattr(backend, "solve_mip", recording)
+    return names
+
+
+def test_product_and_kkt_routes_agree_on_pmedian(monkeypatch, mip_names):
     cases = [(_pm_uk(5, p=2), (0, 3)), (_pm_uk(6), (0, 2, 4)), (_pm_uk(6), (1, 2, 5))]
     product = []
     for inst, sites in cases:
         x = _open_sites(inst, sites)
-        names.clear()
+        mip_names.clear()
         product.append(sp2(inst, x))
-        assert [n for n in names if n.endswith("_bilin")], names
+        assert [n for n in mip_names if n.endswith("_bilin")], mip_names
     monkeypatch.setattr(maxmin, "has_integral_vertices", lambda A, b: False)
     for (inst, sites), r in zip(cases, product):
-        names.clear()
+        mip_names.clear()
         k = sp2(inst, _open_sites(inst, sites))
-        assert names and all(n.endswith("_kkt") for n in names)
+        assert mip_names and all(n.endswith("_kkt") for n in mip_names)
         assert r.value == pytest.approx(k.value, rel=1e-6)
         assert r.audit_gap <= 1e-6 * abs(r.value)
 
@@ -321,3 +328,96 @@ def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     assert np.all(r.pi >= 0.0)
     assert np.all(inst.Y.B2.T @ r.pi <= inst.Y.c2 + 1e-7)
     assert r.value == pytest.approx(raw.value, rel=1e-9)
+
+
+# -- network route of the feasibility check ------------------------------------
+
+def test_network_column_check():
+    fl = gen_robust_fl(FLParams(n_sites=3, seed=0), "rhs")
+    assert has_network_columns(fl.Y.B2)
+    assert has_network_columns([[1.0], [-1.0]])
+    assert not has_network_columns(_pm_uk(8).Y.B2)
+    assert not has_network_columns([[1.0], [1.0], [0.0]])
+    assert not has_network_columns([[2.0], [-1.0]])
+
+
+def _fl_first_stages(inst: Instance):
+    # all sites closed, all open at full capacity, and one site open at its
+    # lowest capacity
+    nJ = inst.X.n_int
+    cap_lo, cap_hi = -inst.X.A[0, 0], inst.X.A[nJ, 0]
+    one = np.zeros(inst.dim_x)
+    one[0], one[nJ] = 1.0, cap_lo
+    return [np.zeros(inst.dim_x),
+            np.concatenate([np.ones(nJ), np.full(nJ, cap_hi)]), one]
+
+
+def test_network_and_kkt_feasibility_routes_agree_on_fl(monkeypatch, mip_names):
+    problems = [maxmin_from_instance(inst, x)
+                for inst in (gen_robust_fl(FLParams(n_sites=2, seed=1), "rhs"),
+                             gen_robust_fl(FLParams(n_sites=3, seed=0), "rhs"))
+                for x in _fl_first_stages(inst)]
+    network = []
+    for p in problems:
+        mip_names.clear()
+        network.append(check_inner_feasibility(p))
+        assert mip_names == [p.name + "_feas_net"]
+    monkeypatch.setattr(maxmin, "has_network_columns", lambda B: False)
+    values = []
+    for p, (v_net, z_net) in zip(problems, network):
+        mip_names.clear()
+        v_kkt, _ = check_inner_feasibility(p)
+        assert mip_names == [p.name + "_feas_kkt"]
+        assert v_net == pytest.approx(v_kkt, rel=1e-9, abs=1e-9)
+        assert np.all(p.A_out @ z_net <= p.b_out + 1e-9 * np.maximum(1.0, np.abs(p.b_out)))
+        values.append(v_net)
+    # both signs of the check are covered: servable and unservable first stages
+    assert min(values) == 0.0 and max(values) > 1.0
+
+
+def test_network_route_falls_back_on_an_unbounded_coordinate(mip_names):
+    # inner {y : y >= z} with z free above: feasible everywhere, but no cap
+    # for the product pi z exists, so the KKT route answers
+    p = MaxMinProblem(A_out=np.zeros((0, 1)), b_out=np.zeros(0),
+                      c_y=np.array([1.0]), B_y=np.array([[1.0]]),
+                      B_x=np.array([[-1.0]]), d=np.array([0.0]), name="free")
+    assert has_network_columns(p.B_y)
+    v_f, _ = check_inner_feasibility(p)
+    assert v_f == pytest.approx(0.0, abs=1e-9)
+    assert mip_names == ["free_feas_kkt"]
+
+
+def _cap_problem() -> MaxMinProblem:
+    # inner {y : y >= z, y <= 0} over 0 <= z <= 1: unservable mass z, v_f = 1
+    return MaxMinProblem(A_out=np.array([[1.0]]), b_out=np.array([1.0]),
+                         c_y=np.array([1.0]), B_y=np.array([[1.0], [-1.0]]),
+                         B_x=np.array([[-1.0], [0.0]]), d=np.array([0.0, 0.0]),
+                         name="cap")
+
+
+@pytest.mark.parametrize("timed_out", ["range_probe", "cap_feas_net",
+                                       "cap_feas_polish"])
+def test_network_route_maps_time_limits(monkeypatch, timed_out):
+    real = {"solve_lp": backend.solve_lp, "solve_mip": backend.solve_mip}
+
+    def limited(which):
+        def solve(model, **kw):
+            if model.name == timed_out:
+                return backend.SolveOutcome(status=backend.TIME_LIMIT)
+            return real[which](model, **kw)
+        return solve
+
+    for which in real:
+        monkeypatch.setattr(backend, which, limited(which))
+    p = _cap_problem()
+    with pytest.raises(SolveTimeLimit):
+        check_inner_feasibility(p, time_limit=1.0)
+    assert solve_maxmin_dual(p, time_limit=1.0).status == backend.TIME_LIMIT
+
+
+def test_dual_route_maps_a_ray_time_limit(monkeypatch):
+    solve_lp = backend.solve_lp
+    monkeypatch.setattr(backend, "solve_lp", lambda model, **kw: (
+        backend.SolveOutcome(status=backend.TIME_LIMIT)
+        if model.name == "dual_at_witness" else solve_lp(model, **kw)))
+    assert solve_maxmin_dual(_cap_problem(), time_limit=1.0).status == backend.TIME_LIMIT

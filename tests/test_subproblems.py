@@ -158,6 +158,20 @@ def test_sp3_certifies_infeasibility():
     assert float(np.min(gamma)) >= -1e-12
 
 
+@pytest.mark.parametrize("timed_out", ["sp3", "sp3_ray"])
+def test_sp3_reports_a_time_limit(monkeypatch, timed_out):
+    inst = _flt()
+    x_bad = np.zeros(4)
+    w = sp1(inst, x_bad)
+    solve_lp = backend.solve_lp
+    monkeypatch.setattr(backend, "solve_lp", lambda model, **kw: (
+        backend.SolveOutcome(status=backend.TIME_LIMIT)
+        if model.name == timed_out else solve_lp(model, **kw)))
+    r = sp3(inst, x_bad, w.u, time_limit=1.0)
+    assert r.status == backend.TIME_LIMIT
+    assert r.ray is None
+
+
 def test_sp3_rejects_feasible_scenario():
     inst = t1()
     with pytest.raises(BackendError, match="feasible"):
