@@ -188,39 +188,6 @@ class LinearModel:
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_vector() @ x + self.obj_const)
 
-    # -- debug dumps (flag-controlled by callers) ---------------------------
-
-    def write_lp(self, path: str) -> None:
-        """Dump in CPLEX LP format for inspection with external tools."""
-        def vname(j):
-            return self.vars[j].name or f"x{j}"
-
-        def expr(coeffs):
-            parts = []
-            for j in sorted(coeffs):
-                v = coeffs[j]
-                sign = "+" if v >= 0 else "-"
-                parts.append(f"{sign} {abs(v):.17g} {vname(j)}")
-            return " ".join(parts) if parts else "0 " + vname(0)
-
-        lines = ["\\ " + self.name, "Minimize" if self.sense == "min" else "Maximize",
-                 " obj: " + expr(self.obj), "Subject To"]
-        for i, con in enumerate(self.constrs):
-            op = {LEQ: "<=", GEQ: ">=", EQ: "="}[con.sense]
-            lines.append(f" c{i}: {expr(con.coeffs)} {op} {con.rhs:.17g}")
-        lines.append("Bounds")
-        for j, v in enumerate(self.vars):
-            lo = "-inf" if np.isinf(v.lb) else f"{v.lb:.17g}"
-            hi = "+inf" if np.isinf(v.ub) else f"{v.ub:.17g}"
-            lines.append(f" {lo} <= {vname(j)} <= {hi}")
-        ints = [vname(j) for j, v in enumerate(self.vars) if v.integer]
-        if ints:
-            lines.append("Generals")
-            lines.append(" " + " ".join(ints))
-        lines.append("End")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass
 class SolveOutcome:

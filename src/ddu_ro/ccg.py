@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import backend
-from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
-from .maxmin import (OptimalityBlock, _binary_product, build_optimality_block,
+from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
+from .maxmin import (OptimalityBlock, _binary_product, _coupled_columns,
+                     _couples_only_binary, _is_binary, build_optimality_block,
                      ensure_unique_optimum, lp_parametric)
 from .model import (BasisId, DualPoint, DualRay, Instance, IterationRecord,
                     RunResult, UncertaintySet, add_first_stage,
@@ -137,8 +138,8 @@ def _add_seed_v1(state: MasterState, beta: np.ndarray, is_ray: bool) -> str:
     inst, cfg = state.inst, state.config
     beta = np.asarray(beta, dtype=float)
     tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
-    blk = build_optimality_block(state.model, inst, beta, representation="kkt",
-                                 M=cfg.big_M, x_ids=state.x_ids, tag=tag)
+    blk = build_optimality_block(state.model, inst, beta, M=cfg.big_M,
+                                 x_ids=state.x_ids, tag=tag)
     xw = inst.Y.B1.T @ beta
     uw = inst.Y.E.T @ beta
     coeffs = {state.x_ids[k]: float(xw[k]) for k in range(inst.dim_x)}
@@ -153,7 +154,7 @@ def _add_seed_v1(state: MasterState, beta: np.ndarray, is_ray: bool) -> str:
 
 
 def _add_seed_v2(state: MasterState, beta: np.ndarray, is_ray: bool,
-                 representation: str = "kkt",
+                 representation: str | None = None,
                  unique_data: np.ndarray | None = None) -> str:
     """Recourse replicate y, its feasibility rows against the seed's worst
     case u, and (for points, or always in unified mode) eta >= c2'y."""
@@ -192,12 +193,6 @@ def _binary_product_free(model: LinearModel, x_id: int, v_id: int, M: float,
     return w
 
 
-def _coupled_columns(U: UncertaintySet) -> set[int]:
-    cols = {k for k in range(U.G.shape[1]) if np.any(U.G[:, k])}
-    cols.update(k for k, _ in U.F.terms)
-    return cols
-
-
 def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     """Cutting set indexed by a basis of the standard form [F(x) | I].
 
@@ -216,12 +211,11 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     M = cfg.big_M
 
     coupled = _coupled_columns(U)
-    for k in coupled:
-        if k >= inst.X.n_int or inst.X.ub[k] > 1.0 + 1e-9:
-            raise ValueError(
-                "basis cutting sets multiply first-stage terms into the "
-                "alternative system; non-binary coupled components have no "
-                "exact linearization")
+    if not _couples_only_binary(inst):
+        raise ValueError(
+            "basis cutting sets multiply first-stage terms into the "
+            "alternative system; non-binary coupled components have no "
+            "exact linearization")
 
     tag = f"b{len(state.basis_seeds)}"
     struct_basic = [j for j in basis.indices if j < n]
@@ -475,6 +469,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         meta["point_seeds"] = [tuple(map(float, v)) for v in state.point_seeds]
         meta["ray_seeds"] = [tuple(map(float, v)) for v in state.ray_seeds]
         meta["n_basis_seeds"] = len(state.basis_seeds)
+        blocks = [b for b in state.blocks.values() if b is not None]
+        meta["blocks_primal_dual"] = sum(b.representation == "primal-dual"
+                                         for b in blocks)
+        meta["blocks_kkt"] = len(blocks) - meta["blocks_primal_dual"]
         return RunResult(status=status, objective=obj,
                          x=None if x is None else np.asarray(x, dtype=float),
                          lb=float(lb), ub=float(ub), iterations=records,
@@ -509,6 +507,9 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     def out_of_time(what: str) -> RunResult:
         meta["reason"] = f"{what} hit the wall clock"
         return done("TimeLimit", lb, ub, incumbent, records, meta)
+
+    def budget() -> float:
+        return max(config.time_limit_s - (time.monotonic() - t0), 0.01)
 
     def record(t: int, cut_kind: str, seed_id: str) -> None:
         records.append(IterationRecord(
@@ -558,13 +559,12 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             return closure(t, "first-stage")
         seen_x.append(x_star)
 
-        remaining = max(config.time_limit_s - (time.monotonic() - t0), 0.01)
-        r1 = sp1(inst, x_star, M=config.big_M, time_limit=remaining)
+        r1 = sp1(inst, x_star, M=config.big_M, time_limit=budget())
         if r1.status == backend.TIME_LIMIT:
             return out_of_time("feasibility subproblem")
 
         if r1.value <= feas_tol:
-            remaining = max(config.time_limit_s - (time.monotonic() - t0), 0.01)
+            remaining = budget()
             if mode == "mip":
                 r2 = sp2_mip_relax(inst, x_star, M=config.big_M,
                                    time_limit=remaining)
@@ -610,7 +610,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             beta = pi_star
             if config.pareto and mode == "exact":
                 if u_mid is None:
-                    u_mid = _u_box_midpoint(inst, x0)
+                    try:
+                        u_mid = _u_box_midpoint(inst, x0, budget())
+                    except SolveTimeLimit:
+                        return out_of_time("core scenario probe")
                 u_ref = prev_us if prev_us is not None else u_mid
                 pol = sp2_pareto_lp(inst, x0, u_ref, x_star, r2.u, r2.value,
                                     time_limit=remaining)
@@ -636,7 +639,11 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 seed_id = _add_seed_v2(state, beta, is_ray=False)
                 kind = "unified" if config.unified else "optimality"
             elif variant == "parametric-modified":
-                res_u, c_hat = ensure_unique_optimum(inst, x_star, beta)
+                try:
+                    res_u, c_hat = ensure_unique_optimum(inst, x_star, beta,
+                                                         time_limit=budget())
+                except SolveTimeLimit:
+                    return out_of_time("uniqueness perturbation")
                 if state.has_basis(res_u.basis):
                     return closure(t, "basis")
                 state.basis_seeds.append(res_u.basis)
@@ -645,7 +652,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 kind = "unified" if config.unified else "optimality"
             else:
                 bases = [r2.basis_result.basis]
-                bases += _extra_bases(inst, x_star, beta, bases[0])
+                try:
+                    bases += _extra_bases(inst, x_star, beta, bases[0], budget())
+                except SolveTimeLimit:
+                    return out_of_time("basis probe")
                 new = [b for b in bases if not state.has_basis(b)]
                 if not new:
                     return closure(t, "basis")
@@ -653,8 +663,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     seed_id = _add_basis_seed(state, b)
                 kind = "basis"
         else:
-            remaining = max(config.time_limit_s - (time.monotonic() - t0), 0.01)
-            r3 = sp3(inst, x_star, r1.u, time_limit=remaining)
+            r3 = sp3(inst, x_star, r1.u, time_limit=budget())
             if r3.status == backend.TIME_LIMIT:
                 return out_of_time("feasibility ray subproblem")
             gamma = r3.ray
@@ -666,7 +675,11 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 kind = "feasibility"
             elif variant in ("parametric", "parametric-modified"):
                 if variant == "parametric-modified":
-                    res_u, c_hat = ensure_unique_optimum(inst, x_star, gamma)
+                    try:
+                        res_u, c_hat = ensure_unique_optimum(
+                            inst, x_star, gamma, time_limit=budget())
+                    except SolveTimeLimit:
+                        return out_of_time("uniqueness perturbation")
                     if state.has_basis(res_u.basis):
                         return closure(t, "basis")
                     state.basis_seeds.append(res_u.basis)
@@ -677,9 +690,13 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     seed_id = _add_seed_v2(state, gamma, is_ray=True)
                 kind = "unified" if config.unified else "feasibility"
             else:
-                lp_res = lp_parametric(inst, x_star, gamma)
-                bases = [lp_res.basis] + _extra_bases(inst, x_star, gamma,
-                                                      lp_res.basis)
+                try:
+                    lp_res = lp_parametric(inst, x_star, gamma,
+                                           time_limit=budget())
+                    bases = [lp_res.basis] + _extra_bases(
+                        inst, x_star, gamma, lp_res.basis, budget())
+                except SolveTimeLimit:
+                    return out_of_time("basis probe")
                 new = [b for b in bases if not state.has_basis(b)]
                 if not new:
                     return closure(t, "basis")
@@ -699,11 +716,10 @@ def _deterministic_floor(inst: Instance, M: float) -> tuple[LinearModel, dict]:
     valid floor under every master bound."""
     if inst.U.F.is_constant:
         return build_deterministic_mip(inst)
-    for k, _ in inst.U.F.terms:
-        if k >= inst.X.n_int or inst.X.ub[k] > 1.0 + 1e-9:
-            raise ValueError(
-                "matrix dependence on non-binary first-stage components has "
-                "no exact master linearization")
+    if not all(_is_binary(inst, k) for k, _ in inst.U.F.terms):
+        raise ValueError(
+            "matrix dependence on non-binary first-stage components has "
+            "no exact master linearization")
     U, Y = inst.U, inst.Y
     m = LinearModel(name=f"{inst.name}_det")
     x_ids = add_first_stage(m, inst)
@@ -736,9 +752,10 @@ def _deterministic_floor(inst: Instance, M: float) -> tuple[LinearModel, dict]:
 
 
 def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                 first: BasisId) -> list[BasisId]:
+                 first: BasisId, time_limit: float | None = None) -> list[BasisId]:
     """Alternative optimal bases at the same seed, probed by tiny
-    deterministic tilts of the dual weights."""
+    deterministic tilts of the dual weights. A probe that fails is skipped;
+    one that runs out of time raises SolveTimeLimit."""
     beta = np.asarray(beta, dtype=float)
     eps = 1e-7 * max(1.0, float(np.abs(beta).max(initial=0.0)))
     found: list[BasisId] = []
@@ -746,7 +763,9 @@ def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
         tilted = beta.copy()
         tilted[k] += eps
         try:
-            b = lp_parametric(inst, x, tilted).basis
+            b = lp_parametric(inst, x, tilted, time_limit=time_limit).basis
+        except SolveTimeLimit:
+            raise
         except BackendError:
             continue
         if b != first and b not in found:
@@ -754,12 +773,15 @@ def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
     return found
 
 
-def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:
+def _u_box_midpoint(inst: Instance, x0: np.ndarray,
+                    time_limit: float | None = None) -> np.ndarray:
     """Midpoint of the per-coordinate range of the uncertainty set at x0,
     the default core scenario of the stabilized cut selection."""
     Fx, rhs = inst.U.F.evaluate(x0), inst.U.h + inst.U.G @ x0
-    lo = np.array([range_probe(Fx, rhs, j, "min") for j in range(inst.U.dim)])
-    hi = np.array([range_probe(Fx, rhs, j, "max") for j in range(inst.U.dim)])
+    lo = np.array([range_probe(Fx, rhs, j, "min", time_limit)
+                   for j in range(inst.U.dim)])
+    hi = np.array([range_probe(Fx, rhs, j, "max", time_limit)
+                   for j in range(inst.U.dim)])
     if not np.all(np.isfinite(hi)):
         raise BackendError("uncertainty range probe ended Unbounded")
     return (lo + hi) / 2.0

@@ -14,6 +14,13 @@ Blocks built at a fixed first stage are always purely linear; blocks with a
 symbolic first stage require any matrix-coefficient dependence to sit on
 binary components, since products with continuous components have no exact
 linearization.
+
+An optimality block pins u to an optimum of the LP over U(x) by primal and
+dual feasibility plus either the big-M complementarities ("kkt") or the one
+strong-duality row ("primal-dual"). The block takes "primal-dual" when U(x)
+depends only on binary first-stage components, whose products with lambda
+are enveloped exactly, and "kkt" otherwise; the perturbed-unique blocks of
+parametric-modified stay complementarities ("unique").
 """
 
 from __future__ import annotations
@@ -102,13 +109,15 @@ class ParametricLPResult:
     cost_row: np.ndarray          # standard-form objective (u costs, zeros)
 
 
-def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray) -> ParametricLPResult:
+def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
+                  time_limit: float | None = None) -> ParametricLPResult:
     """max{(-E u)' beta : u in U(x)} with a deterministic basis report.
 
     The solver supplies an optimal point; the basis is rebuilt here over the
     standard form [F(x) | I] by greedy lowest-index completion of the positive
     support, and duals/reduced costs come from that basis directly, so the
-    report does not depend on which backend adapter ran the LP.
+    report does not depend on which backend adapter ran the LP. Raises
+    SolveTimeLimit when the LP runs out of time.
     """
     x = np.asarray(x, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -124,7 +133,9 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray) -> Parametric
         m.add_block(u_ids, Fx, LEQ, rhs)
     m.set_objective({u_ids[j]: c_u[j] for j in range(n) if c_u[j] != 0.0},
                     sense="max")
-    out = backend.solve_lp(m)
+    out = backend.solve_lp(m, time_limit=time_limit)
+    if out.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("parametric LP ran out of time")
     if out.status == backend.INFEASIBLE:
         raise BackendError("U(x) is empty: nonemptiness assumption violated")
     if out.status == backend.UNBOUNDED:
@@ -209,19 +220,6 @@ def _complete_basis(A: np.ndarray, support: list[int]) -> list[int]:
     if len(cols) < mu:
         raise BackendError("standard form is row-rank deficient")
     return sorted(cols)
-
-
-def basis_of_point(U: UncertaintySet, x: np.ndarray, u: np.ndarray) -> BasisId:
-    """Deterministic basis identifier for a vertex of U(x)."""
-    Fx = U.F.evaluate(np.asarray(x, dtype=float))
-    rhs = U.h + U.G @ np.asarray(x, dtype=float)
-    mu, n = Fx.shape
-    slack = rhs - Fx @ u
-    z = np.concatenate([u, slack])
-    scale = max(1.0, float(np.abs(z).max()))
-    support = [j for j in range(n + mu) if z[j] > 1e-9 * scale]
-    A = np.hstack([Fx, np.eye(mu)])
-    return BasisId(tuple(_complete_basis(A, support)))
 
 
 # -- feasibility of the inner LP over the whole outer set -----------------------
@@ -530,7 +528,7 @@ class OptimalityBlock:
 
 
 def build_optimality_block(model: LinearModel, inst: Instance,
-                           beta: np.ndarray, representation: str = "kkt",
+                           beta: np.ndarray, representation: str | None = None,
                            M: float = 1e4, unique_data: np.ndarray | None = None,
                            x_ids: list[int] | None = None,
                            x_fixed: np.ndarray | None = None,
@@ -544,7 +542,13 @@ def build_optimality_block(model: LinearModel, inst: Instance,
     linearized exactly for binary x and rejected otherwise.
     representation "unique": KKT of the perturbed objective unique_data
     (standard-form cost row), whose optimal set is a single vertex.
+    representation None picks "primal-dual" when every first-stage component
+    that U(x) depends on is binary, and "kkt" otherwise. The strong-duality
+    row needs no binary per row and column of U, and its only big-M is the
+    bound M on the lambda of coupled rows, which the KKT block needs too.
     """
+    if representation is None:
+        representation = "primal-dual" if _couples_only_binary(inst) else "kkt"
     if representation not in ("kkt", "primal-dual", "unique"):
         raise ValueError(f"unknown representation {representation!r}")
     if representation == "unique" and unique_data is None:
@@ -555,13 +559,14 @@ def build_optimality_block(model: LinearModel, inst: Instance,
     symbolic = x_fixed is None
     if symbolic and x_ids is None:
         raise ValueError("either x_ids or x_fixed is required")
-    if symbolic and not U.F.is_constant:
-        binary_ok = all(k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9
-                        for k, _ in U.F.terms)
-        if not binary_ok:
-            raise ValueError(
-                "matrix dependence on non-binary first-stage components has "
-                "no exact master linearization")
+    if symbolic and not all(_is_binary(inst, k) for k, _ in U.F.terms):
+        raise ValueError(
+            "matrix dependence on non-binary first-stage components has "
+            "no exact master linearization")
+    if symbolic and representation == "primal-dual" and \
+            not _couples_only_binary(inst):
+        raise ValueError("primal-dual block needs binary first-stage "
+                         "components wherever G couples them to the set")
 
     x_fixed_arr = None if symbolic else np.asarray(x_fixed, dtype=float)
     Fx = None if symbolic else U.F.evaluate(x_fixed_arr)
@@ -674,10 +679,6 @@ def build_optimality_block(model: LinearModel, inst: Instance,
             for i in range(mu):
                 for k in range(inst.dim_x):
                     if U.G[i, k] != 0.0:
-                        if not (k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9):
-                            raise ValueError(
-                                "primal-dual block needs binary first-stage "
-                                "components wherever G couples them to the set")
                         w = prod(x_ids[k], lam_ids[i], f"gl{tag}_{i}_{k}")
                         coeffs[w] = coeffs.get(w, 0.0) - U.G[i, k]
         else:
@@ -687,6 +688,22 @@ def build_optimality_block(model: LinearModel, inst: Instance,
                     coeffs[lam_ids[i]] = coeffs.get(lam_ids[i], 0.0) - extra
         blk.row_ids.append(model.add_constr(coeffs, GEQ, 0.0, name=f"sd{tag}"))
     return blk
+
+
+def _coupled_columns(U: UncertaintySet) -> set[int]:
+    """The first-stage components U(x) depends on, through G or F."""
+    cols = {k for k in range(U.G.shape[1]) if np.any(U.G[:, k])}
+    cols.update(k for k, _ in U.F.terms)
+    return cols
+
+
+def _is_binary(inst: Instance, k: int) -> bool:
+    return k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9
+
+
+def _couples_only_binary(inst: Instance) -> bool:
+    """Every first-stage component that U(x) depends on is binary."""
+    return all(_is_binary(inst, k) for k in _coupled_columns(inst.U))
 
 
 def _binary_product(model: LinearModel, x_id: int, v_id: int, M: float,
@@ -727,27 +744,29 @@ def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
 
 
 def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                          max_halvings: int = 5
+                          max_halvings: int = 5, time_limit: float | None = None
                           ) -> tuple[ParametricLPResult, np.ndarray]:
     """Parametric LP solve plus a verified uniqueness perturbation.
 
     Halves epsilon (up to max_halvings times) until re-solving with the
     perturbed costs keeps the original vertex optimal with strictly negative
-    reduced costs on every nonbasic column.
+    reduced costs on every nonbasic column. Raises SolveTimeLimit when one of
+    its LPs runs out of time; time_limit bounds each of them.
     """
-    base = lp_parametric(inst, x, beta)
+    base = lp_parametric(inst, x, beta, time_limit=time_limit)
     eps = 1e-4 * max(1.0, float(np.abs(base.cost_row).max()))
     for _ in range(max_halvings + 1):
         c_hat = perturb_for_uniqueness(base.cost_row, base.basis,
                                        base.reduced_costs, eps)
-        if _perturbation_is_clean(inst, x, base, c_hat):
+        if _perturbation_is_clean(inst, x, base, c_hat, time_limit):
             return base, c_hat
         eps *= 0.5
     raise BackendError("uniqueness perturbation failed to isolate the vertex")
 
 
 def _perturbation_is_clean(inst: Instance, x: np.ndarray,
-                           base: ParametricLPResult, c_hat: np.ndarray) -> bool:
+                           base: ParametricLPResult, c_hat: np.ndarray,
+                           time_limit: float | None = None) -> bool:
     x = np.asarray(x, dtype=float)
     U = inst.U
     Fx = U.F.evaluate(x)
@@ -759,7 +778,9 @@ def _perturbation_is_clean(inst: Instance, x: np.ndarray,
         m.add_block(u_ids, Fx, LEQ, rhs)
     m.set_objective({u_ids[j]: c_hat[j] for j in range(n) if c_hat[j] != 0.0},
                     sense="max")
-    out = backend.solve_lp(m)
+    out = backend.solve_lp(m, time_limit=time_limit)
+    if out.status == backend.TIME_LIMIT:
+        raise SolveTimeLimit("uniqueness check LP ran out of time")
     if not out.is_optimal:
         return False
     # same vertex still optimal

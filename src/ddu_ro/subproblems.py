@@ -97,7 +97,10 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     if inst.U.n_int_u:
         return SubproblemReport(kind=kind, value=float(res.value), u=res.outer,
                                 pi=pi)
-    lp_res = lp_parametric(inst, x, pi)
+    try:
+        lp_res = lp_parametric(inst, x, pi, time_limit=time_limit)
+    except SolveTimeLimit:
+        return SubproblemReport(kind=kind, status=backend.TIME_LIMIT)
     audit = abs(res.value - (float((inst.Y.d - inst.Y.B1 @ x) @ pi) + lp_res.value))
     if audit > _AUDIT_TOL * max(1.0, abs(res.value)):
         raise BackendError(f"split identity violated by {audit:.2e}: "

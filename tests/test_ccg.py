@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ddu_ro import backend, ccg
+from ddu_ro.backend import SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, basis_solution,
                         build_master_v1, build_master_v2, build_master_v3,
                         records_to_csv, run, run_diu_approx,
@@ -211,6 +212,22 @@ def test_replicate_master_bound_insensitive_to_linearization_M():
             assert out.objective <= wstar + 1e-6 * max(1.0, abs(wstar))
 
 
+def _pm5_uk() -> Instance:
+    return gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=0), "ddu_uk")
+
+
+def _seed_pricing_site_4(inst: Instance, best_x: np.ndarray) -> np.ndarray:
+    # the vertex dual of the recourse where sites 1 and 4 are built and
+    # site 4 is disrupted
+    x_seed = best_x.copy()
+    x_seed[:5] = [0.0, 1.0, 0.0, 0.0, 1.0]
+    Y = inst.Y
+    seed_lp = backend.solve_lp(dual_polyhedron_lp(
+        Y.B2, Y.c2, Y.d - Y.B1 @ x_seed - Y.E @ np.eye(5)[4]))
+    assert seed_lp.status == backend.OPTIMAL
+    return seed_lp.x
+
+
 @pytest.mark.parametrize("builder", [build_master_v1, build_master_v2])
 def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(builder):
     # a legitimate extreme point of Pi, taken where site 4 is built and
@@ -218,16 +235,10 @@ def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(builder):
     # is closed, so the block pins u_4 <= 0 with a multiplier of at least
     # ||E' beta||_1: a single global M cuts the optimum off, the block bound
     # derived from the seed's own cost row keeps it
-    inst = gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=0), "ddu_uk")
+    inst = _pm5_uk()
     best = oracle_exact(inst)
     assert list(np.flatnonzero(best.x[:5])) == [0, 2]
-    x_seed = best.x.copy()
-    x_seed[:5] = [0.0, 1.0, 0.0, 0.0, 1.0]
-    Y = inst.Y
-    seed_lp = backend.solve_lp(dual_polyhedron_lp(
-        Y.B2, Y.c2, Y.d - Y.B1 @ x_seed - Y.E @ np.eye(5)[4]))
-    assert seed_lp.status == backend.OPTIMAL
-    beta = seed_lp.x
+    beta = _seed_pricing_site_4(inst, best.x)
     cfg = AlgorithmConfig(variant="parametric")
     assert np.abs(inst.Y.E.T @ beta).sum() > cfg.big_M
     state = MasterState(inst, cfg)
@@ -237,6 +248,58 @@ def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(builder):
     out = backend.solve(model)
     assert out.status == backend.OPTIMAL
     assert out.objective <= best.value + 1e-6 * abs(best.value)
+
+
+def _force_representation(monkeypatch, representation: str) -> None:
+    real = ccg.build_optimality_block
+
+    def build(*args, **kwargs):
+        kwargs["representation"] = representation
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ccg, "build_optimality_block", build)
+
+
+@pytest.mark.parametrize("builder, variant", [(build_master_v1, "benders"),
+                                              (build_master_v2, "parametric")])
+def test_primal_dual_and_kkt_blocks_give_the_same_master_value(builder, variant,
+                                                               monkeypatch):
+    # U(x) of ddu_uk couples only the binary site decisions, so the seeds
+    # enter by the strong-duality row and the master keeps the integers of
+    # X alone; both block forms pin the same worst cases, so with the sites
+    # fixed the master values agree, the seed priced beyond big_M included
+    inst = _pm5_uk()
+    best = oracle_exact(inst)
+    source = run(inst, AlgorithmConfig(variant=variant))
+    assert source.status == "Optimal"
+    seeds = [DualPoint(v) for v in source.meta["point_seeds"]]
+    seeds.append(DualPoint(_seed_pricing_site_4(inst, best.x)))
+    sites = [best.x[:5], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]
+
+    def master_values(representation: str | None) -> list[float]:
+        if representation is not None:
+            _force_representation(monkeypatch, representation)
+        state = MasterState(inst, AlgorithmConfig(variant=variant))
+        model = builder(state, seeds)
+        assert len(state.blocks) == len(state.point_seeds)
+        reps = {blk.representation for blk in state.blocks.values()}
+        assert reps == {representation or "primal-dual"}
+        n_int = sum(v.integer for v in model.vars)
+        assert (n_int == inst.X.n_int) == (representation is None)
+        values = []
+        for open_sites in sites:
+            fixed = model.copy()
+            for k, xk in zip(state.x_ids, open_sites):
+                fixed.fix_var(k, float(xk))
+            out = backend.solve(fixed)
+            assert out.status == backend.OPTIMAL
+            values.append(out.objective)
+        return values
+
+    by_default = master_values(None)
+    by_kkt = master_values("kkt")
+    assert by_default == pytest.approx(by_kkt, rel=1e-6)
+    assert by_default[0] <= best.value + 1e-6 * abs(best.value)
 
 
 def _rows_permuted(inst: Instance, seed: int) -> Instance:
@@ -402,6 +465,51 @@ def test_ray_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.lb <= 1.0 + 1e-9
 
 
+def test_uniqueness_time_limit_keeps_bounds_and_incumbent(monkeypatch):
+    real_lp = backend.solve_lp
+
+    def check_lp_times_out(model, time_limit=None):
+        if model.name == "perturb_check":
+            assert time_limit is not None and time_limit > 0
+            return backend.SolveOutcome(status=backend.TIME_LIMIT)
+        return real_lp(model, time_limit=time_limit)
+
+    monkeypatch.setattr(backend, "solve_lp", check_lp_times_out)
+    res = run(t1(), AlgorithmConfig(variant="parametric-modified", tol=0.0))
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "uniqueness perturbation hit the wall clock"
+    assert res.x == pytest.approx([0.0])
+    assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
+
+
+def test_basis_probe_time_limit_keeps_bounds_and_incumbent(monkeypatch):
+    # the first basis comes with sp2; the tilted re-solves of _extra_bases
+    # are the loop's own parametric LPs
+    def times_out(inst, x, beta, time_limit=None):
+        assert time_limit is not None and time_limit > 0
+        raise SolveTimeLimit("parametric LP ran out of time")
+
+    monkeypatch.setattr(ccg, "lp_parametric", times_out)
+    res = run(t1(), AlgorithmConfig(variant="basis", tol=0.0))
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "basis probe hit the wall clock"
+    assert res.x == pytest.approx([0.0])
+    assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
+
+
+def test_core_scenario_time_limit_keeps_bounds_and_incumbent(monkeypatch):
+    def times_out(A, b, j, sense="max", time_limit=None):
+        assert time_limit is not None and time_limit > 0
+        raise SolveTimeLimit("range probe ran out of time")
+
+    monkeypatch.setattr(ccg, "range_probe", times_out)
+    res = run(t1(), AlgorithmConfig(variant="parametric", pareto=True, tol=0.0))
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "core scenario probe hit the wall clock"
+    assert res.x == pytest.approx([0.0])
+    assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
+
+
 def test_config_rejects_bad_combinations():
     with pytest.raises(ValueError, match="variant"):
         AlgorithmConfig(variant="newton")
@@ -544,3 +652,21 @@ def test_records_csv_and_result_dict_round_trip():
     assert payload["objective"] == pytest.approx(2.4)
     assert payload["n_iterations"] == res.n_iterations
     assert payload["meta"]["mode"] == "exact"
+
+
+@pytest.mark.parametrize("make, config, route, other", [
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair"),
+     dict(diu_approx="metadata"), "blocks_primal_dual", "blocks_kkt"),
+    (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"),
+     dict(variant="parametric"), "blocks_kkt", "blocks_primal_dual"),
+], ids=["pm_pair5-diu", "fl_rhs2-parametric"])
+def test_result_reports_the_block_route(make, config, route, other):
+    # pm_pair5's surrogate sets couple binary x only, fl-rhs a continuous x
+    inst = make()
+    res = run(inst, AlgorithmConfig(**config))
+    assert res.status in ("Optimal", "GapReached")
+    n_sets = len(inst.metadata["ddu_sets"]) if "diu_approx" in config else 1
+    n_seeds = len(res.meta["point_seeds"]) + len(res.meta["ray_seeds"])
+    meta = json.loads(json.dumps(run_result_to_dict(res)))["meta"]
+    assert meta[route] == n_sets * n_seeds > 0
+    assert meta[other] == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,10 @@ from hypothesis import strategies as st
 from ddu_ro import backend, maxmin, t1
 from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
-                              gen_reliable_pmedian, gen_robust_fl)
+                              gen_mip_recourse_fl, gen_reliable_pmedian,
+                              gen_robust_fl, uncertainty_set_from_dict)
 from ddu_ro.maxmin import (
     MaxMinProblem,
-    basis_of_point,
     block_membership_gap,
     build_optimality_block,
     check_inner_feasibility,
@@ -23,7 +25,8 @@ from ddu_ro.maxmin import (
     solve_maxmin_dual,
     solve_maxmin_kkt,
 )
-from ddu_ro.model import AffineMatrixMap, BasisId, Instance, UncertaintySet
+from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
+                          add_first_stage)
 from ddu_ro.subproblems import sp2
 
 
@@ -78,12 +81,6 @@ def test_lp_parametric_matches_vertex_enumeration(seed):
     verts = enumerate_vertices(U, np.array([0.0]))
     best = max(float(-(inst.Y.E @ v) @ beta) for v in verts)
     assert r.value == pytest.approx(best, abs=1e-8)
-
-
-def test_basis_of_point_identifies_vertices():
-    inst = t1()
-    assert basis_of_point(inst.U, np.array([1.0]), np.array([2.0])) == BasisId((0,))
-    assert basis_of_point(inst.U, np.array([1.0]), np.array([0.0])) == BasisId((1,))
 
 
 def test_check_inner_feasibility_complete_recourse():
@@ -241,6 +238,34 @@ def test_ensure_unique_optimum_isolates_a_vertex():
         us.append(backend.solve_mip(m).x[blk.u_ids[0]])
     assert us[0] == pytest.approx(us[1], abs=1e-7)
     assert us[0] == pytest.approx(base.u[0], abs=1e-7)
+
+
+def _pair_surrogate(k: int) -> Instance:
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair")
+    return replace(inst, U=uncertainty_set_from_dict(inst.metadata["ddu_sets"][k]))
+
+
+@pytest.mark.parametrize("make, requested, expected", [
+    (lambda: _pm_uk(8), None, "primal-dual"),
+    (lambda: _pair_surrogate(0), None, "primal-dual"),
+    (lambda: _pair_surrogate(1), None, "primal-dual"),
+    (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"), None, "kkt"),
+    (lambda: gen_mip_recourse_fl(FLParams(n_sites=2, seed=1)), None, "kkt"),
+    (lambda: _pm_uk(8), "unique", "unique"),
+], ids=["ddu_uk", "ddu_us_pair-0", "ddu_us_pair-1", "fl-rhs", "fl-mip", "unique"])
+def test_block_representation_follows_the_coupling(make, requested, expected):
+    # binary coupling gets the strong-duality row, which adds no binary;
+    # complementarity blocks add one per row and per column of U
+    inst = make()
+    m = LinearModel()
+    x_ids = add_first_stage(m, inst)
+    blk = build_optimality_block(m, inst, beta=np.ones(inst.Y.n_rows),
+                                 representation=requested, M=100.0,
+                                 unique_data=np.zeros(inst.U.dim + inst.U.n_rows),
+                                 x_ids=x_ids)
+    assert blk.representation == expected
+    added = sum(v.integer for v in m.vars) - inst.X.n_int
+    assert added == (0 if expected == "primal-dual" else inst.U.n_rows + inst.U.dim)
 
 
 def test_unique_representation_requires_cost_row():
