@@ -291,7 +291,7 @@ _MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERI
 
 def solve_mip(model: LinearModel, time_limit: float | None = None,
               mip_gap: float | None = None) -> SolveOutcome:
-    """Solve with integrality. No duals or basis; see extract_basis_after_mip."""
+    """Solve with integrality. No duals or basis."""
     if not model.has_integers:
         return solve_lp(model, time_limit=time_limit)
     c = model.objective_vector()
@@ -357,33 +357,6 @@ def linearize_complementarity(model: LinearModel,
         model.add_constr(rowb, LEQ, M - constb, name=f"comp_b{k}")
         deltas.append(d)
     return deltas
-
-
-# -- basis recovery after a MIP solve ----------------------------------------
-
-def extract_basis_after_mip(model: LinearModel, mip_outcome: SolveOutcome,
-                            rel_tol: float = 1e-6) -> SolveOutcome:
-    """Fix every integer variable at its incumbent value, re-solve the LP and
-    return its duals/reduced costs/basis report. The LP objective must match
-    the MIP objective within rel_tol relative or the result is flagged
-    Numerical (degeneracy or tolerance trouble for the caller to handle)."""
-    if not mip_outcome.is_optimal or mip_outcome.x is None:
-        raise BackendError("extract_basis_after_mip needs an Optimal MIP outcome")
-    if not model.has_integers:
-        return solve_lp(model)
-    fixed = model.copy()
-    for j, v in enumerate(fixed.vars):
-        if v.integer:
-            val = float(np.round(mip_outcome.x[j]))
-            fixed.vars[j].integer = False
-            fixed.fix_var(j, val)
-    out = solve_lp(fixed)
-    if not out.is_optimal:
-        return SolveOutcome(status=NUMERICAL)
-    gap = abs(out.objective - mip_outcome.objective)
-    if gap > rel_tol * max(1.0, abs(mip_outcome.objective)):
-        return SolveOutcome(status=NUMERICAL)
-    return out
 
 
 # -- ray extraction -----------------------------------------------------------

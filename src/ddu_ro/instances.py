@@ -4,8 +4,11 @@ instance file I/O.
 The oracle defines the ground truth the solvers are tested against: it
 enumerates the first stage over its integer lattice (continuous components are
 pinned, gridded, or optimized out, see oracle_exact), enumerates the vertices
-of U(x) by solving every basis system of the standard form, evaluates the
-recourse per vertex, and takes max then min. It shares nothing with the
+of U(x) by solving every nonsingular basis system of the standard form,
+evaluates the recourse per vertex, and takes max then min. Which bases are
+nonsingular depends on F(x) alone, so one oracle_exact call finds them once
+per distinct scaled [F(x) | I], in 2e7-entry chunks, and keeps only the last
+such table (see enumerate_vertices). It shares nothing with the
 cutting-plane machinery beyond the LP/MIP primitives.
 """
 
@@ -82,13 +85,22 @@ class OracleLimits:
 
 
 def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
-                       limits: OracleLimits | None = None) -> np.ndarray:
+                       limits: OracleLimits | None = None,
+                       bases: dict | None = None) -> np.ndarray:
     """All vertices of U(x) = {u >= 0 : F(x) u <= h + G x} as rows.
 
-    Continuous case: every basis of [F(x) | I] is solved in batch; a basic
-    solution with all components nonnegative is a vertex. All-integer case
-    (n_int_u == dim): the integer lattice inside the per-coordinate LP bounds
-    is enumerated and filtered by membership.
+    Continuous case: A z = rhs with A = [F(x) | I], each row scaled by its
+    largest entry. The bases of A with |det| > 1e-12 depend on A alone: a
+    determinant sweep over every basis finds them, and `bases`, a one-entry
+    memo keyed on A's shape and bytes, keeps their index sets for the next
+    call with the same A. oracle_exact passes one memo for the length of its
+    own call, so a constant F is swept once and an x-dependent F at each new
+    x. Each call solves only the nonsingular bases for its rhs; a basic
+    solution with all components nonnegative is a vertex. Both steps work in
+    chunks of at most 2e7 matrix entries. Vertices are de-duplicated and
+    ordered by the first basis (in itertools.combinations order) that yields
+    them. All-integer case (n_int_u == dim): the integer lattice inside the
+    per-coordinate LP bounds is enumerated and filtered by membership.
     """
     limits = limits or OracleLimits()
     x = np.asarray(x, dtype=float)
@@ -117,37 +129,51 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     row_scale = np.maximum(np.abs(A).max(axis=1), 1e-30)
     A = A / row_scale[:, None]
     rhs_s = rhs / row_scale
-    combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
-    verts: list[np.ndarray] = []
-    seen: set[tuple] = set()
     chunk = max(1, int(2e7 // (mu * mu)))
+    bases = {} if bases is None else bases
+    key = (A.shape, A.tobytes())
+    if key not in bases:
+        bases.clear()
+        bases[key] = _nonsingular_bases(A, chunk)
+    table = bases[key]
+
+    scale = max(1.0, np.abs(rhs_s).max())
+    feas_cols, feas_sols = [], []
+    for lo in range(0, len(table), chunk):
+        sub = table[lo:lo + chunk]
+        mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
+        b_batch = np.broadcast_to(rhs_s[:, None], (len(sub), mu, 1)).copy()
+        sols = np.linalg.solve(mats, b_batch)[:, :, 0]
+        feas = np.all(sols >= -limits.dedup_tol * scale, axis=1)
+        # guard against ill-conditioned near-singular systems
+        resid = np.einsum("bij,bj->bi", mats, sols) - rhs_s
+        feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * scale
+        feas_cols.append(sub[feas])
+        feas_sols.append(sols[feas])
+    if not any(len(c) for c in feas_cols):
+        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
+    cols = np.concatenate(feas_cols)
+    u = np.zeros((len(cols), n))
+    rows, pos = np.nonzero(cols < n)
+    u[rows, cols[rows, pos]] = np.maximum(np.concatenate(feas_sols)[rows, pos], 0.0)
+    keys = np.round(u / limits.dedup_tol).astype(np.int64)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    if len(first) > limits.max_vertices:
+        raise OracleError(f"more than {limits.max_vertices} vertices")
+    return u[first]
+
+
+def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
+    """Column index sets of the bases of A with |det| > 1e-12, in
+    itertools.combinations order, as an int array of shape (count, rows)."""
+    mu, n_cols = A.shape
+    combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
+    kept = []
     for lo in range(0, len(combos), chunk):
         sub = combos[lo:lo + chunk]
-        mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
-        dets = np.abs(np.linalg.det(mats))
-        ok = dets > 1e-12
-        if not np.any(ok):
-            continue
-        b_batch = np.broadcast_to(rhs_s[:, None], (int(ok.sum()), mu, 1)).copy()
-        sols = np.linalg.solve(mats[ok], b_batch)[:, :, 0]
-        feas = np.all(sols >= -limits.dedup_tol * np.maximum(1.0, np.abs(rhs_s).max()),
-                      axis=1)
-        # guard against ill-conditioned near-singular systems
-        resid = np.einsum("bij,bj->bi", mats[ok], sols) - rhs_s
-        feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * max(1.0, np.abs(rhs_s).max())
-        for cols, z in zip(sub[ok][feas], sols[feas]):
-            u = np.zeros(n)
-            struct = cols < n
-            u[cols[struct]] = np.maximum(z[struct], 0.0)
-            key = tuple(np.round(u / limits.dedup_tol).astype(np.int64))
-            if key not in seen:
-                seen.add(key)
-                verts.append(u)
-                if len(verts) > limits.max_vertices:
-                    raise OracleError(f"more than {limits.max_vertices} vertices")
-    if not verts:
-        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-    return np.array(verts)
+        dets = np.abs(np.linalg.det(A[:, sub].transpose(1, 0, 2)))
+        kept.append(sub[dets > 1e-12])
+    return np.concatenate(kept)
 
 
 def _integer_points(Fx: np.ndarray, rhs: np.ndarray,
@@ -203,9 +229,11 @@ def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
 
 
 def worst_case_value(inst: Instance, x: np.ndarray,
-                     limits: OracleLimits | None = None) -> tuple[float, np.ndarray]:
-    """max over vertices of U(x) of the recourse value, with the attaining u."""
-    verts = enumerate_vertices(inst.U, x, limits)
+                     limits: OracleLimits | None = None,
+                     bases: dict | None = None) -> tuple[float, np.ndarray]:
+    """max over vertices of U(x) of the recourse value, with the attaining u;
+    `bases` is passed on to enumerate_vertices."""
+    verts = enumerate_vertices(inst.U, x, limits, bases)
     best, best_u = -np.inf, verts[0]
     for u in verts:
         val, _ = recourse_value(inst, x, u)
@@ -266,12 +294,13 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
 
     best = OracleResult(value=np.inf, x=np.zeros(nx), worst_u=np.zeros(inst.dim_u))
     evals: list[tuple[np.ndarray, float]] = []
+    bases: dict = {}
     for combo in itertools.product(*ranges) if ranges else [()]:
         xi = np.array(combo, dtype=float)
         if any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows):
             continue
         for x in _complete_continuous(inst, xi, coupled, sep, limits):
-            wc, u_wc = worst_case_value(inst, x, limits)
+            wc, u_wc = worst_case_value(inst, x, limits, bases)
             val = float(inst.c1 @ x) + wc
             evals.append((x, val))
             if val < best.value - 1e-12:
@@ -306,10 +335,12 @@ def _complete_continuous(inst: Instance, x_int: np.ndarray, coupled: list[int],
             m.add_block(ids, X.A, GEQ, X.b)
         return m, ids
 
-    m, ids = base_model()
-    m.set_objective({}, sense="min")
-    if not backend.solve_lp(m).is_optimal:
-        return
+    # without coupled dimensions the completion LP below decides feasibility
+    if coupled:
+        m, _ = base_model()
+        m.set_objective({}, sense="min")
+        if not backend.solve_lp(m).is_optimal:
+            return
 
     pinned: dict[int, float] = {}
     free: list[tuple[int, float, float]] = []

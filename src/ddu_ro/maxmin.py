@@ -716,14 +716,6 @@ def _binary_product(model: LinearModel, x_id: int, v_id: int, M: float,
     return w
 
 
-def block_membership_gap(inst: Instance, x: np.ndarray, u: np.ndarray) -> float:
-    """Largest violation of F(x) u <= h + G x: zero means u in U(x)."""
-    x = np.asarray(x, dtype=float)
-    resid = inst.U.F.evaluate(x) @ np.asarray(u, dtype=float) \
-        - (inst.U.h + inst.U.G @ x)
-    return float(np.max(resid)) if resid.size else 0.0
-
-
 # -- uniqueness perturbation ------------------------------------------
 
 def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,

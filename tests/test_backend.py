@@ -124,19 +124,6 @@ def test_complementarity_rejects_nonpositive_m():
         backend.linearize_complementarity(m, [(({a: 1.0}, 0.0), ({a: 1.0}, 0.0))], M=0.0)
 
 
-def test_basis_extraction_after_mip():
-    m = LinearModel()
-    x = m.add_var(integer=True, ub=3.0)
-    y = m.add_var(ub=10.0)
-    m.add_constr({x: 1.0, y: 1.0}, GEQ, 2.5)
-    m.set_objective({x: 3.0, y: 1.0})
-    mip_out = backend.solve_mip(m)
-    lp_out = backend.extract_basis_after_mip(m, mip_out)
-    assert lp_out.is_optimal
-    assert lp_out.objective == pytest.approx(mip_out.objective, rel=1e-6)
-    assert lp_out.duals is not None
-
-
 def test_unbounded_ray_certificate():
     # max x - y with x - y <= free growth along (1, 0)
     m = LinearModel()

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -28,6 +30,8 @@ from ddu_ro.instances import (
     uncertainty_set_from_dict,
     worst_case_value,
 )
+from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance, RecourseSet,
+                          UncertaintySet)
 
 
 # expected values below were produced by this module's own enumeration oracle
@@ -208,3 +212,133 @@ def test_oracle_refuses_mixed_integer_uncertainty():
                                    d=[0.0], c2=[1.0]))
     with pytest.raises(OracleError, match="mixed-integer"):
         enumerate_vertices(U, np.array([0.0]))
+
+
+# -- vertex enumeration against the determinant sweep per call ------------------
+
+def _vertices_by_every_basis(U, x, limits=None):
+    """Reference for enumerate_vertices on continuous u: takes the determinant
+    of every basis of [F(x) | I] at every call and de-duplicates basis by
+    basis, in the order of itertools.combinations."""
+    limits = limits or OracleLimits()
+    x = np.asarray(x, dtype=float)
+    Fx = U.F.evaluate(x)
+    rhs = U.h + U.G @ x
+    mu, n = Fx.shape
+    n_cols = n + mu
+    assert math.comb(n_cols, mu) <= limits.max_bases
+
+    A = np.hstack([Fx, np.eye(mu)])
+    # row equilibration keeps basis determinants O(1); structural u parts of
+    # the basic solutions are unchanged, slack values rescale harmlessly
+    row_scale = np.maximum(np.abs(A).max(axis=1), 1e-30)
+    A = A / row_scale[:, None]
+    rhs_s = rhs / row_scale
+    combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
+    verts: list[np.ndarray] = []
+    seen: set[tuple] = set()
+    chunk = max(1, int(2e7 // (mu * mu)))
+    for lo in range(0, len(combos), chunk):
+        sub = combos[lo:lo + chunk]
+        mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
+        dets = np.abs(np.linalg.det(mats))
+        ok = dets > 1e-12
+        if not np.any(ok):
+            continue
+        b_batch = np.broadcast_to(rhs_s[:, None], (int(ok.sum()), mu, 1)).copy()
+        sols = np.linalg.solve(mats[ok], b_batch)[:, :, 0]
+        feas = np.all(sols >= -limits.dedup_tol * np.maximum(1.0, np.abs(rhs_s).max()),
+                      axis=1)
+        # guard against ill-conditioned near-singular systems
+        resid = np.einsum("bij,bj->bi", mats[ok], sols) - rhs_s
+        feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * max(1.0, np.abs(rhs_s).max())
+        for cols, z in zip(sub[ok][feas], sols[feas]):
+            u = np.zeros(n)
+            struct = cols < n
+            u[cols[struct]] = np.maximum(z[struct], 0.0)
+            key = tuple(np.round(u / limits.dedup_tol).astype(np.int64))
+            if key not in seen:
+                seen.add(key)
+                verts.append(u)
+                if len(verts) > limits.max_vertices:
+                    raise OracleError(f"more than {limits.max_vertices} vertices")
+    if not verts:
+        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
+    return np.array(verts)
+
+
+def _pm_uk8_stages():
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk")
+    mixed = np.zeros(inst.dim_x)
+    mixed[[0, 2, 3, 6]] = 1.0
+    ones = np.zeros(inst.dim_x)
+    ones[:8] = 1.0
+    return inst.U, [np.zeros(inst.dim_x), ones, mixed]
+
+
+def _fl_stages(dependence):
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), dependence)
+    return inst.U, [np.array([1.0, 0.0, 150.0, 0.0]),
+                    np.array([1.0, 1.0, 90.0, 120.0])]
+
+
+def _t1_stages():
+    return t1().U, [np.array([0.0]), np.array([1.0])]
+
+
+@pytest.mark.parametrize("stages", [_pm_uk8_stages, lambda: _fl_stages("rhs"),
+                                    lambda: _fl_stages("lhs"), _t1_stages],
+                         ids=["ddu_uk8", "fl-rhs2", "fl-lhs2", "t1"])
+def test_vertices_match_the_sweep_over_every_basis(stages):
+    U, xs = stages()
+    bases: dict = {}
+    for x in xs:
+        ref = _vertices_by_every_basis(U, x)
+        assert np.array_equal(enumerate_vertices(U, x), ref)
+        assert np.array_equal(enumerate_vertices(U, x, bases=bases), ref)
+
+
+def test_basis_memo_follows_an_x_dependent_matrix():
+    U, (x1, x2) = _fl_stages("lhs")
+    assert not np.array_equal(U.F.evaluate(x1), U.F.evaluate(x2))
+    bases: dict = {}
+    got = [enumerate_vertices(U, x, bases=bases) for x in (x1, x2, x1)]
+    assert not np.array_equal(got[0], got[1])
+    for x, v in zip((x1, x2, x1), got):
+        assert np.array_equal(v, _vertices_by_every_basis(U, x))
+
+
+def _u2_cap(F, h):
+    """max u2 over U = {u >= 0 : F u <= h}, with one binary x that U ignores."""
+    return Instance(
+        name="u2-cap", c1=[0.0],
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                        lb=[0.0], ub=[1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=F), G=np.zeros((2, 1)), h=h),
+        Y=RecourseSet(B1=[[0.0]], B2=[[1.0]], E=[[0.0, -1.0]], d=[0.0], c2=[1.0]))
+
+
+def test_basis_memo_is_keyed_on_the_matrix_entries():
+    # equal shapes, different nonsingular bases: {u1, u2} and the slack basis
+    # serve the box, while the vertex (0, 1) of the second set needs {u2, s2}
+    box = _u2_cap(np.eye(2), [1.0, 2.0])
+    wedge = _u2_cap([[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0])
+    assert oracle_exact(box).value == pytest.approx(2.0)
+    assert oracle_exact(wedge).value == pytest.approx(1.0)
+    bases: dict = {}
+    for inst in (box, wedge, box):
+        assert np.array_equal(enumerate_vertices(inst.U, [0.0], bases=bases),
+                              _vertices_by_every_basis(inst.U, [0.0]))
+
+
+def test_vertex_enumeration_limits_and_empty_sets():
+    with pytest.raises(OracleError, match="more than"):
+        enumerate_vertices(t1().U, [0.0], OracleLimits(max_vertices=1))
+    empty = UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[0.0]], h=[-1.0])
+    with pytest.raises(OracleError, match="nonemptiness violated"):
+        enumerate_vertices(empty, [0.0])
+    # after row scaling every basis determinant is at most 1e-13
+    singular = UncertaintySet(F=AffineMatrixMap(base=np.full((2, 2), 1e13)),
+                              G=np.zeros((2, 1)), h=[1.0, 1.0])
+    with pytest.raises(OracleError, match="nonemptiness violated"):
+        enumerate_vertices(singular, [0.0])

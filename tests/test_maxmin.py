@@ -12,7 +12,6 @@ from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_robust_fl, uncertainty_set_from_dict)
 from ddu_ro.maxmin import (
     MaxMinProblem,
-    block_membership_gap,
     build_optimality_block,
     check_inner_feasibility,
     ensure_unique_optimum,
@@ -140,6 +139,14 @@ def test_singleton_outer_set_reduces_to_inner_lp():
                       B_x=np.array([[-1.0]]), d=np.array([0.0]))
     res = solve_maxmin_kkt(p)
     assert res.value == pytest.approx(1.4)
+
+
+def block_membership_gap(inst: Instance, x: np.ndarray, u: np.ndarray) -> float:
+    """Largest violation of F(x) u <= h + G x: zero means u in U(x)."""
+    x = np.asarray(x, dtype=float)
+    resid = inst.U.F.evaluate(x) @ np.asarray(u, dtype=float) \
+        - (inst.U.h + inst.U.G @ x)
+    return float(np.max(resid)) if resid.size else 0.0
 
 
 @pytest.mark.parametrize("representation", ["kkt", "primal-dual"])
