@@ -1,6 +1,7 @@
-"""Thin LP/MILP layer: append-only model builder, scipy/HiGHS adapters, big-M
-complementarity linearization, basis recovery after a MIP solve, and ray
-extraction for unbounded or infeasible linear programs.
+"""Thin LP/MILP layer: append-only model builder, scipy/HiGHS solves (LPs by
+linprog's "highs" method with the rows passed as CSR, MIPs by milp), big-M
+complementarity linearization, and ray extraction for unbounded or
+infeasible linear programs.
 
 Sign conventions. Duals are reported for rows as written: for a row a.x >= b
 of a minimization model the dual is >= 0, for a.x <= b it is <= 0, equality
@@ -15,8 +16,6 @@ holds to solver tolerance (bound contributions live in the reduced-cost term).
 
 from __future__ import annotations
 
-import copy
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,16 +31,6 @@ NUMERICAL = "Numerical"
 
 LEQ, GEQ, EQ = "<=", ">=", "=="
 
-BACKEND_ENV_VAR = "DDU_RO_BACKEND"
-
-# Registered adapters: name -> linprog method. MIPs always go through HiGHS
-# branch-and-cut (scipy.optimize.milp); the adapter choice only affects LPs.
-ADAPTERS = {
-    "highs": "highs",
-    "highs-ds": "highs-ds",
-    "highs-ipm": "highs-ipm",
-}
-
 _RAY_TOL = 1e-8
 
 
@@ -51,15 +40,6 @@ class BackendError(Exception):
 
 class SolveTimeLimit(BackendError):
     """A solve that a routine needs to finish ran out of its time limit."""
-
-
-def selected_adapter() -> str:
-    name = os.environ.get(BACKEND_ENV_VAR, "highs")
-    if name not in ADAPTERS:
-        raise BackendError(
-            f"unknown backend {name!r}; registered: {sorted(ADAPTERS)}"
-        )
-    return name
 
 
 @dataclass
@@ -123,9 +103,11 @@ class LinearModel:
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         if A.shape != (rhs.size, len(var_ids)):
             raise BackendError(f"block shape {A.shape} vs {rhs.size} rhs / {len(var_ids)} ids")
+        cols = np.asarray(var_ids)
         ids = []
         for i in range(rhs.size):
-            row = {var_ids[j]: A[i, j] for j in range(len(var_ids)) if A[i, j] != 0.0}
+            nz = np.flatnonzero(A[i])
+            row = dict(zip(cols[nz].tolist(), A[i, nz].tolist()))
             ids.append(self.add_constr(row, sense, rhs[i], f"{name}[{i}]" if name else ""))
         return ids
 
@@ -139,9 +121,6 @@ class LinearModel:
 
     def fix_var(self, j: int, value: float) -> None:
         self.vars[j].lb = self.vars[j].ub = float(value)
-
-    def copy(self) -> "LinearModel":
-        return copy.deepcopy(self)
 
     # -- inspection --------------------------------------------------------
 
@@ -174,11 +153,6 @@ class LinearModel:
         rhs = np.array([con.rhs for con in self.constrs], dtype=float)
         return A, senses, rhs
 
-    def dense(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """Constraint data as (A, senses, rhs) with A a dense array."""
-        A, senses, rhs = self.sparse()
-        return A.toarray(), senses, rhs
-
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
         for j, v in self.obj.items():
@@ -196,8 +170,6 @@ class SolveOutcome:
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
-    var_status: list[str] | None = None   # per variable: basic / lower / upper
-    row_status: list[str] | None = None   # per row: basic (slack > 0) / active
     ray: np.ndarray | None = None
     bound: float | None = None            # best dual bound from a MIP solve
 
@@ -207,83 +179,56 @@ class SolveOutcome:
 
 
 def _assemble_lp(model: LinearModel):
-    """Split rows into <= / = arrays for linprog, remembering orientation."""
-    n = model.n_vars
+    """Split the rows of model.sparse() into the <= and = CSR blocks of
+    linprog, each as (row ids, block, rhs), None for an empty block. A >= row
+    enters the <= block negated: sign is -1 on those rows, +1 elsewhere."""
     c = model.objective_vector()
     if model.sense == "max":
         c = -c
-    a_ub, b_ub, ub_map = [], [], []   # ub_map: (constraint id, sign)
-    a_eq, b_eq, eq_map = [], [], []
-    for i, con in enumerate(model.constrs):
-        row = np.zeros(n)
-        for j, v in con.coeffs.items():
-            row[j] = v
-        if con.sense == LEQ:
-            a_ub.append(row); b_ub.append(con.rhs); ub_map.append((i, 1.0))
-        elif con.sense == GEQ:
-            a_ub.append(-row); b_ub.append(-con.rhs); ub_map.append((i, -1.0))
-        else:
-            a_eq.append(row); b_eq.append(con.rhs); eq_map.append(i)
-    bounds = [(v.lb if np.isfinite(v.lb) else None,
-               v.ub if np.isfinite(v.ub) else None) for v in model.vars]
-    return c, a_ub, b_ub, ub_map, a_eq, b_eq, eq_map, bounds
+    A, senses, rhs = model.sparse()
+    senses = np.array(senses)
+    sign = np.where(senses == GEQ, -1.0, 1.0)
+    counts = np.diff(A.indptr)
+    entry_row = np.repeat(np.arange(model.n_constrs), counts)
+    data = A.data * sign[entry_row]
+    blocks = []
+    for mask in (senses != EQ, senses == EQ):
+        rows = np.flatnonzero(mask)
+        if not len(rows):
+            blocks.append((rows, None, None))
+            continue
+        keep = mask[entry_row]
+        indptr = np.concatenate(([0], np.cumsum(counts[rows])))
+        blocks.append((rows, csr_array((data[keep], A.indices[keep], indptr),
+                                       shape=(len(rows), model.n_vars)),
+                       sign[rows] * rhs[rows]))
+    bounds = np.array([(v.lb, v.ub) for v in model.vars]).reshape(-1, 2)
+    return c, blocks, sign, bounds
 
 
 _LP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
 
-_ACTIVITY_TOL = 1e-9
-
 
 def solve_lp(model: LinearModel, time_limit: float | None = None) -> SolveOutcome:
-    """Solve ignoring integrality. Returns duals, reduced costs and an
-    activity-based basis status report (ties under degeneracy are resolved by
-    the algorithm layer, which recomputes bases deterministically)."""
-    c, a_ub, b_ub, ub_map, a_eq, b_eq, eq_map, bounds = _assemble_lp(model)
+    """Solve ignoring integrality. Returns duals and reduced costs."""
+    c, ((ub_rows, a_ub, b_ub), (eq_rows, a_eq, b_eq)), sign, bounds = _assemble_lp(model)
     options = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    res = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method=ADAPTERS[selected_adapter()],
-        options=options,
-    )
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs", options=options)
     status = _LP_STATUS.get(res.status, NUMERICAL)
     if status != OPTIMAL:
         return SolveOutcome(status=status)
 
-    sign = -1.0 if model.sense == "max" else 1.0
+    flip = -1.0 if model.sense == "max" else 1.0
     x = np.asarray(res.x, dtype=float)
     duals = np.zeros(model.n_constrs)
-    if ub_map:
-        for r, (i, orient) in enumerate(ub_map):
-            duals[i] = sign * orient * res.ineqlin.marginals[r]
-    for r, i in enumerate(eq_map):
-        duals[i] = sign * res.eqlin.marginals[r]
-    rc = sign * (np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals))
-
-    var_status, row_status = [], []
-    for j, v in enumerate(model.vars):
-        if x[j] <= v.lb + _ACTIVITY_TOL:
-            var_status.append("lower")
-        elif np.isfinite(v.ub) and x[j] >= v.ub - _ACTIVITY_TOL:
-            var_status.append("upper")
-        else:
-            var_status.append("basic")
-    for con in model.constrs:
-        act = sum(v * x[j] for j, v in con.coeffs.items())
-        row_status.append("active" if abs(act - con.rhs) <= 1e-7 * max(1.0, abs(con.rhs))
-                          else "basic")
-    return SolveOutcome(
-        status=OPTIMAL,
-        objective=model.objective_value(x),
-        x=x, duals=duals, reduced_costs=rc,
-        var_status=var_status, row_status=row_status,
-    )
+    duals[ub_rows] = flip * sign[ub_rows] * res.ineqlin.marginals
+    duals[eq_rows] = flip * res.eqlin.marginals
+    rc = flip * (np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals))
+    return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x),
+                        x=x, duals=duals, reduced_costs=rc)
 
 
 _MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}

@@ -9,9 +9,6 @@ never leave half-written JSON or CSV behind. Exit codes are a contract:
 * 5: compared variants disagree beyond tolerance
 * 64: bad command line
 * 1: any other error
-
-The solver backend is chosen by the DDU_RO_BACKEND environment variable,
-falling back to the built-in default.
 """
 
 import argparse

@@ -3,12 +3,16 @@ instance file I/O.
 
 The oracle defines the ground truth the solvers are tested against: it
 enumerates the first stage over its integer lattice (continuous components are
-pinned, gridded, or optimized out, see oracle_exact), enumerates the vertices
-of U(x) by solving every nonsingular basis system of the standard form,
-evaluates the recourse per vertex, and takes max then min. Which bases are
-nonsingular depends on F(x) alone, so one oracle_exact call finds them once
-per distinct scaled [F(x) | I], in 2e7-entry chunks, and keeps only the last
-such table (see enumerate_vertices). It shares nothing with the
+pinned, gridded, or optimized out, see oracle_exact), takes the worst
+recourse value over the vertices of U(x), and then the min over x. The
+vertices come from solving every nonsingular basis system of the standard
+form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
+call finds them once per distinct scaled [F(x) | I], in 2e7-entry chunks,
+and keeps only the last such table (see enumerate_vertices). The recourse
+is solved at the first vertex alone, and an x whose first vertex has no
+recourse is worth +inf without enumerating the rest; otherwise one
+block-diagonal LP over all vertices gives every value, with one LP per
+vertex as the fallback (see worst_case_value). It shares nothing with the
 cutting-plane machinery beyond the LP/MIP primitives.
 """
 
@@ -104,20 +108,34 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     """
     limits = limits or OracleLimits()
     x = np.asarray(x, dtype=float)
-    Fx = U.F.evaluate(x)
-    rhs = U.h + U.G @ x
-    mu, n = Fx.shape
-
     if U.n_int_u:
-        if U.n_int_u != n:
+        if U.n_int_u != U.dim:
             raise OracleError("mixed-integer u is outside the oracle's scope")
-        return _integer_points(Fx, rhs, limits)
+        return _integer_points(U.F.evaluate(x), U.h + U.G @ x, limits)
 
-    if mu == 0:
-        if n == 0:
+    if U.n_rows == 0:
+        if U.dim == 0:
             return np.zeros((1, 0))
         raise OracleError("U(x) has no rows: unbounded, violates boundedness")
 
+    u = np.concatenate([np.zeros((0, U.dim)), *_basic_vertices(U, x, limits, bases)])
+    if not len(u):
+        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
+    keys = np.round(u / limits.dedup_tol).astype(np.int64)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    if len(first) > limits.max_vertices:
+        raise OracleError(f"more than {limits.max_vertices} vertices")
+    return u[first]
+
+
+def _basic_vertices(U: UncertaintySet, x: np.ndarray, limits: OracleLimits,
+                    bases: dict | None, size: int | None = None):
+    """The u parts of the feasible basic solutions of U(x) (continuous u,
+    at least one row), one array per slice of `size` nonsingular bases in
+    table order; `size` defaults to the 2e7-entry chunk."""
+    Fx = U.F.evaluate(x)
+    rhs = U.h + U.G @ x
+    mu, n = Fx.shape
     n_cols = n + mu
     n_bases = math.comb(n_cols, mu)
     if n_bases > limits.max_bases:
@@ -138,9 +156,9 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     table = bases[key]
 
     scale = max(1.0, np.abs(rhs_s).max())
-    feas_cols, feas_sols = [], []
-    for lo in range(0, len(table), chunk):
-        sub = table[lo:lo + chunk]
+    step = size or chunk
+    for lo in range(0, len(table), step):
+        sub = table[lo:lo + step]
         mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
         b_batch = np.broadcast_to(rhs_s[:, None], (len(sub), mu, 1)).copy()
         sols = np.linalg.solve(mats, b_batch)[:, :, 0]
@@ -148,19 +166,11 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
         # guard against ill-conditioned near-singular systems
         resid = np.einsum("bij,bj->bi", mats, sols) - rhs_s
         feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * scale
-        feas_cols.append(sub[feas])
-        feas_sols.append(sols[feas])
-    if not any(len(c) for c in feas_cols):
-        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-    cols = np.concatenate(feas_cols)
-    u = np.zeros((len(cols), n))
-    rows, pos = np.nonzero(cols < n)
-    u[rows, cols[rows, pos]] = np.maximum(np.concatenate(feas_sols)[rows, pos], 0.0)
-    keys = np.round(u / limits.dedup_tol).astype(np.int64)
-    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    if len(first) > limits.max_vertices:
-        raise OracleError(f"more than {limits.max_vertices} vertices")
-    return u[first]
+        cols, sols = sub[feas], sols[feas]
+        u = np.zeros((len(cols), n))
+        rows, pos = np.nonzero(cols < n)
+        u[rows, cols[rows, pos]] = np.maximum(sols[rows, pos], 0.0)
+        yield u
 
 
 def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
@@ -231,9 +241,35 @@ def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
 def worst_case_value(inst: Instance, x: np.ndarray,
                      limits: OracleLimits | None = None,
                      bases: dict | None = None) -> tuple[float, np.ndarray]:
-    """max over vertices of U(x) of the recourse value, with the attaining u;
-    `bases` is passed on to enumerate_vertices."""
+    """max over vertices of U(x) of the recourse value, with the first
+    vertex (in enumerate_vertices order) that attains it; `bases` is passed
+    on to enumerate_vertices.
+
+    For continuous u the first vertex is found first, by solving the
+    nonsingular bases in slices of 64 until one is feasible, and its
+    recourse is solved alone: when it has none the answer is (inf, that
+    vertex) and nothing else is enumerated, so limits.max_vertices applies
+    only to an x that is enumerated. Otherwise every vertex u_k is
+    enumerated and one block-diagonal LP, with a copy y_k of y and the rows
+    B2 y_k >= d - B1 x - E u_k per vertex, gives each value as c2'y_k. The
+    per-vertex loop runs instead when that LP is not Optimal (a later vertex
+    has no recourse, or the recourse is unbounded) and when y has integer
+    components, since a MIP gap on the sum does not bound each block.
+    """
+    limits = limits or OracleLimits()
+    x = np.asarray(x, dtype=float)
+    bases = {} if bases is None else bases
+    if not inst.U.n_int_u and inst.U.n_rows:
+        first = next((u[0] for u in _basic_vertices(inst.U, x, limits, bases, 64)
+                      if len(u)), None)
+        if first is not None and recourse_value(inst, x, first)[0] == np.inf:
+            return np.inf, first
     verts = enumerate_vertices(inst.U, x, limits, bases)
+    if not inst.Y.n_int_y:
+        vals = _block_recourse_values(inst, x, verts)
+        if vals is not None:
+            k = int(np.argmax(vals))
+            return float(vals[k]), verts[k]
     best, best_u = -np.inf, verts[0]
     for u in verts:
         val, _ = recourse_value(inst, x, u)
@@ -242,6 +278,24 @@ def worst_case_value(inst: Instance, x: np.ndarray,
             if np.isinf(best):
                 break
     return best, best_u
+
+
+def _block_recourse_values(inst: Instance, x: np.ndarray,
+                           verts: np.ndarray) -> np.ndarray | None:
+    """c2'y_k for every row u_k of verts from one LP holding a copy y_k of
+    the (continuous) recourse per vertex; None unless that LP is Optimal."""
+    Y = inst.Y
+    m = LinearModel(name="recourse_block")
+    ys = [m.add_vars(Y.dim, prefix=f"y{k}_") for k in range(len(verts))]
+    rhs = Y.d - Y.B1 @ x - verts @ Y.E.T
+    if Y.n_rows:
+        for y, r in zip(ys, rhs):
+            m.add_block(y, Y.B2, GEQ, r)
+    m.set_objective({j: c for y in ys for j, c in zip(y, Y.c2) if c != 0.0})
+    out = backend.solve_lp(m)
+    if not out.is_optimal:
+        return None
+    return out.x.reshape(len(verts), Y.dim) @ Y.c2
 
 
 # -- the exactness oracle ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Solver-loop behavior: exactness against the oracle, bound discipline,
 master dominance, termination reasons, and the two approximation loops."""
 
+import copy
 import json
 
 import numpy as np
@@ -288,7 +289,7 @@ def test_primal_dual_and_kkt_blocks_give_the_same_master_value(builder, variant,
         assert (n_int == inst.X.n_int) == (representation is None)
         values = []
         for open_sites in sites:
-            fixed = model.copy()
+            fixed = copy.deepcopy(model)
             for k, xk in zip(state.x_ids, open_sites):
                 fixed.fix_var(k, float(xk))
             out = backend.solve(fixed)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ddu_ro import instances
 from ddu_ro import (
     FLParams,
     PMedianParams,
@@ -342,3 +343,122 @@ def test_vertex_enumeration_limits_and_empty_sets():
                               G=np.zeros((2, 1)), h=[1.0, 1.0])
     with pytest.raises(OracleError, match="nonemptiness violated"):
         enumerate_vertices(singular, [0.0])
+
+
+# -- worst_case_value against the per-vertex loop ------------------------------
+
+def _worst_case_by_loop(inst, x, bases=None):
+    """Reference for worst_case_value: the recourse LP at every vertex of U(x)
+    in enumeration order, keeping the first strict maximum and stopping at the
+    first vertex without recourse."""
+    verts = enumerate_vertices(inst.U, x, bases=bases)
+    best, best_u = -np.inf, verts[0]
+    for u in verts:
+        val, _ = recourse_value(inst, x, u)
+        if val > best:
+            best, best_u = val, u
+            if np.isinf(best):
+                break
+    return best, best_u
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_reliable_pmedian(PMedianParams(n_sites=5), "ddu_uk"),
+    lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"),
+    lambda: gen_mip_recourse_fl(FLParams(**FL2)),
+    t1,
+    t1_infeasible,
+], ids=["ddu_uk5", "fl-rhs2", "fl-mip2", "t1", "t1-infeasible"])
+def test_worst_case_value_matches_the_per_vertex_loop(make, monkeypatch):
+    inst = make()
+    seen = []
+    original = instances.worst_case_value
+
+    def recorded(inst, x, *args, **kwargs):
+        seen.append((x, original(inst, x, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(instances, "worst_case_value", recorded)
+    res = oracle_exact(inst)
+    assert len(seen) == len(res.evaluations)
+    ref_bases: dict = {}
+    for x, (val, u) in seen:
+        ref_val, ref_u = _worst_case_by_loop(inst, x, ref_bases)
+        assert val == pytest.approx(ref_val, rel=1e-9)
+        assert np.array_equal(u, ref_u)
+
+
+def _interval_toy(B2, E, d, c2, n_int_y=0):
+    """U = {0 <= u <= 2}, whose vertices enumerate as u = 2, then u = 0, with
+    a one-dimensional recourse y >= 0 and one binary x that nothing uses."""
+    return Instance(
+        name="interval", c1=[0.0],
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                        lb=[0.0], ub=[1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[0.0]], h=[2.0]),
+        Y=RecourseSet(B1=np.zeros((len(d), 1)), B2=B2, E=E, d=d, c2=c2,
+                      n_int_y=n_int_y))
+
+
+def _count_recourse_calls(monkeypatch):
+    calls = []
+    original = instances.recourse_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "recourse_value", counted)
+    return calls
+
+
+def test_worst_case_falls_back_to_the_loop_when_a_later_vertex_has_no_recourse(
+        monkeypatch):
+    # 0 <= y <= u - 1: the first vertex u = 2 has recourse, u = 0 has none
+    inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
+                         c2=[1.0])
+    x = np.array([0.0])
+    assert np.array_equal(enumerate_vertices(inst.U, x), [[2.0], [0.0]])
+    calls = _count_recourse_calls(monkeypatch)
+    val, u = worst_case_value(inst, x)
+    assert val == np.inf and np.array_equal(u, [0.0])
+    # the first vertex alone, then the loop over both
+    assert [c[0] for c in calls] == [2.0, 2.0, 0.0]
+    ref_val, ref_u = _worst_case_by_loop(inst, x)
+    assert val == ref_val and np.array_equal(u, ref_u)
+
+
+def test_worst_case_stops_at_a_first_vertex_without_recourse(monkeypatch):
+    # y <= 1 - u: the first vertex u = 2 has no recourse
+    inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [-1.0]], d=[0.0, -1.0],
+                         c2=[1.0])
+    calls = _count_recourse_calls(monkeypatch)
+    val, u = worst_case_value(inst, np.array([0.0]))
+    assert val == np.inf and np.array_equal(u, [2.0])
+    assert [c[0] for c in calls] == [2.0]
+
+
+def test_worst_case_with_finite_recourse_solves_one_block_lp(monkeypatch):
+    # y >= u at cost 1: one LP for the first vertex, one for both blocks
+    inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0])
+    calls = _count_recourse_calls(monkeypatch)
+    val, u = worst_case_value(inst, np.array([0.0]))
+    assert val == pytest.approx(2.0) and np.array_equal(u, [2.0])
+    assert len(calls) == 1
+
+
+def test_worst_case_of_an_unbounded_recourse_is_minus_inf():
+    # min -y over y >= u is unbounded at every vertex
+    inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[-1.0])
+    x = np.array([0.0])
+    val, u = worst_case_value(inst, x)
+    assert val == -np.inf and np.array_equal(u, [2.0])
+    ref_val, ref_u = _worst_case_by_loop(inst, x)
+    assert val == ref_val and np.array_equal(u, ref_u)
+
+
+def test_worst_case_with_integer_recourse_takes_the_loop():
+    # 4 y >= u with y integer: y = 1 at u = 2, where the LP relaxation has 1/2
+    inst = _interval_toy(B2=[[4.0]], E=[[-1.0]], d=[0.0], c2=[1.0], n_int_y=1)
+    val, u = worst_case_value(inst, np.array([0.0]))
+    assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
