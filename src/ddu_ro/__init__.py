@@ -4,8 +4,6 @@ uncertainty set depends on the first-stage decision."""
 from .model import (
     AffineMatrixMap,
     BasisId,
-    DualPoint,
-    DualRay,
     FirstStageSet,
     Instance,
     IterationRecord,
@@ -48,7 +46,7 @@ from .reformulations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMatrixMap", "BasisId", "DualPoint", "DualRay", "FirstStageSet",
+    "AffineMatrixMap", "BasisId", "FirstStageSet",
     "Instance", "IterationRecord", "RecourseSet", "RunResult",
     "UncertaintySet", "ValidationReport", "instance_from_dict",
     "instance_to_dict", "relative_gap", "validate",

@@ -1,7 +1,7 @@
 """Thin LP/MILP layer: append-only model builder, scipy/HiGHS solves (LPs by
 linprog's "highs" method with the rows passed as CSR, MIPs by milp), big-M
-complementarity linearization, and ray extraction for unbounded or
-infeasible linear programs.
+complementarity linearization, and ray extraction for unbounded linear
+programs.
 
 Sign conventions. Duals are reported for rows as written: for a row a.x >= b
 of a minimization model the dual is >= 0, for a.x <= b it is <= 0, equality
@@ -16,7 +16,7 @@ holds to solver tolerance (bound contributions live in the reduced-cost term).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -96,20 +96,49 @@ class LinearModel:
         self.constrs.append(_Constr(clean, sense, float(rhs), name))
         return len(self.constrs) - 1
 
+    def add_rows(self, blocks: list[tuple[list[int], np.ndarray]], sense: str,
+                 rhs: np.ndarray, name: str = "") -> list[int]:
+        """Append the rows sum_k A_k @ v[ids_k] (sense) rhs, one per entry of
+        rhs, from the blocks (ids_k, A_k) with A_k of shape (len(rhs),
+        len(ids_k)). A column that repeats, within a block or across blocks,
+        gets the sum of its entries in the order given, at the place it
+        first appears; exact zeros are dropped after summing."""
+        if sense not in (LEQ, GEQ, EQ):
+            raise BackendError(f"bad sense {sense!r}")
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        m = rhs.size
+        ids_all, mats = [], [np.zeros((m, 0))]
+        for ids, A in blocks:
+            A = np.atleast_2d(np.asarray(A, dtype=float))
+            if A.shape != (m, len(ids)):
+                raise BackendError(f"block shape {A.shape} vs {m} rhs / {len(ids)} ids")
+            ids_all.extend(ids)
+            mats.append(A)
+        vals = np.hstack(mats)
+        row, pos = np.nonzero(vals)
+        col, val = np.asarray(ids_all, dtype=np.int64)[pos], vals[row, pos]
+        if len(set(ids_all)) < len(ids_all):
+            # sum each repeated column in its row, kept where it first appears
+            key = row * (int(col.max(initial=0)) + 1) + col
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            row, col = row[first[order]], col[first[order]]
+            val = np.bincount(inverse, weights=val)[order]
+            nz = val != 0.0
+            row, col, val = row[nz], col[nz], val[nz]
+        ends = np.cumsum(np.bincount(row, minlength=m)).tolist()
+        col, val = col.tolist(), val.tolist()
+        start, n0 = 0, self.n_constrs
+        for i, end in enumerate(ends):
+            self.constrs.append(_Constr(dict(zip(col[start:end], val[start:end])), sense,
+                                        float(rhs[i]), f"{name}[{i}]" if name else ""))
+            start = end
+        return list(range(n0, self.n_constrs))
+
     def add_block(self, var_ids: list[int], A: np.ndarray, sense: str,
                   rhs: np.ndarray, name: str = "") -> list[int]:
         """Append rows A @ x[var_ids] (sense) rhs. A is (m, len(var_ids))."""
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if A.shape != (rhs.size, len(var_ids)):
-            raise BackendError(f"block shape {A.shape} vs {rhs.size} rhs / {len(var_ids)} ids")
-        cols = np.asarray(var_ids)
-        ids = []
-        for i in range(rhs.size):
-            nz = np.flatnonzero(A[i])
-            row = dict(zip(cols[nz].tolist(), A[i, nz].tolist()))
-            ids.append(self.add_constr(row, sense, rhs[i], f"{name}[{i}]" if name else ""))
-        return ids
+        return self.add_rows([(var_ids, A)], sense, rhs, name)
 
     def set_objective(self, coeffs: dict[int, float], sense: str = "min",
                       constant: float = 0.0) -> None:
@@ -279,58 +308,42 @@ def solve(model: LinearModel, time_limit: float | None = None) -> SolveOutcome:
 
 # -- big-M complementarity ---------------------------------------------------
 
-LinExpr = tuple[dict[int, float], float]  # (coefficients, constant)
-
-
-def linearize_complementarity(model: LinearModel,
-                              pairs: list[tuple[LinExpr, LinExpr]],
-                              M: float) -> list[int]:
-    """For each pair (a, b) of nonnegative scalar expressions add a binary
-    switch delta and the rows a <= M*delta, b <= M*(1 - delta), whose feasible
-    set projects onto {a*b = 0}. Returns the ids of the added binaries."""
+def linearize_complementarity(model: LinearModel, a_ids: list[int],
+                              a_const: np.ndarray,
+                              b_blocks: list[tuple[list[int], np.ndarray]],
+                              b_const: np.ndarray, M: float) -> list[int]:
+    """For each pair k of nonnegative scalars a_k = v[a_ids[k]] + a_const[k]
+    and b_k = row k of the blocks + b_const[k], add a binary switch delta_k
+    and the rows a_k <= M delta_k, b_k <= M (1 - delta_k), in that order,
+    whose feasible set projects onto {a_k b_k = 0}. Returns the ids of the
+    added binaries."""
     if M <= 0:
         raise BackendError(f"big-M must be positive, got {M}")
-    deltas = []
-    for k, (ea, eb) in enumerate(pairs):
-        d = model.add_var(0.0, 1.0, integer=True, name=f"delta{k}")
-        (ca, consta), (cb, constb) = ea, eb
-        rowa = dict(ca)
-        rowa[d] = rowa.get(d, 0.0) - M
-        model.add_constr(rowa, LEQ, -consta, name=f"comp_a{k}")
-        rowb = dict(cb)
-        rowb[d] = rowb.get(d, 0.0) + M
-        model.add_constr(rowb, LEQ, M - constb, name=f"comp_b{k}")
-        deltas.append(d)
+    n = len(a_ids)
+    deltas = model.add_vars(n, 0.0, 1.0, integer=True, prefix="delta")
+
+    def interleave(top, bottom):
+        # row 2k from top[k], row 2k+1 from bottom[k]
+        return np.stack([top, bottom], axis=1).reshape(2 * n, *np.shape(top)[1:])
+
+    eye = np.eye(n)
+    blocks = [(a_ids, interleave(eye, np.zeros((n, n))))]
+    blocks += [(ids, interleave(np.zeros(np.shape(B)), B)) for ids, B in b_blocks]
+    blocks.append((deltas, interleave(-M * eye, M * eye)))
+    rhs = interleave(-np.asarray(a_const, dtype=float), M - np.asarray(b_const, dtype=float))
+    model.add_rows(blocks, LEQ, rhs, name="comp")
     return deltas
 
 
 # -- ray extraction -----------------------------------------------------------
 
-def extract_ray(model: LinearModel, kind: str = "unbounded",
-                time_limit: float | None = None) -> np.ndarray:
-    """Certificate for an LP the solver refused.
-
-    kind="unbounded": a primal ray r of the recession cone with c'r > 0
+def extract_ray(model: LinearModel, time_limit: float | None = None) -> np.ndarray:
+    """A primal ray r of the recession cone of an unbounded LP with c'r > 0
     (improving for the model's sense), scaled so its largest magnitude
     component is 1. Solved via the normalized ray LP
-    max { c'r : recession rows, sum of positive parts <= 1 }.
-
-    kind="infeasible": a Farkas certificate y for the rows as written
-    (y_i <= 0 on <=-rows, y_i >= 0 on >=-rows, free on equalities) with
-    A'y nonpositive where x is lower-bounded, zero on free coordinates,
-    and y'rhs > 0, proving emptiness.
-
-    time_limit bounds the ray LP of kind="unbounded"; running out raises
-    SolveTimeLimit.
+    max { c'r : recession rows, sum of positive parts <= 1 }; running out of
+    time_limit raises SolveTimeLimit.
     """
-    if kind == "unbounded":
-        return _primal_ray(model, time_limit)
-    if kind == "infeasible":
-        return _farkas_ray(model)
-    raise BackendError(f"unknown ray kind {kind!r}")
-
-
-def _primal_ray(model: LinearModel, time_limit: float | None) -> np.ndarray:
     n = model.n_vars
     ray_lp = LinearModel(name=model.name + "_ray")
     ids = []
@@ -358,72 +371,3 @@ def _primal_ray(model: LinearModel, time_limit: float | None) -> np.ndarray:
     if (sense == "min" and gain > -_RAY_TOL) or (sense == "max" and gain < _RAY_TOL):
         raise BackendError("model was not actually unbounded (ray improves by <= 1e-8)")
     return r / np.max(np.abs(r))
-
-
-def _farkas_ray(model: LinearModel) -> np.ndarray:
-    # Shift finite lower bounds to zero; finite upper bounds become extra rows.
-    senses, rows, rhs = [], [], []
-    n = model.n_vars
-    lb = np.array([v.lb for v in model.vars])
-    shift = np.where(np.isfinite(lb), lb, 0.0)
-    for con in model.constrs:
-        row = np.zeros(n)
-        for j, v in con.coeffs.items():
-            row[j] = v
-        rows.append(row)
-        senses.append(con.sense)
-        rhs.append(con.rhs - row @ shift)
-    extra = []   # synthetic ub rows do not correspond to model rows
-    for j, v in enumerate(model.vars):
-        if np.isfinite(v.ub):
-            row = np.zeros(n)
-            row[j] = 1.0
-            rows.append(row)
-            senses.append(LEQ)
-            rhs.append(v.ub - shift[j])
-            extra.append(len(rows) - 1)
-    A = np.array(rows)
-    b = np.array(rhs)
-    m = len(rows)
-    cert = LinearModel(name=model.name + "_farkas")
-    y = []
-    for i, s in enumerate(senses):
-        if s == LEQ:
-            y.append(cert.add_var(-np.inf, 0.0, name=f"y{i}"))
-        elif s == GEQ:
-            y.append(cert.add_var(0.0, np.inf, name=f"y{i}"))
-        else:
-            y.append(cert.add_var(-np.inf, np.inf, name=f"y{i}"))
-    lower_bounded = np.isfinite(lb)
-    for j in range(n):
-        col = {y[i]: A[i, j] for i in range(m) if A[i, j] != 0.0}
-        if not col:
-            continue
-        cert.add_constr(col, LEQ if lower_bounded[j] else EQ, 0.0)
-    # normalization over |y|
-    mag = cert.add_vars(m, lb=0.0, prefix="mag")
-    for i in range(m):
-        cert.add_constr({mag[i]: 1.0, y[i]: -1.0}, GEQ, 0.0)
-        cert.add_constr({mag[i]: 1.0, y[i]: 1.0}, GEQ, 0.0)
-    cert.add_constr({g: 1.0 for g in mag}, LEQ, 1.0)
-    # infeasibility certificate: y'b > 0 while y'A x <= 0 for every feasible x
-    cert.set_objective({y[i]: b[i] for i in range(m) if b[i] != 0.0}, sense="max")
-    out = solve_lp(cert)
-    if not out.is_optimal:
-        raise BackendError(f"Farkas LP not optimal ({out.status})")
-    if out.objective < _RAY_TOL:
-        raise BackendError("model was not actually infeasible (no Farkas ray)")
-    full = out.x[:m]
-    keep = np.delete(full, extra) if extra else full
-    top = np.max(np.abs(keep))
-    if top < _RAY_TOL:
-        raise BackendError("infeasibility rests on variable bounds alone, "
-                           "no model-row certificate exists")
-    return keep / top
-
-
-def strong_duality_gap(model: LinearModel, out: SolveOutcome) -> float:
-    """|objective - duals.rhs - reduced_costs.x| for an optimal LP outcome."""
-    rhs = np.array([c.rhs for c in model.constrs])
-    val = float(out.duals @ rhs + out.reduced_costs @ out.x) + model.obj_const
-    return abs(out.objective - val)

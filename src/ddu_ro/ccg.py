@@ -20,14 +20,12 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .maxmin import (OptimalityBlock, _binary_product, _coupled_columns,
-                     _couples_only_binary, _is_binary, build_optimality_block,
-                     ensure_unique_optimum, lp_parametric)
-from .model import (BasisId, DualPoint, DualRay, Instance, IterationRecord,
-                    RunResult, UncertaintySet, add_first_stage,
-                    add_recourse_rows, add_recourse_vars,
-                    add_uncertainty_vars, build_deterministic_mip,
-                    range_probe, relative_gap)
+from .maxmin import (OptimalityBlock, _coupled_columns, _couples_only_binary,
+                     build_optimality_block, ensure_unique_optimum, lp_parametric)
+from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySet,
+                    add_first_stage, add_recourse_rows, add_recourse_vars,
+                    affine_blocks, build_deterministic_mip, range_probe,
+                    relative_gap, uncertainty_set_from_dict)
 from .subproblems import (recourse_mip_at, sp1, sp2, sp2_mip_relax,
                           sp2_pareto_lp, sp3, sp4)
 
@@ -112,11 +110,21 @@ class MasterState:
     def has_point(self, pi: np.ndarray) -> bool:
         return _vector_seen(self.point_seeds, pi)
 
-    def has_ray(self, gamma: np.ndarray) -> bool:
-        return _vector_seen(self.ray_seeds, gamma)
-
     def has_basis(self, basis: BasisId) -> bool:
         return basis in self.basis_seeds
+
+    def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
+                 unique_data: np.ndarray | None = None) -> str:
+        """Cut one seed into the master the way the configured variant does
+        and return its tag: a dual point, or a ray with is_ray, for benders
+        and the replicate variants, a basis of [F(x) | I] for "basis".
+        unique_data, the perturbed cost row of parametric-modified, makes
+        the replicate's blocks "unique" ones."""
+        if self.config.variant == "basis":
+            return _add_basis_seed(self, seed)
+        if self.config.variant == "benders":
+            return _add_seed_v1(self, seed, is_ray)
+        return _add_seed_v2(self, seed, is_ray, unique_data)
 
 
 def _vector_seen(pool: list[np.ndarray], v: np.ndarray,
@@ -138,23 +146,18 @@ def _add_seed_v1(state: MasterState, beta: np.ndarray, is_ray: bool) -> str:
     inst, cfg = state.inst, state.config
     beta = np.asarray(beta, dtype=float)
     tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
-    blk = build_optimality_block(state.model, inst, beta, M=cfg.big_M,
-                                 x_ids=state.x_ids, tag=tag)
-    xw = inst.Y.B1.T @ beta
-    uw = inst.Y.E.T @ beta
-    coeffs = {state.x_ids[k]: float(xw[k]) for k in range(inst.dim_x)}
-    for j, uid in enumerate(blk.u_ids):
-        coeffs[uid] = float(uw[j])
+    blk = build_optimality_block(state.model, inst, beta, state.x_ids, M=cfg.big_M,
+                                 tag=tag)
+    cut = [(state.x_ids, inst.Y.B1.T @ beta), (blk.u_ids, inst.Y.E.T @ beta)]
     if not is_ray:
-        coeffs[state.eta_id] = 1.0
-    state.model.add_constr(coeffs, GEQ, float(inst.Y.d @ beta), name=f"cut{tag}")
+        cut.append(([state.eta_id], [[1.0]]))
+    state.model.add_rows(cut, GEQ, [inst.Y.d @ beta], name=f"cut{tag}")
     (state.ray_seeds if is_ray else state.point_seeds).append(beta)
     state.blocks[tag] = blk
     return tag
 
 
 def _add_seed_v2(state: MasterState, beta: np.ndarray, is_ray: bool,
-                 representation: str | None = None,
                  unique_data: np.ndarray | None = None) -> str:
     """Recourse replicate y, its feasibility rows against the seed's worst
     case u, and (for points, or always in unified mode) eta >= c2'y."""
@@ -165,32 +168,19 @@ def _add_seed_v2(state: MasterState, beta: np.ndarray, is_ray: bool,
     for li, U_l in enumerate(sets):
         inst = state.inst if U_l is state.inst.U else replace(state.inst, U=U_l)
         tag = base_tag if state.ou_sets is None else f"{base_tag}s{li}"
-        blk = build_optimality_block(state.model, inst, beta,
-                                     representation=representation,
-                                     M=cfg.big_M, unique_data=unique_data,
-                                     x_ids=state.x_ids, tag=tag)
+        blk = build_optimality_block(
+            state.model, inst, beta, state.x_ids, M=cfg.big_M, tag=tag,
+            representation=None if unique_data is None else "unique",
+            unique_data=unique_data)
         y_ids = add_recourse_vars(state.model, inst.Y, prefix=f"y{tag}_")
-        add_recourse_rows(state.model, inst.Y, y_ids, x_ids=state.x_ids,
-                          u_ids=blk.u_ids, name=f"Y{tag}")
+        add_recourse_rows(state.model, inst.Y, y_ids, state.x_ids, blk.u_ids,
+                          name=f"Y{tag}")
         if not is_ray or cfg.unified:
-            coeffs = {state.eta_id: 1.0}
-            for j, yid in enumerate(y_ids):
-                coeffs[yid] = -float(inst.Y.c2[j])
-            state.model.add_constr(coeffs, GEQ, 0.0, name=f"eta{tag}")
+            state.model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -inst.Y.c2[None])],
+                                 GEQ, [0.0], name=f"eta{tag}")
         state.blocks[tag] = blk
     (state.ray_seeds if is_ray else state.point_seeds).append(beta)
     return base_tag
-
-
-def _binary_product_free(model: LinearModel, x_id: int, v_id: int, M: float,
-                         name: str) -> int:
-    """w = x * v for binary x and -M <= v <= M, by the shifted envelope."""
-    w = model.add_var(-M, M, name=name)
-    model.add_constr({w: 1.0, x_id: -M}, LEQ, 0.0)
-    model.add_constr({w: 1.0, x_id: M}, GEQ, 0.0)
-    model.add_constr({w: 1.0, v_id: -1.0, x_id: M}, LEQ, M)
-    model.add_constr({w: 1.0, v_id: -1.0, x_id: -M}, GEQ, -M)
-    return w
 
 
 def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
@@ -222,159 +212,56 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     slack_basic = {j - n for j in basis.indices if j >= n}
     eq_rows = [i for i in range(mu) if i not in slack_basic]
     ineq_rows = sorted(slack_basic)
+    n_eq, n_ineq = len(eq_rows), len(ineq_rows)
 
     u_ids = model.add_vars(len(struct_basic), prefix=f"u{tag}_")
-    ubar1 = model.add_vars(len(eq_rows), prefix=f"d1{tag}_")
-    ubar2 = model.add_vars(len(eq_rows), prefix=f"d2{tag}_")
-    ubar3 = model.add_vars(len(ineq_rows), prefix=f"d3{tag}_")
+    ubar1 = model.add_vars(n_eq, prefix=f"d1{tag}_")
+    ubar2 = model.add_vars(n_eq, prefix=f"d2{tag}_")
+    ubar3 = model.add_vars(n_ineq, prefix=f"d3{tag}_")
     # infeasible bases are neutralized by scaling lam along a negative-value
     # cone direction, so lam stays unbounded unless x-products force a box
     lam_lo, lam_hi = (-M, M) if coupled else (-np.inf, np.inf)
-    lam_n = model.add_vars(len(eq_rows), lb=lam_lo, ub=lam_hi, prefix=f"ln{tag}_")
-    lam_b = model.add_vars(len(ineq_rows), lb=0.0,
-                           ub=M if coupled else np.inf, prefix=f"lb{tag}_")
+    lam_n = model.add_vars(n_eq, lb=lam_lo, ub=lam_hi, prefix=f"ln{tag}_")
+    lam_b = model.add_vars(n_ineq, lb=0.0, ub=M if coupled else np.inf,
+                           prefix=f"lb{tag}_")
+    # lam_n is free, so its products with x take the shifted envelope
+    lam, lam_low = lam_n + lam_b, [-M] * n_eq + [0.0] * n_ineq
+    products: dict[tuple[int, int], int] = {}
 
-    prod_cache: dict[tuple[int, int], int] = {}
+    eye_eq = np.eye(n_eq)
+    model.add_rows([*affine_blocks(model, U.F.take(eq_rows, struct_basic), u_ids,
+                                   x_ids, M, products, name=f"wu{tag}_"),
+                    (ubar1, -eye_eq), (ubar2, eye_eq), (x_ids, -U.G[eq_rows])],
+                   EQ, U.h[eq_rows], name=f"bs{tag}_eq")
+    model.add_rows([*affine_blocks(model, U.F.take(ineq_rows, struct_basic), u_ids,
+                                   x_ids, M, products, name=f"wu{tag}_"),
+                    (ubar3, -np.eye(n_ineq)), (x_ids, -U.G[ineq_rows])],
+                   LEQ, U.h[ineq_rows], name=f"bs{tag}_le")
 
-    def prod(x_id: int, v_id: int, free: bool, name: str) -> int:
-        key = (x_id, v_id)
-        if key not in prod_cache:
-            maker = _binary_product_free if free else _binary_product
-            prod_cache[key] = maker(model, x_id, v_id, M, name=name)
-        return prod_cache[key]
-
-    def f_entry_coeffs(i: int, j_struct: int, target: int, free: bool,
-                       coeffs: dict[int, float], what: str) -> None:
-        # accumulate F(x)[i, j_struct] * target into coeffs, enveloping terms
-        jj = struct_basic[j_struct]
-        if U.F.base[i, jj] != 0.0:
-            coeffs[target] = coeffs.get(target, 0.0) + U.F.base[i, jj]
-        for k, Mk in U.F.terms:
-            if Mk[i, jj] != 0.0:
-                w = prod(x_ids[k], target, free, f"{what}{tag}_{i}_{k}_{j_struct}")
-                coeffs[w] = coeffs.get(w, 0.0) + Mk[i, jj]
-
-    for idx, i in enumerate(eq_rows):
-        coeffs: dict[int, float] = {}
-        for js in range(len(struct_basic)):
-            f_entry_coeffs(i, js, u_ids[js], False, coeffs, "wu")
-        coeffs[ubar1[idx]] = coeffs.get(ubar1[idx], 0.0) - 1.0
-        coeffs[ubar2[idx]] = coeffs.get(ubar2[idx], 0.0) + 1.0
-        for k in range(inst.dim_x):
-            if U.G[i, k] != 0.0:
-                coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) - U.G[i, k]
-        model.add_constr(coeffs, EQ, float(U.h[i]), name=f"bs{tag}_eq{i}")
-    for idx, i in enumerate(ineq_rows):
-        coeffs = {}
-        for js in range(len(struct_basic)):
-            f_entry_coeffs(i, js, u_ids[js], False, coeffs, "wu")
-        coeffs[ubar3[idx]] = coeffs.get(ubar3[idx], 0.0) - 1.0
-        for k in range(inst.dim_x):
-            if U.G[i, k] != 0.0:
-                coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) - U.G[i, k]
-        model.add_constr(coeffs, LEQ, float(U.h[i]), name=f"bs{tag}_le{i}")
-
-    # alternative-system cone, one row per basic structural column
-    for js in range(len(struct_basic)):
-        coeffs = {}
-        for idx, i in enumerate(eq_rows):
-            f_entry_coeffs(i, js, lam_n[idx], True, coeffs, "wl")
-        for idx, i in enumerate(ineq_rows):
-            f_entry_coeffs(i, js, lam_b[idx], False, coeffs, "wl")
-        if coeffs:
-            model.add_constr(coeffs, GEQ, 0.0, name=f"alt{tag}_{js}")
+    # alternative-system cone, one row per basic structural column that
+    # meets some row
+    alt = affine_blocks(model, U.F.take(eq_rows + ineq_rows, struct_basic), lam,
+                        x_ids, M, products, transpose=True, lo=lam_low,
+                        name=f"wl{tag}_")
+    meets = np.any([np.any(A != 0.0, axis=1) for _, A in alt], axis=0)
+    model.add_rows([(ids, A[meets]) for ids, A in alt], GEQ,
+                   np.zeros(int(meets.sum())), name=f"alt{tag}")
 
     y_ids = add_recourse_vars(model, Y, prefix=f"y{tag}_")
-    for r in range(Y.n_rows):
-        coeffs = {y_ids[j]: float(Y.B2[r, j]) for j in range(Y.dim)
-                  if Y.B2[r, j] != 0.0}
-        for k in range(inst.dim_x):
-            if Y.B1[r, k] != 0.0:
-                coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) + Y.B1[r, k]
-        for js, jj in enumerate(struct_basic):
-            if Y.E[r, jj] != 0.0:
-                coeffs[u_ids[js]] = coeffs.get(u_ids[js], 0.0) + Y.E[r, jj]
-        model.add_constr(coeffs, GEQ, float(Y.d[r]), name=f"Y{tag}[{r}]")
+    model.add_rows([(y_ids, Y.B2), (x_ids, Y.B1), (u_ids, Y.E[:, struct_basic])],
+                   GEQ, Y.d, name=f"Y{tag}")
 
     # eta >= c2'y + M (deviation mass) + (h + G x)' lam
-    coeffs = {state.eta_id: 1.0}
-    for j, yid in enumerate(y_ids):
-        coeffs[yid] = -float(Y.c2[j])
-    for vid in (*ubar1, *ubar2, *ubar3):
-        coeffs[vid] = -M
-    for idx, i in enumerate(eq_rows):
-        coeffs[lam_n[idx]] = coeffs.get(lam_n[idx], 0.0) - U.h[i]
-        for k in range(inst.dim_x):
-            if U.G[i, k] != 0.0:
-                w = prod(x_ids[k], lam_n[idx], True, f"wg{tag}_{i}_{k}")
-                coeffs[w] = coeffs.get(w, 0.0) - U.G[i, k]
-    for idx, i in enumerate(ineq_rows):
-        coeffs[lam_b[idx]] = coeffs.get(lam_b[idx], 0.0) - U.h[i]
-        for k in range(inst.dim_x):
-            if U.G[i, k] != 0.0:
-                w = prod(x_ids[k], lam_b[idx], False, f"wg{tag}_{i}_{k}")
-                coeffs[w] = coeffs.get(w, 0.0) - U.G[i, k]
-    model.add_constr(coeffs, GEQ, 0.0, name=f"eta{tag}")
+    rhs = affine_blocks(model, U.rhs_map.take(eq_rows + ineq_rows, [0]), lam, x_ids,
+                        M, products, transpose=True, lo=lam_low, name=f"wg{tag}_")
+    deviation = ubar1 + ubar2 + ubar3
+    model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -Y.c2[None]),
+                    (deviation, np.full((1, len(deviation)), -M)),
+                    *[(ids, -A) for ids, A in rhs]], GEQ, [0.0], name=f"eta{tag}")
 
     state.basis_seeds.append(basis)
     state.blocks[tag] = None
     return tag
-
-
-# -- public builders, consuming recorded seed lists -------------------------
-
-def build_master_v1(state: MasterState, seeds: list[DualPoint | DualRay]) -> LinearModel:
-    """Scalar-cut master over the given dual points and rays."""
-    for s in seeds:
-        vec = s.as_array()
-        if s.kind == "ray":
-            if not state.has_ray(vec):
-                _add_seed_v1(state, vec, is_ray=True)
-        elif not state.has_point(vec):
-            _add_seed_v1(state, vec, is_ray=False)
-    return state.model
-
-
-def build_master_v2(state: MasterState, seeds: list[DualPoint | DualRay]) -> LinearModel:
-    """Replicate master over the given dual points and rays."""
-    for s in seeds:
-        vec = s.as_array()
-        if s.kind == "ray":
-            if not state.has_ray(vec):
-                _add_seed_v2(state, vec, is_ray=True)
-        elif not state.has_point(vec):
-            _add_seed_v2(state, vec, is_ray=False)
-    return state.model
-
-
-def build_master_v3(state: MasterState, bases: list[BasisId]) -> LinearModel:
-    """Basis-indexed master over the given bases."""
-    for b in bases:
-        if not state.has_basis(b):
-            _add_basis_seed(state, b)
-    return state.model
-
-
-def basis_solution(U: UncertaintySet, x: np.ndarray,
-                   basis: BasisId) -> tuple[np.ndarray, bool]:
-    """Basic solution of [F(x) | I] at the given basis: the structural part
-    and whether it is feasible (all basic values nonnegative)."""
-    x = np.asarray(x, dtype=float)
-    Fx = U.F.evaluate(x)
-    A = np.hstack([Fx, np.eye(U.n_rows)])
-    cols = list(basis.indices)
-    if len(cols) != U.n_rows:
-        raise ValueError(f"basis has {len(cols)} columns, need {U.n_rows}")
-    try:
-        vb = np.linalg.solve(A[:, cols], U.h + U.G @ x)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular basis {basis.indices}") from exc
-    u = np.zeros(U.dim)
-    for val, j in zip(vb, cols):
-        if j < U.dim:
-            u[j] = val
-    feasible = bool(np.min(vb, initial=0.0) >= -1e-9)
-    return u, feasible
 
 
 # -- the outer loop ---------------------------------------------------------
@@ -447,7 +334,6 @@ def _resolve_ddu_sets(inst: Instance,
         raw = inst.metadata.get("ddu_sets")
         if not raw:
             raise ValueError("instance metadata carries no ddu_sets")
-        from .instances import uncertainty_set_from_dict
         return [uncertainty_set_from_dict(d) if isinstance(d, dict) else d
                 for d in raw]
     return list(spec)
@@ -481,7 +367,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
     # the deterministic relaxation settles infeasibility up front, floors the
     # first bound, and anchors the stabilized cut selection
-    det_model, det_ids = _deterministic_floor(inst, config.big_M)
+    det_model, det_ids = build_deterministic_mip(inst, config.big_M)
     det = backend.solve(det_model, time_limit=config.time_limit_s)
     if det.status == backend.INFEASIBLE:
         meta["reason"] = "deterministic relaxation infeasible"
@@ -629,14 +515,14 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 if state.has_point(beta):
                     record(t, "none", "seed-known")
                     continue
-                seed_id = _add_seed_v1(state, beta, is_ray=False)
+                seed_id = state.add_seed(beta)
                 kind = "optimality"
             elif variant == "parametric":
                 if state.has_point(beta):
                     # nothing new to cut; the next master repeats x and closes
                     record(t, "none", "seed-known")
                     continue
-                seed_id = _add_seed_v2(state, beta, is_ray=False)
+                seed_id = state.add_seed(beta)
                 kind = "unified" if config.unified else "optimality"
             elif variant == "parametric-modified":
                 try:
@@ -647,8 +533,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 if state.has_basis(res_u.basis):
                     return closure(t, "basis")
                 state.basis_seeds.append(res_u.basis)
-                seed_id = _add_seed_v2(state, beta, is_ray=False,
-                                       representation="unique", unique_data=c_hat)
+                seed_id = state.add_seed(beta, unique_data=c_hat)
                 kind = "unified" if config.unified else "optimality"
             else:
                 bases = [r2.basis_result.basis]
@@ -660,7 +545,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 if not new:
                     return closure(t, "basis")
                 for b in new:
-                    seed_id = _add_basis_seed(state, b)
+                    seed_id = state.add_seed(b)
                 kind = "basis"
         else:
             r3 = sp3(inst, x_star, r1.u, time_limit=budget())
@@ -671,7 +556,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 return closure(t, "dual-ray")
             derived_rays.append(gamma)
             if variant == "benders":
-                seed_id = _add_seed_v1(state, gamma, is_ray=True)
+                seed_id = state.add_seed(gamma, is_ray=True)
                 kind = "feasibility"
             elif variant in ("parametric", "parametric-modified"):
                 if variant == "parametric-modified":
@@ -683,11 +568,9 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     if state.has_basis(res_u.basis):
                         return closure(t, "basis")
                     state.basis_seeds.append(res_u.basis)
-                    seed_id = _add_seed_v2(state, gamma, is_ray=True,
-                                           representation="unique",
-                                           unique_data=c_hat)
+                    seed_id = state.add_seed(gamma, is_ray=True, unique_data=c_hat)
                 else:
-                    seed_id = _add_seed_v2(state, gamma, is_ray=True)
+                    seed_id = state.add_seed(gamma, is_ray=True)
                 kind = "unified" if config.unified else "feasibility"
             else:
                 try:
@@ -701,54 +584,13 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 if not new:
                     return closure(t, "basis")
                 for b in new:
-                    seed_id = _add_basis_seed(state, b)
+                    seed_id = state.add_seed(b)
                 kind = "basis"
 
         record(t, kind, seed_id)
         if config.max_iterations is not None and t >= config.max_iterations:
             meta["reason"] = "iteration cap"
             return done("Stalled", lb, ub, incumbent, records, meta)
-
-
-def _deterministic_floor(inst: Instance, M: float) -> tuple[LinearModel, dict]:
-    """The relaxation min{c1 x + c2 y : x in X, u in U(x), y in Y(x, u)},
-    with x-dependent matrix entries enveloped for binary x; its optimum is a
-    valid floor under every master bound."""
-    if inst.U.F.is_constant:
-        return build_deterministic_mip(inst)
-    if not all(_is_binary(inst, k) for k, _ in inst.U.F.terms):
-        raise ValueError(
-            "matrix dependence on non-binary first-stage components has "
-            "no exact master linearization")
-    U, Y = inst.U, inst.Y
-    m = LinearModel(name=f"{inst.name}_det")
-    x_ids = add_first_stage(m, inst)
-    u_ids = add_uncertainty_vars(m, U)
-    y_ids = add_recourse_vars(m, Y)
-    prod: dict[tuple[int, int], int] = {}
-    for i in range(U.n_rows):
-        coeffs = {u_ids[j]: float(U.F.base[i, j]) for j in range(U.dim)
-                  if U.F.base[i, j] != 0.0}
-        for k, Mk in U.F.terms:
-            for j in range(U.dim):
-                if Mk[i, j] != 0.0:
-                    key = (k, j)
-                    if key not in prod:
-                        prod[key] = _binary_product(
-                            m, x_ids[k], u_ids[j], M, name=f"w{k}_{j}")
-                    coeffs[prod[key]] = coeffs.get(prod[key], 0.0) + Mk[i, j]
-        for k in range(inst.dim_x):
-            if U.G[i, k] != 0.0:
-                coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) - U.G[i, k]
-        m.add_constr(coeffs, LEQ, float(U.h[i]), name=f"U[{i}]")
-    add_recourse_rows(m, Y, y_ids, x_ids=x_ids, u_ids=u_ids)
-    obj = {x_ids[k]: float(inst.c1[k]) for k in range(inst.dim_x)
-           if inst.c1[k] != 0.0}
-    for j in range(inst.dim_y):
-        if Y.c2[j] != 0.0:
-            obj[y_ids[j]] = float(Y.c2[j])
-    m.set_objective(obj, sense="min")
-    return m, {"x": x_ids, "u": u_ids, "y": y_ids}
 
 
 def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,

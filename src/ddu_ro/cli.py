@@ -21,10 +21,10 @@ import numpy as np
 from . import backend
 from .ccg import AlgorithmConfig, VARIANTS, records_to_csv, run, run_result_to_dict
 from .instances import (FLParams, OracleError, PMedianParams, PMEDIAN_KINDS,
-                        SchemaError, gen_mip_recourse_fl, gen_reliable_pmedian,
-                        gen_robust_fl, io_read, io_write, oracle_exact,
-                        uncertainty_set_from_dict, write_atomic)
-from .model import Instance
+                        SchemaError, check_uncertainty_schema, gen_mip_recourse_fl,
+                        gen_reliable_pmedian, gen_robust_fl, io_read, io_write,
+                        oracle_exact, write_atomic)
+from .model import Instance, uncertainty_set_from_dict
 from .reformulations import neutralize, normalize, order_switch
 
 _AGREE_TOL = 1e-5
@@ -125,7 +125,10 @@ def _config_from(args) -> AlgorithmConfig:
     diu = args.diu_approx
     if diu is not None and diu != "metadata":
         with open(diu) as fh:
-            diu = [uncertainty_set_from_dict(d) for d in json.load(fh)]
+            sets = json.load(fh)
+        for i, d in enumerate(sets if isinstance(sets, list) else [sets]):
+            check_uncertainty_schema(d, f"{args.diu_approx}[{i}]")
+        diu = [uncertainty_set_from_dict(d) for d in sets]
     return AlgorithmConfig(variant=args.variant, tol=args.tol,
                            time_limit_s=args.time_limit, big_M=args.big_m,
                            cut_mode=args.cut_mode, pareto=args.pareto,

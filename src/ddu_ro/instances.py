@@ -37,9 +37,11 @@ from .model import (
     RecourseSet,
     UncertaintySet,
     add_first_stage,
+    dimension_errors,
     instance_from_dict,
     instance_to_dict,
     range_probe,
+    uncertainty_set_to_dict,
 )
 
 
@@ -379,14 +381,9 @@ def _complete_continuous(inst: Instance, x_int: np.ndarray, coupled: list[int],
 
     def base_model():
         m = LinearModel(name="xfill")
-        ids = []
-        for k in range(nx):
-            if k < n_int:
-                ids.append(m.add_var(x_int[k], x_int[k], name=f"x{k}"))
-            else:
-                ids.append(m.add_var(X.lb[k], X.ub[k], name=f"x{k}"))
-        if X.A.shape[0]:
-            m.add_block(ids, X.A, GEQ, X.b)
+        ids = add_first_stage(m, inst)
+        for k in range(n_int):
+            m.fix_var(ids[k], x_int[k])
         return m, ids
 
     # without coupled dimensions the completion LP below decides feasibility
@@ -992,78 +989,109 @@ def _sorting_rows(nx, nJ, q, marker, threshold, score_cols, M):
     return np.array(rows), np.array(b)
 
 
-def uncertainty_set_to_dict(U: UncertaintySet) -> dict:
-    from .model import _mat_to_dict
-    return {
-        "F": {"base": _mat_to_dict(U.F.base),
-              "terms": [{"k": k, "matrix": _mat_to_dict(M)} for k, M in U.F.terms]},
-        "G": _mat_to_dict(U.G),
-        "h": [float(v) for v in U.h],
-        "n_int_u": U.n_int_u,
-    }
-
-
-def uncertainty_set_from_dict(d: dict) -> UncertaintySet:
-    from .model import _mat_from_dict
-    F = AffineMatrixMap(base=_mat_from_dict(d["F"]["base"]),
-                        terms=tuple((int(t["k"]), _mat_from_dict(t["matrix"]))
-                                    for t in d["F"].get("terms", [])))
-    return UncertaintySet(F=F, G=_mat_from_dict(d["G"]),
-                          h=np.array(d["h"], dtype=float),
-                          n_int_u=int(d.get("n_int_u", 0)))
-
-
 # -- instance file I/O ---------------------------------------------------------
 
 class SchemaError(Exception):
     pass
 
 
-_TOP_KEYS = {"name", "c1", "X", "U", "Y", "metadata"}
-_X_KEYS = {"A", "b", "n_int", "bounds"}
-_U_KEYS = {"F", "G", "h", "n_int_u"}
-_Y_KEYS = {"B1", "B2", "E", "d", "c2", "n_int_y"}
-_MAT_KEYS = {"rows", "cols", "triplets"}
+# per object of the file: its required keys, then the optional ones
+_TOP_KEYS = (("c1", "X", "U", "Y"), ("name", "metadata"))
+_X_KEYS = (("A", "b"), ("n_int", "bounds"))
+_BOUNDS_KEYS = (("lb", "ub"), ())
+_U_KEYS = (("F", "G", "h"), ("n_int_u",))
+_F_KEYS = (("base",), ("terms",))
+_TERM_KEYS = (("k", "matrix"), ())
+_Y_KEYS = (("B1", "B2", "E", "d", "c2"), ("n_int_y",))
+_MAT_KEYS = (("rows", "cols", "triplets"), ())
 
 
-def _check_keys(d: dict, allowed: set, where: str):
+def _check_keys(d, keys: tuple, where: str):
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected an object at {where}")
+    required, optional = keys
     for key in d:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise SchemaError(f"unknown key {key!r} at {where}")
+    for key in required:
+        if key not in d:
+            raise SchemaError(f"missing key {key!r} at {where}")
 
 
-def _check_matrix(d: dict, where: str):
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_matrix(d, where: str):
     _check_keys(d, _MAT_KEYS, where)
-    rows, cols = d.get("rows"), d.get("cols")
-    for trip in d.get("triplets", []):
+    rows, cols = d["rows"], d["cols"]
+    if not (_is_index(rows) and _is_index(cols)):
+        raise SchemaError(f"rows and cols must be nonnegative integers at {where}")
+    for trip in d["triplets"]:
+        if not (isinstance(trip, list) and len(trip) == 3 and _is_index(trip[0])
+                and _is_index(trip[1]) and isinstance(trip[2], (int, float))):
+            raise SchemaError(f"triplet {trip!r} at {where} is not [i, j, value]")
         i, j, _ = trip
-        if not (0 <= i < rows and 0 <= j < cols):
+        if not (i < rows and j < cols):
             raise SchemaError(f"triplet ({i},{j}) out of bounds at {where} "
                               f"(shape {rows}x{cols})")
 
 
+def _check_vector(v, where: str, nullable: bool = False):
+    # null stands for an infinite bound, and only bounds may hold it
+    if not (isinstance(v, list) and all(
+            isinstance(e, (int, float)) and not isinstance(e, bool)
+            or (nullable and e is None) for e in v)):
+        raise SchemaError(f"expected a list of numbers at {where}")
+
+
+def check_uncertainty_schema(d, where: str = "$"):
+    """Raise SchemaError, naming the place, unless d has the layout that
+    model.uncertainty_set_to_dict writes."""
+    _check_keys(d, _U_KEYS, where)
+    _check_vector(d["h"], f"{where}.h")
+    _check_keys(d["F"], _F_KEYS, f"{where}.F")
+    _check_matrix(d["F"]["base"], f"{where}.F.base")
+    for t, term in enumerate(d["F"].get("terms", [])):
+        _check_keys(term, _TERM_KEYS, f"{where}.F.terms[{t}]")
+        _check_matrix(term["matrix"], f"{where}.F.terms[{t}].matrix")
+    _check_matrix(d["G"], f"{where}.G")
+
+
 def check_schema(d: dict):
+    """Raise SchemaError, naming the place, unless d has the layout that
+    model.instance_to_dict writes, surrogate sets in metadata.ddu_sets
+    included."""
     _check_keys(d, _TOP_KEYS, "$")
-    for part, keys in (("X", _X_KEYS), ("U", _U_KEYS), ("Y", _Y_KEYS)):
-        if part not in d:
-            raise SchemaError(f"missing key {part!r} at $")
+    for part, keys in (("X", _X_KEYS), ("Y", _Y_KEYS)):
         _check_keys(d[part], keys, f"$.{part}")
+    for where, v in (("$.c1", d["c1"]), ("$.X.b", d["X"]["b"]),
+                     ("$.Y.d", d["Y"]["d"]), ("$.Y.c2", d["Y"]["c2"])):
+        _check_vector(v, where)
     _check_matrix(d["X"]["A"], "$.X.A")
-    _check_keys(d["U"]["F"], {"base", "terms"}, "$.U.F")
-    _check_matrix(d["U"]["F"]["base"], "$.U.F.base")
-    for t, term in enumerate(d["U"]["F"].get("terms", [])):
-        _check_keys(term, {"k", "matrix"}, f"$.U.F.terms[{t}]")
-        _check_matrix(term["matrix"], f"$.U.F.terms[{t}].matrix")
-    _check_matrix(d["U"]["G"], "$.U.G")
+    if "bounds" in d["X"]:
+        _check_keys(d["X"]["bounds"], _BOUNDS_KEYS, "$.X.bounds")
+        for key in ("lb", "ub"):
+            _check_vector(d["X"]["bounds"][key], f"$.X.bounds.{key}", nullable=True)
+    check_uncertainty_schema(d["U"], "$.U")
     for key in ("B1", "B2", "E"):
         _check_matrix(d["Y"][key], f"$.Y.{key}")
+    surrogates = d.get("metadata", {}).get("ddu_sets", [])
+    for i, U in enumerate(surrogates if isinstance(surrogates, list) else [surrogates]):
+        check_uncertainty_schema(U, f"$.metadata.ddu_sets[{i}]")
 
 
 def io_read(path: str) -> Instance:
+    """The instance in a JSON file; SchemaError when the file does not have
+    the layout of check_schema or its parts disagree in their dimensions."""
     with open(path) as fh:
         d = json.load(fh)
     check_schema(d)
-    return instance_from_dict(d)
+    inst = instance_from_dict(d)
+    errors = dimension_errors(inst)
+    if errors:
+        raise SchemaError("; ".join(errors))
+    return inst
 
 
 def io_write(path: str, inst: Instance) -> None:

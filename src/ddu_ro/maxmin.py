@@ -10,10 +10,10 @@ Three routes solve a max-min and are cross-checked against each other:
   has network columns: the feasibility dual then has 0/1 vertices, so pi is
   binary and each product pi_i z_j is linearized exactly over the probed
   range of z_j, with no big-M.
-Blocks built at a fixed first stage are always purely linear; blocks with a
-symbolic first stage require any matrix-coefficient dependence to sit on
-binary components, since products with continuous components have no exact
-linearization.
+Optimality blocks take the first stage as master columns, so any
+matrix-coefficient dependence must sit on binary components, since products
+with continuous components have no exact linearization; a caller that wants
+a block at one first stage fixes those columns.
 
 An optimality block pins u to an optimum of the LP over U(x) by primal and
 dual feasibility plus either the big-M complementarities ("kkt") or the one
@@ -25,13 +25,14 @@ parametric-modified stay complementarities ("unique").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .model import BasisId, Instance, UncertaintySet, range_probe
+from .model import (BasisId, Instance, UncertaintySet, _binary_product, _is_binary,
+                    affine_blocks, range_probe)
 
 _ZERO_RC_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-6
@@ -65,10 +66,6 @@ class MaxMinProblem:
     @property
     def n_out(self) -> int:
         return self.A_out.shape[1]
-
-    @property
-    def n_inner(self) -> int:
-        return self.B_y.shape[1]
 
 
 def maxmin_from_instance(inst: Instance, x: np.ndarray) -> MaxMinProblem:
@@ -116,7 +113,7 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     The solver supplies an optimal point; the basis is rebuilt here over the
     standard form [F(x) | I] by greedy lowest-index completion of the positive
     support, and duals/reduced costs come from that basis directly, so the
-    report does not depend on which backend adapter ran the LP. Raises
+    report does not depend on which optimal basis HiGHS stopped at. Raises
     SolveTimeLimit when the LP runs out of time.
     """
     x = np.asarray(x, dtype=float)
@@ -127,13 +124,7 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     mu, n = Fx.shape
     c_u = -(inst.Y.E.T @ beta)
 
-    m = LinearModel(name="lp_parametric")
-    u_ids = m.add_vars(n, prefix="u")
-    if mu:
-        m.add_block(u_ids, Fx, LEQ, rhs)
-    m.set_objective({u_ids[j]: c_u[j] for j in range(n) if c_u[j] != 0.0},
-                    sense="max")
-    out = backend.solve_lp(m, time_limit=time_limit)
+    out = _max_over_u(Fx, rhs, c_u, "lp_parametric", time_limit)
     if out.status == backend.TIME_LIMIT:
         raise SolveTimeLimit("parametric LP ran out of time")
     if out.status == backend.INFEASIBLE:
@@ -158,6 +149,16 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     return ParametricLPResult(u=u_star, lam=lam, basis=BasisId(tuple(basis_cols)),
                               reduced_costs=rc, value=float(out.objective),
                               n_struct=n, cost_row=c_full)
+
+
+def _max_over_u(Fx: np.ndarray, rhs: np.ndarray, c: np.ndarray, name: str,
+                time_limit: float | None) -> backend.SolveOutcome:
+    """The LP max{c' u : u >= 0, Fx u <= rhs}, u its first columns."""
+    m = LinearModel(name=name)
+    u_ids = m.add_vars(Fx.shape[1], prefix="u")
+    m.add_block(u_ids, Fx, LEQ, rhs)
+    m.set_objective(dict(zip(u_ids, c)), sense="max")
+    return backend.solve_lp(m, time_limit=time_limit)
 
 
 def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
@@ -340,32 +341,13 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4,
     y_ids = m.add_vars(ny, prefix="y")
     pi_ids = m.add_vars(m_rows, prefix="pi")
 
-    primal_rows = []
-    for i in range(m_rows):
-        coeffs = {y_ids[j]: problem.B_y[i, j] for j in range(ny)
-                  if problem.B_y[i, j] != 0.0}
-        for j in range(n_out):
-            if problem.B_x[i, j] != 0.0:
-                coeffs[z_ids[j]] = coeffs.get(z_ids[j], 0.0) + problem.B_x[i, j]
-        primal_rows.append(m.add_constr(coeffs, GEQ, problem.d[i], name=f"pf{i}"))
-    for j in range(ny):
-        coeffs = {pi_ids[i]: problem.B_y[i, j] for i in range(m_rows)
-                  if problem.B_y[i, j] != 0.0}
-        m.add_constr(coeffs, LEQ, problem.c_y[j], name=f"df{j}")
-
-    pairs = []
-    for i in range(m_rows):
-        surplus = {y_ids[j]: problem.B_y[i, j] for j in range(ny)
-                   if problem.B_y[i, j] != 0.0}
-        for j in range(n_out):
-            if problem.B_x[i, j] != 0.0:
-                surplus[z_ids[j]] = surplus.get(z_ids[j], 0.0) + problem.B_x[i, j]
-        pairs.append((({pi_ids[i]: 1.0}, 0.0), (surplus, -problem.d[i])))
-    for j in range(ny):
-        margin = {pi_ids[i]: -problem.B_y[i, j] for i in range(m_rows)
-                  if problem.B_y[i, j] != 0.0}
-        pairs.append((({y_ids[j]: 1.0}, 0.0), (margin, problem.c_y[j])))
-    backend.linearize_complementarity(m, pairs, M=M)
+    surplus = [(y_ids, problem.B_y), (z_ids, problem.B_x)]
+    m.add_rows(surplus, GEQ, problem.d, name="pf")
+    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y, name="df")
+    backend.linearize_complementarity(m, pi_ids, np.zeros(m_rows), surplus,
+                                      -problem.d, M=M)
+    backend.linearize_complementarity(m, y_ids, np.zeros(ny),
+                                      [(pi_ids, -problem.B_y.T)], problem.c_y, M=M)
 
     m.set_objective({y_ids[j]: problem.c_y[j] for j in range(ny)
                      if problem.c_y[j] != 0.0}, sense="max")
@@ -432,18 +414,11 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     if problem.A_out.shape[0]:
         m.add_block(z_ids, problem.A_out, LEQ, problem.b_out)
     pi_ids = m.add_vars(m_rows, ub=M, prefix="pi")
-    for j in range(ny):
-        coeffs = {pi_ids[i]: problem.B_y[i, j] for i in range(m_rows)
-                  if problem.B_y[i, j] != 0.0}
-        m.add_constr(coeffs, LEQ, problem.c_y[j], name=f"dual{j}")
-    obj = {pi_ids[i]: problem.d[i] for i in range(m_rows) if problem.d[i] != 0.0}
-    for i in range(m_rows):
-        for j in range(n_out):
-            bij = problem.B_x[i, j]
-            if bij == 0.0:
-                continue
-            w = _binary_product(m, z_ids[j], pi_ids[i], M, name=f"w{i}_{j}")
-            obj[w] = -bij
+    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y, name="dual")
+    obj = dict(zip(pi_ids, problem.d))
+    for i, j in zip(*np.nonzero(problem.B_x)):
+        w = _binary_product(m, z_ids[j], pi_ids[i], M, name=f"w{i}_{j}")
+        obj[w] = -problem.B_x[i, j]
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m, time_limit=time_limit)
     if not out.is_optimal:
@@ -511,7 +486,7 @@ def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray,
         raise SolveTimeLimit("dual LP at the witness ran out of time")
     if out.status != backend.UNBOUNDED:
         raise BackendError("witness did not make the dual LP unbounded")
-    return backend.extract_ray(lp, kind="unbounded", time_limit=time_limit)
+    return backend.extract_ray(lp, time_limit=time_limit)
 
 
 # -- optimality blocks ----------------------------------------------------------
@@ -519,22 +494,15 @@ def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray,
 @dataclass
 class OptimalityBlock:
     u_ids: list[int]
-    lam_ids: list[int]
-    row_ids: list[int] = field(default_factory=list)
-    beta: np.ndarray | None = None
-    representation: str = "kkt"
-    tag: str = ""
-    slack_ids: list[int] = field(default_factory=list)
+    representation: str
 
 
-def build_optimality_block(model: LinearModel, inst: Instance,
-                           beta: np.ndarray, representation: str | None = None,
+def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
+                           x_ids: list[int], representation: str | None = None,
                            M: float = 1e4, unique_data: np.ndarray | None = None,
-                           x_ids: list[int] | None = None,
-                           x_fixed: np.ndarray | None = None,
                            tag: str = "") -> OptimalityBlock:
     """Append fresh (u, lambda) columns and the rows pinning u to an optimum
-    of max{(-E u)' beta : u in U(x)}.
+    of max{(-E u)' beta : u in U(x)}, x being the model's columns x_ids.
 
     representation "kkt": primal + dual + linearized complementarities.
     representation "primal-dual": primal + dual + the strong-duality row
@@ -546,6 +514,7 @@ def build_optimality_block(model: LinearModel, inst: Instance,
     that U(x) depends on is binary, and "kkt" otherwise. The strong-duality
     row needs no binary per row and column of U, and its only big-M is the
     bound M on the lambda of coupled rows, which the KKT block needs too.
+    A block at one first stage is this block with the x columns fixed.
     """
     if representation is None:
         representation = "primal-dual" if _couples_only_binary(inst) else "kkt"
@@ -556,34 +525,17 @@ def build_optimality_block(model: LinearModel, inst: Instance,
     U = inst.U
     mu, n = U.n_rows, U.dim
     beta = np.asarray(beta, dtype=float)
-    symbolic = x_fixed is None
-    if symbolic and x_ids is None:
-        raise ValueError("either x_ids or x_fixed is required")
-    if symbolic and not all(_is_binary(inst, k) for k, _ in U.F.terms):
+    if not all(_is_binary(inst, k) for k, _ in U.F.terms):
         raise ValueError(
             "matrix dependence on non-binary first-stage components has "
             "no exact master linearization")
-    if symbolic and representation == "primal-dual" and \
-            not _couples_only_binary(inst):
+    if representation == "primal-dual" and not _couples_only_binary(inst):
         raise ValueError("primal-dual block needs binary first-stage "
                          "components wherever G couples them to the set")
 
-    x_fixed_arr = None if symbolic else np.asarray(x_fixed, dtype=float)
-    Fx = None if symbolic else U.F.evaluate(x_fixed_arr)
-    rhs_fx = None if symbolic else U.h + U.G @ x_fixed_arr
-
     u_ids = model.add_vars(n, prefix=f"u{tag}")
     lam_ids = model.add_vars(mu, prefix=f"lam{tag}")
-    blk = OptimalityBlock(u_ids=u_ids, lam_ids=lam_ids, beta=beta,
-                          representation=representation, tag=tag)
-
-    prod_cache: dict[tuple[int, int], int] = {}
-
-    def prod(x_id: int, v_id: int, name: str) -> int:
-        key = (x_id, v_id)
-        if key not in prod_cache:
-            prod_cache[key] = _binary_product(model, x_id, v_id, M, name=name)
-        return prod_cache[key]
+    products: dict[tuple[int, int], int] = {}
 
     if representation == "unique":
         c_struct = np.asarray(unique_data, dtype=float)[:n]
@@ -600,94 +552,28 @@ def build_optimality_block(model: LinearModel, inst: Instance,
     # primal rows, with explicit slack columns so degenerate-row
     # complementarities of the perturbed objective can bind on them
     slack_ids = model.add_vars(mu, prefix=f"s{tag}")
-    blk.slack_ids = slack_ids
-    primal_exprs = []
-    for i in range(mu):
-        coeffs: dict[int, float] = {slack_ids[i]: 1.0}
-        const = 0.0
-        if symbolic:
-            for j in range(n):
-                if U.F.base[i, j] != 0.0:
-                    coeffs[u_ids[j]] = coeffs.get(u_ids[j], 0.0) + U.F.base[i, j]
-            for k, Mk in U.F.terms:
-                for j in range(n):
-                    if Mk[i, j] != 0.0:
-                        w = prod(x_ids[k], u_ids[j], f"fu{tag}_{i}_{k}_{j}")
-                        coeffs[w] = coeffs.get(w, 0.0) + Mk[i, j]
-            for k in range(inst.dim_x):
-                if U.G[i, k] != 0.0:
-                    coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) - U.G[i, k]
-            const = U.h[i]
-        else:
-            for j in range(n):
-                if Fx[i, j] != 0.0:
-                    coeffs[u_ids[j]] = Fx[i, j]
-            const = rhs_fx[i]
-        blk.row_ids.append(model.add_constr(coeffs, EQ, const, name=f"up{tag}_{i}"))
-        primal_exprs.append((coeffs, const))
-
+    primal = affine_blocks(model, U.F, u_ids, x_ids, M, products, name=f"fu{tag}_")
+    model.add_rows([(slack_ids, np.eye(mu)), *primal, (x_ids, -U.G)], EQ, U.h,
+                   name=f"up{tag}")
     # dual rows F(x)' lam >= c
-    for j in range(n):
-        coeffs = {}
-        if symbolic:
-            for i in range(mu):
-                if U.F.base[i, j] != 0.0:
-                    coeffs[lam_ids[i]] = coeffs.get(lam_ids[i], 0.0) + U.F.base[i, j]
-            for k, Mk in U.F.terms:
-                for i in range(mu):
-                    if Mk[i, j] != 0.0:
-                        w = prod(x_ids[k], lam_ids[i], f"fl{tag}_{i}_{k}_{j}")
-                        coeffs[w] = coeffs.get(w, 0.0) + Mk[i, j]
-        else:
-            for i in range(mu):
-                if Fx[i, j] != 0.0:
-                    coeffs[lam_ids[i]] = Fx[i, j]
-        blk.row_ids.append(model.add_constr(coeffs, GEQ, c_struct[j],
-                                            name=f"ud{tag}_{j}"))
+    dual = affine_blocks(model, U.F, lam_ids, x_ids, M, products, transpose=True,
+                         name=f"fl{tag}_")
+    model.add_rows(dual, GEQ, c_struct, name=f"ud{tag}")
 
     if representation in ("kkt", "unique"):
-        pairs = []
-        for i in range(mu):
-            # lam_i (+ its perturbed slack cost) against the row slack
-            pairs.append((({lam_ids[i]: 1.0}, -c_slack[i]),
-                          ({slack_ids[i]: 1.0}, 0.0)))
-        for j in range(n):
-            margin: dict[int, float] = {}
-            if symbolic:
-                for i in range(mu):
-                    if U.F.base[i, j] != 0.0:
-                        margin[lam_ids[i]] = margin.get(lam_ids[i], 0.0) + U.F.base[i, j]
-                for k, Mk in U.F.terms:
-                    for i in range(mu):
-                        if Mk[i, j] != 0.0:
-                            w = prod(x_ids[k], lam_ids[i], f"fm{tag}_{i}_{k}_{j}")
-                            margin[w] = margin.get(w, 0.0) + Mk[i, j]
-            else:
-                for i in range(mu):
-                    if Fx[i, j] != 0.0:
-                        margin[lam_ids[i]] = Fx[i, j]
-            pairs.append((({u_ids[j]: 1.0}, 0.0), (margin, -c_struct[j])))
-        rows = backend.linearize_complementarity(model, pairs, M=M)
-        blk.row_ids.extend(rows)
+        # lam_i (+ its perturbed slack cost) against the row slack, then u_j
+        # against its reduced cost
+        backend.linearize_complementarity(model, lam_ids, -c_slack,
+                                          [(slack_ids, np.eye(mu))], np.zeros(mu), M)
+        backend.linearize_complementarity(model, u_ids, np.zeros(n), dual,
+                                          -c_struct, M)
     else:
         # strong duality: (-E u)' beta >= (h + G x)' lambda
-        coeffs = {u_ids[j]: c_struct[j] for j in range(n) if c_struct[j] != 0.0}
-        for i in range(mu):
-            if U.h[i] != 0.0:
-                coeffs[lam_ids[i]] = coeffs.get(lam_ids[i], 0.0) - U.h[i]
-        if symbolic:
-            for i in range(mu):
-                for k in range(inst.dim_x):
-                    if U.G[i, k] != 0.0:
-                        w = prod(x_ids[k], lam_ids[i], f"gl{tag}_{i}_{k}")
-                        coeffs[w] = coeffs.get(w, 0.0) - U.G[i, k]
-        else:
-            for i in range(mu):
-                extra = rhs_fx[i] - U.h[i]
-                if extra != 0.0:
-                    coeffs[lam_ids[i]] = coeffs.get(lam_ids[i], 0.0) - extra
-        blk.row_ids.append(model.add_constr(coeffs, GEQ, 0.0, name=f"sd{tag}"))
-    return blk
+        rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, M, products,
+                            transpose=True, name=f"gl{tag}_")
+        model.add_rows([(u_ids, c_struct[None]), *[(ids, -A) for ids, A in rhs]],
+                       GEQ, [0.0], name=f"sd{tag}")
+    return OptimalityBlock(u_ids=u_ids, representation=representation)
 
 
 def _coupled_columns(U: UncertaintySet) -> set[int]:
@@ -697,23 +583,9 @@ def _coupled_columns(U: UncertaintySet) -> set[int]:
     return cols
 
 
-def _is_binary(inst: Instance, k: int) -> bool:
-    return k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9
-
-
 def _couples_only_binary(inst: Instance) -> bool:
     """Every first-stage component that U(x) depends on is binary."""
     return all(_is_binary(inst, k) for k in _coupled_columns(inst.U))
-
-
-def _binary_product(model: LinearModel, x_id: int, v_id: int, M: float,
-                    name: str) -> int:
-    """w = x * v for binary x and 0 <= v <= M, by the exact envelope."""
-    w = model.add_var(0.0, M, name=name)
-    model.add_constr({w: 1.0, x_id: -M}, LEQ, 0.0)
-    model.add_constr({w: 1.0, v_id: -1.0}, LEQ, 0.0)
-    model.add_constr({w: 1.0, v_id: -1.0, x_id: -M}, GEQ, -M)
-    return w
 
 
 # -- uniqueness perturbation ------------------------------------------
@@ -762,15 +634,8 @@ def _perturbation_is_clean(inst: Instance, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     U = inst.U
     Fx = U.F.evaluate(x)
-    rhs = U.h + U.G @ x
     mu, n = Fx.shape
-    m = LinearModel(name="perturb_check")
-    u_ids = m.add_vars(n, prefix="u")
-    if mu:
-        m.add_block(u_ids, Fx, LEQ, rhs)
-    m.set_objective({u_ids[j]: c_hat[j] for j in range(n) if c_hat[j] != 0.0},
-                    sense="max")
-    out = backend.solve_lp(m, time_limit=time_limit)
+    out = _max_over_u(Fx, U.h + U.G @ x, c_hat[:n], "perturb_check", time_limit)
     if out.status == backend.TIME_LIMIT:
         raise SolveTimeLimit("uniqueness check LP ran out of time")
     if not out.is_optimal:

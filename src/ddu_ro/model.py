@@ -12,18 +12,18 @@ with
     Y(x,u) = {y >= 0 : B2 y >= d - B1 x - E u}.
 
 Integer components of x (and of u, y where allowed) come first. Matrices are
-dense float arrays; sparsity only appears in the JSON form (docs/schema.md).
+dense float arrays; sparsity only appears in the JSON form (instance_to_dict).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import backend
-from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
+from .backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 
 # Run-level statuses (per-solve statuses live in backend.py).
 OPTIMAL = "Optimal"
@@ -77,6 +77,11 @@ class AffineMatrixMap:
         for k, M in self.terms:
             out += float(x[k]) * M
         return out
+
+    def take(self, rows, cols) -> "AffineMatrixMap":
+        """The map of the submatrix on the given rows and columns."""
+        ix = np.ix_(rows, cols)
+        return AffineMatrixMap(self.base[ix], tuple((k, M[ix]) for k, M in self.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +137,13 @@ class UncertaintySet:
     def is_rhs_dependent(self) -> bool:
         return self.F.is_constant
 
+    @property
+    def rhs_map(self) -> AffineMatrixMap:
+        """h + G x as a one-column affine map, one term per column of G
+        that is not zero."""
+        return AffineMatrixMap(self.h[:, None], tuple(
+            (k, self.G[:, [k]]) for k in np.flatnonzero(self.G.any(axis=0))))
+
 
 @dataclass(frozen=True, eq=False)
 class RecourseSet:
@@ -182,28 +194,6 @@ class Instance:
     @property
     def dim_y(self) -> int:
         return self.Y.dim
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """Extreme point pi of the recourse dual polyhedron {B2'pi <= c2, pi >= 0}."""
-
-    vector: tuple[float, ...]
-    kind: str = "point"
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.vector)
-
-
-@dataclass(frozen=True)
-class DualRay:
-    """Extreme ray gamma of the same cone: B2'gamma <= 0, gamma >= 0, gamma != 0."""
-
-    vector: tuple[float, ...]
-    kind: str = "ray"
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.vector)
 
 
 @dataclass(frozen=True)
@@ -301,32 +291,13 @@ def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max",
 
 
 def add_uncertainty_rows(model: LinearModel, U: UncertaintySet, u_ids: list[int],
-                         x_ids: list[int] | None = None,
-                         x_fixed: np.ndarray | None = None,
+                         x_ids: list[int], M: float = 1e4,
                          name: str = "U") -> list[int]:
-    """Rows of F(x) u <= h + G x.
-
-    With x_fixed everything is evaluated at that point. With symbolic x_ids the
-    map F must be constant (otherwise the rows would be bilinear); G x moves to
-    the left-hand side.
-    """
-    if x_fixed is not None:
-        Fx = U.F.evaluate(x_fixed)
-        rhs = U.h + U.G @ np.asarray(x_fixed, dtype=float)
-        return model.add_block(u_ids, Fx, LEQ, rhs, name=name)
-    if not U.F.is_constant:
-        raise ValueError("symbolic x with a nonconstant F would be bilinear")
-    if x_ids is None:
-        raise ValueError("need x_ids or x_fixed")
-    rows = []
-    F0 = U.F.base
-    for i in range(U.n_rows):
-        coeffs = {u_ids[j]: F0[i, j] for j in range(U.dim) if F0[i, j] != 0.0}
-        for k in range(len(x_ids)):
-            if U.G[i, k] != 0.0:
-                coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) - U.G[i, k]
-        rows.append(model.add_constr(coeffs, LEQ, U.h[i], name=f"{name}[{i}]"))
-    return rows
+    """Rows of F(x) u <= h + G x over symbolic x. Each x-dependent entry of
+    F enters through a product x_k u_j (affine_blocks), exact for binary x_k
+    and u_j <= M; the caller checks that those x_k are binary."""
+    blocks = affine_blocks(model, U.F, u_ids, x_ids, M, {}, name="w")
+    return model.add_rows(blocks + [(x_ids, -U.G)], LEQ, U.h, name)
 
 
 def add_recourse_vars(model: LinearModel, Y: RecourseSet,
@@ -336,62 +307,94 @@ def add_recourse_vars(model: LinearModel, Y: RecourseSet,
 
 
 def add_recourse_rows(model: LinearModel, Y: RecourseSet, y_ids: list[int],
-                      x_ids: list[int] | None = None,
-                      x_fixed: np.ndarray | None = None,
-                      u_ids: list[int] | None = None,
-                      u_fixed: np.ndarray | None = None,
+                      x_ids: list[int], u_ids: list[int] | None = None,
                       name: str = "Y") -> list[int]:
-    """Rows of B2 y >= d - B1 x - E u with x, u symbolic or fixed."""
-    rhs = Y.d.copy()
-    if x_fixed is not None:
-        rhs = rhs - Y.B1 @ np.asarray(x_fixed, dtype=float)
-    if u_fixed is not None:
-        rhs = rhs - Y.E @ np.asarray(u_fixed, dtype=float)
-    rows = []
-    for i in range(Y.n_rows):
-        coeffs = {y_ids[j]: Y.B2[i, j] for j in range(Y.dim) if Y.B2[i, j] != 0.0}
-        if x_fixed is None and x_ids is not None:
-            for k in range(len(x_ids)):
-                if Y.B1[i, k] != 0.0:
-                    coeffs[x_ids[k]] = coeffs.get(x_ids[k], 0.0) + Y.B1[i, k]
-        if u_fixed is None and u_ids is not None:
-            for j in range(len(u_ids)):
-                if Y.E[i, j] != 0.0:
-                    coeffs[u_ids[j]] = coeffs.get(u_ids[j], 0.0) + Y.E[i, j]
-        rows.append(model.add_constr(coeffs, GEQ, rhs[i], name=f"{name}[{i}]"))
-    return rows
+    """Rows of B2 y + B1 x + E u >= d over symbolic x and, given u_ids, u."""
+    blocks = [(y_ids, Y.B2), (x_ids, Y.B1)]
+    if u_ids is not None:
+        blocks.append((u_ids, Y.E))
+    return model.add_rows(blocks, GEQ, Y.d, name)
 
 
-def build_deterministic_mip(inst: Instance,
-                            x_fixed: np.ndarray | None = None) -> tuple[LinearModel, dict]:
+def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel, dict]:
     """The deterministic relaxation min{c1 x + c2 y : x in X, u in U(x),
     y in Y(x,u)}. Feasibility of this program is the finiteness assumption the
     algorithms rely on; by weak duality its infeasibility makes the robust
-    problem infeasible too.
+    problem infeasible too, and its optimum is a valid floor under every
+    master bound.
 
-    With symbolic x the map F must be constant; pass x_fixed to evaluate the
-    decision-dependent rows at a point instead.
+    x-dependent entries of F are enveloped for binary x with u <= M; a
+    dependence on any other component raises ValueError.
     """
+    if not inst.U.F.is_constant and not all(_is_binary(inst, k) for k, _ in inst.U.F.terms):
+        raise ValueError(
+            "matrix dependence on non-binary first-stage components has "
+            "no exact master linearization")
     m = LinearModel(name=f"{inst.name}_det")
-    if x_fixed is None:
-        x_ids = add_first_stage(m, inst)
-    else:
-        x_ids = None
+    x_ids = add_first_stage(m, inst)
     u_ids = add_uncertainty_vars(m, inst.U)
     y_ids = add_recourse_vars(m, inst.Y)
-    add_uncertainty_rows(m, inst.U, u_ids, x_ids=x_ids, x_fixed=x_fixed)
-    add_recourse_rows(m, inst.Y, y_ids, x_ids=x_ids, x_fixed=x_fixed, u_ids=u_ids)
-    obj = {}
-    if x_ids is not None:
-        for k in range(inst.dim_x):
-            if inst.c1[k] != 0.0:
-                obj[x_ids[k]] = inst.c1[k]
-    for j in range(inst.dim_y):
-        if inst.Y.c2[j] != 0.0:
-            obj[y_ids[j]] = inst.Y.c2[j]
-    const = float(inst.c1 @ x_fixed) if x_fixed is not None else 0.0
-    m.set_objective(obj, sense="min", constant=const)
+    add_uncertainty_rows(m, inst.U, u_ids, x_ids, M)
+    add_recourse_rows(m, inst.Y, y_ids, x_ids, u_ids)
+    m.set_objective(dict(zip(x_ids + y_ids, np.concatenate([inst.c1, inst.Y.c2]))),
+                    sense="min")
     return m, {"x": x_ids, "u": u_ids, "y": y_ids}
+
+
+# -- binary products in matrix blocks -------------------------------------------
+
+def _is_binary(inst: Instance, k: int) -> bool:
+    return k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9
+
+
+def _binary_product(model: LinearModel, x_id: int, v_id: int, M: float,
+                    name: str, lo: float = 0.0) -> int:
+    """w = x * v for binary x and lo <= v <= M, lo either 0 or -M, by the
+    exact envelope: w <= M x, w >= lo x, w <= v - lo (1 - x) and
+    w >= v - M (1 - x), the second one carried by w's bounds when lo is 0."""
+    w = model.add_var(lo, M, name=name)
+    model.add_constr({w: 1.0, x_id: -M}, LEQ, 0.0)
+    if lo:
+        model.add_constr({w: 1.0, x_id: -lo}, GEQ, 0.0)
+        model.add_constr({w: 1.0, v_id: -1.0, x_id: -lo}, LEQ, -lo)
+    else:
+        model.add_constr({w: 1.0, v_id: -1.0}, LEQ, 0.0)
+    model.add_constr({w: 1.0, v_id: -1.0, x_id: -M}, GEQ, -M)
+    return w
+
+
+def affine_blocks(model: LinearModel, F: AffineMatrixMap, v_ids: list[int],
+                  x_ids: list[int], M: float, products: dict[tuple[int, int], int],
+                  transpose: bool = False, lo: float | np.ndarray = 0.0,
+                  name: str = "w") -> list[tuple[list[int], np.ndarray]]:
+    """The LinearModel.add_rows blocks of F(x) v, or of F(x)' v with
+    transpose, over symbolic binary x: F's base on v, then per term k the
+    columns w = x_k v_j of the products its entries need.
+
+    products maps each (x id, v id) pair to its column and may be shared by
+    several calls, so a product is created once, by _binary_product with
+    bound M and v's lower bound lo (0 or -M, a scalar or one per v). New
+    products are made row by row, within a row v by v, within a v term by
+    term. The caller checks that the x_k of the terms are binary.
+    """
+    mats = [F.base] + [Mk for _, Mk in F.terms]
+    if transpose:
+        mats = [A.T for A in mats]
+    blocks = [(list(v_ids), mats[0])]
+    if not F.terms:
+        return blocks
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (len(v_ids),))
+    needed = np.stack([A != 0.0 for A in mats[1:]], axis=-1)    # (row, v, term)
+    for _, j, t in zip(*np.nonzero(needed)):
+        key = (x_ids[F.terms[t][0]], v_ids[j])
+        if key not in products:
+            products[key] = _binary_product(model, *key, M, f"{name}{t}_{j}",
+                                            lo=float(lo[j]))
+    for t, (k, _) in enumerate(F.terms):
+        cols = np.flatnonzero(needed[:, :, t].any(axis=0))
+        blocks.append(([products[(x_ids[k], v_ids[j])] for j in cols],
+                       mats[t + 1][:, cols]))
+    return blocks
 
 
 # -- validation ---------------------------------------------------------------
@@ -407,14 +410,12 @@ class ValidationReport:
     a2_unbounded_dims: list[int] = field(default_factory=list)
 
 
-def validate(inst: Instance, probe_boundedness: bool = True) -> ValidationReport:
-    """Check dimensional consistency, classify the x-dependence, solve the
-    deterministic relaxation (exactly when the rows are linear in (x, u),
-    else at a feasible witness x), and optionally probe boundedness of U."""
+def dimension_errors(inst: Instance) -> list[str]:
+    """Every way the parts of inst disagree in their dimensions; empty when
+    they fit together."""
     errors = []
     nx, nu, ny = inst.dim_x, inst.dim_u, inst.dim_y
     X, U, Y = inst.X, inst.U, inst.Y
-
     if X.dim != nx:
         errors.append(f"X has {X.dim} columns, c1 has {nx}")
     if X.A.shape[0] != X.b.size:
@@ -438,28 +439,42 @@ def validate(inst: Instance, probe_boundedness: bool = True) -> ValidationReport
         errors.append(f"d has {Y.d.size} entries, B2 has {Y.n_rows} rows")
     if Y.c2.size != ny:
         errors.append(f"c2 has {Y.c2.size} entries, B2 has {ny} columns")
+    return errors
+
+
+def validate(inst: Instance, probe_boundedness: bool = True) -> ValidationReport:
+    """Check dimensional consistency, classify the x-dependence, solve the
+    deterministic relaxation (exactly when the rows are linear in (x, u),
+    else at a feasible witness x), and optionally probe boundedness of U."""
+    errors = dimension_errors(inst)
     if errors:
         return ValidationReport(ok=False, errors=errors)
+    nx, nu = inst.dim_x, inst.dim_u
+    X, U = inst.X, inst.U
 
     report = ValidationReport(ok=True, errors=[],
                               dependence="rhs" if U.is_rhs_dependent else "lhs")
 
     witness_x = None
-    try:
+    if U.F.is_constant:
         det, _ = build_deterministic_mip(inst)
         out = backend.solve(det)
         report.a3_status = out.status
         report.a3_value = out.objective
         if out.is_optimal:
             witness_x = out.x[:nx]
-    except ValueError:
+    else:
         # bilinear rows: evaluate at a feasible first-stage witness instead
         witness_x = _feasible_first_stage(inst)
         report.a3_exact = False
         if witness_x is None:
             report.a3_status = backend.INFEASIBLE
         else:
-            det, _ = build_deterministic_mip(inst, x_fixed=witness_x)
+            witness_x[:X.n_int] = np.round(witness_x[:X.n_int])
+            det, ids = build_deterministic_mip(
+                replace(inst, U=replace(U, F=AffineMatrixMap(U.F.evaluate(witness_x)))))
+            for j, v in zip(ids["x"], witness_x):
+                det.fix_var(j, v)
             out = backend.solve(det)
             report.a3_status = out.status
             report.a3_value = out.objective
@@ -497,7 +512,7 @@ def _feasible_first_stage(inst: Instance) -> np.ndarray | None:
     return out.x[:inst.dim_x] if out.is_optimal else None
 
 
-# -- JSON serialization (schema in docs/schema.md) ----------------------------
+# -- JSON serialization --------------------------------------------------------
 
 def _mat_to_dict(M: np.ndarray) -> dict:
     M = np.atleast_2d(M)
@@ -522,7 +537,30 @@ def _vec_from_list(lst, inf_sign: float = 1.0) -> np.ndarray:
     return np.array([inf_sign * np.inf if x is None else float(x) for x in lst])
 
 
+def uncertainty_set_to_dict(U: UncertaintySet) -> dict:
+    return {
+        "F": {"base": _mat_to_dict(U.F.base),
+              "terms": [{"k": k, "matrix": _mat_to_dict(M)} for k, M in U.F.terms]},
+        "G": _mat_to_dict(U.G),
+        "h": [float(v) for v in U.h],
+        "n_int_u": U.n_int_u,
+    }
+
+
+def uncertainty_set_from_dict(d: dict) -> UncertaintySet:
+    F = AffineMatrixMap(base=_mat_from_dict(d["F"]["base"]),
+                        terms=tuple((int(t["k"]), _mat_from_dict(t["matrix"]))
+                                    for t in d["F"].get("terms", [])))
+    return UncertaintySet(F=F, G=_mat_from_dict(d["G"]),
+                          h=np.array(d["h"], dtype=float),
+                          n_int_u=int(d.get("n_int_u", 0)))
+
+
 def instance_to_dict(inst: Instance) -> dict:
+    """JSON-ready form of inst, keyed as the data model: each matrix is
+    {"rows", "cols", "triplets"} with one [i, j, value] per nonzero entry,
+    and an infinite bound is null. instances.check_schema checks a file
+    against this layout."""
     d = {
         "name": inst.name,
         "c1": [float(v) for v in inst.c1],
@@ -532,16 +570,7 @@ def instance_to_dict(inst: Instance) -> dict:
             "n_int": inst.X.n_int,
             "bounds": {"lb": _vec_to_list(inst.X.lb), "ub": _vec_to_list(inst.X.ub)},
         },
-        "U": {
-            "F": {
-                "base": _mat_to_dict(inst.U.F.base),
-                "terms": [{"k": k, "matrix": _mat_to_dict(M)}
-                          for k, M in inst.U.F.terms],
-            },
-            "G": _mat_to_dict(inst.U.G),
-            "h": [float(v) for v in inst.U.h],
-            "n_int_u": inst.U.n_int_u,
-        },
+        "U": uncertainty_set_to_dict(inst.U),
         "Y": {
             "B1": _mat_to_dict(inst.Y.B1),
             "B2": _mat_to_dict(inst.Y.B2),
@@ -557,7 +586,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    Xd, Ud, Yd = d["X"], d["U"], d["Y"]
+    Xd, Yd = d["X"], d["Y"]
     X = FirstStageSet(
         A=_mat_from_dict(Xd["A"]),
         b=np.array(Xd["b"], dtype=float),
@@ -566,21 +595,14 @@ def instance_from_dict(d: dict) -> Instance:
         if "bounds" in Xd else None,
         ub=_vec_from_list(Xd["bounds"]["ub"]) if "bounds" in Xd else None,
     )
-    F = AffineMatrixMap(
-        base=_mat_from_dict(Ud["F"]["base"]),
-        terms=tuple((int(t["k"]), _mat_from_dict(t["matrix"]))
-                    for t in Ud["F"].get("terms", [])),
-    )
-    U = UncertaintySet(F=F, G=_mat_from_dict(Ud["G"]),
-                       h=np.array(Ud["h"], dtype=float),
-                       n_int_u=int(Ud.get("n_int_u", 0)))
     Y = RecourseSet(
         B1=_mat_from_dict(Yd["B1"]), B2=_mat_from_dict(Yd["B2"]),
         E=_mat_from_dict(Yd["E"]), d=np.array(Yd["d"], dtype=float),
         c2=np.array(Yd["c2"], dtype=float), n_int_y=int(Yd.get("n_int_y", 0)),
     )
     return Instance(name=d.get("name", "instance"), c1=np.array(d["c1"], dtype=float),
-                    X=X, U=U, Y=Y, metadata=d.get("metadata", {}))
+                    X=X, U=uncertainty_set_from_dict(d["U"]), Y=Y,
+                    metadata=d.get("metadata", {}))
 
 
 def dumps(inst: Instance, indent: int | None = 2) -> str:

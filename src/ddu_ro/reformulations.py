@@ -24,9 +24,9 @@ import numpy as np
 
 from . import backend
 from .backend import GEQ, LinearModel
-from .maxmin import _binary_product
 from .model import (AffineMatrixMap, Instance, RecourseSet, UncertaintySet,
-                    add_first_stage, add_recourse_rows, add_recourse_vars)
+                    add_first_stage, add_recourse_rows, add_recourse_vars,
+                    affine_blocks)
 
 _TOL = 1e-9
 
@@ -235,12 +235,9 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def _crossed_interval(X, lo: int, hi: int) -> float:
+def _crossed_interval(inst: Instance, lo: int, hi: int) -> float:
     mdl = LinearModel(name="crossing")
-    ids = [mdl.add_var(X.lb[j], X.ub[j], integer=j < X.n_int, name=f"x{j}")
-           for j in range(X.dim)]
-    if X.A.shape[0]:
-        mdl.add_block(ids, X.A, GEQ, X.b, name="X")
+    ids = add_first_stage(mdl, inst)
     mdl.set_objective({ids[lo]: 1.0, ids[hi]: -1.0}, sense="max")
     out = backend.solve(mdl)
     if out.status == backend.INFEASIBLE:
@@ -287,7 +284,7 @@ def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
         if not np.isfinite(B):
             raise ValueError(f"endpoint columns {lo}, {hi} need finite "
                              "upper bounds")
-        gap = _crossed_interval(X, lo, hi)
+        gap = _crossed_interval(inst, lo, hi)
         if gap > 1e-9 * max(1.0, B):
             raise ValueError(f"X admits x_l > x_h at coordinate {i} "
                              f"(by {gap:.3g}); add x_l <= x_h rows to X")
@@ -379,54 +376,31 @@ def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
     model = LinearModel(name=f"{inst.name}-switched")
     x_ids = add_first_stage(model, inst)
     y_ids = add_recourse_vars(model, Y)
-    add_recourse_rows(model, Y, y_ids, x_ids=x_ids)
+    add_recourse_rows(model, Y, y_ids, x_ids)
 
     # lam rows involved in any x product get the finite cap the envelopes need
-    in_product = set()
-    for k in coupled:
-        in_product.update(np.flatnonzero(U.G[:, k]).tolist())
-    for k, M in U.F.terms:
-        in_product.update(np.flatnonzero(np.any(M, axis=1)).tolist())
-    lam_ids = [model.add_var(0.0, big_M if i in in_product else np.inf,
+    in_product = U.G.any(axis=1)
+    for _, M in U.F.terms:
+        in_product |= M.any(axis=1)
+    lam_ids = [model.add_var(0.0, big_M if in_product[i] else np.inf,
                              name=f"lam{i}") for i in range(U.n_rows)]
 
-    prods: dict[tuple[int, int], int] = {}
-    for k in sorted(coupled):
-        rows = set(np.flatnonzero(U.G[:, k]).tolist())
-        for t, M in U.F.terms:
-            if t == k:
-                rows.update(np.flatnonzero(np.any(M, axis=1)).tolist())
-        for i in sorted(rows):
-            prods[(i, k)] = _binary_product(model, x_ids[k], lam_ids[i],
-                                            big_M, f"xl[{i},{k}]")
+    # dual rows F(x)' lam >= E_hat' y, one per u coordinate that meets a row
+    products: dict[tuple[int, int], int] = {}
+    dual = affine_blocks(model, U.F, lam_ids, x_ids, big_M, products,
+                         transpose=True, name="xl")
+    dual.append((y_ids, -E_hat.T))
+    meets = np.any([np.any(A != 0.0, axis=1) for _, A in dual], axis=0)
+    model.add_rows([(ids, A[meets]) for ids, A in dual], GEQ,
+                   np.zeros(int(meets.sum())), name="dual")
 
-    F_terms = {k: M for k, M in U.F.terms}
-    for j in range(U.dim):
-        coeffs: dict[int, float] = {}
-        for i in range(U.n_rows):
-            if U.F.base[i, j] != 0.0:
-                coeffs[lam_ids[i]] = coeffs.get(lam_ids[i], 0.0) + U.F.base[i, j]
-        for k, M in F_terms.items():
-            for i in range(U.n_rows):
-                if M[i, j] != 0.0:
-                    w = prods[(i, k)]
-                    coeffs[w] = coeffs.get(w, 0.0) + M[i, j]
-        for r in range(Y.dim):
-            if E_hat[r, j] != 0.0:
-                coeffs[y_ids[r]] = coeffs.get(y_ids[r], 0.0) - E_hat[r, j]
-        if coeffs:
-            model.add_constr(coeffs, GEQ, 0.0, name=f"dual[{j}]")
-
-    obj = {x_ids[k]: float(inst.c1[k]) for k in range(inst.dim_x)}
-    for r in range(Y.dim):
-        obj[y_ids[r]] = obj.get(y_ids[r], 0.0) + float(Y.c2[r])
-    for i in range(U.n_rows):
-        if U.h[i] != 0.0:
-            obj[lam_ids[i]] = obj.get(lam_ids[i], 0.0) + float(U.h[i])
-    for (i, k), w in prods.items():
-        if U.G[i, k] != 0.0:
-            obj[w] = obj.get(w, 0.0) + float(U.G[i, k])
-    model.set_objective(obj, sense="min")
+    # c1 x + c2 y + (h + G x)' lam
+    rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, big_M, products,
+                        transpose=True, name="xg")
+    obj = np.zeros(model.n_vars)
+    for ids, c in [(x_ids, inst.c1), (y_ids, Y.c2), *[(ids, A[0]) for ids, A in rhs]]:
+        np.add.at(obj, np.asarray(ids, dtype=int), c)
+    model.set_objective(dict(enumerate(obj)), sense="min")
 
     mapping = {"x": x_ids, "y": y_ids, "lam": lam_ids,
                "upper_bound_only": bool(U.n_int_u or Y.n_int_y)}

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
+from .backend import GEQ, BackendError, SolveTimeLimit
 from .instances import recourse_value
 from .maxmin import (
     MaxMinProblem,
@@ -128,7 +128,7 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
         raise BackendError(
             "recourse is feasible at the supplied scenario: no ray exists")
     try:
-        gamma = backend.extract_ray(lp, kind="unbounded", time_limit=time_limit)
+        gamma = backend.extract_ray(lp, time_limit=time_limit)
     except SolveTimeLimit:
         return SubproblemReport(kind="SP3", status=backend.TIME_LIMIT)
     if float(rhs_eff @ gamma) <= 1e-8:
@@ -217,64 +217,6 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
     pi_dot = out.x[:m_rows]
     return SubproblemReport(kind="SP2POL", value=float(out.objective),
                             pi=pi_dot)
-
-
-def sp2_pareto_bilevel(inst: Instance, x0: np.ndarray, x_star: np.ndarray,
-                       u_star: np.ndarray, eta_s: float, M: float = 1e4,
-                       penalty: float | None = None,
-                       time_limit: float | None = None) -> SubproblemReport:
-    """Bilevel Pareto selection: re-optimize the scenario at the core point
-    while penalizing any shortfall against the anchor value, with the inner
-    recourse replaced by its optimality conditions."""
-    x0 = np.asarray(x0, dtype=float)
-    Y = inst.Y
-    if penalty is None:
-        penalty = 1e3 * max(1.0, float(np.abs(Y.c2).max()))
-    m_rows, ny = Y.n_rows, Y.dim
-    U = inst.U
-    Fx0 = U.F.evaluate(x0)
-    mu, n_u = Fx0.shape
-
-    m = LinearModel(name="sp2_pob")
-    u_ids = m.add_vars(n_u, prefix="u")
-    if mu:
-        m.add_block(u_ids, Fx0, LEQ, U.h + U.G @ x0)
-    y_ids = m.add_vars(ny, prefix="y")
-    pi_ids = m.add_vars(m_rows, prefix="pi")
-    tau = m.add_var(0.0, np.inf, name="tau")
-
-    d_eff = Y.d - Y.B1 @ x0
-    pairs = []
-    for i in range(m_rows):
-        coeffs = {y_ids[j]: Y.B2[i, j] for j in range(ny) if Y.B2[i, j] != 0.0}
-        for j in range(n_u):
-            if Y.E[i, j] != 0.0:
-                coeffs[u_ids[j]] = coeffs.get(u_ids[j], 0.0) + Y.E[i, j]
-        m.add_constr(coeffs, GEQ, d_eff[i])
-        pairs.append((({pi_ids[i]: 1.0}, 0.0), (dict(coeffs), -d_eff[i])))
-    for j in range(ny):
-        coeffs = {pi_ids[i]: Y.B2[i, j] for i in range(m_rows)
-                  if Y.B2[i, j] != 0.0}
-        m.add_constr(coeffs, LEQ, Y.c2[j])
-        margin = {k: -v for k, v in coeffs.items()}
-        pairs.append((({y_ids[j]: 1.0}, 0.0), (margin, Y.c2[j])))
-    backend.linearize_complementarity(m, pairs, M=M)
-
-    anchor = Y.d - Y.B1 @ np.asarray(x_star, dtype=float) - Y.E @ np.asarray(u_star, dtype=float)
-    row = {pi_ids[i]: anchor[i] for i in range(m_rows) if anchor[i] != 0.0}
-    row[tau] = 1.0
-    m.add_constr(row, GEQ, eta_s)
-
-    obj = {y_ids[j]: Y.c2[j] for j in range(ny) if Y.c2[j] != 0.0}
-    obj[tau] = -penalty
-    m.set_objective(obj, sense="max")
-    out = backend.solve_mip(m, time_limit=time_limit)
-    if not out.is_optimal:
-        return SubproblemReport(kind="SP2POB", status=out.status,
-                                used_fallback=True)
-    pi_dot = np.array([out.x[i] for i in pi_ids])
-    return SubproblemReport(kind="SP2POB", value=float(out.objective), pi=pi_dot,
-                            u=np.array([out.x[i] for i in u_ids]))
 
 
 def _pi_violation(inst: Instance, pi: np.ndarray) -> float:

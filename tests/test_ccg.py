@@ -9,18 +9,15 @@ import pytest
 
 from ddu_ro import backend, ccg
 from ddu_ro.backend import SolveTimeLimit
-from ddu_ro.ccg import (AlgorithmConfig, MasterState, basis_solution,
-                        build_master_v1, build_master_v2, build_master_v3,
-                        records_to_csv, run, run_diu_approx,
-                        run_mip_recourse_approx, run_result_to_dict)
+from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
+                        run_diu_approx, run_mip_recourse_approx,
+                        run_result_to_dict)
 from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
                               gen_reliable_pmedian, gen_robust_fl,
-                              oracle_exact, recourse_value, t1, t1_infeasible,
-                              uncertainty_set_from_dict,
-                              uncertainty_set_to_dict)
-from ddu_ro.model import (AffineMatrixMap, BasisId, DualPoint, DualRay,
-                          FirstStageSet, Instance, RecourseSet,
-                          UncertaintySet)
+                              oracle_exact, recourse_value, t1, t1_infeasible)
+from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
+                          RecourseSet, UncertaintySet, uncertainty_set_from_dict,
+                          uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
 from ddu_ro.subproblems import SubproblemReport
 
@@ -177,18 +174,26 @@ def test_bounds_monotone_and_bracket_the_oracle():
                 assert r.ub >= wstar - 1e-6 * scale
 
 
+def _replay(state: MasterState, points, rays=()):
+    # recorded seeds, points first, into the master through its one entry point
+    for beta in points:
+        state.add_seed(np.asarray(beta))
+    for gamma in rays:
+        state.add_seed(np.asarray(gamma), is_ray=True)
+    return state.model
+
+
 def test_scalar_master_underestimates_replicate_master():
     # the same recorded seeds feed both builders; the scalar master fixes
     # each cut's scenario while the replicate reprices it, so it can only
     # be weaker
     source = run(_flt(), AlgorithmConfig(variant="parametric", tol=0.0,
                                          cut_mode="split"))
-    seeds = [DualPoint(v) for v in source.meta["point_seeds"]]
-    seeds += [DualRay(v) for v in source.meta["ray_seeds"]]
-    assert seeds
+    seeds = (source.meta["point_seeds"], source.meta["ray_seeds"])
+    assert seeds[0] or seeds[1]
     inst = _flt()
-    m1 = build_master_v1(MasterState(inst, AlgorithmConfig(variant="benders")), seeds)
-    m2 = build_master_v2(MasterState(inst, AlgorithmConfig(variant="parametric")), seeds)
+    m1 = _replay(MasterState(inst, AlgorithmConfig(variant="benders")), *seeds)
+    m2 = _replay(MasterState(inst, AlgorithmConfig(variant="parametric")), *seeds)
     v1 = backend.solve(m1)
     v2 = backend.solve(m2)
     assert v1.status == backend.OPTIMAL and v2.status == backend.OPTIMAL
@@ -203,12 +208,11 @@ def test_replicate_master_bound_insensitive_to_linearization_M():
     cases = [(_cap_toy, 0.3), (_lhs_toy, 1.5), (_diu_box, 2.4)]
     for make, wstar in cases:
         source = run(make(), AlgorithmConfig(variant="parametric", tol=0.0))
-        seeds = [DualPoint(v) for v in source.meta["point_seeds"]]
-        seeds += [DualRay(v) for v in source.meta["ray_seeds"]]
-        assert seeds
+        seeds = (source.meta["point_seeds"], source.meta["ray_seeds"])
+        assert seeds[0] or seeds[1]
         for M in (10.0, 100.0, 10000.0):
             cfg = AlgorithmConfig(variant="parametric", big_M=M)
-            out = backend.solve(build_master_v2(MasterState(make(), cfg), seeds))
+            out = backend.solve(_replay(MasterState(make(), cfg), *seeds))
             assert out.status == backend.OPTIMAL
             assert out.objective <= wstar + 1e-6 * max(1.0, abs(wstar))
 
@@ -229,8 +233,8 @@ def _seed_pricing_site_4(inst: Instance, best_x: np.ndarray) -> np.ndarray:
     return seed_lp.x
 
 
-@pytest.mark.parametrize("builder", [build_master_v1, build_master_v2])
-def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(builder):
+@pytest.mark.parametrize("variant", ["benders", "parametric"])
+def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(variant):
     # a legitimate extreme point of Pi, taken where site 4 is built and
     # disrupted, prices that disruption above big_M. At the optimum site 4
     # is closed, so the block pins u_4 <= 0 with a multiplier of at least
@@ -240,10 +244,10 @@ def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(builder):
     best = oracle_exact(inst)
     assert list(np.flatnonzero(best.x[:5])) == [0, 2]
     beta = _seed_pricing_site_4(inst, best.x)
-    cfg = AlgorithmConfig(variant="parametric")
+    cfg = AlgorithmConfig(variant=variant)
     assert np.abs(inst.Y.E.T @ beta).sum() > cfg.big_M
     state = MasterState(inst, cfg)
-    model = builder(state, [DualPoint(beta)])
+    model = _replay(state, [beta])
     for k, xk in zip(state.x_ids, best.x):
         model.fix_var(k, xk)
     out = backend.solve(model)
@@ -261,10 +265,8 @@ def _force_representation(monkeypatch, representation: str) -> None:
     monkeypatch.setattr(ccg, "build_optimality_block", build)
 
 
-@pytest.mark.parametrize("builder, variant", [(build_master_v1, "benders"),
-                                              (build_master_v2, "parametric")])
-def test_primal_dual_and_kkt_blocks_give_the_same_master_value(builder, variant,
-                                                               monkeypatch):
+@pytest.mark.parametrize("variant", ["benders", "parametric"])
+def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant, monkeypatch):
     # U(x) of ddu_uk couples only the binary site decisions, so the seeds
     # enter by the strong-duality row and the master keeps the integers of
     # X alone; both block forms pin the same worst cases, so with the sites
@@ -273,15 +275,14 @@ def test_primal_dual_and_kkt_blocks_give_the_same_master_value(builder, variant,
     best = oracle_exact(inst)
     source = run(inst, AlgorithmConfig(variant=variant))
     assert source.status == "Optimal"
-    seeds = [DualPoint(v) for v in source.meta["point_seeds"]]
-    seeds.append(DualPoint(_seed_pricing_site_4(inst, best.x)))
+    seeds = source.meta["point_seeds"] + [_seed_pricing_site_4(inst, best.x)]
     sites = [best.x[:5], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]
 
     def master_values(representation: str | None) -> list[float]:
         if representation is not None:
             _force_representation(monkeypatch, representation)
         state = MasterState(inst, AlgorithmConfig(variant=variant))
-        model = builder(state, seeds)
+        model = _replay(state, seeds)
         assert len(state.blocks) == len(state.point_seeds)
         reps = {blk.representation for blk in state.blocks.values()}
         assert reps == {representation or "primal-dual"}
@@ -584,21 +585,12 @@ def test_diu_approx_stalls_honestly_on_a_weak_surrogate():
 def test_diu_approx_from_metadata_descriptor():
     diu = gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0")
     ddu = gen_reliable_pmedian(PMedianParams(**PM4), "ddu_uk")
-    from ddu_ro.instances import uncertainty_set_to_dict
     diu.metadata["ddu_sets"] = [uncertainty_set_to_dict(ddu.U)]
     res = run(diu, AlgorithmConfig(tol=1e-6, diu_approx="metadata"))
     assert res.objective == pytest.approx(PM4_DIU_W, rel=1e-9)
 
 
 # -- basis machinery -----------------------------------------------------------
-
-def test_basis_solution_of_the_two_by_two_system():
-    U = UncertaintySet(F=AffineMatrixMap(base=np.array([[2.0, 1.0], [1.0, 2.0]])),
-                       G=np.zeros((2, 1)), h=np.array([3.0, 5.0]))
-    u, feasible = basis_solution(U, np.zeros(1), BasisId((0, 1)))
-    assert feasible
-    assert u == pytest.approx([1.0 / 3.0, 7.0 / 3.0])
-
 
 def test_infeasible_basis_block_leaves_eta_unconstrained():
     # both rows forced to equality under F = [[1, 1], [1, 1]] demand
@@ -616,7 +608,7 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
                       c2=np.array([1.0])))
     cfg = AlgorithmConfig(variant="basis")
     state = MasterState(inst, cfg)
-    build_master_v3(state, [BasisId((0, 1))])
+    state.add_seed(BasisId((0, 1)))
     state.model.fix_var(state.x_ids[0], 0.0)
     out = backend.solve(state.model)
     assert out.status == backend.OPTIMAL
@@ -630,7 +622,7 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
                          G=np.zeros((2, 1)), h=np.array([3.0, 5.0])),
         Y=inst.Y)
     state = MasterState(feas, cfg)
-    build_master_v3(state, [BasisId((0, 1))])
+    state.add_seed(BasisId((0, 1)))
     state.model.fix_var(state.x_ids[0], 0.0)
     out = backend.solve(state.model)
     assert out.status == backend.OPTIMAL

@@ -8,7 +8,7 @@ import pytest
 
 from ddu_ro import cli
 from ddu_ro.instances import io_read, io_write, t1, t1_infeasible
-from ddu_ro.model import RunResult
+from ddu_ro.model import RunResult, instance_to_dict
 
 
 @pytest.fixture
@@ -70,6 +70,48 @@ def test_bad_flags_exit_sixty_four(t1_path, capsys):
 def test_missing_file_exits_one(capsys):
     assert cli.main(["solve", "no-such-file.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _drop(d, *path):
+    for key in path[:-1]:
+        d = d[key]
+    del d[path[-1]]
+
+
+@pytest.mark.parametrize("break_file, names", [
+    (lambda d: _drop(d, "U", "F"), "'F' at $.U"),
+    (lambda d: _drop(d, "Y", "B2", "rows"), "'rows' at $.Y.B2"),
+    (lambda d: d["Y"]["B2"]["triplets"].append([0, 0]), "[0, 0] at $.Y.B2"),
+    (lambda d: _drop(d, "c1"), "'c1' at $"),
+    (lambda d: d["Y"]["d"].append(1.0), "d has 2 entries, B2 has 1 rows"),
+    (lambda d: d.update(c1={"a": 1.0}), "at $.c1"),
+    (lambda d: d["U"]["h"].__setitem__(0, None), "at $.U.h"),
+    (lambda d: d.update(metadata={"ddu_sets": [{"G": d["U"]["G"], "h": [1.0]}]}),
+     "'F' at $.metadata.ddu_sets[0]"),
+], ids=["U-without-F", "matrix-without-rows", "two-entry-triplet", "no-c1",
+        "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F"])
+def test_malformed_instance_file_is_a_one_line_error(break_file, names, tmp_path,
+                                                      capsys):
+    # each of these once ended in a traceback, the last one only after sp1
+    # had started solving
+    d = instance_to_dict(t1())
+    break_file(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err and "Traceback" not in err
+
+
+def test_malformed_surrogate_file_is_a_one_line_error(t1_path, tmp_path, capsys):
+    path = tmp_path / "sets.json"
+    path.write_text(json.dumps([{"G": {"rows": 1, "cols": 1, "triplets": []},
+                                 "h": [1.0]}]))
+    assert cli.main(["solve", t1_path, "--diu-approx", str(path),
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing key 'F'") and err.count("\n") == 1
 
 
 def test_compare_agreeing_variants_exit_zero(t1_path, tmp_path, capsys):

@@ -28,11 +28,10 @@ from ddu_ro.instances import (
     enumerate_vertices,
     recourse_value,
     t1_infeasible,
-    uncertainty_set_from_dict,
     worst_case_value,
 )
 from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance, RecourseSet,
-                          UncertaintySet)
+                          UncertaintySet, uncertainty_set_from_dict)
 
 
 # expected values below were produced by this module's own enumeration oracle

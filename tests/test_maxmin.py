@@ -9,7 +9,7 @@ from ddu_ro import backend, maxmin, t1
 from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_mip_recourse_fl, gen_reliable_pmedian,
-                              gen_robust_fl, uncertainty_set_from_dict)
+                              gen_robust_fl)
 from ddu_ro.maxmin import (
     MaxMinProblem,
     build_optimality_block,
@@ -25,7 +25,7 @@ from ddu_ro.maxmin import (
     solve_maxmin_kkt,
 )
 from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
-                          add_first_stage)
+                          add_first_stage, uncertainty_set_from_dict)
 from ddu_ro.subproblems import sp2
 
 
@@ -149,14 +149,23 @@ def block_membership_gap(inst: Instance, x: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(resid)) if resid.size else 0.0
 
 
+def _fixed_first_stage(inst: Instance, x) -> tuple[LinearModel, list[int]]:
+    # a model holding the first stage of inst with every column fixed at x
+    m = LinearModel()
+    x_ids = add_first_stage(m, inst)
+    for j, v in zip(x_ids, x):
+        m.fix_var(j, v)
+    return m, x_ids
+
+
 @pytest.mark.parametrize("representation", ["kkt", "primal-dual"])
 def test_block_projection_stays_in_the_set(representation):
     inst = t1()
     for M in (10.0, 100.0, 10000.0):
-        m = LinearModel()
+        m, x_ids = _fixed_first_stage(inst, [1.0])
         blk = build_optimality_block(m, inst, beta=np.array([1.0]),
                                      representation=representation, M=M,
-                                     x_fixed=np.array([1.0]))
+                                     x_ids=x_ids)
         for sense in ("min", "max"):
             m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
             out = backend.solve_mip(m)
@@ -167,10 +176,9 @@ def test_block_projection_stays_in_the_set(representation):
 
 def test_block_with_zero_beta_admits_every_point():
     inst = t1()
-    m = LinearModel()
+    m, x_ids = _fixed_first_stage(inst, [1.0])
     blk = build_optimality_block(m, inst, beta=np.array([0.0]),
-                                 representation="kkt", M=100.0,
-                                 x_fixed=np.array([1.0]))
+                                 representation="kkt", M=100.0, x_ids=x_ids)
     m.set_objective({blk.u_ids[0]: 1.0}, sense="max")
     hi = backend.solve_mip(m).objective
     m.set_objective({blk.u_ids[0]: 1.0}, sense="min")
@@ -191,9 +199,9 @@ def test_block_diu_matches_enumerated_argmax():
     beta = np.array([1.0, 0.25])
     verts = enumerate_vertices(U, np.array([0.0]))
     best_u = max(verts, key=lambda v: float(-(Y.E @ v) @ beta))
-    m = LinearModel()
+    m, x_ids = _fixed_first_stage(inst, [0.0])
     blk = build_optimality_block(m, inst, beta=beta, representation="kkt",
-                                 M=100.0, x_fixed=np.array([0.0]))
+                                 M=100.0, x_ids=x_ids)
     m.set_objective({})
     out = backend.solve_mip(m)
     u = np.array([out.x[j] for j in blk.u_ids])
@@ -235,10 +243,10 @@ def test_ensure_unique_optimum_isolates_a_vertex():
     base, c_hat = ensure_unique_optimum(inst, np.array([1.0]), np.array([0.0]))
     # beta = 0 leaves every u in [0,2] optimal; the perturbed block collapses
     # to exactly the solver's vertex
-    m = LinearModel()
+    m, x_ids = _fixed_first_stage(inst, [1.0])
     blk = build_optimality_block(m, inst, beta=np.array([0.0]),
                                  representation="unique", M=100.0,
-                                 unique_data=c_hat, x_fixed=np.array([1.0]))
+                                 unique_data=c_hat, x_ids=x_ids)
     us = []
     for sense in ("min", "max"):
         m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
@@ -276,10 +284,10 @@ def test_block_representation_follows_the_coupling(make, requested, expected):
 
 
 def test_unique_representation_requires_cost_row():
-    m = LinearModel()
+    m, x_ids = _fixed_first_stage(t1(), [0.0])
     with pytest.raises(ValueError, match="cost row"):
         build_optimality_block(m, t1(), beta=np.array([1.0]),
-                               representation="unique", x_fixed=np.array([0.0]))
+                               representation="unique", x_ids=x_ids)
 
 
 # -- the product route on sets with integral vertices ---------------------------

@@ -27,7 +27,6 @@ from ddu_ro.subproblems import (
     sp1,
     sp2,
     sp2_mip_relax,
-    sp2_pareto_bilevel,
     sp2_pareto_lp,
     sp3,
     sp4,
@@ -269,32 +268,6 @@ def test_pareto_lp_falls_back_when_the_anchor_is_unreachable():
     assert rp.used_fallback
     assert rp.pi is None
     assert rp.status == backend.INFEASIBLE
-
-
-def test_pareto_bilevel_matches_worst_case_at_the_incumbent():
-    inst = _flt()
-    r = sp2(inst, FLT_X)
-    rb = sp2_pareto_bilevel(inst, FLT_X, FLT_X, r.u, r.value)
-    assert not rb.used_fallback
-    assert rb.value == pytest.approx(r.value, rel=1e-6)
-    Y = inst.Y
-    assert float(np.max(Y.B2.T @ rb.pi - Y.c2)) <= 1e-6
-    anchor = Y.d - Y.B1 @ FLT_X - Y.E @ r.u
-    assert float(anchor @ rb.pi) >= r.value - 1e-6
-    # the re-picked scenario stays inside the core uncertainty set
-    Fx = inst.U.F.evaluate(FLT_X)
-    assert float(np.max(Fx @ rb.u - inst.U.h - inst.U.G @ FLT_X)) <= 1e-6
-
-
-def test_pareto_bilevel_on_t1():
-    inst = t1()
-    x_star, x0 = np.array([0.0]), np.array([1.0])
-    r = sp2(inst, x_star)
-    rb = sp2_pareto_bilevel(inst, x0, x_star, r.u, r.value)
-    # at x0 the scenario range doubles and the tied dual rides it to 2
-    assert rb.value == pytest.approx(2.0)
-    assert rb.u[0] == pytest.approx(2.0)
-    assert rb.pi[0] == pytest.approx(1.0)
 
 
 def test_reports_carry_their_kind():
