@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,6 +94,11 @@ class MasterState:
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
                  ou_sets: list[UncertaintySet] | None = None):
+        if config.variant == "basis" and not _couples_only_binary(inst):
+            raise ValueError(
+                "basis cutting sets multiply first-stage terms into the "
+                "alternative system; non-binary coupled components have no "
+                "exact linearization")
         self.inst = inst
         self.config = config
         self.ou_sets = list(ou_sets) if ou_sets is not None else None
@@ -107,24 +113,53 @@ class MasterState:
         self.basis_seeds: list[BasisId] = []
         self.blocks: dict[str, OptimalityBlock | None] = {}
 
-    def has_point(self, pi: np.ndarray) -> bool:
-        return _vector_seen(self.point_seeds, pi)
-
-    def has_basis(self, basis: BasisId) -> bool:
-        return basis in self.basis_seeds
-
     def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
                  unique_data: np.ndarray | None = None) -> str:
-        """Cut one seed into the master the way the configured variant does
-        and return its tag: a dual point, or a ray with is_ray, for benders
-        and the replicate variants, a basis of [F(x) | I] for "basis".
-        unique_data, the perturbed cost row of parametric-modified, makes
-        the replicate's blocks "unique" ones."""
+        """Insert one seed and return its tag: a dual point, or a ray with
+        is_ray, for benders and the replicate variants, a basis of
+        [F(x) | I] for "basis".  unique_data, the perturbed cost row of
+        parametric-modified, makes the replicate's blocks "unique" ones."""
         if self.config.variant == "basis":
             return _add_basis_seed(self, seed)
-        if self.config.variant == "benders":
-            return _add_seed_v1(self, seed, is_ray)
-        return _add_seed_v2(self, seed, is_ray, unique_data)
+        return _add_dual_seed(self, seed, is_ray, unique_data)
+
+    def cut(self, x: np.ndarray, beta: np.ndarray, is_ray: bool,
+            budget: Callable[[], float],
+            basis: BasisId | None = None) -> tuple[str, str] | None:
+        """Cut the dual point (or ray, with is_ray) beta found at first stage
+        x into the master the way the configured variant does, and return
+        (cut kind, tag of the last seed added).
+
+        The basis variant inserts basis, or the parametric-LP basis at beta
+        when none is given, plus the alternative bases _extra_bases finds;
+        parametric-modified registers the basis of its uniqueness
+        perturbation.  None means every such basis was cut in before.  budget
+        gives the seconds left for each probe LP; one that runs out raises
+        SolveTimeLimit with the probe's name as its message.
+        """
+        inst, cfg = self.inst, self.config
+        if cfg.variant == "basis":
+            try:
+                if basis is None:
+                    basis = lp_parametric(inst, x, beta, time_limit=budget()).basis
+                bases = [basis] + _extra_bases(inst, x, beta, basis, budget())
+            except SolveTimeLimit:
+                raise SolveTimeLimit("basis probe") from None
+            tags = [self.add_seed(b) for b in bases if b not in self.basis_seeds]
+            return ("basis", tags[-1]) if tags else None
+        unique_data = None
+        if cfg.variant == "parametric-modified":
+            try:
+                res_u, unique_data = ensure_unique_optimum(inst, x, beta,
+                                                           time_limit=budget())
+            except SolveTimeLimit:
+                raise SolveTimeLimit("uniqueness perturbation") from None
+            if res_u.basis in self.basis_seeds:
+                return None
+            self.basis_seeds.append(res_u.basis)
+        kind = "feasibility" if is_ray else "optimality"
+        return ("unified" if cfg.unified else kind,
+                self.add_seed(beta, is_ray, unique_data))
 
 
 def _vector_seen(pool: list[np.ndarray], v: np.ndarray,
@@ -134,34 +169,21 @@ def _vector_seen(pool: list[np.ndarray], v: np.ndarray,
                for p in pool)
 
 
-# -- seed insertion, one routine per master flavor -------------------------
+# -- seed insertion ------------------------------------------------------------
 
-def _add_seed_v1(state: MasterState, beta: np.ndarray, is_ray: bool) -> str:
-    """Scalar cut plus the block pinning the seed's worst case u.
+def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
+                   unique_data: np.ndarray | None = None) -> str:
+    """One block per uncertainty set pinning the seed's worst case u, then
+    for benders a scalar cut on it, for the replicate variants a recourse
+    replicate y with its feasibility rows against u.
 
-    Point pi:  eta >= pi'd - pi'B1 x - pi'E u,  u optimal for LP(x, pi).
-    Ray gamma: 0 >= gamma'd - gamma'B1 x - gamma'E v, v optimal for LP(x, gamma),
-    which excludes exactly the x whose recourse gamma certifies infeasible.
+    Scalar point pi:  eta >= pi'd - pi'B1 x - pi'E u,  u optimal for LP(x, pi).
+    Scalar ray gamma: 0 >= gamma'd - gamma'B1 x - gamma'E v, v optimal for
+    LP(x, gamma), which excludes exactly the x whose recourse gamma certifies
+    infeasible.  A replicate gets eta >= c2'y for points, or always in
+    unified mode.
     """
-    inst, cfg = state.inst, state.config
-    beta = np.asarray(beta, dtype=float)
-    tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
-    blk = build_optimality_block(state.model, inst, beta, state.x_ids, M=cfg.big_M,
-                                 tag=tag)
-    cut = [(state.x_ids, inst.Y.B1.T @ beta), (blk.u_ids, inst.Y.E.T @ beta)]
-    if not is_ray:
-        cut.append(([state.eta_id], [[1.0]]))
-    state.model.add_rows(cut, GEQ, [inst.Y.d @ beta], name=f"cut{tag}")
-    (state.ray_seeds if is_ray else state.point_seeds).append(beta)
-    state.blocks[tag] = blk
-    return tag
-
-
-def _add_seed_v2(state: MasterState, beta: np.ndarray, is_ray: bool,
-                 unique_data: np.ndarray | None = None) -> str:
-    """Recourse replicate y, its feasibility rows against the seed's worst
-    case u, and (for points, or always in unified mode) eta >= c2'y."""
-    cfg = state.config
+    cfg, Y = state.config, state.inst.Y
     beta = np.asarray(beta, dtype=float)
     base_tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
     sets = state.ou_sets if state.ou_sets is not None else [state.inst.U]
@@ -172,12 +194,17 @@ def _add_seed_v2(state: MasterState, beta: np.ndarray, is_ray: bool,
             state.model, inst, beta, state.x_ids, M=cfg.big_M, tag=tag,
             representation=None if unique_data is None else "unique",
             unique_data=unique_data)
-        y_ids = add_recourse_vars(state.model, inst.Y, prefix=f"y{tag}_")
-        add_recourse_rows(state.model, inst.Y, y_ids, state.x_ids, blk.u_ids,
-                          name=f"Y{tag}")
-        if not is_ray or cfg.unified:
-            state.model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -inst.Y.c2[None])],
-                                 GEQ, [0.0], name=f"eta{tag}")
+        eta = [] if is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
+        if cfg.variant == "benders":
+            state.model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
+                                  *eta], GEQ, [Y.d @ beta], name=f"cut{tag}")
+        else:
+            y_ids = add_recourse_vars(state.model, Y, prefix=f"y{tag}_")
+            add_recourse_rows(state.model, Y, y_ids, state.x_ids, blk.u_ids,
+                              name=f"Y{tag}")
+            if eta:
+                state.model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0],
+                                     name=f"eta{tag}")
         state.blocks[tag] = blk
     (state.ray_seeds if is_ray else state.point_seeds).append(beta)
     return base_tag
@@ -192,7 +219,7 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     multipliers lam make the eta row vacuous exactly when the basis is
     infeasible at x: free on equality rows, nonnegative on the rest.  Products
     of x with u or lam, which appear whenever the set's shape follows x, are
-    enveloped for binary x and rejected otherwise.
+    enveloped; MasterState has already rejected non-binary coupled x.
     """
     inst, cfg = state.inst, state.config
     U, Y = inst.U, inst.Y
@@ -201,12 +228,6 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     M = cfg.big_M
 
     coupled = _coupled_columns(U)
-    if not _couples_only_binary(inst):
-        raise ValueError(
-            "basis cutting sets multiply first-stage terms into the "
-            "alternative system; non-binary coupled components have no "
-            "exact linearization")
-
     tag = f"b{len(state.basis_seeds)}"
     struct_basic = [j for j in basis.indices if j < n]
     slack_basic = {j - n for j in basis.indices if j >= n}
@@ -342,15 +363,16 @@ def _resolve_ddu_sets(inst: Instance,
 def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
               ddu_sets: list[UncertaintySet] | None = None) -> RunResult:
     t0 = time.monotonic()
-    variant = config.variant
     stop_tol = max(config.tol, _OPT_GAP)
     feas_tol = _FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max(initial=0.0)))
 
     state = MasterState(inst, config, ou_sets=ddu_sets)
     meta: dict = {"mode": mode, "cut_mode": "unified" if config.unified else "split"}
     records: list[IterationRecord] = []
+    lb, ub = -np.inf, np.inf
+    incumbent: np.ndarray | None = None
 
-    def done(status: str, lb: float, ub: float, x, records, meta) -> RunResult:
+    def done(status: str) -> RunResult:
         obj = float(ub) if np.isfinite(ub) else None
         meta["point_seeds"] = [tuple(map(float, v)) for v in state.point_seeds]
         meta["ray_seeds"] = [tuple(map(float, v)) for v in state.ray_seeds]
@@ -360,9 +382,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                                          for b in blocks)
         meta["blocks_kkt"] = len(blocks) - meta["blocks_primal_dual"]
         return RunResult(status=status, objective=obj,
-                         x=None if x is None else np.asarray(x, dtype=float),
-                         lb=float(lb), ub=float(ub), iterations=records,
-                         elapsed_s=time.monotonic() - t0, variant=variant,
+                         x=incumbent, lb=float(lb), ub=float(ub), iterations=records,
+                         elapsed_s=time.monotonic() - t0, variant=config.variant,
                          meta=meta)
 
     # the deterministic relaxation settles infeasibility up front, floors the
@@ -371,18 +392,16 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     det = backend.solve(det_model, time_limit=config.time_limit_s)
     if det.status == backend.INFEASIBLE:
         meta["reason"] = "deterministic relaxation infeasible"
-        return done("Infeasible", -np.inf, np.inf, None, records, meta)
+        return done("Infeasible")
     if det.status == backend.TIME_LIMIT:
         meta["reason"] = "wall clock"
-        return done("TimeLimit", -np.inf, np.inf, None, records, meta)
+        return done("TimeLimit")
     if det.status != backend.OPTIMAL:
         raise BackendError(f"deterministic relaxation ended {det.status}; "
                            "the robust value has no finite floor")
     x0 = np.array([det.x[j] for j in det_ids["x"]])
-    meta["relaxation_value"] = float(det.objective)
+    meta["relaxation_value"] = lb = float(det.objective)
 
-    lb, ub = float(det.objective), np.inf
-    incumbent: np.ndarray | None = None
     seen_x: list[np.ndarray] = []
     derived_points: list[np.ndarray] = []
     derived_rays: list[np.ndarray] = []
@@ -392,46 +411,46 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
     def out_of_time(what: str) -> RunResult:
         meta["reason"] = f"{what} hit the wall clock"
-        return done("TimeLimit", lb, ub, incumbent, records, meta)
+        return done("TimeLimit")
 
     def budget() -> float:
         return max(config.time_limit_s - (time.monotonic() - t0), 0.01)
 
-    def record(t: int, cut_kind: str, seed_id: str) -> None:
+    def record(cut_kind: str, seed_id: str) -> None:
         records.append(IterationRecord(
             t=t, lb=float(lb), ub=float(ub), gap=relative_gap(lb, ub),
             elapsed_s=time.monotonic() - t0, cut_kind=cut_kind, seed_id=seed_id))
 
-    def closure(t: int, what: str) -> RunResult:
+    def gap_status() -> str | None:
+        gap = relative_gap(lb, ub)
+        if gap > stop_tol:
+            return None
+        return "Optimal" if gap <= _OPT_GAP else "GapReached"
+
+    def closure(what: str) -> RunResult:
         # a repeated seed proves the bounds met in the exact loop; anywhere
         # else, or when they visibly did not, the honest report is Stalled
         nonlocal lb
-        gap = relative_gap(lb, ub)
         meta["reason"] = f"repeated {what}"
-        if mode == "exact" and gap <= 1e-6:
+        if mode == "exact" and relative_gap(lb, ub) <= 1e-6:
             lb = ub
-            record(t, "none", f"repeat-{what}")
-            return done("Optimal", lb, ub, incumbent, records, meta)
-        if gap <= stop_tol:
-            record(t, "none", f"repeat-{what}")
-            status = "Optimal" if gap <= _OPT_GAP else "GapReached"
-            return done(status, lb, ub, incumbent, records, meta)
-        record(t, "none", f"repeat-{what}")
-        return done("Stalled", lb, ub, incumbent, records, meta)
+        record("none", f"repeat-{what}")
+        return done(gap_status() or "Stalled")
 
     while True:
         t += 1
         remaining = config.time_limit_s - (time.monotonic() - t0)
         if remaining <= 0:
             meta["reason"] = "wall clock"
-            return done("TimeLimit", lb, ub, incumbent, records, meta)
+            return done("TimeLimit")
 
         out = backend.solve(state.model, time_limit=remaining)
         if out.status == backend.INFEASIBLE:
             # feasibility cutting sets exclude every first stage
             meta["reason"] = "master infeasible"
-            record(t, "none", "master-infeasible")
-            return done("Infeasible", lb, np.inf, None, records, meta)
+            record("none", "master-infeasible")
+            ub, incumbent = np.inf, None
+            return done("Infeasible")
         if out.status == backend.TIME_LIMIT:
             return out_of_time("master")
         if out.status != backend.OPTIMAL:
@@ -442,7 +461,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
         if _vector_seen(seen_x, x_star,
                         tol=_X_REPEAT_TOL * max(1.0, float(np.abs(x_star).max()))):
-            return closure(t, "first-stage")
+            return closure("first-stage")
         seen_x.append(x_star)
 
         r1 = sp1(inst, x_star, M=config.big_M, time_limit=budget())
@@ -451,12 +470,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
         if r1.value <= feas_tol:
             remaining = budget()
-            if mode == "mip":
-                r2 = sp2_mip_relax(inst, x_star, M=config.big_M,
-                                   time_limit=remaining)
-            else:
-                r2 = sp2(inst, x_star, M=config.big_M, time_limit=remaining,
-                         compute_basis=(variant == "basis"))
+            solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
+            r2 = solve_sp2(inst, x_star, M=config.big_M, time_limit=remaining)
             if r2.status == backend.TIME_LIMIT:
                 return out_of_time("worst-case subproblem")
             if r2.status != backend.OPTIMAL:
@@ -487,14 +502,14 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     ub = cand
                     incumbent = x_star
 
-            gap = relative_gap(lb, ub)
-            if gap <= stop_tol:
-                record(t, "none", "gap")
-                status = "Optimal" if gap <= _OPT_GAP else "GapReached"
-                return done(status, lb, ub, incumbent, records, meta)
+            status = gap_status()
+            if status is not None:
+                record("none", "gap")
+                return done(status)
 
             beta = pi_star
-            if config.pareto and mode == "exact":
+            pareto = config.pareto and mode == "exact"
+            if pareto:
                 if u_mid is None:
                     try:
                         u_mid = _u_box_midpoint(inst, x0, budget())
@@ -507,90 +522,34 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     beta = pol.pi
             prev_us = r2.u
 
-            if not config.pareto and _vector_seen(derived_points, pi_star):
-                return closure(t, "dual-point")
+            # a stabilized seed is as good as pi* at x*, so one already cut
+            # in makes the master bound tight there and the gap stop above
+            # fires; only an unstabilized repeat needs this check
+            if not pareto and _vector_seen(derived_points, pi_star):
+                return closure("dual-point")
             derived_points.append(pi_star)
-
-            if variant == "benders":
-                if state.has_point(beta):
-                    record(t, "none", "seed-known")
-                    continue
-                seed_id = state.add_seed(beta)
-                kind = "optimality"
-            elif variant == "parametric":
-                if state.has_point(beta):
-                    # nothing new to cut; the next master repeats x and closes
-                    record(t, "none", "seed-known")
-                    continue
-                seed_id = state.add_seed(beta)
-                kind = "unified" if config.unified else "optimality"
-            elif variant == "parametric-modified":
-                try:
-                    res_u, c_hat = ensure_unique_optimum(inst, x_star, beta,
-                                                         time_limit=budget())
-                except SolveTimeLimit:
-                    return out_of_time("uniqueness perturbation")
-                if state.has_basis(res_u.basis):
-                    return closure(t, "basis")
-                state.basis_seeds.append(res_u.basis)
-                seed_id = state.add_seed(beta, unique_data=c_hat)
-                kind = "unified" if config.unified else "optimality"
-            else:
-                bases = [r2.basis_result.basis]
-                try:
-                    bases += _extra_bases(inst, x_star, beta, bases[0], budget())
-                except SolveTimeLimit:
-                    return out_of_time("basis probe")
-                new = [b for b in bases if not state.has_basis(b)]
-                if not new:
-                    return closure(t, "basis")
-                for b in new:
-                    seed_id = state.add_seed(b)
-                kind = "basis"
+            # sp2 reports no basis when U has integer coordinates
+            is_ray, basis = False, getattr(r2.basis_result, "basis", None)
         else:
             r3 = sp3(inst, x_star, r1.u, time_limit=budget())
             if r3.status == backend.TIME_LIMIT:
                 return out_of_time("feasibility ray subproblem")
-            gamma = r3.ray
-            if _vector_seen(derived_rays, gamma):
-                return closure(t, "dual-ray")
-            derived_rays.append(gamma)
-            if variant == "benders":
-                seed_id = state.add_seed(gamma, is_ray=True)
-                kind = "feasibility"
-            elif variant in ("parametric", "parametric-modified"):
-                if variant == "parametric-modified":
-                    try:
-                        res_u, c_hat = ensure_unique_optimum(
-                            inst, x_star, gamma, time_limit=budget())
-                    except SolveTimeLimit:
-                        return out_of_time("uniqueness perturbation")
-                    if state.has_basis(res_u.basis):
-                        return closure(t, "basis")
-                    state.basis_seeds.append(res_u.basis)
-                    seed_id = state.add_seed(gamma, is_ray=True, unique_data=c_hat)
-                else:
-                    seed_id = state.add_seed(gamma, is_ray=True)
-                kind = "unified" if config.unified else "feasibility"
-            else:
-                try:
-                    lp_res = lp_parametric(inst, x_star, gamma,
-                                           time_limit=budget())
-                    bases = [lp_res.basis] + _extra_bases(
-                        inst, x_star, gamma, lp_res.basis, budget())
-                except SolveTimeLimit:
-                    return out_of_time("basis probe")
-                new = [b for b in bases if not state.has_basis(b)]
-                if not new:
-                    return closure(t, "basis")
-                for b in new:
-                    seed_id = state.add_seed(b)
-                kind = "basis"
+            beta = r3.ray
+            if _vector_seen(derived_rays, beta):
+                return closure("dual-ray")
+            derived_rays.append(beta)
+            is_ray, basis = True, None
 
-        record(t, kind, seed_id)
+        try:
+            step = state.cut(x_star, beta, is_ray, budget, basis)
+        except SolveTimeLimit as probe:
+            return out_of_time(str(probe))
+        if step is None:
+            return closure("basis")
+        record(*step)
         if config.max_iterations is not None and t >= config.max_iterations:
             meta["reason"] = "iteration cap"
-            return done("Stalled", lb, ub, incumbent, records, meta)
+            return done("Stalled")
 
 
 def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,

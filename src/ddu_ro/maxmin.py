@@ -32,7 +32,7 @@ import numpy as np
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from .model import (BasisId, Instance, UncertaintySet, _binary_product, _is_binary,
-                    affine_blocks, range_probe)
+                    affine_blocks, max_over_u, range_probe)
 
 _ZERO_RC_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-6
@@ -124,7 +124,7 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     mu, n = Fx.shape
     c_u = -(inst.Y.E.T @ beta)
 
-    out = _max_over_u(Fx, rhs, c_u, "lp_parametric", time_limit)
+    out = max_over_u(Fx, rhs, c_u, "lp_parametric", time_limit)
     if out.status == backend.TIME_LIMIT:
         raise SolveTimeLimit("parametric LP ran out of time")
     if out.status == backend.INFEASIBLE:
@@ -149,16 +149,6 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     return ParametricLPResult(u=u_star, lam=lam, basis=BasisId(tuple(basis_cols)),
                               reduced_costs=rc, value=float(out.objective),
                               n_struct=n, cost_row=c_full)
-
-
-def _max_over_u(Fx: np.ndarray, rhs: np.ndarray, c: np.ndarray, name: str,
-                time_limit: float | None) -> backend.SolveOutcome:
-    """The LP max{c' u : u >= 0, Fx u <= rhs}, u its first columns."""
-    m = LinearModel(name=name)
-    u_ids = m.add_vars(Fx.shape[1], prefix="u")
-    m.add_block(u_ids, Fx, LEQ, rhs)
-    m.set_objective(dict(zip(u_ids, c)), sense="max")
-    return backend.solve_lp(m, time_limit=time_limit)
 
 
 def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
@@ -635,7 +625,7 @@ def _perturbation_is_clean(inst: Instance, x: np.ndarray,
     U = inst.U
     Fx = U.F.evaluate(x)
     mu, n = Fx.shape
-    out = _max_over_u(Fx, U.h + U.G @ x, c_hat[:n], "perturb_check", time_limit)
+    out = max_over_u(Fx, U.h + U.G @ x, c_hat[:n], "perturb_check", time_limit)
     if out.status == backend.TIME_LIMIT:
         raise SolveTimeLimit("uniqueness check LP ran out of time")
     if not out.is_optimal:

@@ -17,7 +17,6 @@ dense float arrays; sparsity only appears in the JSON form (instance_to_dict).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -268,26 +267,33 @@ def add_uncertainty_vars(model: LinearModel, U: UncertaintySet,
             for j in range(U.dim)]
 
 
+def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray, name: str,
+               time_limit: float | None = None) -> backend.SolveOutcome:
+    """The LP max{c'z : z >= 0, A z <= b}, such as U(x) with A = F(x) and
+    b = h + G x; z is its first columns. Integrality is ignored."""
+    m = LinearModel(name=name)
+    z_ids = m.add_vars(A.shape[1], prefix="z")
+    m.add_block(z_ids, A, LEQ, b)
+    m.set_objective(dict(zip(z_ids, c)), "max")
+    return backend.solve_lp(m, time_limit=time_limit)
+
+
 def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max",
                 time_limit: float | None = None) -> float:
-    """max (or min) z_j over {z >= 0 : A z <= b}, such as U(x) with
-    A = F(x) and b = h + G x; +inf when z_j is unbounded above.
+    """max (or min) z_j over {z >= 0 : A z <= b}, the min as -max(-z_j);
+    +inf when z_j is unbounded above.
 
-    Integrality is ignored. Raises SolveTimeLimit when the LP runs out of
-    time and BackendError when the set is empty."""
-    m = LinearModel(name="range_probe")
-    z_ids = m.add_vars(A.shape[1], prefix="z")
-    if A.shape[0]:
-        m.add_block(z_ids, A, LEQ, b)
-    m.set_objective({z_ids[j]: 1.0}, sense)
-    out = backend.solve_lp(m, time_limit=time_limit)
+    Raises SolveTimeLimit when the LP runs out of time and BackendError when
+    the set is empty."""
+    sign = 1.0 if sense == "max" else -1.0
+    out = max_over_u(A, b, sign * np.eye(A.shape[1])[j], "range_probe", time_limit)
     if out.status == backend.UNBOUNDED:
         return np.inf
     if out.status == backend.TIME_LIMIT:
         raise SolveTimeLimit("range probe ran out of time")
     if not out.is_optimal:
         raise BackendError(f"range probe ended {out.status}")
-    return float(out.objective)
+    return sign * float(out.objective)
 
 
 def add_uncertainty_rows(model: LinearModel, U: UncertaintySet, u_ids: list[int],
@@ -603,11 +609,3 @@ def instance_from_dict(d: dict) -> Instance:
     return Instance(name=d.get("name", "instance"), c1=np.array(d["c1"], dtype=float),
                     X=X, U=uncertainty_set_from_dict(d["U"]), Y=Y,
                     metadata=d.get("metadata", {}))
-
-
-def dumps(inst: Instance, indent: int | None = 2) -> str:
-    return json.dumps(instance_to_dict(inst), indent=indent)
-
-
-def loads(text: str) -> Instance:
-    return instance_from_dict(json.loads(text))

@@ -53,8 +53,7 @@ def sp1(inst: Instance, x: np.ndarray, M: float = 1e4,
 
 
 def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
-        time_limit: float | None = None, compute_basis: bool = False,
-        kind: str = "SP2") -> SubproblemReport:
+        time_limit: float | None = None, kind: str = "SP2") -> SubproblemReport:
     """Worst-case recourse cost at x with the dual extreme point that
     certifies it.
 
@@ -64,7 +63,8 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     seeds off the vertices of Pi need master multipliers beyond any bound.
     Two audits follow: the max-min value must equal that uncapped LP value
     (a binding cap fails it), and the split identity must hold: the value
-    equals (d - B1 x)' pi plus the parametric-LP value at pi."""
+    equals (d - B1 x)' pi plus the parametric-LP value at pi, whose solve
+    comes back as basis_result."""
     problem = maxmin_from_instance(inst, x)
     res = solve_maxmin_dual(problem, M=M, time_limit=time_limit,
                             check_feasibility=False)
@@ -106,8 +106,7 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
         raise BackendError(f"split identity violated by {audit:.2e}: "
                            "dual point inconsistent with the parametric LP")
     return SubproblemReport(kind=kind, value=float(res.value), u=res.outer,
-                            pi=pi, basis_result=lp_res if compute_basis else None,
-                            audit_gap=audit)
+                            pi=pi, basis_result=lp_res, audit_gap=audit)
 
 
 def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
@@ -140,12 +139,10 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
 
 
 def sp2_mip_relax(inst: Instance, x: np.ndarray, M: float = 1e4,
-                  time_limit: float | None = None,
-                  compute_basis: bool = False) -> SubproblemReport:
+                  time_limit: float | None = None) -> SubproblemReport:
     """Worst case of the LP relaxation of a MIP recourse: a lower-bound
     surrogate. With no integer recourse variables this is plain sp2."""
-    return sp2(inst, x, M=M, time_limit=time_limit,
-               compute_basis=compute_basis, kind="SP2relax")
+    return sp2(inst, x, M=M, time_limit=time_limit, kind="SP2relax")
 
 
 def recourse_mip_at(inst: Instance, x: np.ndarray, u: np.ndarray,

@@ -117,9 +117,21 @@ def test_fl_rhs_matches_oracle(variant):
     assert res.objective == pytest.approx(FLT_W, rel=1e-9)
 
 
-def test_basis_variant_rejects_continuous_coupling():
+def test_basis_variant_rejects_continuous_coupling(monkeypatch):
+    # the master refuses the instance before the loop solves anything
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("linprog", "milp"):
+        monkeypatch.setattr(backend, name, counted(getattr(backend, name)))
     with pytest.raises(ValueError, match="non-binary"):
         run(_flt(), AlgorithmConfig(variant="basis", tol=0.0))
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -152,6 +164,59 @@ def test_split_mode_matches_unified():
     assert split.objective == pytest.approx(FLT_W, rel=1e-9)
     kinds = {r.cut_kind for r in split.iterations}
     assert "optimality" in kinds and "feasibility" in kinds
+
+
+# "cut_kind seed_id" per iteration of runs that all end Optimal: which cut
+# each variant adds, and when, under both cut modes and stabilization.  The
+# basis variant rejects the flt instance up front.
+_REPEAT, _GAP = "none repeat-first-stage", "none gap"
+_TRAJECTORIES = {
+    ("t1", "benders", None, False): ["optimality p0", _REPEAT],
+    ("t1", "benders", None, True): ["optimality p0", _REPEAT],
+    ("t1", "parametric", None, False): ["unified p0", _REPEAT],
+    ("t1", "parametric", None, True): ["unified p0", _REPEAT],
+    ("t1", "parametric", "split", False): ["optimality p0", _REPEAT],
+    ("t1", "parametric", "split", True): ["optimality p0", _REPEAT],
+    ("t1", "parametric-modified", None, False): ["unified p0", _REPEAT],
+    ("t1", "parametric-modified", None, True): ["unified p0", _REPEAT],
+    ("t1", "basis", None, False): ["basis b0", _REPEAT],
+    ("t1", "basis", None, True): ["basis b0", _REPEAT],
+    ("flt", "benders", None, False): ["feasibility r0", "optimality p0", _REPEAT],
+    ("flt", "benders", None, True): ["feasibility r0", "optimality p0", _REPEAT],
+    ("flt", "parametric", None, False): ["unified r0", _GAP],
+    ("flt", "parametric", None, True): ["unified r0", _GAP],
+    ("flt", "parametric", "split", False): ["feasibility r0", "optimality p0", _REPEAT],
+    ("flt", "parametric", "split", True): ["feasibility r0", "optimality p0", _REPEAT],
+    ("flt", "parametric-modified", None, False): ["unified r0", _GAP],
+    ("flt", "parametric-modified", None, True): ["unified r0", _GAP],
+    ("uk5", "benders", None, False): [f"optimality p{k}" for k in range(4)] + [_REPEAT],
+    ("uk5", "benders", None, True): [f"optimality p{k}" for k in range(5)] + [_REPEAT],
+    ("uk5", "parametric", None, False): ["unified p0", _REPEAT],
+    ("uk5", "parametric", None, True): ["unified p0", _REPEAT],
+    ("uk5", "parametric", "split", False): ["optimality p0", _REPEAT],
+    ("uk5", "parametric", "split", True): ["optimality p0", _REPEAT],
+    ("uk5", "parametric-modified", None, False): ["unified p0", _REPEAT],
+    ("uk5", "parametric-modified", None, True): ["unified p0", _REPEAT],
+    ("uk5", "basis", None, False): ["basis b0", "basis b1", _REPEAT],
+    ("uk5", "basis", None, True): ["basis b1", _REPEAT],
+}
+_TRAJECTORY_INSTANCES = {
+    "t1": (t1, 1.0), "flt": (_flt, FLT_W),
+    "uk5": (lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, seed=0), "ddu_uk"),
+            7042.011905578076),
+}
+
+
+@pytest.mark.parametrize("name,variant,cut_mode,pareto", list(_TRAJECTORIES))
+def test_loop_trajectory_is_pinned(name, variant, cut_mode, pareto):
+    make, value = _TRAJECTORY_INSTANCES[name]
+    res = run(make(), AlgorithmConfig(variant=variant, cut_mode=cut_mode,
+                                      pareto=pareto, tol=0.0))
+    expected = [tuple(step.split()) for step in _TRAJECTORIES[name, variant,
+                                                              cut_mode, pareto]]
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(value, rel=1e-9)
+    assert [(r.cut_kind, r.seed_id) for r in res.iterations] == expected
 
 
 # -- bound discipline --------------------------------------------------------

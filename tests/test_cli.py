@@ -1,7 +1,7 @@
 """Exit-code contract, artifacts, and subcommand plumbing."""
 
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +25,10 @@ def test_solve_writes_artifacts_and_exits_zero(t1_path, tmp_path, capsys):
     assert code == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("Optimal objective=1")
-    payload = json.loads(open(os.path.join(out, "run.json")).read())
+    payload = json.loads(Path(out, "run.json").read_text())
     assert payload["status"] == "Optimal"
     assert payload["objective"] == pytest.approx(1.0)
-    csv = open(os.path.join(out, "iterations.csv")).read().splitlines()
+    csv = Path(out, "iterations.csv").read_text().splitlines()
     assert csv[0] == "t,lb,ub,gap,elapsed_s,cut_kind,seed_id"
     assert len(csv) == payload["n_iterations"] + 1
 
@@ -43,7 +43,7 @@ def test_solve_time_limit_exits_three_with_partial_trace(t1_path, tmp_path):
     out = str(tmp_path / "tl")
     code = cli.main(["solve", t1_path, "--time-limit", "1e-9", "--out", out])
     assert code == 3
-    assert json.loads(open(os.path.join(out, "run.json")).read())[
+    assert json.loads(Path(out, "run.json").read_text())[
         "status"] == "TimeLimit"
 
 
@@ -56,7 +56,7 @@ def test_solve_subproblem_time_limit_exits_three(t1_path, tmp_path, monkeypatch)
         kind="SP2", status=backend.TIME_LIMIT))
     out = str(tmp_path / "tl")
     assert cli.main(["solve", t1_path, "--out", out]) == 3
-    payload = json.loads(open(os.path.join(out, "run.json")).read())
+    payload = json.loads(Path(out, "run.json").read_text())
     assert payload["status"] == "TimeLimit"
     assert payload["lb"] is not None
 
@@ -119,7 +119,7 @@ def test_compare_agreeing_variants_exit_zero(t1_path, tmp_path, capsys):
                      "benders,parametric,basis", "--tol", "0",
                      "--out", str(tmp_path)])
     assert code == 0
-    lines = open(tmp_path / "compare.csv").read().strip().splitlines()
+    lines = (tmp_path / "compare.csv").read_text().strip().splitlines()
     assert lines[0] == "variant,status,value,gap,iterations,time_s"
     assert len(lines) == 4
     for row in lines[1:]:
@@ -155,7 +155,7 @@ def test_compare_marks_error_rows_without_asserting(t1_path, tmp_path):
     code = cli.main(["compare", str(path), "--variants", "parametric,basis",
                      "--tol", "0", "--out", str(tmp_path)])
     assert code == 0
-    rows = open(tmp_path / "compare.csv").read().strip().splitlines()[1:]
+    rows = (tmp_path / "compare.csv").read_text().strip().splitlines()[1:]
     by_variant = {r.split(",")[0]: r.split(",")[1] for r in rows}
     assert by_variant["basis"] == "Error"
     assert by_variant["parametric"] == "Optimal"
@@ -196,7 +196,7 @@ def test_convert_order_switch_solves_the_flat_model(tmp_path, capsys):
     path = tmp_path / "tilt.json"
     io_write(str(path), inst)
     assert cli.main(["convert", "order-switch", str(path)]) == 0
-    payload = json.loads(open(capsys.readouterr().out.strip()).read())
+    payload = json.loads(Path(capsys.readouterr().out.strip()).read_text())
     assert payload["status"] == "Optimal"
     assert payload["objective"] == pytest.approx(3.3)
     # without the tilt matrix the conversion cannot proceed
@@ -211,7 +211,7 @@ def test_generate_is_deterministic(tmp_path):
             "--k", "1", "--seed", "7"]
     assert cli.main(argv + ["-o", a]) == 0
     assert cli.main(argv + ["-o", b]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
     inst = io_read(a)
     assert inst.dim_u == 8
 

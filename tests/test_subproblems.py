@@ -100,7 +100,7 @@ def test_sp1_reports_unserved_mass_with_witness():
 
 def test_sp2_on_t1():
     inst = t1()
-    r0 = sp2(inst, np.array([0.0]), compute_basis=True)
+    r0 = sp2(inst, np.array([0.0]))
     assert r0.value == pytest.approx(1.0)
     assert r0.u[0] == pytest.approx(1.0)
     assert r0.pi[0] == pytest.approx(1.0)
@@ -108,7 +108,6 @@ def test_sp2_on_t1():
     assert r0.basis_result.basis == BasisId((0,))
     r1 = sp2(inst, np.array([1.0]))
     assert r1.value == pytest.approx(2.0)
-    assert r1.basis_result is None
 
     # split identity holds with the reported pieces
     from ddu_ro.maxmin import lp_parametric
@@ -121,7 +120,7 @@ def test_sp2_matches_oracle_on_tight_fl():
     inst = _flt()
     res = oracle_exact(inst)
     assert res.value == pytest.approx(FLT_VALUE, rel=1e-9)
-    r = sp2(inst, res.x, compute_basis=True)
+    r = sp2(inst, res.x)
     assert r.value == pytest.approx(FLT_ETA, rel=1e-9)
     assert r.value == pytest.approx(res.value - float(inst.c1 @ res.x), abs=1e-6)
     assert r.audit_gap <= 1e-6
@@ -134,7 +133,7 @@ def test_sp2_matches_oracle_on_tight_fl():
 def test_sp2_on_binary_uncertainty_skips_parametric_audit():
     inst = gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0")
     res = oracle_exact(inst)
-    r = sp2(inst, res.x, compute_basis=True)
+    r = sp2(inst, res.x)
     assert r.value == pytest.approx(PM4_DIU_ETA, rel=1e-7)
     assert r.value == pytest.approx(res.value - float(inst.c1 @ res.x), abs=1e-6)
     # the parametric LP relaxes integral scenarios, so no audit and no basis
