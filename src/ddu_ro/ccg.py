@@ -21,7 +21,7 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .maxmin import (OptimalityBlock, _coupled_columns, _couples_only_binary,
+from .maxmin import (OptimalityBlock, _couples_only_binary,
                      build_optimality_block, ensure_unique_optimum, lp_parametric)
 from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySet,
                     add_first_stage, add_recourse_rows, add_recourse_vars,
@@ -227,7 +227,7 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     model, x_ids = state.model, state.x_ids
     M = cfg.big_M
 
-    coupled = _coupled_columns(U)
+    coupled = U.coupled_columns
     tag = f"b{len(state.basis_seeds)}"
     struct_basic = [j for j in basis.indices if j < n]
     slack_basic = {j - n for j in basis.indices if j >= n}

@@ -12,6 +12,7 @@ never leave half-written JSON or CSV behind. Exit codes are a contract:
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -245,38 +246,30 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _fl_params(args, csv_overrides: dict | None = None) -> FLParams:
-    kw: dict = dict(seed=args.seed)
-    if args.sites is not None:
-        kw["n_sites"] = args.sites
-    if getattr(args, "facilities", None) is not None:
-        kw["n_facilities"] = args.facilities
-    if getattr(args, "capacity_lower_frac", None) is not None:
-        kw["capacity_lower_frac"] = args.capacity_lower_frac
-    if getattr(args, "capacity_upper_frac", None) is not None:
-        kw["capacity_upper_frac"] = args.capacity_upper_frac
-    if getattr(args, "high_fixed", False):
-        kw["high_fixed"] = True
-    kw.update(csv_overrides or {})
-    return FLParams(**kw)
+# generator flag -> the parameter field of the same meaning in either family;
+# a family without that field ignores the flag
+_PARAM_FIELDS = {"seed": "seed", "sites": "n_sites", "facilities": "n_facilities",
+                 "capacity_lower_frac": "capacity_lower_frac",
+                 "capacity_upper_frac": "capacity_upper_frac",
+                 "high_fixed": "high_fixed", "p": "p", "k": "k", "rho": "rho",
+                 "theta": "theta", "q": "q"}
 
 
-def _pm_params(args, csv_overrides: dict | None = None) -> PMedianParams:
-    kw: dict = dict(seed=args.seed)
-    if getattr(args, "sites", None) is not None:
-        kw["n_sites"] = args.sites
-    for name in ("p", "k", "rho", "theta", "q"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kw[name] = val
+def _params(cls, args, csv_overrides: dict | None = None):
+    """cls (FLParams or PMedianParams) from the flags given on the command
+    line, then the CSV data."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    kw = {name: getattr(args, flag) for flag, name in _PARAM_FIELDS.items()
+          if name in fields and getattr(args, flag, None) is not None}
     kw.update(csv_overrides or {})
-    return PMedianParams(**kw)
+    return cls(**kw)
 
 
 def _generate_instance(args, csv_overrides: dict | None = None) -> Instance:
     if args.model == "pmedian":
-        return gen_reliable_pmedian(_pm_params(args, csv_overrides), args.kind)
-    params = _fl_params(args, csv_overrides)
+        return gen_reliable_pmedian(_params(PMedianParams, args, csv_overrides),
+                                    args.kind)
+    params = _params(FLParams, args, csv_overrides)
     if args.model == "fl-mip":
         return gen_mip_recourse_fl(params)
     return gen_robust_fl(params, args.model.split("-")[1])

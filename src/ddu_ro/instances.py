@@ -324,15 +324,9 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
     nx = inst.dim_x
     n_int = X.n_int
 
-    coupled = set()
-    for k in range(n_int, nx):
-        if np.any(inst.U.G[:, k]) or np.any(inst.Y.B1[:, k]):
-            coupled.add(k)
-        for t, M in inst.U.F.terms:
-            if t == k and np.any(M):
-                coupled.add(k)
+    in_U = inst.U.coupled_columns
+    coupled = [k for k in range(n_int, nx) if k in in_U or np.any(inst.Y.B1[:, k])]
     sep = [k for k in range(n_int, nx) if k not in coupled]
-    coupled = sorted(coupled)
 
     for k in range(n_int):
         if not np.isfinite(X.ub[k]):
@@ -379,30 +373,24 @@ def _complete_continuous(inst: Instance, x_int: np.ndarray, coupled: list[int],
             yield x
         return
 
-    def base_model():
-        m = LinearModel(name="xfill")
-        ids = add_first_stage(m, inst)
-        for k in range(n_int):
-            m.fix_var(ids[k], x_int[k])
-        return m, ids
+    # one model for every LP of this assignment: a coupled x is fixed once
+    # its value is decided, the free ones are overwritten per grid point
+    m = LinearModel(name="xfill")
+    ids = add_first_stage(m, inst)
+    for k in range(n_int):
+        m.fix_var(ids[k], x_int[k])
 
-    # without coupled dimensions the completion LP below decides feasibility
-    if coupled:
-        m, _ = base_model()
-        m.set_objective({}, sense="min")
-        if not backend.solve_lp(m).is_optimal:
-            return
+    # without coupled dimensions the completion LP below decides feasibility;
+    # this one has the fresh model's empty objective
+    if coupled and not backend.solve_lp(m).is_optimal:
+        return
 
-    pinned: dict[int, float] = {}
     free: list[tuple[int, float, float]] = []
     for k in coupled:
         bounds = []
         for sense in ("min", "max"):
-            mm, mids = base_model()
-            for kk, v in pinned.items():
-                mm.fix_var(mids[kk], v)
-            mm.set_objective({mids[k]: 1.0}, sense=sense)
-            out = backend.solve_lp(mm)
+            m.set_objective({ids[k]: 1.0}, sense=sense)
+            out = backend.solve_lp(m)
             if out.status == backend.UNBOUNDED:
                 raise OracleError(f"coupled x[{k}] unbounded over X")
             if not out.is_optimal:
@@ -410,26 +398,18 @@ def _complete_continuous(inst: Instance, x_int: np.ndarray, coupled: list[int],
             bounds.append(out.objective)
         lo, hi = bounds
         if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-            pinned[k] = 0.5 * (lo + hi)
+            m.fix_var(ids[k], 0.5 * (lo + hi))
         else:
             free.append((k, lo, hi))
     if len(free) > 2:
         raise OracleError(f"{len(free)} free coupled continuous dims exceed the grid limit")
 
+    m.set_objective({ids[k]: inst.c1[k] for k in sep}, sense="min")
     grids = [np.linspace(lo, hi, limits.grid) for _, lo, hi in free]
     for combo in itertools.product(*grids) if grids else [()]:
-        fixing = dict(pinned)
         for (k, _, _), v in zip(free, combo):
-            fixing[k] = float(v)
-        mm, mids = base_model()
-        for kk, v in fixing.items():
-            mm.fix_var(mids[kk], v)
-        if sep:
-            mm.set_objective({mids[k]: inst.c1[k] for k in sep if inst.c1[k] != 0.0},
-                             sense="min")
-        else:
-            mm.set_objective({}, sense="min")
-        out = backend.solve_lp(mm)
+            m.fix_var(ids[k], float(v))
+        out = backend.solve_lp(m)
         if out.status == backend.UNBOUNDED:
             raise OracleError("separable continuous block unbounded below")
         if not out.is_optimal:
@@ -473,33 +453,23 @@ class FLParams:
     profits: np.ndarray | None = None
 
 
-def _fl_data(p: FLParams):
+def _distances(coords: np.ndarray) -> np.ndarray:
+    return 100.0 * np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+
+
+def _sites(p: FLParams | PMedianParams):
+    """The site data both families share: (nI, nJ, coords, c, dem, rng), with
+    c the service costs to the first nJ sites (100 x distance unless given).
+    Unless given, coordinates and then demands are drawn from the seed; the
+    rng is returned so that a family draws its own data next."""
     rng = np.random.default_rng(p.seed)
     nI = p.n_sites
     nJ = p.n_facilities if p.n_facilities is not None else nI
     coords = p.coords if p.coords is not None else rng.uniform(size=(nI, 2))
-    if p.costs is not None:
-        c = np.asarray(p.costs, dtype=float)
-    else:
-        diff = coords[:, None, :] - coords[None, :, :]
-        c = 100.0 * np.sqrt((diff ** 2).sum(axis=2))
-    c = c[:, :nJ]
+    c = np.asarray(p.costs, dtype=float) if p.costs is not None else _distances(coords)
     dem = (np.asarray(p.demands, dtype=float) if p.demands is not None
            else rng.uniform(*p.demand_range, size=nI))
-    f = (np.asarray(p.fixed_costs, dtype=float) if p.fixed_costs is not None
-         else rng.uniform(*p.fixed_cost_range, size=nJ))
-    if p.high_fixed:
-        f = f * (4.0 / 3.0)
-    a = (np.asarray(p.capacity_costs, dtype=float) if p.capacity_costs is not None
-         else rng.uniform(*p.capacity_cost_range, size=nJ))
-    profit = (np.asarray(p.profits, dtype=float) if p.profits is not None
-              else rng.uniform(*p.profit_range, size=nI))
-    full = c if c.shape[1] == nI else 100.0 * np.sqrt(
-        ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
-    positive = full[full > 0]
-    radius = float(np.quantile(positive, p.neighborhood_quantile)) if positive.size else 0.0
-    nbhd = [[j for j in range(nJ) if full[i, j] <= radius + 1e-12] for i in range(nI)]
-    return nI, nJ, c, dem, f, a, profit, nbhd, rng
+    return nI, nJ, coords, c[:, :nJ], dem, rng
 
 
 def _fl_first_stage(nJ, f, a, dem, p: FLParams):
@@ -517,7 +487,7 @@ def _fl_first_stage(nJ, f, a, dem, p: FLParams):
     ub = np.concatenate([np.ones(nJ), np.full(nJ, np.inf)])
     X = FirstStageSet(A=A, b=b, n_int=nJ, ub=ub)
     c1 = np.concatenate([f, a])
-    return X, c1, cap_hi
+    return X, c1
 
 
 def _fl_recourse(nI, nJ, c, profit):
@@ -620,8 +590,7 @@ def _fl_uncertainty_lhs(nI, nJ, dem, nbhd, p: FLParams) -> UncertaintySet:
         for i in range(nI):
             if j in nbhd[i]:
                 M[budget, 2 * nI + i] = p.k2
-        if np.any(M):
-            terms.append((nJ + j, M))
+        terms.append((nJ + j, M))
     return UncertaintySet(F=AffineMatrixMap(base=F0, terms=tuple(terms)), G=G, h=h)
 
 
@@ -632,70 +601,58 @@ def gen_robust_fl(params: FLParams, dependence: str = "rhs") -> Instance:
     "lhs" puts capacity into the surge-budget row's coefficients."""
     if dependence not in ("rhs", "lhs"):
         raise ValueError(f"unknown dependence {dependence!r}")
-    nI, nJ, c, dem, f, a, profit, nbhd, _ = _fl_data(params)
-    X, c1, cap_hi = _fl_first_stage(nJ, f, a, dem, params)
-    B1, B2, E, d, c2 = _fl_recourse(nI, nJ, c, profit)
-    U = (_fl_uncertainty_rhs if dependence == "rhs" else _fl_uncertainty_lhs)(
-        nI, nJ, dem, nbhd, params)
-    meta = {
-        "family": f"fl-{dependence}",
-        "blocks": {
-            "x_d": list(range(nJ)), "x_c": list(range(nJ, 2 * nJ)),
-            "u": list(range(nI)),
-        },
-        "seed": params.seed,
-    }
-    return Instance(name=f"fl_{dependence}_{nI}s_seed{params.seed}", c1=c1,
-                    X=X, U=U,
-                    Y=RecourseSet(B1=B1, B2=B2, E=E, d=d, c2=c2),
-                    metadata=meta)
+    return _fl_instance(params, dependence)
 
 
 def gen_mip_recourse_fl(params: FLParams) -> Instance:
     """Same structure with on-demand capacity modules in the recourse: binary
     z_j adds temp capacity at cost, unmet demand is penalized, so the recourse
     is a MIP and always feasible."""
-    nI, nJ, c, dem, f, a, profit, nbhd, rng = _fl_data(params)
-    X, c1, cap_hi = _fl_first_stage(nJ, f, a, dem, params)
-    temp_cap = rng.uniform(*params.temp_capacity_range, size=nJ)
-    temp_cost = params.temp_cost_mult * temp_cap * a.max()
-    penalty = params.penalty_mult * c.max()
+    return _fl_instance(params, "mip")
 
-    # y = (z | y1 | y2): modules first (integer block), flows, shortfalls
-    ny = nJ + nI * nJ + nI
-    n_rows = nI + nJ + nJ
-    B2 = np.zeros((n_rows, ny))
-    B1 = np.zeros((n_rows, 2 * nJ))
-    E = np.zeros((n_rows, 3 * nI))
-    d = np.zeros(n_rows)
-    y1 = lambda i, j: nJ + i * nJ + j
-    y2 = lambda i: nJ + nI * nJ + i
-    for i in range(nI):
-        for j in range(nJ):
-            B2[i, y1(i, j)] = 1.0
-        B2[i, y2(i)] = 1.0
-        E[i, i] = -1.0                       # sum_j y1_ij + y2_i >= u_i
-    for j in range(nJ):
-        for i in range(nI):
-            B2[nI + j, y1(i, j)] = -1.0
-        B2[nI + j, j] = temp_cap[j]
-        B1[nI + j, nJ + j] = 1.0             # sum_i y1_ij <= x_c_j + cap_j z_j
-    for j in range(nJ):
-        B2[nI + nJ + j, j] = -1.0
-        d[nI + nJ + j] = -1.0                # z_j <= 1
-    c2 = np.concatenate([temp_cost,
-                         np.array([c[i, j] - profit[i]
-                                   for i in range(nI) for j in range(nJ)]),
-                         np.full(nI, penalty)])
-    U = _fl_uncertainty_rhs(nI, nJ, dem, nbhd, params)
-    meta = {
-        "family": "fl-mip",
-        "blocks": {"x_d": list(range(nJ)), "x_c": list(range(nJ, 2 * nJ)),
-                   "u": list(range(nI)), "z": list(range(nJ))},
-        "seed": params.seed,
-    }
-    return Instance(name=f"fl_mip_{nI}s_seed{params.seed}", c1=c1, X=X, U=U,
-                    Y=RecourseSet(B1=B1, B2=B2, E=E, d=d, c2=c2, n_int_y=nJ),
+
+def _fl_instance(p: FLParams, kind: str) -> Instance:
+    """The instance of family fl-<kind>: "rhs" and "lhs" pick the demand set,
+    "mip" takes the "rhs" set and adds the modules and shortfalls."""
+    nI, nJ, coords, c, dem, rng = _sites(p)
+    f = (np.asarray(p.fixed_costs, dtype=float) if p.fixed_costs is not None
+         else rng.uniform(*p.fixed_cost_range, size=nJ))
+    if p.high_fixed:
+        f = f * (4.0 / 3.0)
+    a = (np.asarray(p.capacity_costs, dtype=float) if p.capacity_costs is not None
+         else rng.uniform(*p.capacity_cost_range, size=nJ))
+    profit = (np.asarray(p.profits, dtype=float) if p.profits is not None
+              else rng.uniform(*p.profit_range, size=nI))
+    full = c if c.shape[1] == nI else _distances(coords)
+    positive = full[full > 0]
+    radius = float(np.quantile(positive, p.neighborhood_quantile)) if positive.size else 0.0
+    nbhd = [[j for j in range(nJ) if full[i, j] <= radius + 1e-12] for i in range(nI)]
+
+    X, c1 = _fl_first_stage(nJ, f, a, dem, p)
+    B1, B2, E, d, c2 = _fl_recourse(nI, nJ, c, profit)
+    U = (_fl_uncertainty_lhs if kind == "lhs" else _fl_uncertainty_rhs)(
+        nI, nJ, dem, nbhd, p)
+    blocks = {"x_d": list(range(nJ)), "x_c": list(range(nJ, 2 * nJ)),
+              "u": list(range(nI))}
+    n_int_y = 0
+    if kind == "mip":
+        temp_cap = rng.uniform(*p.temp_capacity_range, size=nJ)
+        temp_cost = p.temp_cost_mult * temp_cap * a.max()
+        # y = (z | flows | y2): modules z_j (integer block) add temp_cap_j to
+        # the capacity rows and get rows z_j <= 1; shortfall y2_i joins the
+        # demand rows
+        B2 = np.hstack([np.vstack([np.zeros((nI, nJ)), np.diag(temp_cap), -np.eye(nJ)]),
+                        np.vstack([B2, np.zeros((nJ, nI * nJ))]),
+                        np.vstack([np.eye(nI), np.zeros((2 * nJ, nI))])])
+        B1 = np.vstack([B1, np.zeros((nJ, 2 * nJ))])
+        E = np.vstack([E, np.zeros((nJ, 3 * nI))])
+        d = np.concatenate([d, -np.ones(nJ)])
+        c2 = np.concatenate([temp_cost, c2, np.full(nI, p.penalty_mult * c.max())])
+        blocks["z"] = list(range(nJ))
+        n_int_y = nJ
+    meta = {"family": f"fl-{kind}", "blocks": blocks, "seed": p.seed}
+    return Instance(name=f"fl_{kind}_{nI}s_seed{p.seed}", c1=c1, X=X, U=U,
+                    Y=RecourseSet(B1=B1, B2=B2, E=E, d=d, c2=c2, n_int_y=n_int_y),
                     metadata=meta)
 
 
@@ -725,18 +682,35 @@ class PMedianParams:
 PMEDIAN_KINDS = ("diu_u0", "ddu_uk", "ddu_ukq", "ddu_ur", "ddu_us_pair")
 
 
-def _pm_data(p: PMedianParams):
-    rng = np.random.default_rng(p.seed)
-    nI = p.n_sites
-    nJ = p.n_facilities if p.n_facilities is not None else nI
-    coords = p.coords if p.coords is not None else rng.uniform(size=(nI, 2))
-    if p.costs is not None:
-        c = np.asarray(p.costs, dtype=float)[:, :nJ]
-    else:
-        diff = coords[:, None, :] - coords[None, :, :]
-        c = (100.0 * np.sqrt((diff ** 2).sum(axis=2)))[:, :nJ]
-    dem = (np.asarray(p.demands, dtype=float) if p.demands is not None
-           else rng.uniform(*p.demand_range, size=nI))
+def _disruption_set(nx: int, k: int, exposed: np.ndarray, links: dict | None = None,
+                    n_int_u: int = 0) -> UncertaintySet:
+    """{u >= 0 : 1'u <= k, u_i <= exposed_i + x[links[i]]}: at most k sites
+    fail, site i at any x when exposed_i is 1, otherwise only where its
+    linked first-stage column is 1 (never when it has none)."""
+    nI = len(exposed)
+    G = np.zeros((nI + 1, nx))
+    for i, col in (links or {}).items():
+        G[1 + i, col] = 1.0
+    F = np.vstack([np.ones((1, nI)), np.eye(nI)])
+    return UncertaintySet(F=AffineMatrixMap(base=F), G=G,
+                          h=np.concatenate([[float(k)], exposed]), n_int_u=n_int_u)
+
+
+def gen_reliable_pmedian(params: PMedianParams,
+                         uncertainty: str = "ddu_uk") -> Instance:
+    """Reliable p-median: weighted nominal + worst-disruption objective.
+
+    uncertainty picks the disruption set: diu_u0 (binary, up to k sites,
+    decision-independent), ddu_uk (disruptions only at built facilities),
+    ddu_ukq (additionally the q largest-demand sites), ddu_ur (only at the q1
+    built facilities with the largest first-stage service cost, via sorting
+    binaries), ddu_us_pair (the decision-independent instance carrying both
+    sorting sets in metadata for approximation runs).
+    """
+    if uncertainty not in PMEDIAN_KINDS:
+        raise ValueError(f"unknown uncertainty {uncertainty!r}")
+    p = params
+    nI, nJ, _, c, dem, _ = _sites(p)
     if p.capacity is None:
         cap = (np.full(nJ, 1.4 * dem.sum() / p.p) if p.capacitated
                else np.full(nJ, dem.sum()))
@@ -744,16 +718,20 @@ def _pm_data(p: PMedianParams):
         cap = np.broadcast_to(np.asarray(p.capacity, dtype=float), (nJ,)).copy()
     pen = p.penalty if p.penalty is not None else 1.5 * float(c.max())
     theta = np.broadcast_to(np.asarray(p.theta, dtype=float), (nI,)).copy()
-    return nI, nJ, c, dem, cap, pen, theta
+    if uncertainty != "diu_u0" and (pen < float(c.max()) or np.any(theta > 0)):
+        warnings.warn(
+            "restricting disruptions to built sites only matches the "
+            "decision-independent model when the shortfall penalty "
+            "dominates every service cost and demand sensitivities are "
+            "nonpositive", stacklevel=2)
 
-
-def _pm_core(p: PMedianParams, extra_int: int = 0, extra_cont: int = 0):
-    """First stage (x_d | extra binaries | x_c | extra continuous), recourse
-    (y1 | y2), shared by every uncertainty flavor."""
-    nI, nJ, c, dem, cap, pen, theta = _pm_data(p)
-    n_int = nJ + extra_int
-    n_cont = nI * nJ + extra_cont
-    nx = n_int + n_cont
+    # x = (x_d | x_r | x_s | x_c | x0_r | x0_s | w | z): ddu_ur adds the
+    # sorting binaries x_r and their threshold x0_r, ddu_us_pair also x_s,
+    # x0_s and the pairing and product columns w, z
+    n_sorts = {"ddu_ur": 1, "ddu_us_pair": 2}.get(uncertainty, 0)
+    n_int = nJ * (1 + n_sorts)
+    x0r = n_int + nI * nJ
+    nx = x0r + n_sorts + (2 * nJ * nJ if n_sorts == 2 else 0)
     xc = lambda i, j: n_int + i * nJ + j
 
     rows = []
@@ -772,6 +750,7 @@ def _pm_core(p: PMedianParams, extra_int: int = 0, extra_cont: int = 0):
         for i in range(nI):
             r[xc(i, j)] = -1.0
         rows.append(r); b.append(0.0)                # allocations within capacity
+    A, b = np.array(rows), np.array(b)
 
     ub = np.full(nx, np.inf)
     ub[:n_int] = 1.0
@@ -780,6 +759,7 @@ def _pm_core(p: PMedianParams, extra_int: int = 0, extra_cont: int = 0):
         for j in range(nJ):
             c1[xc(i, j)] = (1.0 - p.rho) * c[i, j]
 
+    # y = (y1 | y2): service flows, then shortfalls
     ny = nI * nJ + nI
     n_rows = nI + nJ + nJ
     B2 = np.zeros((n_rows, ny))
@@ -805,45 +785,6 @@ def _pm_core(p: PMedianParams, extra_int: int = 0, extra_cont: int = 0):
         E[nI + nJ + j, j] = -cap[j]       # sum_i y1_ij <= cap_j (1 - u_j)
     c2 = np.concatenate([p.rho * c.flatten(), p.rho * pen * np.ones(nI)])
 
-    return (nI, nJ, c, dem, cap, pen, theta, nx, n_int, np.array(rows),
-            np.array(b), ub, c1, B1, B2, E, d_vec, c2)
-
-
-def gen_reliable_pmedian(params: PMedianParams,
-                         uncertainty: str = "ddu_uk") -> Instance:
-    """Reliable p-median: weighted nominal + worst-disruption objective.
-
-    uncertainty picks the disruption set: diu_u0 (binary, up to k sites,
-    decision-independent), ddu_uk (disruptions only at built facilities),
-    ddu_ukq (additionally the q largest-demand sites), ddu_ur (only at the q1
-    built facilities with the largest first-stage service cost, via sorting
-    binaries), ddu_us_pair (the decision-independent instance carrying both
-    sorting sets in metadata for approximation runs).
-    """
-    if uncertainty not in PMEDIAN_KINDS:
-        raise ValueError(f"unknown uncertainty {uncertainty!r}")
-    p = params
-    if uncertainty != "diu_u0":
-        _, _, c_chk, _, _, pen_chk, theta_chk = _pm_data(p)
-        if pen_chk < float(c_chk.max()) or np.any(theta_chk > 0):
-            warnings.warn(
-                "restricting disruptions to built sites only matches the "
-                "decision-independent model when the shortfall penalty "
-                "dominates every service cost and demand sensitivities are "
-                "nonpositive", stacklevel=2)
-    if uncertainty == "ddu_ur":
-        extra_int, extra_cont = p.n_sites if p.n_facilities is None else p.n_facilities, 1
-    elif uncertainty == "ddu_us_pair":
-        nJ_ = p.n_sites if p.n_facilities is None else p.n_facilities
-        # x_r, x_s binaries; x0_r, x0_s thresholds; pairing + product columns
-        extra_int, extra_cont = 2 * nJ_, 2 + 2 * nJ_ * nJ_
-    else:
-        extra_int, extra_cont = 0, 0
-
-    (nI, nJ, c, dem, cap, pen, theta, nx, n_int, A, b, ub, c1,
-     B1, B2, E, d_vec, c2) = _pm_core(p, extra_int, extra_cont)
-    xc = lambda i, j: n_int + i * nJ + j
-
     meta = {"family": f"pmedian-{uncertainty}",
             "blocks": {"x_d": list(range(nJ)),
                        "x_c": [xc(i, j) for i in range(nI) for j in range(nJ)],
@@ -851,64 +792,39 @@ def gen_reliable_pmedian(params: PMedianParams,
             "seed": p.seed, "p": p.p, "k": p.k, "rho": p.rho,
             "penalty": pen, "max_cost": float(c.max())}
 
-    if uncertainty == "diu_u0":
-        F = np.vstack([np.ones((1, nI)), np.eye(nI)])
-        h = np.concatenate([[float(p.k)], np.ones(nI)])
-        U = UncertaintySet(F=AffineMatrixMap(base=F), G=np.zeros((nI + 1, nx)),
-                           h=h, n_int_u=nI)
-    elif uncertainty == "ddu_uk":
-        F = np.vstack([np.ones((1, nI)), np.eye(nI)])
-        G = np.zeros((nI + 1, nx))
-        h = np.concatenate([[float(p.k)], np.zeros(nI)])
-        for j in range(nJ):
-            G[1 + j, j] = 1.0               # u_j <= x_d_j at facility sites
-        U = UncertaintySet(F=AffineMatrixMap(base=F), G=G, h=h)
-    elif uncertainty == "ddu_ukq":
-        dq = list(np.argsort(-dem)[:p.q])
-        F = np.vstack([np.ones((1, nI)), np.eye(nI)])
-        G = np.zeros((nI + 1, nx))
-        h = np.concatenate([[float(p.k)], np.zeros(nI)])
-        for i in range(nI):
-            if i in dq:
-                h[1 + i] = 1.0              # demand-ranked sites always exposed
-            elif i < nJ:
-                G[1 + i, i] = 1.0
-        U = UncertaintySet(F=AffineMatrixMap(base=F), G=G, h=h)
-        meta["d_q"] = [int(i) for i in dq]
-    elif uncertainty == "ddu_ur":
+    if n_sorts:
+        # x_r marks the q1 built facilities of largest service cost
         q1 = p.q1 if p.q1 is not None else min(p.p, p.k + 2)
         xr = lambda j: nJ + j
-        x0r = nx - 1
-        sort_M = 1.1 * float(c.max()) * float(dem.sum())
-        extra_rows, extra_b = _sorting_rows(nx, nJ, q1, xr, x0r,
-                                            lambda j: [(xc(i, j), c[i, j]) for i in range(nI)],
-                                            sort_M)
-        A = np.vstack([A, extra_rows]); b = np.concatenate([b, extra_b])
-        F = np.vstack([np.ones((1, nI)), np.eye(nI)])
-        G = np.zeros((nI + 1, nx))
-        h = np.concatenate([[float(p.k)], np.zeros(nI)])
-        for j in range(nJ):
-            G[1 + j, xr(j)] = 1.0           # u_j <= x_r_j
-        U = UncertaintySet(F=AffineMatrixMap(base=F), G=G, h=h)
-        meta["blocks"]["x_r"] = [xr(j) for j in range(nJ)]
-        meta["q1"] = q1
-        meta["sort_big_m"] = sort_M
-    else:  # ddu_us_pair: decision-independent instance + two sorting sets
-        q1 = p.q1 if p.q1 is not None else min(p.p, p.k + 2)
-        q2 = p.q2 if p.q2 is not None else min(p.p, p.k + 2)
-        xr = lambda j: nJ + j
-        xs = lambda j: 2 * nJ + j
-        x0r = n_int + nI * nJ
-        x0s = x0r + 1
-        w0 = x0s + 1                        # w_jl = x_d_j x_d_l
-        z0 = w0 + nJ * nJ                   # z_jl = (sum_i xc_ij) w_jl
-        wv = lambda j, l: w0 + j * nJ + l
-        zv = lambda j, l: z0 + j * nJ + l
         sort_M = 1.1 * float(c.max()) * float(dem.sum())
         rows_r, b_r = _sorting_rows(nx, nJ, q1, xr, x0r,
                                     lambda j: [(xc(i, j), c[i, j]) for i in range(nI)],
                                     sort_M)
         A = np.vstack([A, rows_r]); b = np.concatenate([b, b_r])
+        meta["blocks"]["x_r"] = [xr(j) for j in range(nJ)]
+        meta["q1"] = q1
+
+    if uncertainty == "diu_u0":
+        U = _disruption_set(nx, p.k, np.ones(nI), n_int_u=nI)
+    elif uncertainty == "ddu_uk":
+        U = _disruption_set(nx, p.k, np.zeros(nI), {j: j for j in range(nJ)})
+    elif uncertainty == "ddu_ukq":
+        dq = list(np.argsort(-dem)[:p.q])
+        # demand-ranked sites always exposed, other facility sites when built
+        U = _disruption_set(nx, p.k, np.isin(np.arange(nI), dq).astype(float),
+                            {i: i for i in range(nJ) if i not in dq})
+        meta["d_q"] = [int(i) for i in dq]
+    elif uncertainty == "ddu_ur":
+        U = _disruption_set(nx, p.k, np.zeros(nI), {j: xr(j) for j in range(nJ)})
+        meta["sort_big_m"] = sort_M
+    else:  # ddu_us_pair: decision-independent instance + two sorting sets
+        q2 = p.q2 if p.q2 is not None else min(p.p, p.k + 2)
+        xs = lambda j: 2 * nJ + j
+        x0s = x0r + 1
+        w0 = x0s + 1                        # w_jl = x_d_j x_d_l
+        z0 = w0 + nJ * nJ                   # z_jl = (sum_i xc_ij) w_jl
+        wv = lambda j, l: w0 + j * nJ + l
+        zv = lambda j, l: z0 + j * nJ + l
         extra = []
         eb = []
         for j in range(nJ):
@@ -939,20 +855,11 @@ def gen_reliable_pmedian(params: PMedianParams,
             lambda j: [(zv(j, l), float(c[j, l])) for l in range(nJ)], sort_M)
         A = np.vstack([A, np.array(extra), rows_s])
         b = np.concatenate([b, np.array(eb), b_s])
-        F0 = np.vstack([np.ones((1, nI)), np.eye(nI)])
-        h0 = np.concatenate([[float(p.k)], np.ones(nI)])
-        U = UncertaintySet(F=AffineMatrixMap(base=F0), G=np.zeros((nI + 1, nx)),
-                           h=h0, n_int_u=nI)
-        G_r = np.zeros((nI + 1, nx)); G_s = np.zeros((nI + 1, nx))
-        h_d = np.concatenate([[float(p.k)], np.zeros(nI)])
-        for j in range(nJ):
-            G_r[1 + j, xr(j)] = 1.0
-            G_s[1 + j, xs(j)] = 1.0
-        Ur = UncertaintySet(F=AffineMatrixMap(base=F0.copy()), G=G_r, h=h_d.copy())
-        Us = UncertaintySet(F=AffineMatrixMap(base=F0.copy()), G=G_s, h=h_d.copy())
-        meta["blocks"]["x_r"] = [xr(j) for j in range(nJ)]
+        U = _disruption_set(nx, p.k, np.ones(nI), n_int_u=nI)
+        Ur = _disruption_set(nx, p.k, np.zeros(nI), {j: xr(j) for j in range(nJ)})
+        Us = _disruption_set(nx, p.k, np.zeros(nI), {j: xs(j) for j in range(nJ)})
         meta["blocks"]["x_s"] = [xs(j) for j in range(nJ)]
-        meta["q1"], meta["q2"] = q1, q2
+        meta["q2"] = q2
         meta["sort_big_m"] = sort_M
         meta["ddu_sets"] = [uncertainty_set_to_dict(Ur), uncertainty_set_to_dict(Us)]
 

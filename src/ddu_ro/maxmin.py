@@ -31,8 +31,8 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .model import (BasisId, Instance, UncertaintySet, _binary_product, _is_binary,
-                    affine_blocks, max_over_u, range_probe)
+from .model import (BasisId, Instance, _binary_product, _is_binary, affine_blocks,
+                    max_over_u, range_probe, require_binary_terms)
 
 _ZERO_RC_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-6
@@ -102,7 +102,6 @@ class ParametricLPResult:
     basis: BasisId
     reduced_costs: np.ndarray     # over standard-form columns (u then slacks)
     value: float
-    n_struct: int
     cost_row: np.ndarray          # standard-form objective (u costs, zeros)
 
 
@@ -148,7 +147,7 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     rc[basis_cols] = 0.0
     return ParametricLPResult(u=u_star, lam=lam, basis=BasisId(tuple(basis_cols)),
                               reduced_costs=rc, value=float(out.objective),
-                              n_struct=n, cost_row=c_full)
+                              cost_row=c_full)
 
 
 def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
@@ -515,10 +514,7 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     U = inst.U
     mu, n = U.n_rows, U.dim
     beta = np.asarray(beta, dtype=float)
-    if not all(_is_binary(inst, k) for k, _ in U.F.terms):
-        raise ValueError(
-            "matrix dependence on non-binary first-stage components has "
-            "no exact master linearization")
+    require_binary_terms(inst)
     if representation == "primal-dual" and not _couples_only_binary(inst):
         raise ValueError("primal-dual block needs binary first-stage "
                          "components wherever G couples them to the set")
@@ -566,16 +562,9 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     return OptimalityBlock(u_ids=u_ids, representation=representation)
 
 
-def _coupled_columns(U: UncertaintySet) -> set[int]:
-    """The first-stage components U(x) depends on, through G or F."""
-    cols = {k for k in range(U.G.shape[1]) if np.any(U.G[:, k])}
-    cols.update(k for k, _ in U.F.terms)
-    return cols
-
-
 def _couples_only_binary(inst: Instance) -> bool:
     """Every first-stage component that U(x) depends on is binary."""
-    return all(_is_binary(inst, k) for k in _coupled_columns(inst.U))
+    return all(_is_binary(inst, k) for k in inst.U.coupled_columns)
 
 
 # -- uniqueness perturbation ------------------------------------------

@@ -46,8 +46,9 @@ def _arr(a, ndim: int) -> np.ndarray:
 class AffineMatrixMap:
     """Matrix-valued affine map x -> base + sum_k x_k * terms[k].
 
-    An empty (or all-zero) term list is the constant case: the set it defines
-    depends on x only through the right-hand side.
+    All-zero terms are dropped on construction, so every term kept makes the
+    map depend on its x_k, and an empty term list is the constant case: the
+    set it defines depends on x only through the right-hand side.
     """
 
     base: np.ndarray
@@ -61,7 +62,7 @@ class AffineMatrixMap:
             if M.shape != base.shape:
                 raise ValueError(f"term {k} shape {M.shape} != base {base.shape}")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", tuple((k, M) for k, M in terms if M.any()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -69,7 +70,7 @@ class AffineMatrixMap:
 
     @property
     def is_constant(self) -> bool:
-        return all(not np.any(M) for _, M in self.terms)
+        return not self.terms
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         out = self.base.copy()
@@ -133,8 +134,10 @@ class UncertaintySet:
         return self.F.shape[1]
 
     @property
-    def is_rhs_dependent(self) -> bool:
-        return self.F.is_constant
+    def coupled_columns(self) -> list[int]:
+        """The first-stage components U(x) depends on, through G or F."""
+        return sorted(set(np.flatnonzero(self.G.any(axis=0)).tolist())
+                      | {k for k, _ in self.F.terms})
 
     @property
     def rhs_map(self) -> AffineMatrixMap:
@@ -332,10 +335,7 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
     x-dependent entries of F are enveloped for binary x with u <= M; a
     dependence on any other component raises ValueError.
     """
-    if not inst.U.F.is_constant and not all(_is_binary(inst, k) for k, _ in inst.U.F.terms):
-        raise ValueError(
-            "matrix dependence on non-binary first-stage components has "
-            "no exact master linearization")
+    require_binary_terms(inst)
     m = LinearModel(name=f"{inst.name}_det")
     x_ids = add_first_stage(m, inst)
     u_ids = add_uncertainty_vars(m, inst.U)
@@ -351,6 +351,15 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
 
 def _is_binary(inst: Instance, k: int) -> bool:
     return k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9
+
+
+def require_binary_terms(inst: Instance) -> None:
+    """Raise ValueError unless every x_k that F(x) depends on is binary,
+    which the exact envelopes of x_k times a column need."""
+    if not all(_is_binary(inst, k) for k, _ in inst.U.F.terms):
+        raise ValueError(
+            "matrix dependence on non-binary first-stage components has "
+            "no exact master linearization")
 
 
 def _binary_product(model: LinearModel, x_id: int, v_id: int, M: float,
@@ -459,7 +468,7 @@ def validate(inst: Instance, probe_boundedness: bool = True) -> ValidationReport
     X, U = inst.X, inst.U
 
     report = ValidationReport(ok=True, errors=[],
-                              dependence="rhs" if U.is_rhs_dependent else "lhs")
+                              dependence="rhs" if U.F.is_constant else "lhs")
 
     witness_x = None
     if U.F.is_constant:

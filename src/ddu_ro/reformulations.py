@@ -17,7 +17,7 @@ ready single-level model. Hadamard products are linearized exactly, so
 values are preserved, not approximated.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import itertools
 
 import numpy as np
@@ -147,7 +147,7 @@ def neutralize(inst: Instance) -> ReformulationOutput:
     with its masked coordinates zeroed, which the closure property keeps
     inside the set, so worst cases are unchanged.
     """
-    U, Y, X = inst.U, inst.Y, inst.X
+    U, X = inst.U, inst.X
     links, plain = _split_masked_rows(U)
     caps = np.array([links[i][2] for i in range(U.dim)])
     for i in range(U.n_int_u):
@@ -172,37 +172,47 @@ def neutralize(inst: Instance) -> ReformulationOutput:
     U0 = UncertaintySet(F=AffineMatrixMap(base=F0), G=np.zeros_like(U.G),
                         h=h0, n_int_u=U.n_int_u)
 
-    ny, nu, nx = Y.dim, U.dim, inst.dim_x
-    m = Y.n_rows
-    B2 = np.zeros((m + 3 * nu, ny + nu))
-    B1 = np.zeros((m + 3 * nu, nx))
-    E = np.zeros((m + 3 * nu, nu))
-    d = np.zeros(m + 3 * nu)
-    B2[:m, :ny] = Y.B2
-    B2[:m, ny:] = Y.E                      # B2 y + E v >= d - B1 x
-    B1[:m] = Y.B1
-    d[:m] = Y.d
+    nu = U.dim
+    V, B1, E, d = _link_rows(3 * nu, inst)
     for i in range(nu):
         _, k, cap = links[i]
-        ra, rb, rc = m + 3 * i, m + 3 * i + 1, m + 3 * i + 2
-        B2[ra, ny + i] = -1.0              # v <= cap x'
+        ra, rb, rc = 3 * i, 3 * i + 1, 3 * i + 2
+        V[ra, i] = -1.0                    # v <= cap x'
         B1[ra, k] = cap
-        B2[rb, ny + i] = -1.0              # v <= u
+        V[rb, i] = -1.0                    # v <= u
         E[rb, i] = 1.0
-        B2[rc, ny + i] = 1.0               # v >= u - cap (1 - x')
+        V[rc, i] = 1.0                     # v >= u - cap (1 - x')
         B1[rc, k] = -cap
         E[rc, i] = -1.0
         d[rc] = -cap
-    Y0 = RecourseSet(B1=B1, B2=B2, E=E, d=d,
-                     c2=np.concatenate([Y.c2, np.zeros(nu)]),
-                     n_int_y=Y.n_int_y)
+    return _read_through(inst, U0, (V, B1, E, d), "neutralized-diu",
+                         {"mask_column": {i: links[i][1] for i in range(nu)},
+                          "cap": caps.tolist()})
 
-    mapping = {"v_columns": list(range(ny, ny + nu)),
-               "mask_column": {i: links[i][1] for i in range(nu)},
-               "cap": caps.tolist()}
-    out = Instance(name=f"{inst.name}-neutralized", c1=inst.c1, X=X,
+
+def _link_rows(n: int, inst: Instance) -> tuple[np.ndarray, ...]:
+    """Zero blocks (V, B1, E, d) of n link rows V v + B1 x + E u >= d."""
+    nu = inst.dim_u
+    return np.zeros((n, nu)), np.zeros((n, inst.dim_x)), np.zeros((n, nu)), np.zeros(n)
+
+
+def _read_through(inst: Instance, U0: UncertaintySet, link: tuple,
+                  kind: str, mapping: dict) -> ReformulationOutput:
+    """inst with the set U0 and a recourse that reads a copy v of u: the
+    rows B2 y + E v >= d - B1 x, then the link rows (V, B1, E, d) that tie
+    v to u and x. v takes the columns after y and costs nothing."""
+    Y = inst.Y
+    V, B1, E, d = link
+    ny, nu = Y.dim, inst.dim_u
+    Y0 = RecourseSet(B1=np.vstack([Y.B1, B1]),
+                     B2=np.block([[Y.B2, Y.E], [np.zeros((len(V), ny)), V]]),
+                     E=np.vstack([np.zeros_like(Y.E), E]),
+                     d=np.concatenate([Y.d, d]),
+                     c2=np.concatenate([Y.c2, np.zeros(nu)]), n_int_y=Y.n_int_y)
+    out = Instance(name=f"{inst.name}-{kind.split('-')[0]}", c1=inst.c1, X=inst.X,
                    U=U0, Y=Y0, metadata=dict(inst.metadata))
-    return ReformulationOutput("neutralized-diu", out, None, mapping)
+    return ReformulationOutput(kind, out, None,
+                               {"v_columns": list(range(ny, ny + nu)), **mapping})
 
 
 # -- normalization -------------------------------------------------------------
@@ -294,42 +304,27 @@ def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
                         G=np.zeros((nu, inst.dim_x)), h=np.ones(nu),
                         n_int_u=nu if binary_vertices else 0)
 
-    ny, nx, m = Y.dim, inst.dim_x, Y.n_rows
-    B2 = np.zeros((m + 4 * nu, ny + nu))
-    B1 = np.zeros((m + 4 * nu, nx))
-    E = np.zeros((m + 4 * nu, nu))
-    d = np.zeros(m + 4 * nu)
-    B2[:m, :ny] = Y.B2
-    B2[:m, ny:] = Y.E                      # B2 y + E v >= d - B1 x
-    B1[:m] = Y.B1
-    d[:m] = Y.d
+    V, B1, E, d = _link_rows(4 * nu, inst)
     for i in range(nu):
         lo, hi, B = lo_cols[i], hi_cols[i], bounds[i]
-        r = m + 4 * i
-        B2[r, ny + i] = -1.0               # v <= x_h + B (1 - u)
+        r = 4 * i
+        V[r, i] = -1.0                     # v <= x_h + B (1 - u)
         B1[r, hi] = 1.0
         E[r, i] = -B
         d[r] = -B
-        B2[r + 1, ny + i] = 1.0            # v >= x_h - B (1 - u)
+        V[r + 1, i] = 1.0                  # v >= x_h - B (1 - u)
         B1[r + 1, hi] = -1.0
         E[r + 1, i] = -B
         d[r + 1] = -B
-        B2[r + 2, ny + i] = -1.0           # v <= x_l + B u
+        V[r + 2, i] = -1.0                 # v <= x_l + B u
         B1[r + 2, lo] = 1.0
         E[r + 2, i] = B
-        B2[r + 3, ny + i] = 1.0            # v >= x_l - B u
+        V[r + 3, i] = 1.0                  # v >= x_l - B u
         B1[r + 3, lo] = -1.0
         E[r + 3, i] = B
-    Y0 = RecourseSet(B1=B1, B2=B2, E=E, d=d,
-                     c2=np.concatenate([Y.c2, np.zeros(nu)]),
-                     n_int_y=Y.n_int_y)
-
-    mapping = {"v_columns": list(range(ny, ny + nu)),
-               "lo_columns": list(lo_cols), "hi_columns": list(hi_cols),
-               "box_bound": bounds}
-    out = Instance(name=f"{inst.name}-normalized", c1=inst.c1, X=X,
-                   U=U0, Y=Y0, metadata=dict(inst.metadata))
-    return ReformulationOutput("normalized-diu", out, None, mapping)
+    return _read_through(inst, U0, (V, B1, E, d), "normalized-diu",
+                         {"lo_columns": list(lo_cols), "hi_columns": list(hi_cols),
+                          "box_bound": bounds})
 
 
 # -- order switching -----------------------------------------------------------
@@ -364,11 +359,7 @@ def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
                          "value is only an upper bound "
                          "(force_upper_bound=True to accept)")
 
-    coupled = {k for k in range(inst.dim_x) if np.any(U.G[:, k])}
-    for k, M in U.F.terms:
-        if np.any(M):
-            coupled.add(k)
-    for k in sorted(coupled):
+    for k in U.coupled_columns:
         if k >= inst.X.n_int or inst.X.ub[k] != 1.0 or inst.X.lb[k] != 0.0:
             raise ValueError(f"multiplier products need binary x[{k}]; the "
                              "coupled column is not")

@@ -134,6 +134,30 @@ def test_basis_variant_rejects_continuous_coupling(monkeypatch):
     assert len(calls) == 0
 
 
+def _t1_zero_term() -> Instance:
+    # t1 plus a continuous x1 in [0, 1] that F names in an all-zero term:
+    # U(x) does not depend on x1, and w* = w(0) = 1 as for t1
+    return Instance(
+        name="T1-zero-term", c1=np.array([1.0, 0.0]),
+        X=FirstStageSet(A=np.zeros((0, 2)), b=np.zeros(0), n_int=1,
+                        ub=np.array([1.0, 1.0])),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.array([[1.0]]),
+                                           terms=((1, np.array([[0.0]])),)),
+                         G=np.array([[1.0, 0.0]]), h=np.array([1.0])),
+        Y=RecourseSet(B1=np.zeros((1, 2)), B2=np.array([[1.0]]),
+                      E=np.array([[-1.0]]), d=np.array([0.0]),
+                      c2=np.array([1.0])))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_an_all_zero_term_couples_nothing(variant):
+    inst = _t1_zero_term()
+    assert oracle_exact(inst).value == pytest.approx(1.0, abs=1e-9)
+    res = run(inst, AlgorithmConfig(variant=variant, tol=0.0))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_lhs_toy_every_variant(variant):
     res = run(_lhs_toy(), AlgorithmConfig(variant=variant, tol=0.0))

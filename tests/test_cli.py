@@ -216,6 +216,15 @@ def test_generate_is_deterministic(tmp_path):
     assert inst.dim_u == 8
 
 
+def test_generate_pmedian_honours_facilities(tmp_path):
+    path = str(tmp_path / "pm.json")
+    assert cli.main(["generate", "--model", "pmedian", "--sites", "5",
+                     "--facilities", "3", "--p", "2", "-o", path]) == 0
+    inst = io_read(path)
+    assert inst.metadata["blocks"]["x_d"] == [0, 1, 2]
+    assert inst.dim_u == 5
+
+
 def test_generate_fl_models(tmp_path):
     for model in ("fl-rhs", "fl-lhs", "fl-mip"):
         path = str(tmp_path / f"{model}.json")

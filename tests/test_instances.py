@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from ddu_ro import (
     validate,
 )
 from ddu_ro.instances import (
+    PMEDIAN_KINDS,
     OracleError,
     OracleLimits,
     SchemaError,
@@ -134,6 +136,70 @@ def test_generators_are_deterministic():
     b = gen_reliable_pmedian(PMedianParams(n_sites=3, seed=7, p=1, k=1), "ddu_ur")
     assert json.dumps(instance_to_dict(a), sort_keys=True) == \
         json.dumps(instance_to_dict(b), sort_keys=True)
+
+
+def _pinned_cases():
+    """(name, instance) for every family and p-median kind: 3 sites at seeds
+    0 and 1, 3 facilities among 4 sites, and explicit costs and demands (the
+    import path)."""
+    rng = np.random.default_rng(11)
+    data = dict(costs=rng.uniform(1.0, 50.0, size=(4, 4)),
+                demands=rng.uniform(10.0, 20.0, size=4))
+    builders = {"fl-rhs": lambda **kw: gen_robust_fl(FLParams(**kw), "rhs"),
+                "fl-lhs": lambda **kw: gen_robust_fl(FLParams(**kw), "lhs"),
+                "fl-mip": lambda **kw: gen_mip_recourse_fl(FLParams(**kw))}
+    for kind in PMEDIAN_KINDS:
+        builders[f"pm-{kind}"] = lambda kind=kind, **kw: gen_reliable_pmedian(
+            PMedianParams(p=2, **kw), kind)
+    for name, build in builders.items():
+        yield f"{name}-seed0", build(n_sites=3, seed=0)
+        yield f"{name}-seed1", build(n_sites=3, seed=1)
+        yield f"{name}-3of4", build(n_sites=4, n_facilities=3, seed=0)
+        yield f"{name}-data", build(n_sites=4, seed=1, **data)
+
+
+# first 16 hex digits of the SHA-256 of json.dumps(instance_to_dict(inst));
+# a deliberate change to a generator updates them and says why
+PINNED_DIGESTS = {
+    "fl-rhs-seed0": "92444fd4531f97c6",
+    "fl-rhs-seed1": "e255f07b75fa05cc",
+    "fl-rhs-3of4": "55e765bbfb779565",
+    "fl-rhs-data": "97d7ba9499afac51",
+    "fl-lhs-seed0": "61e16724d92b226f",
+    "fl-lhs-seed1": "c9ebd14c501da926",
+    "fl-lhs-3of4": "cac36e5792953daf",
+    "fl-lhs-data": "eb2c3f411ccb5fd1",
+    "fl-mip-seed0": "6d1533029b3dfb54",
+    "fl-mip-seed1": "8471057b4e5f56a0",
+    "fl-mip-3of4": "91e14fb47a8ad8c5",
+    "fl-mip-data": "702c1cb39f0b609b",
+    "pm-diu_u0-seed0": "02441c9c97a9cb7a",
+    "pm-diu_u0-seed1": "60094e1b3028d5b2",
+    "pm-diu_u0-3of4": "92e912070e977759",
+    "pm-diu_u0-data": "b20251ea1410272f",
+    "pm-ddu_uk-seed0": "dc017b937cdd2d89",
+    "pm-ddu_uk-seed1": "4f481d479d76e6c9",
+    "pm-ddu_uk-3of4": "88302d06f9957ca2",
+    "pm-ddu_uk-data": "2dfa3499c1ecaf79",
+    "pm-ddu_ukq-seed0": "8314cf2345c3ab7f",
+    "pm-ddu_ukq-seed1": "fb8e8fa6fbdb4d4f",
+    "pm-ddu_ukq-3of4": "fa50ef7db5e28137",
+    "pm-ddu_ukq-data": "e80d5805218d1190",
+    "pm-ddu_ur-seed0": "2558eb81d597a32a",
+    "pm-ddu_ur-seed1": "e60ba01c1c4c2398",
+    "pm-ddu_ur-3of4": "244567dc8255a4ac",
+    "pm-ddu_ur-data": "e33f15fe00eec685",
+    "pm-ddu_us_pair-seed0": "111078083b7af24b",
+    "pm-ddu_us_pair-seed1": "8b9ef02a00963418",
+    "pm-ddu_us_pair-3of4": "94e2f491551c5f49",
+    "pm-ddu_us_pair-data": "50ce0aa088d3b28b",
+}
+
+
+def test_generator_output_is_pinned():
+    got = {name: hashlib.sha256(json.dumps(instance_to_dict(inst)).encode())
+           .hexdigest()[:16] for name, inst in _pinned_cases()}
+    assert got == PINNED_DIGESTS
 
 
 def test_pairing_mode_carries_both_sets():

@@ -26,6 +26,9 @@ def test_affine_map_constant_when_no_terms():
     F = AffineMatrixMap(base=[[1.0, 2.0], [0.0, 1.0]])
     assert F.is_constant
     assert np.allclose(F.evaluate(np.array([3.0])), F.base)
+    # an all-zero term is dropped, so it makes no x_k a dependence
+    F = AffineMatrixMap(base=[[1.0, 2.0]], terms=((0, [[0.0, 0.0]]), (1, [[0.0, 1.0]])))
+    assert [k for k, _ in F.terms] == [1]
 
 
 @settings(max_examples=30, deadline=None)
