@@ -8,12 +8,11 @@ recourse value over the vertices of U(x), and then the min over x. The
 vertices come from solving every nonsingular basis system of the standard
 form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
 call finds them once per distinct scaled [F(x) | I], in 2e7-entry chunks,
-and keeps only the last such table (see enumerate_vertices). The recourse
-is solved at the first vertex alone, and an x whose first vertex has no
-recourse is worth +inf without enumerating the rest; otherwise one
-block-diagonal LP over all vertices gives every value, with one LP per
-vertex as the fallback (see worst_case_value). It shares nothing with the
-cutting-plane machinery beyond the LP/MIP primitives.
+and keeps only the last such table (see enumerate_vertices). The LPs are
+batched, one block-diagonal LP per run of first stages, and a first stage gets
+LPs of its own only where a block LP is not Optimal (see worst_case_values and
+_complete_continuous). It shares nothing with the cutting-plane machinery
+beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
@@ -179,7 +178,9 @@ def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
     """Column index sets of the bases of A with |det| > 1e-12, in
     itertools.combinations order, as an int array of shape (count, rows)."""
     mu, n_cols = A.shape
-    combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
+    combos = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n_cols), mu)), dtype=int,
+        count=math.comb(n_cols, mu) * mu).reshape(-1, mu)
     kept = []
     for lo in range(0, len(combos), chunk):
         sub = combos[lo:lo + chunk]
@@ -240,38 +241,79 @@ def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
     raise backend.BackendError(f"recourse solve ended {out.status}")
 
 
-def worst_case_value(inst: Instance, x: np.ndarray,
-                     limits: OracleLimits | None = None,
+def worst_case_value(inst: Instance, x: np.ndarray, limits: OracleLimits | None = None,
                      bases: dict | None = None) -> tuple[float, np.ndarray]:
-    """max over vertices of U(x) of the recourse value, with the first
-    vertex (in enumerate_vertices order) that attains it; `bases` is passed
-    on to enumerate_vertices.
+    """worst_case_values for the one first stage x."""
+    return worst_case_values(inst, [x], limits, bases)[0]
 
-    For continuous u the first vertex is found first, by solving the
-    nonsingular bases in slices of 64 until one is feasible, and its
-    recourse is solved alone: when it has none the answer is (inf, that
-    vertex) and nothing else is enumerated, so limits.max_vertices applies
-    only to an x that is enumerated. Otherwise every vertex u_k is
-    enumerated and one block-diagonal LP, with a copy y_k of y and the rows
-    B2 y_k >= d - B1 x - E u_k per vertex, gives each value as c2'y_k. The
-    per-vertex loop runs instead when that LP is not Optimal (a later vertex
-    has no recourse, or the recourse is unbounded) and when y has integer
-    components, since a MIP gap on the sum does not bound each block.
+
+# matrix entries (rows x columns) of the blocks one block-diagonal LP holds at
+# most; its model is built in Python, so this bounds the memory it takes
+_BLOCK_ENTRIES = 1e5
+
+
+def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None,
+                      bases: dict | None = None) -> list[tuple[float, np.ndarray]]:
+    """For every x in xs, the max over the vertices of U(x) of the recourse
+    value, with the first vertex (in enumerate_vertices order) that attains
+    it; `bases` is passed on to enumerate_vertices.
+
+    For continuous u the first vertex of every U(x) is found first, by
+    solving the nonsingular bases in slices of 64 until one is feasible, and
+    one block LP checks their recourse. When it is not Optimal, an x whose
+    first vertex has none is worth (inf, that vertex) and is not enumerated
+    (so limits.max_vertices does not apply to it). _worst_vertices values
+    every other x, in runs of at most _BLOCK_ENTRIES entries; a run of one x,
+    and integer y, take the LPs of one x at once.
     """
     limits = limits or OracleLimits()
-    x = np.asarray(x, dtype=float)
     bases = {} if bases is None else bases
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    cap = 1 if inst.Y.n_int_y else max(1, int(_BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
+    out: dict[int, tuple[float, np.ndarray]] = {}
     if not inst.U.n_int_u and inst.U.n_rows:
-        first = next((u[0] for u in _basic_vertices(inst.U, x, limits, bases, 64)
-                      if len(u)), None)
-        if first is not None and recourse_value(inst, x, first)[0] == np.inf:
-            return np.inf, first
-    verts = enumerate_vertices(inst.U, x, limits, bases)
-    if not inst.Y.n_int_y:
-        vals = _block_recourse_values(inst, x, verts)
-        if vals is not None:
-            k = int(np.argmax(vals))
-            return float(vals[k]), verts[k]
+        firsts = ((i, next((u[:1] for u in _basic_vertices(inst.U, x, limits, bases, 64)
+                            if len(u)), None)) for i, x in enumerate(xs))
+        for run in _runs([(i, u) for i, u in firsts if u is not None], cap):
+            if len(run) > 1 and _block_recourse_values(
+                    inst, [(xs[i], u) for i, u in run]) is not None:
+                continue
+            for i, u in run:
+                if recourse_value(inst, xs[i], u[0])[0] == np.inf:
+                    out[i] = (np.inf, u[0])
+    todo = [i for i in range(len(xs)) if i not in out]
+    rest = ((xs[i], enumerate_vertices(inst.U, xs[i], limits, bases)) for i in todo)
+    runs = _runs(rest, cap, size=lambda item: len(item[1]))
+    out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
+    return [out[i] for i in range(len(xs))]
+
+
+def _runs(items, cap: int, size=lambda item: 1):
+    """Consecutive runs of items whose sizes sum to at most cap; an item
+    larger than cap makes a run of its own."""
+    run, total = [], 0
+    for item in items:
+        if run and total + size(item) > cap:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size(item)
+    if run:
+        yield run
+
+
+def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:
+    """For every (x, verts) of run, the largest recourse value over verts and
+    the first vertex that attains it: from one block LP over every pair, and
+    when it is not Optimal (a later vertex has no recourse, or the recourse
+    is unbounded) from each x alone, then vertex by vertex. Integer y takes
+    the per-vertex loop, since a MIP gap on the sum does not bound each block."""
+    vals = None if inst.Y.n_int_y else _block_recourse_values(inst, run)
+    if vals is not None:
+        return [(float(p.max()), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
+    if len(run) > 1:
+        return [w for item in run for w in _worst_vertices(inst, [item])]
+    [(x, verts)] = run
     best, best_u = -np.inf, verts[0]
     for u in verts:
         val, _ = recourse_value(inst, x, u)
@@ -279,25 +321,26 @@ def worst_case_value(inst: Instance, x: np.ndarray,
             best, best_u = val, u
             if np.isinf(best):
                 break
-    return best, best_u
+    return [(best, best_u)]
 
 
-def _block_recourse_values(inst: Instance, x: np.ndarray,
-                           verts: np.ndarray) -> np.ndarray | None:
-    """c2'y_k for every row u_k of verts from one LP holding a copy y_k of
-    the (continuous) recourse per vertex; None unless that LP is Optimal."""
+def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None:
+    """For every (x, verts) of run, the values c2'y_k at its vertices u_k, from
+    one LP holding a copy y_k of the (continuous) recourse with the rows
+    B2 y_k >= d - B1 x - E u_k per pair; None unless that LP is Optimal."""
     Y = inst.Y
+    xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
+    verts = np.vstack([v for _, v in run])
     m = LinearModel(name="recourse_block")
     ys = [m.add_vars(Y.dim, prefix=f"y{k}_") for k in range(len(verts))]
-    rhs = Y.d - Y.B1 @ x - verts @ Y.E.T
-    if Y.n_rows:
-        for y, r in zip(ys, rhs):
-            m.add_block(y, Y.B2, GEQ, r)
+    for y, r in zip(ys, Y.d - xs @ Y.B1.T - verts @ Y.E.T):
+        m.add_block(y, Y.B2, GEQ, r)
     m.set_objective({j: c for y in ys for j, c in zip(y, Y.c2) if c != 0.0})
     out = backend.solve_lp(m)
     if not out.is_optimal:
         return None
-    return out.x.reshape(len(verts), Y.dim) @ Y.c2
+    vals = out.x.reshape(len(verts), Y.dim) @ Y.c2
+    return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])
 
 
 # -- the exactness oracle ------------------------------------------------------
@@ -315,8 +358,8 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
 
     Integer x components are enumerated over their (finite) bound lattice.
     Continuous components that never touch the uncertainty set or the recourse
-    rows only matter through c1 and X, so they are optimized out by an LP per
-    lattice point; coupled continuous components are pinned when X forces
+    rows only matter through c1 and X, so one LP per run of lattice points
+    optimizes them out; coupled continuous components are pinned when X forces
     their value and gridded (limits.grid points) when at most two stay free.
     """
     limits = limits or OracleLimits()
@@ -341,44 +384,47 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
 
     # rows touching only integer components can prefilter the lattice
     int_rows = [i for i in range(X.A.shape[0]) if not np.any(X.A[i, n_int:])]
+    points = (np.array(combo, dtype=float)
+              for combo in (itertools.product(*ranges) if ranges else [()]))
+    points = [xi for xi in points
+              if not any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows)]
+    cap = 1 if coupled else max(1, int(_BLOCK_ENTRIES // max(1, X.A.size)))
+    xs = [x for run in _runs(points, cap)
+          for x in _complete_continuous(inst, run, coupled, sep, limits)]
 
     best = OracleResult(value=np.inf, x=np.zeros(nx), worst_u=np.zeros(inst.dim_u))
     evals: list[tuple[np.ndarray, float]] = []
-    bases: dict = {}
-    for combo in itertools.product(*ranges) if ranges else [()]:
-        xi = np.array(combo, dtype=float)
-        if any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows):
-            continue
-        for x in _complete_continuous(inst, xi, coupled, sep, limits):
-            wc, u_wc = worst_case_value(inst, x, limits, bases)
-            val = float(inst.c1 @ x) + wc
-            evals.append((x, val))
-            if val < best.value - 1e-12:
-                best = OracleResult(value=val, x=x, worst_u=u_wc)
+    for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs, limits)):
+        val = float(inst.c1 @ x) + wc
+        evals.append((x, val))
+        if val < best.value - 1e-12:
+            best = OracleResult(value=val, x=x, worst_u=u_wc)
     if not evals:
         raise OracleError("first stage has no feasible point")
     best.evaluations = evals
     return best
 
 
-def _complete_continuous(inst: Instance, x_int: np.ndarray, coupled: list[int],
+def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],
                          sep: list[int], limits: OracleLimits):
-    """Yield full x vectors extending an integer assignment, or nothing when
-    X admits no extension."""
+    """Yield full x vectors extending the integer assignments of run, in
+    order, none for an assignment X admits no extension of. A run of several
+    (never with coupled x) shares one LP with a copy of the first stage per
+    assignment, and takes one assignment at a time when it is not Optimal."""
     X = inst.X
     nx, n_int = inst.dim_x, X.n_int
     if n_int == nx:
-        x = x_int.copy()
-        if np.all(X.A @ x >= X.b - 1e-9):
-            yield x
+        yield from (x.copy() for x in run if np.all(X.A @ x >= X.b - 1e-9))
         return
 
-    # one model for every LP of this assignment: a coupled x is fixed once
-    # its value is decided, the free ones are overwritten per grid point
+    # one model for every LP of this run: a coupled x is fixed once its
+    # value is decided, the free ones are overwritten per grid point
     m = LinearModel(name="xfill")
-    ids = add_first_stage(m, inst)
-    for k in range(n_int):
-        m.fix_var(ids[k], x_int[k])
+    copies = [add_first_stage(m, inst) for _ in run]
+    for x_int, x_ids in zip(run, copies):
+        for k in range(n_int):
+            m.fix_var(x_ids[k], x_int[k])
+    ids = copies[0]
 
     # without coupled dimensions the completion LP below decides feasibility;
     # this one has the fresh model's empty objective
@@ -404,17 +450,21 @@ def _complete_continuous(inst: Instance, x_int: np.ndarray, coupled: list[int],
     if len(free) > 2:
         raise OracleError(f"{len(free)} free coupled continuous dims exceed the grid limit")
 
-    m.set_objective({ids[k]: inst.c1[k] for k in sep}, sense="min")
+    m.set_objective({x_ids[k]: inst.c1[k] for x_ids in copies for k in sep})
     grids = [np.linspace(lo, hi, limits.grid) for _, lo, hi in free]
     for combo in itertools.product(*grids) if grids else [()]:
         for (k, _, _), v in zip(free, combo):
             m.fix_var(ids[k], float(v))
         out = backend.solve_lp(m)
+        if len(run) > 1 and not out.is_optimal:
+            for x_int in run:
+                yield from _complete_continuous(inst, [x_int], coupled, sep, limits)
+            return
         if out.status == backend.UNBOUNDED:
             raise OracleError("separable continuous block unbounded below")
         if not out.is_optimal:
             continue
-        yield out.x[:inst.dim_x]
+        yield from out.x.reshape(len(run), nx)
 
 
 # -- facility-location generators ----------------------------------------------
@@ -623,7 +673,7 @@ def _fl_instance(p: FLParams, kind: str) -> Instance:
          else rng.uniform(*p.capacity_cost_range, size=nJ))
     profit = (np.asarray(p.profits, dtype=float) if p.profits is not None
               else rng.uniform(*p.profit_range, size=nI))
-    full = c if c.shape[1] == nI else _distances(coords)
+    full = np.asarray(p.costs, dtype=float) if p.costs is not None else _distances(coords)
     positive = full[full > 0]
     radius = float(np.quantile(positive, p.neighborhood_quantile)) if positive.size else 0.0
     nbhd = [[j for j in range(nJ) if full[i, j] <= radius + 1e-12] for i in range(nI)]

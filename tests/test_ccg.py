@@ -433,6 +433,33 @@ def test_row_order_leaves_the_pmedian_optimum_unchanged(make, config, perm_seed,
     assert res.objective == pytest.approx(value, rel=1e-6)
 
 
+# oracle_exact values of fl-rhs with 2 sites, at generator seeds 0 and 2
+FL_RHS2_W = {0: -51406.065233899, 2: -42566.93112062868}
+_SPLIT_AT_1E4 = pytest.mark.xfail(
+    strict=True, reason="known defect: with split cuts at big_M 1e4 the master "
+    "becomes infeasible (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("config", [
+    pytest.param(dict(variant="benders"), marks=_SPLIT_AT_1E4),
+    pytest.param(dict(variant="parametric", cut_mode="split"), marks=_SPLIT_AT_1E4),
+    dict(variant="parametric"),
+    dict(variant="benders", big_M=1e5),
+], ids=["benders", "parametric-split", "parametric", "benders-1e5"])
+def test_two_site_fl_rhs_returns_the_oracle_value(seed, config):
+    res = run(gen_robust_fl(FLParams(n_sites=2, seed=seed), "rhs"),
+              AlgorithmConfig(**config))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(FL_RHS2_W[seed], rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_two_site_fl_rhs_references_are_the_oracle_values(seed):
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=seed), "rhs")
+    assert oracle_exact(inst).value == pytest.approx(FL_RHS2_W[seed], rel=1e-12)
+
+
 def test_seed_counts_stay_within_the_dual_description():
     # T1: B2 = [1], c2 = 1, so the dual interval [0, 1] has two extreme
     # points and no rays; cap_toy adds the ray direction (1, 1)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ddu_ro import instances
+from ddu_ro import backend, instances
 from ddu_ro import (
     FLParams,
     PMedianParams,
@@ -141,7 +141,8 @@ def test_generators_are_deterministic():
 def _pinned_cases():
     """(name, instance) for every family and p-median kind: 3 sites at seeds
     0 and 1, 3 facilities among 4 sites, and explicit costs and demands (the
-    import path)."""
+    import path); fl-rhs also with explicit data and 3 facilities among 4
+    sites."""
     rng = np.random.default_rng(11)
     data = dict(costs=rng.uniform(1.0, 50.0, size=(4, 4)),
                 demands=rng.uniform(10.0, 20.0, size=4))
@@ -156,6 +157,8 @@ def _pinned_cases():
         yield f"{name}-seed1", build(n_sites=3, seed=1)
         yield f"{name}-3of4", build(n_sites=4, n_facilities=3, seed=0)
         yield f"{name}-data", build(n_sites=4, seed=1, **data)
+    yield "fl-rhs-3of4-data", builders["fl-rhs"](n_sites=4, n_facilities=3, seed=0,
+                                                 **data)
 
 
 # first 16 hex digits of the SHA-256 of json.dumps(instance_to_dict(inst));
@@ -165,6 +168,7 @@ PINNED_DIGESTS = {
     "fl-rhs-seed1": "e255f07b75fa05cc",
     "fl-rhs-3of4": "55e765bbfb779565",
     "fl-rhs-data": "97d7ba9499afac51",
+    "fl-rhs-3of4-data": "edaeb47d8d895fe6",   # neighbourhoods from the costs
     "fl-lhs-seed0": "61e16724d92b226f",
     "fl-lhs-seed1": "c9ebd14c501da926",
     "fl-lhs-3of4": "cac36e5792953daf",
@@ -200,6 +204,17 @@ def test_generator_output_is_pinned():
     got = {name: hashlib.sha256(json.dumps(instance_to_dict(inst)).encode())
            .hexdigest()[:16] for name, inst in _pinned_cases()}
     assert got == PINNED_DIGESTS
+
+
+def test_fl_neighbourhoods_follow_explicit_costs():
+    # the neighbourhoods come from the given costs, not from coordinates
+    # drawn from the seed, also when only some sites host facilities
+    rng = np.random.default_rng(3)
+    data = dict(costs=rng.uniform(1.0, 50.0, size=(4, 4)),
+                demands=rng.uniform(10.0, 20.0, size=4))
+    G0, G1 = (gen_robust_fl(FLParams(n_sites=4, n_facilities=3, seed=s, **data),
+                            "rhs").U.G for s in (0, 1))
+    assert np.array_equal(G0, G1)
 
 
 def test_pairing_mode_carries_both_sets():
@@ -437,13 +452,14 @@ def _worst_case_by_loop(inst, x, bases=None):
 def test_worst_case_value_matches_the_per_vertex_loop(make, monkeypatch):
     inst = make()
     seen = []
-    original = instances.worst_case_value
+    original = instances.worst_case_values
 
-    def recorded(inst, x, *args, **kwargs):
-        seen.append((x, original(inst, x, *args, **kwargs)))
-        return seen[-1][1]
+    def recorded(inst, xs, *args, **kwargs):
+        out = original(inst, xs, *args, **kwargs)
+        seen.extend(zip(xs, out))
+        return out
 
-    monkeypatch.setattr(instances, "worst_case_value", recorded)
+    monkeypatch.setattr(instances, "worst_case_values", recorded)
     res = oracle_exact(inst)
     assert len(seen) == len(res.evaluations)
     ref_bases: dict = {}
@@ -527,3 +543,132 @@ def test_worst_case_with_integer_recourse_takes_the_loop():
     inst = _interval_toy(B2=[[4.0]], E=[[-1.0]], d=[0.0], c2=[1.0], n_int_y=1)
     val, u = worst_case_value(inst, np.array([0.0]))
     assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
+
+
+# -- the batch path: block LPs over many first stages, narrowed on failure ------
+
+XS2 = [np.array([0.0]), np.array([1.0])]
+
+
+def _record_lps(monkeypatch):
+    """(model name, status) of every LP solve, in order."""
+    lps = []
+    original = backend.solve_lp
+
+    def recorded(model, *args, **kwargs):
+        out = original(model, *args, **kwargs)
+        lps.append((model.name, out.status))
+        return out
+
+    monkeypatch.setattr(backend, "solve_lp", recorded)
+    return lps
+
+
+def test_a_failed_first_vertex_batch_narrows_to_one_lp_per_x(monkeypatch):
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
+    lps = _record_lps(monkeypatch)
+    assert oracle_exact(inst).value == pytest.approx(-51406.065233899, rel=1e-12)
+    worst = [lp for lp in lps if lp[0] != "xfill"]
+    # 58 of the 64 first vertices have no recourse, so their block LP fails;
+    # the 6 other x share one LP over all of their vertices
+    assert worst[0][0] == "recourse_block" and worst[0][1] != backend.OPTIMAL
+    assert sorted(worst[1:65]) == [("recourse", backend.INFEASIBLE)] * 58 + \
+        [("recourse", backend.OPTIMAL)] * 6
+    assert worst[65:] == [("recourse_block", backend.OPTIMAL)]
+
+
+def test_a_failed_vertex_batch_narrows_to_each_x_then_each_vertex(monkeypatch):
+    # 0 <= y <= u - 1: both first vertices u = 2 have recourse, u = 0 has none
+    inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
+                         c2=[1.0])
+    lps = _record_lps(monkeypatch)
+    calls = _count_recourse_calls(monkeypatch)
+    got = instances.worst_case_values(inst, XS2)
+    # first vertices in one LP, then every pair, then each x, then each vertex
+    assert [name for name, _ in lps] == ["recourse_block"] * 3 + ["recourse"] * 2 + \
+        ["recourse_block"] + ["recourse"] * 2
+    assert lps[0][1] == backend.OPTIMAL
+    assert [c[0] for c in calls] == [2.0, 0.0, 2.0, 0.0]
+    for x, (val, u) in zip(XS2, got):
+        ref_val, ref_u = _worst_case_by_loop(inst, x)
+        assert val == ref_val == np.inf and np.array_equal(u, ref_u)
+
+
+def test_the_batch_path_of_an_unbounded_recourse_is_minus_inf(monkeypatch):
+    # min -y over y >= u: every block LP fails, down to the per-vertex loop
+    inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[-1.0])
+    calls = _count_recourse_calls(monkeypatch)
+    got = instances.worst_case_values(inst, XS2)
+    assert [c[0] for c in calls] == [2.0, 2.0, 2.0, 0.0, 2.0, 0.0]
+    for x, (val, u) in zip(XS2, got):
+        ref_val, ref_u = _worst_case_by_loop(inst, x)
+        assert val == ref_val == -np.inf and np.array_equal(u, ref_u)
+
+
+def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
+    # 4 y >= u with y integer: no block LP, a first-vertex MIP per x, then the loop
+    inst = _interval_toy(B2=[[4.0]], E=[[-1.0]], d=[0.0], c2=[1.0], n_int_y=1)
+    lps = _record_lps(monkeypatch)
+    calls = _count_recourse_calls(monkeypatch)
+    got = instances.worst_case_values(inst, XS2)
+    assert lps == []
+    assert [c[0] for c in calls] == [2.0, 2.0, 2.0, 0.0, 2.0, 0.0]
+    for val, u in got:
+        assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
+
+
+def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypatch):
+    # x2 <= x0 + x1 and x2 >= 1/2 with x2 separable: (0, 0) has no completion
+    inst = Instance(
+        name="no-completion", c1=[0.0, 0.0, 1.0],
+        X=FirstStageSet(A=[[1.0, 1.0, -1.0], [0.0, 0.0, 1.0]], b=[0.0, 0.5],
+                        n_int=2, ub=[1.0, 1.0, np.inf]),
+        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=np.zeros((1, 3)),
+                         h=[1.0]),
+        Y=RecourseSet(B1=np.zeros((1, 3)), B2=[[1.0]], E=[[-1.0]], d=[0.0],
+                      c2=[1.0]))
+    lps = _record_lps(monkeypatch)
+    res = oracle_exact(inst)
+    fills = [status for name, status in lps if name == "xfill"]
+    assert fills[0] != backend.OPTIMAL and fills[1] != backend.OPTIMAL
+    assert fills[2:] == [backend.OPTIMAL] * 3
+    assert [x.tolist() for x, _ in res.evaluations] == \
+        [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [1.0, 1.0, 0.5]]
+    assert res.value == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("budget, n_lps", [
+    # ddu_uk5: 10 first stages with 4 vertices each; a recourse block holds
+    # 15 x 30 entries and a completion block 12 x 30
+    (3600, 1 + 2 + 5),     # 10 completions, 8 first vertices, two x per run
+    (3599, 2 + 2 + 10),    # 9 + 1 completions, 7 + 3 first vertices, one x per run
+    (1, 10 + 10 + 10),     # no batch of two fits: every LP serves one x
+])
+def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=5), "ddu_uk")
+    ref = oracle_exact(inst)
+    monkeypatch.setattr(instances, "_BLOCK_ENTRIES", budget)
+    lps = _record_lps(monkeypatch)
+    res = oracle_exact(inst)
+    assert len(lps) == n_lps
+    assert res.value == ref.value and np.array_equal(res.x, ref.x)
+    assert np.array_equal(res.worst_u, ref.worst_u)
+    assert [(x.tolist(), v) for x, v in res.evaluations] == \
+        [(x.tolist(), v) for x, v in ref.evaluations]
+
+
+def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
+    runs = instances._runs([3, 1, 1, 5, 1], 4, size=lambda s: s)
+    assert list(runs) == [[3, 1], [1], [5], [1]]
+
+
+def test_basis_table_equals_the_list_of_every_combination():
+    U = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs").U
+    A = np.hstack([U.F.evaluate(np.zeros(4)), np.eye(U.n_rows)])
+    A = A / np.abs(A).max(axis=1)[:, None]
+    mu, n_cols = A.shape
+    combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
+    dets = np.abs(np.linalg.det(A[:, combos].transpose(1, 0, 2)))
+    got = instances._nonsingular_bases(A, 1000)
+    assert got.dtype == combos.dtype
+    assert np.array_equal(got, combos[dets > 1e-12])
