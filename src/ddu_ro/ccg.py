@@ -455,7 +455,9 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             return out_of_time("master")
         if out.status != backend.OPTIMAL:
             raise BackendError(f"master solve ended {out.status}")
-        lb = max(lb, float(out.objective))
+        # HiGHS stops at a relative MIP gap, so the incumbent may overstate
+        # the master's value; its dual bound does not
+        lb = max(lb, float(out.objective if out.bound is None else out.bound))
         x_star = np.array([out.x[j] for j in state.x_ids])
         x_star[:inst.X.n_int] = np.round(x_star[:inst.X.n_int])
 

@@ -7,16 +7,20 @@ pinned, gridded, or optimized out, see oracle_exact), takes the worst
 recourse value over the vertices of U(x), and then the min over x. The
 vertices come from solving every nonsingular basis system of the standard
 form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
-call finds them once per distinct scaled [F(x) | I], in 2e7-entry chunks,
-and keeps only the last such table (see enumerate_vertices). The LPs are
-batched, one block-diagonal LP per run of first stages, and a first stage gets
-LPs of its own only where a block LP is not Optimal (see worst_case_values and
-_complete_continuous). It shares nothing with the cutting-plane machinery
-beyond the LP/MIP primitives.
+call finds them once per distinct F(x), in 2e7-entry chunks, and keeps such a
+table only while a first stage with that F(x) is left to enumerate (see
+worst_case_values). The LPs are batched, one block-diagonal LP per run of
+first stages: a run of integer assignments shares its feasibility LP, its
+range probes of the coupled continuous x and one LP over every (assignment,
+grid point), and a run of first stages shares its recourse LPs. An
+assignment, grid point or first stage gets LPs of its own only where a block
+LP is not Optimal (see _complete_continuous and worst_case_values). It shares
+nothing with the cutting-plane machinery beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -64,20 +68,6 @@ def t1() -> Instance:
     )
 
 
-def t1_infeasible() -> Instance:
-    """Recourse rows y >= 1 and y <= 1/2 can never hold together, so the
-    deterministic relaxation (and the robust problem) is infeasible."""
-    return Instance(
-        name="T1-infeasible",
-        c1=[1.0],
-        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
-                        lb=[0.0], ub=[1.0]),
-        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[0.0]], h=[1.0]),
-        Y=RecourseSet(B1=np.zeros((2, 1)), B2=[[1.0], [-1.0]], E=np.zeros((2, 1)),
-                      d=[1.0, -0.5], c2=[1.0]),
-    )
-
-
 # -- vertex enumeration --------------------------------------------------------
 
 @dataclass
@@ -98,9 +88,9 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     largest entry. The bases of A with |det| > 1e-12 depend on A alone: a
     determinant sweep over every basis finds them, and `bases`, a one-entry
     memo keyed on A's shape and bytes, keeps their index sets for the next
-    call with the same A. oracle_exact passes one memo for the length of its
-    own call, so a constant F is swept once and an x-dependent F at each new
-    x. Each call solves only the nonsingular bases for its rhs; a basic
+    call with the same A. worst_case_values passes one memo per distinct
+    F(x), so each is swept once. Each call solves only the nonsingular bases
+    for its rhs; a basic
     solution with all components nonnegative is a vertex. Both steps work in
     chunks of at most 2e7 matrix entries. Vertices are de-duplicated and
     ordered by the first basis (in itertools.combinations order) that yields
@@ -241,22 +231,16 @@ def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
     raise backend.BackendError(f"recourse solve ended {out.status}")
 
 
-def worst_case_value(inst: Instance, x: np.ndarray, limits: OracleLimits | None = None,
-                     bases: dict | None = None) -> tuple[float, np.ndarray]:
-    """worst_case_values for the one first stage x."""
-    return worst_case_values(inst, [x], limits, bases)[0]
-
-
 # matrix entries (rows x columns) of the blocks one block-diagonal LP holds at
 # most; its model is built in Python, so this bounds the memory it takes
 _BLOCK_ENTRIES = 1e5
 
 
-def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None,
-                      bases: dict | None = None) -> list[tuple[float, np.ndarray]]:
+def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None
+                      ) -> list[tuple[float, np.ndarray]]:
     """For every x in xs, the max over the vertices of U(x) of the recourse
     value, with the first vertex (in enumerate_vertices order) that attains
-    it; `bases` is passed on to enumerate_vertices.
+    it.
 
     For continuous u the first vertex of every U(x) is found first, by
     solving the nonsingular bases in slices of 64 until one is feasible, and
@@ -264,16 +248,26 @@ def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None,
     first vertex has none is worth (inf, that vertex) and is not enumerated
     (so limits.max_vertices does not apply to it). _worst_vertices values
     every other x, in runs of at most _BLOCK_ENTRIES entries; a run of one x,
-    and integer y, take the LPs of one x at once.
+    and integer y, take the LPs of one x at once. Each distinct F(x) gets one
+    basis memo, which both passes share and which is dropped once no x left
+    to enumerate has that F(x), so its bases are swept once.
     """
     limits = limits or OracleLimits()
-    bases = {} if bases is None else bases
     xs = [np.asarray(x, dtype=float) for x in xs]
+    keys = [inst.U.F.evaluate(x).tobytes() for x in xs]
+    memos = {key: {} for key in keys}
+    left = collections.Counter(keys)
+
+    def release(i):
+        left[keys[i]] -= 1
+        if not left[keys[i]]:
+            del memos[keys[i]]
+
     cap = 1 if inst.Y.n_int_y else max(1, int(_BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
     out: dict[int, tuple[float, np.ndarray]] = {}
     if not inst.U.n_int_u and inst.U.n_rows:
-        firsts = ((i, next((u[:1] for u in _basic_vertices(inst.U, x, limits, bases, 64)
-                            if len(u)), None)) for i, x in enumerate(xs))
+        firsts = ((i, next((u[:1] for u in _basic_vertices(
+            inst.U, x, limits, memos[keys[i]], 64) if len(u)), None)) for i, x in enumerate(xs))
         for run in _runs([(i, u) for i, u in firsts if u is not None], cap):
             if len(run) > 1 and _block_recourse_values(
                     inst, [(xs[i], u) for i, u in run]) is not None:
@@ -281,9 +275,15 @@ def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None,
             for i, u in run:
                 if recourse_value(inst, xs[i], u[0])[0] == np.inf:
                     out[i] = (np.inf, u[0])
+                    release(i)
+
+    def vertices(i):
+        verts = enumerate_vertices(inst.U, xs[i], limits, memos[keys[i]])
+        release(i)
+        return verts
+
     todo = [i for i in range(len(xs)) if i not in out]
-    rest = ((xs[i], enumerate_vertices(inst.U, xs[i], limits, bases)) for i in todo)
-    runs = _runs(rest, cap, size=lambda item: len(item[1]))
+    runs = _runs(((xs[i], vertices(i)) for i in todo), cap, size=lambda item: len(item[1]))
     out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
     return [out[i] for i in range(len(xs))]
 
@@ -358,9 +358,10 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
 
     Integer x components are enumerated over their (finite) bound lattice.
     Continuous components that never touch the uncertainty set or the recourse
-    rows only matter through c1 and X, so one LP per run of lattice points
-    optimizes them out; coupled continuous components are pinned when X forces
-    their value and gridded (limits.grid points) when at most two stay free.
+    rows only matter through c1 and X, so LPs optimize them out; coupled
+    continuous components are pinned when X forces their value and gridded
+    (limits.grid points) when at most two stay free. A run of lattice points
+    shares these LPs (see _complete_continuous).
     """
     limits = limits or OracleLimits()
     X = inst.X
@@ -388,7 +389,9 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
               for combo in (itertools.product(*ranges) if ranges else [()]))
     points = [xi for xi in points
               if not any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows)]
-    cap = 1 if coupled else max(1, int(_BLOCK_ENTRIES // max(1, X.A.size)))
+    # at most limits.grid ** 2 copies of X per lattice point
+    copies = limits.grid ** min(2, len(coupled))
+    cap = max(1, int(_BLOCK_ENTRIES // (max(1, X.A.size) * copies)))
     xs = [x for run in _runs(points, cap)
           for x in _complete_continuous(inst, run, coupled, sep, limits)]
 
@@ -408,63 +411,87 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],
                          sep: list[int], limits: OracleLimits):
     """Yield full x vectors extending the integer assignments of run, in
-    order, none for an assignment X admits no extension of. A run of several
-    (never with coupled x) shares one LP with a copy of the first stage per
-    assignment, and takes one assignment at a time when it is not Optimal."""
+    order, none for an assignment X admits no extension of. The run shares
+    its LPs, with a copy of the first stage per assignment: one checks X, a
+    min and a max LP per coupled x probe its range in every copy to pin it (a
+    point) or grid it (limits.grid points), and _fill takes every (assignment,
+    grid point). When a run LP is not Optimal, or a copy leaves more than two
+    coupled x free, each assignment is taken alone."""
     X = inst.X
     nx, n_int = inst.dim_x, X.n_int
     if n_int == nx:
         yield from (x.copy() for x in run if np.all(X.A @ x >= X.b - 1e-9))
         return
 
-    # one model for every LP of this run: a coupled x is fixed once its
-    # value is decided, the free ones are overwritten per grid point
-    m = LinearModel(name="xfill")
-    copies = [add_first_stage(m, inst) for _ in run]
-    for x_int, x_ids in zip(run, copies):
-        for k in range(n_int):
-            m.fix_var(x_ids[k], x_int[k])
-    ids = copies[0]
-
-    # without coupled dimensions the completion LP below decides feasibility;
-    # this one has the fresh model's empty objective
-    if coupled and not backend.solve_lp(m).is_optimal:
-        return
-
-    free: list[tuple[int, float, float]] = []
-    for k in coupled:
-        bounds = []
-        for sense in ("min", "max"):
-            m.set_objective({ids[k]: 1.0}, sense=sense)
-            out = backend.solve_lp(m)
-            if out.status == backend.UNBOUNDED:
-                raise OracleError(f"coupled x[{k}] unbounded over X")
+    # the values each copy fixes (nan where an LP decides), and its grids
+    fixed = np.full((len(run), nx), np.nan)
+    fixed[:, :n_int] = run
+    free: list[dict[int, np.ndarray]] = [{} for _ in run]
+    if coupled:
+        m = LinearModel(name="xfill")
+        copies = [_fixed_first_stage(m, inst, f) for f in fixed]
+        out = backend.solve_lp(m)       # the fresh model's empty objective
+        for k in coupled:
             if not out.is_optimal:
-                return
-            bounds.append(out.objective)
-        lo, hi = bounds
-        if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-            m.fix_var(ids[k], 0.5 * (lo + hi))
-        else:
-            free.append((k, lo, hi))
-    if len(free) > 2:
-        raise OracleError(f"{len(free)} free coupled continuous dims exceed the grid limit")
-
-    m.set_objective({x_ids[k]: inst.c1[k] for x_ids in copies for k in sep})
-    grids = [np.linspace(lo, hi, limits.grid) for _, lo, hi in free]
-    for combo in itertools.product(*grids) if grids else [()]:
-        for (k, _, _), v in zip(free, combo):
-            m.fix_var(ids[k], float(v))
-        out = backend.solve_lp(m)
-        if len(run) > 1 and not out.is_optimal:
+                break
+            bounds = []
+            for sense in ("min", "max"):
+                m.set_objective({ids[k]: 1.0 for ids in copies}, sense=sense)
+                out = backend.solve_lp(m)
+                if not out.is_optimal:
+                    break
+                bounds.append(out.x[[ids[k] for ids in copies]])
+            else:
+                for ids, f, grids, lo, hi in zip(copies, fixed, free, *bounds):
+                    if hi - lo <= 1e-9 * max(1.0, abs(hi)):
+                        f[k] = 0.5 * (lo + hi)
+                        m.fix_var(ids[k], f[k])
+                    else:
+                        grids[k] = np.linspace(lo, hi, limits.grid)
+        if len(run) > 1 and (not out.is_optimal or max(map(len, free)) > 2):
             for x_int in run:
                 yield from _complete_continuous(inst, [x_int], coupled, sep, limits)
             return
         if out.status == backend.UNBOUNDED:
-            raise OracleError("separable continuous block unbounded below")
+            raise OracleError(f"coupled x[{k}] unbounded over X")
         if not out.is_optimal:
-            continue
-        yield from out.x.reshape(len(run), nx)
+            return
+        if len(free[0]) > 2:
+            raise OracleError(f"{len(free[0])} free coupled continuous dims exceed the grid limit")
+
+    groups = []
+    for f, grids in zip(fixed, free):
+        points = np.array(list(itertools.product(*grids.values())))
+        groups.append(np.tile(f, (len(points), 1)))
+        groups[-1][:, list(grids)] = points
+    yield from _fill(inst, groups, sep)
+
+
+def _fixed_first_stage(m: LinearModel, inst: Instance, values: np.ndarray) -> list[int]:
+    """add_first_stage with each x fixed at its value where that is not nan."""
+    ids = add_first_stage(m, inst)
+    for k in np.flatnonzero(~np.isnan(values)):
+        m.fix_var(ids[k], values[k])
+    return ids
+
+
+def _fill(inst: Instance, groups: list, sep: list[int]):
+    """Yield, for every point (row) of every group in order, the x that keeps
+    its values and minimizes c1 over the separable x, none where X admits no
+    such x: from one LP with a copy of the first stage per point, and when it
+    is not Optimal from each group alone, then from each point alone."""
+    points = [p for group in groups for p in group]
+    m = LinearModel(name="xfill")
+    copies = [_fixed_first_stage(m, inst, p) for p in points]
+    m.set_objective({ids[k]: inst.c1[k] for ids in copies for k in sep})
+    out = backend.solve_lp(m)
+    if out.is_optimal:
+        yield from out.x.reshape(len(points), inst.dim_x)
+    elif len(points) > 1:
+        for part in groups if len(groups) > 1 else [[p] for p in points]:
+            yield from _fill(inst, [part], sep)
+    elif out.status == backend.UNBOUNDED:
+        raise OracleError("separable continuous block unbounded below")
 
 
 # -- facility-location generators ----------------------------------------------

@@ -14,12 +14,13 @@ from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
                               gen_reliable_pmedian, gen_robust_fl,
-                              oracle_exact, recourse_value, t1, t1_infeasible)
+                              oracle_exact, recourse_value, t1)
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
-                          RecourseSet, UncertaintySet, uncertainty_set_from_dict,
-                          uncertainty_set_to_dict)
+                          IterationRecord, RecourseSet, UncertaintySet,
+                          uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
 from ddu_ro.subproblems import SubproblemReport
+from toys import t1_infeasible
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -261,6 +262,31 @@ def test_bounds_monotone_and_bracket_the_oracle():
             for r in recs:
                 assert r.lb <= wstar + 1e-6 * scale
                 assert r.ub >= wstar - 1e-6 * scale
+
+
+def test_lb_never_exceeds_a_proven_master_bound(monkeypatch):
+    # HiGHS stops a master at its relative MIP gap; on fl_rhs5 at generator
+    # seed 1 the last master's incumbent -108618.013 lies above its dual
+    # bound -108625.568, so an lb taken from the incumbent claims too much
+    bounds = []
+    original = backend.solve
+
+    def recorded(model, *args, **kwargs):
+        out = original(model, *args, **kwargs)
+        if model.name.endswith(("-master", "_det")) and out.is_optimal:
+            bounds.append(out.objective if out.bound is None else out.bound)
+        return out
+
+    def checked(**fields):
+        assert fields["lb"] <= max(bounds) + 1e-9 * abs(max(bounds))
+        return IterationRecord(**fields)
+
+    monkeypatch.setattr(backend, "solve", recorded)
+    monkeypatch.setattr(ccg, "IterationRecord", checked)
+    res = run(gen_robust_fl(FLParams(n_sites=5, seed=1), "rhs"),
+              AlgorithmConfig(variant="parametric"))
+    assert res.status == "GapReached" and len(res.iterations) == 2
+    assert res.lb <= max(bounds) + 1e-9 * abs(max(bounds))
 
 
 def _replay(state: MasterState, points, rays=()):

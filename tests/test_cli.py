@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from ddu_ro import cli
-from ddu_ro.instances import io_read, io_write, t1, t1_infeasible
+from ddu_ro.instances import io_read, io_write, t1
 from ddu_ro.model import RunResult, instance_to_dict
+from toys import t1_infeasible
 
 
 @pytest.fixture

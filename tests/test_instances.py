@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ddu_ro import backend, instances
+from ddu_ro.backend import LinearModel
 from ddu_ro import (
     FLParams,
     PMedianParams,
@@ -29,11 +31,11 @@ from ddu_ro.instances import (
     check_schema,
     enumerate_vertices,
     recourse_value,
-    t1_infeasible,
-    worst_case_value,
+    worst_case_values,
 )
 from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance, RecourseSet,
-                          UncertaintySet, uncertainty_set_from_dict)
+                          UncertaintySet, add_first_stage, uncertainty_set_from_dict)
+from toys import t1_infeasible
 
 
 # expected values below were produced by this module's own enumeration oracle
@@ -64,7 +66,7 @@ def test_recourse_value_infeasible_is_inf():
 
 def test_worst_case_picks_the_cap():
     inst = t1()
-    wc, u = worst_case_value(inst, np.array([1.0]))
+    wc, u = worst_case_values(inst, [np.array([1.0])])[0]
     assert wc == pytest.approx(2.0)
     assert u[0] == pytest.approx(2.0)
 
@@ -425,10 +427,10 @@ def test_vertex_enumeration_limits_and_empty_sets():
         enumerate_vertices(singular, [0.0])
 
 
-# -- worst_case_value against the per-vertex loop ------------------------------
+# -- worst_case_values against the per-vertex loop -----------------------------
 
 def _worst_case_by_loop(inst, x, bases=None):
-    """Reference for worst_case_value: the recourse LP at every vertex of U(x)
+    """Reference for worst_case_values: the recourse LP at every vertex of U(x)
     in enumeration order, keeping the first strict maximum and stopping at the
     first vertex without recourse."""
     verts = enumerate_vertices(inst.U, x, bases=bases)
@@ -501,7 +503,7 @@ def test_worst_case_falls_back_to_the_loop_when_a_later_vertex_has_no_recourse(
     x = np.array([0.0])
     assert np.array_equal(enumerate_vertices(inst.U, x), [[2.0], [0.0]])
     calls = _count_recourse_calls(monkeypatch)
-    val, u = worst_case_value(inst, x)
+    val, u = worst_case_values(inst, [x])[0]
     assert val == np.inf and np.array_equal(u, [0.0])
     # the first vertex alone, then the loop over both
     assert [c[0] for c in calls] == [2.0, 2.0, 0.0]
@@ -514,7 +516,7 @@ def test_worst_case_stops_at_a_first_vertex_without_recourse(monkeypatch):
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [-1.0]], d=[0.0, -1.0],
                          c2=[1.0])
     calls = _count_recourse_calls(monkeypatch)
-    val, u = worst_case_value(inst, np.array([0.0]))
+    val, u = worst_case_values(inst, [np.array([0.0])])[0]
     assert val == np.inf and np.array_equal(u, [2.0])
     assert [c[0] for c in calls] == [2.0]
 
@@ -523,7 +525,7 @@ def test_worst_case_with_finite_recourse_solves_one_block_lp(monkeypatch):
     # y >= u at cost 1: one LP for the first vertex, one for both blocks
     inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0])
     calls = _count_recourse_calls(monkeypatch)
-    val, u = worst_case_value(inst, np.array([0.0]))
+    val, u = worst_case_values(inst, [np.array([0.0])])[0]
     assert val == pytest.approx(2.0) and np.array_equal(u, [2.0])
     assert len(calls) == 1
 
@@ -532,7 +534,7 @@ def test_worst_case_of_an_unbounded_recourse_is_minus_inf():
     # min -y over y >= u is unbounded at every vertex
     inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[-1.0])
     x = np.array([0.0])
-    val, u = worst_case_value(inst, x)
+    val, u = worst_case_values(inst, [x])[0]
     assert val == -np.inf and np.array_equal(u, [2.0])
     ref_val, ref_u = _worst_case_by_loop(inst, x)
     assert val == ref_val and np.array_equal(u, ref_u)
@@ -541,7 +543,7 @@ def test_worst_case_of_an_unbounded_recourse_is_minus_inf():
 def test_worst_case_with_integer_recourse_takes_the_loop():
     # 4 y >= u with y integer: y = 1 at u = 2, where the LP relaxation has 1/2
     inst = _interval_toy(B2=[[4.0]], E=[[-1.0]], d=[0.0], c2=[1.0], n_int_y=1)
-    val, u = worst_case_value(inst, np.array([0.0]))
+    val, u = worst_case_values(inst, [np.array([0.0])])[0]
     assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
 
 
@@ -655,6 +657,212 @@ def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     assert np.array_equal(res.worst_u, ref.worst_u)
     assert [(x.tolist(), v) for x, v in res.evaluations] == \
         [(x.tolist(), v) for x, v in ref.evaluations]
+
+
+# -- the completion of coupled continuous first stages --------------------------
+
+def _complete_by_loop(inst, run, coupled, sep, limits):
+    """Reference for _complete_continuous: one assignment at a time, a range
+    probe per coupled x and sense, then one LP per grid point."""
+    for x_int in run:
+        yield from _complete_one(inst, x_int, coupled, sep, limits)
+
+
+def _complete_one(inst, x_int, coupled, sep, limits):
+    X = inst.X
+    if X.n_int == inst.dim_x:
+        if np.all(X.A @ x_int >= X.b - 1e-9):
+            yield x_int.copy()
+        return
+    m = LinearModel(name="xfill")
+    ids = add_first_stage(m, inst)
+    for k in range(X.n_int):
+        m.fix_var(ids[k], x_int[k])
+    if coupled and not backend.solve_lp(m).is_optimal:
+        return
+    free = []
+    for k in coupled:
+        bounds = []
+        for sense in ("min", "max"):
+            m.set_objective({ids[k]: 1.0}, sense=sense)
+            out = backend.solve_lp(m)
+            if out.status == backend.UNBOUNDED:
+                raise OracleError(f"coupled x[{k}] unbounded over X")
+            if not out.is_optimal:
+                return
+            bounds.append(out.objective)
+        lo, hi = bounds
+        if hi - lo <= 1e-9 * max(1.0, abs(hi)):
+            m.fix_var(ids[k], 0.5 * (lo + hi))
+        else:
+            free.append((k, lo, hi))
+    if len(free) > 2:
+        raise OracleError(f"{len(free)} free coupled continuous dims exceed the grid limit")
+    m.set_objective({ids[k]: inst.c1[k] for k in sep})
+    grids = [np.linspace(lo, hi, limits.grid) for _, lo, hi in free]
+    for combo in itertools.product(*grids):
+        for (k, _, _), v in zip(free, combo):
+            m.fix_var(ids[k], float(v))
+        out = backend.solve_lp(m)
+        if out.status == backend.UNBOUNDED:
+            raise OracleError("separable continuous block unbounded below")
+        if out.is_optimal:
+            yield out.x
+
+
+def _oracle_output(res):
+    """Everything oracle_exact returns, as bytes where it is an array."""
+    return (res.value, res.x.tobytes(), res.worst_u.tobytes(),
+            [(x.tobytes(), v) for x, v in res.evaluations])
+
+
+def _by_loop(monkeypatch):
+    monkeypatch.setattr(instances, "_complete_continuous", _complete_by_loop)
+
+
+def _completions(monkeypatch, inst):
+    """The first stages oracle_exact hands to worst_case_values, as bytes;
+    its output is a function of them, so the worst cases are skipped."""
+    seen = []
+
+    def skipped(inst, xs, limits):
+        seen.extend(x.tobytes() for x in xs)
+        return [(0.0, np.zeros(inst.dim_u))] * len(xs)
+
+    monkeypatch.setattr(instances, "worst_case_values", skipped)
+    oracle_exact(inst)
+    return seen
+
+
+@pytest.mark.parametrize("dependence, seed", [
+    ("rhs", 0), ("rhs", 1), ("rhs", 2), ("rhs", 3), ("lhs", 0)])
+def test_completion_matches_the_per_grid_point_loop(monkeypatch, dependence, seed):
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=seed), dependence)
+    got = _completions(monkeypatch, inst)
+    _by_loop(monkeypatch)
+    assert len(got) == 64 and got == _completions(monkeypatch, inst)
+
+
+def test_a_run_of_coupled_assignments_shares_six_lps(monkeypatch):
+    # fl-rhs with 2 sites: 4 assignments, 2 coupled capacities, a 7 x 7 grid;
+    # one feasibility LP, a min and a max LP per capacity and one grid LP,
+    # where one assignment at a time took 84
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
+    lps = _record_lps(monkeypatch)
+    _completions(monkeypatch, inst)
+    assert lps == [("xfill", backend.OPTIMAL)] * 6
+    _by_loop(monkeypatch)
+    lps.clear()
+    _completions(monkeypatch, inst)
+    assert len(lps) == 84
+
+
+def _grid_toy(c1, ub3=1.0):
+    """One binary x0 and coupled x1, x2 in [0, 1] with x1 + x2 <= 3/2 + x0, so
+    the corner of the 7 x 7 grid has no completion at x0 = 0; x3 in [0, ub3]
+    is separable, and so is x4 in [0, 1]. The recourse y >= u + x1 + x2 pays
+    y over U = {0 <= u <= 1}."""
+    return Instance(
+        name="grid-toy", c1=c1,
+        X=FirstStageSet(A=[[1.0, -1.0, -1.0, 0.0, 0.0]], b=[-1.5], n_int=1,
+                        ub=[1.0, 1.0, 1.0, ub3, 1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=np.zeros((1, 5)),
+                         h=[1.0]),
+        Y=RecourseSet(B1=[[0.0, -1.0, -1.0, 0.0, 0.0]], B2=[[1.0]], E=[[-1.0]],
+                      d=[0.0], c2=[1.0]))
+
+
+def test_a_grid_point_without_completion_narrows_the_grid_lp(monkeypatch):
+    inst = _grid_toy([1.0, -0.5, -2.0, 1.0, -1.0])
+    lps = _record_lps(monkeypatch)
+    res = oracle_exact(inst)
+    fills = [status for name, status in lps if name == "xfill"]
+    # feasibility and 4 probes, the run's grid LP, x0 = 0's grid LP, then its
+    # 49 points one by one (6 without completion), and x0 = 1's grid LP
+    assert fills[:5] == [backend.OPTIMAL] * 5
+    assert fills[5] != backend.OPTIMAL and fills[6] != backend.OPTIMAL
+    assert sorted(fills[7:56], key=str) == sorted(
+        [backend.OPTIMAL] * 43 + [backend.INFEASIBLE] * 6, key=str)
+    assert fills[56:] == [backend.OPTIMAL]
+    assert len(res.evaluations) == 43 + 49
+    got = _oracle_output(res)
+    _by_loop(monkeypatch)
+    assert got == _oracle_output(oracle_exact(inst))
+
+
+@pytest.mark.parametrize("make, message", [
+    # x3 in B1 as well, unbounded above
+    (lambda: _with_coupled_x3(_grid_toy([0.0] * 5, ub3=np.inf)),
+     r"coupled x\[3\] unbounded over X"),
+    # x3 in B1 as well, bounded: three free coupled x at both assignments
+    (lambda: _with_coupled_x3(_grid_toy([0.0] * 5)), "3 free coupled"),
+    # x3 separable and unbounded below
+    (lambda: _grid_toy([0.0, 0.0, 0.0, -1.0, 0.0], ub3=np.inf),
+     "separable continuous block unbounded below"),
+], ids=["coupled-unbounded", "three-free", "separable-unbounded"])
+def test_the_completion_raises_what_the_loop_raises(monkeypatch, make, message):
+    with pytest.raises(OracleError, match=message) as got:
+        oracle_exact(make())
+    _by_loop(monkeypatch)
+    with pytest.raises(OracleError) as ref:
+        oracle_exact(make())
+    assert str(got.value) == str(ref.value)
+
+
+def _with_coupled_x3(inst):
+    inst.Y.B1[0, 3] = -1.0
+    return inst
+
+
+def test_an_assignment_with_three_free_dims_narrows_in_order(monkeypatch):
+    # x3 <= x0 pins x3 at x0 = 0, so only x0 = 1 leaves three coupled x free:
+    # the run narrows, x0 = 0 is completed alone, then x0 = 1 raises
+    toy = _with_coupled_x3(_grid_toy([0.0] * 5))
+    inst = dataclasses.replace(toy, X=dataclasses.replace(
+        toy.X, A=np.vstack([toy.X.A, [1.0, 0.0, 0.0, -1.0, 0.0]]), b=[-1.5, 0.0]))
+    args = ([np.zeros(1), np.ones(1)], [1, 2, 3], [4], OracleLimits())
+    seen = {}
+    for complete in (instances._complete_continuous, _complete_by_loop):
+        seen[complete] = []
+        with pytest.raises(OracleError, match="3 free coupled"):
+            for x in complete(inst, *args):
+                seen[complete].append(x.tobytes())
+    got = [np.frombuffer(x) for x in seen[instances._complete_continuous]]
+    assert len(got) == 43 and all(x[0] == 0.0 and x[3] == 0.0 for x in got)
+    assert seen[instances._complete_continuous] == seen[_complete_by_loop]
+
+
+@pytest.mark.parametrize("budget, n_fills", [
+    # fl-rhs with 2 sites: 4 assignments of 49 grid copies of a 4 x 4 X.A
+    (4 * 49 * 16, 6),          # one run
+    (4 * 49 * 16 - 1, 6 + 6),  # a run of 3 and a run of 1
+    (1, 4 * 6),                # one assignment per run
+])
+def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills):
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
+    ref = _completions(monkeypatch, inst)
+    monkeypatch.setattr(instances, "_BLOCK_ENTRIES", budget)
+    lps = _record_lps(monkeypatch)
+    assert _completions(monkeypatch, inst) == ref
+    assert len(lps) == n_fills
+
+
+def test_each_distinct_matrix_is_swept_once(monkeypatch):
+    # fl-lhs: F(x) follows the capacities; 64 first stages share 19 matrices,
+    # and both passes of worst_case_values reuse the one sweep of each
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
+    sweeps = []
+    original = instances._nonsingular_bases
+
+    def counted(A, chunk):
+        sweeps.append(A.tobytes())
+        return original(A, chunk)
+
+    monkeypatch.setattr(instances, "_nonsingular_bases", counted)
+    res = oracle_exact(inst)
+    distinct = {inst.U.F.evaluate(x).tobytes() for x, _ in res.evaluations}
+    assert len(res.evaluations) == 64 and len(distinct) == 19
+    assert len(sweeps) == len(set(sweeps)) == 19
 
 
 def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():

@@ -18,8 +18,8 @@ from ddu_ro import (
     t1,
     validate,
 )
-from ddu_ro.instances import t1_infeasible
 from ddu_ro.model import IterationRecord, RunResult
+from toys import t1_infeasible
 
 
 def test_affine_map_constant_when_no_terms():

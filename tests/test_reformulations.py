@@ -5,7 +5,7 @@ import pytest
 
 from ddu_ro import backend
 from ddu_ro.instances import (enumerate_vertices, oracle_exact, recourse_value,
-                              worst_case_value)
+                              worst_case_values)
 from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance,
                           RecourseSet, UncertaintySet)
 from ddu_ro.reformulations import neutralize, normalize, order_switch
@@ -89,7 +89,7 @@ def test_neutralize_all_masks_off_is_the_nominal_recourse():
     out = neutralize(inst)
     x = np.array([1.0, 1.0, 0.0, 0.0])
     nominal, _ = recourse_value(inst, x, np.zeros(2))
-    wc, _ = worst_case_value(out.instance, x)
+    wc, _ = worst_case_values(out.instance, [x])[0]
     assert wc == pytest.approx(nominal)
 
 
@@ -97,8 +97,8 @@ def test_neutralize_all_masks_on_matches_the_original():
     inst = _interdiction()
     out = neutralize(inst)
     x = np.array([0.0, 0.0, 1.0, 1.0])
-    wc_orig, _ = worst_case_value(inst, x)
-    wc_ref, _ = worst_case_value(out.instance, x)
+    wc_orig, _ = worst_case_values(inst, [x])[0]
+    wc_ref, _ = worst_case_values(out.instance, [x])[0]
     assert wc_ref == pytest.approx(wc_orig)
     assert wc_orig == pytest.approx(4.0)
 
@@ -180,8 +180,8 @@ def test_normalize_pinned_interval_is_deterministic():
     out = normalize(inst, [0, 1], [2, 3])
     x = np.array([1.0, 2.0, 1.0, 2.0])
     at_point, _ = recourse_value(inst, x, np.array([1.0, 2.0]))
-    wc_orig, _ = worst_case_value(inst, x)
-    wc_ref, _ = worst_case_value(out.instance, x)
+    wc_orig, _ = worst_case_values(inst, [x])[0]
+    wc_ref, _ = worst_case_values(out.instance, [x])[0]
     assert wc_orig == pytest.approx(at_point)
     assert wc_ref == pytest.approx(at_point)
 
