@@ -386,172 +386,175 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                          elapsed_s=time.monotonic() - t0, variant=config.variant,
                          meta=meta)
 
-    # the deterministic relaxation settles infeasibility up front, floors the
-    # first bound, and anchors the stabilized cut selection
-    det_model, det_ids = build_deterministic_mip(inst, config.big_M)
-    det = backend.solve(det_model, time_limit=config.time_limit_s)
-    if det.status == backend.INFEASIBLE:
-        meta["reason"] = "deterministic relaxation infeasible"
-        return done("Infeasible")
-    if det.status == backend.TIME_LIMIT:
-        meta["reason"] = "wall clock"
-        return done("TimeLimit")
-    if det.status != backend.OPTIMAL:
-        raise BackendError(f"deterministic relaxation ended {det.status}; "
-                           "the robust value has no finite floor")
-    x0 = np.array([det.x[j] for j in det_ids["x"]])
-    meta["relaxation_value"] = lb = float(det.objective)
-
-    seen_x: list[np.ndarray] = []
-    derived_points: list[np.ndarray] = []
-    derived_rays: list[np.ndarray] = []
-    prev_us: np.ndarray | None = None
-    u_mid: np.ndarray | None = None
-    t = 0
-
     def out_of_time(what: str) -> RunResult:
         meta["reason"] = f"{what} hit the wall clock"
         return done("TimeLimit")
 
-    def budget() -> float:
-        return max(config.time_limit_s - (time.monotonic() - t0), 0.01)
-
-    def record(cut_kind: str, seed_id: str) -> None:
-        records.append(IterationRecord(
-            t=t, lb=float(lb), ub=float(ub), gap=relative_gap(lb, ub),
-            elapsed_s=time.monotonic() - t0, cut_kind=cut_kind, seed_id=seed_id))
-
-    def gap_status() -> str | None:
-        gap = relative_gap(lb, ub)
-        if gap > stop_tol:
-            return None
-        return "Optimal" if gap <= _OPT_GAP else "GapReached"
-
-    def closure(what: str) -> RunResult:
-        # a repeated seed proves the bounds met in the exact loop; anywhere
-        # else, or when they visibly did not, the honest report is Stalled
-        nonlocal lb
-        meta["reason"] = f"repeated {what}"
-        if mode == "exact" and relative_gap(lb, ub) <= 1e-6:
-            lb = ub
-        record("none", f"repeat-{what}")
-        return done(gap_status() or "Stalled")
-
-    while True:
-        t += 1
-        remaining = config.time_limit_s - (time.monotonic() - t0)
-        if remaining <= 0:
+    try:
+        # the deterministic relaxation settles infeasibility up front, floors the
+        # first bound, and anchors the stabilized cut selection
+        det_model, det_ids = build_deterministic_mip(inst, config.big_M)
+        det = backend.solve(det_model, time_limit=config.time_limit_s)
+        if det.status == backend.INFEASIBLE:
+            meta["reason"] = "deterministic relaxation infeasible"
+            return done("Infeasible")
+        if det.status == backend.TIME_LIMIT:
             meta["reason"] = "wall clock"
             return done("TimeLimit")
+        if det.status != backend.OPTIMAL:
+            raise BackendError(f"deterministic relaxation ended {det.status}; "
+                               "the robust value has no finite floor")
+        x0 = np.array([det.x[j] for j in det_ids["x"]])
+        meta["relaxation_value"] = lb = float(det.objective)
 
-        out = backend.solve(state.model, time_limit=remaining)
-        if out.status == backend.INFEASIBLE:
-            # feasibility cutting sets exclude every first stage
-            meta["reason"] = "master infeasible"
-            record("none", "master-infeasible")
-            ub, incumbent = np.inf, None
-            return done("Infeasible")
-        if out.status == backend.TIME_LIMIT:
-            return out_of_time("master")
-        if out.status != backend.OPTIMAL:
-            raise BackendError(f"master solve ended {out.status}")
-        # HiGHS stops at a relative MIP gap, so the incumbent may overstate
-        # the master's value; its dual bound does not
-        lb = max(lb, float(out.objective if out.bound is None else out.bound))
-        x_star = np.array([out.x[j] for j in state.x_ids])
-        x_star[:inst.X.n_int] = np.round(x_star[:inst.X.n_int])
+        seen_x: list[np.ndarray] = []
+        derived_points: list[np.ndarray] = []
+        derived_rays: list[np.ndarray] = []
+        prev_us: np.ndarray | None = None
+        u_mid: np.ndarray | None = None
+        t = 0
 
-        if _vector_seen(seen_x, x_star,
-                        tol=_X_REPEAT_TOL * max(1.0, float(np.abs(x_star).max()))):
-            return closure("first-stage")
-        seen_x.append(x_star)
+        def budget() -> float:
+            return max(config.time_limit_s - (time.monotonic() - t0), 0.01)
 
-        r1 = sp1(inst, x_star, M=config.big_M, time_limit=budget())
-        if r1.status == backend.TIME_LIMIT:
-            return out_of_time("feasibility subproblem")
+        def record(cut_kind: str, seed_id: str) -> None:
+            records.append(IterationRecord(
+                t=t, lb=float(lb), ub=float(ub), gap=relative_gap(lb, ub),
+                elapsed_s=time.monotonic() - t0, cut_kind=cut_kind, seed_id=seed_id))
 
-        if r1.value <= feas_tol:
-            remaining = budget()
-            solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
-            r2 = solve_sp2(inst, x_star, M=config.big_M, time_limit=remaining)
-            if r2.status == backend.TIME_LIMIT:
-                return out_of_time("worst-case subproblem")
-            if r2.status != backend.OPTIMAL:
-                raise BackendError(f"worst-case subproblem ended {r2.status}")
-            pi_star = r2.pi
+        def gap_status() -> str | None:
+            gap = relative_gap(lb, ub)
+            if gap > stop_tol:
+                return None
+            return "Optimal" if gap <= _OPT_GAP else "GapReached"
 
-            if mode == "mip":
-                try:
-                    _, y_full = recourse_mip_at(inst, x_star, r2.u,
-                                                time_limit=remaining)
-                except BackendError:
-                    y_full = None  # not relatively complete at this scenario
-                if y_full is not None:
-                    y_d = np.round(y_full[:inst.Y.n_int_y])
-                    s4 = sp4(inst, x_star, y_d, M=config.big_M,
-                             time_limit=remaining)
-                    if s4.status == backend.TIME_LIMIT:
-                        return out_of_time("frozen-recourse subproblem")
-                    if s4.status not in (backend.OPTIMAL, backend.UNBOUNDED):
-                        raise BackendError(f"frozen-recourse subproblem ended "
-                                           f"{s4.status}")
-                    if np.isfinite(s4.value) and float(inst.c1 @ x_star) + s4.value < ub:
-                        ub = float(inst.c1 @ x_star) + s4.value
-                        incumbent = x_star
-            else:
-                cand = float(inst.c1 @ x_star) + r2.value
-                if cand < ub:
-                    ub = cand
-                    incumbent = x_star
+        def closure(what: str) -> RunResult:
+            # a repeated seed proves the bounds met in the exact loop; anywhere
+            # else, or when they visibly did not, the honest report is Stalled
+            nonlocal lb
+            meta["reason"] = f"repeated {what}"
+            if mode == "exact" and relative_gap(lb, ub) <= 1e-6:
+                lb = ub
+            record("none", f"repeat-{what}")
+            return done(gap_status() or "Stalled")
 
-            status = gap_status()
-            if status is not None:
-                record("none", "gap")
-                return done(status)
+        while True:
+            t += 1
+            remaining = config.time_limit_s - (time.monotonic() - t0)
+            if remaining <= 0:
+                meta["reason"] = "wall clock"
+                return done("TimeLimit")
 
-            beta = pi_star
-            pareto = config.pareto and mode == "exact"
-            if pareto:
-                if u_mid is None:
+            out = backend.solve(state.model, time_limit=remaining)
+            if out.status == backend.INFEASIBLE:
+                # feasibility cutting sets exclude every first stage
+                meta["reason"] = "master infeasible"
+                record("none", "master-infeasible")
+                ub, incumbent = np.inf, None
+                return done("Infeasible")
+            if out.status == backend.TIME_LIMIT:
+                return out_of_time("master")
+            if out.status != backend.OPTIMAL:
+                raise BackendError(f"master solve ended {out.status}")
+            # HiGHS stops at a relative MIP gap, so the incumbent may overstate
+            # the master's value; its dual bound does not
+            lb = max(lb, float(out.objective if out.bound is None else out.bound))
+            x_star = np.array([out.x[j] for j in state.x_ids])
+            x_star[:inst.X.n_int] = np.round(x_star[:inst.X.n_int])
+
+            if _vector_seen(seen_x, x_star,
+                            tol=_X_REPEAT_TOL * max(1.0, float(np.abs(x_star).max()))):
+                return closure("first-stage")
+            seen_x.append(x_star)
+
+            r1 = sp1(inst, x_star, M=config.big_M, time_limit=budget())
+            if r1.status == backend.TIME_LIMIT:
+                return out_of_time("feasibility subproblem")
+
+            if r1.value <= feas_tol:
+                remaining = budget()
+                solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
+                r2 = solve_sp2(inst, x_star, M=config.big_M, time_limit=remaining)
+                if r2.status == backend.TIME_LIMIT:
+                    return out_of_time("worst-case subproblem")
+                if r2.status != backend.OPTIMAL:
+                    raise BackendError(f"worst-case subproblem ended {r2.status}")
+                pi_star = r2.pi
+
+                if mode == "mip":
                     try:
-                        u_mid = _u_box_midpoint(inst, x0, budget())
-                    except SolveTimeLimit:
-                        return out_of_time("core scenario probe")
-                u_ref = prev_us if prev_us is not None else u_mid
-                pol = sp2_pareto_lp(inst, x0, u_ref, x_star, r2.u, r2.value,
-                                    time_limit=remaining)
-                if not pol.used_fallback:
-                    beta = pol.pi
-            prev_us = r2.u
+                        _, y_full = recourse_mip_at(inst, x_star, r2.u,
+                                                    time_limit=remaining)
+                    except BackendError:
+                        y_full = None  # not relatively complete at this scenario
+                    if y_full is not None:
+                        y_d = np.round(y_full[:inst.Y.n_int_y])
+                        s4 = sp4(inst, x_star, y_d, M=config.big_M,
+                                 time_limit=remaining)
+                        if s4.status == backend.TIME_LIMIT:
+                            return out_of_time("frozen-recourse subproblem")
+                        if s4.status not in (backend.OPTIMAL, backend.UNBOUNDED):
+                            raise BackendError(f"frozen-recourse subproblem ended "
+                                               f"{s4.status}")
+                        if np.isfinite(s4.value) and float(inst.c1 @ x_star) + s4.value < ub:
+                            ub = float(inst.c1 @ x_star) + s4.value
+                            incumbent = x_star
+                else:
+                    cand = float(inst.c1 @ x_star) + r2.value
+                    if cand < ub:
+                        ub = cand
+                        incumbent = x_star
 
-            # a stabilized seed is as good as pi* at x*, so one already cut
-            # in makes the master bound tight there and the gap stop above
-            # fires; only an unstabilized repeat needs this check
-            if not pareto and _vector_seen(derived_points, pi_star):
-                return closure("dual-point")
-            derived_points.append(pi_star)
-            # sp2 reports no basis when U has integer coordinates
-            is_ray, basis = False, getattr(r2.basis_result, "basis", None)
-        else:
-            r3 = sp3(inst, x_star, r1.u, time_limit=budget())
-            if r3.status == backend.TIME_LIMIT:
-                return out_of_time("feasibility ray subproblem")
-            beta = r3.ray
-            if _vector_seen(derived_rays, beta):
-                return closure("dual-ray")
-            derived_rays.append(beta)
-            is_ray, basis = True, None
+                status = gap_status()
+                if status is not None:
+                    record("none", "gap")
+                    return done(status)
 
-        try:
+                beta = pi_star
+                pareto = config.pareto and mode == "exact"
+                if pareto:
+                    if u_mid is None:
+                        try:
+                            u_mid = _u_box_midpoint(inst, x0, budget())
+                        except SolveTimeLimit:
+                            return out_of_time("core scenario probe")
+                    u_ref = prev_us if prev_us is not None else u_mid
+                    pol = sp2_pareto_lp(inst, x0, u_ref, x_star, r2.u, r2.value,
+                                        time_limit=remaining)
+                    if not pol.used_fallback:
+                        beta = pol.pi
+                prev_us = r2.u
+
+                # a stabilized seed is as good as pi* at x*, so one already cut
+                # in makes the master bound tight there and the gap stop above
+                # fires; only an unstabilized repeat needs this check
+                if not pareto and _vector_seen(derived_points, pi_star):
+                    return closure("dual-point")
+                derived_points.append(pi_star)
+                # sp2 reports no basis when U has integer coordinates
+                is_ray, basis = False, getattr(r2.basis_result, "basis", None)
+            else:
+                r3 = sp3(inst, x_star, r1.u, time_limit=budget())
+                if r3.status == backend.TIME_LIMIT:
+                    return out_of_time("feasibility ray subproblem")
+                beta = r3.ray
+                if _vector_seen(derived_rays, beta):
+                    return closure("dual-ray")
+                derived_rays.append(beta)
+                is_ray, basis = True, None
+
             step = state.cut(x_star, beta, is_ray, budget, basis)
-        except SolveTimeLimit as probe:
-            return out_of_time(str(probe))
-        if step is None:
-            return closure("basis")
-        record(*step)
-        if config.max_iterations is not None and t >= config.max_iterations:
-            meta["reason"] = "iteration cap"
-            return done("Stalled")
+            if step is None:
+                return closure("basis")
+            record(*step)
+            if config.max_iterations is not None and t >= config.max_iterations:
+                meta["reason"] = "iteration cap"
+                return done("Stalled")
+    except SolveTimeLimit as exc:
+        return out_of_time(str(exc))
+    except BackendError as exc:
+        meta["reason"] = str(exc)
+        return done("Numerical")
 
 
 def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,

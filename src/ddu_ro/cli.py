@@ -8,7 +8,7 @@ never leave half-written JSON or CSV behind. Exit codes are a contract:
 * 3: wall clock or stall ended the run before the gap closed
 * 5: compared variants disagree beyond tolerance
 * 64: bad command line
-* 1: any other error
+* 1: any other error, a run that ends Numerical included
 """
 
 import argparse
@@ -184,7 +184,7 @@ def cmd_compare(args) -> int:
     print("\n".join(lines))
 
     finished = [float(r[2]) for r in rows if r[1] == "Optimal"]
-    if not finished and all(r[1] == "Error" for r in rows):
+    if not finished and all(r[1] in ("Error", "Numerical") for r in rows):
         return 1
     if finished:
         lo, hi = min(finished), max(finished)

@@ -7,12 +7,12 @@ pinned, gridded, or optimized out, see oracle_exact), takes the worst
 recourse value over the vertices of U(x), and then the min over x. The
 vertices come from solving every nonsingular basis system of the standard
 form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
-call finds them once per distinct F(x), in 2e7-entry chunks, and keeps such a
-table only while a first stage with that F(x) is left to enumerate (see
-worst_case_values). The LPs are batched, one block-diagonal LP per run of
-first stages: a run of integer assignments shares its feasibility LP, its
-range probes of the coupled continuous x and one LP over every (assignment,
-grid point), and a run of first stages shares its recourse LPs. An
+call finds them once per distinct F(x), in 2e7-entry chunks, and takes the
+first stages one F(x), so one such table, at a time. The LPs are batched, one
+block-diagonal LP per run: a run of integer assignments shares its
+feasibility LP, its range probes of the coupled continuous x and one LP over
+every (assignment, grid point); a run of first stages shares one shortfall LP,
+which finds the (x, vertex) pairs without recourse, and its recourse LPs. An
 assignment, grid point or first stage gets LPs of its own only where a block
 LP is not Optimal (see _complete_continuous and worst_case_values). It shares
 nothing with the cutting-plane machinery beyond the LP/MIP primitives.
@@ -20,7 +20,6 @@ nothing with the cutting-plane machinery beyond the LP/MIP primitives.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import math
@@ -231,60 +230,47 @@ def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
     raise backend.BackendError(f"recourse solve ended {out.status}")
 
 
-# matrix entries (rows x columns) of the blocks one block-diagonal LP holds at
-# most; its model is built in Python, so this bounds the memory it takes
+# matrix entries (rows x columns) of the B2 blocks one block-diagonal LP holds
+# at most; its model is built in Python, so this bounds the memory it takes
 _BLOCK_ENTRIES = 1e5
+
+# a pair (x, u) whose least shortfall exceeds this times max(1, |d - B1 x -
+# E u|_inf) has no recourse; HiGHS holds rows to an absolute 1e-7, so a
+# smaller positive shortfall is left to recourse_value
+_SHORTFALL_TOL = 1e-3
 
 
 def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None
                       ) -> list[tuple[float, np.ndarray]]:
     """For every x in xs, the max over the vertices of U(x) of the recourse
     value, with the first vertex (in enumerate_vertices order) that attains
-    it.
+    it. The x are taken one distinct F(x), so one basis table, at a time.
 
-    For continuous u the first vertex of every U(x) is found first, by
-    solving the nonsingular bases in slices of 64 until one is feasible, and
-    one block LP checks their recourse. When it is not Optimal, an x whose
-    first vertex has none is worth (inf, that vertex) and is not enumerated
-    (so limits.max_vertices does not apply to it). _worst_vertices values
-    every other x, in runs of at most _BLOCK_ENTRIES entries; a run of one x,
-    and integer y, take the LPs of one x at once. Each distinct F(x) gets one
-    basis memo, which both passes share and which is dropped once no x left
-    to enumerate has that F(x), so its bases are swept once.
+    For continuous u the first vertex of every U(x) is found by solving the
+    nonsingular bases in slices of 64 until one is feasible, and _no_recourse
+    finds those without recourse: such an x is worth (inf, that vertex) and
+    is not enumerated (so limits.max_vertices does not apply to it).
+    _worst_vertices values the other x, in runs of _BLOCK_ENTRIES entries.
     """
     limits = limits or OracleLimits()
     xs = [np.asarray(x, dtype=float) for x in xs]
-    keys = [inst.U.F.evaluate(x).tobytes() for x in xs]
-    memos = {key: {} for key in keys}
-    left = collections.Counter(keys)
-
-    def release(i):
-        left[keys[i]] -= 1
-        if not left[keys[i]]:
-            del memos[keys[i]]
-
+    groups: dict[bytes, list[int]] = {}
+    for i, x in enumerate(xs):
+        groups.setdefault(inst.U.F.evaluate(x).tobytes(), []).append(i)
     cap = 1 if inst.Y.n_int_y else max(1, int(_BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
     out: dict[int, tuple[float, np.ndarray]] = {}
-    if not inst.U.n_int_u and inst.U.n_rows:
-        firsts = ((i, next((u[:1] for u in _basic_vertices(
-            inst.U, x, limits, memos[keys[i]], 64) if len(u)), None)) for i, x in enumerate(xs))
-        for run in _runs([(i, u) for i, u in firsts if u is not None], cap):
-            if len(run) > 1 and _block_recourse_values(
-                    inst, [(xs[i], u) for i, u in run]) is not None:
-                continue
-            for i, u in run:
-                if recourse_value(inst, xs[i], u[0])[0] == np.inf:
-                    out[i] = (np.inf, u[0])
-                    release(i)
-
-    def vertices(i):
-        verts = enumerate_vertices(inst.U, xs[i], limits, memos[keys[i]])
-        release(i)
-        return verts
-
-    todo = [i for i in range(len(xs)) if i not in out]
-    runs = _runs(((xs[i], vertices(i)) for i in todo), cap, size=lambda item: len(item[1]))
-    out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
+    for group in groups.values():
+        bases: dict = {}        # the table of this F(x) only
+        if not inst.U.n_int_u and inst.U.n_rows:
+            firsts = ((i, next((u[:1] for u in _basic_vertices(
+                inst.U, xs[i], limits, bases, 64) if len(u)), None)) for i in group)
+            for run in _runs([(i, u) for i, u in firsts if u is not None], cap):
+                missing = _no_recourse(inst, [(xs[i], u) for i, u in run])
+                out.update((i, (np.inf, u[0])) for (i, u), m in zip(run, missing) if m[0])
+        todo = [i for i in group if i not in out]
+        runs = _runs(((xs[i], enumerate_vertices(inst.U, xs[i], limits, bases)) for i in todo),
+                     cap, size=lambda item: len(item[1]))
+        out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
     return [out[i] for i in range(len(xs))]
 
 
@@ -302,17 +288,26 @@ def _runs(items, cap: int, size=lambda item: 1):
         yield run
 
 
-def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:
+def _worst_vertices(inst: Instance, run: list, shortfall: bool = True
+                    ) -> list[tuple[float, np.ndarray]]:
     """For every (x, verts) of run, the largest recourse value over verts and
-    the first vertex that attains it: from one block LP over every pair, and
-    when it is not Optimal (a later vertex has no recourse, or the recourse
-    is unbounded) from each x alone, then vertex by vertex. Integer y takes
-    the per-vertex loop, since a MIP gap on the sum does not bound each block."""
+    the first vertex that attains it, from one block LP over every pair. When
+    it is not Optimal, a shortfall LP (_no_recourse) finds each x with a vertex
+    without recourse, worth (inf, its first such vertex), and the others share
+    one block LP again; one that still fails (unbounded recourse, numerical
+    trouble) narrows to each x alone, then to each vertex. Integer y takes the
+    per-vertex loop, since a MIP gap on the sum does not bound each block."""
     vals = None if inst.Y.n_int_y else _block_recourse_values(inst, run)
     if vals is not None:
         return [(float(p.max()), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
+    missing = _no_recourse(inst, run) if shortfall and not inst.Y.n_int_y else []
+    if any(m.any() for m in missing):
+        rest = [item for item, m in zip(run, missing) if not m.any()]
+        found = iter(_worst_vertices(inst, rest, shortfall=False) if rest else [])
+        return [(np.inf, v[int(np.argmax(m))]) if m.any() else next(found)
+                for (_, v), m in zip(run, missing)]
     if len(run) > 1:
-        return [w for item in run for w in _worst_vertices(inst, [item])]
+        return [w for item in run for w in _worst_vertices(inst, [item], shortfall=False)]
     [(x, verts)] = run
     best, best_u = -np.inf, verts[0]
     for u in verts:
@@ -324,22 +319,54 @@ def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]
     return [(best, best_u)]
 
 
-def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None:
+def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
+    """For every (x, verts) of run, a mask of the vertices without recourse,
+    from one shortfall LP (see _block_recourse_values): a shortfall above
+    _SHORTFALL_TOL, or a smaller positive one where recourse_value finds none.
+    recourse_value decides every pair for integer y, when the LP is not
+    Optimal, and when it finds recourse at the LP's first pair above
+    _SHORTFALL_TOL, which it audits."""
+    gaps = None if inst.Y.n_int_y else _block_recourse_values(inst, run, shortfall=True)
+    audit = next(((x, verts[k]) for (x, verts), gap in zip(run, gaps or [])
+                  for k in np.flatnonzero(gap > _SHORTFALL_TOL)), None)
+    if gaps is None or audit is not None and recourse_value(inst, *audit)[0] != np.inf:
+        return [np.array([recourse_value(inst, x, u)[0] == np.inf for u in verts])
+                for x, verts in run]
+    missing = [gap > _SHORTFALL_TOL for gap in gaps]
+    for (x, verts), gap, miss in zip(run, gaps, missing):
+        for k in np.flatnonzero((gap > 0.0) & ~miss):
+            miss[k] = recourse_value(inst, x, verts[k])[0] == np.inf
+    return missing
+
+
+def _block_recourse_values(inst: Instance, run: list, shortfall: bool = False
+                           ) -> list[np.ndarray] | None:
     """For every (x, verts) of run, the values c2'y_k at its vertices u_k, from
     one LP holding a copy y_k of the (continuous) recourse with the rows
-    B2 y_k >= d - B1 x - E u_k per pair; None unless that LP is Optimal."""
+    B2 y_k >= r_k = d - B1 x - E u_k per pair; None unless that LP is Optimal.
+
+    With shortfall the rows read B2 y_k + s_k >= r_k, s_k >= 0, the LP
+    minimizes the sum of every s_k, and the values are each pair's least
+    shortfall (the copies are independent) over max(1, |r_k|_inf).
+    """
     Y = inst.Y
     xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
     verts = np.vstack([v for _, v in run])
-    m = LinearModel(name="recourse_block")
+    rhs = Y.d - xs @ Y.B1.T - verts @ Y.E.T
+    n_s = Y.n_rows if shortfall else 0
+    m = LinearModel(name="recourse_shortfall" if shortfall else "recourse_block")
     ys = [m.add_vars(Y.dim, prefix=f"y{k}_") for k in range(len(verts))]
-    for y, r in zip(ys, Y.d - xs @ Y.B1.T - verts @ Y.E.T):
-        m.add_block(y, Y.B2, GEQ, r)
-    m.set_objective({j: c for y in ys for j, c in zip(y, Y.c2) if c != 0.0})
+    ss = [m.add_vars(n_s, prefix=f"s{k}_") for k in range(len(verts))]
+    for y, s, r in zip(ys, ss, rhs):
+        m.add_rows([(y, Y.B2), (s, np.eye(Y.n_rows, n_s))], GEQ, r)
+    m.set_objective({j: 1.0 for s in ss for j in s} if shortfall else
+                    {j: c for y in ys for j, c in zip(y, Y.c2) if c != 0.0})
     out = backend.solve_lp(m)
     if not out.is_optimal:
         return None
-    vals = out.x.reshape(len(verts), Y.dim) @ Y.c2
+    y, s = np.split(out.x, [len(verts) * Y.dim])
+    vals = (s.reshape(len(verts), n_s).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
+        axis=1, initial=0.0)) if shortfall else y.reshape(len(verts), Y.dim) @ Y.c2)
     return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])
 
 

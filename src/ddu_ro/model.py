@@ -229,7 +229,7 @@ class IterationRecord:
 
 @dataclass
 class RunResult:
-    status: str                       # Optimal/Infeasible/GapReached/TimeLimit/Stalled
+    status: str         # Optimal/Infeasible/GapReached/TimeLimit/Stalled/Numerical
     objective: float | None = None
     x: np.ndarray | None = None
     lb: float = -np.inf

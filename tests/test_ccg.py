@@ -35,6 +35,7 @@ PM5_PAIR_W = 14320.768922448526  # oracle value of pm_pair5 (5 sites, p = 2)
 
 FL2 = dict(n_sites=2, seed=1, capacity_lower_frac=1.5, capacity_upper_frac=1.5)
 FL2_MIP_W = -52261.99993668124
+FL_MIP3 = dict(n_sites=3, seed=0, capacity_lower_frac=1.5, capacity_upper_frac=1.5)
 
 
 def _flt() -> Instance:
@@ -652,6 +653,48 @@ def test_core_scenario_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.meta["reason"] == "core scenario probe hit the wall clock"
     assert res.x == pytest.approx([0.0])
     assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
+
+
+@pytest.mark.parametrize("error, status, reason", [
+    (backend.BackendError("audit failed"), "Numerical", "audit failed"),
+    (SolveTimeLimit("a probe"), "TimeLimit", "a probe hit the wall clock"),
+], ids=["backend-error", "time-limit"])
+def test_an_error_in_a_subproblem_keeps_bounds_and_incumbent(monkeypatch, error,
+                                                              status, reason):
+    real_sp2 = ccg.sp2
+    calls = []
+
+    def second_call_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= 2:
+            raise error
+        return real_sp2(*args, **kwargs)
+
+    monkeypatch.setattr(ccg, "sp2", second_call_raises)
+    res = run(_diu_box(), AlgorithmConfig(variant="parametric", tol=0.0))
+    assert len(calls) == 2
+    assert res.status == status and res.meta["reason"] == reason
+    assert res.x is not None and np.isfinite(res.ub)
+    assert res.lb <= 2.4 + 1e-9 <= res.ub + 1e-9
+
+
+def test_a_value_error_in_a_subproblem_leaves_run(monkeypatch):
+    def malformed(*args, **kwargs):
+        raise ValueError("malformed")
+
+    monkeypatch.setattr(ccg, "sp2", malformed)
+    with pytest.raises(ValueError, match="malformed"):
+        run(_diu_box(), AlgorithmConfig(variant="parametric"))
+
+
+def test_m_too_small_ends_numerical():
+    # fl_mip3 at big_M 1e4: sp4's optimality system is infeasible in the
+    # first iteration, which used to raise out of run
+    res = run(gen_mip_recourse_fl(FLParams(**FL_MIP3)),
+              AlgorithmConfig(mip_recourse_mode=True, big_M=1e4))
+    assert res.status == "Numerical" and "M too small" in res.meta["reason"]
+    assert res.lb == res.meta["relaxation_value"] and res.ub == np.inf
+    assert res.x is None
 
 
 def test_config_rejects_bad_combinations():

@@ -62,6 +62,35 @@ def test_solve_subproblem_time_limit_exits_three(t1_path, tmp_path, monkeypatch)
     assert payload["lb"] is not None
 
 
+@pytest.fixture
+def fl_mip3_path(tmp_path):
+    # sp4 finds big_M 1e4 too small in the first iteration, so the run ends
+    # Numerical
+    from ddu_ro.instances import FLParams, gen_mip_recourse_fl
+    path = tmp_path / "fl_mip3.json"
+    io_write(str(path), gen_mip_recourse_fl(FLParams(
+        n_sites=3, seed=0, capacity_lower_frac=1.5, capacity_upper_frac=1.5)))
+    return str(path)
+
+
+def test_solve_numerical_exits_one_with_the_run(fl_mip3_path, tmp_path):
+    out = str(tmp_path / "num")
+    assert cli.main(["solve", fl_mip3_path, "--mip-recourse", "--out", out]) == 1
+    payload = json.loads(Path(out, "run.json").read_text())
+    assert payload["status"] == "Numerical" and "M too small" in payload["meta"]["reason"]
+    assert payload["lb"] is not None and payload["ub"] is None
+
+
+def test_compare_exits_one_when_every_variant_fails(fl_mip3_path, tmp_path):
+    # the mixed-integer scheme runs only on the parametric master
+    code = cli.main(["compare", fl_mip3_path, "--variants", "parametric,benders",
+                     "--mip-recourse", "--out", str(tmp_path)])
+    assert code == 1
+    rows = (tmp_path / "compare.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["parametric", "Numerical"],
+                                                ["benders", "Error"]]
+
+
 def test_bad_flags_exit_sixty_four(t1_path, capsys):
     assert cli.main(["solve", t1_path, "--variant", "newton"]) == 64
     assert cli.main(["frobnicate"]) == 64

@@ -4,9 +4,12 @@ import itertools
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddu_ro import backend, instances
 from ddu_ro.backend import LinearModel
@@ -495,18 +498,23 @@ def _count_recourse_calls(monkeypatch):
     return calls
 
 
-def test_worst_case_falls_back_to_the_loop_when_a_later_vertex_has_no_recourse(
-        monkeypatch):
+def test_a_later_vertex_without_recourse_is_found_by_a_shortfall_lp(monkeypatch):
     # 0 <= y <= u - 1: the first vertex u = 2 has recourse, u = 0 has none
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
                          c2=[1.0])
     x = np.array([0.0])
     assert np.array_equal(enumerate_vertices(inst.U, x), [[2.0], [0.0]])
+    lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     val, u = worst_case_values(inst, [x])[0]
     assert val == np.inf and np.array_equal(u, [0.0])
-    # the first vertex alone, then the loop over both
-    assert [c[0] for c in calls] == [2.0, 2.0, 0.0]
+    # the first vertex's shortfall, the failed block LP over both vertices,
+    # then their shortfalls, whose verdict on u = 0 recourse_value audits
+    assert lps == [("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse_block", backend.INFEASIBLE),
+                   ("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse", backend.INFEASIBLE)]
+    assert [c[0] for c in calls] == [0.0]
     ref_val, ref_u = _worst_case_by_loop(inst, x)
     assert val == ref_val and np.array_equal(u, ref_u)
 
@@ -515,19 +523,26 @@ def test_worst_case_stops_at_a_first_vertex_without_recourse(monkeypatch):
     # y <= 1 - u: the first vertex u = 2 has no recourse
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [-1.0]], d=[0.0, -1.0],
                          c2=[1.0])
+    lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     val, u = worst_case_values(inst, [np.array([0.0])])[0]
     assert val == np.inf and np.array_equal(u, [2.0])
+    assert lps == [("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse", backend.INFEASIBLE)]
     assert [c[0] for c in calls] == [2.0]
 
 
 def test_worst_case_with_finite_recourse_solves_one_block_lp(monkeypatch):
-    # y >= u at cost 1: one LP for the first vertex, one for both blocks
+    # y >= u at cost 1: a shortfall LP for the first vertex, one LP for both
+    # blocks
     inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0])
+    lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     val, u = worst_case_values(inst, [np.array([0.0])])[0]
     assert val == pytest.approx(2.0) and np.array_equal(u, [2.0])
-    assert len(calls) == 1
+    assert lps == [("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse_block", backend.OPTIMAL)]
+    assert calls == []
 
 
 def test_worst_case_of_an_unbounded_recourse_is_minus_inf():
@@ -566,42 +581,62 @@ def _record_lps(monkeypatch):
     return lps
 
 
-def test_a_failed_first_vertex_batch_narrows_to_one_lp_per_x(monkeypatch):
+def test_one_shortfall_lp_finds_every_first_vertex_without_recourse(monkeypatch):
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
     lps = _record_lps(monkeypatch)
+    calls = _count_recourse_calls(monkeypatch)
+    misses = []
+    original = instances._no_recourse
+
+    def counted(inst, run):
+        out = original(inst, run)
+        misses.extend(m.tolist() for m in out)
+        return out
+
+    monkeypatch.setattr(instances, "_no_recourse", counted)
     assert oracle_exact(inst).value == pytest.approx(-51406.065233899, rel=1e-12)
     worst = [lp for lp in lps if lp[0] != "xfill"]
-    # 58 of the 64 first vertices have no recourse, so their block LP fails;
-    # the 6 other x share one LP over all of their vertices
-    assert worst[0][0] == "recourse_block" and worst[0][1] != backend.OPTIMAL
-    assert sorted(worst[1:65]) == [("recourse", backend.INFEASIBLE)] * 58 + \
-        [("recourse", backend.OPTIMAL)] * 6
-    assert worst[65:] == [("recourse_block", backend.OPTIMAL)]
+    # 58 of the 64 first vertices have no recourse, all found by one shortfall
+    # LP and one of them audited; the 6 other x share one LP over all of
+    # their vertices
+    assert sorted(misses) == [[False]] * 6 + [[True]] * 58
+    assert worst == [("recourse_shortfall", backend.OPTIMAL),
+                     ("recourse", backend.INFEASIBLE),
+                     ("recourse_block", backend.OPTIMAL)]
+    assert len(calls) == 1
 
 
-def test_a_failed_vertex_batch_narrows_to_each_x_then_each_vertex(monkeypatch):
+def test_a_failed_vertex_batch_takes_one_shortfall_lp(monkeypatch):
     # 0 <= y <= u - 1: both first vertices u = 2 have recourse, u = 0 has none
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
                          c2=[1.0])
     lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
-    # first vertices in one LP, then every pair, then each x, then each vertex
-    assert [name for name, _ in lps] == ["recourse_block"] * 3 + ["recourse"] * 2 + \
-        ["recourse_block"] + ["recourse"] * 2
-    assert lps[0][1] == backend.OPTIMAL
-    assert [c[0] for c in calls] == [2.0, 0.0, 2.0, 0.0]
+    # first vertices in one shortfall LP, every pair in a block LP that fails,
+    # then every pair in one shortfall LP, which finds u = 0 in both (the
+    # first audited)
+    assert lps == [("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse_block", backend.INFEASIBLE),
+                   ("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse", backend.INFEASIBLE)]
+    assert [c[0] for c in calls] == [0.0]
     for x, (val, u) in zip(XS2, got):
         ref_val, ref_u = _worst_case_by_loop(inst, x)
         assert val == ref_val == np.inf and np.array_equal(u, ref_u)
 
 
 def test_the_batch_path_of_an_unbounded_recourse_is_minus_inf(monkeypatch):
-    # min -y over y >= u: every block LP fails, down to the per-vertex loop
+    # min -y over y >= u: every pair has recourse, so the shortfall LPs find
+    # none, and every block LP fails, down to the per-vertex loop
     inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[-1.0])
+    lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
-    assert [c[0] for c in calls] == [2.0, 2.0, 2.0, 0.0, 2.0, 0.0]
+    assert [name for name, _ in lps] == [
+        "recourse_shortfall", "recourse_block", "recourse_shortfall",
+        "recourse_block", "recourse", "recourse", "recourse_block", "recourse", "recourse"]
+    assert [c[0] for c in calls] == [2.0, 0.0, 2.0, 0.0]
     for x, (val, u) in zip(XS2, got):
         ref_val, ref_u = _worst_case_by_loop(inst, x)
         assert val == ref_val == -np.inf and np.array_equal(u, ref_u)
@@ -617,6 +652,127 @@ def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
     assert [c[0] for c in calls] == [2.0, 2.0, 2.0, 0.0, 2.0, 0.0]
     for val, u in got:
         assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
+
+
+def test_the_x_with_recourse_at_every_vertex_share_one_block_lp_again(monkeypatch):
+    # 0 <= y <= u + x - 1: at x = 0 the vertex u = 0 has no recourse, at
+    # x = 1 every vertex has
+    inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
+                         c2=[1.0])
+    inst.Y.B1[1, 0] = 1.0
+    lps = _record_lps(monkeypatch)
+    got = instances.worst_case_values(inst, XS2)
+    assert lps == [("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse_block", backend.INFEASIBLE),
+                   ("recourse_shortfall", backend.OPTIMAL),
+                   ("recourse", backend.INFEASIBLE),
+                   ("recourse_block", backend.OPTIMAL)]
+    assert got[0][0] == np.inf and np.array_equal(got[0][1], [0.0])
+    assert got[1][0] == pytest.approx(0.0, abs=1e-9)
+    for x, (val, u) in zip(XS2, got):
+        ref_val, ref_u = _worst_case_by_loop(inst, x)
+        assert val == pytest.approx(ref_val, abs=1e-9) and np.array_equal(u, ref_u)
+
+
+# -- the shortfall verdict against recourse_value --------------------------------
+
+def _near_miss_toy(miss, scale, k, first):
+    """_interval_toy with rows k y >= k s and k y <= k (s (1 - miss) + s u / 2):
+    the vertex u = 0 misses recourse by a relative miss. When first is set,
+    u is replaced by 2 - u, so the first vertex u = 2 misses instead."""
+    e = -scale / 2 if first else scale / 2
+    return _interval_toy(B2=[[k], [-k]], E=[[0.0], [k * e]],
+                         d=[k * scale, -k * scale * (2 - miss if first else 1 - miss)],
+                         c2=[1.0])
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["later", "first"])
+@pytest.mark.parametrize("scale, k", [(1.0, 1.0), (1e4, 1.0), (1e-3, 1e-4), (1.0, 1e-4)],
+                         ids=["unit", "large", "tiny", "tiny-rows"])
+@pytest.mark.parametrize("miss", [1e-9, 1e-6, 1e-3])
+def test_a_near_miss_gets_the_verdict_of_recourse_value(miss, scale, k, first):
+    # HiGHS holds the rows it has scaled to an absolute 1e-7: at "unit" a
+    # miss of 1e-9 has recourse, at "large" it has none, and at "tiny" the
+    # shortfall LP leaves a positive shortfall where the pair has recourse
+    inst = _near_miss_toy(miss, scale, k, first)
+    x = np.array([0.0])
+    verts = enumerate_vertices(inst.U, x)
+    ref = np.array([recourse_value(inst, x, u)[0] == np.inf for u in verts])
+    [mask] = instances._no_recourse(inst, [(x, verts)])
+    # a pair found without recourse has none; at "tiny-rows" the shortfall
+    # column outweighs k, so a pair without recourse can read 0 there, and
+    # the block LP, which HiGHS scales as it scales recourse_value, finds it
+    assert not np.any(mask & ~ref)
+    if k == 1.0 or scale < 1.0:
+        assert np.array_equal(mask, ref)
+    val, u = worst_case_values(inst, [x])[0]
+    ref_val, ref_u = _worst_case_by_loop(inst, x)
+    assert val == pytest.approx(ref_val, rel=1e-9) and np.array_equal(u, ref_u)
+
+
+def test_a_tiny_shortfall_beside_a_miss_gets_the_verdict_of_recourse_value():
+    # the "tiny" toy at a miss of 1e-9, where x = 1 also halves the cap on y:
+    # in one run, u = 0 misses recourse at x = 1 and leaves a positive
+    # shortfall of 1e-16 at x = 0, where it has recourse
+    inst = _near_miss_toy(1e-9, 1e-3, 1e-4, False)
+    inst.Y.B1[1, 0] = -0.5e-7
+    xs = [np.array([1.0]), np.array([0.0])]
+    verts = enumerate_vertices(inst.U, xs[0])
+    ref = [[recourse_value(inst, x, u)[0] == np.inf for u in verts] for x in xs]
+    assert ref == [[False, True], [False, False]]
+    assert [m.tolist() for m in instances._no_recourse(inst, [(x, verts) for x in xs])] == ref
+    for x, (val, u) in zip(xs, worst_case_values(inst, xs)):
+        ref_val, ref_u = _worst_case_by_loop(inst, x)
+        assert val == pytest.approx(ref_val, rel=1e-9) and np.array_equal(u, ref_u)
+
+
+def test_a_shortfall_lp_that_fails_its_audit_leaves_every_pair_to_recourse_value(
+        monkeypatch):
+    # y >= u at cost 1: every pair has recourse, but a wrong shortfall LP
+    # reports one at every pair
+    inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0])
+    original = instances._block_recourse_values
+
+    def wrong(inst, run, shortfall=False):
+        out = original(inst, run, shortfall)
+        return [v + 1.0 for v in out] if shortfall else out
+
+    monkeypatch.setattr(instances, "_block_recourse_values", wrong)
+    calls = _count_recourse_calls(monkeypatch)
+    got = worst_case_values(inst, XS2)
+    # the audit at x = 0, then each first vertex
+    assert [c[0] for c in calls] == [2.0, 2.0, 2.0]
+    for val, u in got:
+        assert val == pytest.approx(2.0) and np.array_equal(u, [2.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_worst_case_matches_the_loop_on_random_recourse_systems(seed):
+    # <= 3 y, <= 3 rows and a box U(x) = {0 <= u <= h + G x} over two binary
+    # x; some B2 rows are zero or one-signed, so that many pairs have no
+    # recourse, and c2 >= 0 keeps the recourse bounded
+    rng = np.random.default_rng(seed)
+    n_u, n_y, n_rows = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
+    B2 = rng.choice([-1.0, 0.0, 1.0], size=(n_rows, n_y)) * rng.uniform(0.5, 2.0, (n_rows, n_y))
+    inst = Instance(
+        name="random", c1=[0.0, 0.0],
+        X=FirstStageSet(A=np.zeros((0, 2)), b=np.zeros(0), n_int=2, ub=[1.0, 1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.eye(n_u)),
+                         G=rng.integers(0, 2, size=(n_u, 2)).astype(float),
+                         h=rng.uniform(0.5, 2.0, n_u)),
+        Y=RecourseSet(B1=rng.uniform(-1.0, 1.0, (n_rows, 2)), B2=B2,
+                      E=rng.uniform(-1.0, 1.0, (n_rows, n_u)),
+                      d=rng.uniform(-1.0, 1.0, n_rows), c2=rng.uniform(0.0, 1.0, n_y)))
+    xs = [np.array(x, dtype=float) for x in itertools.product([0, 1], repeat=2)]
+    for x, (val, u) in zip(xs, worst_case_values(inst, xs)):
+        ref_val, ref_u = _worst_case_by_loop(inst, x)
+        assert val == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
+        if val == np.inf:
+            assert np.array_equal(u, ref_u)
+        else:
+            # u attains the max; equal values may break the tie elsewhere
+            assert recourse_value(inst, x, u)[0] == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
 
 
 def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypatch):
@@ -863,6 +1019,28 @@ def test_each_distinct_matrix_is_swept_once(monkeypatch):
     distinct = {inst.U.F.evaluate(x).tobytes() for x, _ in res.evaluations}
     assert len(res.evaluations) == 64 and len(distinct) == 19
     assert len(sweeps) == len(set(sweeps)) == 19
+
+
+def test_one_basis_table_is_alive_at_a_time(monkeypatch):
+    # fl-lhs: the 19 matrices F(x) of 64 first stages are taken one at a time
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
+    alive, peak, sweeps = [0], [0], []
+    original = instances._nonsingular_bases
+
+    def released():
+        alive[0] -= 1
+
+    def tracked(A, chunk):
+        table = original(A, chunk)
+        sweeps.append(A.tobytes())
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        weakref.finalize(table, released)
+        return table
+
+    monkeypatch.setattr(instances, "_nonsingular_bases", tracked)
+    oracle_exact(inst)
+    assert len(sweeps) == 19 and peak[0] == 1 and alive[0] == 0
 
 
 def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
