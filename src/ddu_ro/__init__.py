@@ -29,13 +29,7 @@ from .instances import (
     oracle_exact,
     t1,
 )
-from .ccg import (
-    VARIANTS,
-    AlgorithmConfig,
-    run,
-    run_diu_approx,
-    run_mip_recourse_approx,
-)
+from .ccg import VARIANTS, AlgorithmConfig, run
 from .reformulations import (
     ReformulationOutput,
     neutralize,
@@ -53,8 +47,7 @@ __all__ = [
     "FLParams", "OracleLimits", "OracleResult", "PMedianParams",
     "gen_mip_recourse_fl", "gen_reliable_pmedian", "gen_robust_fl",
     "io_read", "io_write", "oracle_exact", "t1",
-    "VARIANTS", "AlgorithmConfig", "run", "run_diu_approx",
-    "run_mip_recourse_approx",
+    "VARIANTS", "AlgorithmConfig", "run",
     "ReformulationOutput", "neutralize", "normalize", "order_switch",
     "__version__",
 ]

@@ -3,6 +3,13 @@ linprog's "highs" method with the rows passed as CSR, MIPs by milp), big-M
 complementarity linearization, and ray extraction for unbounded linear
 programs.
 
+Wall clock. A run's time budget is held here, not passed through the calls
+that lead to a solve: inside ``with deadline(seconds):`` every solve_lp and
+solve_mip hands HiGHS the time left until the deadline, and raises
+SolveTimeLimit when the deadline has passed before the call or HiGHS stops on
+its limit. A nested block keeps whichever deadline comes first. Outside any
+block HiGHS gets no time limit.
+
 Sign conventions. Duals are reported for rows as written: for a row a.x >= b
 of a minimization model the dual is >= 0, for a.x <= b it is <= 0, equality
 rows are free. Reduced costs are c - A'dual in the model's own sense, so at a
@@ -16,13 +23,18 @@ holds to solver tolerance (bound contributions live in the reduced-cost term).
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
-# Solve statuses. Run-level statuses live in model.py; these are per-solve.
+# Per-solve statuses. A solve that hits the wall clock raises SolveTimeLimit
+# instead of reporting TIME_LIMIT.
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
@@ -39,7 +51,25 @@ class BackendError(Exception):
 
 
 class SolveTimeLimit(BackendError):
-    """A solve that a routine needs to finish ran out of its time limit."""
+    """A solve ran out of the time left before the current deadline."""
+
+
+# time.monotonic() at the earliest end of the enclosing deadline blocks,
+# None outside every block
+_DEADLINE: ContextVar[float | None] = ContextVar("ddu_ro_deadline", default=None)
+
+
+@contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Give the solves inside the block `seconds` of wall clock in all; an
+    enclosing block that ends sooner keeps its own deadline."""
+    end = time.monotonic() + seconds
+    outer = _DEADLINE.get()
+    token = _DEADLINE.set(end if outer is None else min(outer, end))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
 
 
 @dataclass
@@ -235,18 +265,38 @@ def _assemble_lp(model: LinearModel):
     return c, blocks, sign, bounds
 
 
-_LP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
+def _with_time_left(model: LinearModel, options: dict) -> dict:
+    """options plus HiGHS's time_limit, the time left before the deadline;
+    unchanged outside every deadline block."""
+    end = _DEADLINE.get()
+    if end is None:
+        return options
+    left = end - time.monotonic()
+    if left <= 0:
+        raise SolveTimeLimit(f"{model.name}: the deadline passed before the solve")
+    return {**options, "time_limit": left}
 
 
-def solve_lp(model: LinearModel, time_limit: float | None = None) -> SolveOutcome:
+# linprog's and milp's status codes
+_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
+
+
+def _status(model: LinearModel, code: int) -> str:
+    """The status of a linprog or milp result code; a stop on the time limit
+    raises SolveTimeLimit instead."""
+    status = _STATUS.get(code, NUMERICAL)
+    if status == TIME_LIMIT:
+        raise SolveTimeLimit(f"{model.name}: HiGHS stopped on its time limit")
+    return status
+
+
+def solve_lp(model: LinearModel) -> SolveOutcome:
     """Solve ignoring integrality. Returns duals and reduced costs."""
     c, ((ub_rows, a_ub, b_ub), (eq_rows, a_eq, b_eq)), sign, bounds = _assemble_lp(model)
-    options = {"presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
+    options = _with_time_left(model, {"presolve": True})
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs", options=options)
-    status = _LP_STATUS.get(res.status, NUMERICAL)
+    status = _status(model, res.status)
     if status != OPTIMAL:
         return SolveOutcome(status=status)
 
@@ -260,14 +310,10 @@ def solve_lp(model: LinearModel, time_limit: float | None = None) -> SolveOutcom
                         x=x, duals=duals, reduced_costs=rc)
 
 
-_MIP_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
-
-
-def solve_mip(model: LinearModel, time_limit: float | None = None,
-              mip_gap: float | None = None) -> SolveOutcome:
+def solve_mip(model: LinearModel) -> SolveOutcome:
     """Solve with integrality. No duals or basis."""
     if not model.has_integers:
-        return solve_lp(model, time_limit=time_limit)
+        return solve_lp(model)
     c = model.objective_vector()
     sign = 1.0
     if model.sense == "max":
@@ -279,17 +325,12 @@ def solve_mip(model: LinearModel, time_limit: float | None = None,
     lb = np.array([v.lb for v in model.vars])
     ub = np.array([v.ub for v in model.vars])
     integrality = np.array([1 if v.integer else 0 for v in model.vars])
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if mip_gap is not None:
-        options["mip_rel_gap"] = float(mip_gap)
+    options = _with_time_left(model, {})
     constraints = LinearConstraint(A, lo, hi) if model.n_constrs else ()
     res = milp(c, constraints=constraints, integrality=integrality,
                bounds=Bounds(lb, ub), options=options)
-    status = _MIP_STATUS.get(res.status, NUMERICAL)
+    status = _status(model, res.status)
     if res.x is None:
-        # milp can hit its time limit with no incumbent
         return SolveOutcome(status=status if status != OPTIMAL else NUMERICAL)
     x = np.asarray(res.x, dtype=float)
     bound = None
@@ -299,11 +340,11 @@ def solve_mip(model: LinearModel, time_limit: float | None = None,
                         x=x, bound=bound)
 
 
-def solve(model: LinearModel, time_limit: float | None = None) -> SolveOutcome:
+def solve(model: LinearModel) -> SolveOutcome:
     """Dispatch on integrality."""
     if model.has_integers:
-        return solve_mip(model, time_limit=time_limit)
-    return solve_lp(model, time_limit=time_limit)
+        return solve_mip(model)
+    return solve_lp(model)
 
 
 # -- big-M complementarity ---------------------------------------------------
@@ -337,12 +378,11 @@ def linearize_complementarity(model: LinearModel, a_ids: list[int],
 
 # -- ray extraction -----------------------------------------------------------
 
-def extract_ray(model: LinearModel, time_limit: float | None = None) -> np.ndarray:
+def extract_ray(model: LinearModel) -> np.ndarray:
     """A primal ray r of the recession cone of an unbounded LP with c'r > 0
     (improving for the model's sense), scaled so its largest magnitude
     component is 1. Solved via the normalized ray LP
-    max { c'r : recession rows, sum of positive parts <= 1 }; running out of
-    time_limit raises SolveTimeLimit.
+    max { c'r : recession rows, sum of positive parts <= 1 }.
     """
     n = model.n_vars
     ray_lp = LinearModel(name=model.name + "_ray")
@@ -361,9 +401,7 @@ def extract_ray(model: LinearModel, time_limit: float | None = None) -> np.ndarr
     sense = model.sense
     obj = {ids[j]: v for j, v in model.obj.items()}
     ray_lp.set_objective(obj, sense=sense)
-    out = solve_lp(ray_lp, time_limit=time_limit)
-    if out.status == TIME_LIMIT:
-        raise SolveTimeLimit("ray LP ran out of time")
+    out = solve_lp(ray_lp)
     if not out.is_optimal:
         raise BackendError(f"ray LP not optimal ({out.status})")
     r = out.x[:n]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,7 +123,6 @@ class MasterState:
         return _add_dual_seed(self, seed, is_ray, unique_data)
 
     def cut(self, x: np.ndarray, beta: np.ndarray, is_ray: bool,
-            budget: Callable[[], float],
             basis: BasisId | None = None) -> tuple[str, str] | None:
         """Cut the dual point (or ray, with is_ray) beta found at first stage
         x into the master the way the configured variant does, and return
@@ -133,27 +131,18 @@ class MasterState:
         The basis variant inserts basis, or the parametric-LP basis at beta
         when none is given, plus the alternative bases _extra_bases finds;
         parametric-modified registers the basis of its uniqueness
-        perturbation.  None means every such basis was cut in before.  budget
-        gives the seconds left for each probe LP; one that runs out raises
-        SolveTimeLimit with the probe's name as its message.
+        perturbation.  None means every such basis was cut in before.
         """
         inst, cfg = self.inst, self.config
         if cfg.variant == "basis":
-            try:
-                if basis is None:
-                    basis = lp_parametric(inst, x, beta, time_limit=budget()).basis
-                bases = [basis] + _extra_bases(inst, x, beta, basis, budget())
-            except SolveTimeLimit:
-                raise SolveTimeLimit("basis probe") from None
+            if basis is None:
+                basis = lp_parametric(inst, x, beta).basis
+            bases = [basis] + _extra_bases(inst, x, beta, basis)
             tags = [self.add_seed(b) for b in bases if b not in self.basis_seeds]
             return ("basis", tags[-1]) if tags else None
         unique_data = None
         if cfg.variant == "parametric-modified":
-            try:
-                res_u, unique_data = ensure_unique_optimum(inst, x, beta,
-                                                           time_limit=budget())
-            except SolveTimeLimit:
-                raise SolveTimeLimit("uniqueness perturbation") from None
+            res_u, unique_data = ensure_unique_optimum(inst, x, beta)
             if res_u.basis in self.basis_seeds:
                 return None
             self.basis_seeds.append(res_u.basis)
@@ -288,63 +277,41 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
 # -- the outer loop ---------------------------------------------------------
 
 def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
-    """Solve the robust problem to the configured gap.
+    """Solve the robust problem to the configured gap within the config's
+    wall clock.
 
-    Dispatches to the approximation loops when the config asks for them;
-    otherwise both stages must be continuous (integer uncertainty needs
-    run_diu_approx, integer recourse needs mip_recourse_mode).
+    Both stages must be continuous unless the config picks one of the two
+    approximation loops, each on the parametric master:
+    - mip_recourse_mode brackets a mixed-integer recourse: masters replicate
+      the integer columns, the optimality subproblem relaxes them, and each
+      incumbent is repriced by the exact recourse before the residual worst
+      case is added back in;
+    - diu_approx brackets a decision-independent problem between
+      decision-dependent surrogates: subproblems run against the instance's
+      own set, masters carry one optimality block per (seed, surrogate)
+      pair. Lower bounds are valid whenever every surrogate is contained in
+      the instance's set at every x; the gap closes only when some surrogate
+      is exact, so a repeated seed freezes the bounds and reports Stalled.
     """
     config = config or AlgorithmConfig()
+    ddu_sets = None
     if config.mip_recourse_mode:
-        return run_mip_recourse_approx(inst, config)
-    if config.diu_approx is not None:
-        return run_diu_approx(inst, _resolve_ddu_sets(inst, config.diu_approx), config)
-    if inst.U.n_int_u:
+        if config.variant != "parametric":
+            raise ValueError("the mixed-integer recourse scheme runs on the "
+                             "parametric master")
+    elif config.diu_approx is not None:
+        ddu_sets = _resolve_ddu_sets(inst, config.diu_approx)
+        if config.variant != "parametric":
+            raise ValueError("the decision-independent approximation runs on the "
+                             "parametric master")
+    if inst.U.n_int_u and ddu_sets is None:
         raise ValueError("integer uncertainty coordinates need the "
                          "decision-independent approximation loop (diu_approx)")
-    if inst.Y.n_int_y:
+    if inst.Y.n_int_y and not config.mip_recourse_mode:
         raise ValueError("integer recourse variables need mip_recourse_mode")
-    return _ccg_loop(inst, config, mode="exact")
-
-
-def run_mip_recourse_approx(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
-    """Bracket a mixed-integer-recourse problem: masters replicate the
-    integer columns, the optimality subproblem relaxes them, and each
-    incumbent is repriced by the exact recourse before the residual
-    worst case is added back in."""
-    config = config or AlgorithmConfig()
-    if config.variant not in ("parametric",):
-        raise ValueError("the mixed-integer recourse scheme runs on the "
-                         "parametric master")
-    if inst.U.n_int_u:
-        raise ValueError("integer uncertainty coordinates need the "
-                         "decision-independent approximation loop (diu_approx)")
-    if inst.Y.n_int_y == 0:
-        return _ccg_loop(inst, config, mode="exact")
-    return _ccg_loop(inst, config, mode="mip")
-
-
-def run_diu_approx(inst: Instance, ddu_sets: list[UncertaintySet],
-                   config: AlgorithmConfig | None = None) -> RunResult:
-    """Bracket a decision-independent problem between decision-dependent
-    surrogates: subproblems run against the instance's own set, masters carry
-    one optimality block per (seed, surrogate) pair.  Lower bounds are valid
-    whenever every surrogate is contained in the instance's set at every x;
-    the gap closes only when some surrogate is exact, so a repeated seed
-    freezes the bounds and reports Stalled."""
-    config = config or AlgorithmConfig()
-    if config.variant not in ("parametric",):
-        raise ValueError("the decision-independent approximation runs on the "
-                         "parametric master")
-    if not ddu_sets:
-        raise ValueError("at least one surrogate uncertainty set is required")
-    for U_l in ddu_sets:
-        if U_l.dim != inst.U.dim:
-            raise ValueError("surrogate set has a different uncertainty dimension")
-        if U_l.G.shape[1] != inst.dim_x:
-            raise ValueError("surrogate set couples a first-stage space of "
-                             "different dimension")
-    return _ccg_loop(inst, config, mode="diu", ddu_sets=ddu_sets)
+    mode = "diu" if ddu_sets is not None else "mip" if inst.Y.n_int_y else "exact"
+    with backend.deadline(config.time_limit_s):
+        return _ccg_loop(inst, config, mode, ddu_sets)
 
 
 def _resolve_ddu_sets(inst: Instance,
@@ -355,13 +322,26 @@ def _resolve_ddu_sets(inst: Instance,
         raw = inst.metadata.get("ddu_sets")
         if not raw:
             raise ValueError("instance metadata carries no ddu_sets")
-        return [uncertainty_set_from_dict(d) if isinstance(d, dict) else d
+        spec = [uncertainty_set_from_dict(d) if isinstance(d, dict) else d
                 for d in raw]
+    if not spec:
+        raise ValueError("at least one surrogate uncertainty set is required")
+    for U_l in spec:
+        if U_l.dim != inst.U.dim:
+            raise ValueError("surrogate set has a different uncertainty dimension")
+        if U_l.G.shape[1] != inst.dim_x:
+            raise ValueError("surrogate set couples a first-stage space of "
+                             "different dimension")
     return list(spec)
+
+
+# the probe LPs of MasterState.cut, named in the reason of a timeout there
+_CUT_STEP = {"basis": "basis probe", "parametric-modified": "uniqueness perturbation"}
 
 
 def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
               ddu_sets: list[UncertaintySet] | None = None) -> RunResult:
+    """The outer loop; its solves share the deadline that run() sets."""
     t0 = time.monotonic()
     stop_tol = max(config.tol, _OPT_GAP)
     feas_tol = _FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max(initial=0.0)))
@@ -371,6 +351,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     records: list[IterationRecord] = []
     lb, ub = -np.inf, np.inf
     incumbent: np.ndarray | None = None
+    step = None   # the step whose solves are running; None before the loop
 
     def done(status: str) -> RunResult:
         obj = float(ub) if np.isfinite(ub) else None
@@ -386,21 +367,14 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                          elapsed_s=time.monotonic() - t0, variant=config.variant,
                          meta=meta)
 
-    def out_of_time(what: str) -> RunResult:
-        meta["reason"] = f"{what} hit the wall clock"
-        return done("TimeLimit")
-
     try:
         # the deterministic relaxation settles infeasibility up front, floors the
         # first bound, and anchors the stabilized cut selection
         det_model, det_ids = build_deterministic_mip(inst, config.big_M)
-        det = backend.solve(det_model, time_limit=config.time_limit_s)
+        det = backend.solve(det_model)
         if det.status == backend.INFEASIBLE:
             meta["reason"] = "deterministic relaxation infeasible"
             return done("Infeasible")
-        if det.status == backend.TIME_LIMIT:
-            meta["reason"] = "wall clock"
-            return done("TimeLimit")
         if det.status != backend.OPTIMAL:
             raise BackendError(f"deterministic relaxation ended {det.status}; "
                                "the robust value has no finite floor")
@@ -413,9 +387,6 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         prev_us: np.ndarray | None = None
         u_mid: np.ndarray | None = None
         t = 0
-
-        def budget() -> float:
-            return max(config.time_limit_s - (time.monotonic() - t0), 0.01)
 
         def record(cut_kind: str, seed_id: str) -> None:
             records.append(IterationRecord(
@@ -440,20 +411,14 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
         while True:
             t += 1
-            remaining = config.time_limit_s - (time.monotonic() - t0)
-            if remaining <= 0:
-                meta["reason"] = "wall clock"
-                return done("TimeLimit")
-
-            out = backend.solve(state.model, time_limit=remaining)
+            step = "master"
+            out = backend.solve(state.model)
             if out.status == backend.INFEASIBLE:
                 # feasibility cutting sets exclude every first stage
                 meta["reason"] = "master infeasible"
                 record("none", "master-infeasible")
                 ub, incumbent = np.inf, None
                 return done("Infeasible")
-            if out.status == backend.TIME_LIMIT:
-                return out_of_time("master")
             if out.status != backend.OPTIMAL:
                 raise BackendError(f"master solve ended {out.status}")
             # HiGHS stops at a relative MIP gap, so the incumbent may overstate
@@ -467,32 +432,29 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 return closure("first-stage")
             seen_x.append(x_star)
 
-            r1 = sp1(inst, x_star, M=config.big_M, time_limit=budget())
-            if r1.status == backend.TIME_LIMIT:
-                return out_of_time("feasibility subproblem")
+            step = "feasibility subproblem"
+            r1 = sp1(inst, x_star, M=config.big_M)
 
             if r1.value <= feas_tol:
-                remaining = budget()
+                step = "worst-case subproblem"
                 solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
-                r2 = solve_sp2(inst, x_star, M=config.big_M, time_limit=remaining)
-                if r2.status == backend.TIME_LIMIT:
-                    return out_of_time("worst-case subproblem")
+                r2 = solve_sp2(inst, x_star, M=config.big_M)
                 if r2.status != backend.OPTIMAL:
                     raise BackendError(f"worst-case subproblem ended {r2.status}")
                 pi_star = r2.pi
 
                 if mode == "mip":
+                    step = "exact recourse"
                     try:
-                        _, y_full = recourse_mip_at(inst, x_star, r2.u,
-                                                    time_limit=remaining)
+                        _, y_full = recourse_mip_at(inst, x_star, r2.u)
+                    except SolveTimeLimit:
+                        raise
                     except BackendError:
                         y_full = None  # not relatively complete at this scenario
                     if y_full is not None:
+                        step = "frozen-recourse subproblem"
                         y_d = np.round(y_full[:inst.Y.n_int_y])
-                        s4 = sp4(inst, x_star, y_d, M=config.big_M,
-                                 time_limit=remaining)
-                        if s4.status == backend.TIME_LIMIT:
-                            return out_of_time("frozen-recourse subproblem")
+                        s4 = sp4(inst, x_star, y_d, M=config.big_M)
                         if s4.status not in (backend.OPTIMAL, backend.UNBOUNDED):
                             raise BackendError(f"frozen-recourse subproblem ended "
                                                f"{s4.status}")
@@ -514,13 +476,11 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 pareto = config.pareto and mode == "exact"
                 if pareto:
                     if u_mid is None:
-                        try:
-                            u_mid = _u_box_midpoint(inst, x0, budget())
-                        except SolveTimeLimit:
-                            return out_of_time("core scenario probe")
+                        step = "core scenario probe"
+                        u_mid = _u_box_midpoint(inst, x0)
+                    step = "Pareto seed subproblem"
                     u_ref = prev_us if prev_us is not None else u_mid
-                    pol = sp2_pareto_lp(inst, x0, u_ref, x_star, r2.u, r2.value,
-                                        time_limit=remaining)
+                    pol = sp2_pareto_lp(inst, x0, u_ref, x_star, r2.u, r2.value)
                     if not pol.used_fallback:
                         beta = pol.pi
                 prev_us = r2.u
@@ -534,34 +494,34 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 # sp2 reports no basis when U has integer coordinates
                 is_ray, basis = False, getattr(r2.basis_result, "basis", None)
             else:
-                r3 = sp3(inst, x_star, r1.u, time_limit=budget())
-                if r3.status == backend.TIME_LIMIT:
-                    return out_of_time("feasibility ray subproblem")
-                beta = r3.ray
+                step = "feasibility ray subproblem"
+                beta = sp3(inst, x_star, r1.u).ray
                 if _vector_seen(derived_rays, beta):
                     return closure("dual-ray")
                 derived_rays.append(beta)
                 is_ray, basis = True, None
 
-            step = state.cut(x_star, beta, is_ray, budget, basis)
-            if step is None:
+            step = _CUT_STEP.get(config.variant)
+            cut = state.cut(x_star, beta, is_ray, basis)
+            if cut is None:
                 return closure("basis")
-            record(*step)
+            record(*cut)
             if config.max_iterations is not None and t >= config.max_iterations:
                 meta["reason"] = "iteration cap"
                 return done("Stalled")
-    except SolveTimeLimit as exc:
-        return out_of_time(str(exc))
+    except SolveTimeLimit:
+        meta["reason"] = f"{step} hit the wall clock" if step else "wall clock"
+        return done("TimeLimit")
     except BackendError as exc:
         meta["reason"] = str(exc)
         return done("Numerical")
 
 
 def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                 first: BasisId, time_limit: float | None = None) -> list[BasisId]:
+                 first: BasisId) -> list[BasisId]:
     """Alternative optimal bases at the same seed, probed by tiny
-    deterministic tilts of the dual weights. A probe that fails is skipped;
-    one that runs out of time raises SolveTimeLimit."""
+    deterministic tilts of the dual weights. A probe that fails is skipped,
+    unless it hit the wall clock."""
     beta = np.asarray(beta, dtype=float)
     eps = 1e-7 * max(1.0, float(np.abs(beta).max(initial=0.0)))
     found: list[BasisId] = []
@@ -569,7 +529,7 @@ def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
         tilted = beta.copy()
         tilted[k] += eps
         try:
-            b = lp_parametric(inst, x, tilted, time_limit=time_limit).basis
+            b = lp_parametric(inst, x, tilted).basis
         except SolveTimeLimit:
             raise
         except BackendError:
@@ -579,15 +539,12 @@ def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
     return found
 
 
-def _u_box_midpoint(inst: Instance, x0: np.ndarray,
-                    time_limit: float | None = None) -> np.ndarray:
+def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:
     """Midpoint of the per-coordinate range of the uncertainty set at x0,
     the default core scenario of the stabilized cut selection."""
     Fx, rhs = inst.U.F.evaluate(x0), inst.U.h + inst.U.G @ x0
-    lo = np.array([range_probe(Fx, rhs, j, "min", time_limit)
-                   for j in range(inst.U.dim)])
-    hi = np.array([range_probe(Fx, rhs, j, "max", time_limit)
-                   for j in range(inst.U.dim)])
+    lo = np.array([range_probe(Fx, rhs, j, "min") for j in range(inst.U.dim)])
+    hi = np.array([range_probe(Fx, rhs, j, "max") for j in range(inst.U.dim)])
     if not np.all(np.isfinite(hi)):
         raise BackendError("uncertainty range probe ended Unbounded")
     return (lo + hi) / 2.0

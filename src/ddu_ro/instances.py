@@ -208,8 +208,8 @@ def _integer_points(Fx: np.ndarray, rhs: np.ndarray,
 
 # -- recourse evaluation -------------------------------------------------------
 
-def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
-                   time_limit: float | None = None) -> tuple[float, np.ndarray | None]:
+def recourse_value(inst: Instance, x: np.ndarray,
+                   u: np.ndarray) -> tuple[float, np.ndarray | None]:
     """min{c2 y : y in Y(x, u)}; +inf when infeasible, -inf when unbounded."""
     Y = inst.Y
     m = LinearModel(name="recourse")
@@ -220,7 +220,7 @@ def recourse_value(inst: Instance, x: np.ndarray, u: np.ndarray,
         m.add_block(y_ids, Y.B2, GEQ, rhs)
     m.set_objective({y_ids[j]: Y.c2[j] for j in range(Y.dim) if Y.c2[j] != 0.0},
                     sense="min")
-    out = backend.solve(m, time_limit=time_limit)
+    out = backend.solve(m)
     if out.is_optimal:
         return float(out.objective), out.x[:Y.dim]
     if out.status == backend.INFEASIBLE:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
+from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
 from .model import (BasisId, Instance, _binary_product, _is_binary, affine_blocks,
                     max_over_u, range_probe, require_binary_terms)
 
@@ -105,15 +105,14 @@ class ParametricLPResult:
     cost_row: np.ndarray          # standard-form objective (u costs, zeros)
 
 
-def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                  time_limit: float | None = None) -> ParametricLPResult:
+def lp_parametric(inst: Instance, x: np.ndarray,
+                  beta: np.ndarray) -> ParametricLPResult:
     """max{(-E u)' beta : u in U(x)} with a deterministic basis report.
 
     The solver supplies an optimal point; the basis is rebuilt here over the
     standard form [F(x) | I] by greedy lowest-index completion of the positive
     support, and duals/reduced costs come from that basis directly, so the
-    report does not depend on which optimal basis HiGHS stopped at. Raises
-    SolveTimeLimit when the LP runs out of time.
+    report does not depend on which optimal basis HiGHS stopped at.
     """
     x = np.asarray(x, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -123,9 +122,7 @@ def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
     mu, n = Fx.shape
     c_u = -(inst.Y.E.T @ beta)
 
-    out = max_over_u(Fx, rhs, c_u, "lp_parametric", time_limit)
-    if out.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("parametric LP ran out of time")
+    out = max_over_u(Fx, rhs, c_u, "lp_parametric")
     if out.status == backend.INFEASIBLE:
         raise BackendError("U(x) is empty: nonemptiness assumption violated")
     if out.status == backend.UNBOUNDED:
@@ -214,9 +211,8 @@ def _complete_basis(A: np.ndarray, support: list[int]) -> list[int]:
 
 # -- feasibility of the inner LP over the whole outer set -----------------------
 
-def check_inner_feasibility(problem: MaxMinProblem, M: float = 1e4,
-                            time_limit: float | None = None
-                            ) -> tuple[float, np.ndarray]:
+def check_inner_feasibility(problem: MaxMinProblem,
+                            M: float = 1e4) -> tuple[float, np.ndarray]:
     """Worst-case artificial mass: v_f = max_z min{1'w : B_y y + w >= d - B_x z}.
 
     Zero means the inner LP is feasible at every outer point; a positive value
@@ -226,15 +222,14 @@ def check_inner_feasibility(problem: MaxMinProblem, M: float = 1e4,
     Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has network columns and
     every z_j that the objective reads has a finite range over the outer set,
     the network route solves it (_feasibility_by_network); otherwise the KKT
-    route does. Either raises SolveTimeLimit when a solve runs out of time.
+    route does.
     """
     m_rows, ny = problem.B_y.shape
     if has_network_columns(problem.B_y):
-        caps = {j: range_probe(problem.A_out, problem.b_out, j,
-                               time_limit=time_limit)
+        caps = {j: range_probe(problem.A_out, problem.b_out, j)
                 for j in np.flatnonzero(problem.B_x.any(axis=0))}
         if all(np.isfinite(list(caps.values()))):
-            return _feasibility_by_network(problem, caps, time_limit)
+            return _feasibility_by_network(problem, caps)
     ext = MaxMinProblem(
         A_out=problem.A_out, b_out=problem.b_out,
         c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
@@ -242,9 +237,7 @@ def check_inner_feasibility(problem: MaxMinProblem, M: float = 1e4,
         B_x=problem.B_x, d=problem.d,
         n_int_out=problem.n_int_out, name=problem.name + "_feas",
     )
-    res = solve_maxmin_kkt(ext, M=M, time_limit=time_limit)
-    if res.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("feasibility reformulation ran out of time")
+    res = solve_maxmin_kkt(ext, M=M)
     if res.status != backend.OPTIMAL:
         raise BackendError(f"feasibility reformulation ended {res.status}")
     return max(0.0, float(res.value)), res.outer
@@ -264,9 +257,8 @@ def has_network_columns(B: np.ndarray) -> bool:
                 and np.all((B == -1.0).sum(axis=0) <= 1))
 
 
-def _feasibility_by_network(problem: MaxMinProblem, caps: dict[int, float],
-                            time_limit: float | None
-                            ) -> tuple[float, np.ndarray]:
+def _feasibility_by_network(problem: MaxMinProblem,
+                            caps: dict[int, float]) -> tuple[float, np.ndarray]:
     """v_f = max (d - B_x z)' pi over z in the outer set and binary pi in
     Pi_1, exact because Pi_1 has 0/1 vertices (has_network_columns).
 
@@ -291,9 +283,7 @@ def _feasibility_by_network(problem: MaxMinProblem, caps: dict[int, float],
         w = _binary_product(m, pi_ids[i], z_ids[j], caps[j], name=f"w{i}_{j}")
         obj[w] = -problem.B_x[i, j]
     m.set_objective(obj, sense="max")
-    out = backend.solve_mip(m, time_limit=time_limit)
-    if out.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("feasibility product MIP ran out of time")
+    out = backend.solve_mip(m)
     if not out.is_optimal:
         raise BackendError(f"feasibility product MIP ended {out.status}")
 
@@ -301,10 +291,7 @@ def _feasibility_by_network(problem: MaxMinProblem, caps: dict[int, float],
     polish = backend.solve_lp(dual_polyhedron_lp(
         np.hstack([problem.B_y, np.eye(m_rows)]),
         np.concatenate([np.zeros(ny), np.ones(m_rows)]),
-        problem.d - problem.B_x @ z, name=problem.name + "_feas_polish"),
-        time_limit=time_limit)
-    if polish.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("feasibility polish LP ran out of time")
+        problem.d - problem.B_x @ z, name=problem.name + "_feas_polish"))
     if not polish.is_optimal:
         raise BackendError(f"feasibility polish LP ended {polish.status}")
     if abs(polish.objective - out.objective) > _POLISH_TOL * max(1.0, abs(out.objective)):
@@ -315,8 +302,7 @@ def _feasibility_by_network(problem: MaxMinProblem, caps: dict[int, float],
 
 # -- KKT route ------------------------------------------------------------------
 
-def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4,
-                     time_limit: float | None = None) -> MaxMinResult:
+def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
     """Replace the inner LP by primal feasibility, dual feasibility, and the
     two linearized complementarity families; maximize the inner objective."""
     m_rows, ny = problem.B_y.shape
@@ -340,7 +326,7 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4,
 
     m.set_objective({y_ids[j]: problem.c_y[j] for j in range(ny)
                      if problem.c_y[j] != 0.0}, sense="max")
-    out = backend.solve_mip(m, time_limit=time_limit)
+    out = backend.solve_mip(m)
     if out.status == backend.INFEASIBLE:
         # distinguish an empty outer set from a too-small M
         probe = LinearModel()
@@ -365,7 +351,6 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4,
 # -- disjoint bilinear route ----------------------------------------------------
 
 def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
-                      time_limit: float | None = None,
                       check_feasibility: bool = True) -> MaxMinResult:
     """max{(d - B_x z)' pi : z in outer set, pi in Pi}.
 
@@ -380,21 +365,16 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     then carries a dual ray and the witness z instead of a point.
     """
     if check_feasibility:
-        try:
-            v_f, witness = check_inner_feasibility(problem, M=M,
-                                                   time_limit=time_limit)
-            if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
-                ray = _dual_ray_at(problem, witness, time_limit)
-                return MaxMinResult(status=backend.UNBOUNDED, outer=witness,
-                                    ray=ray)
-        except SolveTimeLimit:
-            return MaxMinResult(status=backend.TIME_LIMIT)
+        v_f, witness = check_inner_feasibility(problem, M=M)
+        if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
+            return MaxMinResult(status=backend.UNBOUNDED, outer=witness,
+                                ray=_dual_ray_at(problem, witness))
 
     binary_outer = _outer_is_binary(problem) and (
         problem.n_int_out == problem.n_out
         or has_integral_vertices(problem.A_out, problem.b_out))
     if not binary_outer:
-        return solve_maxmin_kkt(problem, M=M, time_limit=time_limit)
+        return solve_maxmin_kkt(problem, M=M)
 
     m_rows, ny = problem.B_y.shape
     n_out = problem.n_out
@@ -409,7 +389,7 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
         w = _binary_product(m, z_ids[j], pi_ids[i], M, name=f"w{i}_{j}")
         obj[w] = -problem.B_x[i, j]
     m.set_objective(obj, sense="max")
-    out = backend.solve_mip(m, time_limit=time_limit)
+    out = backend.solve_mip(m)
     if not out.is_optimal:
         return MaxMinResult(status=out.status)
     return MaxMinResult(status=backend.OPTIMAL, value=float(out.objective),
@@ -465,17 +445,14 @@ def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
     return lp
 
 
-def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray,
-                 time_limit: float | None = None) -> np.ndarray:
+def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray) -> np.ndarray:
     """Extreme ray of Pi certifying inner infeasibility at the witness z."""
     lp = dual_polyhedron_lp(problem.B_y, problem.c_y,
                             problem.d - problem.B_x @ z, name="dual_at_witness")
-    out = backend.solve_lp(lp, time_limit=time_limit)
-    if out.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("dual LP at the witness ran out of time")
+    out = backend.solve_lp(lp)
     if out.status != backend.UNBOUNDED:
         raise BackendError("witness did not make the dual LP unbounded")
-    return backend.extract_ray(lp, time_limit=time_limit)
+    return backend.extract_ray(lp)
 
 
 # -- optimality blocks ----------------------------------------------------------
@@ -587,36 +564,32 @@ def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
 
 
 def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                          max_halvings: int = 5, time_limit: float | None = None
+                          max_halvings: int = 5
                           ) -> tuple[ParametricLPResult, np.ndarray]:
     """Parametric LP solve plus a verified uniqueness perturbation.
 
     Halves epsilon (up to max_halvings times) until re-solving with the
     perturbed costs keeps the original vertex optimal with strictly negative
-    reduced costs on every nonbasic column. Raises SolveTimeLimit when one of
-    its LPs runs out of time; time_limit bounds each of them.
+    reduced costs on every nonbasic column.
     """
-    base = lp_parametric(inst, x, beta, time_limit=time_limit)
+    base = lp_parametric(inst, x, beta)
     eps = 1e-4 * max(1.0, float(np.abs(base.cost_row).max()))
     for _ in range(max_halvings + 1):
         c_hat = perturb_for_uniqueness(base.cost_row, base.basis,
                                        base.reduced_costs, eps)
-        if _perturbation_is_clean(inst, x, base, c_hat, time_limit):
+        if _perturbation_is_clean(inst, x, base, c_hat):
             return base, c_hat
         eps *= 0.5
     raise BackendError("uniqueness perturbation failed to isolate the vertex")
 
 
 def _perturbation_is_clean(inst: Instance, x: np.ndarray,
-                           base: ParametricLPResult, c_hat: np.ndarray,
-                           time_limit: float | None = None) -> bool:
+                           base: ParametricLPResult, c_hat: np.ndarray) -> bool:
     x = np.asarray(x, dtype=float)
     U = inst.U
     Fx = U.F.evaluate(x)
     mu, n = Fx.shape
-    out = max_over_u(Fx, U.h + U.G @ x, c_hat[:n], "perturb_check", time_limit)
-    if out.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("uniqueness check LP ran out of time")
+    out = max_over_u(Fx, U.h + U.G @ x, c_hat[:n], "perturb_check")
     if not out.is_optimal:
         return False
     # same vertex still optimal

@@ -22,17 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import backend
-from .backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-
-# Run-level statuses (per-solve statuses live in backend.py).
-OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
-GAP_REACHED = "GapReached"
-TIME_LIMIT = "TimeLimit"
-STALLED = "Stalled"
+from .backend import GEQ, LEQ, BackendError, LinearModel
 
 EPS_GAP = 1e-10   # guards the relative-gap denominator (objectives near 0 exist)
-ATOL = 1e-9       # default absolute tolerance for numeric comparisons
 
 
 def _arr(a, ndim: int) -> np.ndarray:
@@ -270,30 +262,26 @@ def add_uncertainty_vars(model: LinearModel, U: UncertaintySet,
             for j in range(U.dim)]
 
 
-def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray, name: str,
-               time_limit: float | None = None) -> backend.SolveOutcome:
+def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+               name: str) -> backend.SolveOutcome:
     """The LP max{c'z : z >= 0, A z <= b}, such as U(x) with A = F(x) and
     b = h + G x; z is its first columns. Integrality is ignored."""
     m = LinearModel(name=name)
     z_ids = m.add_vars(A.shape[1], prefix="z")
     m.add_block(z_ids, A, LEQ, b)
     m.set_objective(dict(zip(z_ids, c)), "max")
-    return backend.solve_lp(m, time_limit=time_limit)
+    return backend.solve_lp(m)
 
 
-def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max",
-                time_limit: float | None = None) -> float:
+def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max") -> float:
     """max (or min) z_j over {z >= 0 : A z <= b}, the min as -max(-z_j);
     +inf when z_j is unbounded above.
 
-    Raises SolveTimeLimit when the LP runs out of time and BackendError when
-    the set is empty."""
+    Raises BackendError when the set is empty."""
     sign = 1.0 if sense == "max" else -1.0
-    out = max_over_u(A, b, sign * np.eye(A.shape[1])[j], "range_probe", time_limit)
+    out = max_over_u(A, b, sign * np.eye(A.shape[1])[j], "range_probe")
     if out.status == backend.UNBOUNDED:
         return np.inf
-    if out.status == backend.TIME_LIMIT:
-        raise SolveTimeLimit("range probe ran out of time")
     if not out.is_optimal:
         raise BackendError(f"range probe ended {out.status}")
     return sign * float(out.objective)
@@ -350,7 +338,9 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
 # -- binary products in matrix blocks -------------------------------------------
 
 def _is_binary(inst: Instance, k: int) -> bool:
-    return k < inst.X.n_int and inst.X.ub[k] <= 1.0 + 1e-9
+    """x_k is integer with bounds inside [0, 1], so it takes only 0 and 1."""
+    return (k < inst.X.n_int and inst.X.lb[k] >= -1e-9
+            and inst.X.ub[k] <= 1.0 + 1e-9)
 
 
 def require_binary_terms(inst: Instance) -> None:

@@ -25,8 +25,8 @@ import numpy as np
 from . import backend
 from .backend import GEQ, LinearModel
 from .model import (AffineMatrixMap, Instance, RecourseSet, UncertaintySet,
-                    add_first_stage, add_recourse_rows, add_recourse_vars,
-                    affine_blocks)
+                    _is_binary, add_first_stage, add_recourse_rows,
+                    add_recourse_vars, affine_blocks)
 
 _TOL = 1e-9
 
@@ -147,7 +147,7 @@ def neutralize(inst: Instance) -> ReformulationOutput:
     with its masked coordinates zeroed, which the closure property keeps
     inside the set, so worst cases are unchanged.
     """
-    U, X = inst.U, inst.X
+    U = inst.U
     links, plain = _split_masked_rows(U)
     caps = np.array([links[i][2] for i in range(U.dim)])
     for i in range(U.n_int_u):
@@ -155,7 +155,7 @@ def neutralize(inst: Instance) -> ReformulationOutput:
             raise ValueError(f"binary u[{i}] needs a unit mask link, "
                              f"got cap {caps[i]}")
     for i, (r, k, _) in links.items():
-        if k >= X.n_int or X.ub[k] != 1.0 or X.lb[k] != 0.0:
+        if not _is_binary(inst, k):
             raise ValueError(f"mask column x[{k}] for u[{i}] is not binary "
                              "in the first stage")
 
@@ -360,7 +360,7 @@ def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
                          "(force_upper_bound=True to accept)")
 
     for k in U.coupled_columns:
-        if k >= inst.X.n_int or inst.X.ub[k] != 1.0 or inst.X.lb[k] != 0.0:
+        if not _is_binary(inst, k):
             raise ValueError(f"multiplier products need binary x[{k}]; the "
                              "coupled column is not")
 

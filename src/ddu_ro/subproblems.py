@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .backend import GEQ, BackendError, SolveTimeLimit
+from .backend import GEQ, BackendError
 from .instances import recourse_value
 from .maxmin import (
     MaxMinProblem,
@@ -40,20 +40,15 @@ class SubproblemReport:
     used_fallback: bool = False
 
 
-def sp1(inst: Instance, x: np.ndarray, M: float = 1e4,
-        time_limit: float | None = None) -> SubproblemReport:
+def sp1(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemReport:
     """Worst-case artificial mass of the recourse over U(x): zero means every
     scenario is servable, positive comes with the witness scenario."""
-    problem = maxmin_from_instance(inst, x)
-    try:
-        v_f, u_f = check_inner_feasibility(problem, M=M, time_limit=time_limit)
-    except SolveTimeLimit:
-        return SubproblemReport(kind="SP1", status=backend.TIME_LIMIT)
+    v_f, u_f = check_inner_feasibility(maxmin_from_instance(inst, x), M=M)
     return SubproblemReport(kind="SP1", value=v_f, u=u_f)
 
 
 def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
-        time_limit: float | None = None, kind: str = "SP2") -> SubproblemReport:
+        kind: str = "SP2") -> SubproblemReport:
     """Worst-case recourse cost at x with the dual extreme point that
     certifies it.
 
@@ -66,8 +61,7 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     equals (d - B1 x)' pi plus the parametric-LP value at pi, whose solve
     comes back as basis_result."""
     problem = maxmin_from_instance(inst, x)
-    res = solve_maxmin_dual(problem, M=M, time_limit=time_limit,
-                            check_feasibility=False)
+    res = solve_maxmin_dual(problem, M=M, check_feasibility=False)
     if res.status == backend.UNBOUNDED:
         raise BackendError(
             "worst-case problem unbounded: recourse infeasible somewhere, "
@@ -76,9 +70,7 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
         return SubproblemReport(kind=kind, status=res.status)
     out = backend.solve_lp(dual_polyhedron_lp(
         problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
-        name=f"{kind}_vertex_dual"), time_limit=time_limit)
-    if out.status == backend.TIME_LIMIT:
-        return SubproblemReport(kind=kind, status=out.status)
+        name=f"{kind}_vertex_dual"))
     if not out.is_optimal:
         raise BackendError(f"recourse dual at the worst-case scenario ended "
                            f"{out.status}")
@@ -97,10 +89,7 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     if inst.U.n_int_u:
         return SubproblemReport(kind=kind, value=float(res.value), u=res.outer,
                                 pi=pi)
-    try:
-        lp_res = lp_parametric(inst, x, pi, time_limit=time_limit)
-    except SolveTimeLimit:
-        return SubproblemReport(kind=kind, status=backend.TIME_LIMIT)
+    lp_res = lp_parametric(inst, x, pi)
     audit = abs(res.value - (float((inst.Y.d - inst.Y.B1 @ x) @ pi) + lp_res.value))
     if audit > _AUDIT_TOL * max(1.0, abs(res.value)):
         raise BackendError(f"split identity violated by {audit:.2e}: "
@@ -109,8 +98,7 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
                             pi=pi, basis_result=lp_res, audit_gap=audit)
 
 
-def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
-        time_limit: float | None = None) -> SubproblemReport:
+def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     """Extreme ray of the dual polyhedron certifying that the recourse at
     (x, u_f) is infeasible."""
     x = np.asarray(x, dtype=float)
@@ -118,18 +106,13 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
     Y = inst.Y
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
     lp = dual_polyhedron_lp(Y.B2, Y.c2, rhs_eff, name="sp3")
-    out = backend.solve_lp(lp, time_limit=time_limit)
-    if out.status == backend.TIME_LIMIT:
-        return SubproblemReport(kind="SP3", status=out.status)
+    out = backend.solve_lp(lp)
     if out.status == backend.INFEASIBLE:
         raise BackendError("dual polyhedron empty: recourse LP unbounded below")
     if out.status != backend.UNBOUNDED:
         raise BackendError(
             "recourse is feasible at the supplied scenario: no ray exists")
-    try:
-        gamma = backend.extract_ray(lp, time_limit=time_limit)
-    except SolveTimeLimit:
-        return SubproblemReport(kind="SP3", status=backend.TIME_LIMIT)
+    gamma = backend.extract_ray(lp)
     if float(rhs_eff @ gamma) <= 1e-8:
         raise BackendError("extracted ray does not certify infeasibility")
     cone_gap = float(np.max(Y.B2.T @ gamma)) if Y.dim else 0.0
@@ -138,25 +121,24 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray,
     return SubproblemReport(kind="SP3", ray=gamma, u=u_f)
 
 
-def sp2_mip_relax(inst: Instance, x: np.ndarray, M: float = 1e4,
-                  time_limit: float | None = None) -> SubproblemReport:
+def sp2_mip_relax(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemReport:
     """Worst case of the LP relaxation of a MIP recourse: a lower-bound
     surrogate. With no integer recourse variables this is plain sp2."""
-    return sp2(inst, x, M=M, time_limit=time_limit, kind="SP2relax")
+    return sp2(inst, x, M=M, kind="SP2relax")
 
 
-def recourse_mip_at(inst: Instance, x: np.ndarray, u: np.ndarray,
-                    time_limit: float | None = None) -> tuple[float, np.ndarray]:
+def recourse_mip_at(inst: Instance, x: np.ndarray,
+                    u: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact MIP recourse at a fixed scenario; returns value and y."""
-    val, y = recourse_value(inst, x, u, time_limit=time_limit)
+    val, y = recourse_value(inst, x, u)
     if y is None:
         raise BackendError("exact recourse MIP infeasible or unbounded at "
                            "the supplied scenario")
     return val, y
 
 
-def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray, M: float = 1e4,
-        time_limit: float | None = None) -> SubproblemReport:
+def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
+        M: float = 1e4) -> SubproblemReport:
     """Worst case with the integer recourse block frozen at y_d: an
     upper-bound surrogate. Infinite when some scenario is unservable under
     that freeze."""
@@ -178,8 +160,7 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray, M: float = 1e4,
         n_int_out=inst.U.n_int_u,
         name=f"{inst.name}_sp4",
     )
-    res = solve_maxmin_dual(problem, M=M, time_limit=time_limit,
-                            check_feasibility=True)
+    res = solve_maxmin_dual(problem, M=M, check_feasibility=True)
     offset = float(Y.c2[:nd] @ y_d)
     if res.status == backend.UNBOUNDED:
         return SubproblemReport(kind="SP4", value=np.inf, u=res.outer,
@@ -191,8 +172,8 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray, M: float = 1e4,
 
 
 def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
-                  x_star: np.ndarray, u_star: np.ndarray, eta_s: float,
-                  time_limit: float | None = None) -> SubproblemReport:
+                  x_star: np.ndarray, u_star: np.ndarray,
+                  eta_s: float) -> SubproblemReport:
     """Pick, among the duals as good as pi* for the cut at x*, one that is
     strongest at the core point (x0, u_ref). Falls back to the original
     seed when the LP rejects the combination."""
@@ -207,7 +188,7 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
     anchor = Y.d - Y.B1 @ x_star - Y.E @ u_star
     lp.add_constr({i: anchor[i] for i in range(m_rows) if anchor[i] != 0.0},
                   GEQ, eta_s)
-    out = backend.solve_lp(lp, time_limit=time_limit)
+    out = backend.solve_lp(lp)
     if not out.is_optimal:
         return SubproblemReport(kind="SP2POL", status=out.status,
                                 used_fallback=True)

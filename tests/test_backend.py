@@ -1,4 +1,5 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddu_ro import backend
-from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel
+from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLimit
 
 
 def small_min_lp():
@@ -115,13 +116,18 @@ def test_infeasible_and_unbounded_status():
     assert backend.solve_lp(m2).status == backend.UNBOUNDED
 
 
-def test_mip_rounds_to_integers():
+def small_mip():
     # min x + y, x + y >= 1.5, x integer: x = 2 or (x=1, y=.5); latter cheaper
-    m = LinearModel()
+    m = LinearModel(name="mip")
     x = m.add_var(integer=True)
     y = m.add_var()
     m.add_constr({x: 1.0, y: 1.0}, GEQ, 1.5)
     m.set_objective({x: 1.0, y: 1.0})
+    return m, x, y
+
+
+def test_mip_rounds_to_integers():
+    m, x, y = small_mip()
     out = backend.solve_mip(m)
     assert out.is_optimal
     assert out.objective == pytest.approx(1.5)
@@ -205,3 +211,74 @@ def test_strong_duality_audit_on_random_lps(seed):
         s = 1.0 if sense == "min" else -1.0
         assert np.all(s * out.duals[senses == GEQ] >= -1e-9)
         assert np.all(s * out.duals[senses == LEQ] <= 1e-9)
+
+
+# -- the wall clock -----------------------------------------------------------
+
+def _record_highs(monkeypatch) -> list[dict]:
+    """Wrap linprog and milp; every call appends the options HiGHS gets."""
+    seen: list[dict] = []
+
+    def recorded(real):
+        def call(*args, options=None, **kwargs):
+            seen.append(dict(options or {}))
+            return real(*args, options=options, **kwargs)
+        return call
+
+    for name in ("linprog", "milp"):
+        monkeypatch.setattr(backend, name, recorded(getattr(backend, name)))
+    return seen
+
+
+def _solve_both() -> None:
+    backend.solve_lp(small_min_lp()[0])
+    backend.solve_mip(small_mip()[0])
+
+
+def test_without_a_deadline_highs_gets_no_time_limit(monkeypatch):
+    seen = _record_highs(monkeypatch)
+    _solve_both()
+    with backend.deadline(100.0):
+        pass
+    _solve_both()
+    assert len(seen) == 4
+    assert not any("time_limit" in options for options in seen)
+
+
+def test_a_deadline_hands_highs_the_time_left(monkeypatch):
+    seen = _record_highs(monkeypatch)
+    with backend.deadline(100.0):
+        _solve_both()
+    assert [0.0 < o["time_limit"] <= 100.0 for o in seen] == [True, True]
+
+
+def test_a_nested_deadline_keeps_the_earlier_one(monkeypatch):
+    seen = _record_highs(monkeypatch)
+    with backend.deadline(10.0):
+        with backend.deadline(1000.0):
+            backend.solve_lp(small_min_lp()[0])
+        with backend.deadline(1.0):
+            backend.solve_lp(small_min_lp()[0])
+        backend.solve_lp(small_min_lp()[0])
+    limits = [o["time_limit"] for o in seen]
+    assert limits[0] <= 10.0 and limits[1] <= 1.0 and 1.0 < limits[2] <= 10.0
+
+
+def test_a_passed_deadline_raises_before_highs_is_called(monkeypatch):
+    seen = _record_highs(monkeypatch)
+    with backend.deadline(0.0):
+        with pytest.raises(SolveTimeLimit, match="min_lp"):
+            backend.solve_lp(small_min_lp()[0])
+        with pytest.raises(SolveTimeLimit, match="mip"):
+            backend.solve_mip(small_mip()[0])
+    assert seen == []
+
+
+@pytest.mark.parametrize("solver, model", [("linprog", small_min_lp),
+                                           ("milp", small_mip)])
+def test_a_highs_time_limit_status_raises(monkeypatch, solver, model):
+    # status 1: HiGHS stopped on its time limit, a MIP maybe with an incumbent
+    monkeypatch.setattr(backend, solver, lambda *args, **kwargs: SimpleNamespace(
+        status=1, x=np.array([1.0, 0.5]), mip_dual_bound=1.5))
+    with backend.deadline(100.0), pytest.raises(SolveTimeLimit, match="time limit"):
+        backend.solve(model()[0])

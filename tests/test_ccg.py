@@ -3,6 +3,8 @@ master dominance, termination reasons, and the two approximation loops."""
 
 import copy
 import json
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pytest
 from ddu_ro import backend, ccg
 from ddu_ro.backend import SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
-                        run_diu_approx, run_mip_recourse_approx,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
                               gen_reliable_pmedian, gen_robust_fl,
@@ -19,7 +20,6 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
-from ddu_ro.subproblems import SubproblemReport
 from toys import t1_infeasible
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
@@ -134,6 +134,30 @@ def test_basis_variant_rejects_continuous_coupling(monkeypatch):
     with pytest.raises(ValueError, match="non-binary"):
         run(_flt(), AlgorithmConfig(variant="basis", tol=0.0))
     assert len(calls) == 0
+
+
+def _t1_signed() -> Instance:
+    # t1 with x in {-1, 0, 1} and costs -x + 2y: w(x) = -x + 2 (1 + x), so
+    # w* = 1 at x = -1; x is integer with ub 1 but not binary
+    base = t1()
+    return replace(base, name="T1-signed", c1=np.array([-1.0]),
+                   X=replace(base.X, lb=np.array([-1.0])),
+                   Y=replace(base.Y, c2=np.array([2.0])))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_an_integer_x_with_a_negative_lower_bound_is_not_binary(variant):
+    # the {0, 1} envelopes of a binary x cut x = -1 off the master
+    inst = _t1_signed()
+    assert oracle_exact(inst).value == pytest.approx(1.0, abs=1e-9)
+    if variant == "basis":
+        with pytest.raises(ValueError, match="non-binary"):
+            run(inst, AlgorithmConfig(variant=variant, tol=0.0))
+        return
+    res = run(inst, AlgorithmConfig(variant=variant, tol=0.0))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(1.0, abs=1e-9)
+    assert res.x == pytest.approx([-1.0])
 
 
 def _t1_zero_term() -> Instance:
@@ -543,7 +567,7 @@ def test_sp2_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     def second_call_times_out(*args, **kwargs):
         calls.append(1)
         if len(calls) >= 2:
-            return SubproblemReport(kind="SP2", status=backend.TIME_LIMIT)
+            raise SolveTimeLimit("SP2")
         return real_sp2(*args, **kwargs)
 
     monkeypatch.setattr(ccg, "sp2", second_call_times_out)
@@ -560,12 +584,12 @@ def test_feasibility_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     real_mip = backend.solve_mip
     calls = []
 
-    def second_feasibility_call_times_out(model, **kwargs):
+    def second_feasibility_call_times_out(model):
         if model.name.endswith("_feas_net"):
             calls.append(1)
             if len(calls) >= 2:
-                return backend.SolveOutcome(status=backend.TIME_LIMIT)
-        return real_mip(model, **kwargs)
+                raise SolveTimeLimit(model.name)
+        return real_mip(model)
 
     monkeypatch.setattr(backend, "solve_mip", second_feasibility_call_times_out)
     res = run(_diu_box(), AlgorithmConfig(variant="parametric", tol=0.0))
@@ -597,9 +621,8 @@ def test_ray_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert full.status == "Optimal" and full.objective == pytest.approx(1.0)
     assert [r.cut_kind for r in full.iterations][:2] == ["optimality", "feasibility"]
 
-    def times_out(*args, time_limit=None):
-        assert time_limit is not None and time_limit > 0
-        return SubproblemReport(kind="SP3", status=backend.TIME_LIMIT)
+    def times_out(*args):
+        raise SolveTimeLimit("SP3")
 
     monkeypatch.setattr(ccg, "sp3", times_out)
     res = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
@@ -613,11 +636,10 @@ def test_ray_time_limit_keeps_bounds_and_incumbent(monkeypatch):
 def test_uniqueness_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     real_lp = backend.solve_lp
 
-    def check_lp_times_out(model, time_limit=None):
+    def check_lp_times_out(model):
         if model.name == "perturb_check":
-            assert time_limit is not None and time_limit > 0
-            return backend.SolveOutcome(status=backend.TIME_LIMIT)
-        return real_lp(model, time_limit=time_limit)
+            raise SolveTimeLimit(model.name)
+        return real_lp(model)
 
     monkeypatch.setattr(backend, "solve_lp", check_lp_times_out)
     res = run(t1(), AlgorithmConfig(variant="parametric-modified", tol=0.0))
@@ -630,9 +652,8 @@ def test_uniqueness_time_limit_keeps_bounds_and_incumbent(monkeypatch):
 def test_basis_probe_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     # the first basis comes with sp2; the tilted re-solves of _extra_bases
     # are the loop's own parametric LPs
-    def times_out(inst, x, beta, time_limit=None):
-        assert time_limit is not None and time_limit > 0
-        raise SolveTimeLimit("parametric LP ran out of time")
+    def times_out(inst, x, beta):
+        raise SolveTimeLimit("lp_parametric")
 
     monkeypatch.setattr(ccg, "lp_parametric", times_out)
     res = run(t1(), AlgorithmConfig(variant="basis", tol=0.0))
@@ -643,9 +664,8 @@ def test_basis_probe_time_limit_keeps_bounds_and_incumbent(monkeypatch):
 
 
 def test_core_scenario_time_limit_keeps_bounds_and_incumbent(monkeypatch):
-    def times_out(A, b, j, sense="max", time_limit=None):
-        assert time_limit is not None and time_limit > 0
-        raise SolveTimeLimit("range probe ran out of time")
+    def times_out(A, b, j, sense="max"):
+        raise SolveTimeLimit("range_probe")
 
     monkeypatch.setattr(ccg, "range_probe", times_out)
     res = run(t1(), AlgorithmConfig(variant="parametric", pareto=True, tol=0.0))
@@ -655,9 +675,35 @@ def test_core_scenario_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
 
 
+@pytest.mark.parametrize("name, calls, step", [
+    ("T1-parametric-master", 2, "master"),
+    ("sp2_pol", 1, "Pareto seed subproblem"),
+])
+def test_a_timeout_names_the_step_that_ran(monkeypatch, name, calls, step):
+    real = {"solve_lp": backend.solve_lp, "solve_mip": backend.solve_mip}
+    seen = []
+
+    def limited(which):
+        def solve(model):
+            if model.name == name:
+                seen.append(1)
+                if len(seen) == calls:
+                    raise SolveTimeLimit(model.name)
+            return real[which](model)
+        return solve
+
+    for which in real:
+        monkeypatch.setattr(backend, which, limited(which))
+    res = run(t1(), AlgorithmConfig(variant="parametric", pareto=True, tol=0.0))
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == f"{step} hit the wall clock"
+    assert res.x == pytest.approx([0.0])
+    assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
+
+
 @pytest.mark.parametrize("error, status, reason", [
     (backend.BackendError("audit failed"), "Numerical", "audit failed"),
-    (SolveTimeLimit("a probe"), "TimeLimit", "a probe hit the wall clock"),
+    (SolveTimeLimit("a probe"), "TimeLimit", "worst-case subproblem hit the wall clock"),
 ], ids=["backend-error", "time-limit"])
 def test_an_error_in_a_subproblem_keeps_bounds_and_incumbent(monkeypatch, error,
                                                               status, reason):
@@ -697,6 +743,89 @@ def test_m_too_small_ends_numerical():
     assert res.x is None
 
 
+def test_every_solve_gets_no_more_than_the_time_the_run_has_left(monkeypatch):
+    # sp2's relaxation returns 0.3 s late, so a budget taken before it would
+    # hand the solves after it 0.3 s more than the run has left
+    limit = 600.0
+    real_relax = ccg.sp2_mip_relax
+
+    def slow_relax(*args, **kwargs):
+        out = real_relax(*args, **kwargs)
+        time.sleep(0.3)
+        return out
+
+    monkeypatch.setattr(ccg, "sp2_mip_relax", slow_relax)
+    seen = []
+
+    def recorded(real):
+        def call(*args, options=None, **kwargs):
+            seen.append(((options or {}).get("time_limit"),
+                         limit - (time.monotonic() - t0)))
+            return real(*args, options=options, **kwargs)
+        return call
+
+    for name in ("linprog", "milp"):
+        monkeypatch.setattr(backend, name, recorded(getattr(backend, name)))
+    inst = gen_mip_recourse_fl(FLParams(**FL_MIP3))
+    t0 = time.monotonic()
+    res = run(inst, AlgorithmConfig(mip_recourse_mode=True, big_M=1e5,
+                                    time_limit_s=limit))
+    assert res.status == "Optimal" and len(res.iterations) >= 2
+    assert all(given is not None for given, _ in seen)
+    assert max(given - left for given, left in seen) <= 0.05
+
+
+def test_a_timeout_in_the_exact_recourse_ends_time_limit(monkeypatch):
+    real_mip = backend.solve_mip
+
+    def recourse_times_out(model):
+        if model.name == "recourse":
+            raise SolveTimeLimit(model.name)
+        return real_mip(model)
+
+    monkeypatch.setattr(backend, "solve_mip", recourse_times_out)
+    res = run(gen_mip_recourse_fl(FLParams(**FL_MIP3)),
+              AlgorithmConfig(mip_recourse_mode=True, big_M=1e5))
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "exact recourse hit the wall clock"
+    assert res.lb >= res.meta["relaxation_value"] and res.ub == np.inf
+
+
+def test_a_deadline_of_the_caller_that_ends_first_holds():
+    with backend.deadline(0.0):
+        res = run(t1(), AlgorithmConfig(variant="parametric"))
+    assert res.status == "TimeLimit" and res.meta["reason"] == "wall clock"
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(variant="benders", mip_recourse_mode=True), "parametric master"),
+    (dict(variant="basis", diu_approx="metadata"), "parametric master"),
+    (dict(diu_approx=[]), "at least one surrogate"),
+    (dict(diu_approx="everything"), "descriptor"),
+], ids=["mip-benders", "diu-basis", "diu-empty", "diu-unknown"])
+def test_approximation_loops_reject_bad_configs(config, message):
+    inst = gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0")
+    inst.metadata["ddu_sets"] = [uncertainty_set_to_dict(
+        gen_reliable_pmedian(PMedianParams(**PM4), "ddu_uk").U)]
+    with pytest.raises(ValueError, match=message):
+        run(inst, AlgorithmConfig(**config))
+
+
+def test_approximation_loops_reject_mismatched_instances():
+    diu = gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0")
+    wide = UncertaintySet(F=AffineMatrixMap(base=np.eye(diu.U.dim + 1)),
+                          G=np.zeros((diu.U.dim + 1, diu.dim_x)),
+                          h=np.ones(diu.U.dim + 1))
+    with pytest.raises(ValueError, match="uncertainty dimension"):
+        run(diu, AlgorithmConfig(diu_approx=[wide]))
+    off = UncertaintySet(F=diu.U.F, G=np.zeros((diu.U.n_rows, diu.dim_x + 1)),
+                         h=diu.U.h)
+    with pytest.raises(ValueError, match="first-stage space"):
+        run(diu, AlgorithmConfig(diu_approx=[off]))
+    with pytest.raises(ValueError, match="diu_approx"):
+        run(diu, AlgorithmConfig(mip_recourse_mode=True))
+
+
 def test_config_rejects_bad_combinations():
     with pytest.raises(ValueError, match="variant"):
         AlgorithmConfig(variant="newton")
@@ -716,8 +845,7 @@ def test_config_rejects_bad_combinations():
 
 def test_mip_recourse_closes_on_fl():
     inst = gen_mip_recourse_fl(FLParams(**FL2))
-    res = run_mip_recourse_approx(inst, AlgorithmConfig(
-        tol=1e-6, mip_recourse_mode=True, big_M=1e5))
+    res = run(inst, AlgorithmConfig(tol=1e-6, mip_recourse_mode=True, big_M=1e5))
     assert res.status in ("Optimal", "GapReached")
     assert res.objective == pytest.approx(FL2_MIP_W, rel=1e-8)
 
@@ -731,8 +859,7 @@ def test_mip_recourse_brackets_the_setup_toy():
 
     wstar = min(0.1 * x + exact_wc(x) for x in (0.0, 1.0))
     assert wstar == pytest.approx(6.0)
-    res = run_mip_recourse_approx(inst, AlgorithmConfig(
-        tol=1e-6, mip_recourse_mode=True))
+    res = run(inst, AlgorithmConfig(tol=1e-6, mip_recourse_mode=True))
     assert res.lb <= wstar + 1e-7
     assert res.ub >= wstar - 1e-7
     assert res.objective == pytest.approx(wstar, rel=1e-7)
@@ -740,8 +867,8 @@ def test_mip_recourse_brackets_the_setup_toy():
 
 def test_mip_mode_without_integer_recourse_is_the_exact_loop():
     plain = run(t1(), AlgorithmConfig(variant="parametric", tol=0.0))
-    via_flag = run_mip_recourse_approx(t1(), AlgorithmConfig(
-        variant="parametric", tol=0.0))
+    via_flag = run(t1(), AlgorithmConfig(variant="parametric", tol=0.0,
+                                         mip_recourse_mode=True))
     assert via_flag.objective == pytest.approx(plain.objective)
     assert via_flag.status == "Optimal"
 
@@ -749,7 +876,7 @@ def test_mip_mode_without_integer_recourse_is_the_exact_loop():
 def test_diu_approx_exact_when_the_surrogate_is_exact():
     diu = gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0")
     ddu = gen_reliable_pmedian(PMedianParams(**PM4), "ddu_uk")
-    res = run_diu_approx(diu, [ddu.U], AlgorithmConfig(tol=1e-6))
+    res = run(diu, AlgorithmConfig(tol=1e-6, diu_approx=[ddu.U]))
     assert res.status in ("Optimal", "GapReached")
     assert res.objective == pytest.approx(PM4_DIU_W, rel=1e-9)
 
@@ -759,8 +886,8 @@ def test_diu_approx_stalls_honestly_on_a_weak_surrogate():
     nu, nx = diu.U.dim, diu.dim_x
     pinned = UncertaintySet(F=AffineMatrixMap(base=np.eye(nu)),
                             G=np.zeros((nu, nx)), h=np.zeros(nu))
-    res = run_diu_approx(diu, [pinned], AlgorithmConfig(tol=1e-6,
-                                                        max_iterations=12))
+    res = run(diu, AlgorithmConfig(tol=1e-6, diu_approx=[pinned],
+                                   max_iterations=12))
     assert res.status == "Stalled"
     assert res.lb <= PM4_DIU_W + 1e-6
     assert res.ub >= PM4_DIU_W - 1e-6

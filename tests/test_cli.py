@@ -51,10 +51,13 @@ def test_solve_time_limit_exits_three_with_partial_trace(t1_path, tmp_path):
 def test_solve_subproblem_time_limit_exits_three(t1_path, tmp_path, monkeypatch):
     # a worst-case subproblem that runs out of time reports no value; the
     # run must end TimeLimit rather than fail on the missing number
-    from ddu_ro import backend, ccg
-    from ddu_ro.subproblems import SubproblemReport
-    monkeypatch.setattr(ccg, "sp2", lambda *a, **k: SubproblemReport(
-        kind="SP2", status=backend.TIME_LIMIT))
+    from ddu_ro import ccg
+    from ddu_ro.backend import SolveTimeLimit
+
+    def times_out(*args, **kwargs):
+        raise SolveTimeLimit("SP2")
+
+    monkeypatch.setattr(ccg, "sp2", times_out)
     out = str(tmp_path / "tl")
     assert cli.main(["solve", t1_path, "--out", out]) == 3
     payload = json.loads(Path(out, "run.json").read_text())

@@ -438,26 +438,34 @@ def _cap_problem() -> MaxMinProblem:
 @pytest.mark.parametrize("timed_out", ["range_probe", "cap_feas_net",
                                        "cap_feas_polish"])
 def test_network_route_maps_time_limits(monkeypatch, timed_out):
+    # a timeout in any solve of the route reaches the caller as itself
     real = {"solve_lp": backend.solve_lp, "solve_mip": backend.solve_mip}
 
     def limited(which):
-        def solve(model, **kw):
+        def solve(model):
             if model.name == timed_out:
-                return backend.SolveOutcome(status=backend.TIME_LIMIT)
-            return real[which](model, **kw)
+                raise SolveTimeLimit(model.name)
+            return real[which](model)
         return solve
 
     for which in real:
         monkeypatch.setattr(backend, which, limited(which))
     p = _cap_problem()
-    with pytest.raises(SolveTimeLimit):
-        check_inner_feasibility(p, time_limit=1.0)
-    assert solve_maxmin_dual(p, time_limit=1.0).status == backend.TIME_LIMIT
+    with pytest.raises(SolveTimeLimit, match=timed_out):
+        check_inner_feasibility(p)
+    with pytest.raises(SolveTimeLimit, match=timed_out):
+        solve_maxmin_dual(p)
 
 
 def test_dual_route_maps_a_ray_time_limit(monkeypatch):
+    # the dual LP at the witness of an unservable scenario times out
     solve_lp = backend.solve_lp
-    monkeypatch.setattr(backend, "solve_lp", lambda model, **kw: (
-        backend.SolveOutcome(status=backend.TIME_LIMIT)
-        if model.name == "dual_at_witness" else solve_lp(model, **kw)))
-    assert solve_maxmin_dual(_cap_problem(), time_limit=1.0).status == backend.TIME_LIMIT
+
+    def limited(model):
+        if model.name == "dual_at_witness":
+            raise SolveTimeLimit(model.name)
+        return solve_lp(model)
+
+    monkeypatch.setattr(backend, "solve_lp", limited)
+    with pytest.raises(SolveTimeLimit, match="dual_at_witness"):
+        solve_maxmin_dual(_cap_problem())

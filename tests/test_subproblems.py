@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddu_ro import backend, t1
-from ddu_ro.backend import BackendError
+from ddu_ro.backend import BackendError, SolveTimeLimit
 from ddu_ro.instances import (
     FLParams,
     PMedianParams,
@@ -162,12 +162,16 @@ def test_sp3_reports_a_time_limit(monkeypatch, timed_out):
     x_bad = np.zeros(4)
     w = sp1(inst, x_bad)
     solve_lp = backend.solve_lp
-    monkeypatch.setattr(backend, "solve_lp", lambda model, **kw: (
-        backend.SolveOutcome(status=backend.TIME_LIMIT)
-        if model.name == timed_out else solve_lp(model, **kw)))
-    r = sp3(inst, x_bad, w.u, time_limit=1.0)
-    assert r.status == backend.TIME_LIMIT
-    assert r.ray is None
+
+    def limited(model):
+        if model.name == timed_out:
+            raise SolveTimeLimit(model.name)
+        return solve_lp(model)
+
+    # the ray LP and the dual LP before it both pass a timeout on
+    monkeypatch.setattr(backend, "solve_lp", limited)
+    with pytest.raises(SolveTimeLimit, match=timed_out):
+        sp3(inst, x_bad, w.u)
 
 
 def test_sp3_rejects_feasible_scenario():
