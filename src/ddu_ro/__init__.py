@@ -10,11 +10,9 @@ from .model import (
     RecourseSet,
     RunResult,
     UncertaintySet,
-    ValidationReport,
     instance_from_dict,
     instance_to_dict,
     relative_gap,
-    validate,
 )
 from .instances import (
     FLParams,
@@ -42,8 +40,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMatrixMap", "BasisId", "FirstStageSet",
     "Instance", "IterationRecord", "RecourseSet", "RunResult",
-    "UncertaintySet", "ValidationReport", "instance_from_dict",
-    "instance_to_dict", "relative_gap", "validate",
+    "UncertaintySet", "instance_from_dict", "instance_to_dict",
+    "relative_gap",
     "FLParams", "OracleLimits", "OracleResult", "PMedianParams",
     "gen_mip_recourse_fl", "gen_reliable_pmedian", "gen_robust_fl",
     "io_read", "io_write", "oracle_exact", "t1",

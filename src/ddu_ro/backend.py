@@ -10,15 +10,9 @@ SolveTimeLimit when the deadline has passed before the call or HiGHS stops on
 its limit. A nested block keeps whichever deadline comes first. Outside any
 block HiGHS gets no time limit.
 
-Sign conventions. Duals are reported for rows as written: for a row a.x >= b
-of a minimization model the dual is >= 0, for a.x <= b it is <= 0, equality
-rows are free. Reduced costs are c - A'dual in the model's own sense, so at a
-minimum variables sitting at their lower bound have nonnegative reduced cost
-and at a maximum nonpositive. For every optimal LP,
-
-    objective == duals.rhs + reduced_costs.x
-
-holds to solver tolerance (bound contributions live in the reduced-cost term).
+solve_lp reports the status, objective and solution of an LP, no duals: the
+algorithms that need dual values take them from a dual LP of their own or
+from a basis (maxmin).
 """
 
 from __future__ import annotations
@@ -227,9 +221,6 @@ class SolveOutcome:
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
-    ray: np.ndarray | None = None
     bound: float | None = None            # best dual bound from a MIP solve
 
     @property
@@ -238,9 +229,9 @@ class SolveOutcome:
 
 
 def _assemble_lp(model: LinearModel):
-    """Split the rows of model.sparse() into the <= and = CSR blocks of
-    linprog, each as (row ids, block, rhs), None for an empty block. A >= row
-    enters the <= block negated: sign is -1 on those rows, +1 elsewhere."""
+    """The objective, the <= and = CSR blocks of linprog, each as (block,
+    rhs) with (None, None) for an empty block, and the variable bounds. A >=
+    row enters the <= block negated."""
     c = model.objective_vector()
     if model.sense == "max":
         c = -c
@@ -254,15 +245,15 @@ def _assemble_lp(model: LinearModel):
     for mask in (senses != EQ, senses == EQ):
         rows = np.flatnonzero(mask)
         if not len(rows):
-            blocks.append((rows, None, None))
+            blocks.append((None, None))
             continue
         keep = mask[entry_row]
         indptr = np.concatenate(([0], np.cumsum(counts[rows])))
-        blocks.append((rows, csr_array((data[keep], A.indices[keep], indptr),
-                                       shape=(len(rows), model.n_vars)),
+        blocks.append((csr_array((data[keep], A.indices[keep], indptr),
+                                 shape=(len(rows), model.n_vars)),
                        sign[rows] * rhs[rows]))
     bounds = np.array([(v.lb, v.ub) for v in model.vars]).reshape(-1, 2)
-    return c, blocks, sign, bounds
+    return c, blocks, bounds
 
 
 def _with_time_left(model: LinearModel, options: dict) -> dict:
@@ -291,27 +282,20 @@ def _status(model: LinearModel, code: int) -> str:
 
 
 def solve_lp(model: LinearModel) -> SolveOutcome:
-    """Solve ignoring integrality. Returns duals and reduced costs."""
-    c, ((ub_rows, a_ub, b_ub), (eq_rows, a_eq, b_eq)), sign, bounds = _assemble_lp(model)
+    """Solve ignoring integrality."""
+    c, ((a_ub, b_ub), (a_eq, b_eq)), bounds = _assemble_lp(model)
     options = _with_time_left(model, {"presolve": True})
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs", options=options)
     status = _status(model, res.status)
     if status != OPTIMAL:
         return SolveOutcome(status=status)
-
-    flip = -1.0 if model.sense == "max" else 1.0
     x = np.asarray(res.x, dtype=float)
-    duals = np.zeros(model.n_constrs)
-    duals[ub_rows] = flip * sign[ub_rows] * res.ineqlin.marginals
-    duals[eq_rows] = flip * res.eqlin.marginals
-    rc = flip * (np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals))
-    return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x),
-                        x=x, duals=duals, reduced_costs=rc)
+    return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x), x=x)
 
 
 def solve_mip(model: LinearModel) -> SolveOutcome:
-    """Solve with integrality. No duals or basis."""
+    """Solve with integrality."""
     if not model.has_integers:
         return solve_lp(model)
     c = model.objective_vector()

@@ -281,7 +281,7 @@ def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
     wall clock.
 
     Both stages must be continuous unless the config picks one of the two
-    approximation loops, each on the parametric master:
+    approximation loops (not both), each on the parametric master:
     - mip_recourse_mode brackets a mixed-integer recourse: masters replicate
       the integer columns, the optimality subproblem relaxes them, and each
       incumbent is repriced by the exact recourse before the residual worst
@@ -294,6 +294,9 @@ def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
       is exact, so a repeated seed freezes the bounds and reports Stalled.
     """
     config = config or AlgorithmConfig()
+    if config.mip_recourse_mode and config.diu_approx is not None:
+        raise ValueError("mip_recourse_mode and diu_approx pick two different "
+                         "approximation loops; set one of them")
     ddu_sets = None
     if config.mip_recourse_mode:
         if config.variant != "parametric":

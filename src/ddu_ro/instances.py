@@ -42,6 +42,7 @@ from .model import (
     dimension_errors,
     instance_from_dict,
     instance_to_dict,
+    max_over_u,
     range_probe,
     uncertainty_set_to_dict,
 )
@@ -388,7 +389,8 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
     rows only matter through c1 and X, so LPs optimize them out; coupled
     continuous components are pinned when X forces their value and gridded
     (limits.grid points) when at most two stay free. A run of lattice points
-    shares these LPs (see _complete_continuous).
+    shares these LPs (see _complete_continuous). One LP per distinct F(x)
+    first checks that U(x) is bounded (_require_bounded).
     """
     limits = limits or OracleLimits()
     X = inst.X
@@ -422,6 +424,7 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
     xs = [x for run in _runs(points, cap)
           for x in _complete_continuous(inst, run, coupled, sep, limits)]
 
+    _require_bounded(inst.U, xs)
     best = OracleResult(value=np.inf, x=np.zeros(nx), worst_u=np.zeros(inst.dim_u))
     evals: list[tuple[np.ndarray, float]] = []
     for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs, limits)):
@@ -433,6 +436,19 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
         raise OracleError("first stage has no feasible point")
     best.evaluations = evals
     return best
+
+
+def _require_bounded(U: UncertaintySet, xs: list[np.ndarray]) -> None:
+    """Raise OracleError when U(x) has a direction of recession for some x
+    of xs, which its vertices alone would miss: the LP max{1'd : d >= 0,
+    F(x) d <= 0} is unbounded exactly then. One LP per distinct F(x); integer
+    u and a set without rows are left to enumerate_vertices."""
+    if U.n_int_u or not U.n_rows:
+        return
+    for Fx in {Fx.tobytes(): Fx for Fx in map(U.F.evaluate, xs)}.values():
+        out = max_over_u(Fx, np.zeros(U.n_rows), np.ones(U.dim), "recession")
+        if out.status == backend.UNBOUNDED:
+            raise OracleError("U(x) is unbounded (boundedness violated)")
 
 
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],

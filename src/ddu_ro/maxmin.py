@@ -98,7 +98,6 @@ class MaxMinResult:
 @dataclass
 class ParametricLPResult:
     u: np.ndarray
-    lam: np.ndarray
     basis: BasisId
     reduced_costs: np.ndarray     # over standard-form columns (u then slacks)
     value: float
@@ -142,7 +141,7 @@ def lp_parametric(inst: Instance, x: np.ndarray,
     lam = np.linalg.solve(A[:, basis_cols].T, c_full[basis_cols]) if mu else np.zeros(0)
     rc = c_full - A.T @ lam
     rc[basis_cols] = 0.0
-    return ParametricLPResult(u=u_star, lam=lam, basis=BasisId(tuple(basis_cols)),
+    return ParametricLPResult(u=u_star, basis=BasisId(tuple(basis_cols)),
                               reduced_costs=rc, value=float(out.objective),
                               cost_row=c_full)
 

@@ -1,5 +1,5 @@
 """Data model for two-stage robust programs with decision-dependent
-uncertainty, the shared record types, and instance validation.
+uncertainty, the shared record types, and their dimension check.
 
 An instance is
 
@@ -17,7 +17,7 @@ dense float arrays; sparsity only appears in the JSON form (instance_to_dict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class FirstStageSet:
     @property
     def dim(self) -> int:
         return self.A.shape[1]
-
-    @property
-    def n_cont(self) -> int:
-        return self.dim - self.n_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +238,7 @@ def relative_gap(lb: float, ub: float) -> float:
     return (ub - lb) / max(abs(ub), EPS_GAP)
 
 
-# -- model-building blocks shared by validation, oracle and the algorithms ----
+# -- model-building blocks shared by the oracle and the algorithms ------------
 
 def add_first_stage(model: LinearModel, inst: Instance, prefix: str = "x") -> list[int]:
     """Add x variables with bounds/integrality and the rows A x >= b."""
@@ -402,18 +398,7 @@ def affine_blocks(model: LinearModel, F: AffineMatrixMap, v_ids: list[int],
     return blocks
 
 
-# -- validation ---------------------------------------------------------------
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list[str]
-    dependence: str | None = None        # "rhs" or "lhs"
-    a3_status: str | None = None
-    a3_value: float | None = None
-    a3_exact: bool = True
-    a2_unbounded_dims: list[int] = field(default_factory=list)
-
+# -- dimension check -----------------------------------------------------------
 
 def dimension_errors(inst: Instance) -> list[str]:
     """Every way the parts of inst disagree in their dimensions; empty when
@@ -445,76 +430,6 @@ def dimension_errors(inst: Instance) -> list[str]:
     if Y.c2.size != ny:
         errors.append(f"c2 has {Y.c2.size} entries, B2 has {ny} columns")
     return errors
-
-
-def validate(inst: Instance, probe_boundedness: bool = True) -> ValidationReport:
-    """Check dimensional consistency, classify the x-dependence, solve the
-    deterministic relaxation (exactly when the rows are linear in (x, u),
-    else at a feasible witness x), and optionally probe boundedness of U."""
-    errors = dimension_errors(inst)
-    if errors:
-        return ValidationReport(ok=False, errors=errors)
-    nx, nu = inst.dim_x, inst.dim_u
-    X, U = inst.X, inst.U
-
-    report = ValidationReport(ok=True, errors=[],
-                              dependence="rhs" if U.F.is_constant else "lhs")
-
-    witness_x = None
-    if U.F.is_constant:
-        det, _ = build_deterministic_mip(inst)
-        out = backend.solve(det)
-        report.a3_status = out.status
-        report.a3_value = out.objective
-        if out.is_optimal:
-            witness_x = out.x[:nx]
-    else:
-        # bilinear rows: evaluate at a feasible first-stage witness instead
-        witness_x = _feasible_first_stage(inst)
-        report.a3_exact = False
-        if witness_x is None:
-            report.a3_status = backend.INFEASIBLE
-        else:
-            witness_x[:X.n_int] = np.round(witness_x[:X.n_int])
-            det, ids = build_deterministic_mip(
-                replace(inst, U=replace(U, F=AffineMatrixMap(U.F.evaluate(witness_x)))))
-            for j, v in zip(ids["x"], witness_x):
-                det.fix_var(j, v)
-            out = backend.solve(det)
-            report.a3_status = out.status
-            report.a3_value = out.objective
-
-    if probe_boundedness:
-        px = witness_x
-        if px is None:
-            px = np.where(np.isfinite(X.ub), X.ub, np.maximum(X.lb, 1.0))
-        Fx, rhs = U.F.evaluate(px), U.h + U.G @ px
-        for j in range(nu):
-            try:
-                if range_probe(Fx, rhs, j) == np.inf:
-                    report.a2_unbounded_dims.append(j)
-            except BackendError:
-                break     # U(px) is empty: nothing to probe
-
-    if report.a3_status != backend.OPTIMAL:
-        report.errors.append(
-            f"deterministic relaxation is {report.a3_status}: no finite "
-            "robust optimum exists")
-    if report.a2_unbounded_dims:
-        report.errors.append(
-            f"uncertainty coordinates {report.a2_unbounded_dims} are "
-            "unbounded at the probed first stage")
-    report.ok = not report.errors
-    return report
-
-
-def _feasible_first_stage(inst: Instance) -> np.ndarray | None:
-    m = LinearModel(name="x_witness")
-    x_ids = add_first_stage(m, inst)
-    m.set_objective({x_ids[k]: inst.c1[k] for k in range(inst.dim_x)
-                     if inst.c1[k] != 0.0}, sense="min")
-    out = backend.solve(m)
-    return out.x[:inst.dim_x] if out.is_optimal else None
 
 
 # -- JSON serialization --------------------------------------------------------

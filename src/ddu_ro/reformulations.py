@@ -26,7 +26,7 @@ from . import backend
 from .backend import GEQ, LinearModel
 from .model import (AffineMatrixMap, Instance, RecourseSet, UncertaintySet,
                     _is_binary, add_first_stage, add_recourse_rows,
-                    add_recourse_vars, affine_blocks)
+                    add_recourse_vars, affine_blocks, max_over_u)
 
 _TOL = 1e-9
 
@@ -50,13 +50,18 @@ class ReformulationOutput:
 # -- downward closedness -------------------------------------------------------
 
 def _closure_counterexample(F: np.ndarray, h: np.ndarray, caps: np.ndarray,
-                            n_int: int, n_trials: int = 1000):
-    """Search for a feasible u whose shrunken copy leaves {u : F u <= h}.
+                            n_int: int):
+    """Search for a feasible u whose copy with some coordinates zeroed leaves
+    {u : F u <= h, 0 <= u <= caps}.
 
     All-binary sets of dimension <= 15 are checked exhaustively (closure
     under zeroing one coordinate at a time is equivalent to full downward
-    closedness); otherwise randomized masks over sampled feasible points.
-    Returns (u, masked) on failure, None when no violation was found.
+    closedness). Otherwise one LP per row i with a negative entry takes the
+    largest value of row i once those coordinates are zeroed, max sum_j
+    max(F_ij, 0) u_j over the set; the set is open when it exceeds h_i. The
+    LP relaxes integer coordinates, so it may refuse a closed mixed-integer
+    set but never accepts an open one. Returns (u, masked) on failure, None
+    when there is no violation.
     """
     mu, dim = F.shape
     if dim == 0 or mu == 0:
@@ -79,23 +84,12 @@ def _closure_counterexample(F: np.ndarray, h: np.ndarray, caps: np.ndarray,
                         return u, masked
         return None
 
-    rng = np.random.default_rng(0)
-    found = 0
-    for _ in range(n_trials):
-        if found >= 100:
-            break
-        u = rng.random(dim) * caps
-        u[:n_int] = np.round(u[:n_int])
-        if not feasible(u):
-            continue
-        found += 1
-        for _ in range(10):
-            factor = rng.random(dim)
-            factor[rng.random(dim) < 0.3] = 0.0
-            factor[:n_int] = np.round(factor[:n_int])
-            masked = u * factor
-            if not feasible(masked):
-                return u, masked
+    A, b = np.vstack([F, np.eye(dim)]), np.concatenate([h, caps])
+    for i in np.flatnonzero((F < 0.0).any(axis=1)):
+        out = max_over_u(A, b, np.maximum(F[i], 0.0), "closure")
+        if out.is_optimal and out.objective > h[i] + slack:
+            u = out.x[:dim]
+            return u, np.where(F[i] < 0.0, 0.0, u)
     return None
 
 
@@ -137,8 +131,8 @@ def neutralize(inst: Instance) -> ReformulationOutput:
 
     Shape: every coordinate carries one link row u_i <= cap_i * x_k with a
     binary switch column x_k, and the remaining rows F u <= h are x-free and
-    downward closed (checked, by exhaustion when all-binary and small,
-    sampled otherwise). The output set drops the switches (links become
+    downward closed (checked, by exhaustion when all-binary and small, by
+    one LP per row otherwise). The output set drops the switches (links become
     u_i <= cap_i) and the recourse sees v = u o x' through the exact
     envelope v <= cap x', v <= u, v >= u - cap (1 - x'), which for binary
     coordinates is the usual v <= x', v <= u, v >= x' + u - 1.

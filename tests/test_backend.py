@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import Bounds, LinearConstraint, milp
+
 from ddu_ro import backend
 from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLimit
 
@@ -27,13 +29,6 @@ def test_ids_are_append_only():
     rows = [m.add_constr({0: 1.0}, GEQ, 0.0) for _ in range(3)]
     assert rows == [0, 1, 2]
     assert m.n_vars == 5 and m.n_constrs == 3
-
-
-def strong_duality_gap(model: LinearModel, out: backend.SolveOutcome) -> float:
-    """|objective - duals.rhs - reduced_costs.x| for an optimal LP outcome."""
-    rhs = np.array([c.rhs for c in model.constrs])
-    val = float(out.duals @ rhs + out.reduced_costs @ out.x) + model.obj_const
-    return abs(out.objective - val)
 
 
 def test_add_block_rows_match_the_entrywise_dicts():
@@ -68,20 +63,17 @@ def test_add_block_rows_match_the_entrywise_dicts():
         m.add_rows([(var_ids, A[:, :4])], LEQ, np.zeros(6))
 
 
-def test_min_lp_solution_and_duals():
+def test_min_lp_solution():
     m, x, y = small_min_lp()
     out = backend.solve_lp(m)
     assert out.is_optimal
     assert out.objective == pytest.approx(2.0)
     assert out.x[x] == pytest.approx(1.0)
-    # the covering row is worth its shadow price, the idle var its margin
-    assert out.duals[0] == pytest.approx(2.0)
-    assert out.reduced_costs[y] == pytest.approx(1.0)
-    assert strong_duality_gap(m, out) < 1e-7
+    assert out.x[y] == pytest.approx(0.0)
 
 
-def test_max_lp_dual_signs():
-    # max 2x + 3y  s.t. x + y <= 1: dual 3 on the row, rc -1 on x
+def test_max_lp_solution():
+    # max 2x + 3y  s.t. x + y <= 1: all of the row goes to y
     m = LinearModel()
     x = m.add_var()
     y = m.add_var()
@@ -89,9 +81,7 @@ def test_max_lp_dual_signs():
     m.set_objective({x: 2.0, y: 3.0}, sense="max")
     out = backend.solve_lp(m)
     assert out.is_optimal and out.objective == pytest.approx(3.0)
-    assert out.duals[0] == pytest.approx(3.0)
-    assert out.reduced_costs[x] == pytest.approx(-1.0)
-    assert strong_duality_gap(m, out) < 1e-7
+    assert out.x[[x, y]] == pytest.approx([0.0, 1.0])
 
 
 def test_equality_row_and_objective_constant():
@@ -134,10 +124,16 @@ def test_mip_rounds_to_integers():
     assert out.x[x] == pytest.approx(round(out.x[x]), abs=1e-8)
 
 
-def test_mip_without_integers_falls_back_to_lp():
-    m, x, y = small_min_lp()
-    out = backend.solve_mip(m)
-    assert out.is_optimal and out.duals is not None
+def test_mip_without_integers_falls_back_to_lp(monkeypatch):
+    called = []
+    for name in ("linprog", "milp"):
+        def call(*args, _real=getattr(backend, name), _name=name, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(backend, name, call)
+    out = backend.solve_mip(small_min_lp()[0])
+    assert out.is_optimal and out.objective == pytest.approx(2.0)
+    assert called == ["linprog"]
 
 
 def test_fix_var_and_copy_isolation():
@@ -191,7 +187,9 @@ def test_unbounded_ray_certificate():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
-def test_strong_duality_audit_on_random_lps(seed):
+def test_random_lps_match_a_milp_reference(seed):
+    # the reference is milp without integrality on the same data, its rows
+    # passed as lo <= A x <= hi rather than split into <= and = blocks
     rng = np.random.default_rng(seed)
     n, mr = rng.integers(1, 5), rng.integers(1, 4)
     m = LinearModel()
@@ -202,15 +200,21 @@ def test_strong_duality_audit_on_random_lps(seed):
     for i in range(mr):
         m.add_constr({ids[j]: A[i, j] for j in range(int(n))}, senses[i], b[i])
     sense = rng.choice(["min", "max"])
-    m.set_objective({ids[j]: v for j, v in enumerate(rng.uniform(-5, 5, size=n))},
-                    sense=sense)
+    c = rng.uniform(-5, 5, size=n)
+    m.set_objective({ids[j]: v for j, v in enumerate(c)}, sense=sense)
     out = backend.solve_lp(m)
+
+    s = 1.0 if sense == "min" else -1.0
+    lo = np.where(senses == LEQ, -np.inf, b)
+    hi = np.where(senses == GEQ, np.inf, b)
+    ref = milp(s * c, constraints=LinearConstraint(A, lo, hi), bounds=Bounds(0.0, 10.0))
+    assert out.status == {0: backend.OPTIMAL, 2: backend.INFEASIBLE}[ref.status]
     if out.is_optimal:
-        assert strong_duality_gap(m, out) <= 1e-6 * (1.0 + abs(out.objective))
-        # row duals keep the signs of the module docstring on every row kind
-        s = 1.0 if sense == "min" else -1.0
-        assert np.all(s * out.duals[senses == GEQ] >= -1e-9)
-        assert np.all(s * out.duals[senses == LEQ] <= 1e-9)
+        assert out.objective == pytest.approx(s * ref.fun, rel=1e-6, abs=1e-6)
+        assert np.all((out.x >= -1e-9) & (out.x <= 10.0 + 1e-9))
+        Ax = A @ out.x
+        assert np.all(Ax[senses != LEQ] >= b[senses != LEQ] - 1e-7)
+        assert np.all(Ax[senses != GEQ] <= b[senses != GEQ] + 1e-7)
 
 
 # -- the wall clock -----------------------------------------------------------

@@ -20,7 +20,7 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
-from toys import t1_infeasible
+from toys import t1_infeasible, t1_unbounded_u
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -541,6 +541,13 @@ def test_infeasible_instance_reported_without_looping():
     assert res.objective is None and res.x is None
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_an_unbounded_uncertainty_set_ends_numerical(variant):
+    res = run(t1_unbounded_u(), AlgorithmConfig(variant=variant))
+    assert res.status == "Numerical"
+    assert res.meta["reason"] == "U(x) is unbounded: boundedness assumption violated"
+
+
 def test_repeat_detection_closes_the_gap():
     res = run(_flt(), AlgorithmConfig(variant="benders", tol=0.0))
     assert res.iterations[-1].seed_id.startswith("repeat")
@@ -802,7 +809,8 @@ def test_a_deadline_of_the_caller_that_ends_first_holds():
     (dict(variant="basis", diu_approx="metadata"), "parametric master"),
     (dict(diu_approx=[]), "at least one surrogate"),
     (dict(diu_approx="everything"), "descriptor"),
-], ids=["mip-benders", "diu-basis", "diu-empty", "diu-unknown"])
+    (dict(mip_recourse_mode=True, diu_approx="metadata"), "set one of them"),
+], ids=["mip-benders", "diu-basis", "diu-empty", "diu-unknown", "mip-and-diu"])
 def test_approximation_loops_reject_bad_configs(config, message):
     inst = gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0")
     inst.metadata["ddu_sets"] = [uncertainty_set_to_dict(

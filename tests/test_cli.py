@@ -100,6 +100,13 @@ def test_bad_flags_exit_sixty_four(t1_path, capsys):
     assert "usage" in capsys.readouterr().err or True
 
 
+def test_both_approximation_loops_exit_one(t1_path, tmp_path, capsys):
+    assert cli.main(["solve", t1_path, "--mip-recourse", "--diu-approx", "metadata",
+                     "--out", str(tmp_path)]) == 1
+    assert "set one of them" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_missing_file_exits_one(capsys):
     assert cli.main(["solve", "no-such-file.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -24,7 +24,6 @@ from ddu_ro import (
     io_write,
     oracle_exact,
     t1,
-    validate,
 )
 from ddu_ro.instances import (
     PMEDIAN_KINDS,
@@ -37,8 +36,9 @@ from ddu_ro.instances import (
     worst_case_values,
 )
 from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance, RecourseSet,
-                          UncertaintySet, add_first_stage, uncertainty_set_from_dict)
-from toys import t1_infeasible
+                          UncertaintySet, add_first_stage, build_deterministic_mip,
+                          uncertainty_set_from_dict)
+from toys import t1_infeasible, t1_unbounded_u
 
 
 # expected values below were produced by this module's own enumeration oracle
@@ -59,6 +59,25 @@ def test_t1_vertices_depend_on_x():
     v1 = sorted(enumerate_vertices(U, np.array([1.0])).ravel().tolist())
     assert v0 == pytest.approx([0.0, 1.0])
     assert v1 == pytest.approx([0.0, 2.0])
+
+
+@pytest.mark.parametrize("F, n_lps", [
+    (AffineMatrixMap(base=np.zeros((1, 1))), 1),
+    (AffineMatrixMap(base=[[1.0]], terms=((0, [[-1.0]]),)), 2),
+], ids=["constant", "at-x-1"])
+def test_oracle_refuses_an_unbounded_uncertainty_set(F, n_lps, monkeypatch):
+    # where F(x) = 0, u = 0 is the one vertex of U(x) and u grows without
+    # bound along a ray the vertices miss
+    inst = t1_unbounded_u(F)
+    assert enumerate_vertices(inst.U, np.array([1.0])).tolist() == [[0.0]]
+    names = []
+    real = backend.solve_lp
+    monkeypatch.setattr(backend, "solve_lp", lambda m: names.append(m.name) or real(m))
+    with pytest.raises(OracleError, match="unbounded"):
+        oracle_exact(inst)
+    # one recession LP per distinct F(x) up to the first unbounded one,
+    # before any vertex is valued
+    assert names == ["recession"] * n_lps
 
 
 def test_recourse_value_infeasible_is_inf():
@@ -106,15 +125,22 @@ def test_pmedian_warns_when_penalty_too_small():
 FL2 = dict(n_sites=2, seed=1, capacity_lower_frac=1.5, capacity_upper_frac=1.5)
 
 
+def _relaxation_value(inst: Instance) -> float:
+    """The optimum of the deterministic relaxation, which must exist."""
+    out = backend.solve(build_deterministic_mip(inst)[0])
+    assert out.is_optimal, out.status
+    return out.objective
+
+
 def test_fl_generators_validate_and_match_frozen_values():
     fp = FLParams(**FL2)
     expect = {"rhs": -37922.762986387716, "lhs": -37922.762986387716}
     for dep, val in expect.items():
         inst = gen_robust_fl(fp, dep)
-        rep = validate(inst)
-        assert rep.ok, rep.errors
-        assert rep.dependence == dep
+        assert inst.U.F.is_constant == (dep == "rhs")
         assert oracle_exact(inst).value == pytest.approx(val, rel=1e-9)
+    # the relaxation (rhs only: lhs depends on continuous x) bounds it below
+    assert _relaxation_value(gen_robust_fl(fp, "rhs")) <= expect["rhs"] + 1e-6
 
 
 def test_fl_zero_profit_exposes_dependence_and_feasibility_cuts():
@@ -131,9 +157,8 @@ def test_fl_zero_profit_exposes_dependence_and_feasibility_cuts():
 def test_fl_mip_recourse_validates_and_matches_frozen_value():
     inst = gen_mip_recourse_fl(FLParams(**FL2))
     assert inst.Y.n_int_y == 2
-    rep = validate(inst)
-    assert rep.ok, rep.errors
     assert oracle_exact(inst).value == pytest.approx(-52261.99993668124, rel=1e-7)
+    assert _relaxation_value(inst) <= -52261.99993668124 + 1e-6
 
 
 def test_generators_are_deterministic():
@@ -225,7 +250,7 @@ def test_fl_neighbourhoods_follow_explicit_costs():
 def test_pairing_mode_carries_both_sets():
     inst = gen_reliable_pmedian(PMedianParams(n_sites=3, seed=7, p=1, k=1),
                                 "ddu_us_pair")
-    assert validate(inst).ok
+    _relaxation_value(inst)
     assert inst.U.n_int_u == 3
     sets = [uncertainty_set_from_dict(d) for d in inst.metadata["ddu_sets"]]
     assert len(sets) == 2
@@ -596,11 +621,12 @@ def test_one_shortfall_lp_finds_every_first_vertex_without_recourse(monkeypatch)
     monkeypatch.setattr(instances, "_no_recourse", counted)
     assert oracle_exact(inst).value == pytest.approx(-51406.065233899, rel=1e-12)
     worst = [lp for lp in lps if lp[0] != "xfill"]
-    # 58 of the 64 first vertices have no recourse, all found by one shortfall
-    # LP and one of them audited; the 6 other x share one LP over all of
-    # their vertices
+    # U(x) is bounded, by one recession LP for the one F; 58 of the 64 first
+    # vertices have no recourse, all found by one shortfall LP and one of
+    # them audited; the 6 other x share one LP over all of their vertices
     assert sorted(misses) == [[False]] * 6 + [[True]] * 58
-    assert worst == [("recourse_shortfall", backend.OPTIMAL),
+    assert worst == [("recession", backend.OPTIMAL),
+                     ("recourse_shortfall", backend.OPTIMAL),
                      ("recourse", backend.INFEASIBLE),
                      ("recourse_block", backend.OPTIMAL)]
     assert len(calls) == 1
@@ -808,7 +834,8 @@ def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     monkeypatch.setattr(instances, "_BLOCK_ENTRIES", budget)
     lps = _record_lps(monkeypatch)
     res = oracle_exact(inst)
-    assert len(lps) == n_lps
+    # and the one recession LP of the constant F
+    assert len(lps) == n_lps + 1 and lps.count(("recession", backend.OPTIMAL)) == 1
     assert res.value == ref.value and np.array_equal(res.x, ref.x)
     assert np.array_equal(res.worst_u, ref.worst_u)
     assert [(x.tolist(), v) for x, v in res.evaluations] == \
@@ -902,15 +929,16 @@ def test_completion_matches_the_per_grid_point_loop(monkeypatch, dependence, see
 def test_a_run_of_coupled_assignments_shares_six_lps(monkeypatch):
     # fl-rhs with 2 sites: 4 assignments, 2 coupled capacities, a 7 x 7 grid;
     # one feasibility LP, a min and a max LP per capacity and one grid LP,
-    # where one assignment at a time took 84
+    # where one assignment at a time took 84; then the recession LP of the
+    # constant F
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
     lps = _record_lps(monkeypatch)
     _completions(monkeypatch, inst)
-    assert lps == [("xfill", backend.OPTIMAL)] * 6
+    assert lps == [("xfill", backend.OPTIMAL)] * 6 + [("recession", backend.OPTIMAL)]
     _by_loop(monkeypatch)
     lps.clear()
     _completions(monkeypatch, inst)
-    assert len(lps) == 84
+    assert len(lps) == 84 + 1
 
 
 def _grid_toy(c1, ub3=1.0):
@@ -1000,7 +1028,8 @@ def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills
     monkeypatch.setattr(instances, "_BLOCK_ENTRIES", budget)
     lps = _record_lps(monkeypatch)
     assert _completions(monkeypatch, inst) == ref
-    assert len(lps) == n_fills
+    # and then the recession LP of the constant F
+    assert len(lps) == n_fills + 1 and lps[-1] == ("recession", backend.OPTIMAL)
 
 
 def test_each_distinct_matrix_is_swept_once(monkeypatch):

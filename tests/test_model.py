@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddu_ro
 from ddu_ro import (
     AffineMatrixMap,
     BasisId,
     FirstStageSet,
     Instance,
     RecourseSet,
-    UncertaintySet,
     instance_from_dict,
     instance_to_dict,
     relative_gap,
     t1,
-    validate,
 )
-from ddu_ro.model import IterationRecord, RunResult
-from toys import t1_infeasible
+from ddu_ro.model import IterationRecord, RunResult, dimension_errors
 
 
 def test_affine_map_constant_when_no_terms():
@@ -62,47 +60,15 @@ def test_basis_id_permutation_invariance(idx):
     assert BasisId(tuple(idx)) == BasisId(tuple(perm))
 
 
-def test_validate_t1():
-    rep = validate(t1())
-    assert rep.ok and not rep.errors
-    assert rep.dependence == "rhs"
-    assert rep.a3_status == "Optimal"
-    assert rep.a3_value == pytest.approx(0.0)
-    assert rep.a3_exact
-
-
-def test_validate_flags_infeasible_relaxation():
-    rep = validate(t1_infeasible())
-    assert rep.a3_status == "Infeasible"
-    assert not rep.ok
-
-
-def test_validate_catches_dimension_mismatch():
+def test_dimension_errors_name_each_mismatch():
     inst = t1()
+    assert dimension_errors(inst) == []
     bad = Instance(name="bad", c1=[1.0, 2.0], X=inst.X, U=inst.U, Y=inst.Y)
-    rep = validate(bad)
-    assert not rep.ok
-    assert any("c1" in e for e in rep.errors)
+    assert any("c1" in e for e in dimension_errors(bad))
 
 
-def test_validate_reports_unbounded_uncertainty():
-    # u has a free direction: no row caps u[0]
-    U = UncertaintySet(F=AffineMatrixMap(base=np.zeros((1, 1))),
-                       G=np.zeros((1, 1)), h=np.ones(1))
-    inst = t1()
-    bad = Instance(name="unbounded_u", c1=inst.c1, X=inst.X, U=U, Y=inst.Y)
-    rep = validate(bad)
-    assert not rep.ok
-    assert 0 in rep.a2_unbounded_dims
-
-
-def test_dependence_classification_lhs():
-    term = (0, np.array([[0.0], [1.0]]))
-    U = UncertaintySet(F=AffineMatrixMap(base=[[1.0], [0.0]], terms=(term,)),
-                       G=np.zeros((2, 1)), h=[1.0, 2.0])
-    inst = t1()
-    lhs = Instance(name="lhs", c1=inst.c1, X=inst.X, U=U, Y=inst.Y)
-    assert validate(lhs).dependence == "lhs"
+def test_every_public_name_resolves():
+    assert [name for name in ddu_ro.__all__ if not hasattr(ddu_ro, name)] == []
 
 
 def test_json_round_trip_preserves_everything():

@@ -1,5 +1,8 @@
 """Value preservation and shape policing for the three structural rewrites."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,39 @@ def test_neutralize_rejects_non_downward_closed_rows():
     with pytest.raises(ValueError, match="downward") as err:
         neutralize(bad)
     assert "[1.0, 1.0]" in str(err.value)
+
+
+def _thin_closure(h2: float) -> Instance:
+    # links u_i <= x_i, plain rows u1 + u2 <= 1 and -u1 + u2 <= h2, x fixed
+    # at (0, 1), recourse y >= u2: at x, u1 = 0 and u2 <= min(1, h2); zeroing
+    # u1 in the point (1 - h2, 1 + h2) / 2 of the plain rows breaks the second
+    # one for h2 < 1, by (1 - h2) / 2
+    return Instance(
+        name="thin", c1=np.zeros(2),
+        X=FirstStageSet(A=np.zeros((0, 2)), b=np.zeros(0), n_int=2,
+                        lb=[0.0, 1.0], ub=[0.0, 1.0]),
+        U=UncertaintySet(
+            F=AffineMatrixMap(base=np.array([[1.0, 0], [0, 1.0], [1.0, 1.0],
+                                             [-1.0, 1.0]])),
+            G=np.array([[1.0, 0], [0, 1.0], [0, 0], [0, 0]]),
+            h=np.array([0.0, 0.0, 1.0, h2])),
+        Y=RecourseSet(B1=np.zeros((1, 2)), B2=np.array([[1.0]]),
+                      E=np.array([[0.0, -1.0]]), d=np.array([0.0]),
+                      c2=np.array([1.0])))
+
+
+def test_neutralize_rejects_a_thin_violation_of_closure():
+    inst = _thin_closure(0.99)
+    assert oracle_exact(inst).value == pytest.approx(0.99)
+    with pytest.raises(ValueError, match="downward") as err:
+        neutralize(inst)
+    # the LP's maximizer of u2 and its copy with u1 zeroed
+    u, masked = map(json.loads, re.findall(r"\[[^]]*\]", str(err.value)))
+    assert u == pytest.approx([0.005, 0.995]) and masked == pytest.approx([0.0, 0.995])
+    # a closed set of the same shape is rewritten at the same value
+    inst = _thin_closure(1.0)
+    assert oracle_exact(inst).value == pytest.approx(1.0)
+    assert oracle_exact(neutralize(inst).instance).value == pytest.approx(1.0)
 
 
 def test_neutralize_rejects_malformed_shapes():

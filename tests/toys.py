@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ddu_ro.instances import t1
 from ddu_ro.model import AffineMatrixMap, FirstStageSet, Instance, RecourseSet, UncertaintySet
 
 
@@ -17,3 +18,13 @@ def t1_infeasible() -> Instance:
         Y=RecourseSet(B1=np.zeros((2, 1)), B2=[[1.0], [-1.0]], E=np.zeros((2, 1)),
                       d=[1.0, -0.5], c2=[1.0]),
     )
+
+
+def t1_unbounded_u(F: AffineMatrixMap | None = None) -> Instance:
+    """T1 with the row of U(x) replaced by F(x) u <= 1, by default 0 u <= 1,
+    which leaves u without a cap: U(x) is unbounded wherever F(x) is 0."""
+    inst = t1()
+    F = F or AffineMatrixMap(base=np.zeros((1, 1)))
+    return Instance(name="T1-unbounded-u", c1=inst.c1, X=inst.X,
+                    U=UncertaintySet(F=F, G=np.zeros((1, 1)), h=np.ones(1)),
+                    Y=inst.Y)
