@@ -16,7 +16,6 @@ from .model import (
 )
 from .instances import (
     FLParams,
-    OracleLimits,
     OracleResult,
     PMedianParams,
     gen_mip_recourse_fl,
@@ -42,7 +41,7 @@ __all__ = [
     "Instance", "IterationRecord", "RecourseSet", "RunResult",
     "UncertaintySet", "instance_from_dict", "instance_to_dict",
     "relative_gap",
-    "FLParams", "OracleLimits", "OracleResult", "PMedianParams",
+    "FLParams", "OracleResult", "PMedianParams",
     "gen_mip_recourse_fl", "gen_reliable_pmedian", "gen_robust_fl",
     "io_read", "io_write", "oracle_exact", "t1",
     "VARIANTS", "AlgorithmConfig", "run",

@@ -1,7 +1,6 @@
 """Thin LP/MILP layer: append-only model builder, scipy/HiGHS solves (LPs by
-linprog's "highs" method with the rows passed as CSR, MIPs by milp), big-M
-complementarity linearization, and ray extraction for unbounded linear
-programs.
+linprog's "highs" method with the rows passed as CSR, MIPs by milp) and big-M
+complementarity linearization.
 
 Wall clock. A run's time budget is held here, not passed through the calls
 that lead to a solve: inside ``with deadline(seconds):`` every solve_lp and
@@ -37,11 +36,9 @@ NUMERICAL = "Numerical"
 
 LEQ, GEQ, EQ = "<=", ">=", "=="
 
-_RAY_TOL = 1e-8
-
 
 class BackendError(Exception):
-    """Raised on contract violations (bad arguments, impossible extractions)."""
+    """Raised on contract violations (bad arguments, failed audits)."""
 
 
 class SolveTimeLimit(BackendError):
@@ -96,7 +93,6 @@ class LinearModel:
         self.vars: list[_Var] = []
         self.constrs: list[_Constr] = []
         self.obj: dict[int, float] = {}
-        self.obj_const = 0.0
         self.sense = "min"
 
     # -- construction ------------------------------------------------------
@@ -164,12 +160,10 @@ class LinearModel:
         """Append rows A @ x[var_ids] (sense) rhs. A is (m, len(var_ids))."""
         return self.add_rows([(var_ids, A)], sense, rhs, name)
 
-    def set_objective(self, coeffs: dict[int, float], sense: str = "min",
-                      constant: float = 0.0) -> None:
+    def set_objective(self, coeffs: dict[int, float], sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise BackendError(f"bad objective sense {sense!r}")
         self.obj = {j: float(v) for j, v in coeffs.items() if v != 0.0}
-        self.obj_const = float(constant)
         self.sense = sense
 
     def fix_var(self, j: int, value: float) -> None:
@@ -213,7 +207,7 @@ class LinearModel:
         return c
 
     def objective_value(self, x: np.ndarray) -> float:
-        return float(self.objective_vector() @ x + self.obj_const)
+        return float(self.objective_vector() @ x)
 
 
 @dataclass
@@ -358,38 +352,3 @@ def linearize_complementarity(model: LinearModel, a_ids: list[int],
     rhs = interleave(-np.asarray(a_const, dtype=float), M - np.asarray(b_const, dtype=float))
     model.add_rows(blocks, LEQ, rhs, name="comp")
     return deltas
-
-
-# -- ray extraction -----------------------------------------------------------
-
-def extract_ray(model: LinearModel) -> np.ndarray:
-    """A primal ray r of the recession cone of an unbounded LP with c'r > 0
-    (improving for the model's sense), scaled so its largest magnitude
-    component is 1. Solved via the normalized ray LP
-    max { c'r : recession rows, sum of positive parts <= 1 }.
-    """
-    n = model.n_vars
-    ray_lp = LinearModel(name=model.name + "_ray")
-    ids = []
-    for v in model.vars:
-        lb = 0.0 if np.isfinite(v.lb) else -np.inf
-        ub = 0.0 if np.isfinite(v.ub) else np.inf
-        ids.append(ray_lp.add_var(lb, ub, name=v.name))
-    for con in model.constrs:
-        ray_lp.add_constr(dict(con.coeffs), con.sense, 0.0)
-    # normalization: the positive parts sum to at most one
-    pos = ray_lp.add_vars(n, lb=0.0, prefix="pos")
-    for j in range(n):
-        ray_lp.add_constr({pos[j]: 1.0, ids[j]: -1.0}, GEQ, 0.0)
-    ray_lp.add_constr({p: 1.0 for p in pos}, LEQ, 1.0)
-    sense = model.sense
-    obj = {ids[j]: v for j, v in model.obj.items()}
-    ray_lp.set_objective(obj, sense=sense)
-    out = solve_lp(ray_lp)
-    if not out.is_optimal:
-        raise BackendError(f"ray LP not optimal ({out.status})")
-    r = out.x[:n]
-    gain = float(model.objective_vector() @ r)
-    if (sense == "min" and gain > -_RAY_TOL) or (sense == "max" and gain < _RAY_TOL):
-        raise BackendError("model was not actually unbounded (ray improves by <= 1e-8)")
-    return r / np.max(np.abs(r))

@@ -40,6 +40,7 @@ _SEED_TOL = 1e-9     # vector-equality tolerance of the seed registry
 _X_REPEAT_TOL = 1e-7
 _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
 _EXTRA_BASES = 3     # perturbed re-solves per iteration in the basis variant
+_ETA_LB = -1e7       # eta's lower bound, binding only before the first optimality cut
 
 
 @dataclass
@@ -48,8 +49,6 @@ class AlgorithmConfig:
 
     cut_mode None picks the variant default: split for benders (its cuts are
     scalar rows with nothing to unify), unified for the replicate masters.
-    eta_lb only matters while the master carries no optimality cut; the first
-    bound it produces is floored at the deterministic relaxation value anyway.
     """
 
     variant: str = "parametric"
@@ -60,7 +59,6 @@ class AlgorithmConfig:
     pareto: bool = False
     mip_recourse_mode: bool = False
     diu_approx: list[UncertaintySet] | str | None = None
-    eta_lb: float = -1e7
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
@@ -103,7 +101,7 @@ class MasterState:
         self.ou_sets = list(ou_sets) if ou_sets is not None else None
         self.model = LinearModel(name=f"{inst.name}-{config.variant}-master")
         self.x_ids = add_first_stage(self.model, inst)
-        self.eta_id = self.model.add_var(config.eta_lb, np.inf, name="eta")
+        self.eta_id = self.model.add_var(_ETA_LB, np.inf, name="eta")
         obj = {self.x_ids[k]: float(inst.c1[k]) for k in range(inst.dim_x)}
         obj[self.eta_id] = 1.0
         self.model.set_objective(obj, "min")
@@ -323,8 +321,8 @@ def _resolve_ddu_sets(inst: Instance,
         if spec != "metadata":
             raise ValueError(f"unknown diu_approx descriptor {spec!r}")
         raw = inst.metadata.get("ddu_sets")
-        if not raw:
-            raise ValueError("instance metadata carries no ddu_sets")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("instance metadata carries no list of ddu_sets")
         spec = [uncertainty_set_from_dict(d) if isinstance(d, dict) else d
                 for d in raw]
     if not spec:

@@ -22,7 +22,7 @@ import numpy as np
 from . import backend
 from .ccg import AlgorithmConfig, VARIANTS, records_to_csv, run, run_result_to_dict
 from .instances import (FLParams, OracleError, PMedianParams, PMEDIAN_KINDS,
-                        SchemaError, check_uncertainty_schema, gen_mip_recourse_fl,
+                        SchemaError, check_surrogate_schema, gen_mip_recourse_fl,
                         gen_reliable_pmedian, gen_robust_fl, io_read, io_write,
                         oracle_exact, write_atomic)
 from .model import Instance, uncertainty_set_from_dict
@@ -127,8 +127,7 @@ def _config_from(args) -> AlgorithmConfig:
     if diu is not None and diu != "metadata":
         with open(diu) as fh:
             sets = json.load(fh)
-        for i, d in enumerate(sets if isinstance(sets, list) else [sets]):
-            check_uncertainty_schema(d, f"{args.diu_approx}[{i}]")
+        check_surrogate_schema(sets, args.diu_approx)
         diu = [uncertainty_set_from_dict(d) for d in sets]
     return AlgorithmConfig(variant=args.variant, tol=args.tol,
                            time_limit_s=args.time_limit, big_M=args.big_m,
@@ -186,6 +185,13 @@ def cmd_compare(args) -> int:
     finished = [float(r[2]) for r in rows if r[1] == "Optimal"]
     if not finished and all(r[1] in ("Error", "Numerical") for r in rows):
         return 1
+    infeasible = [r[0] for r in rows if r[1] == "Infeasible"]
+    valued = [f"{r[0]} {r[2]}" for r in rows if r[1] in ("Optimal", "GapReached")
+              and r[2] and np.isfinite(float(r[2]))]
+    if infeasible and valued:
+        print(f"value disagreement: {', '.join(infeasible)} Infeasible, "
+              f"{', '.join(valued)}", file=sys.stderr)
+        return 5
     if finished:
         lo, hi = min(finished), max(finished)
         if hi - lo > _AGREE_TOL * max(1.0, abs(lo)):

@@ -70,17 +70,15 @@ def t1() -> Instance:
 
 # -- vertex enumeration --------------------------------------------------------
 
-@dataclass
-class OracleLimits:
-    max_lattice: int = 20000        # integer x assignments
-    max_bases: int = 2_000_000      # basis systems per U(x)
-    max_vertices: int = 5000        # distinct vertices kept per U(x)
-    grid: int = 7                   # grid points per free coupled continuous dim
-    dedup_tol: float = 1e-9
+# the oracle's enumeration limits
+_MAX_LATTICE = 20000        # integer x assignments, and integer u points
+_MAX_BASES = 2_000_000      # basis systems per U(x)
+_MAX_VERTICES = 5000        # distinct vertices kept per U(x)
+_GRID = 7                   # grid points per free coupled continuous dim
+_DEDUP_TOL = 1e-9
 
 
 def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
-                       limits: OracleLimits | None = None,
                        bases: dict | None = None) -> np.ndarray:
     """All vertices of U(x) = {u >= 0 : F(x) u <= h + G x} as rows.
 
@@ -97,30 +95,29 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     them. All-integer case (n_int_u == dim): the integer lattice inside the
     per-coordinate LP bounds is enumerated and filtered by membership.
     """
-    limits = limits or OracleLimits()
     x = np.asarray(x, dtype=float)
     if U.n_int_u:
         if U.n_int_u != U.dim:
             raise OracleError("mixed-integer u is outside the oracle's scope")
-        return _integer_points(U.F.evaluate(x), U.h + U.G @ x, limits)
+        return _integer_points(U.F.evaluate(x), U.h + U.G @ x)
 
     if U.n_rows == 0:
         if U.dim == 0:
             return np.zeros((1, 0))
         raise OracleError("U(x) has no rows: unbounded, violates boundedness")
 
-    u = np.concatenate([np.zeros((0, U.dim)), *_basic_vertices(U, x, limits, bases)])
+    u = np.concatenate([np.zeros((0, U.dim)), *_basic_vertices(U, x, bases)])
     if not len(u):
         raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-    keys = np.round(u / limits.dedup_tol).astype(np.int64)
+    keys = np.round(u / _DEDUP_TOL).astype(np.int64)
     first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    if len(first) > limits.max_vertices:
-        raise OracleError(f"more than {limits.max_vertices} vertices")
+    if len(first) > _MAX_VERTICES:
+        raise OracleError(f"more than {_MAX_VERTICES} vertices")
     return u[first]
 
 
-def _basic_vertices(U: UncertaintySet, x: np.ndarray, limits: OracleLimits,
-                    bases: dict | None, size: int | None = None):
+def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
+                    size: int | None = None):
     """The u parts of the feasible basic solutions of U(x) (continuous u,
     at least one row), one array per slice of `size` nonsingular bases in
     table order; `size` defaults to the 2e7-entry chunk."""
@@ -129,8 +126,8 @@ def _basic_vertices(U: UncertaintySet, x: np.ndarray, limits: OracleLimits,
     mu, n = Fx.shape
     n_cols = n + mu
     n_bases = math.comb(n_cols, mu)
-    if n_bases > limits.max_bases:
-        raise OracleError(f"{n_bases} basis systems exceed the cap {limits.max_bases}")
+    if n_bases > _MAX_BASES:
+        raise OracleError(f"{n_bases} basis systems exceed the cap {_MAX_BASES}")
 
     A = np.hstack([Fx, np.eye(mu)])
     # row equilibration keeps basis determinants O(1); structural u parts of
@@ -153,7 +150,7 @@ def _basic_vertices(U: UncertaintySet, x: np.ndarray, limits: OracleLimits,
         mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
         b_batch = np.broadcast_to(rhs_s[:, None], (len(sub), mu, 1)).copy()
         sols = np.linalg.solve(mats, b_batch)[:, :, 0]
-        feas = np.all(sols >= -limits.dedup_tol * scale, axis=1)
+        feas = np.all(sols >= -_DEDUP_TOL * scale, axis=1)
         # guard against ill-conditioned near-singular systems
         resid = np.einsum("bij,bj->bi", mats, sols) - rhs_s
         feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * scale
@@ -179,8 +176,7 @@ def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _integer_points(Fx: np.ndarray, rhs: np.ndarray,
-                    limits: OracleLimits) -> np.ndarray:
+def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     mu, n = Fx.shape
     ubs = []
     for j in range(n):
@@ -195,8 +191,8 @@ def _integer_points(Fx: np.ndarray, rhs: np.ndarray,
     total = 1
     for b in ubs:
         total *= b + 1
-        if total > limits.max_lattice:
-            raise OracleError(f"integer u lattice exceeds {limits.max_lattice}")
+        if total > _MAX_LATTICE:
+            raise OracleError(f"integer u lattice exceeds {_MAX_LATTICE}")
     pts = []
     for combo in itertools.product(*[range(b + 1) for b in ubs]):
         u = np.array(combo, dtype=float)
@@ -241,8 +237,7 @@ _BLOCK_ENTRIES = 1e5
 _SHORTFALL_TOL = 1e-3
 
 
-def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None
-                      ) -> list[tuple[float, np.ndarray]]:
+def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     """For every x in xs, the max over the vertices of U(x) of the recourse
     value, with the first vertex (in enumerate_vertices order) that attains
     it. The x are taken one distinct F(x), so one basis table, at a time.
@@ -250,10 +245,9 @@ def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None
     For continuous u the first vertex of every U(x) is found by solving the
     nonsingular bases in slices of 64 until one is feasible, and _no_recourse
     finds those without recourse: such an x is worth (inf, that vertex) and
-    is not enumerated (so limits.max_vertices does not apply to it).
+    is not enumerated (so _MAX_VERTICES does not apply to it).
     _worst_vertices values the other x, in runs of _BLOCK_ENTRIES entries.
     """
-    limits = limits or OracleLimits()
     xs = [np.asarray(x, dtype=float) for x in xs]
     groups: dict[bytes, list[int]] = {}
     for i, x in enumerate(xs):
@@ -264,12 +258,12 @@ def worst_case_values(inst: Instance, xs, limits: OracleLimits | None = None
         bases: dict = {}        # the table of this F(x) only
         if not inst.U.n_int_u and inst.U.n_rows:
             firsts = ((i, next((u[:1] for u in _basic_vertices(
-                inst.U, xs[i], limits, bases, 64) if len(u)), None)) for i in group)
+                inst.U, xs[i], bases, 64) if len(u)), None)) for i in group)
             for run in _runs([(i, u) for i, u in firsts if u is not None], cap):
                 missing = _no_recourse(inst, [(xs[i], u) for i, u in run])
                 out.update((i, (np.inf, u[0])) for (i, u), m in zip(run, missing) if m[0])
         todo = [i for i in group if i not in out]
-        runs = _runs(((xs[i], enumerate_vertices(inst.U, xs[i], limits, bases)) for i in todo),
+        runs = _runs(((xs[i], enumerate_vertices(inst.U, xs[i], bases)) for i in todo),
                      cap, size=lambda item: len(item[1]))
         out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
     return [out[i] for i in range(len(xs))]
@@ -381,18 +375,17 @@ class OracleResult:
     evaluations: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
 
-def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleResult:
+def oracle_exact(inst: Instance) -> OracleResult:
     """Ground-truth solve by full enumeration; desk-scale only.
 
     Integer x components are enumerated over their (finite) bound lattice.
     Continuous components that never touch the uncertainty set or the recourse
     rows only matter through c1 and X, so LPs optimize them out; coupled
     continuous components are pinned when X forces their value and gridded
-    (limits.grid points) when at most two stay free. A run of lattice points
+    (_GRID points) when at most two stay free. A run of lattice points
     shares these LPs (see _complete_continuous). One LP per distinct F(x)
     first checks that U(x) is bounded (_require_bounded).
     """
-    limits = limits or OracleLimits()
     X = inst.X
     nx = inst.dim_x
     n_int = X.n_int
@@ -409,8 +402,8 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
     total = 1
     for r in ranges:
         total *= len(r)
-        if total > limits.max_lattice:
-            raise OracleError(f"integer x lattice exceeds {limits.max_lattice}")
+        if total > _MAX_LATTICE:
+            raise OracleError(f"integer x lattice exceeds {_MAX_LATTICE}")
 
     # rows touching only integer components can prefilter the lattice
     int_rows = [i for i in range(X.A.shape[0]) if not np.any(X.A[i, n_int:])]
@@ -418,16 +411,16 @@ def oracle_exact(inst: Instance, limits: OracleLimits | None = None) -> OracleRe
               for combo in (itertools.product(*ranges) if ranges else [()]))
     points = [xi for xi in points
               if not any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows)]
-    # at most limits.grid ** 2 copies of X per lattice point
-    copies = limits.grid ** min(2, len(coupled))
+    # at most _GRID ** 2 copies of X per lattice point
+    copies = _GRID ** min(2, len(coupled))
     cap = max(1, int(_BLOCK_ENTRIES // (max(1, X.A.size) * copies)))
     xs = [x for run in _runs(points, cap)
-          for x in _complete_continuous(inst, run, coupled, sep, limits)]
+          for x in _complete_continuous(inst, run, coupled, sep)]
 
     _require_bounded(inst.U, xs)
     best = OracleResult(value=np.inf, x=np.zeros(nx), worst_u=np.zeros(inst.dim_u))
     evals: list[tuple[np.ndarray, float]] = []
-    for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs, limits)):
+    for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs)):
         val = float(inst.c1 @ x) + wc
         evals.append((x, val))
         if val < best.value - 1e-12:
@@ -452,12 +445,12 @@ def _require_bounded(U: UncertaintySet, xs: list[np.ndarray]) -> None:
 
 
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],
-                         sep: list[int], limits: OracleLimits):
+                         sep: list[int]):
     """Yield full x vectors extending the integer assignments of run, in
     order, none for an assignment X admits no extension of. The run shares
     its LPs, with a copy of the first stage per assignment: one checks X, a
     min and a max LP per coupled x probe its range in every copy to pin it (a
-    point) or grid it (limits.grid points), and _fill takes every (assignment,
+    point) or grid it (_GRID points), and _fill takes every (assignment,
     grid point). When a run LP is not Optimal, or a copy leaves more than two
     coupled x free, each assignment is taken alone."""
     X = inst.X
@@ -490,10 +483,10 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
                         f[k] = 0.5 * (lo + hi)
                         m.fix_var(ids[k], f[k])
                     else:
-                        grids[k] = np.linspace(lo, hi, limits.grid)
+                        grids[k] = np.linspace(lo, hi, _GRID)
         if len(run) > 1 and (not out.is_optimal or max(map(len, free)) > 2):
             for x_int in run:
-                yield from _complete_continuous(inst, [x_int], coupled, sep, limits)
+                yield from _complete_continuous(inst, [x_int], coupled, sep)
             return
         if out.status == backend.UNBOUNDED:
             raise OracleError(f"coupled x[{k}] unbounded over X")
@@ -1103,9 +1096,17 @@ def check_schema(d: dict):
     check_uncertainty_schema(d["U"], "$.U")
     for key in ("B1", "B2", "E"):
         _check_matrix(d["Y"][key], f"$.Y.{key}")
-    surrogates = d.get("metadata", {}).get("ddu_sets", [])
-    for i, U in enumerate(surrogates if isinstance(surrogates, list) else [surrogates]):
-        check_uncertainty_schema(U, f"$.metadata.ddu_sets[{i}]")
+    check_surrogate_schema(d.get("metadata", {}).get("ddu_sets", []),
+                           "$.metadata.ddu_sets")
+
+
+def check_surrogate_schema(sets, where: str):
+    """Raise SchemaError, naming the place, unless sets is a list whose
+    entries pass check_uncertainty_schema."""
+    if not isinstance(sets, list):
+        raise SchemaError(f"expected a list of uncertainty sets at {where}")
+    for i, U in enumerate(sets):
+        check_uncertainty_schema(U, f"{where}[{i}]")
 
 
 def io_read(path: str) -> Instance:

@@ -10,6 +10,11 @@ Three routes solve a max-min and are cross-checked against each other:
   has network columns: the feasibility dual then has 0/1 vertices, so pi is
   binary and each product pi_i z_j is linearized exactly over the probed
   range of z_j, with no big-M.
+A product MIP's value is audited by one LP at its outer point
+(audited_dual_lp): the network route audits its own against the feasibility
+LP at its witness, and sp2 audits whichever route solved its worst case
+against the recourse dual at its scenario. The values of the KKT feasibility
+route and of sp4's frozen recourse are not audited.
 Optimality blocks take the first stage as master columns, so any
 matrix-coefficient dependence must sit on binary components, since products
 with continuous components have no exact linearization; a caller that wants
@@ -36,7 +41,8 @@ from .model import (BasisId, Instance, _binary_product, _is_binary, affine_block
 
 _ZERO_RC_TOL = 1e-9
 _MEMBERSHIP_TOL = 1e-6
-_POLISH_TOL = 1e-4    # relative, the product MIP's value against its LP polish
+_AUDIT_TOL = 1e-4     # relative, a product MIP's value against its LP
+_MAX_HALVINGS = 5     # of the uniqueness perturbation's epsilon
 
 
 @dataclass(eq=False)
@@ -89,8 +95,6 @@ class MaxMinResult:
     status: str
     value: float | None = None
     outer: np.ndarray | None = None
-    dual: np.ndarray | None = None
-    ray: np.ndarray | None = None
 
 
 # -- parametric LP over U(x) ---------------------------------------------------
@@ -287,15 +291,10 @@ def _feasibility_by_network(problem: MaxMinProblem,
         raise BackendError(f"feasibility product MIP ended {out.status}")
 
     z = out.x[:n_out]
-    polish = backend.solve_lp(dual_polyhedron_lp(
-        np.hstack([problem.B_y, np.eye(m_rows)]),
-        np.concatenate([np.zeros(ny), np.ones(m_rows)]),
-        problem.d - problem.B_x @ z, name=problem.name + "_feas_polish"))
-    if not polish.is_optimal:
-        raise BackendError(f"feasibility polish LP ended {polish.status}")
-    if abs(polish.objective - out.objective) > _POLISH_TOL * max(1.0, abs(out.objective)):
-        raise BackendError(f"worst-case unserved mass {out.objective:.10g} differs "
-                           f"from {polish.objective:.10g} at its witness")
+    polish = audited_dual_lp(np.hstack([problem.B_y, np.eye(m_rows)]),
+                             np.concatenate([np.zeros(ny), np.ones(m_rows)]),
+                             problem.d - problem.B_x @ z, out.objective,
+                             problem.name + "_feas_polish")
     return max(0.0, float(polish.objective)), z
 
 
@@ -341,10 +340,8 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
         return MaxMinResult(status=backend.INFEASIBLE)
     if not out.is_optimal:
         return MaxMinResult(status=out.status)
-    z = out.x[:n_out]
-    pi = out.x[n_out + ny:n_out + ny + m_rows]
     return MaxMinResult(status=backend.OPTIMAL, value=float(out.objective),
-                        outer=z, dual=pi)
+                        outer=out.x[:n_out])
 
 
 # -- disjoint bilinear route ----------------------------------------------------
@@ -361,13 +358,12 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     whenever the optimal dual stays below it; the audit in the calling layer
     catches violations. Otherwise the KKT route answers.
     Inner infeasibility at some z makes the program unbounded: the result
-    then carries a dual ray and the witness z instead of a point.
+    then carries the witness z and no value.
     """
     if check_feasibility:
         v_f, witness = check_inner_feasibility(problem, M=M)
         if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
-            return MaxMinResult(status=backend.UNBOUNDED, outer=witness,
-                                ray=_dual_ray_at(problem, witness))
+            return MaxMinResult(status=backend.UNBOUNDED, outer=witness)
 
     binary_outer = _outer_is_binary(problem) and (
         problem.n_int_out == problem.n_out
@@ -375,7 +371,7 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     if not binary_outer:
         return solve_maxmin_kkt(problem, M=M)
 
-    m_rows, ny = problem.B_y.shape
+    m_rows = problem.B_y.shape[0]
     n_out = problem.n_out
     m = LinearModel(name=problem.name + "_bilin")
     z_ids = [m.add_var(0.0, 1.0, integer=True, name=f"z{j}") for j in range(n_out)]
@@ -392,8 +388,7 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     if not out.is_optimal:
         return MaxMinResult(status=out.status)
     return MaxMinResult(status=backend.OPTIMAL, value=float(out.objective),
-                        outer=out.x[:n_out],
-                        dual=out.x[n_out:n_out + m_rows])
+                        outer=out.x[:n_out])
 
 
 def _outer_is_binary(problem: MaxMinProblem) -> bool:
@@ -444,14 +439,18 @@ def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
     return lp
 
 
-def _dual_ray_at(problem: MaxMinProblem, z: np.ndarray) -> np.ndarray:
-    """Extreme ray of Pi certifying inner infeasibility at the witness z."""
-    lp = dual_polyhedron_lp(problem.B_y, problem.c_y,
-                            problem.d - problem.B_x @ z, name="dual_at_witness")
-    out = backend.solve_lp(lp)
-    if out.status != backend.UNBOUNDED:
-        raise BackendError("witness did not make the dual LP unbounded")
-    return backend.extract_ray(lp)
+def audited_dual_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
+                    value: float, name: str) -> backend.SolveOutcome:
+    """The optimum of dual_polyhedron_lp at one outer point, whose value a
+    product MIP claims: BackendError, naming the LP, unless the LP ends
+    Optimal within _AUDIT_TOL (relative) of value."""
+    out = backend.solve_lp(dual_polyhedron_lp(B_y, c_y, rhs, name=name))
+    if not out.is_optimal:
+        raise BackendError(f"{name} ended {out.status}")
+    if abs(out.objective - value) > _AUDIT_TOL * max(1.0, abs(value)):
+        raise BackendError(f"{name}: the max-min value {value:.10g} differs from "
+                           f"the LP value {out.objective:.10g} at its outer point")
+    return out
 
 
 # -- optimality blocks ----------------------------------------------------------
@@ -562,18 +561,17 @@ def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
     return c
 
 
-def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                          max_halvings: int = 5
+def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray
                           ) -> tuple[ParametricLPResult, np.ndarray]:
     """Parametric LP solve plus a verified uniqueness perturbation.
 
-    Halves epsilon (up to max_halvings times) until re-solving with the
+    Halves epsilon (up to _MAX_HALVINGS times) until re-solving with the
     perturbed costs keeps the original vertex optimal with strictly negative
     reduced costs on every nonbasic column.
     """
     base = lp_parametric(inst, x, beta)
     eps = 1e-4 * max(1.0, float(np.abs(base.cost_row).max()))
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         c_hat = perturb_for_uniqueness(base.cost_row, base.basis,
                                        base.reduced_costs, eps)
         if _perturbation_is_clean(inst, x, base, c_hat):

@@ -410,8 +410,10 @@ def dimension_errors(inst: Instance) -> list[str]:
         errors.append(f"X has {X.dim} columns, c1 has {nx}")
     if X.A.shape[0] != X.b.size:
         errors.append(f"A has {X.A.shape[0]} rows, b has {X.b.size}")
-    if not (0 <= X.n_int <= X.dim):
-        errors.append(f"n_int {X.n_int} out of range")
+    for name, n_int, dim in (("n_int", X.n_int, X.dim), ("n_int_u", U.n_int_u, U.dim),
+                             ("n_int_y", Y.n_int_y, Y.dim)):
+        if not 0 <= n_int <= dim:
+            errors.append(f"{name} {n_int} out of range")
     if X.lb.size != X.dim or X.ub.size != X.dim:
         errors.append("x bounds length mismatch")
     if U.G.shape != (U.n_rows, nx):

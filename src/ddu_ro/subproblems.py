@@ -10,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .backend import GEQ, BackendError
+from .backend import GEQ, LEQ, BackendError
 from .instances import recourse_value
 from .maxmin import (
     MaxMinProblem,
     ParametricLPResult,
+    audited_dual_lp,
     check_inner_feasibility,
     dual_polyhedron_lp,
     lp_parametric,
@@ -25,6 +26,7 @@ from .model import Instance
 
 _PI_FEAS_TOL = 1e-6
 _AUDIT_TOL = 1e-4
+_RAY_TOL = 1e-8
 
 
 @dataclass
@@ -52,14 +54,13 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     """Worst-case recourse cost at x with the dual extreme point that
     certifies it.
 
-    Whichever route solved the max-min, pi is re-solved as a vertex of Pi:
-    the simplex optimum of the recourse dual at the worst-case scenario u*.
-    The max-min's own pi may sit at its cap M on rows of zero weight, and
-    seeds off the vertices of Pi need master multipliers beyond any bound.
-    Two audits follow: the max-min value must equal that uncapped LP value
-    (a binding cap fails it), and the split identity must hold: the value
-    equals (d - B1 x)' pi plus the parametric-LP value at pi, whose solve
-    comes back as basis_result."""
+    pi is the simplex optimum of the recourse dual at the worst-case
+    scenario u*, a vertex of Pi: a max-min route's own pi may sit at its cap
+    M on rows of zero weight, and seeds off the vertices of Pi need master
+    multipliers beyond any bound. Two audits follow: the max-min value must
+    equal that uncapped LP value (audited_dual_lp; a binding cap fails it),
+    and the split identity must hold: the value equals (d - B1 x)' pi plus
+    the parametric-LP value at pi, whose solve comes back as basis_result."""
     problem = maxmin_from_instance(inst, x)
     res = solve_maxmin_dual(problem, M=M, check_feasibility=False)
     if res.status == backend.UNBOUNDED:
@@ -68,18 +69,8 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
             "the feasibility subproblem should have caught this")
     if res.status != backend.OPTIMAL:
         return SubproblemReport(kind=kind, status=res.status)
-    out = backend.solve_lp(dual_polyhedron_lp(
-        problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
-        name=f"{kind}_vertex_dual"))
-    if not out.is_optimal:
-        raise BackendError(f"recourse dual at the worst-case scenario ended "
-                           f"{out.status}")
-    cap_gap = abs(res.value - out.objective)
-    if cap_gap > _AUDIT_TOL * max(1.0, abs(res.value)):
-        raise BackendError(f"worst-case value {res.value:.10g} differs from the "
-                           f"recourse value {out.objective:.10g} at its scenario: "
-                           "the dual bound M binds")
-    pi = out.x
+    pi = audited_dual_lp(problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
+                         res.value, f"{kind}_vertex_dual").x
     infeas = _pi_violation(inst, pi)
     if infeas > _PI_FEAS_TOL:
         raise BackendError(f"returned dual violates its polyhedron by {infeas:.2e}")
@@ -99,24 +90,28 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
 
 
 def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
-    """Extreme ray of the dual polyhedron certifying that the recourse at
-    (x, u_f) is infeasible."""
+    """Ray g of the recourse dual cone certifying that the recourse at
+    (x, u_f) is infeasible, scaled so that max|g| = 1: the optimum of the
+    Farkas LP max{r' g : B2' g <= 0, g >= 0, 1' g <= 1}, r = d - B1 x - E u_f.
+    By Farkas' lemma {y >= 0 : B2 y >= r} is empty exactly when its value is
+    positive (Schrijver, Theory of Linear and Integer Programming, 1986)."""
     x = np.asarray(x, dtype=float)
     u_f = np.asarray(u_f, dtype=float)
     Y = inst.Y
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
-    lp = dual_polyhedron_lp(Y.B2, Y.c2, rhs_eff, name="sp3")
+    lp = dual_polyhedron_lp(Y.B2, np.zeros(Y.dim), rhs_eff, name="sp3")
+    lp.add_constr(dict.fromkeys(range(Y.n_rows), 1.0), LEQ, 1.0)
     out = backend.solve_lp(lp)
-    if out.status == backend.INFEASIBLE:
-        raise BackendError("dual polyhedron empty: recourse LP unbounded below")
-    if out.status != backend.UNBOUNDED:
+    if not out.is_optimal:
+        raise BackendError(f"sp3 ended {out.status}")
+    if out.objective <= _RAY_TOL:
         raise BackendError(
             "recourse is feasible at the supplied scenario: no ray exists")
-    gamma = backend.extract_ray(lp)
-    if float(rhs_eff @ gamma) <= 1e-8:
-        raise BackendError("extracted ray does not certify infeasibility")
+    gamma = out.x / np.max(np.abs(out.x))
+    if float(rhs_eff @ gamma) <= _RAY_TOL:
+        raise BackendError("the Farkas ray does not certify infeasibility")
     cone_gap = float(np.max(Y.B2.T @ gamma)) if Y.dim else 0.0
-    if cone_gap > 1e-8:
+    if cone_gap > _RAY_TOL:
         raise BackendError(f"ray leaves the recession cone by {cone_gap:.2e}")
     return SubproblemReport(kind="SP3", ray=gamma, u=u_f)
 
@@ -164,11 +159,10 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
     offset = float(Y.c2[:nd] @ y_d)
     if res.status == backend.UNBOUNDED:
         return SubproblemReport(kind="SP4", value=np.inf, u=res.outer,
-                                ray=res.ray, status=backend.UNBOUNDED)
+                                status=backend.UNBOUNDED)
     if res.status != backend.OPTIMAL:
         return SubproblemReport(kind="SP4", status=res.status)
-    return SubproblemReport(kind="SP4", value=float(res.value) + offset,
-                            u=res.outer, pi=res.dual)
+    return SubproblemReport(kind="SP4", value=float(res.value) + offset, u=res.outer)
 
 
 def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,

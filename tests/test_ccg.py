@@ -832,6 +832,10 @@ def test_approximation_loops_reject_mismatched_instances():
         run(diu, AlgorithmConfig(diu_approx=[off]))
     with pytest.raises(ValueError, match="diu_approx"):
         run(diu, AlgorithmConfig(mip_recourse_mode=True))
+    # one set where metadata must hold a list of them
+    one = replace(diu, metadata={"ddu_sets": uncertainty_set_to_dict(diu.U)})
+    with pytest.raises(ValueError, match="no list of ddu_sets"):
+        run(one, AlgorithmConfig(diu_approx="metadata"))
 
 
 def test_config_rejects_bad_combinations():
@@ -932,7 +936,7 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
     state.model.fix_var(state.x_ids[0], 0.0)
     out = backend.solve(state.model)
     assert out.status == backend.OPTIMAL
-    assert out.x[state.eta_id] <= cfg.eta_lb + 1e-3
+    assert out.x[state.eta_id] <= ccg._ETA_LB + 1e-3
 
     # the same block under F = [[2, 1], [1, 2]] prices the basic point
     feas = Instance(

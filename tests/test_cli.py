@@ -128,8 +128,13 @@ def _drop(d, *path):
     (lambda d: d["U"]["h"].__setitem__(0, None), "at $.U.h"),
     (lambda d: d.update(metadata={"ddu_sets": [{"G": d["U"]["G"], "h": [1.0]}]}),
      "'F' at $.metadata.ddu_sets[0]"),
+    (lambda d: d.update(metadata={"ddu_sets": d["U"]}), "list of uncertainty sets "
+     "at $.metadata.ddu_sets"),
+    (lambda d: d["U"].update(n_int_u=7), "n_int_u 7 out of range"),
+    (lambda d: d["Y"].update(n_int_y=7), "n_int_y 7 out of range"),
 ], ids=["U-without-F", "matrix-without-rows", "two-entry-triplet", "no-c1",
-        "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F"])
+        "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F",
+        "surrogates-an-object", "n_int_u-beyond-dim", "n_int_y-beyond-dim"])
 def test_malformed_instance_file_is_a_one_line_error(break_file, names, tmp_path,
                                                       capsys):
     # each of these once ended in a traceback, the last one only after sp1
@@ -152,6 +157,16 @@ def test_malformed_surrogate_file_is_a_one_line_error(t1_path, tmp_path, capsys)
                      "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: missing key 'F'") and err.count("\n") == 1
+
+
+def test_single_object_surrogate_file_is_a_one_line_error(t1_path, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(instance_to_dict(t1())["U"]))
+    assert cli.main(["solve", t1_path, "--diu-approx", str(path),
+                     "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected a list") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_compare_agreeing_variants_exit_zero(t1_path, tmp_path, capsys):
@@ -183,6 +198,21 @@ def test_compare_disagreement_exits_five(t1_path, tmp_path, monkeypatch):
     code = cli.main(["compare", t1_path, "--variants", "benders,parametric",
                      "--out", str(tmp_path)])
     assert code == 5
+
+
+def test_compare_infeasible_beside_a_value_exits_five(t1_path, tmp_path, monkeypatch,
+                                                     capsys):
+    def fake_run(inst, config):
+        if config.variant == "benders":
+            return RunResult(status="Infeasible", variant=config.variant)
+        return RunResult(status="GapReached", objective=-51406.0, x=(0.0,),
+                         lb=-51410.0, ub=-51406.0, variant=config.variant)
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    code = cli.main(["compare", t1_path, "--variants", "benders,parametric",
+                     "--out", str(tmp_path)])
+    assert code == 5
+    assert "value disagreement" in capsys.readouterr().err
 
 
 def test_compare_marks_error_rows_without_asserting(t1_path, tmp_path):

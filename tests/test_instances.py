@@ -28,7 +28,6 @@ from ddu_ro import (
 from ddu_ro.instances import (
     PMEDIAN_KINDS,
     OracleError,
-    OracleLimits,
     SchemaError,
     check_schema,
     enumerate_vertices,
@@ -327,17 +326,16 @@ def test_oracle_refuses_mixed_integer_uncertainty():
 
 # -- vertex enumeration against the determinant sweep per call ------------------
 
-def _vertices_by_every_basis(U, x, limits=None):
+def _vertices_by_every_basis(U, x):
     """Reference for enumerate_vertices on continuous u: takes the determinant
     of every basis of [F(x) | I] at every call and de-duplicates basis by
     basis, in the order of itertools.combinations."""
-    limits = limits or OracleLimits()
     x = np.asarray(x, dtype=float)
     Fx = U.F.evaluate(x)
     rhs = U.h + U.G @ x
     mu, n = Fx.shape
     n_cols = n + mu
-    assert math.comb(n_cols, mu) <= limits.max_bases
+    assert math.comb(n_cols, mu) <= instances._MAX_BASES
 
     A = np.hstack([Fx, np.eye(mu)])
     # row equilibration keeps basis determinants O(1); structural u parts of
@@ -358,7 +356,7 @@ def _vertices_by_every_basis(U, x, limits=None):
             continue
         b_batch = np.broadcast_to(rhs_s[:, None], (int(ok.sum()), mu, 1)).copy()
         sols = np.linalg.solve(mats[ok], b_batch)[:, :, 0]
-        feas = np.all(sols >= -limits.dedup_tol * np.maximum(1.0, np.abs(rhs_s).max()),
+        feas = np.all(sols >= -instances._DEDUP_TOL * np.maximum(1.0, np.abs(rhs_s).max()),
                       axis=1)
         # guard against ill-conditioned near-singular systems
         resid = np.einsum("bij,bj->bi", mats[ok], sols) - rhs_s
@@ -367,12 +365,12 @@ def _vertices_by_every_basis(U, x, limits=None):
             u = np.zeros(n)
             struct = cols < n
             u[cols[struct]] = np.maximum(z[struct], 0.0)
-            key = tuple(np.round(u / limits.dedup_tol).astype(np.int64))
+            key = tuple(np.round(u / instances._DEDUP_TOL).astype(np.int64))
             if key not in seen:
                 seen.add(key)
                 verts.append(u)
-                if len(verts) > limits.max_vertices:
-                    raise OracleError(f"more than {limits.max_vertices} vertices")
+                if len(verts) > instances._MAX_VERTICES:
+                    raise OracleError(f"more than {instances._MAX_VERTICES} vertices")
     if not verts:
         raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
     return np.array(verts)
@@ -442,9 +440,10 @@ def test_basis_memo_is_keyed_on_the_matrix_entries():
                               _vertices_by_every_basis(inst.U, [0.0]))
 
 
-def test_vertex_enumeration_limits_and_empty_sets():
+def test_vertex_enumeration_limits_and_empty_sets(monkeypatch):
+    monkeypatch.setattr(instances, "_MAX_VERTICES", 1)
     with pytest.raises(OracleError, match="more than"):
-        enumerate_vertices(t1().U, [0.0], OracleLimits(max_vertices=1))
+        enumerate_vertices(t1().U, [0.0])
     empty = UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[0.0]], h=[-1.0])
     with pytest.raises(OracleError, match="nonemptiness violated"):
         enumerate_vertices(empty, [0.0])
@@ -844,14 +843,14 @@ def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
 
 # -- the completion of coupled continuous first stages --------------------------
 
-def _complete_by_loop(inst, run, coupled, sep, limits):
+def _complete_by_loop(inst, run, coupled, sep):
     """Reference for _complete_continuous: one assignment at a time, a range
     probe per coupled x and sense, then one LP per grid point."""
     for x_int in run:
-        yield from _complete_one(inst, x_int, coupled, sep, limits)
+        yield from _complete_one(inst, x_int, coupled, sep)
 
 
-def _complete_one(inst, x_int, coupled, sep, limits):
+def _complete_one(inst, x_int, coupled, sep):
     X = inst.X
     if X.n_int == inst.dim_x:
         if np.all(X.A @ x_int >= X.b - 1e-9):
@@ -882,7 +881,7 @@ def _complete_one(inst, x_int, coupled, sep, limits):
     if len(free) > 2:
         raise OracleError(f"{len(free)} free coupled continuous dims exceed the grid limit")
     m.set_objective({ids[k]: inst.c1[k] for k in sep})
-    grids = [np.linspace(lo, hi, limits.grid) for _, lo, hi in free]
+    grids = [np.linspace(lo, hi, instances._GRID) for _, lo, hi in free]
     for combo in itertools.product(*grids):
         for (k, _, _), v in zip(free, combo):
             m.fix_var(ids[k], float(v))
@@ -908,7 +907,7 @@ def _completions(monkeypatch, inst):
     its output is a function of them, so the worst cases are skipped."""
     seen = []
 
-    def skipped(inst, xs, limits):
+    def skipped(inst, xs):
         seen.extend(x.tobytes() for x in xs)
         return [(0.0, np.zeros(inst.dim_u))] * len(xs)
 
@@ -1004,7 +1003,7 @@ def test_an_assignment_with_three_free_dims_narrows_in_order(monkeypatch):
     toy = _with_coupled_x3(_grid_toy([0.0] * 5))
     inst = dataclasses.replace(toy, X=dataclasses.replace(
         toy.X, A=np.vstack([toy.X.A, [1.0, 0.0, 0.0, -1.0, 0.0]]), b=[-1.5, 0.0]))
-    args = ([np.zeros(1), np.ones(1)], [1, 2, 3], [4], OracleLimits())
+    args = ([np.zeros(1), np.ones(1)], [1, 2, 3], [4])
     seen = {}
     for complete in (instances._complete_continuous, _complete_by_loop):
         seen[complete] = []

@@ -117,9 +117,13 @@ def test_dual_route_returns_ray_on_inner_infeasibility():
                       B_x=np.array([[-1.0], [0.0]]), d=np.array([0.0, 0.0]))
     res = solve_maxmin_dual(p)
     assert res.status == backend.UNBOUNDED
-    assert res.ray is not None
-    gain = float((p.d - p.B_x @ res.outer) @ res.ray)
-    assert gain > 1e-8
+    assert res.value is None
+    assert res.outer == pytest.approx([1.0], abs=1e-7)
+    # the inner LP has no point at the witness
+    inner = LinearModel()
+    y = inner.add_vars(p.B_y.shape[1])
+    inner.add_block(y, p.B_y, GEQ, p.d - p.B_x @ res.outer)
+    assert backend.solve_lp(inner).status == backend.INFEASIBLE
 
 
 def test_zero_inner_cost_gives_zero_value():
@@ -370,6 +374,15 @@ def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     assert r.value == pytest.approx(raw.value, rel=1e-9)
 
 
+def test_sp2_audit_catches_a_binding_dual_cap(mip_names):
+    # at M = 10 the product MIP caps pi below the recourse dual's 35.5, so
+    # its value falls short of the vertex dual LP at its scenario
+    inst = _pm_uk(6)
+    with pytest.raises(BackendError, match="SP2_vertex_dual: the max-min value"):
+        sp2(inst, _open_sites(inst, (0, 2, 4)), M=10.0)
+    assert mip_names == [inst.name + "_wc_bilin"]
+
+
 # -- network route of the feasibility check ------------------------------------
 
 def test_network_column_check():
@@ -457,15 +470,16 @@ def test_network_route_maps_time_limits(monkeypatch, timed_out):
         solve_maxmin_dual(p)
 
 
-def test_dual_route_maps_a_ray_time_limit(monkeypatch):
-    # the dual LP at the witness of an unservable scenario times out
+def test_network_route_audits_its_value_against_the_polish_lp(monkeypatch):
+    # the polish LP at the witness reports one unit more than the MIP
     solve_lp = backend.solve_lp
 
-    def limited(model):
-        if model.name == "dual_at_witness":
-            raise SolveTimeLimit(model.name)
-        return solve_lp(model)
+    def shifted(model):
+        out = solve_lp(model)
+        if model.name == "cap_feas_polish":
+            out.objective += 1.0
+        return out
 
-    monkeypatch.setattr(backend, "solve_lp", limited)
-    with pytest.raises(SolveTimeLimit, match="dual_at_witness"):
-        solve_maxmin_dual(_cap_problem())
+    monkeypatch.setattr(backend, "solve_lp", shifted)
+    with pytest.raises(BackendError, match="cap_feas_polish: the max-min value"):
+        check_inner_feasibility(_cap_problem())

@@ -156,7 +156,7 @@ def test_sp3_certifies_infeasibility():
     assert float(np.min(gamma)) >= -1e-12
 
 
-@pytest.mark.parametrize("timed_out", ["sp3", "sp3_ray"])
+@pytest.mark.parametrize("timed_out", ["sp3"])
 def test_sp3_reports_a_time_limit(monkeypatch, timed_out):
     inst = _flt()
     x_bad = np.zeros(4)
@@ -168,10 +168,30 @@ def test_sp3_reports_a_time_limit(monkeypatch, timed_out):
             raise SolveTimeLimit(model.name)
         return solve_lp(model)
 
-    # the ray LP and the dual LP before it both pass a timeout on
+    # the Farkas LP passes a timeout on
     monkeypatch.setattr(backend, "solve_lp", limited)
     with pytest.raises(SolveTimeLimit, match=timed_out):
         sp3(inst, x_bad, w.u)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The names of the LPs and MIPs solved while the test runs, in order."""
+    names = []
+    for which in ("solve_lp", "solve_mip"):
+        def recording(model, _real=getattr(backend, which)):
+            names.append(model.name)
+            return _real(model)
+        monkeypatch.setattr(backend, which, recording)
+    return names
+
+
+def test_sp3_solves_one_lp(solved):
+    inst = _flt()
+    w = sp1(inst, np.zeros(4))
+    solved.clear()
+    sp3(inst, np.zeros(4), w.u)
+    assert solved == ["sp3"]
 
 
 def test_sp3_rejects_feasible_scenario():
@@ -217,11 +237,14 @@ def test_sandwich_is_strict_on_fractional_setup():
     assert relax.value < exact - 1e-6
 
 
-def test_sp4_goes_infinite_when_the_freeze_cannot_serve():
+def test_sp4_goes_infinite_when_the_freeze_cannot_serve(solved):
     toy = _setup_toy()
     r = sp4(toy, np.zeros(1), np.array([0.0]))
     assert r.value == np.inf
     assert r.status == backend.UNBOUNDED
+    assert r.u is not None and r.ray is None and r.pi is None
+    # nothing is solved after the feasibility check's polish LP
+    assert solved[-2:] == ["setup_toy_sp4_feas_net", "setup_toy_sp4_feas_polish"]
 
 
 def test_sp4_validates_the_frozen_block():
