@@ -20,6 +20,7 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
+from .instances import SchemaError, check_uncertainty_schema
 from .maxmin import (OptimalityBlock, _couples_only_binary,
                      build_optimality_block, ensure_unique_optimum, lp_parametric)
 from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySet,
@@ -39,7 +40,6 @@ _OPT_GAP = 1e-7
 _SEED_TOL = 1e-9     # vector-equality tolerance of the seed registry
 _X_REPEAT_TOL = 1e-7
 _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
-_EXTRA_BASES = 3     # perturbed re-solves per iteration in the basis variant
 _ETA_LB = -1e7       # eta's lower bound, binding only before the first optimality cut
 
 
@@ -49,6 +49,7 @@ class AlgorithmConfig:
 
     cut_mode None picks the variant default: split for benders (its cuts are
     scalar rows with nothing to unify), unified for the replicate masters.
+    The basis variant's cutting sets have no cut mode.
     """
 
     variant: str = "parametric"
@@ -68,6 +69,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown cut_mode {self.cut_mode!r}")
         if self.variant == "benders" and self.cut_mode == "unified":
             raise ValueError("scalar dual cuts have no recourse replicate to unify")
+        if self.variant == "basis" and self.cut_mode is not None:
+            raise ValueError("basis cutting sets have no cut_mode")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
         if self.big_M <= 0 or self.time_limit_s <= 0:
@@ -126,17 +129,18 @@ class MasterState:
         x into the master the way the configured variant does, and return
         (cut kind, tag of the last seed added).
 
-        The basis variant inserts basis, or the parametric-LP basis at beta
-        when none is given, plus the alternative bases _extra_bases finds;
+        The basis variant inserts basis, sp2's basis at x when given, and
+        the parametric-LP basis at beta, which differs from it only where
+        the Pareto step moved the seed (Magnanti and Wong 1981);
         parametric-modified registers the basis of its uniqueness
         perturbation.  None means every such basis was cut in before.
         """
         inst, cfg = self.inst, self.config
         if cfg.variant == "basis":
-            if basis is None:
-                basis = lp_parametric(inst, x, beta).basis
-            bases = [basis] + _extra_bases(inst, x, beta, basis)
-            tags = [self.add_seed(b) for b in bases if b not in self.basis_seeds]
+            at_seed = lp_parametric(inst, x, beta).basis
+            # a basis just added is in basis_seeds when the next is tested
+            tags = [self.add_seed(b) for b in (basis, at_seed)
+                    if b is not None and b not in self.basis_seeds]
             return ("basis", tags[-1]) if tags else None
         unique_data = None
         if cfg.variant == "parametric-modified":
@@ -323,8 +327,14 @@ def _resolve_ddu_sets(inst: Instance,
         raw = inst.metadata.get("ddu_sets")
         if not isinstance(raw, list) or not raw:
             raise ValueError("instance metadata carries no list of ddu_sets")
-        spec = [uncertainty_set_from_dict(d) if isinstance(d, dict) else d
-                for d in raw]
+        spec = list(raw)
+        for i, d in enumerate(raw):
+            if not isinstance(d, UncertaintySet):
+                try:
+                    check_uncertainty_schema(d, f"metadata.ddu_sets[{i}]")
+                except SchemaError as exc:
+                    raise ValueError(str(exc)) from exc
+                spec[i] = uncertainty_set_from_dict(d)
     if not spec:
         raise ValueError("at least one surrogate uncertainty set is required")
     for U_l in spec:
@@ -516,28 +526,6 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     except BackendError as exc:
         meta["reason"] = str(exc)
         return done("Numerical")
-
-
-def _extra_bases(inst: Instance, x: np.ndarray, beta: np.ndarray,
-                 first: BasisId) -> list[BasisId]:
-    """Alternative optimal bases at the same seed, probed by tiny
-    deterministic tilts of the dual weights. A probe that fails is skipped,
-    unless it hit the wall clock."""
-    beta = np.asarray(beta, dtype=float)
-    eps = 1e-7 * max(1.0, float(np.abs(beta).max(initial=0.0)))
-    found: list[BasisId] = []
-    for k in range(min(_EXTRA_BASES, beta.size)):
-        tilted = beta.copy()
-        tilted[k] += eps
-        try:
-            b = lp_parametric(inst, x, tilted).basis
-        except SolveTimeLimit:
-            raise
-        except BackendError:
-            continue
-        if b != first and b not in found:
-            found.append(b)
-    return found
 
 
 def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ never leave half-written JSON or CSV behind. Exit codes are a contract:
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -29,6 +30,8 @@ from .model import Instance, uncertainty_set_from_dict
 from .reformulations import neutralize, normalize, order_switch
 
 _AGREE_TOL = 1e-5
+_DEFAULTS = AlgorithmConfig()
+_SWITCH_BIG_M = inspect.signature(order_switch).parameters["big_M"].default
 
 
 class _UsageError(Exception):
@@ -43,13 +46,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_algorithm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=VARIANTS, default="parametric")
-    p.add_argument("--tol", type=float, default=1e-3,
-                   help="relative optimality gap (default 0.001)")
-    p.add_argument("--time-limit", type=float, default=3600.0,
-                   help="wall clock budget in seconds (default 3600)")
-    p.add_argument("--big-m", type=float, default=1e4,
-                   help="linearization constant (default 10000)")
+    p.add_argument("--variant", choices=VARIANTS, default=_DEFAULTS.variant)
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tol,
+                   help="relative optimality gap (default %(default)s)")
+    p.add_argument("--time-limit", type=float, default=_DEFAULTS.time_limit_s,
+                   help="wall clock budget in seconds (default %(default)s)")
+    p.add_argument("--big-m", type=float, default=_DEFAULTS.big_M,
+                   help="linearization constant (default %(default)s)")
     p.add_argument("--cut-mode", choices=("split", "unified"), default=None)
     p.add_argument("--pareto", action="store_true",
                    help="strengthen cut scenarios against a reference point")
@@ -87,7 +90,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--hi-cols", default=None,
                    help="comma list: first-stage columns of the upper ends")
     p.add_argument("--binary-vertices", action="store_true")
-    p.add_argument("--big-m", type=float, default=1e4)
+    p.add_argument("--big-m", type=float, default=_SWITCH_BIG_M,
+                   help="linearization constant (default %(default)s)")
     p.add_argument("--force-upper-bound", action="store_true")
     p.add_argument("--out", default=None, help="output file path")
 

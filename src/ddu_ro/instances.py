@@ -537,32 +537,12 @@ class FLParams:
     n_sites: int = 6
     n_facilities: int | None = None      # first n_facilities sites host facilities
     seed: int = 0
-    demand_range: tuple[float, float] = (50.0, 150.0)
-    fixed_cost_range: tuple[float, float] = (1000.0, 2000.0)
     high_fixed: bool = False             # one third larger fixed costs
-    capacity_cost_range: tuple[float, float] = (5.0, 10.0)
-    profit_range: tuple[float, float] = (100.0, 200.0)
     capacity_upper_frac: float = 1.5     # upper cap = frac * total demand / |J|
     capacity_lower_frac: float = 0.0
-    neighborhood_quantile: float = 0.25
-    # demand-increase set, RHS kind
-    xi_lo: float = 0.05
-    xi_hi: float = 0.08
-    alpha: float = 0.05
-    # demand set, LHS kind
-    k1: float = 0.05
-    k2: float = 0.05
-    gamma: float = 0.1
-    # recourse extension with on-demand modules
-    temp_capacity_range: tuple[float, float] = (30.0, 80.0)
-    temp_cost_mult: float = 5.0
-    penalty_mult: float = 1.5
     # explicit data overrides synthesis when given
-    coords: np.ndarray | None = None
     costs: np.ndarray | None = None
     demands: np.ndarray | None = None
-    fixed_costs: np.ndarray | None = None
-    capacity_costs: np.ndarray | None = None
     profits: np.ndarray | None = None
 
 
@@ -571,18 +551,18 @@ def _distances(coords: np.ndarray) -> np.ndarray:
 
 
 def _sites(p: FLParams | PMedianParams):
-    """The site data both families share: (nI, nJ, coords, c, dem, rng), with
-    c the service costs to the first nJ sites (100 x distance unless given).
-    Unless given, coordinates and then demands are drawn from the seed; the
-    rng is returned so that a family draws its own data next."""
+    """The site data both families share: (nI, nJ, c, dem, rng), with c the
+    service costs between all sites (100 x distance unless given).
+    Coordinates and then, unless given, demands in [50, 150] are drawn from
+    the seed; the rng is returned so that a family draws its own data next."""
     rng = np.random.default_rng(p.seed)
     nI = p.n_sites
     nJ = p.n_facilities if p.n_facilities is not None else nI
-    coords = p.coords if p.coords is not None else rng.uniform(size=(nI, 2))
+    coords = rng.uniform(size=(nI, 2))
     c = np.asarray(p.costs, dtype=float) if p.costs is not None else _distances(coords)
     dem = (np.asarray(p.demands, dtype=float) if p.demands is not None
-           else rng.uniform(*p.demand_range, size=nI))
-    return nI, nJ, coords, c[:, :nJ], dem, rng
+           else rng.uniform(50.0, 150.0, size=nI))
+    return nI, nJ, c, dem, rng
 
 
 def _fl_first_stage(nJ, f, a, dem, p: FLParams):
@@ -623,11 +603,13 @@ def _fl_recourse(nI, nJ, c, profit):
     return B1, B2, E, d, c2
 
 
-def _fl_uncertainty_rhs(nI, nJ, dem, nbhd, p: FLParams) -> UncertaintySet:
+def _fl_uncertainty_rhs(nI, nJ, dem, nbhd) -> UncertaintySet:
     """Coordinates (u, incr, dev) in R^{3|I|}: u_i = base_i (1 + incr_i),
-    incr_i bounded by construction in the neighborhood, dev_i at least the
-    distance of incr_i from its midpoint, total deviation capacity-budgeted.
-    All dependence sits in the right-hand side."""
+    incr_i between xi_lo and xi_hi times the facilities built in the
+    neighborhood, dev_i at least the distance of incr_i from its midpoint,
+    total deviation at most alpha x installed capacity / total demand.  All
+    dependence sits in the right-hand side."""
+    xi_lo, xi_hi, alpha = 0.05, 0.08, 0.05
     n_u = 3 * nI
     nx = 2 * nJ
     u0 = dem.sum()
@@ -647,32 +629,34 @@ def _fl_uncertainty_rhs(nI, nJ, dem, nbhd, p: FLParams) -> UncertaintySet:
         Fr = np.zeros(n_u); Fr[nI + i] = 1.0
         Gr = np.zeros(nx)
         for j in nbhd[i]:
-            Gr[j] = p.xi_hi
+            Gr[j] = xi_hi
         row(Fr, Gr, 0.0)
         Gr2 = np.zeros(nx)
         for j in nbhd[i]:
-            Gr2[j] = -p.xi_lo
+            Gr2[j] = -xi_lo
         row(-Fr, Gr2, 0.0)
     for i in range(nI):
         mid = np.zeros(nx)
         for j in nbhd[i]:
-            mid[j] = 0.5 * (p.xi_lo + p.xi_hi)
+            mid[j] = 0.5 * (xi_lo + xi_hi)
         Fr = np.zeros(n_u); Fr[nI + i] = 1.0; Fr[2 * nI + i] = -1.0
         row(Fr, mid, 0.0)
         Fr2 = np.zeros(n_u); Fr2[nI + i] = -1.0; Fr2[2 * nI + i] = -1.0
         row(Fr2, -mid, 0.0)
     Fr = np.zeros(n_u); Fr[2 * nI:] = 1.0
-    Gr = np.zeros(nx); Gr[nJ:] = p.alpha / u0
+    Gr = np.zeros(nx); Gr[nJ:] = alpha / u0
     row(Fr, Gr, 0.0)
 
     return UncertaintySet(F=AffineMatrixMap(base=np.array(rows_F)),
                           G=np.array(rows_G), h=np.array(rows_h))
 
 
-def _fl_uncertainty_lhs(nI, nJ, dem, nbhd, p: FLParams) -> UncertaintySet:
-    """Coordinates (u, reg, surge): u_i = reg_i + surge_i, reg_i grows with
-    neighborhood capacity (right-hand side), surge_i capped per site, and the
-    capacity-weighted surge budget puts x_c into the constraint matrix."""
+def _fl_uncertainty_lhs(nI, nJ, dem, nbhd) -> UncertaintySet:
+    """Coordinates (u, reg, surge): u_i = reg_i + surge_i, reg_i grows by k1
+    per unit of neighborhood capacity (right-hand side), surge_i capped at
+    gamma dem_i, and the surge budget, whose weights grow by k2 per unit of
+    neighborhood capacity, puts x_c into the constraint matrix."""
+    k1, k2, gamma = 0.05, 0.05, 0.1
     n_u = 3 * nI
     nx = 2 * nJ
     mu = 2 * nI + nI + nI + 1
@@ -688,21 +672,21 @@ def _fl_uncertainty_lhs(nI, nJ, dem, nbhd, p: FLParams) -> UncertaintySet:
     for i in range(nI):
         F0[r, nI + i] = 1.0
         for j in nbhd[i]:
-            G[r, nJ + j] = p.k1
+            G[r, nJ + j] = k1
         h[r] = dem[i]; r += 1
     for i in range(nI):
         F0[r, 2 * nI + i] = 1.0
-        h[r] = p.gamma * dem[i]; r += 1
+        h[r] = gamma * dem[i]; r += 1
     budget = r
     for i in range(nI):
         F0[budget, 2 * nI + i] = dem[i]
-    h[budget] = p.gamma * float(dem @ dem)
+    h[budget] = gamma * float(dem @ dem)
     terms = []
     for j in range(nJ):
         M = np.zeros((mu, n_u))
         for i in range(nI):
             if j in nbhd[i]:
-                M[budget, 2 * nI + i] = p.k2
+                M[budget, 2 * nI + i] = k2
         terms.append((nJ + j, M))
     return UncertaintySet(F=AffineMatrixMap(base=F0, terms=tuple(terms)), G=G, h=h)
 
@@ -727,30 +711,30 @@ def gen_mip_recourse_fl(params: FLParams) -> Instance:
 def _fl_instance(p: FLParams, kind: str) -> Instance:
     """The instance of family fl-<kind>: "rhs" and "lhs" pick the demand set,
     "mip" takes the "rhs" set and adds the modules and shortfalls."""
-    nI, nJ, coords, c, dem, rng = _sites(p)
-    f = (np.asarray(p.fixed_costs, dtype=float) if p.fixed_costs is not None
-         else rng.uniform(*p.fixed_cost_range, size=nJ))
+    nI, nJ, full, dem, rng = _sites(p)
+    c = full[:, :nJ]
+    f = rng.uniform(1000.0, 2000.0, size=nJ)       # fixed costs
     if p.high_fixed:
         f = f * (4.0 / 3.0)
-    a = (np.asarray(p.capacity_costs, dtype=float) if p.capacity_costs is not None
-         else rng.uniform(*p.capacity_cost_range, size=nJ))
+    a = rng.uniform(5.0, 10.0, size=nJ)            # capacity costs
     profit = (np.asarray(p.profits, dtype=float) if p.profits is not None
-              else rng.uniform(*p.profit_range, size=nI))
-    full = np.asarray(p.costs, dtype=float) if p.costs is not None else _distances(coords)
+              else rng.uniform(100.0, 200.0, size=nI))
+    # site i's neighborhood: the facilities within the lower quartile of all
+    # positive site distances
     positive = full[full > 0]
-    radius = float(np.quantile(positive, p.neighborhood_quantile)) if positive.size else 0.0
+    radius = float(np.quantile(positive, 0.25)) if positive.size else 0.0
     nbhd = [[j for j in range(nJ) if full[i, j] <= radius + 1e-12] for i in range(nI)]
 
     X, c1 = _fl_first_stage(nJ, f, a, dem, p)
     B1, B2, E, d, c2 = _fl_recourse(nI, nJ, c, profit)
     U = (_fl_uncertainty_lhs if kind == "lhs" else _fl_uncertainty_rhs)(
-        nI, nJ, dem, nbhd, p)
+        nI, nJ, dem, nbhd)
     blocks = {"x_d": list(range(nJ)), "x_c": list(range(nJ, 2 * nJ)),
               "u": list(range(nI))}
     n_int_y = 0
     if kind == "mip":
-        temp_cap = rng.uniform(*p.temp_capacity_range, size=nJ)
-        temp_cost = p.temp_cost_mult * temp_cap * a.max()
+        temp_cap = rng.uniform(30.0, 80.0, size=nJ)
+        temp_cost = 5.0 * temp_cap * a.max()
         # y = (z | flows | y2): modules z_j (integer block) add temp_cap_j to
         # the capacity rows and get rows z_j <= 1; shortfall y2_i joins the
         # demand rows
@@ -760,7 +744,7 @@ def _fl_instance(p: FLParams, kind: str) -> Instance:
         B1 = np.vstack([B1, np.zeros((nJ, 2 * nJ))])
         E = np.vstack([E, np.zeros((nJ, 3 * nI))])
         d = np.concatenate([d, -np.ones(nJ)])
-        c2 = np.concatenate([temp_cost, c2, np.full(nI, p.penalty_mult * c.max())])
+        c2 = np.concatenate([temp_cost, c2, np.full(nI, 1.5 * c.max())])
         blocks["z"] = list(range(nJ))
         n_int_y = nJ
     meta = {"family": f"fl-{kind}", "blocks": blocks, "seed": p.seed}
@@ -780,14 +764,8 @@ class PMedianParams:
     k: int = 1
     rho: float = 0.2
     theta: float | np.ndarray = 0.0
-    capacitated: bool = True
-    capacity: float | np.ndarray | None = None   # None: tight-ish default / total demand
     penalty: float | None = None                 # None: 1.5 * max service cost
     q: int = 3                                   # demand-ranked extension sites
-    q1: int | None = None                        # None: k + 2
-    q2: int | None = None
-    demand_range: tuple[float, float] = (50.0, 150.0)
-    coords: np.ndarray | None = None
     costs: np.ndarray | None = None
     demands: np.ndarray | None = None
 
@@ -815,20 +793,17 @@ def gen_reliable_pmedian(params: PMedianParams,
 
     uncertainty picks the disruption set: diu_u0 (binary, up to k sites,
     decision-independent), ddu_uk (disruptions only at built facilities),
-    ddu_ukq (additionally the q largest-demand sites), ddu_ur (only at the q1
-    built facilities with the largest first-stage service cost, via sorting
-    binaries), ddu_us_pair (the decision-independent instance carrying both
-    sorting sets in metadata for approximation runs).
+    ddu_ukq (additionally the q largest-demand sites), ddu_ur (only at the
+    min(p, k + 2) built facilities with the largest first-stage service cost,
+    via sorting binaries), ddu_us_pair (the decision-independent instance
+    carrying both sorting sets in metadata for approximation runs).
     """
     if uncertainty not in PMEDIAN_KINDS:
         raise ValueError(f"unknown uncertainty {uncertainty!r}")
     p = params
-    nI, nJ, _, c, dem, _ = _sites(p)
-    if p.capacity is None:
-        cap = (np.full(nJ, 1.4 * dem.sum() / p.p) if p.capacitated
-               else np.full(nJ, dem.sum()))
-    else:
-        cap = np.broadcast_to(np.asarray(p.capacity, dtype=float), (nJ,)).copy()
+    nI, nJ, c, dem, _ = _sites(p)
+    c = c[:, :nJ]
+    cap = np.full(nJ, 1.4 * dem.sum() / p.p)     # p facilities hold 1.4 x demand
     pen = p.penalty if p.penalty is not None else 1.5 * float(c.max())
     theta = np.broadcast_to(np.asarray(p.theta, dtype=float), (nI,)).copy()
     if uncertainty != "diu_u0" and (pen < float(c.max()) or np.any(theta > 0)):
@@ -906,16 +881,17 @@ def gen_reliable_pmedian(params: PMedianParams,
             "penalty": pen, "max_cost": float(c.max())}
 
     if n_sorts:
-        # x_r marks the q1 built facilities of largest service cost
-        q1 = p.q1 if p.q1 is not None else min(p.p, p.k + 2)
+        # x_r marks the q_sort built facilities of largest service cost, and
+        # for the pair x_s the q_sort of largest distance to the co-built set
+        q_sort = min(p.p, p.k + 2)
         xr = lambda j: nJ + j
         sort_M = 1.1 * float(c.max()) * float(dem.sum())
-        rows_r, b_r = _sorting_rows(nx, nJ, q1, xr, x0r,
+        rows_r, b_r = _sorting_rows(nx, nJ, q_sort, xr, x0r,
                                     lambda j: [(xc(i, j), c[i, j]) for i in range(nI)],
                                     sort_M)
         A = np.vstack([A, rows_r]); b = np.concatenate([b, b_r])
         meta["blocks"]["x_r"] = [xr(j) for j in range(nJ)]
-        meta["q1"] = q1
+        meta["q1"] = q_sort
 
     if uncertainty == "diu_u0":
         U = _disruption_set(nx, p.k, np.ones(nI), n_int_u=nI)
@@ -931,7 +907,6 @@ def gen_reliable_pmedian(params: PMedianParams,
         U = _disruption_set(nx, p.k, np.zeros(nI), {j: xr(j) for j in range(nJ)})
         meta["sort_big_m"] = sort_M
     else:  # ddu_us_pair: decision-independent instance + two sorting sets
-        q2 = p.q2 if p.q2 is not None else min(p.p, p.k + 2)
         xs = lambda j: 2 * nJ + j
         x0s = x0r + 1
         w0 = x0s + 1                        # w_jl = x_d_j x_d_l
@@ -964,7 +939,7 @@ def gen_reliable_pmedian(params: PMedianParams,
         # score of facility j: capacity-weighted distance to the co-built set,
         # sum_l c[site(j), site(l)] z_jl with z linearized above
         rows_s, b_s = _sorting_rows(
-            nx, nJ, q2, xs, x0s,
+            nx, nJ, q_sort, xs, x0s,
             lambda j: [(zv(j, l), float(c[j, l])) for l in range(nJ)], sort_M)
         A = np.vstack([A, np.array(extra), rows_s])
         b = np.concatenate([b, np.array(eb), b_s])
@@ -972,7 +947,7 @@ def gen_reliable_pmedian(params: PMedianParams,
         Ur = _disruption_set(nx, p.k, np.zeros(nI), {j: xr(j) for j in range(nJ)})
         Us = _disruption_set(nx, p.k, np.zeros(nI), {j: xs(j) for j in range(nJ)})
         meta["blocks"]["x_s"] = [xs(j) for j in range(nJ)]
-        meta["q2"] = q2
+        meta["q2"] = q_sort
         meta["sort_big_m"] = sort_M
         meta["ddu_sets"] = [uncertainty_set_to_dict(Ur), uncertainty_set_to_dict(Us)]
 

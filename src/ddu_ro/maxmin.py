@@ -40,8 +40,7 @@ from .model import (BasisId, Instance, _binary_product, _is_binary, affine_block
                     max_over_u, range_probe, require_binary_terms)
 
 _ZERO_RC_TOL = 1e-9
-_MEMBERSHIP_TOL = 1e-6
-_AUDIT_TOL = 1e-4     # relative, a product MIP's value against its LP
+_AUDIT_TOL = 1e-4     # relative: a product MIP against its LP, sp2 against its split
 _MAX_HALVINGS = 5     # of the uniqueness perturbation's epsilon
 
 

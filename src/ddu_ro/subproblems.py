@@ -13,6 +13,7 @@ from . import backend
 from .backend import GEQ, LEQ, BackendError
 from .instances import recourse_value
 from .maxmin import (
+    _AUDIT_TOL,
     MaxMinProblem,
     ParametricLPResult,
     audited_dual_lp,
@@ -25,7 +26,6 @@ from .maxmin import (
 from .model import Instance
 
 _PI_FEAS_TOL = 1e-6
-_AUDIT_TOL = 1e-4
 _RAY_TOL = 1e-8
 
 

@@ -657,8 +657,8 @@ def test_uniqueness_time_limit_keeps_bounds_and_incumbent(monkeypatch):
 
 
 def test_basis_probe_time_limit_keeps_bounds_and_incumbent(monkeypatch):
-    # the first basis comes with sp2; the tilted re-solves of _extra_bases
-    # are the loop's own parametric LPs
+    # the first basis comes with sp2; the LP at the seed that MasterState.cut
+    # solves is the loop's own parametric LP
     def times_out(inst, x, beta):
         raise SolveTimeLimit("lp_parametric")
 
@@ -668,6 +668,25 @@ def test_basis_probe_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.meta["reason"] == "basis probe hit the wall clock"
     assert res.x == pytest.approx([0.0])
     assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
+
+
+@pytest.mark.parametrize("pareto, cuts", [(False, 2), (True, 1)])
+def test_a_basis_cut_solves_one_parametric_lp(monkeypatch, pareto, cuts):
+    # sp2 brings the basis at x; the cut adds the one at the seed, the same
+    # basis unless the Pareto step moved the seed
+    calls = []
+    real = ccg.lp_parametric
+
+    def counted(inst, x, beta):
+        calls.append(1)
+        return real(inst, x, beta)
+
+    monkeypatch.setattr(ccg, "lp_parametric", counted)
+    res = run(gen_reliable_pmedian(PMedianParams(n_sites=5, seed=0), "ddu_uk"),
+              AlgorithmConfig(variant="basis", pareto=pareto, tol=0.0))
+    assert res.status == "Optimal"
+    assert sum(r.cut_kind == "basis" for r in res.iterations) == cuts
+    assert len(calls) == cuts
 
 
 def test_core_scenario_time_limit_keeps_bounds_and_incumbent(monkeypatch):
@@ -838,11 +857,26 @@ def test_approximation_loops_reject_mismatched_instances():
         run(one, AlgorithmConfig(diu_approx="metadata"))
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"F": {}}, r"missing key 'G' at metadata\.ddu_sets\[1\]"),
+    (3, r"expected an object at metadata\.ddu_sets\[1\]"),
+], ids=["no-G", "a-number"])
+def test_malformed_metadata_surrogate_is_a_value_error(entry, message):
+    # an in-memory instance skips io_read's schema check
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair")
+    inst.metadata["ddu_sets"][1] = entry
+    with pytest.raises(ValueError, match=message):
+        run(inst, AlgorithmConfig(diu_approx="metadata"))
+
+
 def test_config_rejects_bad_combinations():
     with pytest.raises(ValueError, match="variant"):
         AlgorithmConfig(variant="newton")
     with pytest.raises(ValueError, match="unify"):
         AlgorithmConfig(variant="benders", cut_mode="unified")
+    for cut_mode in ("split", "unified"):
+        with pytest.raises(ValueError, match="no cut_mode"):
+            AlgorithmConfig(variant="basis", cut_mode=cut_mode)
     with pytest.raises(ValueError, match="tol"):
         AlgorithmConfig(tol=-1.0)
     with pytest.raises(ValueError, match="diu_approx"):

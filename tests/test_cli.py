@@ -107,6 +107,11 @@ def test_both_approximation_loops_exit_one(t1_path, tmp_path, capsys):
     assert not (tmp_path / "run.json").exists()
 
 
+def test_solve_flag_defaults_are_the_config_defaults():
+    args = cli._build_parser().parse_args(["solve", "inst.json"])
+    assert cli._config_from(args) == cli.AlgorithmConfig()
+
+
 def test_missing_file_exits_one(capsys):
     assert cli.main(["solve", "no-such-file.json"]) == 1
     assert "error:" in capsys.readouterr().err
