@@ -289,7 +289,8 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
 
 
 def solve_mip(model: LinearModel) -> SolveOutcome:
-    """Solve with integrality."""
+    """Solve with integrality; a model without integer columns goes to
+    solve_lp."""
     if not model.has_integers:
         return solve_lp(model)
     c = model.objective_vector()
@@ -316,13 +317,6 @@ def solve_mip(model: LinearModel) -> SolveOutcome:
         bound = sign * float(res.mip_dual_bound)
     return SolveOutcome(status=status, objective=model.objective_value(x),
                         x=x, bound=bound)
-
-
-def solve(model: LinearModel) -> SolveOutcome:
-    """Dispatch on integrality."""
-    if model.has_integers:
-        return solve_mip(model)
-    return solve_lp(model)
 
 
 # -- big-M complementarity ---------------------------------------------------

@@ -6,7 +6,8 @@ parametric cuts with recourse replicates ("parametric"), the same with
 perturbed-unique scenario vertices ("parametric-modified"), and basis-indexed
 cutting sets ("basis").  Two approximation loops reuse the parametric master:
 one for mixed-integer recourse, one that brackets a decision-independent
-problem between decision-dependent surrogates.
+problem between decision-dependent surrogates.  A run stops when the gap
+closes or the master repeats a first stage, whose worst case it holds.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 # resolve bounds more finely
 _OPT_GAP = 1e-7
 
-_SEED_TOL = 1e-9     # vector-equality tolerance of the seed registry
 _X_REPEAT_TOL = 1e-7
 _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
 _ETA_LB = -1e7       # eta's lower bound, binding only before the first optimality cut
@@ -124,16 +124,18 @@ class MasterState:
         return _add_dual_seed(self, seed, is_ray, unique_data)
 
     def cut(self, x: np.ndarray, beta: np.ndarray, is_ray: bool,
-            basis: BasisId | None = None) -> tuple[str, str] | None:
+            basis: BasisId | None = None) -> tuple[str, str]:
         """Cut the dual point (or ray, with is_ray) beta found at first stage
         x into the master the way the configured variant does, and return
         (cut kind, tag of the last seed added).
 
         The basis variant inserts basis, sp2's basis at x when given, and
         the parametric-LP basis at beta, which differs from it only where
-        the Pareto step moved the seed (Magnanti and Wong 1981);
-        parametric-modified registers the basis of its uniqueness
-        perturbation.  None means every such basis was cut in before.
+        the Pareto step moved the seed (Magnanti and Wong 1981); a basis the
+        master already holds is not added again, and the tag is empty when
+        neither was new.  A dual seed is added even when it repeats.  Either
+        way such a cut adds no bound the master lacked, and the loop stops
+        on the first stage that the next master repeats.
         """
         inst, cfg = self.inst, self.config
         if cfg.variant == "basis":
@@ -141,20 +143,16 @@ class MasterState:
             # a basis just added is in basis_seeds when the next is tested
             tags = [self.add_seed(b) for b in (basis, at_seed)
                     if b is not None and b not in self.basis_seeds]
-            return ("basis", tags[-1]) if tags else None
+            return "basis", tags[-1] if tags else ""
         unique_data = None
         if cfg.variant == "parametric-modified":
-            res_u, unique_data = ensure_unique_optimum(inst, x, beta)
-            if res_u.basis in self.basis_seeds:
-                return None
-            self.basis_seeds.append(res_u.basis)
+            _, unique_data = ensure_unique_optimum(inst, x, beta)
         kind = "feasibility" if is_ray else "optimality"
         return ("unified" if cfg.unified else kind,
                 self.add_seed(beta, is_ray, unique_data))
 
 
-def _vector_seen(pool: list[np.ndarray], v: np.ndarray,
-                 tol: float = _SEED_TOL) -> bool:
+def _vector_seen(pool: list[np.ndarray], v: np.ndarray, tol: float) -> bool:
     v = np.asarray(v, dtype=float)
     return any(p.shape == v.shape and float(np.max(np.abs(p - v), initial=0.0)) <= tol
                for p in pool)
@@ -293,7 +291,8 @@ def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
       own set, masters carry one optimality block per (seed, surrogate)
       pair. Lower bounds are valid whenever every surrogate is contained in
       the instance's set at every x; the gap closes only when some surrogate
-      is exact, so a repeated seed freezes the bounds and reports Stalled.
+      is exact, so a repeated first stage freezes the bounds and reports
+      Stalled.
     """
     config = config or AlgorithmConfig()
     if config.mip_recourse_mode and config.diu_approx is not None:
@@ -382,7 +381,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         # the deterministic relaxation settles infeasibility up front, floors the
         # first bound, and anchors the stabilized cut selection
         det_model, det_ids = build_deterministic_mip(inst, config.big_M)
-        det = backend.solve(det_model)
+        det = backend.solve_mip(det_model)
         if det.status == backend.INFEASIBLE:
             meta["reason"] = "deterministic relaxation infeasible"
             return done("Infeasible")
@@ -393,8 +392,6 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         meta["relaxation_value"] = lb = float(det.objective)
 
         seen_x: list[np.ndarray] = []
-        derived_points: list[np.ndarray] = []
-        derived_rays: list[np.ndarray] = []
         prev_us: np.ndarray | None = None
         u_mid: np.ndarray | None = None
         t = 0
@@ -410,20 +407,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 return None
             return "Optimal" if gap <= _OPT_GAP else "GapReached"
 
-        def closure(what: str) -> RunResult:
-            # a repeated seed proves the bounds met in the exact loop; anywhere
-            # else, or when they visibly did not, the honest report is Stalled
-            nonlocal lb
-            meta["reason"] = f"repeated {what}"
-            if mode == "exact" and relative_gap(lb, ub) <= 1e-6:
-                lb = ub
-            record("none", f"repeat-{what}")
-            return done(gap_status() or "Stalled")
-
         while True:
             t += 1
             step = "master"
-            out = backend.solve(state.model)
+            out = backend.solve_mip(state.model)
             if out.status == backend.INFEASIBLE:
                 # feasibility cutting sets exclude every first stage
                 meta["reason"] = "master infeasible"
@@ -439,8 +426,16 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             x_star[:inst.X.n_int] = np.round(x_star[:inst.X.n_int])
 
             if _vector_seen(seen_x, x_star,
-                            tol=_X_REPEAT_TOL * max(1.0, float(np.abs(x_star).max()))):
-                return closure("first-stage")
+                            _X_REPEAT_TOL * max(1.0, float(np.abs(x_star).max()))):
+                # the worst case at x* was cut in at its first visit, so in
+                # the exact loop the master's bound there meets sp2's value
+                # (Zeng and Zhao 2013); anywhere else, or when the bounds
+                # visibly did not meet, the honest report is Stalled
+                meta["reason"] = "repeated first-stage"
+                if mode == "exact" and relative_gap(lb, ub) <= 1e-6:
+                    lb = ub
+                record("none", "repeat-first-stage")
+                return done(gap_status() or "Stalled")
             seen_x.append(x_star)
 
             step = "feasibility subproblem"
@@ -450,9 +445,6 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 step = "worst-case subproblem"
                 solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
                 r2 = solve_sp2(inst, x_star, M=config.big_M)
-                if r2.status != backend.OPTIMAL:
-                    raise BackendError(f"worst-case subproblem ended {r2.status}")
-                pi_star = r2.pi
 
                 if mode == "mip":
                     step = "exact recourse"
@@ -466,9 +458,6 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                         step = "frozen-recourse subproblem"
                         y_d = np.round(y_full[:inst.Y.n_int_y])
                         s4 = sp4(inst, x_star, y_d, M=config.big_M)
-                        if s4.status not in (backend.OPTIMAL, backend.UNBOUNDED):
-                            raise BackendError(f"frozen-recourse subproblem ended "
-                                               f"{s4.status}")
                         if np.isfinite(s4.value) and float(inst.c1 @ x_star) + s4.value < ub:
                             ub = float(inst.c1 @ x_star) + s4.value
                             incumbent = x_star
@@ -483,7 +472,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     record("none", "gap")
                     return done(status)
 
-                beta = pi_star
+                beta = r2.pi
                 pareto = config.pareto and mode == "exact"
                 if pareto:
                     if u_mid is None:
@@ -492,31 +481,18 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     step = "Pareto seed subproblem"
                     u_ref = prev_us if prev_us is not None else u_mid
                     pol = sp2_pareto_lp(inst, x0, u_ref, x_star, r2.u, r2.value)
-                    if not pol.used_fallback:
+                    if pol.pi is not None:
                         beta = pol.pi
                 prev_us = r2.u
-
-                # a stabilized seed is as good as pi* at x*, so one already cut
-                # in makes the master bound tight there and the gap stop above
-                # fires; only an unstabilized repeat needs this check
-                if not pareto and _vector_seen(derived_points, pi_star):
-                    return closure("dual-point")
-                derived_points.append(pi_star)
                 # sp2 reports no basis when U has integer coordinates
                 is_ray, basis = False, getattr(r2.basis_result, "basis", None)
             else:
                 step = "feasibility ray subproblem"
                 beta = sp3(inst, x_star, r1.u).ray
-                if _vector_seen(derived_rays, beta):
-                    return closure("dual-ray")
-                derived_rays.append(beta)
                 is_ray, basis = True, None
 
             step = _CUT_STEP.get(config.variant)
-            cut = state.cut(x_star, beta, is_ray, basis)
-            if cut is None:
-                return closure("basis")
-            record(*cut)
+            record(*state.cut(x_star, beta, is_ray, basis))
             if config.max_iterations is not None and t >= config.max_iterations:
                 meta["reason"] = "iteration cap"
                 return done("Stalled")

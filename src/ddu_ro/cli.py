@@ -229,7 +229,7 @@ def cmd_convert(args) -> int:
         out = order_switch(inst, np.asarray(inst.metadata["E_hat"], dtype=float),
                            big_M=args.big_m,
                            force_upper_bound=args.force_upper_bound)
-        sol = backend.solve(out.model)
+        sol = backend.solve_mip(out.model)
         payload = {"kind": out.kind, "status": sol.status,
                    "objective": None if sol.objective is None
                    else float(sol.objective),

@@ -217,7 +217,7 @@ def recourse_value(inst: Instance, x: np.ndarray,
         m.add_block(y_ids, Y.B2, GEQ, rhs)
     m.set_objective({y_ids[j]: Y.c2[j] for j in range(Y.dim) if Y.c2[j] != 0.0},
                     sense="min")
-    out = backend.solve(m)
+    out = backend.solve_mip(m)
     if out.is_optimal:
         return float(out.objective), out.x[:Y.dim]
     if out.status == backend.INFEASIBLE:

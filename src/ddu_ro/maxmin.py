@@ -41,7 +41,6 @@ from .model import (BasisId, Instance, _binary_product, _is_binary, affine_block
 
 _ZERO_RC_TOL = 1e-9
 _AUDIT_TOL = 1e-4     # relative: a product MIP against its LP, sp2 against its split
-_MAX_HALVINGS = 5     # of the uniqueness perturbation's epsilon
 
 
 @dataclass(eq=False)
@@ -91,9 +90,11 @@ def maxmin_from_instance(inst: Instance, x: np.ndarray) -> MaxMinProblem:
 
 @dataclass
 class MaxMinResult:
-    status: str
-    value: float | None = None
-    outer: np.ndarray | None = None
+    """A max-min's optimum and the outer point attaining it, or value inf
+    and a witness where the inner LP is infeasible; a route whose MIP does
+    not end Optimal raises BackendError naming that MIP instead."""
+    value: float
+    outer: np.ndarray
 
 
 # -- parametric LP over U(x) ---------------------------------------------------
@@ -240,8 +241,6 @@ def check_inner_feasibility(problem: MaxMinProblem,
         n_int_out=problem.n_int_out, name=problem.name + "_feas",
     )
     res = solve_maxmin_kkt(ext, M=M)
-    if res.status != backend.OPTIMAL:
-        raise BackendError(f"feasibility reformulation ended {res.status}")
     return max(0.0, float(res.value)), res.outer
 
 
@@ -332,15 +331,13 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
         if problem.A_out.shape[0]:
             probe.add_block(p_ids, problem.A_out, LEQ, problem.b_out)
         probe.set_objective({})
-        if backend.solve(probe).is_optimal:
+        if backend.solve_mip(probe).is_optimal:
             raise BackendError(
                 "optimality system infeasible though the outer set is not: "
                 "M too small or inner LP infeasible/unbounded somewhere")
-        return MaxMinResult(status=backend.INFEASIBLE)
     if not out.is_optimal:
-        return MaxMinResult(status=out.status)
-    return MaxMinResult(status=backend.OPTIMAL, value=float(out.objective),
-                        outer=out.x[:n_out])
+        raise BackendError(f"{m.name} ended {out.status}")
+    return MaxMinResult(value=float(out.objective), outer=out.x[:n_out])
 
 
 # -- disjoint bilinear route ----------------------------------------------------
@@ -357,12 +354,13 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     whenever the optimal dual stays below it; the audit in the calling layer
     catches violations. Otherwise the KKT route answers.
     Inner infeasibility at some z makes the program unbounded: the result
-    then carries the witness z and no value.
+    then carries the witness z and the value inf. Either route raises
+    BackendError naming its MIP when that MIP does not end Optimal.
     """
     if check_feasibility:
         v_f, witness = check_inner_feasibility(problem, M=M)
         if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
-            return MaxMinResult(status=backend.UNBOUNDED, outer=witness)
+            return MaxMinResult(value=np.inf, outer=witness)
 
     binary_outer = _outer_is_binary(problem) and (
         problem.n_int_out == problem.n_out
@@ -385,9 +383,8 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m)
     if not out.is_optimal:
-        return MaxMinResult(status=out.status)
-    return MaxMinResult(status=backend.OPTIMAL, value=float(out.objective),
-                        outer=out.x[:n_out])
+        raise BackendError(f"{m.name} ended {out.status}")
+    return MaxMinResult(value=float(out.objective), outer=out.x[:n_out])
 
 
 def _outer_is_binary(problem: MaxMinProblem) -> bool:
@@ -493,16 +490,18 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
         raise ValueError("primal-dual block needs binary first-stage "
                          "components wherever G couples them to the set")
 
-    u_ids = model.add_vars(n, prefix=f"u{tag}")
-    lam_ids = model.add_vars(mu, prefix=f"lam{tag}")
-    products: dict[tuple[int, int], int] = {}
-
     if representation == "unique":
         c_struct = np.asarray(unique_data, dtype=float)[:n]
         c_slack = np.asarray(unique_data, dtype=float)[n:n + mu]
     else:
         c_struct = -(inst.Y.E.T @ beta)
         c_slack = np.zeros(mu)
+    u_ids = model.add_vars(n, prefix=f"u{tag}")
+    # the dual needs lam_i >= c_slack_i only; a perturbed slack cost is
+    # negative, and lam_i >= 0 would then force its row tight
+    lam_ids = [model.add_var(lo, np.inf, name=f"lam{tag}{i}")
+               for i, lo in enumerate(c_slack)]
+    products: dict[tuple[int, int], int] = {}
     if U.F.is_constant and has_interval_rows(U.F.base):
         # [F | I] is totally unimodular, so some optimal dual is a vertex
         # with |lam_i| <= ||c||_1, and its reduced costs stay below 2 ||c||_1:
@@ -517,7 +516,7 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
                    name=f"up{tag}")
     # dual rows F(x)' lam >= c
     dual = affine_blocks(model, U.F, lam_ids, x_ids, M, products, transpose=True,
-                         name=f"fl{tag}_")
+                         lo=c_slack, name=f"fl{tag}_")
     model.add_rows(dual, GEQ, c_struct, name=f"ud{tag}")
 
     if representation in ("kkt", "unique"):
@@ -544,14 +543,11 @@ def _couples_only_binary(inst: Instance) -> bool:
 # -- uniqueness perturbation ------------------------------------------
 
 def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
-                           reduced_costs: np.ndarray,
-                           epsilon: float | None = None) -> np.ndarray:
+                           reduced_costs: np.ndarray, epsilon: float) -> np.ndarray:
     """Lower the cost by epsilon on nonbasic columns whose reduced cost
     vanishes; every alternative optimal vertex then prices out strictly."""
     c = np.asarray(cost_row, dtype=float).copy()
     rc = np.asarray(reduced_costs, dtype=float)
-    if epsilon is None:
-        epsilon = 1e-4 * max(1.0, float(np.abs(c).max()))
     in_basis = set(basis.indices)
     tol = _ZERO_RC_TOL * max(1.0, float(np.abs(c).max()))
     for j in range(c.size):
@@ -564,19 +560,18 @@ def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray
                           ) -> tuple[ParametricLPResult, np.ndarray]:
     """Parametric LP solve plus a verified uniqueness perturbation.
 
-    Halves epsilon (up to _MAX_HALVINGS times) until re-solving with the
-    perturbed costs keeps the original vertex optimal with strictly negative
-    reduced costs on every nonbasic column.
+    Lowering the costs of the nonbasic columns with zero reduced cost keeps
+    the basis optimal and gives each reduced cost -epsilon, so a smaller
+    epsilon could not pass a check this one fails. The check re-solves with
+    the perturbed costs: the vertex must stay optimal with strictly negative
+    reduced costs on every nonbasic column, else BackendError.
     """
     base = lp_parametric(inst, x, beta)
     eps = 1e-4 * max(1.0, float(np.abs(base.cost_row).max()))
-    for _ in range(_MAX_HALVINGS + 1):
-        c_hat = perturb_for_uniqueness(base.cost_row, base.basis,
-                                       base.reduced_costs, eps)
-        if _perturbation_is_clean(inst, x, base, c_hat):
-            return base, c_hat
-        eps *= 0.5
-    raise BackendError("uniqueness perturbation failed to isolate the vertex")
+    c_hat = perturb_for_uniqueness(base.cost_row, base.basis, base.reduced_costs, eps)
+    if not _perturbation_is_clean(inst, x, base, c_hat):
+        raise BackendError("uniqueness perturbation failed to isolate the vertex")
+    return base, c_hat
 
 
 def _perturbation_is_clean(inst: Instance, x: np.ndarray,

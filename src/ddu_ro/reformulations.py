@@ -243,7 +243,7 @@ def _crossed_interval(inst: Instance, lo: int, hi: int) -> float:
     mdl = LinearModel(name="crossing")
     ids = add_first_stage(mdl, inst)
     mdl.set_objective({ids[lo]: 1.0, ids[hi]: -1.0}, sense="max")
-    out = backend.solve(mdl)
+    out = backend.solve_mip(mdl)
     if out.status == backend.INFEASIBLE:
         return -np.inf
     if not out.is_optimal:

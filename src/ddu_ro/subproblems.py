@@ -1,7 +1,11 @@
 """The per-iteration oracles evaluated at a candidate first stage: recourse
 feasibility over the whole uncertainty set, worst-case cost with its dual
 seed, infeasibility rays, MIP-recourse surrogates, and the Pareto-improved
-dual selection."""
+dual selection.
+
+A solve that does not end as an oracle needs raises BackendError where it
+fails, so every report carries a result, except the Pareto LP's: a failure
+there leaves pi None, and the caller keeps its seed."""
 
 from __future__ import annotations
 
@@ -31,22 +35,18 @@ _RAY_TOL = 1e-8
 
 @dataclass
 class SubproblemReport:
-    kind: str
     value: float | None = None
     u: np.ndarray | None = None
     pi: np.ndarray | None = None
     ray: np.ndarray | None = None
     basis_result: ParametricLPResult | None = None
-    audit_gap: float | None = None
-    status: str = backend.OPTIMAL
-    used_fallback: bool = False
 
 
 def sp1(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemReport:
     """Worst-case artificial mass of the recourse over U(x): zero means every
     scenario is servable, positive comes with the witness scenario."""
     v_f, u_f = check_inner_feasibility(maxmin_from_instance(inst, x), M=M)
-    return SubproblemReport(kind="SP1", value=v_f, u=u_f)
+    return SubproblemReport(value=v_f, u=u_f)
 
 
 def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
@@ -60,15 +60,10 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     multipliers beyond any bound. Two audits follow: the max-min value must
     equal that uncapped LP value (audited_dual_lp; a binding cap fails it),
     and the split identity must hold: the value equals (d - B1 x)' pi plus
-    the parametric-LP value at pi, whose solve comes back as basis_result."""
+    the parametric-LP value at pi, whose solve comes back as basis_result.
+    kind names the audit LP."""
     problem = maxmin_from_instance(inst, x)
     res = solve_maxmin_dual(problem, M=M, check_feasibility=False)
-    if res.status == backend.UNBOUNDED:
-        raise BackendError(
-            "worst-case problem unbounded: recourse infeasible somewhere, "
-            "the feasibility subproblem should have caught this")
-    if res.status != backend.OPTIMAL:
-        return SubproblemReport(kind=kind, status=res.status)
     pi = audited_dual_lp(problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
                          res.value, f"{kind}_vertex_dual").x
     infeas = _pi_violation(inst, pi)
@@ -78,15 +73,14 @@ def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
     # the parametric LP relaxes any integrality on u, so the split identity
     # only holds when the uncertainty set is purely continuous
     if inst.U.n_int_u:
-        return SubproblemReport(kind=kind, value=float(res.value), u=res.outer,
-                                pi=pi)
+        return SubproblemReport(value=float(res.value), u=res.outer, pi=pi)
     lp_res = lp_parametric(inst, x, pi)
     audit = abs(res.value - (float((inst.Y.d - inst.Y.B1 @ x) @ pi) + lp_res.value))
     if audit > _AUDIT_TOL * max(1.0, abs(res.value)):
         raise BackendError(f"split identity violated by {audit:.2e}: "
                            "dual point inconsistent with the parametric LP")
-    return SubproblemReport(kind=kind, value=float(res.value), u=res.outer,
-                            pi=pi, basis_result=lp_res, audit_gap=audit)
+    return SubproblemReport(value=float(res.value), u=res.outer, pi=pi,
+                            basis_result=lp_res)
 
 
 def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
@@ -113,7 +107,7 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     cone_gap = float(np.max(Y.B2.T @ gamma)) if Y.dim else 0.0
     if cone_gap > _RAY_TOL:
         raise BackendError(f"ray leaves the recession cone by {cone_gap:.2e}")
-    return SubproblemReport(kind="SP3", ray=gamma, u=u_f)
+    return SubproblemReport(ray=gamma, u=u_f)
 
 
 def sp2_mip_relax(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemReport:
@@ -156,21 +150,15 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
         name=f"{inst.name}_sp4",
     )
     res = solve_maxmin_dual(problem, M=M, check_feasibility=True)
-    offset = float(Y.c2[:nd] @ y_d)
-    if res.status == backend.UNBOUNDED:
-        return SubproblemReport(kind="SP4", value=np.inf, u=res.outer,
-                                status=backend.UNBOUNDED)
-    if res.status != backend.OPTIMAL:
-        return SubproblemReport(kind="SP4", status=res.status)
-    return SubproblemReport(kind="SP4", value=float(res.value) + offset, u=res.outer)
+    return SubproblemReport(value=res.value + float(Y.c2[:nd] @ y_d), u=res.outer)
 
 
 def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
                   x_star: np.ndarray, u_star: np.ndarray,
                   eta_s: float) -> SubproblemReport:
     """Pick, among the duals as good as pi* for the cut at x*, one that is
-    strongest at the core point (x0, u_ref). Falls back to the original
-    seed when the LP rejects the combination."""
+    strongest at the core point (x0, u_ref). When the LP does not end
+    Optimal the report has no pi, and the caller keeps the original seed."""
     x0 = np.asarray(x0, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
@@ -184,11 +172,8 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
                   GEQ, eta_s)
     out = backend.solve_lp(lp)
     if not out.is_optimal:
-        return SubproblemReport(kind="SP2POL", status=out.status,
-                                used_fallback=True)
-    pi_dot = out.x[:m_rows]
-    return SubproblemReport(kind="SP2POL", value=float(out.objective),
-                            pi=pi_dot)
+        return SubproblemReport()
+    return SubproblemReport(value=float(out.objective), pi=out.x[:m_rows])
 
 
 def _pi_violation(inst: Instance, pi: np.ndarray) -> float:

@@ -265,4 +265,4 @@ def test_a_highs_time_limit_status_raises(monkeypatch, solver, model):
     monkeypatch.setattr(backend, solver, lambda *args, **kwargs: SimpleNamespace(
         status=1, x=np.array([1.0, 0.5]), mip_dual_bound=1.5))
     with backend.deadline(100.0), pytest.raises(SolveTimeLimit, match="time limit"):
-        backend.solve(model()[0])
+        backend.solve_mip(model()[0])

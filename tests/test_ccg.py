@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg
-from ddu_ro.backend import SolveTimeLimit
+from ddu_ro import backend, ccg, maxmin
+from ddu_ro.backend import BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
@@ -20,6 +20,7 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
+from ddu_ro.subproblems import sp2
 from toys import t1_infeasible, t1_unbounded_u
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
@@ -31,6 +32,7 @@ PM4 = dict(n_sites=4, seed=3, p=2, k=1, rho=0.3, theta=0.0)
 PM4_DIU_W = 9557.670493655241
 
 PM8_W = 15344.279309770583     # oracle value of pm_uk8, the default 8 sites
+PM5_S2_W = 8190.778475548333   # oracle value of 5-site ddu_uk at generator seed 2
 PM5_PAIR_W = 14320.768922448526  # oracle value of pm_pair5 (5 sites, p = 2)
 
 FL2 = dict(n_sites=2, seed=1, capacity_lower_frac=1.5, capacity_upper_frac=1.5)
@@ -110,6 +112,18 @@ def test_t1_every_variant_optimal_in_two_iterations(variant):
     assert res.x == pytest.approx([0.0])
     assert res.n_iterations <= 2
     assert res.lb == pytest.approx(res.ub)
+
+
+@pytest.mark.parametrize("pareto", [False, True])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_every_variant_returns_the_oracle_value_on_pmedian(variant, pareto):
+    # parametric-modified's perturbed slack costs can be negative; a block
+    # multiplier bounded below by 0 there forces its row tight at every x,
+    # which cuts off the optimum here without pareto
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=5, seed=2), "ddu_uk")
+    res = run(inst, AlgorithmConfig(variant=variant, pareto=pareto))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(PM5_S2_W, rel=1e-9)
 
 
 @pytest.mark.parametrize("variant", ("benders", "parametric", "parametric-modified"))
@@ -294,7 +308,7 @@ def test_lb_never_exceeds_a_proven_master_bound(monkeypatch):
     # seed 1 the last master's incumbent -108618.013 lies above its dual
     # bound -108625.568, so an lb taken from the incumbent claims too much
     bounds = []
-    original = backend.solve
+    original = backend.solve_mip
 
     def recorded(model, *args, **kwargs):
         out = original(model, *args, **kwargs)
@@ -306,7 +320,7 @@ def test_lb_never_exceeds_a_proven_master_bound(monkeypatch):
         assert fields["lb"] <= max(bounds) + 1e-9 * abs(max(bounds))
         return IterationRecord(**fields)
 
-    monkeypatch.setattr(backend, "solve", recorded)
+    monkeypatch.setattr(backend, "solve_mip", recorded)
     monkeypatch.setattr(ccg, "IterationRecord", checked)
     res = run(gen_robust_fl(FLParams(n_sites=5, seed=1), "rhs"),
               AlgorithmConfig(variant="parametric"))
@@ -334,8 +348,8 @@ def test_scalar_master_underestimates_replicate_master():
     inst = _flt()
     m1 = _replay(MasterState(inst, AlgorithmConfig(variant="benders")), *seeds)
     m2 = _replay(MasterState(inst, AlgorithmConfig(variant="parametric")), *seeds)
-    v1 = backend.solve(m1)
-    v2 = backend.solve(m2)
+    v1 = backend.solve_mip(m1)
+    v2 = backend.solve_mip(m2)
     assert v1.status == backend.OPTIMAL and v2.status == backend.OPTIMAL
     assert v1.objective <= v2.objective + 1e-7
     assert v2.objective <= FLT_W + 1e-6 * abs(FLT_W)
@@ -352,7 +366,7 @@ def test_replicate_master_bound_insensitive_to_linearization_M():
         assert seeds[0] or seeds[1]
         for M in (10.0, 100.0, 10000.0):
             cfg = AlgorithmConfig(variant="parametric", big_M=M)
-            out = backend.solve(_replay(MasterState(make(), cfg), *seeds))
+            out = backend.solve_mip(_replay(MasterState(make(), cfg), *seeds))
             assert out.status == backend.OPTIMAL
             assert out.objective <= wstar + 1e-6 * max(1.0, abs(wstar))
 
@@ -390,7 +404,7 @@ def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(variant):
     model = _replay(state, [beta])
     for k, xk in zip(state.x_ids, best.x):
         model.fix_var(k, xk)
-    out = backend.solve(model)
+    out = backend.solve_mip(model)
     assert out.status == backend.OPTIMAL
     assert out.objective <= best.value + 1e-6 * abs(best.value)
 
@@ -433,7 +447,7 @@ def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant, monkeypa
             fixed = copy.deepcopy(model)
             for k, xk in zip(state.x_ids, open_sites):
                 fixed.fix_var(k, float(xk))
-            out = backend.solve(fixed)
+            out = backend.solve_mip(fixed)
             assert out.status == backend.OPTIMAL
             values.append(out.objective)
         return values
@@ -529,7 +543,6 @@ def test_basis_seed_counts_stay_within_the_basis_count():
         assert res.meta["n_basis_seeds"] <= 2
         modified = run(inst, AlgorithmConfig(variant="parametric-modified", tol=0.0))
         assert modified.status == "Optimal"
-        assert modified.meta["n_basis_seeds"] <= 2
 
 
 # -- termination -------------------------------------------------------------
@@ -968,7 +981,7 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
     state = MasterState(inst, cfg)
     state.add_seed(BasisId((0, 1)))
     state.model.fix_var(state.x_ids[0], 0.0)
-    out = backend.solve(state.model)
+    out = backend.solve_mip(state.model)
     assert out.status == backend.OPTIMAL
     assert out.x[state.eta_id] <= ccg._ETA_LB + 1e-3
 
@@ -982,9 +995,45 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
     state = MasterState(feas, cfg)
     state.add_seed(BasisId((0, 1)))
     state.model.fix_var(state.x_ids[0], 0.0)
-    out = backend.solve(state.model)
+    out = backend.solve_mip(state.model)
     assert out.status == backend.OPTIMAL
     assert out.x[state.eta_id] == pytest.approx(1.0 / 3.0 + 7.0 / 3.0, abs=1e-6)
+
+
+def test_a_basis_cut_on_held_bases_adds_nothing():
+    inst, x = t1(), np.zeros(1)
+    state = MasterState(inst, AlgorithmConfig(variant="basis"))
+    r = sp2(inst, x)
+    assert state.cut(x, r.pi, False, r.basis_result.basis) == ("basis", "b0")
+    size = (state.model.n_vars, state.model.n_constrs)
+    assert state.cut(x, r.pi, False, r.basis_result.basis) == ("basis", "")
+    assert (state.model.n_vars, state.model.n_constrs) == size
+    assert len(state.basis_seeds) == 1
+
+
+# -- max-min failures ----------------------------------------------------------
+
+@pytest.mark.parametrize("route", ["_bilin", "_kkt"])
+def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route):
+    # at x = 0 the outer set of t1 is [0, 1], which takes the product route;
+    # with integral vertices denied, the KKT route answers instead
+    if route == "_kkt":
+        monkeypatch.setattr(maxmin, "has_integral_vertices", lambda A, b: False)
+    real = backend.solve_mip
+    name = f"T1_wc{route}"
+
+    def numerical(model):
+        if model.name == name:
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real(model)
+
+    monkeypatch.setattr(backend, "solve_mip", numerical)
+    with pytest.raises(BackendError, match=f"^{name} ended Numerical$"):
+        sp2(t1(), np.zeros(1))
+    res = run(t1(), AlgorithmConfig(variant="parametric"))
+    assert res.status == "Numerical"
+    assert res.meta["reason"] == f"{name} ended Numerical"
+    assert res.lb == res.meta["relaxation_value"] and res.ub == np.inf
 
 
 # -- artifacts -----------------------------------------------------------------

@@ -126,7 +126,7 @@ FL2 = dict(n_sites=2, seed=1, capacity_lower_frac=1.5, capacity_upper_frac=1.5)
 
 def _relaxation_value(inst: Instance) -> float:
     """The optimum of the deterministic relaxation, which must exist."""
-    out = backend.solve(build_deterministic_mip(inst)[0])
+    out = backend.solve_mip(build_deterministic_mip(inst)[0])
     assert out.is_optimal, out.status
     return out.objective
 

@@ -269,7 +269,7 @@ def _tilted_recourse_value(inst: Instance, E_hat: np.ndarray,
     cost = inst.Y.c2 + E_hat @ u
     mdl.set_objective({y[j]: float(cost[j]) for j in range(inst.Y.dim)},
                       sense="min")
-    out = backend.solve(mdl)
+    out = backend.solve_mip(mdl)
     assert out.is_optimal
     return float(out.objective)
 
@@ -284,7 +284,7 @@ def test_order_switch_matches_the_enumerated_max_min():
         best = min(best, float(inst.c1 @ x) + worst)
     out = order_switch(inst, E_HAT)
     assert out.kind == "order-switched-flat"
-    sol = backend.solve(out.model)
+    sol = backend.solve_mip(out.model)
     assert sol.is_optimal
     assert sol.objective == pytest.approx(best, abs=1e-7)
     assert best == pytest.approx(3.3)
@@ -293,7 +293,7 @@ def test_order_switch_matches_the_enumerated_max_min():
 def test_order_switch_zero_tilt_is_the_deterministic_problem():
     inst = _objective_toy()
     out = order_switch(inst, np.zeros((2, 2)))
-    sol = backend.solve(out.model)
+    sol = backend.solve_mip(out.model)
     # min -0.4 x + y1 + y2 with y >= (1, 1): open and pay the base costs
     assert sol.objective == pytest.approx(1.6)
     assert sol.x[out.mapping["x"][0]] == pytest.approx(1.0)
@@ -309,7 +309,7 @@ def test_order_switch_singleton_set_prices_one_scenario():
             G=np.zeros((4, 1)), h=np.concatenate([u0, -u0])),
         Y=inst.Y)
     out = order_switch(single, E_HAT)
-    sol = backend.solve(out.model)
+    sol = backend.solve_mip(out.model)
     assert sol.objective == pytest.approx(
         float((single.Y.c2 + E_HAT @ u0) @ np.ones(2)))
 
@@ -332,7 +332,7 @@ def test_order_switch_integer_recourse_needs_the_explicit_flag():
         order_switch(int_y, E_HAT)
     forced = order_switch(int_y, E_HAT, force_upper_bound=True)
     assert forced.mapping["upper_bound_only"]
-    sol = backend.solve(forced.model)
+    sol = backend.solve_mip(forced.model)
     assert sol.is_optimal
     # max-min inequality: the flat value can only sit above the true one
     best = np.inf

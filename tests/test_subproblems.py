@@ -22,7 +22,6 @@ from ddu_ro.model import (
     UncertaintySet,
 )
 from ddu_ro.subproblems import (
-    SubproblemReport,
     recourse_mip_at,
     sp1,
     sp2,
@@ -81,11 +80,17 @@ def _setup_toy():
     )
 
 
+def split_gap(inst: Instance, x: np.ndarray, r) -> float:
+    """How far sp2's value is from (d - B1 x)' pi plus the parametric-LP
+    value at pi, the split identity sp2 audits."""
+    d_eff = float((inst.Y.d - inst.Y.B1 @ np.asarray(x, dtype=float)) @ r.pi)
+    return abs(r.value - (d_eff + r.basis_result.value))
+
+
 def test_sp1_zero_on_complete_recourse():
     inst = t1()
     for xv in (0.0, 1.0):
         r = sp1(inst, np.array([xv]))
-        assert r.kind == "SP1"
         assert r.value == 0.0
         assert r.u is not None
 
@@ -104,7 +109,7 @@ def test_sp2_on_t1():
     assert r0.value == pytest.approx(1.0)
     assert r0.u[0] == pytest.approx(1.0)
     assert r0.pi[0] == pytest.approx(1.0)
-    assert r0.audit_gap <= 1e-6
+    assert split_gap(inst, np.array([0.0]), r0) <= 1e-6
     assert r0.basis_result.basis == BasisId((0,))
     r1 = sp2(inst, np.array([1.0]))
     assert r1.value == pytest.approx(2.0)
@@ -123,7 +128,7 @@ def test_sp2_matches_oracle_on_tight_fl():
     r = sp2(inst, res.x)
     assert r.value == pytest.approx(FLT_ETA, rel=1e-9)
     assert r.value == pytest.approx(res.value - float(inst.c1 @ res.x), abs=1e-6)
-    assert r.audit_gap <= 1e-6
+    assert split_gap(inst, res.x, r) <= 1e-6
     # the dual sits inside its polyhedron
     slack = inst.Y.B2.T @ r.pi - inst.Y.c2
     assert float(np.max(slack)) <= 1e-8
@@ -137,7 +142,6 @@ def test_sp2_on_binary_uncertainty_skips_parametric_audit():
     assert r.value == pytest.approx(PM4_DIU_ETA, rel=1e-7)
     assert r.value == pytest.approx(res.value - float(inst.c1 @ res.x), abs=1e-6)
     # the parametric LP relaxes integral scenarios, so no audit and no basis
-    assert r.audit_gap is None
     assert r.basis_result is None
     assert sp1(inst, res.x).value == 0.0
 
@@ -204,7 +208,6 @@ def test_sp2_mip_relax_reduces_to_sp2_without_integers():
     inst = t1()
     a = sp2(inst, np.array([1.0]))
     b = sp2_mip_relax(inst, np.array([1.0]))
-    assert b.kind == "SP2relax"
     assert b.value == pytest.approx(a.value)
     assert b.u[0] == pytest.approx(a.u[0])
 
@@ -241,7 +244,6 @@ def test_sp4_goes_infinite_when_the_freeze_cannot_serve(solved):
     toy = _setup_toy()
     r = sp4(toy, np.zeros(1), np.array([0.0]))
     assert r.value == np.inf
-    assert r.status == backend.UNBOUNDED
     assert r.u is not None and r.ray is None and r.pi is None
     # nothing is solved after the feasibility check's polish LP
     assert solved[-2:] == ["setup_toy_sp4_feas_net", "setup_toy_sp4_feas_polish"]
@@ -264,7 +266,6 @@ def test_pareto_lp_picks_the_stronger_twin():
     # must lean on the second
     x0 = np.array([1.0, 0.0])
     rp = sp2_pareto_lp(inst, x0, r.u, x_star, r.u, r.value)
-    assert not rp.used_fallback
     assert rp.pi == pytest.approx(np.array([0.0, 1.0]), abs=1e-9)
     core = inst.Y.d - inst.Y.B1 @ x0 - inst.Y.E @ r.u
     assert float(core @ rp.pi) >= float(core @ r.pi) - 1e-8
@@ -277,7 +278,7 @@ def test_pareto_lp_invariants_on_fl():
     r = sp2(inst, FLT_X)
     x0 = np.array([0.0, 1.0, 0.0, 86.23797499])
     rp = sp2_pareto_lp(inst, x0, r.u, FLT_X, r.u, r.value)
-    assert not rp.used_fallback
+    assert rp.pi is not None
     Y = inst.Y
     assert float(np.max(Y.B2.T @ rp.pi - Y.c2)) <= 1e-8
     assert float(np.min(rp.pi)) >= -1e-8
@@ -291,15 +292,4 @@ def test_pareto_lp_falls_back_when_the_anchor_is_unreachable():
     inst = _flt()
     r = sp2(inst, FLT_X)
     rp = sp2_pareto_lp(inst, FLT_X, r.u, FLT_X, r.u, r.value + 1e7)
-    assert rp.used_fallback
     assert rp.pi is None
-    assert rp.status == backend.INFEASIBLE
-
-
-def test_reports_carry_their_kind():
-    inst = t1()
-    assert sp1(inst, np.zeros(1)).kind == "SP1"
-    assert sp2(inst, np.zeros(1)).kind == "SP2"
-    assert sp2_mip_relax(inst, np.zeros(1)).kind == "SP2relax"
-    r = SubproblemReport(kind="SP4")
-    assert r.status == backend.OPTIMAL and r.value is None
