@@ -155,11 +155,6 @@ class LinearModel:
             start = end
         return list(range(n0, self.n_constrs))
 
-    def add_block(self, var_ids: list[int], A: np.ndarray, sense: str,
-                  rhs: np.ndarray, name: str = "") -> list[int]:
-        """Append rows A @ x[var_ids] (sense) rhs. A is (m, len(var_ids))."""
-        return self.add_rows([(var_ids, A)], sense, rhs, name)
-
     def set_objective(self, coeffs: dict[int, float], sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise BackendError(f"bad objective sense {sense!r}")
@@ -288,8 +283,9 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
     return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x), x=x)
 
 
-def solve_mip(model: LinearModel) -> SolveOutcome:
-    """Solve with integrality; a model without integer columns goes to
+def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutcome:
+    """Solve with integrality, to HiGHS's relative gap mip_rel_gap when given
+    (its default is 1e-4); a model without integer columns goes to
     solve_lp."""
     if not model.has_integers:
         return solve_lp(model)
@@ -304,7 +300,8 @@ def solve_mip(model: LinearModel) -> SolveOutcome:
     lb = np.array([v.lb for v in model.vars])
     ub = np.array([v.ub for v in model.vars])
     integrality = np.array([1 if v.integer else 0 for v in model.vars])
-    options = _with_time_left(model, {})
+    options = _with_time_left(model, {} if mip_rel_gap is None
+                              else {"mip_rel_gap": mip_rel_gap})
     constraints = LinearConstraint(A, lo, hi) if model.n_constrs else ()
     res = milp(c, constraints=constraints, integrality=integrality,
                bounds=Bounds(lb, ub), options=options)

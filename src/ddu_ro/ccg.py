@@ -314,6 +314,9 @@ def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
     if inst.Y.n_int_y and not config.mip_recourse_mode:
         raise ValueError("integer recourse variables need mip_recourse_mode")
     mode = "diu" if ddu_sets is not None else "mip" if inst.Y.n_int_y else "exact"
+    if config.pareto and mode != "exact":
+        raise ValueError("the Pareto seed selection runs in the exact loop only, "
+                         f"not in the {mode} approximation loop")
     with backend.deadline(config.time_limit_s):
         return _ccg_loop(inst, config, mode, ddu_sets)
 
@@ -354,6 +357,9 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     """The outer loop; its solves share the deadline that run() sets."""
     t0 = time.monotonic()
     stop_tol = max(config.tol, _OPT_GAP)
+    # HiGHS stops a MIP at a relative gap of 1e-4, and lb is the master's
+    # dual bound, so a finer tol needs masters solved that finely
+    master_gap = {"mip_rel_gap": stop_tol} if stop_tol < 1e-4 else {}
     feas_tol = _FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max(initial=0.0)))
 
     state = MasterState(inst, config, ou_sets=ddu_sets)
@@ -410,7 +416,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         while True:
             t += 1
             step = "master"
-            out = backend.solve_mip(state.model)
+            out = backend.solve_mip(state.model, **master_gap)
             if out.status == backend.INFEASIBLE:
                 # feasibility cutting sets exclude every first stage
                 meta["reason"] = "master infeasible"
@@ -448,12 +454,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
                 if mode == "mip":
                     step = "exact recourse"
-                    try:
-                        _, y_full = recourse_mip_at(inst, x_star, r2.u)
-                    except SolveTimeLimit:
-                        raise
-                    except BackendError:
-                        y_full = None  # not relatively complete at this scenario
+                    # no y: the integer recourse is not complete at this scenario
+                    _, y_full = recourse_mip_at(inst, x_star, r2.u)
                     if y_full is not None:
                         step = "frozen-recourse subproblem"
                         y_d = np.round(y_full[:inst.Y.n_int_y])
@@ -473,8 +475,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     return done(status)
 
                 beta = r2.pi
-                pareto = config.pareto and mode == "exact"
-                if pareto:
+                if config.pareto:
                     if u_mid is None:
                         step = "core scenario probe"
                         u_mid = _u_box_midpoint(inst, x0)

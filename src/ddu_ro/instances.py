@@ -214,7 +214,7 @@ def recourse_value(inst: Instance, x: np.ndarray,
              for j in range(Y.dim)]
     rhs = Y.d - Y.B1 @ np.asarray(x, dtype=float) - Y.E @ np.asarray(u, dtype=float)
     if Y.n_rows:
-        m.add_block(y_ids, Y.B2, GEQ, rhs)
+        m.add_rows([(y_ids, Y.B2)], GEQ, rhs)
     m.set_objective({y_ids[j]: Y.c2[j] for j in range(Y.dim) if Y.c2[j] != 0.0},
                     sense="min")
     out = backend.solve_mip(m)

@@ -1,20 +1,22 @@
 """Max-min linear programs over a polyhedral outer set and the
 optimality-condition blocks the cutting-plane masters embed.
 
-Three routes solve a max-min and are cross-checked against each other:
-- the KKT route replaces the inner LP by its KKT system, complementarities
-  linearized with indicator big-Ms; it applies to every problem;
-- the product route dualizes the inner LP into a disjoint bilinear program,
-  linearized exactly when every vertex of the outer set is binary;
-- the network route answers the feasibility check when the recourse matrix
-  has network columns: the feasibility dual then has 0/1 vertices, so pi is
-  binary and each product pi_i z_j is linearized exactly over the probed
-  range of z_j, with no big-M.
-A product MIP's value is audited by one LP at its outer point
-(audited_dual_lp): the network route audits its own against the feasibility
-LP at its witness, and sp2 audits whichever route solved its worst case
-against the recourse dual at its scenario. The values of the KKT feasibility
-route and of sp4's frozen recourse are not audited.
+One route chooser, solve_maxmin_dual, picks between two MIP builders:
+- the product MIP (_product_mip) dualizes the inner LP into a disjoint
+  bilinear program whose products pi_i z_j are linearized exactly because
+  one factor is binary: z when every vertex of the outer set is 0/1
+  ("_bilin", pi capped at M), or pi when the dual polyhedron has 0/1
+  vertices, as the feasibility dual of a network recourse matrix does
+  ("_net", each z_j capped by its probed range, no big-M);
+- the KKT MIP (solve_maxmin_kkt) replaces the inner LP by its KKT system,
+  complementarities linearized with indicator big-Ms; it answers every
+  problem that no product MIP solves exactly.
+The feasibility check (check_inner_feasibility) takes the network MIP where
+it applies and otherwise hands its extended problem to the chooser, whose
+pi <= 1 makes the product MIP exact on 0/1 outer sets. One LP at the
+route's outer point (audited_dual_lp) audits every value of the feasibility
+check, sp1's included, and sp2's worst case; sp4's frozen-recourse value is
+not audited.
 Optimality blocks take the first stage as master columns, so any
 matrix-coefficient dependence must sit on binary components, since products
 with continuous components have no exact linearization; a caller that wants
@@ -30,7 +32,7 @@ parametric-modified stay complementarities ("unique").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,24 +226,28 @@ def check_inner_feasibility(problem: MaxMinProblem,
     The dual of the inner LP is max{(d - B_x z)' pi : pi in Pi_1}, with
     Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has network columns and
     every z_j that the objective reads has a finite range over the outer set,
-    the network route solves it (_feasibility_by_network); otherwise the KKT
-    route does.
+    Pi_1 has 0/1 vertices and the product MIP takes pi binary; otherwise
+    solve_maxmin_dual answers the extended problem, whose pi <= 1 makes its
+    product route exact. Either way the value is audited by the feasibility
+    LP at the witness z*, and the LP's value is returned.
     """
     m_rows, ny = problem.B_y.shape
+    ext = replace(problem, c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
+                  B_y=np.hstack([problem.B_y, np.eye(m_rows)]),
+                  name=problem.name + "_feas")
+    res = None
     if has_network_columns(problem.B_y):
         caps = {j: range_probe(problem.A_out, problem.b_out, j)
                 for j in np.flatnonzero(problem.B_x.any(axis=0))}
         if all(np.isfinite(list(caps.values()))):
-            return _feasibility_by_network(problem, caps)
-    ext = MaxMinProblem(
-        A_out=problem.A_out, b_out=problem.b_out,
-        c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
-        B_y=np.hstack([problem.B_y, np.eye(m_rows)]),
-        B_x=problem.B_x, d=problem.d,
-        n_int_out=problem.n_int_out, name=problem.name + "_feas",
-    )
-    res = solve_maxmin_kkt(ext, M=M)
-    return max(0.0, float(res.value)), res.outer
+            # Pi_1 with pi <= 1 as the bound of binary columns, not as rows
+            res = _product_mip(replace(problem, c_y=np.zeros(ny), name=ext.name), M,
+                               caps=caps)
+    if res is None:
+        res = solve_maxmin_dual(ext, M=M, check_feasibility=False)
+    polish = audited_dual_lp(ext.B_y, ext.c_y, ext.d - ext.B_x @ res.outer,
+                             res.value, ext.name + "_polish")
+    return max(0.0, float(polish.objective)), res.outer
 
 
 def has_network_columns(B: np.ndarray) -> bool:
@@ -258,42 +264,18 @@ def has_network_columns(B: np.ndarray) -> bool:
                 and np.all((B == -1.0).sum(axis=0) <= 1))
 
 
-def _feasibility_by_network(problem: MaxMinProblem,
-                            caps: dict[int, float]) -> tuple[float, np.ndarray]:
-    """v_f = max (d - B_x z)' pi over z in the outer set and binary pi in
-    Pi_1, exact because Pi_1 has 0/1 vertices (has_network_columns).
-
-    caps[j], the probed maximum of each z_j the objective reads, is the
-    M of the exact envelope w_ij = pi_i z_j and also the bound of z_j: a
-    bound holds exactly in the MIP, while the rows that imply it hold only
-    to feasibility tolerance, which the maximizing z would exploit. The
-    value is then polished by the recourse feasibility LP at the witness z*,
-    which must agree with the MIP's value."""
-    m_rows, ny = problem.B_y.shape
-    n_out = problem.n_out
-    m = LinearModel(name=problem.name + "_feas_net")
-    z_ids = [m.add_var(0.0, caps.get(j, np.inf), integer=j < problem.n_int_out,
-                       name=f"z{j}") for j in range(n_out)]
-    if problem.A_out.shape[0]:
-        m.add_block(z_ids, problem.A_out, LEQ, problem.b_out)
-    pi_ids = m.add_vars(m_rows, ub=1.0, integer=True, prefix="pi")
-    if ny:
-        m.add_block(pi_ids, problem.B_y.T, LEQ, np.zeros(ny))
-    obj = {pi_ids[i]: problem.d[i] for i in range(m_rows) if problem.d[i] != 0.0}
-    for i, j in zip(*np.nonzero(problem.B_x)):
-        w = _binary_product(m, pi_ids[i], z_ids[j], caps[j], name=f"w{i}_{j}")
-        obj[w] = -problem.B_x[i, j]
-    m.set_objective(obj, sense="max")
-    out = backend.solve_mip(m)
-    if not out.is_optimal:
-        raise BackendError(f"feasibility product MIP ended {out.status}")
-
-    z = out.x[:n_out]
-    polish = audited_dual_lp(np.hstack([problem.B_y, np.eye(m_rows)]),
-                             np.concatenate([np.zeros(ny), np.ones(m_rows)]),
-                             problem.d - problem.B_x @ z, out.objective,
-                             problem.name + "_feas_polish")
-    return max(0.0, float(polish.objective)), z
+def _add_outer_set(m: LinearModel, problem: MaxMinProblem,
+                   caps: dict[int, float] | None = None,
+                   binary: bool = False) -> list[int]:
+    """Columns z >= 0 and rows A_out z <= b_out of the outer set: every z_j
+    binary with binary, else the first n_int_out integer and z_j capped at
+    caps[j] where given."""
+    caps = caps or {}
+    z_ids = [m.add_var(0.0, 1.0 if binary else caps.get(j, np.inf),
+                       integer=binary or j < problem.n_int_out, name=f"z{j}")
+             for j in range(problem.n_out)]
+    m.add_rows([(z_ids, problem.A_out)], LEQ, problem.b_out)
+    return z_ids
 
 
 # -- KKT route ------------------------------------------------------------------
@@ -302,13 +284,9 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
     """Replace the inner LP by primal feasibility, dual feasibility, and the
     two linearized complementarity families; maximize the inner objective."""
     m_rows, ny = problem.B_y.shape
-    n_out = problem.n_out
 
     m = LinearModel(name=problem.name + "_kkt")
-    z_ids = [m.add_var(0.0, np.inf, integer=j < problem.n_int_out, name=f"z{j}")
-             for j in range(n_out)]
-    if problem.A_out.shape[0]:
-        m.add_block(z_ids, problem.A_out, LEQ, problem.b_out)
+    z_ids = _add_outer_set(m, problem)
     y_ids = m.add_vars(ny, prefix="y")
     pi_ids = m.add_vars(m_rows, prefix="pi")
 
@@ -326,10 +304,7 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
     if out.status == backend.INFEASIBLE:
         # distinguish an empty outer set from a too-small M
         probe = LinearModel()
-        p_ids = [probe.add_var(0.0, np.inf, integer=j < problem.n_int_out)
-                 for j in range(n_out)]
-        if problem.A_out.shape[0]:
-            probe.add_block(p_ids, problem.A_out, LEQ, problem.b_out)
+        _add_outer_set(probe, problem)
         probe.set_objective({})
         if backend.solve_mip(probe).is_optimal:
             raise BackendError(
@@ -337,18 +312,18 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
                 "M too small or inner LP infeasible/unbounded somewhere")
     if not out.is_optimal:
         raise BackendError(f"{m.name} ended {out.status}")
-    return MaxMinResult(value=float(out.objective), outer=out.x[:n_out])
+    return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 
-# -- disjoint bilinear route ----------------------------------------------------
+# -- route chooser and product MIP ----------------------------------------------
 
 def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
                       check_feasibility: bool = True) -> MaxMinResult:
     """max{(d - B_x z)' pi : z in outer set, pi in Pi}.
 
     Outer sets whose coordinates are all capped at one and whose vertices
-    are 0/1 get the exact product linearization over binary z: either every
-    coordinate is declared integer, or the set has integral vertices
+    are 0/1 get the product MIP over binary z: either every coordinate is
+    declared integer, or the set has integral vertices
     (has_integral_vertices), so that the maximum of the convex inner value
     sits at a binary vertex anyway. pi is capped at M there, which is sound
     whenever the optimal dual stays below it; the audit in the calling layer
@@ -367,24 +342,36 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
         or has_integral_vertices(problem.A_out, problem.b_out))
     if not binary_outer:
         return solve_maxmin_kkt(problem, M=M)
+    return _product_mip(problem, M)
 
+
+def _product_mip(problem: MaxMinProblem, M: float,
+                 caps: dict[int, float] | None = None) -> MaxMinResult:
+    """max (d - B_x z)' pi over z in the outer set and pi >= 0 with
+    B_y' pi <= c_y, each product pi_i z_j linearized exactly by the envelope
+    of a binary and a bounded factor. caps, the probed maximum of each z_j
+    the objective reads, makes pi the binary side ("<name>_net"): pi <= 1
+    then bounds a dual polyhedron with 0/1 vertices, and caps[j] bounds z_j
+    and is the M of its products, since a bound holds exactly in the MIP
+    while the rows implying it hold only to feasibility tolerance, which the
+    maximizing z would exploit. Without caps z is binary and pi <= M
+    ("<name>_bilin")."""
+    network = caps is not None
     m_rows = problem.B_y.shape[0]
-    n_out = problem.n_out
-    m = LinearModel(name=problem.name + "_bilin")
-    z_ids = [m.add_var(0.0, 1.0, integer=True, name=f"z{j}") for j in range(n_out)]
-    if problem.A_out.shape[0]:
-        m.add_block(z_ids, problem.A_out, LEQ, problem.b_out)
-    pi_ids = m.add_vars(m_rows, ub=M, prefix="pi")
+    m = LinearModel(name=problem.name + ("_net" if network else "_bilin"))
+    z_ids = _add_outer_set(m, problem, caps=caps, binary=not network)
+    pi_ids = m.add_vars(m_rows, ub=1.0 if network else M, integer=network, prefix="pi")
     m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y, name="dual")
     obj = dict(zip(pi_ids, problem.d))
     for i, j in zip(*np.nonzero(problem.B_x)):
-        w = _binary_product(m, z_ids[j], pi_ids[i], M, name=f"w{i}_{j}")
+        pair = (pi_ids[i], z_ids[j], caps[j]) if network else (z_ids[j], pi_ids[i], M)
+        w = _binary_product(m, *pair, name=f"w{i}_{j}")
         obj[w] = -problem.B_x[i, j]
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m)
     if not out.is_optimal:
         raise BackendError(f"{m.name} ended {out.status}")
-    return MaxMinResult(value=float(out.objective), outer=out.x[:n_out])
+    return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 
 def _outer_is_binary(problem: MaxMinProblem) -> bool:
@@ -429,7 +416,7 @@ def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
     min{c_y' y : B_y y >= rhs, y >= 0}. Variable i is pi_i, for i = 0..m-1."""
     lp = LinearModel(name=name)
     pi_ids = lp.add_vars(B_y.shape[0], prefix="pi")
-    lp.add_block(pi_ids, B_y.T, LEQ, c_y)
+    lp.add_rows([(pi_ids, B_y.T)], LEQ, c_y)
     lp.set_objective({pi_ids[i]: rhs[i] for i in range(rhs.size)
                       if rhs[i] != 0.0}, sense="max")
     return lp

@@ -248,7 +248,7 @@ def add_first_stage(model: LinearModel, inst: Instance, prefix: str = "x") -> li
         x_ids.append(model.add_var(X.lb[j], X.ub[j], integer=j < X.n_int,
                                    name=f"{prefix}{j}"))
     if X.A.shape[0]:
-        model.add_block(x_ids, X.A, GEQ, X.b, name="X")
+        model.add_rows([(x_ids, X.A)], GEQ, X.b, name="X")
     return x_ids
 
 
@@ -264,7 +264,7 @@ def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     b = h + G x; z is its first columns. Integrality is ignored."""
     m = LinearModel(name=name)
     z_ids = m.add_vars(A.shape[1], prefix="z")
-    m.add_block(z_ids, A, LEQ, b)
+    m.add_rows([(z_ids, A)], LEQ, b)
     m.set_objective(dict(zip(z_ids, c)), "max")
     return backend.solve_lp(m)
 

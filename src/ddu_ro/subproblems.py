@@ -9,7 +9,7 @@ there leaves pi None, and the caller keeps its seed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .backend import GEQ, LEQ, BackendError
 from .instances import recourse_value
 from .maxmin import (
     _AUDIT_TOL,
-    MaxMinProblem,
     ParametricLPResult,
     audited_dual_lp,
     check_inner_feasibility,
@@ -117,13 +116,10 @@ def sp2_mip_relax(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemRe
 
 
 def recourse_mip_at(inst: Instance, x: np.ndarray,
-                    u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact MIP recourse at a fixed scenario; returns value and y."""
-    val, y = recourse_value(inst, x, u)
-    if y is None:
-        raise BackendError("exact recourse MIP infeasible or unbounded at "
-                           "the supplied scenario")
-    return val, y
+                    u: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """Exact MIP recourse at a fixed scenario: its value and y, or, where it
+    has no optimum, +inf (infeasible) or -inf (unbounded) and None."""
+    return recourse_value(inst, x, u)
 
 
 def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
@@ -137,18 +133,10 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
         raise ValueError(f"y_d must have shape ({nd},)")
     if np.max(np.abs(y_d - np.round(y_d))) > 1e-9:
         raise ValueError("y_d must be integral")
-    x = np.asarray(x, dtype=float)
     Y = inst.Y
-    problem = MaxMinProblem(
-        A_out=inst.U.F.evaluate(x),
-        b_out=inst.U.h + inst.U.G @ x,
-        c_y=Y.c2[nd:],
-        B_y=Y.B2[:, nd:],
-        B_x=Y.E,
-        d=Y.d - Y.B1 @ x - Y.B2[:, :nd] @ y_d,
-        n_int_out=inst.U.n_int_u,
-        name=f"{inst.name}_sp4",
-    )
+    wc = maxmin_from_instance(inst, x)
+    problem = replace(wc, c_y=Y.c2[nd:], B_y=Y.B2[:, nd:],
+                      d=wc.d - Y.B2[:, :nd] @ y_d, name=f"{inst.name}_sp4")
     res = solve_maxmin_dual(problem, M=M, check_feasibility=True)
     return SubproblemReport(value=res.value + float(Y.c2[:nd] @ y_d), u=res.outer)
 

@@ -44,7 +44,7 @@ def test_add_block_rows_match_the_entrywise_dicts():
     m.add_vars(3)
     var_ids = m.add_vars(5)[::-1]
     b_ids = [1, var_ids[0], 0]                  # var_ids[0] sits in both blocks
-    rows = m.add_block(var_ids, A, LEQ, np.arange(6.0))
+    rows = m.add_rows([(var_ids, A)], LEQ, np.arange(6.0))
     for i, r in enumerate(rows):
         ref = {var_ids[j]: float(A[i, j]) for j in range(5) if A[i, j] != 0.0}
         assert list(m.constrs[r].coeffs.items()) == list(ref.items())

@@ -328,6 +328,15 @@ def test_lb_never_exceeds_a_proven_master_bound(monkeypatch):
     assert res.lb <= max(bounds) + 1e-9 * abs(max(bounds))
 
 
+def test_tol_zero_proves_the_fl_rhs5_value():
+    # masters stopped at HiGHS's default gap of 1e-4 left lb at their dual
+    # bound, 2.6e-5 below the value, and the run ended Stalled
+    res = run(gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"),
+              AlgorithmConfig(variant="parametric", tol=0.0))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(-116370.336, abs=1e-3)
+
+
 def _replay(state: MasterState, points, rays=()):
     # recorded seeds, points first, into the master through its one entry point
     for beta in points:
@@ -604,12 +613,12 @@ def test_feasibility_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     real_mip = backend.solve_mip
     calls = []
 
-    def second_feasibility_call_times_out(model):
+    def second_feasibility_call_times_out(model, **kw):
         if model.name.endswith("_feas_net"):
             calls.append(1)
             if len(calls) >= 2:
                 raise SolveTimeLimit(model.name)
-        return real_mip(model)
+        return real_mip(model, **kw)
 
     monkeypatch.setattr(backend, "solve_mip", second_feasibility_call_times_out)
     res = run(_diu_box(), AlgorithmConfig(variant="parametric", tol=0.0))
@@ -723,12 +732,12 @@ def test_a_timeout_names_the_step_that_ran(monkeypatch, name, calls, step):
     seen = []
 
     def limited(which):
-        def solve(model):
+        def solve(model, **kw):
             if model.name == name:
                 seen.append(1)
                 if len(seen) == calls:
                     raise SolveTimeLimit(model.name)
-            return real[which](model)
+            return real[which](model, **kw)
         return solve
 
     for which in real:
@@ -817,10 +826,10 @@ def test_every_solve_gets_no_more_than_the_time_the_run_has_left(monkeypatch):
 def test_a_timeout_in_the_exact_recourse_ends_time_limit(monkeypatch):
     real_mip = backend.solve_mip
 
-    def recourse_times_out(model):
+    def recourse_times_out(model, **kw):
         if model.name == "recourse":
             raise SolveTimeLimit(model.name)
-        return real_mip(model)
+        return real_mip(model, **kw)
 
     monkeypatch.setattr(backend, "solve_mip", recourse_times_out)
     res = run(gen_mip_recourse_fl(FLParams(**FL_MIP3)),
@@ -828,6 +837,66 @@ def test_a_timeout_in_the_exact_recourse_ends_time_limit(monkeypatch):
     assert res.status == "TimeLimit"
     assert res.meta["reason"] == "exact recourse hit the wall clock"
     assert res.lb >= res.meta["relaxation_value"] and res.ub == np.inf
+
+
+def test_a_numerical_exact_recourse_ends_the_run_numerical(monkeypatch):
+    real_mip = backend.solve_mip
+
+    def numerical(model, **kw):
+        if model.name == "recourse":
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real_mip(model, **kw)
+
+    monkeypatch.setattr(backend, "solve_mip", numerical)
+    res = run(gen_mip_recourse_fl(FLParams(**FL_MIP3)),
+              AlgorithmConfig(mip_recourse_mode=True, big_M=1e5))
+    assert res.status == "Numerical"
+    assert res.meta["reason"] == "recourse solve ended Numerical"
+
+
+def _odd_demand_toy() -> Instance:
+    # 2 y = u with y integer over 0 <= u <= 1: the relaxation serves the
+    # worst case u = 1 at y = 0.5, the integer recourse has no point there
+    return Instance(
+        name="odd_demand", c1=np.array([1.0]),
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                        ub=np.array([1.0])),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.array([[1.0]])),
+                         G=np.zeros((1, 1)), h=np.array([1.0])),
+        Y=RecourseSet(B1=np.zeros((2, 1)), B2=np.array([[2.0], [-2.0]]),
+                      E=np.array([[-1.0], [1.0]]), d=np.zeros(2),
+                      c2=np.array([1.0]), n_int_y=1))
+
+
+def test_a_scenario_without_integer_recourse_leaves_ub_unchanged(monkeypatch):
+    inst = _odd_demand_toy()
+    assert recourse_value(inst, np.zeros(1), np.ones(1)) == (np.inf, None)
+    names = []
+    real_mip = backend.solve_mip
+
+    def recorded(model, **kw):
+        names.append(model.name)
+        return real_mip(model, **kw)
+
+    monkeypatch.setattr(backend, "solve_mip", recorded)
+    res = run(inst, AlgorithmConfig(mip_recourse_mode=True))
+    assert res.iterations[0].ub == np.inf and res.ub == np.inf
+    assert "recourse" in names
+    assert not [n for n in names if "_sp4" in n]
+    # the master's integer replicate cannot serve u = 1 either
+    assert res.status == "Infeasible" and res.meta["reason"] == "master infeasible"
+
+
+@pytest.mark.parametrize("config", [
+    dict(mip_recourse_mode=True),
+    dict(diu_approx="metadata"),
+], ids=["mip", "diu"])
+def test_pareto_outside_the_exact_loop_is_rejected(config):
+    inst = (gen_mip_recourse_fl(FLParams(**FL_MIP3)) if "mip_recourse_mode" in config
+            else gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=0),
+                                      "ddu_us_pair"))
+    with pytest.raises(ValueError, match="exact loop"):
+        run(inst, AlgorithmConfig(pareto=True, **config))
 
 
 def test_a_deadline_of_the_caller_that_ends_first_holds():
@@ -1022,10 +1091,10 @@ def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route):
     real = backend.solve_mip
     name = f"T1_wc{route}"
 
-    def numerical(model):
+    def numerical(model, **kw):
         if model.name == name:
             return SolveOutcome(status=backend.NUMERICAL)
-        return real(model)
+        return real(model, **kw)
 
     monkeypatch.setattr(backend, "solve_mip", numerical)
     with pytest.raises(BackendError, match=f"^{name} ended Numerical$"):

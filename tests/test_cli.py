@@ -84,6 +84,13 @@ def test_solve_numerical_exits_one_with_the_run(fl_mip3_path, tmp_path):
     assert payload["lb"] is not None and payload["ub"] is None
 
 
+def test_pareto_in_an_approximation_loop_exits_one(fl_mip3_path, tmp_path, capsys):
+    assert cli.main(["solve", fl_mip3_path, "--mip-recourse", "--pareto",
+                     "--out", str(tmp_path)]) == 1
+    assert "exact loop" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_compare_exits_one_when_every_variant_fails(fl_mip3_path, tmp_path):
     # the mixed-integer scheme runs only on the parametric master
     code = cli.main(["compare", fl_mip3_path, "--variants", "parametric,benders",

@@ -26,7 +26,7 @@ from ddu_ro.maxmin import (
 )
 from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
                           add_first_stage, uncertainty_set_from_dict)
-from ddu_ro.subproblems import sp2
+from ddu_ro.subproblems import sp1, sp2
 
 
 def test_lp_parametric_on_t1_box():
@@ -120,7 +120,7 @@ def test_dual_route_returns_ray_on_inner_infeasibility():
     # the inner LP has no point at the witness
     inner = LinearModel()
     y = inner.add_vars(p.B_y.shape[1])
-    inner.add_block(y, p.B_y, GEQ, p.d - p.B_x @ res.outer)
+    inner.add_rows([(y, p.B_y)], GEQ, p.d - p.B_x @ res.outer)
     assert backend.solve_lp(inner).status == backend.INFEASIBLE
 
 
@@ -467,10 +467,10 @@ def test_network_route_maps_time_limits(monkeypatch, timed_out):
     real = {"solve_lp": backend.solve_lp, "solve_mip": backend.solve_mip}
 
     def limited(which):
-        def solve(model):
+        def solve(model, **kw):
             if model.name == timed_out:
                 raise SolveTimeLimit(model.name)
-            return real[which](model)
+            return real[which](model, **kw)
         return solve
 
     for which in real:
@@ -495,3 +495,49 @@ def test_network_route_audits_its_value_against_the_polish_lp(monkeypatch):
     monkeypatch.setattr(backend, "solve_lp", shifted)
     with pytest.raises(BackendError, match="cap_feas_polish: the max-min value"):
         check_inner_feasibility(_cap_problem())
+
+
+# -- sp1 through the route chooser ------------------------------------------------
+
+def test_sp1_on_pmedian_solves_only_the_product_mip(monkeypatch):
+    # U(x) of ddu_uk has 0/1 vertices, and the extended feasibility problem
+    # bounds pi by one, so the product MIP is exact with one binary per u_j
+    solved = []
+    solve_mip = backend.solve_mip
+
+    def recording(model, **kw):
+        solved.append((model.name, sum(v.integer for v in model.vars)))
+        return solve_mip(model, **kw)
+
+    monkeypatch.setattr(backend, "solve_mip", recording)
+    inst = _pm_uk(5, p=2)
+    for sites in ((0, 3), (1, 2), (4,)):
+        solved.clear()
+        r = sp1(inst, _open_sites(inst, sites))
+        assert solved == [(inst.name + "_wc_feas_bilin", inst.U.dim)]
+        assert r.value == 0.0 and r.u.shape == (inst.U.dim,)
+
+
+def test_sp1_off_both_structures_takes_the_audited_kkt_route(monkeypatch, mip_names):
+    # fl_mip3's B2 is not a network matrix and its U(x) is not 0/1: the KKT
+    # MIP answers, and the feasibility LP at its witness audits it
+    inst = gen_mip_recourse_fl(FLParams(n_sites=3, seed=0, capacity_lower_frac=1.5,
+                                        capacity_upper_frac=1.5))
+    x = np.zeros(inst.dim_x)
+    problem = maxmin_from_instance(inst, x)
+    assert not has_network_columns(problem.B_y)
+    assert not has_integral_vertices(problem.A_out, problem.b_out)
+    assert sp1(inst, x).value == 0.0
+    assert mip_names == [inst.name + "_wc_feas_kkt"]
+    solve_lp = backend.solve_lp
+    polish = inst.name + "_wc_feas_polish"
+
+    def shifted(model):
+        out = solve_lp(model)
+        if model.name == polish:
+            out.objective += 1.0
+        return out
+
+    monkeypatch.setattr(backend, "solve_lp", shifted)
+    with pytest.raises(BackendError, match=f"{polish}: the max-min value"):
+        sp1(inst, x)
