@@ -1,6 +1,7 @@
-"""Thin LP/MILP layer: append-only model builder, scipy/HiGHS solves (LPs by
-linprog's "highs" method with the rows passed as CSR, MIPs by milp) and big-M
-complementarity linearization.
+"""Thin LP/MILP layer: append-only models (LinearModel) that keep columns and
+rows in numpy arrays (vars and constrs are read-only views of them),
+scipy/HiGHS solves (LPs by linprog's "highs" method with the rows passed as
+CSR, MIPs by milp) and big-M complementarity linearization.
 
 Wall clock. A run's time budget is held here, not passed through the calls
 that lead to a solve: inside ``with deadline(seconds):`` every solve_lp and
@@ -20,11 +21,12 @@ import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array, issparse
 
 # Per-solve statuses. A solve that hits the wall clock raises SolveTimeLimit
 # instead of reporting TIME_LIMIT.
@@ -63,20 +65,11 @@ def deadline(seconds: float) -> Iterator[None]:
         _DEADLINE.reset(token)
 
 
-@dataclass
-class _Var:
-    lb: float
-    ub: float
-    integer: bool
-    name: str
-
-
-@dataclass
-class _Constr:
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
-    name: str
+# the records of the read-only views LinearModel.vars and LinearModel.constrs
+_Var = namedtuple("_Var", "lb ub integer")
+_Constr = namedtuple("_Constr", "coeffs sense rhs")
+# the arrays of a row chunk: nonzeros per row, column ids, values, senses, rhs
+_ROW_DTYPES = (np.int64, np.int64, float, "<U2", float)
 
 
 class LinearModel:
@@ -86,74 +79,105 @@ class LinearModel:
     as the model grows, which is what the column-and-constraint pattern needs:
     cutting sets appended in later iterations can keep referencing first-stage
     variable ids from iteration zero.
+
+    Column j's bounds and integrality are entry j of numpy arrays that grow
+    by doubling. Rows are CSR chunks (_ROW_DTYPES), one per add_rows call;
+    add_constr's rows wait in a list, so that single appends stay cheap, for
+    the next block or read. vars and constrs are read-only views built on
+    each access, kept for the tests and for perfbench/tracing.py.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.vars: list[_Var] = []
-        self.constrs: list[_Constr] = []
+        self._lb, self._ub, self._int = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+        self._n = self._m = 0
+        self._chunks = [tuple(np.zeros(0, dtype=d) for d in _ROW_DTYPES)]
+        self._single: list[tuple[dict, str, float]] = []     # rows of add_constr
         self.obj: dict[int, float] = {}
         self.sense = "min"
 
     # -- construction ------------------------------------------------------
 
-    def add_var(self, lb: float = 0.0, ub: float = np.inf, integer: bool = False,
-                name: str = "") -> int:
+    def add_var(self, lb: float = 0.0, ub: float = np.inf, integer: bool = False) -> int:
         if lb > ub:
-            raise BackendError(f"variable {name!r}: lb {lb} > ub {ub}")
-        self.vars.append(_Var(float(lb), float(ub), bool(integer), name))
-        return len(self.vars) - 1
+            raise BackendError(f"variable {self._n}: lb {lb} > ub {ub}")
+        j = self._reserve(1)
+        self._lb[j], self._ub[j], self._int[j] = lb, ub, integer
+        return j
 
-    def add_vars(self, n: int, lb: float = 0.0, ub: float = np.inf,
-                 integer: bool = False, prefix: str = "v") -> list[int]:
-        return [self.add_var(lb, ub, integer, f"{prefix}{i}") for i in range(n)]
+    def add_vars(self, n: int, lb=0.0, ub=np.inf, integer=False) -> list[int]:
+        """n columns; lb, ub and integer are scalars or one entry per column."""
+        lb, ub, integer = (np.broadcast_to(np.asarray(a, dtype=t), (n,))
+                           for a, t in ((lb, float), (ub, float), (integer, bool)))
+        if np.any(lb > ub):
+            raise BackendError(f"variables from {self._n}: some lb > ub")
+        j = self._reserve(n)
+        self._lb[j:j + n], self._ub[j:j + n], self._int[j:j + n] = lb, ub, integer
+        return list(range(j, j + n))
 
-    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float,
-                   name: str = "") -> int:
+    def _reserve(self, n: int) -> int:
+        """Room for n more columns; the id of the first."""
+        j, self._n = self._n, self._n + n
+        if self._n > self._lb.size:
+            self._lb, self._ub, self._int = (np.resize(a, 2 * self._n)
+                                             for a in (self._lb, self._ub, self._int))
+        return j
+
+    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
         if sense not in (LEQ, GEQ, EQ):
             raise BackendError(f"bad sense {sense!r}")
-        clean = {j: float(v) for j, v in coeffs.items() if v != 0.0}
-        self.constrs.append(_Constr(clean, sense, float(rhs), name))
-        return len(self.constrs) - 1
+        self._single.append(({j: float(v) for j, v in coeffs.items() if v != 0.0},
+                             sense, float(rhs)))
+        self._m += 1
+        return self._m - 1
 
     def add_rows(self, blocks: list[tuple[list[int], np.ndarray]], sense: str,
-                 rhs: np.ndarray, name: str = "") -> list[int]:
+                 rhs: np.ndarray) -> list[int]:
         """Append the rows sum_k A_k @ v[ids_k] (sense) rhs, one per entry of
-        rhs, from the blocks (ids_k, A_k) with A_k of shape (len(rhs),
-        len(ids_k)). A column that repeats, within a block or across blocks,
-        gets the sum of its entries in the order given, at the place it
-        first appears; exact zeros are dropped after summing."""
+        rhs, from the blocks (ids_k, A_k) with A_k, dense or scipy sparse, of
+        shape (len(rhs), len(ids_k)). Within a row, entries follow the blocks
+        and, within a block, the columns; a sparse block counts as its
+        toarray(). A column that repeats, within a block or across blocks,
+        gets the sum of its entries in that order, at the place it first
+        appears; exact zeros are dropped after summing."""
         if sense not in (LEQ, GEQ, EQ):
             raise BackendError(f"bad sense {sense!r}")
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rhs = np.array(rhs, dtype=float, ndmin=1)
         m = rhs.size
-        ids_all, mats = [], [np.zeros((m, 0))]
+        entries, ids_all, offset = [], [], 0
         for ids, A in blocks:
-            A = np.atleast_2d(np.asarray(A, dtype=float))
+            if issparse(A):
+                A = coo_array(A)
+                row, pos, val = _sum_repeats(*A.coords, A.data)
+            else:
+                A = np.atleast_2d(np.asarray(A, dtype=float))
+                row, pos = np.nonzero(A)
+                val = A[row, pos]
             if A.shape != (m, len(ids)):
                 raise BackendError(f"block shape {A.shape} vs {m} rhs / {len(ids)} ids")
-            ids_all.extend(ids)
-            mats.append(A)
-        vals = np.hstack(mats)
-        row, pos = np.nonzero(vals)
-        col, val = np.asarray(ids_all, dtype=np.int64)[pos], vals[row, pos]
-        if len(set(ids_all)) < len(ids_all):
-            # sum each repeated column in its row, kept where it first appears
-            key = row * (int(col.max(initial=0)) + 1) + col
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            row, col = row[first[order]], col[first[order]]
-            val = np.bincount(inverse, weights=val)[order]
-            nz = val != 0.0
-            row, col, val = row[nz], col[nz], val[nz]
-        ends = np.cumsum(np.bincount(row, minlength=m)).tolist()
-        col, val = col.tolist(), val.tolist()
-        start, n0 = 0, self.n_constrs
-        for i, end in enumerate(ends):
-            self.constrs.append(_Constr(dict(zip(col[start:end], val[start:end])), sense,
-                                        float(rhs[i]), f"{name}[{i}]" if name else ""))
-            start = end
-        return list(range(n0, self.n_constrs))
+            entries.append((row, pos + offset, val))
+            ids_all.append(np.asarray(ids, dtype=np.int64))
+            offset += len(ids)
+        row, pos, val, ids_all = (np.concatenate([np.zeros(0, d), *parts]) for d, parts in
+                                  zip((np.int64, np.int64, float, np.int64),
+                                      [*zip(*entries), ids_all]))
+        order = np.argsort(row * offset + pos, kind="stable")
+        row, col, val = row[order], ids_all[pos[order]], val[order]
+        if np.unique(ids_all).size < ids_all.size:
+            row, col, val = _sum_repeats(row, col, val)
+        self._flush()
+        self._chunks.append((np.bincount(row, minlength=m), col, val, np.full(m, sense), rhs))
+        self._m += m
+        return list(range(self._m - m, self._m))
+
+    def _flush(self) -> None:
+        """Make the rows from add_constr one chunk."""
+        if self._single:
+            coeffs, senses, rhs = zip(*self._single)
+            rows = (list(map(len, coeffs)), [j for c in coeffs for j in c],
+                    [v for c in coeffs for v in c.values()], senses, rhs)
+            self._chunks.append(tuple(map(np.array, rows, _ROW_DTYPES)))
+            self._single = []
 
     def set_objective(self, coeffs: dict[int, float], sense: str = "min") -> None:
         if sense not in ("min", "max"):
@@ -161,48 +185,67 @@ class LinearModel:
         self.obj = {j: float(v) for j, v in coeffs.items() if v != 0.0}
         self.sense = sense
 
-    def fix_var(self, j: int, value: float) -> None:
-        self.vars[j].lb = self.vars[j].ub = float(value)
+    def fix_var(self, j, value) -> None:
+        """Fix column j, or the columns of an array j, at value."""
+        lb, ub = self._lb[:self._n], self._ub[:self._n]
+        lb[j] = ub[j] = value
 
     # -- inspection --------------------------------------------------------
 
     @property
     def n_vars(self) -> int:
-        return len(self.vars)
+        return self._n
 
     @property
     def n_constrs(self) -> int:
-        return len(self.constrs)
+        return self._m
 
     @property
     def has_integers(self) -> bool:
-        return any(v.integer for v in self.vars)
+        return bool(self._int[:self._n].any())
 
-    def sparse(self) -> tuple[csr_array, list[str], np.ndarray]:
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the columns' lower bounds, upper bounds and integrality."""
+        return tuple(a[:self._n].copy() for a in (self._lb, self._ub, self._int))
+
+    def sparse(self) -> tuple[csr_array, np.ndarray, np.ndarray]:
         """Constraint data as (A, senses, rhs), A in CSR with one row per
-        constraint, built straight from the row dicts."""
-        indptr = np.zeros(self.n_constrs + 1, dtype=np.int64)
-        indices: list[int] = []
-        data: list[float] = []
-        for i, con in enumerate(self.constrs):
-            indices.extend(con.coeffs.keys())
-            data.extend(con.coeffs.values())
-            indptr[i + 1] = len(indices)
-        A = csr_array((np.asarray(data, dtype=float),
-                       np.asarray(indices, dtype=np.int64), indptr),
-                      shape=(self.n_constrs, self.n_vars))
-        senses = [con.sense for con in self.constrs]
-        rhs = np.array([con.rhs for con in self.constrs], dtype=float)
-        return A, senses, rhs
+        constraint."""
+        self._flush()
+        counts, cols, vals, senses, rhs = map(np.concatenate, zip(*self._chunks))
+        indptr = np.zeros(self._m + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return csr_array((vals, cols, indptr), shape=(self._m, self._n)), senses, rhs
+
+    @property
+    def vars(self) -> list[_Var]:
+        return list(map(_Var, *(a.tolist() for a in self.columns())))
+
+    @property
+    def constrs(self) -> list[_Constr]:
+        A, senses, rhs = self.sparse()
+        cols, vals, ends = A.indices.tolist(), A.data.tolist(), A.indptr.tolist()
+        return [_Constr(dict(zip(cols[a:b], vals[a:b])), s, r)
+                for a, b, s, r in zip(ends, ends[1:], senses.tolist(), rhs.tolist())]
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
-        for j, v in self.obj.items():
-            c[j] = v
+        c[list(self.obj)] = list(self.obj.values())
         return c
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.objective_vector() @ x)
+
+
+def _sum_repeats(row: np.ndarray, col: np.ndarray, val: np.ndarray):
+    """The entries with each repeated (row, col) summed in the order given, kept
+    where it first appears; exact zeros are dropped after summing."""
+    key = row.astype(np.int64) * (int(col.max(initial=0)) + 1) + col
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    val = np.bincount(inverse, weights=val, minlength=len(first))[order]
+    nz = val != 0.0
+    return row[first[order]][nz], col[first[order]][nz], val[nz]
 
 
 @dataclass
@@ -225,24 +268,11 @@ def _assemble_lp(model: LinearModel):
     if model.sense == "max":
         c = -c
     A, senses, rhs = model.sparse()
-    senses = np.array(senses)
     sign = np.where(senses == GEQ, -1.0, 1.0)
-    counts = np.diff(A.indptr)
-    entry_row = np.repeat(np.arange(model.n_constrs), counts)
-    data = A.data * sign[entry_row]
-    blocks = []
-    for mask in (senses != EQ, senses == EQ):
-        rows = np.flatnonzero(mask)
-        if not len(rows):
-            blocks.append((None, None))
-            continue
-        keep = mask[entry_row]
-        indptr = np.concatenate(([0], np.cumsum(counts[rows])))
-        blocks.append((csr_array((data[keep], A.indices[keep], indptr),
-                                 shape=(len(rows), model.n_vars)),
-                       sign[rows] * rhs[rows]))
-    bounds = np.array([(v.lb, v.ub) for v in model.vars]).reshape(-1, 2)
-    return c, blocks, bounds
+    A.data *= np.repeat(sign, np.diff(A.indptr))
+    blocks = [(A[rows], sign[rows] * rhs[rows]) if len(rows) else (None, None)
+              for rows in map(np.flatnonzero, (senses != EQ, senses == EQ))]
+    return c, blocks, np.column_stack(model.columns()[:2])
 
 
 def _with_time_left(model: LinearModel, options: dict) -> dict:
@@ -295,15 +325,13 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
         c = -c
         sign = -1.0
     A, senses, rhs = model.sparse()
-    lo = np.array([-np.inf if s == LEQ else rhs[i] for i, s in enumerate(senses)])
-    hi = np.array([np.inf if s == GEQ else rhs[i] for i, s in enumerate(senses)])
-    lb = np.array([v.lb for v in model.vars])
-    ub = np.array([v.ub for v in model.vars])
-    integrality = np.array([1 if v.integer else 0 for v in model.vars])
+    lo = np.where(senses == LEQ, -np.inf, rhs)
+    hi = np.where(senses == GEQ, np.inf, rhs)
+    lb, ub, integer = model.columns()
     options = _with_time_left(model, {} if mip_rel_gap is None
                               else {"mip_rel_gap": mip_rel_gap})
     constraints = LinearConstraint(A, lo, hi) if model.n_constrs else ()
-    res = milp(c, constraints=constraints, integrality=integrality,
+    res = milp(c, constraints=constraints, integrality=integer.astype(np.int64),
                bounds=Bounds(lb, ub), options=options)
     status = _status(model, res.status)
     if res.x is None:
@@ -330,7 +358,7 @@ def linearize_complementarity(model: LinearModel, a_ids: list[int],
     if M <= 0:
         raise BackendError(f"big-M must be positive, got {M}")
     n = len(a_ids)
-    deltas = model.add_vars(n, 0.0, 1.0, integer=True, prefix="delta")
+    deltas = model.add_vars(n, 0.0, 1.0, integer=True)
 
     def interleave(top, bottom):
         # row 2k from top[k], row 2k+1 from bottom[k]
@@ -341,5 +369,5 @@ def linearize_complementarity(model: LinearModel, a_ids: list[int],
     blocks += [(ids, interleave(np.zeros(np.shape(B)), B)) for ids, B in b_blocks]
     blocks.append((deltas, interleave(-M * eye, M * eye)))
     rhs = interleave(-np.asarray(a_const, dtype=float), M - np.asarray(b_const, dtype=float))
-    model.add_rows(blocks, LEQ, rhs, name="comp")
+    model.add_rows(blocks, LEQ, rhs)
     return deltas

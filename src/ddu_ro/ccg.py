@@ -104,10 +104,8 @@ class MasterState:
         self.ou_sets = list(ou_sets) if ou_sets is not None else None
         self.model = LinearModel(name=f"{inst.name}-{config.variant}-master")
         self.x_ids = add_first_stage(self.model, inst)
-        self.eta_id = self.model.add_var(_ETA_LB, np.inf, name="eta")
-        obj = {self.x_ids[k]: float(inst.c1[k]) for k in range(inst.dim_x)}
-        obj[self.eta_id] = 1.0
-        self.model.set_objective(obj, "min")
+        self.eta_id = self.model.add_var(_ETA_LB, np.inf)
+        self.model.set_objective({**dict(zip(self.x_ids, inst.c1)), self.eta_id: 1.0}, "min")
         self.point_seeds: list[np.ndarray] = []
         self.ray_seeds: list[np.ndarray] = []
         self.basis_seeds: list[BasisId] = []
@@ -180,20 +178,18 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
         inst = state.inst if U_l is state.inst.U else replace(state.inst, U=U_l)
         tag = base_tag if state.ou_sets is None else f"{base_tag}s{li}"
         blk = build_optimality_block(
-            state.model, inst, beta, state.x_ids, M=cfg.big_M, tag=tag,
+            state.model, inst, beta, state.x_ids, M=cfg.big_M,
             representation=None if unique_data is None else "unique",
             unique_data=unique_data)
         eta = [] if is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
         if cfg.variant == "benders":
             state.model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
-                                  *eta], GEQ, [Y.d @ beta], name=f"cut{tag}")
+                                  *eta], GEQ, [Y.d @ beta])
         else:
-            y_ids = add_recourse_vars(state.model, Y, prefix=f"y{tag}_")
-            add_recourse_rows(state.model, Y, y_ids, state.x_ids, blk.u_ids,
-                              name=f"Y{tag}")
+            y_ids = add_recourse_vars(state.model, Y)
+            add_recourse_rows(state.model, Y, y_ids, state.x_ids, blk.u_ids)
             if eta:
-                state.model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0],
-                                     name=f"eta{tag}")
+                state.model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0])
         state.blocks[tag] = blk
     (state.ray_seeds if is_ray else state.point_seeds).append(beta)
     return base_tag
@@ -224,50 +220,48 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     ineq_rows = sorted(slack_basic)
     n_eq, n_ineq = len(eq_rows), len(ineq_rows)
 
-    u_ids = model.add_vars(len(struct_basic), prefix=f"u{tag}_")
-    ubar1 = model.add_vars(n_eq, prefix=f"d1{tag}_")
-    ubar2 = model.add_vars(n_eq, prefix=f"d2{tag}_")
-    ubar3 = model.add_vars(n_ineq, prefix=f"d3{tag}_")
+    u_ids = model.add_vars(len(struct_basic))
+    ubar1 = model.add_vars(n_eq)
+    ubar2 = model.add_vars(n_eq)
+    ubar3 = model.add_vars(n_ineq)
     # infeasible bases are neutralized by scaling lam along a negative-value
     # cone direction, so lam stays unbounded unless x-products force a box
     lam_lo, lam_hi = (-M, M) if coupled else (-np.inf, np.inf)
-    lam_n = model.add_vars(n_eq, lb=lam_lo, ub=lam_hi, prefix=f"ln{tag}_")
-    lam_b = model.add_vars(n_ineq, lb=0.0, ub=M if coupled else np.inf,
-                           prefix=f"lb{tag}_")
+    lam_n = model.add_vars(n_eq, lb=lam_lo, ub=lam_hi)
+    lam_b = model.add_vars(n_ineq, lb=0.0, ub=M if coupled else np.inf)
     # lam_n is free, so its products with x take the shifted envelope
     lam, lam_low = lam_n + lam_b, [-M] * n_eq + [0.0] * n_ineq
     products: dict[tuple[int, int], int] = {}
 
     eye_eq = np.eye(n_eq)
     model.add_rows([*affine_blocks(model, U.F.take(eq_rows, struct_basic), u_ids,
-                                   x_ids, M, products, name=f"wu{tag}_"),
+                                   x_ids, M, products),
                     (ubar1, -eye_eq), (ubar2, eye_eq), (x_ids, -U.G[eq_rows])],
-                   EQ, U.h[eq_rows], name=f"bs{tag}_eq")
+                   EQ, U.h[eq_rows])
     model.add_rows([*affine_blocks(model, U.F.take(ineq_rows, struct_basic), u_ids,
-                                   x_ids, M, products, name=f"wu{tag}_"),
+                                   x_ids, M, products),
                     (ubar3, -np.eye(n_ineq)), (x_ids, -U.G[ineq_rows])],
-                   LEQ, U.h[ineq_rows], name=f"bs{tag}_le")
+                   LEQ, U.h[ineq_rows])
 
     # alternative-system cone, one row per basic structural column that
     # meets some row
     alt = affine_blocks(model, U.F.take(eq_rows + ineq_rows, struct_basic), lam,
-                        x_ids, M, products, transpose=True, lo=lam_low,
-                        name=f"wl{tag}_")
+                        x_ids, M, products, transpose=True, lo=lam_low)
     meets = np.any([np.any(A != 0.0, axis=1) for _, A in alt], axis=0)
     model.add_rows([(ids, A[meets]) for ids, A in alt], GEQ,
-                   np.zeros(int(meets.sum())), name=f"alt{tag}")
+                   np.zeros(int(meets.sum())))
 
-    y_ids = add_recourse_vars(model, Y, prefix=f"y{tag}_")
+    y_ids = add_recourse_vars(model, Y)
     model.add_rows([(y_ids, Y.B2), (x_ids, Y.B1), (u_ids, Y.E[:, struct_basic])],
-                   GEQ, Y.d, name=f"Y{tag}")
+                   GEQ, Y.d)
 
     # eta >= c2'y + M (deviation mass) + (h + G x)' lam
     rhs = affine_blocks(model, U.rhs_map.take(eq_rows + ineq_rows, [0]), lam, x_ids,
-                        M, products, transpose=True, lo=lam_low, name=f"wg{tag}_")
+                        M, products, transpose=True, lo=lam_low)
     deviation = ubar1 + ubar2 + ubar3
     model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -Y.c2[None]),
                     (deviation, np.full((1, len(deviation)), -M)),
-                    *[(ids, -A) for ids, A in rhs]], GEQ, [0.0], name=f"eta{tag}")
+                    *[(ids, -A) for ids, A in rhs]], GEQ, [0.0])
 
     state.basis_seeds.append(basis)
     state.blocks[tag] = None

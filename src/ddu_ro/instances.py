@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import eye_array, kron
 
 from . import backend
 from .backend import GEQ, LinearModel
@@ -38,7 +39,7 @@ from .model import (
     Instance,
     RecourseSet,
     UncertaintySet,
-    add_first_stage,
+    add_recourse_vars,
     dimension_errors,
     instance_from_dict,
     instance_to_dict,
@@ -109,11 +110,20 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     u = np.concatenate([np.zeros((0, U.dim)), *_basic_vertices(U, x, bases)])
     if not len(u):
         raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-    keys = np.round(u / _DEDUP_TOL).astype(np.int64)
-    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    first = _first_rows(np.round(u / _DEDUP_TOL).astype(np.int64))
     if len(first) > _MAX_VERTICES:
         raise OracleError(f"more than {_MAX_VERTICES} vertices")
     return u[first]
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys, axis=0, return_index=True)'s indices, ascending, from
+    np.unique over one np.void per row, which sorts bytes instead of rows."""
+    if not keys.shape[1]:
+        return np.arange(min(1, len(keys)))
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    return np.sort(np.unique(rows, return_index=True)[1])
 
 
 def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
@@ -210,13 +220,11 @@ def recourse_value(inst: Instance, x: np.ndarray,
     """min{c2 y : y in Y(x, u)}; +inf when infeasible, -inf when unbounded."""
     Y = inst.Y
     m = LinearModel(name="recourse")
-    y_ids = [m.add_var(0.0, np.inf, integer=j < Y.n_int_y, name=f"y{j}")
-             for j in range(Y.dim)]
+    y_ids = add_recourse_vars(m, Y)
     rhs = Y.d - Y.B1 @ np.asarray(x, dtype=float) - Y.E @ np.asarray(u, dtype=float)
     if Y.n_rows:
         m.add_rows([(y_ids, Y.B2)], GEQ, rhs)
-    m.set_objective({y_ids[j]: Y.c2[j] for j in range(Y.dim) if Y.c2[j] != 0.0},
-                    sense="min")
+    m.set_objective(dict(zip(y_ids, Y.c2)), sense="min")
     out = backend.solve_mip(m)
     if out.is_optimal:
         return float(out.objective), out.x[:Y.dim]
@@ -340,28 +348,32 @@ def _block_recourse_values(inst: Instance, run: list, shortfall: bool = False
     one LP holding a copy y_k of the (continuous) recourse with the rows
     B2 y_k >= r_k = d - B1 x - E u_k per pair; None unless that LP is Optimal.
 
-    With shortfall the rows read B2 y_k + s_k >= r_k, s_k >= 0, the LP
+    With shortfall the rows read D^-1 (B2 y_k - r_k) + s_k >= 0, s_k >= 0,
+    with D the largest |entry| of each row of B2 (1 for a zero row), since
+    HiGHS holds rows of tiny entries to its absolute tolerance; the LP
     minimizes the sum of every s_k, and the values are each pair's least
-    shortfall (the copies are independent) over max(1, |r_k|_inf).
+    shortfall, 1'D s_k, over max(1, |r_k|_inf) (the copies are independent).
+    The copies enter as one block kron(I_K, B2).
     """
     Y = inst.Y
     xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
     verts = np.vstack([v for _, v in run])
     rhs = Y.d - xs @ Y.B1.T - verts @ Y.E.T
-    n_s = Y.n_rows if shortfall else 0
+    K, n_s = len(verts), Y.n_rows if shortfall else 0
+    scale = np.abs(Y.B2).max(axis=1, initial=0.0)
+    scale = np.where(shortfall & (scale > 0.0), scale, 1.0)
     m = LinearModel(name="recourse_shortfall" if shortfall else "recourse_block")
-    ys = [m.add_vars(Y.dim, prefix=f"y{k}_") for k in range(len(verts))]
-    ss = [m.add_vars(n_s, prefix=f"s{k}_") for k in range(len(verts))]
-    for y, s, r in zip(ys, ss, rhs):
-        m.add_rows([(y, Y.B2), (s, np.eye(Y.n_rows, n_s))], GEQ, r)
-    m.set_objective({j: 1.0 for s in ss for j in s} if shortfall else
-                    {j: c for y in ys for j, c in zip(y, Y.c2) if c != 0.0})
+    ys, ss = m.add_vars(K * Y.dim), m.add_vars(K * n_s)
+    m.add_rows([(ys, kron(eye_array(K), Y.B2 / scale[:, None])),
+                (ss, eye_array(K * Y.n_rows, K * n_s))], GEQ, (rhs / scale).ravel())
+    m.set_objective(dict.fromkeys(ss, 1.0) if shortfall else
+                    dict(zip(ys, np.tile(Y.c2, K))))
     out = backend.solve_lp(m)
     if not out.is_optimal:
         return None
-    y, s = np.split(out.x, [len(verts) * Y.dim])
-    vals = (s.reshape(len(verts), n_s).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
-        axis=1, initial=0.0)) if shortfall else y.reshape(len(verts), Y.dim) @ Y.c2)
+    y, s = np.split(out.x, [K * Y.dim])
+    vals = ((s.reshape(K, Y.n_rows) * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
+        axis=1, initial=0.0)) if shortfall else y.reshape(K, Y.dim) @ Y.c2)
     return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])
 
 
@@ -465,25 +477,25 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
     free: list[dict[int, np.ndarray]] = [{} for _ in run]
     if coupled:
         m = LinearModel(name="xfill")
-        copies = [_fixed_first_stage(m, inst, f) for f in fixed]
+        copies = _fixed_first_stage(m, inst, fixed)
         out = backend.solve_lp(m)       # the fresh model's empty objective
         for k in coupled:
             if not out.is_optimal:
                 break
             bounds = []
             for sense in ("min", "max"):
-                m.set_objective({ids[k]: 1.0 for ids in copies}, sense=sense)
+                m.set_objective(dict.fromkeys(copies[:, k].tolist(), 1.0), sense=sense)
                 out = backend.solve_lp(m)
                 if not out.is_optimal:
                     break
-                bounds.append(out.x[[ids[k] for ids in copies]])
+                bounds.append(out.x[copies[:, k]])
             else:
-                for ids, f, grids, lo, hi in zip(copies, fixed, free, *bounds):
-                    if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-                        f[k] = 0.5 * (lo + hi)
-                        m.fix_var(ids[k], f[k])
-                    else:
-                        grids[k] = np.linspace(lo, hi, _GRID)
+                lo, hi = bounds
+                pin = hi - lo <= 1e-9 * np.maximum(1.0, np.abs(hi))
+                fixed[pin, k] = 0.5 * (lo[pin] + hi[pin])
+                m.fix_var(copies[pin, k], fixed[pin, k])
+                for c in np.flatnonzero(~pin):
+                    free[c][k] = np.linspace(lo[c], hi[c], _GRID)
         if len(run) > 1 and (not out.is_optimal or max(map(len, free)) > 2):
             for x_int in run:
                 yield from _complete_continuous(inst, [x_int], coupled, sep)
@@ -503,11 +515,16 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
     yield from _fill(inst, groups, sep)
 
 
-def _fixed_first_stage(m: LinearModel, inst: Instance, values: np.ndarray) -> list[int]:
-    """add_first_stage with each x fixed at its value where that is not nan."""
-    ids = add_first_stage(m, inst)
-    for k in np.flatnonzero(~np.isnan(values)):
-        m.fix_var(ids[k], values[k])
+def _fixed_first_stage(m: LinearModel, inst: Instance, values: np.ndarray) -> np.ndarray:
+    """add_first_stage once per row of values, as one block kron(I_K, A), each
+    x fixed at its value where that is not nan; the (K, dim_x) id array."""
+    X, K = inst.X, len(values)
+    ids = np.reshape(m.add_vars(K * X.dim, np.tile(X.lb, K), np.tile(X.ub, K),
+                                np.tile(np.arange(X.dim) < X.n_int, K)), (K, X.dim))
+    if X.A.shape[0]:
+        m.add_rows([(ids.ravel(), kron(eye_array(K), X.A))], GEQ, np.tile(X.b, K))
+    fixed = ~np.isnan(values)
+    m.fix_var(ids[fixed], values[fixed])
     return ids
 
 
@@ -516,10 +533,11 @@ def _fill(inst: Instance, groups: list, sep: list[int]):
     its values and minimizes c1 over the separable x, none where X admits no
     such x: from one LP with a copy of the first stage per point, and when it
     is not Optimal from each group alone, then from each point alone."""
-    points = [p for group in groups for p in group]
+    points = np.vstack(groups)
     m = LinearModel(name="xfill")
-    copies = [_fixed_first_stage(m, inst, p) for p in points]
-    m.set_objective({ids[k]: inst.c1[k] for ids in copies for k in sep})
+    copies = _fixed_first_stage(m, inst, points)
+    m.set_objective(dict(zip(copies[:, sep].ravel().tolist(),
+                             np.tile(inst.c1[sep], len(points)))))
     out = backend.solve_lp(m)
     if out.is_optimal:
         yield from out.x.reshape(len(points), inst.dim_x)

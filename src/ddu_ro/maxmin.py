@@ -38,7 +38,7 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
-from .model import (BasisId, Instance, _binary_product, _is_binary, affine_blocks,
+from .model import (BasisId, Instance, _binary_products, _is_binary, affine_blocks,
                     max_over_u, range_probe, require_binary_terms)
 
 _ZERO_RC_TOL = 1e-9
@@ -271,9 +271,9 @@ def _add_outer_set(m: LinearModel, problem: MaxMinProblem,
     binary with binary, else the first n_int_out integer and z_j capped at
     caps[j] where given."""
     caps = caps or {}
-    z_ids = [m.add_var(0.0, 1.0 if binary else caps.get(j, np.inf),
-                       integer=binary or j < problem.n_int_out, name=f"z{j}")
-             for j in range(problem.n_out)]
+    n = problem.n_out
+    z_ids = m.add_vars(n, ub=[1.0 if binary else caps.get(j, np.inf) for j in range(n)],
+                       integer=binary | (np.arange(n) < problem.n_int_out))
     m.add_rows([(z_ids, problem.A_out)], LEQ, problem.b_out)
     return z_ids
 
@@ -287,19 +287,18 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
 
     m = LinearModel(name=problem.name + "_kkt")
     z_ids = _add_outer_set(m, problem)
-    y_ids = m.add_vars(ny, prefix="y")
-    pi_ids = m.add_vars(m_rows, prefix="pi")
+    y_ids = m.add_vars(ny)
+    pi_ids = m.add_vars(m_rows)
 
     surplus = [(y_ids, problem.B_y), (z_ids, problem.B_x)]
-    m.add_rows(surplus, GEQ, problem.d, name="pf")
-    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y, name="df")
+    m.add_rows(surplus, GEQ, problem.d)
+    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y)
     backend.linearize_complementarity(m, pi_ids, np.zeros(m_rows), surplus,
                                       -problem.d, M=M)
     backend.linearize_complementarity(m, y_ids, np.zeros(ny),
                                       [(pi_ids, -problem.B_y.T)], problem.c_y, M=M)
 
-    m.set_objective({y_ids[j]: problem.c_y[j] for j in range(ny)
-                     if problem.c_y[j] != 0.0}, sense="max")
+    m.set_objective(dict(zip(y_ids, problem.c_y)), sense="max")
     out = backend.solve_mip(m)
     if out.status == backend.INFEASIBLE:
         # distinguish an empty outer set from a too-small M
@@ -360,13 +359,14 @@ def _product_mip(problem: MaxMinProblem, M: float,
     m_rows = problem.B_y.shape[0]
     m = LinearModel(name=problem.name + ("_net" if network else "_bilin"))
     z_ids = _add_outer_set(m, problem, caps=caps, binary=not network)
-    pi_ids = m.add_vars(m_rows, ub=1.0 if network else M, integer=network, prefix="pi")
-    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y, name="dual")
+    pi_ids = m.add_vars(m_rows, ub=1.0 if network else M, integer=network)
+    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y)
     obj = dict(zip(pi_ids, problem.d))
-    for i, j in zip(*np.nonzero(problem.B_x)):
-        pair = (pi_ids[i], z_ids[j], caps[j]) if network else (z_ids[j], pi_ids[i], M)
-        w = _binary_product(m, *pair, name=f"w{i}_{j}")
-        obj[w] = -problem.B_x[i, j]
+    rows, cols = np.nonzero(problem.B_x)
+    pairs = [(pi_ids[i], z_ids[j]) if network else (z_ids[j], pi_ids[i])
+             for i, j in zip(rows, cols)]
+    w = _binary_products(m, pairs, [caps[j] for j in cols] if network else M)
+    obj.update(zip(w, -problem.B_x[rows, cols]))
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m)
     if not out.is_optimal:
@@ -415,10 +415,9 @@ def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
     """max{rhs' pi : B_y' pi <= c_y, pi >= 0}: the dual of the recourse LP
     min{c_y' y : B_y y >= rhs, y >= 0}. Variable i is pi_i, for i = 0..m-1."""
     lp = LinearModel(name=name)
-    pi_ids = lp.add_vars(B_y.shape[0], prefix="pi")
+    pi_ids = lp.add_vars(B_y.shape[0])
     lp.add_rows([(pi_ids, B_y.T)], LEQ, c_y)
-    lp.set_objective({pi_ids[i]: rhs[i] for i in range(rhs.size)
-                      if rhs[i] != 0.0}, sense="max")
+    lp.set_objective(dict(zip(pi_ids, rhs)), sense="max")
     return lp
 
 
@@ -446,8 +445,8 @@ class OptimalityBlock:
 
 def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
                            x_ids: list[int], representation: str | None = None,
-                           M: float = 1e4, unique_data: np.ndarray | None = None,
-                           tag: str = "") -> OptimalityBlock:
+                           M: float = 1e4, unique_data: np.ndarray | None = None
+                           ) -> OptimalityBlock:
     """Append fresh (u, lambda) columns and the rows pinning u to an optimum
     of max{(-E u)' beta : u in U(x)}, x being the model's columns x_ids.
 
@@ -483,11 +482,10 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     else:
         c_struct = -(inst.Y.E.T @ beta)
         c_slack = np.zeros(mu)
-    u_ids = model.add_vars(n, prefix=f"u{tag}")
+    u_ids = model.add_vars(n)
     # the dual needs lam_i >= c_slack_i only; a perturbed slack cost is
     # negative, and lam_i >= 0 would then force its row tight
-    lam_ids = [model.add_var(lo, np.inf, name=f"lam{tag}{i}")
-               for i, lo in enumerate(c_slack)]
+    lam_ids = model.add_vars(mu, lb=c_slack)
     products: dict[tuple[int, int], int] = {}
     if U.F.is_constant and has_interval_rows(U.F.base):
         # [F | I] is totally unimodular, so some optimal dual is a vertex
@@ -497,14 +495,13 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
 
     # primal rows, with explicit slack columns so degenerate-row
     # complementarities of the perturbed objective can bind on them
-    slack_ids = model.add_vars(mu, prefix=f"s{tag}")
-    primal = affine_blocks(model, U.F, u_ids, x_ids, M, products, name=f"fu{tag}_")
-    model.add_rows([(slack_ids, np.eye(mu)), *primal, (x_ids, -U.G)], EQ, U.h,
-                   name=f"up{tag}")
+    slack_ids = model.add_vars(mu)
+    primal = affine_blocks(model, U.F, u_ids, x_ids, M, products)
+    model.add_rows([(slack_ids, np.eye(mu)), *primal, (x_ids, -U.G)], EQ, U.h)
     # dual rows F(x)' lam >= c
     dual = affine_blocks(model, U.F, lam_ids, x_ids, M, products, transpose=True,
-                         lo=c_slack, name=f"fl{tag}_")
-    model.add_rows(dual, GEQ, c_struct, name=f"ud{tag}")
+                         lo=c_slack)
+    model.add_rows(dual, GEQ, c_struct)
 
     if representation in ("kkt", "unique"):
         # lam_i (+ its perturbed slack cost) against the row slack, then u_j
@@ -516,9 +513,9 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     else:
         # strong duality: (-E u)' beta >= (h + G x)' lambda
         rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, M, products,
-                            transpose=True, name=f"gl{tag}_")
+                            transpose=True)
         model.add_rows([(u_ids, c_struct[None]), *[(ids, -A) for ids, A in rhs]],
-                       GEQ, [0.0], name=f"sd{tag}")
+                       GEQ, [0.0])
     return OptimalityBlock(u_ids=u_ids, representation=representation)
 
 

@@ -240,22 +240,17 @@ def relative_gap(lb: float, ub: float) -> float:
 
 # -- model-building blocks shared by the oracle and the algorithms ------------
 
-def add_first_stage(model: LinearModel, inst: Instance, prefix: str = "x") -> list[int]:
+def add_first_stage(model: LinearModel, inst: Instance) -> list[int]:
     """Add x variables with bounds/integrality and the rows A x >= b."""
     X = inst.X
-    x_ids = []
-    for j in range(X.dim):
-        x_ids.append(model.add_var(X.lb[j], X.ub[j], integer=j < X.n_int,
-                                   name=f"{prefix}{j}"))
+    x_ids = model.add_vars(X.dim, X.lb, X.ub, np.arange(X.dim) < X.n_int)
     if X.A.shape[0]:
-        model.add_rows([(x_ids, X.A)], GEQ, X.b, name="X")
+        model.add_rows([(x_ids, X.A)], GEQ, X.b)
     return x_ids
 
 
-def add_uncertainty_vars(model: LinearModel, U: UncertaintySet,
-                         prefix: str = "u") -> list[int]:
-    return [model.add_var(0.0, np.inf, integer=j < U.n_int_u, name=f"{prefix}{j}")
-            for j in range(U.dim)]
+def add_uncertainty_vars(model: LinearModel, U: UncertaintySet) -> list[int]:
+    return model.add_vars(U.dim, integer=np.arange(U.dim) < U.n_int_u)
 
 
 def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -263,7 +258,7 @@ def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     """The LP max{c'z : z >= 0, A z <= b}, such as U(x) with A = F(x) and
     b = h + G x; z is its first columns. Integrality is ignored."""
     m = LinearModel(name=name)
-    z_ids = m.add_vars(A.shape[1], prefix="z")
+    z_ids = m.add_vars(A.shape[1])
     m.add_rows([(z_ids, A)], LEQ, b)
     m.set_objective(dict(zip(z_ids, c)), "max")
     return backend.solve_lp(m)
@@ -284,29 +279,25 @@ def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max") -> flo
 
 
 def add_uncertainty_rows(model: LinearModel, U: UncertaintySet, u_ids: list[int],
-                         x_ids: list[int], M: float = 1e4,
-                         name: str = "U") -> list[int]:
+                         x_ids: list[int], M: float = 1e4) -> list[int]:
     """Rows of F(x) u <= h + G x over symbolic x. Each x-dependent entry of
     F enters through a product x_k u_j (affine_blocks), exact for binary x_k
     and u_j <= M; the caller checks that those x_k are binary."""
-    blocks = affine_blocks(model, U.F, u_ids, x_ids, M, {}, name="w")
-    return model.add_rows(blocks + [(x_ids, -U.G)], LEQ, U.h, name)
+    blocks = affine_blocks(model, U.F, u_ids, x_ids, M, {})
+    return model.add_rows(blocks + [(x_ids, -U.G)], LEQ, U.h)
 
 
-def add_recourse_vars(model: LinearModel, Y: RecourseSet,
-                      prefix: str = "y") -> list[int]:
-    return [model.add_var(0.0, np.inf, integer=j < Y.n_int_y, name=f"{prefix}{j}")
-            for j in range(Y.dim)]
+def add_recourse_vars(model: LinearModel, Y: RecourseSet) -> list[int]:
+    return model.add_vars(Y.dim, integer=np.arange(Y.dim) < Y.n_int_y)
 
 
 def add_recourse_rows(model: LinearModel, Y: RecourseSet, y_ids: list[int],
-                      x_ids: list[int], u_ids: list[int] | None = None,
-                      name: str = "Y") -> list[int]:
+                      x_ids: list[int], u_ids: list[int] | None = None) -> list[int]:
     """Rows of B2 y + B1 x + E u >= d over symbolic x and, given u_ids, u."""
     blocks = [(y_ids, Y.B2), (x_ids, Y.B1)]
     if u_ids is not None:
         blocks.append((u_ids, Y.E))
-    return model.add_rows(blocks, GEQ, Y.d, name)
+    return model.add_rows(blocks, GEQ, Y.d)
 
 
 def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel, dict]:
@@ -348,35 +339,41 @@ def require_binary_terms(inst: Instance) -> None:
             "no exact master linearization")
 
 
-def _binary_product(model: LinearModel, x_id: int, v_id: int, M: float,
-                    name: str, lo: float = 0.0) -> int:
-    """w = x * v for binary x and lo <= v <= M, lo either 0 or -M, by the
-    exact envelope: w <= M x, w >= lo x, w <= v - lo (1 - x) and
-    w >= v - M (1 - x), the second one carried by w's bounds when lo is 0."""
-    w = model.add_var(lo, M, name=name)
-    model.add_constr({w: 1.0, x_id: -M}, LEQ, 0.0)
-    if lo:
-        model.add_constr({w: 1.0, x_id: -lo}, GEQ, 0.0)
-        model.add_constr({w: 1.0, v_id: -1.0, x_id: -lo}, LEQ, -lo)
-    else:
-        model.add_constr({w: 1.0, v_id: -1.0}, LEQ, 0.0)
-    model.add_constr({w: 1.0, v_id: -1.0, x_id: -M}, GEQ, -M)
-    return w
+def _binary_products(model: LinearModel, pairs, M, lo=0.0) -> list[int]:
+    """Columns w = x * v, one per (x id, v id) of pairs, for binary x and
+    lo <= v <= M, lo either 0 or -M (each a scalar or one per pair), by the
+    exact envelope, pair by pair: w <= M x, w >= lo x, w <= v - lo (1 - x)
+    and w >= v - M (1 - x), the second one carried by w's bounds when lo is
+    0. The columns take one add_vars call; the rows go through add_constr,
+    whose list of rows becomes one row chunk of the model."""
+    n = len(pairs)
+    M, lo = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in (M, lo))
+    ws = model.add_vars(n, lo, M)
+    for w, (x, v), cap, low in zip(ws, pairs, M.tolist(), lo.tolist()):
+        model.add_constr({w: 1.0, x: -cap}, LEQ, 0.0)
+        if low:
+            model.add_constr({w: 1.0, x: -low}, GEQ, 0.0)
+            model.add_constr({w: 1.0, v: -1.0, x: -low}, LEQ, -low)
+        else:
+            model.add_constr({w: 1.0, v: -1.0}, LEQ, 0.0)
+        model.add_constr({w: 1.0, v: -1.0, x: -cap}, GEQ, -cap)
+    return ws
 
 
 def affine_blocks(model: LinearModel, F: AffineMatrixMap, v_ids: list[int],
                   x_ids: list[int], M: float, products: dict[tuple[int, int], int],
-                  transpose: bool = False, lo: float | np.ndarray = 0.0,
-                  name: str = "w") -> list[tuple[list[int], np.ndarray]]:
+                  transpose: bool = False, lo: float | np.ndarray = 0.0
+                  ) -> list[tuple[list[int], np.ndarray]]:
     """The LinearModel.add_rows blocks of F(x) v, or of F(x)' v with
     transpose, over symbolic binary x: F's base on v, then per term k the
     columns w = x_k v_j of the products its entries need.
 
     products maps each (x id, v id) pair to its column and may be shared by
-    several calls, so a product is created once, by _binary_product with
-    bound M and v's lower bound lo (0 or -M, a scalar or one per v). New
-    products are made row by row, within a row v by v, within a v term by
-    term. The caller checks that the x_k of the terms are binary.
+    several calls, so a product is created once, by _binary_products with
+    bound M and v's lower bound lo (0 or -M, a scalar or one per v). The new
+    products of a call are made in one batch, ordered row by row, within a
+    row v by v, within a v term by term. The caller checks that the x_k of
+    the terms are binary.
     """
     mats = [F.base] + [Mk for _, Mk in F.terms]
     if transpose:
@@ -386,11 +383,16 @@ def affine_blocks(model: LinearModel, F: AffineMatrixMap, v_ids: list[int],
         return blocks
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (len(v_ids),))
     needed = np.stack([A != 0.0 for A in mats[1:]], axis=-1)    # (row, v, term)
-    for _, j, t in zip(*np.nonzero(needed)):
+    # each (v, term) where it is first needed: its first product's place
+    _, j, t = np.nonzero(needed)
+    first = np.sort(np.unique(t * len(v_ids) + j, return_index=True)[1])
+    new: dict[tuple[int, int], float] = {}     # each new pair with its v's lo
+    for j, t in zip(j[first].tolist(), t[first].tolist()):
         key = (x_ids[F.terms[t][0]], v_ids[j])
         if key not in products:
-            products[key] = _binary_product(model, *key, M, f"{name}{t}_{j}",
-                                            lo=float(lo[j]))
+            new.setdefault(key, lo[j])
+    if new:
+        products.update(zip(new, _binary_products(model, list(new), M, list(new.values()))))
     for t, (k, _) in enumerate(F.terms):
         cols = np.flatnonzero(needed[:, :, t].any(axis=0))
         blocks.append(([products[(x_ids[k], v_ids[j])] for j in cols],

@@ -367,21 +367,20 @@ def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
     in_product = U.G.any(axis=1)
     for _, M in U.F.terms:
         in_product |= M.any(axis=1)
-    lam_ids = [model.add_var(0.0, big_M if in_product[i] else np.inf,
-                             name=f"lam{i}") for i in range(U.n_rows)]
+    lam_ids = model.add_vars(U.n_rows, 0.0, np.where(in_product, big_M, np.inf))
 
     # dual rows F(x)' lam >= E_hat' y, one per u coordinate that meets a row
     products: dict[tuple[int, int], int] = {}
     dual = affine_blocks(model, U.F, lam_ids, x_ids, big_M, products,
-                         transpose=True, name="xl")
+                         transpose=True)
     dual.append((y_ids, -E_hat.T))
     meets = np.any([np.any(A != 0.0, axis=1) for _, A in dual], axis=0)
     model.add_rows([(ids, A[meets]) for ids, A in dual], GEQ,
-                   np.zeros(int(meets.sum())), name="dual")
+                   np.zeros(int(meets.sum())))
 
     # c1 x + c2 y + (h + G x)' lam
     rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, big_M, products,
-                        transpose=True, name="xg")
+                        transpose=True)
     obj = np.zeros(model.n_vars)
     for ids, c in [(x_ids, inst.c1), (y_ids, Y.c2), *[(ids, A[0]) for ids, A in rhs]]:
         np.add.at(obj, np.asarray(ids, dtype=int), c)

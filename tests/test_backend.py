@@ -1,4 +1,5 @@
 import copy
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array, csr_array
 
 from ddu_ro import backend
 from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLimit
@@ -15,8 +17,8 @@ from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLim
 def small_min_lp():
     # min 2x + 3y  s.t. x + y >= 1
     m = LinearModel(name="min_lp")
-    x = m.add_var(name="x")
-    y = m.add_var(name="y")
+    x = m.add_var()
+    y = m.add_var()
     m.add_constr({x: 1.0, y: 1.0}, GEQ, 1.0)
     m.set_objective({x: 2.0, y: 3.0}, sense="min")
     return m, x, y
@@ -48,7 +50,7 @@ def test_add_block_rows_match_the_entrywise_dicts():
     for i, r in enumerate(rows):
         ref = {var_ids[j]: float(A[i, j]) for j in range(5) if A[i, j] != 0.0}
         assert list(m.constrs[r].coeffs.items()) == list(ref.items())
-    rows = m.add_rows([(var_ids, A), (b_ids, B)], GEQ, np.ones(6), name="two")
+    rows = m.add_rows([(var_ids, A), (b_ids, B)], GEQ, np.ones(6))
     for i, r in enumerate(rows):
         ref: dict[int, float] = {}
         for ids, M in ((var_ids, A), (b_ids, B)):
@@ -61,6 +63,216 @@ def test_add_block_rows_match_the_entrywise_dicts():
     assert var_ids[0] not in m.constrs[rows[4]].coeffs
     with pytest.raises(BackendError, match="block shape"):
         m.add_rows([(var_ids, A[:, :4])], LEQ, np.zeros(6))
+
+
+# -- array storage against the row-dict LinearModel it replaced ----------------
+# _RowDictModel is the earlier LinearModel, whose rows were dicts, kept as the
+# reference: every sequence of calls must give HiGHS the same arrays.
+
+@dataclass
+class _RefVar:
+    lb: float
+    ub: float
+    integer: bool
+    name: str
+
+
+@dataclass
+class _RefConstr:
+    coeffs: dict[int, float]
+    sense: str
+    rhs: float
+    name: str
+
+
+class _RowDictModel:
+    """Append-only LP/MILP model whose rows are dicts (the reference).
+
+    Variable and constraint ids are their insertion indices and never change
+    as the model grows, which is what the column-and-constraint pattern needs:
+    cutting sets appended in later iterations can keep referencing first-stage
+    variable ids from iteration zero.
+    """
+
+    def __init__(self, name: str = "model"):
+        self.name = name
+        self.vars: list[_RefVar] = []
+        self.constrs: list[_RefConstr] = []
+        self.obj: dict[int, float] = {}
+        self.sense = "min"
+
+    # -- construction ------------------------------------------------------
+
+    def add_var(self, lb: float = 0.0, ub: float = np.inf, integer: bool = False,
+                name: str = "") -> int:
+        if lb > ub:
+            raise BackendError(f"variable {name!r}: lb {lb} > ub {ub}")
+        self.vars.append(_RefVar(float(lb), float(ub), bool(integer), name))
+        return len(self.vars) - 1
+
+    def add_vars(self, n: int, lb: float = 0.0, ub: float = np.inf,
+                 integer: bool = False, prefix: str = "v") -> list[int]:
+        return [self.add_var(lb, ub, integer, f"{prefix}{i}") for i in range(n)]
+
+    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float,
+                   name: str = "") -> int:
+        if sense not in (LEQ, GEQ, EQ):
+            raise BackendError(f"bad sense {sense!r}")
+        clean = {j: float(v) for j, v in coeffs.items() if v != 0.0}
+        self.constrs.append(_RefConstr(clean, sense, float(rhs), name))
+        return len(self.constrs) - 1
+
+    def add_rows(self, blocks: list[tuple[list[int], np.ndarray]], sense: str,
+                 rhs: np.ndarray, name: str = "") -> list[int]:
+        """Append the rows sum_k A_k @ v[ids_k] (sense) rhs, one per entry of
+        rhs, from the blocks (ids_k, A_k) with A_k of shape (len(rhs),
+        len(ids_k)). A column that repeats, within a block or across blocks,
+        gets the sum of its entries in the order given, at the place it
+        first appears; exact zeros are dropped after summing."""
+        if sense not in (LEQ, GEQ, EQ):
+            raise BackendError(f"bad sense {sense!r}")
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        m = rhs.size
+        ids_all, mats = [], [np.zeros((m, 0))]
+        for ids, A in blocks:
+            A = np.atleast_2d(np.asarray(A, dtype=float))
+            if A.shape != (m, len(ids)):
+                raise BackendError(f"block shape {A.shape} vs {m} rhs / {len(ids)} ids")
+            ids_all.extend(ids)
+            mats.append(A)
+        vals = np.hstack(mats)
+        row, pos = np.nonzero(vals)
+        col, val = np.asarray(ids_all, dtype=np.int64)[pos], vals[row, pos]
+        if len(set(ids_all)) < len(ids_all):
+            # sum each repeated column in its row, kept where it first appears
+            key = row * (int(col.max(initial=0)) + 1) + col
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            row, col = row[first[order]], col[first[order]]
+            val = np.bincount(inverse, weights=val)[order]
+            nz = val != 0.0
+            row, col, val = row[nz], col[nz], val[nz]
+        ends = np.cumsum(np.bincount(row, minlength=m)).tolist()
+        col, val = col.tolist(), val.tolist()
+        start, n0 = 0, self.n_constrs
+        for i, end in enumerate(ends):
+            self.constrs.append(_RefConstr(dict(zip(col[start:end], val[start:end])), sense,
+                                        float(rhs[i]), f"{name}[{i}]" if name else ""))
+            start = end
+        return list(range(n0, self.n_constrs))
+
+    def set_objective(self, coeffs: dict[int, float], sense: str = "min") -> None:
+        if sense not in ("min", "max"):
+            raise BackendError(f"bad objective sense {sense!r}")
+        self.obj = {j: float(v) for j, v in coeffs.items() if v != 0.0}
+        self.sense = sense
+
+    def fix_var(self, j: int, value: float) -> None:
+        self.vars[j].lb = self.vars[j].ub = float(value)
+
+    # -- inspection --------------------------------------------------------
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.vars)
+
+    @property
+    def n_constrs(self) -> int:
+        return len(self.constrs)
+
+    @property
+    def has_integers(self) -> bool:
+        return any(v.integer for v in self.vars)
+
+    def sparse(self) -> tuple[csr_array, list[str], np.ndarray]:
+        """Constraint data as (A, senses, rhs), A in CSR with one row per
+        constraint, built straight from the row dicts."""
+        indptr = np.zeros(self.n_constrs + 1, dtype=np.int64)
+        indices: list[int] = []
+        data: list[float] = []
+        for i, con in enumerate(self.constrs):
+            indices.extend(con.coeffs.keys())
+            data.extend(con.coeffs.values())
+            indptr[i + 1] = len(indices)
+        A = csr_array((np.asarray(data, dtype=float),
+                       np.asarray(indices, dtype=np.int64), indptr),
+                      shape=(self.n_constrs, self.n_vars))
+        senses = [con.sense for con in self.constrs]
+        rhs = np.array([con.rhs for con in self.constrs], dtype=float)
+        return A, senses, rhs
+
+
+def _same_model(m: LinearModel, ref: _RowDictModel) -> None:
+    A, senses, rhs = m.sparse()
+    A_ref, senses_ref, rhs_ref = ref.sparse()
+    for a, b in ((A.data, A_ref.data), (A.indices, A_ref.indices),
+                 (A.indptr, A_ref.indptr), (rhs, rhs_ref)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert A.shape == A_ref.shape and senses.tolist() == senses_ref
+    lb, ub, integer = m.columns()
+    assert np.array_equal(lb, [v.lb for v in ref.vars])
+    assert np.array_equal(ub, [v.ub for v in ref.vars])
+    assert integer.tolist() == [v.integer for v in ref.vars]
+    assert [(c.coeffs, c.sense, c.rhs) for c in m.constrs] == \
+        [(c.coeffs, c.sense, c.rhs) for c in ref.constrs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_random_call_sequences_match_the_row_dict_model(seed):
+    # values that cancel (0.5 - 0.5) or round when summed (0.1 + 0.2), exact
+    # zeros in dense and sparse blocks, ids repeated within and across blocks
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 0.2, 0.3, -2.5])
+    m, ref = LinearModel(), _RowDictModel()
+    assert m.add_vars(4) == ref.add_vars(4)
+    for _ in range(rng.integers(1, 12)):
+        op = rng.integers(6)
+        n = m.n_vars
+        if op == 0:
+            lb = float(rng.choice([-1.0, 0.0, -np.inf]))
+            ub, integer = float(rng.choice([1.0, 3.0, np.inf])), bool(rng.integers(2))
+            assert m.add_var(lb, ub, integer) == ref.add_var(lb, ub, integer)
+        elif op == 1:
+            k = int(rng.integers(0, 4))
+            lb = rng.choice([0.0, -1.0], size=k)
+            integer = rng.integers(2, size=k).astype(bool)
+            ids = m.add_vars(k, lb, 2.0, integer)
+            assert ids == [ref.add_var(a, 2.0, b) for a, b in zip(lb, integer)]
+        elif op == 2:
+            coeffs = {int(j): rng.choice(values) for j in rng.integers(n, size=rng.integers(4))}
+            sense, rhs = str(rng.choice([LEQ, GEQ, EQ])), float(rng.choice(values))
+            assert m.add_constr(coeffs, sense, rhs) == ref.add_constr(coeffs, sense, rhs)
+        elif op == 3:
+            rows = int(rng.integers(1, 5))
+            blocks, dense = [], []
+            for _ in range(rng.integers(1, 4)):
+                ids = rng.integers(n, size=rng.integers(0, 5)).tolist()
+                if rng.integers(2):
+                    B = rng.choice(values, size=(rows, len(ids)))
+                else:
+                    nnz = int(rng.integers(0, 8)) if ids else 0
+                    r, c = rng.integers(rows, size=nnz), rng.integers(max(1, len(ids)), size=nnz)
+                    B = coo_array((rng.choice(values, size=nnz), (r, c)),
+                                  shape=(rows, len(ids)))
+                    B = B.tocsr() if rng.integers(2) else B
+                blocks.append((ids, B))
+                # toarray sums a sparse block's repeats in their stored order
+                dense.append((ids, B if isinstance(B, np.ndarray) else B.toarray()))
+            sense, rhs = str(rng.choice([LEQ, GEQ, EQ])), rng.choice(values, size=rows)
+            assert m.add_rows(blocks, sense, rhs) == ref.add_rows(dense, sense, rhs)
+        elif op == 4:
+            j, value = int(rng.integers(n)), float(rng.choice(values))
+            m.fix_var(j, value)
+            ref.fix_var(j, value)
+        else:
+            js = rng.choice(n, size=min(n, 3), replace=False)
+            vals = rng.choice(values, size=len(js))
+            m.fix_var(js, vals)
+            for j, v in zip(js, vals):
+                ref.fix_var(int(j), v)
+    _same_model(m, ref)
+    assert m.has_integers == ref.has_integers
 
 
 def test_min_lp_solution():

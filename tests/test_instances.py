@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddu_ro import backend, instances
-from ddu_ro.backend import LinearModel
+from ddu_ro.backend import GEQ, LinearModel
 from ddu_ro import (
     FLParams,
     PMedianParams,
@@ -407,6 +407,30 @@ def test_vertices_match_the_sweep_over_every_basis(stages):
         assert np.array_equal(enumerate_vertices(U, x, bases=bases), ref)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_first_rows_match_numpy_unique_over_rows(seed):
+    # rows drawn from a small pool, so that they repeat, with all-zero rows,
+    # negative entries and entries across the int64 range, in C and Fortran
+    # order; the reference sorts rows, _first_rows sorts their bytes
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    pool = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), k))
+    pool[rng.random(pool.shape) < 0.2] = rng.integers(-2 ** 63, 2 ** 63 - 1, dtype=np.int64)
+    pool[0] = 0
+    keys = pool[rng.integers(len(pool), size=int(rng.integers(0, 50)))]
+    for a in (keys, np.asfortranarray(keys)):
+        ref = np.sort(np.unique(a, axis=0, return_index=True)[1])
+        assert np.array_equal(instances._first_rows(a), ref)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+def test_first_rows_of_empty_keys_match_numpy_unique(shape):
+    keys = np.zeros(shape, dtype=np.int64)
+    ref = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    assert np.array_equal(instances._first_rows(keys), ref)
+
+
 def test_basis_memo_follows_an_x_dependent_matrix():
     U, (x1, x2) = _fl_stages("lhs")
     assert not np.array_equal(U.F.evaluate(x1), U.F.evaluate(x2))
@@ -724,15 +748,31 @@ def test_a_near_miss_gets_the_verdict_of_recourse_value(miss, scale, k, first):
     verts = enumerate_vertices(inst.U, x)
     ref = np.array([recourse_value(inst, x, u)[0] == np.inf for u in verts])
     [mask] = instances._no_recourse(inst, [(x, verts)])
-    # a pair found without recourse has none; at "tiny-rows" the shortfall
-    # column outweighs k, so a pair without recourse can read 0 there, and
-    # the block LP, which HiGHS scales as it scales recourse_value, finds it
-    assert not np.any(mask & ~ref)
-    if k == 1.0 or scale < 1.0:
-        assert np.array_equal(mask, ref)
+    # the shortfall LP divides each row by its largest |entry|, so at
+    # "tiny-rows" too it finds the pairs without recourse itself
+    assert np.array_equal(mask, ref)
     val, u = worst_case_values(inst, [x])[0]
     ref_val, ref_u = _worst_case_by_loop(inst, x)
     assert val == pytest.approx(ref_val, rel=1e-9) and np.array_equal(u, ref_u)
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["later", "first"])
+@pytest.mark.parametrize("miss", [1e-6, 1e-3])
+def test_rows_of_tiny_entries_cost_no_more_recourse_calls_than_unit_rows(
+        monkeypatch, miss, first):
+    # the "tiny-rows" toy against the "unit" one: the same verdict, and one
+    # recourse_value call, the check of the one pair the shortfall LP finds.
+    # With a unit shortfall column the tiny rows read shortfall 0, and at
+    # "later" the value block LP narrowed to one call per vertex.
+    calls = _count_recourse_calls(monkeypatch)
+    x = np.array([0.0])
+    seen = []
+    for k in (1.0, 1e-4):
+        inst = _near_miss_toy(miss, 1.0, k, first)
+        calls.clear()
+        val, u = worst_case_values(inst, [x])[0]
+        seen.append((val, u.tolist(), len(calls)))
+    assert seen[0] == seen[1] == (np.inf, [2.0] if first else [0.0], 1)
 
 
 def test_a_tiny_shortfall_beside_a_miss_gets_the_verdict_of_recourse_value():
@@ -798,6 +838,47 @@ def test_worst_case_matches_the_loop_on_random_recourse_systems(seed):
         else:
             # u attains the max; equal values may break the tie elsewhere
             assert recourse_value(inst, x, u)[0] == pytest.approx(ref_val, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("shortfall", [False, True], ids=["value", "shortfall"])
+def test_a_block_lp_is_the_model_built_one_vertex_at_a_time(monkeypatch, shortfall):
+    # B2 rows of different largest entries and a zero row, so that the
+    # shortfall LP divides its rows by different scales
+    rng = np.random.default_rng(3)
+    B2 = rng.uniform(-2.0, 2.0, (3, 2)) * [[1.0], [1e-4], [0.0]]
+    B2[0, 1] = 0.0
+    inst = _interval_toy(B2=B2, E=rng.uniform(-1.0, 1.0, (3, 1)), d=rng.uniform(-1, 1, 3),
+                         c2=[1.0, 0.0])
+    run = [(x, enumerate_vertices(inst.U, x)) for x in XS2]
+    models = []
+    real = backend.solve_lp
+    monkeypatch.setattr(backend, "solve_lp", lambda m: models.append(m) or real(m))
+    instances._block_recourse_values(inst, run, shortfall=shortfall)
+    [got] = models
+
+    Y = inst.Y
+    xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
+    rhs = Y.d - xs @ Y.B1.T - np.vstack([v for _, v in run]) @ Y.E.T
+    scale = np.abs(Y.B2).max(axis=1) if shortfall else np.ones(3)
+    scale[scale == 0.0] = 1.0
+    ref = LinearModel()
+    ys = [ref.add_vars(2) for _ in rhs]
+    ss = [ref.add_vars(3 if shortfall else 0) for _ in rhs]
+    for y, s, r in zip(ys, ss, rhs):
+        ref.add_rows([(y, Y.B2 / scale[:, None]), (s, np.eye(3, len(s)))], GEQ, r / scale)
+    A, senses, b = got.sparse()
+    A_ref, senses_ref, b_ref = ref.sparse()
+    for a, a_ref in ((A.data, A_ref.data), (A.indices, A_ref.indices),
+                     (A.indptr, A_ref.indptr), (b, b_ref)):
+        assert np.array_equal(a, a_ref)
+    assert senses.tolist() == senses_ref.tolist() == [GEQ] * len(b)
+    assert all(np.array_equal(c, c_ref) for c, c_ref in zip(got.columns(), ref.columns()))
+    c_ref = np.zeros(ref.n_vars)
+    if shortfall:
+        c_ref[np.concatenate(ss)] = 1.0
+    else:
+        c_ref[np.concatenate(ys)] = np.tile(Y.c2, len(ys))
+    assert np.array_equal(got.objective_vector(), c_ref)
 
 
 def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypatch):
