@@ -187,8 +187,11 @@ class LinearModel:
 
     def fix_var(self, j, value) -> None:
         """Fix column j, or the columns of an array j, at value."""
-        lb, ub = self._lb[:self._n], self._ub[:self._n]
-        lb[j] = ub[j] = value
+        self.set_bounds(j, value, value)
+
+    def set_bounds(self, j, lb, ub) -> None:
+        """Set the bounds of column j, or of the columns of an array j."""
+        self._lb[:self._n][j], self._ub[:self._n][j] = lb, ub
 
     # -- inspection --------------------------------------------------------
 

@@ -40,7 +40,9 @@ _OPT_GAP = 1e-7
 
 _X_REPEAT_TOL = 1e-7
 _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
-_ETA_LB = -1e7       # eta's lower bound, binding only before the first optimality cut
+# eta's lower bound, binding only before the first optimality cut, unless
+# the relaxation puts a valid floor lower (_eta_floor)
+_ETA_LB = -1e7
 
 
 @dataclass
@@ -390,6 +392,9 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                                "the robust value has no finite floor")
         x0 = np.array([det.x[j] for j in det_ids["x"]])
         meta["relaxation_value"] = lb = float(det.objective)
+        eta_floor = _eta_floor(inst, float(det.objective if det.bound is None else det.bound))
+        if -np.inf < eta_floor < _ETA_LB:
+            state.model.set_bounds(state.eta_id, eta_floor, np.inf)
 
         seen_x: list[np.ndarray] = []
         prev_us: np.ndarray | None = None
@@ -403,6 +408,9 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
 
         def gap_status() -> str | None:
             gap = relative_gap(lb, ub)
+            if gap < -stop_tol:
+                meta["reason"] = f"lower bound {lb!r} exceeds upper bound {ub!r}"
+                return "Numerical"
             if gap > stop_tol:
                 return None
             return "Optimal" if gap <= _OPT_GAP else "GapReached"
@@ -420,8 +428,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             if out.status != backend.OPTIMAL:
                 raise BackendError(f"master solve ended {out.status}")
             # HiGHS stops at a relative MIP gap, so the incumbent may overstate
-            # the master's value; its dual bound does not
-            lb = max(lb, float(out.objective if out.bound is None else out.bound))
+            # the master's value; its dual bound does not. Without a floor,
+            # a master whose eta sits at _ETA_LB bounds nothing
+            if eta_floor > -np.inf or out.x[state.eta_id] > _ETA_LB * (1 - 1e-9):
+                lb = max(lb, float(out.objective if out.bound is None else out.bound))
             x_star = np.array([out.x[j] for j in state.x_ids])
             x_star[:inst.X.n_int] = np.round(x_star[:inst.X.n_int])
 
@@ -432,7 +442,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                 # (Zeng and Zhao 2013); anywhere else, or when the bounds
                 # visibly did not meet, the honest report is Stalled
                 meta["reason"] = "repeated first-stage"
-                if mode == "exact" and relative_gap(lb, ub) <= 1e-6:
+                if mode == "exact" and -stop_tol <= relative_gap(lb, ub) <= 1e-6:
                     lb = ub
                 record("none", "repeat-first-stage")
                 return done(gap_status() or "Stalled")
@@ -497,6 +507,21 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     except BackendError as exc:
         meta["reason"] = str(exc)
         return done("Numerical")
+
+
+def _eta_floor(inst: Instance, relaxation: float) -> float:
+    """A lower bound on eta at every first stage: min(_ETA_LB, relaxation -
+    max{c1'x : x in the LP relaxation of X}), since c1'x + Q(x) >=
+    relaxation at every x of X; -inf when that max is unbounded."""
+    m = LinearModel(name="first_stage_max")
+    x_ids = add_first_stage(m, inst)
+    m.set_objective(dict(zip(x_ids, inst.c1)), "max")
+    out = backend.solve_lp(m)
+    if out.status == backend.UNBOUNDED:
+        return -np.inf
+    if not out.is_optimal:
+        raise BackendError(f"first_stage_max ended {out.status}")
+    return min(_ETA_LB, relaxation - out.objective)
 
 
 def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ recourse value over the vertices of U(x), and then the min over x. The
 vertices come from solving every nonsingular basis system of the standard
 form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
 call finds them once per distinct F(x), in 2e7-entry chunks, and takes the
-first stages one F(x), so one such table, at a time. The LPs are batched, one
+first stages one F(x), so one such table, at a time; a table that serves a
+second first stage inverts its bases once, and the inverses screen out the
+bases infeasible at each later one. The LPs are batched, one
 block-diagonal LP per run: a run of integer assignments shares its
 feasibility LP, its range probes of the coupled continuous x and one LP over
 every (assignment, grid point); a run of first stages shares one shortfall LP,
@@ -85,16 +87,19 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
 
     Continuous case: A z = rhs with A = [F(x) | I], each row scaled by its
     largest entry. The bases of A with |det| > 1e-12 depend on A alone: a
-    determinant sweep over every basis finds them, and `bases`, a one-entry
-    memo keyed on A's shape and bytes, keeps their index sets for the next
-    call with the same A. worst_case_values passes one memo per distinct
-    F(x), so each is swept once. Each call solves only the nonsingular bases
-    for its rhs; a basic
-    solution with all components nonnegative is a vertex. Both steps work in
-    chunks of at most 2e7 matrix entries. Vertices are de-duplicated and
-    ordered by the first basis (in itertools.combinations order) that yields
-    them. All-integer case (n_int_u == dim): the integer lattice inside the
-    per-coordinate LP bounds is enumerated and filtered by membership.
+    determinant sweep over every basis whose pattern has no empty row or
+    column finds them, and `bases`, a one-entry memo keyed on A's shape and
+    bytes, keeps their index sets for the next call with the same A, and
+    from its second enumeration the inverses of those bases. worst_case_values
+    passes one memo per distinct F(x), so each is swept once. Each call
+    solves only the nonsingular bases that the inverses, where the memo
+    holds them, do not show infeasible for its rhs (_basic_vertices); a
+    basic solution with all components nonnegative is a vertex. Every step
+    works in chunks of at most 2e7 matrix entries. Vertices are de-duplicated
+    and ordered by the first basis (in itertools.combinations order) that
+    yields them. All-integer case (n_int_u == dim): the integer lattice
+    inside the per-coordinate LP bounds is enumerated and filtered by
+    membership.
     """
     x = np.asarray(x, dtype=float)
     if U.n_int_u:
@@ -129,8 +134,19 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
 def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
                     size: int | None = None):
     """The u parts of the feasible basic solutions of U(x) (continuous u,
-    at least one row), one array per slice of `size` nonsingular bases in
-    table order; `size` defaults to the 2e7-entry chunk."""
+    at least one row), one array per slice of `size` solved bases in table
+    order; `size` defaults to the 2e7-entry chunk.
+
+    The memo `bases` holds, for one A, a dict: the table of nonsingular
+    bases, the count of full sweeps (calls without `size`) made against it
+    and, from the second, the inverses of the table's first 2e7 entries'
+    worth of bases with their inf-norms. With inverses, one matmul screens
+    every basis that has one: it is solved only when every component of
+    inv_B @ rhs is at least -(_DEDUP_TOL scale + delta_B), where the margin
+    delta_B bounds the difference between that product and the solve (see
+    below). The bases past the inverses are solved unscreened. The solves
+    and the tests on their results are those of a sweep over every basis,
+    so the vertices, and their order, do not depend on the screen."""
     Fx = U.F.evaluate(x)
     rhs = U.h + U.G @ x
     mu, n = Fx.shape
@@ -150,13 +166,39 @@ def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
     key = (A.shape, A.tobytes())
     if key not in bases:
         bases.clear()
-        bases[key] = _nonsingular_bases(A, chunk)
-    table = bases[key]
+        bases[key] = {"table": _nonsingular_bases(A, chunk), "sweeps": 0}
+    memo = bases[key]
+    table = memo["table"]
+    if size is None:
+        memo["sweeps"] += 1
+        # an inverse costs two to three solves, so a table swept once is
+        # only solved; the second full sweep takes the inverses
+        if memo["sweeps"] == 2:
+            memo["inverses"] = _basis_inverses(A, table[:chunk])
 
     scale = max(1.0, np.abs(rhs_s).max())
+    todo = table
+    if "inverses" in memo:
+        inv, inv_norm = memo["inverses"]
+        z = (inv.reshape(-1, mu) @ rhs_s).reshape(-1, mu)
+        # To first order, the solve z' and z = fl(inv_B rhs) are both within
+        # gamma_3mu |A_B^-1| |L||U| of A_B^-1 rhs, times |z'| for the solve
+        # and |inv_B| |rhs| for the product (Higham 2002, Thm 9.4 and sec.
+        # 14.1; inv solves A_B inv_B = I by the same LU); the product adds
+        # gamma_mu |inv_B| |rhs|. Rows scaled to a largest entry 1 and
+        # partial pivoting give || |L||U| ||_inf <= mu^2 rho, so with growth
+        # rho <= 10 the two differ by at most delta_B = 16 mu^3 eps ||inv_B||
+        # (||z|| + ||inv_B|| scale) in the inf-norm, with z for z'. Measured
+        # over the first stages of pm_uk8, fl_rhs2 and 2-site fl-lhs, they
+        # differ by at most 0.98 eps ||inv_B|| scale.
+        delta = 16 * mu ** 3 * np.finfo(float).eps * inv_norm * (
+            np.abs(z).max(axis=1) + inv_norm * scale)
+        # a NaN in z compares False, so its basis is kept
+        kept = ~np.any(z < -(_DEDUP_TOL * scale + delta)[:, None], axis=1)
+        todo = np.concatenate([table[:len(inv)][kept], table[len(inv):]])
     step = size or chunk
-    for lo in range(0, len(table), step):
-        sub = table[lo:lo + step]
+    for lo in range(0, len(todo), step):
+        sub = todo[lo:lo + step]
         mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
         b_batch = np.broadcast_to(rhs_s[:, None], (len(sub), mu, 1)).copy()
         sols = np.linalg.solve(mats, b_batch)[:, :, 0]
@@ -173,17 +215,37 @@ def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
 
 def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
     """Column index sets of the bases of A with |det| > 1e-12, in
-    itertools.combinations order, as an int array of shape (count, rows)."""
+    itertools.combinations order, as an int array of shape (count, rows).
+
+    A basis whose nonzero pattern has an empty row or column is dropped
+    before the determinants are taken: LU with partial pivoting leaves an
+    exact zero on U's diagonal there, so LAPACK's determinant of it is 0.
+    Each column's pattern is a bit mask of the rows it meets, in words of
+    64 rows, so the test is an OR over the basis's columns."""
     mu, n_cols = A.shape
     combos = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n_cols), mu)), dtype=int,
         count=math.comb(n_cols, mu) * mu).reshape(-1, mu)
+    words = -(-mu // 64)
+    meets = np.zeros((64 * words, n_cols), dtype=bool)
+    meets[:mu] = A != 0.0
+    masks = np.ascontiguousarray(np.packbits(meets, axis=0).T).view(np.uint64)
+    every_row = np.packbits(np.arange(64 * words) < mu).view(np.uint64)
     kept = []
     for lo in range(0, len(combos), chunk):
         sub = combos[lo:lo + chunk]
+        m = masks[sub]                                  # (batch, mu, words)
+        sub = sub[(np.bitwise_or.reduce(m, axis=1) == every_row).all(axis=1)
+                  & m.any(axis=2).all(axis=1)]
         dets = np.abs(np.linalg.det(A[:, sub].transpose(1, 0, 2)))
         kept.append(sub[dets > 1e-12])
     return np.concatenate(kept)
+
+
+def _basis_inverses(A: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of the bases of table, and their inf-norms."""
+    inv = np.linalg.inv(A[:, table].transpose(1, 0, 2))
+    return inv, np.abs(inv).sum(axis=2).max(axis=1)
 
 
 def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -255,6 +317,9 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     finds those without recourse: such an x is worth (inf, that vertex) and
     is not enumerated (so _MAX_VERTICES does not apply to it).
     _worst_vertices values the other x, in runs of _BLOCK_ENTRIES entries.
+    A group's memo holds its basis table and, once a second x of the group
+    is enumerated, the inverses that screen its bases (_basic_vertices);
+    both go with the group.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     groups: dict[bytes, list[int]] = {}

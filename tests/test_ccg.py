@@ -18,7 +18,8 @@ from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
                               oracle_exact, recourse_value, t1)
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
-                          uncertainty_set_from_dict, uncertainty_set_to_dict)
+                          build_deterministic_mip, uncertainty_set_from_dict,
+                          uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
 from ddu_ro.subproblems import sp2
 from toys import t1_infeasible, t1_unbounded_u
@@ -335,6 +336,75 @@ def test_tol_zero_proves_the_fl_rhs5_value():
               AlgorithmConfig(variant="parametric", tol=0.0))
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(-116370.336, abs=1e-3)
+
+
+# oracle_exact value of 2-site fl-rhs at generator seed 1 with c1 and c2 x 1e3
+FL_RHS2_X1E3_W = -37922762.98638772
+
+
+def _fl_rhs2_x1e3() -> Instance:
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=1), "rhs")
+    return replace(inst, c1=inst.c1 * 1e3, Y=replace(inst.Y, c2=inst.Y.c2 * 1e3))
+
+
+def test_the_large_cost_reference_is_the_oracle_value():
+    assert oracle_exact(_fl_rhs2_x1e3()).value == pytest.approx(FL_RHS2_X1E3_W, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", ("benders", "parametric", "parametric-modified"))
+def test_large_costs_are_not_clipped_by_the_eta_bound(variant):
+    # with eta >= -1e7 all three ended Optimal at -27653790.878 with lb
+    # -5544568.0 above ub; the relaxation floors eta below -1e7 here
+    res = run(_fl_rhs2_x1e3(), AlgorithmConfig(variant=variant, big_M=1e7))
+    if res.status in ("Optimal", "GapReached"):
+        assert res.objective == pytest.approx(FL_RHS2_X1E3_W, rel=1e-6)
+    else:
+        assert res.status in ("Stalled", "Numerical", "TimeLimit")
+    assert all(r.lb <= r.ub + 1e-6 * abs(r.ub) for r in res.iterations)
+
+
+def test_bounds_that_cross_end_the_run_numerical(monkeypatch):
+    # the old fixed eta bound on the large-cost instance: the first master's
+    # lb lies above sp2's ub, which no proof can close
+    monkeypatch.setattr(ccg, "_eta_floor", lambda inst, relaxation: ccg._ETA_LB)
+    res = run(_fl_rhs2_x1e3(), AlgorithmConfig(variant="parametric", big_M=1e7))
+    assert res.status == "Numerical"
+    assert "exceeds upper bound" in res.meta["reason"]
+    assert res.lb > res.ub
+
+
+def _deep_toy() -> Instance:
+    # Q(x) = max{-2e7 u : 1 <= u <= 1 + x1} = -2e7 lies below eta's -1e7,
+    # and x2 >= 0 has no upper bound, so max c1'x over X does not exist
+    return Instance(
+        name="deep_toy", c1=np.array([1.0, 1.0]),
+        X=FirstStageSet(A=np.zeros((0, 2)), b=np.zeros(0), n_int=1,
+                        ub=np.array([1.0, np.inf])),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.array([[1.0], [-1.0]])),
+                         G=np.array([[1.0, 0.0], [0.0, 0.0]]), h=np.array([1.0, -1.0])),
+        Y=RecourseSet(B1=np.zeros((1, 2)), B2=np.array([[-1.0]]),
+                      E=np.array([[1.0]]), d=np.array([0.0]), c2=np.array([-2e7])))
+
+
+def test_a_master_at_an_unfloored_eta_bound_gives_no_lower_bound():
+    # every master holds eta at -1e7, above Q = -2e7; their values, -1e7 and
+    # up, would cross ub = -2e7, so lb stays at the relaxation and the run,
+    # which Optimal ended with lb > ub before, proves nothing
+    inst = _deep_toy()
+    assert ccg._eta_floor(inst, -4e7) == -np.inf
+    res = run(inst, AlgorithmConfig(variant="parametric", tol=0.0, big_M=1e8))
+    assert res.status == "Stalled"
+    assert res.ub == pytest.approx(-2e7, rel=1e-9)
+    assert res.lb == res.meta["relaxation_value"] < res.ub
+
+
+def test_the_eta_floor_keeps_the_fixed_bound_on_the_bench_sets():
+    # their masters, and so HiGHS's inputs, are those of a fixed -1e7
+    for inst in (gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"),
+                 gen_robust_fl(FLParams(n_sites=5), "rhs")):
+        det, _ = build_deterministic_mip(inst)
+        assert ccg._eta_floor(inst, backend.solve_mip(det).objective) == ccg._ETA_LB
+    assert -np.inf < ccg._eta_floor(_fl_rhs2_x1e3(), FL_RHS2_X1E3_W) < ccg._ETA_LB
 
 
 def _replay(state: MasterState, points, rays=()):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -405,6 +406,50 @@ def test_vertices_match_the_sweep_over_every_basis(stages):
         ref = _vertices_by_every_basis(U, x)
         assert np.array_equal(enumerate_vertices(U, x), ref)
         assert np.array_equal(enumerate_vertices(U, x, bases=bases), ref)
+
+
+def _scaled_set(seed):
+    """A small continuous U with rows scaled by 1e-3 to 1e3, some zero
+    entries, a positive first row that bounds it, u = 0 inside, and, for
+    most seeds, a second row that differs from the first by 1e-12 to 1e-10
+    in one entry, which makes bases with |det| near 1e-12; and four first
+    stages that move only the rhs."""
+    rng = np.random.default_rng(seed)
+    mu, n = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    F = rng.integers(-2, 4, size=(mu, n)) * (rng.random((mu, n)) < 0.7)
+    F = F.astype(float)
+    F[0] = rng.integers(1, 4, size=n)
+    if rng.random() < 0.8:
+        F[1] = F[0]
+        F[1, rng.integers(n)] += 10.0 ** rng.uniform(-12, -10)
+    scale = 10.0 ** rng.uniform(-3, 3, size=mu)
+    G = rng.integers(0, 3, size=(mu, 3)) * scale[:, None]
+    U = UncertaintySet(F=AffineMatrixMap(base=F * scale[:, None]), G=G,
+                       h=rng.uniform(0.5, 5.0, size=mu) * scale)
+    return U, [np.array(x, dtype=float) for x in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_screened_vertices_match_the_sweep_over_every_basis(seed):
+    # the first x sweeps every basis, the second inverts them, and from it
+    # on the inverses screen the bases each x solves
+    U, xs = _scaled_set(seed)
+    refs = [_vertices_by_every_basis(U, x) for x in xs]
+    solve, solved, bases = np.linalg.solve, [], {}
+
+    def counted(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
+    for x, ref in zip(xs, refs):
+        solved.clear()
+        with mock.patch.object(np.linalg, "solve", counted):
+            got = enumerate_vertices(U, x, bases=bases)
+        assert np.array_equal(got, ref)
+        [memo] = bases.values()
+        assert sum(solved) <= len(memo["table"])
+    assert "inverses" in memo
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1131,25 +1176,33 @@ def test_each_distinct_matrix_is_swept_once(monkeypatch):
 
 
 def test_one_basis_table_is_alive_at_a_time(monkeypatch):
-    # fl-lhs: the 19 matrices F(x) of 64 first stages are taken one at a time
+    # fl-lhs: the 19 matrices F(x) of 64 first stages are taken one at a
+    # time, and so are the inverses of the tables that two x enumerate
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
-    alive, peak, sweeps = [0], [0], []
-    original = instances._nonsingular_bases
+    counts = {"table": [0, 0, 0], "inverses": [0, 0, 0]}    # made, alive, peak
 
-    def released():
-        alive[0] -= 1
+    def tracked(kind, original):
+        def released():
+            counts[kind][1] -= 1
 
-    def tracked(A, chunk):
-        table = original(A, chunk)
-        sweeps.append(A.tobytes())
-        alive[0] += 1
-        peak[0] = max(peak[0], alive[0])
-        weakref.finalize(table, released)
-        return table
+        def call(A, arg):
+            out = original(A, arg)
+            made = counts[kind]
+            made[0] += 1
+            made[1] += 1
+            made[2] = max(made[2], made[1])
+            weakref.finalize(out if kind == "table" else out[0], released)
+            return out
+        return call
 
-    monkeypatch.setattr(instances, "_nonsingular_bases", tracked)
+    monkeypatch.setattr(instances, "_nonsingular_bases",
+                        tracked("table", instances._nonsingular_bases))
+    monkeypatch.setattr(instances, "_basis_inverses",
+                        tracked("inverses", instances._basis_inverses))
     oracle_exact(inst)
-    assert len(sweeps) == 19 and peak[0] == 1 and alive[0] == 0
+    assert counts["table"] == [19, 0, 1]
+    made, alive, peak = counts["inverses"]
+    assert made >= 1 and alive == 0 and peak == 1
 
 
 def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
@@ -1158,12 +1211,20 @@ def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
 
 
 def test_basis_table_equals_the_list_of_every_combination():
-    U = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs").U
-    A = np.hstack([U.F.evaluate(np.zeros(4)), np.eye(U.n_rows)])
-    A = A / np.abs(A).max(axis=1)[:, None]
-    mu, n_cols = A.shape
-    combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
-    dets = np.abs(np.linalg.det(A[:, combos].transpose(1, 0, 2)))
-    got = instances._nonsingular_bases(A, 1000)
-    assert got.dtype == combos.dtype
-    assert np.array_equal(got, combos[dets > 1e-12])
+    # the sweep leaves the bases with an empty row or column unfactored,
+    # and each of these matrices has some
+    stages = [(gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs").U, np.zeros(4)),
+              (_pm_uk8_stages()[0], _pm_uk8_stages()[1][2]),
+              (gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs").U,
+               np.array([1.0, 1.0, 90.0, 120.0]))]
+    for U, x in stages:
+        A = np.hstack([U.F.evaluate(x), np.eye(U.n_rows)])
+        A = A / np.abs(A).max(axis=1)[:, None]
+        mu, n_cols = A.shape
+        combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
+        dets = np.abs(np.linalg.det(A[:, combos].transpose(1, 0, 2)))
+        pattern = A[:, combos] != 0.0                 # (rows, bases, mu)
+        assert not pattern.any(axis=2).all(axis=0).all()
+        got = instances._nonsingular_bases(A, 1000)
+        assert got.dtype == combos.dtype
+        assert np.array_equal(got, combos[dets > 1e-12])
