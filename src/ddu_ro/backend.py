@@ -1,7 +1,8 @@
-"""Thin LP/MILP layer: append-only models (LinearModel) that keep columns and
-rows in numpy arrays (vars and constrs are read-only views of them),
-scipy/HiGHS solves (LPs by linprog's "highs" method with the rows passed as
-CSR, MIPs by milp) and big-M complementarity linearization.
+"""Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
+of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
+(vars and constrs are read-only views of them), scipy/HiGHS solves (LPs by
+linprog's "highs" method with the rows passed as CSR, MIPs by milp) and
+big-M complementarity linearization.
 
 Wall clock. A run's time budget is held here, not passed through the calls
 that lead to a solve: inside ``with deadline(seconds):`` every solve_lp and
@@ -80,11 +81,12 @@ class LinearModel:
     cutting sets appended in later iterations can keep referencing first-stage
     variable ids from iteration zero.
 
-    Column j's bounds and integrality are entry j of numpy arrays that grow
-    by doubling. Rows are CSR chunks (_ROW_DTYPES), one per add_rows call;
-    add_constr's rows wait in a list, so that single appends stay cheap, for
-    the next block or read. vars and constrs are read-only views built on
-    each access, kept for the tests and for perfbench/tracing.py.
+    The model grows one way: columns through add_vars, rows through
+    add_rows, bounds through set_bounds (lb = ub fixes a column). Column j's
+    bounds and integrality are entry j of numpy arrays that grow by
+    doubling; rows are CSR chunks (_ROW_DTYPES), one per add_rows call, so a
+    single row is a one-row block. vars and constrs are read-only views
+    built on each access, kept for the tests and for perfbench/tracing.py.
     """
 
     def __init__(self, name: str = "model"):
@@ -92,18 +94,10 @@ class LinearModel:
         self._lb, self._ub, self._int = np.empty(0), np.empty(0), np.empty(0, dtype=bool)
         self._n = self._m = 0
         self._chunks = [tuple(np.zeros(0, dtype=d) for d in _ROW_DTYPES)]
-        self._single: list[tuple[dict, str, float]] = []     # rows of add_constr
         self.obj: dict[int, float] = {}
         self.sense = "min"
 
     # -- construction ------------------------------------------------------
-
-    def add_var(self, lb: float = 0.0, ub: float = np.inf, integer: bool = False) -> int:
-        if lb > ub:
-            raise BackendError(f"variable {self._n}: lb {lb} > ub {ub}")
-        j = self._reserve(1)
-        self._lb[j], self._ub[j], self._int[j] = lb, ub, integer
-        return j
 
     def add_vars(self, n: int, lb=0.0, ub=np.inf, integer=False) -> list[int]:
         """n columns; lb, ub and integer are scalars or one entry per column."""
@@ -123,27 +117,21 @@ class LinearModel:
                                              for a in (self._lb, self._ub, self._int))
         return j
 
-    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
-        if sense not in (LEQ, GEQ, EQ):
-            raise BackendError(f"bad sense {sense!r}")
-        self._single.append(({j: float(v) for j, v in coeffs.items() if v != 0.0},
-                             sense, float(rhs)))
-        self._m += 1
-        return self._m - 1
-
-    def add_rows(self, blocks: list[tuple[list[int], np.ndarray]], sense: str,
-                 rhs: np.ndarray) -> list[int]:
+    def add_rows(self, blocks: list[tuple[list[int], np.ndarray]],
+                 sense: str | list[str] | np.ndarray, rhs: np.ndarray) -> list[int]:
         """Append the rows sum_k A_k @ v[ids_k] (sense) rhs, one per entry of
         rhs, from the blocks (ids_k, A_k) with A_k, dense or scipy sparse, of
-        shape (len(rhs), len(ids_k)). Within a row, entries follow the blocks
-        and, within a block, the columns; a sparse block counts as its
-        toarray(). A column that repeats, within a block or across blocks,
-        gets the sum of its entries in that order, at the place it first
-        appears; exact zeros are dropped after summing."""
-        if sense not in (LEQ, GEQ, EQ):
-            raise BackendError(f"bad sense {sense!r}")
+        shape (len(rhs), len(ids_k)); sense is one of LEQ, GEQ and EQ for
+        every row, or a sequence of them with one per row. Within a row,
+        entries follow the blocks and, within a block, the columns; a sparse
+        block counts as its toarray(). A column that repeats, within a block
+        or across blocks, gets the sum of its entries in that order, at the
+        place it first appears; exact zeros are dropped after summing."""
         rhs = np.array(rhs, dtype=float, ndmin=1)
         m = rhs.size
+        senses = np.asarray(sense)
+        if senses.shape not in ((), (m,)) or not {*senses.ravel().tolist()} <= {LEQ, GEQ, EQ}:
+            raise BackendError(f"bad sense {sense!r} for {m} rows")
         entries, ids_all, offset = [], [], 0
         for ids, A in blocks:
             if issparse(A):
@@ -165,19 +153,10 @@ class LinearModel:
         row, col, val = row[order], ids_all[pos[order]], val[order]
         if np.unique(ids_all).size < ids_all.size:
             row, col, val = _sum_repeats(row, col, val)
-        self._flush()
-        self._chunks.append((np.bincount(row, minlength=m), col, val, np.full(m, sense), rhs))
+        self._chunks.append((np.bincount(row, minlength=m), col, val,
+                             np.full(m, senses, dtype=_ROW_DTYPES[3]), rhs))
         self._m += m
         return list(range(self._m - m, self._m))
-
-    def _flush(self) -> None:
-        """Make the rows from add_constr one chunk."""
-        if self._single:
-            coeffs, senses, rhs = zip(*self._single)
-            rows = (list(map(len, coeffs)), [j for c in coeffs for j in c],
-                    [v for c in coeffs for v in c.values()], senses, rhs)
-            self._chunks.append(tuple(map(np.array, rows, _ROW_DTYPES)))
-            self._single = []
 
     def set_objective(self, coeffs: dict[int, float], sense: str = "min") -> None:
         if sense not in ("min", "max"):
@@ -185,12 +164,9 @@ class LinearModel:
         self.obj = {j: float(v) for j, v in coeffs.items() if v != 0.0}
         self.sense = sense
 
-    def fix_var(self, j, value) -> None:
-        """Fix column j, or the columns of an array j, at value."""
-        self.set_bounds(j, value, value)
-
     def set_bounds(self, j, lb, ub) -> None:
-        """Set the bounds of column j, or of the columns of an array j."""
+        """Set the bounds of column j, or of the columns of an array j; lb = ub
+        fixes them."""
         self._lb[:self._n][j], self._ub[:self._n][j] = lb, ub
 
     # -- inspection --------------------------------------------------------
@@ -214,7 +190,6 @@ class LinearModel:
     def sparse(self) -> tuple[csr_array, np.ndarray, np.ndarray]:
         """Constraint data as (A, senses, rhs), A in CSR with one row per
         constraint."""
-        self._flush()
         counts, cols, vals, senses, rhs = map(np.concatenate, zip(*self._chunks))
         indptr = np.zeros(self._m + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -352,14 +327,16 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
 def linearize_complementarity(model: LinearModel, a_ids: list[int],
                               a_const: np.ndarray,
                               b_blocks: list[tuple[list[int], np.ndarray]],
-                              b_const: np.ndarray, M: float) -> list[int]:
+                              b_const: np.ndarray, M_a: float, M_b: float) -> list[int]:
     """For each pair k of nonnegative scalars a_k = v[a_ids[k]] + a_const[k]
     and b_k = row k of the blocks + b_const[k], add a binary switch delta_k
-    and the rows a_k <= M delta_k, b_k <= M (1 - delta_k), in that order,
-    whose feasible set projects onto {a_k b_k = 0}. Returns the ids of the
-    added binaries."""
-    if M <= 0:
-        raise BackendError(f"big-M must be positive, got {M}")
+    and the rows a_k <= M_a delta_k, b_k <= M_b (1 - delta_k), in that
+    order, whose feasible set projects onto {a_k b_k = 0}. A primal and a
+    dual member scale differently, so each side has its own bound; one too
+    small cuts off the optimum unseen (Kleinert, Labbe, Plein and Schmidt,
+    Oper. Res. 2020). Returns the ids of the added binaries."""
+    if min(M_a, M_b) <= 0:
+        raise BackendError(f"big-M must be positive, got {M_a} and {M_b}")
     n = len(a_ids)
     deltas = model.add_vars(n, 0.0, 1.0, integer=True)
 
@@ -370,7 +347,7 @@ def linearize_complementarity(model: LinearModel, a_ids: list[int],
     eye = np.eye(n)
     blocks = [(a_ids, interleave(eye, np.zeros((n, n))))]
     blocks += [(ids, interleave(np.zeros(np.shape(B)), B)) for ids, B in b_blocks]
-    blocks.append((deltas, interleave(-M * eye, M * eye)))
-    rhs = interleave(-np.asarray(a_const, dtype=float), M - np.asarray(b_const, dtype=float))
+    blocks.append((deltas, interleave(-M_a * eye, M_b * eye)))
+    rhs = interleave(-np.asarray(a_const, dtype=float), M_b - np.asarray(b_const, dtype=float))
     model.add_rows(blocks, LEQ, rhs)
     return deltas

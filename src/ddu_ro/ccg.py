@@ -106,7 +106,7 @@ class MasterState:
         self.ou_sets = list(ou_sets) if ou_sets is not None else None
         self.model = LinearModel(name=f"{inst.name}-{config.variant}-master")
         self.x_ids = add_first_stage(self.model, inst)
-        self.eta_id = self.model.add_var(_ETA_LB, np.inf)
+        self.eta_id = self.model.add_vars(1, _ETA_LB, np.inf)[0]
         self.model.set_objective({**dict(zip(self.x_ids, inst.c1)), self.eta_id: 1.0}, "min")
         self.point_seeds: list[np.ndarray] = []
         self.ray_seeds: list[np.ndarray] = []

@@ -558,7 +558,7 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
                 lo, hi = bounds
                 pin = hi - lo <= 1e-9 * np.maximum(1.0, np.abs(hi))
                 fixed[pin, k] = 0.5 * (lo[pin] + hi[pin])
-                m.fix_var(copies[pin, k], fixed[pin, k])
+                m.set_bounds(copies[pin, k], fixed[pin, k], fixed[pin, k])
                 for c in np.flatnonzero(~pin):
                     free[c][k] = np.linspace(lo[c], hi[c], _GRID)
         if len(run) > 1 and (not out.is_optimal or max(map(len, free)) > 2):
@@ -589,7 +589,7 @@ def _fixed_first_stage(m: LinearModel, inst: Instance, values: np.ndarray) -> np
     if X.A.shape[0]:
         m.add_rows([(ids.ravel(), kron(eye_array(K), X.A))], GEQ, np.tile(X.b, K))
     fixed = ~np.isnan(values)
-    m.fix_var(ids[fixed], values[fixed])
+    m.set_bounds(ids[fixed], values[fixed], values[fixed])
     return ids
 
 

@@ -294,9 +294,9 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
     m.add_rows(surplus, GEQ, problem.d)
     m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y)
     backend.linearize_complementarity(m, pi_ids, np.zeros(m_rows), surplus,
-                                      -problem.d, M=M)
+                                      -problem.d, M, M)
     backend.linearize_complementarity(m, y_ids, np.zeros(ny),
-                                      [(pi_ids, -problem.B_y.T)], problem.c_y, M=M)
+                                      [(pi_ids, -problem.B_y.T)], problem.c_y, M, M)
 
     m.set_objective(dict(zip(y_ids, problem.c_y)), sense="max")
     out = backend.solve_mip(m)
@@ -370,7 +370,9 @@ def _product_mip(problem: MaxMinProblem, M: float,
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m)
     if not out.is_optimal:
-        raise BackendError(f"{m.name} ended {out.status}")
+        cap = (f": pi <= M = {M:g} may cut off every dual point (M too small)"
+               if out.status == backend.INFEASIBLE and not network else "")
+        raise BackendError(f"{m.name} ended {out.status}{cap}")
     return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 
@@ -459,8 +461,13 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     representation None picks "primal-dual" when every first-stage component
     that U(x) depends on is binary, and "kkt" otherwise. The strong-duality
     row needs no binary per row and column of U, and its only big-M is the
-    bound M on the lambda of coupled rows, which the KKT block needs too.
+    bound on the lambda of coupled rows, which the KKT block needs too.
     A block at one first stage is this block with the x columns fixed.
+
+    The primal side (u, the row slacks, their products with x) is bounded
+    by M, the dual side (lambda, the reduced costs, their products with x)
+    by M_d = max(M, 2 ||c||_1 kappa), with c the block's cost row
+    (c_struct, c_slack) and kappa the largest entry of |F0| + sum_k |Fk|.
     """
     if representation is None:
         representation = "primal-dual" if _couples_only_binary(inst) else "kkt"
@@ -487,11 +494,11 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     # negative, and lam_i >= 0 would then force its row tight
     lam_ids = model.add_vars(mu, lb=c_slack)
     products: dict[tuple[int, int], int] = {}
-    if U.F.is_constant and has_interval_rows(U.F.base):
-        # [F | I] is totally unimodular, so some optimal dual is a vertex
-        # with |lam_i| <= ||c||_1, and its reduced costs stay below 2 ||c||_1:
-        # a bound from the block's own cost row, whatever the seed's scale
-        M = max(M, 2.0 * float(np.abs(c_struct).sum() + np.abs(c_slack).sum()))
+    # a constant interval F (kappa 1) has a TU [F | I], so some optimal dual
+    # vertex has |lam_i| <= ||c||_1 and reduced costs below 2 ||c||_1; on any
+    # other F kappa is an empirical scale, not a proof
+    kappa = np.max(np.abs(U.F.base) + sum(np.abs(Fk) for _, Fk in U.F.terms), initial=0.0)
+    M_d = max(M, 2.0 * float(np.abs(c_struct).sum() + np.abs(c_slack).sum()) * float(kappa))
 
     # primal rows, with explicit slack columns so degenerate-row
     # complementarities of the perturbed objective can bind on them
@@ -499,7 +506,7 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
     primal = affine_blocks(model, U.F, u_ids, x_ids, M, products)
     model.add_rows([(slack_ids, np.eye(mu)), *primal, (x_ids, -U.G)], EQ, U.h)
     # dual rows F(x)' lam >= c
-    dual = affine_blocks(model, U.F, lam_ids, x_ids, M, products, transpose=True,
+    dual = affine_blocks(model, U.F, lam_ids, x_ids, M_d, products, transpose=True,
                          lo=c_slack)
     model.add_rows(dual, GEQ, c_struct)
 
@@ -507,12 +514,12 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
         # lam_i (+ its perturbed slack cost) against the row slack, then u_j
         # against its reduced cost
         backend.linearize_complementarity(model, lam_ids, -c_slack,
-                                          [(slack_ids, np.eye(mu))], np.zeros(mu), M)
+                                          [(slack_ids, np.eye(mu))], np.zeros(mu), M_d, M)
         backend.linearize_complementarity(model, u_ids, np.zeros(n), dual,
-                                          -c_struct, M)
+                                          -c_struct, M, M_d)
     else:
         # strong duality: (-E u)' beta >= (h + G x)' lambda
-        rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, M, products,
+        rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, M_d, products,
                             transpose=True)
         model.add_rows([(u_ids, c_struct[None]), *[(ids, -A) for ids, A in rhs]],
                        GEQ, [0.0])

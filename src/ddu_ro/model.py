@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from . import backend
 from .backend import GEQ, LEQ, BackendError, LinearModel
@@ -249,10 +250,6 @@ def add_first_stage(model: LinearModel, inst: Instance) -> list[int]:
     return x_ids
 
 
-def add_uncertainty_vars(model: LinearModel, U: UncertaintySet) -> list[int]:
-    return model.add_vars(U.dim, integer=np.arange(U.dim) < U.n_int_u)
-
-
 def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                name: str) -> backend.SolveOutcome:
     """The LP max{c'z : z >= 0, A z <= b}, such as U(x) with A = F(x) and
@@ -278,15 +275,6 @@ def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max") -> flo
     return sign * float(out.objective)
 
 
-def add_uncertainty_rows(model: LinearModel, U: UncertaintySet, u_ids: list[int],
-                         x_ids: list[int], M: float = 1e4) -> list[int]:
-    """Rows of F(x) u <= h + G x over symbolic x. Each x-dependent entry of
-    F enters through a product x_k u_j (affine_blocks), exact for binary x_k
-    and u_j <= M; the caller checks that those x_k are binary."""
-    blocks = affine_blocks(model, U.F, u_ids, x_ids, M, {})
-    return model.add_rows(blocks + [(x_ids, -U.G)], LEQ, U.h)
-
-
 def add_recourse_vars(model: LinearModel, Y: RecourseSet) -> list[int]:
     return model.add_vars(Y.dim, integer=np.arange(Y.dim) < Y.n_int_y)
 
@@ -307,15 +295,17 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
     problem infeasible too, and its optimum is a valid floor under every
     master bound.
 
-    x-dependent entries of F are enveloped for binary x with u <= M; a
+    The rows F(x) u <= h + G x take each x-dependent entry of F through a
+    product x_k u_j (affine_blocks), exact for binary x_k and u_j <= M; a
     dependence on any other component raises ValueError.
     """
     require_binary_terms(inst)
     m = LinearModel(name=f"{inst.name}_det")
+    U = inst.U
     x_ids = add_first_stage(m, inst)
-    u_ids = add_uncertainty_vars(m, inst.U)
+    u_ids = m.add_vars(U.dim, integer=np.arange(U.dim) < U.n_int_u)
     y_ids = add_recourse_vars(m, inst.Y)
-    add_uncertainty_rows(m, inst.U, u_ids, x_ids, M)
+    m.add_rows(affine_blocks(m, U.F, u_ids, x_ids, M, {}) + [(x_ids, -U.G)], LEQ, U.h)
     add_recourse_rows(m, inst.Y, y_ids, x_ids, u_ids)
     m.set_objective(dict(zip(x_ids + y_ids, np.concatenate([inst.c1, inst.Y.c2]))),
                     sense="min")
@@ -344,19 +334,22 @@ def _binary_products(model: LinearModel, pairs, M, lo=0.0) -> list[int]:
     lo <= v <= M, lo either 0 or -M (each a scalar or one per pair), by the
     exact envelope, pair by pair: w <= M x, w >= lo x, w <= v - lo (1 - x)
     and w >= v - M (1 - x), the second one carried by w's bounds when lo is
-    0. The columns take one add_vars call; the rows go through add_constr,
-    whose list of rows becomes one row chunk of the model."""
+    0. The columns take one add_vars call and the rows one add_rows call,
+    from three sparse blocks on w, v and x with one sense per row."""
     n = len(pairs)
     M, lo = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in (M, lo))
     ws = model.add_vars(n, lo, M)
-    for w, (x, v), cap, low in zip(ws, pairs, M.tolist(), lo.tolist()):
-        model.add_constr({w: 1.0, x: -cap}, LEQ, 0.0)
-        if low:
-            model.add_constr({w: 1.0, x: -low}, GEQ, 0.0)
-            model.add_constr({w: 1.0, v: -1.0, x: -low}, LEQ, -low)
-        else:
-            model.add_constr({w: 1.0, v: -1.0}, LEQ, 0.0)
-        model.add_constr({w: 1.0, v: -1.0, x: -cap}, GEQ, -cap)
+    x_ids, v_ids = np.reshape(np.asarray(pairs, dtype=np.int64), (n, 2)).T
+    # four rows per pair, the second dropped where lo is 0; zero entries,
+    # such as -lo on x where lo is 0, drop out in add_rows
+    keep = np.flatnonzero(np.column_stack([np.ones(n), lo, np.ones(n), np.ones(n)]))
+    rows, pair = np.arange(keep.size), keep // 4
+    blocks = [(ids, coo_array((np.ravel(entries)[keep], (rows, pair)), shape=(keep.size, n)))
+              for ids, entries in ((ws, np.ones((n, 4))),
+                                   (v_ids, np.tile([0.0, 0.0, -1.0, -1.0], (n, 1))),
+                                   (x_ids, np.column_stack([-M, -lo, -lo, -M])))]
+    model.add_rows(blocks, np.tile([LEQ, GEQ, LEQ, GEQ], n)[keep],
+                   np.column_stack([np.zeros((n, 2)), 0.0 - lo, -M]).ravel()[keep])
     return ws
 
 

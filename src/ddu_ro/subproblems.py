@@ -93,7 +93,7 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     Y = inst.Y
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
     lp = dual_polyhedron_lp(Y.B2, np.zeros(Y.dim), rhs_eff, name="sp3")
-    lp.add_constr(dict.fromkeys(range(Y.n_rows), 1.0), LEQ, 1.0)
+    lp.add_rows([(range(Y.n_rows), np.ones((1, Y.n_rows)))], LEQ, [1.0])
     out = backend.solve_lp(lp)
     if not out.is_optimal:
         raise BackendError(f"sp3 ended {out.status}")
@@ -156,8 +156,7 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
     core = Y.d - Y.B1 @ x0 - Y.E @ u_ref
     lp = dual_polyhedron_lp(Y.B2, Y.c2, core, name="sp2_pol")
     anchor = Y.d - Y.B1 @ x_star - Y.E @ u_star
-    lp.add_constr({i: anchor[i] for i in range(m_rows) if anchor[i] != 0.0},
-                  GEQ, eta_s)
+    lp.add_rows([(range(m_rows), anchor[None])], GEQ, [eta_s])
     out = backend.solve_lp(lp)
     if not out.is_optimal:
         return SubproblemReport()

@@ -17,20 +17,33 @@ from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLim
 def small_min_lp():
     # min 2x + 3y  s.t. x + y >= 1
     m = LinearModel(name="min_lp")
-    x = m.add_var()
-    y = m.add_var()
-    m.add_constr({x: 1.0, y: 1.0}, GEQ, 1.0)
+    x, y = m.add_vars(2)
+    m.add_rows([([x, y], [[1.0, 1.0]])], GEQ, [1.0])
     m.set_objective({x: 2.0, y: 3.0}, sense="min")
     return m, x, y
 
 
 def test_ids_are_append_only():
     m = LinearModel()
-    ids = [m.add_var() for _ in range(5)]
-    assert ids == [0, 1, 2, 3, 4]
-    rows = [m.add_constr({0: 1.0}, GEQ, 0.0) for _ in range(3)]
+    assert m.add_vars(2) + m.add_vars(3) == [0, 1, 2, 3, 4]
+    rows = m.add_rows([([0], [[1.0]])], GEQ, [0.0])
+    rows += m.add_rows([([0], np.ones((2, 1)))], GEQ, np.zeros(2))
     assert rows == [0, 1, 2]
     assert m.n_vars == 5 and m.n_constrs == 3
+
+
+def test_add_rows_takes_one_sense_per_row():
+    m = LinearModel()
+    x = m.add_vars(2)
+    senses = [LEQ, GEQ, EQ]
+    rows = m.add_rows([(x, np.arange(6.0).reshape(3, 2))], senses, np.ones(3))
+    rows += m.add_rows([(x, [[1.0, 1.0]])], [EQ], [2.0])
+    assert [m.constrs[r].sense for r in rows] == senses + [EQ]
+    assert m.sparse()[1].tolist() == senses + [EQ]
+    for bad in ("=<", [LEQ, "<"], [LEQ, GEQ], np.array([LEQ, GEQ, EQ, EQ])):
+        with pytest.raises(BackendError, match="bad sense"):
+            m.add_rows([(x, np.ones((3, 2)))], bad, np.zeros(3))
+    assert m.n_constrs == 4
 
 
 def test_add_block_rows_match_the_entrywise_dicts():
@@ -114,25 +127,19 @@ class _RowDictModel:
                  integer: bool = False, prefix: str = "v") -> list[int]:
         return [self.add_var(lb, ub, integer, f"{prefix}{i}") for i in range(n)]
 
-    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float,
-                   name: str = "") -> int:
-        if sense not in (LEQ, GEQ, EQ):
-            raise BackendError(f"bad sense {sense!r}")
-        clean = {j: float(v) for j, v in coeffs.items() if v != 0.0}
-        self.constrs.append(_RefConstr(clean, sense, float(rhs), name))
-        return len(self.constrs) - 1
-
-    def add_rows(self, blocks: list[tuple[list[int], np.ndarray]], sense: str,
+    def add_rows(self, blocks: list[tuple[list[int], np.ndarray]], sense,
                  rhs: np.ndarray, name: str = "") -> list[int]:
         """Append the rows sum_k A_k @ v[ids_k] (sense) rhs, one per entry of
         rhs, from the blocks (ids_k, A_k) with A_k of shape (len(rhs),
-        len(ids_k)). A column that repeats, within a block or across blocks,
-        gets the sum of its entries in the order given, at the place it
-        first appears; exact zeros are dropped after summing."""
-        if sense not in (LEQ, GEQ, EQ):
-            raise BackendError(f"bad sense {sense!r}")
+        len(ids_k)); sense is one for every row or a list with one per row.
+        A column that repeats, within a block or across blocks, gets the sum
+        of its entries in the order given, at the place it first appears;
+        exact zeros are dropped after summing."""
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         m = rhs.size
+        senses = [sense] * m if isinstance(sense, str) else list(sense)
+        if len(senses) != m or any(s not in (LEQ, GEQ, EQ) for s in senses):
+            raise BackendError(f"bad sense {sense!r}")
         ids_all, mats = [], [np.zeros((m, 0))]
         for ids, A in blocks:
             A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -156,8 +163,9 @@ class _RowDictModel:
         col, val = col.tolist(), val.tolist()
         start, n0 = 0, self.n_constrs
         for i, end in enumerate(ends):
-            self.constrs.append(_RefConstr(dict(zip(col[start:end], val[start:end])), sense,
-                                        float(rhs[i]), f"{name}[{i}]" if name else ""))
+            self.constrs.append(_RefConstr(dict(zip(col[start:end], val[start:end])),
+                                           senses[i], float(rhs[i]),
+                                           f"{name}[{i}]" if name else ""))
             start = end
         return list(range(n0, self.n_constrs))
 
@@ -167,8 +175,8 @@ class _RowDictModel:
         self.obj = {j: float(v) for j, v in coeffs.items() if v != 0.0}
         self.sense = sense
 
-    def fix_var(self, j: int, value: float) -> None:
-        self.vars[j].lb = self.vars[j].ub = float(value)
+    def set_bounds(self, j: int, lb: float, ub: float) -> None:
+        self.vars[j].lb, self.vars[j].ub = float(lb), float(ub)
 
     # -- inspection --------------------------------------------------------
 
@@ -227,23 +235,16 @@ def test_random_call_sequences_match_the_row_dict_model(seed):
     m, ref = LinearModel(), _RowDictModel()
     assert m.add_vars(4) == ref.add_vars(4)
     for _ in range(rng.integers(1, 12)):
-        op = rng.integers(6)
+        op = rng.integers(3)
         n = m.n_vars
         if op == 0:
-            lb = float(rng.choice([-1.0, 0.0, -np.inf]))
-            ub, integer = float(rng.choice([1.0, 3.0, np.inf])), bool(rng.integers(2))
-            assert m.add_var(lb, ub, integer) == ref.add_var(lb, ub, integer)
-        elif op == 1:
             k = int(rng.integers(0, 4))
-            lb = rng.choice([0.0, -1.0], size=k)
+            lb = rng.choice([-1.0, 0.0, -np.inf], size=k)
+            ub = rng.choice([1.0, 3.0, np.inf], size=k)
             integer = rng.integers(2, size=k).astype(bool)
-            ids = m.add_vars(k, lb, 2.0, integer)
-            assert ids == [ref.add_var(a, 2.0, b) for a, b in zip(lb, integer)]
-        elif op == 2:
-            coeffs = {int(j): rng.choice(values) for j in rng.integers(n, size=rng.integers(4))}
-            sense, rhs = str(rng.choice([LEQ, GEQ, EQ])), float(rng.choice(values))
-            assert m.add_constr(coeffs, sense, rhs) == ref.add_constr(coeffs, sense, rhs)
-        elif op == 3:
+            ids = m.add_vars(k, lb, ub, integer)
+            assert ids == [ref.add_var(*a) for a in zip(lb, ub, integer)]
+        elif op == 1:
             rows = int(rng.integers(1, 5))
             blocks, dense = [], []
             for _ in range(rng.integers(1, 4)):
@@ -259,18 +260,18 @@ def test_random_call_sequences_match_the_row_dict_model(seed):
                 blocks.append((ids, B))
                 # toarray sums a sparse block's repeats in their stored order
                 dense.append((ids, B if isinstance(B, np.ndarray) else B.toarray()))
-            sense, rhs = str(rng.choice([LEQ, GEQ, EQ])), rng.choice(values, size=rows)
+            # one sense for all rows, or one per row
+            senses = rng.choice([LEQ, GEQ, EQ], size=rows)
+            sense = str(senses[0]) if rng.integers(2) else senses
+            rhs = rng.choice(values, size=rows)
             assert m.add_rows(blocks, sense, rhs) == ref.add_rows(dense, sense, rhs)
-        elif op == 4:
-            j, value = int(rng.integers(n)), float(rng.choice(values))
-            m.fix_var(j, value)
-            ref.fix_var(j, value)
         else:
             js = rng.choice(n, size=min(n, 3), replace=False)
-            vals = rng.choice(values, size=len(js))
-            m.fix_var(js, vals)
-            for j, v in zip(js, vals):
-                ref.fix_var(int(j), v)
+            lb = rng.choice(values, size=len(js))
+            ub = lb + rng.choice([0.0, 1.0, np.inf], size=len(js))
+            m.set_bounds(js, lb, ub)
+            for j, a, b in zip(js, lb, ub):
+                ref.set_bounds(int(j), a, b)
     _same_model(m, ref)
     assert m.has_integers == ref.has_integers
 
@@ -287,9 +288,8 @@ def test_min_lp_solution():
 def test_max_lp_solution():
     # max 2x + 3y  s.t. x + y <= 1: all of the row goes to y
     m = LinearModel()
-    x = m.add_var()
-    y = m.add_var()
-    m.add_constr({x: 1.0, y: 1.0}, LEQ, 1.0)
+    x, y = m.add_vars(2)
+    m.add_rows([([x, y], [[1.0, 1.0]])], LEQ, [1.0])
     m.set_objective({x: 2.0, y: 3.0}, sense="max")
     out = backend.solve_lp(m)
     assert out.is_optimal and out.objective == pytest.approx(3.0)
@@ -298,8 +298,8 @@ def test_max_lp_solution():
 
 def test_equality_row_and_objective_constant():
     m = LinearModel()
-    x = m.add_var()
-    m.add_constr({x: 2.0}, EQ, 3.0)
+    x = m.add_vars(1)[0]
+    m.add_rows([([x], [[2.0]])], EQ, [3.0])
     m.set_objective({x: 1.0})
     out = backend.solve_lp(m)
     assert out.objective == pytest.approx(1.5)
@@ -307,13 +307,13 @@ def test_equality_row_and_objective_constant():
 
 def test_infeasible_and_unbounded_status():
     m = LinearModel()
-    x = m.add_var(ub=1.0)
-    m.add_constr({x: 1.0}, GEQ, 2.0)
+    x = m.add_vars(1, ub=1.0)[0]
+    m.add_rows([([x], [[1.0]])], GEQ, [2.0])
     m.set_objective({x: 1.0})
     assert backend.solve_lp(m).status == backend.INFEASIBLE
 
     m2 = LinearModel()
-    x2 = m2.add_var()
+    x2 = m2.add_vars(1)[0]
     m2.set_objective({x2: 1.0}, sense="max")
     assert backend.solve_lp(m2).status == backend.UNBOUNDED
 
@@ -321,9 +321,8 @@ def test_infeasible_and_unbounded_status():
 def small_mip():
     # min x + y, x + y >= 1.5, x integer: x = 2 or (x=1, y=.5); latter cheaper
     m = LinearModel(name="mip")
-    x = m.add_var(integer=True)
-    y = m.add_var()
-    m.add_constr({x: 1.0, y: 1.0}, GEQ, 1.5)
+    x, y = m.add_vars(2, integer=[True, False])
+    m.add_rows([([x, y], [[1.0, 1.0]])], GEQ, [1.5])
     m.set_objective({x: 1.0, y: 1.0})
     return m, x, y
 
@@ -351,7 +350,7 @@ def test_mip_without_integers_falls_back_to_lp(monkeypatch):
 def test_fix_var_and_copy_isolation():
     m, x, y = small_min_lp()
     m2 = copy.deepcopy(m)
-    m2.fix_var(x, 0.0)
+    m2.set_bounds(x, 0.0, 0.0)
     assert backend.solve_lp(m2).objective == pytest.approx(3.0)
     assert backend.solve_lp(m).objective == pytest.approx(2.0)
 
@@ -359,10 +358,13 @@ def test_fix_var_and_copy_isolation():
 def test_complementarity_linearization_enforces_disjunction():
     # min a + b with a + b >= 1 and a*b = 0 via indicator rows
     m = LinearModel()
-    a = m.add_var(ub=5.0)
-    b = m.add_var(ub=5.0)
-    m.add_constr({a: 1.0, b: 1.0}, GEQ, 1.0)
-    backend.linearize_complementarity(m, [a], [0.0], [([b], [[1.0]])], [0.0], M=10.0)
+    a, b = m.add_vars(2, ub=5.0)
+    m.add_rows([([a, b], [[1.0, 1.0]])], GEQ, [1.0])
+    delta, = backend.linearize_complementarity(m, [a], [0.0], [([b], [[1.0]])], [0.0],
+                                               M_a=10.0, M_b=6.0)
+    # a <= M_a delta, then b <= M_b (1 - delta)
+    assert [(c.coeffs, c.sense, c.rhs) for c in m.constrs[1:]] == [
+        ({a: 1.0, delta: -10.0}, LEQ, 0.0), ({b: 1.0, delta: 6.0}, LEQ, 6.0)]
     m.set_objective({a: 1.0, b: 2.0})
     out = backend.solve_mip(m)
     assert out.is_optimal
@@ -372,9 +374,11 @@ def test_complementarity_linearization_enforces_disjunction():
 
 def test_complementarity_rejects_nonpositive_m():
     m = LinearModel()
-    a = m.add_var()
-    with pytest.raises(BackendError):
-        backend.linearize_complementarity(m, [a], [0.0], [([a], [[1.0]])], [0.0], M=0.0)
+    a = m.add_vars(1)[0]
+    for M_a, M_b in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(BackendError, match="positive"):
+            backend.linearize_complementarity(m, [a], [0.0], [([a], [[1.0]])], [0.0],
+                                              M_a, M_b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,8 +393,7 @@ def test_random_lps_match_a_milp_reference(seed):
     A = rng.uniform(-2, 2, size=(mr, n))
     b = rng.uniform(-1, 1, size=mr)
     senses = rng.choice([GEQ, LEQ, EQ], size=mr)
-    for i in range(mr):
-        m.add_constr({ids[j]: A[i, j] for j in range(int(n))}, senses[i], b[i])
+    m.add_rows([(ids, A)], senses, b)
     sense = rng.choice(["min", "max"])
     c = rng.uniform(-5, 5, size=n)
     m.set_objective({ids[j]: v for j, v in enumerate(c)}, sense=sense)

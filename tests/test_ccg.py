@@ -398,6 +398,16 @@ def test_a_master_at_an_unfloored_eta_bound_gives_no_lower_bound():
     assert res.lb == res.meta["relaxation_value"] < res.ub
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_dual_above_the_product_cap_names_the_big_m(variant):
+    # Q's recourse dual is 2e7, far above the cap pi <= big_M of sp2's
+    # product MIP, which then has no feasible point
+    res = run(_deep_toy(), AlgorithmConfig(variant=variant))
+    assert res.status == "Numerical"
+    assert res.meta["reason"] == ("deep_toy_wc_bilin ended Infeasible: pi <= M = "
+                                  "10000 may cut off every dual point (M too small)")
+
+
 def test_the_eta_floor_keeps_the_fixed_bound_on_the_bench_sets():
     # their masters, and so HiGHS's inputs, are those of a fixed -1e7
     for inst in (gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"),
@@ -481,8 +491,7 @@ def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(variant):
     assert np.abs(inst.Y.E.T @ beta).sum() > cfg.big_M
     state = MasterState(inst, cfg)
     model = _replay(state, [beta])
-    for k, xk in zip(state.x_ids, best.x):
-        model.fix_var(k, xk)
+    model.set_bounds(state.x_ids, best.x, best.x)
     out = backend.solve_mip(model)
     assert out.status == backend.OPTIMAL
     assert out.objective <= best.value + 1e-6 * abs(best.value)
@@ -524,8 +533,8 @@ def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant, monkeypa
         values = []
         for open_sites in sites:
             fixed = copy.deepcopy(model)
-            for k, xk in zip(state.x_ids, open_sites):
-                fixed.fix_var(k, float(xk))
+            site_ids = state.x_ids[:len(open_sites)]
+            fixed.set_bounds(site_ids, open_sites, open_sites)
             out = backend.solve_mip(fixed)
             assert out.status == backend.OPTIMAL
             values.append(out.objective)
@@ -579,23 +588,46 @@ def test_row_order_leaves_the_pmedian_optimum_unchanged(make, config, perm_seed,
 
 # oracle_exact values of fl-rhs with 2 sites, at generator seeds 0 and 2
 FL_RHS2_W = {0: -51406.065233899, 2: -42566.93112062868}
-_SPLIT_AT_1E4 = pytest.mark.xfail(
-    strict=True, reason="known defect: with split cuts at big_M 1e4 the master "
-    "becomes infeasible (ROADMAP item 1)")
 
 
 @pytest.mark.parametrize("seed", [0, 2])
 @pytest.mark.parametrize("config", [
-    pytest.param(dict(variant="benders"), marks=_SPLIT_AT_1E4),
-    pytest.param(dict(variant="parametric", cut_mode="split"), marks=_SPLIT_AT_1E4),
+    dict(variant="benders"),
+    dict(variant="parametric", cut_mode="split"),
     dict(variant="parametric"),
     dict(variant="benders", big_M=1e5),
 ], ids=["benders", "parametric-split", "parametric", "benders-1e5"])
 def test_two_site_fl_rhs_returns_the_oracle_value(seed, config):
+    # at big_M 1e4 benders and split parametric ended "master infeasible"
+    # while the master's dual side shared the primal side's M
     res = run(gen_robust_fl(FLParams(n_sites=2, seed=seed), "rhs"),
               AlgorithmConfig(**config))
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(FL_RHS2_W[seed], rel=1e-6)
+
+
+# fl-rhs references at (sites, generator seed): 3 sites as parametric and
+# parametric-modified prove it at big_M 1e4 and parametric and benders at
+# 1e5 and tol 1e-7 (oracle_exact leaves it: 3 free coupled continuous x);
+# 5 sites from perfbench/references.json
+FL_RHS_W = {(3, 0): -68905.90943240363, (5, 0): -116370.33629796721,
+            (5, 1): -108560.42796259784}
+
+
+@pytest.mark.parametrize("sites, seed, config", [
+    (3, 0, dict(variant="benders")),                          # was Infeasible
+    (5, 1, dict(variant="benders")),                          # was Optimal -78681.064
+    (5, 0, dict(variant="parametric", cut_mode="split")),     # was Infeasible
+    (5, 1, dict(variant="parametric", cut_mode="split")),     # was GapReached -78681.064
+], ids=["fl_rhs3-s0-benders", "fl_rhs5-s1-benders", "fl_rhs5-s0-split",
+        "fl_rhs5-s1-split"])
+def test_fl_rhs_split_cuts_return_the_reference(sites, seed, config):
+    # the dual side's bound M_d scales with the block's cost row and F
+    res = run(gen_robust_fl(FLParams(n_sites=sites, seed=seed), "rhs"),
+              AlgorithmConfig(**config))
+    assert res.status in ("Optimal", "GapReached")
+    assert res.objective == pytest.approx(FL_RHS_W[sites, seed], rel=1e-6)
+    assert res.lb <= FL_RHS_W[sites, seed] + 1e-6 * abs(res.lb)
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -1119,7 +1151,7 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
     cfg = AlgorithmConfig(variant="basis")
     state = MasterState(inst, cfg)
     state.add_seed(BasisId((0, 1)))
-    state.model.fix_var(state.x_ids[0], 0.0)
+    state.model.set_bounds(state.x_ids[0], 0.0, 0.0)
     out = backend.solve_mip(state.model)
     assert out.status == backend.OPTIMAL
     assert out.x[state.eta_id] <= ccg._ETA_LB + 1e-3
@@ -1133,7 +1165,7 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
         Y=inst.Y)
     state = MasterState(feas, cfg)
     state.add_seed(BasisId((0, 1)))
-    state.model.fix_var(state.x_ids[0], 0.0)
+    state.model.set_bounds(state.x_ids[0], 0.0, 0.0)
     out = backend.solve_mip(state.model)
     assert out.status == backend.OPTIMAL
     assert out.x[state.eta_id] == pytest.approx(1.0 / 3.0 + 7.0 / 3.0, abs=1e-6)

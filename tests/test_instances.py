@@ -35,7 +35,8 @@ from ddu_ro.instances import (
     recourse_value,
     worst_case_values,
 )
-from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance, RecourseSet,
+from ddu_ro.ccg import AlgorithmConfig, MasterState
+from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
                           UncertaintySet, add_first_stage, build_deterministic_mip,
                           uncertainty_set_from_dict)
 from toys import t1_infeasible, t1_unbounded_u
@@ -234,6 +235,63 @@ def test_generator_output_is_pinned():
     got = {name: hashlib.sha256(json.dumps(instance_to_dict(inst)).encode())
            .hexdigest()[:16] for name, inst in _pinned_cases()}
     assert got == PINNED_DIGESTS
+
+
+def _model_digest(m: LinearModel) -> str:
+    """First 16 hex digits of the SHA-256 of everything HiGHS receives of m:
+    CSR rows, senses, rhs, column bounds, integrality and objective."""
+    A, senses, rhs = m.sparse()
+    h = hashlib.sha256()
+    for a in (A.data, A.indices, A.indptr, senses.astype("<U2"), rhs, *m.columns(),
+              m.objective_vector(), np.array(A.shape), np.array([m.sense])):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _pinned_models():
+    # models built without a solve: the deterministic relaxation, and masters
+    # grown through MasterState.add_seed from seeds drawn at a fixed seed
+    cases = {"pm_uk8": (gen_reliable_pmedian(PMedianParams(n_sites=8, seed=0), "ddu_uk"),
+                        "primal-dual"),
+             "fl_rhs5": (gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"), "kkt")}
+    for name, (inst, kind) in cases.items():
+        yield f"{name}-det", build_deterministic_mip(inst)[0]
+        rng = np.random.default_rng(0)
+        m_rows = inst.Y.n_rows
+        for variant in ("benders", "parametric"):
+            state = MasterState(inst, AlgorithmConfig(variant=variant))
+            for _ in range(2):
+                state.add_seed(rng.uniform(0.0, 50.0, m_rows))
+            state.add_seed(rng.uniform(0.0, 1.0, m_rows), is_ray=True)
+            assert {b.representation for b in state.blocks.values()} == {kind}
+            yield f"{name}-{kind}-{variant}", state.model
+        if kind == "primal-dual":
+            state = MasterState(inst, AlgorithmConfig(variant="basis"))
+            n, mu = inst.U.dim, inst.U.n_rows
+            for _ in range(2):
+                state.add_seed(BasisId(tuple(rng.choice(n + mu, mu, replace=False))))
+            yield f"{name}-basis", state.model
+
+
+# _model_digest of each _pinned_models model; a change to how the models are
+# built moves them only when HiGHS would receive different problems, and the
+# change that moves one says why
+PINNED_MODEL_DIGESTS = {
+    "pm_uk8-det": "3f64bf1ef1d87897",
+    "pm_uk8-primal-dual-benders": "74af7fe460dbf8d3",
+    "pm_uk8-primal-dual-parametric": "15167eab71f360e7",
+    "pm_uk8-basis": "98ffcf05e349f677",
+    "fl_rhs5-det": "b6a8bb8079416a2c",
+    # the dual side's own bound M_d = max(big_M, 2 ||c||_1 kappa), in place
+    # of big_M on both sides of every complementarity
+    "fl_rhs5-kkt-benders": "dab8e499ad7255bd",
+    "fl_rhs5-kkt-parametric": "e84de4d3c179f562",
+}
+
+
+def test_built_models_are_pinned():
+    got = {name: _model_digest(m) for name, m in _pinned_models()}
+    assert got == PINNED_MODEL_DIGESTS
 
 
 def test_fl_neighbourhoods_follow_explicit_costs():
@@ -984,8 +1042,7 @@ def _complete_one(inst, x_int, coupled, sep):
         return
     m = LinearModel(name="xfill")
     ids = add_first_stage(m, inst)
-    for k in range(X.n_int):
-        m.fix_var(ids[k], x_int[k])
+    m.set_bounds(ids[:X.n_int], x_int[:X.n_int], x_int[:X.n_int])
     if coupled and not backend.solve_lp(m).is_optimal:
         return
     free = []
@@ -1001,7 +1058,7 @@ def _complete_one(inst, x_int, coupled, sep):
             bounds.append(out.objective)
         lo, hi = bounds
         if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-            m.fix_var(ids[k], 0.5 * (lo + hi))
+            m.set_bounds(ids[k], 0.5 * (lo + hi), 0.5 * (lo + hi))
         else:
             free.append((k, lo, hi))
     if len(free) > 2:
@@ -1010,7 +1067,7 @@ def _complete_one(inst, x_int, coupled, sep):
     grids = [np.linspace(lo, hi, instances._GRID) for _, lo, hi in free]
     for combo in itertools.product(*grids):
         for (k, _, _), v in zip(free, combo):
-            m.fix_var(ids[k], float(v))
+            m.set_bounds(ids[k], v, v)
         out = backend.solve_lp(m)
         if out.status == backend.UNBOUNDED:
             raise OracleError("separable continuous block unbounded below")

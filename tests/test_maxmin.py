@@ -154,8 +154,7 @@ def _fixed_first_stage(inst: Instance, x) -> tuple[LinearModel, list[int]]:
     # a model holding the first stage of inst with every column fixed at x
     m = LinearModel()
     x_ids = add_first_stage(m, inst)
-    for j, v in zip(x_ids, x):
-        m.fix_var(j, v)
+    m.set_bounds(x_ids, x, x)
     return m, x_ids
 
 
@@ -218,7 +217,7 @@ def test_block_rejects_continuous_matrix_dependence_in_master():
                        G=[[0.0]], h=[1.0])
     inst = Instance(name="lhs_cont", c1=base.c1, X=X, U=U, Y=base.Y)
     m = LinearModel()
-    x_ids = [m.add_var(0.0, 1.0)]
+    x_ids = m.add_vars(1, 0.0, 1.0)
     with pytest.raises(ValueError, match="binary"):
         build_optimality_block(m, inst, beta=np.array([1.0]), M=10.0,
                                x_ids=x_ids)
@@ -295,6 +294,43 @@ def test_block_representation_follows_the_coupling(make, requested, expected):
     assert blk.representation == expected
     added = sum(v.integer for v in m.vars) - inst.X.n_int
     assert added == (0 if expected == "primal-dual" else inst.U.n_rows + inst.U.dim)
+
+
+@pytest.mark.parametrize("make, norm_c", [
+    (lambda: _pm_uk(8), 1.5e4),
+    (lambda: gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"), 100.0),
+], ids=["pm_uk8", "fl-rhs"])
+def test_the_dual_side_bound_scales_with_the_cost_row_and_f(make, norm_c):
+    # M_d = max(big_M, 2 ||c||_1 kappa), kappa the largest |F| entry: 1 on
+    # ddu_uk's interval F, where M_d is 2 ||c||_1 once that exceeds big_M;
+    # the largest demand on fl-rhs, where M_d exceeds big_M though
+    # 2 ||c||_1 does not
+    inst, M = make(), 1e4
+    assert not inst.U.F.terms
+    kappa = float(np.abs(inst.U.F.base).max())
+    E1 = np.abs(inst.Y.E.T @ np.ones(inst.Y.n_rows)).sum()
+    beta = np.full(inst.Y.n_rows, norm_c / E1)
+    two_c = 2.0 * float(np.abs(inst.Y.E.T @ beta).sum())
+    M_d = max(M, two_c * kappa)
+    if kappa == 1.0:
+        assert M_d == two_c > M
+    else:
+        assert two_c < M < M_d
+    m = LinearModel()
+    blk = build_optimality_block(m, inst, beta, add_first_stage(m, inst), M=M)
+    _, ub, integer = m.columns()
+    if blk.representation == "kkt":
+        # each switch column holds its pair's two bounds: lam_i <= M_d delta
+        # against slack_i <= M (1 - delta), then u_j <= M delta against its
+        # reduced cost <= M_d (1 - delta)
+        A = m.sparse()[0].tocsc()
+        switches = np.flatnonzero(integer)[inst.X.n_int:]
+        pairs = [tuple(A[:, [j]].data.tolist()) for j in switches]
+        mu = inst.U.n_rows
+        assert pairs == [(-M_d, M)] * mu + [(-M, M_d)] * (len(switches) - mu)
+    else:
+        # the products x_k lam_i of the strong-duality row are capped at M_d
+        assert blk.representation == "primal-dual" and M_d in ub
 
 
 def test_unique_representation_requires_cost_row():

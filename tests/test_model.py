@@ -17,7 +17,8 @@ from ddu_ro import (
     relative_gap,
     t1,
 )
-from ddu_ro.model import IterationRecord, RunResult, dimension_errors
+from ddu_ro.backend import GEQ, LEQ, LinearModel
+from ddu_ro.model import IterationRecord, RunResult, _binary_products, dimension_errors
 
 
 def test_affine_map_constant_when_no_terms():
@@ -108,3 +109,64 @@ def test_run_result_counts_iterations():
     res = RunResult(status="Optimal", objective=10.0, x=np.zeros(1), lb=10.0,
                     ub=10.0, iterations=recs, elapsed_s=0.3, variant="benders")
     assert res.n_iterations == 3
+
+
+# -- the binary-product envelope against its pair-by-pair reference ------------
+
+def _envelope_rows(pairs, M, lo, first_w):
+    """The rows of the envelope as they were once built, pair by pair, one
+    row dict per call: w <= M x, [w >= lo x, w <= v - lo (1 - x)] or w <= v,
+    and w >= v - M (1 - x); exact zeros dropped. The reference."""
+    rows = []
+    for w, (x, v), cap, low in zip(range(first_w, first_w + len(pairs)), pairs,
+                                   M.tolist(), lo.tolist()):
+        rows.append(({w: 1.0, x: -cap}, LEQ, 0.0))
+        if low:
+            rows.append(({w: 1.0, x: -low}, GEQ, 0.0))
+            rows.append(({w: 1.0, v: -1.0, x: -low}, LEQ, -low))
+        else:
+            rows.append(({w: 1.0, v: -1.0}, LEQ, 0.0))
+        rows.append(({w: 1.0, v: -1.0, x: -cap}, GEQ, -cap))
+    return [({j: float(c) for j, c in d.items() if c != 0.0}, s, float(r))
+            for d, s, r in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_binary_products_match_the_pair_by_pair_envelope(seed):
+    # mixed lo in {0, -M}, M per pair (0 included), x and v ids repeated
+    # across pairs, n = 0, and scalar M or lo
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 7))
+    m = LinearModel()
+    x_ids, v_ids = m.add_vars(3, ub=1.0, integer=True), m.add_vars(4, lb=-np.inf)
+    m.add_rows([(x_ids, np.ones((1, 3)))], LEQ, [2.0])
+    pairs = list(zip(rng.choice(x_ids, n).tolist(), rng.choice(v_ids, n).tolist()))
+    M = rng.choice([0.0, 1.0, 2.5, 1e4], size=n)
+    lo = np.where(rng.integers(2, size=n) == 1, -M, 0.0)
+    if rng.integers(3) == 0:
+        M, lo = np.full(n, 7.0), np.zeros(n)
+        args = (7.0, 0.0)
+    elif rng.integers(2):
+        lo = np.full(n, 0.0)
+        args = (M.tolist(), 0.0)
+    else:
+        args = (M.tolist(), lo.tolist())
+    ws = _binary_products(m, pairs, *args)
+    assert ws == list(range(7, 7 + n))
+    ref = _envelope_rows(pairs, M, lo, 7)
+    A, senses, rhs = m.sparse()
+    assert A.shape == (1 + len(ref), 7 + n) and m.n_constrs == 1 + len(ref)
+    ends = A.indptr[1:].tolist()
+    got = [(dict(zip(A.indices[a:b].tolist(), A.data[a:b].tolist())), s, r)
+           for a, b, s, r in zip(ends, ends[1:], senses[1:].tolist(), rhs[1:].tolist())]
+    assert got == ref
+    # in-row entry order, and rhs to the bit (a -0.0 is not a 0.0)
+    assert [list(d) for d, _, _ in got] == [list(d) for d, _, _ in ref]
+    assert rhs[1:].tobytes() == np.array([r for _, _, r in ref]).tobytes()
+    assert A.data.tobytes() == np.array(
+        [1.0, 1.0, 1.0] + [c for d, _, _ in ref for c in d.values()]).tobytes()
+    lb, ub, integer = m.columns()
+    assert lb[7:].tobytes() == lo.astype(float).tobytes()
+    assert ub[7:].tobytes() == M.astype(float).tobytes()
+    assert not integer[7:].any()

@@ -262,10 +262,8 @@ def test_normalize_rejects_non_box_rows():
 def _tilted_recourse_value(inst: Instance, E_hat: np.ndarray,
                            x: np.ndarray, u: np.ndarray) -> float:
     mdl = backend.LinearModel(name="tilted")
-    y = [mdl.add_var(0.0, np.inf) for j in range(inst.Y.dim)]
-    for i in range(inst.Y.n_rows):
-        mdl.add_constr({y[j]: inst.Y.B2[i, j] for j in range(inst.Y.dim)},
-                       backend.GEQ, float(inst.Y.d[i] - inst.Y.B1[i] @ x))
+    y = mdl.add_vars(inst.Y.dim)
+    mdl.add_rows([(y, inst.Y.B2)], backend.GEQ, inst.Y.d - inst.Y.B1 @ x)
     cost = inst.Y.c2 + E_hat @ u
     mdl.set_objective({y[j]: float(cost[j]) for j in range(inst.Y.dim)},
                       sense="min")
