@@ -22,8 +22,9 @@ import numpy as np
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from .instances import SchemaError, check_uncertainty_schema
-from .maxmin import (OptimalityBlock, _couples_only_binary,
-                     build_optimality_block, ensure_unique_optimum, lp_parametric)
+from .maxmin import (OptimalityBlock, ParametricLPResult, _couples_only_binary,
+                     build_optimality_block, dual_bound, ensure_unique_optimum,
+                     lp_parametric)
 from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySet,
                     add_first_stage, add_recourse_rows, add_recourse_vars,
                     affine_blocks, build_deterministic_mip, range_probe,
@@ -114,24 +115,29 @@ class MasterState:
         self.blocks: dict[str, OptimalityBlock | None] = {}
 
     def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
-                 unique_data: np.ndarray | None = None) -> str:
+                 unique_data: np.ndarray | None = None,
+                 cost_row: np.ndarray | None = None) -> str:
         """Insert one seed and return its tag: a dual point, or a ray with
         is_ray, for benders and the replicate variants, a basis of
         [F(x) | I] for "basis".  unique_data, the perturbed cost row of
-        parametric-modified, makes the replicate's blocks "unique" ones."""
+        parametric-modified, makes the replicate's blocks "unique" ones.
+        cost_row, the standard-form cost row of the parametric LP that gave
+        a basis, scales the basis block's dual bound (dual_bound); without
+        it the bound is big_M."""
         if self.config.variant == "basis":
-            return _add_basis_seed(self, seed)
+            return _add_basis_seed(self, seed, cost_row)
         return _add_dual_seed(self, seed, is_ray, unique_data)
 
     def cut(self, x: np.ndarray, beta: np.ndarray, is_ray: bool,
-            basis: BasisId | None = None) -> tuple[str, str]:
+            basis_lp: ParametricLPResult | None = None) -> tuple[str, str]:
         """Cut the dual point (or ray, with is_ray) beta found at first stage
         x into the master the way the configured variant does, and return
         (cut kind, tag of the last seed added).
 
-        The basis variant inserts basis, sp2's basis at x when given, and
-        the parametric-LP basis at beta, which differs from it only where
-        the Pareto step moved the seed (Magnanti and Wong 1981); a basis the
+        The basis variant inserts the basis of basis_lp, sp2's parametric LP
+        at x when given, and the parametric-LP basis at beta, which differs
+        from it only where the Pareto step moved the seed (Magnanti and
+        Wong 1981), each scaled by the cost row of its own LP; a basis the
         master already holds is not added again, and the tag is empty when
         neither was new.  A dual seed is added even when it repeats.  Either
         way such a cut adds no bound the master lacked, and the loop stops
@@ -139,10 +145,11 @@ class MasterState:
         """
         inst, cfg = self.inst, self.config
         if cfg.variant == "basis":
-            at_seed = lp_parametric(inst, x, beta).basis
+            at_seed = lp_parametric(inst, x, beta)
             # a basis just added is in basis_seeds when the next is tested
-            tags = [self.add_seed(b) for b in (basis, at_seed)
-                    if b is not None and b not in self.basis_seeds]
+            tags = [self.add_seed(lp.basis, cost_row=lp.cost_row)
+                    for lp in (basis_lp, at_seed)
+                    if lp is not None and lp.basis not in self.basis_seeds]
             return "basis", tags[-1] if tags else ""
         unique_data = None
         if cfg.variant == "parametric-modified":
@@ -197,7 +204,8 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
     return base_tag
 
 
-def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
+def _add_basis_seed(state: MasterState, basis: BasisId,
+                    cost_row: np.ndarray | None = None) -> str:
     """Cutting set indexed by a basis of the standard form [F(x) | I].
 
     A row whose slack is nonbasic becomes an equality on the basic structural
@@ -207,12 +215,22 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     infeasible at x: free on equality rows, nonnegative on the rest.  Products
     of x with u or lam, which appear whenever the set's shape follows x, are
     enveloped; MasterState has already rejected non-binary coupled x.
+
+    The primal side (the products of x with u) is bounded by big_M.  The
+    dual side (the deviation penalty, the box on lam and the products of x
+    with lam) is bounded by M_d = dual_bound(U, cost_row, big_M), the bound
+    an optimality block of the same seed puts on its lam, cost_row being
+    the standard-form cost row (-E' beta, 0) of the parametric LP that gave
+    the basis.  A unit deviation of row i moves the recourse cost by up to
+    the basis's dual lam_i, so the penalty is exact where the recourse
+    duals stay within the seed's scale.  Without cost_row M_d is big_M.
     """
     inst, cfg = state.inst, state.config
     U, Y = inst.U, inst.Y
     n, mu = U.dim, U.n_rows
     model, x_ids = state.model, state.x_ids
     M = cfg.big_M
+    M_d = M if cost_row is None else dual_bound(U, cost_row, M)
 
     coupled = U.coupled_columns
     tag = f"b{len(state.basis_seeds)}"
@@ -228,11 +246,11 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     ubar3 = model.add_vars(n_ineq)
     # infeasible bases are neutralized by scaling lam along a negative-value
     # cone direction, so lam stays unbounded unless x-products force a box
-    lam_lo, lam_hi = (-M, M) if coupled else (-np.inf, np.inf)
+    lam_lo, lam_hi = (-M_d, M_d) if coupled else (-np.inf, np.inf)
     lam_n = model.add_vars(n_eq, lb=lam_lo, ub=lam_hi)
-    lam_b = model.add_vars(n_ineq, lb=0.0, ub=M if coupled else np.inf)
+    lam_b = model.add_vars(n_ineq, lb=0.0, ub=M_d if coupled else np.inf)
     # lam_n is free, so its products with x take the shifted envelope
-    lam, lam_low = lam_n + lam_b, [-M] * n_eq + [0.0] * n_ineq
+    lam, lam_low = lam_n + lam_b, [-M_d] * n_eq + [0.0] * n_ineq
     products: dict[tuple[int, int], int] = {}
 
     eye_eq = np.eye(n_eq)
@@ -248,7 +266,7 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     # alternative-system cone, one row per basic structural column that
     # meets some row
     alt = affine_blocks(model, U.F.take(eq_rows + ineq_rows, struct_basic), lam,
-                        x_ids, M, products, transpose=True, lo=lam_low)
+                        x_ids, M_d, products, transpose=True, lo=lam_low)
     meets = np.any([np.any(A != 0.0, axis=1) for _, A in alt], axis=0)
     model.add_rows([(ids, A[meets]) for ids, A in alt], GEQ,
                    np.zeros(int(meets.sum())))
@@ -257,12 +275,12 @@ def _add_basis_seed(state: MasterState, basis: BasisId) -> str:
     model.add_rows([(y_ids, Y.B2), (x_ids, Y.B1), (u_ids, Y.E[:, struct_basic])],
                    GEQ, Y.d)
 
-    # eta >= c2'y + M (deviation mass) + (h + G x)' lam
+    # eta >= c2'y + M_d (deviation mass) + (h + G x)' lam
     rhs = affine_blocks(model, U.rhs_map.take(eq_rows + ineq_rows, [0]), lam, x_ids,
-                        M, products, transpose=True, lo=lam_low)
+                        M_d, products, transpose=True, lo=lam_low)
     deviation = ubar1 + ubar2 + ubar3
     model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -Y.c2[None]),
-                    (deviation, np.full((1, len(deviation)), -M)),
+                    (deviation, np.full((1, len(deviation)), -M_d)),
                     *[(ids, -A) for ids, A in rhs]], GEQ, [0.0])
 
     state.basis_seeds.append(basis)
@@ -392,7 +410,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                                "the robust value has no finite floor")
         x0 = np.array([det.x[j] for j in det_ids["x"]])
         meta["relaxation_value"] = lb = float(det.objective)
-        eta_floor = _eta_floor(inst, float(det.objective if det.bound is None else det.bound))
+        eta_floor = _eta_floor(inst, float(det.objective if det.bound is None else det.bound),
+                               config.big_M)
         if -np.inf < eta_floor < _ETA_LB:
             state.model.set_bounds(state.eta_id, eta_floor, np.inf)
 
@@ -490,14 +509,14 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                         beta = pol.pi
                 prev_us = r2.u
                 # sp2 reports no basis when U has integer coordinates
-                is_ray, basis = False, getattr(r2.basis_result, "basis", None)
+                is_ray, basis_lp = False, r2.basis_result
             else:
                 step = "feasibility ray subproblem"
                 beta = sp3(inst, x_star, r1.u).ray
-                is_ray, basis = True, None
+                is_ray, basis_lp = True, None
 
             step = _CUT_STEP.get(config.variant)
-            record(*state.cut(x_star, beta, is_ray, basis))
+            record(*state.cut(x_star, beta, is_ray, basis_lp))
             if config.max_iterations is not None and t >= config.max_iterations:
                 meta["reason"] = "iteration cap"
                 return done("Stalled")
@@ -509,19 +528,28 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         return done("Numerical")
 
 
-def _eta_floor(inst: Instance, relaxation: float) -> float:
+def _eta_floor(inst: Instance, relaxation: float, M: float = 1e4) -> float:
     """A lower bound on eta at every first stage: min(_ETA_LB, relaxation -
     max{c1'x : x in the LP relaxation of X}), since c1'x + Q(x) >=
-    relaxation at every x of X; -inf when that max is unbounded."""
+    relaxation at every x of X.  Where that max is unbounded, min(_ETA_LB,
+    min{c2'y : (x, u, y) in the deterministic relaxation at big-M M}),
+    since Q(x) is the recourse value at some u of U(x); -inf when that
+    minimum does not exist either."""
     m = LinearModel(name="first_stage_max")
     x_ids = add_first_stage(m, inst)
     m.set_objective(dict(zip(x_ids, inst.c1)), "max")
     out = backend.solve_lp(m)
-    if out.status == backend.UNBOUNDED:
-        return -np.inf
-    if not out.is_optimal:
+    if out.is_optimal:
+        return min(_ETA_LB, relaxation - out.objective)
+    if out.status != backend.UNBOUNDED:
         raise BackendError(f"first_stage_max ended {out.status}")
-    return min(_ETA_LB, relaxation - out.objective)
+    det, ids = build_deterministic_mip(inst, M)
+    det.name = "recourse_min"
+    det.set_objective(dict(zip(ids["y"], inst.Y.c2)), "min")
+    rec = backend.solve_mip(det)
+    if not rec.is_optimal:
+        return -np.inf
+    return min(_ETA_LB, float(rec.objective if rec.bound is None else rec.bound))
 
 
 def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
                               oracle_exact, recourse_value, t1)
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
-                          build_deterministic_mip, uncertainty_set_from_dict,
+                          add_first_stage, build_deterministic_mip, uncertainty_set_from_dict,
                           uncertainty_set_to_dict)
 from ddu_ro.maxmin import dual_polyhedron_lp
 from ddu_ro.subproblems import sp2
@@ -262,7 +262,8 @@ _TRAJECTORIES = {
     ("uk5", "parametric", "split", True): ["optimality p0", _REPEAT],
     ("uk5", "parametric-modified", None, False): ["unified p0", _REPEAT],
     ("uk5", "parametric-modified", None, True): ["unified p0", _REPEAT],
-    ("uk5", "basis", None, False): ["basis b0", "basis b1", _REPEAT],
+    # one basis cut: its slack-completed basis binds at every first stage
+    ("uk5", "basis", None, False): ["basis b0", _REPEAT],
     ("uk5", "basis", None, True): ["basis b1", _REPEAT],
 }
 _TRAJECTORY_INSTANCES = {
@@ -366,7 +367,7 @@ def test_large_costs_are_not_clipped_by_the_eta_bound(variant):
 def test_bounds_that_cross_end_the_run_numerical(monkeypatch):
     # the old fixed eta bound on the large-cost instance: the first master's
     # lb lies above sp2's ub, which no proof can close
-    monkeypatch.setattr(ccg, "_eta_floor", lambda inst, relaxation: ccg._ETA_LB)
+    monkeypatch.setattr(ccg, "_eta_floor", lambda inst, relaxation, M: ccg._ETA_LB)
     res = run(_fl_rhs2_x1e3(), AlgorithmConfig(variant="parametric", big_M=1e7))
     assert res.status == "Numerical"
     assert "exceeds upper bound" in res.meta["reason"]
@@ -386,12 +387,33 @@ def _deep_toy() -> Instance:
                       E=np.array([[1.0]]), d=np.array([0.0]), c2=np.array([-2e7])))
 
 
-def test_a_master_at_an_unfloored_eta_bound_gives_no_lower_bound():
-    # every master holds eta at -1e7, above Q = -2e7; their values, -1e7 and
-    # up, would cross ub = -2e7, so lb stays at the relaxation and the run,
-    # which Optimal ended with lb > ub before, proves nothing
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_an_unbounded_first_stage_cost_floors_eta_at_the_recourse_minimum(variant):
+    # max c1'x over X does not exist, so eta takes min{c2'y} = -4e7 over the
+    # relaxation's (x, u, y) as its floor; at eta >= -1e7 every variant
+    # ended Stalled with lb at the relaxation, -39999999
     inst = _deep_toy()
-    assert ccg._eta_floor(inst, -4e7) == -np.inf
+    assert ccg._eta_floor(inst, -4e7, 1e8) == pytest.approx(-4e7, rel=1e-12)
+    res = run(inst, AlgorithmConfig(variant=variant, tol=0.0, big_M=1e8))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(-2e7, rel=1e-9)
+    assert res.lb == pytest.approx(res.ub, rel=1e-9)
+
+
+def _unfloored_toy() -> Instance:
+    # _deep_toy with u <= 1 + x1 + x2: u, and so min c2'y over the
+    # relaxation, is unbounded too, while 3e7 x2 keeps the relaxation finite
+    inst = _deep_toy()
+    return replace(inst, name="unfloored_toy", c1=np.array([1.0, 3e7]),
+                   U=replace(inst.U, G=np.array([[1.0, 1.0], [0.0, 0.0]])))
+
+
+def test_a_master_at_an_unfloored_eta_bound_gives_no_lower_bound():
+    # with no floor every master holds eta at -1e7, above Q = -2e7; their
+    # values, -1e7 and up, would cross ub = -2e7, so lb stays at the
+    # relaxation and the run proves nothing
+    inst = _unfloored_toy()
+    assert ccg._eta_floor(inst, -4e7, 1e8) == -np.inf
     res = run(inst, AlgorithmConfig(variant="parametric", tol=0.0, big_M=1e8))
     assert res.status == "Stalled"
     assert res.ub == pytest.approx(-2e7, rel=1e-9)
@@ -794,7 +816,7 @@ def test_basis_probe_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
 
 
-@pytest.mark.parametrize("pareto, cuts", [(False, 2), (True, 1)])
+@pytest.mark.parametrize("pareto, cuts", [(False, 1), (True, 1)])
 def test_a_basis_cut_solves_one_parametric_lp(monkeypatch, pareto, cuts):
     # sp2 brings the basis at x; the cut adds the one at the seed, the same
     # basis unless the Pareto step moved the seed
@@ -1171,13 +1193,52 @@ def test_infeasible_basis_block_leaves_eta_unconstrained():
     assert out.x[state.eta_id] == pytest.approx(1.0 / 3.0 + 7.0 / 3.0, abs=1e-6)
 
 
+def test_basis_and_optimality_blocks_share_the_dual_bound():
+    # at a seed with 2 ||c||_1 = 3e4 above big_M, the optimality block caps
+    # its x lam products at M_d; the basis block of the same cost row boxes
+    # its lam, caps their products and prices its deviations at that M_d
+    inst, M = gen_reliable_pmedian(PMedianParams(n_sites=8, seed=0), "ddu_uk"), 1e4
+    beta = np.full(inst.Y.n_rows, 1.5e4 / np.abs(inst.Y.E.T @ np.ones(inst.Y.n_rows)).sum())
+    x = np.zeros(inst.dim_x)
+    x[[0, 3, 5]] = 1.0
+    lp = maxmin.lp_parametric(inst, x, beta)
+
+    m = backend.LinearModel()
+    maxmin.build_optimality_block(m, inst, beta, add_first_stage(m, inst), M=M)
+    ub = m.columns()[1][inst.dim_x:]
+    (M_d,) = set(ub[np.isfinite(ub)])
+    assert M_d == pytest.approx(3e4, rel=1e-9)
+
+    state = MasterState(inst, AlgorithmConfig(variant="basis", big_M=M))
+    state.add_seed(lp.basis, cost_row=lp.cost_row)
+    lb, ub, _ = (v[state.eta_id + 1:] for v in state.model.columns())
+    assert set(ub[np.isfinite(ub)]) == {M_d}
+    assert set(lb[np.isfinite(lb)]) == {-M_d, 0.0}
+    A = state.model.sparse()[0].tocsc()
+    (eta_row,) = A[:, state.eta_id].nonzero()[0]
+    assert -M_d in A[eta_row].toarray()
+
+
+# parametric's value of 10-site ddu_ukq at generator seed 1
+PM10Q_S1_W = 21900.16169725937
+
+
+def test_the_ten_site_ukq_basis_run_returns_the_parametric_value():
+    # with the lowest-index basis completion and big_M on the dual side it
+    # ended Stalled at ub 22076.431 on a repeated first stage
+    res = run(gen_reliable_pmedian(PMedianParams(n_sites=10, seed=1), "ddu_ukq"),
+              AlgorithmConfig(variant="basis"))
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(PM10Q_S1_W, rel=1e-9)
+
+
 def test_a_basis_cut_on_held_bases_adds_nothing():
     inst, x = t1(), np.zeros(1)
     state = MasterState(inst, AlgorithmConfig(variant="basis"))
     r = sp2(inst, x)
-    assert state.cut(x, r.pi, False, r.basis_result.basis) == ("basis", "b0")
+    assert state.cut(x, r.pi, False, r.basis_result) == ("basis", "b0")
     size = (state.model.n_vars, state.model.n_constrs)
-    assert state.cut(x, r.pi, False, r.basis_result.basis) == ("basis", "")
+    assert state.cut(x, r.pi, False, r.basis_result) == ("basis", "")
     assert (state.model.n_vars, state.model.n_constrs) == size
     assert len(state.basis_seeds) == 1
 

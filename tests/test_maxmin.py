@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -351,6 +352,32 @@ def _open_sites(inst: Instance, sites) -> np.ndarray:
     x = np.zeros(inst.dim_x)
     x[list(sites)] = 1.0
     return x
+
+
+def test_basis_completion_takes_slacks_before_structural_columns():
+    # [F | I] with support {0}: a lowest-index completion would take u_1,
+    # column 1; the slack completion takes the first slack independent of
+    # the support instead, and keeps a support of full rank whole
+    A = np.hstack([[[1.0, 1.0], [1.0, 0.0]], np.eye(2)])
+    assert maxmin._complete_basis(A, [0]) == [0, 2]
+    assert maxmin._complete_basis(A, [1, 0]) == [0, 1]
+    # column 0 is the first slack's column, so the second completes it
+    A = np.hstack([[[1.0, 1.0], [0.0, 1.0]], np.eye(2)])
+    assert maxmin._complete_basis(A, [0]) == [0, 3]
+
+
+def test_pm_uk8_bases_hold_at_every_first_stage():
+    # the basis at a worst case of pm_uk8 has B^-1 (h + G x) >= 0 at all 56
+    # binary first stages with three sites open; the lowest-index completion
+    # held at 6 of them
+    inst = _pm_uk(8)
+    basis = list(sp2(inst, _open_sites(inst, (0, 3, 5))).basis_result.basis.indices)
+    held = 0
+    for sites in itertools.combinations(range(8), 3):
+        x = _open_sites(inst, sites)
+        A = np.hstack([inst.U.F.evaluate(x), np.eye(inst.U.n_rows)])
+        held += np.linalg.solve(A[:, basis], inst.U.h + inst.U.G @ x).min() >= -1e-9
+    assert held == 56
 
 
 def test_integral_vertex_check_accepts_ddu_uk_at_binary_x():
