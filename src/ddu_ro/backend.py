@@ -14,11 +14,32 @@ block HiGHS gets no time limit.
 solve_lp reports the status, objective and solution of an LP, no duals: the
 algorithms that need dual values take them from a dual LP of their own or
 from a basis (maxmin).
+
+HiGHS options of every MIP (_MIP_OPTIONS): the RINS sub-MIP (Danna, Rothberg
+and Le Pape, Math. Prog. 2005) and Feasibility Jump (Luteberget and Sartor,
+Math. Prog. Comp. 2023) are off; mip_rel_gap and the deadline's time_limit
+are added to them. On our MIPs these two heuristics cost more than the
+search they save: the 79 MIPs of pm_uk8 s0 (parametric, benders, basis)
+took 1.81 s of HiGHS 1.12.0 time instead of 2.96 s (median of 5 replays),
+with all 79 objectives identical and 434 nodes instead of 429. The one case
+found slower is fl_rhs10 s0 benders (about 5 %): without RINS its third
+master, with 283 binaries, takes 442 nodes instead of 99. RENS stays on:
+without it the last fl_rhs8 s0 benders master took 17 s and 7953 nodes
+instead of 0.15 s and 1 node, and the run ended GapReached instead of
+Optimal. milp passes these keys to HiGHS verbatim; only its RuntimeWarning
+that says so is silenced, so a misspelt key still gets HiGHS's
+OptimizeWarning. HiGHS prints a stray line (transformNewIntegerFeasibleSolution)
+to stdout with a raw printf whatever output_flag says, so file descriptor 1
+points at standard error for the length of each milp call.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
 import time
+import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -291,6 +312,31 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
     return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x), x=x)
 
 
+# HiGHS options of every MIP, under mip_rel_gap and time_limit (module docstring)
+_MIP_OPTIONS = {"mip_heuristic_run_rins": False, "mip_heuristic_run_feasibility_jump": False}
+
+_LIBC = ctypes.CDLL(None)
+_LIBC.fflush.argtypes, _LIBC.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+
+
+@contextmanager
+def _stdout_to_stderr() -> Iterator[None]:
+    """Point file descriptor 1 at standard error inside the block. Python's
+    and C's stdio buffers are flushed at each switch, so what was written
+    before goes to stdout and what was written inside to stderr. File
+    descriptors are per process: two threads must not be inside at once."""
+    sys.stdout.flush()
+    _LIBC.fflush(None)
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        _LIBC.fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutcome:
     """Solve with integrality, to HiGHS's relative gap mip_rel_gap when given
     (its default is 1e-4); a model without integer columns goes to
@@ -306,11 +352,14 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
     lo = np.where(senses == LEQ, -np.inf, rhs)
     hi = np.where(senses == GEQ, np.inf, rhs)
     lb, ub, integer = model.columns()
-    options = _with_time_left(model, {} if mip_rel_gap is None
-                              else {"mip_rel_gap": mip_rel_gap})
+    gap = {} if mip_rel_gap is None else {"mip_rel_gap": mip_rel_gap}
+    options = _with_time_left(model, {**_MIP_OPTIONS, **gap})
     constraints = LinearConstraint(A, lo, hi) if model.n_constrs else ()
-    res = milp(c, constraints=constraints, integrality=integer.astype(np.int64),
-               bounds=Bounds(lb, ub), options=options)
+    with warnings.catch_warnings(), _stdout_to_stderr():
+        warnings.filterwarnings("ignore", "Unrecognized options detected: .* passed to "
+                                "HiGHS verbatim", RuntimeWarning)
+        res = milp(c, constraints=constraints, integrality=integer.astype(np.int64),
+                   bounds=Bounds(lb, ub), options=options)
     status = _status(model, res.status)
     if res.x is None:
         return SolveOutcome(status=status if status != OPTIMAL else NUMERICAL)

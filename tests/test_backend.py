@@ -1,4 +1,5 @@
 import copy
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
 from scipy.sparse import coo_array, csr_array
 
 from ddu_ro import backend
@@ -481,3 +482,37 @@ def test_a_highs_time_limit_status_raises(monkeypatch, solver, model):
         status=1, x=np.array([1.0, 0.5]), mip_dual_bound=1.5))
     with backend.deadline(100.0), pytest.raises(SolveTimeLimit, match="time limit"):
         backend.solve_mip(model()[0])
+
+
+# -- HiGHS options of every MIP -------------------------------------------------
+
+def test_every_mip_gets_the_fixed_heuristic_options(monkeypatch):
+    seen = _record_highs(monkeypatch)
+    backend.solve_mip(small_mip()[0])
+    with backend.deadline(100.0):
+        backend.solve_mip(small_mip()[0], mip_rel_gap=1e-6)
+    for options in seen:
+        assert options["mip_heuristic_run_rins"] is False
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+        assert not [k for k in options if "rens" in k or "effort" in k]
+    assert "mip_rel_gap" not in seen[0] and "time_limit" not in seen[0]
+    assert seen[1]["mip_rel_gap"] == 1e-6 and 0.0 < seen[1]["time_limit"] <= 100.0
+
+
+def test_a_misspelt_highs_option_still_warns(monkeypatch):
+    # only milp's notice that it passes the keys on verbatim is silenced
+    monkeypatch.setattr(backend, "_MIP_OPTIONS", {"mip_heuristic_run_rinz": False})
+    with pytest.warns(OptimizeWarning, match="mip_heuristic_run_rinz"):
+        backend.solve_mip(small_mip()[0])
+
+
+def test_highs_output_during_a_mip_goes_to_stderr(monkeypatch, capfd):
+    def noisy(*args, **kwargs):
+        os.write(1, b"from HiGHS\n")
+        return milp(*args, **kwargs)
+    monkeypatch.setattr(backend, "milp", noisy)
+    print("before")
+    assert backend.solve_mip(small_mip()[0]).is_optimal
+    print("after")
+    out, err = capfd.readouterr()
+    assert (out, err) == ("before\nafter\n", "from HiGHS\n")

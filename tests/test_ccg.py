@@ -285,6 +285,32 @@ def test_loop_trajectory_is_pinned(name, variant, cut_mode, pareto):
     assert [(r.cut_kind, r.seed_id) for r in res.iterations] == expected
 
 
+# iteration counts of pm_uk8 s0 at the default tol under backend's HiGHS
+# options; t1, flt and uk5 take the pinned trajectories above
+_PM8_ITERATIONS = {"benders": 14, "parametric": 6, "parametric-modified": 6, "basis": 6}
+
+
+@pytest.mark.parametrize("name,variant", [
+    *[(name, variant) for name, variant, cut_mode, pareto in _TRAJECTORIES
+      if cut_mode is None and not pareto],
+    *[("pm_uk8", variant) for variant in _PM8_ITERATIONS]])
+def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
+    # every MIP solved with HiGHS's default options instead of backend's
+    # (RINS and feasibility jump off) ends on the pinned outcome
+    monkeypatch.setattr(backend, "_MIP_OPTIONS", {})
+    if name == "pm_uk8":
+        make, value = lambda: gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"), PM8_W
+        config, iterations = AlgorithmConfig(variant=variant), _PM8_ITERATIONS[variant]
+    else:
+        make, value = _TRAJECTORY_INSTANCES[name]
+        config = AlgorithmConfig(variant=variant, tol=0.0)
+        iterations = len(_TRAJECTORIES[name, variant, None, False])
+    res = run(make(), config)
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(value, rel=1e-9)
+    assert res.n_iterations == iterations
+
+
 # -- bound discipline --------------------------------------------------------
 
 def test_bounds_monotone_and_bracket_the_oracle():

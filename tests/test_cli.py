@@ -84,6 +84,19 @@ def test_solve_numerical_exits_one_with_the_run(fl_mip3_path, tmp_path):
     assert payload["lb"] is not None and payload["ub"] is None
 
 
+def test_solve_prints_only_its_summary_line(tmp_path, capfd):
+    # HiGHS prints a line of its own with a raw printf during this run's
+    # MIPs; stdout must still hold the summary alone
+    from ddu_ro.instances import FLParams, gen_robust_fl
+    path = tmp_path / "fl_rhs5.json"
+    io_write(str(path), gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"))
+    code = cli.main(["solve", str(path), "--variant", "benders",
+                     "--out", str(tmp_path / "art")])
+    assert code == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Optimal objective=-116370.336")
+
+
 def test_pareto_in_an_approximation_loop_exits_one(fl_mip3_path, tmp_path, capsys):
     assert cli.main(["solve", fl_mip3_path, "--mip-recourse", "--pareto",
                      "--out", str(tmp_path)]) == 1
