@@ -8,6 +8,15 @@ cutting sets ("basis").  Two approximation loops reuse the parametric master:
 one for mixed-integer recourse, one that brackets a decision-independent
 problem between decision-dependent surrogates.  A run stops when the gap
 closes or the master repeats a first stage, whose worst case it holds.
+
+A master is a MIP over the first stage x and eta, but when every continuous
+x is separable (U(x) and the recourse rows read integer x only), X's integer
+box is small enough for the oracle's enumeration, and no cutting set brings
+integer columns of its own, MasterState.solve values it over the lattice
+instead: with x fixed at a lattice point every cutting set is an LP of its
+own, since its products with a 0/1 x are then exact and the sets share only
+x and eta, so the master there is c1'x plus the largest least eta of its
+sets.  Each set is priced at every point once, by block LPs, and kept.
 """
 
 from __future__ import annotations
@@ -18,10 +27,13 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import eye_array, kron
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .instances import SchemaError, check_uncertainty_schema
+from .instances import (_BLOCK_ENTRIES, OracleError, SchemaError, _runs,
+                        check_uncertainty_schema, coupled_continuous,
+                        lattice_first_stages)
 from .maxmin import (OptimalityBlock, ParametricLPResult, _couples_only_binary,
                      build_optimality_block, dual_bound, ensure_unique_optimum,
                      lp_parametric)
@@ -86,6 +98,10 @@ class AlgorithmConfig:
         return self.variant != "benders"
 
 
+class _OffLattice(Exception):
+    """The master has a part that the lattice route cannot value exactly."""
+
+
 class MasterState:
     """The growing master model plus the registry of seeds already cut in.
 
@@ -93,6 +109,25 @@ class MasterState:
     keep referencing the first-stage columns of iteration zero.  ou_sets, when
     given, replaces the instance's own uncertainty set in every optimality
     block: each point seed then gets one block per listed set.
+
+    solve() values the master over X's integer lattice (the first stages of
+    instances.lattice_first_stages) while the instance allows it: no
+    continuous x that U(x) or the recourse rows read, and blocks without
+    integer columns (primal-dual optimality blocks, basis cutting sets,
+    continuous replicates). That is exact: a product of a 0/1 x with a
+    column is exact once x is fixed, the separable continuous x meet only
+    c1 and X, and the blocks share nothing but x and eta, each bounding eta
+    from below. So at a lattice point x the master is c1'x plus the largest
+    of eta's lower bound and each block's least eta there, an LP per block;
+    a point where some block's LP is infeasible is cut off (the master of
+    Zeng and Zhao 2013, solved by enumerating the first stages, one of the
+    master strategies that Rahmaniani et al., EJOR 2017, survey). Every
+    part appended since the previous solve is valued once at every point,
+    in one LP per run of points, and its values are kept. A part the route
+    cannot value (it reads a continuous x or an older part's column, brings
+    an integer column, or bounds eta from above), or a box larger than the
+    oracle's, sends this and every later solve to backend.solve_mip, which
+    always holds the whole model.
     """
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
@@ -113,6 +148,52 @@ class MasterState:
         self.ray_seeds: list[np.ndarray] = []
         self.basis_seeds: list[BasisId] = []
         self.blocks: dict[str, OptimalityBlock | None] = {}
+        # the lattice route: None once off it; else the columns and rows
+        # already valued, the points (enumerated at the first solve) and,
+        # per point, the largest least eta of the parts valued so far
+        self._valued = (self.model.n_vars, self.model.n_constrs)
+        if (coupled_continuous(inst) or inst.Y.n_int_y or not _couples_only_binary(inst)
+                or config.variant == "parametric-modified"):
+            self._valued = None
+        self._points: np.ndarray | None = None
+        self._theta: np.ndarray | None = None
+        self.masters_lattice = self.masters_mip = 0
+
+    def solve(self, **mip_options) -> backend.SolveOutcome:
+        """The master's optimum, exact (bound = objective) over the lattice
+        while the route holds (see the class docstring), else from
+        backend.solve_mip with mip_options."""
+        if self._valued is not None:
+            try:
+                out = self._lattice_solve()
+                self.masters_lattice += 1
+                return out
+            except (_OffLattice, OracleError):
+                self._valued = None
+        self.masters_mip += 1
+        return backend.solve_mip(self.model, **mip_options)
+
+    def _lattice_solve(self) -> backend.SolveOutcome:
+        """The first point of least c1'x + max(eta's lower bound, each
+        part's least eta), with eta at that max; Infeasible when every point
+        is cut off."""
+        m = self.model
+        if self._points is None:
+            xs = lattice_first_stages(self.inst)
+            self._points = np.reshape(xs, (len(xs), self.inst.dim_x))
+            self._theta = np.full(len(xs), -np.inf)
+        if self._valued != (m.n_vars, m.n_constrs):
+            self._theta = np.maximum(self._theta, _part_values(self, *self._valued))
+            self._valued = (m.n_vars, m.n_constrs)
+        eta = np.maximum(m.columns()[0][self.eta_id], self._theta)
+        values = self._points @ self.inst.c1 + eta
+        if not np.isfinite(values).any():
+            return backend.SolveOutcome(status=backend.INFEASIBLE)
+        k = int(np.argmin(values))
+        x = np.full(m.n_vars, np.nan)
+        x[self.x_ids], x[self.eta_id] = self._points[k], eta[k]
+        return backend.SolveOutcome(status=backend.OPTIMAL, objective=float(values[k]),
+                                    x=x, bound=float(values[k]))
 
     def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
                  unique_data: np.ndarray | None = None,
@@ -288,6 +369,52 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
     return tag
 
 
+# -- the master over the lattice ------------------------------------------
+
+def _part_values(state: MasterState, n0: int, m0: int) -> np.ndarray:
+    """At every lattice point, the least eta that the rows from m0 on allow
+    with x fixed there and the columns from n0 on free, +inf where they
+    allow none: one LP per run of points (at most _BLOCK_ENTRIES nonzeros of
+    the part over its copies), each point with its own copy of those columns
+    and of eta. Raises _OffLattice where that would not be exact."""
+    model, n_int = state.model, state.inst.X.n_int
+    A, senses, rhs = model.sparse()
+    A, senses, rhs = A[m0:], senses[m0:], rhs[m0:]
+    lb, ub, integer = model.columns()
+    x_int, own = state.x_ids[:n_int], [*range(n0, model.n_vars), state.eta_id]
+    eta = A[:, [state.eta_id]].toarray()[:, 0]
+    if (integer[n0:].any() or np.setdiff1d(A.indices, x_int + own).size
+            or np.any(np.where(senses == GEQ, eta < 0, np.where(senses == LEQ, eta > 0,
+                                                                eta != 0)))):
+        raise _OffLattice
+    A_own = A[:, own]
+    r = rhs - state._points[:, :n_int] @ A[:, x_int].T
+    cap = max(1, int(_BLOCK_ENTRIES // max(1, A_own.nnz)))
+    return np.concatenate([_least_etas(model.name, A_own, senses, r[run], lb[own], ub[own])
+                           for run in _runs(range(len(r)), cap)])
+
+
+def _least_etas(name: str, A, senses: np.ndarray, rhs: np.ndarray,
+                lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """For every row r of rhs, min{v_last : A v (senses) r, lb <= v <= ub},
+    +inf where that is infeasible, from one LP of the copies that minimizes
+    the sum of their last columns; when it is not Optimal, from one LP per
+    row. The LPs carry the master's name."""
+    K, n = rhs.shape[0], A.shape[1]
+    lp = LinearModel(name=name)
+    ids = lp.add_vars(K * n, np.tile(lb, K), np.tile(ub, K))
+    lp.add_rows([(ids, kron(eye_array(K), A))], np.tile(senses, K), rhs.ravel())
+    lp.set_objective(dict.fromkeys(ids[n - 1::n], 1.0))
+    out = backend.solve_lp(lp)
+    if out.is_optimal:
+        return out.x[n - 1::n]
+    if K > 1:
+        return np.concatenate([_least_etas(name, A, senses, r[None], lb, ub) for r in rhs])
+    if out.status == backend.INFEASIBLE:
+        return np.array([np.inf])
+    raise _OffLattice
+
+
 # -- the outer loop ---------------------------------------------------------
 
 def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
@@ -372,7 +499,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     t0 = time.monotonic()
     stop_tol = max(config.tol, _OPT_GAP)
     # HiGHS stops a MIP at a relative gap of 1e-4, and lb is the master's
-    # dual bound, so a finer tol needs masters solved that finely
+    # dual bound, so a finer tol needs MIP masters solved that finely; a
+    # master valued over the lattice is exact
     master_gap = {"mip_rel_gap": stop_tol} if stop_tol < 1e-4 else {}
     feas_tol = _FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max(initial=0.0)))
 
@@ -392,6 +520,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         meta["blocks_primal_dual"] = sum(b.representation == "primal-dual"
                                          for b in blocks)
         meta["blocks_kkt"] = len(blocks) - meta["blocks_primal_dual"]
+        meta["masters_lattice"] = state.masters_lattice
+        meta["masters_mip"] = state.masters_mip
         return RunResult(status=status, objective=obj,
                          x=incumbent, lb=float(lb), ub=float(ub), iterations=records,
                          elapsed_s=time.monotonic() - t0, variant=config.variant,
@@ -437,7 +567,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         while True:
             t += 1
             step = "master"
-            out = backend.solve_mip(state.model, **master_gap)
+            out = state.solve(**master_gap)
             if out.status == backend.INFEASIBLE:
                 # feasibility cutting sets exclude every first stage
                 meta["reason"] = "master infeasible"

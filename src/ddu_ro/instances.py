@@ -463,17 +463,46 @@ def oracle_exact(inst: Instance) -> OracleResult:
     shares these LPs (see _complete_continuous). One LP per distinct F(x)
     first checks that U(x) is bounded (_require_bounded).
     """
+    xs = lattice_first_stages(inst)
+    _require_bounded(inst.U, xs)
+    best = OracleResult(value=np.inf, x=np.zeros(inst.dim_x), worst_u=np.zeros(inst.dim_u))
+    evals: list[tuple[np.ndarray, float]] = []
+    for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs)):
+        val = float(inst.c1 @ x) + wc
+        evals.append((x, val))
+        if val < best.value - 1e-12:
+            best = OracleResult(value=val, x=x, worst_u=u_wc)
+    if not evals:
+        raise OracleError("first stage has no feasible point")
+    best.evaluations = evals
+    return best
+
+
+def coupled_continuous(inst: Instance) -> list[int]:
+    """The continuous first-stage components that U(x) or the recourse rows
+    read; the others are separable and matter only through c1 and X."""
+    in_U = inst.U.coupled_columns
+    return [k for k in range(inst.X.n_int, inst.dim_x)
+            if k in in_U or np.any(inst.Y.B1[:, k])]
+
+
+def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
+    """The first stages oracle_exact values, in lattice order: every integer
+    assignment of X's bound box that the rows on integer components alone
+    admit, completed by _complete_continuous (coupled continuous x pinned or
+    gridded, separable x at their least c1 cost), none where X admits no
+    completion. Raises OracleError when an integer x has an infinite bound
+    or the box holds more than _MAX_LATTICE assignments. The C&CG master
+    takes these points as its lattice (ccg.MasterState.solve)."""
     X = inst.X
     nx = inst.dim_x
     n_int = X.n_int
-
-    in_U = inst.U.coupled_columns
-    coupled = [k for k in range(n_int, nx) if k in in_U or np.any(inst.Y.B1[:, k])]
+    coupled = coupled_continuous(inst)
     sep = [k for k in range(n_int, nx) if k not in coupled]
 
     for k in range(n_int):
-        if not np.isfinite(X.ub[k]):
-            raise OracleError(f"x[{k}] integer with infinite upper bound")
+        if not np.isfinite([X.lb[k], X.ub[k]]).all():
+            raise OracleError(f"x[{k}] integer with an infinite bound")
     ranges = [range(int(np.ceil(X.lb[k] - 1e-9)), int(np.floor(X.ub[k] + 1e-9)) + 1)
               for k in range(n_int)]
     total = 1
@@ -491,21 +520,8 @@ def oracle_exact(inst: Instance) -> OracleResult:
     # at most _GRID ** 2 copies of X per lattice point
     copies = _GRID ** min(2, len(coupled))
     cap = max(1, int(_BLOCK_ENTRIES // (max(1, X.A.size) * copies)))
-    xs = [x for run in _runs(points, cap)
-          for x in _complete_continuous(inst, run, coupled, sep)]
-
-    _require_bounded(inst.U, xs)
-    best = OracleResult(value=np.inf, x=np.zeros(nx), worst_u=np.zeros(inst.dim_u))
-    evals: list[tuple[np.ndarray, float]] = []
-    for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs)):
-        val = float(inst.c1 @ x) + wc
-        evals.append((x, val))
-        if val < best.value - 1e-12:
-            best = OracleResult(value=val, x=x, worst_u=u_wc)
-    if not evals:
-        raise OracleError("first stage has no feasible point")
-    best.evaluations = evals
-    return best
+    return [x for run in _runs(points, cap)
+            for x in _complete_continuous(inst, run, coupled, sep)]
 
 
 def _require_bounded(U: UncertaintySet, xs: list[np.ndarray]) -> None:

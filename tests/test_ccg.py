@@ -285,8 +285,9 @@ def test_loop_trajectory_is_pinned(name, variant, cut_mode, pareto):
     assert [(r.cut_kind, r.seed_id) for r in res.iterations] == expected
 
 
-# iteration counts of pm_uk8 s0 at the default tol under backend's HiGHS
-# options; t1, flt and uk5 take the pinned trajectories above
+# iteration counts of pm_uk8 s0 at the default tol; its masters are valued
+# over X's lattice, so HiGHS's options reach only its subproblems. t1, flt
+# and uk5 take the pinned trajectories above
 _PM8_ITERATIONS = {"benders": 14, "parametric": 6, "parametric-modified": 6, "basis": 6}
 
 
@@ -309,6 +310,107 @@ def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(value, rel=1e-9)
     assert res.n_iterations == iterations
+
+
+# -- the master over X's lattice ---------------------------------------------
+
+@pytest.mark.parametrize("make, config, route", [
+    (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="benders"), "lattice"),
+    (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="parametric"), "lattice"),
+    (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="basis"), "lattice"),
+    (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="parametric-modified"), "mip"),
+    (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"), {}, "mip"),
+    (lambda: gen_mip_recourse_fl(FLParams(**FL_MIP3)),
+     dict(mip_recourse_mode=True, big_M=1e5), "mip"),
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=0), "ddu_us_pair"),
+     dict(diu_approx="metadata"), "mip"),
+], ids=["uk5-benders", "uk5-parametric", "uk5-basis", "uk5-parametric-modified",
+        "fl_rhs2-coupled-capacity", "fl_mip3-integer-recourse", "pm_pair5-box"])
+def test_the_master_route_follows_the_structure(make, config, route):
+    # uk5 has binary sites only and primal-dual blocks; "unique" blocks carry
+    # binaries, fl-rhs couples its continuous capacities, mip mode replicates
+    # integer recourse, and pm_pair5's 15 binaries span 32768 points, more
+    # than the oracle's _MAX_LATTICE
+    res = run(make(), AlgorithmConfig(**config))
+    meta = run_result_to_dict(res)["meta"]
+    assert res.status == "Optimal"
+    assert meta["masters_lattice"] + meta["masters_mip"] == res.n_iterations
+    assert meta["masters_mip" if route == "lattice" else "masters_lattice"] == 0
+
+
+@pytest.mark.parametrize("name", ["uk5", "pm_uk8"])
+def test_the_lattice_master_agrees_with_the_mip(name, monkeypatch):
+    # at every master the lattice value lies between the dual bound and the
+    # objective of backend.solve_mip on the same model, and where that MIP
+    # closed its gap it takes the same first stage
+    make = (_TRAJECTORY_INSTANCES["uk5"][0] if name == "uk5"
+            else lambda: gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"))
+    lattice_solve, compared = MasterState.solve, []
+
+    def checked(state, **kw):
+        out = lattice_solve(state, **kw)
+        mip = backend.solve_mip(state.model)
+        assert out.is_optimal and mip.is_optimal
+        scale = 1e-9 * max(1.0, abs(mip.objective))
+        assert mip.bound - scale <= out.objective <= mip.objective + scale
+        if mip.objective - mip.bound <= scale:
+            assert out.x[state.x_ids] == pytest.approx(mip.x[state.x_ids], abs=1e-6)
+        compared.append(out.objective)
+        return out
+
+    monkeypatch.setattr(MasterState, "solve", checked)
+    masters = 0
+    for config in [dict(variant="benders"), dict(variant="basis"),
+                   *[dict(variant="parametric", cut_mode=mode, pareto=pareto)
+                     for mode in ("unified", "split") for pareto in (False, True)]]:
+        res = run(make(), AlgorithmConfig(**config))
+        assert res.status == "Optimal" and res.meta["masters_mip"] == 0
+        masters += res.meta["masters_lattice"]
+    assert len(compared) == masters
+
+
+def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
+    # the ray benders finds at x = 1 has no point in its feasibility block
+    # there, so the LP over both points is Infeasible and each point gets an
+    # LP of its own: x = 1 is cut off, x = 0 keeps its value
+    real, solved = backend.solve_lp, []
+
+    def recorded(model):
+        out = real(model)
+        if model.name.endswith("-master"):
+            solved.append((model.n_vars, out.status))
+        return out
+
+    monkeypatch.setattr(backend, "solve_lp", recorded)
+    res = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    assert res.status == "Optimal" and res.objective == pytest.approx(1.0)
+    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (3, 0)
+    n = solved[0][0] // 2
+    assert solved == [(2 * n, "Optimal"), (2 * n, "Infeasible"),
+                      (n, "Optimal"), (n, "Infeasible")]
+
+
+def _uncoverable_toy() -> Instance:
+    # y covers u only up to 1/2 while U(x) = [0, 1 + x] reaches 1 at every
+    # x; the deterministic relaxation, at u = 0, is feasible
+    return Instance(
+        name="uncoverable", c1=np.array([1.0]),
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                        ub=np.array([1.0])),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.array([[1.0]])),
+                         G=np.array([[1.0]]), h=np.array([1.0])),
+        Y=RecourseSet(B1=np.zeros((2, 1)), B2=np.array([[1.0], [-1.0]]),
+                      E=np.array([[-1.0], [0.0]]), d=np.array([0.0, -0.5]),
+                      c2=np.array([1.0])))
+
+
+@pytest.mark.parametrize("config", [dict(variant="benders"), dict(variant="parametric"),
+                                    dict(variant="parametric", cut_mode="split")],
+                         ids=["benders", "parametric", "parametric-split"])
+def test_a_lattice_with_every_point_cut_off_ends_master_infeasible(config):
+    res = run(_uncoverable_toy(), AlgorithmConfig(**config))
+    assert res.status == "Infeasible" and res.meta["reason"] == "master infeasible"
+    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (2, 0)
 
 
 # -- bound discipline --------------------------------------------------------
@@ -873,8 +975,10 @@ def test_core_scenario_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.lb <= 1.0 + 1e-9 <= res.ub + 1e-9
 
 
+# the first master of t1 appends nothing to value over the lattice, so the
+# second master's block LP is the first solve named after the master
 @pytest.mark.parametrize("name, calls, step", [
-    ("T1-parametric-master", 2, "master"),
+    ("T1-parametric-master", 1, "master"),
     ("sp2_pol", 1, "Pareto seed subproblem"),
 ])
 def test_a_timeout_names_the_step_that_ran(monkeypatch, name, calls, step):
