@@ -208,13 +208,21 @@ class LinearModel:
         """Copies of the columns' lower bounds, upper bounds and integrality."""
         return tuple(a[:self._n].copy() for a in (self._lb, self._ub, self._int))
 
-    def sparse(self) -> tuple[csr_array, np.ndarray, np.ndarray]:
-        """Constraint data as (A, senses, rhs), A in CSR with one row per
-        constraint."""
-        counts, cols, vals, senses, rhs = map(np.concatenate, zip(*self._chunks))
-        indptr = np.zeros(self._m + 1, dtype=np.int64)
+    def sparse(self, first: int = 0) -> tuple[csr_array, np.ndarray, np.ndarray]:
+        """Constraint data of the rows from first on as (A, senses, rhs), A in
+        CSR with one row per constraint; only the chunks holding those rows
+        are read."""
+        k, start = len(self._chunks), self._m
+        while start > first:
+            k -= 1
+            start -= self._chunks[k][0].size
+        counts, cols, vals, senses, rhs = map(
+            np.concatenate, zip(self._chunks[0], *self._chunks[k:]))
+        indptr = np.zeros(self._m - start + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return csr_array((vals, cols, indptr), shape=(self._m, self._n)), senses, rhs
+        A = csr_array((vals, cols, indptr), shape=(self._m - start, self._n))
+        skip = max(0, first - start)
+        return (A[skip:], senses[skip:], rhs[skip:]) if skip else (A, senses, rhs)
 
     @property
     def vars(self) -> list[_Var]:

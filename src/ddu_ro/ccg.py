@@ -11,8 +11,8 @@ closes or the master repeats a first stage, whose worst case it holds.
 
 A master is a MIP over the first stage x and eta, but when every continuous
 x is separable (U(x) and the recourse rows read integer x only), X's integer
-box is small enough for the oracle's enumeration, and no cutting set brings
-integer columns of its own, MasterState.solve values it over the lattice
+lattice holds at most _MAX_MASTER_POINTS first stages, and no cutting set
+brings integer columns of its own, MasterState.solve values it over the lattice
 instead: with x fixed at a lattice point every cutting set is an LP of its
 own, since its products with a 0/1 x are then exact and the sets share only
 x and eta, so the master there is c1'x plus the largest least eta of its
@@ -56,6 +56,11 @@ _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
 # eta's lower bound, binding only before the first optimality cut, unless
 # the relaxation puts a valid floor lower (_eta_floor)
 _ETA_LB = -1e7
+# the most first stages a master is valued at (MasterState.solve): the
+# largest lattice measured no slower than the MIP masters, 14-site ddu_uk
+# p-medians at p = 3; at 495 points (12 sites, p = 4) the parametric and
+# basis masters took 1.3-1.5 times the MIP's seconds
+_MAX_MASTER_POINTS = 364
 
 
 @dataclass
@@ -125,9 +130,9 @@ class MasterState:
     part appended since the previous solve is valued once at every point,
     in one LP per run of points, and its values are kept. A part the route
     cannot value (it reads a continuous x or an older part's column, brings
-    an integer column, or bounds eta from above), or a box larger than the
-    oracle's, sends this and every later solve to backend.solve_mip, which
-    always holds the whole model.
+    an integer column, or bounds eta from above), or a lattice of more than
+    _MAX_MASTER_POINTS first stages, sends this and every later solve to
+    backend.solve_mip, which always holds the whole model.
     """
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
@@ -179,7 +184,7 @@ class MasterState:
         is cut off."""
         m = self.model
         if self._points is None:
-            xs = lattice_first_stages(self.inst)
+            xs = lattice_first_stages(self.inst, _MAX_MASTER_POINTS)
             self._points = np.reshape(xs, (len(xs), self.inst.dim_x))
             self._theta = np.full(len(xs), -np.inf)
         if self._valued != (m.n_vars, m.n_constrs):
@@ -378,8 +383,7 @@ def _part_values(state: MasterState, n0: int, m0: int) -> np.ndarray:
     the part over its copies), each point with its own copy of those columns
     and of eta. Raises _OffLattice where that would not be exact."""
     model, n_int = state.model, state.inst.X.n_int
-    A, senses, rhs = model.sparse()
-    A, senses, rhs = A[m0:], senses[m0:], rhs[m0:]
+    A, senses, rhs = model.sparse(m0)
     lb, ub, integer = model.columns()
     x_int, own = state.x_ids[:n_int], [*range(n0, model.n_vars), state.eta_id]
     eta = A[:, [state.eta_id]].toarray()[:, 0]
@@ -398,8 +402,9 @@ def _least_etas(name: str, A, senses: np.ndarray, rhs: np.ndarray,
                 lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """For every row r of rhs, min{v_last : A v (senses) r, lb <= v <= ub},
     +inf where that is infeasible, from one LP of the copies that minimizes
-    the sum of their last columns; when it is not Optimal, from one LP per
-    row. The LPs carry the master's name."""
+    the sum of their last columns; when it is not Optimal, from each half of
+    the rows in turn, so an infeasible row costs about log2 K LPs. The LPs
+    carry the master's name."""
     K, n = rhs.shape[0], A.shape[1]
     lp = LinearModel(name=name)
     ids = lp.add_vars(K * n, np.tile(lb, K), np.tile(ub, K))
@@ -409,7 +414,8 @@ def _least_etas(name: str, A, senses: np.ndarray, rhs: np.ndarray,
     if out.is_optimal:
         return out.x[n - 1::n]
     if K > 1:
-        return np.concatenate([_least_etas(name, A, senses, r[None], lb, ub) for r in rhs])
+        return np.concatenate([_least_etas(name, A, senses, half, lb, ub)
+                               for half in (rhs[:K // 2], rhs[K // 2:])])
     if out.status == backend.INFEASIBLE:
         return np.array([np.inf])
     raise _OffLattice

@@ -486,14 +486,16 @@ def coupled_continuous(inst: Instance) -> list[int]:
             if k in in_U or np.any(inst.Y.B1[:, k])]
 
 
-def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
+def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list[np.ndarray]:
     """The first stages oracle_exact values, in lattice order: every integer
     assignment of X's bound box that the rows on integer components alone
     admit, completed by _complete_continuous (coupled continuous x pinned or
     gridded, separable x at their least c1 cost), none where X admits no
-    completion. Raises OracleError when an integer x has an infinite bound
-    or the box holds more than _MAX_LATTICE assignments. The C&CG master
-    takes these points as its lattice (ccg.MasterState.solve)."""
+    completion. Raises OracleError when an integer x has an infinite bound,
+    the box holds more than _MAX_LATTICE assignments, the rows admit more
+    than max_points of them or a completion LP ends neither Optimal nor
+    Infeasible. The C&CG master takes these points as its lattice
+    (ccg.MasterState.solve)."""
     X = inst.X
     nx = inst.dim_x
     n_int = X.n_int
@@ -517,6 +519,8 @@ def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
               for combo in (itertools.product(*ranges) if ranges else [()]))
     points = [xi for xi in points
               if not any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows)]
+    if len(points) > max_points:
+        raise OracleError(f"{len(points)} integer x assignments exceed {max_points}")
     # at most _GRID ** 2 copies of X per lattice point
     copies = _GRID ** min(2, len(coupled))
     cap = max(1, int(_BLOCK_ENTRIES // (max(1, X.A.size) * copies)))
@@ -545,7 +549,8 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
     min and a max LP per coupled x probe its range in every copy to pin it (a
     point) or grid it (_GRID points), and _fill takes every (assignment,
     grid point). When a run LP is not Optimal, or a copy leaves more than two
-    coupled x free, each assignment is taken alone."""
+    coupled x free, each assignment is taken alone; one whose own LPs end
+    neither Optimal nor Infeasible raises OracleError."""
     X = inst.X
     nx, n_int = inst.dim_x, X.n_int
     if n_int == nx:
@@ -583,8 +588,10 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
             return
         if out.status == backend.UNBOUNDED:
             raise OracleError(f"coupled x[{k}] unbounded over X")
-        if not out.is_optimal:
+        if out.status == backend.INFEASIBLE:
             return
+        if not out.is_optimal:
+            raise OracleError(f"completing a first stage ended {out.status}")
         if len(free[0]) > 2:
             raise OracleError(f"{len(free[0])} free coupled continuous dims exceed the grid limit")
 
@@ -613,7 +620,9 @@ def _fill(inst: Instance, groups: list, sep: list[int]):
     """Yield, for every point (row) of every group in order, the x that keeps
     its values and minimizes c1 over the separable x, none where X admits no
     such x: from one LP with a copy of the first stage per point, and when it
-    is not Optimal from each group alone, then from each point alone."""
+    is not Optimal from each group alone, then from each point alone. A
+    point whose own LP ends neither Optimal nor Infeasible raises
+    OracleError: leaving it out could drop the best first stage."""
     points = np.vstack(groups)
     m = LinearModel(name="xfill")
     copies = _fixed_first_stage(m, inst, points)
@@ -627,6 +636,8 @@ def _fill(inst: Instance, groups: list, sep: list[int]):
             yield from _fill(inst, [part], sep)
     elif out.status == backend.UNBOUNDED:
         raise OracleError("separable continuous block unbounded below")
+    elif out.status != backend.INFEASIBLE:
+        raise OracleError(f"completing a first stage ended {out.status}")
 
 
 # -- facility-location generators ----------------------------------------------

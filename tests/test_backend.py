@@ -24,6 +24,22 @@ def small_min_lp():
     return m, x, y
 
 
+def test_sparse_from_a_row_reads_the_rows_from_there():
+    m = LinearModel()
+    m.add_vars(3)
+    m.add_rows([([0, 1], [[1.0, 2.0], [0.0, 3.0]])], GEQ, [1.0, 2.0])
+    m.add_rows([([2], [[4.0]])], LEQ, [3.0])
+    m.add_rows([([0, 2], np.zeros((0, 2)))], EQ, np.zeros(0))
+    m.add_rows([([1, 2], [[5.0, 6.0], [7.0, 0.0]])], [EQ, LEQ], [4.0, 5.0])
+    A, senses, rhs = m.sparse()
+    for first in range(m.n_constrs + 2):
+        A_f, senses_f, rhs_f = m.sparse(first)
+        assert A_f.shape == (max(0, m.n_constrs - first), 3)
+        assert np.array_equal(A_f.toarray(), A.toarray()[first:])
+        assert senses_f.tolist() == senses[first:].tolist()
+        assert np.array_equal(rhs_f, rhs[first:])
+
+
 def test_ids_are_append_only():
     m = LinearModel()
     assert m.add_vars(2) + m.add_vars(3) == [0, 1, 2, 3, 4]

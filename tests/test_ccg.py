@@ -8,12 +8,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from ddu_ro import backend, ccg, maxmin
-from ddu_ro.backend import BackendError, SolveOutcome, SolveTimeLimit
+from ddu_ro.backend import GEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
-from ddu_ro.instances import (FLParams, PMedianParams, gen_mip_recourse_fl,
+from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
                               gen_reliable_pmedian, gen_robust_fl,
                               oracle_exact, recourse_value, t1)
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
@@ -338,6 +339,19 @@ def test_the_master_route_follows_the_structure(make, config, route):
     assert meta["masters_mip" if route == "lattice" else "masters_lattice"] == 0
 
 
+def test_a_lattice_over_the_point_limit_keeps_the_mip_masters(monkeypatch):
+    # uk5 has ten first stages (3 of 5 sites); a limit one below keeps
+    # every master a MIP, with the same outcome
+    outcomes = []
+    for limit, route in ((10, "masters_lattice"), (9, "masters_mip")):
+        monkeypatch.setattr(ccg, "_MAX_MASTER_POINTS", limit)
+        res = run(_TRAJECTORY_INSTANCES["uk5"][0](), AlgorithmConfig(variant="parametric"))
+        assert res.meta[route] == res.n_iterations
+        outcomes.append((res.status, res.objective))
+    assert outcomes[0][0] == outcomes[1][0] == "Optimal"
+    assert outcomes[1][1] == pytest.approx(outcomes[0][1])
+
+
 @pytest.mark.parametrize("name", ["uk5", "pm_uk8"])
 def test_the_lattice_master_agrees_with_the_mip(name, monkeypatch):
     # at every master the lattice value lies between the dual bound and the
@@ -388,6 +402,61 @@ def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
     n = solved[0][0] // 2
     assert solved == [(2 * n, "Optimal"), (2 * n, "Infeasible"),
                       (n, "Optimal"), (n, "Infeasible")]
+
+
+def test_a_failing_lattice_lp_narrows_by_halves(monkeypatch):
+    # v = (w, eta) with w >= r, w <= 1 and eta >= w; only the copy at
+    # r = 2 is infeasible, so each halving leaves one failing half: 1 + 2
+    # log2 K LPs rather than 1 + K
+    real, sizes = backend.solve_lp, []
+
+    def counted(model):
+        sizes.append(model.n_vars // 2)
+        return real(model)
+
+    monkeypatch.setattr(backend, "solve_lp", counted)
+    rhs = np.zeros((16, 2))
+    rhs[:, 0] = np.arange(16) / 16
+    rhs[11, 0] = 2.0
+    etas = ccg._least_etas("toy-master", csr_array([[1.0, 0.0], [-1.0, 1.0]]),
+                           np.array([GEQ, GEQ]), rhs, np.array([0.0, -10.0]),
+                           np.array([1.0, 10.0]))
+    assert etas == pytest.approx(np.where(np.arange(16) == 11, np.inf, rhs[:, 0]))
+    assert sizes == [16, 8, 8, 4, 2, 2, 1, 1, 4]
+
+
+def _separable_ray_toy() -> Instance:
+    # _ray_toy plus a continuous x1 <= x0 that neither U(x) nor the
+    # recourse reads; its best first stage is still x = 0
+    inst = _ray_toy()
+    return replace(
+        inst, name="separable_ray_toy", c1=np.array([0.1, -0.05]),
+        X=FirstStageSet(A=np.array([[1.0, -1.0]]), b=np.zeros(1), n_int=1,
+                        ub=np.array([1.0, 1.0])),
+        U=replace(inst.U, G=np.hstack([inst.U.G, [[0.0]]])),
+        Y=replace(inst.Y, B1=np.hstack([inst.Y.B1, [[0.0], [0.0]]])))
+
+
+def test_a_numerical_completion_sends_the_master_to_the_mip(monkeypatch):
+    # the LPs that complete x0 = 0 end Numerical; a lattice without that
+    # point would hold only x0 = 1, which the ray cuts off, and end "master
+    # infeasible", so the masters go to the MIP and the oracle raises
+    inst, real = _separable_ray_toy(), backend.solve_lp
+    reference = run(inst, AlgorithmConfig(variant="benders", tol=0.0))
+    assert reference.meta["masters_mip"] == 0
+
+    def flaky(model):
+        if model.name == "xfill" and np.any(model.columns()[1][::2] == 0.0):
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real(model)
+
+    monkeypatch.setattr(backend, "solve_lp", flaky)
+    with pytest.raises(OracleError, match="Numerical"):
+        oracle_exact(inst)
+    res = run(inst, AlgorithmConfig(variant="benders", tol=0.0))
+    assert res.meta["masters_lattice"] == 0 and res.meta["masters_mip"] == res.n_iterations
+    assert res.status == reference.status == "Optimal"
+    assert res.objective == pytest.approx(reference.objective)
 
 
 def _uncoverable_toy() -> Instance:
