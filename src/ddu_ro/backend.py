@@ -1,8 +1,9 @@
 """Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
 of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
 (vars and constrs are read-only views of them), scipy/HiGHS solves (LPs by
-linprog's "highs" method with the rows passed as CSR, MIPs by milp) and
-big-M complementarity linearization.
+linprog's "highs" method with the rows passed as CSR, MIPs by milp), one LP
+over K copies of an LP (solve_copies) and big-M complementarity
+linearization.
 
 Wall clock. A run's time budget is held here, not passed through the calls
 that lead to a solve: inside ``with deadline(seconds):`` every solve_lp and
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import coo_array, csr_array, issparse
+from scipy.sparse import coo_array, csr_array, eye_array, issparse, kron
 
 # Per-solve statuses. A solve that hits the wall clock raises SolveTimeLimit
 # instead of reporting TIME_LIMIT.
@@ -318,6 +319,66 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
         return SolveOutcome(status=status)
     x = np.asarray(res.x, dtype=float)
     return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x), x=x)
+
+
+# -- block LPs over copies -----------------------------------------------------
+
+# the most matrix entries of one LP over copies, as each caller counts them:
+# worst_case_values the entries of B2, zeros too, over its (x, vertex) pairs,
+# lattice_first_stages those of X.A over the grid copies of its assignments,
+# ccg._part_values the nonzeros of a cutting set's rows over its points; the
+# model is built in Python, so this bounds the memory it takes
+_BLOCK_ENTRIES = 1e5
+
+
+def _runs(items, cap: int, size=lambda item: 1):
+    """Consecutive runs of items whose sizes sum to at most cap; an item
+    larger than cap makes a run of its own."""
+    run, total = [], 0
+    for item in items:
+        if run and total + size(item) > cap:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size(item)
+    if run:
+        yield run
+
+
+def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearModel:
+    """The LP of the K = len(rhs) copies min{cost_k'v : A v (senses) rhs_k,
+    lb_k <= v <= ub_k} that minimizes the sum of their costs: the rows are
+    I_K (x) A, the columns copy-major. senses is one sense or one per row of
+    A; lb, ub and cost are each one vector for every copy or a (K, n) array
+    of one row per copy. Only the nonzero costs enter the objective."""
+    (K, m), n = np.shape(rhs), A.shape[1]
+    lb, ub, cost = (np.broadcast_to(a, (K, n)).ravel() for a in (lb, ub, cost))
+    lp = LinearModel(name=name)
+    ids = lp.add_vars(K * n, lb, ub)
+    lp.add_rows([(ids, kron(eye_array(K), A))], np.resize(senses, K * m), np.ravel(rhs))
+    nz = np.flatnonzero(cost)
+    lp.set_objective(dict(zip(nz.tolist(), cost[nz].tolist())))
+    return lp
+
+
+def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each copy's status and x, a (K, n) array with nan rows where a copy is
+    not Optimal, from one solve_lp of copies_lp's LP; where that is not
+    Optimal, from each half of the copies in turn, down to single copies, so
+    one failing copy of K costs about 2 log2 K LPs. No copies, no LP."""
+    K, n = len(rhs), A.shape[1]
+    if not K:
+        return np.zeros(0, dtype=str), np.zeros((0, n))
+    out = solve_lp(copies_lp(name, A, senses, rhs, lb, ub, cost))
+    if out.is_optimal:
+        return np.full(K, OPTIMAL), out.x.reshape(K, n)
+    if K == 1:
+        return np.array([out.status]), np.full((1, n), np.nan)
+    halves = [solve_copies(name, A, senses, rhs[half],
+                           *(a[half] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
+              for half in (slice(K // 2), slice(K // 2, K))]
+    return tuple(map(np.concatenate, zip(*halves)))
 
 
 # HiGHS options of every MIP, under mip_rel_gap and time_limit (module docstring)

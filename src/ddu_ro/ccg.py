@@ -9,14 +9,10 @@ one for mixed-integer recourse, one that brackets a decision-independent
 problem between decision-dependent surrogates.  A run stops when the gap
 closes or the master repeats a first stage, whose worst case it holds.
 
-A master is a MIP over the first stage x and eta, but when every continuous
-x is separable (U(x) and the recourse rows read integer x only), X's integer
-lattice holds at most _MAX_MASTER_POINTS first stages, and no cutting set
-brings integer columns of its own, MasterState.solve values it over the lattice
-instead: with x fixed at a lattice point every cutting set is an LP of its
-own, since its products with a 0/1 x are then exact and the sets share only
-x and eta, so the master there is c1'x plus the largest least eta of its
-sets.  Each set is priced at every point once, by block LPs, and kept.
+A master is a MIP over the first stage x and eta, unless MasterState.solve
+can value it over X's integer lattice (see there): each cutting set is then
+priced once at every lattice point, in LPs of one copy per point that
+backend.solve_copies narrows by halves where they are not Optimal.
 """
 
 from __future__ import annotations
@@ -27,13 +23,11 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import eye_array, kron
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .instances import (_BLOCK_ENTRIES, OracleError, SchemaError, _runs,
-                        check_uncertainty_schema, coupled_continuous,
-                        lattice_first_stages)
+from .instances import (OracleError, SchemaError, check_uncertainty_schema,
+                        coupled_continuous, lattice_first_stages)
 from .maxmin import (OptimalityBlock, ParametricLPResult, _couples_only_binary,
                      build_optimality_block, dual_bound, ensure_unique_optimum,
                      lp_parametric)
@@ -128,7 +122,7 @@ class MasterState:
     Zeng and Zhao 2013, solved by enumerating the first stages, one of the
     master strategies that Rahmaniani et al., EJOR 2017, survey). Every
     part appended since the previous solve is valued once at every point,
-    in one LP per run of points, and its values are kept. A part the route
+    by backend.solve_copies, and its values are kept. A part the route
     cannot value (it reads a continuous x or an older part's column, brings
     an integer column, or bounds eta from above), or a lattice of more than
     _MAX_MASTER_POINTS first stages, sends this and every later solve to
@@ -379,9 +373,9 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
 def _part_values(state: MasterState, n0: int, m0: int) -> np.ndarray:
     """At every lattice point, the least eta that the rows from m0 on allow
     with x fixed there and the columns from n0 on free, +inf where they
-    allow none: one LP per run of points (at most _BLOCK_ENTRIES nonzeros of
-    the part over its copies), each point with its own copy of those columns
-    and of eta. Raises _OffLattice where that would not be exact."""
+    allow none: backend.solve_copies over the points, each with its own copy
+    of those columns and of eta, in runs of at most _BLOCK_ENTRIES nonzeros
+    of the part. Raises _OffLattice where that would not be exact."""
     model, n_int = state.model, state.inst.X.n_int
     A, senses, rhs = model.sparse(m0)
     lb, ub, integer = model.columns()
@@ -393,32 +387,16 @@ def _part_values(state: MasterState, n0: int, m0: int) -> np.ndarray:
         raise _OffLattice
     A_own = A[:, own]
     r = rhs - state._points[:, :n_int] @ A[:, x_int].T
-    cap = max(1, int(_BLOCK_ENTRIES // max(1, A_own.nnz)))
-    return np.concatenate([_least_etas(model.name, A_own, senses, r[run], lb[own], ub[own])
-                           for run in _runs(range(len(r)), cap)])
-
-
-def _least_etas(name: str, A, senses: np.ndarray, rhs: np.ndarray,
-                lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """For every row r of rhs, min{v_last : A v (senses) r, lb <= v <= ub},
-    +inf where that is infeasible, from one LP of the copies that minimizes
-    the sum of their last columns; when it is not Optimal, from each half of
-    the rows in turn, so an infeasible row costs about log2 K LPs. The LPs
-    carry the master's name."""
-    K, n = rhs.shape[0], A.shape[1]
-    lp = LinearModel(name=name)
-    ids = lp.add_vars(K * n, np.tile(lb, K), np.tile(ub, K))
-    lp.add_rows([(ids, kron(eye_array(K), A))], np.tile(senses, K), rhs.ravel())
-    lp.set_objective(dict.fromkeys(ids[n - 1::n], 1.0))
-    out = backend.solve_lp(lp)
-    if out.is_optimal:
-        return out.x[n - 1::n]
-    if K > 1:
-        return np.concatenate([_least_etas(name, A, senses, half, lb, ub)
-                               for half in (rhs[:K // 2], rhs[K // 2:])])
-    if out.status == backend.INFEASIBLE:
-        return np.array([np.inf])
-    raise _OffLattice
+    cost = np.r_[np.zeros(len(own) - 1), 1.0]
+    cap = max(1, int(backend._BLOCK_ENTRIES // max(1, A_own.nnz)))
+    values = []
+    for run in backend._runs(range(len(r)), cap):
+        status, v = backend.solve_copies(model.name, A_own, senses, r[run], lb[own],
+                                         ub[own], cost)
+        if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
+            raise _OffLattice
+        values.append(np.where(status == backend.OPTIMAL, v[:, -1], np.inf))
+    return np.concatenate(values)
 
 
 # -- the outer loop ---------------------------------------------------------

@@ -10,14 +10,14 @@ form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
 call finds them once per distinct F(x), in 2e7-entry chunks, and takes the
 first stages one F(x), so one such table, at a time; a table that serves a
 second first stage inverts its bases once, and the inverses screen out the
-bases infeasible at each later one. The LPs are batched, one
-block-diagonal LP per run: a run of integer assignments shares its
-feasibility LP, its range probes of the coupled continuous x and one LP over
-every (assignment, grid point); a run of first stages shares one shortfall LP,
-which finds the (x, vertex) pairs without recourse, and its recourse LPs. An
-assignment, grid point or first stage gets LPs of its own only where a block
-LP is not Optimal (see _complete_continuous and worst_case_values). It shares
-nothing with the cutting-plane machinery beyond the LP/MIP primitives.
+bases infeasible at each later one. The LPs are batched, one LP of copies
+per run: a run of integer assignments shares the range probes of its coupled
+continuous x, the first of which finds the assignments without completion,
+and one LP over every (assignment, grid point), each narrowed by halves where
+it is not Optimal (backend.solve_copies); a run of first stages shares one
+shortfall LP, which finds the (x, vertex) pairs without recourse, and its
+recourse LPs (worst_case_values). It shares nothing with the cutting-plane
+machinery beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import eye_array, kron
 
 from . import backend
 from .backend import GEQ, LinearModel
@@ -249,9 +249,8 @@ def _basis_inverses(A: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    mu, n = Fx.shape
     ubs = []
-    for j in range(n):
+    for j in range(Fx.shape[1]):
         try:
             hi = range_probe(Fx, rhs, j)
         except backend.BackendError as exc:
@@ -260,19 +259,22 @@ def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if hi == np.inf:
             raise OracleError(f"u[{j}] unbounded: integer enumeration impossible")
         ubs.append(int(np.floor(hi + 1e-9)))
-    total = 1
-    for b in ubs:
-        total *= b + 1
-        if total > _MAX_LATTICE:
-            raise OracleError(f"integer u lattice exceeds {_MAX_LATTICE}")
-    pts = []
-    for combo in itertools.product(*[range(b + 1) for b in ubs]):
-        u = np.array(combo, dtype=float)
-        if mu == 0 or np.all(Fx @ u <= rhs + 1e-9):
-            pts.append(u)
-    if not pts:
+    pts = _box_points([0] * len(ubs), ubs, -Fx, -rhs, "u")
+    if not len(pts):
         raise OracleError("U(x) has no integer points (nonemptiness violated)")
-    return np.array(pts)
+    return pts
+
+
+def _box_points(lo, hi, G: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
+    """The integer points p of the box [lo, hi] with G p >= g - 1e-9, as
+    rows in itertools.product order; OracleError when the box holds more
+    than _MAX_LATTICE points."""
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    if any(t > _MAX_LATTICE for t in itertools.accumulate(map(len, ranges), operator.mul)):
+        raise OracleError(f"integer {what} lattice exceeds {_MAX_LATTICE}")
+    pts = list(itertools.product(*ranges))
+    pts = np.array(pts, dtype=float).reshape(len(pts), len(ranges))
+    return pts[np.all(pts @ G.T >= g - 1e-9, axis=1)]
 
 
 # -- recourse evaluation -------------------------------------------------------
@@ -296,10 +298,6 @@ def recourse_value(inst: Instance, x: np.ndarray,
         return -np.inf, None
     raise backend.BackendError(f"recourse solve ended {out.status}")
 
-
-# matrix entries (rows x columns) of the B2 blocks one block-diagonal LP holds
-# at most; its model is built in Python, so this bounds the memory it takes
-_BLOCK_ENTRIES = 1e5
 
 # a pair (x, u) whose least shortfall exceeds this times max(1, |d - B1 x -
 # E u|_inf) has no recourse; HiGHS holds rows to an absolute 1e-7, so a
@@ -325,35 +323,21 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     groups: dict[bytes, list[int]] = {}
     for i, x in enumerate(xs):
         groups.setdefault(inst.U.F.evaluate(x).tobytes(), []).append(i)
-    cap = 1 if inst.Y.n_int_y else max(1, int(_BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
+    cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
     out: dict[int, tuple[float, np.ndarray]] = {}
     for group in groups.values():
         bases: dict = {}        # the table of this F(x) only
         if not inst.U.n_int_u and inst.U.n_rows:
             firsts = ((i, next((u[:1] for u in _basic_vertices(
                 inst.U, xs[i], bases, 64) if len(u)), None)) for i in group)
-            for run in _runs([(i, u) for i, u in firsts if u is not None], cap):
+            for run in backend._runs([(i, u) for i, u in firsts if u is not None], cap):
                 missing = _no_recourse(inst, [(xs[i], u) for i, u in run])
                 out.update((i, (np.inf, u[0])) for (i, u), m in zip(run, missing) if m[0])
         todo = [i for i in group if i not in out]
-        runs = _runs(((xs[i], enumerate_vertices(inst.U, xs[i], bases)) for i in todo),
-                     cap, size=lambda item: len(item[1]))
+        runs = backend._runs(((xs[i], enumerate_vertices(inst.U, xs[i], bases))
+                              for i in todo), cap, size=lambda item: len(item[1]))
         out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
     return [out[i] for i in range(len(xs))]
-
-
-def _runs(items, cap: int, size=lambda item: 1):
-    """Consecutive runs of items whose sizes sum to at most cap; an item
-    larger than cap makes a run of its own."""
-    run, total = [], 0
-    for item in items:
-        if run and total + size(item) > cap:
-            yield run
-            run, total = [], 0
-        run.append(item)
-        total += size(item)
-    if run:
-        yield run
 
 
 def _worst_vertices(inst: Instance, run: list, shortfall: bool = True
@@ -418,27 +402,25 @@ def _block_recourse_values(inst: Instance, run: list, shortfall: bool = False
     HiGHS holds rows of tiny entries to its absolute tolerance; the LP
     minimizes the sum of every s_k, and the values are each pair's least
     shortfall, 1'D s_k, over max(1, |r_k|_inf) (the copies are independent).
-    The copies enter as one block kron(I_K, B2).
+    The LP is backend.copies_lp's, (y_k, s_k) the columns of copy k.
     """
     Y = inst.Y
     xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
     verts = np.vstack([v for _, v in run])
     rhs = Y.d - xs @ Y.B1.T - verts @ Y.E.T
-    K, n_s = len(verts), Y.n_rows if shortfall else 0
+    n_s = Y.n_rows if shortfall else 0
     scale = np.abs(Y.B2).max(axis=1, initial=0.0)
     scale = np.where(shortfall & (scale > 0.0), scale, 1.0)
-    m = LinearModel(name="recourse_shortfall" if shortfall else "recourse_block")
-    ys, ss = m.add_vars(K * Y.dim), m.add_vars(K * n_s)
-    m.add_rows([(ys, kron(eye_array(K), Y.B2 / scale[:, None])),
-                (ss, eye_array(K * Y.n_rows, K * n_s))], GEQ, (rhs / scale).ravel())
-    m.set_objective(dict.fromkeys(ss, 1.0) if shortfall else
-                    dict(zip(ys, np.tile(Y.c2, K))))
-    out = backend.solve_lp(m)
+    A = np.hstack([Y.B2 / scale[:, None], np.eye(Y.n_rows, n_s)])
+    cost = np.r_[np.zeros(Y.dim), np.ones(n_s)] if shortfall else Y.c2
+    out = backend.solve_lp(backend.copies_lp(
+        "recourse_shortfall" if shortfall else "recourse_block", A, GEQ, rhs / scale,
+        0.0, np.inf, cost))
     if not out.is_optimal:
         return None
-    y, s = np.split(out.x, [K * Y.dim])
-    vals = ((s.reshape(K, Y.n_rows) * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
-        axis=1, initial=0.0)) if shortfall else y.reshape(K, Y.dim) @ Y.c2)
+    sol = out.x.reshape(len(verts), A.shape[1])
+    vals = ((sol[:, Y.dim:] * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
+        axis=1, initial=0.0)) if shortfall else sol @ Y.c2)
     return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])
 
 
@@ -496,35 +478,25 @@ def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list
     than max_points of them or a completion LP ends neither Optimal nor
     Infeasible. The C&CG master takes these points as its lattice
     (ccg.MasterState.solve)."""
-    X = inst.X
-    nx = inst.dim_x
-    n_int = X.n_int
+    X, nx, n_int = inst.X, inst.dim_x, inst.X.n_int
     coupled = coupled_continuous(inst)
     sep = [k for k in range(n_int, nx) if k not in coupled]
 
     for k in range(n_int):
         if not np.isfinite([X.lb[k], X.ub[k]]).all():
             raise OracleError(f"x[{k}] integer with an infinite bound")
-    ranges = [range(int(np.ceil(X.lb[k] - 1e-9)), int(np.floor(X.ub[k] + 1e-9)) + 1)
-              for k in range(n_int)]
-    total = 1
-    for r in ranges:
-        total *= len(r)
-        if total > _MAX_LATTICE:
-            raise OracleError(f"integer x lattice exceeds {_MAX_LATTICE}")
-
     # rows touching only integer components can prefilter the lattice
-    int_rows = [i for i in range(X.A.shape[0]) if not np.any(X.A[i, n_int:])]
-    points = (np.array(combo, dtype=float)
-              for combo in (itertools.product(*ranges) if ranges else [()]))
-    points = [xi for xi in points
-              if not any(X.A[i, :n_int] @ xi < X.b[i] - 1e-9 for i in int_rows)]
+    int_rows = ~np.any(X.A[:, n_int:], axis=1)
+    points = _box_points(np.ceil(X.lb[:n_int] - 1e-9).astype(int),
+                         np.floor(X.ub[:n_int] + 1e-9).astype(int),
+                         X.A[int_rows, :n_int], X.b[int_rows], "x")
     if len(points) > max_points:
         raise OracleError(f"{len(points)} integer x assignments exceed {max_points}")
+    if n_int == nx:     # every row of X has been checked
+        return list(points)
     # at most _GRID ** 2 copies of X per lattice point
-    copies = _GRID ** min(2, len(coupled))
-    cap = max(1, int(_BLOCK_ENTRIES // (max(1, X.A.size) * copies)))
-    return [x for run in _runs(points, cap)
+    cap = max(1, int(backend._BLOCK_ENTRIES // (max(1, X.A.size) * _GRID ** min(2, len(coupled)))))
+    return [x for run in backend._runs(points, cap)
             for x in _complete_continuous(inst, run, coupled, sep)]
 
 
@@ -543,101 +515,60 @@ def _require_bounded(U: UncertaintySet, xs: list[np.ndarray]) -> None:
 
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],
                          sep: list[int]):
-    """Yield full x vectors extending the integer assignments of run, in
-    order, none for an assignment X admits no extension of. The run shares
-    its LPs, with a copy of the first stage per assignment: one checks X, a
-    min and a max LP per coupled x probe its range in every copy to pin it (a
-    point) or grid it (_GRID points), and _fill takes every (assignment,
-    grid point). When a run LP is not Optimal, or a copy leaves more than two
-    coupled x free, each assignment is taken alone; one whose own LPs end
-    neither Optimal nor Infeasible raises OracleError."""
+    """Yield full x vectors extending the integer assignments of run (x has
+    continuous components), in order, none where X admits no extension. The
+    run shares its LPs (_xfill), one copy of the first stage per assignment:
+    a min LP of x_k and one of -x_k per coupled x pin it (a point) or grid
+    it (_GRID points) in every copy, the first dropping the copies without
+    completion, and one LP takes every (assignment, grid point) to its least
+    c1 cost over the separable x. Raises OracleError where more than two
+    coupled x stay free."""
     X = inst.X
     nx, n_int = inst.dim_x, X.n_int
-    if n_int == nx:
-        yield from (x.copy() for x in run if np.all(X.A @ x >= X.b - 1e-9))
-        return
+    # each copy's bounds (lb, ub), and the grids of its free coupled x
+    bounds = np.tile(np.stack([X.lb, X.ub]), (len(run), 1, 1))
+    bounds[:, :, :n_int] = np.asarray(run)[:, None]
+    grids = np.array([{} for _ in run])
+    for k in coupled:
+        ends, unit = [], np.arange(nx) == k
+        for sign in (1.0, -1.0):
+            x, ok = _xfill(inst, bounds, sign * unit, f"coupled x[{k}] unbounded over X")
+            bounds, grids, ends = bounds[ok], grids[ok], [e[ok] for e in ends] + [x[ok, k]]
+        lo, hi = ends
+        pin = hi - lo <= 1e-9 * np.maximum(1.0, np.abs(hi))
+        bounds[pin, :, k] = 0.5 * (lo[pin] + hi[pin])[:, None]
+        for c in np.flatnonzero(~pin):
+            grids[c][k] = np.linspace(lo[c], hi[c], _GRID)
+    too_many = next((len(g) for g in grids if len(g) > 2), None)
+    if too_many:
+        raise OracleError(f"{too_many} free coupled continuous dims exceed the grid limit")
 
-    # the values each copy fixes (nan where an LP decides), and its grids
-    fixed = np.full((len(run), nx), np.nan)
-    fixed[:, :n_int] = run
-    free: list[dict[int, np.ndarray]] = [{} for _ in run]
-    if coupled:
-        m = LinearModel(name="xfill")
-        copies = _fixed_first_stage(m, inst, fixed)
-        out = backend.solve_lp(m)       # the fresh model's empty objective
-        for k in coupled:
-            if not out.is_optimal:
-                break
-            bounds = []
-            for sense in ("min", "max"):
-                m.set_objective(dict.fromkeys(copies[:, k].tolist(), 1.0), sense=sense)
-                out = backend.solve_lp(m)
-                if not out.is_optimal:
-                    break
-                bounds.append(out.x[copies[:, k]])
-            else:
-                lo, hi = bounds
-                pin = hi - lo <= 1e-9 * np.maximum(1.0, np.abs(hi))
-                fixed[pin, k] = 0.5 * (lo[pin] + hi[pin])
-                m.set_bounds(copies[pin, k], fixed[pin, k], fixed[pin, k])
-                for c in np.flatnonzero(~pin):
-                    free[c][k] = np.linspace(lo[c], hi[c], _GRID)
-        if len(run) > 1 and (not out.is_optimal or max(map(len, free)) > 2):
-            for x_int in run:
-                yield from _complete_continuous(inst, [x_int], coupled, sep)
-            return
-        if out.status == backend.UNBOUNDED:
-            raise OracleError(f"coupled x[{k}] unbounded over X")
-        if out.status == backend.INFEASIBLE:
-            return
-        if not out.is_optimal:
-            raise OracleError(f"completing a first stage ended {out.status}")
-        if len(free[0]) > 2:
-            raise OracleError(f"{len(free[0])} free coupled continuous dims exceed the grid limit")
-
-    groups = []
-    for f, grids in zip(fixed, free):
-        points = np.array(list(itertools.product(*grids.values())))
-        groups.append(np.tile(f, (len(points), 1)))
-        groups[-1][:, list(grids)] = points
-    yield from _fill(inst, groups, sep)
+    # one copy per (assignment, grid point), none when every copy is dropped
+    spread = [bounds[:0]]
+    for box, grid in zip(bounds, grids):
+        points = np.array(list(itertools.product(*grid.values())))
+        spread.append(np.tile(box, (len(points), 1, 1)))
+        spread[-1][:, :, list(grid)] = points[:, None]
+    x, ok = _xfill(inst, np.concatenate(spread), inst.c1 * np.isin(np.arange(nx), sep),
+                   "separable continuous block unbounded below")
+    yield from x[ok]
 
 
-def _fixed_first_stage(m: LinearModel, inst: Instance, values: np.ndarray) -> np.ndarray:
-    """add_first_stage once per row of values, as one block kron(I_K, A), each
-    x fixed at its value where that is not nan; the (K, dim_x) id array."""
-    X, K = inst.X, len(values)
-    ids = np.reshape(m.add_vars(K * X.dim, np.tile(X.lb, K), np.tile(X.ub, K),
-                                np.tile(np.arange(X.dim) < X.n_int, K)), (K, X.dim))
-    if X.A.shape[0]:
-        m.add_rows([(ids.ravel(), kron(eye_array(K), X.A))], GEQ, np.tile(X.b, K))
-    fixed = ~np.isnan(values)
-    m.set_bounds(ids[fixed], values[fixed], values[fixed])
-    return ids
-
-
-def _fill(inst: Instance, groups: list, sep: list[int]):
-    """Yield, for every point (row) of every group in order, the x that keeps
-    its values and minimizes c1 over the separable x, none where X admits no
-    such x: from one LP with a copy of the first stage per point, and when it
-    is not Optimal from each group alone, then from each point alone. A
-    point whose own LP ends neither Optimal nor Infeasible raises
-    OracleError: leaving it out could drop the best first stage."""
-    points = np.vstack(groups)
-    m = LinearModel(name="xfill")
-    copies = _fixed_first_stage(m, inst, points)
-    m.set_objective(dict(zip(copies[:, sep].ravel().tolist(),
-                             np.tile(inst.c1[sep], len(points)))))
-    out = backend.solve_lp(m)
-    if out.is_optimal:
-        yield from out.x.reshape(len(points), inst.dim_x)
-    elif len(points) > 1:
-        for part in groups if len(groups) > 1 else [[p] for p in points]:
-            yield from _fill(inst, [part], sep)
-    elif out.status == backend.UNBOUNDED:
-        raise OracleError("separable continuous block unbounded below")
-    elif out.status != backend.INFEASIBLE:
-        raise OracleError(f"completing a first stage ended {out.status}")
+def _xfill(inst: Instance, bounds: np.ndarray, cost: np.ndarray,
+           unbounded: str) -> tuple[np.ndarray, np.ndarray]:
+    """The x of least cost of the first stage between each pair of bounds
+    (lb, ub), and a mask of the Optimal ones, from backend.solve_copies. The
+    first copy that ends neither Optimal nor Infeasible raises OracleError,
+    with the message unbounded if Unbounded: leaving it out could drop the
+    best first stage."""
+    X = inst.X
+    status, x = backend.solve_copies("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
+                                     *bounds.transpose(1, 0, 2), cost)
+    failed = status[~np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE))]
+    if failed.size:
+        raise OracleError(unbounded if failed[0] == backend.UNBOUNDED
+                          else f"completing a first stage ended {failed[0]}")
+    return x, status == backend.OPTIMAL
 
 
 # -- facility-location generators ----------------------------------------------

@@ -335,6 +335,59 @@ def test_infeasible_and_unbounded_status():
     assert backend.solve_lp(m2).status == backend.UNBOUNDED
 
 
+# -- block LPs over copies ------------------------------------------------------
+
+def test_each_copy_gets_its_own_status_in_copy_order():
+    # copies of min c v s.t. v >= r, 0 <= v <= ub: optimal at r = 0, no v
+    # at r = 2 <= ub = 1, unbounded at c = -1 without ub, optimal again
+    status, x = backend.solve_copies(
+        "copies", np.array([[1.0]]), GEQ, np.array([[0.0], [2.0], [0.0], [0.5]]), 0.0,
+        np.array([[1.0], [1.0], [np.inf], [1.0]]), np.array([[1.0], [1.0], [-1.0], [1.0]]))
+    assert status.tolist() == [backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED,
+                               backend.OPTIMAL]
+    assert x[[0, 3], 0] == pytest.approx([0.0, 0.5])
+    assert np.isnan(x[[1, 2]]).all()
+
+
+def _halving_toy():
+    # v = (w, eta) with w >= r, w <= 1 and eta >= w, eta minimized; only the
+    # copy at r = 2 is infeasible
+    rhs = np.zeros((16, 2))
+    rhs[:, 0] = np.arange(16) / 16
+    rhs[11, 0] = 2.0
+    return ("toy", csr_array([[1.0, 0.0], [-1.0, 1.0]]), np.array([GEQ, GEQ]), rhs,
+            np.array([0.0, -10.0]), np.array([1.0, 10.0]), np.array([0.0, 1.0]))
+
+
+def test_a_failing_copy_narrows_the_lp_by_halves(monkeypatch):
+    # each halving leaves one failing half: 1 + 2 log2 K LPs rather than 1 + K
+    real, sizes = backend.solve_lp, []
+
+    def counted(model):
+        sizes.append(model.n_vars // 2)
+        return real(model)
+
+    monkeypatch.setattr(backend, "solve_lp", counted)
+    toy = _halving_toy()
+    status, x = backend.solve_copies(*toy)
+    failed = np.arange(16) == 11
+    assert status.tolist() == np.where(failed, backend.INFEASIBLE, backend.OPTIMAL).tolist()
+    assert x[~failed, 1] == pytest.approx(toy[3][~failed, 0])
+    assert sizes == [16, 8, 8, 4, 2, 2, 1, 1, 4]
+
+
+def test_rows_per_copy_build_the_lp_of_shared_rows():
+    name, A, senses, rhs, lb, ub, cost = _halving_toy()
+    shared = backend.copies_lp(name, A, senses, rhs, lb, ub, cost)
+    per_copy = [np.tile(a, (len(rhs), 1)) for a in (lb, ub, cost)]
+    got = backend.copies_lp(name, A, senses, rhs, *per_copy)
+    assert (got.constrs, got.vars, got.obj) == (shared.constrs, shared.vars, shared.obj)
+    assert np.flatnonzero(shared.objective_vector()).tolist() == list(range(1, 32, 2))
+    for got, ref in zip(backend.solve_copies(name, A, senses, rhs, *per_copy),
+                        backend.solve_copies(name, A, senses, rhs, lb, ub, cost)):
+        assert np.array_equal(got, ref, equal_nan=got.dtype.kind == "f")
+
+
 def small_mip():
     # min x + y, x + y >= 1.5, x integer: x = 2 or (x=1, y=.5); latter cheaper
     m = LinearModel(name="mip")

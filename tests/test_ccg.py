@@ -8,10 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 from ddu_ro import backend, ccg, maxmin
-from ddu_ro.backend import GEQ, BackendError, SolveOutcome, SolveTimeLimit
+from ddu_ro.backend import BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
@@ -404,25 +403,26 @@ def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
                       (n, "Optimal"), (n, "Infeasible")]
 
 
-def test_a_failing_lattice_lp_narrows_by_halves(monkeypatch):
-    # v = (w, eta) with w >= r, w <= 1 and eta >= w; only the copy at
-    # r = 2 is infeasible, so each halving leaves one failing half: 1 + 2
-    # log2 K LPs rather than 1 + K
-    real, sizes = backend.solve_lp, []
+def test_a_numerical_lattice_lp_sends_the_master_to_the_mip(monkeypatch):
+    # as above, but a master LP that would end Infeasible ends Numerical: the
+    # third master's copy at x = 1 cannot be valued, so that master and every
+    # later one go to backend.solve_mip and end where the lattice did
+    reference = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    real = backend.solve_lp
 
-    def counted(model):
-        sizes.append(model.n_vars // 2)
-        return real(model)
+    def flaky(model):
+        out = real(model)
+        if model.name.endswith("-master") and out.status == backend.INFEASIBLE:
+            return SolveOutcome(status=backend.NUMERICAL)
+        return out
 
-    monkeypatch.setattr(backend, "solve_lp", counted)
-    rhs = np.zeros((16, 2))
-    rhs[:, 0] = np.arange(16) / 16
-    rhs[11, 0] = 2.0
-    etas = ccg._least_etas("toy-master", csr_array([[1.0, 0.0], [-1.0, 1.0]]),
-                           np.array([GEQ, GEQ]), rhs, np.array([0.0, -10.0]),
-                           np.array([1.0, 10.0]))
-    assert etas == pytest.approx(np.where(np.arange(16) == 11, np.inf, rhs[:, 0]))
-    assert sizes == [16, 8, 8, 4, 2, 2, 1, 1, 4]
+    monkeypatch.setattr(backend, "solve_lp", flaky)
+    res = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (2, res.n_iterations - 2)
+    assert res.n_iterations > 2
+    assert res.status == reference.status == "Optimal"
+    assert res.objective == pytest.approx(reference.objective)
+    assert res.x == pytest.approx(reference.x)
 
 
 def _separable_ray_toy() -> Instance:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import issparse
 
 from ddu_ro import backend, instances
 from ddu_ro.backend import GEQ, LinearModel
@@ -35,7 +36,7 @@ from ddu_ro.instances import (
     recourse_value,
     worst_case_values,
 )
-from ddu_ro.ccg import AlgorithmConfig, MasterState
+from ddu_ro.ccg import AlgorithmConfig, MasterState, run
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
                           UncertaintySet, add_first_stage, build_deterministic_mip,
                           uncertainty_set_from_dict)
@@ -292,6 +293,62 @@ PINNED_MODEL_DIGESTS = {
 def test_built_models_are_pinned():
     got = {name: _model_digest(m) for name, m in _pinned_models()}
     assert got == PINNED_MODEL_DIGESTS
+
+
+def _record_linprog(monkeypatch):
+    """(model name, columns, digest) of every linprog call, in order; the
+    digest is the first 16 hex digits of the SHA-256 of every argument
+    linprog receives but HiGHS's time limit, which follows the clock."""
+    calls, solve_lp, linprog = [], backend.solve_lp, backend.linprog
+
+    def named(model):
+        calls.append([model.name, model.n_vars])
+        return solve_lp(model)
+
+    def hashed(c, **kw):
+        h = hashlib.sha256(np.ascontiguousarray(c).tobytes())
+        for key in ("A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
+            a = kw[key]
+            parts = ([] if a is None else [a.data, a.indices, a.indptr, np.array(a.shape)]
+                     if issparse(a) else [a])
+            h.update(key.encode())
+            for p in parts:
+                h.update(np.ascontiguousarray(p).tobytes())
+        options = {k: v for k, v in kw["options"].items() if k != "time_limit"}
+        h.update(repr((kw["method"], sorted(options.items()))).encode())
+        calls[-1].append(h.hexdigest()[:16])
+        return linprog(c, **kw)
+
+    monkeypatch.setattr(backend, "solve_lp", named)
+    monkeypatch.setattr(backend, "linprog", hashed)
+    return calls
+
+
+# _record_linprog digest of the first LP of each name on pm_uk8 s0: the
+# first lattice block LP of the parametric and the basis master, the
+# 56-copy completion LP of X's lattice and the first recourse block LP of
+# oracle_exact; a change to how block LPs are built moves them only when
+# HiGHS would receive different problems
+PINNED_LP_DIGESTS = {
+    "pm_uk8-parametric-master": "ab2f31a2de9be3de",
+    "pm_uk8-basis-master": "2ec6ce8cefbdf9fc",
+    "xfill": "06c80de50e776c35",
+    "recourse_block": "5e50e1ae79db12d0",
+}
+
+
+def test_block_lps_reach_highs_unchanged(monkeypatch):
+    inst = dataclasses.replace(gen_reliable_pmedian(PMedianParams(n_sites=8, seed=0),
+                                                    "ddu_uk"), name="pm_uk8")
+    calls = _record_linprog(monkeypatch)
+    for variant in ("parametric", "basis"):
+        run(inst, AlgorithmConfig(variant=variant, max_iterations=2))
+    oracle_exact(inst)
+    first = {}
+    for name, n_vars, digest in calls:
+        first.setdefault(name, (n_vars, digest))
+    assert first["xfill"][0] == 56 * inst.dim_x
+    assert {name: first[name][1] for name in PINNED_LP_DIGESTS} == PINNED_LP_DIGESTS
 
 
 def test_fl_neighbourhoods_follow_explicit_costs():
@@ -964,11 +1021,13 @@ def test_a_block_lp_is_the_model_built_one_vertex_at_a_time(monkeypatch, shortfa
     rhs = Y.d - xs @ Y.B1.T - np.vstack([v for _, v in run]) @ Y.E.T
     scale = np.abs(Y.B2).max(axis=1) if shortfall else np.ones(3)
     scale[scale == 0.0] = 1.0
-    ref = LinearModel()
-    ys = [ref.add_vars(2) for _ in rhs]
-    ss = [ref.add_vars(3 if shortfall else 0) for _ in rhs]
-    for y, s, r in zip(ys, ss, rhs):
-        ref.add_rows([(y, Y.B2 / scale[:, None]), (s, np.eye(3, len(s)))], GEQ, r / scale)
+    # the columns of each pair, y then s, before the next pair's
+    ref, ys, ss = LinearModel(), [], []
+    for r in rhs:
+        ys.append(ref.add_vars(2))
+        ss.append(ref.add_vars(3 if shortfall else 0))
+        ref.add_rows([(ys[-1], Y.B2 / scale[:, None]), (ss[-1], np.eye(3, len(ss[-1])))],
+                     GEQ, r / scale)
     A, senses, b = got.sparse()
     A_ref, senses_ref, b_ref = ref.sparse()
     for a, a_ref in ((A.data, A_ref.data), (A.indices, A_ref.indices),
@@ -984,21 +1043,27 @@ def test_a_block_lp_is_the_model_built_one_vertex_at_a_time(monkeypatch, shortfa
     assert np.array_equal(got.objective_vector(), c_ref)
 
 
-def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypatch):
-    # x2 <= x0 + x1 and x2 >= 1/2 with x2 separable: (0, 0) has no completion
-    inst = Instance(
+def _no_completion_toy(B1=np.zeros((1, 3))):
+    # x2 <= x0 + x1 and x2 >= 1/2, x2 separable unless B1 reads it: (0, 0)
+    # has no completion
+    return Instance(
         name="no-completion", c1=[0.0, 0.0, 1.0],
         X=FirstStageSet(A=[[1.0, 1.0, -1.0], [0.0, 0.0, 1.0]], b=[0.0, 0.5],
                         n_int=2, ub=[1.0, 1.0, np.inf]),
         U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=np.zeros((1, 3)),
                          h=[1.0]),
-        Y=RecourseSet(B1=np.zeros((1, 3)), B2=[[1.0]], E=[[-1.0]], d=[0.0],
-                      c2=[1.0]))
+        Y=RecourseSet(B1=B1, B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0]))
+
+
+def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypatch):
+    inst = _no_completion_toy()
     lps = _record_lps(monkeypatch)
     res = oracle_exact(inst)
     fills = [status for name, status in lps if name == "xfill"]
+    # the LP of all four, then by halves: (0, 0) and (0, 1), (0, 0) alone,
+    # (0, 1) alone, then (1, 0) and (1, 1)
     assert fills[0] != backend.OPTIMAL and fills[1] != backend.OPTIMAL
-    assert fills[2:] == [backend.OPTIMAL] * 3
+    assert fills[2:] == [backend.INFEASIBLE, backend.OPTIMAL, backend.OPTIMAL]
     assert [x.tolist() for x, _ in res.evaluations] == \
         [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [1.0, 1.0, 0.5]]
     assert res.value == pytest.approx(1.5)
@@ -1014,7 +1079,7 @@ def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypat
 def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     inst = gen_reliable_pmedian(PMedianParams(n_sites=5), "ddu_uk")
     ref = oracle_exact(inst)
-    monkeypatch.setattr(instances, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", budget)
     lps = _record_lps(monkeypatch)
     res = oracle_exact(inst)
     # and the one recession LP of the constant F
@@ -1110,13 +1175,13 @@ def test_completion_matches_the_per_grid_point_loop(monkeypatch, dependence, see
 
 def test_a_run_of_coupled_assignments_shares_six_lps(monkeypatch):
     # fl-rhs with 2 sites: 4 assignments, 2 coupled capacities, a 7 x 7 grid;
-    # one feasibility LP, a min and a max LP per capacity and one grid LP,
-    # where one assignment at a time took 84; then the recession LP of the
-    # constant F
+    # a min and a max LP per capacity and one grid LP, where one assignment
+    # at a time took 84; with the recession LP of the constant F the oracle
+    # solves six LPs
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
     lps = _record_lps(monkeypatch)
     _completions(monkeypatch, inst)
-    assert lps == [("xfill", backend.OPTIMAL)] * 6 + [("recession", backend.OPTIMAL)]
+    assert lps == [("xfill", backend.OPTIMAL)] * 5 + [("recession", backend.OPTIMAL)]
     _by_loop(monkeypatch)
     lps.clear()
     _completions(monkeypatch, inst)
@@ -1143,13 +1208,12 @@ def test_a_grid_point_without_completion_narrows_the_grid_lp(monkeypatch):
     lps = _record_lps(monkeypatch)
     res = oracle_exact(inst)
     fills = [status for name, status in lps if name == "xfill"]
-    # feasibility and 4 probes, the run's grid LP, x0 = 0's grid LP, then its
-    # 49 points one by one (6 without completion), and x0 = 1's grid LP
-    assert fills[:5] == [backend.OPTIMAL] * 5
-    assert fills[5] != backend.OPTIMAL and fills[6] != backend.OPTIMAL
-    assert sorted(fills[7:56], key=str) == sorted(
-        [backend.OPTIMAL] * 43 + [backend.INFEASIBLE] * 6, key=str)
-    assert fills[56:] == [backend.OPTIMAL]
+    # 4 probes, the run's grid LP of 98 points, then by halves: x0 = 0's 49
+    # points (6 without completion) take 29 LPs, x0 = 1's 49 one
+    assert fills[:4] == [backend.OPTIMAL] * 4
+    assert len(fills) == 4 + 1 + 29 + 1
+    assert fills[4] != backend.OPTIMAL and fills[5] != backend.OPTIMAL
+    assert fills.count(backend.INFEASIBLE) >= 6 and fills[-1] == backend.OPTIMAL
     assert len(res.evaluations) == 43 + 49
     got = _oracle_output(res)
     _by_loop(monkeypatch)
@@ -1182,7 +1246,7 @@ def _with_coupled_x3(inst):
 
 def test_an_assignment_with_three_free_dims_narrows_in_order(monkeypatch):
     # x3 <= x0 pins x3 at x0 = 0, so only x0 = 1 leaves three coupled x free:
-    # the run narrows, x0 = 0 is completed alone, then x0 = 1 raises
+    # the run raises before it yields, while the loop first completes x0 = 0
     toy = _with_coupled_x3(_grid_toy([0.0] * 5))
     inst = dataclasses.replace(toy, X=dataclasses.replace(
         toy.X, A=np.vstack([toy.X.A, [1.0, 0.0, 0.0, -1.0, 0.0]]), b=[-1.5, 0.0]))
@@ -1193,21 +1257,35 @@ def test_an_assignment_with_three_free_dims_narrows_in_order(monkeypatch):
         with pytest.raises(OracleError, match="3 free coupled"):
             for x in complete(inst, *args):
                 seen[complete].append(x.tobytes())
-    got = [np.frombuffer(x) for x in seen[instances._complete_continuous]]
+    assert seen[instances._complete_continuous] == []
+    got = [np.frombuffer(x) for x in seen[_complete_by_loop]]
     assert len(got) == 43 and all(x[0] == 0.0 and x[3] == 0.0 for x in got)
-    assert seen[instances._complete_continuous] == seen[_complete_by_loop]
+
+
+def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
+    # x2 coupled through the recourse, one assignment per run: the min probe
+    # of (0, 0) finds no completion and its run solves no further LP; each
+    # other run takes a min and a max probe and one grid LP
+    inst = _no_completion_toy(B1=np.array([[0.0, 0.0, 1.0]]))
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", 1)
+    lps = _record_lps(monkeypatch)
+    got = _oracle_output(oracle_exact(inst))
+    assert [s for name, s in lps if name == "xfill"] == \
+        [backend.INFEASIBLE] + [backend.OPTIMAL] * 3 * 3
+    _by_loop(monkeypatch)
+    assert got == _oracle_output(oracle_exact(inst))
 
 
 @pytest.mark.parametrize("budget, n_fills", [
     # fl-rhs with 2 sites: 4 assignments of 49 grid copies of a 4 x 4 X.A
-    (4 * 49 * 16, 6),          # one run
-    (4 * 49 * 16 - 1, 6 + 6),  # a run of 3 and a run of 1
-    (1, 4 * 6),                # one assignment per run
+    (4 * 49 * 16, 5),          # one run
+    (4 * 49 * 16 - 1, 5 + 5),  # a run of 3 and a run of 1
+    (1, 4 * 5),                # one assignment per run
 ])
 def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills):
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
     ref = _completions(monkeypatch, inst)
-    monkeypatch.setattr(instances, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", budget)
     lps = _record_lps(monkeypatch)
     assert _completions(monkeypatch, inst) == ref
     # and then the recession LP of the constant F
@@ -1263,7 +1341,7 @@ def test_one_basis_table_is_alive_at_a_time(monkeypatch):
 
 
 def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
-    runs = instances._runs([3, 1, 1, 5, 1], 4, size=lambda s: s)
+    runs = backend._runs([3, 1, 1, 5, 1], 4, size=lambda s: s)
     assert list(runs) == [[3, 1], [1], [5], [1]]
 
 
