@@ -670,8 +670,7 @@ def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:
     """Midpoint of the per-coordinate range of the uncertainty set at x0,
     the default core scenario of the stabilized cut selection."""
     Fx, rhs = inst.U.F.evaluate(x0), inst.U.h + inst.U.G @ x0
-    lo = np.array([range_probe(Fx, rhs, j, "min") for j in range(inst.U.dim)])
-    hi = np.array([range_probe(Fx, rhs, j, "max") for j in range(inst.U.dim)])
+    lo, hi = (range_probe(Fx, rhs, np.arange(inst.U.dim), sense) for sense in ("min", "max"))
     if not np.all(np.isfinite(hi)):
         raise BackendError("uncertainty range probe ended Unbounded")
     return (lo + hi) / 2.0

@@ -11,13 +11,13 @@ call finds them once per distinct F(x), in 2e7-entry chunks, and takes the
 first stages one F(x), so one such table, at a time; a table that serves a
 second first stage inverts its bases once, and the inverses screen out the
 bases infeasible at each later one. The LPs are batched, one LP of copies
-per run: a run of integer assignments shares the range probes of its coupled
-continuous x, the first of which finds the assignments without completion,
-and one LP over every (assignment, grid point), each narrowed by halves where
-it is not Optimal (backend.solve_copies); a run of first stages shares one
-shortfall LP, which finds the (x, vertex) pairs without recourse, and its
-recourse LPs (worst_case_values). It shares nothing with the cutting-plane
-machinery beyond the LP/MIP primitives.
+per run, narrowed by halves where it is not Optimal (backend.solve_copies):
+a run of integer assignments shares the range probes of its coupled
+continuous x, the first dropping assignments without completion, and one
+LP over every (assignment, grid point); a run of first stages shares one
+LP over every (x, vertex) pair, after a shortfall LP has dropped the x whose
+first vertex has no recourse (worst_case_values). It shares nothing with
+the cutting-plane machinery beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
@@ -249,17 +249,14 @@ def _basis_inverses(A: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    ubs = []
-    for j in range(Fx.shape[1]):
-        try:
-            hi = range_probe(Fx, rhs, j)
-        except backend.BackendError as exc:
-            raise OracleError("U(x) is empty at the probed x "
-                              "(nonemptiness violated)") from exc
-        if hi == np.inf:
-            raise OracleError(f"u[{j}] unbounded: integer enumeration impossible")
-        ubs.append(int(np.floor(hi + 1e-9)))
-    pts = _box_points([0] * len(ubs), ubs, -Fx, -rhs, "u")
+    try:
+        hi = range_probe(Fx, rhs, np.arange(Fx.shape[1]))
+    except backend.BackendError as exc:
+        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)") from exc
+    if np.isinf(hi).any():
+        raise OracleError(f"u[{np.argmax(np.isinf(hi))}] unbounded: integer "
+                          "enumeration impossible")
+    pts = _box_points([0] * len(hi), np.floor(hi + 1e-9).astype(int).tolist(), -Fx, -rhs, "u")
     if not len(pts):
         raise OracleError("U(x) has no integer points (nonemptiness violated)")
     return pts
@@ -314,10 +311,11 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     nonsingular bases in slices of 64 until one is feasible, and _no_recourse
     finds those without recourse: such an x is worth (inf, that vertex) and
     is not enumerated (so _MAX_VERTICES does not apply to it).
-    _worst_vertices values the other x, in runs of _BLOCK_ENTRIES entries.
-    A group's memo holds its basis table and, once a second x of the group
-    is enumerated, the inverses that screen its bases (_basic_vertices);
-    both go with the group.
+    _worst_vertices values the other x, one recourse LP per run of
+    _BLOCK_ENTRIES entries of B2, where a later vertex without recourse is
+    worth inf. A group's memo holds its basis table and, once a second x of
+    the group is enumerated, the inverses that screen its bases
+    (_basic_vertices); both go with the group.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     groups: dict[bytes, list[int]] = {}
@@ -340,35 +338,37 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     return [out[i] for i in range(len(xs))]
 
 
-def _worst_vertices(inst: Instance, run: list, shortfall: bool = True
-                    ) -> list[tuple[float, np.ndarray]]:
+def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:
     """For every (x, verts) of run, the largest recourse value over verts and
-    the first vertex that attains it, from one block LP over every pair. When
-    it is not Optimal, a shortfall LP (_no_recourse) finds each x with a vertex
-    without recourse, worth (inf, its first such vertex), and the others share
-    one block LP again; one that still fails (unbounded recourse, numerical
-    trouble) narrows to each x alone, then to each vertex. Integer y takes the
-    per-vertex loop, since a MIP gap on the sum does not bound each block."""
-    vals = None if inst.Y.n_int_y else _block_recourse_values(inst, run)
-    if vals is not None:
-        return [(float(p.max()), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
-    missing = _no_recourse(inst, run) if shortfall and not inst.Y.n_int_y else []
-    if any(m.any() for m in missing):
-        rest = [item for item, m in zip(run, missing) if not m.any()]
-        found = iter(_worst_vertices(inst, rest, shortfall=False) if rest else [])
-        return [(np.inf, v[int(np.argmax(m))]) if m.any() else next(found)
-                for (_, v), m in zip(run, missing)]
-    if len(run) > 1:
-        return [w for item in run for w in _worst_vertices(inst, [item], shortfall=False)]
-    [(x, verts)] = run
-    best, best_u = -np.inf, verts[0]
-    for u in verts:
-        val, _ = recourse_value(inst, x, u)
-        if val > best:
-            best, best_u = val, u
-            if np.isinf(best):
-                break
-    return [(best, best_u)]
+    the first vertex that attains it. Continuous y takes one LP of a copy of
+    the recourse per pair (backend.solve_copies), where a copy that ends
+    Infeasible is worth +inf and one that ends Unbounded -inf. Integer y
+    takes the per-vertex loop up to the first +inf, since a MIP gap on the
+    sum does not bound each block."""
+    Y, vals = inst.Y, []
+    if Y.n_int_y:
+        for x, verts in run:
+            vals.append([])
+            for u in verts:
+                vals[-1].append(recourse_value(inst, x, u)[0])
+                if vals[-1][-1] == np.inf:
+                    break
+    else:
+        status, y = backend.solve_copies("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
+                                         0.0, np.inf, Y.c2)
+        failed = status[~np.isin(status, [backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED])]
+        if failed.size:
+            raise backend.BackendError(f"recourse solve ended {failed[0]}")
+        vals = np.split(np.select([status == backend.OPTIMAL, status == backend.INFEASIBLE],
+                                  [y @ Y.c2, np.inf], -np.inf),
+                        np.cumsum([len(v) for _, v in run])[:-1])
+    return [(float(np.max(p)), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
+
+
+def _pair_rhs(inst: Instance, run: list) -> np.ndarray:
+    """d - B1 x - E u for every vertex u of every (x, verts) of run, as rows."""
+    xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
+    return inst.Y.d - xs @ inst.Y.B1.T - np.vstack([v for _, v in run]) @ inst.Y.E.T
 
 
 def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
@@ -378,7 +378,7 @@ def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
     recourse_value decides every pair for integer y, when the LP is not
     Optimal, and when it finds recourse at the LP's first pair above
     _SHORTFALL_TOL, which it audits."""
-    gaps = None if inst.Y.n_int_y else _block_recourse_values(inst, run, shortfall=True)
+    gaps = None if inst.Y.n_int_y else _block_recourse_values(inst, run)
     audit = next(((x, verts[k]) for (x, verts), gap in zip(run, gaps or [])
                   for k in np.flatnonzero(gap > _SHORTFALL_TOL)), None)
     if gaps is None or audit is not None and recourse_value(inst, *audit)[0] != np.inf:
@@ -391,36 +391,26 @@ def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
     return missing
 
 
-def _block_recourse_values(inst: Instance, run: list, shortfall: bool = False
-                           ) -> list[np.ndarray] | None:
-    """For every (x, verts) of run, the values c2'y_k at its vertices u_k, from
-    one LP holding a copy y_k of the (continuous) recourse with the rows
-    B2 y_k >= r_k = d - B1 x - E u_k per pair; None unless that LP is Optimal.
-
-    With shortfall the rows read D^-1 (B2 y_k - r_k) + s_k >= 0, s_k >= 0,
-    with D the largest |entry| of each row of B2 (1 for a zero row), since
-    HiGHS holds rows of tiny entries to its absolute tolerance; the LP
-    minimizes the sum of every s_k, and the values are each pair's least
-    shortfall, 1'D s_k, over max(1, |r_k|_inf) (the copies are independent).
-    The LP is backend.copies_lp's, (y_k, s_k) the columns of copy k.
-    """
-    Y = inst.Y
-    xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])
-    verts = np.vstack([v for _, v in run])
-    rhs = Y.d - xs @ Y.B1.T - verts @ Y.E.T
-    n_s = Y.n_rows if shortfall else 0
+def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None:
+    """For every (x, verts) of run, the least shortfall of the (continuous)
+    recourse at its vertices u_k, from one LP, backend.copies_lp's; None
+    unless it is Optimal. Copy k holds (y_k, s_k) and the rows D^-1 (B2 y_k
+    - r_k) + s_k >= 0, s_k >= 0, r_k = d - B1 x - E u_k, with D the largest
+    |entry| of each row of B2 (1 for a zero row), since HiGHS holds rows of
+    tiny entries to its absolute tolerance. The LP minimizes the sum of every
+    s_k, and each pair's value is 1'D s_k over max(1, |r_k|_inf)."""
+    Y, rhs = inst.Y, _pair_rhs(inst, run)
     scale = np.abs(Y.B2).max(axis=1, initial=0.0)
-    scale = np.where(shortfall & (scale > 0.0), scale, 1.0)
-    A = np.hstack([Y.B2 / scale[:, None], np.eye(Y.n_rows, n_s)])
-    cost = np.r_[np.zeros(Y.dim), np.ones(n_s)] if shortfall else Y.c2
+    scale[scale == 0.0] = 1.0
+    A = np.hstack([Y.B2 / scale[:, None], np.eye(Y.n_rows)])
     out = backend.solve_lp(backend.copies_lp(
-        "recourse_shortfall" if shortfall else "recourse_block", A, GEQ, rhs / scale,
-        0.0, np.inf, cost))
+        "recourse_shortfall", A, GEQ, rhs / scale, 0.0, np.inf,
+        np.r_[np.zeros(Y.dim), np.ones(Y.n_rows)]))
     if not out.is_optimal:
         return None
-    sol = out.x.reshape(len(verts), A.shape[1])
-    vals = ((sol[:, Y.dim:] * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
-        axis=1, initial=0.0)) if shortfall else sol @ Y.c2)
+    sol = out.x.reshape(len(rhs), A.shape[1])
+    vals = (sol[:, Y.dim:] * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
+        axis=1, initial=0.0))
     return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])
 
 

@@ -237,11 +237,11 @@ def check_inner_feasibility(problem: MaxMinProblem,
 
     The dual of the inner LP is max{(d - B_x z)' pi : pi in Pi_1}, with
     Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has network columns and
-    every z_j that the objective reads has a finite range over the outer set,
-    Pi_1 has 0/1 vertices and the product MIP takes pi binary; otherwise
-    solve_maxmin_dual answers the extended problem, whose pi <= 1 makes its
-    product route exact. Either way the value is audited by the feasibility
-    LP at the witness z*, and the LP's value is returned.
+    every z_j that the objective reads has a finite range over the outer set
+    (one range_probe LP), Pi_1 has 0/1 vertices and the product MIP takes pi
+    binary; otherwise solve_maxmin_dual answers the extended problem, whose
+    pi <= 1 makes its product route exact. Either way the value is audited
+    by the feasibility LP at the witness z*, and the LP's value is returned.
     """
     m_rows, ny = problem.B_y.shape
     ext = replace(problem, c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
@@ -249,12 +249,12 @@ def check_inner_feasibility(problem: MaxMinProblem,
                   name=problem.name + "_feas")
     res = None
     if has_network_columns(problem.B_y):
-        caps = {j: range_probe(problem.A_out, problem.b_out, j)
-                for j in np.flatnonzero(problem.B_x.any(axis=0))}
-        if all(np.isfinite(list(caps.values()))):
+        cols = np.flatnonzero(problem.B_x.any(axis=0))
+        hi = range_probe(problem.A_out, problem.b_out, cols)
+        if np.isfinite(hi).all():
             # Pi_1 with pi <= 1 as the bound of binary columns, not as rows
             res = _product_mip(replace(problem, c_y=np.zeros(ny), name=ext.name), M,
-                               caps=caps)
+                               caps=dict(zip(cols.tolist(), hi)))
     if res is None:
         res = solve_maxmin_dual(ext, M=M, check_feasibility=False)
     polish = audited_dual_lp(ext.B_y, ext.c_y, ext.d - ext.B_x @ res.outer,

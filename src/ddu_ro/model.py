@@ -261,18 +261,18 @@ def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     return backend.solve_lp(m)
 
 
-def range_probe(A: np.ndarray, b: np.ndarray, j: int, sense: str = "max") -> float:
-    """max (or min) z_j over {z >= 0 : A z <= b}, the min as -max(-z_j);
-    +inf when z_j is unbounded above.
-
-    Raises BackendError when the set is empty."""
+def range_probe(A: np.ndarray, b: np.ndarray, cols, sense: str = "max") -> np.ndarray:
+    """max (or min) z_j over {z >= 0 : A z <= b} for every j of the index
+    array cols, from one LP of a copy per j (backend.solve_copies); +inf
+    where z_j is unbounded above. Raises BackendError when a copy ends
+    otherwise, as every copy does on an empty set."""
     sign = 1.0 if sense == "max" else -1.0
-    out = max_over_u(A, b, sign * np.eye(A.shape[1])[j], "range_probe")
-    if out.status == backend.UNBOUNDED:
-        return np.inf
-    if not out.is_optimal:
-        raise BackendError(f"range probe ended {out.status}")
-    return sign * float(out.objective)
+    status, z = backend.solve_copies("range_probe", A, LEQ, np.tile(b, (len(cols), 1)),
+                                     0.0, np.inf, -sign * np.eye(A.shape[1])[cols])
+    failed = status[~np.isin(status, (backend.OPTIMAL, backend.UNBOUNDED))]
+    if failed.size:
+        raise BackendError(f"range probe ended {failed[0]}")
+    return np.where(status == backend.OPTIMAL, z[np.arange(len(cols)), cols], np.inf)
 
 
 def add_recourse_vars(model: LinearModel, Y: RecourseSet) -> list[int]:

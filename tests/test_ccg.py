@@ -790,19 +790,33 @@ def _rows_permuted(inst: Instance, seed: int) -> Instance:
     return Instance(name=inst.name, c1=inst.c1, X=X2, U=U2, Y=Y2, metadata=meta)
 
 
+def _pm8() -> Instance:
+    return gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk")
+
+
+def _pm5_pair() -> Instance:
+    return gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair")
+
+
 @pytest.mark.parametrize("make, config, perm_seed, value", [
     # with capped duals as seeds this copy closed Optimal at 16290.32
-    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"),
-     dict(variant="parametric"), 2, PM8_W),
+    (_pm8, dict(variant="parametric"), 2, PM8_W),
     # and this one was reported Infeasible
-    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair"),
-     dict(diu_approx="metadata"), 3, PM5_PAIR_W),
-], ids=["pm_uk8-parametric", "pm_pair5-diu"])
+    (_pm5_pair, dict(diu_approx="metadata"), 3, PM5_PAIR_W),
+    # the pmedian bench's runs but basis, on the copies 0 and 1
+    (_pm8, dict(variant="parametric"), 0, PM8_W),
+    (_pm8, dict(variant="parametric"), 1, PM8_W),
+    (_pm8, dict(variant="benders"), 0, PM8_W),
+    (_pm8, dict(variant="benders"), 1, PM8_W),
+    (_pm5_pair, dict(diu_approx="metadata"), 0, PM5_PAIR_W),
+    (_pm5_pair, dict(diu_approx="metadata"), 1, PM5_PAIR_W),
+], ids=["pm_uk8-parametric", "pm_pair5-diu", "pm_uk8-parametric-0", "pm_uk8-parametric-1",
+        "pm_uk8-benders-0", "pm_uk8-benders-1", "pm_pair5-diu-0", "pm_pair5-diu-1"])
 def test_row_order_leaves_the_pmedian_optimum_unchanged(make, config, perm_seed,
                                                          value):
     res = run(_rows_permuted(make(), perm_seed), AlgorithmConfig(**config))
     assert res.status == "Optimal"
-    assert res.objective == pytest.approx(value, rel=1e-6)
+    assert res.objective == pytest.approx(value, rel=1e-9)
 
 
 # oracle_exact values of fl-rhs with 2 sites, at generator seeds 0 and 2

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import issparse
 
 from ddu_ro import backend, instances
 from ddu_ro.backend import GEQ, LinearModel
@@ -40,7 +39,7 @@ from ddu_ro.ccg import AlgorithmConfig, MasterState, run
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
                           UncertaintySet, add_first_stage, build_deterministic_mip,
                           uncertainty_set_from_dict)
-from toys import t1_infeasible, t1_unbounded_u
+from toys import record_linprog, t1_infeasible, t1_unbounded_u
 
 
 # expected values below were produced by this module's own enumeration oracle
@@ -295,36 +294,7 @@ def test_built_models_are_pinned():
     assert got == PINNED_MODEL_DIGESTS
 
 
-def _record_linprog(monkeypatch):
-    """(model name, columns, digest) of every linprog call, in order; the
-    digest is the first 16 hex digits of the SHA-256 of every argument
-    linprog receives but HiGHS's time limit, which follows the clock."""
-    calls, solve_lp, linprog = [], backend.solve_lp, backend.linprog
-
-    def named(model):
-        calls.append([model.name, model.n_vars])
-        return solve_lp(model)
-
-    def hashed(c, **kw):
-        h = hashlib.sha256(np.ascontiguousarray(c).tobytes())
-        for key in ("A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
-            a = kw[key]
-            parts = ([] if a is None else [a.data, a.indices, a.indptr, np.array(a.shape)]
-                     if issparse(a) else [a])
-            h.update(key.encode())
-            for p in parts:
-                h.update(np.ascontiguousarray(p).tobytes())
-        options = {k: v for k, v in kw["options"].items() if k != "time_limit"}
-        h.update(repr((kw["method"], sorted(options.items()))).encode())
-        calls[-1].append(h.hexdigest()[:16])
-        return linprog(c, **kw)
-
-    monkeypatch.setattr(backend, "solve_lp", named)
-    monkeypatch.setattr(backend, "linprog", hashed)
-    return calls
-
-
-# _record_linprog digest of the first LP of each name on pm_uk8 s0: the
+# record_linprog digest of the first LP of each name on pm_uk8 s0: the
 # first lattice block LP of the parametric and the basis master, the
 # 56-copy completion LP of X's lattice and the first recourse block LP of
 # oracle_exact; a change to how block LPs are built moves them only when
@@ -340,7 +310,7 @@ PINNED_LP_DIGESTS = {
 def test_block_lps_reach_highs_unchanged(monkeypatch):
     inst = dataclasses.replace(gen_reliable_pmedian(PMedianParams(n_sites=8, seed=0),
                                                     "ddu_uk"), name="pm_uk8")
-    calls = _record_linprog(monkeypatch)
+    calls = record_linprog(monkeypatch)
     for variant in ("parametric", "basis"):
         run(inst, AlgorithmConfig(variant=variant, max_iterations=2))
     oracle_exact(inst)
@@ -706,7 +676,7 @@ def _count_recourse_calls(monkeypatch):
     return calls
 
 
-def test_a_later_vertex_without_recourse_is_found_by_a_shortfall_lp(monkeypatch):
+def test_a_later_vertex_without_recourse_is_found_by_halving_the_block_lp(monkeypatch):
     # 0 <= y <= u - 1: the first vertex u = 2 has recourse, u = 0 has none
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
                          c2=[1.0])
@@ -717,12 +687,12 @@ def test_a_later_vertex_without_recourse_is_found_by_a_shortfall_lp(monkeypatch)
     val, u = worst_case_values(inst, [x])[0]
     assert val == np.inf and np.array_equal(u, [0.0])
     # the first vertex's shortfall, the failed block LP over both vertices,
-    # then their shortfalls, whose verdict on u = 0 recourse_value audits
+    # then one block LP per vertex, whose status is the verdict
     assert lps == [("recourse_shortfall", backend.OPTIMAL),
                    ("recourse_block", backend.INFEASIBLE),
-                   ("recourse_shortfall", backend.OPTIMAL),
-                   ("recourse", backend.INFEASIBLE)]
-    assert [c[0] for c in calls] == [0.0]
+                   ("recourse_block", backend.OPTIMAL),
+                   ("recourse_block", backend.INFEASIBLE)]
+    assert calls == []
     ref_val, ref_u = _worst_case_by_loop(inst, x)
     assert val == ref_val and np.array_equal(u, ref_u)
 
@@ -761,6 +731,26 @@ def test_worst_case_of_an_unbounded_recourse_is_minus_inf():
     assert val == -np.inf and np.array_equal(u, [2.0])
     ref_val, ref_u = _worst_case_by_loop(inst, x)
     assert val == ref_val and np.array_equal(u, ref_u)
+
+
+def test_a_recourse_block_lp_that_ends_numerical_raises(monkeypatch):
+    # U = {0 <= u <= 0} has the one vertex u = 0, so the block LP has one
+    # copy, and a Numerical one is no verdict on the pair
+    inst = dataclasses.replace(
+        _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[0.0]], h=[0.0]))
+    blocks, solve_lp = [], backend.solve_lp
+
+    def numerical(model):
+        if model.name != "recourse_block":
+            return solve_lp(model)
+        blocks.append(model.n_vars)
+        return backend.SolveOutcome(status=backend.NUMERICAL)
+
+    monkeypatch.setattr(backend, "solve_lp", numerical)
+    with pytest.raises(backend.BackendError, match="recourse solve ended Numerical"):
+        worst_case_values(inst, [np.array([0.0])])
+    assert blocks == [1]
 
 
 def test_worst_case_with_integer_recourse_takes_the_loop():
@@ -815,7 +805,7 @@ def test_one_shortfall_lp_finds_every_first_vertex_without_recourse(monkeypatch)
     assert len(calls) == 1
 
 
-def test_a_failed_vertex_batch_takes_one_shortfall_lp(monkeypatch):
+def test_a_failed_vertex_batch_is_narrowed_by_halves(monkeypatch):
     # 0 <= y <= u - 1: both first vertices u = 2 have recourse, u = 0 has none
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
                          c2=[1.0])
@@ -823,29 +813,27 @@ def test_a_failed_vertex_batch_takes_one_shortfall_lp(monkeypatch):
     calls = _count_recourse_calls(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
     # first vertices in one shortfall LP, every pair in a block LP that fails,
-    # then every pair in one shortfall LP, which finds u = 0 in both (the
-    # first audited)
+    # then each x's half, which fails too, then each of its vertices
+    per_x = [("recourse_block", backend.INFEASIBLE), ("recourse_block", backend.OPTIMAL),
+             ("recourse_block", backend.INFEASIBLE)]
     assert lps == [("recourse_shortfall", backend.OPTIMAL),
-                   ("recourse_block", backend.INFEASIBLE),
-                   ("recourse_shortfall", backend.OPTIMAL),
-                   ("recourse", backend.INFEASIBLE)]
-    assert [c[0] for c in calls] == [0.0]
+                   ("recourse_block", backend.INFEASIBLE)] + per_x + per_x
+    assert calls == []
     for x, (val, u) in zip(XS2, got):
         ref_val, ref_u = _worst_case_by_loop(inst, x)
         assert val == ref_val == np.inf and np.array_equal(u, ref_u)
 
 
 def test_the_batch_path_of_an_unbounded_recourse_is_minus_inf(monkeypatch):
-    # min -y over y >= u: every pair has recourse, so the shortfall LPs find
-    # none, and every block LP fails, down to the per-vertex loop
+    # min -y over y >= u: every pair has recourse, so the shortfall LP finds
+    # none, and every block LP is unbounded, down to single pairs
     inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[-1.0])
     lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
-    assert [name for name, _ in lps] == [
-        "recourse_shortfall", "recourse_block", "recourse_shortfall",
-        "recourse_block", "recourse", "recourse", "recourse_block", "recourse", "recourse"]
-    assert [c[0] for c in calls] == [2.0, 0.0, 2.0, 0.0]
+    assert lps == [("recourse_shortfall", backend.OPTIMAL)] + [
+        ("recourse_block", backend.UNBOUNDED)] * 7
+    assert calls == []
     for x, (val, u) in zip(XS2, got):
         ref_val, ref_u = _worst_case_by_loop(inst, x)
         assert val == ref_val == -np.inf and np.array_equal(u, ref_u)
@@ -863,7 +851,7 @@ def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
         assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
 
 
-def test_the_x_with_recourse_at_every_vertex_share_one_block_lp_again(monkeypatch):
+def test_the_x_with_recourse_at_every_vertex_keep_their_half_of_the_block_lp(monkeypatch):
     # 0 <= y <= u + x - 1: at x = 0 the vertex u = 0 has no recourse, at
     # x = 1 every vertex has
     inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
@@ -871,10 +859,13 @@ def test_the_x_with_recourse_at_every_vertex_share_one_block_lp_again(monkeypatc
     inst.Y.B1[1, 0] = 1.0
     lps = _record_lps(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
+    # the block LP over both x fails, x = 0's half fails down to its
+    # vertices, x = 1's half is Optimal
     assert lps == [("recourse_shortfall", backend.OPTIMAL),
                    ("recourse_block", backend.INFEASIBLE),
-                   ("recourse_shortfall", backend.OPTIMAL),
-                   ("recourse", backend.INFEASIBLE),
+                   ("recourse_block", backend.INFEASIBLE),
+                   ("recourse_block", backend.OPTIMAL),
+                   ("recourse_block", backend.INFEASIBLE),
                    ("recourse_block", backend.OPTIMAL)]
     assert got[0][0] == np.inf and np.array_equal(got[0][1], [0.0])
     assert got[1][0] == pytest.approx(0.0, abs=1e-9)
@@ -920,10 +911,10 @@ def test_a_near_miss_gets_the_verdict_of_recourse_value(miss, scale, k, first):
 @pytest.mark.parametrize("miss", [1e-6, 1e-3])
 def test_rows_of_tiny_entries_cost_no_more_recourse_calls_than_unit_rows(
         monkeypatch, miss, first):
-    # the "tiny-rows" toy against the "unit" one: the same verdict, and one
-    # recourse_value call, the check of the one pair the shortfall LP finds.
-    # With a unit shortfall column the tiny rows read shortfall 0, and at
-    # "later" the value block LP narrowed to one call per vertex.
+    # the "tiny-rows" toy against the "unit" one: the same verdict and as
+    # many recourse_value calls. At "first" that is one, the check of the
+    # pair the shortfall LP finds (with a unit shortfall column the tiny rows
+    # would read shortfall 0); at "later" none, as the block LP's halves decide.
     calls = _count_recourse_calls(monkeypatch)
     x = np.array([0.0])
     seen = []
@@ -932,7 +923,7 @@ def test_rows_of_tiny_entries_cost_no_more_recourse_calls_than_unit_rows(
         calls.clear()
         val, u = worst_case_values(inst, [x])[0]
         seen.append((val, u.tolist(), len(calls)))
-    assert seen[0] == seen[1] == (np.inf, [2.0] if first else [0.0], 1)
+    assert seen[0] == seen[1] == (np.inf, [2.0] if first else [0.0], int(first))
 
 
 def test_a_tiny_shortfall_beside_a_miss_gets_the_verdict_of_recourse_value():
@@ -958,9 +949,8 @@ def test_a_shortfall_lp_that_fails_its_audit_leaves_every_pair_to_recourse_value
     inst = _interval_toy(B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0])
     original = instances._block_recourse_values
 
-    def wrong(inst, run, shortfall=False):
-        out = original(inst, run, shortfall)
-        return [v + 1.0 for v in out] if shortfall else out
+    def wrong(inst, run):
+        return [v + 1.0 for v in original(inst, run)]
 
     monkeypatch.setattr(instances, "_block_recourse_values", wrong)
     calls = _count_recourse_calls(monkeypatch)
@@ -1013,8 +1003,11 @@ def test_a_block_lp_is_the_model_built_one_vertex_at_a_time(monkeypatch, shortfa
     models = []
     real = backend.solve_lp
     monkeypatch.setattr(backend, "solve_lp", lambda m: models.append(m) or real(m))
-    instances._block_recourse_values(inst, run, shortfall=shortfall)
-    [got] = models
+    if shortfall:
+        instances._block_recourse_values(inst, run)
+    else:
+        instances._worst_vertices(inst, run)
+    got = models[0]
 
     Y = inst.Y
     xs = np.vstack([np.tile(x, (len(v), 1)) for x, v in run])

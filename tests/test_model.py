@@ -17,8 +17,13 @@ from ddu_ro import (
     relative_gap,
     t1,
 )
-from ddu_ro.backend import GEQ, LEQ, LinearModel
-from ddu_ro.model import IterationRecord, RunResult, _binary_products, dimension_errors
+from ddu_ro import backend
+from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel
+from ddu_ro.ccg import AlgorithmConfig, run
+from ddu_ro.instances import FLParams, gen_robust_fl
+from ddu_ro.model import (IterationRecord, RunResult, _binary_products, dimension_errors,
+                          max_over_u, range_probe)
+from toys import record_linprog
 
 
 def test_affine_map_constant_when_no_terms():
@@ -109,6 +114,53 @@ def test_run_result_counts_iterations():
     res = RunResult(status="Optimal", objective=10.0, x=np.zeros(1), lb=10.0,
                     ub=10.0, iterations=recs, elapsed_s=0.3, variant="benders")
     assert res.n_iterations == 3
+
+
+# -- range_probe: one LP over the probed coordinates ----------------------------
+
+def _lp_names(monkeypatch):
+    names, solve_lp = [], backend.solve_lp
+    monkeypatch.setattr(backend, "solve_lp", lambda m: names.append(m.name) or solve_lp(m))
+    return names
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_range_probe_is_one_lp_with_the_value_of_each_coordinates_lp(monkeypatch, sense):
+    # z0 + z1 <= 4, z0 - z1 <= 1, z1 >= 1, z2 <= 2 z0: bounded, and no
+    # coordinate has the same range as another
+    A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, -1.0, 0.0], [-2.0, 0.0, 1.0]])
+    b = np.array([4.0, 1.0, -1.0, 0.0])
+    sign = 1.0 if sense == "max" else -1.0
+    cols = np.array([2, 0, 1])
+    ref = [sign * max_over_u(A, b, sign * np.eye(3)[j], "ref").objective for j in cols]
+    names = _lp_names(monkeypatch)
+    got = range_probe(A, b, cols, sense)
+    assert names == ["range_probe"]
+    assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    assert got == pytest.approx([5.0, 2.5, 4.0] if sense == "max" else [0.0, 0.0, 1.0])
+
+
+def test_range_probe_reads_inf_only_where_a_coordinate_is_unbounded():
+    # z0 <= 1 and z0 - z2 <= 0.5: z1 and z2 are unbounded above
+    A, b = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0]]), np.array([1.0, 0.5])
+    assert range_probe(A, b, np.arange(3)).tolist() == pytest.approx([1.0, np.inf, np.inf])
+    assert range_probe(A, b, np.arange(3), "min").tolist() == pytest.approx([0.0, 0.0, 0.0])
+
+
+def test_range_probe_of_an_empty_set_raises():
+    with pytest.raises(BackendError, match="range probe ended Infeasible"):
+        range_probe(np.array([[1.0, 0.0]]), np.array([-1.0]), np.arange(2))
+
+
+def test_the_first_range_probe_lp_of_fl_rhs5_is_pinned(monkeypatch):
+    # sp1's network caps: one copy of the outer set per coordinate that
+    # sp1's objective reads; the digest moves only when HiGHS would receive
+    # a different problem
+    calls = record_linprog(monkeypatch)
+    run(gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"),
+        AlgorithmConfig(variant="parametric", max_iterations=1))
+    first = next(c for c in calls if c[0] == "range_probe")
+    assert first[1:] == [75, "5b2ea414ba6452ab"]    # 5 copies of 15 columns
 
 
 # -- the binary-product envelope against its pair-by-pair reference ------------

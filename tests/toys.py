@@ -1,7 +1,12 @@
-"""Tiny instances that several test modules share."""
+"""Tiny instances, and a recorder of the LPs HiGHS receives, that several
+test modules share."""
+
+import hashlib
 
 import numpy as np
+from scipy.sparse import issparse
 
+from ddu_ro import backend
 from ddu_ro.instances import t1
 from ddu_ro.model import AffineMatrixMap, FirstStageSet, Instance, RecourseSet, UncertaintySet
 
@@ -28,3 +33,32 @@ def t1_unbounded_u(F: AffineMatrixMap | None = None) -> Instance:
     return Instance(name="T1-unbounded-u", c1=inst.c1, X=inst.X,
                     U=UncertaintySet(F=F, G=np.zeros((1, 1)), h=np.ones(1)),
                     Y=inst.Y)
+
+
+def record_linprog(monkeypatch):
+    """(model name, columns, digest) of every linprog call, in order; the
+    digest is the first 16 hex digits of the SHA-256 of every argument
+    linprog receives but HiGHS's time limit, which follows the clock."""
+    calls, solve_lp, linprog = [], backend.solve_lp, backend.linprog
+
+    def named(model):
+        calls.append([model.name, model.n_vars])
+        return solve_lp(model)
+
+    def hashed(c, **kw):
+        h = hashlib.sha256(np.ascontiguousarray(c).tobytes())
+        for key in ("A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
+            a = kw[key]
+            parts = ([] if a is None else [a.data, a.indices, a.indptr, np.array(a.shape)]
+                     if issparse(a) else [a])
+            h.update(key.encode())
+            for p in parts:
+                h.update(np.ascontiguousarray(p).tobytes())
+        options = {k: v for k, v in kw["options"].items() if k != "time_limit"}
+        h.update(repr((kw["method"], sorted(options.items()))).encode())
+        calls[-1].append(h.hexdigest()[:16])
+        return linprog(c, **kw)
+
+    monkeypatch.setattr(backend, "solve_lp", named)
+    monkeypatch.setattr(backend, "linprog", hashed)
+    return calls
