@@ -366,15 +366,18 @@ def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
     """Each copy's status and x, a (K, n) array with nan rows where a copy is
     not Optimal, from one solve_lp of copies_lp's LP; where that is not
     Optimal, from each half of the copies in turn, down to single copies, so
-    one failing copy of K costs about 2 log2 K LPs. No copies, no LP."""
+    one failing copy of K costs about 2 log2 K LPs. Copies that share one
+    feasible set (one lb, one ub, equal rhs rows) differ only in cost, so an
+    Infeasible LP of them is every copy's status at once. No copies, no LP."""
     K, n = len(rhs), A.shape[1]
     if not K:
         return np.zeros(0, dtype=str), np.zeros((0, n))
     out = solve_lp(copies_lp(name, A, senses, rhs, lb, ub, cost))
     if out.is_optimal:
         return np.full(K, OPTIMAL), out.x.reshape(K, n)
-    if K == 1:
-        return np.array([out.status]), np.full((1, n), np.nan)
+    if K == 1 or (out.status == INFEASIBLE and np.ndim(lb) < 2 and np.ndim(ub) < 2
+                  and (rhs == rhs[0]).all()):
+        return np.full(K, out.status), np.full((K, n), np.nan)
     halves = [solve_copies(name, A, senses, rhs[half],
                            *(a[half] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
               for half in (slice(K // 2), slice(K // 2, K))]

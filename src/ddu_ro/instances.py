@@ -577,147 +577,91 @@ class FLParams:
     profits: np.ndarray | None = None
 
 
-def _distances(coords: np.ndarray) -> np.ndarray:
-    return 100.0 * np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
-
-
 def _sites(p: FLParams | PMedianParams):
     """The site data both families share: (nI, nJ, c, dem, rng), with c the
     service costs between all sites (100 x distance unless given).
     Coordinates and then, unless given, demands in [50, 150] are drawn from
-    the seed; the rng is returned so that a family draws its own data next."""
-    rng = np.random.default_rng(p.seed)
+    the seed; the rng is returned so that a family draws its own data next.
+    Raises ValueError, naming the field, on sizes no instance has."""
     nI = p.n_sites
     nJ = p.n_facilities if p.n_facilities is not None else nI
+    if nI < 1:
+        raise ValueError(f"n_sites must be at least 1, got {nI}")
+    if not 1 <= nJ <= nI:
+        raise ValueError(f"n_facilities must be in 1..n_sites = {nI}, got {nJ}")
+    if p.costs is not None and np.shape(p.costs) != (nI, nI):
+        raise ValueError(f"costs must be n_sites x n_sites, got shape {np.shape(p.costs)}")
+    if p.demands is not None and np.shape(p.demands) != (nI,):
+        raise ValueError(f"demands must be n_sites long, got shape {np.shape(p.demands)}")
+    rng = np.random.default_rng(p.seed)
     coords = rng.uniform(size=(nI, 2))
-    c = np.asarray(p.costs, dtype=float) if p.costs is not None else _distances(coords)
+    c = (np.asarray(p.costs, dtype=float) if p.costs is not None
+         else 100.0 * np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)))
     dem = (np.asarray(p.demands, dtype=float) if p.demands is not None
            else rng.uniform(50.0, 150.0, size=nI))
     return nI, nJ, c, dem, rng
 
 
-def _fl_first_stage(nJ, f, a, dem, p: FLParams):
-    """x = (x_d binary | x_c capacity), rows cap_lo*x_d <= x_c <= cap_hi*x_d."""
-    cap_hi = p.capacity_upper_frac * dem.sum() / nJ
-    cap_lo = p.capacity_lower_frac * dem.sum() / nJ
-    nx = 2 * nJ
-    A = np.zeros((2 * nJ, nx))
-    b = np.zeros(2 * nJ)
-    for j in range(nJ):
-        A[j, nJ + j] = 1.0          # x_c - cap_lo x_d >= 0
-        A[j, j] = -cap_lo
-        A[nJ + j, j] = cap_hi       # cap_hi x_d - x_c >= 0
-        A[nJ + j, nJ + j] = -1.0
-    ub = np.concatenate([np.ones(nJ), np.full(nJ, np.inf)])
-    X = FirstStageSet(A=A, b=b, n_int=nJ, ub=ub)
-    c1 = np.concatenate([f, a])
-    return X, c1
+def _incidence(nI: int, nJ: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transport incidence of flows v_ij held at column i nJ + j: rows
+    sum_j v_ij, one per i in order, and rows sum_i v_ij, one per j in order,
+    as arrays of shape (nI, nI nJ) and (nJ, nI nJ)."""
+    return np.repeat(np.eye(nI), nJ, axis=1), np.tile(np.eye(nJ), nI)
 
 
-def _fl_recourse(nI, nJ, c, profit):
-    """y_ij flows: serve the realized demand within installed capacity."""
-    ny = nI * nJ
-    n_rows = nI + nJ
-    B2 = np.zeros((n_rows, ny))
-    B1 = np.zeros((n_rows, 2 * nJ))
-    E = np.zeros((n_rows, 3 * nI))
-    d = np.zeros(n_rows)
-    for i in range(nI):
-        for j in range(nJ):
-            B2[i, i * nJ + j] = 1.0
-        E[i, i] = -1.0              # sum_j y_ij >= u_i
-    for j in range(nJ):
-        for i in range(nI):
-            B2[nI + j, i * nJ + j] = -1.0
-        B1[nI + j, nJ + j] = 1.0    # sum_i y_ij <= x_c_j
-    c2 = np.array([c[i, j] - profit[i] for i in range(nI) for j in range(nJ)])
-    return B1, B2, E, d, c2
+def _interleave(*blocks):
+    """Row r of every block in turn, for r = 0, 1, ...: with blocks (rows,
+    partners) each row directly followed by its partner. A block is a tuple
+    of arrays of one length, such as (F, G, h) or (A, b); the result holds
+    each of them interleaved with the same array of the other blocks."""
+    return tuple(np.stack(parts, axis=1).reshape(-1, *np.shape(parts[0])[1:])
+                 for parts in zip(*blocks))
 
 
-def _fl_uncertainty_rhs(nI, nJ, dem, nbhd) -> UncertaintySet:
+def _fl_uncertainty_rhs(nI, nJ, dem, near) -> UncertaintySet:
     """Coordinates (u, incr, dev) in R^{3|I|}: u_i = base_i (1 + incr_i),
     incr_i between xi_lo and xi_hi times the facilities built in the
     neighborhood, dev_i at least the distance of incr_i from its midpoint,
     total deviation at most alpha x installed capacity / total demand.  All
-    dependence sits in the right-hand side."""
+    dependence sits in the right-hand side. Rows, as pairs per site: u_i -
+    base_i incr_i <= base_i and its negation; incr_i <= xi_hi (built nearby)
+    and -incr_i <= -xi_lo (built nearby); +-(incr_i - mid) - dev_i <= 0.
+    Then the budget row."""
     xi_lo, xi_hi, alpha = 0.05, 0.08, 0.05
-    n_u = 3 * nI
-    nx = 2 * nJ
-    u0 = dem.sum()
-    rows_F, rows_G, rows_h = [], [], []
-
-    def row(Fr, Gr, hv):
-        rows_F.append(Fr)
-        rows_G.append(Gr)
-        rows_h.append(hv)
-
-    for i in range(nI):
-        # u_i - base_i * incr_i = base_i, split into <= pairs
-        Fr = np.zeros(n_u); Fr[i] = 1.0; Fr[nI + i] = -dem[i]
-        row(Fr, np.zeros(nx), dem[i])
-        row(-Fr, np.zeros(nx), -dem[i])
-    for i in range(nI):
-        Fr = np.zeros(n_u); Fr[nI + i] = 1.0
-        Gr = np.zeros(nx)
-        for j in nbhd[i]:
-            Gr[j] = xi_hi
-        row(Fr, Gr, 0.0)
-        Gr2 = np.zeros(nx)
-        for j in nbhd[i]:
-            Gr2[j] = -xi_lo
-        row(-Fr, Gr2, 0.0)
-    for i in range(nI):
-        mid = np.zeros(nx)
-        for j in nbhd[i]:
-            mid[j] = 0.5 * (xi_lo + xi_hi)
-        Fr = np.zeros(n_u); Fr[nI + i] = 1.0; Fr[2 * nI + i] = -1.0
-        row(Fr, mid, 0.0)
-        Fr2 = np.zeros(n_u); Fr2[nI + i] = -1.0; Fr2[2 * nI + i] = -1.0
-        row(Fr2, -mid, 0.0)
-    Fr = np.zeros(n_u); Fr[2 * nI:] = 1.0
-    Gr = np.zeros(nx); Gr[nJ:] = alpha / u0
-    row(Fr, Gr, 0.0)
-
-    return UncertaintySet(F=AffineMatrixMap(base=np.array(rows_F)),
-                          G=np.array(rows_G), h=np.array(rows_h))
+    u, incr, dev = np.split(np.eye(3 * nI), 3)      # row i: coordinate i of a block
+    built = np.hstack([near, np.zeros((nI, nJ))])   # over x = (x_d | x_c)
+    no_x, h0 = np.zeros((nI, 2 * nJ)), np.zeros(nI)
+    mid = 0.5 * (xi_lo + xi_hi) * built
+    F1 = u - dem[:, None] * incr
+    capacity = np.concatenate([np.zeros(nJ), np.full(nJ, alpha / dem.sum())])
+    F, G, h = (np.concatenate(parts) for parts in zip(
+        _interleave((F1, no_x, dem), (-F1, no_x, -dem)),
+        _interleave((incr, xi_hi * built, h0), (-incr, -xi_lo * built, h0)),
+        _interleave((incr - dev, mid, h0), (-incr - dev, -mid, h0)),
+        (dev.sum(axis=0)[None], capacity[None], [0.0])))
+    return UncertaintySet(F=AffineMatrixMap(base=F), G=G, h=h)
 
 
-def _fl_uncertainty_lhs(nI, nJ, dem, nbhd) -> UncertaintySet:
+def _fl_uncertainty_lhs(nI, nJ, dem, near) -> UncertaintySet:
     """Coordinates (u, reg, surge): u_i = reg_i + surge_i, reg_i grows by k1
     per unit of neighborhood capacity (right-hand side), surge_i capped at
     gamma dem_i, and the surge budget, whose weights grow by k2 per unit of
-    neighborhood capacity, puts x_c into the constraint matrix."""
+    neighborhood capacity, puts x_c into the constraint matrix. Rows: per
+    site u_i - reg_i - surge_i <= 0 and its negation, then reg_i per site,
+    surge_i per site and the budget."""
     k1, k2, gamma = 0.05, 0.05, 0.1
-    n_u = 3 * nI
-    nx = 2 * nJ
-    mu = 2 * nI + nI + nI + 1
-    F0 = np.zeros((mu, n_u))
-    G = np.zeros((mu, nx))
-    h = np.zeros(mu)
-    r = 0
-    for i in range(nI):
-        F0[r, i] = 1.0; F0[r, nI + i] = -1.0; F0[r, 2 * nI + i] = -1.0
-        h[r] = 0.0; r += 1
-        F0[r, i] = -1.0; F0[r, nI + i] = 1.0; F0[r, 2 * nI + i] = 1.0
-        h[r] = 0.0; r += 1
-    for i in range(nI):
-        F0[r, nI + i] = 1.0
-        for j in nbhd[i]:
-            G[r, nJ + j] = k1
-        h[r] = dem[i]; r += 1
-    for i in range(nI):
-        F0[r, 2 * nI + i] = 1.0
-        h[r] = gamma * dem[i]; r += 1
-    budget = r
-    for i in range(nI):
-        F0[budget, 2 * nI + i] = dem[i]
-    h[budget] = gamma * float(dem @ dem)
+    u, reg, surge = np.split(np.eye(3 * nI), 3)     # row i: coordinate i of a block
+    no_x, h0 = np.zeros((nI, 2 * nJ)), np.zeros(nI)
+    F1 = u - reg - surge
+    F0, G, h = (np.concatenate(parts) for parts in zip(
+        _interleave((F1, no_x, h0), (-F1, no_x, h0)),
+        (reg, np.hstack([np.zeros((nI, nJ)), k1 * near]), dem),
+        (surge, no_x, gamma * dem),
+        ((dem @ surge)[None], np.zeros((1, 2 * nJ)), [gamma * float(dem @ dem)])))
     terms = []
     for j in range(nJ):
-        M = np.zeros((mu, n_u))
-        for i in range(nI):
-            if j in nbhd[i]:
-                M[budget, 2 * nI + i] = k2
+        M = np.zeros_like(F0)
+        M[-1] = k2 * near[:, j] @ surge
         terms.append((nJ + j, M))
     return UncertaintySet(F=AffineMatrixMap(base=F0, terms=tuple(terms)), G=G, h=h)
 
@@ -754,12 +698,27 @@ def _fl_instance(p: FLParams, kind: str) -> Instance:
     # positive site distances
     positive = full[full > 0]
     radius = float(np.quantile(positive, 0.25)) if positive.size else 0.0
-    nbhd = [[j for j in range(nJ) if full[i, j] <= radius + 1e-12] for i in range(nI)]
-
-    X, c1 = _fl_first_stage(nJ, f, a, dem, p)
-    B1, B2, E, d, c2 = _fl_recourse(nI, nJ, c, profit)
+    near = (c <= radius + 1e-12).astype(float)
     U = (_fl_uncertainty_lhs if kind == "lhs" else _fl_uncertainty_rhs)(
-        nI, nJ, dem, nbhd)
+        nI, nJ, dem, near)
+
+    # x = (x_d binary | x_c capacity), rows x_c - cap_lo x_d >= 0, one per
+    # facility, then cap_hi x_d - x_c >= 0, one per facility
+    cap_hi = p.capacity_upper_frac * dem.sum() / nJ
+    cap_lo = p.capacity_lower_frac * dem.sum() / nJ
+    eye = np.eye(nJ)
+    X = FirstStageSet(A=np.block([[-cap_lo * eye, eye], [cap_hi * eye, -eye]]),
+                      b=np.zeros(2 * nJ), n_int=nJ,
+                      ub=np.concatenate([np.ones(nJ), np.full(nJ, np.inf)]))
+    c1 = np.concatenate([f, a])
+    # y_ij flows, rows sum_j y_ij >= u_i, one per site, then
+    # sum_i y_ij <= x_c_j, one per facility
+    by_i, by_j = _incidence(nI, nJ)
+    B2 = np.vstack([by_i, -by_j])
+    B1 = np.vstack([np.zeros((nI, 2 * nJ)), np.eye(nJ, 2 * nJ, nJ)])
+    E = np.vstack([-np.eye(nI, 3 * nI), np.zeros((nJ, 3 * nI))])
+    d = np.zeros(nI + nJ)
+    c2 = (c - profit[:, None]).ravel()
     blocks = {"x_d": list(range(nJ)), "x_c": list(range(nJ, 2 * nJ)),
               "u": list(range(nI))}
     n_int_y = 0
@@ -772,8 +731,7 @@ def _fl_instance(p: FLParams, kind: str) -> Instance:
         B2 = np.hstack([np.vstack([np.zeros((nI, nJ)), np.diag(temp_cap), -np.eye(nJ)]),
                         np.vstack([B2, np.zeros((nJ, nI * nJ))]),
                         np.vstack([np.eye(nI), np.zeros((2 * nJ, nI))])])
-        B1 = np.vstack([B1, np.zeros((nJ, 2 * nJ))])
-        E = np.vstack([E, np.zeros((nJ, 3 * nI))])
+        B1, E = (np.vstack([M, np.zeros((nJ, M.shape[1]))]) for M in (B1, E))
         d = np.concatenate([d, -np.ones(nJ)])
         c2 = np.concatenate([temp_cost, c2, np.full(nI, 1.5 * c.max())])
         blocks["z"] = list(range(nJ))
@@ -804,15 +762,14 @@ class PMedianParams:
 PMEDIAN_KINDS = ("diu_u0", "ddu_uk", "ddu_ukq", "ddu_ur", "ddu_us_pair")
 
 
-def _disruption_set(nx: int, k: int, exposed: np.ndarray, links: dict | None = None,
+def _disruption_set(nx: int, k: int, exposed: np.ndarray, markers=(),
                     n_int_u: int = 0) -> UncertaintySet:
-    """{u >= 0 : 1'u <= k, u_i <= exposed_i + x[links[i]]}: at most k sites
+    """{u >= 0 : 1'u <= k, u_i <= exposed_i + x[markers[i]]}: at most k sites
     fail, site i at any x when exposed_i is 1, otherwise only where its
-    linked first-stage column is 1 (never when it has none)."""
-    nI = len(exposed)
+    marker column, the i-th of markers, is 1 (never when it has none)."""
+    nI, i = len(exposed), np.arange(len(markers))
     G = np.zeros((nI + 1, nx))
-    for i, col in (links or {}).items():
-        G[1 + i, col] = 1.0
+    G[1 + i, list(markers)] = 1.0 - exposed[i]
     F = np.vstack([np.ones((1, nI)), np.eye(nI)])
     return UncertaintySet(F=AffineMatrixMap(base=F), G=G,
                           h=np.concatenate([[float(k)], exposed]), n_int_u=n_int_u)
@@ -832,6 +789,10 @@ def gen_reliable_pmedian(params: PMedianParams,
     if uncertainty not in PMEDIAN_KINDS:
         raise ValueError(f"unknown uncertainty {uncertainty!r}")
     p = params
+    if p.p < 1:
+        raise ValueError(f"p must be at least 1, got {p.p}")
+    if p.k < 0:
+        raise ValueError(f"k must be at least 0, got {p.k}")
     nI, nJ, c, dem, _ = _sites(p)
     c = c[:, :nJ]
     cap = np.full(nJ, 1.4 * dem.sum() / p.p)     # p facilities hold 1.4 x demand
@@ -851,168 +812,136 @@ def gen_reliable_pmedian(params: PMedianParams,
     n_int = nJ * (1 + n_sorts)
     x0r = n_int + nI * nJ
     nx = x0r + n_sorts + (2 * nJ * nJ if n_sorts == 2 else 0)
-    xc = lambda i, j: n_int + i * nJ + j
+    xc = slice(n_int, x0r)
+    by_i, by_j = _incidence(nI, nJ)
 
-    rows = []
-    b = []
-    r0 = np.zeros(nx); r0[:nJ] = 1.0
-    rows.append(r0); b.append(float(p.p))            # sum x_d >= p
-    rows.append(-r0); b.append(-float(p.p))          # sum x_d <= p
-    for i in range(nI):
-        r = np.zeros(nx)
-        for j in range(nJ):
-            r[xc(i, j)] = 1.0
-        rows.append(r); b.append(dem[i])             # allocations cover demand
-    for j in range(nJ):
-        r = np.zeros(nx)
-        r[j] = cap[j]
-        for i in range(nI):
-            r[xc(i, j)] = -1.0
-        rows.append(r); b.append(0.0)                # allocations within capacity
-    A, b = np.array(rows), np.array(b)
-
+    # rows sum x_d >= p, sum x_d <= p, allocations cover demand (one per
+    # site), allocations within capacity (one per facility)
+    A = np.zeros((2 + nI + nJ, nx))
+    A[:2, :nJ] = [[1.0], [-1.0]]
+    A[2:2 + nI, xc] = by_i
+    A[2 + nI:, :nJ] = np.diag(cap)
+    A[2 + nI:, xc] = -by_j
+    rows = [(A, np.concatenate([[float(p.p), -float(p.p)], dem, np.zeros(nJ)]))]
     ub = np.full(nx, np.inf)
     ub[:n_int] = 1.0
     c1 = np.zeros(nx)
-    for i in range(nI):
-        for j in range(nJ):
-            c1[xc(i, j)] = (1.0 - p.rho) * c[i, j]
+    c1[xc] = ((1.0 - p.rho) * c).ravel()
 
-    # y = (y1 | y2): service flows, then shortfalls
-    ny = nI * nJ + nI
-    n_rows = nI + nJ + nJ
-    B2 = np.zeros((n_rows, ny))
-    B1 = np.zeros((n_rows, nx))
-    E = np.zeros((n_rows, nI))
-    d_vec = np.zeros(n_rows)
-    y1 = lambda i, j: i * nJ + j
-    y2 = lambda i: nI * nJ + i
-    for i in range(nI):
-        for j in range(nJ):
-            B2[i, y1(i, j)] = 1.0
-        B2[i, y2(i)] = 1.0
-        d_vec[i] = dem[i]
-        E[i, i] = -theta[i] * dem[i]      # demand grows to (1 + theta_i u_i) d_i
-    for j in range(nJ):
-        for i in range(nI):
-            B2[nI + j, y1(i, j)] = -1.0
-        B1[nI + j, j] = cap[j]            # sum_i y1_ij <= cap_j x_d_j
-    for j in range(nJ):
-        for i in range(nI):
-            B2[nI + nJ + j, y1(i, j)] = -1.0
-        d_vec[nI + nJ + j] = -cap[j]
-        E[nI + nJ + j, j] = -cap[j]       # sum_i y1_ij <= cap_j (1 - u_j)
+    # y = (y1 | y2): service flows, then shortfalls; rows: demand, grown to
+    # (1 + theta_i u_i) d_i, per site; sum_i y1_ij <= cap_j x_d_j and
+    # sum_i y1_ij <= cap_j (1 - u_j) per facility
+    zero = np.zeros((nJ, nI))
+    B2 = np.block([[by_i, np.eye(nI)], [-by_j, zero], [-by_j, zero]])
+    B1 = np.vstack([np.zeros((nI, nx)), cap[:, None] * np.eye(nJ, nx), np.zeros((nJ, nx))])
+    E = np.vstack([np.diag(-theta * dem), np.zeros((nJ, nI)), -cap[:, None] * np.eye(nJ, nI)])
+    d = np.concatenate([dem, np.zeros(nJ), -cap])
     c2 = np.concatenate([p.rho * c.flatten(), p.rho * pen * np.ones(nI)])
 
     meta = {"family": f"pmedian-{uncertainty}",
-            "blocks": {"x_d": list(range(nJ)),
-                       "x_c": [xc(i, j) for i in range(nI) for j in range(nJ)],
+            "blocks": {"x_d": list(range(nJ)), "x_c": list(range(n_int, x0r)),
                        "u": list(range(nI))},
             "seed": p.seed, "p": p.p, "k": p.k, "rho": p.rho,
             "penalty": pen, "max_cost": float(c.max())}
-
     if n_sorts:
-        # x_r marks the q_sort built facilities of largest service cost, and
-        # for the pair x_s the q_sort of largest distance to the co-built set
-        q_sort = min(p.p, p.k + 2)
-        xr = lambda j: nJ + j
-        sort_M = 1.1 * float(c.max()) * float(dem.sum())
-        rows_r, b_r = _sorting_rows(nx, nJ, q_sort, xr, x0r,
-                                    lambda j: [(xc(i, j), c[i, j]) for i in range(nI)],
-                                    sort_M)
-        A = np.vstack([A, rows_r]); b = np.concatenate([b, b_r])
-        meta["blocks"]["x_r"] = [xr(j) for j in range(nJ)]
-        meta["q1"] = q_sort
+        rows += _sorting_part(p, c, dem, cap, by_j, xc, nx, meta, n_sorts == 2)
 
-    if uncertainty == "diu_u0":
-        U = _disruption_set(nx, p.k, np.ones(nI), n_int_u=nI)
-    elif uncertainty == "ddu_uk":
-        U = _disruption_set(nx, p.k, np.zeros(nI), {j: j for j in range(nJ)})
-    elif uncertainty == "ddu_ukq":
+    # the kind picks the disruption set: a facility's site fails only where
+    # its marker column is 1 (x_d for ddu_uk and ddu_ukq, whose q
+    # largest-demand sites fail at any x, x_r for ddu_ur), otherwise any site
+    exposed = np.zeros(nI)
+    if uncertainty == "ddu_ukq":
         dq = list(np.argsort(-dem)[:p.q])
-        # demand-ranked sites always exposed, other facility sites when built
-        U = _disruption_set(nx, p.k, np.isin(np.arange(nI), dq).astype(float),
-                            {i: i for i in range(nJ) if i not in dq})
+        exposed[dq] = 1.0
         meta["d_q"] = [int(i) for i in dq]
-    elif uncertainty == "ddu_ur":
-        U = _disruption_set(nx, p.k, np.zeros(nI), {j: xr(j) for j in range(nJ)})
-        meta["sort_big_m"] = sort_M
-    else:  # ddu_us_pair: decision-independent instance + two sorting sets
-        xs = lambda j: 2 * nJ + j
-        x0s = x0r + 1
-        w0 = x0s + 1                        # w_jl = x_d_j x_d_l
-        z0 = w0 + nJ * nJ                   # z_jl = (sum_i xc_ij) w_jl
-        wv = lambda j, l: w0 + j * nJ + l
-        zv = lambda j, l: z0 + j * nJ + l
-        extra = []
-        eb = []
-        for j in range(nJ):
-            for l in range(nJ):
-                # w = x_d_j x_d_l exactly at binary points
-                r = np.zeros(nx); r[j] = 1.0; r[wv(j, l)] = -1.0
-                extra.append(r); eb.append(0.0)
-                r = np.zeros(nx); r[l] = 1.0; r[wv(j, l)] = -1.0
-                extra.append(r); eb.append(0.0)
-                r = np.zeros(nx); r[wv(j, l)] = 1.0; r[j] = -1.0; r[l] = -1.0
-                extra.append(r); eb.append(-1.0)
-                # z = (sum_i xc_ij) w, using the capacity bound on the sum
-                r = np.zeros(nx); r[wv(j, l)] = cap[j]; r[zv(j, l)] = -1.0
-                extra.append(r); eb.append(0.0)
-                r = np.zeros(nx)
-                for i in range(nI):
-                    r[xc(i, j)] = 1.0
-                r[zv(j, l)] = -1.0
-                extra.append(r); eb.append(0.0)
-                r = np.zeros(nx); r[zv(j, l)] = 1.0; r[wv(j, l)] = -cap[j]
-                for i in range(nI):
-                    r[xc(i, j)] = -1.0
-                extra.append(r); eb.append(-cap[j])
-        # score of facility j: capacity-weighted distance to the co-built set,
-        # sum_l c[site(j), site(l)] z_jl with z linearized above
-        rows_s, b_s = _sorting_rows(
-            nx, nJ, q_sort, xs, x0s,
-            lambda j: [(zv(j, l), float(c[j, l])) for l in range(nJ)], sort_M)
-        A = np.vstack([A, np.array(extra), rows_s])
-        b = np.concatenate([b, np.array(eb), b_s])
-        U = _disruption_set(nx, p.k, np.ones(nI), n_int_u=nI)
-        Ur = _disruption_set(nx, p.k, np.zeros(nI), {j: xr(j) for j in range(nJ)})
-        Us = _disruption_set(nx, p.k, np.zeros(nI), {j: xs(j) for j in range(nJ)})
-        meta["blocks"]["x_s"] = [xs(j) for j in range(nJ)]
-        meta["q2"] = q_sort
-        meta["sort_big_m"] = sort_M
-        meta["ddu_sets"] = [uncertainty_set_to_dict(Ur), uncertainty_set_to_dict(Us)]
+    marker = {"ddu_uk": 0, "ddu_ukq": 0, "ddu_ur": nJ}.get(uncertainty)
+    U = (_disruption_set(nx, p.k, np.ones(nI), n_int_u=nI) if marker is None
+         else _disruption_set(nx, p.k, exposed, range(marker, marker + nJ)))
+    if uncertainty == "ddu_us_pair":
+        meta["ddu_sets"] = [uncertainty_set_to_dict(_disruption_set(
+            nx, p.k, np.zeros(nI), range(m, m + nJ))) for m in (nJ, 2 * nJ)]
 
+    A, b = (np.concatenate(parts) for parts in zip(*rows))
     X = FirstStageSet(A=A, b=b, n_int=n_int, ub=ub)
     name = f"pm_{uncertainty}_{nI}s_p{p.p}_k{p.k}_seed{p.seed}"
     return Instance(name=name, c1=c1, X=X, U=U,
-                    Y=RecourseSet(B1=B1, B2=B2, E=E, d=d_vec, c2=c2),
+                    Y=RecourseSet(B1=B1, B2=B2, E=E, d=d, c2=c2),
                     metadata=meta)
 
 
-def _sorting_rows(nx, nJ, q, marker, threshold, score_cols, M):
-    """Big-M rows forcing marker_j = 1 exactly on the q facilities whose score
-    is above the threshold variable: score_j >= t - M(1-m_j), score_j <= t + M m_j,
-    m_j <= x_d_j, sum m_j = q."""
-    rows, b = [], []
-    for j in range(nJ):
-        r = np.zeros(nx); r[j] = 1.0; r[marker(j)] = -1.0
-        rows.append(r); b.append(0.0)                 # m_j <= x_d_j
-        r = np.zeros(nx)
-        for col, v in score_cols(j):
-            r[col] = v
-        r[threshold] = -1.0; r[marker(j)] = -M
-        rows.append(r); b.append(-M)                  # score >= t - M(1-m)
-        r = np.zeros(nx)
-        for col, v in score_cols(j):
-            r[col] = -v
-        r[threshold] = 1.0; r[marker(j)] = M
-        rows.append(r); b.append(0.0)                 # score <= t + M m
-    r = np.zeros(nx)
-    for j in range(nJ):
-        r[marker(j)] = 1.0
-    rows.append(r); b.append(float(q))
-    rows.append(-r); b.append(-float(q))
-    return np.array(rows), np.array(b)
+def _sorting_part(p, c, dem, cap, by_j, xc, nx, meta, pair):
+    """The X rows of the sorting binaries, as (A, b) blocks: x_r (columns
+    nJ to 2 nJ - 1, threshold the column after x_c) marks the min(p, k + 2)
+    built facilities of largest service cost sum_i c_ij xc_ij; for
+    ddu_us_pair (pair) the rows of _pairing_part follow. Records the
+    columns, q and the big-M in meta."""
+    nJ = len(cap)
+    q = min(p.p, p.k + 2)
+    M = 1.1 * float(c.max()) * float(dem.sum())
+    S, score = np.zeros((nJ, nx)), np.zeros((nJ, nx))
+    S[:, xc] = by_j                         # s_j = sum_i xc_ij
+    score[:, xc] = by_j * c.ravel()
+    rows = [_sorting_rows(score, q, nJ, xc.stop, M)]
+    meta["blocks"]["x_r"] = list(range(nJ, 2 * nJ))
+    meta["q1"] = q
+    if pair:
+        rows += _pairing_part(S, c, cap, q, M, meta)
+    meta["sort_big_m"] = M
+    return rows
+
+
+def _pairing_part(S, c, cap, q, M, meta):
+    """The X rows ddu_us_pair adds after x_r's, as (A, b) blocks: for each
+    pair (j, l) in order the envelopes of w_jl = x_d_j x_d_l and of
+    z_jl = s_j w_jl, with s_j = sum_i xc_ij (row j of S) at most cap_j;
+    then the sorting rows of x_s, which marks the q facilities of largest
+    capacity-weighted distance to the co-built set, sum_l c_jl z_jl.
+    Records x_s's columns and q in meta."""
+    nJ, nx = S.shape
+    K = nJ * nJ
+    w = nx - 2 * K + np.arange(K)       # x = (... | x0_r | x0_s | w | z)
+    j, l = np.divmod(np.arange(K), nJ)
+    pairs = _interleave(*_envelope(w, j, np.eye(nJ, nx)[l], np.ones(K)),
+                        *_envelope(w + K, w, S[j], cap[j]))
+    score = np.zeros((nJ, nx))
+    score[j, w + K] = c[j, l]
+    meta["blocks"]["x_s"] = list(range(2 * nJ, 3 * nJ))
+    meta["q2"] = q
+    return [pairs, _sorting_rows(score, q, 2 * nJ, w[0] - 1, M)]
+
+
+def _envelope(w, x, v, M):
+    """The rows of products w_k = x_k v_k with x_k binary and 0 <= v_k <= M_k,
+    where w and x are arrays of columns and row k of v is v_k over all
+    columns: three blocks (A, b) of one row per product, w <= M x, w <= v
+    and w >= v - M (1 - x), in that order. The last row's entry at x is -M
+    also where v reads x, as in the square w = x x of a pair (j, j)."""
+    r = np.arange(len(w))
+    zero = np.zeros(len(w))
+    below_x = np.zeros_like(v)
+    below_x[r, x] = M
+    below_x[r, w] = -1.0
+    below_v = v.copy()
+    below_v[r, w] = -1.0
+    above = -v
+    above[r, x] = -M
+    above[r, w] = 1.0
+    return (below_x, zero), (below_v, zero), (above, -M)
+
+
+def _sorting_rows(score, q, marker, threshold, M):
+    """Big-M rows forcing m_j = x[marker + j] to 1 exactly on the q
+    facilities whose score, row j of score over all columns, is above the
+    threshold column t: per facility j the rows m_j <= x_d_j,
+    score_j >= t - M(1-m_j) and score_j <= t + M m_j, in that order, then
+    sum m_j >= q and sum m_j <= q; as (A, b) with A x >= b."""
+    nJ, nx = score.shape
+    m, t = np.eye(nJ, nx, marker), np.eye(1, nx, threshold)
+    zero = np.zeros(nJ)
+    A, b = _interleave((np.eye(nJ, nx) - m, zero), (score - t - M * m, np.full(nJ, -M)),
+                       (t - score + M * m, zero))
+    total = m.sum(axis=0)
+    return np.vstack([A, total, -total]), np.concatenate([b, [float(q), -float(q)]])
 
 
 # -- instance file I/O ---------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
 from .model import (BasisId, Instance, UncertaintySet, _binary_products, _is_binary,
-                    affine_blocks, max_over_u, range_probe, require_binary_terms)
+                    affine_blocks, max_lp, max_over_u, range_probe, require_binary_terms)
 
 _ZERO_RC_TOL = 1e-9
 _AUDIT_TOL = 1e-4     # relative: a product MIP against its LP, sp2 against its split
@@ -428,11 +428,7 @@ def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
                        name: str = "dual_lp") -> LinearModel:
     """max{rhs' pi : B_y' pi <= c_y, pi >= 0}: the dual of the recourse LP
     min{c_y' y : B_y y >= rhs, y >= 0}. Variable i is pi_i, for i = 0..m-1."""
-    lp = LinearModel(name=name)
-    pi_ids = lp.add_vars(B_y.shape[0])
-    lp.add_rows([(pi_ids, B_y.T)], LEQ, c_y)
-    lp.set_objective(dict(zip(pi_ids, rhs)), sense="max")
-    return lp
+    return max_lp(B_y.T, c_y, rhs, name)
 
 
 def audited_dual_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,

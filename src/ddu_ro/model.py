@@ -250,15 +250,21 @@ def add_first_stage(model: LinearModel, inst: Instance) -> list[int]:
     return x_ids
 
 
-def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-               name: str) -> backend.SolveOutcome:
+def max_lp(A: np.ndarray, b: np.ndarray, c: np.ndarray, name: str) -> LinearModel:
     """The LP max{c'z : z >= 0, A z <= b}, such as U(x) with A = F(x) and
-    b = h + G x; z is its first columns. Integrality is ignored."""
+    b = h + G x, or the recourse dual with A = B2'; z is its first columns.
+    Integrality is ignored."""
     m = LinearModel(name=name)
     z_ids = m.add_vars(A.shape[1])
     m.add_rows([(z_ids, A)], LEQ, b)
     m.set_objective(dict(zip(z_ids, c)), "max")
-    return backend.solve_lp(m)
+    return m
+
+
+def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+               name: str) -> backend.SolveOutcome:
+    """The outcome of max_lp(A, b, c, name)."""
+    return backend.solve_lp(max_lp(A, b, c, name))
 
 
 def range_probe(A: np.ndarray, b: np.ndarray, cols, sense: str = "max") -> np.ndarray:

@@ -328,6 +328,18 @@ def test_generate_fl_models(tmp_path):
         io_read(path)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--model", "pmedian", "--sites", "3", "--facilities", "5"], "n_facilities"),
+    (["--model", "fl-rhs", "--sites", "0"], "n_sites"),
+    (["--model", "pmedian", "--sites", "4", "--p", "0"], "p"),
+])
+def test_generate_rejects_parameters_no_instance_has(argv, field, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.main(["generate", *argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must")
+    assert not out.exists()
+
+
 def test_import_builds_an_instance_from_csv(tmp_path):
     costs = tmp_path / "costs.csv"
     demands = tmp_path / "demands.csv"

@@ -169,11 +169,30 @@ def test_generators_are_deterministic():
         json.dumps(instance_to_dict(b), sort_keys=True)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: gen_robust_fl(FLParams(n_sites=0), "rhs"), "n_sites"),
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=3, n_facilities=5)), "n_facilities"),
+    (lambda: gen_mip_recourse_fl(FLParams(n_sites=3, n_facilities=0)), "n_facilities"),
+    (lambda: gen_robust_fl(FLParams(n_sites=3, costs=np.ones((2, 2))), "lhs"), "costs"),
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=3, demands=np.ones(4))), "demands"),
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=4, p=0)), "p"),
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=4, k=-1), "ddu_ur"), "k"),
+])
+def test_generators_reject_parameters_no_instance_has(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        make()
+
+
+def test_more_medians_than_facilities_is_a_well_formed_infeasible_instance():
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=3, p=4))
+    assert run(inst, AlgorithmConfig()).status == "Infeasible"
+
+
 def _pinned_cases():
     """(name, instance) for every family and p-median kind: 3 sites at seeds
     0 and 1, 3 facilities among 4 sites, and explicit costs and demands (the
     import path); fl-rhs also with explicit data and 3 facilities among 4
-    sites."""
+    sites; and the bench's five instances at instance seeds 0 and 1."""
     rng = np.random.default_rng(11)
     data = dict(costs=rng.uniform(1.0, 50.0, size=(4, 4)),
                 demands=rng.uniform(10.0, 20.0, size=4))
@@ -190,6 +209,17 @@ def _pinned_cases():
         yield f"{name}-data", build(n_sites=4, seed=1, **data)
     yield "fl-rhs-3of4-data", builders["fl-rhs"](n_sites=4, n_facilities=3, seed=0,
                                                  **data)
+    bench = {"pm_uk8": lambda s: gen_reliable_pmedian(PMedianParams(n_sites=8, seed=s),
+                                                      "ddu_uk"),
+             "pm_pair5": lambda s: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=s),
+                                                        "ddu_us_pair"),
+             "fl_rhs5": lambda s: gen_robust_fl(FLParams(n_sites=5, seed=s), "rhs"),
+             "fl_mip3": lambda s: gen_mip_recourse_fl(FLParams(
+                 n_sites=3, seed=s, capacity_lower_frac=1.5, capacity_upper_frac=1.5)),
+             "fl_rhs2": lambda s: gen_robust_fl(FLParams(n_sites=2, seed=s), "rhs")}
+    for name, build in bench.items():
+        for s in (0, 1):
+            yield f"{name}-seed{s}", build(s)
 
 
 # first 16 hex digits of the SHA-256 of json.dumps(instance_to_dict(inst));
@@ -228,6 +258,16 @@ PINNED_DIGESTS = {
     "pm-ddu_us_pair-seed1": "8b9ef02a00963418",
     "pm-ddu_us_pair-3of4": "94e2f491551c5f49",
     "pm-ddu_us_pair-data": "50ce0aa088d3b28b",
+    "pm_uk8-seed0": "6c3614f51a8694db",
+    "pm_uk8-seed1": "a2adee1b90a487bf",
+    "pm_pair5-seed0": "605d0ed4b99d36f6",
+    "pm_pair5-seed1": "9863bef8d38e17a1",
+    "fl_rhs5-seed0": "a24d45ba5c8133eb",
+    "fl_rhs5-seed1": "23a18319ea441e59",
+    "fl_mip3-seed0": "a55cb89cb8f86c8d",
+    "fl_mip3-seed1": "ce73bef3c86c2917",
+    "fl_rhs2-seed0": "f39b212a33deb7be",
+    "fl_rhs2-seed1": "98c5918e4efccbf0",
 }
 
 

@@ -152,6 +152,15 @@ def test_range_probe_of_an_empty_set_raises():
         range_probe(np.array([[1.0, 0.0]]), np.array([-1.0]), np.arange(2))
 
 
+def test_a_range_probe_of_an_empty_set_is_one_lp(monkeypatch):
+    # every copy shares the empty set, so the first LP's Infeasible holds for
+    # all eight rather than being narrowed down to each copy
+    names = _lp_names(monkeypatch)
+    with pytest.raises(BackendError, match="range probe ended Infeasible"):
+        range_probe(np.ones((1, 8)), np.array([-1.0]), np.arange(8))
+    assert names == ["range_probe"]
+
+
 def test_the_first_range_probe_lp_of_fl_rhs5_is_pinned(monkeypatch):
     # sp1's network caps: one copy of the outer set per coordinate that
     # sp1's objective reads; the digest moves only when HiGHS would receive
