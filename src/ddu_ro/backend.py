@@ -1,9 +1,24 @@
 """Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
 of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
-(vars and constrs are read-only views of them), scipy/HiGHS solves (LPs by
-linprog's "highs" method with the rows passed as CSR, MIPs by milp), one LP
-over K copies of an LP (solve_copies) and big-M complementarity
-linearization.
+(vars and constrs are read-only views of them), HiGHS solves (solve_lp and
+solve_mip), one LP over K copies of an LP (solve_copies) and big-M
+complementarity linearization.
+
+How a model reaches HiGHS. solve_lp passes <= and = CSR blocks to linprog,
+solve_mip lo <= A x <= hi to milp. Both are this module's, not scipy's: each
+hands _highs the CSC matrix and options that scipy's function of its name
+would, and _highs solves them on one fresh _Highs of scipy's bundled binding
+(setOptionValue, the array form of passModel, run, getSolution; no basis, no
+duals), so every input and answer is byte-identical to scipy's, without the
+fifth of a pm_uk8 pass that scipy's wrapper took. They keep scipy's names,
+keywords and result fields because every solve meets HiGHS there: tests
+replace them or hash their arguments, and perfbench/tracing.py times them.
+scipy's checks stay: non-finite c, A or b raises ValueError; an Optimal LP
+whose x misses a bound or a row by more than 10 sqrt(1e-9) is code 4; a
+limit is code 1, a model HiGHS refuses 2 and an unlisted status 4; a MIP at
+a limit keeps x unless its objective is +inf; a rejected option warns.
+Import fails with an ImportError naming scipy 1.17 (HiGHS 1.12), the tested
+series, when _Highs lacks a method _highs calls.
 
 Wall clock. A run's time budget is held here, not passed through the calls
 that lead to a solve: inside ``with deadline(seconds):`` every solve_lp and
@@ -27,11 +42,12 @@ found slower is fl_rhs10 s0 benders (about 5 %): without RINS its third
 master, with 283 binaries, takes 442 nodes instead of 99. RENS stays on:
 without it the last fl_rhs8 s0 benders master took 17 s and 7953 nodes
 instead of 0.15 s and 1 node, and the run ended GapReached instead of
-Optimal. milp passes these keys to HiGHS verbatim; only its RuntimeWarning
-that says so is silenced, so a misspelt key still gets HiGHS's
-OptimizeWarning. HiGHS prints a stray line (transformNewIntegerFeasibleSolution)
-to stdout with a raw printf whatever output_flag says, so file descriptor 1
-points at standard error for the length of each milp call.
+Optimal. scipy's milp, which can stand in for this module's, warns that it
+passes these keys to HiGHS verbatim; solve_mip silences only that
+RuntimeWarning, so a misspelt key still gets an OptimizeWarning. HiGHS
+prints a stray line (transformNewIntegerFeasibleSolution) to stdout with a
+raw printf whatever output_flag says, so file descriptor 1 points at
+standard error for the length of each milp call.
 """
 
 from __future__ import annotations
@@ -48,8 +64,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import coo_array, csr_array, eye_array, issparse, kron
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning
+from scipy.optimize._highspy import _core
+from scipy.sparse import coo_array, csc_array, csr_array, eye_array, issparse, kron, vstack
 
 # Per-solve statuses. A solve that hits the wall clock raises SolveTimeLimit
 # instead of reporting TIME_LIMIT.
@@ -295,6 +312,97 @@ def _with_time_left(model: LinearModel, options: dict) -> dict:
     return {**options, "time_limit": left}
 
 
+# -- HiGHS -----------------------------------------------------------------------
+
+def _binding(core):
+    """core._Highs; ImportError when it lacks a method _highs calls."""
+    methods = ("passModel", "setOptionValue", "getInfo", "getSolution")
+    if not all(hasattr(getattr(core, "_Highs", None), m) for m in methods):
+        raise ImportError(f"ddu_ro.backend calls {', '.join(methods)} of scipy.optimize."
+                          "_highspy._core._Highs, tested with scipy 1.17 (HiGHS 1.12)")
+    return core._Highs
+
+
+_Highs, _MS, _ERROR = _binding(_core), _core.HighsModelStatus, _core.HighsStatus.kError
+# scipy's result codes of HiGHS's model statuses; any other is 4
+_CODES = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1, _MS.kInfeasible: 2,
+          _MS.kModelError: 2, _MS.kUnbounded: 3}
+# linprog(method="highs")'s options; log_to_console comes first in every
+# option set, so that HiGHS logs nothing about an option it rejects
+_LP_OPTIONS = {"log_to_console": False, "output_flag": False, "highs_debug_level": 0,
+               "simplex_strategy": 1}
+_Result = namedtuple("_Result", "status x fun mip_node_count mip_dual_bound mip_gap",
+                     defaults=(None,) * 5)
+
+
+def _highs(c, A, lhs, rhs, lb, ub, integrality, options) -> tuple[_Result, np.ndarray]:
+    """min c'x s.t. lhs <= A x <= rhs, lb <= x <= ub, x_j integer where
+    integrality_j is 1, A in CSC, by one fresh HiGHS model, read as scipy's
+    _highs_wrapper reads it: the result and the row activities, with x only
+    for an Optimal solution or a MIP's incumbent (objective not +inf) at a
+    limit."""
+    h = _Highs()
+    for key, value in options.items():
+        if h.setOptionValue(key, value) == _ERROR:
+            warnings.warn(f"HiGHS rejected the option {key}={value!r}", OptimizeWarning,
+                          stacklevel=3)
+    if h.passModel(c.size, rhs.size, A.nnz, 1, 1, 0.0, c, lb, ub, lhs, rhs,
+                   A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+                   integrality) == _ERROR:
+        return _Result(2), None                         # kModelError
+    if h.run() == _ERROR:
+        return _Result(_CODES.get(h.getModelStatus(), 4)), None
+    status, info, mip = h.getModelStatus(), h.getInfo(), bool(integrality.any())
+    code = _CODES.get(status, 4)
+    if not (status == _MS.kOptimal or mip and info.objective_function_value != np.inf
+            and status in (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)):
+        return _Result(code), None
+    solution = h.getSolution()
+    counts = (info.mip_node_count, info.mip_dual_bound, info.mip_gap) if mip else ()
+    return (_Result(code, np.array(solution.col_value), info.objective_function_value, *counts),
+            np.array(solution.row_value))
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, np.inf),
+            method="highs", options=None) -> _Result:
+    """scipy.optimize.linprog(method="highs") on the arguments solve_lp
+    passes, with its input and result checks (module docstring)."""
+    c = np.asarray(c, dtype=float)
+    b_ub, b_eq = (np.zeros(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
+    blocks = [a for a in (A_ub, A_eq) if a is not None]
+    A = csc_array(vstack(blocks) if len(blocks) > 1 else blocks[0] if blocks else (0, c.size))
+    if not (c.size and np.isfinite(np.concatenate([c, b_ub, b_eq, A.data])).all()):
+        raise ValueError("linprog: c, A_ub, b_ub, A_eq and b_eq must be finite, c not empty")
+    lb, ub = np.broadcast_to(np.asarray(bounds, dtype=float), (c.size, 2)).T.copy()
+    options = dict(options or {})
+    presolve = "on" if options.pop("presolve", True) else "off"
+    res, row = _highs(c, A, np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
+                      np.concatenate([b_ub, b_eq]), lb, ub, np.zeros(c.size, dtype=np.int32),
+                      {**_LP_OPTIONS, "presolve": presolve, **options})
+    tol, m = 10 * np.sqrt(1e-9), b_ub.size
+    if res.x is not None and (np.isnan(res.fun) or not (
+            np.all((res.x >= lb - tol) & (res.x <= ub + tol)) and np.all(b_ub - row[:m] >= -tol)
+            and np.all(np.abs(b_eq - row[m:]) <= tol))):
+        res = res._replace(status=4)
+    return res
+
+
+def milp(c, *, integrality=None, bounds=Bounds(0, np.inf), constraints=None,
+         options=None) -> _Result:
+    """scipy.optimize.milp on the arguments solve_mip passes (constraints one
+    LinearConstraint or ()), with its check of c."""
+    c = np.asarray(c, dtype=float)
+    if not (c.size and np.isfinite(c).all()):
+        raise ValueError("milp: c must be finite, not empty")
+    A, lhs, rhs = ((constraints.A, constraints.lb, constraints.ub) if constraints
+                   else ((0, c.size), (), ()))
+    lb, ub = (np.broadcast_to(b, c.shape).astype(float) for b in (bounds.lb, bounds.ub))
+    integrality = np.broadcast_to(0 if integrality is None else integrality, c.shape)
+    return _highs(c, csc_array(A), np.array(lhs, dtype=float), np.array(rhs, dtype=float),
+                  lb, ub, integrality.astype(np.int32),
+                  {"log_to_console": False, **(options or {})})[0]
+
+
 # linprog's and milp's status codes
 _STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
 
@@ -437,7 +545,7 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
         return SolveOutcome(status=status if status != OPTIMAL else NUMERICAL)
     x = np.asarray(res.x, dtype=float)
     bound = None
-    if getattr(res, "mip_dual_bound", None) is not None:
+    if res.mip_dual_bound is not None:
         bound = sign * float(res.mip_dual_bound)
     return SolveOutcome(status=status, objective=model.objective_value(x),
                         x=x, bound=bound)

@@ -29,6 +29,7 @@ import operator
 import os
 import tempfile
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,9 @@ _MAX_BASES = 2_000_000      # basis systems per U(x)
 _MAX_VERTICES = 5000        # distinct vertices kept per U(x)
 _GRID = 7                   # grid points per free coupled continuous dim
 _DEDUP_TOL = 1e-9
+# the itertools.combinations table of each (rows, columns) shape met inside
+# the enclosing worst_case_values call; None outside every call
+_COMBOS: ContextVar[dict | None] = ContextVar("ddu_ro_combos", default=None)
 
 
 def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
@@ -216,6 +220,8 @@ def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
 def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
     """Column index sets of the bases of A with |det| > 1e-12, in
     itertools.combinations order, as an int array of shape (count, rows).
+    Inside a worst_case_values call the combinations of A's shape are
+    listed once (_COMBOS).
 
     A basis whose nonzero pattern has an empty row or column is dropped
     before the determinants are taken: LU with partial pivoting leaves an
@@ -223,9 +229,12 @@ def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
     Each column's pattern is a bit mask of the rows it meets, in words of
     64 rows, so the test is an OR over the basis's columns."""
     mu, n_cols = A.shape
-    combos = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(n_cols), mu)), dtype=int,
-        count=math.comb(n_cols, mu) * mu).reshape(-1, mu)
+    memo = {} if _COMBOS.get() is None else _COMBOS.get()
+    if A.shape not in memo:
+        memo[A.shape] = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(n_cols), mu)), dtype=int,
+            count=math.comb(n_cols, mu) * mu).reshape(-1, mu)
+    combos = memo[A.shape]
     words = -(-mu // 64)
     meets = np.zeros((64 * words, n_cols), dtype=bool)
     meets[:mu] = A != 0.0
@@ -315,7 +324,8 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     _BLOCK_ENTRIES entries of B2, where a later vertex without recourse is
     worth inf. A group's memo holds its basis table and, once a second x of
     the group is enumerated, the inverses that screen its bases
-    (_basic_vertices); both go with the group.
+    (_basic_vertices); both go with the group. The combinations table the
+    basis tables are cut from is built once per shape and call (_COMBOS).
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     groups: dict[bytes, list[int]] = {}
@@ -323,18 +333,22 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
         groups.setdefault(inst.U.F.evaluate(x).tobytes(), []).append(i)
     cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
     out: dict[int, tuple[float, np.ndarray]] = {}
-    for group in groups.values():
-        bases: dict = {}        # the table of this F(x) only
-        if not inst.U.n_int_u and inst.U.n_rows:
-            firsts = ((i, next((u[:1] for u in _basic_vertices(
-                inst.U, xs[i], bases, 64) if len(u)), None)) for i in group)
-            for run in backend._runs([(i, u) for i, u in firsts if u is not None], cap):
-                missing = _no_recourse(inst, [(xs[i], u) for i, u in run])
-                out.update((i, (np.inf, u[0])) for (i, u), m in zip(run, missing) if m[0])
-        todo = [i for i in group if i not in out]
-        runs = backend._runs(((xs[i], enumerate_vertices(inst.U, xs[i], bases))
-                              for i in todo), cap, size=lambda item: len(item[1]))
-        out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
+    token = _COMBOS.set({})
+    try:
+        for group in groups.values():
+            bases: dict = {}        # the table of this F(x) only
+            if not inst.U.n_int_u and inst.U.n_rows:
+                firsts = ((i, next((u[:1] for u in _basic_vertices(
+                    inst.U, xs[i], bases, 64) if len(u)), None)) for i in group)
+                for run in backend._runs([(i, u) for i, u in firsts if u is not None], cap):
+                    missing = _no_recourse(inst, [(xs[i], u) for i, u in run])
+                    out.update((i, (np.inf, u[0])) for (i, u), m in zip(run, missing) if m[0])
+            todo = [i for i in group if i not in out]
+            runs = backend._runs(((xs[i], enumerate_vertices(inst.U, xs[i], bases))
+                                  for i in todo), cap, size=lambda item: len(item[1]))
+            out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
+    finally:
+        _COMBOS.reset(token)
     return [out[i] for i in range(len(xs))]
 
 
@@ -793,6 +807,8 @@ def gen_reliable_pmedian(params: PMedianParams,
         raise ValueError(f"p must be at least 1, got {p.p}")
     if p.k < 0:
         raise ValueError(f"k must be at least 0, got {p.k}")
+    if p.q < 0:
+        raise ValueError(f"q must be at least 0, got {p.q}")
     nI, nJ, c, dem, _ = _sites(p)
     c = c[:, :nJ]
     cap = np.full(nJ, 1.4 * dem.sum() / p.p)     # p facilities hold 1.4 x demand

@@ -1,5 +1,6 @@
 import copy
 import os
+import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.optimize
 from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
 from scipy.sparse import coo_array, csr_array
 
@@ -585,3 +587,128 @@ def test_highs_output_during_a_mip_goes_to_stderr(monkeypatch, capfd):
     print("after")
     out, err = capfd.readouterr()
     assert (out, err) == ("before\nafter\n", "from HiGHS\n")
+
+
+# -- HiGHS without scipy's wrappers ---------------------------------------------
+
+def _random_model(rng) -> LinearModel:
+    """1-5 columns, each in [0, 10], [-5, 5], free or fixed at 2, about half
+    of them integer; 0-4 rows of mixed senses; min or max."""
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+    kind = rng.integers(4, size=n)
+    lb = np.choose(kind, [0.0, -5.0, -np.inf, 2.0])
+    ub = np.choose(kind, [10.0, 5.0, np.inf, 2.0])
+    model = LinearModel(name="draw")
+    ids = model.add_vars(n, lb, ub, integer=rng.random(n) < 0.5)
+    A = rng.uniform(-3, 3, size=(m, n)) * (rng.random((m, n)) < 0.8)
+    model.add_rows([(ids, A)], rng.choice([LEQ, GEQ, EQ], size=m), rng.uniform(-5, 5, size=m))
+    model.set_objective(dict(zip(ids, rng.uniform(-5, 5, size=n))),
+                        sense=str(rng.choice(["min", "max"])))
+    return model
+
+
+def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
+    # solve_lp and solve_mip of each draw; every backend.linprog and
+    # backend.milp call is repeated with the same arguments in scipy
+    calls = []
+    for name in ("linprog", "milp"):
+        def call(*args, _real=getattr(backend, name), _name=name, **kwargs):
+            calls.append((_name, args, kwargs, _real(*args, **kwargs)))
+            return calls[-1][3]
+        monkeypatch.setattr(backend, name, call)
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        model = _random_model(rng)
+        backend.solve_lp(model)
+        backend.solve_mip(model)
+    codes = set()
+    for name, args, kwargs, ours in calls:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+            ref = getattr(scipy.optimize, name)(*args, **kwargs)
+        codes.add((name, ours.status))
+        assert ours.status == ref.status
+        assert (ours.x is None) == (ref.x is None)
+        if ref.x is not None:
+            assert np.array_equal(ours.x, ref.x)
+            assert ours.fun == ref.fun
+        if name == "milp":
+            assert (ours.mip_node_count, ours.mip_dual_bound) == (ref.mip_node_count,
+                                                                  ref.mip_dual_bound)
+    # Optimal, Infeasible and Unbounded draws; HiGHS's MIP solver reports an
+    # unbounded MIP as unbounded or infeasible, which scipy gives code 4
+    assert {("linprog", 0), ("linprog", 2), ("linprog", 3),
+            ("milp", 0), ("milp", 2), ("milp", 4)} <= codes
+
+
+@pytest.mark.parametrize("where", ["c", "A_ub", "b_eq"])
+def test_linprog_refuses_non_finite_data(where):
+    args = dict(c=np.ones(2), A_ub=csr_array(np.ones((1, 2))), b_ub=np.ones(1),
+                A_eq=csr_array(np.ones((1, 2))), b_eq=np.ones(1))
+    bad = args[where].copy()
+    (bad.data if where == "A_ub" else bad)[0] = np.nan if where == "b_eq" else np.inf
+    with pytest.raises(ValueError, match="finite"):
+        backend.linprog(**{**args, where: bad}, bounds=np.array([[0.0, 1.0]] * 2),
+                        options={"presolve": True})
+
+
+def test_milp_refuses_a_non_finite_cost():
+    with pytest.raises(ValueError, match="finite"):
+        backend.milp(np.array([1.0, np.nan]), integrality=np.ones(2), bounds=Bounds(0, 1))
+
+
+@pytest.mark.parametrize("sense, miss, status", [
+    (LEQ, 1e-3, backend.NUMERICAL), (LEQ, 1e-5, backend.OPTIMAL),
+    (GEQ, -1e-3, backend.NUMERICAL), (EQ, 1e-3, backend.NUMERICAL),
+    (EQ, -1e-5, backend.OPTIMAL)])
+def test_an_optimal_x_that_misses_a_row_is_numerical(monkeypatch, sense, miss, status):
+    # linprog's check of HiGHS's answer: rows hold to 10 sqrt(1e-9) ~ 3.2e-4
+    m = LinearModel(name="row")
+    x, y = m.add_vars(2, ub=10.0)
+    m.add_rows([([x, y], [[1.0, 1.0]])], sense, [4.0])
+    m.set_objective({x: 1.0, y: 1.0})
+
+    def answer(c, A, lhs, rhs, lb, ub, integrality, options):
+        sol = np.array([2.0, 2.0 + miss])
+        return backend._Result(0, sol, float(c @ sol)), A @ sol
+
+    monkeypatch.setattr(backend, "_highs", answer)
+    assert backend.solve_lp(m).status == status
+
+
+@pytest.mark.parametrize("miss, status", [(1e-3, backend.NUMERICAL), (1e-5, backend.OPTIMAL)])
+def test_an_optimal_x_that_misses_a_bound_is_numerical(monkeypatch, miss, status):
+    # y = -miss below its bound 0, the row x + y >= 1 held exactly
+    m, x, y = small_min_lp()
+    sol = np.array([1.0 + miss, -miss])
+    monkeypatch.setattr(backend, "_highs", lambda c, A, *args: (
+        backend._Result(0, sol, float(c @ sol)), A @ sol))
+    assert backend.solve_lp(m).status == status
+
+
+def test_a_mips_node_count_reaches_the_result():
+    rng = np.random.default_rng(3)
+    A = rng.integers(1, 30, size=(6, 14)).astype(float)
+    args = (-rng.integers(1, 50, size=14).astype(float),)
+    kwargs = dict(constraints=LinearConstraint(A, -np.inf, 0.3 * A.sum(axis=1)),
+                  integrality=np.ones(14), bounds=Bounds(0, 1))
+    ours, ref = backend.milp(*args, **kwargs), milp(*args, **kwargs)
+    assert ours.status == 0 and ours.mip_node_count == ref.mip_node_count >= 1
+    assert ours.mip_gap == ref.mip_gap and ours.mip_dual_bound == ref.mip_dual_bound
+
+
+def test_a_rejected_highs_option_warns_and_is_skipped():
+    m, x, y = small_min_lp()
+    c, ((a_ub, b_ub), _), bounds = backend._assemble_lp(m)
+    for options in ({"presolve": True, "simplex_strategi": 1}, {"time_limit": -1.0}):
+        with pytest.warns(OptimizeWarning, match=next(k for k in options if k != "presolve")):
+            res = backend.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
+        assert res.status == 0 and np.array_equal(res.x, [1.0, 0.0])
+
+
+def test_another_highs_binding_is_refused_at_import():
+    assert backend._binding(backend._core) is backend._Highs
+    stub = SimpleNamespace(_Highs=type("_Highs", (), {"passModel": None, "getInfo": None}))
+    for core in (stub, None):
+        with pytest.raises(ImportError, match=r"setOptionValue.*scipy 1\.17 \(HiGHS 1\.12\)"):
+            backend._binding(core)

@@ -332,6 +332,7 @@ def test_generate_fl_models(tmp_path):
     (["--model", "pmedian", "--sites", "3", "--facilities", "5"], "n_facilities"),
     (["--model", "fl-rhs", "--sites", "0"], "n_sites"),
     (["--model", "pmedian", "--sites", "4", "--p", "0"], "p"),
+    (["--model", "pmedian", "--kind", "ddu_ukq", "--sites", "4", "--p", "2", "--q", "-1"], "q"),
 ])
 def test_generate_rejects_parameters_no_instance_has(argv, field, tmp_path, capsys):
     out = tmp_path / "out.json"

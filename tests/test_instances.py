@@ -177,6 +177,7 @@ def test_generators_are_deterministic():
     (lambda: gen_reliable_pmedian(PMedianParams(n_sites=3, demands=np.ones(4))), "demands"),
     (lambda: gen_reliable_pmedian(PMedianParams(n_sites=4, p=0)), "p"),
     (lambda: gen_reliable_pmedian(PMedianParams(n_sites=4, k=-1), "ddu_ur"), "k"),
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=4, p=2, q=-1), "ddu_ukq"), "q"),
 ])
 def test_generators_reject_parameters_no_instance_has(make, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
@@ -1396,3 +1397,18 @@ def test_basis_table_equals_the_list_of_every_combination():
         got = instances._nonsingular_bases(A, 1000)
         assert got.dtype == combos.dtype
         assert np.array_equal(got, combos[dets > 1e-12])
+
+
+def test_one_combinations_table_per_shape_in_a_worst_case_pass(monkeypatch):
+    # 2-site fl-lhs at seed 0: 19 distinct F(x), so 19 basis tables, all of
+    # one shape, so one itertools.combinations table for them all
+    combinations, tables, built = itertools.combinations, [], []
+    monkeypatch.setattr(itertools, "combinations",
+                        lambda *args: built.append(args) or combinations(*args))
+    nonsingular = instances._nonsingular_bases
+    monkeypatch.setattr(instances, "_nonsingular_bases",
+                        lambda A, *args: tables.append(A.shape) or nonsingular(A, *args))
+    res = oracle_exact(gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs"))
+    assert res.value == pytest.approx(-51207.92549966348, rel=1e-12)
+    assert len(tables) == 19 and len(set(tables)) == 1
+    assert len(built) == 1
