@@ -42,12 +42,9 @@ found slower is fl_rhs10 s0 benders (about 5 %): without RINS its third
 master, with 283 binaries, takes 442 nodes instead of 99. RENS stays on:
 without it the last fl_rhs8 s0 benders master took 17 s and 7953 nodes
 instead of 0.15 s and 1 node, and the run ended GapReached instead of
-Optimal. scipy's milp, which can stand in for this module's, warns that it
-passes these keys to HiGHS verbatim; solve_mip silences only that
-RuntimeWarning, so a misspelt key still gets an OptimizeWarning. HiGHS
-prints a stray line (transformNewIntegerFeasibleSolution) to stdout with a
-raw printf whatever output_flag says, so file descriptor 1 points at
-standard error for the length of each milp call.
+Optimal. HiGHS prints a stray line (transformNewIntegerFeasibleSolution) to
+stdout with a raw printf whatever output_flag says, so file descriptor 1
+points at standard error for the length of each milp call.
 """
 
 from __future__ import annotations
@@ -535,9 +532,7 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
     gap = {} if mip_rel_gap is None else {"mip_rel_gap": mip_rel_gap}
     options = _with_time_left(model, {**_MIP_OPTIONS, **gap})
     constraints = LinearConstraint(A, lo, hi) if model.n_constrs else ()
-    with warnings.catch_warnings(), _stdout_to_stderr():
-        warnings.filterwarnings("ignore", "Unrecognized options detected: .* passed to "
-                                "HiGHS verbatim", RuntimeWarning)
+    with _stdout_to_stderr():
         res = milp(c, constraints=constraints, integrality=integer.astype(np.int64),
                    bounds=Bounds(lb, ub), options=options)
     status = _status(model, res.status)

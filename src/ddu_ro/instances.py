@@ -44,6 +44,7 @@ from .model import (
     UncertaintySet,
     add_recourse_vars,
     dimension_errors,
+    envelope_rows,
     instance_from_dict,
     instance_to_dict,
     max_over_u,
@@ -917,32 +918,14 @@ def _pairing_part(S, c, cap, q, M, meta):
     K = nJ * nJ
     w = nx - 2 * K + np.arange(K)       # x = (... | x0_r | x0_s | w | z)
     j, l = np.divmod(np.arange(K), nJ)
-    pairs = _interleave(*_envelope(w, j, np.eye(nJ, nx)[l], np.ones(K)),
-                        *_envelope(w + K, w, S[j], cap[j]))
+    eye = np.eye(nx)
+    pairs = envelope_rows(*_interleave((eye[w], eye[j], eye[l], np.ones(K)),
+                                       (eye[w + K], eye[w], S[j], cap[j])))
     score = np.zeros((nJ, nx))
     score[j, w + K] = c[j, l]
     meta["blocks"]["x_s"] = list(range(2 * nJ, 3 * nJ))
     meta["q2"] = q
     return [pairs, _sorting_rows(score, q, 2 * nJ, w[0] - 1, M)]
-
-
-def _envelope(w, x, v, M):
-    """The rows of products w_k = x_k v_k with x_k binary and 0 <= v_k <= M_k,
-    where w and x are arrays of columns and row k of v is v_k over all
-    columns: three blocks (A, b) of one row per product, w <= M x, w <= v
-    and w >= v - M (1 - x), in that order. The last row's entry at x is -M
-    also where v reads x, as in the square w = x x of a pair (j, j)."""
-    r = np.arange(len(w))
-    zero = np.zeros(len(w))
-    below_x = np.zeros_like(v)
-    below_x[r, x] = M
-    below_x[r, w] = -1.0
-    below_v = v.copy()
-    below_v[r, w] = -1.0
-    above = -v
-    above[r, x] = -M
-    above[r, w] = 1.0
-    return (below_x, zero), (below_v, zero), (above, -M)
 
 
 def _sorting_rows(score, q, marker, threshold, M):

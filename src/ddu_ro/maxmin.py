@@ -424,19 +424,13 @@ def has_integral_vertices(A: np.ndarray, b: np.ndarray) -> bool:
         np.abs(b - np.round(b)) <= 1e-9 * np.maximum(1.0, np.abs(b))))
 
 
-def dual_polyhedron_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
-                       name: str = "dual_lp") -> LinearModel:
-    """max{rhs' pi : B_y' pi <= c_y, pi >= 0}: the dual of the recourse LP
-    min{c_y' y : B_y y >= rhs, y >= 0}. Variable i is pi_i, for i = 0..m-1."""
-    return max_lp(B_y.T, c_y, rhs, name)
-
-
 def audited_dual_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
                     value: float, name: str) -> backend.SolveOutcome:
-    """The optimum of dual_polyhedron_lp at one outer point, whose value a
-    product MIP claims: BackendError, naming the LP, unless the LP ends
-    Optimal within _AUDIT_TOL (relative) of value."""
-    out = backend.solve_lp(dual_polyhedron_lp(B_y, c_y, rhs, name=name))
+    """The optimum of the recourse dual max{rhs' pi : B_y' pi <= c_y, pi >= 0}
+    at one outer point, whose value a product MIP claims: BackendError,
+    naming the LP, unless the LP ends Optimal within _AUDIT_TOL (relative)
+    of value."""
+    out = backend.solve_lp(max_lp(B_y.T, c_y, rhs, name))
     if not out.is_optimal:
         raise BackendError(f"{name} ended {out.status}")
     if abs(out.objective - value) > _AUDIT_TOL * max(1.0, abs(value)):

@@ -335,28 +335,50 @@ def require_binary_terms(inst: Instance) -> None:
             "no exact master linearization")
 
 
+def _envelope(M: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of the exact envelope (McCormick, Math. Prog. 1976) of
+    products w_k = x_k v_k, for binary x_k and lo_k <= v_k <= M_k with lo_k
+    0 or -M_k (one entry per product): product by product, w <= M x,
+    w >= lo x, w <= v - lo (1 - x) and w >= v - M (1 - x), the second left
+    out where lo is 0 (w's bound carries it then). Returns each row's
+    product, its coefficients on w, v and x, its sense and its rhs."""
+    n = len(M)
+    keep = np.flatnonzero(np.column_stack([np.ones(n), lo, np.ones(n), np.ones(n)]))
+    return (keep // 4, np.ones(keep.size), np.tile([0.0, 0.0, -1.0, -1.0], n)[keep],
+            np.column_stack([-M, -lo, -lo, -M]).ravel()[keep],
+            np.tile([LEQ, GEQ, LEQ, GEQ], n)[keep],
+            np.column_stack([np.zeros((n, 2)), 0.0 - lo, -M]).ravel()[keep])
+
+
 def _binary_products(model: LinearModel, pairs, M, lo=0.0) -> list[int]:
     """Columns w = x * v, one per (x id, v id) of pairs, for binary x and
     lo <= v <= M, lo either 0 or -M (each a scalar or one per pair), by the
-    exact envelope, pair by pair: w <= M x, w >= lo x, w <= v - lo (1 - x)
-    and w >= v - M (1 - x), the second one carried by w's bounds when lo is
-    0. The columns take one add_vars call and the rows one add_rows call,
-    from three sparse blocks on w, v and x with one sense per row."""
+    rows of _envelope. The columns take one add_vars call and the rows one
+    add_rows call, from three sparse blocks on w, v and x."""
     n = len(pairs)
     M, lo = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in (M, lo))
     ws = model.add_vars(n, lo, M)
     x_ids, v_ids = np.reshape(np.asarray(pairs, dtype=np.int64), (n, 2)).T
-    # four rows per pair, the second dropped where lo is 0; zero entries,
-    # such as -lo on x where lo is 0, drop out in add_rows
-    keep = np.flatnonzero(np.column_stack([np.ones(n), lo, np.ones(n), np.ones(n)]))
-    rows, pair = np.arange(keep.size), keep // 4
-    blocks = [(ids, coo_array((np.ravel(entries)[keep], (rows, pair)), shape=(keep.size, n)))
-              for ids, entries in ((ws, np.ones((n, 4))),
-                                   (v_ids, np.tile([0.0, 0.0, -1.0, -1.0], (n, 1))),
-                                   (x_ids, np.column_stack([-M, -lo, -lo, -M])))]
-    model.add_rows(blocks, np.tile([LEQ, GEQ, LEQ, GEQ], n)[keep],
-                   np.column_stack([np.zeros((n, 2)), 0.0 - lo, -M]).ravel()[keep])
+    # zero entries, such as -lo on x where lo is 0, drop out in add_rows
+    prod, *coefs, senses, rhs = _envelope(M, lo)
+    rows = np.arange(prod.size)
+    model.add_rows([(ids, coo_array((c, (rows, prod)), shape=(prod.size, n)))
+                    for ids, c in zip((ws, v_ids, x_ids), coefs)], senses, rhs)
     return ws
+
+
+def envelope_rows(w: np.ndarray, x: np.ndarray, v: np.ndarray, M, lo=0.0
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of _envelope as instance data (A, b) with A z >= b: row k of
+    w, x and v gives w_k, x_k and v_k as combinations of the columns z, and
+    M and lo are scalars or one per product. A column two roles share gets
+    the sum of their entries, so the square w = x x of a binary reads
+    w >= 2 x - 1; <= rows are negated, and no entry reads -0.0."""
+    M, lo = (np.broadcast_to(np.asarray(a, dtype=float), (len(w),)) for a in (M, lo))
+    prod, cw, cv, cx, senses, rhs = _envelope(M, lo)
+    sign = np.where(senses == GEQ, 1.0, -1.0)
+    A = sum((sign * c)[:, None] * role[prod] for c, role in ((cw, w), (cv, v), (cx, x)))
+    return A + 0.0, sign * rhs + 0.0
 
 
 def affine_blocks(model: LinearModel, F: AffineMatrixMap, v_ids: list[int],

@@ -26,7 +26,7 @@ from . import backend
 from .backend import GEQ, LinearModel
 from .model import (AffineMatrixMap, Instance, RecourseSet, UncertaintySet,
                     _is_binary, add_first_stage, add_recourse_rows,
-                    add_recourse_vars, affine_blocks, max_over_u)
+                    add_recourse_vars, affine_blocks, envelope_rows, max_over_u)
 
 _TOL = 1e-9
 
@@ -166,38 +166,25 @@ def neutralize(inst: Instance) -> ReformulationOutput:
     U0 = UncertaintySet(F=AffineMatrixMap(base=F0), G=np.zeros_like(U.G),
                         h=h0, n_int_u=U.n_int_u)
 
-    nu = U.dim
-    V, B1, E, d = _link_rows(3 * nu, inst)
-    for i in range(nu):
-        _, k, cap = links[i]
-        ra, rb, rc = 3 * i, 3 * i + 1, 3 * i + 2
-        V[ra, i] = -1.0                    # v <= cap x'
-        B1[ra, k] = cap
-        V[rb, i] = -1.0                    # v <= u
-        E[rb, i] = 1.0
-        V[rc, i] = 1.0                     # v >= u - cap (1 - x')
-        B1[rc, k] = -cap
-        E[rc, i] = -1.0
-        d[rc] = -cap
-    return _read_through(inst, U0, (V, B1, E, d), "neutralized-diu",
-                         {"mask_column": {i: links[i][1] for i in range(nu)},
-                          "cap": caps.tolist()})
-
-
-def _link_rows(n: int, inst: Instance) -> tuple[np.ndarray, ...]:
-    """Zero blocks (V, B1, E, d) of n link rows V v + B1 x + E u >= d."""
-    nu = inst.dim_u
-    return np.zeros((n, nu)), np.zeros((n, inst.dim_x)), np.zeros((n, nu)), np.zeros(n)
+    # v = x' u over the columns (v | x | u), with u at most cap
+    nu, nx = U.dim, inst.dim_x
+    v, x, u = np.split(np.eye(2 * nu + nx), [nu, nu + nx])
+    mask = [links[i][1] for i in range(nu)]
+    link = envelope_rows(v, x[mask], u, caps)
+    return _read_through(inst, U0, link, "neutralized-diu",
+                         {"mask_column": dict(enumerate(mask)), "cap": caps.tolist()})
 
 
 def _read_through(inst: Instance, U0: UncertaintySet, link: tuple,
                   kind: str, mapping: dict) -> ReformulationOutput:
     """inst with the set U0 and a recourse that reads a copy v of u: the
-    rows B2 y + E v >= d - B1 x, then the link rows (V, B1, E, d) that tie
-    v to u and x. v takes the columns after y and costs nothing."""
+    rows B2 y + E v >= d - B1 x, then the link rows (A, d), A (v | x | u)
+    >= d, that tie v to u and x. v takes the columns after y and costs
+    nothing."""
     Y = inst.Y
-    V, B1, E, d = link
     ny, nu = Y.dim, inst.dim_u
+    A, d = link
+    V, B1, E = np.split(A, [nu, nu + inst.dim_x], axis=1)
     Y0 = RecourseSet(B1=np.vstack([Y.B1, B1]),
                      B2=np.block([[Y.B2, Y.E], [np.zeros((len(V), ny)), V]]),
                      E=np.vstack([np.zeros_like(Y.E), E]),
@@ -298,25 +285,12 @@ def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
                         G=np.zeros((nu, inst.dim_x)), h=np.ones(nu),
                         n_int_u=nu if binary_vertices else 0)
 
-    V, B1, E, d = _link_rows(4 * nu, inst)
-    for i in range(nu):
-        lo, hi, B = lo_cols[i], hi_cols[i], bounds[i]
-        r = 4 * i
-        V[r, i] = -1.0                     # v <= x_h + B (1 - u)
-        B1[r, hi] = 1.0
-        E[r, i] = -B
-        d[r] = -B
-        V[r + 1, i] = 1.0                  # v >= x_h - B (1 - u)
-        B1[r + 1, hi] = -1.0
-        E[r + 1, i] = -B
-        d[r + 1] = -B
-        V[r + 2, i] = -1.0                 # v <= x_l + B u
-        B1[r + 2, lo] = 1.0
-        E[r + 2, i] = B
-        V[r + 3, i] = 1.0                  # v >= x_l - B u
-        B1[r + 3, lo] = -1.0
-        E[r + 3, i] = B
-    return _read_through(inst, U0, (V, B1, E, d), "normalized-diu",
+    # v - x_l = u (x_h - x_l) over the columns (v | x | u), |v - x_l| <= B
+    nx = inst.dim_x
+    v, x, u = np.split(np.eye(2 * nu + nx), [nu, nu + nx])
+    B = np.array(bounds)
+    link = envelope_rows(v - x[lo_cols], u, x[hi_cols] - x[lo_cols], B, -B)
+    return _read_through(inst, U0, link, "normalized-diu",
                          {"lo_columns": list(lo_cols), "hi_columns": list(hi_cols),
                           "box_bound": bounds})
 

@@ -21,12 +21,11 @@ from .maxmin import (
     ParametricLPResult,
     audited_dual_lp,
     check_inner_feasibility,
-    dual_polyhedron_lp,
     lp_parametric,
     maxmin_from_instance,
     solve_maxmin_dual,
 )
-from .model import Instance
+from .model import Instance, max_lp
 
 _PI_FEAS_TOL = 1e-6
 _RAY_TOL = 1e-8
@@ -92,7 +91,7 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     u_f = np.asarray(u_f, dtype=float)
     Y = inst.Y
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
-    lp = dual_polyhedron_lp(Y.B2, np.zeros(Y.dim), rhs_eff, name="sp3")
+    lp = max_lp(Y.B2.T, np.zeros(Y.dim), rhs_eff, "sp3")
     lp.add_rows([(range(Y.n_rows), np.ones((1, Y.n_rows)))], LEQ, [1.0])
     out = backend.solve_lp(lp)
     if not out.is_optimal:
@@ -154,7 +153,7 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
     Y = inst.Y
     m_rows = Y.n_rows
     core = Y.d - Y.B1 @ x0 - Y.E @ u_ref
-    lp = dual_polyhedron_lp(Y.B2, Y.c2, core, name="sp2_pol")
+    lp = max_lp(Y.B2.T, Y.c2, core, "sp2_pol")
     anchor = Y.d - Y.B1 @ x_star - Y.E @ u_star
     lp.add_rows([(range(m_rows), anchor[None])], GEQ, [eta_s])
     out = backend.solve_lp(lp)

@@ -18,9 +18,8 @@ from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_reco
                               oracle_exact, recourse_value, t1)
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
-                          add_first_stage, build_deterministic_mip, uncertainty_set_from_dict,
-                          uncertainty_set_to_dict)
-from ddu_ro.maxmin import dual_polyhedron_lp
+                          add_first_stage, build_deterministic_mip, max_lp,
+                          uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.subproblems import sp2
 from toys import t1_infeasible, t1_unbounded_u
 
@@ -689,8 +688,8 @@ def _seed_pricing_site_4(inst: Instance, best_x: np.ndarray) -> np.ndarray:
     x_seed = best_x.copy()
     x_seed[:5] = [0.0, 1.0, 0.0, 0.0, 1.0]
     Y = inst.Y
-    seed_lp = backend.solve_lp(dual_polyhedron_lp(
-        Y.B2, Y.c2, Y.d - Y.B1 @ x_seed - Y.E @ np.eye(5)[4]))
+    seed_lp = backend.solve_lp(max_lp(
+        Y.B2.T, Y.c2, Y.d - Y.B1 @ x_seed - Y.E @ np.eye(5)[4], "dual_lp"))
     assert seed_lp.status == backend.OPTIMAL
     return seed_lp.x
 

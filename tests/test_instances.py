@@ -255,14 +255,17 @@ PINNED_DIGESTS = {
     "pm-ddu_ur-seed1": "e60ba01c1c4c2398",
     "pm-ddu_ur-3of4": "244567dc8255a4ac",
     "pm-ddu_ur-data": "e33f15fe00eec685",
-    "pm-ddu_us_pair-seed0": "111078083b7af24b",
-    "pm-ddu_us_pair-seed1": "8b9ef02a00963418",
-    "pm-ddu_us_pair-3of4": "94e2f491551c5f49",
-    "pm-ddu_us_pair-data": "50ce0aa088d3b28b",
+    # the pairing rows sum the entries of x and v where a pair (j, j) reads
+    # x_d_j twice, so w_jj >= 2 x_d_j - 1 holds w_jj at x_d_j
+    "pm-ddu_us_pair-seed0": "299a1fd179d86252",
+    "pm-ddu_us_pair-seed1": "e9aa90414226121d",
+    "pm-ddu_us_pair-3of4": "52b789fa47b40d16",
+    "pm-ddu_us_pair-data": "9bbeef79aae37a17",
     "pm_uk8-seed0": "6c3614f51a8694db",
     "pm_uk8-seed1": "a2adee1b90a487bf",
-    "pm_pair5-seed0": "605d0ed4b99d36f6",
-    "pm_pair5-seed1": "9863bef8d38e17a1",
+    # the (j, j) pairing rows as above
+    "pm_pair5-seed0": "e9135d8c6e588635",
+    "pm_pair5-seed1": "6611e441eafa4ea4",
     "fl_rhs5-seed0": "a24d45ba5c8133eb",
     "fl_rhs5-seed1": "23a18319ea441e59",
     "fl_mip3-seed0": "a55cb89cb8f86c8d",
@@ -387,6 +390,26 @@ def test_pairing_mode_carries_both_sets():
     assert np.any(sets[0].G[:, xr])
     assert not np.any(sets[0].G[:, xs])
     assert np.any(sets[1].G[:, xs])
+
+
+def test_the_rows_of_x_pin_each_square_pair_at_x_d():
+    # costs with a nonzero diagonal give each pair (j, j) a share of x_s's
+    # score; with x_d fixed, every w_jj = x_d_j x_d_j must equal x_d_j over
+    # X's rows, min and max, in one block LP of 2 nJ copies
+    costs = np.random.default_rng(5).uniform(1.0, 50.0, size=(4, 4))
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=4, p=2, seed=0, costs=costs),
+                                "ddu_us_pair")
+    X, nJ = inst.X, 4
+    x_d = np.array([1.0, 0.0, 1.0, 0.0])
+    lb, ub = X.lb.copy(), X.ub.copy()
+    lb[:nJ] = ub[:nJ] = x_d
+    w_jj = X.dim - 2 * nJ * nJ + (nJ + 1) * np.arange(nJ)    # x = (... | w | z)
+    cost = np.eye(X.dim)[w_jj]
+    status, z = backend.solve_copies("square_pairs", X.A, GEQ, np.tile(X.b, (2 * nJ, 1)),
+                                     lb, ub, np.vstack([cost, -cost]))
+    assert (status == backend.OPTIMAL).all()
+    ends = z[np.arange(2 * nJ), np.tile(w_jj, 2)].reshape(2, nJ)
+    assert ends == pytest.approx(np.tile(x_d, (2, 1)), abs=1e-9)
 
 
 def test_io_round_trip(tmp_path):

@@ -22,7 +22,7 @@ from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel
 from ddu_ro.ccg import AlgorithmConfig, run
 from ddu_ro.instances import FLParams, gen_robust_fl
 from ddu_ro.model import (IterationRecord, RunResult, _binary_products, dimension_errors,
-                          max_over_u, range_probe)
+                          envelope_rows, max_over_u, range_probe)
 from toys import record_linprog
 
 
@@ -231,3 +231,42 @@ def test_binary_products_match_the_pair_by_pair_envelope(seed):
     assert lb[7:].tobytes() == lo.astype(float).tobytes()
     assert ub[7:].tobytes() == M.astype(float).tobytes()
     assert not integer[7:].any()
+
+
+def _envelope_range(form: str, M: float, lo: float, square: bool, x: float, v: float):
+    """LP min and max of w over the envelope of w = x v, with x and v fixed,
+    through _binary_products (form "model") or envelope_rows over the
+    columns (w, x, v) (form "rows"); with square, v reads x's column."""
+    m = LinearModel()
+    if form == "model":
+        x_id, v_id = m.add_vars(1, ub=1.0, integer=True) + m.add_vars(1, lb=-np.inf)
+        w_id, = _binary_products(m, [(x_id, x_id if square else v_id)], M, lo)
+    else:
+        # an instance column is nonnegative; where lo is -M its row holds w
+        w_id, x_id, v_id = m.add_vars(3, lb=[0.0 if lo == 0.0 else -np.inf, 0.0, -np.inf])
+        z = np.eye(3)
+        A, b = envelope_rows(z[[0]], z[[1]], z[[1 if square else 2]], M, lo)
+        m.add_rows([([w_id, x_id, v_id], A)], GEQ, b)
+    m.set_bounds(np.array([x_id, v_id]), [x, v], [x, v])
+    ends = []
+    for sense in ("min", "max"):
+        m.set_objective({w_id: 1.0}, sense)
+        out = backend.solve_lp(m)
+        assert out.is_optimal
+        ends.append(out.objective)
+    return ends
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e4]), st.booleans(), st.booleans())
+def test_the_envelope_is_exact_at_binary_x_through_both_forms(M, two_sided, square):
+    # w = x v is pinned at every binary x and every v in [lo, M]: the bounds
+    # lo and M and a point between; where v reads x's own column (M >= 1 so
+    # that v = x fits) w is pinned at x, as for the square of a pair (j, j)
+    M = max(M, 1.0) if square else M
+    lo = -M if two_sided else 0.0
+    for form in ("model", "rows"):
+        for x in (0.0, 1.0):
+            for v in ([x] if square else [lo, M, lo + 0.3 * (M - lo)]):
+                assert _envelope_range(form, M, lo, square, x, v) == pytest.approx(
+                    [x * v, x * v], abs=1e-9)

@@ -119,6 +119,66 @@ def test_neutralize_envelope_is_exact_at_integral_points():
         assert via_v == pytest.approx(masked, abs=1e-9)
 
 
+def _link_blocks(out, n: int) -> tuple[np.ndarray, ...]:
+    """The last n recourse rows of a rewrite, the link rows, as (V, B1, E, d):
+    V on the copy v, which takes the columns after y."""
+    Y, v = out.instance.Y, out.mapping["v_columns"]
+    return Y.B2[-n:, v], Y.B1[-n:], Y.E[-n:], Y.d[-n:]
+
+
+def _neutralize_links(inst: Instance, mask: list[int], caps: list[float]):
+    """The link rows of neutralize as they were once written, coordinate by
+    coordinate: v <= cap x', v <= u, v >= u - cap (1 - x'). The reference."""
+    nu = inst.dim_u
+    V, B1, E, d = (np.zeros((3 * nu, nu)), np.zeros((3 * nu, inst.dim_x)),
+                   np.zeros((3 * nu, nu)), np.zeros(3 * nu))
+    for i, (k, cap) in enumerate(zip(mask, caps)):
+        ra, rb, rc = 3 * i, 3 * i + 1, 3 * i + 2
+        V[ra, i] = -1.0
+        B1[ra, k] = cap
+        V[rb, i] = -1.0
+        E[rb, i] = 1.0
+        V[rc, i] = 1.0
+        B1[rc, k] = -cap
+        E[rc, i] = -1.0
+        d[rc] = -cap
+    return V, B1, E, d
+
+
+def _normalize_links(inst: Instance, lo_cols, hi_cols, bounds):
+    """The link rows of normalize as they were once written, coordinate by
+    coordinate: v <= x_h + B (1 - u), v >= x_h - B (1 - u), v <= x_l + B u
+    and v >= x_l - B u. The reference."""
+    nu = inst.dim_u
+    V, B1, E, d = (np.zeros((4 * nu, nu)), np.zeros((4 * nu, inst.dim_x)),
+                   np.zeros((4 * nu, nu)), np.zeros(4 * nu))
+    for i, (lo, hi, B) in enumerate(zip(lo_cols, hi_cols, bounds)):
+        r = 4 * i
+        V[r, i], B1[r, hi], E[r, i], d[r] = -1.0, 1.0, -B, -B
+        V[r + 1, i], B1[r + 1, hi], E[r + 1, i], d[r + 1] = 1.0, -1.0, -B, -B
+        V[r + 2, i], B1[r + 2, lo], E[r + 2, i] = -1.0, 1.0, B
+        V[r + 3, i], B1[r + 3, lo], E[r + 3, i] = 1.0, -1.0, B
+    return V, B1, E, d
+
+
+def test_neutralize_links_are_the_hand_written_rows_to_the_byte():
+    inst = _interdiction()
+    out = neutralize(inst)
+    ref = _neutralize_links(inst, [2, 3], [1.0, 1.0])
+    got = _link_blocks(out, 6)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+def test_normalize_links_are_the_hand_written_rows_in_envelope_order():
+    # the same rows, in the order w <= M x, w >= lo x, w <= v - lo (1 - x),
+    # w >= v - M (1 - x) of w = v - x_l = u (x_h - x_l)
+    inst = _dne()
+    out = normalize(inst, [0, 1], [2, 3])
+    ref = np.column_stack(_normalize_links(inst, [0, 1], [2, 3], [2.0, 2.0]))
+    got = np.column_stack(_link_blocks(out, 8))
+    assert got.tobytes() == ref[[2, 3, 0, 1, 6, 7, 4, 5]].tobytes()
+
+
 def test_neutralize_handles_continuous_capped_coordinates():
     # u1 in [0, 2 x'], downward closed trivially; check full value equality
     inst = Instance(
