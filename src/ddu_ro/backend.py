@@ -517,7 +517,8 @@ def _stdout_to_stderr() -> Iterator[None]:
 def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutcome:
     """Solve with integrality, to HiGHS's relative gap mip_rel_gap when given
     (its default is 1e-4); a model without integer columns goes to
-    solve_lp."""
+    solve_lp. A MIP that ends code 4 without x, as HiGHS reports an
+    unbounded or infeasible one, is settled by _unbounded_or_infeasible."""
     if not model.has_integers:
         return solve_lp(model)
     c = model.objective_vector()
@@ -537,6 +538,8 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
                    bounds=Bounds(lb, ub), options=options)
     status = _status(model, res.status)
     if res.x is None:
+        if res.status == 4:
+            return SolveOutcome(status=_unbounded_or_infeasible(model))
         return SolveOutcome(status=status if status != OPTIMAL else NUMERICAL)
     x = np.asarray(res.x, dtype=float)
     bound = None
@@ -544,6 +547,23 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
         bound = sign * float(res.mip_dual_bound)
     return SolveOutcome(status=status, objective=model.objective_value(x),
                         x=x, bound=bound)
+
+
+def _unbounded_or_infeasible(model: LinearModel) -> str:
+    """The status of a MIP that HiGHS left undecided: Infeasible where its
+    LP relaxation is; where that is Unbounded, Unbounded if the MIP with a
+    zero objective, put back afterwards, has a feasible point (Meyer, Math.
+    Prog. 1974, for rational data) and Infeasible if not; else Numerical."""
+    relaxation = solve_lp(model).status
+    if relaxation != UNBOUNDED:
+        return INFEASIBLE if relaxation == INFEASIBLE else NUMERICAL
+    obj, sense = model.obj, model.sense
+    model.set_objective({})
+    try:
+        feasible = solve_mip(model).status
+    finally:
+        model.obj, model.sense = obj, sense
+    return {OPTIMAL: UNBOUNDED, INFEASIBLE: INFEASIBLE}.get(feasible, NUMERICAL)
 
 
 # -- big-M complementarity ---------------------------------------------------

@@ -112,11 +112,11 @@ class MasterState:
     solve() values the master over X's integer lattice (the first stages of
     instances.lattice_first_stages) while the instance allows it: no
     continuous x that U(x) or the recourse rows read, and blocks without
-    integer columns (primal-dual optimality blocks, basis cutting sets,
-    continuous replicates). That is exact: a product of a 0/1 x with a
-    column is exact once x is fixed, the separable continuous x meet only
-    c1 and X, and the blocks share nothing but x and eta, each bounding eta
-    from below. So at a lattice point x the master is c1'x plus the largest
+    integer columns (the optimality blocks of every variant there, basis
+    cutting sets, continuous replicates). That is exact: a product of a 0/1
+    x with a column is exact once x is fixed, the separable continuous x
+    meet only c1 and X, and the blocks share nothing but x and eta, each
+    bounding eta from below. So at a lattice point x the master is c1'x plus the largest
     of eta's lower bound and each block's least eta there, an LP per block;
     a point where some block's LP is infeasible is cut off (the master of
     Zeng and Zhao 2013, solved by enumerating the first stages, one of the
@@ -151,8 +151,7 @@ class MasterState:
         # already valued, the points (enumerated at the first solve) and,
         # per point, the largest least eta of the parts valued so far
         self._valued = (self.model.n_vars, self.model.n_constrs)
-        if (coupled_continuous(inst) or inst.Y.n_int_y or not _couples_only_binary(inst)
-                or config.variant == "parametric-modified"):
+        if coupled_continuous(inst) or inst.Y.n_int_y or not _couples_only_binary(inst):
             self._valued = None
         self._points: np.ndarray | None = None
         self._theta: np.ndarray | None = None
@@ -195,18 +194,16 @@ class MasterState:
                                     x=x, bound=float(values[k]))
 
     def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
-                 unique_data: np.ndarray | None = None,
                  cost_row: np.ndarray | None = None) -> str:
         """Insert one seed and return its tag: a dual point, or a ray with
         is_ray, for benders and the replicate variants, a basis of
-        [F(x) | I] for "basis".  unique_data, the perturbed cost row of
-        parametric-modified, makes the replicate's blocks "unique" ones.
-        cost_row, the standard-form cost row of the parametric LP that gave
-        a basis, scales the basis block's dual bound (dual_bound); without
-        it the bound is big_M."""
+        [F(x) | I] for "basis".  cost_row, a standard-form row over (u,
+        slacks), scales the dual bound (dual_bound): for a dual seed it is
+        the objective the optimality blocks pin, by default (-E' seed, 0),
+        for a basis the parametric LP's, without which the bound is big_M."""
         if self.config.variant == "basis":
             return _add_basis_seed(self, seed, cost_row)
-        return _add_dual_seed(self, seed, is_ray, unique_data)
+        return _add_dual_seed(self, seed, is_ray, cost_row)
 
     def cut(self, x: np.ndarray, beta: np.ndarray, is_ray: bool,
             basis_lp: ParametricLPResult | None = None) -> tuple[str, str]:
@@ -231,12 +228,12 @@ class MasterState:
                     for lp in (basis_lp, at_seed)
                     if lp is not None and lp.basis not in self.basis_seeds]
             return "basis", tags[-1] if tags else ""
-        unique_data = None
+        cost_row = None
         if cfg.variant == "parametric-modified":
-            _, unique_data = ensure_unique_optimum(inst, x, beta)
+            _, cost_row = ensure_unique_optimum(inst, x, beta)
         kind = "feasibility" if is_ray else "optimality"
         return ("unified" if cfg.unified else kind,
-                self.add_seed(beta, is_ray, unique_data))
+                self.add_seed(beta, is_ray, cost_row))
 
 
 def _vector_seen(pool: list[np.ndarray], v: np.ndarray, tol: float) -> bool:
@@ -248,8 +245,9 @@ def _vector_seen(pool: list[np.ndarray], v: np.ndarray, tol: float) -> bool:
 # -- seed insertion ------------------------------------------------------------
 
 def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
-                   unique_data: np.ndarray | None = None) -> str:
-    """One block per uncertainty set pinning the seed's worst case u, then
+                   cost_row: np.ndarray | None = None) -> str:
+    """One block per uncertainty set pinning the seed's worst case u, an
+    optimum of cost_row (build_optimality_block) where given, then
     for benders a scalar cut on it, for the replicate variants a recourse
     replicate y with its feasibility rows against u.
 
@@ -266,10 +264,8 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
     for li, U_l in enumerate(sets):
         inst = state.inst if U_l is state.inst.U else replace(state.inst, U=U_l)
         tag = base_tag if state.ou_sets is None else f"{base_tag}s{li}"
-        blk = build_optimality_block(
-            state.model, inst, beta, state.x_ids, M=cfg.big_M,
-            representation=None if unique_data is None else "unique",
-            unique_data=unique_data)
+        blk = build_optimality_block(state.model, inst, beta, state.x_ids, M=cfg.big_M,
+                                     cost_row=cost_row)
         eta = [] if is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
         if cfg.variant == "benders":
             state.model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
@@ -669,7 +665,7 @@ def _eta_floor(inst: Instance, relaxation: float, M: float = 1e4) -> float:
 def _u_box_midpoint(inst: Instance, x0: np.ndarray) -> np.ndarray:
     """Midpoint of the per-coordinate range of the uncertainty set at x0,
     the default core scenario of the stabilized cut selection."""
-    Fx, rhs = inst.U.F.evaluate(x0), inst.U.h + inst.U.G @ x0
+    Fx, rhs = inst.U.at(x0)
     lo, hi = (range_probe(Fx, rhs, np.arange(inst.U.dim), sense) for sense in ("min", "max"))
     if not np.all(np.isfinite(hi)):
         raise BackendError("uncertainty range probe ended Unbounded")

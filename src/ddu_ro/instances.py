@@ -47,7 +47,7 @@ from .model import (
     envelope_rows,
     instance_from_dict,
     instance_to_dict,
-    max_over_u,
+    max_lp,
     range_probe,
     uncertainty_set_to_dict,
 )
@@ -110,7 +110,7 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     if U.n_int_u:
         if U.n_int_u != U.dim:
             raise OracleError("mixed-integer u is outside the oracle's scope")
-        return _integer_points(U.F.evaluate(x), U.h + U.G @ x)
+        return _integer_points(*U.at(x))
 
     if U.n_rows == 0:
         if U.dim == 0:
@@ -152,8 +152,7 @@ def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
     below). The bases past the inverses are solved unscreened. The solves
     and the tests on their results are those of a sweep over every basis,
     so the vertices, and their order, do not depend on the screen."""
-    Fx = U.F.evaluate(x)
-    rhs = U.h + U.G @ x
+    Fx, rhs = U.at(x)
     mu, n = Fx.shape
     n_cols = n + mu
     n_bases = math.comb(n_cols, mu)
@@ -513,7 +512,7 @@ def _require_bounded(U: UncertaintySet, xs: list[np.ndarray]) -> None:
     if U.n_int_u or not U.n_rows:
         return
     for Fx in {Fx.tobytes(): Fx for Fx in map(U.F.evaluate, xs)}.values():
-        out = max_over_u(Fx, np.zeros(U.n_rows), np.ones(U.dim), "recession")
+        out = backend.solve_lp(max_lp(Fx, np.zeros(U.n_rows), np.ones(U.dim), "recession"))
         if out.status == backend.UNBOUNDED:
             raise OracleError("U(x) is unbounded (boundedness violated)")
 

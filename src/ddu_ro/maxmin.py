@@ -22,12 +22,12 @@ matrix-coefficient dependence must sit on binary components, since products
 with continuous components have no exact linearization; a caller that wants
 a block at one first stage fixes those columns.
 
-An optimality block pins u to an optimum of the LP over U(x) by primal and
-dual feasibility plus either the big-M complementarities ("kkt") or the one
-strong-duality row ("primal-dual"). The block takes "primal-dual" when U(x)
-depends only on binary first-stage components, whose products with lambda
-are enveloped exactly, and "kkt" otherwise; the perturbed-unique blocks of
-parametric-modified stay complementarities ("unique").
+An optimality block pins u to an optimum of the LP over U(x), whatever its
+cost row, by primal and dual feasibility plus either the big-M
+complementarities ("kkt") or the one strong-duality row ("primal-dual").
+The block takes "primal-dual" when U(x) depends only on binary first-stage
+components, whose products with lambda are enveloped exactly, and "kkt"
+otherwise; the perturbed rows of parametric-modified follow the same rule.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
 from .model import (BasisId, Instance, UncertaintySet, _binary_products, _is_binary,
-                    affine_blocks, max_lp, max_over_u, range_probe, require_binary_terms)
+                    affine_blocks, max_lp, range_probe, require_binary_terms)
 
 _ZERO_RC_TOL = 1e-9
 _AUDIT_TOL = 1e-4     # relative: a product MIP against its LP, sp2 against its split
@@ -78,16 +78,9 @@ def maxmin_from_instance(inst: Instance, x: np.ndarray) -> MaxMinProblem:
     """The worst-case recourse problem at a fixed first stage: outer set
     U(x), inner LP the recourse with its rhs already shifted by B1 x."""
     x = np.asarray(x, dtype=float)
-    return MaxMinProblem(
-        A_out=inst.U.F.evaluate(x),
-        b_out=inst.U.h + inst.U.G @ x,
-        c_y=inst.Y.c2,
-        B_y=inst.Y.B2,
-        B_x=inst.Y.E,
-        d=inst.Y.d - inst.Y.B1 @ x,
-        n_int_out=inst.U.n_int_u,
-        name=f"{inst.name}_wc",
-    )
+    return MaxMinProblem(*inst.U.at(x), c_y=inst.Y.c2, B_y=inst.Y.B2, B_x=inst.Y.E,
+                         d=inst.Y.d - inst.Y.B1 @ x, n_int_out=inst.U.n_int_u,
+                         name=f"{inst.name}_wc")
 
 
 @dataclass
@@ -125,15 +118,12 @@ def lp_parametric(inst: Instance, x: np.ndarray,
     set built from it binds there: on pm_uk8 at 56 of 56 first stages,
     against 6 of 56 for a lowest-index completion.
     """
-    x = np.asarray(x, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    U = inst.U
-    Fx = U.F.evaluate(x)
-    rhs = U.h + U.G @ x
+    Fx, rhs = inst.U.at(x)
     mu, n = Fx.shape
     c_u = -(inst.Y.E.T @ beta)
 
-    out = max_over_u(Fx, rhs, c_u, "lp_parametric")
+    out = backend.solve_lp(max_lp(Fx, rhs, c_u, "lp_parametric"))
     if out.status == backend.INFEASIBLE:
         raise BackendError("U(x) is empty: nonemptiness assumption violated")
     if out.status == backend.UNBOUNDED:
@@ -150,12 +140,20 @@ def lp_parametric(inst: Instance, x: np.ndarray,
     basis_cols = _complete_basis(A, support)
     c_full = np.concatenate([c_u, np.zeros(mu)])
     basis_cols = _pivot_to_dual_feasible(A, c_full, z, basis_cols)
-    lam = np.linalg.solve(A[:, basis_cols].T, c_full[basis_cols]) if mu else np.zeros(0)
-    rc = c_full - A.T @ lam
-    rc[basis_cols] = 0.0
+    _, rc = _basis_prices(A, c_full, basis_cols)
     return ParametricLPResult(u=u_star, basis=BasisId(tuple(basis_cols)),
                               reduced_costs=rc, value=float(out.objective),
                               cost_row=c_full)
+
+
+def _basis_prices(A: np.ndarray, c: np.ndarray, cols: list[int]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The prices lam of the basis cols of A (A_B' lam = c_B) and the
+    reduced costs c - A' lam, set to zero on the basis."""
+    lam = np.linalg.solve(A[:, cols].T, c[cols]) if A.shape[0] else np.zeros(0)
+    rc = c - A.T @ lam
+    rc[cols] = 0.0
+    return lam, rc
 
 
 def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
@@ -174,15 +172,13 @@ def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
     cscale = max(1.0, float(np.abs(c).max()))
     zscale = max(1.0, float(np.abs(z).max()))
     for _ in range(10000):
-        B = A[:, cols]
-        lam = np.linalg.solve(B.T, c[cols])
-        rc = c - A.T @ lam
+        _, rc = _basis_prices(A, c, cols)
         in_basis = set(cols)
         entering = next((j for j in range(A.shape[1])
                          if j not in in_basis and rc[j] > 1e-9 * cscale), None)
         if entering is None:
             return sorted(cols)
-        d = np.linalg.solve(B, A[:, entering])
+        d = np.linalg.solve(A[:, cols], A[:, entering])
         blockers = [i for i in range(mu) if d[i] > 1e-9]
         if not blockers:
             raise BackendError("improving ray at a vertex the solver called "
@@ -389,18 +385,11 @@ def _product_mip(problem: MaxMinProblem, M: float,
 
 
 def _outer_is_binary(problem: MaxMinProblem) -> bool:
-    # integer coordinate capped at one by some row with unit coefficient
-    for j in range(problem.n_out):
-        capped = False
-        for i in range(problem.A_out.shape[0]):
-            row = problem.A_out[i]
-            if row[j] > 0 and problem.b_out[i] / row[j] <= 1.0 + 1e-9 and \
-                    np.all(row >= 0):
-                capped = True
-                break
-        if not capped:
-            return False
-    return True
+    # every z_j capped at one by a row a_i >= 0: a_ij > 0, b_i / a_ij <= 1
+    A, b = problem.A_out, problem.b_out
+    pos = (A > 0) & (A >= 0).all(axis=1, keepdims=True)
+    ratio = np.divide(b[:, None], A, out=np.full(A.shape, np.inf), where=pos)
+    return bool((ratio <= 1.0 + 1e-9).any(axis=0).all())
 
 
 def has_interval_rows(A: np.ndarray) -> bool:
@@ -449,57 +438,49 @@ class OptimalityBlock:
 
 def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
                            x_ids: list[int], representation: str | None = None,
-                           M: float = 1e4, unique_data: np.ndarray | None = None
+                           M: float = 1e4, cost_row: np.ndarray | None = None
                            ) -> OptimalityBlock:
-    """Append fresh (u, lambda) columns and the rows pinning u to an optimum
-    of max{(-E u)' beta : u in U(x)}, x being the model's columns x_ids.
-
-    representation "kkt": primal + dual + linearized complementarities.
-    representation "primal-dual": primal + dual + the strong-duality row
-    (-E u)' beta >= (h + G x)' lambda; products of x with lambda are
-    linearized exactly for binary x and rejected otherwise.
-    representation "unique": KKT of the perturbed objective unique_data
-    (standard-form cost row), whose optimal set is a single vertex.
-    representation None picks "primal-dual" when every first-stage component
-    that U(x) depends on is binary, and "kkt" otherwise. The strong-duality
-    row needs no binary per row and column of U, and its only big-M is the
-    bound on the lambda of coupled rows, which the KKT block needs too.
-    A block at one first stage is this block with the x columns fixed.
+    """Append fresh (u, lambda) columns and the rows pinning (u, s) to an
+    optimum of max{c_u'u + c_s's : F(x) u + s = h + G x, u, s >= 0}, x being
+    the model's columns x_ids and (c_u, c_s) the standard-form cost_row, by
+    default (-E' beta, 0); a perturbed row with a single optimal vertex pins
+    that vertex. Primal and dual feasibility (F(x)' lambda >= c_u, lambda >=
+    c_s) come with the strong-duality row c_u'u + c_s's >= (h + G x)' lambda
+    ("primal-dual") when every first-stage component that U(x) depends on is
+    binary, whose products with lambda are enveloped exactly, and with the
+    linearized complementarities ("kkt") otherwise, or where representation
+    forces "kkt". The strong-duality row needs no binary per row and column
+    of U, and its only big-M is the bound on the lambda of coupled rows,
+    which the KKT block needs too. A block at one first stage is this block
+    with the x columns fixed.
 
     The primal side (u, the row slacks, their products with x) is bounded
     by M, the dual side (lambda, the reduced costs, their products with x)
-    by M_d = max(M, 2 ||c||_1 kappa), with c the block's cost row
-    (c_struct, c_slack) and kappa the largest entry of |F0| + sum_k |Fk|.
+    by M_d = max(M, 2 ||c||_1 kappa), with c the cost row and kappa the
+    largest entry of |F0| + sum_k |Fk|.
     """
-    if representation is None:
-        representation = "primal-dual" if _couples_only_binary(inst) else "kkt"
-    if representation not in ("kkt", "primal-dual", "unique"):
+    if representation not in (None, "kkt", "primal-dual"):
         raise ValueError(f"unknown representation {representation!r}")
-    if representation == "unique" and unique_data is None:
-        raise ValueError("unique representation needs the perturbed cost row")
-    U = inst.U
-    mu, n = U.n_rows, U.dim
-    beta = np.asarray(beta, dtype=float)
     require_binary_terms(inst)
-    if representation == "primal-dual" and not _couples_only_binary(inst):
+    binary = _couples_only_binary(inst)
+    if representation == "primal-dual" and not binary:
         raise ValueError("primal-dual block needs binary first-stage "
                          "components wherever G couples them to the set")
-
-    if representation == "unique":
-        c_struct = np.asarray(unique_data, dtype=float)[:n]
-        c_slack = np.asarray(unique_data, dtype=float)[n:n + mu]
-    else:
-        c_struct = -(inst.Y.E.T @ beta)
-        c_slack = np.zeros(mu)
+    representation = representation or ("primal-dual" if binary else "kkt")
+    U = inst.U
+    mu, n = U.n_rows, U.dim
+    if cost_row is None:
+        cost_row = np.concatenate([-(inst.Y.E.T @ np.asarray(beta, dtype=float)), np.zeros(mu)])
+    c_struct, c_slack = np.split(np.asarray(cost_row, dtype=float), [n])
     u_ids = model.add_vars(n)
     # the dual needs lam_i >= c_slack_i only; a perturbed slack cost is
     # negative, and lam_i >= 0 would then force its row tight
     lam_ids = model.add_vars(mu, lb=c_slack)
     products: dict[tuple[int, int], int] = {}
-    M_d = dual_bound(U, np.concatenate([c_struct, c_slack]), M)
+    M_d = dual_bound(U, cost_row, M)
 
-    # primal rows, with explicit slack columns so degenerate-row
-    # complementarities of the perturbed objective can bind on them
+    # primal rows, with explicit slack columns for the slack costs and the
+    # complementarities
     slack_ids = model.add_vars(mu)
     primal = affine_blocks(model, U.F, u_ids, x_ids, M, products)
     model.add_rows([(slack_ids, np.eye(mu)), *primal, (x_ids, -U.G)], EQ, U.h)
@@ -508,19 +489,18 @@ def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
                          lo=c_slack)
     model.add_rows(dual, GEQ, c_struct)
 
-    if representation in ("kkt", "unique"):
-        # lam_i (+ its perturbed slack cost) against the row slack, then u_j
-        # against its reduced cost
+    if representation == "kkt":
+        # lam_i - c_slack_i against the row slack, then u_j against its
+        # reduced cost
         backend.linearize_complementarity(model, lam_ids, -c_slack,
                                           [(slack_ids, np.eye(mu))], np.zeros(mu), M_d, M)
         backend.linearize_complementarity(model, u_ids, np.zeros(n), dual,
                                           -c_struct, M, M_d)
     else:
-        # strong duality: (-E u)' beta >= (h + G x)' lambda
         rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, M_d, products,
-                            transpose=True)
-        model.add_rows([(u_ids, c_struct[None]), *[(ids, -A) for ids, A in rhs]],
-                       GEQ, [0.0])
+                            transpose=True, lo=c_slack)
+        model.add_rows([(u_ids, c_struct[None]), (slack_ids, c_slack[None]),
+                        *[(ids, -A) for ids, A in rhs]], GEQ, [0.0])
     return OptimalityBlock(u_ids=u_ids, representation=representation)
 
 
@@ -578,11 +558,9 @@ def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray
 
 def _perturbation_is_clean(inst: Instance, x: np.ndarray,
                            base: ParametricLPResult, c_hat: np.ndarray) -> bool:
-    x = np.asarray(x, dtype=float)
-    U = inst.U
-    Fx = U.F.evaluate(x)
+    Fx, rhs = inst.U.at(x)
     mu, n = Fx.shape
-    out = max_over_u(Fx, U.h + U.G @ x, c_hat[:n], "perturb_check")
+    out = backend.solve_lp(max_lp(Fx, rhs, c_hat[:n], "perturb_check"))
     if not out.is_optimal:
         return False
     # same vertex still optimal
@@ -590,9 +568,6 @@ def _perturbation_is_clean(inst: Instance, x: np.ndarray,
     if np.max(np.abs(u_new - base.u)) > 1e-7 * max(1.0, np.abs(base.u).max()):
         return False
     # and strictly so: every nonbasic column prices out negative
-    A = np.hstack([Fx, np.eye(mu)])
     cols = list(base.basis.indices)
-    lam = np.linalg.solve(A[:, cols].T, c_hat[cols]) if mu else np.zeros(0)
-    rc = c_hat - A.T @ lam
-    nonbasic = [j for j in range(n + mu) if j not in set(cols)]
-    return all(rc[j] < -1e-12 for j in nonbasic)
+    _, rc = _basis_prices(np.hstack([Fx, np.eye(mu)]), c_hat, cols)
+    return bool(np.all(np.delete(rc, cols) < -1e-12))

@@ -128,6 +128,11 @@ class UncertaintySet:
         return sorted(set(np.flatnonzero(self.G.any(axis=0)).tolist())
                       | {k for k, _ in self.F.terms})
 
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F(x), h + G x): the matrix and right-hand side of U(x)."""
+        x = np.asarray(x, dtype=float)
+        return self.F.evaluate(x), self.h + self.G @ x
+
     @property
     def rhs_map(self) -> AffineMatrixMap:
         """h + G x as a one-column affine map, one term per column of G
@@ -259,12 +264,6 @@ def max_lp(A: np.ndarray, b: np.ndarray, c: np.ndarray, name: str) -> LinearMode
     m.add_rows([(z_ids, A)], LEQ, b)
     m.set_objective(dict(zip(z_ids, c)), "max")
     return m
-
-
-def max_over_u(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-               name: str) -> backend.SolveOutcome:
-    """The outcome of max_lp(A, b, c, name)."""
-    return backend.solve_lp(max_lp(A, b, c, name))
 
 
 def range_probe(A: np.ndarray, b: np.ndarray, cols, sense: str = "max") -> np.ndarray:

@@ -26,7 +26,7 @@ from . import backend
 from .backend import GEQ, LinearModel
 from .model import (AffineMatrixMap, Instance, RecourseSet, UncertaintySet,
                     _is_binary, add_first_stage, add_recourse_rows,
-                    add_recourse_vars, affine_blocks, envelope_rows, max_over_u)
+                    add_recourse_vars, affine_blocks, envelope_rows, max_lp)
 
 _TOL = 1e-9
 
@@ -86,7 +86,7 @@ def _closure_counterexample(F: np.ndarray, h: np.ndarray, caps: np.ndarray,
 
     A, b = np.vstack([F, np.eye(dim)]), np.concatenate([h, caps])
     for i in np.flatnonzero((F < 0.0).any(axis=1)):
-        out = max_over_u(A, b, np.maximum(F[i], 0.0), "closure")
+        out = backend.solve_lp(max_lp(A, b, np.maximum(F[i], 0.0), "closure"))
         if out.is_optimal and out.objective > h[i] + slack:
             u = out.x[:dim]
             return u, np.where(F[i] < 0.0, 0.0, u)

@@ -407,6 +407,38 @@ def test_mip_rounds_to_integers():
     assert out.x[x] == pytest.approx(round(out.x[x]), abs=1e-8)
 
 
+def test_an_unbounded_mip_is_unbounded_and_keeps_its_objective():
+    # min -x + y, x integer, x - y >= 0.5: HiGHS ends it unbounded or
+    # infeasible (code 4); the relaxation is unbounded and the MIP feasible
+    m = LinearModel()
+    x, y = m.add_vars(2, integer=[True, False])
+    m.add_rows([([x, y], [[1.0, -1.0]])], GEQ, [0.5])
+    m.set_objective({x: -1.0, y: 1.0})
+    assert backend.solve_mip(m).status == backend.UNBOUNDED
+    assert (m.obj, m.sense) == ({x: -1.0, y: 1.0}, "min")
+
+
+def test_an_undecided_mip_without_integer_points_is_infeasible(monkeypatch):
+    # 2 a - 2 b = 1 over free integers, min a: the relaxation is unbounded,
+    # and the re-solve with a zero objective finds no integer point; the
+    # first milp call is made to end code 4 the way an unbounded MIP does
+    m = LinearModel()
+    a, b = m.add_vars(2, lb=-np.inf, ub=np.inf, integer=True)
+    m.add_rows([([a, b], [[2.0, -2.0]])], EQ, [1.0])
+    m.set_objective({a: 1.0})
+    assert backend.solve_mip(m).status == backend.INFEASIBLE
+    objectives, milp = [], backend.milp
+
+    def undecided(c, **kw):
+        objectives.append(np.asarray(c).tolist())
+        return milp(c, **kw) if len(objectives) > 1 else backend._Result(4)
+
+    monkeypatch.setattr(backend, "milp", undecided)
+    assert backend.solve_mip(m).status == backend.INFEASIBLE
+    assert objectives == [[1.0, 0.0], [0.0, 0.0]]
+    assert m.obj == {a: 1.0}
+
+
 def test_mip_without_integers_falls_back_to_lp(monkeypatch):
     called = []
     for name in ("linprog", "milp"):

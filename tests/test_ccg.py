@@ -317,7 +317,7 @@ def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
     (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="benders"), "lattice"),
     (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="parametric"), "lattice"),
     (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="basis"), "lattice"),
-    (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="parametric-modified"), "mip"),
+    (_TRAJECTORY_INSTANCES["uk5"][0], dict(variant="parametric-modified"), "lattice"),
     (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"), {}, "mip"),
     (lambda: gen_mip_recourse_fl(FLParams(**FL_MIP3)),
      dict(mip_recourse_mode=True, big_M=1e5), "mip"),
@@ -326,8 +326,8 @@ def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
 ], ids=["uk5-benders", "uk5-parametric", "uk5-basis", "uk5-parametric-modified",
         "fl_rhs2-coupled-capacity", "fl_mip3-integer-recourse", "pm_pair5-box"])
 def test_the_master_route_follows_the_structure(make, config, route):
-    # uk5 has binary sites only and primal-dual blocks; "unique" blocks carry
-    # binaries, fl-rhs couples its continuous capacities, mip mode replicates
+    # uk5 has binary sites only and primal-dual blocks, whatever cost row
+    # they pin; fl-rhs couples its continuous capacities, mip mode replicates
     # integer recourse, and pm_pair5's 15 binaries span 32768 points, more
     # than the oracle's _MAX_LATTICE
     res = run(make(), AlgorithmConfig(**config))
@@ -373,6 +373,7 @@ def test_the_lattice_master_agrees_with_the_mip(name, monkeypatch):
     monkeypatch.setattr(MasterState, "solve", checked)
     masters = 0
     for config in [dict(variant="benders"), dict(variant="basis"),
+                   dict(variant="parametric-modified"),
                    *[dict(variant="parametric", cut_mode=mode, pareto=pareto)
                      for mode in ("unified", "split") for pareto in (False, True)]]:
         res = run(make(), AlgorithmConfig(**config))

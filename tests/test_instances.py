@@ -87,6 +87,15 @@ def test_recourse_value_infeasible_is_inf():
     assert val == np.inf and y is None
 
 
+def test_an_unbounded_integer_recourse_is_minus_inf():
+    # min -y1 s.t. y1 - y2 >= 0, y1 integer: HiGHS leaves the MIP undecided
+    inst = t1()
+    inst = dataclasses.replace(inst, Y=RecourseSet(
+        B1=np.zeros((1, 1)), B2=[[1.0, -1.0]], E=np.zeros((1, 1)), d=[0.0],
+        c2=[-1.0, 0.0], n_int_y=1))
+    assert recourse_value(inst, np.zeros(1), np.zeros(1)) == (-np.inf, None)
+
+
 def test_worst_case_picks_the_cap():
     inst = t1()
     wc, u = worst_case_values(inst, [np.array([1.0])])[0]

@@ -255,18 +255,48 @@ def test_a_failed_uniqueness_check_raises_after_one_perturbation(monkeypatch):
 def test_ensure_unique_optimum_isolates_a_vertex():
     inst = t1()
     base, c_hat = ensure_unique_optimum(inst, np.array([1.0]), np.array([0.0]))
-    # beta = 0 leaves every u in [0,2] optimal; the perturbed block collapses
-    # to exactly the solver's vertex
-    m, x_ids = _fixed_first_stage(inst, [1.0])
-    blk = build_optimality_block(m, inst, beta=np.array([0.0]),
-                                 representation="unique", M=100.0,
-                                 unique_data=c_hat, x_ids=x_ids)
-    us = []
-    for sense in ("min", "max"):
-        m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
-        us.append(backend.solve_mip(m).x[blk.u_ids[0]])
-    assert us[0] == pytest.approx(us[1], abs=1e-7)
-    assert us[0] == pytest.approx(base.u[0], abs=1e-7)
+    # beta = 0 leaves every u in [0,2] optimal; a block of the perturbed
+    # cost row, of either form, collapses to exactly the solver's vertex
+    for representation in (None, "kkt"):
+        m, x_ids = _fixed_first_stage(inst, [1.0])
+        blk = build_optimality_block(m, inst, beta=np.array([0.0]),
+                                     representation=representation, M=100.0,
+                                     cost_row=c_hat, x_ids=x_ids)
+        assert blk.representation == (representation or "primal-dual")
+        us = []
+        for sense in ("min", "max"):
+            m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
+            us.append(backend.solve_mip(m).x[blk.u_ids[0]])
+        assert us[0] == pytest.approx(us[1], abs=1e-7)
+        assert us[0] == pytest.approx(base.u[0], abs=1e-7)
+
+
+def _capped_at_one_and_a_half() -> Instance:
+    # U(x) = {u >= 0 : u <= 1 + x, u <= 1.5}, x binary coupling row 0
+    U = UncertaintySet(F=AffineMatrixMap(base=[[1.0], [1.0]]), G=[[1.0], [0.0]],
+                       h=[1.0, 1.5])
+    return replace(t1(), U=U)
+
+
+@pytest.mark.parametrize("representation", [None, "kkt"])
+def test_a_perturbed_slack_cost_pins_the_vertex_at_each_first_stage(representation):
+    # cost row (0 | -1e-4, 0) prefers row 0 tight: u = 1 at x = 0, where
+    # that row binds first, and u = 1.5 at x = 1, where row 1 does and
+    # lambda_0 sits at its lower bound -1e-4
+    inst = _capped_at_one_and_a_half()
+    for x, u_star in ((0.0, 1.0), (1.0, 1.5)):
+        m, x_ids = _fixed_first_stage(inst, [x])
+        blk = build_optimality_block(m, inst, beta=np.zeros(1), x_ids=x_ids, M=100.0,
+                                     representation=representation,
+                                     cost_row=np.array([0.0, -1e-4, 0.0]))
+        assert blk.representation == (representation or "primal-dual")
+        us = []
+        for sense in ("min", "max"):
+            m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
+            out = backend.solve_mip(m)
+            assert out.is_optimal
+            us.append(out.objective)
+        assert us == pytest.approx([u_star, u_star], abs=1e-7)
 
 
 def _pair_surrogate(k: int) -> Instance:
@@ -274,23 +304,25 @@ def _pair_surrogate(k: int) -> Instance:
     return replace(inst, U=uncertainty_set_from_dict(inst.metadata["ddu_sets"][k]))
 
 
-@pytest.mark.parametrize("make, requested, expected", [
-    (lambda: _pm_uk(8), None, "primal-dual"),
-    (lambda: _pair_surrogate(0), None, "primal-dual"),
-    (lambda: _pair_surrogate(1), None, "primal-dual"),
-    (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"), None, "kkt"),
-    (lambda: gen_mip_recourse_fl(FLParams(n_sites=2, seed=1)), None, "kkt"),
-    (lambda: _pm_uk(8), "unique", "unique"),
-], ids=["ddu_uk", "ddu_us_pair-0", "ddu_us_pair-1", "fl-rhs", "fl-mip", "unique"])
-def test_block_representation_follows_the_coupling(make, requested, expected):
-    # binary coupling gets the strong-duality row, which adds no binary;
-    # complementarity blocks add one per row and per column of U
+@pytest.mark.parametrize("make, perturbed, expected", [
+    (lambda: _pm_uk(8), False, "primal-dual"),
+    (lambda: _pair_surrogate(0), False, "primal-dual"),
+    (lambda: _pair_surrogate(1), False, "primal-dual"),
+    (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"), False, "kkt"),
+    (lambda: gen_mip_recourse_fl(FLParams(n_sites=2, seed=1)), False, "kkt"),
+    (lambda: _pm_uk(8), True, "primal-dual"),
+], ids=["ddu_uk", "ddu_us_pair-0", "ddu_us_pair-1", "fl-rhs", "fl-mip", "ddu_uk-cost_row"])
+def test_block_representation_follows_the_coupling(make, perturbed, expected):
+    # binary coupling gets the strong-duality row, which adds no binary,
+    # whatever cost row the block pins; complementarity blocks add one per
+    # row and per column of U
     inst = make()
+    beta = np.ones(inst.Y.n_rows)
+    cost_row = (ensure_unique_optimum(inst, _open_sites(inst, (0, 3, 5)), beta)[1]
+                if perturbed else None)
     m = LinearModel()
     x_ids = add_first_stage(m, inst)
-    blk = build_optimality_block(m, inst, beta=np.ones(inst.Y.n_rows),
-                                 representation=requested, M=100.0,
-                                 unique_data=np.zeros(inst.U.dim + inst.U.n_rows),
+    blk = build_optimality_block(m, inst, beta=beta, M=100.0, cost_row=cost_row,
                                  x_ids=x_ids)
     assert blk.representation == expected
     added = sum(v.integer for v in m.vars) - inst.X.n_int
@@ -334,13 +366,6 @@ def test_the_dual_side_bound_scales_with_the_cost_row_and_f(make, norm_c):
         assert blk.representation == "primal-dual" and M_d in ub
 
 
-def test_unique_representation_requires_cost_row():
-    m, x_ids = _fixed_first_stage(t1(), [0.0])
-    with pytest.raises(ValueError, match="cost row"):
-        build_optimality_block(m, t1(), beta=np.array([1.0]),
-                               representation="unique", x_ids=x_ids)
-
-
 # -- the product route on sets with integral vertices ---------------------------
 
 def _pm_uk(n_sites: int, p: int = 3, seed: int = 0) -> Instance:
@@ -378,6 +403,41 @@ def test_pm_uk8_bases_hold_at_every_first_stage():
         A = np.hstack([inst.U.F.evaluate(x), np.eye(inst.U.n_rows)])
         held += np.linalg.solve(A[:, basis], inst.U.h + inst.U.G @ x).min() >= -1e-9
     assert held == 56
+
+
+def _outer_is_binary_by_loop(problem: MaxMinProblem) -> bool:
+    # the per-coordinate, per-row loop _outer_is_binary replaced
+    for j in range(problem.n_out):
+        capped = False
+        for i in range(problem.A_out.shape[0]):
+            row = problem.A_out[i]
+            if row[j] > 0 and problem.b_out[i] / row[j] <= 1.0 + 1e-9 and \
+                    np.all(row >= 0):
+                capped = True
+                break
+        if not capped:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0]),
+    ([[1.0, -1.0], [0.0, 1.0]], [1.0, 1.0]),      # row 0 has a negative entry
+    ([[2.0, 0.0], [0.0, 1.0]], [2.0, 1.0]),       # z_0 capped at 1 by 2 z_0 <= 2
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]),       # z_1 capped at 2
+    (np.zeros((0, 2)), np.zeros(0)),               # no rows
+    (np.zeros((2, 0)), [1.0, 1.0]),                # no columns
+    (None, None),                                  # pm_uk8's U(x)
+], ids=["unit", "negative-entry", "scaled-cap", "cap-of-two", "no-rows", "no-columns",
+        "pm_uk8"])
+def test_outer_is_binary_matches_the_loop(A, b):
+    if A is None:
+        inst = _pm_uk(8)
+        problem = maxmin_from_instance(inst, _open_sites(inst, (0, 3, 5)))
+    else:
+        problem = MaxMinProblem(A_out=A, b_out=b, c_y=[1.0], B_y=[[1.0]],
+                                B_x=np.zeros((1, np.shape(A)[1])), d=[0.0])
+    assert maxmin._outer_is_binary(problem) == _outer_is_binary_by_loop(problem)
 
 
 def test_integral_vertex_check_accepts_ddu_uk_at_binary_x():

@@ -22,7 +22,7 @@ from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel
 from ddu_ro.ccg import AlgorithmConfig, run
 from ddu_ro.instances import FLParams, gen_robust_fl
 from ddu_ro.model import (IterationRecord, RunResult, _binary_products, dimension_errors,
-                          envelope_rows, max_over_u, range_probe)
+                          envelope_rows, max_lp, range_probe)
 from toys import record_linprog
 
 
@@ -132,7 +132,8 @@ def test_range_probe_is_one_lp_with_the_value_of_each_coordinates_lp(monkeypatch
     b = np.array([4.0, 1.0, -1.0, 0.0])
     sign = 1.0 if sense == "max" else -1.0
     cols = np.array([2, 0, 1])
-    ref = [sign * max_over_u(A, b, sign * np.eye(3)[j], "ref").objective for j in cols]
+    ref = [sign * backend.solve_lp(max_lp(A, b, sign * np.eye(3)[j], "ref")).objective
+           for j in cols]
     names = _lp_names(monkeypatch)
     got = range_probe(A, b, cols, sense)
     assert names == ["range_probe"]

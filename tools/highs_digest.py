@@ -1,0 +1,127 @@
+"""One digest of every model HiGHS receives on the timed benchmark operations.
+
+Runs each timed operation of the pmedian and facility workloads
+(perfbench/workloads.py, known defects left out) at instance seeds 0 and 1,
+and hashes the arguments of every backend.linprog and backend.milp call: the
+objective, the constraint matrix as a canonical CSR (duplicates summed,
+indices sorted), the row bounds, the column bounds, the integrality and the
+options other than time_limit, which follows the wall clock. It prints each
+operation's status, objective and iteration count, then the number of
+solves and one digest over all of them in call order.
+
+Two trees that print the same lines gave HiGHS byte-identical input on
+every solve of those operations. Run it from the root of a checkout:
+
+    PYTHONPATH=src python tools/highs_digest.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+from scipy.optimize import Bounds
+from scipy.sparse import csr_array, vstack
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import workloads  # noqa: E402
+from ddu_ro import backend  # noqa: E402
+
+
+def _arrays(digest, *arrays) -> None:
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+
+
+def _model_hash(kind: str, c, A, lhs, rhs, lb, ub, integrality, options) -> str:
+    """sha256 of one solve's input; A is any scipy sparse or dense matrix or
+    None for no rows."""
+    c = np.asarray(c, dtype=float)
+    A = csr_array((0, c.size)) if A is None else csr_array(A)
+    A.sum_duplicates()
+    A.sort_indices()
+    digest = hashlib.sha256(kind.encode())
+    _arrays(digest, c, A.indptr.astype(np.int64), A.indices.astype(np.int64),
+            A.data.astype(float), *(np.asarray(v, dtype=float) for v in (lhs, rhs, lb, ub)),
+            np.asarray(integrality, dtype=np.int64))
+    digest.update(repr(sorted((k, v) for k, v in (options or {}).items()
+                              if k != "time_limit")).encode())
+    return digest.hexdigest()
+
+
+class Recorder:
+    """Wraps backend.linprog and backend.milp while installed and keeps the
+    hash of each call's input."""
+
+    def __init__(self) -> None:
+        self.hashes: list[str] = []
+        self._saved = (backend.linprog, backend.milp)
+
+    def __enter__(self) -> "Recorder":
+        linprog, milp = self._saved
+
+        def hashed_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                           bounds=(0, np.inf), method="highs", options=None):
+            c_ = np.asarray(c, dtype=float)
+            b_ub_, b_eq_ = (np.zeros(0) if b is None else np.asarray(b, dtype=float)
+                            for b in (b_ub, b_eq))
+            blocks = [a for a in (A_ub, A_eq) if a is not None]
+            A = vstack(blocks) if blocks else None
+            lb, ub = np.broadcast_to(np.asarray(bounds, dtype=float), (c_.size, 2)).T
+            self.hashes.append(_model_hash(
+                "lp", c_, A, np.r_[np.full(b_ub_.size, -np.inf), b_eq_], np.r_[b_ub_, b_eq_],
+                lb, ub, np.zeros(c_.size), options))
+            return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                           method=method, options=options)
+
+        def hashed_milp(c, *, integrality=None, bounds=Bounds(0, np.inf), constraints=None,
+                        options=None):
+            c_ = np.asarray(c, dtype=float)
+            A, lhs, rhs = ((constraints.A, constraints.lb, constraints.ub) if constraints
+                           else (None, (), ()))
+            lb, ub = (np.broadcast_to(b, c_.shape) for b in (bounds.lb, bounds.ub))
+            self.hashes.append(_model_hash(
+                "mip", c_, A, lhs, rhs, lb, ub,
+                np.broadcast_to(0 if integrality is None else integrality, c_.shape), options))
+            return milp(c, integrality=integrality, bounds=bounds, constraints=constraints,
+                        options=options)
+
+        backend.linprog, backend.milp = hashed_linprog, hashed_milp
+        return self
+
+    def __exit__(self, *exc) -> None:
+        backend.linprog, backend.milp = self._saved
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workloads", nargs="+", default=["pmedian", "facility"],
+                    choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
+    args = ap.parse_args(argv)
+    refs = workloads.load_references()
+    with Recorder() as rec, tempfile.TemporaryDirectory() as scratch:
+        for seed in args.seeds:
+            for name in args.workloads:
+                ops = [op for op in workloads.WORKLOADS[name] if not op.known_defect]
+                insts = workloads.build_instances(workloads.instances_of(ops), seed, scratch)
+                for op in ops:
+                    before = len(rec.hashes)
+                    res = workloads.run_op(op, insts[op.instance],
+                                           workloads.reference_of(refs, op.instance, seed))
+                    objective = "None" if res.objective is None else repr(float(res.objective))
+                    print(f"s{seed} {op.name}: {res.status} {objective} "
+                          f"iterations {res.iterations} solves {len(rec.hashes) - before}")
+    total = hashlib.sha256("".join(rec.hashes).encode()).hexdigest()
+    print(f"solves {len(rec.hashes)} digest {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
