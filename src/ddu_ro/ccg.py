@@ -51,10 +51,10 @@ _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
 # the relaxation puts a valid floor lower (_eta_floor)
 _ETA_LB = -1e7
 # the most first stages a master is valued at (MasterState.solve): the
-# largest lattice measured no slower than the MIP masters, 14-site ddu_uk
-# p-medians at p = 3; at 495 points (12 sites, p = 4) the parametric and
-# basis masters took 1.3-1.5 times the MIP's seconds
-_MAX_MASTER_POINTS = 364
+# largest lattice measured no slower than the MIP masters, 16-site ddu_uk
+# p-medians at p = 3; at 1001 points (14 sites, p = 4) the parametric
+# masters took 1.1-1.4 times the MIP's seconds
+_MAX_MASTER_POINTS = 560
 
 
 @dataclass
@@ -126,7 +126,9 @@ class MasterState:
     cannot value (it reads a continuous x or an older part's column, brings
     an integer column, or bounds eta from above), or a lattice of more than
     _MAX_MASTER_POINTS first stages, sends this and every later solve to
-    backend.solve_mip, which always holds the whole model.
+    backend.solve_mip, which always holds the whole model. The lattice's
+    cost follows the first stages X admits, not its bound box: the search
+    of instances._box_points visits only the prefixes X's rows can complete.
     """
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,

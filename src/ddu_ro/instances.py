@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import os
 import tempfile
 import warnings
@@ -76,7 +75,7 @@ def t1() -> Instance:
 # -- vertex enumeration --------------------------------------------------------
 
 # the oracle's enumeration limits
-_MAX_LATTICE = 20000        # integer x assignments, and integer u points
+_MAX_LATTICE = 20000        # integer x or u prefixes alive per level of _box_points
 _MAX_BASES = 2_000_000      # basis systems per U(x)
 _MAX_VERTICES = 5000        # distinct vertices kept per U(x)
 _GRID = 7                   # grid points per free coupled continuous dim
@@ -102,9 +101,8 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
     basic solution with all components nonnegative is a vertex. Every step
     works in chunks of at most 2e7 matrix entries. Vertices are de-duplicated
     and ordered by the first basis (in itertools.combinations order) that
-    yields them. All-integer case (n_int_u == dim): the integer lattice
-    inside the per-coordinate LP bounds is enumerated and filtered by
-    membership.
+    yields them. All-integer case (n_int_u == dim): the integer points of
+    U(x) inside the per-coordinate LP bounds, by _box_points' pruned search.
     """
     x = np.asarray(x, dtype=float)
     if U.n_int_u:
@@ -265,21 +263,39 @@ def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if np.isinf(hi).any():
         raise OracleError(f"u[{np.argmax(np.isinf(hi))}] unbounded: integer "
                           "enumeration impossible")
-    pts = _box_points([0] * len(hi), np.floor(hi + 1e-9).astype(int).tolist(), -Fx, -rhs, "u")
+    pts = _box_points(np.zeros(len(hi)), hi, -Fx, -rhs, "u")
     if not len(pts):
         raise OracleError("U(x) has no integer points (nonemptiness violated)")
     return pts
 
 
 def _box_points(lo, hi, G: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
-    """The integer points p of the box [lo, hi] with G p >= g - 1e-9, as
-    rows in itertools.product order; OracleError when the box holds more
-    than _MAX_LATTICE points."""
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    if any(t > _MAX_LATTICE for t in itertools.accumulate(map(len, ranges), operator.mul)):
-        raise OracleError(f"integer {what} lattice exceeds {_MAX_LATTICE}")
-    pts = list(itertools.product(*ranges))
-    pts = np.array(pts, dtype=float).reshape(len(pts), len(ranges))
+    """The integer points p with lo <= p <= hi (within 1e-9) and G p >=
+    g - 1e-9, as rows in itertools.product order, by a pruned search: level
+    j extends each prefix by the values of coordinate j with which every row
+    can still be met, the later coordinates at their best bounds (bound
+    propagation over linear rows; Achterberg 2007), within a margin looser
+    than the final filter's. OracleError when more than _MAX_LATTICE
+    prefixes are alive at some level."""
+    lo, hi = np.ceil(np.asarray(lo) - 1e-9), np.floor(np.asarray(hi) + 1e-9)
+    best = np.column_stack([np.maximum(G * lo, G * hi), np.zeros(len(g))])
+    reach = np.cumsum(best[:, ::-1], axis=1)[:, ::-1]   # the most coordinates j.. add
+    slack = 1e-9 * (1.0 + np.abs(G) @ np.maximum(np.abs(lo), np.abs(hi)))
+    alive = int(np.all(reach[:, 0] >= g - slack))
+    prefixes, partial = np.zeros((alive, 0), dtype=np.int64), np.zeros((alive, len(g)))
+    for j, col in enumerate(G.T):
+        need = g - slack - reach[:, j + 1] - partial    # col v >= need, row by row
+        first = np.ceil(need[:, col > 0] / col[col > 0]).max(axis=1, initial=lo[j])
+        last = np.floor(need[:, col < 0] / col[col < 0]).min(axis=1, initial=hi[j])
+        counts = np.maximum(last - first + 1, 0)
+        if counts.sum() > _MAX_LATTICE:
+            raise OracleError(f"integer {what} lattice exceeds {_MAX_LATTICE}")
+        # child k of a prefix takes the value first + k
+        parent = np.repeat(np.arange(len(counts)), counts.astype(int))
+        values = np.arange(len(parent)) + (first + counts - np.cumsum(counts))[parent].astype(int)
+        prefixes = np.column_stack([prefixes[parent], values])
+        partial = partial[parent] + np.outer(values, col)
+    pts = prefixes.astype(float)
     return pts[np.all(pts @ G.T >= g - 1e-9, axis=1)]
 
 
@@ -478,10 +494,10 @@ def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list
     admit, completed by _complete_continuous (coupled continuous x pinned or
     gridded, separable x at their least c1 cost), none where X admits no
     completion. Raises OracleError when an integer x has an infinite bound,
-    the box holds more than _MAX_LATTICE assignments, the rows admit more
-    than max_points of them or a completion LP ends neither Optimal nor
-    Infeasible. The C&CG master takes these points as its lattice
-    (ccg.MasterState.solve)."""
+    more than _MAX_LATTICE prefixes are alive at a level of _box_points'
+    search, the rows admit more than max_points assignments or a completion
+    LP ends neither Optimal nor Infeasible. The C&CG master takes these
+    points as its lattice (ccg.MasterState.solve)."""
     X, nx, n_int = inst.X, inst.dim_x, inst.X.n_int
     coupled = coupled_continuous(inst)
     sep = [k for k in range(n_int, nx) if k not in coupled]
@@ -491,9 +507,7 @@ def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list
             raise OracleError(f"x[{k}] integer with an infinite bound")
     # rows touching only integer components can prefilter the lattice
     int_rows = ~np.any(X.A[:, n_int:], axis=1)
-    points = _box_points(np.ceil(X.lb[:n_int] - 1e-9).astype(int),
-                         np.floor(X.ub[:n_int] + 1e-9).astype(int),
-                         X.A[int_rows, :n_int], X.b[int_rows], "x")
+    points = _box_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
     if len(points) > max_points:
         raise OracleError(f"{len(points)} integer x assignments exceed {max_points}")
     if n_int == nx:     # every row of X has been checked

@@ -311,6 +311,14 @@ def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
     assert res.n_iterations == iterations
 
 
+def _pm8() -> Instance:
+    return gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk")
+
+
+def _pm5_pair() -> Instance:
+    return gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair")
+
+
 # -- the master over X's lattice ---------------------------------------------
 
 @pytest.mark.parametrize("make, config, route", [
@@ -321,15 +329,14 @@ def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
     (lambda: gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"), {}, "mip"),
     (lambda: gen_mip_recourse_fl(FLParams(**FL_MIP3)),
      dict(mip_recourse_mode=True, big_M=1e5), "mip"),
-    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2, seed=0), "ddu_us_pair"),
-     dict(diu_approx="metadata"), "mip"),
+    (_pm5_pair, dict(diu_approx="metadata"), "lattice"),
 ], ids=["uk5-benders", "uk5-parametric", "uk5-basis", "uk5-parametric-modified",
-        "fl_rhs2-coupled-capacity", "fl_mip3-integer-recourse", "pm_pair5-box"])
+        "fl_rhs2-coupled-capacity", "fl_mip3-integer-recourse", "pm_pair5-diu"])
 def test_the_master_route_follows_the_structure(make, config, route):
     # uk5 has binary sites only and primal-dual blocks, whatever cost row
     # they pin; fl-rhs couples its continuous capacities, mip mode replicates
-    # integer recourse, and pm_pair5's 15 binaries span 32768 points, more
-    # than the oracle's _MAX_LATTICE
+    # integer recourse; pm_pair5's 15 binaries span a 32768-point box, but
+    # the pruned search visits only the prefixes its rows admit, 10 points
     res = run(make(), AlgorithmConfig(**config))
     meta = run_result_to_dict(res)["meta"]
     assert res.status == "Optimal"
@@ -350,13 +357,22 @@ def test_a_lattice_over_the_point_limit_keeps_the_mip_masters(monkeypatch):
     assert outcomes[1][1] == pytest.approx(outcomes[0][1])
 
 
-@pytest.mark.parametrize("name", ["uk5", "pm_uk8"])
-def test_the_lattice_master_agrees_with_the_mip(name, monkeypatch):
+_VARIANT_CONFIGS = [dict(variant="benders"), dict(variant="basis"),
+                    dict(variant="parametric-modified"),
+                    *[dict(variant="parametric", cut_mode=mode, pareto=pareto)
+                      for mode in ("unified", "split") for pareto in (False, True)]]
+
+
+@pytest.mark.parametrize("make, configs", [
+    (_TRAJECTORY_INSTANCES["uk5"][0], _VARIANT_CONFIGS),
+    (_pm8, _VARIANT_CONFIGS),
+    # one block per surrogate set and seed
+    (_pm5_pair, [dict(diu_approx="metadata")]),
+], ids=["uk5", "pm_uk8", "pm_pair5-diu"])
+def test_the_lattice_master_agrees_with_the_mip(make, configs, monkeypatch):
     # at every master the lattice value lies between the dual bound and the
     # objective of backend.solve_mip on the same model, and where that MIP
     # closed its gap it takes the same first stage
-    make = (_TRAJECTORY_INSTANCES["uk5"][0] if name == "uk5"
-            else lambda: gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"))
     lattice_solve, compared = MasterState.solve, []
 
     def checked(state, **kw):
@@ -372,10 +388,7 @@ def test_the_lattice_master_agrees_with_the_mip(name, monkeypatch):
 
     monkeypatch.setattr(MasterState, "solve", checked)
     masters = 0
-    for config in [dict(variant="benders"), dict(variant="basis"),
-                   dict(variant="parametric-modified"),
-                   *[dict(variant="parametric", cut_mode=mode, pareto=pareto)
-                     for mode in ("unified", "split") for pareto in (False, True)]]:
+    for config in configs:
         res = run(make(), AlgorithmConfig(**config))
         assert res.status == "Optimal" and res.meta["masters_mip"] == 0
         masters += res.meta["masters_lattice"]
@@ -788,14 +801,6 @@ def _rows_permuted(inst: Instance, seed: int) -> Instance:
         meta["ddu_sets"] = [uncertainty_set_to_dict(permute_set(
             uncertainty_set_from_dict(d))) for d in meta["ddu_sets"]]
     return Instance(name=inst.name, c1=inst.c1, X=X2, U=U2, Y=Y2, metadata=meta)
-
-
-def _pm8() -> Instance:
-    return gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk")
-
-
-def _pm5_pair() -> Instance:
-    return gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair")
 
 
 @pytest.mark.parametrize("make, config, perm_seed, value", [

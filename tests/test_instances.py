@@ -32,6 +32,7 @@ from ddu_ro.instances import (
     SchemaError,
     check_schema,
     enumerate_vertices,
+    lattice_first_stages,
     recourse_value,
     worst_case_values,
 )
@@ -481,6 +482,84 @@ def test_oracle_refuses_mixed_integer_uncertainty():
                                    d=[0.0], c2=[1.0]))
     with pytest.raises(OracleError, match="mixed-integer"):
         enumerate_vertices(U, np.array([0.0]))
+
+
+# -- the integer points of a box against itertools.product --------------------
+
+def _box_points_by_product(lo, hi, G, g):
+    """Reference for instances._box_points: every point of the box, in
+    itertools.product order, then the filter by the rows."""
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    pts = list(itertools.product(*ranges))
+    pts = np.array(pts, dtype=float).reshape(len(pts), len(ranges))
+    return pts[np.all(pts @ G.T >= g - 1e-9, axis=1)]
+
+
+def _assert_box_points_match(lo, hi, G, g):
+    G, g = np.asarray(G, dtype=float).reshape(len(g), len(lo)), np.asarray(g, dtype=float)
+    got, ref = instances._box_points(lo, hi, G, g, "x"), _box_points_by_product(lo, hi, G, g)
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, G, g", [
+    ([], [], np.zeros((1, 0)), [0.0]),
+    ([], [], np.zeros((1, 0)), [1.0]),
+    ([0, 0, 0], [1, 1, 1], [], []),
+    ([-2, -1, 0], [1, 2, 0], [[1, 1, -1]], [-1]),
+    ([0, 0, 0], [3, 2, 4], [[1, 2, 1], [-1, -1, -1]], [3, -5]),
+    ([0, 0], [1, 1], [[1, 1], [0, 0]], [0, 1]),
+    ([0, 0, 0, 0], [1, 1, 1, 1], [[1, 1, 1, 1], [-1, -1, -1, -1]], [2, -2]),
+], ids=["n0-met", "n0-unmet", "no-rows", "negative-lo", "wide-ranges", "infeasible-row",
+        "equality-pair"])
+def test_box_points_match_the_product_on_edge_cases(lo, hi, G, g):
+    _assert_box_points_match(lo, hi, G, g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_box_points_match_the_product_on_random_boxes(seed):
+    # up to five coordinates from negative lower bounds, empty and wide
+    # ranges, integer and fractional rows, ± pairs for equalities and rows
+    # no point meets
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(0, 6)), int(rng.integers(0, 5))
+    lo = rng.integers(-3, 2, size=n)
+    hi = lo + rng.integers(-1, 4, size=n)
+    G = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) if rng.random() < 0.3 else 1.0)
+    g = rng.integers(-4, 5, size=m).astype(float)
+    if m >= 2 and rng.random() < 0.3:
+        G[1], g[1] = -G[0], -g[0]
+    if m and rng.random() < 0.1:
+        g[0] = np.abs(G[0]) @ np.maximum(np.abs(lo), np.abs(hi)) + 1.0
+    _assert_box_points_match(lo.tolist(), hi.tolist(), G, g)
+
+
+def _binary_first_stage(n: int, sum_to: int | None) -> Instance:
+    """n binary x, with sum x = sum_to as a ± pair of rows unless None."""
+    A, b = ((np.zeros((0, n)), np.zeros(0)) if sum_to is None else
+            (np.vstack([np.ones(n), -np.ones(n)]), np.array([sum_to, -sum_to], dtype=float)))
+    return Instance(
+        name="binary", c1=np.zeros(n),
+        X=FirstStageSet(A=A, b=b, n_int=n, ub=np.ones(n)),
+        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=np.zeros((1, n)), h=[1.0]),
+        Y=RecourseSet(B1=np.zeros((1, n)), B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0]))
+
+
+def test_a_lattice_over_the_cap_is_refused():
+    # 15 free binaries admit 32768 points
+    with pytest.raises(OracleError, match=f"integer x lattice exceeds {instances._MAX_LATTICE}"):
+        lattice_first_stages(_binary_first_stage(15, None))
+
+
+def test_a_wide_box_with_few_points_enumerates():
+    # a 2^20 box whose rows admit the C(20, 3) = 1140 choices of three,
+    # in itertools.product order
+    points = np.array(lattice_first_stages(_binary_first_stage(20, 3)))
+    ref = np.zeros((math.comb(20, 3), 20))
+    for row, sites in zip(ref, itertools.combinations(range(20), 3)):
+        row[list(sites)] = 1.0
+    assert np.array_equal(points, ref[np.lexsort(ref.T[::-1])])
 
 
 # -- vertex enumeration against the determinant sweep per call ------------------

@@ -6,11 +6,14 @@ and hashes the arguments of every backend.linprog and backend.milp call: the
 objective, the constraint matrix as a canonical CSR (duplicates summed,
 indices sorted), the row bounds, the column bounds, the integrality and the
 options other than time_limit, which follows the wall clock. It prints each
-operation's status, objective and iteration count, then the number of
-solves and one digest over all of them in call order.
+operation's status, objective, iteration count, number of solves and one
+digest over its own solves in call order, then the number of solves and one
+digest over all of them.
 
 Two trees that print the same lines gave HiGHS byte-identical input on
-every solve of those operations. Run it from the root of a checkout:
+every solve of those operations; where they differ, the operation lines
+that differ name the operations whose input changed. Run it from the root
+of a checkout:
 
     PYTHONPATH=src python tools/highs_digest.py
 """
@@ -53,6 +56,10 @@ def _model_hash(kind: str, c, A, lhs, rhs, lb, ub, integrality, options) -> str:
     digest.update(repr(sorted((k, v) for k, v in (options or {}).items()
                               if k != "time_limit")).encode())
     return digest.hexdigest()
+
+
+def _digest(hashes: list[str]) -> str:
+    return hashlib.sha256("".join(hashes).encode()).hexdigest()
 
 
 class Recorder:
@@ -116,10 +123,10 @@ def main(argv: list[str] | None = None) -> int:
                     res = workloads.run_op(op, insts[op.instance],
                                            workloads.reference_of(refs, op.instance, seed))
                     objective = "None" if res.objective is None else repr(float(res.objective))
+                    own = rec.hashes[before:]
                     print(f"s{seed} {op.name}: {res.status} {objective} "
-                          f"iterations {res.iterations} solves {len(rec.hashes) - before}")
-    total = hashlib.sha256("".join(rec.hashes).encode()).hexdigest()
-    print(f"solves {len(rec.hashes)} digest {total}")
+                          f"iterations {res.iterations} solves {len(own)} digest {_digest(own)}")
+    print(f"solves {len(rec.hashes)} digest {_digest(rec.hashes)}")
     return 0
 
 
