@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,11 @@ from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from .instances import (OracleError, SchemaError, check_uncertainty_schema,
                         coupled_continuous, lattice_first_stages)
-from .maxmin import (OptimalityBlock, ParametricLPResult, _couples_only_binary,
-                     build_optimality_block, dual_bound, ensure_unique_optimum,
-                     lp_parametric)
+from .maxmin import (OptimalityBlock, ParametricLPResult, build_optimality_block,
+                     dual_bound, ensure_unique_optimum, lp_parametric)
 from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySet,
                     add_first_stage, add_recourse_rows, add_recourse_vars,
-                    affine_blocks, build_deterministic_mip, range_probe,
+                    affine_blocks, binary_coupling, build_deterministic_mip, range_probe,
                     relative_gap, uncertainty_set_from_dict)
 from .subproblems import (recourse_mip_at, sp1, sp2, sp2_mip_relax,
                           sp2_pareto_lp, sp3, sp4)
@@ -89,6 +88,8 @@ class AlgorithmConfig:
             raise ValueError("tol must be nonnegative")
         if self.big_M <= 0 or self.time_limit_s <= 0:
             raise ValueError("big_M and time_limit_s must be positive")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
     @property
     def unified(self) -> bool:
@@ -133,16 +134,17 @@ class MasterState:
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
                  ou_sets: list[UncertaintySet] | None = None):
-        if config.variant == "basis" and not _couples_only_binary(inst):
-            raise ValueError(
-                "basis cutting sets multiply first-stage terms into the "
-                "alternative system; non-binary coupled components have no "
-                "exact linearization")
         self.inst = inst
         self.config = config
         self.ou_sets = list(ou_sets) if ou_sets is not None else None
         self.model = LinearModel(name=f"{inst.name}-{config.variant}-master")
         self.x_ids = add_first_stage(self.model, inst)
+        binary = binary_coupling(self.model, inst.U, self.x_ids)
+        if config.variant == "basis" and not binary:
+            raise ValueError(
+                "basis cutting sets multiply first-stage terms into the "
+                "alternative system; non-binary coupled components have no "
+                "exact linearization")
         self.eta_id = self.model.add_vars(1, _ETA_LB, np.inf)[0]
         self.model.set_objective({**dict(zip(self.x_ids, inst.c1)), self.eta_id: 1.0}, "min")
         self.point_seeds: list[np.ndarray] = []
@@ -153,7 +155,7 @@ class MasterState:
         # already valued, the points (enumerated at the first solve) and,
         # per point, the largest least eta of the parts valued so far
         self._valued = (self.model.n_vars, self.model.n_constrs)
-        if coupled_continuous(inst) or inst.Y.n_int_y or not _couples_only_binary(inst):
+        if coupled_continuous(inst) or inst.Y.n_int_y or not binary:
             self._valued = None
         self._points: np.ndarray | None = None
         self._theta: np.ndarray | None = None
@@ -249,7 +251,8 @@ def _vector_seen(pool: list[np.ndarray], v: np.ndarray, tol: float) -> bool:
 def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
                    cost_row: np.ndarray | None = None) -> str:
     """One block per uncertainty set pinning the seed's worst case u, an
-    optimum of cost_row (build_optimality_block) where given, then
+    optimum (build_optimality_block) of cost_row where given, else of the
+    set's row (-E' beta, 0), then
     for benders a scalar cut on it, for the replicate variants a recourse
     replicate y with its feasibility rows against u.
 
@@ -264,10 +267,10 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
     base_tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
     sets = state.ou_sets if state.ou_sets is not None else [state.inst.U]
     for li, U_l in enumerate(sets):
-        inst = state.inst if U_l is state.inst.U else replace(state.inst, U=U_l)
         tag = base_tag if state.ou_sets is None else f"{base_tag}s{li}"
-        blk = build_optimality_block(state.model, inst, beta, state.x_ids, M=cfg.big_M,
-                                     cost_row=cost_row)
+        row = (np.concatenate([-(Y.E.T @ beta), np.zeros(U_l.n_rows)])
+               if cost_row is None else cost_row)
+        blk = build_optimality_block(state.model, U_l, row, state.x_ids, cfg.big_M)
         eta = [] if is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
         if cfg.variant == "benders":
             state.model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),

@@ -994,6 +994,7 @@ def _check_matrix(d, where: str):
     rows, cols = d["rows"], d["cols"]
     if not (_is_index(rows) and _is_index(cols)):
         raise SchemaError(f"rows and cols must be nonnegative integers at {where}")
+    seen = set()
     for trip in d["triplets"]:
         if not (isinstance(trip, list) and len(trip) == 3 and _is_index(trip[0])
                 and _is_index(trip[1]) and isinstance(trip[2], (int, float))):
@@ -1002,6 +1003,9 @@ def _check_matrix(d, where: str):
         if not (i < rows and j < cols):
             raise SchemaError(f"triplet ({i},{j}) out of bounds at {where} "
                               f"(shape {rows}x{cols})")
+        if (i, j) in seen:
+            raise SchemaError(f"two triplets at ({i},{j}) at {where}")
+        seen.add((i, j))
 
 
 def _check_vector(v, where: str, nullable: bool = False):

@@ -8,26 +8,24 @@ One route chooser, solve_maxmin_dual, picks between two MIP builders:
   ("_bilin", pi capped at M), or pi when the dual polyhedron has 0/1
   vertices, as the feasibility dual of a network recourse matrix does
   ("_net", each z_j capped by its probed range, no big-M);
-- the KKT MIP (solve_maxmin_kkt) replaces the inner LP by its KKT system,
-  complementarities linearized with indicator big-Ms; it answers every
-  problem that no product MIP solves exactly.
+- the KKT MIP (solve_maxmin_kkt) holds the inner LP at its optimum by that
+  LP's optimality block (below), complementarities linearized with a big-M
+  per side; it answers every problem that no product MIP solves exactly.
 The feasibility check (check_inner_feasibility) takes the network MIP where
 it applies and otherwise hands its extended problem to the chooser, whose
 pi <= 1 makes the product MIP exact on 0/1 outer sets. One LP at the
 route's outer point (audited_dual_lp) audits every value of the feasibility
 check, sp1's included, and sp2's worst case; sp4's frozen-recourse value is
 not audited.
-Optimality blocks take the first stage as master columns, so any
-matrix-coefficient dependence must sit on binary components, since products
-with continuous components have no exact linearization; a caller that wants
-a block at one first stage fixes those columns.
 
-An optimality block pins u to an optimum of the LP over U(x), whatever its
-cost row, by primal and dual feasibility plus either the big-M
-complementarities ("kkt") or the one strong-duality row ("primal-dual").
-The block takes "primal-dual" when U(x) depends only on binary first-stage
-components, whose products with lambda are enveloped exactly, and "kkt"
-otherwise; the perturbed rows of parametric-modified follow the same rule.
+An optimality block (build_optimality_block) holds an LP over U(x) at an
+optimum of its cost row, x being model columns, by primal and dual
+feasibility plus either the big-M complementarities ("kkt") or the one
+strong-duality row ("primal-dual", where every column U(x) depends on is
+binary, so that its products with lambda are enveloped exactly). It is the
+one writer of an LP's optimality conditions: the masters' blocks, a block
+at one first stage (those columns fixed) and the KKT MIP, whose inner LP is
+a set over its unbounded outer columns and so gets "kkt", all go through it.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
-from .model import (BasisId, Instance, UncertaintySet, _binary_products, _is_binary,
-                    affine_blocks, max_lp, range_probe, require_binary_terms)
+from .model import (AffineMatrixMap, BasisId, Instance, UncertaintySet, _binary_products,
+                    affine_blocks, binary_coupling, max_lp, range_probe)
 
 _ZERO_RC_TOL = 1e-9
 _AUDIT_TOL = 1e-4     # relative: a product MIP against its LP, sp2 against its split
@@ -289,23 +287,15 @@ def _add_outer_set(m: LinearModel, problem: MaxMinProblem,
 # -- KKT route ------------------------------------------------------------------
 
 def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
-    """Replace the inner LP by primal feasibility, dual feasibility, and the
-    two linearized complementarity families; maximize the inner objective."""
-    m_rows, ny = problem.B_y.shape
-
+    """The inner LP min{c_y'y : B_y y >= d - B_x z} is the LP over
+    {y >= 0 : -B_y y <= -d + B_x z} with cost row (-c_y, 0), so its
+    optimality block (build_optimality_block) over the outer columns z holds
+    y at an inner optimum; maximize c_y'y over the block."""
     m = LinearModel(name=problem.name + "_kkt")
     z_ids = _add_outer_set(m, problem)
-    y_ids = m.add_vars(ny)
-    pi_ids = m.add_vars(m_rows)
-
-    surplus = [(y_ids, problem.B_y), (z_ids, problem.B_x)]
-    m.add_rows(surplus, GEQ, problem.d)
-    m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y)
-    backend.linearize_complementarity(m, pi_ids, np.zeros(m_rows), surplus,
-                                      -problem.d, M, M)
-    backend.linearize_complementarity(m, y_ids, np.zeros(ny),
-                                      [(pi_ids, -problem.B_y.T)], problem.c_y, M, M)
-
+    inner = UncertaintySet(F=AffineMatrixMap(-problem.B_y), G=problem.B_x, h=-problem.d)
+    cost_row = np.concatenate([-problem.c_y, np.zeros(inner.n_rows)])
+    y_ids = build_optimality_block(m, inner, cost_row, z_ids, M).u_ids
     m.set_objective(dict(zip(y_ids, problem.c_y)), sense="max")
     out = backend.solve_mip(m)
     if out.status == backend.INFEASIBLE:
@@ -436,41 +426,29 @@ class OptimalityBlock:
     representation: str
 
 
-def build_optimality_block(model: LinearModel, inst: Instance, beta: np.ndarray,
-                           x_ids: list[int], representation: str | None = None,
-                           M: float = 1e4, cost_row: np.ndarray | None = None
-                           ) -> OptimalityBlock:
+def build_optimality_block(model: LinearModel, U: UncertaintySet, cost_row: np.ndarray,
+                           x_ids: list[int], M: float = 1e4) -> OptimalityBlock:
     """Append fresh (u, lambda) columns and the rows pinning (u, s) to an
-    optimum of max{c_u'u + c_s's : F(x) u + s = h + G x, u, s >= 0}, x being
-    the model's columns x_ids and (c_u, c_s) the standard-form cost_row, by
-    default (-E' beta, 0); a perturbed row with a single optimal vertex pins
-    that vertex. Primal and dual feasibility (F(x)' lambda >= c_u, lambda >=
-    c_s) come with the strong-duality row c_u'u + c_s's >= (h + G x)' lambda
-    ("primal-dual") when every first-stage component that U(x) depends on is
-    binary, whose products with lambda are enveloped exactly, and with the
-    linearized complementarities ("kkt") otherwise, or where representation
-    forces "kkt". The strong-duality row needs no binary per row and column
-    of U, and its only big-M is the bound on the lambda of coupled rows,
-    which the KKT block needs too. A block at one first stage is this block
-    with the x columns fixed.
+    optimum of the LP max{c_u'u + c_s's : F(x) u + s = h + G x, u, s >= 0},
+    x being the model's columns x_ids and (c_u, c_s) the standard-form
+    cost_row; a perturbed row with a single optimal vertex pins that vertex.
+    Primal and dual feasibility (F(x)' lambda >= c_u, lambda >= c_s) come
+    with the strong-duality row c_u'u + c_s's >= (h + G x)' lambda
+    ("primal-dual") when every column that U(x) depends on is binary in the
+    model (binary_coupling), so that its products with lambda are enveloped
+    exactly, and with the linearized complementarities ("kkt") otherwise.
+    The strong-duality row needs no binary per row and column of U, and its
+    only big-M is the bound on the lambda of coupled rows, which the KKT
+    block needs too. A block at one first stage is this block with the x
+    columns fixed, and the KKT max-min (solve_maxmin_kkt) is the block of
+    its inner LP over its outer columns.
 
     The primal side (u, the row slacks, their products with x) is bounded
     by M, the dual side (lambda, the reduced costs, their products with x)
-    by M_d = max(M, 2 ||c||_1 kappa), with c the cost row and kappa the
-    largest entry of |F0| + sum_k |Fk|.
+    by M_d = dual_bound(U, cost_row, M).
     """
-    if representation not in (None, "kkt", "primal-dual"):
-        raise ValueError(f"unknown representation {representation!r}")
-    require_binary_terms(inst)
-    binary = _couples_only_binary(inst)
-    if representation == "primal-dual" and not binary:
-        raise ValueError("primal-dual block needs binary first-stage "
-                         "components wherever G couples them to the set")
-    representation = representation or ("primal-dual" if binary else "kkt")
-    U = inst.U
+    representation = "primal-dual" if binary_coupling(model, U, x_ids) else "kkt"
     mu, n = U.n_rows, U.dim
-    if cost_row is None:
-        cost_row = np.concatenate([-(inst.Y.E.T @ np.asarray(beta, dtype=float)), np.zeros(mu)])
     c_struct, c_slack = np.split(np.asarray(cost_row, dtype=float), [n])
     u_ids = model.add_vars(n)
     # the dual needs lam_i >= c_slack_i only; a perturbed slack cost is
@@ -515,11 +493,6 @@ def dual_bound(U: UncertaintySet, cost_row: np.ndarray, M: float) -> float:
     other F kappa is an empirical scale, not a proof."""
     kappa = np.max(np.abs(U.F.base) + sum(np.abs(Fk) for _, Fk in U.F.terms), initial=0.0)
     return max(M, 2.0 * float(np.abs(cost_row).sum()) * float(kappa))
-
-
-def _couples_only_binary(inst: Instance) -> bool:
-    """Every first-stage component that U(x) depends on is binary."""
-    return all(_is_binary(inst, k) for k in inst.U.coupled_columns)
 
 
 # -- uniqueness perturbation ------------------------------------------

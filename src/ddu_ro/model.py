@@ -304,10 +304,10 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
     product x_k u_j (affine_blocks), exact for binary x_k and u_j <= M; a
     dependence on any other component raises ValueError.
     """
-    require_binary_terms(inst)
     m = LinearModel(name=f"{inst.name}_det")
     U = inst.U
     x_ids = add_first_stage(m, inst)
+    binary_coupling(m, U, x_ids)
     u_ids = m.add_vars(U.dim, integer=np.arange(U.dim) < U.n_int_u)
     y_ids = add_recourse_vars(m, inst.Y)
     m.add_rows(affine_blocks(m, U.F, u_ids, x_ids, M, {}) + [(x_ids, -U.G)], LEQ, U.h)
@@ -325,13 +325,17 @@ def _is_binary(inst: Instance, k: int) -> bool:
             and inst.X.ub[k] <= 1.0 + 1e-9)
 
 
-def require_binary_terms(inst: Instance) -> None:
-    """Raise ValueError unless every x_k that F(x) depends on is binary,
-    which the exact envelopes of x_k times a column need."""
-    if not all(_is_binary(inst, k) for k, _ in inst.U.F.terms):
-        raise ValueError(
-            "matrix dependence on non-binary first-stage components has "
-            "no exact master linearization")
+def binary_coupling(model: LinearModel, U: UncertaintySet, x_ids: list[int]) -> bool:
+    """Whether every column x_ids[k] that U(x) depends on is binary in model
+    (integer with bounds inside [0, 1]); ValueError unless every one that
+    F(x) depends on is, which the exact envelopes of x_k times a column
+    need."""
+    lb, ub, integer = (a[np.asarray(x_ids, dtype=np.int64)] for a in model.columns())
+    binary = integer & (lb >= -1e-9) & (ub <= 1.0 + 1e-9)
+    if not all(binary[k] for k, _ in U.F.terms):
+        raise ValueError("matrix dependence on non-binary first-stage components "
+                         "has no exact master linearization")
+    return bool(binary[U.coupled_columns].all())
 
 
 def _envelope(M: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:

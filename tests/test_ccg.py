@@ -729,22 +729,14 @@ def test_master_stays_valid_for_a_vertex_seed_beyond_big_M(variant):
     assert out.objective <= best.value + 1e-6 * abs(best.value)
 
 
-def _force_representation(monkeypatch, representation: str) -> None:
-    real = ccg.build_optimality_block
-
-    def build(*args, **kwargs):
-        kwargs["representation"] = representation
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ccg, "build_optimality_block", build)
-
-
 @pytest.mark.parametrize("variant", ["benders", "parametric"])
-def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant, monkeypatch):
+def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant):
     # U(x) of ddu_uk couples only the binary site decisions, so the seeds
     # enter by the strong-duality row and the master keeps the integers of
-    # X alone; both block forms pin the same worst cases, so with the sites
-    # fixed the master values agree, the seed priced beyond big_M included
+    # X alone; with the site columns declared continuous the blocks take
+    # the KKT form instead. Both forms pin the same worst cases, so with the
+    # sites fixed the master values agree, the seed priced beyond big_M
+    # included
     inst = _pm5_uk()
     best = oracle_exact(inst)
     source = run(inst, AlgorithmConfig(variant=variant))
@@ -752,16 +744,17 @@ def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant, monkeypa
     seeds = source.meta["point_seeds"] + [_seed_pricing_site_4(inst, best.x)]
     sites = [best.x[:5], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]]
 
-    def master_values(representation: str | None) -> list[float]:
-        if representation is not None:
-            _force_representation(monkeypatch, representation)
-        state = MasterState(inst, AlgorithmConfig(variant=variant))
+    def master_values(representation: str) -> list[float]:
+        n_int = inst.X.n_int if representation == "primal-dual" else 0
+        state = MasterState(replace(inst, X=replace(inst.X, n_int=n_int)),
+                            AlgorithmConfig(variant=variant))
         model = _replay(state, seeds)
         assert len(state.blocks) == len(state.point_seeds)
-        reps = {blk.representation for blk in state.blocks.values()}
-        assert reps == {representation or "primal-dual"}
-        n_int = sum(v.integer for v in model.vars)
-        assert (n_int == inst.X.n_int) == (representation is None)
+        assert {blk.representation for blk in state.blocks.values()} == {representation}
+        # the strong-duality row adds no integer column, the KKT block its
+        # switches
+        added = sum(v.integer for v in model.vars) - n_int
+        assert (added > 0) == (representation == "kkt")
         values = []
         for open_sites in sites:
             fixed = copy.deepcopy(model)
@@ -772,7 +765,7 @@ def test_primal_dual_and_kkt_blocks_give_the_same_master_value(variant, monkeypa
             values.append(out.objective)
         return values
 
-    by_default = master_values(None)
+    by_default = master_values("primal-dual")
     by_kkt = master_values("kkt")
     assert by_default == pytest.approx(by_kkt, rel=1e-6)
     assert by_default[0] <= best.value + 1e-6 * abs(best.value)
@@ -1123,14 +1116,27 @@ def test_a_value_error_in_a_subproblem_leaves_run(monkeypatch):
         run(_diu_box(), AlgorithmConfig(variant="parametric"))
 
 
-def test_m_too_small_ends_numerical():
-    # fl_mip3 at big_M 1e4: sp4's optimality system is infeasible in the
-    # first iteration, which used to raise out of run
+def test_m_too_small_ends_numerical(monkeypatch):
+    # fl_mip3 with the KKT MIPs' dual side capped at 1: sp4's optimality
+    # system is infeasible in the first iteration, which used to raise out
+    # of run
+    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row, M: 1.0)
     res = run(gen_mip_recourse_fl(FLParams(**FL_MIP3)),
               AlgorithmConfig(mip_recourse_mode=True, big_M=1e4))
     assert res.status == "Numerical" and "M too small" in res.meta["reason"]
     assert res.lb == res.meta["relaxation_value"] and res.ub == np.inf
     assert res.x is None
+
+
+@pytest.mark.parametrize("seed, value", [(0, -82822.169), (1, -71083.896)],
+                         ids=["s0", "s1"])
+def test_fl_mip3_is_optimal_at_the_default_big_m(seed, value):
+    # sp4's KKT MIP bounds its dual side by dual_bound, as the masters'
+    # blocks do; with the dual side at big_M 1e4 it ended Numerical "M too
+    # small" before the first iteration
+    res = run(gen_mip_recourse_fl(FLParams(**{**FL_MIP3, "seed": seed})),
+              AlgorithmConfig(mip_recourse_mode=True, big_M=1e4))
+    assert res.status == "Optimal" and res.objective == pytest.approx(value, rel=1e-6)
 
 
 def test_every_solve_gets_no_more_than_the_time_the_run_has_left(monkeypatch):
@@ -1303,6 +1309,10 @@ def test_config_rejects_bad_combinations():
             AlgorithmConfig(variant="basis", cut_mode=cut_mode)
     with pytest.raises(ValueError, match="tol"):
         AlgorithmConfig(tol=-1.0)
+    # a cap below one iteration used to run one and report "iteration cap"
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            AlgorithmConfig(max_iterations=cap)
     with pytest.raises(ValueError, match="diu_approx"):
         run(gen_reliable_pmedian(PMedianParams(**PM4), "diu_u0"),
             AlgorithmConfig(variant="parametric"))
@@ -1422,7 +1432,7 @@ def test_basis_and_optimality_blocks_share_the_dual_bound():
     lp = maxmin.lp_parametric(inst, x, beta)
 
     m = backend.LinearModel()
-    maxmin.build_optimality_block(m, inst, beta, add_first_stage(m, inst), M=M)
+    maxmin.build_optimality_block(m, inst.U, lp.cost_row, add_first_stage(m, inst), M)
     ub = m.columns()[1][inst.dim_x:]
     (M_d,) = set(ub[np.isfinite(ub)])
     assert M_d == pytest.approx(3e4, rel=1e-9)

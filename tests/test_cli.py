@@ -67,8 +67,6 @@ def test_solve_subproblem_time_limit_exits_three(t1_path, tmp_path, monkeypatch)
 
 @pytest.fixture
 def fl_mip3_path(tmp_path):
-    # sp4 finds big_M 1e4 too small in the first iteration, so the run ends
-    # Numerical
     from ddu_ro.instances import FLParams, gen_mip_recourse_fl
     path = tmp_path / "fl_mip3.json"
     io_write(str(path), gen_mip_recourse_fl(FLParams(
@@ -76,21 +74,30 @@ def fl_mip3_path(tmp_path):
     return str(path)
 
 
-def test_solve_numerical_exits_one_with_the_run(fl_mip3_path, tmp_path):
-    out = str(tmp_path / "num")
-    assert cli.main(["solve", fl_mip3_path, "--mip-recourse", "--out", out]) == 1
-    payload = json.loads(Path(out, "run.json").read_text())
-    assert payload["status"] == "Numerical" and "M too small" in payload["meta"]["reason"]
-    assert payload["lb"] is not None and payload["ub"] is None
-
-
-def test_solve_prints_only_its_summary_line(tmp_path, capfd):
-    # HiGHS prints a line of its own with a raw printf during this run's
-    # MIPs; stdout must still hold the summary alone
+@pytest.fixture
+def fl_rhs5_path(tmp_path):
     from ddu_ro.instances import FLParams, gen_robust_fl
     path = tmp_path / "fl_rhs5.json"
     io_write(str(path), gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"))
-    code = cli.main(["solve", str(path), "--variant", "benders",
+    return str(path)
+
+
+def test_solve_numerical_exits_one_with_the_run(fl_rhs5_path, tmp_path):
+    # benders at big_M 1e6 ends Numerical: sp2's max-min value and its
+    # vertex-dual audit LP differ by ~19 (an open defect)
+    out = str(tmp_path / "num")
+    assert cli.main(["solve", fl_rhs5_path, "--variant", "benders", "--big-m", "1e6",
+                     "--out", out]) == 1
+    payload = json.loads(Path(out, "run.json").read_text())
+    assert payload["status"] == "Numerical"
+    assert "differs from the LP value" in payload["meta"]["reason"]
+    assert payload["lb"] is not None and payload["ub"] is None
+
+
+def test_solve_prints_only_its_summary_line(fl_rhs5_path, tmp_path, capfd):
+    # HiGHS prints a line of its own with a raw printf during this run's
+    # MIPs; stdout must still hold the summary alone
+    code = cli.main(["solve", fl_rhs5_path, "--variant", "benders",
                      "--out", str(tmp_path / "art")])
     assert code == 0
     lines = capfd.readouterr().out.splitlines()
@@ -104,14 +111,16 @@ def test_pareto_in_an_approximation_loop_exits_one(fl_mip3_path, tmp_path, capsy
     assert not (tmp_path / "run.json").exists()
 
 
-def test_compare_exits_one_when_every_variant_fails(fl_mip3_path, tmp_path):
-    # the mixed-integer scheme runs only on the parametric master
-    code = cli.main(["compare", fl_mip3_path, "--variants", "parametric,benders",
-                     "--mip-recourse", "--out", str(tmp_path)])
+def test_compare_exits_one_when_every_variant_fails(fl_rhs5_path, tmp_path):
+    # benders at big_M 1e6 ends Numerical on sp2's audit (the open defect of
+    # the test above), and basis refuses fl-rhs's continuous coupled
+    # capacities
+    code = cli.main(["compare", fl_rhs5_path, "--variants", "benders,basis",
+                     "--big-m", "1e6", "--out", str(tmp_path)])
     assert code == 1
     rows = (tmp_path / "compare.csv").read_text().strip().splitlines()[1:]
-    assert [r.split(",")[:2] for r in rows] == [["parametric", "Numerical"],
-                                                ["benders", "Error"]]
+    assert [r.split(",")[:2] for r in rows] == [["benders", "Numerical"],
+                                                ["basis", "Error"]]
 
 
 def test_bad_flags_exit_sixty_four(t1_path, capsys):
@@ -130,6 +139,14 @@ def test_both_approximation_loops_exit_one(t1_path, tmp_path, capsys):
 def test_solve_flag_defaults_are_the_config_defaults():
     args = cli._build_parser().parse_args(["solve", "inst.json"])
     assert cli._config_from(args) == cli.AlgorithmConfig()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_an_iteration_cap_below_one_exits_one(cap, t1_path, tmp_path, capsys):
+    assert cli.main(["solve", t1_path, "--max-iterations", cap,
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: max_iterations must be at least 1")
+    assert not (tmp_path / "run.json").exists()
 
 
 def test_missing_file_exits_one(capsys):

@@ -446,6 +446,16 @@ def test_schema_rejects_out_of_range_triplets():
         check_schema(d)
 
 
+def test_a_file_with_two_triplets_at_one_entry_is_refused(tmp_path):
+    # reading kept the last of the two, so F read back as [[1.]]
+    d = instance_to_dict(t1())
+    d["U"]["F"]["base"]["triplets"] = [[0, 0, 5.0], [0, 0, 1.0]]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SchemaError, match=r"two triplets at \(0,0\) at \$\.U\.F\.base"):
+        io_read(str(path))
+
+
 def test_oracle_refuses_oversized_enumerations():
     fp = FLParams(n_sites=3, seed=5, capacity_lower_frac=1.5,
                   capacity_upper_frac=1.5)

@@ -26,7 +26,7 @@ from ddu_ro.maxmin import (
     solve_maxmin_kkt,
 )
 from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
-                          add_first_stage, uncertainty_set_from_dict)
+                          add_first_stage, build_deterministic_mip, uncertainty_set_from_dict)
 from ddu_ro.subproblems import sp1, sp2
 
 
@@ -151,22 +151,28 @@ def block_membership_gap(inst: Instance, x: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(resid)) if resid.size else 0.0
 
 
-def _fixed_first_stage(inst: Instance, x) -> tuple[LinearModel, list[int]]:
-    # a model holding the first stage of inst with every column fixed at x
+def _fixed_first_stage(inst: Instance, x, representation: str | None = None
+                       ) -> tuple[LinearModel, list[int]]:
+    # a model whose first-stage columns are fixed at x, integer unless
+    # representation is "kkt", whose block the continuous columns get
     m = LinearModel()
-    x_ids = add_first_stage(m, inst)
-    m.set_bounds(x_ids, x, x)
+    x_ids = m.add_vars(inst.dim_x, x, x, integer=representation != "kkt")
     return m, x_ids
+
+
+def _seed_row(inst: Instance, beta) -> np.ndarray:
+    # the cost row (-E' beta, 0) that a dual seed's block pins
+    return np.concatenate([-(inst.Y.E.T @ np.asarray(beta, dtype=float)),
+                           np.zeros(inst.U.n_rows)])
 
 
 @pytest.mark.parametrize("representation", ["kkt", "primal-dual"])
 def test_block_projection_stays_in_the_set(representation):
     inst = t1()
     for M in (10.0, 100.0, 10000.0):
-        m, x_ids = _fixed_first_stage(inst, [1.0])
-        blk = build_optimality_block(m, inst, beta=np.array([1.0]),
-                                     representation=representation, M=M,
-                                     x_ids=x_ids)
+        m, x_ids = _fixed_first_stage(inst, [1.0], representation)
+        blk = build_optimality_block(m, inst.U, _seed_row(inst, [1.0]), x_ids, M)
+        assert blk.representation == representation
         for sense in ("min", "max"):
             m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
             out = backend.solve_mip(m)
@@ -177,9 +183,9 @@ def test_block_projection_stays_in_the_set(representation):
 
 def test_block_with_zero_beta_admits_every_point():
     inst = t1()
-    m, x_ids = _fixed_first_stage(inst, [1.0])
-    blk = build_optimality_block(m, inst, beta=np.array([0.0]),
-                                 representation="kkt", M=100.0, x_ids=x_ids)
+    m, x_ids = _fixed_first_stage(inst, [1.0], "kkt")
+    blk = build_optimality_block(m, inst.U, _seed_row(inst, [0.0]), x_ids, 100.0)
+    assert blk.representation == "kkt"
     m.set_objective({blk.u_ids[0]: 1.0}, sense="max")
     hi = backend.solve_mip(m).objective
     m.set_objective({blk.u_ids[0]: 1.0}, sense="min")
@@ -189,9 +195,11 @@ def test_block_with_zero_beta_admits_every_point():
 
 
 def test_block_diu_matches_enumerated_argmax():
-    # decision-independent set: block must reproduce the enumerated argmax
+    # decision-independent set at x = 0: the KKT block must reproduce the
+    # enumerated argmax; row 0 couples the continuous x, fixed at 0, so that
+    # the block takes "kkt"
     F = np.vstack([np.ones((1, 2)), np.eye(2)])
-    U = UncertaintySet(F=AffineMatrixMap(base=F), G=np.zeros((3, 1)),
+    U = UncertaintySet(F=AffineMatrixMap(base=F), G=[[1.0], [0.0], [0.0]],
                        h=np.array([1.0, 1.0, 1.0]))
     base = t1()
     Y = type(base.Y)(B1=np.zeros((2, 1)), B2=np.eye(2), E=-np.eye(2),
@@ -200,9 +208,9 @@ def test_block_diu_matches_enumerated_argmax():
     beta = np.array([1.0, 0.25])
     verts = enumerate_vertices(U, np.array([0.0]))
     best_u = max(verts, key=lambda v: float(-(Y.E @ v) @ beta))
-    m, x_ids = _fixed_first_stage(inst, [0.0])
-    blk = build_optimality_block(m, inst, beta=beta, representation="kkt",
-                                 M=100.0, x_ids=x_ids)
+    m, x_ids = _fixed_first_stage(inst, [0.0], "kkt")
+    blk = build_optimality_block(m, U, _seed_row(inst, beta), x_ids, 100.0)
+    assert blk.representation == "kkt"
     m.set_objective({})
     out = backend.solve_mip(m)
     u = np.array([out.x[j] for j in blk.u_ids])
@@ -220,8 +228,7 @@ def test_block_rejects_continuous_matrix_dependence_in_master():
     m = LinearModel()
     x_ids = m.add_vars(1, 0.0, 1.0)
     with pytest.raises(ValueError, match="binary"):
-        build_optimality_block(m, inst, beta=np.array([1.0]), M=10.0,
-                               x_ids=x_ids)
+        build_optimality_block(m, inst.U, _seed_row(inst, [1.0]), x_ids, 10.0)
 
 
 def test_perturbation_rules():
@@ -258,10 +265,8 @@ def test_ensure_unique_optimum_isolates_a_vertex():
     # beta = 0 leaves every u in [0,2] optimal; a block of the perturbed
     # cost row, of either form, collapses to exactly the solver's vertex
     for representation in (None, "kkt"):
-        m, x_ids = _fixed_first_stage(inst, [1.0])
-        blk = build_optimality_block(m, inst, beta=np.array([0.0]),
-                                     representation=representation, M=100.0,
-                                     cost_row=c_hat, x_ids=x_ids)
+        m, x_ids = _fixed_first_stage(inst, [1.0], representation)
+        blk = build_optimality_block(m, inst.U, c_hat, x_ids, 100.0)
         assert blk.representation == (representation or "primal-dual")
         us = []
         for sense in ("min", "max"):
@@ -285,10 +290,8 @@ def test_a_perturbed_slack_cost_pins_the_vertex_at_each_first_stage(representati
     # lambda_0 sits at its lower bound -1e-4
     inst = _capped_at_one_and_a_half()
     for x, u_star in ((0.0, 1.0), (1.0, 1.5)):
-        m, x_ids = _fixed_first_stage(inst, [x])
-        blk = build_optimality_block(m, inst, beta=np.zeros(1), x_ids=x_ids, M=100.0,
-                                     representation=representation,
-                                     cost_row=np.array([0.0, -1e-4, 0.0]))
+        m, x_ids = _fixed_first_stage(inst, [x], representation)
+        blk = build_optimality_block(m, inst.U, np.array([0.0, -1e-4, 0.0]), x_ids, 100.0)
         assert blk.representation == (representation or "primal-dual")
         us = []
         for sense in ("min", "max"):
@@ -319,11 +322,9 @@ def test_block_representation_follows_the_coupling(make, perturbed, expected):
     inst = make()
     beta = np.ones(inst.Y.n_rows)
     cost_row = (ensure_unique_optimum(inst, _open_sites(inst, (0, 3, 5)), beta)[1]
-                if perturbed else None)
+                if perturbed else _seed_row(inst, beta))
     m = LinearModel()
-    x_ids = add_first_stage(m, inst)
-    blk = build_optimality_block(m, inst, beta=beta, M=100.0, cost_row=cost_row,
-                                 x_ids=x_ids)
+    blk = build_optimality_block(m, inst.U, cost_row, add_first_stage(m, inst), 100.0)
     assert blk.representation == expected
     added = sum(v.integer for v in m.vars) - inst.X.n_int
     assert added == (0 if expected == "primal-dual" else inst.U.n_rows + inst.U.dim)
@@ -350,7 +351,7 @@ def test_the_dual_side_bound_scales_with_the_cost_row_and_f(make, norm_c):
     else:
         assert two_c < M < M_d
     m = LinearModel()
-    blk = build_optimality_block(m, inst, beta, add_first_stage(m, inst), M=M)
+    blk = build_optimality_block(m, inst.U, _seed_row(inst, beta), add_first_stage(m, inst), M)
     _, ub, integer = m.columns()
     if blk.representation == "kkt":
         # each switch column holds its pair's two bounds: lam_i <= M_d delta
@@ -364,6 +365,43 @@ def test_the_dual_side_bound_scales_with_the_cost_row_and_f(make, norm_c):
     else:
         # the products x_k lam_i of the strong-duality row are capped at M_d
         assert blk.representation == "primal-dual" and M_d in ub
+
+
+def _fl_mip3_relaxed_sp2() -> MaxMinProblem:
+    # sp2 of fl_mip3 s0, its recourse relaxed, at the first stage of the
+    # deterministic relaxation
+    inst = gen_mip_recourse_fl(FLParams(n_sites=3, seed=0, capacity_lower_frac=1.5,
+                                        capacity_upper_frac=1.5))
+    det, ids = build_deterministic_mip(inst)
+    return maxmin_from_instance(inst, backend.solve_mip(det).x[ids["x"]])
+
+
+def test_the_kkt_max_min_bounds_its_dual_side_like_a_block(monkeypatch):
+    # the KKT MIP is its inner LP's optimality block, so its switch columns
+    # hold (-M_d, M) for the (pi, slack) pairs and (-M, M_d) for the (y,
+    # reduced cost) pairs, M_d = 2 ||c2||_1 max|B2| ~ 7.5e5 at big_M 1e5
+    problem, M = _fl_mip3_relaxed_sp2(), 1e5
+    M_d = 2.0 * np.abs(problem.c_y).sum() * np.abs(problem.B_y).max()
+    assert M_d == pytest.approx(7.5e5, rel=1e-3)
+    models = []
+    real = backend.solve_mip
+    monkeypatch.setattr(backend, "solve_mip", lambda m, **kw: models.append(m) or real(m, **kw))
+    solve_maxmin_kkt(problem, M=M)
+    (m,) = models
+    integer = m.columns()[2]
+    A = m.sparse()[0].tocsc()
+    pairs = [A[:, [j]].data for j in np.flatnonzero(integer)[problem.n_int_out:]]
+    m_rows, ny = problem.B_y.shape
+    assert np.array(pairs) == pytest.approx(
+        np.array([[-M_d, M]] * m_rows + [[-M, M_d]] * ny), rel=1e-12)
+
+
+def test_a_kkt_max_min_cut_off_by_its_dual_bound_says_m_too_small(monkeypatch):
+    # with the dual side capped at 1 no dual point of fl_mip3's recourse
+    # fits, so the KKT MIP is infeasible over an outer set that is not
+    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row, M: 1.0)
+    with pytest.raises(BackendError, match="M too small"):
+        solve_maxmin_kkt(_fl_mip3_relaxed_sp2())
 
 
 # -- the product route on sets with integral vertices ---------------------------

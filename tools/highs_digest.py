@@ -1,11 +1,11 @@
 """One digest of every model HiGHS receives on the timed benchmark operations.
 
-Runs each timed operation of the pmedian and facility workloads
-(perfbench/workloads.py, known defects left out) at instance seeds 0 and 1,
-and hashes the arguments of every backend.linprog and backend.milp call: the
-objective, the constraint matrix as a canonical CSR (duplicates summed,
-indices sorted), the row bounds, the column bounds, the integrality and the
-options other than time_limit, which follows the wall clock. It prints each
+Runs each timed operation of every workload (perfbench/workloads.py:
+pmedian, facility and oracle, known defects left out) at instance seeds 0
+and 1, and hashes the arguments of every backend.linprog and backend.milp
+call: the objective, the constraint matrix as a canonical CSR (duplicates
+summed, indices sorted), the row bounds, the column bounds, the integrality
+and the options other than time_limit, which follows the wall clock. It prints each
 operation's status, objective, iteration count, number of solves and one
 digest over its own solves in call order, then the number of solves and one
 digest over all of them.
@@ -108,7 +108,7 @@ class Recorder:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workloads", nargs="+", default=["pmedian", "facility"],
+    ap.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
                     choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
     args = ap.parse_args(argv)
