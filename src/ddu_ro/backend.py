@@ -27,6 +27,15 @@ SolveTimeLimit when the deadline has passed before the call or HiGHS stops on
 its limit. A nested block keeps whichever deadline comes first. Outside any
 block HiGHS gets no time limit.
 
+Big-M. A run's big-M is held here the same way: inside ``with big_m(M):``
+current_big_m() is M, the innermost block winning, and DEFAULT_BIG_M
+outside every block. Six builders read it, each where it writes an
+M-bounded row: maxmin._product_mip (pi <= M), maxmin.build_optimality_block
+(the primal side), maxmin.dual_bound (its floor under the dual side),
+ccg._add_basis_seed (the u x products), model.build_deterministic_mip (the
+u x products) and reformulations.order_switch (the lambda cap). A bound
+that differs per product is an argument of the envelope writers instead.
+
 solve_lp reports the status, objective and solution of an LP, no duals: the
 algorithms that need dual values take them from a dual LP of their own or
 from a basis (maxmin).
@@ -100,6 +109,30 @@ def deadline(seconds: float) -> Iterator[None]:
         yield
     finally:
         _DEADLINE.reset(token)
+
+
+# the big-M of a run outside every big_m block: AlgorithmConfig's and the CLI's
+DEFAULT_BIG_M = 1e4
+_BIG_M: ContextVar[float] = ContextVar("ddu_ro_big_m", default=DEFAULT_BIG_M)
+
+
+@contextmanager
+def big_m(M: float) -> Iterator[None]:
+    """Make M the big-M of the builders inside the block (module docstring);
+    ValueError unless M is finite and positive."""
+    M = float(M)
+    if not 0.0 < M < np.inf:
+        raise ValueError(f"big-M must be finite and positive, got {M}")
+    token = _BIG_M.set(M)
+    try:
+        yield
+    finally:
+        _BIG_M.reset(token)
+
+
+def current_big_m() -> float:
+    """The big-M of the innermost enclosing big_m block, else DEFAULT_BIG_M."""
+    return _BIG_M.get()
 
 
 # the records of the read-only views LinearModel.vars and LinearModel.constrs

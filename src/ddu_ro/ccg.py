@@ -62,13 +62,15 @@ class AlgorithmConfig:
 
     cut_mode None picks the variant default: split for benders (its cuts are
     scalar rows with nothing to unify), unified for the replicate masters.
-    The basis variant's cutting sets have no cut mode.
+    The basis variant's cutting sets have no cut mode. run holds big_M in
+    backend for the run's length (backend.big_m), as it holds time_limit_s
+    (backend.deadline); an infinite time_limit_s sets no limit.
     """
 
     variant: str = "parametric"
     tol: float = 1e-3
     time_limit_s: float = 3600.0
-    big_M: float = 1e4
+    big_M: float = backend.DEFAULT_BIG_M
     cut_mode: str | None = None
     pareto: bool = False
     mip_recourse_mode: bool = False
@@ -84,10 +86,13 @@ class AlgorithmConfig:
             raise ValueError("scalar dual cuts have no recourse replicate to unify")
         if self.variant == "basis" and self.cut_mode is not None:
             raise ValueError("basis cutting sets have no cut_mode")
-        if self.tol < 0:
+        # written so that nan fails each test
+        if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
-        if self.big_M <= 0 or self.time_limit_s <= 0:
-            raise ValueError("big_M and time_limit_s must be positive")
+        if not 0 < self.big_M < np.inf:
+            raise ValueError("big_M must be finite and positive")
+        if not self.time_limit_s > 0:
+            raise ValueError("time_limit_s must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -108,7 +113,9 @@ class MasterState:
     Variable and row ids are append-only, so blocks added in iteration t can
     keep referencing the first-stage columns of iteration zero.  ou_sets, when
     given, replaces the instance's own uncertainty set in every optimality
-    block: each point seed then gets one block per listed set.
+    block: each point seed then gets one block per listed set. The blocks
+    read the big-M that backend holds (backend.big_m), not config.big_M,
+    which run puts there.
 
     solve() values the master over X's integer lattice (the first stages of
     instances.lattice_first_stages) while the instance allows it: no
@@ -204,7 +211,8 @@ class MasterState:
         [F(x) | I] for "basis".  cost_row, a standard-form row over (u,
         slacks), scales the dual bound (dual_bound): for a dual seed it is
         the objective the optimality blocks pin, by default (-E' seed, 0),
-        for a basis the parametric LP's, without which the bound is big_M."""
+        for a basis the parametric LP's, without which the bound is the
+        run's big-M."""
         if self.config.variant == "basis":
             return _add_basis_seed(self, seed, cost_row)
         return _add_dual_seed(self, seed, is_ray, cost_row)
@@ -270,7 +278,7 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
         tag = base_tag if state.ou_sets is None else f"{base_tag}s{li}"
         row = (np.concatenate([-(Y.E.T @ beta), np.zeros(U_l.n_rows)])
                if cost_row is None else cost_row)
-        blk = build_optimality_block(state.model, U_l, row, state.x_ids, cfg.big_M)
+        blk = build_optimality_block(state.model, U_l, row, state.x_ids)
         eta = [] if is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
         if cfg.variant == "benders":
             state.model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
@@ -297,21 +305,21 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
     of x with u or lam, which appear whenever the set's shape follows x, are
     enveloped; MasterState has already rejected non-binary coupled x.
 
-    The primal side (the products of x with u) is bounded by big_M.  The
-    dual side (the deviation penalty, the box on lam and the products of x
-    with lam) is bounded by M_d = dual_bound(U, cost_row, big_M), the bound
-    an optimality block of the same seed puts on its lam, cost_row being
-    the standard-form cost row (-E' beta, 0) of the parametric LP that gave
-    the basis.  A unit deviation of row i moves the recourse cost by up to
-    the basis's dual lam_i, so the penalty is exact where the recourse
-    duals stay within the seed's scale.  Without cost_row M_d is big_M.
+    The primal side (the products of x with u) is bounded by the run's
+    big-M M (backend.current_big_m).  The dual side (the deviation penalty,
+    the box on lam and the products of x with lam) is bounded by M_d =
+    dual_bound(U, cost_row), the bound an optimality block of the same seed
+    puts on its lam, cost_row being the standard-form cost row (-E' beta, 0)
+    of the parametric LP that gave the basis.  A unit deviation of row i
+    moves the recourse cost by up to the basis's dual lam_i, so the penalty
+    is exact where the recourse duals stay within the seed's scale.  Without
+    cost_row M_d is M.
     """
-    inst, cfg = state.inst, state.config
+    inst = state.inst
     U, Y = inst.U, inst.Y
     n, mu = U.dim, U.n_rows
     model, x_ids = state.model, state.x_ids
-    M = cfg.big_M
-    M_d = M if cost_row is None else dual_bound(U, cost_row, M)
+    M, M_d = backend.current_big_m(), dual_bound(U, cost_row)
 
     coupled = U.coupled_columns
     tag = f"b{len(state.basis_seeds)}"
@@ -443,7 +451,7 @@ def run(inst: Instance, config: AlgorithmConfig | None = None) -> RunResult:
     if config.pareto and mode != "exact":
         raise ValueError("the Pareto seed selection runs in the exact loop only, "
                          f"not in the {mode} approximation loop")
-    with backend.deadline(config.time_limit_s):
+    with backend.deadline(config.time_limit_s), backend.big_m(config.big_M):
         return _ccg_loop(inst, config, mode, ddu_sets)
 
 
@@ -515,7 +523,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     try:
         # the deterministic relaxation settles infeasibility up front, floors the
         # first bound, and anchors the stabilized cut selection
-        det_model, det_ids = build_deterministic_mip(inst, config.big_M)
+        det_model, det_ids = build_deterministic_mip(inst)
         det = backend.solve_mip(det_model)
         if det.status == backend.INFEASIBLE:
             meta["reason"] = "deterministic relaxation infeasible"
@@ -525,8 +533,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                                "the robust value has no finite floor")
         x0 = np.array([det.x[j] for j in det_ids["x"]])
         meta["relaxation_value"] = lb = float(det.objective)
-        eta_floor = _eta_floor(inst, float(det.objective if det.bound is None else det.bound),
-                               config.big_M)
+        eta_floor = _eta_floor(inst, float(det.objective if det.bound is None else det.bound))
         if -np.inf < eta_floor < _ETA_LB:
             state.model.set_bounds(state.eta_id, eta_floor, np.inf)
 
@@ -583,12 +590,12 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             seen_x.append(x_star)
 
             step = "feasibility subproblem"
-            r1 = sp1(inst, x_star, M=config.big_M)
+            r1 = sp1(inst, x_star)
 
             if r1.value <= feas_tol:
                 step = "worst-case subproblem"
                 solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
-                r2 = solve_sp2(inst, x_star, M=config.big_M)
+                r2 = solve_sp2(inst, x_star)
 
                 if mode == "mip":
                     step = "exact recourse"
@@ -597,7 +604,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
                     if y_full is not None:
                         step = "frozen-recourse subproblem"
                         y_d = np.round(y_full[:inst.Y.n_int_y])
-                        s4 = sp4(inst, x_star, y_d, M=config.big_M)
+                        s4 = sp4(inst, x_star, y_d)
                         if np.isfinite(s4.value) and float(inst.c1 @ x_star) + s4.value < ub:
                             ub = float(inst.c1 @ x_star) + s4.value
                             incumbent = x_star
@@ -643,11 +650,11 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         return done("Numerical")
 
 
-def _eta_floor(inst: Instance, relaxation: float, M: float = 1e4) -> float:
+def _eta_floor(inst: Instance, relaxation: float) -> float:
     """A lower bound on eta at every first stage: min(_ETA_LB, relaxation -
     max{c1'x : x in the LP relaxation of X}), since c1'x + Q(x) >=
     relaxation at every x of X.  Where that max is unbounded, min(_ETA_LB,
-    min{c2'y : (x, u, y) in the deterministic relaxation at big-M M}),
+    min{c2'y : (x, u, y) in the deterministic relaxation}),
     since Q(x) is the recourse value at some u of U(x); -inf when that
     minimum does not exist either."""
     m = LinearModel(name="first_stage_max")
@@ -658,7 +665,7 @@ def _eta_floor(inst: Instance, relaxation: float, M: float = 1e4) -> float:
         return min(_ETA_LB, relaxation - out.objective)
     if out.status != backend.UNBOUNDED:
         raise BackendError(f"first_stage_max ended {out.status}")
-    det, ids = build_deterministic_mip(inst, M)
+    det, ids = build_deterministic_mip(inst)
     det.name = "recourse_min"
     det.set_objective(dict(zip(ids["y"], inst.Y.c2)), "min")
     rec = backend.solve_mip(det)

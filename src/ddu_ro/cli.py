@@ -13,7 +13,6 @@ never leave half-written JSON or CSV behind. Exit codes are a contract:
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
@@ -31,7 +30,6 @@ from .reformulations import neutralize, normalize, order_switch
 
 _AGREE_TOL = 1e-5
 _DEFAULTS = AlgorithmConfig()
-_SWITCH_BIG_M = inspect.signature(order_switch).parameters["big_M"].default
 
 
 class _UsageError(Exception):
@@ -90,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hi-cols", default=None,
                    help="comma list: first-stage columns of the upper ends")
     p.add_argument("--binary-vertices", action="store_true")
-    p.add_argument("--big-m", type=float, default=_SWITCH_BIG_M,
+    p.add_argument("--big-m", type=float, default=backend.DEFAULT_BIG_M,
                    help="linearization constant (default %(default)s)")
     p.add_argument("--force-upper-bound", action="store_true")
     p.add_argument("--out", default=None, help="output file path")
@@ -226,9 +224,9 @@ def cmd_convert(args) -> int:
             print("order-switch needs metadata.E_hat (cost tilt matrix)",
                   file=sys.stderr)
             return 1
-        out = order_switch(inst, np.asarray(inst.metadata["E_hat"], dtype=float),
-                           big_M=args.big_m,
-                           force_upper_bound=args.force_upper_bound)
+        with backend.big_m(args.big_m):
+            out = order_switch(inst, np.asarray(inst.metadata["E_hat"], dtype=float),
+                               force_upper_bound=args.force_upper_bound)
         sol = backend.solve_mip(out.model)
         payload = {"kind": out.kind, "status": sol.status,
                    "objective": None if sol.objective is None

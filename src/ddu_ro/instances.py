@@ -907,20 +907,20 @@ def _sorting_part(p, c, dem, cap, by_j, xc, nx, meta, pair):
     columns, q and the big-M in meta."""
     nJ = len(cap)
     q = min(p.p, p.k + 2)
-    M = 1.1 * float(c.max()) * float(dem.sum())
+    sort_m = 1.1 * float(c.max()) * float(dem.sum())
     S, score = np.zeros((nJ, nx)), np.zeros((nJ, nx))
     S[:, xc] = by_j                         # s_j = sum_i xc_ij
     score[:, xc] = by_j * c.ravel()
-    rows = [_sorting_rows(score, q, nJ, xc.stop, M)]
+    rows = [_sorting_rows(score, q, nJ, xc.stop, sort_m)]
     meta["blocks"]["x_r"] = list(range(nJ, 2 * nJ))
     meta["q1"] = q
     if pair:
-        rows += _pairing_part(S, c, cap, q, M, meta)
-    meta["sort_big_m"] = M
+        rows += _pairing_part(S, c, cap, q, sort_m, meta)
+    meta["sort_big_m"] = sort_m
     return rows
 
 
-def _pairing_part(S, c, cap, q, M, meta):
+def _pairing_part(S, c, cap, q, sort_m, meta):
     """The X rows ddu_us_pair adds after x_r's, as (A, b) blocks: for each
     pair (j, l) in order the envelopes of w_jl = x_d_j x_d_l and of
     z_jl = s_j w_jl, with s_j = sum_i xc_ij (row j of S) at most cap_j;
@@ -938,20 +938,21 @@ def _pairing_part(S, c, cap, q, M, meta):
     score[j, w + K] = c[j, l]
     meta["blocks"]["x_s"] = list(range(2 * nJ, 3 * nJ))
     meta["q2"] = q
-    return [pairs, _sorting_rows(score, q, 2 * nJ, w[0] - 1, M)]
+    return [pairs, _sorting_rows(score, q, 2 * nJ, w[0] - 1, sort_m)]
 
 
-def _sorting_rows(score, q, marker, threshold, M):
+def _sorting_rows(score, q, marker, threshold, sort_m):
     """Big-M rows forcing m_j = x[marker + j] to 1 exactly on the q
     facilities whose score, row j of score over all columns, is above the
     threshold column t: per facility j the rows m_j <= x_d_j,
-    score_j >= t - M(1-m_j) and score_j <= t + M m_j, in that order, then
-    sum m_j >= q and sum m_j <= q; as (A, b) with A x >= b."""
+    score_j >= t - M(1-m_j) and score_j <= t + M m_j, M = sort_m, in that
+    order, then sum m_j >= q and sum m_j <= q; as (A, b) with A x >= b."""
     nJ, nx = score.shape
     m, t = np.eye(nJ, nx, marker), np.eye(1, nx, threshold)
     zero = np.zeros(nJ)
-    A, b = _interleave((np.eye(nJ, nx) - m, zero), (score - t - M * m, np.full(nJ, -M)),
-                       (t - score + M * m, zero))
+    A, b = _interleave((np.eye(nJ, nx) - m, zero),
+                       (score - t - sort_m * m, np.full(nJ, -sort_m)),
+                       (t - score + sort_m * m, zero))
     total = m.sum(axis=0)
     return np.vstack([A, total, -total]), np.concatenate([b, [float(q), -float(q)]])
 

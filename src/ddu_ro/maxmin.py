@@ -222,8 +222,7 @@ def _complete_basis(A: np.ndarray, support: list[int]) -> list[int]:
 
 # -- feasibility of the inner LP over the whole outer set -----------------------
 
-def check_inner_feasibility(problem: MaxMinProblem,
-                            M: float = 1e4) -> tuple[float, np.ndarray]:
+def check_inner_feasibility(problem: MaxMinProblem) -> tuple[float, np.ndarray]:
     """Worst-case artificial mass: v_f = max_z min{1'w : B_y y + w >= d - B_x z}.
 
     Zero means the inner LP is feasible at every outer point; a positive value
@@ -247,10 +246,10 @@ def check_inner_feasibility(problem: MaxMinProblem,
         hi = range_probe(problem.A_out, problem.b_out, cols)
         if np.isfinite(hi).all():
             # Pi_1 with pi <= 1 as the bound of binary columns, not as rows
-            res = _product_mip(replace(problem, c_y=np.zeros(ny), name=ext.name), M,
+            res = _product_mip(replace(problem, c_y=np.zeros(ny), name=ext.name),
                                caps=dict(zip(cols.tolist(), hi)))
     if res is None:
-        res = solve_maxmin_dual(ext, M=M, check_feasibility=False)
+        res = solve_maxmin_dual(ext, check_feasibility=False)
     polish = audited_dual_lp(ext.B_y, ext.c_y, ext.d - ext.B_x @ res.outer,
                              res.value, ext.name + "_polish")
     return max(0.0, float(polish.objective)), res.outer
@@ -286,7 +285,7 @@ def _add_outer_set(m: LinearModel, problem: MaxMinProblem,
 
 # -- KKT route ------------------------------------------------------------------
 
-def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
+def solve_maxmin_kkt(problem: MaxMinProblem) -> MaxMinResult:
     """The inner LP min{c_y'y : B_y y >= d - B_x z} is the LP over
     {y >= 0 : -B_y y <= -d + B_x z} with cost row (-c_y, 0), so its
     optimality block (build_optimality_block) over the outer columns z holds
@@ -295,7 +294,7 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
     z_ids = _add_outer_set(m, problem)
     inner = UncertaintySet(F=AffineMatrixMap(-problem.B_y), G=problem.B_x, h=-problem.d)
     cost_row = np.concatenate([-problem.c_y, np.zeros(inner.n_rows)])
-    y_ids = build_optimality_block(m, inner, cost_row, z_ids, M).u_ids
+    y_ids = build_optimality_block(m, inner, cost_row, z_ids).u_ids
     m.set_objective(dict(zip(y_ids, problem.c_y)), sense="max")
     out = backend.solve_mip(m)
     if out.status == backend.INFEASIBLE:
@@ -314,7 +313,7 @@ def solve_maxmin_kkt(problem: MaxMinProblem, M: float = 1e4) -> MaxMinResult:
 
 # -- route chooser and product MIP ----------------------------------------------
 
-def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
+def solve_maxmin_dual(problem: MaxMinProblem,
                       check_feasibility: bool = True) -> MaxMinResult:
     """max{(d - B_x z)' pi : z in outer set, pi in Pi}.
 
@@ -322,15 +321,15 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
     are 0/1 get the product MIP over binary z: either every coordinate is
     declared integer, or the set has integral vertices
     (has_integral_vertices), so that the maximum of the convex inner value
-    sits at a binary vertex anyway. pi is capped at M there, which is sound
-    whenever the optimal dual stays below it; the audit in the calling layer
-    catches violations. Otherwise the KKT route answers.
+    sits at a binary vertex anyway. pi is capped at the run's big-M there,
+    which is sound whenever the optimal dual stays below it; the audit in
+    the calling layer catches violations. Otherwise the KKT route answers.
     Inner infeasibility at some z makes the program unbounded: the result
     then carries the witness z and the value inf. Either route raises
     BackendError naming its MIP when that MIP does not end Optimal.
     """
     if check_feasibility:
-        v_f, witness = check_inner_feasibility(problem, M=M)
+        v_f, witness = check_inner_feasibility(problem)
         if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
             return MaxMinResult(value=np.inf, outer=witness)
 
@@ -338,11 +337,11 @@ def solve_maxmin_dual(problem: MaxMinProblem, M: float = 1e4,
         problem.n_int_out == problem.n_out
         or has_integral_vertices(problem.A_out, problem.b_out))
     if not binary_outer:
-        return solve_maxmin_kkt(problem, M=M)
-    return _product_mip(problem, M)
+        return solve_maxmin_kkt(problem)
+    return _product_mip(problem)
 
 
-def _product_mip(problem: MaxMinProblem, M: float,
+def _product_mip(problem: MaxMinProblem,
                  caps: dict[int, float] | None = None) -> MaxMinResult:
     """max (d - B_x z)' pi over z in the outer set and pi >= 0 with
     B_y' pi <= c_y, each product pi_i z_j linearized exactly by the envelope
@@ -351,9 +350,10 @@ def _product_mip(problem: MaxMinProblem, M: float,
     then bounds a dual polyhedron with 0/1 vertices, and caps[j] bounds z_j
     and is the M of its products, since a bound holds exactly in the MIP
     while the rows implying it hold only to feasibility tolerance, which the
-    maximizing z would exploit. Without caps z is binary and pi <= M
-    ("<name>_bilin")."""
+    maximizing z would exploit. Without caps z is binary and pi <= M, the
+    run's big-M (backend.current_big_m) ("<name>_bilin")."""
     network = caps is not None
+    M = backend.current_big_m()
     m_rows = problem.B_y.shape[0]
     m = LinearModel(name=problem.name + ("_net" if network else "_bilin"))
     z_ids = _add_outer_set(m, problem, caps=caps, binary=not network)
@@ -427,7 +427,7 @@ class OptimalityBlock:
 
 
 def build_optimality_block(model: LinearModel, U: UncertaintySet, cost_row: np.ndarray,
-                           x_ids: list[int], M: float = 1e4) -> OptimalityBlock:
+                           x_ids: list[int]) -> OptimalityBlock:
     """Append fresh (u, lambda) columns and the rows pinning (u, s) to an
     optimum of the LP max{c_u'u + c_s's : F(x) u + s = h + G x, u, s >= 0},
     x being the model's columns x_ids and (c_u, c_s) the standard-form
@@ -444,8 +444,9 @@ def build_optimality_block(model: LinearModel, U: UncertaintySet, cost_row: np.n
     its inner LP over its outer columns.
 
     The primal side (u, the row slacks, their products with x) is bounded
-    by M, the dual side (lambda, the reduced costs, their products with x)
-    by M_d = dual_bound(U, cost_row, M).
+    by the run's big-M M (backend.current_big_m), the dual side (lambda,
+    the reduced costs, their products with x) by M_d = dual_bound(U,
+    cost_row).
     """
     representation = "primal-dual" if binary_coupling(model, U, x_ids) else "kkt"
     mu, n = U.n_rows, U.dim
@@ -455,7 +456,7 @@ def build_optimality_block(model: LinearModel, U: UncertaintySet, cost_row: np.n
     # negative, and lam_i >= 0 would then force its row tight
     lam_ids = model.add_vars(mu, lb=c_slack)
     products: dict[tuple[int, int], int] = {}
-    M_d = dual_bound(U, cost_row, M)
+    M, M_d = backend.current_big_m(), dual_bound(U, cost_row)
 
     # primal rows, with explicit slack columns for the slack costs and the
     # complementarities
@@ -482,15 +483,20 @@ def build_optimality_block(model: LinearModel, U: UncertaintySet, cost_row: np.n
     return OptimalityBlock(u_ids=u_ids, representation=representation)
 
 
-def dual_bound(U: UncertaintySet, cost_row: np.ndarray, M: float) -> float:
-    """M_d = max(M, 2 ||c||_1 kappa): the bound on the dual side (lambda,
-    the reduced costs, their products with x) of a block that holds an
-    optimum of max{c'(u, s) : u in U(x)}, c the standard-form cost row
-    cost_row and kappa the largest entry of |F0| + sum_k |Fk|.
+def dual_bound(U: UncertaintySet, cost_row: np.ndarray | None) -> float:
+    """M_d = max(M, 2 ||c||_1 kappa), M the run's big-M
+    (backend.current_big_m): the bound on the dual side (lambda, the
+    reduced costs, their products with x) of a block that holds an optimum
+    of max{c'(u, s) : u in U(x)}, c the standard-form cost row cost_row and
+    kappa the largest entry of |F0| + sum_k |Fk|; M itself without a cost
+    row.
 
     A constant interval F (kappa 1) has a TU [F | I], so some optimal dual
     vertex has |lam_i| <= ||c||_1 and reduced costs below 2 ||c||_1; on any
     other F kappa is an empirical scale, not a proof."""
+    M = backend.current_big_m()
+    if cost_row is None:
+        return M
     kappa = np.max(np.abs(U.F.base) + sum(np.abs(Fk) for _, Fk in U.F.terms), initial=0.0)
     return max(M, 2.0 * float(np.abs(cost_row).sum()) * float(kappa))
 

@@ -293,7 +293,7 @@ def add_recourse_rows(model: LinearModel, Y: RecourseSet, y_ids: list[int],
     return model.add_rows(blocks, GEQ, Y.d)
 
 
-def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel, dict]:
+def build_deterministic_mip(inst: Instance) -> tuple[LinearModel, dict]:
     """The deterministic relaxation min{c1 x + c2 y : x in X, u in U(x),
     y in Y(x,u)}. Feasibility of this program is the finiteness assumption the
     algorithms rely on; by weak duality its infeasibility makes the robust
@@ -301,8 +301,9 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
     master bound.
 
     The rows F(x) u <= h + G x take each x-dependent entry of F through a
-    product x_k u_j (affine_blocks), exact for binary x_k and u_j <= M; a
-    dependence on any other component raises ValueError.
+    product x_k u_j (affine_blocks), exact for binary x_k and u_j <= M, the
+    run's big-M (backend.current_big_m); a dependence on any other
+    component raises ValueError.
     """
     m = LinearModel(name=f"{inst.name}_det")
     U = inst.U
@@ -310,7 +311,8 @@ def build_deterministic_mip(inst: Instance, M: float = 1e4) -> tuple[LinearModel
     binary_coupling(m, U, x_ids)
     u_ids = m.add_vars(U.dim, integer=np.arange(U.dim) < U.n_int_u)
     y_ids = add_recourse_vars(m, inst.Y)
-    m.add_rows(affine_blocks(m, U.F, u_ids, x_ids, M, {}) + [(x_ids, -U.G)], LEQ, U.h)
+    m.add_rows(affine_blocks(m, U.F, u_ids, x_ids, backend.current_big_m(), {})
+               + [(x_ids, -U.G)], LEQ, U.h)
     add_recourse_rows(m, inst.Y, y_ids, x_ids, u_ids)
     m.set_objective(dict(zip(x_ids + y_ids, np.concatenate([inst.c1, inst.Y.c2]))),
                     sense="min")
@@ -338,19 +340,19 @@ def binary_coupling(model: LinearModel, U: UncertaintySet, x_ids: list[int]) -> 
     return bool(binary[U.coupled_columns].all())
 
 
-def _envelope(M: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
+def _envelope(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows of the exact envelope (McCormick, Math. Prog. 1976) of
-    products w_k = x_k v_k, for binary x_k and lo_k <= v_k <= M_k with lo_k
-    0 or -M_k (one entry per product): product by product, w <= M x,
-    w >= lo x, w <= v - lo (1 - x) and w >= v - M (1 - x), the second left
+    products w_k = x_k v_k, for binary x_k and lo_k <= v_k <= hi_k with lo_k
+    0 or -hi_k (one entry per product): product by product, w <= hi x,
+    w >= lo x, w <= v - lo (1 - x) and w >= v - hi (1 - x), the second left
     out where lo is 0 (w's bound carries it then). Returns each row's
     product, its coefficients on w, v and x, its sense and its rhs."""
-    n = len(M)
+    n = len(hi)
     keep = np.flatnonzero(np.column_stack([np.ones(n), lo, np.ones(n), np.ones(n)]))
     return (keep // 4, np.ones(keep.size), np.tile([0.0, 0.0, -1.0, -1.0], n)[keep],
-            np.column_stack([-M, -lo, -lo, -M]).ravel()[keep],
+            np.column_stack([-hi, -lo, -lo, -hi]).ravel()[keep],
             np.tile([LEQ, GEQ, LEQ, GEQ], n)[keep],
-            np.column_stack([np.zeros((n, 2)), 0.0 - lo, -M]).ravel()[keep])
+            np.column_stack([np.zeros((n, 2)), 0.0 - lo, -hi]).ravel()[keep])
 
 
 def _binary_products(model: LinearModel, pairs, M, lo=0.0) -> list[int]:
@@ -462,12 +464,12 @@ def dimension_errors(inst: Instance) -> list[str]:
 
 # -- JSON serialization --------------------------------------------------------
 
-def _mat_to_dict(M: np.ndarray) -> dict:
-    M = np.atleast_2d(M)
-    triplets = [[int(i), int(j), float(M[i, j])]
-                for i in range(M.shape[0]) for j in range(M.shape[1])
-                if M[i, j] != 0.0]
-    return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "triplets": triplets}
+def _mat_to_dict(A: np.ndarray) -> dict:
+    A = np.atleast_2d(A)
+    triplets = [[int(i), int(j), float(A[i, j])]
+                for i in range(A.shape[0]) for j in range(A.shape[1])
+                if A[i, j] != 0.0]
+    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "triplets": triplets}
 
 
 def _mat_from_dict(d: dict) -> np.ndarray:

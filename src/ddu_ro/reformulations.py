@@ -297,7 +297,7 @@ def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
 
 # -- order switching -----------------------------------------------------------
 
-def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
+def order_switch(inst: Instance, E_hat: np.ndarray,
                  force_upper_bound: bool = False) -> ReformulationOutput:
     """Collapse objective-only uncertainty into one flat model.
 
@@ -309,10 +309,11 @@ def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
         s.t. x in X,  B2 y >= d - B1 x,  F(x)' lam >= E_hat' y,  lam >= 0.
 
     Products of lam with x (from G or from x-dependent F terms) are
-    linearized exactly for binary columns, with lam capped at ``big_M``;
-    any other coupled column is rejected. The swap needs both u and y
-    continuous; with integer coordinates the flat value is only an upper
-    bound, which ``force_upper_bound`` accepts explicitly.
+    linearized exactly for binary columns, with lam capped at the run's
+    big-M (backend.current_big_m); any other coupled column is rejected.
+    The swap needs both u and y continuous; with integer coordinates the
+    flat value is only an upper bound, which ``force_upper_bound`` accepts
+    explicitly.
     """
     U, Y = inst.U, inst.Y
     E_hat = np.atleast_2d(np.asarray(E_hat, dtype=float))
@@ -338,23 +339,22 @@ def order_switch(inst: Instance, E_hat: np.ndarray, big_M: float = 1e4,
     add_recourse_rows(model, Y, y_ids, x_ids)
 
     # lam rows involved in any x product get the finite cap the envelopes need
+    M = backend.current_big_m()
     in_product = U.G.any(axis=1)
-    for _, M in U.F.terms:
-        in_product |= M.any(axis=1)
-    lam_ids = model.add_vars(U.n_rows, 0.0, np.where(in_product, big_M, np.inf))
+    for _, Fk in U.F.terms:
+        in_product |= Fk.any(axis=1)
+    lam_ids = model.add_vars(U.n_rows, 0.0, np.where(in_product, M, np.inf))
 
     # dual rows F(x)' lam >= E_hat' y, one per u coordinate that meets a row
     products: dict[tuple[int, int], int] = {}
-    dual = affine_blocks(model, U.F, lam_ids, x_ids, big_M, products,
-                         transpose=True)
+    dual = affine_blocks(model, U.F, lam_ids, x_ids, M, products, transpose=True)
     dual.append((y_ids, -E_hat.T))
     meets = np.any([np.any(A != 0.0, axis=1) for _, A in dual], axis=0)
     model.add_rows([(ids, A[meets]) for ids, A in dual], GEQ,
                    np.zeros(int(meets.sum())))
 
     # c1 x + c2 y + (h + G x)' lam
-    rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, big_M, products,
-                        transpose=True)
+    rhs = affine_blocks(model, U.rhs_map, lam_ids, x_ids, M, products, transpose=True)
     obj = np.zeros(model.n_vars)
     for ids, c in [(x_ids, inst.c1), (y_ids, Y.c2), *[(ids, A[0]) for ids, A in rhs]]:
         np.add.at(obj, np.asarray(ids, dtype=int), c)

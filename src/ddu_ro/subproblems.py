@@ -40,28 +40,27 @@ class SubproblemReport:
     basis_result: ParametricLPResult | None = None
 
 
-def sp1(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemReport:
+def sp1(inst: Instance, x: np.ndarray) -> SubproblemReport:
     """Worst-case artificial mass of the recourse over U(x): zero means every
     scenario is servable, positive comes with the witness scenario."""
-    v_f, u_f = check_inner_feasibility(maxmin_from_instance(inst, x), M=M)
+    v_f, u_f = check_inner_feasibility(maxmin_from_instance(inst, x))
     return SubproblemReport(value=v_f, u=u_f)
 
 
-def sp2(inst: Instance, x: np.ndarray, M: float = 1e4,
-        kind: str = "SP2") -> SubproblemReport:
+def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2") -> SubproblemReport:
     """Worst-case recourse cost at x with the dual extreme point that
     certifies it.
 
     pi is the simplex optimum of the recourse dual at the worst-case
     scenario u*, a vertex of Pi: a max-min route's own pi may sit at its cap
-    M on rows of zero weight, and seeds off the vertices of Pi need master
+    on rows of zero weight, and seeds off the vertices of Pi need master
     multipliers beyond any bound. Two audits follow: the max-min value must
     equal that uncapped LP value (audited_dual_lp; a binding cap fails it),
     and the split identity must hold: the value equals (d - B1 x)' pi plus
     the parametric-LP value at pi, whose solve comes back as basis_result.
     kind names the audit LP."""
     problem = maxmin_from_instance(inst, x)
-    res = solve_maxmin_dual(problem, M=M, check_feasibility=False)
+    res = solve_maxmin_dual(problem, check_feasibility=False)
     pi = audited_dual_lp(problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
                          res.value, f"{kind}_vertex_dual").x
     infeas = _pi_violation(inst, pi)
@@ -108,10 +107,10 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     return SubproblemReport(ray=gamma, u=u_f)
 
 
-def sp2_mip_relax(inst: Instance, x: np.ndarray, M: float = 1e4) -> SubproblemReport:
+def sp2_mip_relax(inst: Instance, x: np.ndarray) -> SubproblemReport:
     """Worst case of the LP relaxation of a MIP recourse: a lower-bound
     surrogate. With no integer recourse variables this is plain sp2."""
-    return sp2(inst, x, M=M, kind="SP2relax")
+    return sp2(inst, x, kind="SP2relax")
 
 
 def recourse_mip_at(inst: Instance, x: np.ndarray,
@@ -121,8 +120,7 @@ def recourse_mip_at(inst: Instance, x: np.ndarray,
     return recourse_value(inst, x, u)
 
 
-def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
-        M: float = 1e4) -> SubproblemReport:
+def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray) -> SubproblemReport:
     """Worst case with the integer recourse block frozen at y_d: an
     upper-bound surrogate. Infinite when some scenario is unservable under
     that freeze."""
@@ -136,7 +134,7 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray,
     wc = maxmin_from_instance(inst, x)
     problem = replace(wc, c_y=Y.c2[nd:], B_y=Y.B2[:, nd:],
                       d=wc.d - Y.B2[:, :nd] @ y_d, name=f"{inst.name}_sp4")
-    res = solve_maxmin_dual(problem, M=M, check_feasibility=True)
+    res = solve_maxmin_dual(problem, check_feasibility=True)
     return SubproblemReport(value=res.value + float(Y.c2[:nd] @ y_d), u=res.outer)
 
 

@@ -567,6 +567,27 @@ def test_a_nested_deadline_keeps_the_earlier_one(monkeypatch):
     assert limits[0] <= 10.0 and limits[1] <= 1.0 and 1.0 < limits[2] <= 10.0
 
 
+def test_the_innermost_big_m_block_wins_and_the_outer_m_comes_back():
+    assert backend.current_big_m() == backend.DEFAULT_BIG_M
+    with backend.big_m(10.0):
+        assert backend.current_big_m() == 10.0
+        with backend.big_m(1e6):
+            assert backend.current_big_m() == 1e6
+        assert backend.current_big_m() == 10.0
+        with pytest.raises(RuntimeError, match="inside"), backend.big_m(5.0):
+            raise RuntimeError("inside")
+        assert backend.current_big_m() == 10.0
+    assert backend.current_big_m() == backend.DEFAULT_BIG_M
+
+
+@pytest.mark.parametrize("M", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_big_m_refuses_an_m_that_is_not_finite_and_positive(M):
+    with pytest.raises(ValueError, match="big-M must be finite and positive"):
+        with backend.big_m(M):
+            pass
+    assert backend.current_big_m() == backend.DEFAULT_BIG_M
+
+
 def test_a_passed_deadline_raises_before_highs_is_called(monkeypatch):
     seen = _record_highs(monkeypatch)
     with backend.deadline(0.0):

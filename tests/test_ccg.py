@@ -577,7 +577,7 @@ def test_large_costs_are_not_clipped_by_the_eta_bound(variant):
 def test_bounds_that_cross_end_the_run_numerical(monkeypatch):
     # the old fixed eta bound on the large-cost instance: the first master's
     # lb lies above sp2's ub, which no proof can close
-    monkeypatch.setattr(ccg, "_eta_floor", lambda inst, relaxation, M: ccg._ETA_LB)
+    monkeypatch.setattr(ccg, "_eta_floor", lambda inst, relaxation: ccg._ETA_LB)
     res = run(_fl_rhs2_x1e3(), AlgorithmConfig(variant="parametric", big_M=1e7))
     assert res.status == "Numerical"
     assert "exceeds upper bound" in res.meta["reason"]
@@ -603,7 +603,8 @@ def test_an_unbounded_first_stage_cost_floors_eta_at_the_recourse_minimum(varian
     # relaxation's (x, u, y) as its floor; at eta >= -1e7 every variant
     # ended Stalled with lb at the relaxation, -39999999
     inst = _deep_toy()
-    assert ccg._eta_floor(inst, -4e7, 1e8) == pytest.approx(-4e7, rel=1e-12)
+    with backend.big_m(1e8):
+        assert ccg._eta_floor(inst, -4e7) == pytest.approx(-4e7, rel=1e-12)
     res = run(inst, AlgorithmConfig(variant=variant, tol=0.0, big_M=1e8))
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(-2e7, rel=1e-9)
@@ -623,7 +624,8 @@ def test_a_master_at_an_unfloored_eta_bound_gives_no_lower_bound():
     # values, -1e7 and up, would cross ub = -2e7, so lb stays at the
     # relaxation and the run proves nothing
     inst = _unfloored_toy()
-    assert ccg._eta_floor(inst, -4e7, 1e8) == -np.inf
+    with backend.big_m(1e8):
+        assert ccg._eta_floor(inst, -4e7) == -np.inf
     res = run(inst, AlgorithmConfig(variant="parametric", tol=0.0, big_M=1e8))
     assert res.status == "Stalled"
     assert res.ub == pytest.approx(-2e7, rel=1e-9)
@@ -686,8 +688,9 @@ def test_replicate_master_bound_insensitive_to_linearization_M():
         seeds = (source.meta["point_seeds"], source.meta["ray_seeds"])
         assert seeds[0] or seeds[1]
         for M in (10.0, 100.0, 10000.0):
-            cfg = AlgorithmConfig(variant="parametric", big_M=M)
-            out = backend.solve_mip(_replay(MasterState(make(), cfg), *seeds))
+            with backend.big_m(M):
+                state = MasterState(make(), AlgorithmConfig(variant="parametric"))
+                out = backend.solve_mip(_replay(state, *seeds))
             assert out.status == backend.OPTIMAL
             assert out.objective <= wstar + 1e-6 * max(1.0, abs(wstar))
 
@@ -1120,7 +1123,7 @@ def test_m_too_small_ends_numerical(monkeypatch):
     # fl_mip3 with the KKT MIPs' dual side capped at 1: sp4's optimality
     # system is infeasible in the first iteration, which used to raise out
     # of run
-    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row, M: 1.0)
+    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row: 1.0)
     res = run(gen_mip_recourse_fl(FLParams(**FL_MIP3)),
               AlgorithmConfig(mip_recourse_mode=True, big_M=1e4))
     assert res.status == "Numerical" and "M too small" in res.meta["reason"]
@@ -1309,6 +1312,18 @@ def test_config_rejects_bad_combinations():
             AlgorithmConfig(variant="basis", cut_mode=cut_mode)
     with pytest.raises(ValueError, match="tol"):
         AlgorithmConfig(tol=-1.0)
+    # a nan tol stopped pm_uk8 at a 32 % gap as GapReached, and an infinite
+    # or nan big_M ended fl_rhs2 "master infeasible"; a nan time limit ran
+    # without one
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        AlgorithmConfig(tol=np.nan)
+    for M in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="big_M must be finite and positive"):
+            AlgorithmConfig(big_M=M)
+    for limit in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="time_limit_s must be positive"):
+            AlgorithmConfig(time_limit_s=limit)
+    assert run(_diu_box(), AlgorithmConfig(time_limit_s=np.inf)).status == "Optimal"
     # a cap below one iteration used to run one and report "iteration cap"
     for cap in (0, -3):
         with pytest.raises(ValueError, match="max_iterations must be at least 1"):
@@ -1319,6 +1334,44 @@ def test_config_rejects_bad_combinations():
     with pytest.raises(ValueError, match="mip_recourse_mode"):
         run(gen_mip_recourse_fl(FLParams(**FL2)),
             AlgorithmConfig(variant="parametric"))
+
+
+# -- the run's big-M -----------------------------------------------------------
+
+def test_a_run_holds_its_big_m_and_leaves_the_callers(monkeypatch):
+    seen = []
+    real_sp1 = ccg.sp1
+    monkeypatch.setattr(ccg, "sp1", lambda *args: seen.append(backend.current_big_m())
+                        or real_sp1(*args))
+    with backend.big_m(50.0):
+        assert run(_cap_toy(), AlgorithmConfig(big_M=1e5)).status == "Optimal"
+        assert backend.current_big_m() == 50.0
+    assert seen and set(seen) == {1e5}
+    assert backend.current_big_m() == backend.DEFAULT_BIG_M
+
+
+@pytest.mark.parametrize("inst, config", [
+    (gen_mip_recourse_fl(FLParams(**FL_MIP3)), dict(mip_recourse_mode=True)),
+    (gen_reliable_pmedian(PMedianParams(n_sites=8, seed=0), "ddu_uk"), dict(variant="basis")),
+    (_lhs_toy(), dict(variant="basis")),
+], ids=["fl_mip3-mip", "pm_uk8-basis", "lhs_toy-basis"])
+def test_no_builder_falls_back_to_the_default_big_m(inst, config, monkeypatch):
+    # at big_M 1e5 every M-bounded row and column reads 1e5 or a bound
+    # derived from it, so no coefficient or column bound HiGHS gets is the
+    # default 1e4; the toy's F(x) brings the u x products of the
+    # deterministic relaxation and of the basis cutting sets in
+    seen = []
+    real = backend._highs
+
+    def recorded(c, A, lhs, rhs, lb, ub, integrality, options):
+        seen.append(np.concatenate([A.data, lb, ub]))
+        return real(c, A, lhs, rhs, lb, ub, integrality, options)
+
+    monkeypatch.setattr(backend, "_highs", recorded)
+    res = run(inst, AlgorithmConfig(big_M=1e5, **config))
+    assert res.status == "Optimal"
+    values = np.concatenate(seen)
+    assert 1e5 in values and backend.DEFAULT_BIG_M not in values
 
 
 # -- approximation loops -------------------------------------------------------
@@ -1432,13 +1485,15 @@ def test_basis_and_optimality_blocks_share_the_dual_bound():
     lp = maxmin.lp_parametric(inst, x, beta)
 
     m = backend.LinearModel()
-    maxmin.build_optimality_block(m, inst.U, lp.cost_row, add_first_stage(m, inst), M)
+    with backend.big_m(M):
+        maxmin.build_optimality_block(m, inst.U, lp.cost_row, add_first_stage(m, inst))
     ub = m.columns()[1][inst.dim_x:]
     (M_d,) = set(ub[np.isfinite(ub)])
     assert M_d == pytest.approx(3e4, rel=1e-9)
 
-    state = MasterState(inst, AlgorithmConfig(variant="basis", big_M=M))
-    state.add_seed(lp.basis, cost_row=lp.cost_row)
+    with backend.big_m(M):
+        state = MasterState(inst, AlgorithmConfig(variant="basis"))
+        state.add_seed(lp.basis, cost_row=lp.cost_row)
     lb, ub, _ = (v[state.eta_id + 1:] for v in state.model.columns())
     assert set(ub[np.isfinite(ub)]) == {M_d}
     assert set(lb[np.isfinite(lb)]) == {-M_d, 0.0}

@@ -149,6 +149,27 @@ def test_an_iteration_cap_below_one_exits_one(cap, t1_path, tmp_path, capsys):
     assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "tol must be nonnegative"),
+    ("--big-m", "inf", "big_M must be finite and positive"),
+    ("--big-m", "nan", "big_M must be finite and positive"),
+    ("--time-limit", "nan", "time_limit_s must be positive"),
+])
+def test_a_nan_or_infinite_knob_exits_one(flag, value, message, t1_path, tmp_path, capsys):
+    # --tol nan once ended pm_uk8 GapReached at a 32 % gap, exit 0
+    assert cli.main(["solve", t1_path, flag, value, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_one_big_m_default_for_the_config_and_every_cli_flag():
+    parser = cli._build_parser()
+    defaults = [parser.parse_args([*command, "inst.json"]).big_m
+                for command in (["solve"], ["compare"], ["convert", "order-switch"])]
+    assert defaults == [cli.backend.DEFAULT_BIG_M] * 3
+    assert cli.AlgorithmConfig().big_M == cli.backend.DEFAULT_BIG_M == 1e4
+
+
 def test_missing_file_exits_one(capsys):
     assert cli.main(["solve", "no-such-file.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -315,6 +336,25 @@ def test_convert_order_switch_solves_the_flat_model(tmp_path, capsys):
     bare = tmp_path / "bare.json"
     io_write(str(bare), _objective_toy())
     assert cli.main(["convert", "order-switch", str(bare)]) == 1
+
+
+def test_convert_order_switch_runs_at_the_given_big_m(tmp_path, capsys, monkeypatch):
+    from tests.test_reformulations import _objective_toy, E_HAT
+    inst = _objective_toy()
+    inst.metadata["E_hat"] = E_HAT.tolist()
+    path = tmp_path / "tilt.json"
+    io_write(str(path), inst)
+    seen, real = [], cli.order_switch
+    monkeypatch.setattr(cli, "order_switch", lambda *args, **kwargs: seen.append(
+        cli.backend.current_big_m()) or real(*args, **kwargs))
+    assert cli.main(["convert", "order-switch", str(path), "--big-m", "123"]) == 0
+    assert seen == [123.0]
+    for bad in ("inf", "nan", "0"):
+        out = tmp_path / f"{bad}.json"
+        assert cli.main(["convert", "order-switch", str(path), "--big-m", bad,
+                         "--out", str(out)]) == 1
+        assert "error: big-M must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_generate_is_deterministic(tmp_path):

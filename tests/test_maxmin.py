@@ -171,7 +171,8 @@ def test_block_projection_stays_in_the_set(representation):
     inst = t1()
     for M in (10.0, 100.0, 10000.0):
         m, x_ids = _fixed_first_stage(inst, [1.0], representation)
-        blk = build_optimality_block(m, inst.U, _seed_row(inst, [1.0]), x_ids, M)
+        with backend.big_m(M):
+            blk = build_optimality_block(m, inst.U, _seed_row(inst, [1.0]), x_ids)
         assert blk.representation == representation
         for sense in ("min", "max"):
             m.set_objective({blk.u_ids[0]: 1.0}, sense=sense)
@@ -184,7 +185,8 @@ def test_block_projection_stays_in_the_set(representation):
 def test_block_with_zero_beta_admits_every_point():
     inst = t1()
     m, x_ids = _fixed_first_stage(inst, [1.0], "kkt")
-    blk = build_optimality_block(m, inst.U, _seed_row(inst, [0.0]), x_ids, 100.0)
+    with backend.big_m(100.0):
+        blk = build_optimality_block(m, inst.U, _seed_row(inst, [0.0]), x_ids)
     assert blk.representation == "kkt"
     m.set_objective({blk.u_ids[0]: 1.0}, sense="max")
     hi = backend.solve_mip(m).objective
@@ -209,7 +211,8 @@ def test_block_diu_matches_enumerated_argmax():
     verts = enumerate_vertices(U, np.array([0.0]))
     best_u = max(verts, key=lambda v: float(-(Y.E @ v) @ beta))
     m, x_ids = _fixed_first_stage(inst, [0.0], "kkt")
-    blk = build_optimality_block(m, U, _seed_row(inst, beta), x_ids, 100.0)
+    with backend.big_m(100.0):
+        blk = build_optimality_block(m, U, _seed_row(inst, beta), x_ids)
     assert blk.representation == "kkt"
     m.set_objective({})
     out = backend.solve_mip(m)
@@ -227,8 +230,8 @@ def test_block_rejects_continuous_matrix_dependence_in_master():
     inst = Instance(name="lhs_cont", c1=base.c1, X=X, U=U, Y=base.Y)
     m = LinearModel()
     x_ids = m.add_vars(1, 0.0, 1.0)
-    with pytest.raises(ValueError, match="binary"):
-        build_optimality_block(m, inst.U, _seed_row(inst, [1.0]), x_ids, 10.0)
+    with backend.big_m(10.0), pytest.raises(ValueError, match="binary"):
+        build_optimality_block(m, inst.U, _seed_row(inst, [1.0]), x_ids)
 
 
 def test_perturbation_rules():
@@ -266,7 +269,8 @@ def test_ensure_unique_optimum_isolates_a_vertex():
     # cost row, of either form, collapses to exactly the solver's vertex
     for representation in (None, "kkt"):
         m, x_ids = _fixed_first_stage(inst, [1.0], representation)
-        blk = build_optimality_block(m, inst.U, c_hat, x_ids, 100.0)
+        with backend.big_m(100.0):
+            blk = build_optimality_block(m, inst.U, c_hat, x_ids)
         assert blk.representation == (representation or "primal-dual")
         us = []
         for sense in ("min", "max"):
@@ -291,7 +295,8 @@ def test_a_perturbed_slack_cost_pins_the_vertex_at_each_first_stage(representati
     inst = _capped_at_one_and_a_half()
     for x, u_star in ((0.0, 1.0), (1.0, 1.5)):
         m, x_ids = _fixed_first_stage(inst, [x], representation)
-        blk = build_optimality_block(m, inst.U, np.array([0.0, -1e-4, 0.0]), x_ids, 100.0)
+        with backend.big_m(100.0):
+            blk = build_optimality_block(m, inst.U, np.array([0.0, -1e-4, 0.0]), x_ids)
         assert blk.representation == (representation or "primal-dual")
         us = []
         for sense in ("min", "max"):
@@ -324,7 +329,8 @@ def test_block_representation_follows_the_coupling(make, perturbed, expected):
     cost_row = (ensure_unique_optimum(inst, _open_sites(inst, (0, 3, 5)), beta)[1]
                 if perturbed else _seed_row(inst, beta))
     m = LinearModel()
-    blk = build_optimality_block(m, inst.U, cost_row, add_first_stage(m, inst), 100.0)
+    with backend.big_m(100.0):
+        blk = build_optimality_block(m, inst.U, cost_row, add_first_stage(m, inst))
     assert blk.representation == expected
     added = sum(v.integer for v in m.vars) - inst.X.n_int
     assert added == (0 if expected == "primal-dual" else inst.U.n_rows + inst.U.dim)
@@ -351,7 +357,8 @@ def test_the_dual_side_bound_scales_with_the_cost_row_and_f(make, norm_c):
     else:
         assert two_c < M < M_d
     m = LinearModel()
-    blk = build_optimality_block(m, inst.U, _seed_row(inst, beta), add_first_stage(m, inst), M)
+    with backend.big_m(M):
+        blk = build_optimality_block(m, inst.U, _seed_row(inst, beta), add_first_stage(m, inst))
     _, ub, integer = m.columns()
     if blk.representation == "kkt":
         # each switch column holds its pair's two bounds: lam_i <= M_d delta
@@ -386,7 +393,8 @@ def test_the_kkt_max_min_bounds_its_dual_side_like_a_block(monkeypatch):
     models = []
     real = backend.solve_mip
     monkeypatch.setattr(backend, "solve_mip", lambda m, **kw: models.append(m) or real(m, **kw))
-    solve_maxmin_kkt(problem, M=M)
+    with backend.big_m(M):
+        solve_maxmin_kkt(problem)
     (m,) = models
     integer = m.columns()[2]
     A = m.sparse()[0].tocsc()
@@ -399,7 +407,7 @@ def test_the_kkt_max_min_bounds_its_dual_side_like_a_block(monkeypatch):
 def test_a_kkt_max_min_cut_off_by_its_dual_bound_says_m_too_small(monkeypatch):
     # with the dual side capped at 1 no dual point of fl_mip3's recourse
     # fits, so the KKT MIP is infeasible over an outer set that is not
-    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row, M: 1.0)
+    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row: 1.0)
     with pytest.raises(BackendError, match="M too small"):
         solve_maxmin_kkt(_fl_mip3_relaxed_sp2())
 
@@ -536,9 +544,9 @@ def test_product_and_kkt_routes_agree_on_pmedian(monkeypatch, mip_names):
 def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     inst = _pm_uk(6)
     x = _open_sites(inst, (0, 2, 4))
-    raw = solve_maxmin_dual(maxmin_from_instance(inst, x), M=1e4,
-                            check_feasibility=False)
-    r = sp2(inst, x, M=1e4)
+    with backend.big_m(1e4):
+        raw = solve_maxmin_dual(maxmin_from_instance(inst, x), check_feasibility=False)
+        r = sp2(inst, x)
     # the product MIP may leave duals of zero-weight rows at their cap; the
     # seed handed on is the simplex vertex of the recourse dual instead
     assert r.pi.max() < 1e3
@@ -551,8 +559,9 @@ def test_sp2_audit_catches_a_binding_dual_cap(mip_names):
     # at M = 10 the product MIP caps pi below the recourse dual's 35.5, so
     # its value falls short of the vertex dual LP at its scenario
     inst = _pm_uk(6)
-    with pytest.raises(BackendError, match="SP2_vertex_dual: the max-min value"):
-        sp2(inst, _open_sites(inst, (0, 2, 4)), M=10.0)
+    with backend.big_m(10.0), pytest.raises(BackendError,
+                                            match="SP2_vertex_dual: the max-min value"):
+        sp2(inst, _open_sites(inst, (0, 2, 4)))
     assert mip_names == [inst.name + "_wc_bilin"]
 
 

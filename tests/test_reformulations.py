@@ -348,6 +348,16 @@ def test_order_switch_matches_the_enumerated_max_min():
     assert best == pytest.approx(3.3)
 
 
+def test_order_switch_caps_the_coupled_lam_at_the_runs_big_m():
+    # row 0 couples x, so lam_0 and its product with x take the cap
+    with backend.big_m(7.0):
+        out = order_switch(_objective_toy(), E_HAT)
+    ub = out.model.columns()[1]
+    assert ub[out.mapping["lam"]].tolist() == [7.0, np.inf]
+    assert ub[out.model.n_vars - 1] == 7.0
+    assert backend.solve_mip(out.model).objective == pytest.approx(3.3)
+
+
 def test_order_switch_zero_tilt_is_the_deterministic_problem():
     inst = _objective_toy()
     out = order_switch(inst, np.zeros((2, 2)))

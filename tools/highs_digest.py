@@ -1,8 +1,8 @@
-"""One digest of every model HiGHS receives on the timed benchmark operations.
+"""One digest of every model HiGHS receives on the benchmark operations.
 
-Runs each timed operation of every workload (perfbench/workloads.py:
-pmedian, facility and oracle, known defects left out) at instance seeds 0
-and 1, and hashes the arguments of every backend.linprog and backend.milp
+Runs every operation of every workload (perfbench/workloads.py: pmedian,
+facility and oracle) at instance seeds 0 and 1, those marked known_defect
+included, and hashes the arguments of every backend.linprog and backend.milp
 call: the objective, the constraint matrix as a canonical CSR (duplicates
 summed, indices sorted), the row bounds, the column bounds, the integrality
 and the options other than time_limit, which follows the wall clock. It prints each
@@ -12,8 +12,10 @@ digest over all of them.
 
 Two trees that print the same lines gave HiGHS byte-identical input on
 every solve of those operations; where they differ, the operation lines
-that differ name the operations whose input changed. Run it from the root
-of a checkout:
+that differ name the operations whose input changed. The marked operations
+(fl_rhs5/benders and fl_mip3/mip) end Optimal now, and fl_mip3/mip brings
+sp4's KKT MIP at the default big-M into the comparison. Run it from the
+root of a checkout:
 
     PYTHONPATH=src python tools/highs_digest.py
 """
@@ -116,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     with Recorder() as rec, tempfile.TemporaryDirectory() as scratch:
         for seed in args.seeds:
             for name in args.workloads:
-                ops = [op for op in workloads.WORKLOADS[name] if not op.known_defect]
+                ops = workloads.WORKLOADS[name]
                 insts = workloads.build_instances(workloads.instances_of(ops), seed, scratch)
                 for op in ops:
                     before = len(rec.hashes)
