@@ -195,7 +195,9 @@ class LinearModel:
         entries follow the blocks and, within a block, the columns; a sparse
         block counts as its toarray(). A column that repeats, within a block
         or across blocks, gets the sum of its entries in that order, at the
-        place it first appears; exact zeros are dropped after summing."""
+        place it first appears; exact zeros are dropped after summing. A
+        canonical CSR block (sorted indices, no duplicates) is read as it
+        is, with no COO copy."""
         rhs = np.array(rhs, dtype=float, ndmin=1)
         m = rhs.size
         senses = np.asarray(sense)
@@ -203,7 +205,11 @@ class LinearModel:
             raise BackendError(f"bad sense {sense!r} for {m} rows")
         entries, ids_all, offset = [], [], 0
         for ids, A in blocks:
-            if issparse(A):
+            if isinstance(A, csr_array) and A.has_canonical_format:
+                nz = A.data != 0.0
+                row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[nz]
+                pos, val = A.indices[nz], A.data[nz]
+            elif issparse(A):
                 A = coo_array(A)
                 row, pos, val = _sum_repeats(*A.coords, A.data)
             else:
@@ -493,7 +499,8 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
     lb, ub, cost = (np.broadcast_to(a, (K, n)).ravel() for a in (lb, ub, cost))
     lp = LinearModel(name=name)
     ids = lp.add_vars(K * n, lb, ub)
-    lp.add_rows([(ids, kron(eye_array(K), A))], np.resize(senses, K * m), np.ravel(rhs))
+    lp.add_rows([(ids, kron(eye_array(K), A, format="csr"))], np.resize(senses, K * m),
+                np.ravel(rhs))
     nz = np.flatnonzero(cost)
     lp.set_objective(dict(zip(nz.tolist(), cost[nz].tolist())))
     return lp
