@@ -1,22 +1,25 @@
 """Max-min linear programs over a polyhedral outer set and the
 optimality-condition blocks the cutting-plane masters embed.
 
-One route chooser, solve_maxmin_dual, picks between two MIP builders:
-- the product MIP (_product_mip) dualizes the inner LP into a disjoint
-  bilinear program whose products pi_i z_j are linearized exactly because
-  one factor is binary: z when every vertex of the outer set is 0/1
-  ("_bilin", pi capped at M), or pi when the dual polyhedron has 0/1
-  vertices, as the feasibility dual of a network recourse matrix does
-  ("_net", each z_j capped by its probed range, no big-M);
-- the KKT MIP (solve_maxmin_kkt) holds the inner LP at its optimum by that
+One route chooser, solve_maxmin_dual, answers max over the outer set of the
+inner LP's value in one of two ways:
+- by enumeration (_enumerate_outer) where every vertex of the outer set is
+  0/1: the inner value is convex in the outer point, so its maximum sits at
+  a vertex, and the inner LP is solved at every 0/1 point of the set
+  (instances._box_points) in one LP of a copy per point
+  (backend.solve_copies), with no big-M;
+- by the KKT MIP (solve_maxmin_kkt) otherwise, and where the 0/1 points
+  outrun the enumeration's cap: it holds the inner LP at its optimum by that
   LP's optimality block (below), complementarities linearized with a big-M
-  per side; it answers every problem that no product MIP solves exactly.
-The feasibility check (check_inner_feasibility) takes the network MIP where
-it applies and otherwise hands its extended problem to the chooser, whose
-pi <= 1 makes the product MIP exact on 0/1 outer sets. One LP at the
-route's outer point (audited_dual_lp) audits every value of the feasibility
-check, sp1's included, and sp2's worst case; sp4's frozen-recourse value is
-not audited.
+  per side.
+The feasibility check (check_inner_feasibility) takes the network product
+MIP (_product_mip) where it applies: the feasibility dual of a network
+recourse matrix has 0/1 vertices, so each product pi_i z_j of the dualized
+inner LP is linearized exactly with pi binary and z_j capped by its probed
+range, no big-M. Otherwise it hands its extended problem to the chooser. One
+LP at the route's outer point (audited_dual_lp) audits every value of the
+feasibility check, sp1's included, and sp2's worst case; sp4's
+frozen-recourse value is not audited.
 
 An optimality block (build_optimality_block) holds an LP over U(x) at an
 optimum of its cost row, x being model columns, by primal and dual
@@ -36,6 +39,7 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
+from .instances import OracleError, _box_points
 from .model import (AffineMatrixMap, BasisId, Instance, UncertaintySet, _binary_products,
                     affine_blocks, binary_coupling, max_lp, range_probe)
 
@@ -84,8 +88,9 @@ def maxmin_from_instance(inst: Instance, x: np.ndarray) -> MaxMinProblem:
 @dataclass
 class MaxMinResult:
     """A max-min's optimum and the outer point attaining it, or value inf
-    and a witness where the inner LP is infeasible; a route whose MIP does
-    not end Optimal raises BackendError naming that MIP instead."""
+    and a witness where the inner LP is infeasible; a route whose MIP or
+    enumeration LP does not end as it must raises BackendError naming that
+    model instead."""
     value: float
     outer: np.ndarray
 
@@ -232,9 +237,9 @@ def check_inner_feasibility(problem: MaxMinProblem) -> tuple[float, np.ndarray]:
     Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has network columns and
     every z_j that the objective reads has a finite range over the outer set
     (one range_probe LP), Pi_1 has 0/1 vertices and the product MIP takes pi
-    binary; otherwise solve_maxmin_dual answers the extended problem, whose
-    pi <= 1 makes its product route exact. Either way the value is audited
-    by the feasibility LP at the witness z*, and the LP's value is returned.
+    binary; otherwise solve_maxmin_dual answers the extended problem. Either
+    way the value is audited by the feasibility LP at the witness z*, and
+    the LP's value is returned.
     """
     m_rows, ny = problem.B_y.shape
     ext = replace(problem, c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
@@ -270,15 +275,13 @@ def has_network_columns(B: np.ndarray) -> bool:
 
 
 def _add_outer_set(m: LinearModel, problem: MaxMinProblem,
-                   caps: dict[int, float] | None = None,
-                   binary: bool = False) -> list[int]:
-    """Columns z >= 0 and rows A_out z <= b_out of the outer set: every z_j
-    binary with binary, else the first n_int_out integer and z_j capped at
-    caps[j] where given."""
+                   caps: dict[int, float] | None = None) -> list[int]:
+    """Columns z >= 0 and rows A_out z <= b_out of the outer set: the first
+    n_int_out integer, z_j capped at caps[j] where given."""
     caps = caps or {}
     n = problem.n_out
-    z_ids = m.add_vars(n, ub=[1.0 if binary else caps.get(j, np.inf) for j in range(n)],
-                       integer=binary | (np.arange(n) < problem.n_int_out))
+    z_ids = m.add_vars(n, ub=[caps.get(j, np.inf) for j in range(n)],
+                       integer=np.arange(n) < problem.n_int_out)
     m.add_rows([(z_ids, problem.A_out)], LEQ, problem.b_out)
     return z_ids
 
@@ -311,22 +314,22 @@ def solve_maxmin_kkt(problem: MaxMinProblem) -> MaxMinResult:
     return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 
-# -- route chooser and product MIP ----------------------------------------------
+# -- route chooser, enumeration and network product MIP ---------------------------
 
 def solve_maxmin_dual(problem: MaxMinProblem,
                       check_feasibility: bool = True) -> MaxMinResult:
-    """max{(d - B_x z)' pi : z in outer set, pi in Pi}.
+    """max over z in the outer set of min{c_y'y : B_y y >= d - B_x z, y >= 0}.
 
     Outer sets whose coordinates are all capped at one and whose vertices
-    are 0/1 get the product MIP over binary z: either every coordinate is
+    are 0/1 are enumerated (_enumerate_outer): either every coordinate is
     declared integer, or the set has integral vertices
     (has_integral_vertices), so that the maximum of the convex inner value
-    sits at a binary vertex anyway. pi is capped at the run's big-M there,
-    which is sound whenever the optimal dual stays below it; the audit in
-    the calling layer catches violations. Otherwise the KKT route answers.
-    Inner infeasibility at some z makes the program unbounded: the result
-    then carries the witness z and the value inf. Either route raises
-    BackendError naming its MIP when that MIP does not end Optimal.
+    sits at a 0/1 vertex anyway. Where the 0/1 points are more than
+    instances._box_points enumerates, and on every other outer set, the KKT
+    route answers. Inner infeasibility at some z makes the program
+    unbounded: the result then carries the witness z and the value inf.
+    Either route raises BackendError naming its model when that model does
+    not end as it must.
     """
     if check_feasibility:
         v_f, witness = check_inner_feasibility(problem)
@@ -336,41 +339,61 @@ def solve_maxmin_dual(problem: MaxMinProblem,
     binary_outer = _outer_is_binary(problem) and (
         problem.n_int_out == problem.n_out
         or has_integral_vertices(problem.A_out, problem.b_out))
-    if not binary_outer:
-        return solve_maxmin_kkt(problem)
-    return _product_mip(problem)
+    if binary_outer:
+        try:
+            return _enumerate_outer(problem)
+        except OracleError:
+            pass
+    return solve_maxmin_kkt(problem)
 
 
-def _product_mip(problem: MaxMinProblem,
-                 caps: dict[int, float] | None = None) -> MaxMinResult:
-    """max (d - B_x z)' pi over z in the outer set and pi >= 0 with
-    B_y' pi <= c_y, each product pi_i z_j linearized exactly by the envelope
-    of a binary and a bounded factor. caps, the probed maximum of each z_j
-    the objective reads, makes pi the binary side ("<name>_net"): pi <= 1
-    then bounds a dual polyhedron with 0/1 vertices, and caps[j] bounds z_j
-    and is the M of its products, since a bound holds exactly in the MIP
-    while the rows implying it hold only to feasibility tolerance, which the
-    maximizing z would exploit. Without caps z is binary and pi <= M, the
-    run's big-M (backend.current_big_m) ("<name>_bilin")."""
-    network = caps is not None
-    M = backend.current_big_m()
-    m_rows = problem.B_y.shape[0]
-    m = LinearModel(name=problem.name + ("_net" if network else "_bilin"))
-    z_ids = _add_outer_set(m, problem, caps=caps, binary=not network)
-    pi_ids = m.add_vars(m_rows, ub=1.0 if network else M, integer=network)
+def _enumerate_outer(problem: MaxMinProblem) -> MaxMinResult:
+    """The largest inner value over the 0/1 points of the outer set and the
+    first point, in instances._box_points' order, that attains it. One LP
+    ("<name>_enum") holds a copy of the inner LP per point
+    (backend.solve_copies): a copy that ends Infeasible is worth +inf, one
+    that ends Unbounded -inf, and any other status raises BackendError
+    naming the LP. OracleError where _box_points finds too many points,
+    BackendError where it finds none."""
+    n = problem.n_out
+    points = _box_points(np.zeros(n), np.ones(n), -problem.A_out, -problem.b_out, "z")
+    if not len(points):
+        raise BackendError(f"{problem.name}: the outer set has no 0/1 point "
+                           "(nonemptiness violated)")
+    name = problem.name + "_enum"
+    status, y = backend.solve_copies(name, problem.B_y, GEQ, problem.d - points @ problem.B_x.T,
+                                     0.0, np.inf, problem.c_y)
+    failed = status[~np.isin(status, [backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED])]
+    if failed.size:
+        raise BackendError(f"{name} ended {failed[0]}")
+    values = np.select([status == backend.OPTIMAL, status == backend.INFEASIBLE],
+                       [y @ problem.c_y, np.inf], -np.inf)
+    k = int(np.argmax(values))
+    return MaxMinResult(value=float(values[k]), outer=points[k])
+
+
+def _product_mip(problem: MaxMinProblem, caps: dict[int, float]) -> MaxMinResult:
+    """max (d - B_x z)' pi over z in the outer set and pi in {0, 1} with
+    B_y' pi <= c_y ("<name>_net"), each product pi_i z_j linearized exactly
+    by the envelope of a binary and a bounded factor. The feasibility dual
+    of a network B_y has 0/1 vertices, so pi binary loses nothing. caps, the
+    probed maximum of each z_j the objective reads, bounds z_j and is the M
+    of its products, since a bound holds exactly in the MIP while the rows
+    implying it hold only to feasibility tolerance, which the maximizing z
+    would exploit."""
+    m = LinearModel(name=problem.name + "_net")
+    z_ids = _add_outer_set(m, problem, caps=caps)
+    pi_ids = m.add_vars(problem.B_y.shape[0], ub=1.0, integer=True)
     m.add_rows([(pi_ids, problem.B_y.T)], LEQ, problem.c_y)
     obj = dict(zip(pi_ids, problem.d))
     rows, cols = np.nonzero(problem.B_x)
-    pairs = [(pi_ids[i], z_ids[j]) if network else (z_ids[j], pi_ids[i])
-             for i, j in zip(rows, cols)]
-    w = _binary_products(m, pairs, [caps[j] for j in cols] if network else M)
+    w = _binary_products(m, [(pi_ids[i], z_ids[j]) for i, j in zip(rows, cols)],
+                         [caps[j] for j in cols])
     obj.update(zip(w, -problem.B_x[rows, cols]))
     m.set_objective(obj, sense="max")
     out = backend.solve_mip(m)
     if not out.is_optimal:
-        cap = (f": pi <= M = {M:g} may cut off every dual point (M too small)"
-               if out.status == backend.INFEASIBLE and not network else "")
-        raise BackendError(f"{m.name} ended {out.status}{cap}")
+        raise BackendError(f"{m.name} ended {out.status}")
     return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 

@@ -633,13 +633,14 @@ def test_a_master_at_an_unfloored_eta_bound_gives_no_lower_bound():
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_a_dual_above_the_product_cap_names_the_big_m(variant):
-    # Q's recourse dual is 2e7, far above the cap pi <= big_M of sp2's
-    # product MIP, which then has no feasible point
+def test_a_recourse_dual_above_the_big_m_needs_no_cap(variant):
+    # Q's recourse dual is 2e7, far above the default big-M; sp2 enumerates
+    # U(x)'s 0/1 points and caps no dual, so every variant proves the
+    # oracle's value
     res = run(_deep_toy(), AlgorithmConfig(variant=variant))
-    assert res.status == "Numerical"
-    assert res.meta["reason"] == ("deep_toy_wc_bilin ended Infeasible: pi <= M = "
-                                  "10000 may cut off every dual point (M too small)")
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(oracle_exact(_deep_toy()).value, rel=1e-9)
+    assert res.objective == pytest.approx(-2e7, rel=1e-9)
 
 
 def test_the_eta_floor_keeps_the_fixed_bound_on_the_bench_sets():
@@ -1528,13 +1529,14 @@ def test_a_basis_cut_on_held_bases_adds_nothing():
 
 # -- max-min failures ----------------------------------------------------------
 
-@pytest.mark.parametrize("route", ["_bilin", "_kkt"])
-def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route):
-    # at x = 0 the outer set of t1 is [0, 1], which takes the product route;
-    # with integral vertices denied, the KKT route answers instead
+@pytest.mark.parametrize("route, solve", [("_enum", "solve_lp"), ("_kkt", "solve_mip")])
+def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route, solve):
+    # at x = 0 the outer set of t1 is [0, 1], whose 0/1 points the
+    # enumeration LP takes; with integral vertices denied, the KKT MIP
+    # answers instead
     if route == "_kkt":
         monkeypatch.setattr(maxmin, "has_integral_vertices", lambda A, b: False)
-    real = backend.solve_mip
+    real = getattr(backend, solve)
     name = f"T1_wc{route}"
 
     def numerical(model, **kw):
@@ -1542,7 +1544,7 @@ def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route):
             return SolveOutcome(status=backend.NUMERICAL)
         return real(model, **kw)
 
-    monkeypatch.setattr(backend, "solve_mip", numerical)
+    monkeypatch.setattr(backend, solve, numerical)
     with pytest.raises(BackendError, match=f"^{name} ended Numerical$"):
         sp2(t1(), np.zeros(1))
     res = run(t1(), AlgorithmConfig(variant="parametric"))

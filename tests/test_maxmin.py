@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddu_ro import backend, maxmin, t1
+from ddu_ro import backend, instances, maxmin, t1
 from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_mip_recourse_fl, gen_reliable_pmedian,
-                              gen_robust_fl)
+                              gen_robust_fl, lattice_first_stages, recourse_value)
 from ddu_ro.maxmin import (
     MaxMinProblem,
     build_optimality_block,
@@ -412,7 +412,7 @@ def test_a_kkt_max_min_cut_off_by_its_dual_bound_says_m_too_small(monkeypatch):
         solve_maxmin_kkt(_fl_mip3_relaxed_sp2())
 
 
-# -- the product route on sets with integral vertices ---------------------------
+# -- the enumeration route on sets with 0/1 vertices --------------------------------
 
 def _pm_uk(n_sites: int, p: int = 3, seed: int = 0) -> Instance:
     return gen_reliable_pmedian(PMedianParams(n_sites=n_sites, p=p, seed=seed),
@@ -522,47 +522,90 @@ def mip_names(monkeypatch):
     return names
 
 
-def test_product_and_kkt_routes_agree_on_pmedian(monkeypatch, mip_names):
-    cases = [(_pm_uk(5, p=2), (0, 3)), (_pm_uk(6), (0, 2, 4)), (_pm_uk(6), (1, 2, 5))]
-    product = []
-    for inst, sites in cases:
-        x = _open_sites(inst, sites)
+# p-median sets whose U(x) has 0/1 vertices, and pm_pair5's integer u
+ENUMERATED = {
+    "ddu_uk5": lambda: _pm_uk(5, p=2),
+    "ddu_uk6": lambda: _pm_uk(6),
+    "ddu_ukq6": lambda: gen_reliable_pmedian(PMedianParams(n_sites=6, p=3), "ddu_ukq"),
+    "ddu_ur6": lambda: gen_reliable_pmedian(PMedianParams(n_sites=6, p=3), "ddu_ur"),
+    "pm_pair5": lambda: gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair"),
+}
+
+
+@pytest.mark.parametrize("make", ENUMERATED.values(), ids=ENUMERATED)
+def test_enumeration_and_kkt_routes_agree_on_pmedian(monkeypatch, mip_names, make):
+    # sp1 and sp2 enumerate U(x)'s 0/1 points and solve no MIP; the recourse
+    # LP at the returned u gives sp2's value, and so does the KKT route,
+    # taken where the outer set is not seen to be 0/1 (integrality alone
+    # takes pm_pair5's integer u to the enumeration)
+    inst = make()
+    xs = lattice_first_stages(inst)
+    xs = [xs[0], xs[len(xs) // 2], xs[-1]]
+    assert len({x.tobytes() for x in xs}) == 3
+    enumerated = []
+    for x in xs:
         mip_names.clear()
-        product.append(sp2(inst, x))
-        assert [n for n in mip_names if n.endswith("_bilin")], mip_names
-    monkeypatch.setattr(maxmin, "has_integral_vertices", lambda A, b: False)
-    for (inst, sites), r in zip(cases, product):
+        assert sp1(inst, x).value == 0.0
+        enumerated.append(sp2(inst, x))
+        assert mip_names == []
+    for x, r in zip(xs, enumerated):
+        assert recourse_value(inst, x, r.u)[0] == pytest.approx(r.value, rel=1e-9)
+    monkeypatch.setattr(maxmin, "_outer_is_binary", lambda problem: False)
+    for x, r in zip(xs, enumerated):
         mip_names.clear()
-        k = sp2(inst, _open_sites(inst, sites))
-        assert mip_names and all(n.endswith("_kkt") for n in mip_names)
-        assert r.value == pytest.approx(k.value, rel=1e-6)
-        x = _open_sites(inst, sites)
-        d_eff = float((inst.Y.d - inst.Y.B1 @ x) @ r.pi)
-        assert abs(r.value - (d_eff + r.basis_result.value)) <= 1e-6 * abs(r.value)
+        assert sp2(inst, x).value == pytest.approx(r.value, rel=1e-6)
+        assert mip_names == [inst.name + "_wc_kkt"]
+
+
+def test_beyond_the_lattice_cap_the_kkt_route_answers(monkeypatch, mip_names):
+    # with fewer prefixes allowed than U(x) has 0/1 points, _box_points
+    # raises OracleError and the KKT MIP answers with the same value
+    inst = _pm_uk(6)
+    x = _open_sites(inst, (0, 2, 4))
+    enumerated = sp2(inst, x)
+    assert mip_names == []
+    monkeypatch.setattr(instances, "_MAX_LATTICE", 1)
+    assert sp2(inst, x).value == pytest.approx(enumerated.value, rel=1e-6)
+    assert mip_names == [inst.name + "_wc_kkt"]
+
+
+def test_an_outer_set_without_a_0_1_point_names_nonemptiness():
+    # 0.3 <= z <= 0.7 with z integer: the LP set is not empty, its 0/1
+    # points are
+    p = MaxMinProblem(A_out=np.array([[1.0], [-1.0]]), b_out=np.array([0.7, -0.3]),
+                      c_y=np.array([1.0]), B_y=np.array([[1.0]]), B_x=np.array([[-1.0]]),
+                      d=np.array([0.0]), n_int_out=1, name="hole")
+    with pytest.raises(BackendError, match=r"^hole: the outer set has no 0/1 point "
+                                           r"\(nonemptiness violated\)$"):
+        solve_maxmin_dual(p, check_feasibility=False)
 
 
 def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     inst = _pm_uk(6)
     x = _open_sites(inst, (0, 2, 4))
-    with backend.big_m(1e4):
-        raw = solve_maxmin_dual(maxmin_from_instance(inst, x), check_feasibility=False)
-        r = sp2(inst, x)
-    # the product MIP may leave duals of zero-weight rows at their cap; the
-    # seed handed on is the simplex vertex of the recourse dual instead
+    raw = solve_maxmin_dual(maxmin_from_instance(inst, x), check_feasibility=False)
+    r = sp2(inst, x)
+    # the seed handed on is the simplex vertex of the recourse dual at the
+    # route's worst case, far below the big-M
     assert r.pi.max() < 1e3
     assert np.all(r.pi >= 0.0)
     assert np.all(inst.Y.B2.T @ r.pi <= inst.Y.c2 + 1e-7)
     assert r.value == pytest.approx(raw.value, rel=1e-9)
 
 
-def test_sp2_audit_catches_a_binding_dual_cap(mip_names):
-    # at M = 10 the product MIP caps pi below the recourse dual's 35.5, so
-    # its value falls short of the vertex dual LP at its scenario
+def test_sp2_audit_catches_an_understated_enumerated_value(monkeypatch):
+    # the enumeration reports one unit less than the recourse at its u, so
+    # the vertex dual LP at that u disagrees
+    enumerate_outer = maxmin._enumerate_outer
+
+    def understated(problem):
+        res = enumerate_outer(problem)
+        return replace(res, value=res.value - 1.0)
+
+    monkeypatch.setattr(maxmin, "_enumerate_outer", understated)
     inst = _pm_uk(6)
-    with backend.big_m(10.0), pytest.raises(BackendError,
-                                            match="SP2_vertex_dual: the max-min value"):
+    with pytest.raises(BackendError, match="SP2_vertex_dual: the max-min value"):
         sp2(inst, _open_sites(inst, (0, 2, 4)))
-    assert mip_names == [inst.name + "_wc_bilin"]
 
 
 # -- network route of the feasibility check ------------------------------------
@@ -668,25 +711,6 @@ def test_network_route_audits_its_value_against_the_polish_lp(monkeypatch):
 
 
 # -- sp1 through the route chooser ------------------------------------------------
-
-def test_sp1_on_pmedian_solves_only_the_product_mip(monkeypatch):
-    # U(x) of ddu_uk has 0/1 vertices, and the extended feasibility problem
-    # bounds pi by one, so the product MIP is exact with one binary per u_j
-    solved = []
-    solve_mip = backend.solve_mip
-
-    def recording(model, **kw):
-        solved.append((model.name, sum(v.integer for v in model.vars)))
-        return solve_mip(model, **kw)
-
-    monkeypatch.setattr(backend, "solve_mip", recording)
-    inst = _pm_uk(5, p=2)
-    for sites in ((0, 3), (1, 2), (4,)):
-        solved.clear()
-        r = sp1(inst, _open_sites(inst, sites))
-        assert solved == [(inst.name + "_wc_feas_bilin", inst.U.dim)]
-        assert r.value == 0.0 and r.u.shape == (inst.U.dim,)
-
 
 def test_sp1_off_both_structures_takes_the_audited_kkt_route(monkeypatch, mip_names):
     # fl_mip3's B2 is not a network matrix and its U(x) is not 0/1: the KKT

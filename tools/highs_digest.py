@@ -6,9 +6,10 @@ included, and hashes the arguments of every backend.linprog and backend.milp
 call: the objective, the constraint matrix as a canonical CSR (duplicates
 summed, indices sorted), the row bounds, the column bounds, the integrality
 and the options other than time_limit, which follows the wall clock. It prints each
-operation's status, objective, iteration count, number of solves and one
-digest over its own solves in call order, then the number of solves and one
-digest over all of them.
+operation's status, objective, iteration count, number of solves, how many
+of them are MIPs (backend.milp calls; solve_mip hands a model without
+integers to linprog) and one digest over its own solves in call order, then
+the same counts and one digest over all of them.
 
 Two trees that print the same lines gave HiGHS byte-identical input on
 every solve of those operations; where they differ, the operation lines
@@ -66,10 +67,11 @@ def _digest(hashes: list[str]) -> str:
 
 class Recorder:
     """Wraps backend.linprog and backend.milp while installed and keeps the
-    hash of each call's input."""
+    hash of each call's input and whether the call was a MIP."""
 
     def __init__(self) -> None:
         self.hashes: list[str] = []
+        self.mips: list[bool] = []
         self._saved = (backend.linprog, backend.milp)
 
     def __enter__(self) -> "Recorder":
@@ -86,6 +88,7 @@ class Recorder:
             self.hashes.append(_model_hash(
                 "lp", c_, A, np.r_[np.full(b_ub_.size, -np.inf), b_eq_], np.r_[b_ub_, b_eq_],
                 lb, ub, np.zeros(c_.size), options))
+            self.mips.append(False)
             return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                            method=method, options=options)
 
@@ -98,6 +101,7 @@ class Recorder:
             self.hashes.append(_model_hash(
                 "mip", c_, A, lhs, rhs, lb, ub,
                 np.broadcast_to(0 if integrality is None else integrality, c_.shape), options))
+            self.mips.append(True)
             return milp(c, integrality=integrality, bounds=bounds, constraints=constraints,
                         options=options)
 
@@ -127,8 +131,9 @@ def main(argv: list[str] | None = None) -> int:
                     objective = "None" if res.objective is None else repr(float(res.objective))
                     own = rec.hashes[before:]
                     print(f"s{seed} {op.name}: {res.status} {objective} "
-                          f"iterations {res.iterations} solves {len(own)} digest {_digest(own)}")
-    print(f"solves {len(rec.hashes)} digest {_digest(rec.hashes)}")
+                          f"iterations {res.iterations} solves {len(own)} "
+                          f"mips {sum(rec.mips[before:])} digest {_digest(own)}")
+    print(f"solves {len(rec.hashes)} mips {sum(rec.mips)} digest {_digest(rec.hashes)}")
     return 0
 
 
