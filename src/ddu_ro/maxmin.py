@@ -44,7 +44,7 @@ from .model import (AffineMatrixMap, BasisId, Instance, UncertaintySet, _binary_
                     affine_blocks, binary_coupling, max_lp, range_probe)
 
 _ZERO_RC_TOL = 1e-9
-_AUDIT_TOL = 1e-4     # relative: a product MIP against its LP, sp2 against its split
+_AUDIT_TOL = 1e-4     # relative: a max-min route against its LP, sp2 against its split
 
 
 @dataclass(eq=False)
@@ -314,7 +314,7 @@ def solve_maxmin_kkt(problem: MaxMinProblem) -> MaxMinResult:
     return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 
-# -- route chooser, enumeration and network product MIP ---------------------------
+# -- route chooser, enumeration and network product MIP -------------------------
 
 def solve_maxmin_dual(problem: MaxMinProblem,
                       check_feasibility: bool = True) -> MaxMinResult:
@@ -429,7 +429,7 @@ def has_integral_vertices(A: np.ndarray, b: np.ndarray) -> bool:
 def audited_dual_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
                     value: float, name: str) -> backend.SolveOutcome:
     """The optimum of the recourse dual max{rhs' pi : B_y' pi <= c_y, pi >= 0}
-    at one outer point, whose value a product MIP claims: BackendError,
+    at one outer point, whose value a max-min route claims: BackendError,
     naming the LP, unless the LP ends Optimal within _AUDIT_TOL (relative)
     of value."""
     out = backend.solve_lp(max_lp(B_y.T, c_y, rhs, name))

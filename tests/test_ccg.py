@@ -1529,7 +1529,8 @@ def test_a_basis_cut_on_held_bases_adds_nothing():
 
 # -- max-min failures ----------------------------------------------------------
 
-@pytest.mark.parametrize("route, solve", [("_enum", "solve_lp"), ("_kkt", "solve_mip")])
+@pytest.mark.parametrize("route, solve", [("_enum", "solve_lp"), ("_kkt", "solve_mip")],
+                         ids=["_enum", "_kkt"])
 def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route, solve):
     # at x = 0 the outer set of t1 is [0, 1], whose 0/1 points the
     # enumeration LP takes; with integral vertices denied, the KKT MIP
