@@ -1,8 +1,8 @@
 """Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
 of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
 (vars and constrs are read-only views of them), HiGHS solves (solve_lp and
-solve_mip), one LP over K copies of an LP (solve_copies) and big-M
-complementarity linearization.
+solve_mip), one LP over K copies of an LP (solve_copies) with the value of
+each copy (copy_values) and big-M complementarity linearization.
 
 How a model reaches HiGHS. solve_lp passes <= and = CSR blocks to linprog,
 solve_mip lo <= A x <= hi to milp. Both are this module's, not scipy's: each
@@ -533,6 +533,16 @@ def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
                            *(a[half] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
               for half in (slice(K // 2), slice(K // 2, K))]
     return tuple(map(np.concatenate, zip(*halves)))
+
+
+def copy_values(what: str, status: np.ndarray, x: np.ndarray, cost) -> np.ndarray:
+    """The value of each copy from solve_copies' status and x: x_k'cost where
+    Optimal, +inf where Infeasible and -inf where Unbounded; BackendError
+    "<what> ended <status>" where a copy ends otherwise."""
+    failed = status[~np.isin(status, [OPTIMAL, INFEASIBLE, UNBOUNDED])]
+    if failed.size:
+        raise BackendError(f"{what} ended {failed[0]}")
+    return np.select([status == OPTIMAL, status == INFEASIBLE], [x @ cost, np.inf], -np.inf)
 
 
 # HiGHS options of every MIP, under mip_rel_gap and time_limit (module docstring)

@@ -386,11 +386,7 @@ def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]
     else:
         status, y = backend.solve_copies("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
                                          0.0, np.inf, Y.c2)
-        failed = status[~np.isin(status, [backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED])]
-        if failed.size:
-            raise backend.BackendError(f"recourse solve ended {failed[0]}")
-        vals = np.split(np.select([status == backend.OPTIMAL, status == backend.INFEASIBLE],
-                                  [y @ Y.c2, np.inf], -np.inf),
+        vals = np.split(backend.copy_values("recourse solve", status, y, Y.c2),
                         np.cumsum([len(v) for _, v in run])[:-1])
     return [(float(np.max(p)), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
 

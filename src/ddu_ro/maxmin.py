@@ -351,10 +351,10 @@ def _enumerate_outer(problem: MaxMinProblem) -> MaxMinResult:
     """The largest inner value over the 0/1 points of the outer set and the
     first point, in instances._box_points' order, that attains it. One LP
     ("<name>_enum") holds a copy of the inner LP per point
-    (backend.solve_copies): a copy that ends Infeasible is worth +inf, one
-    that ends Unbounded -inf, and any other status raises BackendError
-    naming the LP. OracleError where _box_points finds too many points,
-    BackendError where it finds none."""
+    (backend.solve_copies), each valued by backend.copy_values: +inf where
+    it is Infeasible, BackendError naming the LP where it ends Numerical.
+    OracleError where _box_points finds too many points, BackendError where
+    it finds none."""
     n = problem.n_out
     points = _box_points(np.zeros(n), np.ones(n), -problem.A_out, -problem.b_out, "z")
     if not len(points):
@@ -363,11 +363,7 @@ def _enumerate_outer(problem: MaxMinProblem) -> MaxMinResult:
     name = problem.name + "_enum"
     status, y = backend.solve_copies(name, problem.B_y, GEQ, problem.d - points @ problem.B_x.T,
                                      0.0, np.inf, problem.c_y)
-    failed = status[~np.isin(status, [backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED])]
-    if failed.size:
-        raise BackendError(f"{name} ended {failed[0]}")
-    values = np.select([status == backend.OPTIMAL, status == backend.INFEASIBLE],
-                       [y @ problem.c_y, np.inf], -np.inf)
+    values = backend.copy_values(name, status, y, problem.c_y)
     k = int(np.argmax(values))
     return MaxMinResult(value=float(values[k]), outer=points[k])
 
