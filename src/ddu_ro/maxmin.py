@@ -336,7 +336,9 @@ def solve_maxmin_dual(problem: MaxMinProblem,
         if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
             return MaxMinResult(value=np.inf, outer=witness)
 
-    binary_outer = _outer_is_binary(problem) and (
+    # an inner LP without columns, sp4's under an all-integer recourse, is
+    # no LP for HiGHS; the KKT MIP takes it
+    binary_outer = problem.B_y.shape[1] > 0 and _outer_is_binary(problem) and (
         problem.n_int_out == problem.n_out
         or has_integral_vertices(problem.A_out, problem.b_out))
     if binary_outer:

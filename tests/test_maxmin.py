@@ -412,7 +412,7 @@ def test_a_kkt_max_min_cut_off_by_its_dual_bound_says_m_too_small(monkeypatch):
         solve_maxmin_kkt(_fl_mip3_relaxed_sp2())
 
 
-# -- the enumeration route on sets with 0/1 vertices --------------------------------
+# -- the enumeration route on sets with 0/1 vertices -----------------------------
 
 def _pm_uk(n_sites: int, p: int = 3, seed: int = 0) -> Instance:
     return gen_reliable_pmedian(PMedianParams(n_sites=n_sites, p=p, seed=seed),
@@ -591,6 +591,18 @@ def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     assert np.all(r.pi >= 0.0)
     assert np.all(inst.Y.B2.T @ r.pi <= inst.Y.c2 + 1e-7)
     assert r.value == pytest.approx(raw.value, rel=1e-9)
+
+
+def test_an_inner_lp_without_columns_takes_the_kkt_route(mip_names):
+    # sp4's inner LP under an all-integer recourse has no y: the value is
+    # 0 wherever it is feasible, and a model without columns cannot reach
+    # HiGHS as an LP
+    p = MaxMinProblem(A_out=np.array([[1.0]]), b_out=np.array([1.0]), c_y=np.zeros(0),
+                      B_y=np.zeros((1, 0)), B_x=np.array([[1.0]]), d=np.array([0.0]),
+                      name="no_y")
+    res = solve_maxmin_dual(p)
+    assert res.value == 0.0 and res.outer.shape == (1,)
+    assert mip_names == ["no_y_feas_net", "no_y_kkt"]
 
 
 def test_sp2_audit_catches_an_understated_enumerated_value(monkeypatch):
