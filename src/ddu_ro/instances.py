@@ -5,30 +5,26 @@ The oracle defines the ground truth the solvers are tested against: it
 enumerates the first stage over its integer lattice (continuous components are
 pinned, gridded, or optimized out, see oracle_exact), takes the worst
 recourse value over the vertices of U(x), and then the min over x. The
-vertices come from solving every nonsingular basis system of the standard
-form. Which bases are nonsingular depends on F(x) alone, so one oracle_exact
-call finds them once per distinct F(x), in 2e7-entry chunks, and takes the
-first stages one F(x), so one such table, at a time; a table that serves a
-second first stage inverts its bases once, and the inverses screen out the
-bases infeasible at each later one. The LPs are batched, one LP of copies
-per run, narrowed by halves where it is not Optimal (backend.solve_copies):
-a run of integer assignments shares the range probes of its coupled
-continuous x, the first dropping assignments without completion, and one
-LP over every (assignment, grid point); a run of first stages shares one
-LP over every (x, vertex) pair, after a shortfall LP has dropped the x whose
-first vertex has no recourse (worst_case_values). It shares nothing with
-the cutting-plane machinery beyond the LP/MIP primitives.
+vertices of U(x) are the extreme rays of its homogenized cone, found by the
+double description method, which also shows U(x) empty or unbounded
+(enumerate_vertices). The LPs are batched, one LP of copies per run,
+narrowed by halves where it is not Optimal (backend.solve_copies): a run of
+integer assignments shares the range probes of its coupled continuous x,
+the first dropping assignments without completion, and one LP over every
+(assignment, grid point); a run of first stages shares one shortfall LP
+over their first vertices, which drops the x whose first vertex has no
+recourse, and one LP over every other (x, vertex) pair (worst_case_values).
+It shares nothing with the cutting-plane machinery beyond the LP/MIP
+primitives.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import tempfile
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +42,6 @@ from .model import (
     envelope_rows,
     instance_from_dict,
     instance_to_dict,
-    max_lp,
     range_probe,
     uncertainty_set_to_dict,
 )
@@ -76,33 +71,26 @@ def t1() -> Instance:
 
 # the oracle's enumeration limits
 _MAX_LATTICE = 20000        # integer x or u prefixes alive per level of _box_points
-_MAX_BASES = 2_000_000      # basis systems per U(x)
-_MAX_VERTICES = 5000        # distinct vertices kept per U(x)
+_MAX_VERTICES = 5000        # rays alive per U(x) in _cone_rays
 _GRID = 7                   # grid points per free coupled continuous dim
 _DEDUP_TOL = 1e-9
-# the itertools.combinations table of each (rows, columns) shape met inside
-# the enclosing worst_case_values call; None outside every call
-_COMBOS: ContextVar[dict | None] = ContextVar("ddu_ro_combos", default=None)
 
 
-def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
-                       bases: dict | None = None) -> np.ndarray:
+def enumerate_vertices(U: UncertaintySet, x: np.ndarray) -> np.ndarray:
     """All vertices of U(x) = {u >= 0 : F(x) u <= h + G x} as rows.
 
-    Continuous case: A z = rhs with A = [F(x) | I], each row scaled by its
-    largest entry. The bases of A with |det| > 1e-12 depend on A alone: a
-    determinant sweep over every basis whose pattern has no empty row or
-    column finds them, and `bases`, a one-entry memo keyed on A's shape and
-    bytes, keeps their index sets for the next call with the same A, and
-    from its second enumeration the inverses of those bases. worst_case_values
-    passes one memo per distinct F(x), so each is swept once. Each call
-    solves only the nonsingular bases that the inverses, where the memo
-    holds them, do not show infeasible for its rhs (_basic_vertices); a
-    basic solution with all components nonnegative is a vertex. Every step
-    works in chunks of at most 2e7 matrix entries. Vertices are de-duplicated
-    and ordered by the first basis (in itertools.combinations order) that
-    yields them. All-integer case (n_int_u == dim): the integer points of
-    U(x) inside the per-coordinate LP bounds, by _box_points' pruned search.
+    Continuous case: the extreme rays (u, t) of the cone {(u, t) >= 0 :
+    t (h + G x) - F(x) u >= 0} (_cone_rays) with t > 0, divided by t. A ray
+    with t = 0 is a direction in which U(x) is unbounded, and without a ray
+    with t > 0 U(x) is empty; either raises OracleError. Vertices whose
+    entries agree to _DEDUP_TOL times the largest |u| entry are one. They
+    come in descending lexicographic order of u, so the first vertex, the
+    one worst_case_values tests for recourse before the others, has high
+    coordinates: the scenario of most demand, where the generators'
+    recourse runs short. The order depends on the set alone, not on the
+    order of its rows. All-integer case (n_int_u == dim): the integer
+    points of U(x) inside the per-coordinate LP bounds, by _box_points'
+    pruned search.
     """
     x = np.asarray(x, dtype=float)
     if U.n_int_u:
@@ -110,17 +98,17 @@ def enumerate_vertices(U: UncertaintySet, x: np.ndarray,
             raise OracleError("mixed-integer u is outside the oracle's scope")
         return _integer_points(*U.at(x))
 
-    if U.n_rows == 0:
-        if U.dim == 0:
-            return np.zeros((1, 0))
-        raise OracleError("U(x) has no rows: unbounded, violates boundedness")
-
-    u = np.concatenate([np.zeros((0, U.dim)), *_basic_vertices(U, x, bases)])
-    if not len(u):
+    rays = _cone_rays(*U.at(x))
+    t = rays[:, -1]
+    if not (t > 0.0).any():
         raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-    first = _first_rows(np.round(u / _DEDUP_TOL).astype(np.int64))
-    if len(first) > _MAX_VERTICES:
-        raise OracleError(f"more than {_MAX_VERTICES} vertices")
+    if (t == 0.0).any():
+        raise OracleError("U(x) is unbounded (boundedness violated)")
+    u = rays[:, :-1] / t[:, None]
+    keys = np.round(u / (_DEDUP_TOL * (np.abs(u).max(initial=0.0) or 1.0))).astype(np.int64)
+    first = _first_rows(keys)
+    if len(first) > 1:
+        first = first[np.lexsort(keys[first].T[::-1])[::-1]]
     return u[first]
 
 
@@ -134,125 +122,58 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(rows, return_index=True)[1])
 
 
-def _basic_vertices(U: UncertaintySet, x: np.ndarray, bases: dict | None,
-                    size: int | None = None):
-    """The u parts of the feasible basic solutions of U(x) (continuous u,
-    at least one row), one array per slice of `size` solved bases in table
-    order; `size` defaults to the 2e7-entry chunk.
-
-    The memo `bases` holds, for one A, a dict: the table of nonsingular
-    bases, the count of full sweeps (calls without `size`) made against it
-    and, from the second, the inverses of the table's first 2e7 entries'
-    worth of bases with their inf-norms. With inverses, one matmul screens
-    every basis that has one: it is solved only when every component of
-    inv_B @ rhs is at least -(_DEDUP_TOL scale + delta_B), where the margin
-    delta_B bounds the difference between that product and the solve (see
-    below). The bases past the inverses are solved unscreened. The solves
-    and the tests on their results are those of a sweep over every basis,
-    so the vertices, and their order, do not depend on the screen."""
-    Fx, rhs = U.at(x)
-    mu, n = Fx.shape
-    n_cols = n + mu
-    n_bases = math.comb(n_cols, mu)
-    if n_bases > _MAX_BASES:
-        raise OracleError(f"{n_bases} basis systems exceed the cap {_MAX_BASES}")
-
-    A = np.hstack([Fx, np.eye(mu)])
-    # row equilibration keeps basis determinants O(1); structural u parts of
-    # the basic solutions are unchanged, slack values rescale harmlessly
-    row_scale = np.maximum(np.abs(A).max(axis=1), 1e-30)
-    A = A / row_scale[:, None]
-    rhs_s = rhs / row_scale
-    chunk = max(1, int(2e7 // (mu * mu)))
-    bases = {} if bases is None else bases
-    key = (A.shape, A.tobytes())
-    if key not in bases:
-        bases.clear()
-        bases[key] = {"table": _nonsingular_bases(A, chunk), "sweeps": 0}
-    memo = bases[key]
-    table = memo["table"]
-    if size is None:
-        memo["sweeps"] += 1
-        # an inverse costs two to three solves, so a table swept once is
-        # only solved; the second full sweep takes the inverses
-        if memo["sweeps"] == 2:
-            memo["inverses"] = _basis_inverses(A, table[:chunk])
-
-    scale = max(1.0, np.abs(rhs_s).max())
-    todo = table
-    if "inverses" in memo:
-        inv, inv_norm = memo["inverses"]
-        z = (inv.reshape(-1, mu) @ rhs_s).reshape(-1, mu)
-        # To first order, the solve z' and z = fl(inv_B rhs) are both within
-        # gamma_3mu |A_B^-1| |L||U| of A_B^-1 rhs, times |z'| for the solve
-        # and |inv_B| |rhs| for the product (Higham 2002, Thm 9.4 and sec.
-        # 14.1; inv solves A_B inv_B = I by the same LU); the product adds
-        # gamma_mu |inv_B| |rhs|. Rows scaled to a largest entry 1 and
-        # partial pivoting give || |L||U| ||_inf <= mu^2 rho, so with growth
-        # rho <= 10 the two differ by at most delta_B = 16 mu^3 eps ||inv_B||
-        # (||z|| + ||inv_B|| scale) in the inf-norm, with z for z'. Measured
-        # over the first stages of pm_uk8, fl_rhs2 and 2-site fl-lhs, they
-        # differ by at most 0.98 eps ||inv_B|| scale.
-        delta = 16 * mu ** 3 * np.finfo(float).eps * inv_norm * (
-            np.abs(z).max(axis=1) + inv_norm * scale)
-        # a NaN in z compares False, so its basis is kept
-        kept = ~np.any(z < -(_DEDUP_TOL * scale + delta)[:, None], axis=1)
-        todo = np.concatenate([table[:len(inv)][kept], table[len(inv):]])
-    step = size or chunk
-    for lo in range(0, len(todo), step):
-        sub = todo[lo:lo + step]
-        mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
-        b_batch = np.broadcast_to(rhs_s[:, None], (len(sub), mu, 1)).copy()
-        sols = np.linalg.solve(mats, b_batch)[:, :, 0]
-        feas = np.all(sols >= -_DEDUP_TOL * scale, axis=1)
-        # guard against ill-conditioned near-singular systems
-        resid = np.einsum("bij,bj->bi", mats, sols) - rhs_s
-        feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * scale
-        cols, sols = sub[feas], sols[feas]
-        u = np.zeros((len(cols), n))
-        rows, pos = np.nonzero(cols < n)
-        u[rows, cols[rows, pos]] = np.maximum(sols[rows, pos], 0.0)
-        yield u
+def _cone_rays(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The extreme rays of the cone {(u, t) >= 0 : t rhs - Fx u >= 0}, as
+    rows of largest entry 1, by the double description method (Motzkin et
+    al. 1953; Fukuda and Prodon 1996). It starts from the unit rays of the
+    orthant and adds the rows, each scaled to a largest |entry| of 1, one
+    at a time. A row keeps the rays that meet it, drops those that violate
+    it, and joins each adjacent pair of a violating ray and a ray strictly
+    inside into a ray on the row, tight where both are and on the row. A
+    ray is tight on a row where its value there is at most _DEDUP_TOL times
+    the sum of its terms' magnitudes, and on a bound of (u, t) >= 0 where
+    that entry is 0; a join of two nonnegative rays with positive weights
+    keeps those zeros exact. OracleError when more than _MAX_VERTICES rays
+    are alive."""
+    n = Fx.shape[1]
+    rows = np.hstack([-Fx, rhs[:, None]])
+    top = np.abs(rows).max(axis=1)
+    rows /= np.where(top > 0.0, top, 1.0)[:, None]
+    rays, tight = np.eye(n + 1), ~np.eye(n + 1, dtype=bool)    # tight[r, k]: ray r on k
+    for a in rows:
+        v = rays @ a
+        on = np.abs(v) <= _DEDUP_TOL * (rays @ np.abs(a))
+        out = (v < 0.0) & ~on
+        p, q = _adjacent_pairs(tight, np.flatnonzero((v > 0.0) & ~on), np.flatnonzero(out), n - 1)
+        joined = v[p, None] * rays[q] - v[q, None] * rays[p]
+        rays = np.vstack([rays[~out], joined / joined.max(axis=1, keepdims=True)])
+        tight = np.vstack([np.column_stack([tight[~out], on[~out]]),
+                           np.column_stack([tight[p] & tight[q], np.ones(len(p), dtype=bool)])])
+        if len(rays) > _MAX_VERTICES:
+            raise OracleError(f"more than {_MAX_VERTICES} vertices")
+    return rays
 
 
-def _nonsingular_bases(A: np.ndarray, chunk: int) -> np.ndarray:
-    """Column index sets of the bases of A with |det| > 1e-12, in
-    itertools.combinations order, as an int array of shape (count, rows).
-    Inside a worst_case_values call the combinations of A's shape are
-    listed once (_COMBOS).
-
-    A basis whose nonzero pattern has an empty row or column is dropped
-    before the determinants are taken: LU with partial pivoting leaves an
-    exact zero on U's diagonal there, so LAPACK's determinant of it is 0.
-    Each column's pattern is a bit mask of the rows it meets, in words of
-    64 rows, so the test is an OR over the basis's columns."""
-    mu, n_cols = A.shape
-    memo = {} if _COMBOS.get() is None else _COMBOS.get()
-    if A.shape not in memo:
-        memo[A.shape] = np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations(range(n_cols), mu)), dtype=int,
-            count=math.comb(n_cols, mu) * mu).reshape(-1, mu)
-    combos = memo[A.shape]
-    words = -(-mu // 64)
-    meets = np.zeros((64 * words, n_cols), dtype=bool)
-    meets[:mu] = A != 0.0
-    masks = np.ascontiguousarray(np.packbits(meets, axis=0).T).view(np.uint64)
-    every_row = np.packbits(np.arange(64 * words) < mu).view(np.uint64)
-    kept = []
-    for lo in range(0, len(combos), chunk):
-        sub = combos[lo:lo + chunk]
-        m = masks[sub]                                  # (batch, mu, words)
-        sub = sub[(np.bitwise_or.reduce(m, axis=1) == every_row).all(axis=1)
-                  & m.any(axis=2).all(axis=1)]
-        dets = np.abs(np.linalg.det(A[:, sub].transpose(1, 0, 2)))
-        kept.append(sub[dets > 1e-12])
-    return np.concatenate(kept)
-
-
-def _basis_inverses(A: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses of the bases of table, and their inf-norms."""
-    inv = np.linalg.inv(A[:, table].transpose(1, 0, 2))
-    return inv, np.abs(inv).sum(axis=2).max(axis=1)
+def _adjacent_pairs(tight: np.ndarray, P: np.ndarray, N: np.ndarray,
+                    need: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, q) of P x N whose rays are adjacent, as two index
+    arrays, by the combinatorial test: the constraints both are tight on,
+    Z, number at least need, and no third ray of tight is tight on all of
+    Z. The counts are float32 matrix products, which BLAS runs and which are
+    exact at these counts, over chunks of at most 2e7 entries."""
+    Z = tight.astype(np.float32)
+    step = max(1, int(2e7 // max(len(N), *Z.shape)))
+    pairs = [np.zeros((2, 0), dtype=int)]
+    for lo in range(0, len(P), step):
+        sub = P[lo:lo + step]
+        common = Z[sub] @ Z[N].T                    # |Z| of each pair
+        i, j = np.nonzero(common >= need)
+        for c in range(0, len(i), step):
+            ii, jj = i[c:c + step], j[c:c + step]
+            holders = (Z[sub[ii]] * Z[N[jj]]) @ Z.T >= common[ii, jj][:, None]
+            keep = holders.sum(axis=1) == 2         # p and q alone
+            pairs.append(np.stack([sub[ii[keep]], N[jj[keep]]]))
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -330,42 +251,24 @@ _SHORTFALL_TOL = 1e-3
 def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     """For every x in xs, the max over the vertices of U(x) of the recourse
     value, with the first vertex (in enumerate_vertices order) that attains
-    it. The x are taken one distinct F(x), so one basis table, at a time.
-
-    For continuous u the first vertex of every U(x) is found by solving the
-    nonsingular bases in slices of 64 until one is feasible, and _no_recourse
-    finds those without recourse: such an x is worth (inf, that vertex) and
-    is not enumerated (so _MAX_VERTICES does not apply to it).
-    _worst_vertices values the other x, one recourse LP per run of
-    _BLOCK_ENTRIES entries of B2, where a later vertex without recourse is
-    worth inf. A group's memo holds its basis table and, once a second x of
-    the group is enumerated, the inverses that screen its bases
-    (_basic_vertices); both go with the group. The combinations table the
-    basis tables are cut from is built once per shape and call (_COMBOS).
+    it. The x and their vertices come in runs of at most _BLOCK_ENTRIES
+    entries of B2 over the vertices (one x per run for integer y). One
+    shortfall LP over a run's first vertices finds the x whose first vertex
+    has no recourse (_no_recourse); such an x is worth (inf, that vertex).
+    _worst_vertices values every vertex of the others in one block LP of
+    the recourse, where a later vertex without recourse is worth inf.
     """
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    groups: dict[bytes, list[int]] = {}
-    for i, x in enumerate(xs):
-        groups.setdefault(inst.U.F.evaluate(x).tobytes(), []).append(i)
     cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
-    out: dict[int, tuple[float, np.ndarray]] = {}
-    token = _COMBOS.set({})
-    try:
-        for group in groups.values():
-            bases: dict = {}        # the table of this F(x) only
-            if not inst.U.n_int_u and inst.U.n_rows:
-                firsts = ((i, next((u[:1] for u in _basic_vertices(
-                    inst.U, xs[i], bases, 64) if len(u)), None)) for i in group)
-                for run in backend._runs([(i, u) for i, u in firsts if u is not None], cap):
-                    missing = _no_recourse(inst, [(xs[i], u) for i, u in run])
-                    out.update((i, (np.inf, u[0])) for (i, u), m in zip(run, missing) if m[0])
-            todo = [i for i in group if i not in out]
-            runs = backend._runs(((xs[i], enumerate_vertices(inst.U, xs[i], bases))
-                                  for i in todo), cap, size=lambda item: len(item[1]))
-            out.update(zip(todo, (w for run in runs for w in _worst_vertices(inst, run))))
-    finally:
-        _COMBOS.reset(token)
-    return [out[i] for i in range(len(xs))]
+    xs = (np.asarray(x, dtype=float) for x in xs)
+    pairs = ((x, enumerate_vertices(inst.U, x)) for x in xs)
+    out = []
+    for run in backend._runs(pairs, cap, size=lambda item: len(item[1])):
+        missing = [m[0] for m in _no_recourse(inst, [(x, verts[:1]) for x, verts in run])]
+        rest = [item for item, miss in zip(run, missing) if not miss]
+        valued = iter(_worst_vertices(inst, rest) if rest else [])
+        out += [(np.inf, verts[0]) if miss else next(valued)
+                for (_, verts), miss in zip(run, missing)]
+    return out
 
 
 def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:
@@ -419,8 +322,8 @@ def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
 
 def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None:
     """For every (x, verts) of run, the least shortfall of the (continuous)
-    recourse at its vertices u_k, from one LP, backend.copies_lp's; None
-    unless it is Optimal. Copy k holds (y_k, s_k) and the rows D^-1 (B2 y_k
+    recourse at its vertices u_k, from backend.solve_copies; None unless
+    every copy ends Optimal. Copy k holds (y_k, s_k) and the rows D^-1 (B2 y_k
     - r_k) + s_k >= 0, s_k >= 0, r_k = d - B1 x - E u_k, with D the largest
     |entry| of each row of B2 (1 for a zero row), since HiGHS holds rows of
     tiny entries to its absolute tolerance. The LP minimizes the sum of every
@@ -429,12 +332,10 @@ def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None
     scale = np.abs(Y.B2).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
     A = np.hstack([Y.B2 / scale[:, None], np.eye(Y.n_rows)])
-    out = backend.solve_lp(backend.copies_lp(
-        "recourse_shortfall", A, GEQ, rhs / scale, 0.0, np.inf,
-        np.r_[np.zeros(Y.dim), np.ones(Y.n_rows)]))
-    if not out.is_optimal:
+    status, sol = backend.solve_copies("recourse_shortfall", A, GEQ, rhs / scale, 0.0, np.inf,
+                                       np.r_[np.zeros(Y.dim), np.ones(Y.n_rows)])
+    if (status != backend.OPTIMAL).any():
         return None
-    sol = out.x.reshape(len(rhs), A.shape[1])
     vals = (sol[:, Y.dim:] * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
         axis=1, initial=0.0))
     return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])
@@ -458,11 +359,9 @@ def oracle_exact(inst: Instance) -> OracleResult:
     rows only matter through c1 and X, so LPs optimize them out; coupled
     continuous components are pinned when X forces their value and gridded
     (_GRID points) when at most two stay free. A run of lattice points
-    shares these LPs (see _complete_continuous). One LP per distinct F(x)
-    first checks that U(x) is bounded (_require_bounded).
+    shares these LPs (see _complete_continuous).
     """
     xs = lattice_first_stages(inst)
-    _require_bounded(inst.U, xs)
     best = OracleResult(value=np.inf, x=np.zeros(inst.dim_x), worst_u=np.zeros(inst.dim_u))
     evals: list[tuple[np.ndarray, float]] = []
     for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs)):
@@ -512,19 +411,6 @@ def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list
     cap = max(1, int(backend._BLOCK_ENTRIES // (max(1, X.A.size) * _GRID ** min(2, len(coupled)))))
     return [x for run in backend._runs(points, cap)
             for x in _complete_continuous(inst, run, coupled, sep)]
-
-
-def _require_bounded(U: UncertaintySet, xs: list[np.ndarray]) -> None:
-    """Raise OracleError when U(x) has a direction of recession for some x
-    of xs, which its vertices alone would miss: the LP max{1'd : d >= 0,
-    F(x) d <= 0} is unbounded exactly then. One LP per distinct F(x); integer
-    u and a set without rows are left to enumerate_vertices."""
-    if U.n_int_u or not U.n_rows:
-        return
-    for Fx in {Fx.tobytes(): Fx for Fx in map(U.F.evaluate, xs)}.values():
-        out = backend.solve_lp(max_lp(Fx, np.zeros(U.n_rows), np.ones(U.dim), "recession"))
-        if out.status == backend.UNBOUNDED:
-            raise OracleError("U(x) is unbounded (boundedness violated)")
 
 
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],

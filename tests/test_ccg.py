@@ -1138,9 +1138,13 @@ def test_fl_mip3_is_optimal_at_the_default_big_m(seed, value):
     # sp4's KKT MIP bounds its dual side by dual_bound, as the masters'
     # blocks do; with the dual side at big_M 1e4 it ended Numerical "M too
     # small" before the first iteration
-    res = run(gen_mip_recourse_fl(FLParams(**{**FL_MIP3, "seed": seed})),
-              AlgorithmConfig(mip_recourse_mode=True, big_M=1e4))
+    inst = gen_mip_recourse_fl(FLParams(**{**FL_MIP3, "seed": seed}))
+    res = run(inst, AlgorithmConfig(mip_recourse_mode=True, big_M=1e4))
     assert res.status == "Optimal" and res.objective == pytest.approx(value, rel=1e-6)
+    # and the oracle's value (the two agree to the last bit at both seeds)
+    oracle = oracle_exact(inst).value
+    assert oracle == pytest.approx(value, rel=1e-6)
+    assert res.objective == pytest.approx(oracle, rel=1e-9)
 
 
 def test_every_solve_gets_no_more_than_the_time_the_run_has_left(monkeypatch):

@@ -4,8 +4,6 @@ import itertools
 import json
 import math
 import os
-import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +36,7 @@ from ddu_ro.instances import (
 )
 from ddu_ro.ccg import AlgorithmConfig, MasterState, run
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
-                          UncertaintySet, add_first_stage, build_deterministic_mip,
+                          UncertaintySet, add_first_stage, build_deterministic_mip, max_lp,
                           uncertainty_set_from_dict)
 from toys import record_linprog, t1_infeasible, t1_unbounded_u
 
@@ -63,23 +61,24 @@ def test_t1_vertices_depend_on_x():
     assert v1 == pytest.approx([0.0, 2.0])
 
 
-@pytest.mark.parametrize("F, n_lps", [
-    (AffineMatrixMap(base=np.zeros((1, 1))), 1),
-    (AffineMatrixMap(base=[[1.0]], terms=((0, [[-1.0]]),)), 2),
+@pytest.mark.parametrize("F", [
+    AffineMatrixMap(base=np.zeros((1, 1))),
+    AffineMatrixMap(base=[[1.0]], terms=((0, [[-1.0]]),)),
 ], ids=["constant", "at-x-1"])
-def test_oracle_refuses_an_unbounded_uncertainty_set(F, n_lps, monkeypatch):
+def test_oracle_refuses_an_unbounded_uncertainty_set(F, monkeypatch):
     # where F(x) = 0, u = 0 is the one vertex of U(x) and u grows without
-    # bound along a ray the vertices miss
+    # bound along the cone's ray (u, t) = (1, 0)
     inst = t1_unbounded_u(F)
-    assert enumerate_vertices(inst.U, np.array([1.0])).tolist() == [[0.0]]
+    with pytest.raises(OracleError, match=r"U\(x\) is unbounded \(boundedness violated\)"):
+        enumerate_vertices(inst.U, np.array([1.0]))
     names = []
     real = backend.solve_lp
     monkeypatch.setattr(backend, "solve_lp", lambda m: names.append(m.name) or real(m))
-    with pytest.raises(OracleError, match="unbounded"):
+    with pytest.raises(OracleError, match="boundedness violated"):
         oracle_exact(inst)
-    # one recession LP per distinct F(x) up to the first unbounded one,
-    # before any vertex is valued
-    assert names == ["recession"] * n_lps
+    # the enumeration finds the ray before any vertex is valued, and no
+    # recession LP runs
+    assert names == []
 
 
 def test_recourse_value_infeasible_is_inf():
@@ -357,7 +356,7 @@ PINNED_LP_DIGESTS = {
     "pm_uk8-parametric-master": "ab2f31a2de9be3de",
     "pm_uk8-basis-master": "2ec6ce8cefbdf9fc",
     "xfill": "06c80de50e776c35",
-    "recourse_block": "5e50e1ae79db12d0",
+    "recourse_block": "ed5ab049f7d22934",
 }
 
 
@@ -456,11 +455,35 @@ def test_a_file_with_two_triplets_at_one_entry_is_refused(tmp_path):
         io_read(str(path))
 
 
-def test_oracle_refuses_oversized_enumerations():
-    fp = FLParams(n_sites=3, seed=5, capacity_lower_frac=1.5,
-                  capacity_upper_frac=1.5)
-    with pytest.raises(OracleError, match="basis systems"):
-        oracle_exact(gen_robust_fl(fp, "rhs"))
+def test_oracle_refuses_oversized_enumerations(monkeypatch):
+    # the cube [0, 1]^3 cut by u1 + u2 + u3 <= 1/2 has 4 vertices, but the
+    # cube's 8 are alive before the cut: the cap counts the rays alive
+    U = UncertaintySet(F=AffineMatrixMap(base=np.vstack([np.eye(3), np.ones(3)])),
+                       G=np.zeros((4, 1)), h=[1.0, 1.0, 1.0, 0.5])
+    inst = Instance(name="cut-cube", c1=[0.0], X=t1().X, U=U,
+                    Y=RecourseSet(B1=[[0.0]], B2=[[1.0]], E=[[-1.0, 0.0, 0.0]], d=[0.0],
+                                  c2=[1.0]))
+    assert len(enumerate_vertices(U, [0.0])) == 4
+    monkeypatch.setattr(instances, "_MAX_VERTICES", 7)
+    with pytest.raises(OracleError, match="more than 7 vertices"):
+        oracle_exact(inst)
+    monkeypatch.setattr(instances, "_MAX_VERTICES", 8)
+    assert oracle_exact(inst).value == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("seed, value", [(5, -39813.06646457269), (0, -68905.90943240363)],
+                         ids=["s5", "s0"])
+def test_the_oracle_answers_three_site_fl_rhs(seed, value):
+    # the sweep over every basis refused it (6906900 basis systems); every
+    # variant returns the oracle's value
+    inst = gen_robust_fl(FLParams(n_sites=3, seed=seed, capacity_lower_frac=1.5,
+                                  capacity_upper_frac=1.5), "rhs")
+    res = oracle_exact(inst)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    for variant in ("benders", "parametric", "parametric-modified"):
+        out = run(inst, AlgorithmConfig(variant=variant, tol=1e-6))
+        assert out.status == "Optimal"
+        assert out.objective == pytest.approx(res.value, rel=1e-6)
 
 
 def test_oracle_refuses_too_many_free_coupled_dims():
@@ -574,16 +597,21 @@ def test_a_wide_box_with_few_points_enumerates():
 
 # -- vertex enumeration against the determinant sweep per call ------------------
 
+_REF_MAX_BASES = 2_000_000      # the sweep's cap on the basis systems of one U(x)
+
+
 def _vertices_by_every_basis(U, x):
     """Reference for enumerate_vertices on continuous u: takes the determinant
     of every basis of [F(x) | I] at every call and de-duplicates basis by
-    basis, in the order of itertools.combinations."""
+    basis, in the order of itertools.combinations. It drops the bases of
+    |det| <= 1e-12 after row scaling, so it misses vertices where that
+    drops real bases (test_vertex_enumeration_limits_and_empty_sets)."""
     x = np.asarray(x, dtype=float)
     Fx = U.F.evaluate(x)
     rhs = U.h + U.G @ x
     mu, n = Fx.shape
     n_cols = n + mu
-    assert math.comb(n_cols, mu) <= instances._MAX_BASES
+    assert math.comb(n_cols, mu) <= _REF_MAX_BASES
 
     A = np.hstack([Fx, np.eye(mu)])
     # row equilibration keeps basis determinants O(1); structural u parts of
@@ -624,35 +652,56 @@ def _vertices_by_every_basis(U, x):
     return np.array(verts)
 
 
-def _pm_uk8_stages():
-    inst = gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk")
-    mixed = np.zeros(inst.dim_x)
-    mixed[[0, 2, 3, 6]] = 1.0
-    ones = np.zeros(inst.dim_x)
-    ones[:8] = 1.0
-    return inst.U, [np.zeros(inst.dim_x), ones, mixed]
+def _same_vertices(got, ref):
+    """got and ref hold the same rows, in any order, within 1e-7 relative."""
+    if got.shape != ref.shape:
+        return False
+    scale = max(1.0, np.abs(ref).max(initial=0.0))
+    close = np.abs(got[:, None] - ref[None]).max(axis=2, initial=0.0) <= 1e-7 * scale
+    return close.any(axis=1).all() and close.any(axis=0).all()
 
 
-def _fl_stages(dependence):
-    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), dependence)
-    return inst.U, [np.array([1.0, 0.0, 150.0, 0.0]),
-                    np.array([1.0, 1.0, 90.0, 120.0])]
+def _assert_vertices(U, x):
+    """enumerate_vertices(U, x) holds the reference's vertices, in
+    descending lexicographic order of their de-duplication keys, the
+    entries in units of _DEDUP_TOL times the largest."""
+    got = enumerate_vertices(U, x)
+    assert _same_vertices(got, _vertices_by_every_basis(U, x))
+    keys = np.round(got / (instances._DEDUP_TOL * (np.abs(got).max() or 1.0)))
+    for later, earlier in zip(keys[1:], keys):
+        first = np.flatnonzero(later != earlier)[0]
+        assert later[first] < earlier[first]
 
 
-def _t1_stages():
-    return t1().U, [np.array([0.0]), np.array([1.0])]
+def _lattice_stages(inst):
+    return inst.U, lattice_first_stages(inst)
 
 
-@pytest.mark.parametrize("stages", [_pm_uk8_stages, lambda: _fl_stages("rhs"),
-                                    lambda: _fl_stages("lhs"), _t1_stages],
-                         ids=["ddu_uk8", "fl-rhs2", "fl-lhs2", "t1"])
+def _u2_cap(F, h):
+    """max u2 over U = {u >= 0 : F u <= h}, with one binary x that U ignores."""
+    return Instance(
+        name="u2-cap", c1=[0.0],
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                        lb=[0.0], ub=[1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=F), G=np.zeros((2, 1)), h=h),
+        Y=RecourseSet(B1=[[0.0]], B2=[[1.0]], E=[[0.0, -1.0]], d=[0.0], c2=[1.0]))
+
+
+@pytest.mark.parametrize("stages", [
+    lambda: _lattice_stages(gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk")),
+    lambda: _lattice_stages(gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")),
+    lambda: _lattice_stages(gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")),
+    lambda: (t1().U, [np.array([0.0]), np.array([1.0])]),
+    lambda: (_u2_cap(np.eye(2), [1.0, 2.0]).U, [np.zeros(1)]),
+    lambda: (_u2_cap([[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0]).U, [np.zeros(1)]),
+], ids=["ddu_uk8", "fl-rhs2", "fl-lhs2", "t1", "box", "wedge"])
 def test_vertices_match_the_sweep_over_every_basis(stages):
+    # every lattice first stage of pm_uk8 (56), fl_rhs2 and 2-site fl-lhs
+    # (64 each, F(x) moving with x for fl-lhs); a box and a wedge of one
+    # shape, whose vertices need different bases
     U, xs = stages()
-    bases: dict = {}
     for x in xs:
-        ref = _vertices_by_every_basis(U, x)
-        assert np.array_equal(enumerate_vertices(U, x), ref)
-        assert np.array_equal(enumerate_vertices(U, x, bases=bases), ref)
+        _assert_vertices(U, x)
 
 
 def _scaled_set(seed):
@@ -679,24 +728,11 @@ def _scaled_set(seed):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_screened_vertices_match_the_sweep_over_every_basis(seed):
-    # the first x sweeps every basis, the second inverts them, and from it
-    # on the inverses screen the bases each x solves
+    # rows of mixed scales, and most draws with two rows 1e-12 to 1e-10
+    # apart, over four first stages that move the rhs
     U, xs = _scaled_set(seed)
-    refs = [_vertices_by_every_basis(U, x) for x in xs]
-    solve, solved, bases = np.linalg.solve, [], {}
-
-    def counted(a, b):
-        solved.append(len(a))
-        return solve(a, b)
-
-    for x, ref in zip(xs, refs):
-        solved.clear()
-        with mock.patch.object(np.linalg, "solve", counted):
-            got = enumerate_vertices(U, x, bases=bases)
-        assert np.array_equal(got, ref)
-        [memo] = bases.values()
-        assert sum(solved) <= len(memo["table"])
-    assert "inverses" in memo
+    for x in xs:
+        _assert_vertices(U, x)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -723,60 +759,47 @@ def test_first_rows_of_empty_keys_match_numpy_unique(shape):
     assert np.array_equal(instances._first_rows(keys), ref)
 
 
-def test_basis_memo_follows_an_x_dependent_matrix():
-    U, (x1, x2) = _fl_stages("lhs")
-    assert not np.array_equal(U.F.evaluate(x1), U.F.evaluate(x2))
-    bases: dict = {}
-    got = [enumerate_vertices(U, x, bases=bases) for x in (x1, x2, x1)]
-    assert not np.array_equal(got[0], got[1])
-    for x, v in zip((x1, x2, x1), got):
-        assert np.array_equal(v, _vertices_by_every_basis(U, x))
-
-
-def _u2_cap(F, h):
-    """max u2 over U = {u >= 0 : F u <= h}, with one binary x that U ignores."""
-    return Instance(
-        name="u2-cap", c1=[0.0],
-        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
-                        lb=[0.0], ub=[1.0]),
-        U=UncertaintySet(F=AffineMatrixMap(base=F), G=np.zeros((2, 1)), h=h),
-        Y=RecourseSet(B1=[[0.0]], B2=[[1.0]], E=[[0.0, -1.0]], d=[0.0], c2=[1.0]))
-
-
-def test_basis_memo_is_keyed_on_the_matrix_entries():
-    # equal shapes, different nonsingular bases: {u1, u2} and the slack basis
-    # serve the box, while the vertex (0, 1) of the second set needs {u2, s2}
-    box = _u2_cap(np.eye(2), [1.0, 2.0])
-    wedge = _u2_cap([[1.0, 1.0], [1.0, -1.0]], [1.0, 2.0])
-    assert oracle_exact(box).value == pytest.approx(2.0)
-    assert oracle_exact(wedge).value == pytest.approx(1.0)
-    bases: dict = {}
-    for inst in (box, wedge, box):
-        assert np.array_equal(enumerate_vertices(inst.U, [0.0], bases=bases),
-                              _vertices_by_every_basis(inst.U, [0.0]))
-
-
 def test_vertex_enumeration_limits_and_empty_sets(monkeypatch):
-    monkeypatch.setattr(instances, "_MAX_VERTICES", 1)
-    with pytest.raises(OracleError, match="more than"):
-        enumerate_vertices(t1().U, [0.0])
     empty = UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[0.0]], h=[-1.0])
     with pytest.raises(OracleError, match="nonemptiness violated"):
         enumerate_vertices(empty, [0.0])
-    # after row scaling every basis determinant is at most 1e-13
-    singular = UncertaintySet(F=AffineMatrixMap(base=np.full((2, 2), 1e13)),
-                              G=np.zeros((2, 1)), h=[1.0, 1.0])
-    with pytest.raises(OracleError, match="nonemptiness violated"):
-        enumerate_vertices(singular, [0.0])
+    # {u >= 0 : 1e13 (u1 + u2) <= 1} holds u = 0; the sweep called it empty,
+    # as every basis of its row-scaled [F | I] has |det| <= 1e-13
+    tiny = UncertaintySet(F=AffineMatrixMap(base=np.full((1, 2), 1e13)),
+                          G=np.zeros((1, 1)), h=[1.0])
+    assert np.array_equal(enumerate_vertices(tiny, [0.0]),
+                          [[1e-13, 0.0], [0.0, 1e-13], [0.0, 0.0]])
+    monkeypatch.setattr(instances, "_MAX_VERTICES", 1)
+    with pytest.raises(OracleError, match="more than"):
+        enumerate_vertices(t1().U, [0.0])
+
+
+def test_every_vertex_of_three_site_fl_rhs_is_found():
+    # U(x) of 3-site fl-rhs at x_d = 1, x_c = 1e3: 81 vertices, each in
+    # U(x) with 9 independent tight rows, and no LP over U(x) beats the
+    # best of them in a direction; the sweep found 13, and 300 random
+    # directions all beat its best vertex
+    inst = gen_robust_fl(FLParams(n_sites=3, seed=0), "rhs")
+    x = np.r_[np.ones(3), np.full(3, 1e3)]
+    verts = enumerate_vertices(inst.U, x)
+    Fx, rhs = inst.U.at(x)
+    A, b = np.vstack([Fx, -np.eye(inst.dim_u)]), np.r_[rhs, np.zeros(inst.dim_u)]
+    gaps = b - verts @ A.T
+    assert len(verts) == 81 and gaps.min() >= -1e-9 * np.abs(b).max()
+    for gap in gaps:
+        assert np.linalg.matrix_rank(A[gap <= 1e-9 * np.maximum(1.0, np.abs(b))]) == 9
+    for c in np.random.default_rng(0).normal(size=(5, inst.dim_u)):
+        out = backend.solve_lp(max_lp(Fx, rhs, c, "direction"))
+        assert out.objective <= (verts @ c).max() + 1e-7 * max(1.0, abs(out.objective))
 
 
 # -- worst_case_values against the per-vertex loop -----------------------------
 
-def _worst_case_by_loop(inst, x, bases=None):
+def _worst_case_by_loop(inst, x):
     """Reference for worst_case_values: the recourse LP at every vertex of U(x)
     in enumeration order, keeping the first strict maximum and stopping at the
     first vertex without recourse."""
-    verts = enumerate_vertices(inst.U, x, bases=bases)
+    verts = enumerate_vertices(inst.U, x)
     best, best_u = -np.inf, verts[0]
     for u in verts:
         val, _ = recourse_value(inst, x, u)
@@ -807,9 +830,8 @@ def test_worst_case_value_matches_the_per_vertex_loop(make, monkeypatch):
     monkeypatch.setattr(instances, "worst_case_values", recorded)
     res = oracle_exact(inst)
     assert len(seen) == len(res.evaluations)
-    ref_bases: dict = {}
     for x, (val, u) in seen:
-        ref_val, ref_u = _worst_case_by_loop(inst, x, ref_bases)
+        ref_val, ref_u = _worst_case_by_loop(inst, x)
         assert val == pytest.approx(ref_val, rel=1e-9)
         assert np.array_equal(u, ref_u)
 
@@ -956,14 +978,29 @@ def test_one_shortfall_lp_finds_every_first_vertex_without_recourse(monkeypatch)
     monkeypatch.setattr(instances, "_no_recourse", counted)
     assert oracle_exact(inst).value == pytest.approx(-51406.065233899, rel=1e-12)
     worst = [lp for lp in lps if lp[0] != "xfill"]
-    # U(x) is bounded, by one recession LP for the one F; 58 of the 64 first
-    # vertices have no recourse, all found by one shortfall LP and one of
-    # them audited; the 6 other x share one LP over all of their vertices
+    # 58 of the 64 first vertices have no recourse, all found by one
+    # shortfall LP and one of them audited; the 6 other x share one LP over
+    # all of their vertices
     assert sorted(misses) == [[False]] * 6 + [[True]] * 58
-    assert worst == [("recession", backend.OPTIMAL),
-                     ("recourse_shortfall", backend.OPTIMAL),
+    assert worst == [("recourse_shortfall", backend.OPTIMAL),
                      ("recourse", backend.INFEASIBLE),
                      ("recourse_block", backend.OPTIMAL)]
+    assert len(calls) == 1
+
+
+def test_first_stages_of_many_matrices_share_one_shortfall_lp(monkeypatch):
+    # 2-site fl-lhs at seed 0: the 64 first stages over 19 matrices F(x)
+    # make one run, so one shortfall LP, one audit and one block LP, where
+    # the grouping by F(x) took 19 shortfall LPs and 15 audits
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
+    lps = _record_lps(monkeypatch)
+    calls = _count_recourse_calls(monkeypatch)
+    res = oracle_exact(inst)
+    assert res.value == pytest.approx(-51207.92549966348, rel=1e-12)
+    assert len({inst.U.F.evaluate(x).tobytes() for x, _ in res.evaluations}) == 19
+    assert [lp for lp in lps if lp[0] != "xfill"] == [
+        ("recourse_shortfall", backend.OPTIMAL), ("recourse", backend.INFEASIBLE),
+        ("recourse_block", backend.OPTIMAL)]
     assert len(calls) == 1
 
 
@@ -1002,13 +1039,14 @@ def test_the_batch_path_of_an_unbounded_recourse_is_minus_inf(monkeypatch):
 
 
 def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
-    # 4 y >= u with y integer: no block LP, a first-vertex MIP per x, then the loop
+    # 4 y >= u with y integer: no block LP; per x, one run, the first
+    # vertex's MIP, then the loop
     inst = _interval_toy(B2=[[4.0]], E=[[-1.0]], d=[0.0], c2=[1.0], n_int_y=1)
     lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
     assert lps == []
-    assert [c[0] for c in calls] == [2.0, 2.0, 2.0, 0.0, 2.0, 0.0]
+    assert [c[0] for c in calls] == [2.0, 2.0, 0.0, 2.0, 2.0, 0.0]
     for val, u in got:
         assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
 
@@ -1226,9 +1264,10 @@ def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypat
 
 @pytest.mark.parametrize("budget, n_lps", [
     # ddu_uk5: 10 first stages with 4 vertices each; a recourse block holds
-    # 15 x 30 entries and a completion block 12 x 30
-    (3600, 1 + 2 + 5),     # 10 completions, 8 first vertices, two x per run
-    (3599, 2 + 2 + 10),    # 9 + 1 completions, 7 + 3 first vertices, one x per run
+    # 15 x 30 entries and a completion block 12 x 30; a run of x takes a
+    # shortfall LP over its first vertices and a block LP over every vertex
+    (3600, 1 + 5 + 5),     # 10 completions, two x per run
+    (3599, 2 + 10 + 10),   # 9 + 1 completions, one x per run
     (1, 10 + 10 + 10),     # no batch of two fits: every LP serves one x
 ])
 def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
@@ -1237,8 +1276,7 @@ def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     monkeypatch.setattr(backend, "_BLOCK_ENTRIES", budget)
     lps = _record_lps(monkeypatch)
     res = oracle_exact(inst)
-    # and the one recession LP of the constant F
-    assert len(lps) == n_lps + 1 and lps.count(("recession", backend.OPTIMAL)) == 1
+    assert len(lps) == n_lps
     assert res.value == ref.value and np.array_equal(res.x, ref.x)
     assert np.array_equal(res.worst_u, ref.worst_u)
     assert [(x.tolist(), v) for x, v in res.evaluations] == \
@@ -1331,16 +1369,15 @@ def test_completion_matches_the_per_grid_point_loop(monkeypatch, dependence, see
 def test_a_run_of_coupled_assignments_shares_six_lps(monkeypatch):
     # fl-rhs with 2 sites: 4 assignments, 2 coupled capacities, a 7 x 7 grid;
     # a min and a max LP per capacity and one grid LP, where one assignment
-    # at a time took 84; with the recession LP of the constant F the oracle
-    # solves six LPs
+    # at a time took 84
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
     lps = _record_lps(monkeypatch)
     _completions(monkeypatch, inst)
-    assert lps == [("xfill", backend.OPTIMAL)] * 5 + [("recession", backend.OPTIMAL)]
+    assert lps == [("xfill", backend.OPTIMAL)] * 5
     _by_loop(monkeypatch)
     lps.clear()
     _completions(monkeypatch, inst)
-    assert len(lps) == 84 + 1
+    assert len(lps) == 84
 
 
 def _grid_toy(c1, ub3=1.0):
@@ -1443,93 +1480,9 @@ def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills
     monkeypatch.setattr(backend, "_BLOCK_ENTRIES", budget)
     lps = _record_lps(monkeypatch)
     assert _completions(monkeypatch, inst) == ref
-    # and then the recession LP of the constant F
-    assert len(lps) == n_fills + 1 and lps[-1] == ("recession", backend.OPTIMAL)
-
-
-def test_each_distinct_matrix_is_swept_once(monkeypatch):
-    # fl-lhs: F(x) follows the capacities; 64 first stages share 19 matrices,
-    # and both passes of worst_case_values reuse the one sweep of each
-    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
-    sweeps = []
-    original = instances._nonsingular_bases
-
-    def counted(A, chunk):
-        sweeps.append(A.tobytes())
-        return original(A, chunk)
-
-    monkeypatch.setattr(instances, "_nonsingular_bases", counted)
-    res = oracle_exact(inst)
-    distinct = {inst.U.F.evaluate(x).tobytes() for x, _ in res.evaluations}
-    assert len(res.evaluations) == 64 and len(distinct) == 19
-    assert len(sweeps) == len(set(sweeps)) == 19
-
-
-def test_one_basis_table_is_alive_at_a_time(monkeypatch):
-    # fl-lhs: the 19 matrices F(x) of 64 first stages are taken one at a
-    # time, and so are the inverses of the tables that two x enumerate
-    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
-    counts = {"table": [0, 0, 0], "inverses": [0, 0, 0]}    # made, alive, peak
-
-    def tracked(kind, original):
-        def released():
-            counts[kind][1] -= 1
-
-        def call(A, arg):
-            out = original(A, arg)
-            made = counts[kind]
-            made[0] += 1
-            made[1] += 1
-            made[2] = max(made[2], made[1])
-            weakref.finalize(out if kind == "table" else out[0], released)
-            return out
-        return call
-
-    monkeypatch.setattr(instances, "_nonsingular_bases",
-                        tracked("table", instances._nonsingular_bases))
-    monkeypatch.setattr(instances, "_basis_inverses",
-                        tracked("inverses", instances._basis_inverses))
-    oracle_exact(inst)
-    assert counts["table"] == [19, 0, 1]
-    made, alive, peak = counts["inverses"]
-    assert made >= 1 and alive == 0 and peak == 1
+    assert lps == [("xfill", backend.OPTIMAL)] * n_fills
 
 
 def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
     runs = backend._runs([3, 1, 1, 5, 1], 4, size=lambda s: s)
     assert list(runs) == [[3, 1], [1], [5], [1]]
-
-
-def test_basis_table_equals_the_list_of_every_combination():
-    # the sweep leaves the bases with an empty row or column unfactored,
-    # and each of these matrices has some
-    stages = [(gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs").U, np.zeros(4)),
-              (_pm_uk8_stages()[0], _pm_uk8_stages()[1][2]),
-              (gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs").U,
-               np.array([1.0, 1.0, 90.0, 120.0]))]
-    for U, x in stages:
-        A = np.hstack([U.F.evaluate(x), np.eye(U.n_rows)])
-        A = A / np.abs(A).max(axis=1)[:, None]
-        mu, n_cols = A.shape
-        combos = np.array(list(itertools.combinations(range(n_cols), mu)), dtype=int)
-        dets = np.abs(np.linalg.det(A[:, combos].transpose(1, 0, 2)))
-        pattern = A[:, combos] != 0.0                 # (rows, bases, mu)
-        assert not pattern.any(axis=2).all(axis=0).all()
-        got = instances._nonsingular_bases(A, 1000)
-        assert got.dtype == combos.dtype
-        assert np.array_equal(got, combos[dets > 1e-12])
-
-
-def test_one_combinations_table_per_shape_in_a_worst_case_pass(monkeypatch):
-    # 2-site fl-lhs at seed 0: 19 distinct F(x), so 19 basis tables, all of
-    # one shape, so one itertools.combinations table for them all
-    combinations, tables, built = itertools.combinations, [], []
-    monkeypatch.setattr(itertools, "combinations",
-                        lambda *args: built.append(args) or combinations(*args))
-    nonsingular = instances._nonsingular_bases
-    monkeypatch.setattr(instances, "_nonsingular_bases",
-                        lambda A, *args: tables.append(A.shape) or nonsingular(A, *args))
-    res = oracle_exact(gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs"))
-    assert res.value == pytest.approx(-51207.92549966348, rel=1e-12)
-    assert len(tables) == 19 and len(set(tables)) == 1
-    assert len(built) == 1
