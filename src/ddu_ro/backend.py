@@ -470,8 +470,10 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
 # the most matrix entries of one LP over copies, as each caller counts them:
 # worst_case_values the entries of B2, zeros too, over its (x, vertex) pairs,
 # lattice_first_stages those of X.A over the grid copies of its assignments,
-# ccg._part_values the nonzeros of a cutting set's rows over its points; the
-# model is built in Python, so this bounds the memory it takes
+# ccg._part_values the nonzeros of the pending parts' rows over the lattice
+# points it values, ccg._lattice_relaxation those of the relaxation's rows
+# over every lattice point (past that it leaves the relaxation to the MIP);
+# the model is built in Python, so this bounds the memory it takes
 _BLOCK_ENTRIES = 1e5
 
 

@@ -11,8 +11,11 @@ closes or the master repeats a first stage, whose worst case it holds.
 
 A master is a MIP over the first stage x and eta, unless MasterState.solve
 can value it over X's integer lattice (see there): each cutting set is then
-priced once at every lattice point, in LPs of one copy per point that
-backend.solve_copies narrows by halves where they are not Optimal.
+priced lazily, only at the points whose bound can still decide the argmin,
+in LPs of one copy per point that backend.solve_copies narrows by halves
+where they are not Optimal. The deterministic relaxation is valued over the
+same lattice where its columns outside x are continuous and its copies are
+few enough (_lattice_relaxation).
 """
 
 from __future__ import annotations
@@ -49,11 +52,6 @@ _FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
 # eta's lower bound, binding only before the first optimality cut, unless
 # the relaxation puts a valid floor lower (_eta_floor)
 _ETA_LB = -1e7
-# the most first stages a master is valued at (MasterState.solve): the
-# largest lattice measured no slower than the MIP masters, 16-site ddu_uk
-# p-medians at p = 3; at 1001 points (14 sites, p = 4) the parametric
-# masters took 1.1-1.4 times the MIP's seconds
-_MAX_MASTER_POINTS = 560
 
 
 @dataclass
@@ -124,19 +122,24 @@ class MasterState:
     cutting sets, continuous replicates). That is exact: a product of a 0/1
     x with a column is exact once x is fixed, the separable continuous x
     meet only c1 and X, and the blocks share nothing but x and eta, each
-    bounding eta from below. So at a lattice point x the master is c1'x plus the largest
-    of eta's lower bound and each block's least eta there, an LP per block;
-    a point where some block's LP is infeasible is cut off (the master of
-    Zeng and Zhao 2013, solved by enumerating the first stages, one of the
-    master strategies that Rahmaniani et al., EJOR 2017, survey). Every
-    part appended since the previous solve is valued once at every point,
-    by backend.solve_copies, and its values are kept. A part the route
-    cannot value (it reads a continuous x or an older part's column, brings
-    an integer column, or bounds eta from above), or a lattice of more than
-    _MAX_MASTER_POINTS first stages, sends this and every later solve to
-    backend.solve_mip, which always holds the whole model. The lattice's
-    cost follows the first stages X admits, not its bound box: the search
-    of instances._box_points visits only the prefixes X's rows can complete.
+    bounding eta from below. So at a lattice point x the master is c1'x
+    plus the largest of eta's lower bound and each block's least eta there,
+    an LP per block; a point where some block's LP is infeasible is cut off
+    (the master of Zeng and Zhao 2013, solved by enumerating the first
+    stages, one of the master strategies that Rahmaniani et al., EJOR 2017,
+    survey). The rows and columns appended between two solves form a part,
+    checked once (_check_part) when the next solve takes it in. A point is
+    valued lazily, only when the argmin needs it (_lattice_solve), and then
+    at every part appended since its last valuation, in one LP copy of
+    those parts (_part_values). A part the route cannot value (it reads a continuous x
+    or an older part's column, brings an integer column, or bounds eta from
+    above), a copy that ends neither Optimal nor Infeasible, or a lattice
+    that instances.lattice_first_stages refuses (OracleError) sends this
+    and every later solve to backend.solve_mip, which always holds the
+    whole model. The lattice is enumerated once per state (lattice()), and
+    its cost follows the first stages X admits, not its bound box: the
+    search of instances._box_points visits only the prefixes X's rows can
+    complete. lattice_copies counts the copies the route has solved.
     """
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
@@ -158,51 +161,104 @@ class MasterState:
         self.ray_seeds: list[np.ndarray] = []
         self.basis_seeds: list[BasisId] = []
         self.blocks: dict[str, OptimalityBlock | None] = {}
-        # the lattice route: None once off it; else the columns and rows
-        # already valued, the points (enumerated at the first solve) and,
-        # per point, the largest least eta of the parts valued so far
-        self._valued = (self.model.n_vars, self.model.n_constrs)
+        # the lattice route: the first column and row of each part taken in,
+        # None once off the route; the columns and rows taken in; the points
+        # (enumerated at the first lattice()) and, per point, the number of
+        # parts valued there and the largest least eta among them
+        self._parts: list[tuple[int, int]] | None = []
         if coupled_continuous(inst) or inst.Y.n_int_y or not binary:
-            self._valued = None
+            self._parts = None
+        self._taken = (self.model.n_vars, self.model.n_constrs)
         self._points: np.ndarray | None = None
+        self._done: np.ndarray | None = None
         self._theta: np.ndarray | None = None
-        self.masters_lattice = self.masters_mip = 0
+        self.masters_lattice = self.masters_mip = self.lattice_copies = 0
+
+    def lattice(self) -> np.ndarray | None:
+        """X's lattice points, one row each, while the route holds, else
+        None; enumerated at the first call, which leaves the route where
+        instances.lattice_first_stages raises OracleError."""
+        if self._parts is not None and self._points is None:
+            try:
+                xs = lattice_first_stages(self.inst)
+            except OracleError:
+                self._parts = None
+                return None
+            self._points = np.reshape(xs, (len(xs), self.inst.dim_x))
+            self._done = np.zeros(len(xs), dtype=int)
+            self._theta = np.full(len(xs), -np.inf)
+        return None if self._parts is None else self._points
 
     def solve(self, **mip_options) -> backend.SolveOutcome:
         """The master's optimum, exact (bound = objective) over the lattice
         while the route holds (see the class docstring), else from
         backend.solve_mip with mip_options."""
-        if self._valued is not None:
+        if self.lattice() is not None:
             try:
                 out = self._lattice_solve()
                 self.masters_lattice += 1
                 return out
-            except (_OffLattice, OracleError):
-                self._valued = None
+            except _OffLattice:
+                self._parts = None
         self.masters_mip += 1
         return backend.solve_mip(self.model, **mip_options)
 
     def _lattice_solve(self) -> backend.SolveOutcome:
-        """The first point of least c1'x + max(eta's lower bound, each
-        part's least eta), with eta at that max; Infeasible when every point
-        is cut off."""
+        """The first point of least true value c1'x + max(eta's lower
+        bound, each part's least eta), with eta at that max; Infeasible when
+        every point is cut off.
+
+        A point's bound L = c1'x + max(eta's lower bound, θ) takes θ, the
+        largest least eta, over the parts valued there only, so true >= L
+        at every point, with equality where no part is pending. Each round
+        takes the first argmin k of L and returns it once nothing is pending
+        at k. Otherwise it values the pending parts, in one LP
+        (_part_values), at the pending points of L at most V, the least true
+        value of a point with nothing pending, in order of L: the first
+        round k alone, each later round twice as many points. Those are the
+        only points that can still tie or beat V. A round takes at least
+        every such point not yet valued at all: its L rests on eta's lower
+        bound alone, at most _ETA_LB, as a rule far below what the parts
+        give, so it would stay due round after round (the first master with
+        a part values every point at once). At the return L(k) is k's true
+        value, every q < k has true(q) >= L(q) > L(k) and every q > k has
+        true(q) >= L(q) >= L(k); so k is the first argmin of the true
+        values, as if every part had been valued at every point. A
+        point whose L is +inf is cut off for good, as θ only rises."""
         m = self.model
-        if self._points is None:
-            xs = lattice_first_stages(self.inst, _MAX_MASTER_POINTS)
-            self._points = np.reshape(xs, (len(xs), self.inst.dim_x))
-            self._theta = np.full(len(xs), -np.inf)
-        if self._valued != (m.n_vars, m.n_constrs):
-            self._theta = np.maximum(self._theta, _part_values(self, *self._valued))
-            self._valued = (m.n_vars, m.n_constrs)
-        eta = np.maximum(m.columns()[0][self.eta_id], self._theta)
-        values = self._points @ self.inst.c1 + eta
-        if not np.isfinite(values).any():
-            return backend.SolveOutcome(status=backend.INFEASIBLE)
-        k = int(np.argmin(values))
+        if self._taken != (m.n_vars, m.n_constrs):
+            _check_part(self, *self._taken)
+            self._parts.append(self._taken)
+            self._taken = (m.n_vars, m.n_constrs)
+        c1x = self._points @ self.inst.c1
+        eta_lb = m.columns()[0][self.eta_id]
+        size = 1
+        while True:
+            eta = np.maximum(eta_lb, self._theta)
+            bound = c1x + eta
+            if not np.isfinite(bound).any():
+                return backend.SolveOutcome(status=backend.INFEASIBLE)
+            k = int(np.argmin(bound))
+            pending = self._done < len(self._parts)
+            if not pending[k]:
+                break
+            V = np.min(bound[~pending], initial=np.inf)
+            due = np.flatnonzero(pending & (bound <= V) & np.isfinite(bound))
+            fresh = int(np.sum(self._theta[due] == -np.inf))
+            due = np.sort(due[np.argsort(bound[due], kind="stable")][:max(size, fresh)])
+            # a point's pending parts are those from its count on; the
+            # parts from the least count are valued at every point of the
+            # round, which only repeats a value where a count is higher
+            j = self._done[due].min()
+            self._theta[due] = np.maximum(self._theta[due],
+                                          _part_values(self, *self._parts[j], due))
+            self._done[due] = len(self._parts)
+            self.lattice_copies += len(due)
+            size *= 2
         x = np.full(m.n_vars, np.nan)
         x[self.x_ids], x[self.eta_id] = self._points[k], eta[k]
-        return backend.SolveOutcome(status=backend.OPTIMAL, objective=float(values[k]),
-                                    x=x, bound=float(values[k]))
+        return backend.SolveOutcome(status=backend.OPTIMAL, objective=float(bound[k]),
+                                    x=x, bound=float(bound[k]))
 
     def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
                  cost_row: np.ndarray | None = None) -> str:
@@ -379,24 +435,35 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
 
 # -- the master over the lattice ------------------------------------------
 
-def _part_values(state: MasterState, n0: int, m0: int) -> np.ndarray:
-    """At every lattice point, the least eta that the rows from m0 on allow
-    with x fixed there and the columns from n0 on free, +inf where they
-    allow none: backend.solve_copies over the points, each with its own copy
-    of those columns and of eta, in runs of at most _BLOCK_ENTRIES nonzeros
-    of the part. Raises _OffLattice where that would not be exact."""
-    model, n_int = state.model, state.inst.X.n_int
-    A, senses, rhs = model.sparse(m0)
-    lb, ub, integer = model.columns()
-    x_int, own = state.x_ids[:n_int], [*range(n0, model.n_vars), state.eta_id]
+def _check_part(state: MasterState, n0: int, m0: int) -> None:
+    """Raise _OffLattice unless _part_values is exact on the rows from m0
+    on: they read no column but the integer x, eta and the columns from n0
+    on, none of those is integer, and each row bounds eta from below or
+    leaves it out."""
+    model = state.model
+    A, senses, _ = model.sparse(m0)
     eta = A[:, [state.eta_id]].toarray()[:, 0]
-    if (integer[n0:].any() or np.setdiff1d(A.indices, x_int + own).size
+    if (model.columns()[2][n0:].any()
+            or np.setdiff1d(A.indices, [*state.x_ids[:state.inst.X.n_int],
+                                        *range(n0, model.n_vars), state.eta_id]).size
             or np.any(np.where(senses == GEQ, eta < 0, np.where(senses == LEQ, eta > 0,
                                                                 eta != 0)))):
         raise _OffLattice
-    A_own = A[:, own]
-    r = rhs - state._points[:, :n_int] @ A[:, x_int].T
-    cost = np.r_[np.zeros(len(own) - 1), 1.0]
+
+
+def _part_values(state: MasterState, n0: int, m0: int, at: np.ndarray) -> np.ndarray:
+    """At the lattice points of index array at, the least eta that the rows
+    from m0 on allow with x fixed there and the columns from n0 on free,
+    +inf where they allow none: backend.solve_copies, one copy per point of
+    those columns and eta, in runs of at most _BLOCK_ENTRIES nonzeros of the
+    rows. Raises _OffLattice where a copy ends neither Optimal nor
+    Infeasible."""
+    model, n_int = state.model, state.inst.X.n_int
+    A, senses, rhs = model.sparse(m0)
+    lb, ub, _ = model.columns()
+    own = [*range(n0, model.n_vars), state.eta_id]
+    A_own, cost = A[:, own], np.r_[np.zeros(len(own) - 1), 1.0]
+    r = rhs - state._points[at, :n_int] @ A[:, state.x_ids[:n_int]].T
     cap = max(1, int(backend._BLOCK_ENTRIES // max(1, A_own.nnz)))
     values = []
     for run in backend._runs(range(len(r)), cap):
@@ -515,6 +582,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         meta["blocks_kkt"] = len(blocks) - meta["blocks_primal_dual"]
         meta["masters_lattice"] = state.masters_lattice
         meta["masters_mip"] = state.masters_mip
+        meta["lattice_copies"] = state.lattice_copies
         return RunResult(status=status, objective=obj,
                          x=incumbent, lb=float(lb), ub=float(ub), iterations=records,
                          elapsed_s=time.monotonic() - t0, variant=config.variant,
@@ -524,7 +592,8 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         # the deterministic relaxation settles infeasibility up front, floors the
         # first bound, and anchors the stabilized cut selection
         det_model, det_ids = build_deterministic_mip(inst)
-        det = backend.solve_mip(det_model)
+        det = (_lattice_relaxation(state, det_model, det_ids["x"])
+               or backend.solve_mip(det_model))
         if det.status == backend.INFEASIBLE:
             meta["reason"] = "deterministic relaxation infeasible"
             return done("Infeasible")
@@ -532,8 +601,10 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             raise BackendError(f"deterministic relaxation ended {det.status}; "
                                "the robust value has no finite floor")
         x0 = np.array([det.x[j] for j in det_ids["x"]])
-        meta["relaxation_value"] = lb = float(det.objective)
-        eta_floor = _eta_floor(inst, float(det.objective if det.bound is None else det.bound))
+        # the MIP's incumbent may lie above its dual bound by HiGHS's gap
+        meta["relaxation_value"] = lb = float(det.objective if det.bound is None
+                                              else det.bound)
+        eta_floor = _eta_floor(inst, lb)
         if -np.inf < eta_floor < _ETA_LB:
             state.model.set_bounds(state.eta_id, eta_floor, np.inf)
 
@@ -648,6 +719,39 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     except BackendError as exc:
         meta["reason"] = str(exc)
         return done("Numerical")
+
+
+def _lattice_relaxation(state: MasterState, model: LinearModel,
+                        x_ids: list[int]) -> backend.SolveOutcome | None:
+    """The optimum of build_deterministic_mip's model over the state's
+    lattice, exact (bound = objective): at the first point of least c1'x
+    plus the least recourse cost there, from one backend.solve_copies with
+    a copy per point; X's rows, which every point meets, are left out. None
+    where the state is off the lattice route, a column outside x is
+    integer, a copy ends neither Optimal nor Infeasible, or the copies hold
+    more than _BLOCK_ENTRIES nonzeros: past that the MIP was the faster,
+    0.23 s against 0.44-1.07 s on 16-site ddu_uk p-medians (560 points)."""
+    points = state.lattice()
+    if points is None:
+        return None
+    lb, ub, integer = model.columns()
+    own = np.setdiff1d(np.arange(model.n_vars), x_ids)
+    A, senses, rhs = model.sparse(state.inst.X.A.shape[0])
+    if integer[own].any() or len(points) * A.nnz > backend._BLOCK_ENTRIES:
+        return None
+    cost = model.objective_vector()
+    status, v = backend.solve_copies(model.name, A[:, own], senses,
+                                     rhs - points @ A[:, x_ids].T, lb[own], ub[own], cost[own])
+    if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
+        return None
+    values = points @ cost[x_ids] + np.where(status == backend.OPTIMAL, v @ cost[own], np.inf)
+    if not np.isfinite(values).any():
+        return backend.SolveOutcome(status=backend.INFEASIBLE)
+    k = int(np.argmin(values))
+    x = np.empty(model.n_vars)
+    x[x_ids], x[own] = points[k], v[k]
+    return backend.SolveOutcome(status=backend.OPTIMAL, objective=float(values[k]),
+                                x=x, bound=float(values[k]))
 
 
 def _eta_floor(inst: Instance, relaxation: float) -> float:

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg, maxmin
-from ddu_ro.backend import BackendError, SolveOutcome, SolveTimeLimit
+from ddu_ro import backend, ccg, instances, maxmin
+from ddu_ro.backend import GEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
@@ -345,11 +345,13 @@ def test_the_master_route_follows_the_structure(make, config, route):
 
 
 def test_a_lattice_over_the_point_limit_keeps_the_mip_masters(monkeypatch):
-    # uk5 has ten first stages (3 of 5 sites); a limit one below keeps
-    # every master a MIP, with the same outcome
+    # uk5 has ten first stages (3 of 5 sites), ten prefixes alive at the
+    # last level of instances._box_points; an enumeration cap one below
+    # refuses the lattice (OracleError) and keeps every master a MIP, with
+    # the same outcome
     outcomes = []
     for limit, route in ((10, "masters_lattice"), (9, "masters_mip")):
-        monkeypatch.setattr(ccg, "_MAX_MASTER_POINTS", limit)
+        monkeypatch.setattr(instances, "_MAX_LATTICE", limit)
         res = run(_TRAJECTORY_INSTANCES["uk5"][0](), AlgorithmConfig(variant="parametric"))
         assert res.meta[route] == res.n_iterations
         outcomes.append((res.status, res.objective))
@@ -395,10 +397,26 @@ def test_the_lattice_master_agrees_with_the_mip(make, configs, monkeypatch):
     assert len(compared) == masters
 
 
+def _ray_toy_with_a_spare_site() -> Instance:
+    # _ray_toy plus a binary x1 that only c1 reads: four lattice points,
+    # (0, 0), (0, 1), (1, 0) and (1, 1), with the same best first stage
+    inst = _ray_toy()
+    return replace(
+        inst, name="ray_toy_spare", c1=np.array([0.1, 0.05]),
+        X=FirstStageSet(A=np.zeros((0, 2)), b=np.zeros(0), n_int=2,
+                        ub=np.array([1.0, 1.0])),
+        U=replace(inst.U, G=np.hstack([inst.U.G, [[0.0]]])),
+        Y=replace(inst.Y, B1=np.hstack([inst.Y.B1, [[0.0], [0.0]]])))
+
+
 def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
-    # the ray benders finds at x = 1 has no point in its feasibility block
-    # there, so the LP over both points is Infeasible and each point gets an
-    # LP of its own: x = 1 is cut off, x = 0 keeps its value
+    # the ray benders finds at x0 = 1 has no point in its feasibility block
+    # there. The second master values the optimality cut at all four
+    # points, none valued before, in one LP. The third values the ray at
+    # its argmin (1, 0), which it cuts off, then at the next two points in
+    # order of bound, (0, 0) and (1, 1): that LP is Infeasible, so each
+    # point gets an LP of its own, (0, 0) keeps its value and (1, 1) is cut
+    # off
     real, solved = backend.solve_lp, []
 
     def recorded(model):
@@ -408,12 +426,14 @@ def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
         return out
 
     monkeypatch.setattr(backend, "solve_lp", recorded)
-    res = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    res = run(_ray_toy_with_a_spare_site(), AlgorithmConfig(variant="benders", tol=0.0))
     assert res.status == "Optimal" and res.objective == pytest.approx(1.0)
+    assert res.x == pytest.approx([0.0, 0.0])
     assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (3, 0)
-    n = solved[0][0] // 2
-    assert solved == [(2 * n, "Optimal"), (2 * n, "Infeasible"),
+    n = solved[0][0] // 4
+    assert solved == [(4 * n, "Optimal"), (n, "Infeasible"), (2 * n, "Infeasible"),
                       (n, "Optimal"), (n, "Infeasible")]
+    assert res.meta["lattice_copies"] == 7
 
 
 def test_a_numerical_lattice_lp_sends_the_master_to_the_mip(monkeypatch):
@@ -495,6 +515,95 @@ def test_a_lattice_with_every_point_cut_off_ends_master_infeasible(config):
     assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (2, 0)
 
 
+def _eager_reference(monkeypatch) -> list[str]:
+    """Check every lattice master against the eager valuation, which values
+    each part appended since the previous master at every lattice point in
+    one LP, and return the list of the statuses checked. The lazy route
+    must give the same status and first-argmin x, and the same value within
+    rel 1e-9."""
+    lazy, seen, checked = MasterState._lattice_solve, {}, []
+
+    def compared(state):
+        out = lazy(state)
+        m, points = state.model, state.lattice()
+        n_int = state.inst.X.n_int
+        # the columns and rows valued so far and each point's largest least
+        # eta; holding the state keeps its id from being reused
+        (n0, m0), theta, _ = seen.setdefault(id(state), (
+            (state.eta_id + 1, state.inst.X.A.shape[0]), np.full(len(points), -np.inf), state))
+        if (n0, m0) != (m.n_vars, m.n_constrs):
+            A, senses, rhs = m.sparse(m0)
+            lb, ub, _ = m.columns()
+            own = [*range(n0, m.n_vars), state.eta_id]
+            status, v = backend.solve_copies(
+                "eager", A[:, own], senses, rhs - points[:, :n_int] @ A[:, state.x_ids[:n_int]].T,
+                lb[own], ub[own], np.r_[np.zeros(len(own) - 1), 1.0])
+            assert np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all()
+            theta = np.maximum(theta, np.where(status == backend.OPTIMAL, v[:, -1], np.inf))
+            seen[id(state)] = ((m.n_vars, m.n_constrs), theta, state)
+        values = points @ state.inst.c1 + np.maximum(m.columns()[0][state.eta_id], theta)
+        if not np.isfinite(values).any():
+            assert out.status == backend.INFEASIBLE
+        else:
+            k = int(np.argmin(values))
+            assert out.status == backend.OPTIMAL
+            assert np.array_equal(out.x[state.x_ids], points[k])
+            assert out.objective == pytest.approx(values[k], rel=1e-9)
+        checked.append(out.status)
+        return out
+
+    monkeypatch.setattr(MasterState, "_lattice_solve", compared)
+    return checked
+
+
+@pytest.mark.parametrize("make, configs", [
+    (_TRAJECTORY_INSTANCES["uk5"][0], _VARIANT_CONFIGS),
+    (_pm8, _VARIANT_CONFIGS),
+    (_pm5_pair, [dict(diu_approx="metadata")]),
+    (lambda: _ray_toy(), [dict(variant="benders", tol=0.0)]),
+    (_uncoverable_toy, [dict(variant="benders"), dict(variant="parametric"),
+                        dict(variant="parametric", cut_mode="split")]),
+], ids=["uk5", "pm_uk8", "pm_pair5-diu", "ray_toy", "uncoverable"])
+def test_the_lazy_lattice_master_equals_the_eager_one(make, configs, monkeypatch):
+    checked, masters = _eager_reference(monkeypatch), 0
+    for config in configs:
+        res = run(make(), AlgorithmConfig(**config))
+        assert res.meta["masters_mip"] == 0
+        masters += res.meta["masters_lattice"]
+    assert len(checked) == masters > 0
+
+
+def test_a_tie_goes_to_the_first_lattice_point_though_the_later_is_valued_first(monkeypatch):
+    # x in {0, 1} and c1 = -1. A first part eta >= 0 is worth 0 at both
+    # points; a second, eta >= 1 + x, makes both worth 1. Before it is
+    # valued, x = 1 has the lower bound, -1 against 0, so it is valued
+    # first; x = 0 then ties it and is returned
+    inst = replace(_diu_box(), c1=np.array([-1.0]))
+    state = MasterState(inst, AlgorithmConfig(variant="benders"))
+    state.model.add_rows([([state.eta_id], [[1.0]])], GEQ, [0.0])
+    assert state.solve().x[state.x_ids] == [1.0]
+    state.model.add_rows([([state.eta_id], [[1.0]]), (state.x_ids, [[-1.0]])], GEQ, [1.0])
+    real, order = backend.solve_copies, []
+
+    def recorded(name, A, senses, rhs, *args):
+        order.append(rhs[:, 0].tolist())
+        return real(name, A, senses, rhs, *args)
+
+    monkeypatch.setattr(backend, "solve_copies", recorded)
+    out = state.solve()
+    assert order == [[2.0], [1.0]]   # the new row's rhs 1 + x at x = 1, then x = 0
+    assert out.status == backend.OPTIMAL and out.objective == 1.0
+    assert out.x[state.x_ids] == [0.0]
+    assert state.masters_lattice == 2 and state.lattice_copies == 4
+
+
+def test_pm_uk8_values_fewer_copies_than_every_point_per_master():
+    res = run(_pm8(), AlgorithmConfig(variant="parametric"))
+    meta = run_result_to_dict(res)["meta"]
+    assert meta["masters_mip"] == 0
+    assert 0 < meta["lattice_copies"] < meta["masters_lattice"] * 56
+
+
 # -- bound discipline --------------------------------------------------------
 
 def test_bounds_monotone_and_bracket_the_oracle():
@@ -538,6 +647,30 @@ def test_lb_never_exceeds_a_proven_master_bound(monkeypatch):
               AlgorithmConfig(variant="parametric"))
     assert res.status == "GapReached" and len(res.iterations) == 2
     assert res.lb <= max(bounds) + 1e-9 * abs(max(bounds))
+
+
+def test_the_relaxation_floors_lb_at_its_dual_bound(monkeypatch):
+    # a relaxation MIP stopped at HiGHS's gap reports an incumbent above its
+    # dual bound; here far above the robust value, where an lb taken from it
+    # would cross ub. fl-rhs couples its continuous capacities, so the
+    # relaxation is a MIP, not an LP over the lattice
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
+    reference = run(inst, AlgorithmConfig())
+    original, bounds = backend.solve_mip, []
+
+    def loose(model, *args, **kwargs):
+        out = original(model, *args, **kwargs)
+        if model.name.endswith("_det") and out.is_optimal:
+            bounds.append(out.bound)
+            return replace(out, objective=out.bound + 2 * abs(reference.objective) + 1)
+        return out
+
+    monkeypatch.setattr(backend, "solve_mip", loose)
+    res = run(inst, AlgorithmConfig())
+    assert len(bounds) == 1 and res.meta["relaxation_value"] == bounds[0]
+    assert res.iterations[0].lb <= reference.objective
+    assert res.status == reference.status == "Optimal"
+    assert res.objective == pytest.approx(reference.objective, rel=1e-9)
 
 
 def test_tol_zero_proves_the_fl_rhs5_value():

@@ -600,12 +600,19 @@ def test_a_wide_box_with_few_points_enumerates():
 _REF_MAX_BASES = 2_000_000      # the sweep's cap on the basis systems of one U(x)
 
 
+# the nonsingular mask over every basis of a row-scaled [F(x) | I], by its
+# bytes: F(x) is the same at every x of fl-rhs, and the determinants took
+# most of the sweep's time
+_NONSINGULAR: dict[bytes, np.ndarray] = {}
+
+
 def _vertices_by_every_basis(U, x):
     """Reference for enumerate_vertices on continuous u: takes the determinant
-    of every basis of [F(x) | I] at every call and de-duplicates basis by
-    basis, in the order of itertools.combinations. It drops the bases of
-    |det| <= 1e-12 after row scaling, so it misses vertices where that
-    drops real bases (test_vertex_enumeration_limits_and_empty_sets)."""
+    of every basis of [F(x) | I], once per distinct row-scaled matrix
+    (_NONSINGULAR), and de-duplicates basis by basis, in the order of
+    itertools.combinations. It drops the bases of |det| <= 1e-12 after row
+    scaling, so it misses vertices where that drops real bases
+    (test_vertex_enumeration_limits_and_empty_sets)."""
     x = np.asarray(x, dtype=float)
     Fx = U.F.evaluate(x)
     rhs = U.h + U.G @ x
@@ -623,19 +630,23 @@ def _vertices_by_every_basis(U, x):
     verts: list[np.ndarray] = []
     seen: set[tuple] = set()
     chunk = max(1, int(2e7 // (mu * mu)))
+    key = repr(A.shape).encode() + A.tobytes()
+    if key not in _NONSINGULAR:
+        _NONSINGULAR[key] = np.concatenate(
+            [np.abs(np.linalg.det(A[:, combos[lo:lo + chunk]].transpose(1, 0, 2))) > 1e-12
+             for lo in range(0, len(combos), chunk)])
     for lo in range(0, len(combos), chunk):
         sub = combos[lo:lo + chunk]
-        mats = A[:, sub].transpose(1, 0, 2)          # (batch, mu, mu)
-        dets = np.abs(np.linalg.det(mats))
-        ok = dets > 1e-12
+        ok = _NONSINGULAR[key][lo:lo + chunk]
         if not np.any(ok):
             continue
+        mats = A[:, sub[ok]].transpose(1, 0, 2)      # (nonsingular bases, mu, mu)
         b_batch = np.broadcast_to(rhs_s[:, None], (int(ok.sum()), mu, 1)).copy()
-        sols = np.linalg.solve(mats[ok], b_batch)[:, :, 0]
+        sols = np.linalg.solve(mats, b_batch)[:, :, 0]
         feas = np.all(sols >= -instances._DEDUP_TOL * np.maximum(1.0, np.abs(rhs_s).max()),
                       axis=1)
         # guard against ill-conditioned near-singular systems
-        resid = np.einsum("bij,bj->bi", mats[ok], sols) - rhs_s
+        resid = np.einsum("bij,bj->bi", mats, sols) - rhs_s
         feas &= np.max(np.abs(resid), axis=1) <= 1e-7 * max(1.0, np.abs(rhs_s).max())
         for cols, z in zip(sub[ok][feas], sols[feas]):
             u = np.zeros(n)
