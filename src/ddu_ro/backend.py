@@ -197,13 +197,15 @@ class LinearModel:
         or across blocks, gets the sum of its entries in that order, at the
         place it first appears; exact zeros are dropped after summing. A
         canonical CSR block (sorted indices, no duplicates) is read as it
-        is, with no COO copy."""
+        is, with no COO copy. A single dense or canonical CSR block already
+        holds its entries in that order, so only several blocks or another
+        sparse block are sorted, and only repeated ids are merged."""
         rhs = np.array(rhs, dtype=float, ndmin=1)
         m = rhs.size
         senses = np.asarray(sense)
         if senses.shape not in ((), (m,)) or not {*senses.ravel().tolist()} <= {LEQ, GEQ, EQ}:
             raise BackendError(f"bad sense {sense!r} for {m} rows")
-        entries, ids_all, offset = [], [], 0
+        entries, ids_all, offset, ordered = [], [], 0, len(blocks) == 1
         for ids, A in blocks:
             if isinstance(A, csr_array) and A.has_canonical_format:
                 nz = A.data != 0.0
@@ -212,6 +214,7 @@ class LinearModel:
             elif issparse(A):
                 A = coo_array(A)
                 row, pos, val = _sum_repeats(*A.coords, A.data)
+                ordered = False
             else:
                 A = np.atleast_2d(np.asarray(A, dtype=float))
                 row, pos = np.nonzero(A)
@@ -224,8 +227,10 @@ class LinearModel:
         row, pos, val, ids_all = (np.concatenate([np.zeros(0, d), *parts]) for d, parts in
                                   zip((np.int64, np.int64, float, np.int64),
                                       [*zip(*entries), ids_all]))
-        order = np.argsort(row * offset + pos, kind="stable")
-        row, col, val = row[order], ids_all[pos[order]], val[order]
+        if not ordered:
+            order = np.argsort(row * offset + pos, kind="stable")
+            row, pos, val = row[order], pos[order], val[order]
+        col = ids_all[pos]
         if np.unique(ids_all).size < ids_all.size:
             row, col, val = _sum_repeats(row, col, val)
         self._chunks.append((np.bincount(row, minlength=m), col, val,
@@ -324,15 +329,21 @@ class SolveOutcome:
 def _assemble_lp(model: LinearModel):
     """The objective, the <= and = CSR blocks of linprog, each as (block,
     rhs) with (None, None) for an empty block, and the variable bounds. A >=
-    row enters the <= block negated."""
+    row enters the <= block negated. The rows are sliced apart only when
+    the model has both = rows and others; else one block takes every row."""
     c = model.objective_vector()
     if model.sense == "max":
         c = -c
     A, senses, rhs = model.sparse()
     sign = np.where(senses == GEQ, -1.0, 1.0)
     A.data *= np.repeat(sign, np.diff(A.indptr))
-    blocks = [(A[rows], sign[rows] * rhs[rows]) if len(rows) else (None, None)
-              for rows in map(np.flatnonzero, (senses != EQ, senses == EQ))]
+    eq = senses == EQ
+    if eq.any() and not eq.all():
+        blocks = [(A[rows], sign[rows] * rhs[rows]) for rows in map(np.flatnonzero, (~eq, eq))]
+    else:
+        blocks = [(None, None)] * 2
+        if len(rhs):
+            blocks[int(eq[0])] = (A, sign * rhs)
     return c, blocks, np.column_stack(model.columns()[:2])
 
 
@@ -468,7 +479,8 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
 # -- block LPs over copies -----------------------------------------------------
 
 # the most matrix entries of one LP over copies, as each caller counts them:
-# worst_case_values the entries of B2, zeros too, over its (x, vertex) pairs,
+# worst_case_values the entries of B2, zeros too, over its (x, vertex) pairs
+# (and the vertex entries its memo of U(x) keeps),
 # lattice_first_stages those of X.A over the grid copies of its assignments,
 # ccg._part_values the nonzeros of the pending parts' rows over the lattice
 # points it values, ccg._lattice_relaxation those of the relaxation's rows
@@ -538,13 +550,16 @@ def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
 
 
 def copy_values(what: str, status: np.ndarray, x: np.ndarray, cost) -> np.ndarray:
-    """The value of each copy from solve_copies' status and x: x_k'cost where
-    Optimal, +inf where Infeasible and -inf where Unbounded; BackendError
-    "<what> ended <status>" where a copy ends otherwise."""
+    """The value of each copy from solve_copies' status and x: x_k'cost_k
+    where Optimal, with cost one vector for every copy or a (K, n) array of
+    one row per copy as solve_copies takes it, +inf where Infeasible and
+    -inf where Unbounded; BackendError "<what> ended <status>" where a copy
+    ends otherwise."""
     failed = status[~np.isin(status, [OPTIMAL, INFEASIBLE, UNBOUNDED])]
     if failed.size:
         raise BackendError(f"{what} ended {failed[0]}")
-    return np.select([status == OPTIMAL, status == INFEASIBLE], [x @ cost, np.inf], -np.inf)
+    values = x @ cost if np.ndim(cost) < 2 else np.einsum("kn,kn->k", x, cost)
+    return np.select([status == OPTIMAL, status == INFEASIBLE], [values, np.inf], -np.inf)
 
 
 # HiGHS options of every MIP, under mip_rel_gap and time_limit (module docstring)

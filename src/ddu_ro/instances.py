@@ -7,15 +7,16 @@ pinned, gridded, or optimized out, see oracle_exact), takes the worst
 recourse value over the vertices of U(x), and then the min over x. The
 vertices of U(x) are the extreme rays of its homogenized cone, found by the
 double description method, which also shows U(x) empty or unbounded
-(enumerate_vertices). The LPs are batched, one LP of copies per run,
-narrowed by halves where it is not Optimal (backend.solve_copies): a run of
-integer assignments shares the range probes of its coupled continuous x,
-the first dropping assignments without completion, and one LP over every
-(assignment, grid point); a run of first stages shares one shortfall LP
-over their first vertices, which drops the x whose first vertex has no
-recourse, and one LP over every other (x, vertex) pair (worst_case_values).
-It shares nothing with the cutting-plane machinery beyond the LP/MIP
-primitives.
+(enumerate_vertices), once per distinct U(x) of a worst_case_values call:
+first stages with the same F(x) and h + G x share them. The LPs are
+batched, one LP of copies per run, narrowed by halves where it is not
+Optimal (backend.solve_copies): a run of integer assignments shares the
+range probes of its coupled continuous x, the first dropping assignments
+without completion, and one LP over every (assignment, grid point); a run
+of first stages shares one shortfall LP over their first vertices, which
+drops the x whose first vertex has no recourse, and one LP over every other
+(x, vertex) pair (worst_case_values). It shares nothing with the
+cutting-plane machinery beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
@@ -130,27 +131,53 @@ def _cone_rays(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     at a time. A row keeps the rays that meet it, drops those that violate
     it, and joins each adjacent pair of a violating ray and a ray strictly
     inside into a ray on the row, tight where both are and on the row. A
-    ray is tight on a row where its value there is at most _DEDUP_TOL times
-    the sum of its terms' magnitudes, and on a bound of (u, t) >= 0 where
-    that entry is 0; a join of two nonnegative rays with positive weights
-    keeps those zeros exact. OracleError when more than _MAX_VERTICES rays
-    are alive."""
+    row that no ray violates only adds its tight column, and one with no
+    ray strictly inside only drops its violators; neither has a pair to
+    join. A ray is tight on a row where its value there is at most
+    _DEDUP_TOL times the sum of its terms' magnitudes, and on a bound of
+    (u, t) >= 0 where that entry is 0; a join of two nonnegative rays with
+    positive weights keeps those zeros exact. OracleError when more than
+    _MAX_VERTICES rays are alive.
+
+    Adjacency (_adjacent_pairs) is the combinatorial test, exact for a
+    pointed cone, which every cone here is (Fukuda and Prodon, Prop. 7):
+    no third ray is tight on all of Z, the constraints both rays are tight
+    on. Rays of a cone in R^(n+1) are adjacent only where Z has rank n - 1,
+    so |Z| >= n - 1 screens the pairs first. A scaled row that is the exact
+    negative of an earlier row, or of a bound, completes an equality, found
+    for every row by one comparison per call. Once every ray alive is tight
+    on both, every later ray is too, since a join is tight where both of
+    its rays are: the two count 2 in every later |Z| but 1 in its rank, so
+    the screen asks for one more per such pair. A pair it now drops has Z
+    of rank below n - 1, whose face holds a third ray tight on all of Z,
+    so the holders test would drop it too: the pairs are the same."""
     n = Fx.shape[1]
     rows = np.hstack([-Fx, rhs[:, None]])
     top = np.abs(rows).max(axis=1)
     rows /= np.where(top > 0.0, top, 1.0)[:, None]
+    # negated[j, k]: constraint k, a bound (k <= n) or row k - n - 1 < j, is -rows[j]
+    negated = (rows[:, None] == -np.vstack([np.eye(n + 1), rows])).all(axis=2)
+    negated &= np.arange(negated.shape[1]) < np.arange(n + 1, n + 1 + len(rows))[:, None]
     rays, tight = np.eye(n + 1), ~np.eye(n + 1, dtype=bool)    # tight[r, k]: ray r on k
-    for a in rows:
+    need = n - 1
+    for a, partners in zip(rows, negated):
         v = rays @ a
         on = np.abs(v) <= _DEDUP_TOL * (rays @ np.abs(a))
-        out = (v < 0.0) & ~on
-        p, q = _adjacent_pairs(tight, np.flatnonzero((v > 0.0) & ~on), np.flatnonzero(out), n - 1)
-        joined = v[p, None] * rays[q] - v[q, None] * rays[p]
-        rays = np.vstack([rays[~out], joined / joined.max(axis=1, keepdims=True)])
-        tight = np.vstack([np.column_stack([tight[~out], on[~out]]),
-                           np.column_stack([tight[p] & tight[q], np.ones(len(p), dtype=bool)])])
+        out, inside = (v < 0.0) & ~on, (v > 0.0) & ~on
+        if not out.any():
+            tight = np.column_stack([tight, on])
+        elif not inside.any():
+            rays, tight = rays[~out], np.column_stack([tight[~out], on[~out]])
+        else:
+            p, q = _adjacent_pairs(tight, np.flatnonzero(inside), np.flatnonzero(out), need)
+            joined = v[p, None] * rays[q] - v[q, None] * rays[p]
+            rays = np.vstack([rays[~out], joined / joined.max(axis=1, keepdims=True)])
+            tight = np.vstack([np.column_stack([tight[~out], on[~out]]),
+                               np.column_stack([tight[p] & tight[q], np.ones(len(p), dtype=bool)])])
         if len(rays) > _MAX_VERTICES:
             raise OracleError(f"more than {_MAX_VERTICES} vertices")
+        if tight[:, -1].all() and tight[:, np.flatnonzero(partners)].all(axis=0).any():
+            need += 1
     return rays
 
 
@@ -251,16 +278,32 @@ _SHORTFALL_TOL = 1e-3
 def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     """For every x in xs, the max over the vertices of U(x) of the recourse
     value, with the first vertex (in enumerate_vertices order) that attains
-    it. The x and their vertices come in runs of at most _BLOCK_ENTRIES
-    entries of B2 over the vertices (one x per run for integer y). One
-    shortfall LP over a run's first vertices finds the x whose first vertex
-    has no recourse (_no_recourse); such an x is worth (inf, that vertex).
-    _worst_vertices values every vertex of the others in one block LP of
-    the recourse, where a later vertex without recourse is worth inf.
+    it, a copy of its own. The x with one U(x), the same F(x) and h + G x
+    to the byte, share one enumerate_vertices call: for the length of the
+    call a memo keeps the vertices of each U(x) met, until they hold
+    _BLOCK_ENTRIES entries in all. The x and their vertices come in runs of
+    at most _BLOCK_ENTRIES entries of B2 over the vertices (one x per run
+    for integer y). One shortfall LP over a run's first vertices finds the
+    x whose first vertex has no recourse (_no_recourse); such an x is worth
+    (inf, that vertex). _worst_vertices values every vertex of the others
+    in one block LP of the recourse, where a later vertex without recourse
+    is worth inf.
     """
     cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
+    memo, room = {}, backend._BLOCK_ENTRIES
+
+    def vertices(x):
+        nonlocal room
+        key = tuple(a.tobytes() for a in inst.U.at(x))
+        verts = memo.get(key)
+        if verts is None:
+            verts = enumerate_vertices(inst.U, x)
+            if verts.size <= room:
+                memo[key], room = verts, room - verts.size
+        return verts
+
     xs = (np.asarray(x, dtype=float) for x in xs)
-    pairs = ((x, enumerate_vertices(inst.U, x)) for x in xs)
+    pairs = ((x, vertices(x)) for x in xs)
     out = []
     for run in backend._runs(pairs, cap, size=lambda item: len(item[1])):
         missing = [m[0] for m in _no_recourse(inst, [(x, verts[:1]) for x, verts in run])]
@@ -268,7 +311,7 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
         valued = iter(_worst_vertices(inst, rest) if rest else [])
         out += [(np.inf, verts[0]) if miss else next(valued)
                 for (_, verts), miss in zip(run, missing)]
-    return out
+    return [(value, u.copy()) for value, u in out]
 
 
 def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:

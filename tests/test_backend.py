@@ -390,6 +390,70 @@ def test_rows_per_copy_build_the_lp_of_shared_rows():
         assert np.array_equal(got, ref, equal_nan=got.dtype.kind == "f")
 
 
+@pytest.mark.parametrize("K", [3, 4])
+def test_copy_values_prices_each_copy_by_its_own_cost_row(K):
+    # n = 3 columns; K = n is the shape a (K, n) cost could be misread in
+    status = np.array([backend.OPTIMAL, backend.INFEASIBLE, backend.OPTIMAL,
+                       backend.UNBOUNDED][:K])
+    x = np.arange(3.0 * K).reshape(K, 3) / 7.0
+    x[status != backend.OPTIMAL] = np.nan
+    costs = np.arange(3.0 * K).reshape(K, 3) - 4.0
+    got = backend.copy_values("copies", status, x, costs)
+    ends = {backend.INFEASIBLE: np.inf, backend.UNBOUNDED: -np.inf}
+    assert got.tolist() == [float(x[k] @ costs[k]) if s == backend.OPTIMAL else ends[s]
+                            for k, s in enumerate(status)]
+    # one cost vector for every copy keeps x @ cost to the bit
+    one = backend.copy_values("copies", status, x, costs[0])
+    ok = status == backend.OPTIMAL
+    assert one[ok].tobytes() == (x @ costs[0])[ok].tobytes()
+
+
+def _row_chunk(blocks, rhs):
+    m = LinearModel()
+    m.add_vars(8)
+    m.add_rows(blocks, GEQ, rhs)
+    return m._chunks[-1]
+
+
+@pytest.mark.parametrize("block, cols", [
+    (np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -3.0]]), [1, 5, 3]),
+    (csr_array((np.array([2.0, 0.0, 1.0, -3.0]), np.array([1, 2, 0, 2]), np.array([0, 2, 2, 4])),
+               shape=(3, 3)), [1, 5, 3]),
+    (np.zeros((3, 3)), []),
+], ids=["dense", "canonical-csr", "empty"])
+def test_a_single_block_is_read_as_the_sorted_blocks_are(block, cols):
+    # explicit zeros, an empty row, and unique ids out of order; an empty
+    # second block sends the same rows through the sort of several blocks
+    assert not isinstance(block, csr_array) or block.has_canonical_format
+    ids, rhs = [5, 1, 3], np.arange(3.0)
+    one = _row_chunk([(ids, block)], rhs)
+    several = _row_chunk([(ids, block), ([], np.zeros((3, 0)))], rhs)
+    for a, b in zip(one, several, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert one[1].tolist() == cols
+
+
+@pytest.mark.parametrize("senses", [[GEQ, LEQ, GEQ], [EQ, EQ, EQ], [EQ, GEQ, EQ]])
+def test_assembly_slices_the_rows_only_between_kinds(senses):
+    # the blocks of _assemble_lp equal those of slicing by kind, to the bytes
+    m = LinearModel()
+    x = m.add_vars(3)
+    m.add_rows([(x, [[1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [3.0, 4.0, 0.0]])], senses,
+               [1.0, -2.0, 0.5])
+    A, sense, rhs = m.sparse()
+    sign = np.where(sense == GEQ, -1.0, 1.0)
+    A.data *= np.repeat(sign, np.diff(A.indptr))
+    _, blocks, _ = backend._assemble_lp(m)
+    for (block, b), rows in zip(blocks, map(np.flatnonzero, (sense != EQ, sense == EQ))):
+        if not len(rows):
+            assert block is None and b is None
+            continue
+        ref = A[rows]
+        for got, want in ((block.data, ref.data), (block.indices, ref.indices),
+                          (block.indptr, ref.indptr), (b, sign[rows] * rhs[rows])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def small_mip():
     # min x + y, x + y >= 1.5, x integer: x = 2 or (x=1, y=.5); latter cheaper
     m = LinearModel(name="mip")

@@ -672,10 +672,37 @@ def _same_vertices(got, ref):
     return close.any(axis=1).all() and close.any(axis=0).all()
 
 
+def _cone_rays_joining_every_row(Fx, rhs):
+    """Reference for _cone_rays: the double description as it was before
+    rows without a pair to join took a shorter path and equalities counted
+    once in the |Z| screen. Every row goes through instances._adjacent_pairs
+    with the screen at dim u - 1, and through vstack."""
+    n = Fx.shape[1]
+    rows = np.hstack([-Fx, rhs[:, None]])
+    top = np.abs(rows).max(axis=1)
+    rows /= np.where(top > 0.0, top, 1.0)[:, None]
+    rays, tight = np.eye(n + 1), ~np.eye(n + 1, dtype=bool)
+    for a in rows:
+        v = rays @ a
+        on = np.abs(v) <= instances._DEDUP_TOL * (rays @ np.abs(a))
+        out = (v < 0.0) & ~on
+        p, q = instances._adjacent_pairs(tight, np.flatnonzero((v > 0.0) & ~on),
+                                         np.flatnonzero(out), n - 1)
+        joined = v[p, None] * rays[q] - v[q, None] * rays[p]
+        rays = np.vstack([rays[~out], joined / joined.max(axis=1, keepdims=True)])
+        tight = np.vstack([np.column_stack([tight[~out], on[~out]]),
+                           np.column_stack([tight[p] & tight[q], np.ones(len(p), dtype=bool)])])
+        if len(rays) > instances._MAX_VERTICES:
+            raise OracleError(f"more than {instances._MAX_VERTICES} vertices")
+    return rays
+
+
 def _assert_vertices(U, x):
-    """enumerate_vertices(U, x) holds the reference's vertices, in
-    descending lexicographic order of their de-duplication keys, the
-    entries in units of _DEDUP_TOL times the largest."""
+    """_cone_rays returns the reference's rays to the bit, and
+    enumerate_vertices(U, x) holds the sweep's vertices, in descending
+    lexicographic order of their de-duplication keys, the entries in units
+    of _DEDUP_TOL times the largest."""
+    assert np.array_equal(instances._cone_rays(*U.at(x)), _cone_rays_joining_every_row(*U.at(x)))
     got = enumerate_vertices(U, x)
     assert _same_vertices(got, _vertices_by_every_basis(U, x))
     keys = np.round(got / (instances._DEDUP_TOL * (np.abs(got).max() or 1.0)))
@@ -804,6 +831,20 @@ def test_every_vertex_of_three_site_fl_rhs_is_found():
         assert out.objective <= (verts @ c).max() + 1e-7 * max(1.0, abs(out.objective))
 
 
+@pytest.mark.parametrize("sites, count", [(6, 3645), (7, None)])
+def test_six_site_fl_rhs_enumerates_and_seven_sites_refuse_at_the_ray_cap(sites, count):
+    # U(x) at x_d = 1, x_c = 1e3; each site adds two +- pairs of rows that
+    # form equalities, which the |Z| screen counts once; the reference took
+    # about a second on six sites and fifteen to refuse seven
+    inst = gen_robust_fl(FLParams(n_sites=sites, seed=0), "rhs")
+    x = np.r_[np.ones(sites), np.full(sites, 1e3)]
+    if count is None:
+        with pytest.raises(OracleError, match=f"more than {instances._MAX_VERTICES}"):
+            enumerate_vertices(inst.U, x)
+    else:
+        assert len(enumerate_vertices(inst.U, x)) == count
+
+
 # -- worst_case_values against the per-vertex loop -----------------------------
 
 def _worst_case_by_loop(inst, x):
@@ -845,6 +886,69 @@ def test_worst_case_value_matches_the_per_vertex_loop(make, monkeypatch):
         ref_val, ref_u = _worst_case_by_loop(inst, x)
         assert val == pytest.approx(ref_val, rel=1e-9)
         assert np.array_equal(u, ref_u)
+
+
+def _worst_case_values_enumerating_every_x(inst, xs):
+    """Reference for worst_case_values: the same runs and LPs, with
+    enumerate_vertices called at every x."""
+    cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
+    pairs = ((x, enumerate_vertices(inst.U, x)) for x in xs)
+    out = []
+    for run in backend._runs(pairs, cap, size=lambda item: len(item[1])):
+        missing = [m[0] for m in instances._no_recourse(inst, [(x, v[:1]) for x, v in run])]
+        rest = [item for item, miss in zip(run, missing) if not miss]
+        valued = iter(instances._worst_vertices(inst, rest) if rest else [])
+        out += [(np.inf, v[0]) if miss else next(valued) for (_, v), miss in zip(run, missing)]
+    return out
+
+
+def _count_enumerations(monkeypatch):
+    calls = []
+    original = instances.enumerate_vertices
+
+    def counted(U, x):
+        calls.append(x)
+        return original(U, x)
+
+    monkeypatch.setattr(instances, "enumerate_vertices", counted)
+    return calls
+
+
+def _u_of_x_key(U, x):
+    return tuple(a.tobytes() for a in U.at(x))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_distinct_u_of_x_is_enumerated_once(monkeypatch, seed):
+    # fl_rhs2: 64 first stages, 25 distinct U(x) at seed 0
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=seed), "rhs")
+    xs = lattice_first_stages(inst)
+    ref = _worst_case_values_enumerating_every_x(inst, xs)
+    calls = _count_enumerations(monkeypatch)
+    got = worst_case_values(inst, xs)
+    distinct = {_u_of_x_key(inst.U, x) for x in xs}
+    assert len(calls) == len(distinct) < len(xs)
+    for (val, u), (ref_val, ref_u) in zip(got, ref, strict=True):
+        assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
+        assert u.dtype == ref_u.dtype and u.tobytes() == ref_u.tobytes()
+    # each worst u is an array of its own, also where two x share U(x)
+    i, j = next((i, j) for i, j in itertools.combinations(range(len(xs)), 2)
+                if _u_of_x_key(inst.U, xs[i]) == _u_of_x_key(inst.U, xs[j]))
+    before = [u.copy() for _, u in got]
+    got[i][1][:] = -1.0
+    assert all(np.array_equal(u, b) for k, ((_, u), b) in enumerate(zip(got, before)) if k != i)
+    assert np.array_equal(worst_case_values(inst, xs)[i][1], before[i])
+
+
+def test_an_x_dependent_matrix_gets_its_own_vertices(monkeypatch):
+    # U(x) = {u >= 0 : (1 + x) u <= 2}: h + G x is 2 at both x, F(x) is not
+    inst = dataclasses.replace(t1(), U=UncertaintySet(
+        F=AffineMatrixMap(base=[[1.0]], terms=((0, np.array([[1.0]])),)), G=[[0.0]], h=[2.0]))
+    xs = [np.array([0.0]), np.array([1.0]), np.array([0.0])]
+    calls = _count_enumerations(monkeypatch)
+    got = worst_case_values(inst, xs)
+    assert len(calls) == 2
+    assert [(val, u.tolist()) for val, u in got] == [(2.0, [2.0]), (1.0, [1.0]), (2.0, [2.0])]
 
 
 def _interval_toy(B2, E, d, c2, n_int_y=0):

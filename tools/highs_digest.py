@@ -5,15 +5,18 @@ facility and oracle) at instance seeds 0 and 1, those marked known_defect
 included, and hashes the arguments of every backend.linprog and backend.milp
 call: the objective, the constraint matrix as a canonical CSR (duplicates
 summed, indices sorted), the row bounds, the column bounds, the integrality
-and the options other than time_limit, which follows the wall clock. It prints each
-operation's status, objective, iteration count, number of solves, how many
-of them are MIPs (backend.milp calls; solve_mip hands a model without
-integers to linprog) and one digest over its own solves in call order, then
-the same counts and one digest over all of them.
+and the options other than time_limit, which follows the wall clock. It also
+hashes every return of instances.worst_case_values: the bits of each value
+and each worst u. It prints each operation's status, objective, iteration
+count, number of solves, how many of them are MIPs (backend.milp calls;
+solve_mip hands a model without integers to linprog), one digest over its
+own solves in call order and one over its worst-case values, then the same
+counts and one digest over all of them.
 
 Two trees that print the same lines gave HiGHS byte-identical input on
-every solve of those operations; where they differ, the operation lines
-that differ name the operations whose input changed. The marked operations
+every solve of those operations, and the oracle the same vertices and
+values; where they differ, the operation lines that differ name the
+operations whose input or values changed. The marked operations
 (fl_rhs5/benders and fl_mip3/mip) end Optimal now, and fl_mip3/mip brings
 sp4's KKT MIP at the default big-M into the comparison. Run it from the
 root of a checkout:
@@ -35,7 +38,7 @@ from scipy.sparse import csr_array, vstack
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import workloads  # noqa: E402
-from ddu_ro import backend  # noqa: E402
+from ddu_ro import backend, instances  # noqa: E402
 
 
 def _arrays(digest, *arrays) -> None:
@@ -66,16 +69,18 @@ def _digest(hashes: list[str]) -> str:
 
 
 class Recorder:
-    """Wraps backend.linprog and backend.milp while installed and keeps the
-    hash of each call's input and whether the call was a MIP."""
+    """Wraps backend.linprog, backend.milp and instances.worst_case_values
+    while installed and keeps the hash of each solve's input, whether the
+    solve was a MIP, and the hash of each worst_case_values return."""
 
     def __init__(self) -> None:
         self.hashes: list[str] = []
         self.mips: list[bool] = []
-        self._saved = (backend.linprog, backend.milp)
+        self.values: list[str] = []
+        self._saved = (backend.linprog, backend.milp, instances.worst_case_values)
 
     def __enter__(self) -> "Recorder":
-        linprog, milp = self._saved
+        linprog, milp, worst_case_values = self._saved
 
         def hashed_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                            bounds=(0, np.inf), method="highs", options=None):
@@ -105,11 +110,20 @@ class Recorder:
             return milp(c, integrality=integrality, bounds=bounds, constraints=constraints,
                         options=options)
 
+        def hashed_worst_case_values(inst, xs):
+            out = worst_case_values(inst, xs)
+            digest = hashlib.sha256(b"worst_case_values")
+            for value, u in out:
+                _arrays(digest, np.float64(value), u)
+            self.values.append(digest.hexdigest())
+            return out
+
         backend.linprog, backend.milp = hashed_linprog, hashed_milp
+        instances.worst_case_values = hashed_worst_case_values
         return self
 
     def __exit__(self, *exc) -> None:
-        backend.linprog, backend.milp = self._saved
+        backend.linprog, backend.milp, instances.worst_case_values = self._saved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,14 +139,15 @@ def main(argv: list[str] | None = None) -> int:
                 ops = workloads.WORKLOADS[name]
                 insts = workloads.build_instances(workloads.instances_of(ops), seed, scratch)
                 for op in ops:
-                    before = len(rec.hashes)
+                    before, valued = len(rec.hashes), len(rec.values)
                     res = workloads.run_op(op, insts[op.instance],
                                            workloads.reference_of(refs, op.instance, seed))
                     objective = "None" if res.objective is None else repr(float(res.objective))
                     own = rec.hashes[before:]
                     print(f"s{seed} {op.name}: {res.status} {objective} "
                           f"iterations {res.iterations} solves {len(own)} "
-                          f"mips {sum(rec.mips[before:])} digest {_digest(own)}")
+                          f"mips {sum(rec.mips[before:])} digest {_digest(own)} "
+                          f"values {_digest(rec.values[valued:])}")
     print(f"solves {len(rec.hashes)} mips {sum(rec.mips)} digest {_digest(rec.hashes)}")
     return 0
 
