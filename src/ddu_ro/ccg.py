@@ -666,7 +666,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
             if r1.value <= feas_tol:
                 step = "worst-case subproblem"
                 solve_sp2 = sp2_mip_relax if mode == "mip" else sp2
-                r2 = solve_sp2(inst, x_star)
+                r2 = solve_sp2(inst, x_star, worst=r1.worst)
 
                 if mode == "mip":
                     step = "exact recourse"

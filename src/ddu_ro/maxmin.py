@@ -19,7 +19,15 @@ inner LP is linearized exactly with pi binary and z_j capped by its probed
 range, no big-M. Otherwise it hands its extended problem to the chooser. One
 LP at the route's outer point (audited_dual_lp) audits every value of the
 feasibility check, sp1's included, and sp2's worst case; sp4's
-frozen-recourse value is not audited.
+frozen-recourse value is not audited. On the enumeration route sp1 and sp4
+first solve the plain inner LP's copies LP, the one the enumeration solves
+(enumerate_if_feasible): where every copy ends Optimal, which
+backend.linprog grants only after it has checked every row's residual, the
+inner LP is feasible on the whole outer set, so the feasibility value is 0
+with no extended problem and no audit of its own, and that LP's argmax is
+the worst case sp2 then audits. The polish audit stays on every path that
+solves the extended problem, and sp2's vertex-dual and split-identity audits
+on every path.
 
 An optimality block (build_optimality_block) holds an LP over U(x) at an
 optimum of its cost row, x being model columns, by primal and dual
@@ -328,25 +336,59 @@ def solve_maxmin_dual(problem: MaxMinProblem,
     instances._box_points enumerates, and on every other outer set, the KKT
     route answers. Inner infeasibility at some z makes the program
     unbounded: the result then carries the witness z and the value inf.
-    Either route raises BackendError naming its model when that model does
-    not end as it must.
+    check_feasibility looks for it first: on the enumeration route one
+    copies LP at cost c_y settles feasibility and the maximum together
+    where every copy ends Optimal (enumerate_if_feasible), and
+    check_inner_feasibility runs only where some copy does not. Either
+    route raises BackendError naming its model when that model does not end
+    as it must.
     """
     if check_feasibility:
+        res = enumerate_if_feasible(problem)
+        if res is not None:
+            return res
         v_f, witness = check_inner_feasibility(problem)
         if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
             return MaxMinResult(value=np.inf, outer=witness)
-
-    # an inner LP without columns, sp4's under an all-integer recourse, is
-    # no LP for HiGHS; the KKT MIP takes it
-    binary_outer = problem.B_y.shape[1] > 0 and _outer_is_binary(problem) and (
-        problem.n_int_out == problem.n_out
-        or has_integral_vertices(problem.A_out, problem.b_out))
-    if binary_outer:
+    if _enumerates(problem):
         try:
             return _enumerate_outer(problem)
         except OracleError:
             pass
     return solve_maxmin_kkt(problem)
+
+
+def _enumerates(problem: MaxMinProblem) -> bool:
+    # an inner LP without columns, sp4's under an all-integer recourse, is
+    # no LP for HiGHS; the KKT MIP takes it
+    return problem.B_y.shape[1] > 0 and _outer_is_binary(problem) and (
+        problem.n_int_out == problem.n_out
+        or has_integral_vertices(problem.A_out, problem.b_out))
+
+
+def enumerate_if_feasible(problem: MaxMinProblem) -> MaxMinResult | None:
+    """_enumerate_outer's result where the inner LP is Optimal at every 0/1
+    point of the outer set, read off one solve_lp of its "<name>_enum"
+    copies LP, the very LP _enumerate_outer solves first; None where the
+    outer set is off the enumeration route, _box_points refuses it or finds
+    no point, or that LP ends otherwise, which is not split into halves.
+
+    The inner LP is then feasible on the whole outer set: the z where it is
+    feasible form a convex set (the projection of a polyhedron), and it
+    holds every vertex of the outer set, each a 0/1 point. So the
+    feasibility check (check_inner_feasibility) would find no artificial
+    mass, and the max-min is this LP's first argmax."""
+    if not _enumerates(problem):
+        return None
+    try:
+        points = _outer_points(problem)
+    except (OracleError, BackendError):
+        return None
+    out = backend.solve_lp(backend.copies_lp(*_copies(problem, points)))
+    if not out.is_optimal:
+        return None
+    return _best(problem, points, np.full(len(points), backend.OPTIMAL),
+                 out.x.reshape(len(points), -1))
 
 
 def _enumerate_outer(problem: MaxMinProblem) -> MaxMinResult:
@@ -357,15 +399,29 @@ def _enumerate_outer(problem: MaxMinProblem) -> MaxMinResult:
     it is Infeasible, BackendError naming the LP where it ends Numerical.
     OracleError where _box_points finds too many points, BackendError where
     it finds none."""
+    points = _outer_points(problem)
+    return _best(problem, points, *backend.solve_copies(*_copies(problem, points)))
+
+
+def _outer_points(problem: MaxMinProblem) -> np.ndarray:
     n = problem.n_out
     points = _box_points(np.zeros(n), np.ones(n), -problem.A_out, -problem.b_out, "z")
     if not len(points):
         raise BackendError(f"{problem.name}: the outer set has no 0/1 point "
                            "(nonemptiness violated)")
-    name = problem.name + "_enum"
-    status, y = backend.solve_copies(name, problem.B_y, GEQ, problem.d - points @ problem.B_x.T,
-                                     0.0, np.inf, problem.c_y)
-    values = backend.copy_values(name, status, y, problem.c_y)
+    return points
+
+
+def _copies(problem: MaxMinProblem, points: np.ndarray) -> tuple:
+    # the arguments of backend.copies_lp and backend.solve_copies: a copy
+    # of the inner LP per outer point
+    return (problem.name + "_enum", problem.B_y, GEQ, problem.d - points @ problem.B_x.T,
+            0.0, np.inf, problem.c_y)
+
+
+def _best(problem: MaxMinProblem, points: np.ndarray, status: np.ndarray,
+          y: np.ndarray) -> MaxMinResult:
+    values = backend.copy_values(problem.name + "_enum", status, y, problem.c_y)
     k = int(np.argmax(values))
     return MaxMinResult(value=float(values[k]), outer=points[k])
 

@@ -19,8 +19,10 @@ from .instances import recourse_value
 from .maxmin import (
     _AUDIT_TOL,
     ParametricLPResult,
+    MaxMinResult,
     audited_dual_lp,
     check_inner_feasibility,
+    enumerate_if_feasible,
     lp_parametric,
     maxmin_from_instance,
     solve_maxmin_dual,
@@ -38,18 +40,31 @@ class SubproblemReport:
     pi: np.ndarray | None = None
     ray: np.ndarray | None = None
     basis_result: ParametricLPResult | None = None
+    worst: MaxMinResult | None = None
 
 
 def sp1(inst: Instance, x: np.ndarray) -> SubproblemReport:
     """Worst-case artificial mass of the recourse over U(x): zero means every
-    scenario is servable, positive comes with the witness scenario."""
-    v_f, u_f = check_inner_feasibility(maxmin_from_instance(inst, x))
+    scenario is servable, positive comes with the witness scenario.
+
+    Where U(x) is enumerated by its 0/1 points and the recourse is Optimal
+    at each of them, one copies LP shows it (enumerate_if_feasible): the
+    value is then 0, and worst carries that LP's worst case, sp2's, with u
+    its scenario. Otherwise check_inner_feasibility answers, as it does
+    off the 0/1 route."""
+    problem = maxmin_from_instance(inst, x)
+    worst = enumerate_if_feasible(problem)
+    if worst is not None:
+        return SubproblemReport(value=0.0, u=worst.outer, worst=worst)
+    v_f, u_f = check_inner_feasibility(problem)
     return SubproblemReport(value=v_f, u=u_f)
 
 
-def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2") -> SubproblemReport:
+def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2",
+        worst: MaxMinResult | None = None) -> SubproblemReport:
     """Worst-case recourse cost at x with the dual extreme point that
-    certifies it.
+    certifies it. worst, sp1's report of the max-min at the same x where it
+    has one, stands for the max-min solve; the audits below run either way.
 
     pi is the simplex optimum of the recourse dual at the worst-case
     scenario u*, a vertex of Pi: a max-min route's own pi may sit at its cap
@@ -60,7 +75,7 @@ def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2") -> SubproblemReport:
     the parametric-LP value at pi, whose solve comes back as basis_result.
     kind names the audit LP."""
     problem = maxmin_from_instance(inst, x)
-    res = solve_maxmin_dual(problem, check_feasibility=False)
+    res = worst if worst is not None else solve_maxmin_dual(problem, check_feasibility=False)
     pi = audited_dual_lp(problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
                          res.value, f"{kind}_vertex_dual").x
     infeas = _pi_violation(inst, pi)
@@ -107,10 +122,12 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     return SubproblemReport(ray=gamma, u=u_f)
 
 
-def sp2_mip_relax(inst: Instance, x: np.ndarray) -> SubproblemReport:
+def sp2_mip_relax(inst: Instance, x: np.ndarray,
+                  worst: MaxMinResult | None = None) -> SubproblemReport:
     """Worst case of the LP relaxation of a MIP recourse: a lower-bound
-    surrogate. With no integer recourse variables this is plain sp2."""
-    return sp2(inst, x, kind="SP2relax")
+    surrogate. With no integer recourse variables this is plain sp2; worst
+    as in sp2, since sp1 too relaxes the integer recourse."""
+    return sp2(inst, x, kind="SP2relax", worst=worst)
 
 
 def recourse_mip_at(inst: Instance, x: np.ndarray,

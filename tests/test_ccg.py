@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg, instances, maxmin
+from ddu_ro import backend, ccg, instances, maxmin, subproblems
 from ddu_ro.backend import GEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
@@ -21,7 +21,7 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           add_first_stage, build_deterministic_mip, max_lp,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.subproblems import sp2
-from toys import t1_infeasible, t1_unbounded_u
+from toys import short_supply, t1_infeasible, t1_unbounded_u
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -1097,6 +1097,53 @@ def test_feasibility_time_limit_keeps_bounds_and_incumbent(monkeypatch):
     assert res.meta["reason"] == "feasibility subproblem hit the wall clock"
     assert res.x is not None and np.isfinite(res.ub)
     assert res.lb <= 2.4 + 1e-9 <= res.ub + 1e-9
+
+
+def _diu_unit() -> Instance:
+    # _diu_box with u in [0, 1] and twice its weight: the same w* = 2.4 at
+    # x = 1, but U(x) has 0/1 vertices, so sp1 reads feasibility off the
+    # copies LP that sp2's worst case comes from
+    inst = _diu_box()
+    return Instance(name="diu_unit", c1=inst.c1, X=inst.X,
+                    U=replace(inst.U, h=np.array([1.0])),
+                    Y=replace(inst.Y, E=np.array([[-2.0]])))
+
+
+def test_a_time_limit_in_the_shared_enumeration_keeps_bounds_and_incumbent(monkeypatch):
+    real_lp = backend.solve_lp
+    calls = []
+
+    def second_enumeration_times_out(model):
+        if model.name == "diu_unit_wc_enum":
+            calls.append(1)
+            if len(calls) >= 2:
+                raise SolveTimeLimit(model.name)
+        return real_lp(model)
+
+    monkeypatch.setattr(backend, "solve_lp", second_enumeration_times_out)
+    res = run(_diu_unit(), AlgorithmConfig(variant="parametric", tol=0.0))
+    assert len(calls) == 2
+    assert res.status == "TimeLimit"
+    assert res.meta["reason"] == "feasibility subproblem hit the wall clock"
+    assert res.x is not None and np.isfinite(res.ub)
+    assert res.lb <= 2.4 + 1e-9 <= res.ub + 1e-9
+
+
+@pytest.mark.parametrize("variant", ["benders", "parametric", "parametric-modified", "basis"])
+def test_a_failed_shared_enumeration_leaves_the_run_unchanged(monkeypatch, variant):
+    # at x = 0 some 0/1 point of U has no recourse, so sp1's copies LP is
+    # dropped and the feasibility check cuts as it did when sp1 and sp2
+    # were solved apart (no shared enumeration at all)
+    def records(res):
+        return [(r.t, r.lb, r.ub, r.cut_kind, r.seed_id) for r in res.iterations]
+
+    config = AlgorithmConfig(variant=variant, tol=0.0)
+    shared = run(short_supply(), config)
+    monkeypatch.setattr(subproblems, "enumerate_if_feasible", lambda problem: None)
+    apart = run(short_supply(), config)
+    assert shared.status == apart.status == "Optimal"
+    assert shared.objective == apart.objective == pytest.approx(3.5)
+    assert records(shared) == records(apart)
 
 
 def _ray_toy() -> Instance:

@@ -28,6 +28,7 @@ from ddu_ro.maxmin import (
 from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
                           add_first_stage, build_deterministic_mip, uncertainty_set_from_dict)
 from ddu_ro.subproblems import sp1, sp2
+from toys import record_linprog, short_supply
 
 
 def test_lp_parametric_on_t1_box():
@@ -591,6 +592,28 @@ def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     assert np.all(r.pi >= 0.0)
     assert np.all(inst.Y.B2.T @ r.pi <= inst.Y.c2 + 1e-7)
     assert r.value == pytest.approx(raw.value, rel=1e-9)
+
+
+def test_one_copies_lp_decides_feasibility_on_a_0_1_set(monkeypatch, mip_names):
+    # the c_y copies LP comes first; only where a copy is not Optimal does
+    # the feasibility check run, its witness the point of most artificial
+    # mass
+    calls = record_linprog(monkeypatch)
+    inst = short_supply()
+    served = maxmin_from_instance(inst, np.ones(1))
+    res = solve_maxmin_dual(served)
+    assert [c[0] for c in calls] == ["short_supply_wc_enum"]
+    calls.clear()
+    plain = solve_maxmin_dual(served, check_feasibility=False)
+    assert [c[0] for c in calls] == ["short_supply_wc_enum"]
+    assert res.value == plain.value == pytest.approx(3.0)
+    assert np.array_equal(res.outer, plain.outer)
+    calls.clear()
+    res = solve_maxmin_dual(maxmin_from_instance(inst, np.zeros(1)))
+    assert [c[0] for c in calls] == ["short_supply_wc_enum", "short_supply_wc_feas_enum",
+                                     "short_supply_wc_feas_polish"]
+    assert res.value == np.inf and np.array_equal(res.outer, [1.0, 1.0])
+    assert mip_names == []
 
 
 def test_an_inner_lp_without_columns_takes_the_kkt_route(mip_names):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ddu_ro import backend, t1
+from ddu_ro import backend, ccg, t1
 from ddu_ro.backend import BackendError, SolveTimeLimit
+from ddu_ro.ccg import AlgorithmConfig, run
 from ddu_ro.instances import (
     FLParams,
     PMedianParams,
@@ -10,9 +11,11 @@ from ddu_ro.instances import (
     gen_mip_recourse_fl,
     gen_reliable_pmedian,
     gen_robust_fl,
+    lattice_first_stages,
     oracle_exact,
     recourse_value,
 )
+from ddu_ro.maxmin import check_inner_feasibility, maxmin_from_instance
 from ddu_ro.model import (
     AffineMatrixMap,
     BasisId,
@@ -30,6 +33,7 @@ from ddu_ro.subproblems import (
     sp3,
     sp4,
 )
+from toys import record_linprog, short_supply
 
 # zero-profit facility location with capacity pinned at 1.2x the average
 # demand share: tight enough that the adversary forces cross-shipping
@@ -293,3 +297,83 @@ def test_pareto_lp_falls_back_when_the_anchor_is_unreachable():
     r = sp2(inst, FLT_X)
     rp = sp2_pareto_lp(inst, FLT_X, r.u, FLT_X, r.u, r.value + 1e7)
     assert rp.pi is None
+
+
+# -- sp1 and sp2 share one enumeration on 0/1 uncertainty sets ---------------
+
+def _pm_uk8_lattice(seed: int) -> list:
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=8, seed=seed), "ddu_uk")
+    return [(inst, x) for x in lattice_first_stages(inst)]
+
+
+def _pm_pair5_diu_visits(monkeypatch) -> list:
+    # (instance, x) of every sp1 call of pm_pair5's diu loop
+    seen, real = [], ccg.sp1
+    monkeypatch.setattr(ccg, "sp1", lambda inst, x: seen.append((inst, x)) or real(inst, x))
+    res = run(gen_reliable_pmedian(PMedianParams(n_sites=5, p=2), "ddu_us_pair"),
+              AlgorithmConfig(diu_approx="metadata"))
+    assert res.status == "Optimal" and len(seen) == 3
+    monkeypatch.undo()
+    return seen
+
+
+def _apart(inst: Instance, x: np.ndarray):
+    """sp1 and sp2 solved apart, as before they shared an enumeration: the
+    feasibility check on its own extended problem (its "_feas_enum" copies
+    LP and "_feas_polish" audit), then sp2 by its own enumeration."""
+    return check_inner_feasibility(maxmin_from_instance(inst, x)), sp2(inst, x)
+
+
+@pytest.mark.parametrize("case", ["pm_uk8-s0", "pm_uk8-s1", "pm_pair5-diu"])
+def test_sp1_hands_sp2_its_enumeration_unchanged(monkeypatch, case):
+    # at every first stage sp1 reads feasibility off the c2 copies LP and
+    # sp2 takes its worst case: the same value, u, pi and basis as the two
+    # calls apart, and the same LPs, byte for byte, but the feasibility
+    # check's two
+    pairs = (_pm_pair5_diu_visits(monkeypatch) if case == "pm_pair5-diu"
+             else _pm_uk8_lattice(int(case[-1])))
+    calls = record_linprog(monkeypatch)
+    for inst, x in pairs:
+        tol = ccg._FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max()))
+        calls.clear()
+        (v_f, _), before = _apart(inst, x)
+        apart = [call for call in calls
+                 if not call[0].endswith(("_wc_feas_enum", "_wc_feas_polish"))]
+        assert len(calls) == len(apart) + 2
+        calls.clear()
+        r1 = sp1(inst, x)
+        after = sp2(inst, x, worst=r1.worst)
+        assert calls == apart
+        assert v_f <= tol and r1.value == 0.0
+        assert after.value == before.value
+        for a, b in ((after.u, before.u), (after.pi, before.pi)):
+            assert np.array_equal(a, b)
+        if before.basis_result is None:
+            assert after.basis_result is None
+        else:
+            assert after.basis_result.basis == before.basis_result.basis
+
+
+def test_a_point_without_recourse_keeps_the_feasibility_checks_witness(solved):
+    # the c2 copies LP over U(0) ends Infeasible: it is solved once, not in
+    # halves, and dropped, and the feasibility check answers as before with
+    # the point of most artificial mass, (1, 1), not the first point without
+    # recourse, (0, 1)
+    inst, x = short_supply(), np.zeros(1)
+    v_f, witness = check_inner_feasibility(maxmin_from_instance(inst, x))
+    apart = list(solved)
+    assert apart == ["short_supply_wc_feas_enum", "short_supply_wc_feas_polish"]
+    solved.clear()
+    r = sp1(inst, x)
+    assert solved == ["short_supply_wc_enum", *apart]
+    assert r.value == v_f == pytest.approx(2.5, rel=1e-9)
+    assert np.array_equal(r.u, witness) and np.array_equal(witness, [1.0, 1.0])
+    assert r.worst is None
+
+
+def test_sp4_on_a_0_1_set_solves_one_copies_lp(solved):
+    # every point of U(0) = [0, 1] is served under the freeze: the copies LP
+    # settles feasibility and the worst case, with no feasibility check
+    r = sp4(_setup_toy(), np.zeros(1), np.array([1.0]))
+    assert r.value == pytest.approx(6.0)
+    assert solved == ["setup_toy_sp4_enum"]

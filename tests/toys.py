@@ -35,6 +35,23 @@ def t1_unbounded_u(F: AffineMatrixMap | None = None) -> Instance:
                     Y=inst.Y)
 
 
+def short_supply() -> Instance:
+    """U(x) is the unit box of (u1, u2); the recourse y >= 2 u1 + u2 costs 1
+    a unit and is capped by 2 y <= 1 + 6 x, whose 2 keeps B2 off the
+    network matrices. At x = 0 the 0/1 points (0, 1), (1, 0) and (1, 1) have
+    no recourse, short by 1/2, 3/2 and 5/2, so the feasibility check's
+    witness is (1, 1), the last of them in instances._box_points' order. At
+    x = 1 every point is served, the worst case (1, 1) at cost 3."""
+    return Instance(
+        name="short_supply", c1=[0.5],
+        X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1, ub=[1.0]),
+        U=UncertaintySet(F=AffineMatrixMap(base=np.eye(2)), G=np.zeros((2, 1)),
+                         h=[1.0, 1.0]),
+        Y=RecourseSet(B1=[[0.0], [6.0]], B2=[[1.0], [-2.0]],
+                      E=[[-2.0, -1.0], [0.0, 0.0]], d=[0.0, -1.0], c2=[1.0]),
+    )
+
+
 def record_linprog(monkeypatch):
     """(model name, columns, digest) of every linprog call, in order; the
     digest is the first 16 hex digits of the SHA-256 of every argument

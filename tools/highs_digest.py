@@ -11,7 +11,10 @@ and each worst u. It prints each operation's status, objective, iteration
 count, number of solves, how many of them are MIPs (backend.milp calls;
 solve_mip hands a model without integers to linprog), one digest over its
 own solves in call order and one over its worst-case values, then the same
-counts and one digest over all of them.
+counts and one digest over all of them. Under each operation a second line
+counts its solves by the name of the model solved (backend.solve_lp and
+backend.solve_mip are wrapped to read it), the instance's name cut off the
+front: "_wc_enum 6" is six solves of the model "<instance>_wc_enum".
 
 Two trees that print the same lines gave HiGHS byte-identical input on
 every solve of those operations, and the oracle the same vertices and
@@ -27,6 +30,7 @@ root of a checkout:
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import os
 import sys
@@ -69,18 +73,32 @@ def _digest(hashes: list[str]) -> str:
 
 
 class Recorder:
-    """Wraps backend.linprog, backend.milp and instances.worst_case_values
-    while installed and keeps the hash of each solve's input, whether the
-    solve was a MIP, and the hash of each worst_case_values return."""
+    """Wraps backend.linprog, backend.milp, backend.solve_lp,
+    backend.solve_mip and instances.worst_case_values while installed and
+    keeps the hash of each solve's input, whether the solve was a MIP, the
+    name of the model it solved (the innermost solve_lp or solve_mip
+    around it) and the hash of each worst_case_values return."""
 
     def __init__(self) -> None:
         self.hashes: list[str] = []
         self.mips: list[bool] = []
+        self.names: list[str] = []
         self.values: list[str] = []
-        self._saved = (backend.linprog, backend.milp, instances.worst_case_values)
+        self._models: list[str] = []
+        self._saved = (backend.linprog, backend.milp, backend.solve_lp, backend.solve_mip,
+                       instances.worst_case_values)
 
     def __enter__(self) -> "Recorder":
-        linprog, milp, worst_case_values = self._saved
+        linprog, milp, solve_lp, solve_mip, worst_case_values = self._saved
+
+        def named(solve):
+            def call(model, *args, **kwargs):
+                self._models.append(model.name)
+                try:
+                    return solve(model, *args, **kwargs)
+                finally:
+                    self._models.pop()
+            return call
 
         def hashed_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                            bounds=(0, np.inf), method="highs", options=None):
@@ -94,6 +112,7 @@ class Recorder:
                 "lp", c_, A, np.r_[np.full(b_ub_.size, -np.inf), b_eq_], np.r_[b_ub_, b_eq_],
                 lb, ub, np.zeros(c_.size), options))
             self.mips.append(False)
+            self.names.append(self._models[-1])
             return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                            method=method, options=options)
 
@@ -107,6 +126,7 @@ class Recorder:
                 "mip", c_, A, lhs, rhs, lb, ub,
                 np.broadcast_to(0 if integrality is None else integrality, c_.shape), options))
             self.mips.append(True)
+            self.names.append(self._models[-1])
             return milp(c, integrality=integrality, bounds=bounds, constraints=constraints,
                         options=options)
 
@@ -119,11 +139,13 @@ class Recorder:
             return out
 
         backend.linprog, backend.milp = hashed_linprog, hashed_milp
+        backend.solve_lp, backend.solve_mip = named(solve_lp), named(solve_mip)
         instances.worst_case_values = hashed_worst_case_values
         return self
 
     def __exit__(self, *exc) -> None:
-        backend.linprog, backend.milp, instances.worst_case_values = self._saved
+        (backend.linprog, backend.milp, backend.solve_lp, backend.solve_mip,
+         instances.worst_case_values) = self._saved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,6 +170,11 @@ def main(argv: list[str] | None = None) -> int:
                           f"iterations {res.iterations} solves {len(own)} "
                           f"mips {sum(rec.mips[before:])} digest {_digest(own)} "
                           f"values {_digest(rec.values[valued:])}")
+                    prefix = insts[op.instance].name
+                    models = collections.Counter(model.removeprefix(prefix)
+                                                 for model in rec.names[before:])
+                    print("  by model: " + ", ".join(f"{model} {count}"
+                                                     for model, count in sorted(models.items())))
     print(f"solves {len(rec.hashes)} mips {sum(rec.mips)} digest {_digest(rec.hashes)}")
     return 0
 
