@@ -37,7 +37,7 @@ from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySe
                     add_first_stage, add_recourse_rows, add_recourse_vars,
                     affine_blocks, binary_coupling, build_deterministic_mip, range_probe,
                     relative_gap, uncertainty_set_from_dict)
-from .subproblems import (recourse_mip_at, sp1, sp2, sp2_mip_relax,
+from .subproblems import (_FEAS_TOL, recourse_mip_at, sp1, sp2, sp2_mip_relax,
                           sp2_pareto_lp, sp3, sp4)
 
 VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
@@ -48,7 +48,6 @@ VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 _OPT_GAP = 1e-7
 
 _X_REPEAT_TOL = 1e-7
-_FEAS_TOL = 1e-7     # on sp1's violation mass, relative to |d|
 # eta's lower bound, binding only before the first optimality cut, unless
 # the relaxation puts a valid floor lower (_eta_floor)
 _ETA_LB = -1e7

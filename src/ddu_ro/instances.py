@@ -14,8 +14,9 @@ Optimal (backend.solve_copies): a run of integer assignments shares the
 range probes of its coupled continuous x, the first dropping assignments
 without completion, and one LP over every (assignment, grid point); a run
 of first stages shares one shortfall LP over their first vertices, which
-drops the x whose first vertex has no recourse, and one LP over every other
-(x, vertex) pair (worst_case_values). It shares nothing with the
+drops the x whose first vertex has no recourse (not narrowed: where it is
+not Optimal, recourse_value decides each pair), and one LP over every
+other (x, vertex) pair (worst_case_values). It shares nothing with the
 cutting-plane machinery beyond the LP/MIP primitives.
 """
 
@@ -365,20 +366,22 @@ def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
 
 def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None:
     """For every (x, verts) of run, the least shortfall of the (continuous)
-    recourse at its vertices u_k, from backend.solve_copies; None unless
-    every copy ends Optimal. Copy k holds (y_k, s_k) and the rows D^-1 (B2 y_k
-    - r_k) + s_k >= 0, s_k >= 0, r_k = d - B1 x - E u_k, with D the largest
-    |entry| of each row of B2 (1 for a zero row), since HiGHS holds rows of
-    tiny entries to its absolute tolerance. The LP minimizes the sum of every
+    recourse at its vertices u_k, from one LP of a copy per pair
+    (backend.copies_lp); None unless it ends Optimal, as no caller reads a
+    copy's status. Copy k holds (y_k, s_k) and the rows D^-1 (B2 y_k - r_k)
+    + s_k >= 0, s_k >= 0, r_k = d - B1 x - E u_k, with D the largest |entry|
+    of each row of B2 (1 for a zero row), since HiGHS holds rows of tiny
+    entries to its absolute tolerance. The LP minimizes the sum of every
     s_k, and each pair's value is 1'D s_k over max(1, |r_k|_inf)."""
     Y, rhs = inst.Y, _pair_rhs(inst, run)
     scale = np.abs(Y.B2).max(axis=1, initial=0.0)
     scale[scale == 0.0] = 1.0
     A = np.hstack([Y.B2 / scale[:, None], np.eye(Y.n_rows)])
-    status, sol = backend.solve_copies("recourse_shortfall", A, GEQ, rhs / scale, 0.0, np.inf,
-                                       np.r_[np.zeros(Y.dim), np.ones(Y.n_rows)])
-    if (status != backend.OPTIMAL).any():
+    out = backend.solve_lp(backend.copies_lp("recourse_shortfall", A, GEQ, rhs / scale, 0.0,
+                                             np.inf, np.r_[np.zeros(Y.dim), np.ones(Y.n_rows)]))
+    if not out.is_optimal:
         return None
+    sol = out.x.reshape(len(rhs), -1)
     vals = (sol[:, Y.dim:] * scale).sum(axis=1) / np.maximum(1.0, np.abs(rhs).max(
         axis=1, initial=0.0))
     return np.split(vals, np.cumsum([len(v) for _, v in run])[:-1])

@@ -1,33 +1,30 @@
 """Max-min linear programs over a polyhedral outer set and the
 optimality-condition blocks the cutting-plane masters embed.
 
-One route chooser, solve_maxmin_dual, answers max over the outer set of the
-inner LP's value in one of two ways:
-- by enumeration (_enumerate_outer) where every vertex of the outer set is
-  0/1: the inner value is convex in the outer point, so its maximum sits at
-  a vertex, and the inner LP is solved at every 0/1 point of the set
-  (instances._box_points) in one LP of a copy per point
-  (backend.solve_copies), with no big-M;
-- by the KKT MIP (solve_maxmin_kkt) otherwise, and where the 0/1 points
-  outrun the enumeration's cap: it holds the inner LP at its optimum by that
-  LP's optimality block (below), complementarities linearized with a big-M
-  per side.
-The feasibility check (check_inner_feasibility) takes the network product
-MIP (_product_mip) where it applies: the feasibility dual of a network
-recourse matrix has 0/1 vertices, so each product pi_i z_j of the dualized
-inner LP is linearized exactly with pi binary and z_j capped by its probed
-range, no big-M. Otherwise it hands its extended problem to the chooser. One
-LP at the route's outer point (audited_dual_lp) audits every value of the
-feasibility check, sp1's included, and sp2's worst case; sp4's
-frozen-recourse value is not audited. On the enumeration route sp1 and sp4
-first solve the plain inner LP's copies LP, the one the enumeration solves
-(enumerate_if_feasible): where every copy ends Optimal, which
-backend.linprog grants only after it has checked every row's residual, the
-inner LP is feasible on the whole outer set, so the feasibility value is 0
-with no extended problem and no audit of its own, and that LP's argmax is
-the worst case sp2 then audits. The polish audit stays on every path that
-solves the extended problem, and sp2's vertex-dual and split-identity audits
-on every path.
+Each max-min question has one function:
+- enumerate_outer lists the 0/1 points of an outer set whose vertices are
+  all 0/1 (instances._box_points) and solves the inner LP at every one of
+  them in one LP of a copy per point (backend.copies_lp), with no big-M:
+  the inner value is convex in the outer point, so its maximum sits at a
+  vertex;
+- check_inner_feasibility, the one feasibility screen, asks whether the
+  inner LP is feasible on the whole outer set. enumerate_outer answers
+  first, with the worst case besides, where every copy ends Optimal.
+  Otherwise the network product MIP (_product_mip) answers where it
+  applies: the feasibility dual of a network recourse matrix has 0/1
+  vertices, so each product pi_i z_j of the dualized inner LP is
+  linearized exactly with pi binary and z_j capped by its probed range, no
+  big-M. Elsewhere the extended problem goes to solve_maxmin_dual;
+- solve_maxmin_dual chooses the worst case once the screen has vouched for
+  feasibility: enumerate_outer where it answers, else the KKT MIP
+  (solve_maxmin_kkt), which holds the inner LP at its optimum by that LP's
+  optimality block (below), complementarities linearized with a big-M per
+  side, and which also takes the 0/1 points that outrun the enumeration's
+  cap.
+The audits: one LP at the witness (audited_dual_lp, "_polish") audits the
+screen's value on every path through the network MIP or the extended
+problem; sp2's vertex-dual and split-identity audits run on every path of
+sp2, the screen's worst case included; sp4's value is not audited.
 
 An optimality block (build_optimality_block) holds an LP over U(x) at an
 optimum of its cost row, x being model columns, by primal and dual
@@ -95,10 +92,9 @@ def maxmin_from_instance(inst: Instance, x: np.ndarray) -> MaxMinProblem:
 
 @dataclass
 class MaxMinResult:
-    """A max-min's optimum and the outer point attaining it, or value inf
-    and a witness where the inner LP is infeasible; a route whose MIP or
-    enumeration LP does not end as it must raises BackendError naming that
-    model instead."""
+    """A max-min's optimum and the outer point attaining it; a route whose
+    MIP or enumeration LP does not end as it must raises BackendError
+    naming that model instead."""
     value: float
     outer: np.ndarray
 
@@ -235,20 +231,34 @@ def _complete_basis(A: np.ndarray, support: list[int]) -> list[int]:
 
 # -- feasibility of the inner LP over the whole outer set -----------------------
 
-def check_inner_feasibility(problem: MaxMinProblem) -> tuple[float, np.ndarray]:
-    """Worst-case artificial mass: v_f = max_z min{1'w : B_y y + w >= d - B_x z}.
+def check_inner_feasibility(problem: MaxMinProblem
+                            ) -> tuple[float, np.ndarray, MaxMinResult | None]:
+    """Worst-case artificial mass v_f = max_z min{1'w : B_y y + w >= d - B_x z}
+    with its witness outer point, and the max-min itself where it comes
+    free: (v_f, witness, worst). Zero means the inner LP is feasible at
+    every outer point; a positive value comes with the witness where it is
+    not.
 
-    Zero means the inner LP is feasible at every outer point; a positive value
-    comes with the witness outer point where it is not.
-
-    The dual of the inner LP is max{(d - B_x z)' pi : pi in Pi_1}, with
-    Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has network columns and
-    every z_j that the objective reads has a finite range over the outer set
-    (one range_probe LP), Pi_1 has 0/1 vertices and the product MIP takes pi
-    binary; otherwise solve_maxmin_dual answers the extended problem. Either
-    way the value is audited by the feasibility LP at the witness z*, and
-    the LP's value is returned.
+    enumerate_outer comes first. Where its LP ends Optimal, which
+    backend.linprog grants only after it has checked every row's residual,
+    every 0/1 point of the outer set is served, and so is the whole set:
+    the z where the inner LP is feasible form a convex set (the projection
+    of a polyhedron) holding every vertex. The answer is then (0, worst
+    point, worst result).
+    Otherwise (worst None) the dual of the inner LP is max{(d - B_x z)' pi :
+    pi in Pi_1}, with Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has
+    network columns and every z_j that the objective reads has a finite
+    range over the outer set (one range_probe LP), Pi_1 has 0/1 vertices
+    and the product MIP takes pi binary; otherwise solve_maxmin_dual answers
+    the extended problem. Either way the value is audited by the
+    feasibility LP at the witness z*, and the LP's value is returned.
     """
+    try:
+        worst = enumerate_outer(problem)
+    except _EnumerationFailed:
+        worst = None
+    if worst is not None:
+        return 0.0, worst.outer, worst
     m_rows, ny = problem.B_y.shape
     ext = replace(problem, c_y=np.concatenate([np.zeros(ny), np.ones(m_rows)]),
                   B_y=np.hstack([problem.B_y, np.eye(m_rows)]),
@@ -262,10 +272,10 @@ def check_inner_feasibility(problem: MaxMinProblem) -> tuple[float, np.ndarray]:
             res = _product_mip(replace(problem, c_y=np.zeros(ny), name=ext.name),
                                caps=dict(zip(cols.tolist(), hi)))
     if res is None:
-        res = solve_maxmin_dual(ext, check_feasibility=False)
+        res = solve_maxmin_dual(ext)
     polish = audited_dual_lp(ext.B_y, ext.c_y, ext.d - ext.B_x @ res.outer,
                              res.value, ext.name + "_polish")
-    return max(0.0, float(polish.objective)), res.outer
+    return max(0.0, float(polish.objective)), res.outer, None
 
 
 def has_network_columns(B: np.ndarray) -> bool:
@@ -322,108 +332,56 @@ def solve_maxmin_kkt(problem: MaxMinProblem) -> MaxMinResult:
     return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
 
 
-# -- route chooser, enumeration and network product MIP -------------------------
+# -- enumeration, worst-case chooser and network product MIP ---------------------
 
-def solve_maxmin_dual(problem: MaxMinProblem,
-                      check_feasibility: bool = True) -> MaxMinResult:
-    """max over z in the outer set of min{c_y'y : B_y y >= d - B_x z, y >= 0}.
-
-    Outer sets whose coordinates are all capped at one and whose vertices
-    are 0/1 are enumerated (_enumerate_outer): either every coordinate is
-    declared integer, or the set has integral vertices
-    (has_integral_vertices), so that the maximum of the convex inner value
-    sits at a 0/1 vertex anyway. Where the 0/1 points are more than
-    instances._box_points enumerates, and on every other outer set, the KKT
-    route answers. Inner infeasibility at some z makes the program
-    unbounded: the result then carries the witness z and the value inf.
-    check_feasibility looks for it first: on the enumeration route one
-    copies LP at cost c_y settles feasibility and the maximum together
-    where every copy ends Optimal (enumerate_if_feasible), and
-    check_inner_feasibility runs only where some copy does not. Either
-    route raises BackendError naming its model when that model does not end
-    as it must.
-    """
-    if check_feasibility:
-        res = enumerate_if_feasible(problem)
-        if res is not None:
-            return res
-        v_f, witness = check_inner_feasibility(problem)
-        if v_f > 1e-7 * max(1.0, float(np.abs(problem.d).max())):
-            return MaxMinResult(value=np.inf, outer=witness)
-    if _enumerates(problem):
-        try:
-            return _enumerate_outer(problem)
-        except OracleError:
-            pass
-    return solve_maxmin_kkt(problem)
+class _EnumerationFailed(BackendError):
+    """enumerate_outer's "<name>_enum" LP ended other than Optimal."""
 
 
-def _enumerates(problem: MaxMinProblem) -> bool:
+def enumerate_outer(problem: MaxMinProblem) -> MaxMinResult | None:
+    """The largest inner value over the 0/1 points of the outer set and the
+    first point, in instances._box_points' order, that attains it, from one
+    LP ("<name>_enum") of a copy of the inner LP per point (backend.copies_lp).
+
+    That is the max-min where every vertex of the outer set is 0/1: every
+    coordinate is capped at one and either declared integer or the set has
+    integral vertices (has_integral_vertices), and the inner value is convex
+    in the outer point. None off that route, and where _box_points refuses
+    the points (past instances._MAX_LATTICE); BackendError where it finds
+    none, and _EnumerationFailed, "<name>_enum ended <status>", where the
+    LP does not end Optimal."""
     # an inner LP without columns, sp4's under an all-integer recourse, is
     # no LP for HiGHS; the KKT MIP takes it
-    return problem.B_y.shape[1] > 0 and _outer_is_binary(problem) and (
-        problem.n_int_out == problem.n_out
-        or has_integral_vertices(problem.A_out, problem.b_out))
-
-
-def enumerate_if_feasible(problem: MaxMinProblem) -> MaxMinResult | None:
-    """_enumerate_outer's result where the inner LP is Optimal at every 0/1
-    point of the outer set, read off one solve_lp of its "<name>_enum"
-    copies LP, the very LP _enumerate_outer solves first; None where the
-    outer set is off the enumeration route, _box_points refuses it or finds
-    no point, or that LP ends otherwise, which is not split into halves.
-
-    The inner LP is then feasible on the whole outer set: the z where it is
-    feasible form a convex set (the projection of a polyhedron), and it
-    holds every vertex of the outer set, each a 0/1 point. So the
-    feasibility check (check_inner_feasibility) would find no artificial
-    mass, and the max-min is this LP's first argmax."""
-    if not _enumerates(problem):
+    if not (problem.B_y.shape[1] > 0 and _outer_is_binary(problem) and (
+            problem.n_int_out == problem.n_out
+            or has_integral_vertices(problem.A_out, problem.b_out))):
         return None
+    n, name = problem.n_out, problem.name + "_enum"
     try:
-        points = _outer_points(problem)
-    except (OracleError, BackendError):
+        points = _box_points(np.zeros(n), np.ones(n), -problem.A_out, -problem.b_out, "z")
+    except OracleError:
         return None
-    out = backend.solve_lp(backend.copies_lp(*_copies(problem, points)))
-    if not out.is_optimal:
-        return None
-    return _best(problem, points, np.full(len(points), backend.OPTIMAL),
-                 out.x.reshape(len(points), -1))
-
-
-def _enumerate_outer(problem: MaxMinProblem) -> MaxMinResult:
-    """The largest inner value over the 0/1 points of the outer set and the
-    first point, in instances._box_points' order, that attains it. One LP
-    ("<name>_enum") holds a copy of the inner LP per point
-    (backend.solve_copies), each valued by backend.copy_values: +inf where
-    it is Infeasible, BackendError naming the LP where it ends Numerical.
-    OracleError where _box_points finds too many points, BackendError where
-    it finds none."""
-    points = _outer_points(problem)
-    return _best(problem, points, *backend.solve_copies(*_copies(problem, points)))
-
-
-def _outer_points(problem: MaxMinProblem) -> np.ndarray:
-    n = problem.n_out
-    points = _box_points(np.zeros(n), np.ones(n), -problem.A_out, -problem.b_out, "z")
     if not len(points):
         raise BackendError(f"{problem.name}: the outer set has no 0/1 point "
                            "(nonemptiness violated)")
-    return points
-
-
-def _copies(problem: MaxMinProblem, points: np.ndarray) -> tuple:
-    # the arguments of backend.copies_lp and backend.solve_copies: a copy
-    # of the inner LP per outer point
-    return (problem.name + "_enum", problem.B_y, GEQ, problem.d - points @ problem.B_x.T,
-            0.0, np.inf, problem.c_y)
-
-
-def _best(problem: MaxMinProblem, points: np.ndarray, status: np.ndarray,
-          y: np.ndarray) -> MaxMinResult:
-    values = backend.copy_values(problem.name + "_enum", status, y, problem.c_y)
+    out = backend.solve_lp(backend.copies_lp(name, problem.B_y, GEQ,
+                                             problem.d - points @ problem.B_x.T,
+                                             0.0, np.inf, problem.c_y))
+    if not out.is_optimal:
+        raise _EnumerationFailed(f"{name} ended {out.status}")
+    values = out.x.reshape(len(points), -1) @ problem.c_y
     k = int(np.argmax(values))
     return MaxMinResult(value=float(values[k]), outer=points[k])
+
+
+def solve_maxmin_dual(problem: MaxMinProblem) -> MaxMinResult:
+    """max over z in the outer set of min{c_y'y : B_y y >= d - B_x z, y >= 0},
+    for an inner LP that the caller's check_inner_feasibility has found
+    feasible on the whole outer set: enumerate_outer where it answers, else
+    the KKT MIP (solve_maxmin_kkt). Either raises BackendError naming its
+    model when that model does not end as it must."""
+    res = enumerate_outer(problem)
+    return res if res is not None else solve_maxmin_kkt(problem)
 
 
 def _product_mip(problem: MaxMinProblem, caps: dict[int, float]) -> MaxMinResult:

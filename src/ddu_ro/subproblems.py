@@ -22,7 +22,6 @@ from .maxmin import (
     MaxMinResult,
     audited_dual_lp,
     check_inner_feasibility,
-    enumerate_if_feasible,
     lp_parametric,
     maxmin_from_instance,
     solve_maxmin_dual,
@@ -30,6 +29,10 @@ from .maxmin import (
 from .model import Instance, max_lp
 
 _PI_FEAS_TOL = 1e-6
+# artificial mass above this times max(1, |d|) leaves a scenario without
+# recourse: sp1's in the loop against the instance's d, sp4's against its
+# own d - B1 x - B2_int y_d
+_FEAS_TOL = 1e-7
 _RAY_TOL = 1e-8
 
 
@@ -44,27 +47,21 @@ class SubproblemReport:
 
 
 def sp1(inst: Instance, x: np.ndarray) -> SubproblemReport:
-    """Worst-case artificial mass of the recourse over U(x): zero means every
-    scenario is servable, positive comes with the witness scenario.
-
-    Where U(x) is enumerated by its 0/1 points and the recourse is Optimal
-    at each of them, one copies LP shows it (enumerate_if_feasible): the
-    value is then 0, and worst carries that LP's worst case, sp2's, with u
-    its scenario. Otherwise check_inner_feasibility answers, as it does
-    off the 0/1 route."""
-    problem = maxmin_from_instance(inst, x)
-    worst = enumerate_if_feasible(problem)
-    if worst is not None:
-        return SubproblemReport(value=0.0, u=worst.outer, worst=worst)
-    v_f, u_f = check_inner_feasibility(problem)
-    return SubproblemReport(value=v_f, u=u_f)
+    """Worst-case artificial mass of the recourse over U(x)
+    (check_inner_feasibility): zero means every scenario is servable,
+    positive comes with the witness scenario. Where U(x)'s 0/1 points
+    settled it, worst carries their enumeration, sp2's worst case, with u
+    its scenario."""
+    v_f, u_f, worst = check_inner_feasibility(maxmin_from_instance(inst, x))
+    return SubproblemReport(value=v_f, u=u_f, worst=worst)
 
 
 def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2",
         worst: MaxMinResult | None = None) -> SubproblemReport:
     """Worst-case recourse cost at x with the dual extreme point that
     certifies it. worst, sp1's report of the max-min at the same x where it
-    has one, stands for the max-min solve; the audits below run either way.
+    has one, stands for solve_maxmin_dual, which runs only after sp1 has
+    found the recourse feasible; the audits below run either way.
 
     pi is the simplex optimum of the recourse dual at the worst-case
     scenario u*, a vertex of Pi: a max-min route's own pi may sit at its cap
@@ -75,7 +72,7 @@ def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2",
     the parametric-LP value at pi, whose solve comes back as basis_result.
     kind names the audit LP."""
     problem = maxmin_from_instance(inst, x)
-    res = worst if worst is not None else solve_maxmin_dual(problem, check_feasibility=False)
+    res = worst if worst is not None else solve_maxmin_dual(problem)
     pi = audited_dual_lp(problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
                          res.value, f"{kind}_vertex_dual").x
     infeas = _pi_violation(inst, pi)
@@ -139,8 +136,10 @@ def recourse_mip_at(inst: Instance, x: np.ndarray,
 
 def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray) -> SubproblemReport:
     """Worst case with the integer recourse block frozen at y_d: an
-    upper-bound surrogate. Infinite when some scenario is unservable under
-    that freeze."""
+    upper-bound surrogate. check_inner_feasibility screens the frozen
+    recourse first: infinite, with the witness scenario, above _FEAS_TOL;
+    otherwise the screen's worst case where it has one, else
+    solve_maxmin_dual. Not audited."""
     nd = inst.Y.n_int_y
     y_d = np.asarray(y_d, dtype=float)
     if y_d.shape != (nd,):
@@ -151,7 +150,10 @@ def sp4(inst: Instance, x: np.ndarray, y_d: np.ndarray) -> SubproblemReport:
     wc = maxmin_from_instance(inst, x)
     problem = replace(wc, c_y=Y.c2[nd:], B_y=Y.B2[:, nd:],
                       d=wc.d - Y.B2[:, :nd] @ y_d, name=f"{inst.name}_sp4")
-    res = solve_maxmin_dual(problem, check_feasibility=True)
+    v_f, witness, worst = check_inner_feasibility(problem)
+    if v_f > _FEAS_TOL * max(1.0, float(np.abs(problem.d).max())):
+        return SubproblemReport(value=np.inf, u=witness)
+    res = worst if worst is not None else solve_maxmin_dual(problem)
     return SubproblemReport(value=res.value + float(Y.c2[:nd] @ y_d), u=res.outer)
 
 

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg, instances, maxmin, subproblems
-from ddu_ro.backend import GEQ, BackendError, SolveOutcome, SolveTimeLimit
+from ddu_ro import backend, ccg, instances, maxmin
+from ddu_ro.backend import GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
@@ -21,7 +21,7 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           add_first_stage, build_deterministic_mip, max_lp,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.subproblems import sp2
-from toys import short_supply, t1_infeasible, t1_unbounded_u
+from toys import screen_apart, short_supply, t1_infeasible, t1_unbounded_u
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -348,15 +348,22 @@ def test_a_lattice_over_the_point_limit_keeps_the_mip_masters(monkeypatch):
     # uk5 has ten first stages (3 of 5 sites), ten prefixes alive at the
     # last level of instances._box_points; an enumeration cap one below
     # refuses the lattice (OracleError) and keeps every master a MIP, with
-    # the same outcome
-    outcomes = []
-    for limit, route in ((10, "masters_lattice"), (9, "masters_mip")):
+    # the same outcome. A cap of one refuses U(x)'s 0/1 points as well, so
+    # sp1 and sp2 take the KKT MIPs
+    outcomes, real = [], backend.solve_mip
+    for limit, route in ((10, "masters_lattice"), (9, "masters_mip"), (1, "masters_mip")):
         monkeypatch.setattr(instances, "_MAX_LATTICE", limit)
-        res = run(_TRAJECTORY_INSTANCES["uk5"][0](), AlgorithmConfig(variant="parametric"))
+        inst, names = _TRAJECTORY_INSTANCES["uk5"][0](), []
+        monkeypatch.setattr(backend, "solve_mip",
+                            lambda model, **kw: names.append(model.name) or real(model, **kw))
+        res = run(inst, AlgorithmConfig(variant="parametric"))
         assert res.meta[route] == res.n_iterations
+        subproblems = [name.removeprefix(inst.name) for name in names if "_wc" in name]
+        assert subproblems == (["_wc_feas_kkt", "_wc_kkt"] * (res.n_iterations - 1)
+                               if limit == 1 else [])
         outcomes.append((res.status, res.objective))
-    assert outcomes[0][0] == outcomes[1][0] == "Optimal"
-    assert outcomes[1][1] == pytest.approx(outcomes[0][1])
+    assert {status for status, _ in outcomes} == {"Optimal"}
+    assert [obj for _, obj in outcomes] == pytest.approx([outcomes[0][1]] * 3)
 
 
 _VARIANT_CONFIGS = [dict(variant="benders"), dict(variant="basis"),
@@ -595,6 +602,33 @@ def test_a_tie_goes_to_the_first_lattice_point_though_the_later_is_valued_first(
     assert out.status == backend.OPTIMAL and out.objective == 1.0
     assert out.x[state.x_ids] == [0.0]
     assert state.masters_lattice == 2 and state.lattice_copies == 4
+
+
+@pytest.mark.parametrize("part", ["integer-column", "continuous-x", "eta-capped"])
+def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(part):
+    # _separable_ray_toy's lattice holds x0 in {0, 1}; its continuous x1 is
+    # no lattice coordinate. A part that brings an integer column, reads
+    # x1, or bounds eta from above cannot be valued there, so its master
+    # and every later one are backend.solve_mip's, even after a part the
+    # lattice could value
+    state = MasterState(_separable_ray_toy(), AlgorithmConfig(variant="benders"))
+    m, eta = state.model, state.eta_id
+    m.add_rows([([eta], [[1.0]])], GEQ, [0.0])
+    assert state.solve().is_optimal and state.masters_lattice == 1
+    if part == "integer-column":
+        j = m.add_vars(1, 0.0, 1.0, integer=True)[0]
+        m.add_rows([([eta, j], [[1.0, -1.0]])], GEQ, [0.0])
+    elif part == "continuous-x":
+        m.add_rows([([eta, state.x_ids[1]], [[1.0, -1.0]])], GEQ, [0.0])
+    else:
+        m.add_rows([([eta], [[1.0]])], LEQ, [5.0])
+    for later in (False, True):
+        if later:
+            m.add_rows([([eta], [[1.0]])], GEQ, [0.5])
+        out, mip = state.solve(), backend.solve_mip(m)
+        assert (state.masters_lattice, state.masters_mip) == (1, 1 + later)
+        assert out.status == mip.status == backend.OPTIMAL
+        assert out.objective == mip.objective and np.array_equal(out.x, mip.x)
 
 
 def test_pm_uk8_values_fewer_copies_than_every_point_per_master():
@@ -1139,7 +1173,13 @@ def test_a_failed_shared_enumeration_leaves_the_run_unchanged(monkeypatch, varia
 
     config = AlgorithmConfig(variant=variant, tol=0.0)
     shared = run(short_supply(), config)
-    monkeypatch.setattr(subproblems, "enumerate_if_feasible", lambda problem: None)
+    real_sp1 = ccg.sp1
+
+    def sp1_apart(inst, x):
+        with screen_apart(monkeypatch):
+            return real_sp1(inst, x)
+
+    monkeypatch.setattr(ccg, "sp1", sp1_apart)
     apart = run(short_supply(), config)
     assert shared.status == apart.status == "Optimal"
     assert shared.objective == apart.objective == pytest.approx(3.5)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddu_ro import backend, instances
-from ddu_ro.backend import GEQ, LinearModel
+from ddu_ro.backend import GEQ, LinearModel, SolveOutcome
 from ddu_ro import (
     FLParams,
     PMedianParams,
@@ -1101,6 +1101,31 @@ def test_one_shortfall_lp_finds_every_first_vertex_without_recourse(monkeypatch)
                      ("recourse", backend.INFEASIBLE),
                      ("recourse_block", backend.OPTIMAL)]
     assert len(calls) == 1
+
+
+def test_a_failed_shortfall_lp_is_solved_once_and_decided_per_vertex(monkeypatch):
+    # y >= u and y <= 1: the first vertex u = 2 of either x has no
+    # recourse. A Numerical shortfall LP is dropped whole, not narrowed by
+    # halves, and recourse_value decides each first vertex, to the same
+    # worst cases
+    inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[-1.0], [0.0]], d=[0.0, -1.0],
+                         c2=[1.0])
+    reference = instances.worst_case_values(inst, XS2)
+    solve_lp = backend.solve_lp
+
+    def numerical(model):
+        out = solve_lp(model)
+        return SolveOutcome(status=backend.NUMERICAL) if model.name == "recourse_shortfall" else out
+
+    monkeypatch.setattr(backend, "solve_lp", numerical)
+    lps = _record_lps(monkeypatch)
+    calls = _count_recourse_calls(monkeypatch)
+    got = instances.worst_case_values(inst, XS2)
+    assert lps == [("recourse_shortfall", backend.NUMERICAL),
+                   ("recourse", backend.INFEASIBLE), ("recourse", backend.INFEASIBLE)]
+    assert [u.tolist() for u in calls] == [[2.0], [2.0]]
+    assert [(value, u.tolist()) for value, u in got] == [
+        (value, u.tolist()) for value, u in reference] == [(np.inf, [2.0])] * 2
 
 
 def test_first_stages_of_many_matrices_share_one_shortfall_lp(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddu_ro import backend, instances, maxmin, t1
-from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
+from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveOutcome, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_mip_recourse_fl, gen_reliable_pmedian,
                               gen_robust_fl, lattice_first_stages, recourse_value)
@@ -85,12 +85,14 @@ def test_lp_parametric_matches_vertex_enumeration(seed):
 
 
 def test_check_inner_feasibility_complete_recourse():
-    # shortfall variable keeps the inner LP feasible everywhere
+    # shortfall variable keeps the inner LP feasible everywhere; the outer
+    # set [0, 1] is enumerated, so the worst case, at z = 1, comes with it
     p = MaxMinProblem(A_out=np.array([[1.0]]), b_out=np.array([1.0]),
                       c_y=np.array([1.0, 10.0]), B_y=np.array([[1.0, 1.0]]),
                       B_x=np.array([[-1.0]]), d=np.array([0.0]))
-    v_f, _ = check_inner_feasibility(p)
+    v_f, witness, worst = check_inner_feasibility(p)
     assert v_f == pytest.approx(0.0, abs=1e-9)
+    assert worst.value == pytest.approx(1.0) and np.array_equal(witness, worst.outer)
 
 
 def test_check_inner_feasibility_finds_witness():
@@ -98,9 +100,10 @@ def test_check_inner_feasibility_finds_witness():
     p = MaxMinProblem(A_out=np.array([[1.0]]), b_out=np.array([1.0]),
                       c_y=np.array([1.0]), B_y=np.array([[1.0], [-1.0]]),
                       B_x=np.array([[-1.0], [0.0]]), d=np.array([0.0, 0.0]))
-    v_f, witness = check_inner_feasibility(p)
+    v_f, witness, worst = check_inner_feasibility(p)
     assert v_f == pytest.approx(1.0, abs=1e-7)
     assert witness[0] == pytest.approx(1.0, abs=1e-7)
+    assert worst is None
 
 
 def test_kkt_and_dual_routes_agree_on_t1():
@@ -113,17 +116,21 @@ def test_kkt_and_dual_routes_agree_on_t1():
 
 
 def test_dual_route_returns_ray_on_inner_infeasibility():
+    # the screen finds the witness; solve_maxmin_dual, which takes the
+    # screen's word for feasibility, names its failed copies LP
     p = MaxMinProblem(A_out=np.array([[1.0]]), b_out=np.array([1.0]),
                       c_y=np.array([1.0]), B_y=np.array([[1.0], [-1.0]]),
                       B_x=np.array([[-1.0], [0.0]]), d=np.array([0.0, 0.0]))
-    res = solve_maxmin_dual(p)
-    assert res.value == np.inf
-    assert res.outer == pytest.approx([1.0], abs=1e-7)
+    v_f, witness, worst = check_inner_feasibility(p)
+    assert v_f > 0.0 and worst is None
+    assert witness == pytest.approx([1.0], abs=1e-7)
     # the inner LP has no point at the witness
     inner = LinearModel()
     y = inner.add_vars(p.B_y.shape[1])
-    inner.add_rows([(y, p.B_y)], GEQ, p.d - p.B_x @ res.outer)
+    inner.add_rows([(y, p.B_y)], GEQ, p.d - p.B_x @ witness)
     assert backend.solve_lp(inner).status == backend.INFEASIBLE
+    with pytest.raises(BackendError, match=r"^maxmin_enum ended Infeasible$"):
+        solve_maxmin_dual(p)
 
 
 def test_zero_inner_cost_gives_zero_value():
@@ -576,15 +583,16 @@ def test_an_outer_set_without_a_0_1_point_names_nonemptiness():
     p = MaxMinProblem(A_out=np.array([[1.0], [-1.0]]), b_out=np.array([0.7, -0.3]),
                       c_y=np.array([1.0]), B_y=np.array([[1.0]]), B_x=np.array([[-1.0]]),
                       d=np.array([0.0]), n_int_out=1, name="hole")
-    with pytest.raises(BackendError, match=r"^hole: the outer set has no 0/1 point "
-                                           r"\(nonemptiness violated\)$"):
-        solve_maxmin_dual(p, check_feasibility=False)
+    for solve in (check_inner_feasibility, solve_maxmin_dual):
+        with pytest.raises(BackendError, match=r"^hole: the outer set has no 0/1 point "
+                                               r"\(nonemptiness violated\)$"):
+            solve(p)
 
 
 def test_product_route_seed_is_a_vertex_dual_below_the_cap():
     inst = _pm_uk(6)
     x = _open_sites(inst, (0, 2, 4))
-    raw = solve_maxmin_dual(maxmin_from_instance(inst, x), check_feasibility=False)
+    raw = solve_maxmin_dual(maxmin_from_instance(inst, x))
     r = sp2(inst, x)
     # the seed handed on is the simplex vertex of the recourse dual at the
     # route's worst case, far below the big-M
@@ -595,34 +603,77 @@ def test_product_route_seed_is_a_vertex_dual_below_the_cap():
 
 
 def test_one_copies_lp_decides_feasibility_on_a_0_1_set(monkeypatch, mip_names):
-    # the c_y copies LP comes first; only where a copy is not Optimal does
-    # the feasibility check run, its witness the point of most artificial
-    # mass
+    # the screen's c_y copies LP is solve_maxmin_dual's; only where a copy
+    # is not Optimal does the extended problem run, its witness the point
+    # of most artificial mass
     calls = record_linprog(monkeypatch)
     inst = short_supply()
     served = maxmin_from_instance(inst, np.ones(1))
-    res = solve_maxmin_dual(served)
-    assert [c[0] for c in calls] == ["short_supply_wc_enum"]
+    v_f, witness, worst = check_inner_feasibility(served)
+    screened = list(calls)
+    assert [c[0] for c in screened] == ["short_supply_wc_enum"]
     calls.clear()
-    plain = solve_maxmin_dual(served, check_feasibility=False)
-    assert [c[0] for c in calls] == ["short_supply_wc_enum"]
-    assert res.value == plain.value == pytest.approx(3.0)
-    assert np.array_equal(res.outer, plain.outer)
+    plain = solve_maxmin_dual(served)
+    assert calls == screened
+    assert v_f == 0.0 and worst.value == plain.value == pytest.approx(3.0)
+    assert np.array_equal(witness, plain.outer) and np.array_equal(worst.outer, plain.outer)
     calls.clear()
-    res = solve_maxmin_dual(maxmin_from_instance(inst, np.zeros(1)))
+    v_f, witness, worst = check_inner_feasibility(maxmin_from_instance(inst, np.zeros(1)))
     assert [c[0] for c in calls] == ["short_supply_wc_enum", "short_supply_wc_feas_enum",
                                      "short_supply_wc_feas_polish"]
-    assert res.value == np.inf and np.array_equal(res.outer, [1.0, 1.0])
+    assert v_f == pytest.approx(2.5) and worst is None
+    assert np.array_equal(witness, [1.0, 1.0])
     assert mip_names == []
+
+
+def test_a_numerical_enumeration_lp_is_solved_once(monkeypatch):
+    # "<name>_enum" ends Numerical: solve_maxmin_dual raises it with no
+    # halves, and the screen takes the extended problem in its place
+    calls = record_linprog(monkeypatch)
+    solve_lp = backend.solve_lp
+
+    def numerical(model):
+        out = solve_lp(model)
+        return SolveOutcome(status=backend.NUMERICAL) if model.name.endswith("_wc_enum") else out
+
+    monkeypatch.setattr(backend, "solve_lp", numerical)
+    problem = maxmin_from_instance(short_supply(), np.ones(1))
+    with pytest.raises(BackendError, match=r"^short_supply_wc_enum ended Numerical$"):
+        solve_maxmin_dual(problem)
+    assert [c[0] for c in calls] == ["short_supply_wc_enum"]
+    calls.clear()
+    v_f, witness, worst = check_inner_feasibility(problem)
+    assert [c[0] for c in calls] == ["short_supply_wc_enum", "short_supply_wc_feas_enum",
+                                     "short_supply_wc_feas_polish"]
+    assert v_f == 0.0 and worst is None and witness.shape == (2,)
+
+
+def test_a_time_limit_in_the_enumeration_escapes_the_screen(monkeypatch):
+    # the screen drops a failed "<name>_enum" LP, but not a timeout in it
+    solve_lp = backend.solve_lp
+
+    def limited(model):
+        if model.name == "short_supply_wc_enum":
+            raise SolveTimeLimit(model.name)
+        return solve_lp(model)
+
+    monkeypatch.setattr(backend, "solve_lp", limited)
+    problem = maxmin_from_instance(short_supply(), np.ones(1))
+    for solve in (check_inner_feasibility, solve_maxmin_dual):
+        with pytest.raises(SolveTimeLimit, match="short_supply_wc_enum"):
+            solve(problem)
 
 
 def test_an_inner_lp_without_columns_takes_the_kkt_route(mip_names):
     # sp4's inner LP under an all-integer recourse has no y: the value is
     # 0 wherever it is feasible, and a model without columns cannot reach
-    # HiGHS as an LP
+    # HiGHS as an LP, so the screen takes the network MIP and the worst
+    # case the KKT MIP
     p = MaxMinProblem(A_out=np.array([[1.0]]), b_out=np.array([1.0]), c_y=np.zeros(0),
                       B_y=np.zeros((1, 0)), B_x=np.array([[1.0]]), d=np.array([0.0]),
                       name="no_y")
+    v_f, _, worst = check_inner_feasibility(p)
+    assert v_f == 0.0 and worst is None
     res = solve_maxmin_dual(p)
     assert res.value == 0.0 and res.outer.shape == (1,)
     assert mip_names == ["no_y_feas_net", "no_y_kkt"]
@@ -631,13 +682,13 @@ def test_an_inner_lp_without_columns_takes_the_kkt_route(mip_names):
 def test_sp2_audit_catches_an_understated_enumerated_value(monkeypatch):
     # the enumeration reports one unit less than the recourse at its u, so
     # the vertex dual LP at that u disagrees
-    enumerate_outer = maxmin._enumerate_outer
+    enumerate_outer = maxmin.enumerate_outer
 
     def understated(problem):
         res = enumerate_outer(problem)
         return replace(res, value=res.value - 1.0)
 
-    monkeypatch.setattr(maxmin, "_enumerate_outer", understated)
+    monkeypatch.setattr(maxmin, "enumerate_outer", understated)
     inst = _pm_uk(6)
     with pytest.raises(BackendError, match="SP2_vertex_dual: the max-min value"):
         sp2(inst, _open_sites(inst, (0, 2, 4)))
@@ -677,9 +728,9 @@ def test_network_and_kkt_feasibility_routes_agree_on_fl(monkeypatch, mip_names):
         assert mip_names == [p.name + "_feas_net"]
     monkeypatch.setattr(maxmin, "has_network_columns", lambda B: False)
     values = []
-    for p, (v_net, z_net) in zip(problems, network):
+    for p, (v_net, z_net, _) in zip(problems, network):
         mip_names.clear()
-        v_kkt, _ = check_inner_feasibility(p)
+        v_kkt, _, _ = check_inner_feasibility(p)
         assert mip_names == [p.name + "_feas_kkt"]
         assert v_net == pytest.approx(v_kkt, rel=1e-9, abs=1e-9)
         assert np.all(p.A_out @ z_net <= p.b_out + 1e-9 * np.maximum(1.0, np.abs(p.b_out)))
@@ -695,7 +746,7 @@ def test_network_route_falls_back_on_an_unbounded_coordinate(mip_names):
                       c_y=np.array([1.0]), B_y=np.array([[1.0]]),
                       B_x=np.array([[-1.0]]), d=np.array([0.0]), name="free")
     assert has_network_columns(p.B_y)
-    v_f, _ = check_inner_feasibility(p)
+    v_f, _, _ = check_inner_feasibility(p)
     assert v_f == pytest.approx(0.0, abs=1e-9)
     assert mip_names == ["free_feas_kkt"]
 
@@ -712,6 +763,7 @@ def _cap_problem() -> MaxMinProblem:
                                        "cap_feas_polish"])
 def test_network_route_maps_time_limits(monkeypatch, timed_out):
     # a timeout in any solve of the route reaches the caller as itself
+    # (sp4's screen: test_sp4_maps_time_limits_in_its_screen)
     real = {"solve_lp": backend.solve_lp, "solve_mip": backend.solve_mip}
 
     def limited(which):
@@ -726,8 +778,6 @@ def test_network_route_maps_time_limits(monkeypatch, timed_out):
     p = _cap_problem()
     with pytest.raises(SolveTimeLimit, match=timed_out):
         check_inner_feasibility(p)
-    with pytest.raises(SolveTimeLimit, match=timed_out):
-        solve_maxmin_dual(p)
 
 
 def test_network_route_audits_its_value_against_the_polish_lp(monkeypatch):

@@ -33,7 +33,7 @@ from ddu_ro.subproblems import (
     sp3,
     sp4,
 )
-from toys import record_linprog, short_supply
+from toys import record_linprog, screen_apart, short_supply
 
 # zero-profit facility location with capacity pinned at 1.2x the average
 # demand share: tight enough that the adversary forces cross-shipping
@@ -253,6 +253,27 @@ def test_sp4_goes_infinite_when_the_freeze_cannot_serve(solved):
     assert solved[-2:] == ["setup_toy_sp4_feas_net", "setup_toy_sp4_feas_polish"]
 
 
+@pytest.mark.parametrize("timed_out", ["range_probe", "setup_toy_sp4_feas_net",
+                                       "setup_toy_sp4_feas_polish"])
+def test_sp4_maps_time_limits_in_its_screen(monkeypatch, timed_out):
+    # the freeze cannot serve, so the screen's copies LP ends Infeasible and
+    # the network route answers; a timeout in any of its solves reaches the
+    # caller as itself
+    real = {"solve_lp": backend.solve_lp, "solve_mip": backend.solve_mip}
+
+    def limited(which):
+        def solve(model, **kw):
+            if model.name == timed_out:
+                raise SolveTimeLimit(model.name)
+            return real[which](model, **kw)
+        return solve
+
+    for which in real:
+        monkeypatch.setattr(backend, which, limited(which))
+    with pytest.raises(SolveTimeLimit, match=timed_out):
+        sp4(_setup_toy(), np.zeros(1), np.array([0.0]))
+
+
 def test_sp4_validates_the_frozen_block():
     toy = _setup_toy()
     with pytest.raises(ValueError, match="shape"):
@@ -317,11 +338,13 @@ def _pm_pair5_diu_visits(monkeypatch) -> list:
     return seen
 
 
-def _apart(inst: Instance, x: np.ndarray):
+def _apart(monkeypatch, inst: Instance, x: np.ndarray):
     """sp1 and sp2 solved apart, as before they shared an enumeration: the
     feasibility check on its own extended problem (its "_feas_enum" copies
     LP and "_feas_polish" audit), then sp2 by its own enumeration."""
-    return check_inner_feasibility(maxmin_from_instance(inst, x)), sp2(inst, x)
+    with screen_apart(monkeypatch):
+        screened = check_inner_feasibility(maxmin_from_instance(inst, x))
+    return screened, sp2(inst, x)
 
 
 @pytest.mark.parametrize("case", ["pm_uk8-s0", "pm_uk8-s1", "pm_pair5-diu"])
@@ -336,7 +359,8 @@ def test_sp1_hands_sp2_its_enumeration_unchanged(monkeypatch, case):
     for inst, x in pairs:
         tol = ccg._FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max()))
         calls.clear()
-        (v_f, _), before = _apart(inst, x)
+        (v_f, _, worst), before = _apart(monkeypatch, inst, x)
+        assert worst is None
         apart = [call for call in calls
                  if not call[0].endswith(("_wc_feas_enum", "_wc_feas_polish"))]
         assert len(calls) == len(apart) + 2
@@ -354,13 +378,14 @@ def test_sp1_hands_sp2_its_enumeration_unchanged(monkeypatch, case):
             assert after.basis_result.basis == before.basis_result.basis
 
 
-def test_a_point_without_recourse_keeps_the_feasibility_checks_witness(solved):
+def test_a_point_without_recourse_keeps_the_feasibility_checks_witness(monkeypatch, solved):
     # the c2 copies LP over U(0) ends Infeasible: it is solved once, not in
-    # halves, and dropped, and the feasibility check answers as before with
-    # the point of most artificial mass, (1, 1), not the first point without
-    # recourse, (0, 1)
+    # halves, and dropped, and the feasibility check answers as it did
+    # apart with the point of most artificial mass, (1, 1), not the first
+    # point without recourse, (0, 1)
     inst, x = short_supply(), np.zeros(1)
-    v_f, witness = check_inner_feasibility(maxmin_from_instance(inst, x))
+    with screen_apart(monkeypatch):
+        v_f, witness, _ = check_inner_feasibility(maxmin_from_instance(inst, x))
     apart = list(solved)
     assert apart == ["short_supply_wc_feas_enum", "short_supply_wc_feas_polish"]
     solved.clear()

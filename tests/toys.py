@@ -1,12 +1,13 @@
 """Tiny instances, and a recorder of the LPs HiGHS receives, that several
 test modules share."""
 
+import contextlib
 import hashlib
 
 import numpy as np
 from scipy.sparse import issparse
 
-from ddu_ro import backend
+from ddu_ro import backend, maxmin
 from ddu_ro.instances import t1
 from ddu_ro.model import AffineMatrixMap, FirstStageSet, Instance, RecourseSet, UncertaintySet
 
@@ -79,3 +80,16 @@ def record_linprog(monkeypatch):
     monkeypatch.setattr(backend, "solve_lp", named)
     monkeypatch.setattr(backend, "linprog", hashed)
     return calls
+
+
+@contextlib.contextmanager
+def screen_apart(monkeypatch):
+    """Within the block, check_inner_feasibility screens as it did before
+    sp1 and sp2 shared an enumeration: maxmin.enumerate_outer answers only
+    the screen's extended problem ("<name>_feas"), so the screen solves its
+    "_feas_enum" and "_feas_polish" LPs and hands on no worst case."""
+    real = maxmin.enumerate_outer
+    with monkeypatch.context() as m:
+        m.setattr(maxmin, "enumerate_outer",
+                  lambda p: real(p) if p.name.endswith("_feas") else None)
+        yield

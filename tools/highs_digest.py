@@ -21,8 +21,11 @@ every solve of those operations, and the oracle the same vertices and
 values; where they differ, the operation lines that differ name the
 operations whose input or values changed. The marked operations
 (fl_rhs5/benders and fl_mip3/mip) end Optimal now, and fl_mip3/mip brings
-sp4's KKT MIP at the default big-M into the comparison. Run it from the
-root of a checkout:
+sp4's KKT MIP at the default big-M into the comparison.
+
+It is also a check: it exits 1, and names on stderr each operation whose
+verdict (workloads.judge) is not a pass with its verdict and detail, where
+any is; stdout is the same either way. Run it from the root of a checkout:
 
     PYTHONPATH=src python tools/highs_digest.py
 """
@@ -155,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
     args = ap.parse_args(argv)
     refs = workloads.load_references()
+    failed = []
     with Recorder() as rec, tempfile.TemporaryDirectory() as scratch:
         for seed in args.seeds:
             for name in args.workloads:
@@ -175,8 +179,12 @@ def main(argv: list[str] | None = None) -> int:
                                                  for model in rec.names[before:])
                     print("  by model: " + ", ".join(f"{model} {count}"
                                                      for model, count in sorted(models.items())))
+                    if res.verdict != workloads.PASSED:
+                        failed.append(f"s{seed} {op.name}: {res.verdict} {res.detail}")
     print(f"solves {len(rec.hashes)} mips {sum(rec.mips)} digest {_digest(rec.hashes)}")
-    return 0
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
