@@ -29,12 +29,11 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel, SolveTimeLimit
-from .instances import (OracleError, SchemaError, check_uncertainty_schema,
-                        coupled_continuous, lattice_first_stages)
+from .instances import OracleError, coupled_continuous, lattice_first_stages
 from .maxmin import (OptimalityBlock, ParametricLPResult, build_optimality_block,
                      dual_bound, ensure_unique_optimum, lp_parametric)
-from .model import (BasisId, Instance, IterationRecord, RunResult, UncertaintySet,
-                    add_first_stage, add_recourse_rows, add_recourse_vars,
+from .model import (BasisId, Instance, IterationRecord, RunResult, SchemaError,
+                    UncertaintySet, add_first_stage, add_recourse_rows, add_recourse_vars,
                     affine_blocks, binary_coupling, build_deterministic_mip, range_probe,
                     relative_gap, uncertainty_set_from_dict)
 from .subproblems import (_FEAS_TOL, recourse_mip_at, sp1, sp2, sp2_mip_relax,
@@ -529,14 +528,12 @@ def _resolve_ddu_sets(inst: Instance,
         raw = inst.metadata.get("ddu_sets")
         if not isinstance(raw, list) or not raw:
             raise ValueError("instance metadata carries no list of ddu_sets")
-        spec = list(raw)
-        for i, d in enumerate(raw):
-            if not isinstance(d, UncertaintySet):
-                try:
-                    check_uncertainty_schema(d, f"metadata.ddu_sets[{i}]")
-                except SchemaError as exc:
-                    raise ValueError(str(exc)) from exc
-                spec[i] = uncertainty_set_from_dict(d)
+        try:
+            spec = [U if isinstance(U, UncertaintySet)
+                    else uncertainty_set_from_dict(U, f"metadata.ddu_sets[{i}]")
+                    for i, U in enumerate(raw)]
+        except SchemaError as exc:
+            raise ValueError(str(exc)) from exc
     if not spec:
         raise ValueError("at least one surrogate uncertainty set is required")
     for U_l in spec:

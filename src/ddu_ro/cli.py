@@ -22,10 +22,9 @@ import numpy as np
 from . import backend
 from .ccg import AlgorithmConfig, VARIANTS, records_to_csv, run, run_result_to_dict
 from .instances import (FLParams, OracleError, PMedianParams, PMEDIAN_KINDS,
-                        SchemaError, check_surrogate_schema, gen_mip_recourse_fl,
-                        gen_reliable_pmedian, gen_robust_fl, io_read, io_write,
-                        oracle_exact, write_atomic)
-from .model import Instance, uncertainty_set_from_dict
+                        gen_mip_recourse_fl, gen_reliable_pmedian, gen_robust_fl,
+                        io_read, io_write, oracle_exact, write_atomic)
+from .model import Instance, SchemaError, uncertainty_sets_from_list
 from .reformulations import neutralize, normalize, order_switch
 
 _AGREE_TOL = 1e-5
@@ -128,9 +127,7 @@ def _config_from(args) -> AlgorithmConfig:
     diu = args.diu_approx
     if diu is not None and diu != "metadata":
         with open(diu) as fh:
-            sets = json.load(fh)
-        check_surrogate_schema(sets, args.diu_approx)
-        diu = [uncertainty_set_from_dict(d) for d in sets]
+            diu = uncertainty_sets_from_list(json.load(fh), diu)
     return AlgorithmConfig(variant=args.variant, tol=args.tol,
                            time_limit_s=args.time_limit, big_M=args.big_m,
                            cut_mode=args.cut_mode, pareto=args.pareto,

@@ -1,5 +1,7 @@
 """Benchmark instance generators, the brute-force exactness oracle, and
-instance file I/O.
+instance file I/O: io_read leaves the file's layout to
+model.instance_from_dict, the one reader, which checks each part where it
+builds it, and adds the check that the parts agree in their dimensions.
 
 The oracle defines the ground truth the solvers are tested against: it
 enumerates the first stage over its integer lattice (continuous components are
@@ -13,11 +15,11 @@ batched, one LP of copies per run, narrowed by halves where it is not
 Optimal (backend.solve_copies): a run of integer assignments shares the
 range probes of its coupled continuous x, the first dropping assignments
 without completion, and one LP over every (assignment, grid point); a run
-of first stages shares one shortfall LP over their first vertices, which
-drops the x whose first vertex has no recourse (not narrowed: where it is
-not Optimal, recourse_value decides each pair), and one LP over every
-other (x, vertex) pair (worst_case_values). It shares nothing with the
-cutting-plane machinery beyond the LP/MIP primitives.
+of first stages with continuous y shares one shortfall LP over their first
+vertices, which drops the x whose first vertex has no recourse (not
+narrowed: where it is not Optimal, recourse_value decides each pair), and
+one LP over every other (x, vertex) pair (worst_case_values). It shares
+nothing with the cutting-plane machinery beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .model import (
     FirstStageSet,
     Instance,
     RecourseSet,
+    SchemaError,
     UncertaintySet,
     add_recourse_vars,
     dimension_errors,
@@ -284,11 +287,13 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     call a memo keeps the vertices of each U(x) met, until they hold
     _BLOCK_ENTRIES entries in all. The x and their vertices come in runs of
     at most _BLOCK_ENTRIES entries of B2 over the vertices (one x per run
-    for integer y). One shortfall LP over a run's first vertices finds the
-    x whose first vertex has no recourse (_no_recourse); such an x is worth
-    (inf, that vertex). _worst_vertices values every vertex of the others
-    in one block LP of the recourse, where a later vertex without recourse
-    is worth inf.
+    for integer y). For continuous y, one shortfall LP over a run's first
+    vertices finds the x whose first vertex has no recourse (_no_recourse);
+    such an x is worth (inf, that vertex). _worst_vertices values every
+    vertex of the others in one block LP of the recourse, where a later
+    vertex without recourse is worth inf. Integer y needs no screen: the
+    per-vertex loop of _worst_vertices stops at the first vertex without
+    recourse.
     """
     cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
     memo, room = {}, backend._BLOCK_ENTRIES
@@ -307,7 +312,8 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     pairs = ((x, vertices(x)) for x in xs)
     out = []
     for run in backend._runs(pairs, cap, size=lambda item: len(item[1])):
-        missing = [m[0] for m in _no_recourse(inst, [(x, verts[:1]) for x, verts in run])]
+        missing = [False] * len(run) if inst.Y.n_int_y else [
+            m[0] for m in _no_recourse(inst, [(x, verts[:1]) for x, verts in run])]
         rest = [item for item, miss in zip(run, missing) if not miss]
         valued = iter(_worst_vertices(inst, rest) if rest else [])
         out += [(np.inf, verts[0]) if miss else next(valued)
@@ -345,13 +351,13 @@ def _pair_rhs(inst: Instance, run: list) -> np.ndarray:
 
 
 def _no_recourse(inst: Instance, run: list) -> list[np.ndarray]:
-    """For every (x, verts) of run, a mask of the vertices without recourse,
-    from one shortfall LP (see _block_recourse_values): a shortfall above
-    _SHORTFALL_TOL, or a smaller positive one where recourse_value finds none.
-    recourse_value decides every pair for integer y, when the LP is not
-    Optimal, and when it finds recourse at the LP's first pair above
-    _SHORTFALL_TOL, which it audits."""
-    gaps = None if inst.Y.n_int_y else _block_recourse_values(inst, run)
+    """For every (x, verts) of run, a mask of the vertices without
+    (continuous) recourse, from one shortfall LP (see
+    _block_recourse_values): a shortfall above _SHORTFALL_TOL, or a smaller
+    positive one where recourse_value finds none. recourse_value decides
+    every pair when the LP is not Optimal, and when it finds recourse at the
+    LP's first pair above _SHORTFALL_TOL, which it audits."""
+    gaps = _block_recourse_values(inst, run)
     audit = next(((x, verts[k]) for (x, verts), gap in zip(run, gaps or [])
                   for k in np.flatnonzero(gap > _SHORTFALL_TOL)), None)
     if gaps is None or audit is not None and recourse_value(inst, *audit)[0] != np.inf:
@@ -429,16 +435,15 @@ def coupled_continuous(inst: Instance) -> list[int]:
             if k in in_U or np.any(inst.Y.B1[:, k])]
 
 
-def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list[np.ndarray]:
+def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
     """The first stages oracle_exact values, in lattice order: every integer
     assignment of X's bound box that the rows on integer components alone
     admit, completed by _complete_continuous (coupled continuous x pinned or
     gridded, separable x at their least c1 cost), none where X admits no
     completion. Raises OracleError when an integer x has an infinite bound,
     more than _MAX_LATTICE prefixes are alive at a level of _box_points'
-    search, the rows admit more than max_points assignments or a completion
-    LP ends neither Optimal nor Infeasible. The C&CG master takes these
-    points as its lattice (ccg.MasterState.solve)."""
+    search or a completion LP ends neither Optimal nor Infeasible. The C&CG
+    master takes these points as its lattice (ccg.MasterState.solve)."""
     X, nx, n_int = inst.X, inst.dim_x, inst.X.n_int
     coupled = coupled_continuous(inst)
     sep = [k for k in range(n_int, nx) if k not in coupled]
@@ -449,8 +454,6 @@ def lattice_first_stages(inst: Instance, max_points: int = _MAX_LATTICE) -> list
     # rows touching only integer components can prefilter the lattice
     int_rows = ~np.any(X.A[:, n_int:], axis=1)
     points = _box_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
-    if len(points) > max_points:
-        raise OracleError(f"{len(points)} integer x assignments exceed {max_points}")
     if n_int == nx:     # every row of X has been checked
         return list(points)
     # at most _GRID ** 2 copies of X per lattice point
@@ -887,115 +890,12 @@ def _sorting_rows(score, q, marker, threshold, sort_m):
 
 # -- instance file I/O ---------------------------------------------------------
 
-class SchemaError(Exception):
-    pass
-
-
-# per object of the file: its required keys, then the optional ones
-_TOP_KEYS = (("c1", "X", "U", "Y"), ("name", "metadata"))
-_X_KEYS = (("A", "b"), ("n_int", "bounds"))
-_BOUNDS_KEYS = (("lb", "ub"), ())
-_U_KEYS = (("F", "G", "h"), ("n_int_u",))
-_F_KEYS = (("base",), ("terms",))
-_TERM_KEYS = (("k", "matrix"), ())
-_Y_KEYS = (("B1", "B2", "E", "d", "c2"), ("n_int_y",))
-_MAT_KEYS = (("rows", "cols", "triplets"), ())
-
-
-def _check_keys(d, keys: tuple, where: str):
-    if not isinstance(d, dict):
-        raise SchemaError(f"expected an object at {where}")
-    required, optional = keys
-    for key in d:
-        if key not in required and key not in optional:
-            raise SchemaError(f"unknown key {key!r} at {where}")
-    for key in required:
-        if key not in d:
-            raise SchemaError(f"missing key {key!r} at {where}")
-
-
-def _is_index(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _check_matrix(d, where: str):
-    _check_keys(d, _MAT_KEYS, where)
-    rows, cols = d["rows"], d["cols"]
-    if not (_is_index(rows) and _is_index(cols)):
-        raise SchemaError(f"rows and cols must be nonnegative integers at {where}")
-    seen = set()
-    for trip in d["triplets"]:
-        if not (isinstance(trip, list) and len(trip) == 3 and _is_index(trip[0])
-                and _is_index(trip[1]) and isinstance(trip[2], (int, float))):
-            raise SchemaError(f"triplet {trip!r} at {where} is not [i, j, value]")
-        i, j, _ = trip
-        if not (i < rows and j < cols):
-            raise SchemaError(f"triplet ({i},{j}) out of bounds at {where} "
-                              f"(shape {rows}x{cols})")
-        if (i, j) in seen:
-            raise SchemaError(f"two triplets at ({i},{j}) at {where}")
-        seen.add((i, j))
-
-
-def _check_vector(v, where: str, nullable: bool = False):
-    # null stands for an infinite bound, and only bounds may hold it
-    if not (isinstance(v, list) and all(
-            isinstance(e, (int, float)) and not isinstance(e, bool)
-            or (nullable and e is None) for e in v)):
-        raise SchemaError(f"expected a list of numbers at {where}")
-
-
-def check_uncertainty_schema(d, where: str = "$"):
-    """Raise SchemaError, naming the place, unless d has the layout that
-    model.uncertainty_set_to_dict writes."""
-    _check_keys(d, _U_KEYS, where)
-    _check_vector(d["h"], f"{where}.h")
-    _check_keys(d["F"], _F_KEYS, f"{where}.F")
-    _check_matrix(d["F"]["base"], f"{where}.F.base")
-    for t, term in enumerate(d["F"].get("terms", [])):
-        _check_keys(term, _TERM_KEYS, f"{where}.F.terms[{t}]")
-        _check_matrix(term["matrix"], f"{where}.F.terms[{t}].matrix")
-    _check_matrix(d["G"], f"{where}.G")
-
-
-def check_schema(d: dict):
-    """Raise SchemaError, naming the place, unless d has the layout that
-    model.instance_to_dict writes, surrogate sets in metadata.ddu_sets
-    included."""
-    _check_keys(d, _TOP_KEYS, "$")
-    for part, keys in (("X", _X_KEYS), ("Y", _Y_KEYS)):
-        _check_keys(d[part], keys, f"$.{part}")
-    for where, v in (("$.c1", d["c1"]), ("$.X.b", d["X"]["b"]),
-                     ("$.Y.d", d["Y"]["d"]), ("$.Y.c2", d["Y"]["c2"])):
-        _check_vector(v, where)
-    _check_matrix(d["X"]["A"], "$.X.A")
-    if "bounds" in d["X"]:
-        _check_keys(d["X"]["bounds"], _BOUNDS_KEYS, "$.X.bounds")
-        for key in ("lb", "ub"):
-            _check_vector(d["X"]["bounds"][key], f"$.X.bounds.{key}", nullable=True)
-    check_uncertainty_schema(d["U"], "$.U")
-    for key in ("B1", "B2", "E"):
-        _check_matrix(d["Y"][key], f"$.Y.{key}")
-    check_surrogate_schema(d.get("metadata", {}).get("ddu_sets", []),
-                           "$.metadata.ddu_sets")
-
-
-def check_surrogate_schema(sets, where: str):
-    """Raise SchemaError, naming the place, unless sets is a list whose
-    entries pass check_uncertainty_schema."""
-    if not isinstance(sets, list):
-        raise SchemaError(f"expected a list of uncertainty sets at {where}")
-    for i, U in enumerate(sets):
-        check_uncertainty_schema(U, f"{where}[{i}]")
-
-
 def io_read(path: str) -> Instance:
     """The instance in a JSON file; SchemaError when the file does not have
-    the layout of check_schema or its parts disagree in their dimensions."""
+    the layout of model.instance_to_dict or its parts disagree in their
+    dimensions."""
     with open(path) as fh:
-        d = json.load(fh)
-    check_schema(d)
-    inst = instance_from_dict(d)
+        inst = instance_from_dict(json.load(fh))
     errors = dimension_errors(inst)
     if errors:
         raise SchemaError("; ".join(errors))

@@ -17,6 +17,7 @@ dense float arrays; sparsity only appears in the JSON form (instance_to_dict).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from . import backend
 from .backend import GEQ, LEQ, BackendError, LinearModel
 
 EPS_GAP = 1e-10   # guards the relative-gap denominator (objectives near 0 exist)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _arr(a, ndim: int) -> np.ndarray:
@@ -464,6 +466,11 @@ def dimension_errors(inst: Instance) -> list[str]:
 
 # -- JSON serialization --------------------------------------------------------
 
+class SchemaError(Exception):
+    """A file departs from the layout instance_to_dict writes; the message
+    names the place by a $... path."""
+
+
 def _mat_to_dict(A: np.ndarray) -> dict:
     A = np.atleast_2d(A)
     triplets = [[int(i), int(j), float(A[i, j])]
@@ -472,19 +479,8 @@ def _mat_to_dict(A: np.ndarray) -> dict:
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "triplets": triplets}
 
 
-def _mat_from_dict(d: dict) -> np.ndarray:
-    M = np.zeros((d["rows"], d["cols"]))
-    for i, j, v in d["triplets"]:
-        M[i, j] = v
-    return M
-
-
 def _vec_to_list(v: np.ndarray) -> list:
     return [None if np.isinf(x) else float(x) for x in v]
-
-
-def _vec_from_list(lst, inf_sign: float = 1.0) -> np.ndarray:
-    return np.array([inf_sign * np.inf if x is None else float(x) for x in lst])
 
 
 def uncertainty_set_to_dict(U: UncertaintySet) -> dict:
@@ -497,20 +493,11 @@ def uncertainty_set_to_dict(U: UncertaintySet) -> dict:
     }
 
 
-def uncertainty_set_from_dict(d: dict) -> UncertaintySet:
-    F = AffineMatrixMap(base=_mat_from_dict(d["F"]["base"]),
-                        terms=tuple((int(t["k"]), _mat_from_dict(t["matrix"]))
-                                    for t in d["F"].get("terms", [])))
-    return UncertaintySet(F=F, G=_mat_from_dict(d["G"]),
-                          h=np.array(d["h"], dtype=float),
-                          n_int_u=int(d.get("n_int_u", 0)))
-
-
 def instance_to_dict(inst: Instance) -> dict:
     """JSON-ready form of inst, keyed as the data model: each matrix is
     {"rows", "cols", "triplets"} with one [i, j, value] per nonzero entry,
-    and an infinite bound is null. instances.check_schema checks a file
-    against this layout."""
+    and an infinite bound is null. instance_from_dict reads this layout
+    back, and refuses any other."""
     d = {
         "name": inst.name,
         "c1": [float(v) for v in inst.c1],
@@ -535,21 +522,123 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
-def instance_from_dict(d: dict) -> Instance:
-    Xd, Yd = d["X"], d["Y"]
-    X = FirstStageSet(
-        A=_mat_from_dict(Xd["A"]),
-        b=np.array(Xd["b"], dtype=float),
-        n_int=int(Xd.get("n_int", 0)),
-        lb=_vec_from_list(Xd["bounds"]["lb"], inf_sign=-1.0)
-        if "bounds" in Xd else None,
-        ub=_vec_from_list(Xd["bounds"]["ub"]) if "bounds" in Xd else None,
-    )
-    Y = RecourseSet(
-        B1=_mat_from_dict(Yd["B1"]), B2=_mat_from_dict(Yd["B2"]),
-        E=_mat_from_dict(Yd["E"]), d=np.array(Yd["d"], dtype=float),
-        c2=np.array(Yd["c2"], dtype=float), n_int_y=int(Yd.get("n_int_y", 0)),
-    )
-    return Instance(name=d.get("name", "instance"), c1=np.array(d["c1"], dtype=float),
-                    X=X, U=uncertainty_set_from_dict(d["U"]), Y=Y,
-                    metadata=d.get("metadata", {}))
+# The reader checks each part of the layout where it builds it, and raises
+# SchemaError at the first part off it.
+
+def _keys(d, where: str, required: tuple, optional: tuple = ()) -> dict:
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected an object at {where}")
+    for key in d:
+        if key not in required and key not in optional:
+            raise SchemaError(f"unknown key {key!r} at {where}")
+    for key in required:
+        if key not in d:
+            raise SchemaError(f"missing key {key!r} at {where}")
+    return d
+
+
+def _list(v, what: str, where: str) -> list:
+    if not isinstance(v, list):
+        raise SchemaError(f"expected a list of {what} at {where}")
+    return v
+
+
+# a bool is an int to Python, but not of type int
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_number(v) -> bool:
+    # json reads NaN and Infinity as floats, and an integer too large for a
+    # float as an int
+    return type(v) in (int, float) and abs(v) <= _FLOAT_MAX
+
+
+def _count(d: dict, key: str, where: str) -> int:
+    """d[key], 0 where it is absent, which must be a nonnegative int."""
+    v = d.get(key, 0)
+    if not _is_count(v):
+        raise SchemaError(f"expected a nonnegative integer at {where}.{key}")
+    return v
+
+
+def _vector(v, where: str, inf_sign: float | None = None) -> np.ndarray:
+    """A list of finite numbers; given inf_sign, as for bounds, null stands
+    for inf_sign * inf, the only infinity a file holds."""
+    if not (isinstance(v, list) and all(
+            _is_number(e) or (inf_sign is not None and e is None) for e in v)):
+        raise SchemaError(f"expected a list of numbers at {where}")
+    return np.array([inf_sign * np.inf if e is None else e for e in v], dtype=float)
+
+
+def _matrix(d, where: str) -> np.ndarray:
+    _keys(d, where, ("rows", "cols", "triplets"))
+    rows, cols = d["rows"], d["cols"]
+    if not (_is_count(rows) and _is_count(cols)):
+        raise SchemaError(f"rows and cols must be nonnegative integers at {where}")
+    triplets, seen = _list(d["triplets"], "triplets", where), set()
+    for trip in triplets:
+        if not (type(trip) is list and len(trip) == 3 and _is_count(trip[0])
+                and _is_count(trip[1]) and _is_number(trip[2])):
+            raise SchemaError(f"triplet {trip!r} at {where} is not [i, j, value]")
+        i, j, _ = trip
+        if not (i < rows and j < cols):
+            raise SchemaError(f"triplet ({i},{j}) out of bounds at {where} "
+                              f"(shape {rows}x{cols})")
+        if (i, j) in seen:
+            raise SchemaError(f"two triplets at ({i},{j}) at {where}")
+        seen.add((i, j))
+    M = np.zeros((rows, cols))
+    if triplets:
+        i, j, v = zip(*triplets)
+        M[i, j] = v
+    return M
+
+
+def uncertainty_set_from_dict(d, where: str = "$") -> UncertaintySet:
+    """The set of the layout uncertainty_set_to_dict writes, d found at the
+    path where; SchemaError where d departs from that layout."""
+    _keys(d, where, ("F", "G", "h"), ("n_int_u",))
+    h = _vector(d["h"], f"{where}.h")
+    F = _keys(d["F"], f"{where}.F", ("base",), ("terms",))
+    base = _matrix(F["base"], f"{where}.F.base")
+    terms = []
+    for t, term in enumerate(_list(F.get("terms", []), "terms", f"{where}.F.terms")):
+        at = f"{where}.F.terms[{t}]"
+        _keys(term, at, ("k", "matrix"))
+        terms.append((_count(term, "k", at), _matrix(term["matrix"], f"{at}.matrix")))
+    return UncertaintySet(F=AffineMatrixMap(base, tuple(terms)), G=_matrix(d["G"], f"{where}.G"),
+                          h=h, n_int_u=_count(d, "n_int_u", where))
+
+
+def uncertainty_sets_from_list(sets, where: str) -> list[UncertaintySet]:
+    """The sets of a list of uncertainty_set_from_dict layouts, such as
+    metadata.ddu_sets or a file of surrogate sets, the list at the path
+    where."""
+    return [uncertainty_set_from_dict(U, f"{where}[{i}]")
+            for i, U in enumerate(_list(sets, "uncertainty sets", where))]
+
+
+def instance_from_dict(d) -> Instance:
+    """The instance of the layout instance_to_dict writes; SchemaError where
+    d departs from it. The surrogate sets of metadata.ddu_sets are checked
+    by building them, and metadata is kept as written."""
+    _keys(d, "$", ("c1", "X", "U", "Y"), ("name", "metadata"))
+    Xd = _keys(d["X"], "$.X", ("A", "b"), ("n_int", "bounds"))
+    Yd = _keys(d["Y"], "$.Y", ("B1", "B2", "E", "d", "c2"), ("n_int_y",))
+    lb = ub = None
+    if "bounds" in Xd:
+        bounds = _keys(Xd["bounds"], "$.X.bounds", ("lb", "ub"))
+        lb = _vector(bounds["lb"], "$.X.bounds.lb", inf_sign=-1.0)
+        ub = _vector(bounds["ub"], "$.X.bounds.ub", inf_sign=1.0)
+    X = FirstStageSet(A=_matrix(Xd["A"], "$.X.A"), b=_vector(Xd["b"], "$.X.b"),
+                      n_int=_count(Xd, "n_int", "$.X"), lb=lb, ub=ub)
+    Y = RecourseSet(B1=_matrix(Yd["B1"], "$.Y.B1"), B2=_matrix(Yd["B2"], "$.Y.B2"),
+                    E=_matrix(Yd["E"], "$.Y.E"), d=_vector(Yd["d"], "$.Y.d"),
+                    c2=_vector(Yd["c2"], "$.Y.c2"), n_int_y=_count(Yd, "n_int_y", "$.Y"))
+    metadata = d.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("expected an object at $.metadata")
+    uncertainty_sets_from_list(metadata.get("ddu_sets", []), "$.metadata.ddu_sets")
+    return Instance(name=d.get("name", "instance"), c1=_vector(d["c1"], "$.c1"), X=X,
+                    U=uncertainty_set_from_dict(d["U"], "$.U"), Y=Y, metadata=metadata)

@@ -195,18 +195,64 @@ def _drop(d, *path):
      "at $.metadata.ddu_sets"),
     (lambda d: d["U"].update(n_int_u=7), "n_int_u 7 out of range"),
     (lambda d: d["Y"].update(n_int_y=7), "n_int_y 7 out of range"),
+    (lambda d: d["X"].update(n_int=[1]), "integer at $.X.n_int"),
+    (lambda d: d["X"].update(n_int=1.7), "integer at $.X.n_int"),
+    (lambda d: d["U"].update(n_int_u=True), "integer at $.U.n_int_u"),
+    (lambda d: d["Y"]["B2"]["triplets"][0].__setitem__(2, True),
+     "True] at $.Y.B2 is not [i, j, value]"),
+    (lambda d: d.update(metadata=[1]), "object at $.metadata"),
+    (lambda d: d["U"]["F"]["base"]["triplets"][0].__setitem__(2, float("nan")),
+     "nan] at $.U.F.base is not [i, j, value]"),
+    (lambda d: d["Y"]["B2"].update(triplets=3), "list of triplets at $.Y.B2"),
+    (lambda d: d["U"]["F"].update(terms=3), "list of terms at $.U.F.terms"),
 ], ids=["U-without-F", "matrix-without-rows", "two-entry-triplet", "no-c1",
         "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F",
-        "surrogates-an-object", "n_int_u-beyond-dim", "n_int_y-beyond-dim"])
+        "surrogates-an-object", "n_int_u-beyond-dim", "n_int_y-beyond-dim",
+        "n_int-a-list", "n_int-a-fraction", "n_int_u-a-bool", "triplet-value-a-bool",
+        "metadata-a-list", "nan-in-F", "triplets-a-number", "terms-a-number"])
 def test_malformed_instance_file_is_a_one_line_error(break_file, names, tmp_path,
                                                       capsys):
-    # each of these once ended in a traceback, the last one only after sp1
-    # had started solving
+    # each of these once ended in a traceback (n_int_y beyond its dimension
+    # only after sp1 had started solving), or was solved as some other file:
+    # n_int 1.7 as 1, a bool as 1 and NaN in F as it came
     d = instance_to_dict(t1())
     break_file(d)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
     assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err and "Traceback" not in err
+
+
+@pytest.fixture
+def pmedian3_path(tmp_path, capsys):
+    path = str(tmp_path / "pm3.json")
+    assert cli.main(["generate", "--model", "pmedian", "--sites", "3", "--p", "1",
+                     "-o", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+def test_oracle_prints_the_value_of_three_site_pmedian(pmedian3_path, capsys):
+    assert cli.main(["oracle", pmedian3_path]) == 0
+    assert capsys.readouterr().out == "23931.272419348083\n"
+
+
+@pytest.mark.parametrize("break_file, names", [
+    (lambda d: d["U"]["F"]["base"]["triplets"][0].__setitem__(2, float("nan")),
+     "nan] at $.U.F.base is not [i, j, value]"),
+    (lambda d: d["U"]["h"].__setitem__(0, float("inf")), "numbers at $.U.h"),
+], ids=["nan-in-F", "infinity-in-h"])
+def test_oracle_refuses_a_number_that_is_not_finite(break_file, names, pmedian3_path,
+                                                    capsys):
+    # the oracle once printed the clean file's value for both
+    with open(pmedian3_path) as fh:
+        d = json.load(fh)
+    break_file(d)
+    with open(pmedian3_path, "w") as fh:
+        json.dump(d, fh)
+    assert cli.main(["oracle", pmedian3_path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert names in err and "Traceback" not in err

@@ -28,7 +28,6 @@ from ddu_ro.instances import (
     PMEDIAN_KINDS,
     OracleError,
     SchemaError,
-    check_schema,
     enumerate_vertices,
     lattice_first_stages,
     recourse_value,
@@ -36,8 +35,8 @@ from ddu_ro.instances import (
 )
 from ddu_ro.ccg import AlgorithmConfig, MasterState, run
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
-                          UncertaintySet, add_first_stage, build_deterministic_mip, max_lp,
-                          uncertainty_set_from_dict)
+                          UncertaintySet, add_first_stage, build_deterministic_mip,
+                          instance_from_dict, max_lp, uncertainty_set_from_dict)
 from toys import record_linprog, t1_infeasible, t1_unbounded_u
 
 
@@ -435,14 +434,14 @@ def test_schema_rejects_unknown_keys_with_location():
     d = instance_to_dict(t1())
     d["U"]["Foo"] = 1
     with pytest.raises(SchemaError, match=r"\$\.U"):
-        check_schema(d)
+        instance_from_dict(d)
 
 
 def test_schema_rejects_out_of_range_triplets():
     d = instance_to_dict(t1())
     d["Y"]["B2"]["triplets"].append([7, 0, 1.0])
     with pytest.raises(SchemaError, match=r"\$\.Y\.B2"):
-        check_schema(d)
+        instance_from_dict(d)
 
 
 def test_a_file_with_two_triplets_at_one_entry_is_refused(tmp_path):
@@ -1103,6 +1102,22 @@ def test_one_shortfall_lp_finds_every_first_vertex_without_recourse(monkeypatch)
     assert len(calls) == 1
 
 
+def test_the_oracle_solves_no_recourse_pair_twice_with_integer_y(monkeypatch):
+    # the shortfall screen once solved each first vertex's recourse MIP, and
+    # the per-vertex loop solved it again
+    pairs = []
+    original = instances.recourse_value
+
+    def recorded(inst, x, u):
+        pairs.append((np.asarray(x, dtype=float).tobytes(),
+                      np.asarray(u, dtype=float).tobytes()))
+        return original(inst, x, u)
+
+    monkeypatch.setattr(instances, "recourse_value", recorded)
+    oracle_exact(gen_mip_recourse_fl(FLParams(n_sites=2, seed=0)))
+    assert pairs and len(set(pairs)) == len(pairs)
+
+
 def test_a_failed_shortfall_lp_is_solved_once_and_decided_per_vertex(monkeypatch):
     # y >= u and y <= 1: the first vertex u = 2 of either x has no
     # recourse. A Numerical shortfall LP is dropped whole, not narrowed by
@@ -1179,14 +1194,14 @@ def test_the_batch_path_of_an_unbounded_recourse_is_minus_inf(monkeypatch):
 
 
 def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
-    # 4 y >= u with y integer: no block LP; per x, one run, the first
-    # vertex's MIP, then the loop
+    # 4 y >= u with y integer: no block LP and no shortfall screen; per x,
+    # one run, the loop's MIP at each vertex once
     inst = _interval_toy(B2=[[4.0]], E=[[-1.0]], d=[0.0], c2=[1.0], n_int_y=1)
     lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
     assert lps == []
-    assert [c[0] for c in calls] == [2.0, 2.0, 0.0, 2.0, 2.0, 0.0]
+    assert [c[0] for c in calls] == [2.0, 0.0, 2.0, 0.0]
     for val, u in got:
         assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
 
