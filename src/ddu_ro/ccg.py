@@ -13,9 +13,11 @@ A master is a MIP over the first stage x and eta, unless MasterState.solve
 can value it over X's integer lattice (see there): each cutting set is then
 priced lazily, only at the points whose bound can still decide the argmin,
 in LPs of one copy per point that backend.solve_copies narrows by halves
-where they are not Optimal. The deterministic relaxation is valued over the
-same lattice where its columns outside x are continuous and its copies are
-few enough (_lattice_relaxation).
+where they are not Optimal. A benders cut is valued there from its seed, by
+one LP over U(x), with no optimality block and so no big-M; every other
+cutting set by the LP of its own rows. The deterministic relaxation is
+valued over the same lattice where its columns outside x are continuous and
+its copies are few enough (_lattice_relaxation).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .model import (BasisId, Instance, IterationRecord, RunResult, SchemaError,
                     UncertaintySet, add_first_stage, add_recourse_rows, add_recourse_vars,
                     affine_blocks, binary_coupling, build_deterministic_mip, range_probe,
                     relative_gap, uncertainty_set_from_dict)
-from .subproblems import (_FEAS_TOL, recourse_mip_at, sp1, sp2, sp2_mip_relax,
+from .subproblems import (_FEAS_TOL, _RAY_TOL, recourse_mip_at, sp1, sp2, sp2_mip_relax,
                           sp2_pareto_lp, sp3, sp4)
 
 VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
@@ -50,6 +53,12 @@ _X_REPEAT_TOL = 1e-7
 # eta's lower bound, binding only before the first optimality cut, unless
 # the relaxation puts a valid floor lower (_eta_floor)
 _ETA_LB = -1e7
+# the points of a lattice master's first round where every part is a
+# benders seed: a copy of the LP over U(x) costs little next to the LP (on
+# a 2-vCPU host, 8 copies of pm_uk8's 9 x 8 U(x) took 1.20 ms, one 1.15 ms),
+# and pm_uk8 benders' masters took 37 ms at 8 against 65 ms at 1 (39 ms at
+# 4, 41 ms at 16; medians of 15 runs)
+_SEED_ROUND = 8
 
 
 @dataclass
@@ -103,6 +112,15 @@ class _OffLattice(Exception):
     """The master has a part that the lattice route cannot value exactly."""
 
 
+class _Part(NamedTuple):
+    """The first column n0 and row m0 of what one solve took in; seed, a
+    benders seed's (beta, is_ray) where that is exactly its block and cut
+    row, else None."""
+    n0: int
+    m0: int
+    seed: tuple[np.ndarray, bool] | None
+
+
 class MasterState:
     """The growing master model plus the registry of seeds already cut in.
 
@@ -125,19 +143,24 @@ class MasterState:
     an LP per block; a point where some block's LP is infeasible is cut off
     (the master of Zeng and Zhao 2013, solved by enumerating the first
     stages, one of the master strategies that Rahmaniani et al., EJOR 2017,
-    survey). The rows and columns appended between two solves form a part,
-    checked once (_check_part) when the next solve takes it in. A point is
-    valued lazily, only when the argmin needs it (_lattice_solve), and then
-    at every part appended since its last valuation, in one LP copy of
-    those parts (_part_values). A part the route cannot value (it reads a continuous x
-    or an older part's column, brings an integer column, or bounds eta from
-    above), a copy that ends neither Optimal nor Infeasible, or a lattice
-    that instances.lattice_first_stages refuses (OracleError) sends this
-    and every later solve to backend.solve_mip, which always holds the
-    whole model. The lattice is enumerated once per state (lattice()), and
-    its cost follows the first stages X admits, not its bound box: the
-    search of instances._box_points visits only the prefixes X's rows can
-    complete. lattice_copies counts the copies the route has solved.
+    survey). The rows and columns appended between two solves form a part.
+    A part that is exactly one benders seed's block and cut row is valued
+    from the seed, by an LP over U(x) with no lambda and no big-M, where the
+    parts pending at a point are all such; any other part is checked once
+    (_check_part) when the next solve takes it in, and parts are otherwise
+    valued by the LP of their rows. A point is valued lazily, only when
+    the argmin needs it (_lattice_solve), and then at every part appended
+    since its last valuation (_part_values). A part the route cannot value
+    (it reads a continuous x or an older part's column, brings an integer
+    column, or bounds eta from above), a copy that ends other than
+    _part_values allows, or a lattice that instances.lattice_first_stages
+    refuses (OracleError) sends this and every later solve to
+    backend.solve_mip, which always holds the whole model: the blocks of
+    benders seeds are written there too. The lattice is enumerated once per
+    state (lattice()), and its cost follows the first stages X admits, not
+    its bound box: the search of instances._box_points visits only the
+    prefixes X's rows can complete. lattice_copies counts the copies the
+    route has solved.
     """
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
@@ -163,10 +186,13 @@ class MasterState:
         # None once off the route; the columns and rows taken in; the points
         # (enumerated at the first lattice()) and, per point, the number of
         # parts valued there and the largest least eta among them
-        self._parts: list[tuple[int, int]] | None = []
+        self._parts: list[_Part] | None = []
         if coupled_continuous(inst) or inst.Y.n_int_y or not binary:
             self._parts = None
         self._taken = (self.model.n_vars, self.model.n_constrs)
+        # each benders seed not yet taken in, by the model's columns and
+        # rows before it: those after it, beta and whether it is a ray
+        self._seed_spans: dict[tuple[int, int], tuple[tuple[int, int], np.ndarray, bool]] = {}
         self._points: np.ndarray | None = None
         self._done: np.ndarray | None = None
         self._theta: np.ndarray | None = None
@@ -210,27 +236,32 @@ class MasterState:
         largest least eta, over the parts valued there only, so true >= L
         at every point, with equality where no part is pending. Each round
         takes the first argmin k of L and returns it once nothing is pending
-        at k. Otherwise it values the pending parts, in one LP
-        (_part_values), at the pending points of L at most V, the least true
-        value of a point with nothing pending, in order of L: the first
-        round k alone, each later round twice as many points. Those are the
-        only points that can still tie or beat V. A round takes at least
-        every such point not yet valued at all: its L rests on eta's lower
-        bound alone, at most _ETA_LB, as a rule far below what the parts
-        give, so it would stay due round after round (the first master with
-        a part values every point at once). At the return L(k) is k's true
+        at k. Otherwise it values the pending parts (_part_values) at the
+        pending points of L at most V, the least true value of a point with
+        nothing pending, in order of L: the first round k alone, or the
+        first _SEED_ROUND points where every part is a benders seed, each
+        later round twice as many points. Those are the only points that can
+        still tie or beat V. A round takes at least every such point not yet
+        valued at all: its L rests on eta's lower bound alone, at most
+        _ETA_LB, as a rule far below what the parts give, so it would stay
+        due round after round (the first master with a part values every
+        point at once). At the return L(k) is k's true
         value, every q < k has true(q) >= L(q) > L(k) and every q > k has
         true(q) >= L(q) >= L(k); so k is the first argmin of the true
         values, as if every part had been valued at every point. A
         point whose L is +inf is cut off for good, as θ only rises."""
         m = self.model
-        if self._taken != (m.n_vars, m.n_constrs):
-            _check_part(self, *self._taken)
-            self._parts.append(self._taken)
-            self._taken = (m.n_vars, m.n_constrs)
+        end = (m.n_vars, m.n_constrs)
+        if self._taken != end:
+            span = self._seed_spans.pop(self._taken, None)
+            seed = span[1:] if span is not None and span[0] == end else None
+            if seed is None:
+                _check_part(self, *self._taken)
+            self._parts.append(_Part(*self._taken, seed))
+            self._taken = end
         c1x = self._points @ self.inst.c1
         eta_lb = m.columns()[0][self.eta_id]
-        size = 1
+        size = _SEED_ROUND if all(p.seed is not None for p in self._parts) else 1
         while True:
             eta = np.maximum(eta_lb, self._theta)
             bound = c1x + eta
@@ -249,7 +280,7 @@ class MasterState:
             # round, which only repeats a value where a count is higher
             j = self._done[due].min()
             self._theta[due] = np.maximum(self._theta[due],
-                                          _part_values(self, *self._parts[j], due))
+                                          _part_values(self, self._parts[j:], due))
             self._done[due] = len(self._parts)
             self.lattice_copies += len(due)
             size *= 2
@@ -322,10 +353,12 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
     Scalar ray gamma: 0 >= gamma'd - gamma'B1 x - gamma'E v, v optimal for
     LP(x, gamma), which excludes exactly the x whose recourse gamma certifies
     infeasible.  A replicate gets eta >= c2'y for points, or always in
-    unified mode.
+    unified mode. A benders seed against the instance's own set records its
+    span (MasterState._seed_spans), by which the lattice route values it.
     """
     cfg, Y = state.config, state.inst.Y
     beta = np.asarray(beta, dtype=float)
+    start = (state.model.n_vars, state.model.n_constrs)
     base_tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
     sets = state.ou_sets if state.ou_sets is not None else [state.inst.U]
     for li, U_l in enumerate(sets):
@@ -343,6 +376,8 @@ def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
             if eta:
                 state.model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0])
         state.blocks[tag] = blk
+    if cfg.variant == "benders" and state.ou_sets is None:
+        state._seed_spans[start] = ((state.model.n_vars, state.model.n_constrs), beta, is_ray)
     (state.ray_seeds if is_ray else state.point_seeds).append(beta)
     return base_tag
 
@@ -434,7 +469,7 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
 # -- the master over the lattice ------------------------------------------
 
 def _check_part(state: MasterState, n0: int, m0: int) -> None:
-    """Raise _OffLattice unless _part_values is exact on the rows from m0
+    """Raise _OffLattice unless _block_values is exact on the rows from m0
     on: they read no column but the integer x, eta and the columns from n0
     on, none of those is integer, and each row bounds eta from below or
     leaves it out."""
@@ -449,13 +484,24 @@ def _check_part(state: MasterState, n0: int, m0: int) -> None:
         raise _OffLattice
 
 
-def _part_values(state: MasterState, n0: int, m0: int, at: np.ndarray) -> np.ndarray:
-    """At the lattice points of index array at, the least eta that the rows
-    from m0 on allow with x fixed there and the columns from n0 on free,
-    +inf where they allow none: backend.solve_copies, one copy per point of
-    those columns and eta, in runs of at most _BLOCK_ENTRIES nonzeros of the
-    rows. Raises _OffLattice where a copy ends neither Optimal nor
-    Infeasible."""
+def _part_values(state: MasterState, parts: list[_Part], at: np.ndarray) -> np.ndarray:
+    """At the lattice points of index array at, the least eta that parts
+    allow with x fixed there, +inf where they allow none. Parts that are all
+    benders seeds are valued from their seeds (_seed_values), with eta's
+    lower bound under them; any other parts by the LP of their rows
+    (_block_values), which holds the blocks of seeds among them too."""
+    if all(p.seed is not None for p in parts):
+        return np.maximum(state.model.columns()[0][state.eta_id],
+                          _seed_values(state, [p.seed for p in parts], at))
+    return _block_values(state, parts[0].n0, parts[0].m0, at)
+
+
+def _block_values(state: MasterState, n0: int, m0: int, at: np.ndarray) -> np.ndarray:
+    """At the points at, the least eta that the rows from m0 on allow with
+    the columns from n0 on free, +inf where they allow none:
+    backend.solve_copies, one copy per point of those columns and eta, in
+    runs of at most _BLOCK_ENTRIES nonzeros of the rows. Raises _OffLattice
+    where a copy ends neither Optimal nor Infeasible."""
     model, n_int = state.model, state.inst.X.n_int
     A, senses, rhs = model.sparse(m0)
     lb, ub, _ = model.columns()
@@ -471,6 +517,46 @@ def _part_values(state: MasterState, n0: int, m0: int, at: np.ndarray) -> np.nda
             raise _OffLattice
         values.append(np.where(status == backend.OPTIMAL, v[:, -1], np.inf))
     return np.concatenate(values)
+
+
+def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
+                 at: np.ndarray) -> np.ndarray:
+    """The largest bound on eta of the benders seeds at the points at. With
+    w = max{(-E' beta)'u : u in U(x)}, a point seed beta bounds eta by
+    beta'(d - B1 x) + w, +inf where U(x) is empty or w unbounded, as its
+    block and cut row do; a ray gamma cuts x off (+inf) where gamma'(d - B1
+    x) + w exceeds _RAY_TOL, the margin by which sp3 certifies a ray, and
+    bounds nothing (-inf) elsewhere. The w come from backend.solve_copies,
+    one copy per (point, seed) of min{(E' beta)'u : F(x) u <= h + G x, u >=
+    0}, one LP per distinct F(x) among the points, in runs of at most
+    _BLOCK_ENTRIES nonzeros of F(x). Raises _OffLattice where a copy ends
+    other than Optimal, Infeasible or Unbounded."""
+    U, Y = state.inst.U, state.inst.Y
+    x = state._points[at]
+    beta = np.array([b for b, _ in seeds])
+    is_ray = np.array([r for _, r in seeds])
+    cost, h = beta @ Y.E, U.h + x @ U.G.T
+    w = np.empty((len(at), len(seeds)))
+    terms = [k for k, _ in U.F.terms]
+    group = (np.unique(x[:, terms], axis=0, return_inverse=True)[1] if terms
+             else np.zeros(len(at), dtype=int))
+    for g in range(group.max() + 1):
+        pts = np.flatnonzero(group == g)
+        F = U.F.evaluate(x[pts[0]])
+        rhs, cost_k = np.repeat(h[pts], len(seeds), axis=0), np.tile(cost, (len(pts), 1))
+        cap = max(1, int(backend._BLOCK_ENTRIES // max(1, np.count_nonzero(F))))
+        values = []
+        for run in backend._runs(range(len(rhs)), cap):
+            status, u = backend.solve_copies(state.model.name, F, LEQ, rhs[run], 0.0,
+                                             np.inf, cost_k[run])
+            if not ((status == backend.OPTIMAL) | (status == backend.INFEASIBLE)
+                    | (status == backend.UNBOUNDED)).all():
+                raise _OffLattice
+            values.append(np.where(status == backend.OPTIMAL,
+                                   -np.einsum("kn,kn->k", u, cost_k[run]), np.inf))
+        w[pts] = np.concatenate(values).reshape(len(pts), len(seeds))
+    bound = (Y.d - x @ Y.B1.T) @ beta.T + w
+    return np.where(is_ray, np.where(bound > _RAY_TOL, np.inf, -np.inf), bound).max(axis=1)
 
 
 # -- the outer loop ---------------------------------------------------------
@@ -530,7 +616,8 @@ def _resolve_ddu_sets(inst: Instance,
             raise ValueError("instance metadata carries no list of ddu_sets")
         try:
             spec = [U if isinstance(U, UncertaintySet)
-                    else uncertainty_set_from_dict(U, f"metadata.ddu_sets[{i}]")
+                    else uncertainty_set_from_dict(U, f"metadata.ddu_sets[{i}]",
+                                                   inst.dim_x, inst.U.dim)
                     for i, U in enumerate(raw)]
         except SchemaError as exc:
             raise ValueError(str(exc)) from exc

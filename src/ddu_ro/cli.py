@@ -123,11 +123,13 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _config_from(args) -> AlgorithmConfig:
+def _config_from(args, inst: Instance) -> AlgorithmConfig:
+    """The run's config; a --diu-approx file's sets are checked against
+    inst's dimensions as they are read."""
     diu = args.diu_approx
     if diu is not None and diu != "metadata":
         with open(diu) as fh:
-            diu = uncertainty_sets_from_list(json.load(fh), diu)
+            diu = uncertainty_sets_from_list(json.load(fh), diu, inst.dim_x, inst.U.dim)
     return AlgorithmConfig(variant=args.variant, tol=args.tol,
                            time_limit_s=args.time_limit, big_M=args.big_m,
                            cut_mode=args.cut_mode, pareto=args.pareto,
@@ -141,7 +143,7 @@ _EXIT_BY_STATUS = {"Optimal": 0, "GapReached": 0, "Infeasible": 2,
 
 def cmd_solve(args) -> int:
     inst = io_read(args.instance)
-    res = run(inst, _config_from(args))
+    res = run(inst, _config_from(args, inst))
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "run.json"),
                  json.dumps(run_result_to_dict(res), indent=2))
@@ -166,7 +168,7 @@ def cmd_compare(args) -> int:
         cfg_args = argparse.Namespace(**vars(args))
         cfg_args.variant = v
         try:
-            res = run(inst, _config_from(cfg_args))
+            res = run(inst, _config_from(cfg_args, inst))
             gap = res.iterations[-1].gap if res.iterations else float("nan")
             rows.append((v, res.status,
                          "" if res.objective is None else f"{res.objective!r}",

@@ -571,74 +571,111 @@ def _vector(v, where: str, inf_sign: float | None = None) -> np.ndarray:
     return np.array([inf_sign * np.inf if e is None else e for e in v], dtype=float)
 
 
-def _matrix(d, where: str) -> np.ndarray:
+def _matrix(d, where: str, rows: tuple[int, str] | None = None,
+            cols: tuple[int, str] | None = None) -> np.ndarray:
+    """The matrix of d, found at the path where. rows and cols, where given,
+    are each a length the declared count must equal and what has that
+    length, such as (2, "d has 2 entries"); both are checked before the
+    matrix is allocated, so a file allocates nothing that its own vectors do
+    not bound."""
     _keys(d, where, ("rows", "cols", "triplets"))
-    rows, cols = d["rows"], d["cols"]
-    if not (_is_count(rows) and _is_count(cols)):
+    n_rows, n_cols = d["rows"], d["cols"]
+    if not (_is_count(n_rows) and _is_count(n_cols)):
         raise SchemaError(f"rows and cols must be nonnegative integers at {where}")
+    name = where.rsplit(".", 1)[-1]
+    for got, length, word in ((n_rows, rows, "rows"), (n_cols, cols, "columns")):
+        if length is not None and got != length[0]:
+            raise SchemaError(f"{length[1]}, {name} has {got} {word} at {where}")
     triplets, seen = _list(d["triplets"], "triplets", where), set()
     for trip in triplets:
         if not (type(trip) is list and len(trip) == 3 and _is_count(trip[0])
                 and _is_count(trip[1]) and _is_number(trip[2])):
             raise SchemaError(f"triplet {trip!r} at {where} is not [i, j, value]")
         i, j, _ = trip
-        if not (i < rows and j < cols):
+        if not (i < n_rows and j < n_cols):
             raise SchemaError(f"triplet ({i},{j}) out of bounds at {where} "
-                              f"(shape {rows}x{cols})")
+                              f"(shape {n_rows}x{n_cols})")
         if (i, j) in seen:
             raise SchemaError(f"two triplets at ({i},{j}) at {where}")
         seen.add((i, j))
-    M = np.zeros((rows, cols))
+    M = np.zeros((n_rows, n_cols))
     if triplets:
         i, j, v = zip(*triplets)
         M[i, j] = v
     return M
 
 
-def uncertainty_set_from_dict(d, where: str = "$") -> UncertaintySet:
+def _length(n: int | None, name: str) -> tuple[int, str] | None:
+    """_matrix's (length, what has it) for n entries of name; None for None."""
+    return None if n is None else (n, f"{name} has {n} entries")
+
+
+def uncertainty_set_from_dict(d, where: str = "$", dim_x: int | None = None,
+                              dim_u: int | None = None) -> UncertaintySet:
     """The set of the layout uncertainty_set_to_dict writes, d found at the
-    path where; SchemaError where d departs from that layout."""
+    path where; SchemaError where d departs from that layout, or from the
+    first-stage dimension dim_x and the uncertainty dimension dim_u where
+    given (a surrogate set read for an instance)."""
     _keys(d, where, ("F", "G", "h"), ("n_int_u",))
     h = _vector(d["h"], f"{where}.h")
     F = _keys(d["F"], f"{where}.F", ("base",), ("terms",))
-    base = _matrix(F["base"], f"{where}.F.base")
+    base = _matrix(F["base"], f"{where}.F.base", _length(len(h), "h"), _length(dim_u, "u"))
     terms = []
     for t, term in enumerate(_list(F.get("terms", []), "terms", f"{where}.F.terms")):
         at = f"{where}.F.terms[{t}]"
         _keys(term, at, ("k", "matrix"))
-        terms.append((_count(term, "k", at), _matrix(term["matrix"], f"{at}.matrix")))
-    return UncertaintySet(F=AffineMatrixMap(base, tuple(terms)), G=_matrix(d["G"], f"{where}.G"),
+        k = _count(term, "k", at)
+        if dim_x is not None and k >= dim_x:
+            raise SchemaError(f"x has {dim_x} entries, no entry {k} at {at}.k")
+        terms.append((k, _matrix(term["matrix"], f"{at}.matrix",
+                                 (base.shape[0], f"F.base has {base.shape[0]} rows"),
+                                 (base.shape[1], f"F.base has {base.shape[1]} columns"))))
+    return UncertaintySet(F=AffineMatrixMap(base, tuple(terms)),
+                          G=_matrix(d["G"], f"{where}.G", _length(len(h), "h"),
+                                    _length(dim_x, "x")),
                           h=h, n_int_u=_count(d, "n_int_u", where))
 
 
-def uncertainty_sets_from_list(sets, where: str) -> list[UncertaintySet]:
+def uncertainty_sets_from_list(sets, where: str, dim_x: int | None = None,
+                               dim_u: int | None = None) -> list[UncertaintySet]:
     """The sets of a list of uncertainty_set_from_dict layouts, such as
     metadata.ddu_sets or a file of surrogate sets, the list at the path
-    where."""
-    return [uncertainty_set_from_dict(U, f"{where}[{i}]")
+    where, each checked against dim_x and dim_u where given."""
+    return [uncertainty_set_from_dict(U, f"{where}[{i}]", dim_x, dim_u)
             for i, U in enumerate(_list(sets, "uncertainty sets", where))]
 
 
 def instance_from_dict(d) -> Instance:
     """The instance of the layout instance_to_dict writes; SchemaError where
-    d departs from it. The surrogate sets of metadata.ddu_sets are checked
-    by building them, and metadata is kept as written."""
+    d departs from it. Each matrix's rows and columns are checked against
+    the vectors of the same dimension, and E's columns against F.base's,
+    before it is built. The surrogate sets of metadata.ddu_sets are checked
+    by building them against the instance's dimensions, and metadata is
+    kept as written."""
     _keys(d, "$", ("c1", "X", "U", "Y"), ("name", "metadata"))
+    c1 = _vector(d["c1"], "$.c1")
+    x_len = _length(len(c1), "c1")
     Xd = _keys(d["X"], "$.X", ("A", "b"), ("n_int", "bounds"))
-    Yd = _keys(d["Y"], "$.Y", ("B1", "B2", "E", "d", "c2"), ("n_int_y",))
     lb = ub = None
     if "bounds" in Xd:
         bounds = _keys(Xd["bounds"], "$.X.bounds", ("lb", "ub"))
         lb = _vector(bounds["lb"], "$.X.bounds.lb", inf_sign=-1.0)
         ub = _vector(bounds["ub"], "$.X.bounds.ub", inf_sign=1.0)
-    X = FirstStageSet(A=_matrix(Xd["A"], "$.X.A"), b=_vector(Xd["b"], "$.X.b"),
+    b = _vector(Xd["b"], "$.X.b")
+    X = FirstStageSet(A=_matrix(Xd["A"], "$.X.A", _length(len(b), "b"), x_len), b=b,
                       n_int=_count(Xd, "n_int", "$.X"), lb=lb, ub=ub)
-    Y = RecourseSet(B1=_matrix(Yd["B1"], "$.Y.B1"), B2=_matrix(Yd["B2"], "$.Y.B2"),
-                    E=_matrix(Yd["E"], "$.Y.E"), d=_vector(Yd["d"], "$.Y.d"),
-                    c2=_vector(Yd["c2"], "$.Y.c2"), n_int_y=_count(Yd, "n_int_y", "$.Y"))
+    U = uncertainty_set_from_dict(d["U"], "$.U", dim_x=len(c1))
+    Yd = _keys(d["Y"], "$.Y", ("B1", "B2", "E", "d", "c2"), ("n_int_y",))
+    rhs, c2 = _vector(Yd["d"], "$.Y.d"), _vector(Yd["c2"], "$.Y.c2")
+    d_len = _length(len(rhs), "d")
+    # B2 first: its rows are the recourse rows
+    Y = RecourseSet(B2=_matrix(Yd["B2"], "$.Y.B2", d_len, _length(len(c2), "c2")),
+                    B1=_matrix(Yd["B1"], "$.Y.B1", d_len, x_len),
+                    E=_matrix(Yd["E"], "$.Y.E", d_len, _length(U.dim, "u")),
+                    d=rhs, c2=c2, n_int_y=_count(Yd, "n_int_y", "$.Y"))
     metadata = d.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("expected an object at $.metadata")
-    uncertainty_sets_from_list(metadata.get("ddu_sets", []), "$.metadata.ddu_sets")
-    return Instance(name=d.get("name", "instance"), c1=_vector(d["c1"], "$.c1"), X=X,
-                    U=uncertainty_set_from_dict(d["U"], "$.U"), Y=Y, metadata=metadata)
+    uncertainty_sets_from_list(metadata.get("ddu_sets", []), "$.metadata.ddu_sets",
+                               len(c1), U.dim)
+    return Instance(name=d.get("name", "instance"), c1=c1, X=X, U=U, Y=Y, metadata=metadata)

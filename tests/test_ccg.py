@@ -417,13 +417,12 @@ def _ray_toy_with_a_spare_site() -> Instance:
 
 
 def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
-    # the ray benders finds at x0 = 1 has no point in its feasibility block
-    # there. The second master values the optimality cut at all four
-    # points, none valued before, in one LP. The third values the ray at
-    # its argmin (1, 0), which it cuts off, then at the next two points in
-    # order of bound, (0, 0) and (1, 1): that LP is Infeasible, so each
-    # point gets an LP of its own, (0, 0) keeps its value and (1, 1) is cut
-    # off
+    # split parametric cuts: the replicate of the optimality cut found at
+    # x0 = 0 has no recourse against its u at x0 = 1. The second master
+    # values that part at all four points, none valued before, in one LP,
+    # which is Infeasible; its first half, x0 = 0, is Optimal, and its
+    # second, x0 = 1, Infeasible at once, as x1 reads nothing and both
+    # copies share one feasible set
     real, solved = backend.solve_lp, []
 
     def recorded(model):
@@ -433,21 +432,22 @@ def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
         return out
 
     monkeypatch.setattr(backend, "solve_lp", recorded)
-    res = run(_ray_toy_with_a_spare_site(), AlgorithmConfig(variant="benders", tol=0.0))
+    res = run(_ray_toy_with_a_spare_site(),
+              AlgorithmConfig(variant="parametric", cut_mode="split", tol=0.0))
     assert res.status == "Optimal" and res.objective == pytest.approx(1.0)
     assert res.x == pytest.approx([0.0, 0.0])
-    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (3, 0)
+    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (2, 0)
     n = solved[0][0] // 4
-    assert solved == [(4 * n, "Optimal"), (n, "Infeasible"), (2 * n, "Infeasible"),
-                      (n, "Optimal"), (n, "Infeasible")]
-    assert res.meta["lattice_copies"] == 7
+    assert solved == [(4 * n, "Infeasible"), (2 * n, "Optimal"), (2 * n, "Infeasible")]
+    assert res.meta["lattice_copies"] == 4
 
 
 def test_a_numerical_lattice_lp_sends_the_master_to_the_mip(monkeypatch):
     # as above, but a master LP that would end Infeasible ends Numerical: the
-    # third master's copy at x = 1 cannot be valued, so that master and every
-    # later one go to backend.solve_mip and end where the lattice did
-    reference = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
+    # second master's copy at x = 1 cannot be valued, so that master goes
+    # to backend.solve_mip and ends where the lattice did
+    config = AlgorithmConfig(variant="parametric", cut_mode="split", tol=0.0)
+    reference = run(_ray_toy(), config)
     real = backend.solve_lp
 
     def flaky(model):
@@ -457,9 +457,9 @@ def test_a_numerical_lattice_lp_sends_the_master_to_the_mip(monkeypatch):
         return out
 
     monkeypatch.setattr(backend, "solve_lp", flaky)
-    res = run(_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
-    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (2, res.n_iterations - 2)
-    assert res.n_iterations > 2
+    res = run(_ray_toy(), config)
+    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (1, 1)
+    assert res.n_iterations == reference.n_iterations == 2
     assert res.status == reference.status == "Optimal"
     assert res.objective == pytest.approx(reference.objective)
     assert res.x == pytest.approx(reference.x)
@@ -570,7 +570,9 @@ def _eager_reference(monkeypatch) -> list[str]:
     (lambda: _ray_toy(), [dict(variant="benders", tol=0.0)]),
     (_uncoverable_toy, [dict(variant="benders"), dict(variant="parametric"),
                         dict(variant="parametric", cut_mode="split")]),
-], ids=["uk5", "pm_uk8", "pm_pair5-diu", "ray_toy", "uncoverable"])
+    # F has a term, so benders values its seeds in one LP per F(x)
+    (_lhs_toy, [dict(variant="benders", tol=0.0)]),
+], ids=["uk5", "pm_uk8", "pm_pair5-diu", "ray_toy", "uncoverable", "lhs_toy"])
 def test_the_lazy_lattice_master_equals_the_eager_one(make, configs, monkeypatch):
     checked, masters = _eager_reference(monkeypatch), 0
     for config in configs:
@@ -631,11 +633,38 @@ def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(par
         assert out.objective == mip.objective and np.array_equal(out.x, mip.x)
 
 
+def test_a_seed_part_after_a_part_of_rows_is_valued_by_its_block():
+    # _diu_box at x in {0, 1}: a first part of rows, eta >= 2.5, then the
+    # benders seed beta = 1, whose cut is eta >= 1 - x + max{u : u <= 2}.
+    # Pending together, the two are valued by the LP of their rows, which
+    # holds the seed's block
+    state = MasterState(_diu_box(), AlgorithmConfig(variant="benders"))
+    state.model.add_rows([([state.eta_id], [[1.0]])], GEQ, [2.5])
+    state.solve()
+    state.add_seed(np.array([1.0]))
+    state.solve()
+    assert [p.seed is None for p in state._parts] == [True, False]
+    values = ccg._part_values(state, state._parts, np.arange(2))
+    assert state.lattice().tolist() == [[0.0], [1.0]]
+    assert values == pytest.approx([3.0, 2.5], rel=1e-12)
+
+
 def test_pm_uk8_values_fewer_copies_than_every_point_per_master():
     res = run(_pm8(), AlgorithmConfig(variant="parametric"))
     meta = run_result_to_dict(res)["meta"]
     assert meta["masters_mip"] == 0
     assert 0 < meta["lattice_copies"] < meta["masters_lattice"] * 56
+
+
+def test_the_benders_lattice_master_reads_no_dual_bound(monkeypatch):
+    # the lattice values each benders seed by an LP over U(x), with no
+    # lambda and so no M_d: with the blocks' dual side capped at 1 the run
+    # is unchanged. Valued by those blocks, it ended Numerical at iteration
+    # 5, its lower bound 17020.51 above its upper bound 16290.32
+    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row: 1.0)
+    res = run(_pm8(), AlgorithmConfig(variant="benders"))
+    assert res.status == "Optimal" and res.objective == PM8_W
+    assert res.n_iterations == 14 and res.meta["masters_mip"] == 0
 
 
 # -- bound discipline --------------------------------------------------------

@@ -138,7 +138,7 @@ def test_both_approximation_loops_exit_one(t1_path, tmp_path, capsys):
 
 def test_solve_flag_defaults_are_the_config_defaults():
     args = cli._build_parser().parse_args(["solve", "inst.json"])
-    assert cli._config_from(args) == cli.AlgorithmConfig()
+    assert cli._config_from(args, t1()) == cli.AlgorithmConfig()
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -205,16 +205,27 @@ def _drop(d, *path):
      "nan] at $.U.F.base is not [i, j, value]"),
     (lambda d: d["Y"]["B2"].update(triplets=3), "list of triplets at $.Y.B2"),
     (lambda d: d["U"]["F"].update(terms=3), "list of terms at $.U.F.terms"),
+    (lambda d: d["Y"]["B2"].update(rows=10**7, cols=10**7),
+     "d has 1 entries, B2 has 10000000 rows at $.Y.B2"),
+    (lambda d: d["U"]["F"].update(terms=[{"k": 0, "matrix": {
+        "rows": 1, "cols": 2, "triplets": [[0, 1, 1.0]]}}]),
+     "F.base has 1 columns, matrix has 2 columns at $.U.F.terms[0].matrix"),
+    (lambda d: d.update(metadata={"ddu_sets": [
+        {**d["U"], "G": {"rows": 1, "cols": 2, "triplets": []}}]}),
+     "x has 1 entries, G has 2 columns at $.metadata.ddu_sets[0].G"),
 ], ids=["U-without-F", "matrix-without-rows", "two-entry-triplet", "no-c1",
         "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F",
         "surrogates-an-object", "n_int_u-beyond-dim", "n_int_y-beyond-dim",
         "n_int-a-list", "n_int-a-fraction", "n_int_u-a-bool", "triplet-value-a-bool",
-        "metadata-a-list", "nan-in-F", "triplets-a-number", "terms-a-number"])
+        "metadata-a-list", "nan-in-F", "triplets-a-number", "terms-a-number",
+        "B2-beyond-its-vectors", "term-wider-than-base", "surrogate-G-too-wide"])
 def test_malformed_instance_file_is_a_one_line_error(break_file, names, tmp_path,
                                                       capsys):
     # each of these once ended in a traceback (n_int_y beyond its dimension
-    # only after sp1 had started solving), or was solved as some other file:
-    # n_int 1.7 as 1, a bool as 1 and NaN in F as it came
+    # only after sp1 had started solving, a 10^7 x 10^7 B2 in numpy's
+    # allocation error), was refused without a $ path (a term wider than
+    # F.base), or was solved as some other file: n_int 1.7 as 1, a bool as
+    # 1, NaN in F as it came and a surrogate set over another x
     d = instance_to_dict(t1())
     break_file(d)
     path = tmp_path / "bad.json"

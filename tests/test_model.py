@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_json_handles_infinite_bounds():
     X = FirstStageSet(A=np.zeros((0, 2)), b=np.zeros(0), n_int=0,
                       lb=[0.0, 1.0], ub=[np.inf, 5.0])
     inst = t1()
-    i2 = Instance(name="bounds", c1=[1.0, 1.0], X=X, U=inst.U,
+    i2 = Instance(name="bounds", c1=[1.0, 1.0], X=X, U=replace(inst.U, G=np.zeros((1, 2))),
                   Y=RecourseSet(B1=np.zeros((1, 2)), B2=[[1.0]], E=[[-1.0]],
                                 d=[0.0], c2=[1.0]))
     back = instance_from_dict(instance_to_dict(i2))

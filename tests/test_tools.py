@@ -27,5 +27,6 @@ def test_highs_digest_prints_a_line_per_operation_and_a_total():
     for op, line, by_model in zip(ops, lines[::2], lines[1::2]):
         assert re.fullmatch(rf"s0 {re.escape(op.name)}: \S+ \S+ iterations \d+ solves \d+ "
                             rf"mips \d+ digest {HEX} values {HEX}", line), line
-        assert re.fullmatch(r"  by model: \S+ \d+(, \S+ \d+)*", by_model), by_model
+        assert re.fullmatch(r"  by model: \S+ \d+ [0-9a-f]{8}(, \S+ \d+ [0-9a-f]{8})*",
+                            by_model), by_model
     assert re.fullmatch(rf"solves \d+ mips \d+ digest {HEX}", lines[-1]), lines[-1]

@@ -14,7 +14,10 @@ own solves in call order and one over its worst-case values, then the same
 counts and one digest over all of them. Under each operation a second line
 counts its solves by the name of the model solved (backend.solve_lp and
 backend.solve_mip are wrapped to read it), the instance's name cut off the
-front: "_wc_enum 6" is six solves of the model "<instance>_wc_enum".
+front, and a digest of their inputs in call order cut to 8 hex digits:
+"_wc_enum 6 1f2e3d4c" is six solves of the model "<instance>_wc_enum".
+Where two trees' operation lines differ, these name the models whose
+input changed.
 
 Two trees that print the same lines gave HiGHS byte-identical input on
 every solve of those operations, and the oracle the same vertices and
@@ -175,10 +178,12 @@ def main(argv: list[str] | None = None) -> int:
                           f"mips {sum(rec.mips[before:])} digest {_digest(own)} "
                           f"values {_digest(rec.values[valued:])}")
                     prefix = insts[op.instance].name
-                    models = collections.Counter(model.removeprefix(prefix)
-                                                 for model in rec.names[before:])
-                    print("  by model: " + ", ".join(f"{model} {count}"
-                                                     for model, count in sorted(models.items())))
+                    models = collections.defaultdict(list)
+                    for model, digest in zip(rec.names[before:], own):
+                        models[model.removeprefix(prefix)].append(digest)
+                    print("  by model: " + ", ".join(
+                        f"{model} {len(hashes)} {_digest(hashes)[:8]}"
+                        for model, hashes in sorted(models.items())))
                     if res.verdict != workloads.PASSED:
                         failed.append(f"s{seed} {op.name}: {res.verdict} {res.detail}")
     print(f"solves {len(rec.hashes)} mips {sum(rec.mips)} digest {_digest(rec.hashes)}")
