@@ -1,8 +1,9 @@
 """Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
 of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
 (vars and constrs are read-only views of them), HiGHS solves (solve_lp and
-solve_mip), one LP over K copies of an LP (solve_copies) with the value of
-each copy (copy_values) and big-M complementarity linearization.
+solve_mip), K copies of an LP in runs of LPs over copies (solve_copies,
+solve_run) with the value of each copy (copy_values) and big-M
+complementarity linearization.
 
 How a model reaches HiGHS. solve_lp passes <= and = CSR blocks to linprog,
 solve_mip lo <= A x <= hi to milp. Both are this module's, not scipy's: each
@@ -182,8 +183,9 @@ class LinearModel:
         """Room for n more columns; the id of the first."""
         j, self._n = self._n, self._n + n
         if self._n > self._lb.size:
-            self._lb, self._ub, self._int = (np.resize(a, 2 * self._n)
-                                             for a in (self._lb, self._ub, self._int))
+            self._lb, self._ub, self._int = (
+                np.concatenate([a[:j], np.empty(2 * self._n - j, a.dtype)])
+                for a in (self._lb, self._ub, self._int))
         return j
 
     def add_rows(self, blocks: list[tuple[list[int], np.ndarray]],
@@ -478,14 +480,12 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
 
 # -- block LPs over copies -----------------------------------------------------
 
-# the most matrix entries of one LP over copies, as each caller counts them:
-# worst_case_values the entries of B2, zeros too, over its (x, vertex) pairs
-# (and the vertex entries its memo of U(x) keeps),
-# lattice_first_stages those of X.A over the grid copies of its assignments,
-# ccg._part_values the nonzeros of the pending parts' rows over the lattice
-# points it values, ccg._lattice_relaxation those of the relaxation's rows
-# over every lattice point (past that it leaves the relaxation to the MIP);
-# the model is built in Python, so this bounds the memory it takes
+# the most matrix entries of one LP over copies (the model is built in
+# Python, so this bounds its memory): solve_copies' runs count nonzeros of
+# A. worst_case_values and lattice_first_stages form runs of their own, of
+# B2's entries over (x, vertex) pairs (and the vertex entries its memo of
+# U(x) keeps) and of X.A's over grid copies, for solve_run, and
+# ccg._lattice_relaxation refuses the copies past it (the MIP was faster)
 _BLOCK_ENTRIES = 1e5
 
 
@@ -520,7 +520,8 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
     shift = np.arange(K)[:, None]
     rows = csr_array((np.tile(A.data, K), (A.indices + n * shift).ravel(),
                       np.r_[0, (A.indptr[1:] + A.nnz * shift).ravel()]), shape=(K * m, K * n))
-    lp.add_rows([(ids, rows)], np.resize(senses, K * m), np.ravel(rhs))
+    lp.add_rows([(ids, rows)], senses if np.ndim(senses) == 0 else np.tile(senses, K),
+                np.ravel(rhs))
     nz = np.flatnonzero(cost)
     lp.set_objective(dict(zip(nz.tolist(), cost[nz].tolist())))
     return lp
@@ -528,12 +529,21 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
 
 def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
                  ) -> tuple[np.ndarray, np.ndarray]:
+    """solve_run's (status, x) of the copies, in runs of at most _BLOCK_ENTRIES nonzeros of A."""
+    cap = max(1, int(_BLOCK_ENTRIES // max(1, A.nnz if issparse(A) else np.count_nonzero(A))))
+    return _joined(name, A, senses, rhs, lb, ub, cost,
+                   [slice(lo, lo + cap) for lo in range(0, max(1, len(rhs)), cap)])
+
+
+def solve_run(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Each copy's status and x, a (K, n) array with nan rows where a copy is
     not Optimal, from one solve_lp of copies_lp's LP; where that is not
     Optimal, from each half of the copies in turn, down to single copies, so
     one failing copy of K costs about 2 log2 K LPs. Copies that share one
     feasible set (one lb, one ub, equal rhs rows) differ only in cost, so an
-    Infeasible LP of them is every copy's status at once. No copies, no LP."""
+    Infeasible LP of them is every copy's status at once. No copies, no LP.
+    For callers that form runs of their own (_BLOCK_ENTRIES)."""
     K, n = len(rhs), A.shape[1]
     if not K:
         return np.zeros(0, dtype=str), np.zeros((0, n))
@@ -543,10 +553,15 @@ def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
     if K == 1 or (out.status == INFEASIBLE and np.ndim(lb) < 2 and np.ndim(ub) < 2
                   and (rhs == rhs[0]).all()):
         return np.full(K, out.status), np.full((K, n), np.nan)
-    halves = [solve_copies(name, A, senses, rhs[half],
-                           *(a[half] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
-              for half in (slice(K // 2), slice(K // 2, K))]
-    return tuple(map(np.concatenate, zip(*halves)))
+    return _joined(name, A, senses, rhs, lb, ub, cost, [slice(K // 2), slice(K // 2, K)])
+
+
+def _joined(name, A, senses, rhs, lb, ub, cost, parts: list[slice]):
+    """solve_run over each slice of the copies, joined in order."""
+    return tuple(map(np.concatenate, zip(*(
+        solve_run(name, A, senses, rhs[part],
+                  *(a[part] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
+        for part in parts))))
 
 
 def copy_values(what: str, status: np.ndarray, x: np.ndarray, cost) -> np.ndarray:

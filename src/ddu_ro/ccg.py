@@ -158,7 +158,7 @@ class MasterState:
     backend.solve_mip, which always holds the whole model: the blocks of
     benders seeds are written there too. The lattice is enumerated once per
     state (lattice()), and its cost follows the first stages X admits, not
-    its bound box: the search of instances._box_points visits only the
+    its bound box: the search of enumeration.lattice_points visits only the
     prefixes X's rows can complete. lattice_copies counts the copies the
     route has solved.
     """
@@ -499,24 +499,18 @@ def _part_values(state: MasterState, parts: list[_Part], at: np.ndarray) -> np.n
 def _block_values(state: MasterState, n0: int, m0: int, at: np.ndarray) -> np.ndarray:
     """At the points at, the least eta that the rows from m0 on allow with
     the columns from n0 on free, +inf where they allow none:
-    backend.solve_copies, one copy per point of those columns and eta, in
-    runs of at most _BLOCK_ENTRIES nonzeros of the rows. Raises _OffLattice
-    where a copy ends neither Optimal nor Infeasible."""
+    backend.solve_copies, one copy per point of those columns and eta.
+    Raises _OffLattice where a copy ends neither Optimal nor Infeasible."""
     model, n_int = state.model, state.inst.X.n_int
     A, senses, rhs = model.sparse(m0)
     lb, ub, _ = model.columns()
     own = [*range(n0, model.n_vars), state.eta_id]
     A_own, cost = A[:, own], np.r_[np.zeros(len(own) - 1), 1.0]
     r = rhs - state._points[at, :n_int] @ A[:, state.x_ids[:n_int]].T
-    cap = max(1, int(backend._BLOCK_ENTRIES // max(1, A_own.nnz)))
-    values = []
-    for run in backend._runs(range(len(r)), cap):
-        status, v = backend.solve_copies(model.name, A_own, senses, r[run], lb[own],
-                                         ub[own], cost)
-        if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
-            raise _OffLattice
-        values.append(np.where(status == backend.OPTIMAL, v[:, -1], np.inf))
-    return np.concatenate(values)
+    status, v = backend.solve_copies(model.name, A_own, senses, r, lb[own], ub[own], cost)
+    if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
+        raise _OffLattice
+    return np.where(status == backend.OPTIMAL, v[:, -1], np.inf)
 
 
 def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
@@ -528,13 +522,12 @@ def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
     x) + w exceeds _RAY_TOL, the margin by which sp3 certifies a ray, and
     bounds nothing (-inf) elsewhere. The w come from backend.solve_copies,
     one copy per (point, seed) of min{(E' beta)'u : F(x) u <= h + G x, u >=
-    0}, one LP per distinct F(x) among the points, in runs of at most
-    _BLOCK_ENTRIES nonzeros of F(x). Raises _OffLattice where a copy ends
-    other than Optimal, Infeasible or Unbounded."""
+    0}, one solve_copies per distinct F(x) among the points. Raises
+    _OffLattice where a copy ends other than Optimal, Infeasible or
+    Unbounded."""
     U, Y = state.inst.U, state.inst.Y
     x = state._points[at]
-    beta = np.array([b for b, _ in seeds])
-    is_ray = np.array([r for _, r in seeds])
+    beta, is_ray = map(np.array, zip(*seeds))
     cost, h = beta @ Y.E, U.h + x @ U.G.T
     w = np.empty((len(at), len(seeds)))
     terms = [k for k, _ in U.F.terms]
@@ -544,17 +537,11 @@ def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
         pts = np.flatnonzero(group == g)
         F = U.F.evaluate(x[pts[0]])
         rhs, cost_k = np.repeat(h[pts], len(seeds), axis=0), np.tile(cost, (len(pts), 1))
-        cap = max(1, int(backend._BLOCK_ENTRIES // max(1, np.count_nonzero(F))))
-        values = []
-        for run in backend._runs(range(len(rhs)), cap):
-            status, u = backend.solve_copies(state.model.name, F, LEQ, rhs[run], 0.0,
-                                             np.inf, cost_k[run])
-            if not ((status == backend.OPTIMAL) | (status == backend.INFEASIBLE)
-                    | (status == backend.UNBOUNDED)).all():
-                raise _OffLattice
-            values.append(np.where(status == backend.OPTIMAL,
-                                   -np.einsum("kn,kn->k", u, cost_k[run]), np.inf))
-        w[pts] = np.concatenate(values).reshape(len(pts), len(seeds))
+        status, u = backend.solve_copies(state.model.name, F, LEQ, rhs, 0.0, np.inf, cost_k)
+        if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED)).all():
+            raise _OffLattice
+        w[pts] = np.where(status == backend.OPTIMAL, -np.einsum("kn,kn->k", u, cost_k),
+                          np.inf).reshape(len(pts), len(seeds))
     bound = (Y.d - x @ Y.B1.T) @ beta.T + w
     return np.where(is_ray, np.where(bound > _RAY_TOL, np.inf, -np.inf), bound).max(axis=1)
 
@@ -889,9 +876,7 @@ def run_result_to_dict(res: RunResult) -> dict:
     """JSON-safe summary; non-finite bounds become None."""
 
     def num(v: float | None) -> float | None:
-        if v is None or not np.isfinite(v):
-            return None
-        return float(v)
+        return None if v is None or not np.isfinite(v) else float(v)
 
     return {
         "status": res.status,

@@ -5,21 +5,21 @@ builds it, and adds the check that the parts agree in their dimensions.
 
 The oracle defines the ground truth the solvers are tested against: it
 enumerates the first stage over its integer lattice (continuous components are
-pinned, gridded, or optimized out, see oracle_exact), takes the worst
-recourse value over the vertices of U(x), and then the min over x. The
-vertices of U(x) are the extreme rays of its homogenized cone, found by the
-double description method, which also shows U(x) empty or unbounded
-(enumerate_vertices), once per distinct U(x) of a worst_case_values call:
-first stages with the same F(x) and h + G x share them. The LPs are
-batched, one LP of copies per run, narrowed by halves where it is not
-Optimal (backend.solve_copies): a run of integer assignments shares the
-range probes of its coupled continuous x, the first dropping assignments
-without completion, and one LP over every (assignment, grid point); a run
-of first stages with continuous y shares one shortfall LP over their first
-vertices, which drops the x whose first vertex has no recourse (not
-narrowed: where it is not Optimal, recourse_value decides each pair), and
-one LP over every other (x, vertex) pair (worst_case_values). It shares
-nothing with the cutting-plane machinery beyond the LP/MIP primitives.
+pinned, gridded, or optimized out, see oracle_exact), takes the worst recourse
+value over the vertices of U(x), and then the min over x. The points come from
+the enumeration module, the one lister, which also refuses past its caps
+(OracleError, re-exported here): the lattice by lattice_points, the vertices
+of U(x) by enumerate_vertices, once per distinct U(x) of a worst_case_values
+call: first stages with the same F(x) and h + G x share them. The LPs are
+batched, one LP of copies per run, narrowed by halves where it is not Optimal
+(backend.solve_run): a run of integer assignments shares the range probes of
+its coupled continuous x, the first dropping assignments without completion,
+and one LP over every (assignment, grid point); a run of first stages with
+continuous y shares one shortfall LP over their first vertices, which drops
+the x whose first vertex has no recourse (not narrowed: where it is not
+Optimal, recourse_value decides each pair), and one LP over every other (x,
+vertex) pair (worst_case_values). It shares nothing with the cutting-plane
+machinery beyond the LP/MIP primitives.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import numpy as np
 
 from . import backend
 from .backend import GEQ, LinearModel
+# by name: perfbench/tracing.py wraps instances.enumerate_vertices
+from .enumeration import OracleError, enumerate_vertices, lattice_points
 from .model import (
     AffineMatrixMap,
     FirstStageSet,
@@ -47,14 +49,8 @@ from .model import (
     envelope_rows,
     instance_from_dict,
     instance_to_dict,
-    range_probe,
     uncertainty_set_to_dict,
 )
-
-
-class OracleError(Exception):
-    """Raised when an instance exceeds the oracle's enumeration limits or
-    violates the assumptions the enumeration relies on."""
 
 
 # -- canonical tiny fixtures ---------------------------------------------------
@@ -70,185 +66,6 @@ def t1() -> Instance:
         U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=[[1.0]], h=[1.0]),
         Y=RecourseSet(B1=[[0.0]], B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0]),
     )
-
-
-# -- vertex enumeration --------------------------------------------------------
-
-# the oracle's enumeration limits
-_MAX_LATTICE = 20000        # integer x or u prefixes alive per level of _box_points
-_MAX_VERTICES = 5000        # rays alive per U(x) in _cone_rays
-_GRID = 7                   # grid points per free coupled continuous dim
-_DEDUP_TOL = 1e-9
-
-
-def enumerate_vertices(U: UncertaintySet, x: np.ndarray) -> np.ndarray:
-    """All vertices of U(x) = {u >= 0 : F(x) u <= h + G x} as rows.
-
-    Continuous case: the extreme rays (u, t) of the cone {(u, t) >= 0 :
-    t (h + G x) - F(x) u >= 0} (_cone_rays) with t > 0, divided by t. A ray
-    with t = 0 is a direction in which U(x) is unbounded, and without a ray
-    with t > 0 U(x) is empty; either raises OracleError. Vertices whose
-    entries agree to _DEDUP_TOL times the largest |u| entry are one. They
-    come in descending lexicographic order of u, so the first vertex, the
-    one worst_case_values tests for recourse before the others, has high
-    coordinates: the scenario of most demand, where the generators'
-    recourse runs short. The order depends on the set alone, not on the
-    order of its rows. All-integer case (n_int_u == dim): the integer
-    points of U(x) inside the per-coordinate LP bounds, by _box_points'
-    pruned search.
-    """
-    x = np.asarray(x, dtype=float)
-    if U.n_int_u:
-        if U.n_int_u != U.dim:
-            raise OracleError("mixed-integer u is outside the oracle's scope")
-        return _integer_points(*U.at(x))
-
-    rays = _cone_rays(*U.at(x))
-    t = rays[:, -1]
-    if not (t > 0.0).any():
-        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
-    if (t == 0.0).any():
-        raise OracleError("U(x) is unbounded (boundedness violated)")
-    u = rays[:, :-1] / t[:, None]
-    keys = np.round(u / (_DEDUP_TOL * (np.abs(u).max(initial=0.0) or 1.0))).astype(np.int64)
-    first = _first_rows(keys)
-    if len(first) > 1:
-        first = first[np.lexsort(keys[first].T[::-1])[::-1]]
-    return u[first]
-
-
-def _first_rows(keys: np.ndarray) -> np.ndarray:
-    """np.unique(keys, axis=0, return_index=True)'s indices, ascending, from
-    np.unique over one np.void per row, which sorts bytes instead of rows."""
-    if not keys.shape[1]:
-        return np.arange(min(1, len(keys)))
-    keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
-    return np.sort(np.unique(rows, return_index=True)[1])
-
-
-def _cone_rays(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The extreme rays of the cone {(u, t) >= 0 : t rhs - Fx u >= 0}, as
-    rows of largest entry 1, by the double description method (Motzkin et
-    al. 1953; Fukuda and Prodon 1996). It starts from the unit rays of the
-    orthant and adds the rows, each scaled to a largest |entry| of 1, one
-    at a time. A row keeps the rays that meet it, drops those that violate
-    it, and joins each adjacent pair of a violating ray and a ray strictly
-    inside into a ray on the row, tight where both are and on the row. A
-    row that no ray violates only adds its tight column, and one with no
-    ray strictly inside only drops its violators; neither has a pair to
-    join. A ray is tight on a row where its value there is at most
-    _DEDUP_TOL times the sum of its terms' magnitudes, and on a bound of
-    (u, t) >= 0 where that entry is 0; a join of two nonnegative rays with
-    positive weights keeps those zeros exact. OracleError when more than
-    _MAX_VERTICES rays are alive.
-
-    Adjacency (_adjacent_pairs) is the combinatorial test, exact for a
-    pointed cone, which every cone here is (Fukuda and Prodon, Prop. 7):
-    no third ray is tight on all of Z, the constraints both rays are tight
-    on. Rays of a cone in R^(n+1) are adjacent only where Z has rank n - 1,
-    so |Z| >= n - 1 screens the pairs first. A scaled row that is the exact
-    negative of an earlier row, or of a bound, completes an equality, found
-    for every row by one comparison per call. Once every ray alive is tight
-    on both, every later ray is too, since a join is tight where both of
-    its rays are: the two count 2 in every later |Z| but 1 in its rank, so
-    the screen asks for one more per such pair. A pair it now drops has Z
-    of rank below n - 1, whose face holds a third ray tight on all of Z,
-    so the holders test would drop it too: the pairs are the same."""
-    n = Fx.shape[1]
-    rows = np.hstack([-Fx, rhs[:, None]])
-    top = np.abs(rows).max(axis=1)
-    rows /= np.where(top > 0.0, top, 1.0)[:, None]
-    # negated[j, k]: constraint k, a bound (k <= n) or row k - n - 1 < j, is -rows[j]
-    negated = (rows[:, None] == -np.vstack([np.eye(n + 1), rows])).all(axis=2)
-    negated &= np.arange(negated.shape[1]) < np.arange(n + 1, n + 1 + len(rows))[:, None]
-    rays, tight = np.eye(n + 1), ~np.eye(n + 1, dtype=bool)    # tight[r, k]: ray r on k
-    need = n - 1
-    for a, partners in zip(rows, negated):
-        v = rays @ a
-        on = np.abs(v) <= _DEDUP_TOL * (rays @ np.abs(a))
-        out, inside = (v < 0.0) & ~on, (v > 0.0) & ~on
-        if not out.any():
-            tight = np.column_stack([tight, on])
-        elif not inside.any():
-            rays, tight = rays[~out], np.column_stack([tight[~out], on[~out]])
-        else:
-            p, q = _adjacent_pairs(tight, np.flatnonzero(inside), np.flatnonzero(out), need)
-            joined = v[p, None] * rays[q] - v[q, None] * rays[p]
-            rays = np.vstack([rays[~out], joined / joined.max(axis=1, keepdims=True)])
-            tight = np.vstack([np.column_stack([tight[~out], on[~out]]),
-                               np.column_stack([tight[p] & tight[q], np.ones(len(p), dtype=bool)])])
-        if len(rays) > _MAX_VERTICES:
-            raise OracleError(f"more than {_MAX_VERTICES} vertices")
-        if tight[:, -1].all() and tight[:, np.flatnonzero(partners)].all(axis=0).any():
-            need += 1
-    return rays
-
-
-def _adjacent_pairs(tight: np.ndarray, P: np.ndarray, N: np.ndarray,
-                    need: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (p, q) of P x N whose rays are adjacent, as two index
-    arrays, by the combinatorial test: the constraints both are tight on,
-    Z, number at least need, and no third ray of tight is tight on all of
-    Z. The counts are float32 matrix products, which BLAS runs and which are
-    exact at these counts, over chunks of at most 2e7 entries."""
-    Z = tight.astype(np.float32)
-    step = max(1, int(2e7 // max(len(N), *Z.shape)))
-    pairs = [np.zeros((2, 0), dtype=int)]
-    for lo in range(0, len(P), step):
-        sub = P[lo:lo + step]
-        common = Z[sub] @ Z[N].T                    # |Z| of each pair
-        i, j = np.nonzero(common >= need)
-        for c in range(0, len(i), step):
-            ii, jj = i[c:c + step], j[c:c + step]
-            holders = (Z[sub[ii]] * Z[N[jj]]) @ Z.T >= common[ii, jj][:, None]
-            keep = holders.sum(axis=1) == 2         # p and q alone
-            pairs.append(np.stack([sub[ii[keep]], N[jj[keep]]]))
-    return tuple(np.concatenate(pairs, axis=1))
-
-
-def _integer_points(Fx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        hi = range_probe(Fx, rhs, np.arange(Fx.shape[1]))
-    except backend.BackendError as exc:
-        raise OracleError("U(x) is empty at the probed x (nonemptiness violated)") from exc
-    if np.isinf(hi).any():
-        raise OracleError(f"u[{np.argmax(np.isinf(hi))}] unbounded: integer "
-                          "enumeration impossible")
-    pts = _box_points(np.zeros(len(hi)), hi, -Fx, -rhs, "u")
-    if not len(pts):
-        raise OracleError("U(x) has no integer points (nonemptiness violated)")
-    return pts
-
-
-def _box_points(lo, hi, G: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
-    """The integer points p with lo <= p <= hi (within 1e-9) and G p >=
-    g - 1e-9, as rows in itertools.product order, by a pruned search: level
-    j extends each prefix by the values of coordinate j with which every row
-    can still be met, the later coordinates at their best bounds (bound
-    propagation over linear rows; Achterberg 2007), within a margin looser
-    than the final filter's. OracleError when more than _MAX_LATTICE
-    prefixes are alive at some level."""
-    lo, hi = np.ceil(np.asarray(lo) - 1e-9), np.floor(np.asarray(hi) + 1e-9)
-    best = np.column_stack([np.maximum(G * lo, G * hi), np.zeros(len(g))])
-    reach = np.cumsum(best[:, ::-1], axis=1)[:, ::-1]   # the most coordinates j.. add
-    slack = 1e-9 * (1.0 + np.abs(G) @ np.maximum(np.abs(lo), np.abs(hi)))
-    alive = int(np.all(reach[:, 0] >= g - slack))
-    prefixes, partial = np.zeros((alive, 0), dtype=np.int64), np.zeros((alive, len(g)))
-    for j, col in enumerate(G.T):
-        need = g - slack - reach[:, j + 1] - partial    # col v >= need, row by row
-        first = np.ceil(need[:, col > 0] / col[col > 0]).max(axis=1, initial=lo[j])
-        last = np.floor(need[:, col < 0] / col[col < 0]).min(axis=1, initial=hi[j])
-        counts = np.maximum(last - first + 1, 0)
-        if counts.sum() > _MAX_LATTICE:
-            raise OracleError(f"integer {what} lattice exceeds {_MAX_LATTICE}")
-        # child k of a prefix takes the value first + k
-        parent = np.repeat(np.arange(len(counts)), counts.astype(int))
-        values = np.arange(len(parent)) + (first + counts - np.cumsum(counts))[parent].astype(int)
-        prefixes = np.column_stack([prefixes[parent], values])
-        partial = partial[parent] + np.outer(values, col)
-    pts = prefixes.astype(float)
-    return pts[np.all(pts @ G.T >= g - 1e-9, axis=1)]
 
 
 # -- recourse evaluation -------------------------------------------------------
@@ -324,7 +141,7 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
 def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:
     """For every (x, verts) of run, the largest recourse value over verts and
     the first vertex that attains it. Continuous y takes one LP of a copy of
-    the recourse per pair (backend.solve_copies), where a copy that ends
+    the recourse per pair (backend.solve_run), where a copy that ends
     Infeasible is worth +inf and one that ends Unbounded -inf. Integer y
     takes the per-vertex loop up to the first +inf, since a MIP gap on the
     sum does not bound each block."""
@@ -337,8 +154,8 @@ def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]
                 if vals[-1][-1] == np.inf:
                     break
     else:
-        status, y = backend.solve_copies("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
-                                         0.0, np.inf, Y.c2)
+        status, y = backend.solve_run("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
+                                      0.0, np.inf, Y.c2)
         vals = np.split(backend.copy_values("recourse solve", status, y, Y.c2),
                         np.cumsum([len(v) for _, v in run])[:-1])
     return [(float(np.max(p)), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
@@ -395,6 +212,8 @@ def _block_recourse_values(inst: Instance, run: list) -> list[np.ndarray] | None
 
 # -- the exactness oracle ------------------------------------------------------
 
+_GRID = 7       # grid points per free coupled continuous dim
+
 @dataclass
 class OracleResult:
     value: float
@@ -441,9 +260,9 @@ def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
     admit, completed by _complete_continuous (coupled continuous x pinned or
     gridded, separable x at their least c1 cost), none where X admits no
     completion. Raises OracleError when an integer x has an infinite bound,
-    more than _MAX_LATTICE prefixes are alive at a level of _box_points'
-    search or a completion LP ends neither Optimal nor Infeasible. The C&CG
-    master takes these points as its lattice (ccg.MasterState.solve)."""
+    lattice_points refuses the assignments, or a completion LP ends neither
+    Optimal nor Infeasible. The C&CG master takes these points as its
+    lattice (ccg.MasterState.solve)."""
     X, nx, n_int = inst.X, inst.dim_x, inst.X.n_int
     coupled = coupled_continuous(inst)
     sep = [k for k in range(n_int, nx) if k not in coupled]
@@ -453,7 +272,7 @@ def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
             raise OracleError(f"x[{k}] integer with an infinite bound")
     # rows touching only integer components can prefilter the lattice
     int_rows = ~np.any(X.A[:, n_int:], axis=1)
-    points = _box_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
+    points = lattice_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
     if n_int == nx:     # every row of X has been checked
         return list(points)
     # at most _GRID ** 2 copies of X per lattice point
@@ -506,13 +325,13 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
 def _xfill(inst: Instance, bounds: np.ndarray, cost: np.ndarray,
            unbounded: str) -> tuple[np.ndarray, np.ndarray]:
     """The x of least cost of the first stage between each pair of bounds
-    (lb, ub), and a mask of the Optimal ones, from backend.solve_copies. The
+    (lb, ub), and a mask of the Optimal ones, from backend.solve_run. The
     first copy that ends neither Optimal nor Infeasible raises OracleError,
     with the message unbounded if Unbounded: leaving it out could drop the
     best first stage."""
     X = inst.X
-    status, x = backend.solve_copies("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
-                                     *bounds.transpose(1, 0, 2), cost)
+    status, x = backend.solve_run("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
+                                  *bounds.transpose(1, 0, 2), cost)
     failed = status[~np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE))]
     if failed.size:
         raise OracleError(unbounded if failed[0] == backend.UNBOUNDED

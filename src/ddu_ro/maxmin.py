@@ -2,11 +2,11 @@
 optimality-condition blocks the cutting-plane masters embed.
 
 Each max-min question has one function:
-- enumerate_outer lists the 0/1 points of an outer set whose vertices are
-  all 0/1 (instances._box_points) and solves the inner LP at every one of
-  them in one LP of a copy per point (backend.copies_lp), with no big-M:
-  the inner value is convex in the outer point, so its maximum sits at a
-  vertex;
+- enumerate_outer takes the 0/1 points of an outer set whose vertices are
+  all 0/1 from the one lister (enumeration.binary_vertices) and solves the
+  inner LP at every one of them in one LP of a copy per point
+  (backend.copies_lp), with no big-M: the inner value is convex in the
+  outer point, so its maximum sits at a vertex;
 - check_inner_feasibility, the one feasibility screen, asks whether the
   inner LP is feasible on the whole outer set. enumerate_outer answers
   first, with the worst case besides, where every copy ends Optimal.
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import backend
 from .backend import EQ, GEQ, LEQ, BackendError, LinearModel
-from .instances import OracleError, _box_points
+from .enumeration import binary_vertices
 from .model import (AffineMatrixMap, BasisId, Instance, UncertaintySet, _binary_products,
                     affine_blocks, binary_coupling, max_lp, range_probe)
 
@@ -69,12 +69,8 @@ class MaxMinProblem:
     name: str = "maxmin"
 
     def __post_init__(self):
-        self.A_out = np.asarray(self.A_out, dtype=float)
-        self.b_out = np.asarray(self.b_out, dtype=float)
-        self.c_y = np.asarray(self.c_y, dtype=float)
-        self.B_y = np.asarray(self.B_y, dtype=float)
-        self.B_x = np.asarray(self.B_x, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
+        for name in ("A_out", "b_out", "c_y", "B_y", "B_x", "d"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def n_out(self) -> int:
@@ -339,34 +335,23 @@ class _EnumerationFailed(BackendError):
 
 
 def enumerate_outer(problem: MaxMinProblem) -> MaxMinResult | None:
-    """The largest inner value over the 0/1 points of the outer set and the
-    first point, in instances._box_points' order, that attains it, from one
-    LP ("<name>_enum") of a copy of the inner LP per point (backend.copies_lp).
-
-    That is the max-min where every vertex of the outer set is 0/1: every
-    coordinate is capped at one and either declared integer or the set has
-    integral vertices (has_integral_vertices), and the inner value is convex
-    in the outer point. None off that route, and where _box_points refuses
-    the points (past instances._MAX_LATTICE); BackendError where it finds
-    none, and _EnumerationFailed, "<name>_enum ended <status>", where the
-    LP does not end Optimal."""
-    # an inner LP without columns, sp4's under an all-integer recourse, is
-    # no LP for HiGHS; the KKT MIP takes it
-    if not (problem.B_y.shape[1] > 0 and _outer_is_binary(problem) and (
-            problem.n_int_out == problem.n_out
-            or has_integral_vertices(problem.A_out, problem.b_out))):
-        return None
-    n, name = problem.n_out, problem.name + "_enum"
-    try:
-        points = _box_points(np.zeros(n), np.ones(n), -problem.A_out, -problem.b_out, "z")
-    except OracleError:
+    """The max-min over the points enumeration.binary_vertices lists, every
+    vertex of the outer set (the inner value is convex in the outer point):
+    the largest inner value and the first point attaining it, from one LP
+    ("<name>_enum") of a copy of the inner LP per point (backend.copies_lp).
+    None where it lists none or the inner LP has no columns (sp4's under an
+    all-integer recourse; the KKT MIP takes it); BackendError where the list
+    is empty, _EnumerationFailed where the LP does not end Optimal."""
+    points = None if problem.B_y.shape[1] == 0 else binary_vertices(
+        problem.A_out, problem.b_out, problem.n_int_out)
+    if points is None:
         return None
     if not len(points):
         raise BackendError(f"{problem.name}: the outer set has no 0/1 point "
                            "(nonemptiness violated)")
-    out = backend.solve_lp(backend.copies_lp(name, problem.B_y, GEQ,
-                                             problem.d - points @ problem.B_x.T,
-                                             0.0, np.inf, problem.c_y))
+    name, rhs = problem.name + "_enum", problem.d - points @ problem.B_x.T
+    out = backend.solve_lp(backend.copies_lp(name, problem.B_y, GEQ, rhs, 0.0, np.inf,
+                                             problem.c_y))
     if not out.is_optimal:
         raise _EnumerationFailed(f"{name} ended {out.status}")
     values = out.x.reshape(len(points), -1) @ problem.c_y
@@ -407,35 +392,6 @@ def _product_mip(problem: MaxMinProblem, caps: dict[int, float]) -> MaxMinResult
     if not out.is_optimal:
         raise BackendError(f"{m.name} ended {out.status}")
     return MaxMinResult(value=float(out.objective), outer=out.x[:problem.n_out])
-
-
-def _outer_is_binary(problem: MaxMinProblem) -> bool:
-    # every z_j capped at one by a row a_i >= 0: a_ij > 0, b_i / a_ij <= 1
-    A, b = problem.A_out, problem.b_out
-    pos = (A > 0) & (A >= 0).all(axis=1, keepdims=True)
-    ratio = np.divide(b[:, None], A, out=np.full(A.shape, np.inf), where=pos)
-    return bool((ratio <= 1.0 + 1e-9).any(axis=0).all())
-
-
-def has_interval_rows(A: np.ndarray) -> bool:
-    """Every row is +/- a 0/1 vector whose ones are consecutive.
-
-    Such an interval matrix is totally unimodular, and so is [A | I]
-    (Schrijver, Theory of Linear and Integer Programming, 1986, sec. 19)."""
-    for row in np.atleast_2d(np.asarray(A, dtype=float)):
-        nz = np.flatnonzero(row)
-        if nz.size and (abs(row[nz[0]]) != 1.0 or np.any(row[nz] != row[nz[0]])
-                        or nz[-1] - nz[0] + 1 != nz.size):
-            return False
-    return True
-
-
-def has_integral_vertices(A: np.ndarray, b: np.ndarray) -> bool:
-    """{z >= 0 : A z <= b} has integral vertices because A is an interval
-    matrix and b is integral."""
-    b = np.asarray(b, dtype=float)
-    return has_interval_rows(A) and bool(np.all(
-        np.abs(b - np.round(b)) <= 1e-9 * np.maximum(1.0, np.abs(b))))
 
 
 def audited_dual_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
@@ -543,12 +499,9 @@ def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
     """Lower the cost by epsilon on nonbasic columns whose reduced cost
     vanishes; every alternative optimal vertex then prices out strictly."""
     c = np.asarray(cost_row, dtype=float).copy()
-    rc = np.asarray(reduced_costs, dtype=float)
-    in_basis = set(basis.indices)
-    tol = _ZERO_RC_TOL * max(1.0, float(np.abs(c).max()))
-    for j in range(c.size):
-        if j not in in_basis and abs(rc[j]) <= tol:
-            c[j] -= epsilon
+    free = np.abs(reduced_costs) <= _ZERO_RC_TOL * max(1.0, float(np.abs(c).max()))
+    free[list(basis.indices)] = False
+    c[free] -= epsilon
     return c
 
 

@@ -473,9 +473,7 @@ class SchemaError(Exception):
 
 def _mat_to_dict(A: np.ndarray) -> dict:
     A = np.atleast_2d(A)
-    triplets = [[int(i), int(j), float(A[i, j])]
-                for i in range(A.shape[0]) for j in range(A.shape[1])
-                if A[i, j] != 0.0]
+    triplets = [[int(i), int(j), float(A[i, j])] for i, j in zip(*np.nonzero(A))]
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "triplets": triplets}
 
 
@@ -577,7 +575,7 @@ def _matrix(d, where: str, rows: tuple[int, str] | None = None,
     are each a length the declared count must equal and what has that
     length, such as (2, "d has 2 entries"); both are checked before the
     matrix is allocated, so a file allocates nothing that its own vectors do
-    not bound."""
+    not bound, and a count past the memory (F.base's cols) is refused."""
     _keys(d, where, ("rows", "cols", "triplets"))
     n_rows, n_cols = d["rows"], d["cols"]
     if not (_is_count(n_rows) and _is_count(n_cols)):
@@ -598,7 +596,10 @@ def _matrix(d, where: str, rows: tuple[int, str] | None = None,
         if (i, j) in seen:
             raise SchemaError(f"two triplets at ({i},{j}) at {where}")
         seen.add((i, j))
-    M = np.zeros((n_rows, n_cols))
+    try:
+        M = np.zeros((n_rows, n_cols))
+    except MemoryError:
+        raise SchemaError(f"{name} of {n_rows}x{n_cols} is too large at {where}") from None
     if triplets:
         i, j, v = zip(*triplets)
         M[i, j] = v

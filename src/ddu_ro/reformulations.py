@@ -18,12 +18,12 @@ values are preserved, not approximated.
 """
 
 from dataclasses import dataclass
-import itertools
 
 import numpy as np
 
 from . import backend
 from .backend import GEQ, LinearModel
+from .enumeration import OracleError, lattice_points
 from .model import (AffineMatrixMap, Instance, RecourseSet, UncertaintySet,
                     _is_binary, add_first_stage, add_recourse_rows,
                     add_recourse_vars, affine_blocks, envelope_rows, max_lp)
@@ -51,17 +51,17 @@ class ReformulationOutput:
 
 def _closure_counterexample(F: np.ndarray, h: np.ndarray, caps: np.ndarray,
                             n_int: int):
-    """Search for a feasible u whose copy with some coordinates zeroed leaves
-    {u : F u <= h, 0 <= u <= caps}.
+    """A feasible u whose copy with some coordinates zeroed leaves {u : F u
+    <= h, 0 <= u <= caps}, as (u, masked); None where there is none.
 
-    All-binary sets of dimension <= 15 are checked exhaustively (closure
-    under zeroing one coordinate at a time is equivalent to full downward
-    closedness). Otherwise one LP per row i with a negative entry takes the
-    largest value of row i once those coordinates are zeroed, max sum_j
-    max(F_ij, 0) u_j over the set; the set is open when it exceeds h_i. The
-    LP relaxes integer coordinates, so it may refuse a closed mixed-integer
-    set but never accepts an open one. Returns (u, masked) on failure, None
-    when there is no violation.
+    All-binary sets are checked exhaustively over u = p * caps, p the 0/1
+    vectors that enumeration.lattice_points lists, in lexicographic order
+    (closure under zeroing one coordinate at a time is full downward
+    closedness). Otherwise, and past the lister's cap, one LP per row i
+    with a negative entry takes the largest value of row i once those
+    coordinates are zeroed, max sum_j max(F_ij, 0) u_j over the set; the
+    set is open when it exceeds h_i. The LP relaxes integer coordinates, so
+    it may refuse a closed integer set but never accepts an open one.
     """
     mu, dim = F.shape
     if dim == 0 or mu == 0:
@@ -71,17 +71,17 @@ def _closure_counterexample(F: np.ndarray, h: np.ndarray, caps: np.ndarray,
     def feasible(u: np.ndarray) -> bool:
         return bool(np.all(F @ u <= h + slack))
 
-    if n_int == dim and dim <= 15:
-        for bits in itertools.product((0.0, 1.0), repeat=dim):
-            u = np.array(bits) * caps
-            if not feasible(u):
-                continue
-            for j in range(dim):
-                if u[j] > 0.0:
-                    masked = u.copy()
-                    masked[j] = 0.0
-                    if not feasible(masked):
-                        return u, masked
+    try:
+        points = (lattice_points(np.zeros(dim), np.ones(dim), -F * caps, -h - slack, "u")
+                  if n_int == dim else None)
+    except OracleError:
+        points = None
+    if points is not None:
+        for u in (u for u in points * caps if feasible(u)):
+            masked = (np.where(np.arange(dim) == j, 0.0, u) for j in np.flatnonzero(u > 0.0))
+            bad = next((m for m in masked if not feasible(m)), None)
+            if bad is not None:
+                return u, bad
         return None
 
     A, b = np.vstack([F, np.eye(dim)]), np.concatenate([h, caps])
@@ -205,25 +205,18 @@ def _match_box_rows(U: UncertaintySet, lo: list[int], hi: list[int]) -> None:
     if U.n_rows != 2 * nu:
         raise ValueError(f"expected the 2 * {nu} rows of a two-sided box, "
                          f"got {U.n_rows}")
-    F0 = U.F.base
+    eye_u, eye_x = np.eye(nu), np.eye(U.G.shape[1])
+
+    def rows(sign: float, i: int, k: int) -> list[int]:
+        # the rows sign u_i <= sign x_k
+        return [r for r in range(U.n_rows) if U.h[r] == 0.0
+                and np.array_equal(U.F.base[r], sign * eye_u[i])
+                and np.array_equal(U.G[r], sign * eye_x[k])]
+
     for i in range(nu):
-        up = [r for r in range(U.n_rows)
-              if np.array_equal(F0[r], _unit(nu, i))
-              and np.array_equal(U.G[r], _unit(U.G.shape[1], hi[i]))
-              and U.h[r] == 0.0]
-        dn = [r for r in range(U.n_rows)
-              if np.array_equal(F0[r], -_unit(nu, i))
-              and np.array_equal(U.G[r], -_unit(U.G.shape[1], lo[i]))
-              and U.h[r] == 0.0]
-        if len(up) != 1 or len(dn) != 1:
+        if len(rows(1.0, i, hi[i])) != 1 or len(rows(-1.0, i, lo[i])) != 1:
             raise ValueError(f"u[{i}] lacks the pair x_l[{i}] <= u_{i} <= "
                              f"x_h[{i}] against columns {lo[i]}, {hi[i]}")
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def _crossed_interval(inst: Instance, lo: int, hi: int) -> float:

@@ -98,9 +98,7 @@ def sp3(inst: Instance, x: np.ndarray, u_f: np.ndarray) -> SubproblemReport:
     Farkas LP max{r' g : B2' g <= 0, g >= 0, 1' g <= 1}, r = d - B1 x - E u_f.
     By Farkas' lemma {y >= 0 : B2 y >= r} is empty exactly when its value is
     positive (Schrijver, Theory of Linear and Integer Programming, 1986)."""
-    x = np.asarray(x, dtype=float)
-    u_f = np.asarray(u_f, dtype=float)
-    Y = inst.Y
+    x, u_f, Y = np.asarray(x, dtype=float), np.asarray(u_f, dtype=float), inst.Y
     rhs_eff = Y.d - Y.B1 @ x - Y.E @ u_f
     lp = max_lp(Y.B2.T, np.zeros(Y.dim), rhs_eff, "sp3")
     lp.add_rows([(range(Y.n_rows), np.ones((1, Y.n_rows)))], LEQ, [1.0])
@@ -163,10 +161,8 @@ def sp2_pareto_lp(inst: Instance, x0: np.ndarray, u_ref: np.ndarray,
     """Pick, among the duals as good as pi* for the cut at x*, one that is
     strongest at the core point (x0, u_ref). When the LP does not end
     Optimal the report has no pi, and the caller keeps the original seed."""
-    x0 = np.asarray(x0, dtype=float)
-    u_ref = np.asarray(u_ref, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    u_star = np.asarray(u_star, dtype=float)
+    x0, u_ref, x_star, u_star = (np.asarray(a, dtype=float)
+                                 for a in (x0, u_ref, x_star, u_star))
     Y = inst.Y
     m_rows = Y.n_rows
     core = Y.d - Y.B1 @ x0 - Y.E @ u_ref

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg, instances, maxmin
+from ddu_ro import backend, ccg, enumeration, instances, maxmin
 from ddu_ro.backend import GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
@@ -346,13 +346,13 @@ def test_the_master_route_follows_the_structure(make, config, route):
 
 def test_a_lattice_over_the_point_limit_keeps_the_mip_masters(monkeypatch):
     # uk5 has ten first stages (3 of 5 sites), ten prefixes alive at the
-    # last level of instances._box_points; an enumeration cap one below
+    # last level of enumeration.lattice_points; an enumeration cap one below
     # refuses the lattice (OracleError) and keeps every master a MIP, with
     # the same outcome. A cap of one refuses U(x)'s 0/1 points as well, so
     # sp1 and sp2 take the KKT MIPs
     outcomes, real = [], backend.solve_mip
     for limit, route in ((10, "masters_lattice"), (9, "masters_mip"), (1, "masters_mip")):
-        monkeypatch.setattr(instances, "_MAX_LATTICE", limit)
+        monkeypatch.setattr(enumeration, "_MAX_LATTICE", limit)
         inst, names = _TRAJECTORY_INSTANCES["uk5"][0](), []
         monkeypatch.setattr(backend, "solve_mip",
                             lambda model, **kw: names.append(model.name) or real(model, **kw))
@@ -1789,7 +1789,7 @@ def test_a_failed_maxmin_mip_raises_naming_it(monkeypatch, route, solve):
     # enumeration LP takes; with integral vertices denied, the KKT MIP
     # answers instead
     if route == "_kkt":
-        monkeypatch.setattr(maxmin, "has_integral_vertices", lambda A, b: False)
+        monkeypatch.setattr(enumeration, "has_integral_vertices", lambda A, b: False)
     real = getattr(backend, solve)
     name = f"T1_wc{route}"
 

@@ -213,19 +213,25 @@ def _drop(d, *path):
     (lambda d: d.update(metadata={"ddu_sets": [
         {**d["U"], "G": {"rows": 1, "cols": 2, "triplets": []}}]}),
      "x has 1 entries, G has 2 columns at $.metadata.ddu_sets[0].G"),
+    # U's dimension is bounded by no vector; 10^15 columns pass any address
+    # space, so numpy refuses them on every host
+    (lambda d: d["U"]["F"]["base"].update(cols=10**15),
+     "base of 1x1000000000000000 is too large at $.U.F.base"),
 ], ids=["U-without-F", "matrix-without-rows", "two-entry-triplet", "no-c1",
         "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F",
         "surrogates-an-object", "n_int_u-beyond-dim", "n_int_y-beyond-dim",
         "n_int-a-list", "n_int-a-fraction", "n_int_u-a-bool", "triplet-value-a-bool",
         "metadata-a-list", "nan-in-F", "triplets-a-number", "terms-a-number",
-        "B2-beyond-its-vectors", "term-wider-than-base", "surrogate-G-too-wide"])
+        "B2-beyond-its-vectors", "term-wider-than-base", "surrogate-G-too-wide",
+        "F.base-past-the-memory"])
 def test_malformed_instance_file_is_a_one_line_error(break_file, names, tmp_path,
                                                       capsys):
     # each of these once ended in a traceback (n_int_y beyond its dimension
     # only after sp1 had started solving, a 10^7 x 10^7 B2 in numpy's
-    # allocation error), was refused without a $ path (a term wider than
-    # F.base), or was solved as some other file: n_int 1.7 as 1, a bool as
-    # 1, NaN in F as it came and a surrogate set over another x
+    # allocation error, as was F.base with 10^15 columns), was refused
+    # without a $ path (a term wider than F.base), or was solved as some
+    # other file: n_int 1.7 as 1, a bool as 1, NaN in F as it came and a
+    # surrogate set over another x
     d = instance_to_dict(t1())
     break_file(d)
     path = tmp_path / "bad.json"

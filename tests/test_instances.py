@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddu_ro import backend, instances
+from ddu_ro import backend, enumeration, instances
 from ddu_ro.backend import GEQ, LinearModel, SolveOutcome
 from ddu_ro import (
     FLParams,
@@ -463,10 +463,10 @@ def test_oracle_refuses_oversized_enumerations(monkeypatch):
                     Y=RecourseSet(B1=[[0.0]], B2=[[1.0]], E=[[-1.0, 0.0, 0.0]], d=[0.0],
                                   c2=[1.0]))
     assert len(enumerate_vertices(U, [0.0])) == 4
-    monkeypatch.setattr(instances, "_MAX_VERTICES", 7)
+    monkeypatch.setattr(enumeration, "_MAX_VERTICES", 7)
     with pytest.raises(OracleError, match="more than 7 vertices"):
         oracle_exact(inst)
-    monkeypatch.setattr(instances, "_MAX_VERTICES", 8)
+    monkeypatch.setattr(enumeration, "_MAX_VERTICES", 8)
     assert oracle_exact(inst).value == pytest.approx(0.5)
 
 
@@ -519,7 +519,7 @@ def test_oracle_refuses_mixed_integer_uncertainty():
 # -- the integer points of a box against itertools.product --------------------
 
 def _box_points_by_product(lo, hi, G, g):
-    """Reference for instances._box_points: every point of the box, in
+    """Reference for enumeration.lattice_points: every point of the box, in
     itertools.product order, then the filter by the rows."""
     ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
     pts = list(itertools.product(*ranges))
@@ -529,7 +529,8 @@ def _box_points_by_product(lo, hi, G, g):
 
 def _assert_box_points_match(lo, hi, G, g):
     G, g = np.asarray(G, dtype=float).reshape(len(g), len(lo)), np.asarray(g, dtype=float)
-    got, ref = instances._box_points(lo, hi, G, g, "x"), _box_points_by_product(lo, hi, G, g)
+    got = enumeration.lattice_points(lo, hi, G, g, "x")
+    ref = _box_points_by_product(lo, hi, G, g)
     assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
     assert got.tobytes() == ref.tobytes()
 
@@ -580,7 +581,7 @@ def _binary_first_stage(n: int, sum_to: int | None) -> Instance:
 
 def test_a_lattice_over_the_cap_is_refused():
     # 15 free binaries admit 32768 points
-    with pytest.raises(OracleError, match=f"integer x lattice exceeds {instances._MAX_LATTICE}"):
+    with pytest.raises(OracleError, match=f"integer x lattice exceeds {enumeration._MAX_LATTICE}"):
         lattice_first_stages(_binary_first_stage(15, None))
 
 
@@ -642,7 +643,7 @@ def _vertices_by_every_basis(U, x):
         mats = A[:, sub[ok]].transpose(1, 0, 2)      # (nonsingular bases, mu, mu)
         b_batch = np.broadcast_to(rhs_s[:, None], (int(ok.sum()), mu, 1)).copy()
         sols = np.linalg.solve(mats, b_batch)[:, :, 0]
-        feas = np.all(sols >= -instances._DEDUP_TOL * np.maximum(1.0, np.abs(rhs_s).max()),
+        feas = np.all(sols >= -enumeration._DEDUP_TOL * np.maximum(1.0, np.abs(rhs_s).max()),
                       axis=1)
         # guard against ill-conditioned near-singular systems
         resid = np.einsum("bij,bj->bi", mats, sols) - rhs_s
@@ -651,12 +652,12 @@ def _vertices_by_every_basis(U, x):
             u = np.zeros(n)
             struct = cols < n
             u[cols[struct]] = np.maximum(z[struct], 0.0)
-            key = tuple(np.round(u / instances._DEDUP_TOL).astype(np.int64))
+            key = tuple(np.round(u / enumeration._DEDUP_TOL).astype(np.int64))
             if key not in seen:
                 seen.add(key)
                 verts.append(u)
-                if len(verts) > instances._MAX_VERTICES:
-                    raise OracleError(f"more than {instances._MAX_VERTICES} vertices")
+                if len(verts) > enumeration._MAX_VERTICES:
+                    raise OracleError(f"more than {enumeration._MAX_VERTICES} vertices")
     if not verts:
         raise OracleError("U(x) is empty at the probed x (nonemptiness violated)")
     return np.array(verts)
@@ -674,7 +675,7 @@ def _same_vertices(got, ref):
 def _cone_rays_joining_every_row(Fx, rhs):
     """Reference for _cone_rays: the double description as it was before
     rows without a pair to join took a shorter path and equalities counted
-    once in the |Z| screen. Every row goes through instances._adjacent_pairs
+    once in the |Z| screen. Every row goes through enumeration._adjacent_pairs
     with the screen at dim u - 1, and through vstack."""
     n = Fx.shape[1]
     rows = np.hstack([-Fx, rhs[:, None]])
@@ -683,16 +684,16 @@ def _cone_rays_joining_every_row(Fx, rhs):
     rays, tight = np.eye(n + 1), ~np.eye(n + 1, dtype=bool)
     for a in rows:
         v = rays @ a
-        on = np.abs(v) <= instances._DEDUP_TOL * (rays @ np.abs(a))
+        on = np.abs(v) <= enumeration._DEDUP_TOL * (rays @ np.abs(a))
         out = (v < 0.0) & ~on
-        p, q = instances._adjacent_pairs(tight, np.flatnonzero((v > 0.0) & ~on),
-                                         np.flatnonzero(out), n - 1)
+        p, q = enumeration._adjacent_pairs(tight, np.flatnonzero((v > 0.0) & ~on),
+                                           np.flatnonzero(out), n - 1)
         joined = v[p, None] * rays[q] - v[q, None] * rays[p]
         rays = np.vstack([rays[~out], joined / joined.max(axis=1, keepdims=True)])
         tight = np.vstack([np.column_stack([tight[~out], on[~out]]),
                            np.column_stack([tight[p] & tight[q], np.ones(len(p), dtype=bool)])])
-        if len(rays) > instances._MAX_VERTICES:
-            raise OracleError(f"more than {instances._MAX_VERTICES} vertices")
+        if len(rays) > enumeration._MAX_VERTICES:
+            raise OracleError(f"more than {enumeration._MAX_VERTICES} vertices")
     return rays
 
 
@@ -701,10 +702,10 @@ def _assert_vertices(U, x):
     enumerate_vertices(U, x) holds the sweep's vertices, in descending
     lexicographic order of their de-duplication keys, the entries in units
     of _DEDUP_TOL times the largest."""
-    assert np.array_equal(instances._cone_rays(*U.at(x)), _cone_rays_joining_every_row(*U.at(x)))
+    assert np.array_equal(enumeration._cone_rays(*U.at(x)), _cone_rays_joining_every_row(*U.at(x)))
     got = enumerate_vertices(U, x)
     assert _same_vertices(got, _vertices_by_every_basis(U, x))
-    keys = np.round(got / (instances._DEDUP_TOL * (np.abs(got).max() or 1.0)))
+    keys = np.round(got / (enumeration._DEDUP_TOL * (np.abs(got).max() or 1.0)))
     for later, earlier in zip(keys[1:], keys):
         first = np.flatnonzero(later != earlier)[0]
         assert later[first] < earlier[first]
@@ -786,14 +787,14 @@ def test_first_rows_match_numpy_unique_over_rows(seed):
     keys = pool[rng.integers(len(pool), size=int(rng.integers(0, 50)))]
     for a in (keys, np.asfortranarray(keys)):
         ref = np.sort(np.unique(a, axis=0, return_index=True)[1])
-        assert np.array_equal(instances._first_rows(a), ref)
+        assert np.array_equal(enumeration._first_rows(a), ref)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
 def test_first_rows_of_empty_keys_match_numpy_unique(shape):
     keys = np.zeros(shape, dtype=np.int64)
     ref = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    assert np.array_equal(instances._first_rows(keys), ref)
+    assert np.array_equal(enumeration._first_rows(keys), ref)
 
 
 def test_vertex_enumeration_limits_and_empty_sets(monkeypatch):
@@ -806,7 +807,7 @@ def test_vertex_enumeration_limits_and_empty_sets(monkeypatch):
                           G=np.zeros((1, 1)), h=[1.0])
     assert np.array_equal(enumerate_vertices(tiny, [0.0]),
                           [[1e-13, 0.0], [0.0, 1e-13], [0.0, 0.0]])
-    monkeypatch.setattr(instances, "_MAX_VERTICES", 1)
+    monkeypatch.setattr(enumeration, "_MAX_VERTICES", 1)
     with pytest.raises(OracleError, match="more than"):
         enumerate_vertices(t1().U, [0.0])
 
@@ -838,7 +839,7 @@ def test_six_site_fl_rhs_enumerates_and_seven_sites_refuse_at_the_ray_cap(sites,
     inst = gen_robust_fl(FLParams(n_sites=sites, seed=0), "rhs")
     x = np.r_[np.ones(sites), np.full(sites, 1e3)]
     if count is None:
-        with pytest.raises(OracleError, match=f"more than {instances._MAX_VERTICES}"):
+        with pytest.raises(OracleError, match=f"more than {enumeration._MAX_VERTICES}"):
             enumerate_vertices(inst.U, x)
     else:
         assert len(enumerate_vertices(inst.U, x)) == count

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddu_ro import backend, instances, maxmin, t1
+from ddu_ro import backend, enumeration, maxmin, t1
 from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveOutcome, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_mip_recourse_fl, gen_reliable_pmedian,
@@ -16,8 +16,6 @@ from ddu_ro.maxmin import (
     build_optimality_block,
     check_inner_feasibility,
     ensure_unique_optimum,
-    has_integral_vertices,
-    has_interval_rows,
     has_network_columns,
     lp_parametric,
     maxmin_from_instance,
@@ -25,6 +23,7 @@ from ddu_ro.maxmin import (
     solve_maxmin_dual,
     solve_maxmin_kkt,
 )
+from ddu_ro.enumeration import has_integral_vertices, has_interval_rows
 from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
                           add_first_stage, build_deterministic_mip, uncertainty_set_from_dict)
 from ddu_ro.subproblems import sp1, sp2
@@ -491,7 +490,8 @@ def test_outer_is_binary_matches_the_loop(A, b):
     else:
         problem = MaxMinProblem(A_out=A, b_out=b, c_y=[1.0], B_y=[[1.0]],
                                 B_x=np.zeros((1, np.shape(A)[1])), d=[0.0])
-    assert maxmin._outer_is_binary(problem) == _outer_is_binary_by_loop(problem)
+    assert (enumeration._outer_is_binary(problem.A_out, problem.b_out)
+            == _outer_is_binary_by_loop(problem))
 
 
 def test_integral_vertex_check_accepts_ddu_uk_at_binary_x():
@@ -558,7 +558,7 @@ def test_enumeration_and_kkt_routes_agree_on_pmedian(monkeypatch, mip_names, mak
         assert mip_names == []
     for x, r in zip(xs, enumerated):
         assert recourse_value(inst, x, r.u)[0] == pytest.approx(r.value, rel=1e-9)
-    monkeypatch.setattr(maxmin, "_outer_is_binary", lambda problem: False)
+    monkeypatch.setattr(enumeration, "_outer_is_binary", lambda A, b: False)
     for x, r in zip(xs, enumerated):
         mip_names.clear()
         assert sp2(inst, x).value == pytest.approx(r.value, rel=1e-6)
@@ -566,13 +566,13 @@ def test_enumeration_and_kkt_routes_agree_on_pmedian(monkeypatch, mip_names, mak
 
 
 def test_beyond_the_lattice_cap_the_kkt_route_answers(monkeypatch, mip_names):
-    # with fewer prefixes allowed than U(x) has 0/1 points, _box_points
+    # with fewer prefixes allowed than U(x) has 0/1 points, lattice_points
     # raises OracleError and the KKT MIP answers with the same value
     inst = _pm_uk(6)
     x = _open_sites(inst, (0, 2, 4))
     enumerated = sp2(inst, x)
     assert mip_names == []
-    monkeypatch.setattr(instances, "_MAX_LATTICE", 1)
+    monkeypatch.setattr(enumeration, "_MAX_LATTICE", 1)
     assert sp2(inst, x).value == pytest.approx(enumerated.value, rel=1e-6)
     assert mip_names == [inst.name + "_wc_kkt"]
 

@@ -1,17 +1,18 @@
 """Value preservation and shape policing for the three structural rewrites."""
 
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from ddu_ro import backend
+from ddu_ro import backend, enumeration
 from ddu_ro.instances import (enumerate_vertices, oracle_exact, recourse_value,
                               worst_case_values)
 from ddu_ro.model import (AffineMatrixMap, FirstStageSet, Instance,
                           RecourseSet, UncertaintySet)
-from ddu_ro.reformulations import neutralize, normalize, order_switch
+from ddu_ro.reformulations import _closure_counterexample, neutralize, normalize, order_switch
 
 
 def _interdiction() -> Instance:
@@ -238,6 +239,47 @@ def test_neutralize_rejects_a_thin_violation_of_closure():
     inst = _thin_closure(1.0)
     assert oracle_exact(inst).value == pytest.approx(1.0)
     assert oracle_exact(neutralize(inst).instance).value == pytest.approx(1.0)
+
+
+def _closure_counterexample_by_loop(F, h, caps):
+    # the loop over every bit vector that lattice_points replaced, for an
+    # all-binary set: the first feasible u = bits * caps, in
+    # itertools.product order, whose copy with one coordinate zeroed leaves
+    slack = 1e-9 * max(1.0, float(np.abs(h).max()))
+    for bits in itertools.product((0.0, 1.0), repeat=F.shape[1]):
+        u = np.array(bits) * caps
+        if np.all(F @ u <= h + slack):
+            for j in np.flatnonzero(u > 0.0):
+                masked = u.copy()
+                masked[j] = 0.0
+                if not np.all(F @ masked <= h + slack):
+                    return u, masked
+    return None
+
+
+def test_closure_check_matches_the_exhaustive_loop(monkeypatch):
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(300):
+        dim = int(rng.integers(1, 9))
+        F = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), dim)).astype(float)
+        h = rng.integers(-1, 4, size=len(F)).astype(float)
+        caps = rng.choice([0.5, 1.0, 1.0, 2.0], size=dim)
+        got = _closure_counterexample(F, h, caps, dim)
+        ref = _closure_counterexample_by_loop(F, h, caps)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        outcomes.add(ref is None)
+    assert outcomes == {True, False}
+    # u2 <= u1 and u1 + u2 <= 1: closed over its 0/1 points, (0, 0) and
+    # (1, 0); past the lattice cap the LP branch relaxes them and refuses
+    # it at (1/2, 1/2)
+    F, h = np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([1.0, 0.0])
+    assert _closure_counterexample(F, h, np.ones(2), 2) is None
+    monkeypatch.setattr(enumeration, "_MAX_LATTICE", 1)
+    u, masked = _closure_counterexample(F, h, np.ones(2), 2)
+    assert u == pytest.approx([0.5, 0.5]) and masked == pytest.approx([0.0, 0.5])
 
 
 def test_neutralize_rejects_malformed_shapes():

@@ -41,7 +41,7 @@ def short_supply() -> Instance:
     a unit and is capped by 2 y <= 1 + 6 x, whose 2 keeps B2 off the
     network matrices. At x = 0 the 0/1 points (0, 1), (1, 0) and (1, 1) have
     no recourse, short by 1/2, 3/2 and 5/2, so the feasibility check's
-    witness is (1, 1), the last of them in instances._box_points' order. At
+    witness is (1, 1), the last of them in enumeration.lattice_points' order. At
     x = 1 every point is served, the worst case (1, 1) at cost 3."""
     return Instance(
         name="short_supply", c1=[0.5],
