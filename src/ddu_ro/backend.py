@@ -1,23 +1,26 @@
 """Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
 of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
 (vars and constrs are read-only views of them), HiGHS solves (solve_lp and
-solve_mip), K copies of an LP in runs of LPs over copies (solve_copies,
-solve_run) with the value of each copy (copy_values) and big-M
+solve_mip), K copies of an LP in runs of LPs over copies (solve_copies)
+with the value of each copy (copy_values) and big-M
 complementarity linearization.
 
-How a model reaches HiGHS. solve_lp passes <= and = CSR blocks to linprog,
-solve_mip lo <= A x <= hi to milp. Both are this module's, not scipy's: each
-hands _highs the CSC matrix and options that scipy's function of its name
-would, and _highs solves them on one fresh _Highs of scipy's bundled binding
-(setOptionValue, the array form of passModel, run, getSolution; no basis, no
-duals), so every input and answer is byte-identical to scipy's, without the
-fifth of a pm_uk8 pass that scipy's wrapper took. They keep scipy's names,
-keywords and result fields because every solve meets HiGHS there: tests
-replace them or hash their arguments, and perfbench/tracing.py times them.
-scipy's checks stay: non-finite c, A or b raises ValueError; an Optimal LP
-whose x misses a bound or a row by more than 10 sqrt(1e-9) is code 4; a
-limit is code 1, a model HiGHS refuses 2 and an unlisted status 4; a MIP at
-a limit keeps x unless its objective is +inf; a rejected option warns.
+How a model reaches HiGHS. highs_arrays reads a model's row chunks into
+passModel's arrays (HighsArrays): c, A in CSC with rows ascending in each
+column, lhs <= A x <= rhs, column bounds and integrality; an LP's <= rows,
+>= rows negated, come before its = rows. solve_lp hands them to linprog,
+solve_mip to milp, both this module's: each adds the options scipy's
+function of its name would, and _highs solves them on one fresh _Highs of
+scipy's bundled binding (setOptionValue, the array form of passModel, run,
+getSolution; no basis, no duals), so every input and answer is
+byte-identical to scipy's on the same model, with no scipy sparse array in
+between. They keep scipy's names, options and result fields because every
+solve meets HiGHS there: tests replace them or hash their arrays, and
+perfbench/tracing.py times them. scipy's checks stay: a non-finite c, or an
+LP's A or rhs, raises ValueError; an Optimal LP whose x misses a bound or a
+row by more than 10 sqrt(1e-9) is code 4; a limit is code 1, a model HiGHS
+refuses 2 and an unlisted status 4; a MIP at a limit keeps x unless its
+objective is +inf; a rejected option warns.
 Import fails with an ImportError naming scipy 1.17 (HiGHS 1.12), the tested
 series, when _Highs lacks a method _highs calls.
 
@@ -71,9 +74,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning
+from scipy.optimize import OptimizeWarning
 from scipy.optimize._highspy import _core
-from scipy.sparse import coo_array, csc_array, csr_array, issparse, vstack
+from scipy.sparse import coo_array, csr_array, issparse
 
 # Per-solve statuses. A solve that hits the wall clock raises SolveTimeLimit
 # instead of reporting TIME_LIMIT.
@@ -235,8 +238,14 @@ class LinearModel:
         col = ids_all[pos]
         if np.unique(ids_all).size < ids_all.size:
             row, col, val = _sum_repeats(row, col, val)
-        self._chunks.append((np.bincount(row, minlength=m), col, val,
-                             np.full(m, senses, dtype=_ROW_DTYPES[3]), rhs))
+        return self._append_rows(np.bincount(row, minlength=m), col, val, senses, rhs)
+
+    def _append_rows(self, counts, cols, vals, senses, rhs: np.ndarray) -> list[int]:
+        """Append one row chunk (_ROW_DTYPES) as it is: counts nonzeros per
+        row, their column ids and values row by row, no zeros and no column
+        twice in a row; senses one or one per row."""
+        m = rhs.size
+        self._chunks.append((counts, cols, vals, np.full(m, senses, dtype=_ROW_DTYPES[3]), rhs))
         self._m += m
         return list(range(self._m - m, self._m))
 
@@ -328,25 +337,36 @@ class SolveOutcome:
         return self.status == OPTIMAL
 
 
-def _assemble_lp(model: LinearModel):
-    """The objective, the <= and = CSR blocks of linprog, each as (block,
-    rhs) with (None, None) for an empty block, and the variable bounds. A >=
-    row enters the <= block negated. The rows are sliced apart only when
-    the model has both = rows and others; else one block takes every row."""
+# min c'x s.t. lhs <= A x <= rhs, lb <= x <= ub, x_j integer where
+# integrality_j is 1, as passModel reads it (module docstring)
+HighsArrays = namedtuple("HighsArrays", "c indptr indices data lhs rhs lb ub integrality")
+
+
+def highs_arrays(model: LinearModel, mip: bool = False) -> HighsArrays:
+    """The model's HiGHS arrays from its row chunks, c negated for a max:
+    an LP's (mip False) <= and negated >= rows, then = rows, each kind in
+    model order, no integer column; a MIP's rows in order."""
     c = model.objective_vector()
     if model.sense == "max":
         c = -c
-    A, senses, rhs = model.sparse()
-    sign = np.where(senses == GEQ, -1.0, 1.0)
-    A.data *= np.repeat(sign, np.diff(A.indptr))
-    eq = senses == EQ
-    if eq.any() and not eq.all():
-        blocks = [(A[rows], sign[rows] * rhs[rows]) for rows in map(np.flatnonzero, (~eq, eq))]
+    counts, cols, vals, senses, rhs = map(np.concatenate, zip(*model._chunks))
+    rows = np.repeat(np.arange(rhs.size), counts)
+    lb, ub, integer = model.columns()
+    if mip:
+        lhs, rhs = np.where(senses == LEQ, -np.inf, rhs), np.where(senses == GEQ, np.inf, rhs)
     else:
-        blocks = [(None, None)] * 2
-        if len(rhs):
-            blocks[int(eq[0])] = (A, sign * rhs)
-    return c, blocks, np.column_stack(model.columns()[:2])
+        sign = np.where(senses == GEQ, -1.0, 1.0)
+        eq = senses == EQ
+        order = np.argsort(eq, kind="stable")
+        rows = np.argsort(order)[rows]
+        vals, rhs = vals * np.repeat(sign, counts), (sign * rhs)[order]
+        lhs = np.where(eq[order], rhs, -np.inf)
+        integer = np.zeros_like(integer)
+    entries = np.argsort(cols * max(1, rhs.size) + rows, kind="stable")
+    indptr = np.zeros(c.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=c.size), out=indptr[1:])
+    return HighsArrays(c, indptr, rows[entries].astype(np.int32), vals[entries], lhs, rhs,
+                       lb, ub, integer.astype(np.int32))
 
 
 def _with_time_left(model: LinearModel, options: dict) -> dict:
@@ -384,24 +404,21 @@ _Result = namedtuple("_Result", "status x fun mip_node_count mip_dual_bound mip_
                      defaults=(None,) * 5)
 
 
-def _highs(c, A, lhs, rhs, lb, ub, integrality, options) -> tuple[_Result, np.ndarray]:
-    """min c'x s.t. lhs <= A x <= rhs, lb <= x <= ub, x_j integer where
-    integrality_j is 1, A in CSC, by one fresh HiGHS model, read as scipy's
-    _highs_wrapper reads it: the result and the row activities, with x only
-    for an Optimal solution or a MIP's incumbent (objective not +inf) at a
-    limit."""
+def _highs(a: HighsArrays, options: dict) -> tuple[_Result, np.ndarray]:
+    """Solve a by one fresh HiGHS model, read as scipy's _highs_wrapper
+    reads it: the result and the row activities, with x only for an Optimal
+    solution or a MIP's incumbent (objective not +inf) at a limit."""
     h = _Highs()
     for key, value in options.items():
         if h.setOptionValue(key, value) == _ERROR:
             warnings.warn(f"HiGHS rejected the option {key}={value!r}", OptimizeWarning,
                           stacklevel=3)
-    if h.passModel(c.size, rhs.size, A.nnz, 1, 1, 0.0, c, lb, ub, lhs, rhs,
-                   A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
-                   integrality) == _ERROR:
+    if h.passModel(a.c.size, a.rhs.size, a.data.size, 1, 1, 0.0, a.c, a.lb, a.ub, a.lhs, a.rhs,
+                   a.indptr, a.indices, a.data, a.integrality) == _ERROR:
         return _Result(2), None                         # kModelError
     if h.run() == _ERROR:
         return _Result(_CODES.get(h.getModelStatus(), 4)), None
-    status, info, mip = h.getModelStatus(), h.getInfo(), bool(integrality.any())
+    status, info, mip = h.getModelStatus(), h.getInfo(), bool(a.integrality.any())
     code = _CODES.get(status, 4)
     if not (status == _MS.kOptimal or mip and info.objective_function_value != np.inf
             and status in (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)):
@@ -412,44 +429,28 @@ def _highs(c, A, lhs, rhs, lb, ub, integrality, options) -> tuple[_Result, np.nd
             np.array(solution.row_value))
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, np.inf),
-            method="highs", options=None) -> _Result:
-    """scipy.optimize.linprog(method="highs") on the arguments solve_lp
-    passes, with its input and result checks (module docstring)."""
-    c = np.asarray(c, dtype=float)
-    b_ub, b_eq = (np.zeros(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
-    blocks = [a for a in (A_ub, A_eq) if a is not None]
-    A = csc_array(vstack(blocks) if len(blocks) > 1 else blocks[0] if blocks else (0, c.size))
-    if not (c.size and np.isfinite(np.concatenate([c, b_ub, b_eq, A.data])).all()):
-        raise ValueError("linprog: c, A_ub, b_ub, A_eq and b_eq must be finite, c not empty")
-    lb, ub = np.broadcast_to(np.asarray(bounds, dtype=float), (c.size, 2)).T.copy()
+def linprog(lp: HighsArrays, options=None) -> _Result:
+    """scipy.optimize.linprog(method="highs") on an LP of highs_arrays, with
+    its input and result checks (module docstring); options as linprog's,
+    presolve a bool."""
+    if not (lp.c.size and np.isfinite(np.concatenate([lp.c, lp.rhs, lp.data])).all()):
+        raise ValueError("linprog: c, A and the row bounds must be finite, c not empty")
     options = dict(options or {})
     presolve = "on" if options.pop("presolve", True) else "off"
-    res, row = _highs(c, A, np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
-                      np.concatenate([b_ub, b_eq]), lb, ub, np.zeros(c.size, dtype=np.int32),
-                      {**_LP_OPTIONS, "presolve": presolve, **options})
-    tol, m = 10 * np.sqrt(1e-9), b_ub.size
+    res, row = _highs(lp, {**_LP_OPTIONS, "presolve": presolve, **options})
+    tol = 10 * np.sqrt(1e-9)
     if res.x is not None and (np.isnan(res.fun) or not (
-            np.all((res.x >= lb - tol) & (res.x <= ub + tol)) and np.all(b_ub - row[:m] >= -tol)
-            and np.all(np.abs(b_eq - row[m:]) <= tol))):
+            np.all((res.x >= lp.lb - tol) & (res.x <= lp.ub + tol))
+            and np.all(lp.rhs - row >= -tol) and np.all(row - lp.lhs >= -tol))):
         res = res._replace(status=4)
     return res
 
 
-def milp(c, *, integrality=None, bounds=Bounds(0, np.inf), constraints=None,
-         options=None) -> _Result:
-    """scipy.optimize.milp on the arguments solve_mip passes (constraints one
-    LinearConstraint or ()), with its check of c."""
-    c = np.asarray(c, dtype=float)
-    if not (c.size and np.isfinite(c).all()):
+def milp(mip: HighsArrays, options=None) -> _Result:
+    """scipy.optimize.milp on a MIP of highs_arrays, with its check of c."""
+    if not (mip.c.size and np.isfinite(mip.c).all()):
         raise ValueError("milp: c must be finite, not empty")
-    A, lhs, rhs = ((constraints.A, constraints.lb, constraints.ub) if constraints
-                   else ((0, c.size), (), ()))
-    lb, ub = (np.broadcast_to(b, c.shape).astype(float) for b in (bounds.lb, bounds.ub))
-    integrality = np.broadcast_to(0 if integrality is None else integrality, c.shape)
-    return _highs(c, csc_array(A), np.array(lhs, dtype=float), np.array(rhs, dtype=float),
-                  lb, ub, integrality.astype(np.int32),
-                  {"log_to_console": False, **(options or {})})[0]
+    return _highs(mip, {"log_to_console": False, **(options or {})})[0]
 
 
 # linprog's and milp's status codes
@@ -467,10 +468,7 @@ def _status(model: LinearModel, code: int) -> str:
 
 def solve_lp(model: LinearModel) -> SolveOutcome:
     """Solve ignoring integrality."""
-    c, ((a_ub, b_ub), (a_eq, b_eq)), bounds = _assemble_lp(model)
-    options = _with_time_left(model, {"presolve": True})
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs", options=options)
+    res = linprog(highs_arrays(model), options=_with_time_left(model, {"presolve": True}))
     status = _status(model, res.status)
     if status != OPTIMAL:
         return SolveOutcome(status=status)
@@ -481,10 +479,11 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
 # -- block LPs over copies -----------------------------------------------------
 
 # the most matrix entries of one LP over copies (the model is built in
-# Python, so this bounds its memory): solve_copies' runs count nonzeros of
-# A. worst_case_values and lattice_first_stages form runs of their own, of
-# B2's entries over (x, vertex) pairs (and the vertex entries its memo of
-# U(x) keeps) and of X.A's over grid copies, for solve_run, and
+# Python, so this bounds its memory): solve_copies cuts the copies into
+# runs of at most this many nonzeros of A. worst_case_values and
+# lattice_first_stages first form runs of their own, of B2's entries over
+# (x, vertex) pairs (and the vertex entries its memo of U(x) keeps) and of
+# X.A's over grid copies, and solve_copies cuts an x that alone exceeds it;
 # ccg._lattice_relaxation refuses the copies past it (the MIP was faster)
 _BLOCK_ENTRIES = 1e5
 
@@ -512,16 +511,20 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
     (K, m), n = np.shape(rhs), A.shape[1]
     lb, ub, cost = (np.broadcast_to(a, (K, n)).ravel() for a in (lb, ub, cost))
     lp = LinearModel(name=name)
-    ids = lp.add_vars(K * n, lb, ub)
-    # I_K (x) A in canonical CSR, which add_rows reads as it is; a third of
-    # the time of scipy's kron at pm_uk8's sizes
-    A = csr_array(A, copy=True)
-    A.sum_duplicates()
-    shift = np.arange(K)[:, None]
-    rows = csr_array((np.tile(A.data, K), (A.indices + n * shift).ravel(),
-                      np.r_[0, (A.indptr[1:] + A.nnz * shift).ravel()]), shape=(K * m, K * n))
-    lp.add_rows([(ids, rows)], senses if np.ndim(senses) == 0 else np.tile(senses, K),
-                np.ravel(rhs))
+    lp.add_vars(K * n, lb, ub)
+    # I_K (x) A as one row chunk: A's entries row by row, columns ascending,
+    # exact zeros dropped after summing repeats, as add_rows would hold them
+    if issparse(A):
+        A = csr_array(A, copy=True)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        counts, cols, vals = np.diff(A.indptr), A.indices, A.data
+    else:
+        rows, cols = np.nonzero(A)
+        counts, vals = np.bincount(rows, minlength=m), np.asarray(A, dtype=float)[rows, cols]
+    lp._append_rows(np.tile(counts.astype(np.int64), K),
+                    (cols + n * np.arange(K)[:, None]).ravel(), np.tile(vals, K),
+                    np.tile(np.broadcast_to(senses, (m,)), K), np.array(rhs, dtype=float).ravel())
     nz = np.flatnonzero(cost)
     lp.set_objective(dict(zip(nz.tolist(), cost[nz].tolist())))
     return lp
@@ -529,21 +532,20 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
 
 def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """solve_run's (status, x) of the copies, in runs of at most _BLOCK_ENTRIES nonzeros of A."""
+    """_solve_run's (status, x) of the copies, in runs of at most _BLOCK_ENTRIES nonzeros of A."""
     cap = max(1, int(_BLOCK_ENTRIES // max(1, A.nnz if issparse(A) else np.count_nonzero(A))))
     return _joined(name, A, senses, rhs, lb, ub, cost,
                    [slice(lo, lo + cap) for lo in range(0, max(1, len(rhs)), cap)])
 
 
-def solve_run(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _solve_run(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Each copy's status and x, a (K, n) array with nan rows where a copy is
     not Optimal, from one solve_lp of copies_lp's LP; where that is not
     Optimal, from each half of the copies in turn, down to single copies, so
     one failing copy of K costs about 2 log2 K LPs. Copies that share one
     feasible set (one lb, one ub, equal rhs rows) differ only in cost, so an
-    Infeasible LP of them is every copy's status at once. No copies, no LP.
-    For callers that form runs of their own (_BLOCK_ENTRIES)."""
+    Infeasible LP of them is every copy's status at once. No copies, no LP."""
     K, n = len(rhs), A.shape[1]
     if not K:
         return np.zeros(0, dtype=str), np.zeros((0, n))
@@ -557,9 +559,9 @@ def solve_run(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
 
 
 def _joined(name, A, senses, rhs, lb, ub, cost, parts: list[slice]):
-    """solve_run over each slice of the copies, joined in order."""
+    """_solve_run over each slice of the copies, joined in order."""
     return tuple(map(np.concatenate, zip(*(
-        solve_run(name, A, senses, rhs[part],
+        _solve_run(name, A, senses, rhs[part],
                   *(a[part] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
         for part in parts))))
 
@@ -609,21 +611,11 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
     unbounded or infeasible one, is settled by _unbounded_or_infeasible."""
     if not model.has_integers:
         return solve_lp(model)
-    c = model.objective_vector()
-    sign = 1.0
-    if model.sense == "max":
-        c = -c
-        sign = -1.0
-    A, senses, rhs = model.sparse()
-    lo = np.where(senses == LEQ, -np.inf, rhs)
-    hi = np.where(senses == GEQ, np.inf, rhs)
-    lb, ub, integer = model.columns()
+    mip = highs_arrays(model, mip=True)
     gap = {} if mip_rel_gap is None else {"mip_rel_gap": mip_rel_gap}
     options = _with_time_left(model, {**_MIP_OPTIONS, **gap})
-    constraints = LinearConstraint(A, lo, hi) if model.n_constrs else ()
     with _stdout_to_stderr():
-        res = milp(c, constraints=constraints, integrality=integer.astype(np.int64),
-                   bounds=Bounds(lb, ub), options=options)
+        res = milp(mip, options=options)
     status = _status(model, res.status)
     if res.x is None:
         if res.status == 4:
@@ -632,7 +624,7 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
     x = np.asarray(res.x, dtype=float)
     bound = None
     if res.mip_dual_bound is not None:
-        bound = sign * float(res.mip_dual_bound)
+        bound = (-1.0 if model.sense == "max" else 1.0) * float(res.mip_dual_bound)
     return SolveOutcome(status=status, objective=model.objective_value(x),
                         x=x, bound=bound)
 

@@ -311,15 +311,17 @@ class MasterState:
         The basis variant inserts the basis of basis_lp, sp2's parametric LP
         at x when given, and the parametric-LP basis at beta, which differs
         from it only where the Pareto step moved the seed (Magnanti and
-        Wong 1981), each scaled by the cost row of its own LP; a basis the
-        master already holds is not added again, and the tag is empty when
-        neither was new.  A dual seed is added even when it repeats.  Either
-        way such a cut adds no bound the master lacked, and the loop stops
-        on the first stage that the next master repeats.
+        Wong 1981), each scaled by the cost row of its own LP; the LP at beta
+        is basis_lp itself where beta is the seed basis_lp was solved at. A
+        basis the master already holds is not added again, and the tag is
+        empty when neither was new.  A dual seed is added even when it
+        repeats.  Either way such a cut adds no bound the master lacked, and
+        the loop stops on the first stage that the next master repeats.
         """
         inst, cfg = self.inst, self.config
         if cfg.variant == "basis":
-            at_seed = lp_parametric(inst, x, beta)
+            at_seed = (basis_lp if basis_lp is not None and np.array_equal(basis_lp.beta, beta)
+                       else lp_parametric(inst, x, beta))
             # a basis just added is in basis_seeds when the next is tested
             tags = [self.add_seed(lp.basis, cost_row=lp.cost_row)
                     for lp in (basis_lp, at_seed)

@@ -12,13 +12,14 @@ the enumeration module, the one lister, which also refuses past its caps
 of U(x) by enumerate_vertices, once per distinct U(x) of a worst_case_values
 call: first stages with the same F(x) and h + G x share them. The LPs are
 batched, one LP of copies per run, narrowed by halves where it is not Optimal
-(backend.solve_run): a run of integer assignments shares the range probes of
-its coupled continuous x, the first dropping assignments without completion,
-and one LP over every (assignment, grid point); a run of first stages with
-continuous y shares one shortfall LP over their first vertices, which drops
-the x whose first vertex has no recourse (not narrowed: where it is not
-Optimal, recourse_value decides each pair), and one LP over every other (x,
-vertex) pair (worst_case_values). It shares nothing with the cutting-plane
+(backend.solve_copies, which also cuts a run past its entry budget): a run
+of integer assignments shares the range probes of its coupled continuous x,
+the first dropping assignments without completion, and one LP over every
+(assignment, grid point); a run of first stages with continuous y shares
+one shortfall LP over their first vertices, which drops the x whose first
+vertex has no recourse (not narrowed: where it is not Optimal,
+recourse_value decides each pair), and one LP over every other (x, vertex)
+pair (worst_case_values). It shares nothing with the cutting-plane
 machinery beyond the LP/MIP primitives.
 """
 
@@ -104,7 +105,8 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     call a memo keeps the vertices of each U(x) met, until they hold
     _BLOCK_ENTRIES entries in all. The x and their vertices come in runs of
     at most _BLOCK_ENTRIES entries of B2 over the vertices (one x per run
-    for integer y). For continuous y, one shortfall LP over a run's first
+    for integer y; backend.solve_copies cuts an x whose vertices alone
+    exceed it). For continuous y, one shortfall LP over a run's first
     vertices finds the x whose first vertex has no recourse (_no_recourse);
     such an x is worth (inf, that vertex). _worst_vertices values every
     vertex of the others in one block LP of the recourse, where a later
@@ -141,7 +143,7 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
 def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]:
     """For every (x, verts) of run, the largest recourse value over verts and
     the first vertex that attains it. Continuous y takes one LP of a copy of
-    the recourse per pair (backend.solve_run), where a copy that ends
+    the recourse per pair (backend.solve_copies), where a copy that ends
     Infeasible is worth +inf and one that ends Unbounded -inf. Integer y
     takes the per-vertex loop up to the first +inf, since a MIP gap on the
     sum does not bound each block."""
@@ -154,8 +156,8 @@ def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]
                 if vals[-1][-1] == np.inf:
                     break
     else:
-        status, y = backend.solve_run("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
-                                      0.0, np.inf, Y.c2)
+        status, y = backend.solve_copies("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
+                                         0.0, np.inf, Y.c2)
         vals = np.split(backend.copy_values("recourse solve", status, y, Y.c2),
                         np.cumsum([len(v) for _, v in run])[:-1])
     return [(float(np.max(p)), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
@@ -325,13 +327,13 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
 def _xfill(inst: Instance, bounds: np.ndarray, cost: np.ndarray,
            unbounded: str) -> tuple[np.ndarray, np.ndarray]:
     """The x of least cost of the first stage between each pair of bounds
-    (lb, ub), and a mask of the Optimal ones, from backend.solve_run. The
+    (lb, ub), and a mask of the Optimal ones, from backend.solve_copies. The
     first copy that ends neither Optimal nor Infeasible raises OracleError,
     with the message unbounded if Unbounded: leaving it out could drop the
     best first stage."""
     X = inst.X
-    status, x = backend.solve_run("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
-                                  *bounds.transpose(1, 0, 2), cost)
+    status, x = backend.solve_copies("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
+                                     *bounds.transpose(1, 0, 2), cost)
     failed = status[~np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE))]
     if failed.size:
         raise OracleError(unbounded if failed[0] == backend.UNBOUNDED

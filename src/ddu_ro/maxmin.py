@@ -104,6 +104,7 @@ class ParametricLPResult:
     reduced_costs: np.ndarray     # over standard-form columns (u then slacks)
     value: float
     cost_row: np.ndarray          # standard-form objective (u costs, zeros)
+    beta: np.ndarray              # the beta it was solved at
 
 
 def lp_parametric(inst: Instance, x: np.ndarray,
@@ -146,7 +147,7 @@ def lp_parametric(inst: Instance, x: np.ndarray,
     _, rc = _basis_prices(A, c_full, basis_cols)
     return ParametricLPResult(u=u_star, basis=BasisId(tuple(basis_cols)),
                               reduced_costs=rc, value=float(out.objective),
-                              cost_row=c_full)
+                              cost_row=c_full, beta=beta)
 
 
 def _basis_prices(A: np.ndarray, c: np.ndarray, cols: list[int]
@@ -236,8 +237,9 @@ def check_inner_feasibility(problem: MaxMinProblem
     not.
 
     enumerate_outer comes first. Where its LP ends Optimal, which
-    backend.linprog grants only after it has checked every row's residual,
-    every 0/1 point of the outer set is served, and so is the whole set:
+    backend.linprog grants only where HiGHS's x holds lhs <= A x <= rhs on
+    every row of the LP's arrays to 10 sqrt(1e-9), every 0/1 point of the
+    outer set is served, and so is the whole set:
     the z where the inner LP is feasible form a convex set (the projection
     of a polyhedron) holding every vertex. The answer is then (0, worst
     point, worst result).

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import scipy.optimize
 from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import coo_array, csc_array, csr_array, vstack
 
 from ddu_ro import backend
 from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLimit
@@ -435,7 +435,8 @@ def test_a_single_block_is_read_as_the_sorted_blocks_are(block, cols):
 
 @pytest.mark.parametrize("senses", [[GEQ, LEQ, GEQ], [EQ, EQ, EQ], [EQ, GEQ, EQ]])
 def test_assembly_slices_the_rows_only_between_kinds(senses):
-    # the blocks of _assemble_lp equal those of slicing by kind, to the bytes
+    # the <= rows of highs_arrays' LP, then its = rows, equal those of
+    # slicing by kind, to the bytes
     m = LinearModel()
     x = m.add_vars(3)
     m.add_rows([(x, [[1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [3.0, 4.0, 0.0]])], senses,
@@ -443,14 +444,18 @@ def test_assembly_slices_the_rows_only_between_kinds(senses):
     A, sense, rhs = m.sparse()
     sign = np.where(sense == GEQ, -1.0, 1.0)
     A.data *= np.repeat(sign, np.diff(A.indptr))
-    _, blocks, _ = backend._assemble_lp(m)
+    lp = backend.highs_arrays(m)
+    rows_of = csc_array((lp.data, lp.indices, lp.indptr), shape=(len(lp.rhs), 3)).tocsr()
+    n_ub = int(np.isneginf(lp.lhs).sum())
+    blocks = [(rows_of[part], lp.rhs[part]) for part in (slice(n_ub), slice(n_ub, None))]
     for (block, b), rows in zip(blocks, map(np.flatnonzero, (sense != EQ, sense == EQ))):
         if not len(rows):
-            assert block is None and b is None
+            assert block.shape[0] == 0 and b.size == 0
             continue
         ref = A[rows]
-        for got, want in ((block.data, ref.data), (block.indices, ref.indices),
-                          (block.indptr, ref.indptr), (b, sign[rows] * rhs[rows])):
+        for got, want in ((block.data, ref.data), (block.indices.astype(np.int64), ref.indices),
+                          (block.indptr.astype(np.int64), ref.indptr),
+                          (b, sign[rows] * rhs[rows])):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -493,9 +498,9 @@ def test_an_undecided_mip_without_integer_points_is_infeasible(monkeypatch):
     assert backend.solve_mip(m).status == backend.INFEASIBLE
     objectives, milp = [], backend.milp
 
-    def undecided(c, **kw):
-        objectives.append(np.asarray(c).tolist())
-        return milp(c, **kw) if len(objectives) > 1 else backend._Result(4)
+    def undecided(mip, **kw):
+        objectives.append(mip.c.tolist())
+        return milp(mip, **kw) if len(objectives) > 1 else backend._Result(4)
 
     monkeypatch.setattr(backend, "milp", undecided)
     assert backend.solve_mip(m).status == backend.INFEASIBLE
@@ -710,6 +715,113 @@ def test_highs_output_during_a_mip_goes_to_stderr(monkeypatch, capfd):
 
 # -- HiGHS without scipy's wrappers ---------------------------------------------
 
+def _arrays_through_scipy(model: LinearModel, mip: bool) -> backend.HighsArrays:
+    """Reference of highs_arrays: the arrays HiGHS got when an LP went
+    through _assemble_lp's <= and = blocks and linprog's vstack and
+    csc_array, and a MIP through a LinearConstraint and milp's csc_array."""
+    c = model.objective_vector()
+    if model.sense == "max":
+        c = -c
+    A, senses, rhs = model.sparse()
+    lb, ub, integer = model.columns()
+    if mip:
+        rows = LinearConstraint(A, np.where(senses == LEQ, -np.inf, rhs),
+                                np.where(senses == GEQ, np.inf, rhs))
+        A, lhs, rhs = csc_array(rows.A), np.array(rows.lb, dtype=float), np.array(rows.ub)
+        return backend.HighsArrays(c, A.indptr.astype(np.int32), A.indices.astype(np.int32),
+                                   A.data, lhs, rhs, lb, ub, integer.astype(np.int32))
+    sign = np.where(senses == GEQ, -1.0, 1.0)
+    A.data *= np.repeat(sign, np.diff(A.indptr))
+    eq = senses == EQ
+    if eq.any() and not eq.all():
+        blocks = [(A[rows], sign[rows] * rhs[rows]) for rows in map(np.flatnonzero, (~eq, eq))]
+    else:
+        blocks = [(None, np.zeros(0))] * 2
+        if len(rhs):
+            blocks[int(eq[0])] = (A, sign * rhs)
+    (a_ub, b_ub), (a_eq, b_eq) = blocks
+    parts = [a for a in (a_ub, a_eq) if a is not None]
+    A = csc_array(vstack(parts) if len(parts) > 1 else parts[0] if parts else (0, c.size))
+    lb, ub = np.broadcast_to(np.column_stack([lb, ub]), (c.size, 2)).T.copy()
+    return backend.HighsArrays(c, A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+                               np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
+                               np.concatenate([b_ub, b_eq]), lb, ub, np.zeros(c.size, np.int32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_highs_arrays_are_those_scipy_assembled(seed):
+    # mixed, all-=, one-kind and no rows; columns no row reads; zero costs,
+    # which a max negates to -0.0; repeated ids, exact zeros and -0.0 in
+    # dense and sparse blocks
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
+    m = LinearModel()
+    n = int(rng.integers(1, 7))
+    ids = m.add_vars(n, rng.choice([0.0, -1.0, -np.inf], size=n),
+                     rng.choice([1.0, 4.0, np.inf], size=n), rng.random(n) < 0.5)
+    kinds = [[LEQ, GEQ, EQ], [EQ], [LEQ], [GEQ], [LEQ, GEQ]][rng.integers(5)]
+    for _ in range(rng.integers(0, 4)):
+        rows = int(rng.integers(1, 4))
+        cols = rng.choice(ids, size=rng.integers(1, n + 1)).tolist()
+        B = rng.choice(values, size=(rows, len(cols))) * (rng.random((rows, len(cols))) < 0.7)
+        m.add_rows([(cols, csr_array(B) if rng.integers(2) else B)],
+                   rng.choice(kinds, size=rows), rng.choice(values, size=rows))
+    m.set_objective(dict(zip(ids, rng.choice(values, size=n))),
+                    sense=str(rng.choice(["min", "max"])))
+    for mip in (False, True):
+        got, want = backend.highs_arrays(m, mip), _arrays_through_scipy(m, mip)
+        for field, a, b in zip(got._fields, got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+
+def _copies_through_add_rows(name, A, senses, rhs, lb, ub, cost) -> LinearModel:
+    """Reference of copies_lp: I_K (x) A in canonical CSR through add_rows."""
+    (K, m), n = np.shape(rhs), A.shape[1]
+    lb, ub, cost = (np.broadcast_to(a, (K, n)).ravel() for a in (lb, ub, cost))
+    lp = LinearModel(name=name)
+    ids = lp.add_vars(K * n, lb, ub)
+    A = csr_array(A, copy=True)
+    A.sum_duplicates()
+    shift = np.arange(K)[:, None]
+    rows = csr_array((np.tile(A.data, K), (A.indices + n * shift).ravel(),
+                      np.r_[0, (A.indptr[1:] + A.nnz * shift).ravel()]), shape=(K * m, K * n))
+    lp.add_rows([(ids, rows)], senses if np.ndim(senses) == 0 else np.tile(senses, K),
+                np.ravel(rhs))
+    nz = np.flatnonzero(cost)
+    lp.set_objective(dict(zip(nz.tolist(), cost[nz].tolist())))
+    return lp
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_copies_lp_holds_the_chunk_add_rows_would(seed):
+    # dense and sparse A with exact zeros, -0.0 and repeats that cancel
+    rng = np.random.default_rng(seed)
+    K, m, n = (int(v) for v in rng.integers(1, 5, size=3))
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
+    if rng.integers(2):
+        A = rng.choice(values, size=(m, n))
+    else:
+        nnz = int(rng.integers(0, 2 * m * n))
+        A = coo_array((rng.choice(values, size=nnz), (rng.integers(m, size=nnz),
+                                                      rng.integers(n, size=nnz))), shape=(m, n))
+    senses = rng.choice([LEQ, GEQ, EQ], size=m) if rng.integers(2) else GEQ
+    args = ("copies", A, senses, rng.choice(values, size=(K, m)), 0.0,
+            rng.choice([1.0, np.inf], size=(K, n)), rng.choice(values, size=n))
+    got, want = backend.copies_lp(*args), _copies_through_add_rows(*args)
+    for a, b in zip(got._chunks[-1], want._chunks[-1], strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert len(got._chunks) == len(want._chunks) and got.n_constrs == want.n_constrs
+    for a, b in zip(got.columns(), want.columns()):
+        assert a.tobytes() == b.tobytes()
+    assert got.obj == want.obj
+    for mip in (False, True):
+        for a, b in zip(backend.highs_arrays(got, mip), backend.highs_arrays(want, mip)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _random_model(rng) -> LinearModel:
     """1-5 columns, each in [0, 10], [-5, 5], free or fixed at 2, about half
     of them integer; 0-4 rows of mixed senses; min or max."""
@@ -724,6 +836,20 @@ def _random_model(rng) -> LinearModel:
     model.set_objective(dict(zip(ids, rng.uniform(-5, 5, size=n))),
                         sense=str(rng.choice(["min", "max"])))
     return model
+
+
+def _scipy_arguments(name: str, a: backend.HighsArrays) -> dict:
+    """The arguments of scipy.optimize.linprog or milp that hand HiGHS a's
+    arrays: linprog's <= rows are those with lhs -inf, first."""
+    A = csc_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size)).tocsr()
+    if name == "milp":
+        return dict(c=a.c, integrality=a.integrality, bounds=Bounds(a.lb, a.ub),
+                    constraints=LinearConstraint(A, a.lhs, a.rhs) if a.rhs.size else ())
+    k = int(np.isneginf(a.lhs).sum())
+    (A_ub, b_ub), (A_eq, b_eq) = [(A[part], a.rhs[part]) if a.rhs[part].size else (None, None)
+                                  for part in (slice(k), slice(k, None))]
+    return dict(c=a.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                bounds=np.column_stack([a.lb, a.ub]), method="highs")
 
 
 def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
@@ -741,10 +867,10 @@ def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
         backend.solve_lp(model)
         backend.solve_mip(model)
     codes = set()
-    for name, args, kwargs, ours in calls:
+    for name, (a,), kwargs, ours in calls:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-            ref = getattr(scipy.optimize, name)(*args, **kwargs)
+            ref = getattr(scipy.optimize, name)(**_scipy_arguments(name, a), **kwargs)
         codes.add((name, ours.status))
         assert ours.status == ref.status
         assert (ours.x is None) == (ref.x is None)
@@ -760,20 +886,36 @@ def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
             ("milp", 0), ("milp", 2), ("milp", 4)} <= codes
 
 
+def _dense_arrays(c, A, lhs, rhs, lb, ub, integrality) -> backend.HighsArrays:
+    """HighsArrays of a dense A, through scipy's CSC."""
+    A = csc_array(np.asarray(A, dtype=float))
+    n = len(c)
+    return backend.HighsArrays(
+        np.asarray(c, dtype=float), A.indptr.astype(np.int32), A.indices.astype(np.int32),
+        A.data, *(np.array(np.broadcast_to(v, shape), dtype=float) for v, shape in
+                  ((lhs, A.shape[0]), (rhs, A.shape[0]), (lb, n), (ub, n))),
+        np.broadcast_to(integrality, n).astype(np.int32))
+
+
 @pytest.mark.parametrize("where", ["c", "A_ub", "b_eq"])
 def test_linprog_refuses_non_finite_data(where):
-    args = dict(c=np.ones(2), A_ub=csr_array(np.ones((1, 2))), b_ub=np.ones(1),
-                A_eq=csr_array(np.ones((1, 2))), b_eq=np.ones(1))
-    bad = args[where].copy()
-    (bad.data if where == "A_ub" else bad)[0] = np.nan if where == "b_eq" else np.inf
+    # a <= row, then an = row: A_ub is the first entry, b_eq the last rhs
+    lp = _dense_arrays(np.ones(2), np.ones((2, 2)), [-np.inf, 1.0], 1.0, 0.0, 1.0, 0)
+    field, k = {"c": ("c", 0), "A_ub": ("data", 0), "b_eq": ("rhs", 1)}[where]
+    bad = getattr(lp, field).copy()
+    bad[k] = np.nan if where == "b_eq" else np.inf
     with pytest.raises(ValueError, match="finite"):
-        backend.linprog(**{**args, where: bad}, bounds=np.array([[0.0, 1.0]] * 2),
-                        options={"presolve": True})
+        backend.linprog(lp._replace(**{field: bad}), options={"presolve": True})
 
 
 def test_milp_refuses_a_non_finite_cost():
     with pytest.raises(ValueError, match="finite"):
-        backend.milp(np.array([1.0, np.nan]), integrality=np.ones(2), bounds=Bounds(0, 1))
+        backend.milp(_dense_arrays([1.0, np.nan], np.zeros((0, 2)), [], [], 0, 1, 1))
+
+
+def _rows_at(a: backend.HighsArrays, x: np.ndarray) -> np.ndarray:
+    """The row activities A x of HighsArrays a."""
+    return csc_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size)) @ x
 
 
 @pytest.mark.parametrize("sense, miss, status", [
@@ -787,9 +929,9 @@ def test_an_optimal_x_that_misses_a_row_is_numerical(monkeypatch, sense, miss, s
     m.add_rows([([x, y], [[1.0, 1.0]])], sense, [4.0])
     m.set_objective({x: 1.0, y: 1.0})
 
-    def answer(c, A, lhs, rhs, lb, ub, integrality, options):
+    def answer(a, options):
         sol = np.array([2.0, 2.0 + miss])
-        return backend._Result(0, sol, float(c @ sol)), A @ sol
+        return backend._Result(0, sol, float(a.c @ sol)), _rows_at(a, sol)
 
     monkeypatch.setattr(backend, "_highs", answer)
     assert backend.solve_lp(m).status == status
@@ -800,8 +942,8 @@ def test_an_optimal_x_that_misses_a_bound_is_numerical(monkeypatch, miss, status
     # y = -miss below its bound 0, the row x + y >= 1 held exactly
     m, x, y = small_min_lp()
     sol = np.array([1.0 + miss, -miss])
-    monkeypatch.setattr(backend, "_highs", lambda c, A, *args: (
-        backend._Result(0, sol, float(c @ sol)), A @ sol))
+    monkeypatch.setattr(backend, "_highs", lambda a, options: (
+        backend._Result(0, sol, float(a.c @ sol)), _rows_at(a, sol)))
     assert backend.solve_lp(m).status == status
 
 
@@ -811,17 +953,18 @@ def test_a_mips_node_count_reaches_the_result():
     args = (-rng.integers(1, 50, size=14).astype(float),)
     kwargs = dict(constraints=LinearConstraint(A, -np.inf, 0.3 * A.sum(axis=1)),
                   integrality=np.ones(14), bounds=Bounds(0, 1))
-    ours, ref = backend.milp(*args, **kwargs), milp(*args, **kwargs)
+    ours = backend.milp(_dense_arrays(*args, A, -np.inf, 0.3 * A.sum(axis=1), 0, 1, 1))
+    ref = milp(*args, **kwargs)
     assert ours.status == 0 and ours.mip_node_count == ref.mip_node_count >= 1
     assert ours.mip_gap == ref.mip_gap and ours.mip_dual_bound == ref.mip_dual_bound
 
 
 def test_a_rejected_highs_option_warns_and_is_skipped():
     m, x, y = small_min_lp()
-    c, ((a_ub, b_ub), _), bounds = backend._assemble_lp(m)
+    lp = backend.highs_arrays(m)
     for options in ({"presolve": True, "simplex_strategi": 1}, {"time_limit": -1.0}):
         with pytest.warns(OptimizeWarning, match=next(k for k in options if k != "presolve")):
-            res = backend.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
+            res = backend.linprog(lp, options=options)
         assert res.status == 0 and np.array_equal(res.x, [1.0, 0.0])
 
 

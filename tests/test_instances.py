@@ -350,12 +350,15 @@ def test_built_models_are_pinned():
 # first lattice block LP of the parametric and the basis master, the
 # 56-copy completion LP of X's lattice and the first recourse block LP of
 # oracle_exact; a change to how block LPs are built moves them only when
-# HiGHS would receive different problems
+# HiGHS would receive different problems. They were pinned anew when
+# linprog came to take HiGHS's arrays (backend.highs_arrays) instead of
+# scipy's blocks, since record_linprog hashes what linprog takes;
+# tools/highs_digest.py printed the same lines before and after.
 PINNED_LP_DIGESTS = {
-    "pm_uk8-parametric-master": "ab2f31a2de9be3de",
-    "pm_uk8-basis-master": "2ec6ce8cefbdf9fc",
-    "xfill": "06c80de50e776c35",
-    "recourse_block": "ed5ab049f7d22934",
+    "pm_uk8-parametric-master": "87e0a344656d3b27",
+    "pm_uk8-basis-master": "f010dc06d32133f1",
+    "xfill": "9256d11753f3f0c9",
+    "recourse_block": "73badffb681a39b6",
 }
 
 
@@ -1424,7 +1427,9 @@ def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypat
     # shortfall LP over its first vertices and a block LP over every vertex
     (3600, 1 + 5 + 5),     # 10 completions, two x per run
     (3599, 2 + 10 + 10),   # 9 + 1 completions, one x per run
-    (1, 10 + 10 + 10),     # no batch of two fits: every LP serves one x
+    # no batch of two fits: every LP serves one x, and no recourse block LP
+    # holds more than one of an x's 4 vertices
+    (1, 10 + 10 + 10 * 4),
 ])
 def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     inst = gen_reliable_pmedian(PMedianParams(n_sites=5), "ddu_uk")
@@ -1613,13 +1618,14 @@ def test_an_assignment_with_three_free_dims_narrows_in_order(monkeypatch):
 def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
     # x2 coupled through the recourse, one assignment per run: the min probe
     # of (0, 0) finds no completion and its run solves no further LP; each
-    # other run takes a min and a max probe and one grid LP
+    # other run takes a min and a max probe and the grid's _GRID copies, one
+    # LP each at this budget
     inst = _no_completion_toy(B1=np.array([[0.0, 0.0, 1.0]]))
     monkeypatch.setattr(backend, "_BLOCK_ENTRIES", 1)
     lps = _record_lps(monkeypatch)
     got = _oracle_output(oracle_exact(inst))
     assert [s for name, s in lps if name == "xfill"] == \
-        [backend.INFEASIBLE] + [backend.OPTIMAL] * 3 * 3
+        [backend.INFEASIBLE] + [backend.OPTIMAL] * 3 * (2 + instances._GRID)
     _by_loop(monkeypatch)
     assert got == _oracle_output(oracle_exact(inst))
 
@@ -1628,7 +1634,9 @@ def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
     # fl-rhs with 2 sites: 4 assignments of 49 grid copies of a 4 x 4 X.A
     (4 * 49 * 16, 5),          # one run
     (4 * 49 * 16 - 1, 5 + 5),  # a run of 3 and a run of 1
-    (1, 4 * 5),                # one assignment per run
+    # one assignment per run, and one copy per LP: 4 probes each, and the
+    # 1 + 7 + 7 + 49 copies of their grids
+    (1, 4 * 4 + 64),
 ])
 def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills):
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")

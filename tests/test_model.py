@@ -166,12 +166,14 @@ def test_a_range_probe_of_an_empty_set_is_one_lp(monkeypatch):
 def test_the_first_range_probe_lp_of_fl_rhs5_is_pinned(monkeypatch):
     # sp1's network caps: one copy of the outer set per coordinate that
     # sp1's objective reads; the digest moves only when HiGHS would receive
-    # a different problem
+    # a different problem. Pinned anew when linprog came to take HiGHS's
+    # arrays, which record_linprog hashes (tests/test_instances.py's
+    # PINNED_LP_DIGESTS say more)
     calls = record_linprog(monkeypatch)
     run(gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"),
         AlgorithmConfig(variant="parametric", max_iterations=1))
     first = next(c for c in calls if c[0] == "range_probe")
-    assert first[1:] == [75, "5b2ea414ba6452ab"]    # 5 copies of 15 columns
+    assert first[1:] == [75, "685c0d6cce34f3b5"]    # 5 copies of 15 columns
 
 
 # -- the binary-product envelope against its pair-by-pair reference ------------

@@ -5,7 +5,6 @@ import contextlib
 import hashlib
 
 import numpy as np
-from scipy.sparse import issparse
 
 from ddu_ro import backend, maxmin
 from ddu_ro.instances import t1
@@ -55,27 +54,23 @@ def short_supply() -> Instance:
 
 def record_linprog(monkeypatch):
     """(model name, columns, digest) of every linprog call, in order; the
-    digest is the first 16 hex digits of the SHA-256 of every argument
-    linprog receives but HiGHS's time limit, which follows the clock."""
+    digest is the first 16 hex digits of the SHA-256 of the HiGHS arrays
+    linprog receives and its options but HiGHS's time limit, which follows
+    the clock."""
     calls, solve_lp, linprog = [], backend.solve_lp, backend.linprog
 
     def named(model):
         calls.append([model.name, model.n_vars])
         return solve_lp(model)
 
-    def hashed(c, **kw):
-        h = hashlib.sha256(np.ascontiguousarray(c).tobytes())
-        for key in ("A_ub", "b_ub", "A_eq", "b_eq", "bounds"):
-            a = kw[key]
-            parts = ([] if a is None else [a.data, a.indices, a.indptr, np.array(a.shape)]
-                     if issparse(a) else [a])
+    def hashed(a, options):
+        h = hashlib.sha256()
+        for key, part in a._asdict().items():
             h.update(key.encode())
-            for p in parts:
-                h.update(np.ascontiguousarray(p).tobytes())
-        options = {k: v for k, v in kw["options"].items() if k != "time_limit"}
-        h.update(repr((kw["method"], sorted(options.items()))).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        h.update(repr(sorted((k, v) for k, v in options.items() if k != "time_limit")).encode())
         calls[-1].append(h.hexdigest()[:16])
-        return linprog(c, **kw)
+        return linprog(a, options=options)
 
     monkeypatch.setattr(backend, "solve_lp", named)
     monkeypatch.setattr(backend, "linprog", hashed)

@@ -43,8 +43,7 @@ import sys
 import tempfile
 
 import numpy as np
-from scipy.optimize import Bounds
-from scipy.sparse import csr_array, vstack
+from scipy.sparse import csc_array, csr_array
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import workloads  # noqa: E402
@@ -106,35 +105,15 @@ class Recorder:
                     self._models.pop()
             return call
 
-        def hashed_linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                           bounds=(0, np.inf), method="highs", options=None):
-            c_ = np.asarray(c, dtype=float)
-            b_ub_, b_eq_ = (np.zeros(0) if b is None else np.asarray(b, dtype=float)
-                            for b in (b_ub, b_eq))
-            blocks = [a for a in (A_ub, A_eq) if a is not None]
-            A = vstack(blocks) if blocks else None
-            lb, ub = np.broadcast_to(np.asarray(bounds, dtype=float), (c_.size, 2)).T
-            self.hashes.append(_model_hash(
-                "lp", c_, A, np.r_[np.full(b_ub_.size, -np.inf), b_eq_], np.r_[b_ub_, b_eq_],
-                lb, ub, np.zeros(c_.size), options))
-            self.mips.append(False)
-            self.names.append(self._models[-1])
-            return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                           method=method, options=options)
-
-        def hashed_milp(c, *, integrality=None, bounds=Bounds(0, np.inf), constraints=None,
-                        options=None):
-            c_ = np.asarray(c, dtype=float)
-            A, lhs, rhs = ((constraints.A, constraints.lb, constraints.ub) if constraints
-                           else (None, (), ()))
-            lb, ub = (np.broadcast_to(b, c_.shape) for b in (bounds.lb, bounds.ub))
-            self.hashes.append(_model_hash(
-                "mip", c_, A, lhs, rhs, lb, ub,
-                np.broadcast_to(0 if integrality is None else integrality, c_.shape), options))
-            self.mips.append(True)
-            self.names.append(self._models[-1])
-            return milp(c, integrality=integrality, bounds=bounds, constraints=constraints,
-                        options=options)
+        def hashed(kind, solve):
+            def call(a, options=None):
+                A = csc_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size))
+                self.hashes.append(_model_hash(kind, a.c, A, a.lhs, a.rhs, a.lb, a.ub,
+                                               a.integrality, options))
+                self.mips.append(kind == "mip")
+                self.names.append(self._models[-1])
+                return solve(a, options=options)
+            return call
 
         def hashed_worst_case_values(inst, xs):
             out = worst_case_values(inst, xs)
@@ -144,7 +123,7 @@ class Recorder:
             self.values.append(digest.hexdigest())
             return out
 
-        backend.linprog, backend.milp = hashed_linprog, hashed_milp
+        backend.linprog, backend.milp = hashed("lp", linprog), hashed("mip", milp)
         backend.solve_lp, backend.solve_mip = named(solve_lp), named(solve_mip)
         instances.worst_case_values = hashed_worst_case_values
         return self
