@@ -6,21 +6,21 @@ with the value of each copy (copy_values) and big-M
 complementarity linearization.
 
 How a model reaches HiGHS. highs_arrays reads a model's row chunks into
-passModel's arrays (HighsArrays): c, A in CSC with rows ascending in each
-column, lhs <= A x <= rhs, column bounds and integrality; an LP's <= rows,
->= rows negated, come before its = rows. solve_lp hands them to linprog,
-solve_mip to milp, both this module's: each adds the options scipy's
-function of its name would, and _highs solves them on one fresh _Highs of
-scipy's bundled binding (setOptionValue, the array form of passModel, run,
-getSolution; no basis, no duals), so every input and answer is
-byte-identical to scipy's on the same model, with no scipy sparse array in
-between. They keep scipy's names, options and result fields because every
-solve meets HiGHS there: tests replace them or hash their arrays, and
-perfbench/tracing.py times them. scipy's checks stay: a non-finite c, or an
-LP's A or rhs, raises ValueError; an Optimal LP whose x misses a bound or a
-row by more than 10 sqrt(1e-9) is code 4; a limit is code 1, a model HiGHS
-refuses 2 and an unlisted status 4; a MIP at a limit keeps x unless its
-objective is +inf; a rejected option warns.
+passModel's arrays (HighsArrays) in one layout for every LP and MIP: the
+model's rows in order as lhs <= A x <= rhs, A the chunks' own CSR, so
+HiGHS's row i is the model's row i with the model's sign; c, column bounds,
+and integrality for a MIP. solve_lp hands them to linprog, solve_mip to
+milp, both this module's: _highs solves them on one fresh _Highs of scipy's
+bundled binding (setOptionValue, passModel's rowwise arrays, run,
+getSolution; no basis, no duals) with the options scipy's function of that
+name would add. They keep scipy's names, options and result fields because
+every solve meets HiGHS there: tests replace them or hash their arrays, and
+perfbench/tracing.py times them. scipy's checks stay: c, A and the row
+bounds a row's sense sets (rhs of <=, lhs of >=, both of =) must be finite,
+else ValueError; an Optimal LP whose x misses a bound or a row by more than
+10 sqrt(1e-9) is code 4; a limit is code 1, a model HiGHS refuses (such as
+a coefficient of 1e15) and an unlisted status 4; a MIP at a limit keeps x
+unless its objective is +inf; a rejected option warns.
 Import fails with an ImportError naming scipy 1.17 (HiGHS 1.12), the tested
 series, when _Highs lacks a method _highs calls.
 
@@ -201,10 +201,9 @@ class LinearModel:
         block counts as its toarray(). A column that repeats, within a block
         or across blocks, gets the sum of its entries in that order, at the
         place it first appears; exact zeros are dropped after summing. A
-        canonical CSR block (sorted indices, no duplicates) is read as it
-        is, with no COO copy. A single dense or canonical CSR block already
-        holds its entries in that order, so only several blocks or another
-        sparse block are sorted, and only repeated ids are merged."""
+        single dense block already holds its entries in that order, so only
+        several blocks or a sparse block are sorted, and only repeated ids
+        are merged."""
         rhs = np.array(rhs, dtype=float, ndmin=1)
         m = rhs.size
         senses = np.asarray(sense)
@@ -212,11 +211,7 @@ class LinearModel:
             raise BackendError(f"bad sense {sense!r} for {m} rows")
         entries, ids_all, offset, ordered = [], [], 0, len(blocks) == 1
         for ids, A in blocks:
-            if isinstance(A, csr_array) and A.has_canonical_format:
-                nz = A.data != 0.0
-                row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[nz]
-                pos, val = A.indices[nz], A.data[nz]
-            elif issparse(A):
+            if issparse(A):
                 A = coo_array(A)
                 row, pos, val = _sum_repeats(*A.coords, A.data)
                 ordered = False
@@ -282,17 +277,24 @@ class LinearModel:
         """Constraint data of the rows from first on as (A, senses, rhs), A in
         CSR with one row per constraint; only the chunks holding those rows
         are read."""
+        indptr, cols, vals, senses, rhs, start = self._csr(first)
+        A = csr_array((vals, cols, indptr), shape=(rhs.size, self._n))
+        skip = first - start
+        return (A[skip:], senses[skip:], rhs[skip:]) if skip > 0 else (A, senses, rhs)
+
+    def _csr(self, first: int = 0):
+        """The chunks holding the rows from first on, joined as they are
+        stored: CSR indptr, column ids, values, senses, rhs, and the id of
+        their first row."""
         k, start = len(self._chunks), self._m
         while start > first:
             k -= 1
             start -= self._chunks[k][0].size
         counts, cols, vals, senses, rhs = map(
             np.concatenate, zip(self._chunks[0], *self._chunks[k:]))
-        indptr = np.zeros(self._m - start + 1, dtype=np.int64)
+        indptr = np.zeros(rhs.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        A = csr_array((vals, cols, indptr), shape=(self._m - start, self._n))
-        skip = max(0, first - start)
-        return (A[skip:], senses[skip:], rhs[skip:]) if skip else (A, senses, rhs)
+        return indptr, cols, vals, senses, rhs, start
 
     @property
     def vars(self) -> list[_Var]:
@@ -338,35 +340,24 @@ class SolveOutcome:
 
 
 # min c'x s.t. lhs <= A x <= rhs, lb <= x <= ub, x_j integer where
-# integrality_j is 1, as passModel reads it (module docstring)
+# integrality_j is 1, A in CSR (indptr, indices, data) with int32 indices,
+# row i the model's row i: passModel's rowwise arrays (module docstring)
 HighsArrays = namedtuple("HighsArrays", "c indptr indices data lhs rhs lb ub integrality")
 
 
 def highs_arrays(model: LinearModel, mip: bool = False) -> HighsArrays:
-    """The model's HiGHS arrays from its row chunks, c negated for a max:
-    an LP's (mip False) <= and negated >= rows, then = rows, each kind in
-    model order, no integer column; a MIP's rows in order."""
+    """The model's HiGHS arrays from its row chunks, in model order and as
+    the chunks hold them: a <= row has lhs -inf, a >= row rhs +inf, an =
+    row both at its rhs; c negated for a max; no integer column unless
+    mip."""
     c = model.objective_vector()
     if model.sense == "max":
         c = -c
-    counts, cols, vals, senses, rhs = map(np.concatenate, zip(*model._chunks))
-    rows = np.repeat(np.arange(rhs.size), counts)
+    indptr, cols, vals, senses, rhs, _ = model._csr()
     lb, ub, integer = model.columns()
-    if mip:
-        lhs, rhs = np.where(senses == LEQ, -np.inf, rhs), np.where(senses == GEQ, np.inf, rhs)
-    else:
-        sign = np.where(senses == GEQ, -1.0, 1.0)
-        eq = senses == EQ
-        order = np.argsort(eq, kind="stable")
-        rows = np.argsort(order)[rows]
-        vals, rhs = vals * np.repeat(sign, counts), (sign * rhs)[order]
-        lhs = np.where(eq[order], rhs, -np.inf)
-        integer = np.zeros_like(integer)
-    entries = np.argsort(cols * max(1, rhs.size) + rows, kind="stable")
-    indptr = np.zeros(c.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=c.size), out=indptr[1:])
-    return HighsArrays(c, indptr, rows[entries].astype(np.int32), vals[entries], lhs, rhs,
-                       lb, ub, integer.astype(np.int32))
+    return HighsArrays(c, indptr.astype(np.int32), cols.astype(np.int32), vals,
+                       np.where(senses == LEQ, -np.inf, rhs), np.where(senses == GEQ, np.inf, rhs),
+                       lb, ub, (integer & mip).astype(np.int32))
 
 
 def _with_time_left(model: LinearModel, options: dict) -> dict:
@@ -395,7 +386,7 @@ def _binding(core):
 _Highs, _MS, _ERROR = _binding(_core), _core.HighsModelStatus, _core.HighsStatus.kError
 # scipy's result codes of HiGHS's model statuses; any other is 4
 _CODES = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1, _MS.kInfeasible: 2,
-          _MS.kModelError: 2, _MS.kUnbounded: 3}
+          _MS.kUnbounded: 3}
 # linprog(method="highs")'s options; log_to_console comes first in every
 # option set, so that HiGHS logs nothing about an option it rejects
 _LP_OPTIONS = {"log_to_console": False, "output_flag": False, "highs_debug_level": 0,
@@ -413,9 +404,10 @@ def _highs(a: HighsArrays, options: dict) -> tuple[_Result, np.ndarray]:
         if h.setOptionValue(key, value) == _ERROR:
             warnings.warn(f"HiGHS rejected the option {key}={value!r}", OptimizeWarning,
                           stacklevel=3)
-    if h.passModel(a.c.size, a.rhs.size, a.data.size, 1, 1, 0.0, a.c, a.lb, a.ub, a.lhs, a.rhs,
+    # a_format 2: A rowwise; sense 1: minimize
+    if h.passModel(a.c.size, a.rhs.size, a.data.size, 2, 1, 0.0, a.c, a.lb, a.ub, a.lhs, a.rhs,
                    a.indptr, a.indices, a.data, a.integrality) == _ERROR:
-        return _Result(2), None                         # kModelError
+        return _Result(4), None                         # a model HiGHS refuses
     if h.run() == _ERROR:
         return _Result(_CODES.get(h.getModelStatus(), 4)), None
     status, info, mip = h.getModelStatus(), h.getInfo(), bool(a.integrality.any())
@@ -431,9 +423,12 @@ def _highs(a: HighsArrays, options: dict) -> tuple[_Result, np.ndarray]:
 
 def linprog(lp: HighsArrays, options=None) -> _Result:
     """scipy.optimize.linprog(method="highs") on an LP of highs_arrays, with
-    its input and result checks (module docstring); options as linprog's,
-    presolve a bool."""
-    if not (lp.c.size and np.isfinite(np.concatenate([lp.c, lp.rhs, lp.data])).all()):
+    its input and result checks restated on lhs <= A x <= rhs (module
+    docstring); options as linprog's, presolve a bool."""
+    # the row bounds the senses set: rhs of <= (lhs -inf), lhs of >= (rhs
+    # +inf), both of =; a NaN is read wherever it is
+    rows = np.where(lp.lhs == -np.inf, lp.rhs, lp.lhs), np.where(lp.rhs == np.inf, lp.lhs, lp.rhs)
+    if not (lp.c.size and np.isfinite(np.concatenate([lp.c, lp.data, *rows])).all()):
         raise ValueError("linprog: c, A and the row bounds must be finite, c not empty")
     options = dict(options or {})
     presolve = "on" if options.pop("presolve", True) else "off"
@@ -608,7 +603,8 @@ def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutc
     """Solve with integrality, to HiGHS's relative gap mip_rel_gap when given
     (its default is 1e-4); a model without integer columns goes to
     solve_lp. A MIP that ends code 4 without x, as HiGHS reports an
-    unbounded or infeasible one, is settled by _unbounded_or_infeasible."""
+    unbounded or infeasible one, is settled by _unbounded_or_infeasible; one
+    HiGHS refuses ends Numerical there, its relaxation refused too."""
     if not model.has_integers:
         return solve_lp(model)
     mip = highs_arrays(model, mip=True)

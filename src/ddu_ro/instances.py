@@ -43,10 +43,8 @@ from .model import (
     FirstStageSet,
     Instance,
     RecourseSet,
-    SchemaError,
     UncertaintySet,
     add_recourse_vars,
-    dimension_errors,
     envelope_rows,
     instance_from_dict,
     instance_to_dict,
@@ -716,11 +714,7 @@ def io_read(path: str) -> Instance:
     the layout of model.instance_to_dict or its parts disagree in their
     dimensions."""
     with open(path) as fh:
-        inst = instance_from_dict(json.load(fh))
-    errors = dimension_errors(inst)
-    if errors:
-        raise SchemaError("; ".join(errors))
-    return inst
+        return instance_from_dict(json.load(fh))
 
 
 def io_write(path: str, inst: Instance) -> None:

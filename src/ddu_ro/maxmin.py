@@ -173,13 +173,13 @@ def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
     if mu == 0:
         return cols
     cols = list(cols)
-    cscale = max(1.0, float(np.abs(c).max()))
-    zscale = max(1.0, float(np.abs(z).max()))
+    c_scale = max(1.0, float(np.abs(c).max()))
+    z_scale = max(1.0, float(np.abs(z).max()))
     for _ in range(10000):
         _, rc = _basis_prices(A, c, cols)
         in_basis = set(cols)
         entering = next((j for j in range(A.shape[1])
-                         if j not in in_basis and rc[j] > 1e-9 * cscale), None)
+                         if j not in in_basis and rc[j] > 1e-9 * c_scale), None)
         if entering is None:
             return sorted(cols)
         d = np.linalg.solve(A[:, cols], A[:, entering])
@@ -189,11 +189,11 @@ def _pivot_to_dual_feasible(A: np.ndarray, c: np.ndarray, z: np.ndarray,
                                "optimal; inconsistent basis data")
         ratios = [z[cols[i]] / d[i] for i in blockers]
         best = min(ratios)
-        if best > 1e-7 * zscale:
+        if best > 1e-7 * z_scale:
             raise BackendError("improving step at a vertex the solver called "
                                "optimal; inconsistent basis data")
         leave = min((i for i, r in zip(blockers, ratios)
-                     if r <= best + 1e-9 * zscale), key=lambda i: cols[i])
+                     if r <= best + 1e-9 * z_scale), key=lambda i: cols[i])
         cols[leave] = entering
     raise BackendError("basis cleanup did not terminate")
 

@@ -428,42 +428,6 @@ def affine_blocks(model: LinearModel, F: AffineMatrixMap, v_ids: list[int],
     return blocks
 
 
-# -- dimension check -----------------------------------------------------------
-
-def dimension_errors(inst: Instance) -> list[str]:
-    """Every way the parts of inst disagree in their dimensions; empty when
-    they fit together."""
-    errors = []
-    nx, nu, ny = inst.dim_x, inst.dim_u, inst.dim_y
-    X, U, Y = inst.X, inst.U, inst.Y
-    if X.dim != nx:
-        errors.append(f"X has {X.dim} columns, c1 has {nx}")
-    if X.A.shape[0] != X.b.size:
-        errors.append(f"A has {X.A.shape[0]} rows, b has {X.b.size}")
-    for name, n_int, dim in (("n_int", X.n_int, X.dim), ("n_int_u", U.n_int_u, U.dim),
-                             ("n_int_y", Y.n_int_y, Y.dim)):
-        if not 0 <= n_int <= dim:
-            errors.append(f"{name} {n_int} out of range")
-    if X.lb.size != X.dim or X.ub.size != X.dim:
-        errors.append("x bounds length mismatch")
-    if U.G.shape != (U.n_rows, nx):
-        errors.append(f"G is {U.G.shape}, expected {(U.n_rows, nx)}")
-    if U.h.size != U.n_rows:
-        errors.append(f"h has {U.h.size} entries, F has {U.n_rows} rows")
-    for k, _ in U.F.terms:
-        if not 0 <= k < nx:
-            errors.append(f"F term index {k} outside x range")
-    if Y.B1.shape != (Y.n_rows, nx):
-        errors.append(f"B1 is {Y.B1.shape}, expected {(Y.n_rows, nx)}")
-    if Y.E.shape != (Y.n_rows, nu):
-        errors.append(f"E is {Y.E.shape}, expected {(Y.n_rows, nu)}")
-    if Y.d.size != Y.n_rows:
-        errors.append(f"d has {Y.d.size} entries, B2 has {Y.n_rows} rows")
-    if Y.c2.size != ny:
-        errors.append(f"c2 has {Y.c2.size} entries, B2 has {ny} columns")
-    return errors
-
-
 # -- JSON serialization --------------------------------------------------------
 
 class SchemaError(Exception):
@@ -552,20 +516,29 @@ def _is_number(v) -> bool:
     return type(v) in (int, float) and abs(v) <= _FLOAT_MAX
 
 
-def _count(d: dict, key: str, where: str) -> int:
-    """d[key], 0 where it is absent, which must be a nonnegative int."""
+def _count(d: dict, key: str, where: str, most: int | None = None) -> int:
+    """d[key], 0 where it is absent, which must be a nonnegative int, and
+    at most `most` where given (a count of integer columns, most the
+    dimension)."""
     v = d.get(key, 0)
     if not _is_count(v):
         raise SchemaError(f"expected a nonnegative integer at {where}.{key}")
+    if most is not None and v > most:
+        raise SchemaError(f"{key} {v} out of range, the dimension is {most} at {where}.{key}")
     return v
 
 
-def _vector(v, where: str, inf_sign: float | None = None) -> np.ndarray:
-    """A list of finite numbers; given inf_sign, as for bounds, null stands
-    for inf_sign * inf, the only infinity a file holds."""
+def _vector(v, where: str, inf_sign: float | None = None,
+            length: tuple[int, str] | None = None) -> np.ndarray:
+    """A list of finite numbers, of length[0] entries where given (as
+    _matrix's); given inf_sign, as for bounds, null stands for
+    inf_sign * inf, the only infinity a file holds."""
     if not (isinstance(v, list) and all(
             _is_number(e) or (inf_sign is not None and e is None) for e in v)):
         raise SchemaError(f"expected a list of numbers at {where}")
+    if length is not None and len(v) != length[0]:
+        raise SchemaError(f"{length[1]}, {where.rsplit('.', 1)[-1]} has {len(v)} entries "
+                          f"at {where}")
     return np.array([inf_sign * np.inf if e is None else e for e in v], dtype=float)
 
 
@@ -634,7 +607,7 @@ def uncertainty_set_from_dict(d, where: str = "$", dim_x: int | None = None,
     return UncertaintySet(F=AffineMatrixMap(base, tuple(terms)),
                           G=_matrix(d["G"], f"{where}.G", _length(len(h), "h"),
                                     _length(dim_x, "x")),
-                          h=h, n_int_u=_count(d, "n_int_u", where))
+                          h=h, n_int_u=_count(d, "n_int_u", where, base.shape[1]))
 
 
 def uncertainty_sets_from_list(sets, where: str, dim_x: int | None = None,
@@ -657,14 +630,14 @@ def instance_from_dict(d) -> Instance:
     c1 = _vector(d["c1"], "$.c1")
     x_len = _length(len(c1), "c1")
     Xd = _keys(d["X"], "$.X", ("A", "b"), ("n_int", "bounds"))
+    b = _vector(Xd["b"], "$.X.b")
+    A = _matrix(Xd["A"], "$.X.A", _length(len(b), "b"), x_len)
     lb = ub = None
     if "bounds" in Xd:
         bounds = _keys(Xd["bounds"], "$.X.bounds", ("lb", "ub"))
-        lb = _vector(bounds["lb"], "$.X.bounds.lb", inf_sign=-1.0)
-        ub = _vector(bounds["ub"], "$.X.bounds.ub", inf_sign=1.0)
-    b = _vector(Xd["b"], "$.X.b")
-    X = FirstStageSet(A=_matrix(Xd["A"], "$.X.A", _length(len(b), "b"), x_len), b=b,
-                      n_int=_count(Xd, "n_int", "$.X"), lb=lb, ub=ub)
+        lb = _vector(bounds["lb"], "$.X.bounds.lb", -1.0, x_len)
+        ub = _vector(bounds["ub"], "$.X.bounds.ub", 1.0, x_len)
+    X = FirstStageSet(A=A, b=b, n_int=_count(Xd, "n_int", "$.X", len(c1)), lb=lb, ub=ub)
     U = uncertainty_set_from_dict(d["U"], "$.U", dim_x=len(c1))
     Yd = _keys(d["Y"], "$.Y", ("B1", "B2", "E", "d", "c2"), ("n_int_y",))
     rhs, c2 = _vector(Yd["d"], "$.Y.d"), _vector(Yd["c2"], "$.Y.c2")
@@ -673,7 +646,7 @@ def instance_from_dict(d) -> Instance:
     Y = RecourseSet(B2=_matrix(Yd["B2"], "$.Y.B2", d_len, _length(len(c2), "c2")),
                     B1=_matrix(Yd["B1"], "$.Y.B1", d_len, x_len),
                     E=_matrix(Yd["E"], "$.Y.E", d_len, _length(U.dim, "u")),
-                    d=rhs, c2=c2, n_int_y=_count(Yd, "n_int_y", "$.Y"))
+                    d=rhs, c2=c2, n_int_y=_count(Yd, "n_int_y", "$.Y", len(c2)))
     metadata = d.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("expected an object at $.metadata")

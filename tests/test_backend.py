@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import scipy.optimize
 from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
-from scipy.sparse import coo_array, csc_array, csr_array, vstack
+from scipy.sparse import coo_array, csr_array
 
 from ddu_ro import backend
 from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLimit
@@ -433,32 +433,6 @@ def test_a_single_block_is_read_as_the_sorted_blocks_are(block, cols):
     assert one[1].tolist() == cols
 
 
-@pytest.mark.parametrize("senses", [[GEQ, LEQ, GEQ], [EQ, EQ, EQ], [EQ, GEQ, EQ]])
-def test_assembly_slices_the_rows_only_between_kinds(senses):
-    # the <= rows of highs_arrays' LP, then its = rows, equal those of
-    # slicing by kind, to the bytes
-    m = LinearModel()
-    x = m.add_vars(3)
-    m.add_rows([(x, [[1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [3.0, 4.0, 0.0]])], senses,
-               [1.0, -2.0, 0.5])
-    A, sense, rhs = m.sparse()
-    sign = np.where(sense == GEQ, -1.0, 1.0)
-    A.data *= np.repeat(sign, np.diff(A.indptr))
-    lp = backend.highs_arrays(m)
-    rows_of = csc_array((lp.data, lp.indices, lp.indptr), shape=(len(lp.rhs), 3)).tocsr()
-    n_ub = int(np.isneginf(lp.lhs).sum())
-    blocks = [(rows_of[part], lp.rhs[part]) for part in (slice(n_ub), slice(n_ub, None))]
-    for (block, b), rows in zip(blocks, map(np.flatnonzero, (sense != EQ, sense == EQ))):
-        if not len(rows):
-            assert block.shape[0] == 0 and b.size == 0
-            continue
-        ref = A[rows]
-        for got, want in ((block.data, ref.data), (block.indices.astype(np.int64), ref.indices),
-                          (block.indptr.astype(np.int64), ref.indptr),
-                          (b, sign[rows] * rhs[rows])):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 def small_mip():
     # min x + y, x + y >= 1.5, x integer: x = 2 or (x=1, y=.5); latter cheaper
     m = LinearModel(name="mip")
@@ -715,42 +689,9 @@ def test_highs_output_during_a_mip_goes_to_stderr(monkeypatch, capfd):
 
 # -- HiGHS without scipy's wrappers ---------------------------------------------
 
-def _arrays_through_scipy(model: LinearModel, mip: bool) -> backend.HighsArrays:
-    """Reference of highs_arrays: the arrays HiGHS got when an LP went
-    through _assemble_lp's <= and = blocks and linprog's vstack and
-    csc_array, and a MIP through a LinearConstraint and milp's csc_array."""
-    c = model.objective_vector()
-    if model.sense == "max":
-        c = -c
-    A, senses, rhs = model.sparse()
-    lb, ub, integer = model.columns()
-    if mip:
-        rows = LinearConstraint(A, np.where(senses == LEQ, -np.inf, rhs),
-                                np.where(senses == GEQ, np.inf, rhs))
-        A, lhs, rhs = csc_array(rows.A), np.array(rows.lb, dtype=float), np.array(rows.ub)
-        return backend.HighsArrays(c, A.indptr.astype(np.int32), A.indices.astype(np.int32),
-                                   A.data, lhs, rhs, lb, ub, integer.astype(np.int32))
-    sign = np.where(senses == GEQ, -1.0, 1.0)
-    A.data *= np.repeat(sign, np.diff(A.indptr))
-    eq = senses == EQ
-    if eq.any() and not eq.all():
-        blocks = [(A[rows], sign[rows] * rhs[rows]) for rows in map(np.flatnonzero, (~eq, eq))]
-    else:
-        blocks = [(None, np.zeros(0))] * 2
-        if len(rhs):
-            blocks[int(eq[0])] = (A, sign * rhs)
-    (a_ub, b_ub), (a_eq, b_eq) = blocks
-    parts = [a for a in (a_ub, a_eq) if a is not None]
-    A = csc_array(vstack(parts) if len(parts) > 1 else parts[0] if parts else (0, c.size))
-    lb, ub = np.broadcast_to(np.column_stack([lb, ub]), (c.size, 2)).T.copy()
-    return backend.HighsArrays(c, A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
-                               np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
-                               np.concatenate([b_ub, b_eq]), lb, ub, np.zeros(c.size, np.int32))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_highs_arrays_are_those_scipy_assembled(seed):
+def test_highs_arrays_hold_the_models_rows_in_order(seed):
     # mixed, all-=, one-kind and no rows; columns no row reads; zero costs,
     # which a max negates to -0.0; repeated ids, exact zeros and -0.0 in
     # dense and sparse blocks
@@ -769,11 +710,23 @@ def test_highs_arrays_are_those_scipy_assembled(seed):
                    rng.choice(kinds, size=rows), rng.choice(values, size=rows))
     m.set_objective(dict(zip(ids, rng.choice(values, size=n))),
                     sense=str(rng.choice(["min", "max"])))
+    A, senses, rhs = m.sparse()
+    c = m.objective_vector()
+    lb, ub, integer = m.columns()
+    leq, geq = senses == LEQ, senses == GEQ
     for mip in (False, True):
-        got, want = backend.highs_arrays(m, mip), _arrays_through_scipy(m, mip)
-        for field, a, b in zip(got._fields, got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape, field
-            assert a.tobytes() == b.tobytes(), field
+        a = backend.highs_arrays(m, mip)
+        # HiGHS's row i is the model's row i, A as sparse() reads it
+        for got, want in ((a.indptr, A.indptr), (a.indices, A.indices)):
+            assert got.dtype == np.int32 and got.tobytes() == want.astype(np.int32).tobytes()
+        assert a.data.tobytes() == A.data.tobytes()
+        # lhs -inf on the <= rows, rhs +inf on the >= rows, else the rhs
+        assert np.isneginf(a.lhs[leq]).all() and a.lhs[~leq].tobytes() == rhs[~leq].tobytes()
+        assert np.isposinf(a.rhs[geq]).all() and a.rhs[~geq].tobytes() == rhs[~geq].tobytes()
+        assert a.c.tobytes() == (-c if m.sense == "max" else c).tobytes()
+        assert a.lb.tobytes() == lb.tobytes() and a.ub.tobytes() == ub.tobytes()
+        assert a.integrality.dtype == np.int32
+        assert a.integrality.tolist() == (integer & mip).astype(int).tolist()
 
 
 def _copies_through_add_rows(name, A, senses, rhs, lb, ub, cost) -> LinearModel:
@@ -838,23 +791,18 @@ def _random_model(rng) -> LinearModel:
     return model
 
 
-def _scipy_arguments(name: str, a: backend.HighsArrays) -> dict:
-    """The arguments of scipy.optimize.linprog or milp that hand HiGHS a's
-    arrays: linprog's <= rows are those with lhs -inf, first."""
-    A = csc_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size)).tocsr()
-    if name == "milp":
-        return dict(c=a.c, integrality=a.integrality, bounds=Bounds(a.lb, a.ub),
-                    constraints=LinearConstraint(A, a.lhs, a.rhs) if a.rhs.size else ())
-    k = int(np.isneginf(a.lhs).sum())
-    (A_ub, b_ub), (A_eq, b_eq) = [(A[part], a.rhs[part]) if a.rhs[part].size else (None, None)
-                                  for part in (slice(k), slice(k, None))]
-    return dict(c=a.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                bounds=np.column_stack([a.lb, a.ub]), method="highs")
+def _scipy_arguments(a: backend.HighsArrays) -> dict:
+    """The arguments of scipy.optimize.milp that hand HiGHS a's arrays;
+    an LP's integrality is all 0."""
+    A = csr_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size))
+    return dict(c=a.c, integrality=a.integrality, bounds=Bounds(a.lb, a.ub),
+                constraints=LinearConstraint(A, a.lhs, a.rhs) if a.rhs.size else ())
 
 
 def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
     # solve_lp and solve_mip of each draw; every backend.linprog and
-    # backend.milp call is repeated with the same arguments in scipy
+    # backend.milp call is repeated in scipy's milp with the same arrays and
+    # options (an LP's: linprog's presolve, no integer column)
     calls = []
     for name in ("linprog", "milp"):
         def call(*args, _real=getattr(backend, name), _name=name, **kwargs):
@@ -870,7 +818,7 @@ def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
     for name, (a,), kwargs, ours in calls:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-            ref = getattr(scipy.optimize, name)(**_scipy_arguments(name, a), **kwargs)
+            ref = scipy.optimize.milp(**_scipy_arguments(a), **kwargs)
         codes.add((name, ours.status))
         assert ours.status == ref.status
         assert (ours.x is None) == (ref.x is None)
@@ -887,8 +835,8 @@ def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
 
 
 def _dense_arrays(c, A, lhs, rhs, lb, ub, integrality) -> backend.HighsArrays:
-    """HighsArrays of a dense A, through scipy's CSC."""
-    A = csc_array(np.asarray(A, dtype=float))
+    """HighsArrays of a dense A, through scipy's CSR."""
+    A = csr_array(np.asarray(A, dtype=float))
     n = len(c)
     return backend.HighsArrays(
         np.asarray(c, dtype=float), A.indptr.astype(np.int32), A.indices.astype(np.int32),
@@ -897,13 +845,20 @@ def _dense_arrays(c, A, lhs, rhs, lb, ub, integrality) -> backend.HighsArrays:
         np.broadcast_to(integrality, n).astype(np.int32))
 
 
-@pytest.mark.parametrize("where", ["c", "A_ub", "b_eq"])
-def test_linprog_refuses_non_finite_data(where):
-    # a <= row, then an = row: A_ub is the first entry, b_eq the last rhs
-    lp = _dense_arrays(np.ones(2), np.ones((2, 2)), [-np.inf, 1.0], 1.0, 0.0, 1.0, 0)
-    field, k = {"c": ("c", 0), "A_ub": ("data", 0), "b_eq": ("rhs", 1)}[where]
+@pytest.mark.parametrize("where, value", [
+    ("c", np.inf), ("A_ub", np.inf), ("b_eq", np.nan), ("b_ge", np.nan), ("free-row", -np.inf),
+    ("lhs_eq", np.inf)], ids=["c", "A_ub", "b_eq", "b_ge", "free-row", "lhs_eq"])
+def test_linprog_refuses_non_finite_data(where, value):
+    # a <= row, an = row, then a >= row: A_ub is the first entry, b_eq the
+    # = row's rhs, b_ge the >= row's lhs; a -inf there leaves the row free,
+    # which linprog's b_ub refused, and an = row with lhs +inf reads as >=
+    lp = _dense_arrays(np.ones(2), np.ones((3, 2)), [-np.inf, 1.0, 0.5], [1.0, 1.0, np.inf],
+                       0.0, 1.0, 0)
+    assert backend.linprog(lp, options={"presolve": True}).status == 0
+    field, k = {"c": ("c", 0), "A_ub": ("data", 0), "b_eq": ("rhs", 1), "b_ge": ("lhs", 2),
+                "free-row": ("lhs", 2), "lhs_eq": ("lhs", 1)}[where]
     bad = getattr(lp, field).copy()
-    bad[k] = np.nan if where == "b_eq" else np.inf
+    bad[k] = value
     with pytest.raises(ValueError, match="finite"):
         backend.linprog(lp._replace(**{field: bad}), options={"presolve": True})
 
@@ -915,7 +870,7 @@ def test_milp_refuses_a_non_finite_cost():
 
 def _rows_at(a: backend.HighsArrays, x: np.ndarray) -> np.ndarray:
     """The row activities A x of HighsArrays a."""
-    return csc_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size)) @ x
+    return csr_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size)) @ x
 
 
 @pytest.mark.parametrize("sense, miss, status", [
@@ -957,6 +912,19 @@ def test_a_mips_node_count_reaches_the_result():
     ref = milp(*args, **kwargs)
     assert ours.status == 0 and ours.mip_node_count == ref.mip_node_count >= 1
     assert ours.mip_gap == ref.mip_gap and ours.mip_dual_bound == ref.mip_dual_bound
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["lp", "mip"])
+def test_a_model_highs_refuses_is_numerical(integer):
+    # min x0 + x1 s.t. x0 + 1e15 x1 >= 1, 0 <= x <= 10 is feasible, but
+    # HiGHS refuses a coefficient of 1e15 (its large_matrix_value); that
+    # once read Infeasible
+    m = LinearModel(name="refused")
+    x = m.add_vars(2, 0.0, 10.0, integer=integer)
+    m.add_rows([(x, [[1.0, 1e15]])], GEQ, [1.0])
+    m.set_objective({x[0]: 1.0, x[1]: 1.0})
+    solve = backend.solve_mip if integer else backend.solve_lp
+    assert solve(m).status == backend.NUMERICAL
 
 
 def test_a_rejected_highs_option_warns_and_is_skipped():

@@ -94,6 +94,20 @@ def test_solve_numerical_exits_one_with_the_run(fl_rhs5_path, tmp_path):
     assert payload["lb"] is not None and payload["ub"] is None
 
 
+def test_a_master_highs_refuses_ends_numerical(tmp_path):
+    # at big_M 1e15 HiGHS refuses the 2-site parametric master, whose M-rows
+    # hold 1e15; the run ended Infeasible, exit 2, though the oracle gives
+    # -51406.065
+    from ddu_ro.instances import FLParams, gen_robust_fl
+    path, out = str(tmp_path / "fl2.json"), str(tmp_path / "run")
+    io_write(path, gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs"))
+    assert cli.main(["solve", path, "--variant", "parametric", "--big-m", "1e15",
+                     "--out", out]) == 1
+    payload = json.loads(Path(out, "run.json").read_text())
+    assert payload["status"] == "Numerical"
+    assert payload["meta"]["reason"] == "master solve ended Numerical"
+
+
 def test_solve_prints_only_its_summary_line(fl_rhs5_path, tmp_path, capfd):
     # HiGHS prints a line of its own with a raw printf during this run's
     # MIPs; stdout must still hold the summary alone
@@ -193,6 +207,10 @@ def _drop(d, *path):
      "'F' at $.metadata.ddu_sets[0]"),
     (lambda d: d.update(metadata={"ddu_sets": d["U"]}), "list of uncertainty sets "
      "at $.metadata.ddu_sets"),
+    (lambda d: d["X"].update(n_int=5), "n_int 5 out of range, the dimension is 1 at $.X.n_int"),
+    (lambda d: d["X"]["bounds"].update(ub=[]), "c1 has 1 entries, ub has 0 entries at "
+     "$.X.bounds.ub"),
+    (lambda d: d["c1"].append(1.0), "c1 has 2 entries, A has 1 columns at $.X.A"),
     (lambda d: d["U"].update(n_int_u=7), "n_int_u 7 out of range"),
     (lambda d: d["Y"].update(n_int_y=7), "n_int_y 7 out of range"),
     (lambda d: d["X"].update(n_int=[1]), "integer at $.X.n_int"),
@@ -219,7 +237,8 @@ def _drop(d, *path):
      "base of 1x1000000000000000 is too large at $.U.F.base"),
 ], ids=["U-without-F", "matrix-without-rows", "two-entry-triplet", "no-c1",
         "d-longer-than-B2", "c1-an-object", "null-in-h", "surrogate-without-F",
-        "surrogates-an-object", "n_int_u-beyond-dim", "n_int_y-beyond-dim",
+        "surrogates-an-object", "n_int-beyond-dim", "bounds-shorter-than-c1",
+        "c1-longer-than-A", "n_int_u-beyond-dim", "n_int_y-beyond-dim",
         "n_int-a-list", "n_int-a-fraction", "n_int_u-a-bool", "triplet-value-a-bool",
         "metadata-a-list", "nan-in-F", "triplets-a-number", "terms-a-number",
         "B2-beyond-its-vectors", "term-wider-than-base", "surrogate-G-too-wide",

@@ -22,7 +22,7 @@ from ddu_ro import backend
 from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel
 from ddu_ro.ccg import AlgorithmConfig, run
 from ddu_ro.instances import FLParams, gen_robust_fl
-from ddu_ro.model import (IterationRecord, RunResult, _binary_products, dimension_errors,
+from ddu_ro.model import (IterationRecord, RunResult, _binary_products,
                           envelope_rows, max_lp, range_probe)
 from toys import record_linprog
 
@@ -65,13 +65,6 @@ def test_basis_id_permutation_invariance(idx):
     perm = list(idx)
     rng.shuffle(perm)
     assert BasisId(tuple(idx)) == BasisId(tuple(perm))
-
-
-def test_dimension_errors_name_each_mismatch():
-    inst = t1()
-    assert dimension_errors(inst) == []
-    bad = Instance(name="bad", c1=[1.0, 2.0], X=inst.X, U=inst.U, Y=inst.Y)
-    assert any("c1" in e for e in dimension_errors(bad))
 
 
 def test_every_public_name_resolves():
@@ -167,13 +160,16 @@ def test_the_first_range_probe_lp_of_fl_rhs5_is_pinned(monkeypatch):
     # sp1's network caps: one copy of the outer set per coordinate that
     # sp1's objective reads; the digest moves only when HiGHS would receive
     # a different problem. Pinned anew when linprog came to take HiGHS's
-    # arrays, which record_linprog hashes (tests/test_instances.py's
+    # arrays, which record_linprog hashes, and again when A came to reach
+    # HiGHS as the rows' own CSR instead of CSC: this LP's rows are all <=,
+    # so HiGHS gets the same problem and tools/highs_digest.py's canonical
+    # digest of it did not move (tests/test_instances.py's
     # PINNED_LP_DIGESTS say more)
     calls = record_linprog(monkeypatch)
     run(gen_robust_fl(FLParams(n_sites=5, seed=0), "rhs"),
         AlgorithmConfig(variant="parametric", max_iterations=1))
     first = next(c for c in calls if c[0] == "range_probe")
-    assert first[1:] == [75, "685c0d6cce34f3b5"]    # 5 copies of 15 columns
+    assert first[1:] == [75, "e339c5a951d0c011"]    # 5 copies of 15 columns
 
 
 # -- the binary-product envelope against its pair-by-pair reference ------------

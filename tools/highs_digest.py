@@ -43,7 +43,7 @@ import sys
 import tempfile
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import workloads  # noqa: E402
@@ -107,7 +107,7 @@ class Recorder:
 
         def hashed(kind, solve):
             def call(a, options=None):
-                A = csc_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size))
+                A = csr_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size))
                 self.hashes.append(_model_hash(kind, a.c, A, a.lhs, a.rhs, a.lb, a.ub,
                                                a.integrality, options))
                 self.mips.append(kind == "mip")
