@@ -13,14 +13,19 @@ and integrality for a MIP. solve_lp hands them to linprog, solve_mip to
 milp, both this module's: _highs solves them on one fresh _Highs of scipy's
 bundled binding (setOptionValue, passModel's rowwise arrays, run,
 getSolution; no basis, no duals) with the options scipy's function of that
-name would add. They keep scipy's names, options and result fields because
-every solve meets HiGHS there: tests replace them or hash their arrays, and
-perfbench/tracing.py times them. scipy's checks stay: c, A and the row
-bounds a row's sense sets (rhs of <=, lhs of >=, both of =) must be finite,
-else ValueError; an Optimal LP whose x misses a bound or a row by more than
-10 sqrt(1e-9) is code 4; a limit is code 1, a model HiGHS refuses (such as
-a coefficient of 1e15) and an unlisted status 4; a MIP at a limit keeps x
-unless its objective is +inf; a rejected option warns.
+name would add, and maps HiGHS's model status once, by one table
+(_STATUS_OF): Optimal, Infeasible and Unbounded as they are, a time or
+iteration limit TimeLimit, any other status and a model HiGHS refuses (such
+as a coefficient of 1e15) Numerical. From _highs up every solve returns a
+SolveOutcome, in the arrays' min sense until solve_lp and solve_mip restate
+it in the model's; x, the objective, the row activity A x, a MIP's dual
+bound and its node count come only with Optimal. linprog and milp keep
+scipy's names because every solve meets HiGHS there: tests replace them,
+and perfbench/tracing.py times them and reads milp's mip_node_count.
+scipy's checks stay: c, A and the row bounds a row's sense sets (rhs of <=,
+lhs of >=, both of =) must be finite, else ValueError; an Optimal LP whose
+x misses a bound or a row by more than 10 sqrt(1e-9) is Numerical; a
+rejected option warns.
 Import fails with an ImportError naming scipy 1.17 (HiGHS 1.12), the tested
 series, when _Highs lacks a method _highs calls.
 
@@ -71,7 +76,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import OptimizeWarning
@@ -333,6 +338,8 @@ class SolveOutcome:
     objective: float | None = None
     x: np.ndarray | None = None
     bound: float | None = None            # best dual bound from a MIP solve
+    mip_node_count: int | None = None     # HiGHS's branch-and-bound nodes of a MIP
+    row_activity: np.ndarray | None = None    # A x, HiGHS's row values
 
     @property
     def is_optimal(self) -> bool:
@@ -384,21 +391,20 @@ def _binding(core):
 
 
 _Highs, _MS, _ERROR = _binding(_core), _core.HighsModelStatus, _core.HighsStatus.kError
-# scipy's result codes of HiGHS's model statuses; any other is 4
-_CODES = {_MS.kOptimal: 0, _MS.kTimeLimit: 1, _MS.kIterationLimit: 1, _MS.kInfeasible: 2,
-          _MS.kUnbounded: 3}
+# HiGHS's model statuses as this module's; any other is Numerical
+_STATUS_OF = {_MS.kOptimal: OPTIMAL, _MS.kInfeasible: INFEASIBLE, _MS.kUnbounded: UNBOUNDED,
+              _MS.kTimeLimit: TIME_LIMIT, _MS.kIterationLimit: TIME_LIMIT}
 # linprog(method="highs")'s options; log_to_console comes first in every
 # option set, so that HiGHS logs nothing about an option it rejects
 _LP_OPTIONS = {"log_to_console": False, "output_flag": False, "highs_debug_level": 0,
-               "simplex_strategy": 1}
-_Result = namedtuple("_Result", "status x fun mip_node_count mip_dual_bound mip_gap",
-                     defaults=(None,) * 5)
+               "simplex_strategy": 1, "presolve": "on"}
 
 
-def _highs(a: HighsArrays, options: dict) -> tuple[_Result, np.ndarray]:
-    """Solve a by one fresh HiGHS model, read as scipy's _highs_wrapper
-    reads it: the result and the row activities, with x only for an Optimal
-    solution or a MIP's incumbent (objective not +inf) at a limit."""
+def _highs(a: HighsArrays, options: dict) -> SolveOutcome:
+    """Solve a by one fresh HiGHS model: the outcome in a's min sense, with
+    x, the objective, the row activity and a MIP's dual bound and node count
+    only where it is Optimal; a model HiGHS refuses is Numerical, and so is
+    an optimum of a run that errs."""
     h = _Highs()
     for key, value in options.items():
         if h.setOptionValue(key, value) == _ERROR:
@@ -407,68 +413,59 @@ def _highs(a: HighsArrays, options: dict) -> tuple[_Result, np.ndarray]:
     # a_format 2: A rowwise; sense 1: minimize
     if h.passModel(a.c.size, a.rhs.size, a.data.size, 2, 1, 0.0, a.c, a.lb, a.ub, a.lhs, a.rhs,
                    a.indptr, a.indices, a.data, a.integrality) == _ERROR:
-        return _Result(4), None                         # a model HiGHS refuses
-    if h.run() == _ERROR:
-        return _Result(_CODES.get(h.getModelStatus(), 4)), None
-    status, info, mip = h.getModelStatus(), h.getInfo(), bool(a.integrality.any())
-    code = _CODES.get(status, 4)
-    if not (status == _MS.kOptimal or mip and info.objective_function_value != np.inf
-            and status in (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)):
-        return _Result(code), None
-    solution = h.getSolution()
-    counts = (info.mip_node_count, info.mip_dual_bound, info.mip_gap) if mip else ()
-    return (_Result(code, np.array(solution.col_value), info.objective_function_value, *counts),
-            np.array(solution.row_value))
+        return SolveOutcome(NUMERICAL)
+    erred = h.run() == _ERROR
+    status = _STATUS_OF.get(h.getModelStatus(), NUMERICAL)
+    if status != OPTIMAL or erred:
+        return SolveOutcome(NUMERICAL if status == OPTIMAL else status)
+    info, solution = h.getInfo(), h.getSolution()
+    mip = (info.mip_dual_bound, info.mip_node_count) if a.integrality.any() else (None, None)
+    return SolveOutcome(OPTIMAL, info.objective_function_value, np.array(solution.col_value),
+                        *mip, np.array(solution.row_value))
 
 
-def linprog(lp: HighsArrays, options=None) -> _Result:
+def linprog(lp: HighsArrays, options=None) -> SolveOutcome:
     """scipy.optimize.linprog(method="highs") on an LP of highs_arrays, with
     its input and result checks restated on lhs <= A x <= rhs (module
-    docstring); options as linprog's, presolve a bool."""
+    docstring); options are added to _LP_OPTIONS."""
     # the row bounds the senses set: rhs of <= (lhs -inf), lhs of >= (rhs
     # +inf), both of =; a NaN is read wherever it is
     rows = np.where(lp.lhs == -np.inf, lp.rhs, lp.lhs), np.where(lp.rhs == np.inf, lp.lhs, lp.rhs)
     if not (lp.c.size and np.isfinite(np.concatenate([lp.c, lp.data, *rows])).all()):
         raise ValueError("linprog: c, A and the row bounds must be finite, c not empty")
-    options = dict(options or {})
-    presolve = "on" if options.pop("presolve", True) else "off"
-    res, row = _highs(lp, {**_LP_OPTIONS, "presolve": presolve, **options})
-    tol = 10 * np.sqrt(1e-9)
-    if res.x is not None and (np.isnan(res.fun) or not (
-            np.all((res.x >= lp.lb - tol) & (res.x <= lp.ub + tol))
-            and np.all(lp.rhs - row >= -tol) and np.all(row - lp.lhs >= -tol))):
-        res = res._replace(status=4)
-    return res
+    out = _highs(lp, {**_LP_OPTIONS, **(options or {})})
+    if not out.is_optimal:
+        return out
+    x, row, tol = out.x, out.row_activity, 10 * np.sqrt(1e-9)
+    if np.isnan(out.objective) or not (
+            np.all((x >= lp.lb - tol) & (x <= lp.ub + tol))
+            and np.all(lp.rhs - row >= -tol) and np.all(row - lp.lhs >= -tol)):
+        return SolveOutcome(NUMERICAL)
+    return out
 
 
-def milp(mip: HighsArrays, options=None) -> _Result:
+def milp(mip: HighsArrays, options=None) -> SolveOutcome:
     """scipy.optimize.milp on a MIP of highs_arrays, with its check of c."""
     if not (mip.c.size and np.isfinite(mip.c).all()):
         raise ValueError("milp: c must be finite, not empty")
-    return _highs(mip, {"log_to_console": False, **(options or {})})[0]
+    return _highs(mip, {"log_to_console": False, **(options or {})})
 
 
-# linprog's and milp's status codes
-_STATUS = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: NUMERICAL}
-
-
-def _status(model: LinearModel, code: int) -> str:
-    """The status of a linprog or milp result code; a stop on the time limit
-    raises SolveTimeLimit instead."""
-    status = _STATUS.get(code, NUMERICAL)
-    if status == TIME_LIMIT:
+def _restated(model: LinearModel, out: SolveOutcome) -> SolveOutcome:
+    """out, an outcome of the model's HiGHS arrays, in the model's sense:
+    the objective from the model, the bound negated for a max; a stop on a
+    limit raises SolveTimeLimit instead."""
+    if out.status == TIME_LIMIT:
         raise SolveTimeLimit(f"{model.name}: HiGHS stopped on its time limit")
-    return status
+    if not out.is_optimal:
+        return out
+    bound = out.bound if out.bound is None or model.sense == "min" else -out.bound
+    return replace(out, objective=model.objective_value(out.x), bound=bound)
 
 
 def solve_lp(model: LinearModel) -> SolveOutcome:
     """Solve ignoring integrality."""
-    res = linprog(highs_arrays(model), options=_with_time_left(model, {"presolve": True}))
-    status = _status(model, res.status)
-    if status != OPTIMAL:
-        return SolveOutcome(status=status)
-    x = np.asarray(res.x, dtype=float)
-    return SolveOutcome(status=OPTIMAL, objective=model.objective_value(x), x=x)
+    return _restated(model, linprog(highs_arrays(model), options=_with_time_left(model, {})))
 
 
 # -- block LPs over copies -----------------------------------------------------
@@ -527,21 +524,19 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
 
 def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """_solve_run's (status, x) of the copies, in runs of at most _BLOCK_ENTRIES nonzeros of A."""
-    cap = max(1, int(_BLOCK_ENTRIES // max(1, A.nnz if issparse(A) else np.count_nonzero(A))))
-    return _joined(name, A, senses, rhs, lb, ub, cost,
-                   [slice(lo, lo + cap) for lo in range(0, max(1, len(rhs)), cap)])
-
-
-def _solve_run(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
-               ) -> tuple[np.ndarray, np.ndarray]:
     """Each copy's status and x, a (K, n) array with nan rows where a copy is
-    not Optimal, from one solve_lp of copies_lp's LP; where that is not
-    Optimal, from each half of the copies in turn, down to single copies, so
-    one failing copy of K costs about 2 log2 K LPs. Copies that share one
-    feasible set (one lb, one ub, equal rhs rows) differ only in cost, so an
-    Infeasible LP of them is every copy's status at once. No copies, no LP."""
+    not Optimal. Copies past _BLOCK_ENTRIES nonzeros of A are cut into runs
+    of at most that many; a run is one solve_lp of copies_lp's LP, and where
+    that is not Optimal, each half of the run in turn, down to single
+    copies, so one failing copy of K costs about 2 log2 K LPs. Copies that
+    share one feasible set (one lb, one ub, equal rhs rows) differ only in
+    cost, so an Infeasible LP of them is every copy's status at once. No
+    copies, no LP."""
     K, n = len(rhs), A.shape[1]
+    cap = max(1, int(_BLOCK_ENTRIES // max(1, A.nnz if issparse(A) else np.count_nonzero(A))))
+    if K > cap:
+        return _joined(name, A, senses, rhs, lb, ub, cost,
+                       [slice(lo, lo + cap) for lo in range(0, K, cap)])
     if not K:
         return np.zeros(0, dtype=str), np.zeros((0, n))
     out = solve_lp(copies_lp(name, A, senses, rhs, lb, ub, cost))
@@ -554,10 +549,10 @@ def _solve_run(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
 
 
 def _joined(name, A, senses, rhs, lb, ub, cost, parts: list[slice]):
-    """_solve_run over each slice of the copies, joined in order."""
+    """solve_copies over each slice of the copies, joined in order."""
     return tuple(map(np.concatenate, zip(*(
-        _solve_run(name, A, senses, rhs[part],
-                  *(a[part] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
+        solve_copies(name, A, senses, rhs[part],
+                     *(a[part] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
         for part in parts))))
 
 
@@ -602,27 +597,17 @@ def _stdout_to_stderr() -> Iterator[None]:
 def solve_mip(model: LinearModel, mip_rel_gap: float | None = None) -> SolveOutcome:
     """Solve with integrality, to HiGHS's relative gap mip_rel_gap when given
     (its default is 1e-4); a model without integer columns goes to
-    solve_lp. A MIP that ends code 4 without x, as HiGHS reports an
-    unbounded or infeasible one, is settled by _unbounded_or_infeasible; one
-    HiGHS refuses ends Numerical there, its relaxation refused too."""
+    solve_lp. A MIP that ends Numerical, as HiGHS's status "unbounded or
+    infeasible" reads, is settled by _unbounded_or_infeasible; one HiGHS
+    refuses ends Numerical there, its relaxation refused too."""
     if not model.has_integers:
         return solve_lp(model)
     mip = highs_arrays(model, mip=True)
     gap = {} if mip_rel_gap is None else {"mip_rel_gap": mip_rel_gap}
     options = _with_time_left(model, {**_MIP_OPTIONS, **gap})
     with _stdout_to_stderr():
-        res = milp(mip, options=options)
-    status = _status(model, res.status)
-    if res.x is None:
-        if res.status == 4:
-            return SolveOutcome(status=_unbounded_or_infeasible(model))
-        return SolveOutcome(status=status if status != OPTIMAL else NUMERICAL)
-    x = np.asarray(res.x, dtype=float)
-    bound = None
-    if res.mip_dual_bound is not None:
-        bound = (-1.0 if model.sense == "max" else 1.0) * float(res.mip_dual_bound)
-    return SolveOutcome(status=status, objective=model.objective_value(x),
-                        x=x, bound=bound)
+        out = _restated(model, milp(mip, options=options))
+    return SolveOutcome(_unbounded_or_infeasible(model)) if out.status == NUMERICAL else out
 
 
 def _unbounded_or_infeasible(model: LinearModel) -> str:

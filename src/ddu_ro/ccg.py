@@ -38,7 +38,7 @@ from .maxmin import (OptimalityBlock, ParametricLPResult, build_optimality_block
 from .model import (BasisId, Instance, IterationRecord, RunResult, SchemaError,
                     UncertaintySet, add_first_stage, add_recourse_rows, add_recourse_vars,
                     affine_blocks, binary_coupling, build_deterministic_mip, range_probe,
-                    relative_gap, uncertainty_set_from_dict)
+                    relative_gap, uncertainty_sets_from_list)
 from .subproblems import (_FEAS_TOL, _RAY_TOL, recourse_mip_at, sp1, sp2, sp2_mip_relax,
                           sp2_pareto_lp, sp3, sp4)
 
@@ -604,10 +604,7 @@ def _resolve_ddu_sets(inst: Instance,
         if not isinstance(raw, list) or not raw:
             raise ValueError("instance metadata carries no list of ddu_sets")
         try:
-            spec = [U if isinstance(U, UncertaintySet)
-                    else uncertainty_set_from_dict(U, f"metadata.ddu_sets[{i}]",
-                                                   inst.dim_x, inst.U.dim)
-                    for i, U in enumerate(raw)]
+            spec = uncertainty_sets_from_list(raw, "metadata.ddu_sets", inst.dim_x, inst.U.dim)
         except SchemaError as exc:
             raise ValueError(str(exc)) from exc
     if not spec:

@@ -1,7 +1,7 @@
 """Benchmark instance generators, the brute-force exactness oracle, and
 instance file I/O: io_read leaves the file's layout to
 model.instance_from_dict, the one reader, which checks each part where it
-builds it, and adds the check that the parts agree in their dimensions.
+builds it.
 
 The oracle defines the ground truth the solvers are tested against: it
 enumerates the first stage over its integer lattice (continuous components are

@@ -14,7 +14,8 @@ from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, milp
 from scipy.sparse import coo_array, csr_array
 
 from ddu_ro import backend
-from ddu_ro.backend import GEQ, LEQ, EQ, BackendError, LinearModel, SolveTimeLimit
+from ddu_ro.backend import (GEQ, LEQ, EQ, INFEASIBLE, NUMERICAL, OPTIMAL, TIME_LIMIT, UNBOUNDED,
+                            BackendError, LinearModel, SolveOutcome, SolveTimeLimit)
 
 
 def small_min_lp():
@@ -450,13 +451,30 @@ def test_mip_rounds_to_integers():
     assert out.x[x] == pytest.approx(round(out.x[x]), abs=1e-8)
 
 
-def test_an_unbounded_mip_is_unbounded_and_keeps_its_objective():
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_a_mips_objective_and_bound_are_in_the_models_sense(sense):
+    # small_mip, or the max of its negated objective: HiGHS closes the gap,
+    # so the dual bound meets the objective on the model's side of zero
+    m, x, y = small_mip()
+    if sense == "max":
+        m.set_objective({x: -1.0, y: -1.0}, sense="max")
+    out = backend.solve_mip(m)
+    assert out.objective == pytest.approx(1.5 if sense == "min" else -1.5)
+    assert out.bound == pytest.approx(out.objective) and out.mip_node_count >= 0
+
+
+def unbounded_mip():
     # min -x + y, x integer, x - y >= 0.5: HiGHS ends it unbounded or
-    # infeasible (code 4); the relaxation is unbounded and the MIP feasible
+    # infeasible (Numerical); the relaxation is unbounded and the MIP feasible
     m = LinearModel()
     x, y = m.add_vars(2, integer=[True, False])
     m.add_rows([([x, y], [[1.0, -1.0]])], GEQ, [0.5])
     m.set_objective({x: -1.0, y: 1.0})
+    return m, x, y
+
+
+def test_an_unbounded_mip_is_unbounded_and_keeps_its_objective():
+    m, x, y = unbounded_mip()
     assert backend.solve_mip(m).status == backend.UNBOUNDED
     assert (m.obj, m.sense) == ({x: -1.0, y: 1.0}, "min")
 
@@ -464,7 +482,7 @@ def test_an_unbounded_mip_is_unbounded_and_keeps_its_objective():
 def test_an_undecided_mip_without_integer_points_is_infeasible(monkeypatch):
     # 2 a - 2 b = 1 over free integers, min a: the relaxation is unbounded,
     # and the re-solve with a zero objective finds no integer point; the
-    # first milp call is made to end code 4 the way an unbounded MIP does
+    # first milp call is made to end Numerical the way an unbounded MIP does
     m = LinearModel()
     a, b = m.add_vars(2, lb=-np.inf, ub=np.inf, integer=True)
     m.add_rows([([a, b], [[2.0, -2.0]])], EQ, [1.0])
@@ -474,7 +492,7 @@ def test_an_undecided_mip_without_integer_points_is_infeasible(monkeypatch):
 
     def undecided(mip, **kw):
         objectives.append(mip.c.tolist())
-        return milp(mip, **kw) if len(objectives) > 1 else backend._Result(4)
+        return milp(mip, **kw) if len(objectives) > 1 else SolveOutcome(NUMERICAL)
 
     monkeypatch.setattr(backend, "milp", undecided)
     assert backend.solve_mip(m).status == backend.INFEASIBLE
@@ -562,7 +580,7 @@ def test_random_lps_match_a_milp_reference(seed):
 # -- the wall clock -----------------------------------------------------------
 
 def _record_highs(monkeypatch) -> list[dict]:
-    """Wrap linprog and milp; every call appends the options HiGHS gets."""
+    """Wrap linprog and milp; every call appends the options it is given."""
     seen: list[dict] = []
 
     def recorded(real):
@@ -641,14 +659,80 @@ def test_a_passed_deadline_raises_before_highs_is_called(monkeypatch):
     assert seen == []
 
 
-@pytest.mark.parametrize("solver, model", [("linprog", small_min_lp),
-                                           ("milp", small_mip)])
-def test_a_highs_time_limit_status_raises(monkeypatch, solver, model):
-    # status 1: HiGHS stopped on its time limit, a MIP maybe with an incumbent
-    monkeypatch.setattr(backend, solver, lambda *args, **kwargs: SimpleNamespace(
-        status=1, x=np.array([1.0, 0.5]), mip_dual_bound=1.5))
-    with backend.deadline(100.0), pytest.raises(SolveTimeLimit, match="time limit"):
-        backend.solve_mip(model()[0])
+# -- HiGHS's model status, read by one table -----------------------------------
+
+def _highs_reports(monkeypatch, status) -> None:
+    """The next HiGHS model made reports status once run, whatever it found;
+    the ones after it report their own."""
+    made = []
+
+    class Reporting(backend._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def getModelStatus(self):
+            return status if self is made[0] else super().getModelStatus()
+
+    monkeypatch.setattr(backend, "_Highs", Reporting)
+
+
+_MS = backend._MS
+
+
+@pytest.mark.parametrize("mip", [False, True], ids=["lp", "mip"])
+@pytest.mark.parametrize("reported, status", [
+    (_MS.kOptimal, OPTIMAL), (_MS.kInfeasible, INFEASIBLE), (_MS.kUnbounded, UNBOUNDED),
+    (_MS.kTimeLimit, TIME_LIMIT), (_MS.kIterationLimit, TIME_LIMIT),
+    (_MS.kSolutionLimit, NUMERICAL), (_MS.kInterrupt, NUMERICAL),
+    (_MS.kUnboundedOrInfeasible, NUMERICAL), (_MS.kSolveError, NUMERICAL)],
+    ids=lambda v: getattr(v, "name", v))
+def test_highs_model_status_is_read_by_one_table(monkeypatch, reported, status, mip):
+    # small_mip solves Optimal, and HiGHS reports `reported` instead; x, the
+    # objective, the row activity and a MIP's bound and node count come only
+    # with Optimal
+    _highs_reports(monkeypatch, reported)
+    out = backend._highs(backend.highs_arrays(small_mip()[0], mip), {"output_flag": False})
+    assert out.status == status
+    with_x = status == OPTIMAL
+    assert (out.x is not None, out.objective is not None,
+            out.row_activity is not None) == (with_x,) * 3
+    assert (out.bound is not None, out.mip_node_count is not None) == (with_x and mip,) * 2
+
+
+@pytest.mark.parametrize("reported", [_MS.kTimeLimit, _MS.kIterationLimit],
+                         ids=["time", "iterations"])
+@pytest.mark.parametrize("solve", [backend.solve_lp, backend.solve_mip], ids=["lp", "mip"])
+def test_a_highs_limit_raises_from_both_solves(monkeypatch, reported, solve):
+    # the MIP has its incumbent, the optimum, when HiGHS reports the limit
+    _highs_reports(monkeypatch, reported)
+    with pytest.raises(SolveTimeLimit, match="mip: HiGHS stopped on its time limit"):
+        solve(small_mip()[0])
+
+
+@pytest.mark.parametrize("reported", [
+    _MS.kSolutionLimit, _MS.kInterrupt, _MS.kUnboundedOrInfeasible],
+    ids=lambda v: v.name)
+@pytest.mark.parametrize("model, status", [(unbounded_mip, UNBOUNDED), (small_mip, NUMERICAL)],
+                         ids=["unbounded", "bounded"])
+def test_a_numerical_mip_is_settled_by_its_relaxation(monkeypatch, reported, model, status):
+    # _unbounded_or_infeasible settles a MIP whose first solve reads
+    # Numerical: an unbounded relaxation and a feasible MIP are Unbounded,
+    # an Optimal relaxation leaves it Numerical; an LP is not settled
+    _highs_reports(monkeypatch, reported)
+    assert backend.solve_mip(model()[0]).status == status
+    _highs_reports(monkeypatch, reported)
+    assert backend.solve_lp(small_min_lp()[0]).status == NUMERICAL
+
+
+def test_an_optimum_of_a_run_that_errs_is_numerical(monkeypatch):
+    class Erring(backend._Highs):
+        def run(self):
+            super().run()
+            return backend._ERROR
+
+    monkeypatch.setattr(backend, "_Highs", Erring)
+    assert backend.solve_lp(small_min_lp()[0]).status == NUMERICAL
 
 
 # -- HiGHS options of every MIP -------------------------------------------------
@@ -802,7 +886,8 @@ def _scipy_arguments(a: backend.HighsArrays) -> dict:
 def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
     # solve_lp and solve_mip of each draw; every backend.linprog and
     # backend.milp call is repeated in scipy's milp with the same arrays and
-    # options (an LP's: linprog's presolve, no integer column)
+    # options (an LP has no integer column), scipy's result codes read as
+    # backend's statuses
     calls = []
     for name in ("linprog", "milp"):
         def call(*args, _real=getattr(backend, name), _name=name, **kwargs):
@@ -814,24 +899,25 @@ def test_linprog_and_milp_match_scipys_on_random_models(monkeypatch):
         model = _random_model(rng)
         backend.solve_lp(model)
         backend.solve_mip(model)
-    codes = set()
+    statuses, scipys = set(), {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED,
+                               4: NUMERICAL}
     for name, (a,), kwargs, ours in calls:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
             ref = scipy.optimize.milp(**_scipy_arguments(a), **kwargs)
-        codes.add((name, ours.status))
-        assert ours.status == ref.status
+        statuses.add((name, ours.status))
+        assert ours.status == scipys[ref.status]
         assert (ours.x is None) == (ref.x is None)
         if ref.x is not None:
             assert np.array_equal(ours.x, ref.x)
-            assert ours.fun == ref.fun
-        if name == "milp":
-            assert (ours.mip_node_count, ours.mip_dual_bound) == (ref.mip_node_count,
-                                                                  ref.mip_dual_bound)
+            assert ours.objective == ref.fun
+            if name == "milp":
+                assert (ours.mip_node_count, ours.bound) == (ref.mip_node_count,
+                                                             ref.mip_dual_bound)
     # Optimal, Infeasible and Unbounded draws; HiGHS's MIP solver reports an
-    # unbounded MIP as unbounded or infeasible, which scipy gives code 4
-    assert {("linprog", 0), ("linprog", 2), ("linprog", 3),
-            ("milp", 0), ("milp", 2), ("milp", 4)} <= codes
+    # unbounded MIP as unbounded or infeasible, which reads Numerical
+    assert {("linprog", OPTIMAL), ("linprog", INFEASIBLE), ("linprog", UNBOUNDED),
+            ("milp", OPTIMAL), ("milp", INFEASIBLE), ("milp", NUMERICAL)} <= statuses
 
 
 def _dense_arrays(c, A, lhs, rhs, lb, ub, integrality) -> backend.HighsArrays:
@@ -854,13 +940,13 @@ def test_linprog_refuses_non_finite_data(where, value):
     # which linprog's b_ub refused, and an = row with lhs +inf reads as >=
     lp = _dense_arrays(np.ones(2), np.ones((3, 2)), [-np.inf, 1.0, 0.5], [1.0, 1.0, np.inf],
                        0.0, 1.0, 0)
-    assert backend.linprog(lp, options={"presolve": True}).status == 0
+    assert backend.linprog(lp).is_optimal
     field, k = {"c": ("c", 0), "A_ub": ("data", 0), "b_eq": ("rhs", 1), "b_ge": ("lhs", 2),
                 "free-row": ("lhs", 2), "lhs_eq": ("lhs", 1)}[where]
     bad = getattr(lp, field).copy()
     bad[k] = value
     with pytest.raises(ValueError, match="finite"):
-        backend.linprog(lp._replace(**{field: bad}), options={"presolve": True})
+        backend.linprog(lp._replace(**{field: bad}))
 
 
 def test_milp_refuses_a_non_finite_cost():
@@ -886,7 +972,7 @@ def test_an_optimal_x_that_misses_a_row_is_numerical(monkeypatch, sense, miss, s
 
     def answer(a, options):
         sol = np.array([2.0, 2.0 + miss])
-        return backend._Result(0, sol, float(a.c @ sol)), _rows_at(a, sol)
+        return SolveOutcome(OPTIMAL, float(a.c @ sol), sol, row_activity=_rows_at(a, sol))
 
     monkeypatch.setattr(backend, "_highs", answer)
     assert backend.solve_lp(m).status == status
@@ -897,8 +983,8 @@ def test_an_optimal_x_that_misses_a_bound_is_numerical(monkeypatch, miss, status
     # y = -miss below its bound 0, the row x + y >= 1 held exactly
     m, x, y = small_min_lp()
     sol = np.array([1.0 + miss, -miss])
-    monkeypatch.setattr(backend, "_highs", lambda a, options: (
-        backend._Result(0, sol, float(a.c @ sol)), _rows_at(a, sol)))
+    monkeypatch.setattr(backend, "_highs", lambda a, options: SolveOutcome(
+        OPTIMAL, float(a.c @ sol), sol, row_activity=_rows_at(a, sol)))
     assert backend.solve_lp(m).status == status
 
 
@@ -910,8 +996,8 @@ def test_a_mips_node_count_reaches_the_result():
                   integrality=np.ones(14), bounds=Bounds(0, 1))
     ours = backend.milp(_dense_arrays(*args, A, -np.inf, 0.3 * A.sum(axis=1), 0, 1, 1))
     ref = milp(*args, **kwargs)
-    assert ours.status == 0 and ours.mip_node_count == ref.mip_node_count >= 1
-    assert ours.mip_gap == ref.mip_gap and ours.mip_dual_bound == ref.mip_dual_bound
+    assert ours.is_optimal and ours.mip_node_count == ref.mip_node_count >= 1
+    assert ours.objective == ref.fun and ours.bound == ref.mip_dual_bound
 
 
 @pytest.mark.parametrize("integer", [False, True], ids=["lp", "mip"])
@@ -930,10 +1016,10 @@ def test_a_model_highs_refuses_is_numerical(integer):
 def test_a_rejected_highs_option_warns_and_is_skipped():
     m, x, y = small_min_lp()
     lp = backend.highs_arrays(m)
-    for options in ({"presolve": True, "simplex_strategi": 1}, {"time_limit": -1.0}):
-        with pytest.warns(OptimizeWarning, match=next(k for k in options if k != "presolve")):
+    for options in ({"simplex_strategi": 1}, {"time_limit": -1.0}):
+        with pytest.warns(OptimizeWarning, match=next(iter(options))):
             res = backend.linprog(lp, options=options)
-        assert res.status == 0 and np.array_equal(res.x, [1.0, 0.0])
+        assert res.is_optimal and np.array_equal(res.x, [1.0, 0.0])
 
 
 def test_another_highs_binding_is_refused_at_import():

@@ -53,27 +53,29 @@ def short_supply() -> Instance:
 
 
 def record_linprog(monkeypatch):
-    """(model name, columns, digest) of every linprog call, in order; the
-    digest is the first 16 hex digits of the SHA-256 of the HiGHS arrays
-    linprog receives and its options but HiGHS's time limit, which follows
-    the clock."""
-    calls, solve_lp, linprog = [], backend.solve_lp, backend.linprog
+    """(model name, columns, digest) of every LP solve_lp solves, in order;
+    the digest is the first 16 hex digits of the SHA-256 of what HiGHS
+    receives (backend._highs' arrays and the whole option set) but the time
+    limit, which follows the clock."""
+    calls, solve_lp, highs = [], backend.solve_lp, backend._highs
 
     def named(model):
         calls.append([model.name, model.n_vars])
         return solve_lp(model)
 
     def hashed(a, options):
-        h = hashlib.sha256()
-        for key, part in a._asdict().items():
-            h.update(key.encode())
-            h.update(np.ascontiguousarray(part).tobytes())
-        h.update(repr(sorted((k, v) for k, v in options.items() if k != "time_limit")).encode())
-        calls[-1].append(h.hexdigest()[:16])
-        return linprog(a, options=options)
+        if not a.integrality.any():
+            h = hashlib.sha256()
+            for key, part in a._asdict().items():
+                h.update(key.encode())
+                h.update(np.ascontiguousarray(part).tobytes())
+            h.update(repr(sorted((k, v) for k, v in options.items()
+                                 if k != "time_limit")).encode())
+            calls[-1].append(h.hexdigest()[:16])
+        return highs(a, options)
 
     monkeypatch.setattr(backend, "solve_lp", named)
-    monkeypatch.setattr(backend, "linprog", hashed)
+    monkeypatch.setattr(backend, "_highs", hashed)
     return calls
 
 

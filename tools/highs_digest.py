@@ -2,22 +2,22 @@
 
 Runs every operation of every workload (perfbench/workloads.py: pmedian,
 facility and oracle) at instance seeds 0 and 1, those marked known_defect
-included, and hashes the arguments of every backend.linprog and backend.milp
-call: the objective, the constraint matrix as a canonical CSR (duplicates
-summed, indices sorted), the row bounds, the column bounds, the integrality
-and the options other than time_limit, which follows the wall clock. It also
-hashes every return of instances.worst_case_values: the bits of each value
-and each worst u. It prints each operation's status, objective, iteration
-count, number of solves, how many of them are MIPs (backend.milp calls;
-solve_mip hands a model without integers to linprog), one digest over its
-own solves in call order and one over its worst-case values, then the same
-counts and one digest over all of them. Under each operation a second line
-counts its solves by the name of the model solved (backend.solve_lp and
-backend.solve_mip are wrapped to read it), the instance's name cut off the
-front, and a digest of their inputs in call order cut to 8 hex digits:
-"_wc_enum 6 1f2e3d4c" is six solves of the model "<instance>_wc_enum".
-Where two trees' operation lines differ, these name the models whose
-input changed.
+included, and hashes what HiGHS receives on every solve, the arguments of
+every backend._highs call: the objective, the constraint matrix as a
+canonical CSR (duplicates summed, indices sorted; a copy, so HiGHS gets the
+rows as they were), the row bounds, the column bounds, the integrality and
+the whole option set other than time_limit, which follows the wall clock. It
+also hashes every return of instances.worst_case_values: the bits of each
+value and each worst u. It prints each operation's status, objective,
+iteration count, number of solves, how many of them are MIPs (arrays with an
+integer column), one digest over its own solves in call order and one over
+its worst-case values, then the same counts and one digest over all of them.
+Under each operation a second line counts its solves by the name of the
+model solved (backend.solve_lp and backend.solve_mip are wrapped to read
+it), the instance's name cut off the front, and a digest of their inputs in
+call order cut to 8 hex digits: "_wc_enum 6 1f2e3d4c" is six solves of the
+model "<instance>_wc_enum". Where two trees' operation lines differ, these
+name the models whose input changed.
 
 Two trees that print the same lines gave HiGHS byte-identical input on
 every solve of those operations, and the oracle the same vertices and
@@ -57,18 +57,15 @@ def _arrays(digest, *arrays) -> None:
         digest.update(a.tobytes())
 
 
-def _model_hash(kind: str, c, A, lhs, rhs, lb, ub, integrality, options) -> str:
-    """sha256 of one solve's input; A is any scipy sparse or dense matrix or
-    None for no rows."""
-    c = np.asarray(c, dtype=float)
-    A = csr_array((0, c.size)) if A is None else csr_array(A)
+def _model_hash(a: backend.HighsArrays, options: dict) -> str:
+    """sha256 of one solve's input: HiGHS's arrays a and options."""
+    A = csr_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size), copy=True)
     A.sum_duplicates()
     A.sort_indices()
-    digest = hashlib.sha256(kind.encode())
-    _arrays(digest, c, A.indptr.astype(np.int64), A.indices.astype(np.int64),
-            A.data.astype(float), *(np.asarray(v, dtype=float) for v in (lhs, rhs, lb, ub)),
-            np.asarray(integrality, dtype=np.int64))
-    digest.update(repr(sorted((k, v) for k, v in (options or {}).items()
+    digest = hashlib.sha256(b"mip" if a.integrality.any() else b"lp")
+    _arrays(digest, a.c, A.indptr.astype(np.int64), A.indices.astype(np.int64), A.data,
+            a.lhs, a.rhs, a.lb, a.ub, a.integrality.astype(np.int64))
+    digest.update(repr(sorted((k, v) for k, v in options.items()
                               if k != "time_limit")).encode())
     return digest.hexdigest()
 
@@ -78,11 +75,11 @@ def _digest(hashes: list[str]) -> str:
 
 
 class Recorder:
-    """Wraps backend.linprog, backend.milp, backend.solve_lp,
-    backend.solve_mip and instances.worst_case_values while installed and
-    keeps the hash of each solve's input, whether the solve was a MIP, the
-    name of the model it solved (the innermost solve_lp or solve_mip
-    around it) and the hash of each worst_case_values return."""
+    """Wraps backend._highs, backend.solve_lp, backend.solve_mip and
+    instances.worst_case_values while installed and keeps the hash of each
+    solve's input, whether the solve was a MIP, the name of the model it
+    solved (the innermost solve_lp or solve_mip around it) and the hash of
+    each worst_case_values return."""
 
     def __init__(self) -> None:
         self.hashes: list[str] = []
@@ -90,11 +87,11 @@ class Recorder:
         self.names: list[str] = []
         self.values: list[str] = []
         self._models: list[str] = []
-        self._saved = (backend.linprog, backend.milp, backend.solve_lp, backend.solve_mip,
+        self._saved = (backend._highs, backend.solve_lp, backend.solve_mip,
                        instances.worst_case_values)
 
     def __enter__(self) -> "Recorder":
-        linprog, milp, solve_lp, solve_mip, worst_case_values = self._saved
+        highs, solve_lp, solve_mip, worst_case_values = self._saved
 
         def named(solve):
             def call(model, *args, **kwargs):
@@ -105,15 +102,11 @@ class Recorder:
                     self._models.pop()
             return call
 
-        def hashed(kind, solve):
-            def call(a, options=None):
-                A = csr_array((a.data, a.indices, a.indptr), shape=(a.rhs.size, a.c.size))
-                self.hashes.append(_model_hash(kind, a.c, A, a.lhs, a.rhs, a.lb, a.ub,
-                                               a.integrality, options))
-                self.mips.append(kind == "mip")
-                self.names.append(self._models[-1])
-                return solve(a, options=options)
-            return call
+        def hashed(a, options):
+            self.hashes.append(_model_hash(a, options))
+            self.mips.append(bool(a.integrality.any()))
+            self.names.append(self._models[-1])
+            return highs(a, options)
 
         def hashed_worst_case_values(inst, xs):
             out = worst_case_values(inst, xs)
@@ -123,13 +116,13 @@ class Recorder:
             self.values.append(digest.hexdigest())
             return out
 
-        backend.linprog, backend.milp = hashed("lp", linprog), hashed("mip", milp)
+        backend._highs = hashed
         backend.solve_lp, backend.solve_mip = named(solve_lp), named(solve_mip)
         instances.worst_case_values = hashed_worst_case_values
         return self
 
     def __exit__(self, *exc) -> None:
-        (backend.linprog, backend.milp, backend.solve_lp, backend.solve_mip,
+        (backend._highs, backend.solve_lp, backend.solve_mip,
          instances.worst_case_values) = self._saved
 
 
