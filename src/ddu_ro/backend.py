@@ -5,6 +5,9 @@ solve_mip), K copies of an LP in runs of LPs over copies (solve_copies)
 with the value of each copy (copy_values) and big-M
 complementarity linearization.
 
+One sparse form: the CSR tuple (indptr, indices, data) of numpy arrays that
+LinearModel.rows reads, and add_rows, copies_lp and solve_copies take.
+
 How a model reaches HiGHS. highs_arrays reads a model's row chunks into
 passModel's arrays (HighsArrays) in one layout for every LP and MIP: the
 model's rows in order as lhs <= A x <= rhs, A the chunks' own CSR, so
@@ -81,7 +84,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import OptimizeWarning
 from scipy.optimize._highspy import _core
-from scipy.sparse import coo_array, csr_array, issparse
 
 # Per-solve statuses. A solve that hits the wall clock raises SolveTimeLimit
 # instead of reporting TIME_LIMIT.
@@ -162,9 +164,9 @@ class LinearModel:
     The model grows one way: columns through add_vars, rows through
     add_rows, bounds through set_bounds (lb = ub fixes a column). Column j's
     bounds and integrality are entry j of numpy arrays that grow by
-    doubling; rows are CSR chunks (_ROW_DTYPES), one per add_rows call, so a
-    single row is a one-row block. vars and constrs are read-only views
-    built on each access, kept for the tests and for perfbench/tracing.py.
+    doubling; rows are CSR chunks (_ROW_DTYPES), one per add_rows call and
+    read back by rows(). vars and constrs are read-only views built on each
+    access, kept for the tests and for perfbench/tracing.py.
     """
 
     def __init__(self, name: str = "model"):
@@ -199,16 +201,15 @@ class LinearModel:
     def add_rows(self, blocks: list[tuple[list[int], np.ndarray]],
                  sense: str | list[str] | np.ndarray, rhs: np.ndarray) -> list[int]:
         """Append the rows sum_k A_k @ v[ids_k] (sense) rhs, one per entry of
-        rhs, from the blocks (ids_k, A_k) with A_k, dense or scipy sparse, of
-        shape (len(rhs), len(ids_k)); sense is one of LEQ, GEQ and EQ for
-        every row, or a sequence of them with one per row. Within a row,
-        entries follow the blocks and, within a block, the columns; a sparse
-        block counts as its toarray(). A column that repeats, within a block
-        or across blocks, gets the sum of its entries in that order, at the
-        place it first appears; exact zeros are dropped after summing. A
-        single dense block already holds its entries in that order, so only
-        several blocks or a sparse block are sorted, and only repeated ids
-        are merged."""
+        rhs, from the blocks (ids_k, A_k), A_k of shape (len(rhs), len(ids_k))
+        dense or a CSR tuple (indptr, indices, data) that counts as its dense
+        form, repeats summed in stored order; sense is LEQ, GEQ or EQ, or one
+        of them per row. Within a row, entries follow the blocks and, within
+        a block, the columns. A column that repeats, within a block or across
+        blocks, gets the sum of its entries in that order, at the place it
+        first appears; exact zeros are dropped after summing. Only several
+        blocks or a CSR block are sorted (a dense block holds its entries in
+        that order), and only repeated ids are merged."""
         rhs = np.array(rhs, dtype=float, ndmin=1)
         m = rhs.size
         senses = np.asarray(sense)
@@ -216,16 +217,17 @@ class LinearModel:
             raise BackendError(f"bad sense {sense!r} for {m} rows")
         entries, ids_all, offset, ordered = [], [], 0, len(blocks) == 1
         for ids, A in blocks:
-            if issparse(A):
-                A = coo_array(A)
-                row, pos, val = _sum_repeats(*A.coords, A.data)
+            if isinstance(A, tuple):
+                row = np.repeat(np.arange(len(A[0]) - 1), np.diff(A[0]))
+                row, pos, val = _sum_repeats(row, np.asarray(A[1]), np.asarray(A[2], float))
+                shape = (len(A[0]) - 1, max(len(ids), int(pos.max(initial=-1)) + 1))
                 ordered = False
             else:
                 A = np.atleast_2d(np.asarray(A, dtype=float))
-                row, pos = np.nonzero(A)
+                shape, (row, pos) = A.shape, np.nonzero(A)
                 val = A[row, pos]
-            if A.shape != (m, len(ids)):
-                raise BackendError(f"block shape {A.shape} vs {m} rhs / {len(ids)} ids")
+            if shape != (m, len(ids)):
+                raise BackendError(f"block shape {shape} vs {m} rhs / {len(ids)} ids")
             entries.append((row, pos + offset, val))
             ids_all.append(np.asarray(ids, dtype=np.int64))
             offset += len(ids)
@@ -278,28 +280,28 @@ class LinearModel:
         """Copies of the columns' lower bounds, upper bounds and integrality."""
         return tuple(a[:self._n].copy() for a in (self._lb, self._ub, self._int))
 
-    def sparse(self, first: int = 0) -> tuple[csr_array, np.ndarray, np.ndarray]:
-        """Constraint data of the rows from first on as (A, senses, rhs), A in
-        CSR with one row per constraint; only the chunks holding those rows
-        are read."""
-        indptr, cols, vals, senses, rhs, start = self._csr(first)
-        A = csr_array((vals, cols, indptr), shape=(rhs.size, self._n))
-        skip = first - start
-        return (A[skip:], senses[skip:], rhs[skip:]) if skip > 0 else (A, senses, rhs)
-
-    def _csr(self, first: int = 0):
-        """The chunks holding the rows from first on, joined as they are
-        stored: CSR indptr, column ids, values, senses, rhs, and the id of
-        their first row."""
+    def rows(self, first: int = 0, cols=None) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The rows from first on, read from the chunks that hold them, as
+        (A, senses, rhs) with A the CSR tuple (indptr, indices, data): every
+        entry as stored, indices the column ids; or with cols, ids without
+        repeats, the entries in those columns, indices their places in cols,
+        ascending in each row (the canonical order of scipy's A[:, cols])."""
         k, start = len(self._chunks), self._m
         while start > first:
             k -= 1
             start -= self._chunks[k][0].size
-        counts, cols, vals, senses, rhs = map(
+        counts, ids, vals, senses, rhs = map(
             np.concatenate, zip(self._chunks[0], *self._chunks[k:]))
-        indptr = np.zeros(rhs.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, cols, vals, senses, rhs, start
+        counts, senses, rhs = (a[first - start:] for a in (counts, senses, rhs))
+        ids, vals = (a[a.size - counts.sum():] for a in (ids, vals))
+        if cols is not None:
+            place = np.full(self._n, -1)
+            place[cols] = np.arange(len(cols))
+            row, pos = np.repeat(np.arange(rhs.size), counts), place[ids]
+            keep = np.flatnonzero(pos >= 0)
+            keep = keep[np.argsort(row[keep] * len(cols) + pos[keep])]
+            counts, ids, vals = np.bincount(row[keep], minlength=rhs.size), pos[keep], vals[keep]
+        return (np.r_[0, np.cumsum(counts)], ids, vals), senses, rhs
 
     @property
     def vars(self) -> list[_Var]:
@@ -307,8 +309,8 @@ class LinearModel:
 
     @property
     def constrs(self) -> list[_Constr]:
-        A, senses, rhs = self.sparse()
-        cols, vals, ends = A.indices.tolist(), A.data.tolist(), A.indptr.tolist()
+        (ends, cols, vals), senses, rhs = self.rows()
+        cols, vals, ends = cols.tolist(), vals.tolist(), ends.tolist()
         return [_Constr(dict(zip(cols[a:b], vals[a:b])), s, r)
                 for a, b, s, r in zip(ends, ends[1:], senses.tolist(), rhs.tolist())]
 
@@ -360,7 +362,7 @@ def highs_arrays(model: LinearModel, mip: bool = False) -> HighsArrays:
     c = model.objective_vector()
     if model.sense == "max":
         c = -c
-    indptr, cols, vals, senses, rhs, _ = model._csr()
+    (indptr, cols, vals), senses, rhs = model.rows()
     lb, ub, integer = model.columns()
     return HighsArrays(c, indptr.astype(np.int32), cols.astype(np.int32), vals,
                        np.where(senses == LEQ, -np.inf, rhs), np.where(senses == GEQ, np.inf, rhs),
@@ -497,20 +499,19 @@ def _runs(items, cap: int, size=lambda item: 1):
 def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearModel:
     """The LP of the K = len(rhs) copies min{cost_k'v : A v (senses) rhs_k,
     lb_k <= v <= ub_k} that minimizes the sum of their costs: the rows are
-    I_K (x) A, the columns copy-major. senses is one sense or one per row of
-    A; lb, ub and cost are each one vector for every copy or a (K, n) array
-    of one row per copy. Only the nonzero costs enter the objective."""
-    (K, m), n = np.shape(rhs), A.shape[1]
+    I_K (x) A, the columns copy-major. A is dense or CSR as LinearModel.rows
+    gives it with cols (ascending in a row, no repeat, no zero); senses is
+    one sense or one per row of A; lb, ub and cost are each one vector for
+    every copy or a (K, n) array of one row per copy, n the columns of
+    cost. Only the nonzero costs enter the objective."""
+    (K, m), n = np.shape(rhs), np.shape(cost)[-1]
     lb, ub, cost = (np.broadcast_to(a, (K, n)).ravel() for a in (lb, ub, cost))
     lp = LinearModel(name=name)
     lp.add_vars(K * n, lb, ub)
     # I_K (x) A as one row chunk: A's entries row by row, columns ascending,
-    # exact zeros dropped after summing repeats, as add_rows would hold them
-    if issparse(A):
-        A = csr_array(A, copy=True)
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        counts, cols, vals = np.diff(A.indptr), A.indices, A.data
+    # exact zeros dropped, as add_rows would hold them
+    if isinstance(A, tuple):
+        counts, cols, vals = np.diff(A[0]), A[1], A[2]
     else:
         rows, cols = np.nonzero(A)
         counts, vals = np.bincount(rows, minlength=m), np.asarray(A, dtype=float)[rows, cols]
@@ -532,8 +533,9 @@ def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
     share one feasible set (one lb, one ub, equal rhs rows) differ only in
     cost, so an Infeasible LP of them is every copy's status at once. No
     copies, no LP."""
-    K, n = len(rhs), A.shape[1]
-    cap = max(1, int(_BLOCK_ENTRIES // max(1, A.nnz if issparse(A) else np.count_nonzero(A))))
+    K, n = len(rhs), np.shape(cost)[-1]
+    cap = max(1, int(_BLOCK_ENTRIES // max(1, A[2].size if isinstance(A, tuple)
+                                           else np.count_nonzero(A))))
     if K > cap:
         return _joined(name, A, senses, rhs, lb, ub, cost,
                        [slice(lo, lo + cap) for lo in range(0, K, cap)])

@@ -476,13 +476,12 @@ def _check_part(state: MasterState, n0: int, m0: int) -> None:
     on, none of those is integer, and each row bounds eta from below or
     leaves it out."""
     model = state.model
-    A, senses, _ = model.sparse(m0)
-    eta = A[:, [state.eta_id]].toarray()[:, 0]
+    (indptr, _, eta), senses, _ = model.rows(m0, [state.eta_id])
+    senses = senses[np.diff(indptr) > 0]
     if (model.columns()[2][n0:].any()
-            or np.setdiff1d(A.indices, [*state.x_ids[:state.inst.X.n_int],
-                                        *range(n0, model.n_vars), state.eta_id]).size
-            or np.any(np.where(senses == GEQ, eta < 0, np.where(senses == LEQ, eta > 0,
-                                                                eta != 0)))):
+            or np.setdiff1d(model.rows(m0)[0][1], [*state.x_ids[:state.inst.X.n_int],
+                                                    *range(n0, model.n_vars), state.eta_id]).size
+            or np.any(np.where(senses == GEQ, eta < 0, (senses == EQ) | (eta > 0)))):
         raise _OffLattice
 
 
@@ -490,29 +489,34 @@ def _part_values(state: MasterState, parts: list[_Part], at: np.ndarray) -> np.n
     """At the lattice points of index array at, the least eta that parts
     allow with x fixed there, +inf where they allow none. Parts that are all
     benders seeds are valued from their seeds (_seed_values), with eta's
-    lower bound under them; any other parts by the LP of their rows
-    (_block_values), which holds the blocks of seeds among them too."""
-    if all(p.seed is not None for p in parts):
-        return np.maximum(state.model.columns()[0][state.eta_id],
-                          _seed_values(state, [p.seed for p in parts], at))
-    return _block_values(state, parts[0].n0, parts[0].m0, at)
-
-
-def _block_values(state: MasterState, n0: int, m0: int, at: np.ndarray) -> np.ndarray:
-    """At the points at, the least eta that the rows from m0 on allow with
-    the columns from n0 on free, +inf where they allow none:
-    backend.solve_copies, one copy per point of those columns and eta.
-    Raises _OffLattice where a copy ends neither Optimal nor Infeasible."""
+    lower bound under them; any other parts by the LP of their rows with
+    their own columns and eta free (_block_values), which holds the blocks
+    of seeds among them too."""
     model, n_int = state.model, state.inst.X.n_int
-    A, senses, rhs = model.sparse(m0)
+    if all(p.seed is not None for p in parts):
+        return np.maximum(model.columns()[0][state.eta_id],
+                          _seed_values(state, [p.seed for p in parts], at))
+    own = [*range(parts[0].n0, model.n_vars), state.eta_id]
+    return _block_values(model, parts[0].m0, own, state.x_ids[:n_int],
+                         state._points[at, :n_int], np.r_[np.zeros(len(own) - 1), 1.0])[0]
+
+
+def _block_values(model: LinearModel, first: int, own, x_ids, points: np.ndarray, cost):
+    """With the columns x_ids at each of the points, the least cost'v over
+    the rows from first on, v the columns own, +inf where they allow none,
+    and each v: backend.solve_copies, one copy per point, with only the
+    rows' entries on x made dense. Raises _OffLattice where a copy ends
+    neither Optimal nor Infeasible."""
+    A, senses, rhs = model.rows(first, own)
+    (indptr, cols, vals), _, _ = model.rows(first, x_ids)
+    B = np.zeros((rhs.size, len(x_ids)))
+    B[np.repeat(np.arange(rhs.size), np.diff(indptr)), cols] = vals
     lb, ub, _ = model.columns()
-    own = [*range(n0, model.n_vars), state.eta_id]
-    A_own, cost = A[:, own], np.r_[np.zeros(len(own) - 1), 1.0]
-    r = rhs - state._points[at, :n_int] @ A[:, state.x_ids[:n_int]].T
-    status, v = backend.solve_copies(model.name, A_own, senses, r, lb[own], ub[own], cost)
+    status, v = backend.solve_copies(model.name, A, senses, rhs - points @ B.T,
+                                     lb[own], ub[own], cost)
     if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
         raise _OffLattice
-    return np.where(status == backend.OPTIMAL, v[:, -1], np.inf)
+    return np.where(status == backend.OPTIMAL, v @ cost, np.inf), v
 
 
 def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
@@ -794,8 +798,8 @@ def _lattice_relaxation(state: MasterState, model: LinearModel,
                         x_ids: list[int]) -> backend.SolveOutcome | None:
     """The optimum of build_deterministic_mip's model over the state's
     lattice, exact (bound = objective): at the first point of least c1'x
-    plus the least recourse cost there, from one backend.solve_copies with
-    a copy per point; X's rows, which every point meets, are left out. None
+    plus the least recourse cost there, from _block_values over the columns
+    outside x; X's rows, which every point meets, are left out. None
     where the state is off the lattice route, a column outside x is
     integer, a copy ends neither Optimal nor Infeasible, or the copies hold
     more than _BLOCK_ENTRIES nonzeros: past that the MIP was the faster,
@@ -803,17 +807,16 @@ def _lattice_relaxation(state: MasterState, model: LinearModel,
     points = state.lattice()
     if points is None:
         return None
-    lb, ub, integer = model.columns()
-    own = np.setdiff1d(np.arange(model.n_vars), x_ids)
-    A, senses, rhs = model.sparse(state.inst.X.A.shape[0])
-    if integer[own].any() or len(points) * A.nnz > backend._BLOCK_ENTRIES:
+    own, first = np.setdiff1d(np.arange(model.n_vars), x_ids), state.inst.X.A.shape[0]
+    if (model.columns()[2][own].any()
+            or len(points) * model.rows(first)[0][2].size > backend._BLOCK_ENTRIES):
         return None
     cost = model.objective_vector()
-    status, v = backend.solve_copies(model.name, A[:, own], senses,
-                                     rhs - points @ A[:, x_ids].T, lb[own], ub[own], cost[own])
-    if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
+    try:
+        values, v = _block_values(model, first, own, x_ids, points, cost[own])
+    except _OffLattice:
         return None
-    values = points @ cost[x_ids] + np.where(status == backend.OPTIMAL, v @ cost[own], np.inf)
+    values += points @ cost[x_ids]
     if not np.isfinite(values).any():
         return backend.SolveOutcome(status=backend.INFEASIBLE)
     k = int(np.argmin(values))

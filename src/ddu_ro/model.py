@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array
 
 from . import backend
 from .backend import GEQ, LEQ, BackendError, LinearModel
@@ -188,10 +187,6 @@ class Instance:
     @property
     def dim_u(self) -> int:
         return self.U.dim
-
-    @property
-    def dim_y(self) -> int:
-        return self.Y.dim
 
 
 @dataclass(frozen=True)
@@ -361,15 +356,14 @@ def _binary_products(model: LinearModel, pairs, M, lo=0.0) -> list[int]:
     """Columns w = x * v, one per (x id, v id) of pairs, for binary x and
     lo <= v <= M, lo either 0 or -M (each a scalar or one per pair), by the
     rows of _envelope. The columns take one add_vars call and the rows one
-    add_rows call, from three sparse blocks on w, v and x."""
+    add_rows call, from three CSR blocks on w, v and x."""
     n = len(pairs)
     M, lo = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in (M, lo))
     ws = model.add_vars(n, lo, M)
     x_ids, v_ids = np.reshape(np.asarray(pairs, dtype=np.int64), (n, 2)).T
     # zero entries, such as -lo on x where lo is 0, drop out in add_rows
     prod, *coefs, senses, rhs = _envelope(M, lo)
-    rows = np.arange(prod.size)
-    model.add_rows([(ids, coo_array((c, (rows, prod)), shape=(prod.size, n)))
+    model.add_rows([(ids, (np.arange(prod.size + 1), prod, c))
                     for ids, c in zip((ws, v_ids, x_ids), coefs)], senses, rhs)
     return ws
 

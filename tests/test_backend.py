@@ -16,6 +16,7 @@ from scipy.sparse import coo_array, csr_array
 from ddu_ro import backend
 from ddu_ro.backend import (GEQ, LEQ, EQ, INFEASIBLE, NUMERICAL, OPTIMAL, TIME_LIMIT, UNBOUNDED,
                             BackendError, LinearModel, SolveOutcome, SolveTimeLimit)
+from toys import sparse
 
 
 def small_min_lp():
@@ -34,13 +35,46 @@ def test_sparse_from_a_row_reads_the_rows_from_there():
     m.add_rows([([2], [[4.0]])], LEQ, [3.0])
     m.add_rows([([0, 2], np.zeros((0, 2)))], EQ, np.zeros(0))
     m.add_rows([([1, 2], [[5.0, 6.0], [7.0, 0.0]])], [EQ, LEQ], [4.0, 5.0])
-    A, senses, rhs = m.sparse()
+    A, senses, rhs = sparse(m)
     for first in range(m.n_constrs + 2):
-        A_f, senses_f, rhs_f = m.sparse(first)
+        A_f, senses_f, rhs_f = sparse(m, first)
         assert A_f.shape == (max(0, m.n_constrs - first), 3)
         assert np.array_equal(A_f.toarray(), A.toarray()[first:])
         assert senses_f.tolist() == senses[first:].tolist()
         assert np.array_equal(rhs_f, rhs[first:])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_rows_are_scipys_slice_of_the_chunks(seed):
+    # several chunks, ids out of order within a block, first anywhere (inside
+    # a chunk and past the last row); cols a permuted subset, none, every
+    # column, or None for the entries as stored
+    rng = np.random.default_rng(seed)
+    m = LinearModel()
+    n = int(rng.integers(1, 7))
+    m.add_vars(n)
+    for _ in range(rng.integers(1, 5)):
+        rows = int(rng.integers(0, 4))
+        ids = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+        B = rng.choice([1.0, -2.0, 0.5], size=(rows, len(ids))) * (rng.random((rows, len(ids)))
+                                                                   < 0.6)
+        m.add_rows([(ids, B)], rng.choice([LEQ, GEQ, EQ], size=rows), rng.normal(size=rows))
+    # the reference: scipy's CSR of the chunks as stored
+    counts, ids, vals, senses, rhs = map(np.concatenate, zip(*m._chunks))
+    stored = csr_array((vals, ids, np.r_[0, np.cumsum(counts)]), shape=(rhs.size, n))
+    first = int(rng.integers(0, m.n_constrs + 2))
+    for cols in (None, rng.permutation(n)[:rng.integers(1, n + 1)], [], np.arange(n)):
+        if cols is None:
+            want = stored[first:]
+        else:
+            want = stored[first:, np.asarray(cols, dtype=int)]
+            want.sort_indices()
+        (indptr, indices, data), senses_f, rhs_f = m.rows(first, cols)
+        assert indptr.tolist() == want.indptr.tolist()
+        assert indices.tolist() == want.indices.tolist() and data.tobytes() == want.data.tobytes()
+        assert senses_f.tolist() == senses[first:].tolist()
+        assert rhs_f.tobytes() == rhs[first:].tobytes()
 
 
 def test_ids_are_append_only():
@@ -59,7 +93,7 @@ def test_add_rows_takes_one_sense_per_row():
     rows = m.add_rows([(x, np.arange(6.0).reshape(3, 2))], senses, np.ones(3))
     rows += m.add_rows([(x, [[1.0, 1.0]])], [EQ], [2.0])
     assert [m.constrs[r].sense for r in rows] == senses + [EQ]
-    assert m.sparse()[1].tolist() == senses + [EQ]
+    assert m.rows()[1].tolist() == senses + [EQ]
     for bad in ("=<", [LEQ, "<"], [LEQ, GEQ], np.array([LEQ, GEQ, EQ, EQ])):
         with pytest.raises(BackendError, match="bad sense"):
             m.add_rows([(x, np.ones((3, 2)))], bad, np.zeros(3))
@@ -231,7 +265,7 @@ class _RowDictModel:
 
 
 def _same_model(m: LinearModel, ref: _RowDictModel) -> None:
-    A, senses, rhs = m.sparse()
+    A, senses, rhs = sparse(m)
     A_ref, senses_ref, rhs_ref = ref.sparse()
     for a, b in ((A.data, A_ref.data), (A.indices, A_ref.indices),
                  (A.indptr, A_ref.indptr), (rhs, rhs_ref)):
@@ -271,15 +305,18 @@ def test_random_call_sequences_match_the_row_dict_model(seed):
                 ids = rng.integers(n, size=rng.integers(0, 5)).tolist()
                 if rng.integers(2):
                     B = rng.choice(values, size=(rows, len(ids)))
+                    dense.append((ids, B))
                 else:
+                    # CSR with places repeated in a row, in no order
                     nnz = int(rng.integers(0, 8)) if ids else 0
-                    r, c = rng.integers(rows, size=nnz), rng.integers(max(1, len(ids)), size=nnz)
-                    B = coo_array((rng.choice(values, size=nnz), (r, c)),
-                                  shape=(rows, len(ids)))
-                    B = B.tocsr() if rng.integers(2) else B
+                    r = np.sort(rng.integers(rows, size=nnz))
+                    c, v = rng.integers(max(1, len(ids)), size=nnz), rng.choice(values, size=nnz)
+                    B = (np.r_[0, np.cumsum(np.bincount(r, minlength=rows))], c, v)
+                    # the dense form sums a place's repeats in their stored order
+                    D = np.zeros((rows, len(ids)))
+                    np.add.at(D, (r, c), v)
+                    dense.append((ids, D))
                 blocks.append((ids, B))
-                # toarray sums a sparse block's repeats in their stored order
-                dense.append((ids, B if isinstance(B, np.ndarray) else B.toarray()))
             # one sense for all rows, or one per row
             senses = rng.choice([LEQ, GEQ, EQ], size=rows)
             sense = str(senses[0]) if rng.integers(2) else senses
@@ -358,7 +395,7 @@ def _halving_toy():
     rhs = np.zeros((16, 2))
     rhs[:, 0] = np.arange(16) / 16
     rhs[11, 0] = 2.0
-    return ("toy", csr_array([[1.0, 0.0], [-1.0, 1.0]]), np.array([GEQ, GEQ]), rhs,
+    return ("toy", _csr([[1.0, 0.0], [-1.0, 1.0]]), np.array([GEQ, GEQ]), rhs,
             np.array([0.0, -10.0]), np.array([1.0, 10.0]), np.array([0.0, 1.0]))
 
 
@@ -418,14 +455,13 @@ def _row_chunk(blocks, rhs):
 
 @pytest.mark.parametrize("block, cols", [
     (np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -3.0]]), [1, 5, 3]),
-    (csr_array((np.array([2.0, 0.0, 1.0, -3.0]), np.array([1, 2, 0, 2]), np.array([0, 2, 2, 4])),
-               shape=(3, 3)), [1, 5, 3]),
+    ((np.array([0, 2, 2, 4]), np.array([1, 2, 0, 2]), np.array([2.0, 0.0, 1.0, -3.0])),
+     [1, 5, 3]),
     (np.zeros((3, 3)), []),
 ], ids=["dense", "canonical-csr", "empty"])
 def test_a_single_block_is_read_as_the_sorted_blocks_are(block, cols):
     # explicit zeros, an empty row, and unique ids out of order; an empty
     # second block sends the same rows through the sort of several blocks
-    assert not isinstance(block, csr_array) or block.has_canonical_format
     ids, rhs = [5, 1, 3], np.arange(3.0)
     one = _row_chunk([(ids, block)], rhs)
     several = _row_chunk([(ids, block), ([], np.zeros((3, 0)))], rhs)
@@ -790,17 +826,17 @@ def test_highs_arrays_hold_the_models_rows_in_order(seed):
         rows = int(rng.integers(1, 4))
         cols = rng.choice(ids, size=rng.integers(1, n + 1)).tolist()
         B = rng.choice(values, size=(rows, len(cols))) * (rng.random((rows, len(cols))) < 0.7)
-        m.add_rows([(cols, csr_array(B) if rng.integers(2) else B)],
+        m.add_rows([(cols, _csr(B) if rng.integers(2) else B)],
                    rng.choice(kinds, size=rows), rng.choice(values, size=rows))
     m.set_objective(dict(zip(ids, rng.choice(values, size=n))),
                     sense=str(rng.choice(["min", "max"])))
-    A, senses, rhs = m.sparse()
+    A, senses, rhs = sparse(m)
     c = m.objective_vector()
     lb, ub, integer = m.columns()
     leq, geq = senses == LEQ, senses == GEQ
     for mip in (False, True):
         a = backend.highs_arrays(m, mip)
-        # HiGHS's row i is the model's row i, A as sparse() reads it
+        # HiGHS's row i is the model's row i, A as rows() reads it
         for got, want in ((a.indptr, A.indptr), (a.indices, A.indices)):
             assert got.dtype == np.int32 and got.tobytes() == want.astype(np.int32).tobytes()
         assert a.data.tobytes() == A.data.tobytes()
@@ -813,17 +849,23 @@ def test_highs_arrays_hold_the_models_rows_in_order(seed):
         assert a.integrality.tolist() == (integer & mip).astype(int).tolist()
 
 
+def _csr(A) -> tuple:
+    """A dense A as the CSR arrays (indptr, indices, data) of scipy's csr_array."""
+    A = csr_array(np.asarray(A, dtype=float))
+    return A.indptr, A.indices, A.data
+
+
 def _copies_through_add_rows(name, A, senses, rhs, lb, ub, cost) -> LinearModel:
     """Reference of copies_lp: I_K (x) A in canonical CSR through add_rows."""
-    (K, m), n = np.shape(rhs), A.shape[1]
+    (K, m), n = np.shape(rhs), np.shape(cost)[-1]
     lb, ub, cost = (np.broadcast_to(a, (K, n)).ravel() for a in (lb, ub, cost))
     lp = LinearModel(name=name)
     ids = lp.add_vars(K * n, lb, ub)
-    A = csr_array(A, copy=True)
+    A = csr_array((A[2], A[1], A[0]) if isinstance(A, tuple) else A, shape=(m, n), copy=True)
     A.sum_duplicates()
     shift = np.arange(K)[:, None]
-    rows = csr_array((np.tile(A.data, K), (A.indices + n * shift).ravel(),
-                      np.r_[0, (A.indptr[1:] + A.nnz * shift).ravel()]), shape=(K * m, K * n))
+    rows = (np.r_[0, (A.indptr[1:] + A.nnz * shift).ravel()], (A.indices + n * shift).ravel(),
+            np.tile(A.data, K))
     lp.add_rows([(ids, rows)], senses if np.ndim(senses) == 0 else np.tile(senses, K),
                 np.ravel(rhs))
     nz = np.flatnonzero(cost)
@@ -834,7 +876,8 @@ def _copies_through_add_rows(name, A, senses, rhs, lb, ub, cost) -> LinearModel:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_copies_lp_holds_the_chunk_add_rows_would(seed):
-    # dense and sparse A with exact zeros, -0.0 and repeats that cancel
+    # a dense A with exact zeros and -0.0, or A's CSR arrays as rows()
+    # gives them: canonical, the zeros left after repeats cancel dropped
     rng = np.random.default_rng(seed)
     K, m, n = (int(v) for v in rng.integers(1, 5, size=3))
     values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
@@ -844,6 +887,10 @@ def test_copies_lp_holds_the_chunk_add_rows_would(seed):
         nnz = int(rng.integers(0, 2 * m * n))
         A = coo_array((rng.choice(values, size=nnz), (rng.integers(m, size=nnz),
                                                       rng.integers(n, size=nnz))), shape=(m, n))
+        A = A.tocsr()
+        A.eliminate_zeros()
+        assert A.has_canonical_format
+        A = A.indptr, A.indices, A.data
     senses = rng.choice([LEQ, GEQ, EQ], size=m) if rng.integers(2) else GEQ
     args = ("copies", A, senses, rng.choice(values, size=(K, m)), 0.0,
             rng.choice([1.0, np.inf], size=(K, n)), rng.choice(values, size=n))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ddu_ro import backend, ccg, enumeration, instances, maxmin
-from ddu_ro.backend import GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
+from ddu_ro.backend import EQ, GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
@@ -21,7 +21,7 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           add_first_stage, build_deterministic_mip, max_lp,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.subproblems import sp2
-from toys import screen_apart, short_supply, t1_infeasible, t1_unbounded_u
+from toys import screen_apart, short_supply, sparse, t1_infeasible, t1_unbounded_u
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -539,11 +539,14 @@ def _eager_reference(monkeypatch) -> list[str]:
         (n0, m0), theta, _ = seen.setdefault(id(state), (
             (state.eta_id + 1, state.inst.X.A.shape[0]), np.full(len(points), -np.inf), state))
         if (n0, m0) != (m.n_vars, m.n_constrs):
-            A, senses, rhs = m.sparse(m0)
+            A, senses, rhs = sparse(m, m0)
             lb, ub, _ = m.columns()
             own = [*range(n0, m.n_vars), state.eta_id]
+            A_own = A[:, own]
+            A_own.sort_indices()
             status, v = backend.solve_copies(
-                "eager", A[:, own], senses, rhs - points[:, :n_int] @ A[:, state.x_ids[:n_int]].T,
+                "eager", (A_own.indptr, A_own.indices, A_own.data), senses,
+                rhs - points[:, :n_int] @ A[:, state.x_ids[:n_int]].T,
                 lb[own], ub[own], np.r_[np.zeros(len(own) - 1), 1.0])
             assert np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all()
             theta = np.maximum(theta, np.where(status == backend.OPTIMAL, v[:, -1], np.inf))
@@ -606,13 +609,14 @@ def test_a_tie_goes_to_the_first_lattice_point_though_the_later_is_valued_first(
     assert state.masters_lattice == 2 and state.lattice_copies == 4
 
 
-@pytest.mark.parametrize("part", ["integer-column", "continuous-x", "eta-capped"])
+@pytest.mark.parametrize("part", ["integer-column", "continuous-x", "eta-capped",
+                                  "eta-equality", "eta-negated"])
 def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(part):
     # _separable_ray_toy's lattice holds x0 in {0, 1}; its continuous x1 is
     # no lattice coordinate. A part that brings an integer column, reads
-    # x1, or bounds eta from above cannot be valued there, so its master
-    # and every later one are backend.solve_mip's, even after a part the
-    # lattice could value
+    # x1, or bounds eta from above (eta <= 5, eta = 1 or -eta >= -5) cannot
+    # be valued there, so its master and every later one are
+    # backend.solve_mip's, even after a part the lattice could value
     state = MasterState(_separable_ray_toy(), AlgorithmConfig(variant="benders"))
     m, eta = state.model, state.eta_id
     m.add_rows([([eta], [[1.0]])], GEQ, [0.0])
@@ -622,6 +626,10 @@ def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(par
         m.add_rows([([eta, j], [[1.0, -1.0]])], GEQ, [0.0])
     elif part == "continuous-x":
         m.add_rows([([eta, state.x_ids[1]], [[1.0, -1.0]])], GEQ, [0.0])
+    elif part == "eta-equality":
+        m.add_rows([([eta], [[1.0]])], EQ, [1.0])
+    elif part == "eta-negated":
+        m.add_rows([([eta], [[-1.0]])], GEQ, [-5.0])
     else:
         m.add_rows([([eta], [[1.0]])], LEQ, [5.0])
     for later in (False, True):
@@ -631,6 +639,25 @@ def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(par
         assert (state.masters_lattice, state.masters_mip) == (1, 1 + later)
         assert out.status == mip.status == backend.OPTIMAL
         assert out.objective == mip.objective and np.array_equal(out.x, mip.x)
+
+
+@pytest.mark.parametrize("make", [_pm8, _diu_box], ids=["pm_uk8", "diu_box"])
+def test_the_lattice_relaxation_is_the_deterministic_mips_optimum(make, monkeypatch):
+    # one copy per lattice point of the rows after X's; past _BLOCK_ENTRIES
+    # entries over points times every nonzero of those rows, x's included,
+    # the MIP takes it
+    inst = make()
+    state = MasterState(inst, AlgorithmConfig(variant="parametric"))
+    model, ids = build_deterministic_mip(inst)
+    out = ccg._lattice_relaxation(state, model, ids["x"])
+    mip = backend.solve_mip(build_deterministic_mip(inst)[0])
+    assert out.status == mip.status == backend.OPTIMAL and out.bound == out.objective
+    assert out.objective == pytest.approx(mip.objective, rel=1e-9)
+    entries = len(state.lattice()) * model.rows(inst.X.A.shape[0])[0][2].size
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", entries)
+    assert ccg._lattice_relaxation(state, model, ids["x"]).objective == out.objective
+    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", entries - 1)
+    assert ccg._lattice_relaxation(state, model, ids["x"]) is None
 
 
 def test_a_seed_part_after_a_part_of_rows_is_valued_by_its_block():
@@ -1757,7 +1784,7 @@ def test_basis_and_optimality_blocks_share_the_dual_bound():
     lb, ub, _ = (v[state.eta_id + 1:] for v in state.model.columns())
     assert set(ub[np.isfinite(ub)]) == {M_d}
     assert set(lb[np.isfinite(lb)]) == {-M_d, 0.0}
-    A = state.model.sparse()[0].tocsc()
+    A = sparse(state.model)[0].tocsc()
     (eta_row,) = A[:, state.eta_id].nonzero()[0]
     assert -M_d in A[eta_row].toarray()
 

@@ -36,7 +36,7 @@ from ddu_ro.ccg import AlgorithmConfig, MasterState, run
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
                           SchemaError, UncertaintySet, add_first_stage, build_deterministic_mip,
                           instance_from_dict, max_lp, uncertainty_set_from_dict)
-from toys import record_linprog, t1_infeasible, t1_unbounded_u
+from toys import record_linprog, sparse, t1_infeasible, t1_unbounded_u
 
 
 # expected values below were produced by this module's own enumeration oracle
@@ -291,7 +291,7 @@ def test_generator_output_is_pinned():
 def _model_digest(m: LinearModel) -> str:
     """First 16 hex digits of the SHA-256 of everything HiGHS receives of m:
     CSR rows, senses, rhs, column bounds, integrality and objective."""
-    A, senses, rhs = m.sparse()
+    A, senses, rhs = sparse(m)
     h = hashlib.sha256()
     for a in (A.data, A.indices, A.indptr, senses.astype("<U2"), rhs, *m.columns(),
               m.objective_vector(), np.array(A.shape), np.array([m.sense])):
@@ -1387,8 +1387,8 @@ def test_a_block_lp_is_the_model_built_one_vertex_at_a_time(monkeypatch, shortfa
         ss.append(ref.add_vars(3 if shortfall else 0))
         ref.add_rows([(ys[-1], Y.B2 / scale[:, None]), (ss[-1], np.eye(3, len(ss[-1])))],
                      GEQ, r / scale)
-    A, senses, b = got.sparse()
-    A_ref, senses_ref, b_ref = ref.sparse()
+    A, senses, b = sparse(got)
+    A_ref, senses_ref, b_ref = sparse(ref)
     for a, a_ref in ((A.data, A_ref.data), (A.indices, A_ref.indices),
                      (A.indptr, A_ref.indptr), (b, b_ref)):
         assert np.array_equal(a, a_ref)

@@ -1,6 +1,8 @@
 """Module layering, read from the source: points are listed by the
 enumeration module alone, so the max-min solvers and the structural
-rewrites import nothing from instances (generators, oracle and IO)."""
+rewrites import nothing from instances (generators, oracle and IO); and
+a model's rows are read as its own CSR arrays (LinearModel.rows), so no
+module imports scipy.sparse."""
 
 import ast
 import os
@@ -13,7 +15,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def _imported_modules(path: str) -> set[str]:
     """The modules that path imports: those of ddu_ro by their name within
-    the package, any other by its own."""
+    the package, any other by its own, and what ``from`` imports of one
+    by its dotted name under it (``from scipy import sparse`` gives scipy
+    and scipy.sparse)."""
     with open(path) as f:
         tree = ast.parse(f.read(), path)
     names = set()
@@ -25,6 +29,8 @@ def _imported_modules(path: str) -> set[str]:
             if node.level or module != node.module:
                 module = module.lstrip(".")
                 names |= {a.name for a in node.names} if not module else {module}
+            else:
+                names |= {module, *(f"{module}.{a.name}" for a in node.names)}
     return names
 
 
@@ -32,3 +38,18 @@ def _imported_modules(path: str) -> set[str]:
 def test_the_solvers_import_nothing_from_instances(module):
     imported = _imported_modules(os.path.join(SRC, module + ".py"))
     assert "backend" in imported and "instances" not in imported
+
+
+@pytest.mark.parametrize("module", sorted(name[:-3] for name in os.listdir(SRC)
+                                          if name.endswith(".py")))
+def test_no_module_imports_scipy_sparse(module):
+    imported = _imported_modules(os.path.join(SRC, module + ".py"))
+    assert not [name for name in imported if name.split(".")[:2] == ["scipy", "sparse"]]
+
+
+def test_every_form_of_import_is_read(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import scipy.sparse.linalg\nfrom scipy import sparse\n"
+                    "from scipy.sparse import coo_array\nfrom . import backend\n")
+    assert _imported_modules(str(path)) == {
+        "scipy.sparse.linalg", "scipy", "scipy.sparse", "scipy.sparse.coo_array", "backend"}

@@ -27,7 +27,7 @@ from ddu_ro.enumeration import has_integral_vertices, has_interval_rows
 from ddu_ro.model import (AffineMatrixMap, BasisId, Instance, UncertaintySet,
                           add_first_stage, build_deterministic_mip, uncertainty_set_from_dict)
 from ddu_ro.subproblems import sp1, sp2
-from toys import record_linprog, short_supply
+from toys import record_linprog, short_supply, sparse
 
 
 def test_lp_parametric_on_t1_box():
@@ -371,7 +371,7 @@ def test_the_dual_side_bound_scales_with_the_cost_row_and_f(make, norm_c):
         # each switch column holds its pair's two bounds: lam_i <= M_d delta
         # against slack_i <= M (1 - delta), then u_j <= M delta against its
         # reduced cost <= M_d (1 - delta)
-        A = m.sparse()[0].tocsc()
+        A = sparse(m)[0].tocsc()
         switches = np.flatnonzero(integer)[inst.X.n_int:]
         pairs = [tuple(A[:, [j]].data.tolist()) for j in switches]
         mu = inst.U.n_rows
@@ -404,7 +404,7 @@ def test_the_kkt_max_min_bounds_its_dual_side_like_a_block(monkeypatch):
         solve_maxmin_kkt(problem)
     (m,) = models
     integer = m.columns()[2]
-    A = m.sparse()[0].tocsc()
+    A = sparse(m)[0].tocsc()
     pairs = [A[:, [j]].data for j in np.flatnonzero(integer)[problem.n_int_out:]]
     m_rows, ny = problem.B_y.shape
     assert np.array(pairs) == pytest.approx(

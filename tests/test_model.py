@@ -24,7 +24,7 @@ from ddu_ro.ccg import AlgorithmConfig, run
 from ddu_ro.instances import FLParams, gen_robust_fl
 from ddu_ro.model import (IterationRecord, RunResult, _binary_products,
                           envelope_rows, max_lp, range_probe)
-from toys import record_linprog
+from toys import record_linprog, sparse
 
 
 def test_affine_map_constant_when_no_terms():
@@ -218,7 +218,7 @@ def test_binary_products_match_the_pair_by_pair_envelope(seed):
     ws = _binary_products(m, pairs, *args)
     assert ws == list(range(7, 7 + n))
     ref = _envelope_rows(pairs, M, lo, 7)
-    A, senses, rhs = m.sparse()
+    A, senses, rhs = sparse(m)
     assert A.shape == (1 + len(ref), 7 + n) and m.n_constrs == 1 + len(ref)
     ends = A.indptr[1:].tolist()
     got = [(dict(zip(A.indices[a:b].tolist(), A.data[a:b].tolist())), s, r)

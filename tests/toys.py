@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ddu_ro import backend, maxmin
 from ddu_ro.instances import t1
@@ -50,6 +51,14 @@ def short_supply() -> Instance:
         Y=RecourseSet(B1=[[0.0], [6.0]], B2=[[1.0], [-2.0]],
                       E=[[-2.0, -1.0], [0.0, 0.0]], d=[0.0, -1.0], c2=[1.0]),
     )
+
+
+def sparse(m: backend.LinearModel, first: int = 0, cols=None):
+    """m.rows(first, cols) with A as scipy's csr_array of its arrays, the
+    tests' way to read a model's rows."""
+    (indptr, indices, data), senses, rhs = m.rows(first, cols)
+    shape = (rhs.size, m.n_vars if cols is None else len(cols))
+    return csr_array((data, indices, indptr), shape=shape), senses, rhs
 
 
 def record_linprog(monkeypatch):
