@@ -472,17 +472,18 @@ def solve_lp(model: LinearModel) -> SolveOutcome:
 
 # -- block LPs over copies -----------------------------------------------------
 
-# the most matrix entries of one LP over copies (the model is built in
-# Python, so this bounds its memory): solve_copies cuts the copies into
-# runs of at most this many nonzeros of A. worst_case_values and
-# lattice_first_stages first form runs of their own, of B2's entries over
-# (x, vertex) pairs (and the vertex entries its memo of U(x) keeps) and of
-# X.A's over grid copies, and solve_copies cuts an x that alone exceeds it;
-# ccg._lattice_relaxation refuses the copies past it (the MIP was faster)
-_BLOCK_ENTRIES = 1e5
+# the most nonzeros of A in one LP over copies: HiGHS's working set for the
+# largest of them sets the process's peak RSS. solve_copies cuts its copies
+# into runs of at most this many; worst_case_values and lattice_first_stages
+# form their runs of x by it, counted in the nonzeros of B2 and of X.A. On
+# pm_uk8 s0 parametric the first lattice master, 56 copies of 20384
+# nonzeros, lifted peak RSS by 2.9 MB inside _highs; at 1e4 the 16- to
+# 24-site p-median runs peaked 12-31 % lower, their seconds within the
+# spread of runs (ROADMAP, Baseline)
+_COPIES_NONZEROS = 1e4
 
 
-def _runs(items, cap: int, size=lambda item: 1):
+def _runs(items, cap: float, size=lambda item: 1):
     """Consecutive runs of items whose sizes sum to at most cap; an item
     larger than cap makes a run of its own."""
     run, total = [], 0
@@ -526,16 +527,17 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
 def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Each copy's status and x, a (K, n) array with nan rows where a copy is
-    not Optimal. Copies past _BLOCK_ENTRIES nonzeros of A are cut into runs
-    of at most that many; a run is one solve_lp of copies_lp's LP, and where
-    that is not Optimal, each half of the run in turn, down to single
-    copies, so one failing copy of K costs about 2 log2 K LPs. Copies that
+    not Optimal. The copies come in runs of at most _COPIES_NONZEROS
+    nonzeros of A, which bounds HiGHS's working set (a copy past it runs
+    alone); a run is one solve_lp of copies_lp's LP, and where that is not
+    Optimal, each half of the run in turn, down to single copies, so one
+    failing copy of K costs about 2 log2 K LPs. Copies that
     share one feasible set (one lb, one ub, equal rhs rows) differ only in
     cost, so an Infeasible LP of them is every copy's status at once. No
     copies, no LP."""
     K, n = len(rhs), np.shape(cost)[-1]
-    cap = max(1, int(_BLOCK_ENTRIES // max(1, A[2].size if isinstance(A, tuple)
-                                           else np.count_nonzero(A))))
+    cap = max(1, int(_COPIES_NONZEROS // max(1, A[2].size if isinstance(A, tuple)
+                                             else np.count_nonzero(A))))
     if K > cap:
         return _joined(name, A, senses, rhs, lb, ub, cost,
                        [slice(lo, lo + cap) for lo in range(0, K, cap)])

@@ -59,6 +59,10 @@ _ETA_LB = -1e7
 # and pm_uk8 benders' masters took 37 ms at 8 against 65 ms at 1 (39 ms at
 # 4, 41 ms at 16; medians of 15 runs)
 _SEED_ROUND = 8
+# the most entries, lattice points times the nonzeros of the rows after X's,
+# that _lattice_relaxation values by LPs over copies; past it the
+# deterministic MIP is the faster (see there)
+_RELAXATION_ENTRIES = 1e5
 
 
 @dataclass
@@ -801,15 +805,20 @@ def _lattice_relaxation(state: MasterState, model: LinearModel,
     plus the least recourse cost there, from _block_values over the columns
     outside x; X's rows, which every point meets, are left out. None
     where the state is off the lattice route, a column outside x is
-    integer, a copy ends neither Optimal nor Infeasible, or the copies hold
-    more than _BLOCK_ENTRIES nonzeros: past that the MIP was the faster,
-    0.23 s against 0.44-1.07 s on 16-site ddu_uk p-medians (560 points)."""
+    integer, a copy ends neither Optimal nor Infeasible, or the points times
+    the nonzeros of those rows pass _RELAXATION_ENTRIES, a choice of speed
+    alone (backend.solve_copies bounds each LP's memory). On ddu_uk
+    p-medians at seeds 0-2 (2 vCPUs, medians of 5), these LPs against the
+    MIP took 0.08-0.09 s against 0.05-0.10 s at 12 sites (110880 entries),
+    0.16-0.18 s against 0.05-0.13 s at 14 sites and 0.33-0.45 s against
+    0.10-0.25 s at 16; at 10 and 11 sites (43200 and 70785 entries) the MIP
+    was ahead by at most 30 ms, where the LPs' bound is exact."""
     points = state.lattice()
     if points is None:
         return None
     own, first = np.setdiff1d(np.arange(model.n_vars), x_ids), state.inst.X.A.shape[0]
     if (model.columns()[2][own].any()
-            or len(points) * model.rows(first)[0][2].size > backend._BLOCK_ENTRIES):
+            or len(points) * model.rows(first)[0][2].size > _RELAXATION_ENTRIES):
         return None
     cost = model.objective_vector()
     try:

@@ -12,7 +12,7 @@ the enumeration module, the one lister, which also refuses past its caps
 of U(x) by enumerate_vertices, once per distinct U(x) of a worst_case_values
 call: first stages with the same F(x) and h + G x share them. The LPs are
 batched, one LP of copies per run, narrowed by halves where it is not Optimal
-(backend.solve_copies, which also cuts a run past its entry budget): a run
+(backend.solve_copies, which also cuts a run past its nonzero bound): a run
 of integer assignments shares the range probes of its coupled continuous x,
 the first dropping assignments without completion, and one LP over every
 (assignment, grid point); a run of first stages with continuous y shares
@@ -89,6 +89,9 @@ def recourse_value(inst: Instance, x: np.ndarray,
     raise backend.BackendError(f"recourse solve ended {out.status}")
 
 
+# the most vertex entries worst_case_values' memo of U(x) keeps
+_MEMO_ENTRIES = 1e5
+
 # a pair (x, u) whose least shortfall exceeds this times max(1, |d - B1 x -
 # E u|_inf) has no recourse; HiGHS holds rows to an absolute 1e-7, so a
 # smaller positive shortfall is left to recourse_value
@@ -101,19 +104,19 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     it, a copy of its own. The x with one U(x), the same F(x) and h + G x
     to the byte, share one enumerate_vertices call: for the length of the
     call a memo keeps the vertices of each U(x) met, until they hold
-    _BLOCK_ENTRIES entries in all. The x and their vertices come in runs of
-    at most _BLOCK_ENTRIES entries of B2 over the vertices (one x per run
-    for integer y; backend.solve_copies cuts an x whose vertices alone
-    exceed it). For continuous y, one shortfall LP over a run's first
-    vertices finds the x whose first vertex has no recourse (_no_recourse);
-    such an x is worth (inf, that vertex). _worst_vertices values every
-    vertex of the others in one block LP of the recourse, where a later
-    vertex without recourse is worth inf. Integer y needs no screen: the
-    per-vertex loop of _worst_vertices stops at the first vertex without
-    recourse.
+    _MEMO_ENTRIES entries in all. The x come in runs whose LPs over copies
+    hold at most backend._COPIES_NONZEROS nonzeros: an x counts the nonzeros
+    of B2 over its vertices, or of its shortfall copy where that is larger
+    (backend.solve_copies cuts an x whose vertices alone exceed it). For
+    continuous y, one shortfall LP over a run's first vertices finds the x
+    whose first vertex has no recourse (_no_recourse); such an x is worth
+    (inf, that vertex). _worst_vertices values every vertex of the others in
+    one block LP of the recourse, where a later vertex without recourse is
+    worth inf. Integer y needs no screen: the per-vertex loop of
+    _worst_vertices stops at the first vertex without recourse.
     """
-    cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
-    memo, room = {}, backend._BLOCK_ENTRIES
+    nnz = np.count_nonzero(inst.Y.B2)
+    memo, room = {}, _MEMO_ENTRIES
 
     def vertices(x):
         nonlocal room
@@ -128,7 +131,8 @@ def worst_case_values(inst: Instance, xs) -> list[tuple[float, np.ndarray]]:
     xs = (np.asarray(x, dtype=float) for x in xs)
     pairs = ((x, vertices(x)) for x in xs)
     out = []
-    for run in backend._runs(pairs, cap, size=lambda item: len(item[1])):
+    for run in backend._runs(pairs, backend._COPIES_NONZEROS,
+                             size=lambda item: max(len(item[1]) * nnz, nnz + inst.Y.n_rows)):
         missing = [False] * len(run) if inst.Y.n_int_y else [
             m[0] for m in _no_recourse(inst, [(x, verts[:1]) for x, verts in run])]
         rest = [item for item, miss in zip(run, missing) if not miss]
@@ -275,8 +279,10 @@ def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
     points = lattice_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
     if n_int == nx:     # every row of X has been checked
         return list(points)
-    # at most _GRID ** 2 copies of X per lattice point
-    cap = max(1, int(backend._BLOCK_ENTRIES // (max(1, X.A.size) * _GRID ** min(2, len(coupled)))))
+    # runs of points whose copies of X, _GRID ** 2 a point at most, hold at
+    # most backend._COPIES_NONZEROS nonzeros
+    cap = max(1, int(backend._COPIES_NONZEROS
+                     // (max(1, np.count_nonzero(X.A)) * _GRID ** min(2, len(coupled)))))
     return [x for run in backend._runs(points, cap)
             for x in _complete_continuous(inst, run, coupled, sep)]
 

@@ -416,6 +416,37 @@ def test_a_failing_copy_narrows_the_lp_by_halves(monkeypatch):
     assert sizes == [16, 8, 8, 4, 2, 2, 1, 1, 4]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_the_run_size_leaves_each_copys_status_and_value(seed):
+    # copies of min c_k'v s.t. A v >= r_k, 0 <= v <= 1, A >= 0 with a
+    # positive entry a row: r_k is drawn from a pool of a few feasible rows
+    # (A v0 - slack) and one infeasible row (past A's row sums), so copies
+    # share feasible sets and differ in cost, and all K may share the
+    # infeasible one. Every copy alone, the default runs and one run of
+    # all give each copy one status and value
+    rng = np.random.default_rng(seed)
+    m, n, K = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 13)
+    A = rng.uniform(0.1, 1.0, (m, n)) * (rng.random((m, n)) < 0.6)
+    A[np.arange(m), rng.integers(n, size=m)] = rng.uniform(0.5, 1.0, m)
+    feasible = rng.random((3, n)) @ A.T - rng.uniform(0.0, 0.5, (3, m))
+    infeasible = A.sum(axis=1) + rng.uniform(0.1, 1.0, m)
+    pool = np.vstack([feasible[:rng.integers(1, 4)], infeasible])
+    rhs = pool[rng.integers(len(pool), size=K)]
+    cost = rng.uniform(-1.0, 1.0, (K, n))
+    args = ("runs", _csr(A), GEQ, rhs, 0.0, 1.0, cost)
+    outs = []
+    for bound in (1, backend._COPIES_NONZEROS, K * A.size + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backend, "_COPIES_NONZEROS", bound)
+            status, x = backend.solve_copies(*args)
+        outs.append((status.tolist(), backend.copy_values("runs", status, x, cost)))
+    want = np.where((rhs == infeasible).all(axis=1), backend.INFEASIBLE, backend.OPTIMAL)
+    for status, values in outs:
+        assert status == want.tolist()
+        assert values == pytest.approx(outs[0][1], rel=1e-9, abs=1e-12)
+
+
 def test_rows_per_copy_build_the_lp_of_shared_rows():
     name, A, senses, rhs, lb, ub, cost = _halving_toy()
     shared = backend.copies_lp(name, A, senses, rhs, lb, ub, cost)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddu_ro import backend, ccg, enumeration, instances, maxmin
+from ddu_ro import backend, ccg, enumeration, maxmin
 from ddu_ro.backend import EQ, GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
@@ -643,9 +643,9 @@ def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(par
 
 @pytest.mark.parametrize("make", [_pm8, _diu_box], ids=["pm_uk8", "diu_box"])
 def test_the_lattice_relaxation_is_the_deterministic_mips_optimum(make, monkeypatch):
-    # one copy per lattice point of the rows after X's; past _BLOCK_ENTRIES
-    # entries over points times every nonzero of those rows, x's included,
-    # the MIP takes it
+    # one copy per lattice point of the rows after X's; past
+    # _RELAXATION_ENTRIES entries over points times every nonzero of those
+    # rows, x's included, the MIP takes it
     inst = make()
     state = MasterState(inst, AlgorithmConfig(variant="parametric"))
     model, ids = build_deterministic_mip(inst)
@@ -654,9 +654,9 @@ def test_the_lattice_relaxation_is_the_deterministic_mips_optimum(make, monkeypa
     assert out.status == mip.status == backend.OPTIMAL and out.bound == out.objective
     assert out.objective == pytest.approx(mip.objective, rel=1e-9)
     entries = len(state.lattice()) * model.rows(inst.X.A.shape[0])[0][2].size
-    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(ccg, "_RELAXATION_ENTRIES", entries)
     assert ccg._lattice_relaxation(state, model, ids["x"]).objective == out.objective
-    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", entries - 1)
+    monkeypatch.setattr(ccg, "_RELAXATION_ENTRIES", entries - 1)
     assert ccg._lattice_relaxation(state, model, ids["x"]) is None
 
 

@@ -360,12 +360,17 @@ def test_built_models_are_pinned():
 # status, objective and solve count). They were pinned anew once more when
 # record_linprog came to hash what backend._highs receives, the arrays and
 # the whole option set, instead of linprog's arguments: the same toys.py
-# gives these values on the tree before that change and after it.
+# gives these values on the tree before that change and after it. The two
+# masters and recourse_block were pinned anew when an LP over copies came
+# to hold at most backend._COPIES_NONZEROS (1e4) nonzeros: their first LPs,
+# of 20384, 19040 and 11200, now hold the copies of their first run only;
+# the completion LP, of 8512, is whole (tools/highs_digest.py kept every
+# status, objective and iteration count, and the oracle's values).
 PINNED_LP_DIGESTS = {
-    "pm_uk8-parametric-master": "9994702b56cb64b4",
-    "pm_uk8-basis-master": "88ad76004e8fad54",
+    "pm_uk8-parametric-master": "160e2a9db1fa29fa",
+    "pm_uk8-basis-master": "ef9bc01502ce6909",
     "xfill": "0326049417514e40",
-    "recourse_block": "2f8835fb3d737905",
+    "recourse_block": "7510c20207df7360",
 }
 
 
@@ -901,10 +906,11 @@ def test_worst_case_value_matches_the_per_vertex_loop(make, monkeypatch):
 def _worst_case_values_enumerating_every_x(inst, xs):
     """Reference for worst_case_values: the same runs and LPs, with
     enumerate_vertices called at every x."""
-    cap = 1 if inst.Y.n_int_y else max(1, int(backend._BLOCK_ENTRIES // max(1, inst.Y.B2.size)))
+    nnz = np.count_nonzero(inst.Y.B2)
     pairs = ((x, enumerate_vertices(inst.U, x)) for x in xs)
     out = []
-    for run in backend._runs(pairs, cap, size=lambda item: len(item[1])):
+    for run in backend._runs(pairs, backend._COPIES_NONZEROS,
+                             size=lambda item: max(len(item[1]) * nnz, nnz + inst.Y.n_rows)):
         missing = [m[0] for m in instances._no_recourse(inst, [(x, v[:1]) for x, v in run])]
         rest = [item for item, miss in zip(run, missing) if not miss]
         valued = iter(instances._worst_vertices(inst, rest) if rest else [])
@@ -1156,8 +1162,10 @@ def test_a_failed_shortfall_lp_is_solved_once_and_decided_per_vertex(monkeypatch
 
 def test_first_stages_of_many_matrices_share_one_shortfall_lp(monkeypatch):
     # 2-site fl-lhs at seed 0: the 64 first stages over 19 matrices F(x)
-    # make one run, so one shortfall LP, one audit and one block LP, where
-    # the grouping by F(x) took 19 shortfall LPs and 15 audits
+    # make two runs, as their 1264 vertices hold 10112 nonzeros of B2, past
+    # backend._COPIES_NONZEROS: one shortfall LP and one block LP a run and
+    # one audit, where the grouping by F(x) took 19 shortfall LPs and 15
+    # audits
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "lhs")
     lps = _record_lps(monkeypatch)
     calls = _count_recourse_calls(monkeypatch)
@@ -1166,6 +1174,7 @@ def test_first_stages_of_many_matrices_share_one_shortfall_lp(monkeypatch):
     assert len({inst.U.F.evaluate(x).tobytes() for x, _ in res.evaluations}) == 19
     assert [lp for lp in lps if lp[0] != "xfill"] == [
         ("recourse_shortfall", backend.OPTIMAL), ("recourse", backend.INFEASIBLE),
+        ("recourse_block", backend.OPTIMAL), ("recourse_shortfall", backend.OPTIMAL),
         ("recourse_block", backend.OPTIMAL)]
     assert len(calls) == 1
 
@@ -1429,11 +1438,12 @@ def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypat
 
 
 @pytest.mark.parametrize("budget, n_lps", [
-    # ddu_uk5: 10 first stages with 4 vertices each; a recourse block holds
-    # 15 x 30 entries and a completion block 12 x 30; a run of x takes a
-    # shortfall LP over its first vertices and a block LP over every vertex
-    (3600, 1 + 5 + 5),     # 10 completions, two x per run
-    (3599, 2 + 10 + 10),   # 9 + 1 completions, one x per run
+    # ddu_uk5: 10 first stages with 4 vertices each; a recourse copy holds
+    # the 80 nonzeros of B2, a shortfall copy those and 15 more, and a
+    # completion copy the 65 of X.A; a run of x takes a shortfall LP over
+    # its first vertices and a block LP over every vertex, 4 x 80 an x
+    (650, 1 + 5 + 5),      # 10 completions, two x per run
+    (639, 2 + 10 + 10),    # 9 + 1 completions, one x per run
     # no batch of two fits: every LP serves one x, and no recourse block LP
     # holds more than one of an x's 4 vertices
     (1, 10 + 10 + 10 * 4),
@@ -1441,7 +1451,7 @@ def test_an_assignment_without_completion_narrows_the_completion_batch(monkeypat
 def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     inst = gen_reliable_pmedian(PMedianParams(n_sites=5), "ddu_uk")
     ref = oracle_exact(inst)
-    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(backend, "_COPIES_NONZEROS", budget)
     lps = _record_lps(monkeypatch)
     res = oracle_exact(inst)
     assert len(lps) == n_lps
@@ -1628,7 +1638,7 @@ def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
     # other run takes a min and a max probe and the grid's _GRID copies, one
     # LP each at this budget
     inst = _no_completion_toy(B1=np.array([[0.0, 0.0, 1.0]]))
-    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(backend, "_COPIES_NONZEROS", 1)
     lps = _record_lps(monkeypatch)
     got = _oracle_output(oracle_exact(inst))
     assert [s for name, s in lps if name == "xfill"] == \
@@ -1638,9 +1648,10 @@ def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
 
 
 @pytest.mark.parametrize("budget, n_fills", [
-    # fl-rhs with 2 sites: 4 assignments of 49 grid copies of a 4 x 4 X.A
-    (4 * 49 * 16, 5),          # one run
-    (4 * 49 * 16 - 1, 5 + 5),  # a run of 3 and a run of 1
+    # fl-rhs with 2 sites: 4 assignments of 49 grid copies of X.A, a 4 x 4
+    # matrix of 6 nonzeros
+    (4 * 49 * 6, 5),           # one run
+    (4 * 49 * 6 - 1, 5 + 5),   # a run of 3 and a run of 1
     # one assignment per run, and one copy per LP: 4 probes each, and the
     # 1 + 7 + 7 + 49 copies of their grids
     (1, 4 * 4 + 64),
@@ -1648,7 +1659,7 @@ def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
 def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills):
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
     ref = _completions(monkeypatch, inst)
-    monkeypatch.setattr(backend, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(backend, "_COPIES_NONZEROS", budget)
     lps = _record_lps(monkeypatch)
     assert _completions(monkeypatch, inst) == ref
     assert lps == [("xfill", backend.OPTIMAL)] * n_fills
@@ -1657,3 +1668,59 @@ def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills
 def test_runs_cut_at_the_cap_and_isolate_an_oversized_item():
     runs = backend._runs([3, 1, 1, 5, 1], 4, size=lambda s: s)
     assert list(runs) == [[3, 1], [1], [5], [1]]
+
+
+def _copies_nonzeros(monkeypatch):
+    """The nonzeros of A that HiGHS receives in each LP of more than one
+    copy, in order."""
+    sizes, pending = [], []
+    copies_lp, highs = backend.copies_lp, backend._highs
+
+    def counted_copies(name, A, senses, rhs, *args):
+        pending.append(len(rhs))
+        return copies_lp(name, A, senses, rhs, *args)
+
+    def counted_highs(a, options):
+        # the LP of copies_lp is the next one HiGHS solves
+        if pending and pending.pop() > 1:
+            sizes.append(a.data.size)
+        return highs(a, options)
+
+    monkeypatch.setattr(backend, "copies_lp", counted_copies)
+    monkeypatch.setattr(backend, "_highs", counted_highs)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["pm_uk8-parametric", "pm_uk8-oracle", "pm_uk10-lattice"])
+def test_no_lp_over_copies_passes_the_nonzero_bound(monkeypatch, case):
+    # with runs by dense sizes pm_uk8's first lattice master held 20384
+    # nonzeros and its recourse blocks 11200; the 10-site lattice's 120
+    # completion copies hold more than the bound
+    inst = gen_reliable_pmedian(PMedianParams(n_sites=10 if "10" in case else 8, seed=0),
+                                "ddu_uk")
+    sizes = _copies_nonzeros(monkeypatch)
+    if case == "pm_uk8-parametric":
+        assert run(inst, AlgorithmConfig(variant="parametric")).status == "Optimal"
+    elif case == "pm_uk8-oracle":
+        oracle_exact(inst)
+    else:
+        lattice_first_stages(inst)
+    assert backend._COPIES_NONZEROS / 2 < max(sizes) <= backend._COPIES_NONZEROS
+
+
+def test_an_x_a_of_zero_columns_forms_one_completion_run(monkeypatch):
+    # 3 binaries with x0 + x1 + x2 >= 1 and 2000 separable continuous x in
+    # no row of X: the 7 points' copies hold 21 nonzeros of X.A, though
+    # they hold 7 x 2003 entries
+    n = 2000
+    inst = Instance(
+        name="zero-columns", c1=np.r_[np.zeros(3), np.ones(n)],
+        X=FirstStageSet(A=np.r_[np.ones(3), np.zeros(n)][None], b=[1.0], n_int=3,
+                        ub=np.ones(3 + n)),
+        U=UncertaintySet(F=AffineMatrixMap(base=[[1.0]]), G=np.zeros((1, 3 + n)), h=[1.0]),
+        Y=RecourseSet(B1=np.zeros((1, 3 + n)), B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0]))
+    assert 7 * inst.X.A.size > backend._COPIES_NONZEROS
+    lps = _record_lps(monkeypatch)
+    xs = lattice_first_stages(inst)
+    assert lps == [("xfill", backend.OPTIMAL)]
+    assert len(xs) == 7 and all(x[:3].sum() >= 1 and not x[3:].any() for x in xs)

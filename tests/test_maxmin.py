@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddu_ro import backend, enumeration, maxmin, t1
-from ddu_ro.backend import GEQ, LEQ, BackendError, LinearModel, SolveOutcome, SolveTimeLimit
+from ddu_ro.backend import GEQ, BackendError, LinearModel, SolveOutcome, SolveTimeLimit
 from ddu_ro.instances import (FLParams, PMedianParams, enumerate_vertices,
                               gen_mip_recourse_fl, gen_reliable_pmedian,
                               gen_robust_fl, lattice_first_stages, recourse_value)
