@@ -9,13 +9,16 @@ one for mixed-integer recourse, one that brackets a decision-independent
 problem between decision-dependent surrogates.  A run stops when the gap
 closes or the master repeats a first stage, whose worst case it holds.
 
-A master is a MIP over the first stage x and eta, unless MasterState.solve
-can value it over X's integer lattice (see there): each cutting set is then
-priced lazily, only at the points whose bound can still decide the argmin,
-in LPs of one copy per point that backend.solve_copies narrows by halves
-where they are not Optimal. A benders cut is valued there from its seed, by
-one LP over U(x), with no optimality block and so no big-M; every other
-cutting set by the LP of its own rows. The deterministic relaxation is
+A master holds its cuts as data (MasterState.cuts), one per seed that a
+subproblem found: a dual point, a dual ray or a basis. It is a MIP over the
+first stage x and eta, unless MasterState.solve can value it over X's
+integer lattice (see there): each cut is then priced lazily, only at the
+points whose bound can still decide the argmin, in LPs of one copy per
+point that backend.solve_copies narrows by halves where they are not
+Optimal. A benders cut is valued there from its seed, by one LP over U(x);
+its optimality block, and so its big-M, is written only for the MIP, once
+the master leaves the lattice. Every other cut is written when it is added
+and valued by the LP of its own rows. The deterministic relaxation is
 valued over the same lattice where its columns outside x are continuous and
 its copies are few enough (_lattice_relaxation).
 """
@@ -53,8 +56,8 @@ _X_REPEAT_TOL = 1e-7
 # eta's lower bound, binding only before the first optimality cut, unless
 # the relaxation puts a valid floor lower (_eta_floor)
 _ETA_LB = -1e7
-# the points of a lattice master's first round where every part is a
-# benders seed: a copy of the LP over U(x) costs little next to the LP (on
+# the points of a lattice master's first round where the state values its
+# cuts by seed: a copy of the LP over U(x) costs little next to the LP (on
 # a 2-vCPU host, 8 copies of pm_uk8's 9 x 8 U(x) took 1.20 ms, one 1.15 ms),
 # and pm_uk8 benders' masters took 37 ms at 8 against 65 ms at 1 (39 ms at
 # 4, 41 ms at 16; medians of 15 runs)
@@ -113,56 +116,60 @@ class AlgorithmConfig:
 
 
 class _OffLattice(Exception):
-    """The master has a part that the lattice route cannot value exactly."""
+    """The master has a cut that the lattice route cannot value exactly."""
 
 
-class _Part(NamedTuple):
-    """The first column n0 and row m0 of what one solve took in; seed, a
-    benders seed's (beta, is_ray) where that is exactly its block and cut
-    row, else None."""
-    n0: int
-    m0: int
-    seed: tuple[np.ndarray, bool] | None
+class _Cut(NamedTuple):
+    """One seed the master holds (MasterState.add_seed): its tag, p, r or b
+    for a point, ray or basis and the count of that kind before it; the
+    dual point or ray (is_ray) of a benders or replicate cut, or the basis
+    of a basis cutting set; and the cost row its blocks pin."""
+    tag: str
+    seed: np.ndarray | BasisId
+    is_ray: bool
+    cost_row: np.ndarray | None
 
 
 class MasterState:
-    """The growing master model plus the registry of seeds already cut in.
+    """The master: its cuts, the model that holds those written, and the
+    lattice route that values them.
 
-    Variable and row ids are append-only, so blocks added in iteration t can
-    keep referencing the first-stage columns of iteration zero.  ou_sets, when
-    given, replaces the instance's own uncertainty set in every optimality
-    block: each point seed then gets one block per listed set. The blocks
-    read the big-M that backend holds (backend.big_m), not config.big_M,
-    which run puts there.
+    cuts lists every seed added (add_seed) as a _Cut, in order. Its writers
+    (_add_dual_seed, _add_basis_seed) write the cuts into the model in cut
+    order, each when it is added, unless the state values its cuts by seed
+    (_by_seed: benders against the instance's own set while the lattice
+    route holds). Those are written when code reads model, which writes
+    every cut not yet written first, as solve does once the route is left;
+    so the MIP gets the same rows in the same order either way. blocks
+    holds the blocks written, by tag. Variable and row ids are append-only,
+    so a cut written in iteration t keeps referencing the first-stage
+    columns of iteration zero. ou_sets, when given, replaces the instance's
+    own uncertainty set in every optimality block: each point seed then
+    gets one block per listed set. The blocks read the big-M that backend
+    holds (backend.big_m), not config.big_M, which run puts there.
 
     solve() values the master over X's integer lattice (the first stages of
     instances.lattice_first_stages) while the instance allows it: no
-    continuous x that U(x) or the recourse rows read, and blocks without
-    integer columns (the optimality blocks of every variant there, basis
-    cutting sets, continuous replicates). That is exact: a product of a 0/1
-    x with a column is exact once x is fixed, the separable continuous x
-    meet only c1 and X, and the blocks share nothing but x and eta, each
-    bounding eta from below. So at a lattice point x the master is c1'x
-    plus the largest of eta's lower bound and each block's least eta there,
-    an LP per block; a point where some block's LP is infeasible is cut off
-    (the master of Zeng and Zhao 2013, solved by enumerating the first
-    stages, one of the master strategies that Rahmaniani et al., EJOR 2017,
-    survey). The rows and columns appended between two solves form a part.
-    A part that is exactly one benders seed's block and cut row is valued
-    from the seed, by an LP over U(x) with no lambda and no big-M, where the
-    parts pending at a point are all such; any other part is checked once
-    (_check_part) when the next solve takes it in, and parts are otherwise
-    valued by the LP of their rows. A point is valued lazily, only when
-    the argmin needs it (_lattice_solve), and then at every part appended
-    since its last valuation (_part_values). A part the route cannot value
-    (it reads a continuous x or an older part's column, brings an integer
-    column, or bounds eta from above), a copy that ends other than
-    _part_values allows, or a lattice that instances.lattice_first_stages
-    refuses (OracleError) sends this and every later solve to
-    backend.solve_mip, which always holds the whole model: the blocks of
-    benders seeds are written there too. The lattice is enumerated once per
-    state (lattice()), and its cost follows the first stages X admits, not
-    its bound box: the search of enumeration.lattice_points visits only the
+    continuous x that U(x) or the recourse rows read, no integer recourse
+    and no coupled x but binary ones. That is exact: each cut's rows read
+    only the integer x, eta and the cut's own columns, none of them
+    integer, and bound eta from below (a test checks every writer); a
+    product of a 0/1 x with a column is exact once x is fixed, and the
+    separable continuous x meet only c1 and X. So at a lattice point x the
+    master is c1'x plus the largest of eta's lower bound and each cut's
+    least eta there, an LP per cut; a point where some cut's LP is
+    infeasible is cut off (the master of Zeng and Zhao 2013, solved by
+    enumerating the first stages, one of the master strategies that
+    Rahmaniani et al., EJOR 2017, survey). A point is valued lazily, only
+    when the argmin needs it (_lattice_solve), and then at every cut added
+    since its last valuation (_cut_values): from the seeds, by an LP over
+    U(x) with no lambda and no big-M, where the state values its cuts by
+    seed, else by the LP of the cuts' rows. A copy that ends other than
+    _cut_values allows, or a lattice that instances.lattice_first_stages
+    refuses (OracleError), sends this and every later solve to
+    backend.solve_mip. The lattice is enumerated once per state
+    (lattice()), and its cost follows the first stages X admits, not its
+    bound box: the search of enumeration.lattice_points visits only the
     prefixes X's rows can complete. lattice_copies counts the copies the
     route has solved.
     """
@@ -172,50 +179,72 @@ class MasterState:
         self.inst = inst
         self.config = config
         self.ou_sets = list(ou_sets) if ou_sets is not None else None
-        self.model = LinearModel(name=f"{inst.name}-{config.variant}-master")
-        self.x_ids = add_first_stage(self.model, inst)
-        binary = binary_coupling(self.model, inst.U, self.x_ids)
+        self._model = LinearModel(name=f"{inst.name}-{config.variant}-master")
+        self.x_ids = add_first_stage(self._model, inst)
+        binary = binary_coupling(self._model, inst.U, self.x_ids)
         if config.variant == "basis" and not binary:
             raise ValueError(
                 "basis cutting sets multiply first-stage terms into the "
                 "alternative system; non-binary coupled components have no "
                 "exact linearization")
-        self.eta_id = self.model.add_vars(1, _ETA_LB, np.inf)[0]
-        self.model.set_objective({**dict(zip(self.x_ids, inst.c1)), self.eta_id: 1.0}, "min")
-        self.point_seeds: list[np.ndarray] = []
-        self.ray_seeds: list[np.ndarray] = []
-        self.basis_seeds: list[BasisId] = []
+        self.eta_id = self._model.add_vars(1, _ETA_LB, np.inf)[0]
+        self._model.set_objective({**dict(zip(self.x_ids, inst.c1)), self.eta_id: 1.0}, "min")
+        self.cuts: list[_Cut] = []
         self.blocks: dict[str, OptimalityBlock | None] = {}
-        # the lattice route: the first column and row of each part taken in,
-        # None once off the route; the columns and rows taken in; the points
-        # (enumerated at the first lattice()) and, per point, the number of
-        # parts valued there and the largest least eta among them
-        self._parts: list[_Part] | None = []
-        if coupled_continuous(inst) or inst.Y.n_int_y or not binary:
-            self._parts = None
-        self._taken = (self.model.n_vars, self.model.n_constrs)
-        # each benders seed not yet taken in, by the model's columns and
-        # rows before it: those after it, beta and whether it is a ray
-        self._seed_spans: dict[tuple[int, int], tuple[tuple[int, int], np.ndarray, bool]] = {}
+        # the model's first column and row of each cut written, in cut order
+        self._starts: list[tuple[int, int]] = []
+        # the lattice route: whether it holds; the points (enumerated at the
+        # first lattice()) and, per point, the number of cuts valued there
+        # and the largest least eta among them
+        self._route = not (coupled_continuous(inst) or inst.Y.n_int_y or not binary)
         self._points: np.ndarray | None = None
         self._done: np.ndarray | None = None
         self._theta: np.ndarray | None = None
         self.masters_lattice = self.masters_mip = self.lattice_copies = 0
 
+    @property
+    def model(self) -> LinearModel:
+        """The master MIP, every cut written."""
+        self._write()
+        return self._model
+
+    def _write(self) -> None:
+        """Write every cut not yet written into the model, in cut order."""
+        writer = _add_basis_seed if self.config.variant == "basis" else _add_dual_seed
+        for cut in self.cuts[len(self._starts):]:
+            self._starts.append((self._model.n_vars, self._model.n_constrs))
+            writer(self, cut)
+
+    @property
+    def _by_seed(self) -> bool:
+        return self._route and self.config.variant == "benders" and self.ou_sets is None
+
+    @property
+    def point_seeds(self) -> list[np.ndarray]:
+        return [c.seed for c in self.cuts if c.tag[0] == "p"]
+
+    @property
+    def ray_seeds(self) -> list[np.ndarray]:
+        return [c.seed for c in self.cuts if c.tag[0] == "r"]
+
+    @property
+    def basis_seeds(self) -> list[BasisId]:
+        return [c.seed for c in self.cuts if c.tag[0] == "b"]
+
     def lattice(self) -> np.ndarray | None:
         """X's lattice points, one row each, while the route holds, else
         None; enumerated at the first call, which leaves the route where
         instances.lattice_first_stages raises OracleError."""
-        if self._parts is not None and self._points is None:
+        if self._route and self._points is None:
             try:
                 xs = lattice_first_stages(self.inst)
             except OracleError:
-                self._parts = None
+                self._route = False
                 return None
             self._points = np.reshape(xs, (len(xs), self.inst.dim_x))
             self._done = np.zeros(len(xs), dtype=int)
             self._theta = np.full(len(xs), -np.inf)
-        return None if self._parts is None else self._points
+        return self._points if self._route else None
 
     def solve(self, **mip_options) -> backend.SolveOutcome:
         """The master's optimum, exact (bound = objective) over the lattice
@@ -227,84 +256,80 @@ class MasterState:
                 self.masters_lattice += 1
                 return out
             except _OffLattice:
-                self._parts = None
+                self._route = False
         self.masters_mip += 1
         return backend.solve_mip(self.model, **mip_options)
 
     def _lattice_solve(self) -> backend.SolveOutcome:
         """The first point of least true value c1'x + max(eta's lower
-        bound, each part's least eta), with eta at that max; Infeasible when
+        bound, each cut's least eta), with eta at that max; Infeasible when
         every point is cut off.
 
         A point's bound L = c1'x + max(eta's lower bound, θ) takes θ, the
-        largest least eta, over the parts valued there only, so true >= L
-        at every point, with equality where no part is pending. Each round
+        largest least eta, over the cuts valued there only, so true >= L
+        at every point, with equality where no cut is pending. Each round
         takes the first argmin k of L and returns it once nothing is pending
-        at k. Otherwise it values the pending parts (_part_values) at the
+        at k. Otherwise it values the pending cuts (_cut_values) at the
         pending points of L at most V, the least true value of a point with
         nothing pending, in order of L: the first round k alone, or the
-        first _SEED_ROUND points where every part is a benders seed, each
-        later round twice as many points. Those are the only points that can
-        still tie or beat V. A round takes at least every such point not yet
-        valued at all: its L rests on eta's lower bound alone, at most
-        _ETA_LB, as a rule far below what the parts give, so it would stay
-        due round after round (the first master with a part values every
+        first _SEED_ROUND points where the state values its cuts by seed,
+        each later round twice as many points. Those are the only points
+        that can still tie or beat V. A round takes at least every such
+        point not yet valued at all: its L rests on eta's lower bound alone,
+        at most _ETA_LB, as a rule far below what the cuts give, so it would
+        stay due round after round (the first master with a cut values every
         point at once). At the return L(k) is k's true
         value, every q < k has true(q) >= L(q) > L(k) and every q > k has
         true(q) >= L(q) >= L(k); so k is the first argmin of the true
-        values, as if every part had been valued at every point. A
+        values, as if every cut had been valued at every point. A
         point whose L is +inf is cut off for good, as θ only rises."""
-        m = self.model
-        end = (m.n_vars, m.n_constrs)
-        if self._taken != end:
-            span = self._seed_spans.pop(self._taken, None)
-            seed = span[1:] if span is not None and span[0] == end else None
-            if seed is None:
-                _check_part(self, *self._taken)
-            self._parts.append(_Part(*self._taken, seed))
-            self._taken = end
         c1x = self._points @ self.inst.c1
-        eta_lb = m.columns()[0][self.eta_id]
-        size = _SEED_ROUND if all(p.seed is not None for p in self._parts) else 1
+        eta_lb = self._model.columns()[0][self.eta_id]
+        size = _SEED_ROUND if self._by_seed else 1
         while True:
             eta = np.maximum(eta_lb, self._theta)
             bound = c1x + eta
             if not np.isfinite(bound).any():
                 return backend.SolveOutcome(status=backend.INFEASIBLE)
             k = int(np.argmin(bound))
-            pending = self._done < len(self._parts)
+            pending = self._done < len(self.cuts)
             if not pending[k]:
                 break
             V = np.min(bound[~pending], initial=np.inf)
             due = np.flatnonzero(pending & (bound <= V) & np.isfinite(bound))
             fresh = int(np.sum(self._theta[due] == -np.inf))
             due = np.sort(due[np.argsort(bound[due], kind="stable")][:max(size, fresh)])
-            # a point's pending parts are those from its count on; the
-            # parts from the least count are valued at every point of the
-            # round, which only repeats a value where a count is higher
+            # a point's pending cuts are those from its count on; the cuts
+            # from the least count are valued at every point of the round,
+            # which only repeats a value where a count is higher
             j = self._done[due].min()
-            self._theta[due] = np.maximum(self._theta[due],
-                                          _part_values(self, self._parts[j:], due))
-            self._done[due] = len(self._parts)
+            self._theta[due] = np.maximum(self._theta[due], _cut_values(self, j, due))
+            self._done[due] = len(self.cuts)
             self.lattice_copies += len(due)
             size *= 2
-        x = np.full(m.n_vars, np.nan)
+        x = np.full(self._model.n_vars, np.nan)
         x[self.x_ids], x[self.eta_id] = self._points[k], eta[k]
         return backend.SolveOutcome(status=backend.OPTIMAL, objective=float(bound[k]),
                                     x=x, bound=float(bound[k]))
 
     def add_seed(self, seed: np.ndarray | BasisId, is_ray: bool = False,
                  cost_row: np.ndarray | None = None) -> str:
-        """Insert one seed and return its tag: a dual point, or a ray with
-        is_ray, for benders and the replicate variants, a basis of
+        """Insert one seed as a cut and return its tag: a dual point, or a
+        ray with is_ray, for benders and the replicate variants, a basis of
         [F(x) | I] for "basis".  cost_row, a standard-form row over (u,
         slacks), scales the dual bound (dual_bound): for a dual seed it is
         the objective the optimality blocks pin, by default (-E' seed, 0),
         for a basis the parametric LP's, without which the bound is the
         run's big-M."""
         if self.config.variant == "basis":
-            return _add_basis_seed(self, seed, cost_row)
-        return _add_dual_seed(self, seed, is_ray, cost_row)
+            tag = f"b{len(self.cuts)}"
+        else:
+            seed = np.asarray(seed, dtype=float)
+            tag = f"{'r' if is_ray else 'p'}{sum(c.is_ray == is_ray for c in self.cuts)}"
+        self.cuts.append(_Cut(tag, seed, is_ray, cost_row))
+        if not self._by_seed:
+            self._write()
+        return tag
 
     def cut(self, x: np.ndarray, beta: np.ndarray, is_ray: bool,
             basis_lp: ParametricLPResult | None = None) -> tuple[str, str]:
@@ -347,50 +372,42 @@ def _vector_seen(pool: list[np.ndarray], v: np.ndarray, tol: float) -> bool:
 
 # -- seed insertion ------------------------------------------------------------
 
-def _add_dual_seed(state: MasterState, beta: np.ndarray, is_ray: bool,
-                   cost_row: np.ndarray | None = None) -> str:
-    """One block per uncertainty set pinning the seed's worst case u, an
-    optimum (build_optimality_block) of cost_row where given, else of the
-    set's row (-E' beta, 0), then
-    for benders a scalar cut on it, for the replicate variants a recourse
+def _add_dual_seed(state: MasterState, cut: _Cut) -> None:
+    """Write a dual seed's cut: one block per uncertainty set pinning the
+    seed's worst case u, an optimum (build_optimality_block) of the cut's
+    cost_row where given, else of the set's row (-E' beta, 0), then for
+    benders a scalar cut on it, for the replicate variants a recourse
     replicate y with its feasibility rows against u.
 
     Scalar point pi:  eta >= pi'd - pi'B1 x - pi'E u,  u optimal for LP(x, pi).
     Scalar ray gamma: 0 >= gamma'd - gamma'B1 x - gamma'E v, v optimal for
     LP(x, gamma), which excludes exactly the x whose recourse gamma certifies
     infeasible.  A replicate gets eta >= c2'y for points, or always in
-    unified mode. A benders seed against the instance's own set records its
-    span (MasterState._seed_spans), by which the lattice route values it.
+    unified mode.
     """
-    cfg, Y = state.config, state.inst.Y
-    beta = np.asarray(beta, dtype=float)
-    start = (state.model.n_vars, state.model.n_constrs)
-    base_tag = f"r{len(state.ray_seeds)}" if is_ray else f"p{len(state.point_seeds)}"
+    cfg, Y, model = state.config, state.inst.Y, state._model
+    beta = cut.seed
     sets = state.ou_sets if state.ou_sets is not None else [state.inst.U]
     for li, U_l in enumerate(sets):
-        tag = base_tag if state.ou_sets is None else f"{base_tag}s{li}"
+        tag = cut.tag if state.ou_sets is None else f"{cut.tag}s{li}"
         row = (np.concatenate([-(Y.E.T @ beta), np.zeros(U_l.n_rows)])
-               if cost_row is None else cost_row)
-        blk = build_optimality_block(state.model, U_l, row, state.x_ids)
-        eta = [] if is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
+               if cut.cost_row is None else cut.cost_row)
+        blk = build_optimality_block(model, U_l, row, state.x_ids)
+        eta = [] if cut.is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
         if cfg.variant == "benders":
-            state.model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
-                                  *eta], GEQ, [Y.d @ beta])
+            model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
+                            *eta], GEQ, [Y.d @ beta])
         else:
-            y_ids = add_recourse_vars(state.model, Y)
-            add_recourse_rows(state.model, Y, y_ids, state.x_ids, blk.u_ids)
+            y_ids = add_recourse_vars(model, Y)
+            add_recourse_rows(model, Y, y_ids, state.x_ids, blk.u_ids)
             if eta:
-                state.model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0])
+                model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0])
         state.blocks[tag] = blk
-    if cfg.variant == "benders" and state.ou_sets is None:
-        state._seed_spans[start] = ((state.model.n_vars, state.model.n_constrs), beta, is_ray)
-    (state.ray_seeds if is_ray else state.point_seeds).append(beta)
-    return base_tag
 
 
-def _add_basis_seed(state: MasterState, basis: BasisId,
-                    cost_row: np.ndarray | None = None) -> str:
-    """Cutting set indexed by a basis of the standard form [F(x) | I].
+def _add_basis_seed(state: MasterState, cut: _Cut) -> None:
+    """Write the cutting set indexed by a basis of the standard form
+    [F(x) | I], the cut's seed.
 
     A row whose slack is nonbasic becomes an equality on the basic structural
     coordinates, with paired deviation columns u1, u2; a row whose slack stays
@@ -404,20 +421,19 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
     big-M M (backend.current_big_m).  The dual side (the deviation penalty,
     the box on lam and the products of x with lam) is bounded by M_d =
     dual_bound(U, cost_row), the bound an optimality block of the same seed
-    puts on its lam, cost_row being the standard-form cost row (-E' beta, 0)
-    of the parametric LP that gave the basis.  A unit deviation of row i
-    moves the recourse cost by up to the basis's dual lam_i, so the penalty
-    is exact where the recourse duals stay within the seed's scale.  Without
-    cost_row M_d is M.
+    puts on its lam, the cut's cost_row being the standard-form cost row
+    (-E' beta, 0) of the parametric LP that gave the basis.  A unit deviation
+    of row i moves the recourse cost by up to the basis's dual lam_i, so the
+    penalty is exact where the recourse duals stay within the seed's scale.
+    Without cost_row M_d is M.
     """
-    inst = state.inst
+    inst, basis = state.inst, cut.seed
     U, Y = inst.U, inst.Y
     n, mu = U.dim, U.n_rows
-    model, x_ids = state.model, state.x_ids
-    M, M_d = backend.current_big_m(), dual_bound(U, cost_row)
+    model, x_ids = state._model, state.x_ids
+    M, M_d = backend.current_big_m(), dual_bound(U, cut.cost_row)
 
     coupled = U.coupled_columns
-    tag = f"b{len(state.basis_seeds)}"
     struct_basic = [j for j in basis.indices if j < n]
     slack_basic = {j - n for j in basis.indices if j >= n}
     eq_rows = [i for i in range(mu) if i not in slack_basic]
@@ -466,42 +482,24 @@ def _add_basis_seed(state: MasterState, basis: BasisId,
     model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -Y.c2[None]),
                     (deviation, np.full((1, len(deviation)), -M_d)),
                     *[(ids, -A) for ids, A in rhs]], GEQ, [0.0])
-
-    state.basis_seeds.append(basis)
-    state.blocks[tag] = None
-    return tag
+    state.blocks[cut.tag] = None
 
 
 # -- the master over the lattice ------------------------------------------
 
-def _check_part(state: MasterState, n0: int, m0: int) -> None:
-    """Raise _OffLattice unless _block_values is exact on the rows from m0
-    on: they read no column but the integer x, eta and the columns from n0
-    on, none of those is integer, and each row bounds eta from below or
-    leaves it out."""
-    model = state.model
-    (indptr, _, eta), senses, _ = model.rows(m0, [state.eta_id])
-    senses = senses[np.diff(indptr) > 0]
-    if (model.columns()[2][n0:].any()
-            or np.setdiff1d(model.rows(m0)[0][1], [*state.x_ids[:state.inst.X.n_int],
-                                                    *range(n0, model.n_vars), state.eta_id]).size
-            or np.any(np.where(senses == GEQ, eta < 0, (senses == EQ) | (eta > 0)))):
-        raise _OffLattice
-
-
-def _part_values(state: MasterState, parts: list[_Part], at: np.ndarray) -> np.ndarray:
-    """At the lattice points of index array at, the least eta that parts
-    allow with x fixed there, +inf where they allow none. Parts that are all
-    benders seeds are valued from their seeds (_seed_values), with eta's
-    lower bound under them; any other parts by the LP of their rows with
-    their own columns and eta free (_block_values), which holds the blocks
-    of seeds among them too."""
-    model, n_int = state.model, state.inst.X.n_int
-    if all(p.seed is not None for p in parts):
+def _cut_values(state: MasterState, j: int, at: np.ndarray) -> np.ndarray:
+    """At the lattice points of index array at, the least eta that the cuts
+    from j on allow with x fixed there, +inf where they allow none: from
+    their seeds (_seed_values), with eta's lower bound under them, where the
+    state values its cuts by seed, else by the LP of their rows with their
+    own columns and eta free (_block_values)."""
+    model, n_int = state._model, state.inst.X.n_int
+    if state._by_seed:
         return np.maximum(model.columns()[0][state.eta_id],
-                          _seed_values(state, [p.seed for p in parts], at))
-    own = [*range(parts[0].n0, model.n_vars), state.eta_id]
-    return _block_values(model, parts[0].m0, own, state.x_ids[:n_int],
+                          _seed_values(state, state.cuts[j:], at))
+    n0, m0 = state._starts[j]
+    own = [*range(n0, model.n_vars), state.eta_id]
+    return _block_values(model, m0, own, state.x_ids[:n_int],
                          state._points[at, :n_int], np.r_[np.zeros(len(own) - 1), 1.0])[0]
 
 
@@ -523,9 +521,8 @@ def _block_values(model: LinearModel, first: int, own, x_ids, points: np.ndarray
     return np.where(status == backend.OPTIMAL, v @ cost, np.inf), v
 
 
-def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
-                 at: np.ndarray) -> np.ndarray:
-    """The largest bound on eta of the benders seeds at the points at. With
+def _seed_values(state: MasterState, cuts: list[_Cut], at: np.ndarray) -> np.ndarray:
+    """The largest bound on eta of the benders cuts at the points at. With
     w = max{(-E' beta)'u : u in U(x)}, a point seed beta bounds eta by
     beta'(d - B1 x) + w, +inf where U(x) is empty or w unbounded, as its
     block and cut row do; a ray gamma cuts x off (+inf) where gamma'(d - B1
@@ -537,21 +534,21 @@ def _seed_values(state: MasterState, seeds: list[tuple[np.ndarray, bool]],
     Unbounded."""
     U, Y = state.inst.U, state.inst.Y
     x = state._points[at]
-    beta, is_ray = map(np.array, zip(*seeds))
+    beta, is_ray = np.array([c.seed for c in cuts]), np.array([c.is_ray for c in cuts])
     cost, h = beta @ Y.E, U.h + x @ U.G.T
-    w = np.empty((len(at), len(seeds)))
+    w = np.empty((len(at), len(cuts)))
     terms = [k for k, _ in U.F.terms]
     group = (np.unique(x[:, terms], axis=0, return_inverse=True)[1] if terms
              else np.zeros(len(at), dtype=int))
     for g in range(group.max() + 1):
         pts = np.flatnonzero(group == g)
         F = U.F.evaluate(x[pts[0]])
-        rhs, cost_k = np.repeat(h[pts], len(seeds), axis=0), np.tile(cost, (len(pts), 1))
-        status, u = backend.solve_copies(state.model.name, F, LEQ, rhs, 0.0, np.inf, cost_k)
+        rhs, cost_k = np.repeat(h[pts], len(cuts), axis=0), np.tile(cost, (len(pts), 1))
+        status, u = backend.solve_copies(state._model.name, F, LEQ, rhs, 0.0, np.inf, cost_k)
         if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED)).all():
             raise _OffLattice
         w[pts] = np.where(status == backend.OPTIMAL, -np.einsum("kn,kn->k", u, cost_k),
-                          np.inf).reshape(len(pts), len(seeds))
+                          np.inf).reshape(len(pts), len(cuts))
     bound = (Y.d - x @ Y.B1.T) @ beta.T + w
     return np.where(is_ray, np.where(bound > _RAY_TOL, np.inf, -np.inf), bound).max(axis=1)
 
@@ -653,6 +650,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         meta["point_seeds"] = [tuple(map(float, v)) for v in state.point_seeds]
         meta["ray_seeds"] = [tuple(map(float, v)) for v in state.ray_seeds]
         meta["n_basis_seeds"] = len(state.basis_seeds)
+        # the blocks written: none where a benders master stays on the lattice
         blocks = [b for b in state.blocks.values() if b is not None]
         meta["blocks_primal_dual"] = sum(b.representation == "primal-dual"
                                          for b in blocks)

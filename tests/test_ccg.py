@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ddu_ro import backend, ccg, enumeration, maxmin
-from ddu_ro.backend import EQ, GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
+from ddu_ro.backend import GEQ, LEQ, BackendError, SolveOutcome, SolveTimeLimit
 from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
@@ -21,7 +21,8 @@ from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           add_first_stage, build_deterministic_mip, max_lp,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.subproblems import sp2
-from toys import screen_apart, short_supply, sparse, t1_infeasible, t1_unbounded_u
+from toys import (model_digest, screen_apart, short_supply, sparse, t1_infeasible,
+                  t1_unbounded_u)
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -524,10 +525,11 @@ def test_a_lattice_with_every_point_cut_off_ends_master_infeasible(config):
 
 def _eager_reference(monkeypatch) -> list[str]:
     """Check every lattice master against the eager valuation, which values
-    each part appended since the previous master at every lattice point in
-    one LP, and return the list of the statuses checked. The lazy route
-    must give the same status and first-argmin x, and the same value within
-    rel 1e-9."""
+    the rows written since the previous master at every lattice point in
+    one LP (state.model writes the cuts of a benders state, which the lazy
+    route values by seed), and return the list of the statuses checked.
+    The lazy route must give the same status and first-argmin x, and the
+    same value within rel 1e-9."""
     lazy, seen, checked = MasterState._lattice_solve, {}, []
 
     def compared(state):
@@ -586,59 +588,112 @@ def test_the_lazy_lattice_master_equals_the_eager_one(make, configs, monkeypatch
 
 
 def test_a_tie_goes_to_the_first_lattice_point_though_the_later_is_valued_first(monkeypatch):
-    # x in {0, 1} and c1 = -1. A first part eta >= 0 is worth 0 at both
-    # points; a second, eta >= 1 + x, makes both worth 1. Before it is
-    # valued, x = 1 has the lower bound, -1 against 0, so it is valued
-    # first; x = 0 then ties it and is returned
-    inst = replace(_diu_box(), c1=np.array([-1.0]))
-    state = MasterState(inst, AlgorithmConfig(variant="benders"))
-    state.model.add_rows([([state.eta_id], [[1.0]])], GEQ, [0.0])
+    # U(x) = [0, 1 + x] at x in {0, 1}, c1 = -1, and parametric replicates
+    # y >= 1 + u at cost y. The seed 0 pins no u, so its cut, eta >= 1, is
+    # worth 1 at both points; the seed 1 pins u = 1 + x, and its cut, eta
+    # >= 2 + x, makes both worth 2. Before that cut is valued, x = 1 has the
+    # lower bound, 0 against 1, so it is valued first; x = 0 then ties it
+    # and is returned
+    box = _diu_box()
+    inst = replace(box, c1=np.array([-1.0]),
+                   U=replace(box.U, G=np.array([[1.0]]), h=np.array([1.0])),
+                   Y=replace(box.Y, B1=np.array([[0.0]])))
+    state = MasterState(inst, AlgorithmConfig(variant="parametric"))
+    state.add_seed(np.array([0.0]))
     assert state.solve().x[state.x_ids] == [1.0]
-    state.model.add_rows([([state.eta_id], [[1.0]]), (state.x_ids, [[-1.0]])], GEQ, [1.0])
-    real, order = backend.solve_copies, []
+    state.add_seed(np.array([1.0]))
+    real, order = ccg._block_values, []
 
-    def recorded(name, A, senses, rhs, *args):
-        order.append(rhs[:, 0].tolist())
-        return real(name, A, senses, rhs, *args)
+    def recorded(model, first, own, x_ids, points, cost):
+        order.append(points[:, 0].tolist())
+        return real(model, first, own, x_ids, points, cost)
 
-    monkeypatch.setattr(backend, "solve_copies", recorded)
+    monkeypatch.setattr(ccg, "_block_values", recorded)
     out = state.solve()
-    assert order == [[2.0], [1.0]]   # the new row's rhs 1 + x at x = 1, then x = 0
-    assert out.status == backend.OPTIMAL and out.objective == 1.0
+    assert order == [[1.0], [0.0]]
+    assert out.status == backend.OPTIMAL and out.objective == 2.0
     assert out.x[state.x_ids] == [0.0]
     assert state.masters_lattice == 2 and state.lattice_copies == 4
 
 
-@pytest.mark.parametrize("part", ["integer-column", "continuous-x", "eta-capped",
-                                  "eta-equality", "eta-negated"])
-def test_a_part_off_the_lattice_sends_this_and_every_later_master_to_the_mip(part):
-    # _separable_ray_toy's lattice holds x0 in {0, 1}; its continuous x1 is
-    # no lattice coordinate. A part that brings an integer column, reads
-    # x1, or bounds eta from above (eta <= 5, eta = 1 or -eta >= -5) cannot
-    # be valued there, so its master and every later one are
-    # backend.solve_mip's, even after a part the lattice could value
-    state = MasterState(_separable_ray_toy(), AlgorithmConfig(variant="benders"))
-    m, eta = state.model, state.eta_id
-    m.add_rows([([eta], [[1.0]])], GEQ, [0.0])
-    assert state.solve().is_optimal and state.masters_lattice == 1
-    if part == "integer-column":
-        j = m.add_vars(1, 0.0, 1.0, integer=True)[0]
-        m.add_rows([([eta, j], [[1.0, -1.0]])], GEQ, [0.0])
-    elif part == "continuous-x":
-        m.add_rows([([eta, state.x_ids[1]], [[1.0, -1.0]])], GEQ, [0.0])
-    elif part == "eta-equality":
-        m.add_rows([([eta], [[1.0]])], EQ, [1.0])
-    elif part == "eta-negated":
-        m.add_rows([([eta], [[-1.0]])], GEQ, [-5.0])
-    else:
-        m.add_rows([([eta], [[1.0]])], LEQ, [5.0])
-    for later in (False, True):
-        if later:
-            m.add_rows([([eta], [[1.0]])], GEQ, [0.5])
-        out, mip = state.solve(), backend.solve_mip(m)
-        assert (state.masters_lattice, state.masters_mip) == (1, 1 + later)
-        assert out.status == mip.status == backend.OPTIMAL
-        assert out.objective == mip.objective and np.array_equal(out.x, mip.x)
+def test_a_benders_master_off_the_lattice_writes_its_cuts_in_order(monkeypatch):
+    # every seed LP of the lattice route ends Numerical, so the second
+    # master, the first with a cut to value, and every later one go to
+    # backend.solve_mip; the cuts held as seeds until then are written
+    # first, in cut order, and the model is the one written cut by cut
+    config = AlgorithmConfig(variant="benders", tol=0.0)
+    reference = run(_ray_toy(), config)
+    assert reference.meta["masters_mip"] == 0
+    real_lp, real_solve, states = backend.solve_lp, MasterState.solve, []
+
+    def flaky(model):
+        if model.name.endswith("-master"):
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real_lp(model)
+
+    def recorded(state, **kw):
+        states.append(state)
+        return real_solve(state, **kw)
+
+    monkeypatch.setattr(backend, "solve_lp", flaky)
+    monkeypatch.setattr(MasterState, "solve", recorded)
+    res = run(_ray_toy(), config)
+    assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (1, res.n_iterations - 1)
+    assert (res.status, res.n_iterations) == (reference.status, reference.n_iterations)
+    assert res.objective == pytest.approx(reference.objective)
+    assert res.x == pytest.approx(reference.x)
+    assert res.meta["point_seeds"] == reference.meta["point_seeds"]
+    assert res.meta["ray_seeds"] == reference.meta["ray_seeds"]
+    assert [c.tag for c in states[-1].cuts] == ["p0", "r0"]
+    eager = _replay(MasterState(_ray_toy(), config),
+                    reference.meta["point_seeds"], reference.meta["ray_seeds"])
+    assert model_digest(states[-1].model) == model_digest(eager)
+
+
+def _check_cut_rows(state: MasterState) -> int:
+    """Assert that each cut's rows read only the integer x, eta and the
+    cut's own columns, none of them integer, and bound eta from below only,
+    which makes the LP of the rows from any cut on exact at a lattice point
+    (ccg._block_values); return the number of cuts checked."""
+    m = state.model
+    integer = m.columns()[2]
+    ends = [*state._starts[1:], (m.n_vars, m.n_constrs)]
+    for (n0, m0), (n1, m1) in zip(state._starts, ends):
+        (indptr, cols, _), senses, _ = m.rows(m0)
+        assert np.isin(cols[:indptr[m1 - m0]],
+                       [*state.x_ids[:state.inst.X.n_int], state.eta_id, *range(n0, n1)]).all()
+        assert not integer[n0:n1].any()
+        (indptr, _, eta), _, _ = m.rows(m0, [state.eta_id])
+        senses = senses[:m1 - m0][np.diff(indptr[:m1 - m0 + 1]) > 0]
+        eta = eta[:indptr[m1 - m0]]
+        assert np.all(np.where(senses == GEQ, eta > 0, (senses == LEQ) & (eta < 0)))
+    return len(state.cuts)
+
+
+@pytest.mark.parametrize("make, configs", [
+    (_TRAJECTORY_INSTANCES["uk5"][0], _VARIANT_CONFIGS),
+    (_pm8, [dict(variant=variant) for variant in ALL_VARIANTS]),
+    (_pm5_pair, [dict(diu_approx="metadata")]),
+    (_lhs_toy, [dict(variant=variant, tol=0.0) for variant in ALL_VARIANTS]),
+    (_diu_box, [dict(variant=variant, tol=0.0) for variant in ALL_VARIANTS]),
+], ids=["uk5", "pm_uk8", "pm_pair5-diu", "lhs_toy", "diu_box"])
+def test_every_writer_keeps_a_cut_to_the_lattice_x_eta_and_its_own_columns(
+        make, configs, monkeypatch):
+    # the lattice route values the cuts from any one on by the LP of their
+    # rows with x fixed, which is exact only for rows of this shape
+    real, states = MasterState.solve, {}
+
+    def recorded(state, **kw):
+        states[id(state)] = state
+        return real(state, **kw)
+
+    monkeypatch.setattr(MasterState, "solve", recorded)
+    for config in configs:
+        states.clear()
+        res = run(make(), AlgorithmConfig(**config))
+        assert res.meta["masters_mip"] == 0
+        (state,) = states.values()
+        assert _check_cut_rows(state) > 0
 
 
 @pytest.mark.parametrize("make", [_pm8, _diu_box], ids=["pm_uk8", "diu_box"])
@@ -660,22 +715,6 @@ def test_the_lattice_relaxation_is_the_deterministic_mips_optimum(make, monkeypa
     assert ccg._lattice_relaxation(state, model, ids["x"]) is None
 
 
-def test_a_seed_part_after_a_part_of_rows_is_valued_by_its_block():
-    # _diu_box at x in {0, 1}: a first part of rows, eta >= 2.5, then the
-    # benders seed beta = 1, whose cut is eta >= 1 - x + max{u : u <= 2}.
-    # Pending together, the two are valued by the LP of their rows, which
-    # holds the seed's block
-    state = MasterState(_diu_box(), AlgorithmConfig(variant="benders"))
-    state.model.add_rows([([state.eta_id], [[1.0]])], GEQ, [2.5])
-    state.solve()
-    state.add_seed(np.array([1.0]))
-    state.solve()
-    assert [p.seed is None for p in state._parts] == [True, False]
-    values = ccg._part_values(state, state._parts, np.arange(2))
-    assert state.lattice().tolist() == [[0.0], [1.0]]
-    assert values == pytest.approx([3.0, 2.5], rel=1e-12)
-
-
 def test_pm_uk8_values_fewer_copies_than_every_point_per_master():
     res = run(_pm8(), AlgorithmConfig(variant="parametric"))
     meta = run_result_to_dict(res)["meta"]
@@ -684,14 +723,23 @@ def test_pm_uk8_values_fewer_copies_than_every_point_per_master():
 
 
 def test_the_benders_lattice_master_reads_no_dual_bound(monkeypatch):
-    # the lattice values each benders seed by an LP over U(x), with no
-    # lambda and so no M_d: with the blocks' dual side capped at 1 the run
-    # is unchanged. Valued by those blocks, it ended Numerical at iteration
-    # 5, its lower bound 17020.51 above its upper bound 16290.32
-    monkeypatch.setattr(maxmin, "dual_bound", lambda U, cost_row: 1.0)
+    # the lattice values each benders seed by an LP over U(x) and writes no
+    # optimality block, so it reads no lambda and no M_d: with the block
+    # writer and the dual bound raising, the run is unchanged. Valued by
+    # those blocks, their dual side capped at 1, it ended Numerical at
+    # iteration 5, its lower bound 17020.51 above its upper bound 16290.32
+    reference = run(_pm8(), AlgorithmConfig(variant="benders"))
+
+    def unwritten(*args):
+        raise AssertionError("a benders lattice master wrote an optimality block")
+
+    monkeypatch.setattr(ccg, "build_optimality_block", unwritten)
+    monkeypatch.setattr(maxmin, "dual_bound", unwritten)
     res = run(_pm8(), AlgorithmConfig(variant="benders"))
     assert res.status == "Optimal" and res.objective == PM8_W
     assert res.n_iterations == 14 and res.meta["masters_mip"] == 0
+    assert res.meta["blocks_primal_dual"] == res.meta["blocks_kkt"] == 0
+    assert res.meta["point_seeds"] == reference.meta["point_seeds"]
 
 
 # -- bound discipline --------------------------------------------------------

@@ -36,7 +36,7 @@ from ddu_ro.ccg import AlgorithmConfig, MasterState, run
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance, RecourseSet,
                           SchemaError, UncertaintySet, add_first_stage, build_deterministic_mip,
                           instance_from_dict, max_lp, uncertainty_set_from_dict)
-from toys import record_linprog, sparse, t1_infeasible, t1_unbounded_u
+from toys import model_digest, record_linprog, sparse, t1_infeasible, t1_unbounded_u
 
 
 # expected values below were produced by this module's own enumeration oracle
@@ -288,17 +288,6 @@ def test_generator_output_is_pinned():
     assert got == PINNED_DIGESTS
 
 
-def _model_digest(m: LinearModel) -> str:
-    """First 16 hex digits of the SHA-256 of everything HiGHS receives of m:
-    CSR rows, senses, rhs, column bounds, integrality and objective."""
-    A, senses, rhs = sparse(m)
-    h = hashlib.sha256()
-    for a in (A.data, A.indices, A.indptr, senses.astype("<U2"), rhs, *m.columns(),
-              m.objective_vector(), np.array(A.shape), np.array([m.sense])):
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
-
-
 def _pinned_models():
     # models built without a solve: the deterministic relaxation, and masters
     # grown through MasterState.add_seed from seeds drawn at a fixed seed
@@ -314,8 +303,9 @@ def _pinned_models():
             for _ in range(2):
                 state.add_seed(rng.uniform(0.0, 50.0, m_rows))
             state.add_seed(rng.uniform(0.0, 1.0, m_rows), is_ray=True)
+            model = state.model
             assert {b.representation for b in state.blocks.values()} == {kind}
-            yield f"{name}-{kind}-{variant}", state.model
+            yield f"{name}-{kind}-{variant}", model
         if kind == "primal-dual":
             state = MasterState(inst, AlgorithmConfig(variant="basis"))
             n, mu = inst.U.dim, inst.U.n_rows
@@ -324,7 +314,7 @@ def _pinned_models():
             yield f"{name}-basis", state.model
 
 
-# _model_digest of each _pinned_models model; a change to how the models are
+# model_digest of each _pinned_models model; a change to how the models are
 # built moves them only when HiGHS would receive different problems, and the
 # change that moves one says why
 PINNED_MODEL_DIGESTS = {
@@ -341,7 +331,7 @@ PINNED_MODEL_DIGESTS = {
 
 
 def test_built_models_are_pinned():
-    got = {name: _model_digest(m) for name, m in _pinned_models()}
+    got = {name: model_digest(m) for name, m in _pinned_models()}
     assert got == PINNED_MODEL_DIGESTS
 
 

@@ -1,5 +1,6 @@
 """The digest tool runs end to end: tools/highs_digest.py, the check that
-two trees gave HiGHS the same input, on the oracle workload at seed 0."""
+two trees gave HiGHS the same input, on the oracle workload and on pmedian,
+whose masters are valued over X's lattice, at seed 0."""
 
 import os
 import re
@@ -17,12 +18,12 @@ HEX = "[0-9a-f]{64}"
 def test_highs_digest_prints_a_line_per_operation_and_a_total():
     out = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "highs_digest.py"),
-         "--workloads", "oracle", "--seeds", "0"],
+         "--workloads", "oracle", "pmedian", "--seeds", "0"],
         cwd=ROOT, env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    ops = workloads.WORKLOADS["oracle"]
+    ops = workloads.WORKLOADS["oracle"] + workloads.WORKLOADS["pmedian"]
     assert len(lines) == 2 * len(ops) + 1
     for op, line, by_model in zip(ops, lines[::2], lines[1::2]):
         assert re.fullmatch(rf"s0 {re.escape(op.name)}: \S+ \S+ iterations \d+ solves \d+ "

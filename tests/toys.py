@@ -1,5 +1,5 @@
-"""Tiny instances, and a recorder of the LPs HiGHS receives, that several
-test modules share."""
+"""Tiny instances, a digest of what HiGHS receives of a model and a recorder
+of the LPs it receives, that several test modules share."""
 
 import contextlib
 import hashlib
@@ -59,6 +59,17 @@ def sparse(m: backend.LinearModel, first: int = 0, cols=None):
     (indptr, indices, data), senses, rhs = m.rows(first, cols)
     shape = (rhs.size, m.n_vars if cols is None else len(cols))
     return csr_array((data, indices, indptr), shape=shape), senses, rhs
+
+
+def model_digest(m: backend.LinearModel) -> str:
+    """First 16 hex digits of the SHA-256 of everything HiGHS receives of m:
+    CSR rows, senses, rhs, column bounds, integrality and objective."""
+    A, senses, rhs = sparse(m)
+    h = hashlib.sha256()
+    for a in (A.data, A.indices, A.indptr, senses.astype("<U2"), rhs, *m.columns(),
+              m.objective_vector(), np.array(A.shape), np.array([m.sense])):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
 
 
 def record_linprog(monkeypatch):
