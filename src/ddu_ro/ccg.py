@@ -21,6 +21,15 @@ the master leaves the lattice. Every other cut is written when it is added
 and valued by the LP of its own rows. The deterministic relaxation is
 valued over the same lattice where its columns outside x are continuous and
 its copies are few enough (_lattice_relaxation).
+
+What a run derives from the instance alone, it derives once per instance
+(Instance.fact), so runs of several variants on one instance, as in the
+paper's numerical study and `ddu-ro compare`, share it: X's lattice
+(instances.lattice_first_stages, which the oracle reads too), and per
+big-M the relaxation step (_relaxation): whether the deterministic
+relaxation is feasible, its optimal x and value, and eta's floor.
+RunResult.meta["facts"] reads "computed" where the run derived either and
+"reused" where it took both from the instance.
 """
 
 from __future__ import annotations
@@ -167,11 +176,13 @@ class MasterState:
     seed, else by the LP of the cuts' rows. A copy that ends other than
     _cut_values allows, or a lattice that instances.lattice_first_stages
     refuses (OracleError), sends this and every later solve to
-    backend.solve_mip. The lattice is enumerated once per state
-    (lattice()), and its cost follows the first stages X admits, not its
-    bound box: the search of enumeration.lattice_points visits only the
-    prefixes X's rows can complete. lattice_copies counts the copies the
-    route has solved.
+    backend.solve_mip. The lattice is the instance's one read-only array,
+    derived once per instance and shared by every state on it and by the
+    oracle (lattice()); derived marks a run that derived a fact of the
+    instance, the lattice or the relaxation step (_ccg_loop). Its cost
+    follows the first stages X admits, not its bound box: the search of
+    enumeration.lattice_points visits only the prefixes X's rows can
+    complete. lattice_copies counts the copies the route has solved.
     """
 
     def __init__(self, inst: Instance, config: AlgorithmConfig,
@@ -193,14 +204,16 @@ class MasterState:
         self.blocks: dict[str, OptimalityBlock | None] = {}
         # the model's first column and row of each cut written, in cut order
         self._starts: list[tuple[int, int]] = []
-        # the lattice route: whether it holds; the points (enumerated at the
-        # first lattice()) and, per point, the number of cuts valued there
-        # and the largest least eta among them
+        # the lattice route: whether it holds; the points (the instance's
+        # lattice, read at the first lattice()) and, per point, the number of
+        # cuts valued there and the largest least eta among them
         self._route = not (coupled_continuous(inst) or inst.Y.n_int_y or not binary)
         self._points: np.ndarray | None = None
         self._done: np.ndarray | None = None
         self._theta: np.ndarray | None = None
         self.masters_lattice = self.masters_mip = self.lattice_copies = 0
+        # whether the run derived a fact of the instance (Instance.fact)
+        self.derived = False
 
     @property
     def model(self) -> LinearModel:
@@ -233,17 +246,18 @@ class MasterState:
 
     def lattice(self) -> np.ndarray | None:
         """X's lattice points, one row each, while the route holds, else
-        None; enumerated at the first call, which leaves the route where
-        instances.lattice_first_stages raises OracleError."""
+        None: the instance's own read-only array, read at the first call,
+        which leaves the route where instances.lattice_first_stages raises
+        OracleError."""
         if self._route and self._points is None:
+            self.derived |= not self.inst.knows(lattice_first_stages)
             try:
-                xs = lattice_first_stages(self.inst)
+                self._points = lattice_first_stages(self.inst)
             except OracleError:
                 self._route = False
                 return None
-            self._points = np.reshape(xs, (len(xs), self.inst.dim_x))
-            self._done = np.zeros(len(xs), dtype=int)
-            self._theta = np.full(len(xs), -np.inf)
+            self._done = np.zeros(len(self._points), dtype=int)
+            self._theta = np.full(len(self._points), -np.inf)
         return self._points if self._route else None
 
     def solve(self, **mip_options) -> backend.SolveOutcome:
@@ -658,6 +672,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
         meta["masters_lattice"] = state.masters_lattice
         meta["masters_mip"] = state.masters_mip
         meta["lattice_copies"] = state.lattice_copies
+        meta["facts"] = "computed" if state.derived else "reused"
         return RunResult(status=status, objective=obj,
                          x=incumbent, lb=float(lb), ub=float(ub), iterations=records,
                          elapsed_s=time.monotonic() - t0, variant=config.variant,
@@ -666,20 +681,14 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     try:
         # the deterministic relaxation settles infeasibility up front, floors the
         # first bound, and anchors the stabilized cut selection
-        det_model, det_ids = build_deterministic_mip(inst)
-        det = (_lattice_relaxation(state, det_model, det_ids["x"])
-               or backend.solve_mip(det_model))
-        if det.status == backend.INFEASIBLE:
+        key = (_relaxation, backend.current_big_m())
+        state.derived |= not inst.knows(key)
+        relaxation = inst.fact(key, lambda: _relaxation(state))
+        if relaxation is None:
             meta["reason"] = "deterministic relaxation infeasible"
             return done("Infeasible")
-        if det.status != backend.OPTIMAL:
-            raise BackendError(f"deterministic relaxation ended {det.status}; "
-                               "the robust value has no finite floor")
-        x0 = np.array([det.x[j] for j in det_ids["x"]])
-        # the MIP's incumbent may lie above its dual bound by HiGHS's gap
-        meta["relaxation_value"] = lb = float(det.objective if det.bound is None
-                                              else det.bound)
-        eta_floor = _eta_floor(inst, lb)
+        x0, lb, eta_floor = relaxation
+        meta["relaxation_value"] = lb
         if -np.inf < eta_floor < _ETA_LB:
             state.model.set_bounds(state.eta_id, eta_floor, np.inf)
 
@@ -794,6 +803,37 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     except BackendError as exc:
         meta["reason"] = str(exc)
         return done("Numerical")
+
+
+class _Relaxation(NamedTuple):
+    """What a run takes from the deterministic relaxation (_relaxation):
+    its optimal first stage x0, read-only, its value, a valid floor under
+    every master bound, and eta's floor (_eta_floor)."""
+    x0: np.ndarray
+    value: float
+    eta_floor: float
+
+
+def _relaxation(state: MasterState) -> _Relaxation | None:
+    """The deterministic relaxation at the run's big-M (backend.big_m),
+    None where it is infeasible: over the state's lattice
+    (_lattice_relaxation) where it can, else by the MIP of
+    build_deterministic_mip. It reads only the instance and that big-M, so
+    runs keep it by both (Instance.fact). Raises BackendError where it ends
+    neither Optimal nor Infeasible."""
+    det_model, det_ids = build_deterministic_mip(state.inst)
+    det = (_lattice_relaxation(state, det_model, det_ids["x"])
+           or backend.solve_mip(det_model))
+    if det.status == backend.INFEASIBLE:
+        return None
+    if det.status != backend.OPTIMAL:
+        raise BackendError(f"deterministic relaxation ended {det.status}; "
+                           "the robust value has no finite floor")
+    x0 = det.x[det_ids["x"]]
+    x0.setflags(write=False)
+    # the MIP's incumbent may lie above its dual bound by HiGHS's gap
+    value = float(det.objective if det.bound is None else det.bound)
+    return _Relaxation(x0, value, _eta_floor(state.inst, value))
 
 
 def _lattice_relaxation(state: MasterState, model: LinearModel,

@@ -9,6 +9,11 @@ never leave half-written JSON or CSV behind. Exit codes are a contract:
 * 5: compared variants disagree beyond tolerance
 * 64: bad command line
 * 1: any other error, a run that ends Numerical included
+
+compare runs its variants in order on one instance, and runs on one
+instance derive its lattice and its deterministic relaxation once: the
+first variant pays for them and the others reuse them (meta "facts" in the
+run.json of solve), so the first variant's time_s includes that work.
 """
 
 import argparse
@@ -69,7 +74,8 @@ def _build_parser() -> _Parser:
     _add_algorithm_flags(p)
     p.add_argument("--out", default=".", help="directory for run artifacts")
 
-    p = sub.add_parser("compare", help="run several variants side by side")
+    p = sub.add_parser("compare", help="run several variants side by side",
+                       description=__doc__.split("\n\n")[-1])
     p.add_argument("instance")
     p.add_argument("--variants", default="benders,parametric",
                    help="comma list of variants (at least two)")

@@ -20,7 +20,9 @@ one shortfall LP over their first vertices, which drops the x whose first
 vertex has no recourse (not narrowed: where it is not Optimal,
 recourse_value decides each pair), and one LP over every other (x, vertex)
 pair (worst_case_values). It shares nothing with the cutting-plane
-machinery beyond the LP/MIP primitives.
+machinery beyond the LP/MIP primitives and the instance's lattice, which
+lattice_first_stages derives once per instance for the oracle and every
+lattice master.
 """
 
 from __future__ import annotations
@@ -234,9 +236,11 @@ def oracle_exact(inst: Instance) -> OracleResult:
     rows only matter through c1 and X, so LPs optimize them out; coupled
     continuous components are pinned when X forces their value and gridded
     (_GRID points) when at most two stay free. A run of lattice points
-    shares these LPs (see _complete_continuous).
+    shares these LPs (see _complete_continuous). The points are the
+    instance's lattice (lattice_first_stages); the result's x and
+    evaluations are rows of a copy of it of the caller's own.
     """
-    xs = lattice_first_stages(inst)
+    xs = lattice_first_stages(inst).copy()
     best = OracleResult(value=np.inf, x=np.zeros(inst.dim_x), worst_u=np.zeros(inst.dim_u))
     evals: list[tuple[np.ndarray, float]] = []
     for x, (wc, u_wc) in zip(xs, worst_case_values(inst, xs)):
@@ -258,15 +262,20 @@ def coupled_continuous(inst: Instance) -> list[int]:
             if k in in_U or np.any(inst.Y.B1[:, k])]
 
 
-def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
-    """The first stages oracle_exact values, in lattice order: every integer
-    assignment of X's bound box that the rows on integer components alone
-    admit, completed by _complete_continuous (coupled continuous x pinned or
-    gridded, separable x at their least c1 cost), none where X admits no
-    completion. Raises OracleError when an integer x has an infinite bound,
-    lattice_points refuses the assignments, or a completion LP ends neither
-    Optimal nor Infeasible. The C&CG master takes these points as its
-    lattice (ccg.MasterState.solve)."""
+def lattice_first_stages(inst: Instance) -> np.ndarray:
+    """The first stages oracle_exact values, one row each in lattice order:
+    every integer assignment of X's bound box that the rows on integer
+    components alone admit, completed by _complete_continuous (coupled
+    continuous x pinned or gridded, separable x at their least c1 cost),
+    none where X admits no completion. Raises OracleError when an integer x
+    has an infinite bound, lattice_points refuses the assignments, or a
+    completion LP ends neither Optimal nor Infeasible. The array is
+    read-only and derived once per instance (Instance.fact): the oracle and
+    every C&CG master on the instance (ccg.MasterState.lattice) share it."""
+    return inst.fact(lattice_first_stages, lambda: _lattice(inst))
+
+
+def _lattice(inst: Instance) -> np.ndarray:
     X, nx, n_int = inst.X, inst.dim_x, inst.X.n_int
     coupled = coupled_continuous(inst)
     sep = [k for k in range(n_int, nx) if k not in coupled]
@@ -277,14 +286,16 @@ def lattice_first_stages(inst: Instance) -> list[np.ndarray]:
     # rows touching only integer components can prefilter the lattice
     int_rows = ~np.any(X.A[:, n_int:], axis=1)
     points = lattice_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
-    if n_int == nx:     # every row of X has been checked
-        return list(points)
-    # runs of points whose copies of X, _GRID ** 2 a point at most, hold at
-    # most backend._COPIES_NONZEROS nonzeros
-    cap = max(1, int(backend._COPIES_NONZEROS
-                     // (max(1, np.count_nonzero(X.A)) * _GRID ** min(2, len(coupled)))))
-    return [x for run in backend._runs(points, cap)
-            for x in _complete_continuous(inst, run, coupled, sep)]
+    if n_int < nx:      # else every row of X has been checked
+        # runs of points whose copies of X, _GRID ** 2 a point at most, hold
+        # at most backend._COPIES_NONZEROS nonzeros
+        cap = max(1, int(backend._COPIES_NONZEROS
+                         // (max(1, np.count_nonzero(X.A)) * _GRID ** min(2, len(coupled)))))
+        points = [x for run in backend._runs(points, cap)
+                  for x in _complete_continuous(inst, run, coupled, sep)]
+    points = np.array(points, dtype=float).reshape(len(points), nx)
+    points.setflags(write=False)
+    return points
 
 
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],

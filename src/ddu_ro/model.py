@@ -29,11 +29,17 @@ EPS_GAP = 1e-10   # guards the relative-gap denominator (objectives near 0 exist
 _FLOAT_MAX = sys.float_info.max
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _arr(a, ndim: int) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+    """A read-only float copy of a with ndim dimensions."""
+    out = np.array(a, dtype=float)
     if out.ndim != ndim:
         out = out.reshape((-1,) if ndim == 1 else (out.shape[0] if out.size else 0, -1))
-    return out
+    return _frozen(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,15 +48,16 @@ class AffineMatrixMap:
 
     All-zero terms are dropped on construction, so every term kept makes the
     map depend on its x_k, and an empty term list is the constant case: the
-    set it defines depends on x only through the right-hand side.
+    set it defines depends on x only through the right-hand side. The map
+    holds read-only copies of its matrices.
     """
 
     base: np.ndarray
     terms: tuple[tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self):
-        base = np.atleast_2d(np.asarray(self.base, dtype=float))
-        terms = tuple((int(k), np.atleast_2d(np.asarray(M, dtype=float)))
+        base = _frozen(np.atleast_2d(np.array(self.base, dtype=float)))
+        terms = tuple((int(k), _frozen(np.atleast_2d(np.array(M, dtype=float))))
                       for k, M in self.terms)
         for k, M in terms:
             if M.shape != base.shape:
@@ -92,10 +99,9 @@ class FirstStageSet:
         object.__setattr__(self, "A", _arr(self.A, 2))
         object.__setattr__(self, "b", _arr(self.b, 1))
         dim = self.A.shape[1]
-        lb = np.zeros(dim) if self.lb is None else _arr(self.lb, 1)
-        ub = np.full(dim, np.inf) if self.ub is None else _arr(self.ub, 1)
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
+        object.__setattr__(self, "lb", _arr(np.zeros(dim) if self.lb is None else self.lb, 1))
+        object.__setattr__(self, "ub", _arr(np.full(dim, np.inf) if self.ub is None
+                                            else self.ub, 1))
 
     @property
     def dim(self) -> int:
@@ -170,15 +176,33 @@ class RecourseSet:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
+    """A robust program, its arrays read-only, with a memo of what is
+    derived from it alone (fact): dataclasses.replace starts the memo
+    empty."""
+
     name: str
     c1: np.ndarray
     X: FirstStageSet
     U: UncertaintySet
     Y: RecourseSet
     metadata: dict = field(default_factory=dict)
+    _facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c1", _arr(self.c1, 1))
+
+    def fact(self, key, derive):
+        """derive(), derived once per instance: later calls with the same
+        key return the same object. Where derive raises, nothing is kept and
+        the next call derives again. derive must read nothing but the
+        instance and key, which the read-only arrays keep valid."""
+        if key not in self._facts:
+            self._facts[key] = derive()
+        return self._facts[key]
+
+    def knows(self, key) -> bool:
+        """Whether fact holds what it derived under key."""
+        return key in self._facts
 
     @property
     def dim_x(self) -> int:

@@ -15,14 +15,14 @@ from ddu_ro.ccg import (AlgorithmConfig, MasterState, records_to_csv, run,
                         run_result_to_dict)
 from ddu_ro.instances import (FLParams, OracleError, PMedianParams, gen_mip_recourse_fl,
                               gen_reliable_pmedian, gen_robust_fl,
-                              oracle_exact, recourse_value, t1)
+                              lattice_first_stages, oracle_exact, recourse_value, t1)
 from ddu_ro.model import (AffineMatrixMap, BasisId, FirstStageSet, Instance,
                           IterationRecord, RecourseSet, UncertaintySet,
                           add_first_stage, build_deterministic_mip, max_lp,
                           uncertainty_set_from_dict, uncertainty_set_to_dict)
 from ddu_ro.subproblems import sp2
-from toys import (model_digest, screen_apart, short_supply, sparse, t1_infeasible,
-                  t1_unbounded_u)
+from toys import (model_digest, record_linprog, screen_apart, short_supply, sparse,
+                  t1_infeasible, t1_unbounded_u)
 
 ALL_VARIANTS = ("benders", "parametric", "parametric-modified", "basis")
 
@@ -483,7 +483,7 @@ def test_a_numerical_completion_sends_the_master_to_the_mip(monkeypatch):
     # point would hold only x0 = 1, which the ray cuts off, and end "master
     # infeasible", so the masters go to the MIP and the oracle raises
     inst, real = _separable_ray_toy(), backend.solve_lp
-    reference = run(inst, AlgorithmConfig(variant="benders", tol=0.0))
+    reference = run(_separable_ray_toy(), AlgorithmConfig(variant="benders", tol=0.0))
     assert reference.meta["masters_mip"] == 0
 
     def flaky(model):
@@ -742,6 +742,115 @@ def test_the_benders_lattice_master_reads_no_dual_bound(monkeypatch):
     assert res.meta["point_seeds"] == reference.meta["point_seeds"]
 
 
+# -- what runs derive from the instance alone ---------------------------------
+
+def _derivations(calls: list, inst: Instance) -> set[str]:
+    """The LPs of the lattice (xfill) and of the relaxation step (the
+    deterministic relaxation _det and eta's floor first_stage_max) among
+    the calls of toys.record_linprog."""
+    return {c[0].removeprefix(inst.name) for c in calls} & {"xfill", "_det", "first_stage_max"}
+
+
+def _outcome(res):
+    return (res.status, res.objective, res.x.tolist(), res.n_iterations,
+            [(r.lb, r.ub) for r in res.iterations], res.meta["point_seeds"],
+            res.meta["ray_seeds"], res.meta["n_basis_seeds"])
+
+
+def test_runs_on_one_instance_derive_its_lattice_and_relaxation_once(monkeypatch):
+    # the bench's pmedian order: the first run derives X's lattice and the
+    # relaxation step, the later two take both from the instance and end as
+    # runs on an instance of their own do
+    inst, lps = _pm8(), record_linprog(monkeypatch)
+    for first, variant in zip((True, False, False), ("parametric", "benders", "basis")):
+        lps.clear()
+        res = run(inst, AlgorithmConfig(variant=variant))
+        assert _derivations(lps, inst) == ({"xfill", "_det", "first_stage_max"}
+                                           if first else set())
+        assert res.meta["facts"] == ("computed" if first else "reused")
+        fresh = run(_pm8(), AlgorithmConfig(variant=variant))
+        assert fresh.meta["facts"] == "computed"
+        assert _outcome(res) == _outcome(fresh)
+        assert res.meta["relaxation_value"] == fresh.meta["relaxation_value"]
+
+
+def test_a_run_at_another_big_m_derives_the_relaxation_again(monkeypatch):
+    # build_deterministic_mip reads the run's big-M; the lattice does not
+    inst = _pm8()
+    run(inst, AlgorithmConfig(variant="parametric"))
+    lps = record_linprog(monkeypatch)
+    for facts, derived in (("computed", {"_det", "first_stage_max"}), ("reused", set())):
+        lps.clear()
+        res = run(inst, AlgorithmConfig(variant="parametric", big_M=1e5))
+        assert _derivations(lps, inst) == derived and res.meta["facts"] == facts
+        assert res.status == "Optimal" and res.objective == pytest.approx(PM8_W, rel=1e-9)
+
+
+def test_the_oracle_reads_the_lattice_of_a_run_on_the_instance(monkeypatch):
+    inst = _pm8()
+    run(inst, AlgorithmConfig(variant="parametric"))
+    lps = record_linprog(monkeypatch)
+    res = oracle_exact(inst)
+    assert "xfill" not in _derivations(lps, inst)
+    assert res.value == oracle_exact(_pm8()).value == PM8_W
+    # the caller's own copies: writing them leaves the instance's lattice
+    lattice = lattice_first_stages(inst).copy()
+    res.x[:] = -1.0
+    for x, _ in res.evaluations:
+        x[:] = -1.0
+    assert np.array_equal(lattice_first_stages(inst), lattice)
+
+
+def test_a_refused_lattice_is_derived_again_by_the_next_run(monkeypatch):
+    # the completion LPs of x0 = 0 end Numerical: the run leaves the lattice
+    # (OracleError) and keeps nothing of it, so the next run derives it
+    # again, while the relaxation it took by the MIP stays
+    inst, real = _separable_ray_toy(), backend.solve_lp
+    config = AlgorithmConfig(variant="benders", tol=0.0)
+
+    def flaky(model):
+        if model.name == "xfill" and np.any(model.columns()[1][::2] == 0.0):
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real(model)
+
+    with monkeypatch.context() as m:
+        m.setattr(backend, "solve_lp", flaky)
+        refused = run(inst, config)
+    assert refused.meta["masters_lattice"] == 0
+    lps = record_linprog(monkeypatch)
+    res = run(inst, config)
+    assert _derivations(lps, inst) == {"xfill"} and res.meta["facts"] == "computed"
+    assert res.meta["masters_lattice"] == res.n_iterations
+    assert res.status == refused.status == "Optimal"
+    assert res.objective == pytest.approx(refused.objective)
+
+
+@pytest.mark.parametrize("model, derived", [
+    ("xfill", {"xfill", "_det", "first_stage_max"}),
+    ("_det", {"_det", "first_stage_max"}),
+    ("first_stage_max", {"_det", "first_stage_max"}),
+])
+def test_a_relaxation_step_cut_by_the_clock_is_derived_again(monkeypatch, model, derived):
+    # a derivation that raises keeps nothing; what it finished before, the
+    # lattice where the clock stopped the relaxation, stays
+    inst, real = _separable_ray_toy(), backend.solve_lp
+    config = AlgorithmConfig(variant="benders", tol=0.0)
+
+    def times_out(m):
+        if m.name.removeprefix(inst.name) == model:
+            raise SolveTimeLimit(m.name)
+        return real(m)
+
+    with monkeypatch.context() as m:
+        m.setattr(backend, "solve_lp", times_out)
+        cut = run(inst, config)
+    assert cut.status == "TimeLimit" and cut.meta["facts"] == "computed"
+    lps = record_linprog(monkeypatch)
+    res = run(inst, config)
+    assert _derivations(lps, inst) == derived and res.meta["facts"] == "computed"
+    assert _outcome(res) == _outcome(run(_separable_ray_toy(), config))
+
+
 # -- bound discipline --------------------------------------------------------
 
 def test_bounds_monotone_and_bracket_the_oracle():
@@ -793,7 +902,7 @@ def test_the_relaxation_floors_lb_at_its_dual_bound(monkeypatch):
     # would cross ub. fl-rhs couples its continuous capacities, so the
     # relaxation is a MIP, not an LP over the lattice
     inst = gen_robust_fl(FLParams(n_sites=2, seed=0), "rhs")
-    reference = run(inst, AlgorithmConfig())
+    reference = run(replace(inst), AlgorithmConfig())
     original, bounds = backend.solve_mip, []
 
     def loose(model, *args, **kwargs):

@@ -328,6 +328,31 @@ def test_compare_agreeing_variants_exit_zero(t1_path, tmp_path, capsys):
         assert float(cells[2]) == pytest.approx(1.0)
 
 
+def test_compare_on_pm_uk8_writes_what_a_solve_per_variant_gives(tmp_path, capsys):
+    # compare's later variants reuse the lattice and the relaxation that the
+    # first derived on its one instance (meta "facts" of a solve), and write
+    # the status, value, gap and iterations of a solve of their own
+    path = str(tmp_path / "pm_uk8.json")
+    assert cli.main(["generate", "--model", "pmedian", "--sites", "8", "-o", path]) == 0
+    variants = ["parametric", "benders", "basis"]
+    code = cli.main(["compare", path, "--variants", ",".join(variants),
+                     "--out", str(tmp_path)])
+    assert code == 0
+    rows = [row.split(",")[:5]
+            for row in (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+    solved = []
+    for v in variants:
+        out = tmp_path / v
+        assert cli.main(["solve", path, "--variant", v, "--out", str(out)]) == 0
+        payload = json.loads((out / "run.json").read_text())
+        assert payload["meta"]["facts"] == "computed"
+        gap = (out / "iterations.csv").read_text().splitlines()[-1].split(",")[3]
+        solved.append([v, payload["status"], repr(payload["objective"]), gap,
+                       str(payload["n_iterations"])])
+    assert rows == solved
+    assert {row[1] for row in rows} == {"Optimal"}
+
+
 def test_compare_needs_two_variants(t1_path):
     assert cli.main(["compare", t1_path, "--variants", "parametric"]) == 64
 

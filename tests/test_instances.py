@@ -435,6 +435,40 @@ def test_io_round_trip(tmp_path):
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".part")]
 
 
+def _instance_arrays(inst) -> dict:
+    X, U, Y = inst.X, inst.U, inst.Y
+    return {"c1": inst.c1, "X.A": X.A, "X.b": X.b, "X.lb": X.lb, "X.ub": X.ub,
+            "F.base": U.F.base, **{f"F.terms[{k}]": M for k, M in U.F.terms},
+            "G": U.G, "h": U.h, "B1": Y.B1, "B2": Y.B2, "E": Y.E, "d": Y.d, "c2": Y.c2}
+
+
+@pytest.mark.parametrize("make, n_terms", [
+    (lambda: gen_reliable_pmedian(PMedianParams(n_sites=8), "ddu_uk"), 0),
+    (lambda: gen_robust_fl(FLParams(**FL2), "lhs"), 2),
+    (lambda: instance_from_dict(instance_to_dict(gen_robust_fl(FLParams(**FL2), "lhs"))), 2),
+], ids=["pm_uk8", "fl_lhs2", "fl_lhs2-read"])
+def test_every_array_of_an_instance_is_read_only(make, n_terms):
+    # what a run derives from an instance alone (Instance.fact) stays valid
+    # only while the instance cannot change
+    arrays = _instance_arrays(make())
+    assert len(arrays) == 13 + n_terms
+    for a in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 1.0
+
+
+def test_an_instance_holds_copies_of_the_arrays_it_was_given():
+    c1, base, B1 = np.ones(1), np.ones((1, 1)), np.zeros((1, 1))
+    inst = Instance(name="copies", c1=c1,
+                    X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1, ub=[1.0]),
+                    U=UncertaintySet(F=AffineMatrixMap(base=base, terms=((0, base),)),
+                                     G=[[1.0]], h=[1.0]),
+                    Y=RecourseSet(B1=B1, B2=[[1.0]], E=[[-1.0]], d=[0.0], c2=[1.0]))
+    c1[0] = base[0, 0] = B1[0, 0] = 5.0
+    assert inst.c1[0] == inst.U.F.base[0, 0] == inst.U.F.terms[0][1][0, 0] == 1.0
+    assert inst.Y.B1[0, 0] == 0.0
+
+
 def test_schema_rejects_unknown_keys_with_location():
     d = instance_to_dict(t1())
     d["U"]["Foo"] = 1
@@ -969,6 +1003,14 @@ def _interval_toy(B2, E, d, c2, n_int_y=0):
                       n_int_y=n_int_y))
 
 
+def _with_b1(inst, i, k, value):
+    """inst with B1[i, k] = value: an instance's arrays are read-only, so a
+    modified copy of B1 goes into a new instance."""
+    B1 = inst.Y.B1.copy()
+    B1[i, k] = value
+    return dataclasses.replace(inst, Y=dataclasses.replace(inst.Y, B1=B1))
+
+
 def _count_recourse_calls(monkeypatch):
     calls = []
     original = instances.recourse_value
@@ -1219,9 +1261,8 @@ def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
 def test_the_x_with_recourse_at_every_vertex_keep_their_half_of_the_block_lp(monkeypatch):
     # 0 <= y <= u + x - 1: at x = 0 the vertex u = 0 has no recourse, at
     # x = 1 every vertex has
-    inst = _interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
-                         c2=[1.0])
-    inst.Y.B1[1, 0] = 1.0
+    inst = _with_b1(_interval_toy(B2=[[1.0], [-1.0]], E=[[0.0], [1.0]], d=[0.0, 1.0],
+                                  c2=[1.0]), 1, 0, 1.0)
     lps = _record_lps(monkeypatch)
     got = instances.worst_case_values(inst, XS2)
     # the block LP over both x fails, x = 0's half fails down to its
@@ -1295,8 +1336,7 @@ def test_a_tiny_shortfall_beside_a_miss_gets_the_verdict_of_recourse_value():
     # the "tiny" toy at a miss of 1e-9, where x = 1 also halves the cap on y:
     # in one run, u = 0 misses recourse at x = 1 and leaves a positive
     # shortfall of 1e-16 at x = 0, where it has recourse
-    inst = _near_miss_toy(1e-9, 1e-3, 1e-4, False)
-    inst.Y.B1[1, 0] = -0.5e-7
+    inst = _with_b1(_near_miss_toy(1e-9, 1e-3, 1e-4, False), 1, 0, -0.5e-7)
     xs = [np.array([1.0]), np.array([0.0])]
     verts = enumerate_vertices(inst.U, xs[0])
     ref = [[recourse_value(inst, x, u)[0] == np.inf for u in verts] for x in xs]
@@ -1443,7 +1483,7 @@ def test_block_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_lps):
     ref = oracle_exact(inst)
     monkeypatch.setattr(backend, "_COPIES_NONZEROS", budget)
     lps = _record_lps(monkeypatch)
-    res = oracle_exact(inst)
+    res = oracle_exact(dataclasses.replace(inst))
     assert len(lps) == n_lps
     assert res.value == ref.value and np.array_equal(res.x, ref.x)
     assert np.array_equal(res.worst_u, ref.worst_u)
@@ -1531,7 +1571,7 @@ def test_completion_matches_the_per_grid_point_loop(monkeypatch, dependence, see
     inst = gen_robust_fl(FLParams(n_sites=2, seed=seed), dependence)
     got = _completions(monkeypatch, inst)
     _by_loop(monkeypatch)
-    assert len(got) == 64 and got == _completions(monkeypatch, inst)
+    assert len(got) == 64 and got == _completions(monkeypatch, dataclasses.replace(inst))
 
 
 def test_a_run_of_coupled_assignments_shares_six_lps(monkeypatch):
@@ -1544,7 +1584,7 @@ def test_a_run_of_coupled_assignments_shares_six_lps(monkeypatch):
     assert lps == [("xfill", backend.OPTIMAL)] * 5
     _by_loop(monkeypatch)
     lps.clear()
-    _completions(monkeypatch, inst)
+    _completions(monkeypatch, dataclasses.replace(inst))
     assert len(lps) == 84
 
 
@@ -1577,7 +1617,7 @@ def test_a_grid_point_without_completion_narrows_the_grid_lp(monkeypatch):
     assert len(res.evaluations) == 43 + 49
     got = _oracle_output(res)
     _by_loop(monkeypatch)
-    assert got == _oracle_output(oracle_exact(inst))
+    assert got == _oracle_output(oracle_exact(dataclasses.replace(inst)))
 
 
 @pytest.mark.parametrize("make, message", [
@@ -1600,8 +1640,7 @@ def test_the_completion_raises_what_the_loop_raises(monkeypatch, make, message):
 
 
 def _with_coupled_x3(inst):
-    inst.Y.B1[0, 3] = -1.0
-    return inst
+    return _with_b1(inst, 0, 3, -1.0)
 
 
 def test_an_assignment_with_three_free_dims_narrows_in_order(monkeypatch):
@@ -1634,7 +1673,7 @@ def test_a_run_without_completions_ends_at_its_first_probe(monkeypatch):
     assert [s for name, s in lps if name == "xfill"] == \
         [backend.INFEASIBLE] + [backend.OPTIMAL] * 3 * (2 + instances._GRID)
     _by_loop(monkeypatch)
-    assert got == _oracle_output(oracle_exact(inst))
+    assert got == _oracle_output(oracle_exact(dataclasses.replace(inst)))
 
 
 @pytest.mark.parametrize("budget, n_fills", [
@@ -1651,7 +1690,7 @@ def test_completion_lps_are_cut_at_the_entry_budget(monkeypatch, budget, n_fills
     ref = _completions(monkeypatch, inst)
     monkeypatch.setattr(backend, "_COPIES_NONZEROS", budget)
     lps = _record_lps(monkeypatch)
-    assert _completions(monkeypatch, inst) == ref
+    assert _completions(monkeypatch, dataclasses.replace(inst)) == ref
     assert lps == [("xfill", backend.OPTIMAL)] * n_fills
 
 

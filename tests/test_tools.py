@@ -1,6 +1,7 @@
 """The digest tool runs end to end: tools/highs_digest.py, the check that
 two trees gave HiGHS the same input, on the oracle workload and on pmedian,
-whose masters are valued over X's lattice, at seed 0."""
+whose masters are valued over X's lattice, at seed 0, where the pm_uk8
+operations share one instance's lattice."""
 
 import os
 import re
@@ -31,3 +32,9 @@ def test_highs_digest_prints_a_line_per_operation_and_a_total():
         assert re.fullmatch(r"  by model: \S+ \d+ [0-9a-f]{8}(, \S+ \d+ [0-9a-f]{8})*",
                             by_model), by_model
     assert re.fullmatch(rf"solves \d+ mips \d+ digest {HEX}", lines[-1]), lines[-1]
+    # a workload's operations share one instance, which derives its lattice
+    # once: only the first pm_uk8 operation of pmedian solves its xfill LP
+    fills = [op.name for op, by_model in zip(ops, lines[1::2])
+             if op in workloads.WORKLOADS["pmedian"] and op.instance == "pm_uk8"
+             and re.search(r"[:,] xfill \d+", by_model)]
+    assert fills == ["pm_uk8/parametric"]

@@ -19,10 +19,19 @@ call order cut to 8 hex digits: "_wc_enum 6 1f2e3d4c" is six solves of the
 model "<instance>_wc_enum". Where two trees' operation lines differ, these
 name the models whose input changed.
 
+The operations of one workload at one seed share one Instance per instance
+name, as the benchmark's passes do, and an instance derives its lattice
+and its deterministic relaxation once (ddu_ro.Instance.fact). So after the
+first pm_uk8 operation in workload order, the others solve no "xfill",
+"_det" or "first_stage_max" model, and their "by model:" lines do not list
+them.
+
 Two trees that print the same lines gave HiGHS byte-identical input on
 every solve of those operations, and the oracle the same vertices and
 values; where they differ, the operation lines that differ name the
-operations whose input or values changed. The marked operations
+operations whose input or values changed. Where two trees share different
+derivations between the operations, "the same work" means the same input
+on every solve that each still makes. The marked operations
 (fl_rhs5/benders and fl_mip3/mip) end Optimal now, and fl_mip3/mip brings
 sp4's KKT MIP at the default big-M into the comparison.
 
