@@ -1,9 +1,8 @@
 """Thin LP/MILP layer: append-only models (LinearModel) that grow by blocks
 of columns (add_vars) and of rows (add_rows) and keep both in numpy arrays
 (vars and constrs are read-only views of them), HiGHS solves (solve_lp and
-solve_mip), K copies of an LP in runs of LPs over copies (solve_copies)
-with the value of each copy (copy_values) and big-M
-complementarity linearization.
+solve_mip), K copies of an LP in runs of LPs over copies with the value
+of each copy (solve_copies) and big-M complementarity linearization.
 
 One sparse form: the CSR tuple (indptr, indices, data) of numpy arrays that
 LinearModel.rows reads, and add_rows, copies_lp and solve_copies take.
@@ -525,52 +524,43 @@ def copies_lp(name: str, A, senses, rhs: np.ndarray, lb, ub, cost) -> LinearMode
 
 
 def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each copy's status and x, a (K, n) array with nan rows where a copy is
-    not Optimal. The copies come in runs of at most _COPIES_NONZEROS
-    nonzeros of A, which bounds HiGHS's working set (a copy past it runs
-    alone); a run is one solve_lp of copies_lp's LP, and where that is not
-    Optimal, each half of the run in turn, down to single copies, so one
-    failing copy of K costs about 2 log2 K LPs. Copies that
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each copy's status, value and x: the value cost_k'x_k where the copy
+    is Optimal, +inf where Infeasible, -inf where Unbounded and nan
+    otherwise, priced once over every copy's x, a (K, n) array with nan
+    rows where a copy is not Optimal. The copies come in runs of at most
+    _COPIES_NONZEROS nonzeros of A, which bounds HiGHS's working set (a
+    copy past it runs alone); a run is one solve_lp of copies_lp's LP, and
+    where that is not Optimal, each half of the run in turn, down to single
+    copies, so one failing copy of K costs about 2 log2 K LPs. Copies that
     share one feasible set (one lb, one ub, equal rhs rows) differ only in
     cost, so an Infeasible LP of them is every copy's status at once. No
     copies, no LP."""
     K, n = len(rhs), np.shape(cost)[-1]
+    # written as each run ends, not while HiGHS holds its working set;
+    # "Infeasible" is the longest status
+    status, x = np.empty(K, dtype="<U10"), np.empty((K, n))
+    shared = np.ndim(lb) < 2 and np.ndim(ub) < 2
+
+    def solve(lo: int, hi: int) -> None:
+        out = solve_lp(copies_lp(name, A, senses, rhs[lo:hi], *(
+            a[lo:hi] if np.ndim(a) == 2 else a for a in (lb, ub, cost))))
+        if out.is_optimal:
+            status[lo:hi], x[lo:hi] = OPTIMAL, out.x.reshape(hi - lo, n)
+        elif hi - lo == 1 or (out.status == INFEASIBLE and shared
+                              and (rhs[lo:hi] == rhs[lo]).all()):
+            status[lo:hi], x[lo:hi] = out.status, np.nan
+        else:
+            solve(lo, (lo + hi) // 2)
+            solve((lo + hi) // 2, hi)
+
     cap = max(1, int(_COPIES_NONZEROS // max(1, A[2].size if isinstance(A, tuple)
                                              else np.count_nonzero(A))))
-    if K > cap:
-        return _joined(name, A, senses, rhs, lb, ub, cost,
-                       [slice(lo, lo + cap) for lo in range(0, K, cap)])
-    if not K:
-        return np.zeros(0, dtype=str), np.zeros((0, n))
-    out = solve_lp(copies_lp(name, A, senses, rhs, lb, ub, cost))
-    if out.is_optimal:
-        return np.full(K, OPTIMAL), out.x.reshape(K, n)
-    if K == 1 or (out.status == INFEASIBLE and np.ndim(lb) < 2 and np.ndim(ub) < 2
-                  and (rhs == rhs[0]).all()):
-        return np.full(K, out.status), np.full((K, n), np.nan)
-    return _joined(name, A, senses, rhs, lb, ub, cost, [slice(K // 2), slice(K // 2, K)])
-
-
-def _joined(name, A, senses, rhs, lb, ub, cost, parts: list[slice]):
-    """solve_copies over each slice of the copies, joined in order."""
-    return tuple(map(np.concatenate, zip(*(
-        solve_copies(name, A, senses, rhs[part],
-                     *(a[part] if np.ndim(a) == 2 else a for a in (lb, ub, cost)))
-        for part in parts))))
-
-
-def copy_values(what: str, status: np.ndarray, x: np.ndarray, cost) -> np.ndarray:
-    """The value of each copy from solve_copies' status and x: x_k'cost_k
-    where Optimal, with cost one vector for every copy or a (K, n) array of
-    one row per copy as solve_copies takes it, +inf where Infeasible and
-    -inf where Unbounded; BackendError "<what> ended <status>" where a copy
-    ends otherwise."""
-    failed = status[~np.isin(status, [OPTIMAL, INFEASIBLE, UNBOUNDED])]
-    if failed.size:
-        raise BackendError(f"{what} ended {failed[0]}")
-    values = x @ cost if np.ndim(cost) < 2 else np.einsum("kn,kn->k", x, cost)
-    return np.select([status == OPTIMAL, status == INFEASIBLE], [values, np.inf], -np.inf)
+    for lo in range(0, K, cap):
+        solve(lo, min(lo + cap, K))
+    value = x @ cost if np.ndim(cost) < 2 else np.einsum("kn,kn->k", x, cost)
+    return status, np.select([status == OPTIMAL, status == INFEASIBLE, status == UNBOUNDED],
+                             [value, np.inf, -np.inf], np.nan), x
 
 
 # HiGHS options of every MIP, under mip_rel_gap and time_limit (module docstring)

@@ -72,8 +72,9 @@ _ETA_LB = -1e7
 # 4, 41 ms at 16; medians of 15 runs)
 _SEED_ROUND = 8
 # the most entries, lattice points times the nonzeros of the rows after X's,
-# that _lattice_relaxation values by LPs over copies; past it the
-# deterministic MIP is the faster (see there)
+# that _lattice_relaxation values by LPs over copies: below it the LPs are
+# faster or at most 30 ms slower than the deterministic MIP, and their bound
+# is exact; past it the MIP is the faster by more (see there)
 _RELAXATION_ENTRIES = 1e5
 
 
@@ -351,28 +352,30 @@ class MasterState:
         x into the master the way the configured variant does, and return
         (cut kind, tag of the last seed added).
 
-        The basis variant inserts the basis of basis_lp, sp2's parametric LP
-        at x when given, and the parametric-LP basis at beta, which differs
-        from it only where the Pareto step moved the seed (Magnanti and
-        Wong 1981), each scaled by the cost row of its own LP; the LP at beta
-        is basis_lp itself where beta is the seed basis_lp was solved at. A
-        basis the master already holds is not added again, and the tag is
-        empty when neither was new.  A dual seed is added even when it
-        repeats.  Either way such a cut adds no bound the master lacked, and
-        the loop stops on the first stage that the next master repeats.
+        The basis and parametric-modified variants read the parametric LP
+        at beta: basis_lp, sp2's parametric LP at x, where beta is its seed,
+        else one of their own. The basis variant inserts the bases of
+        basis_lp and of the LP at beta, which differ only where the Pareto
+        step moved the seed (Magnanti and Wong 1981), each scaled by its own
+        LP's cost row; a basis the master already holds is not added again,
+        and the tag is empty when neither was new.  A dual seed is added
+        even when it repeats, parametric-modified's scaled by the perturbed
+        cost row of the LP at beta (ensure_unique_optimum).  Either way such
+        a cut adds no bound the master lacked, and the loop stops on the
+        first stage that the next master repeats.
         """
         inst, cfg = self.inst, self.config
-        if cfg.variant == "basis":
+        at_seed = None
+        if cfg.variant in ("basis", "parametric-modified"):
             at_seed = (basis_lp if basis_lp is not None and np.array_equal(basis_lp.beta, beta)
                        else lp_parametric(inst, x, beta))
+        if cfg.variant == "basis":
             # a basis just added is in basis_seeds when the next is tested
             tags = [self.add_seed(lp.basis, cost_row=lp.cost_row)
                     for lp in (basis_lp, at_seed)
                     if lp is not None and lp.basis not in self.basis_seeds]
             return "basis", tags[-1] if tags else ""
-        cost_row = None
-        if cfg.variant == "parametric-modified":
-            _, cost_row = ensure_unique_optimum(inst, x, beta)
+        cost_row = None if at_seed is None else ensure_unique_optimum(inst, x, at_seed)
         kind = "feasibility" if is_ray else "optimality"
         return ("unified" if cfg.unified else kind,
                 self.add_seed(beta, is_ray, cost_row))
@@ -514,25 +517,26 @@ def _cut_values(state: MasterState, j: int, at: np.ndarray) -> np.ndarray:
     n0, m0 = state._starts[j]
     own = [*range(n0, model.n_vars), state.eta_id]
     return _block_values(model, m0, own, state.x_ids[:n_int],
-                         state._points[at, :n_int], np.r_[np.zeros(len(own) - 1), 1.0])[0]
+                         state._points[at, :n_int], np.r_[np.zeros(len(own) - 1), 1.0])
 
 
-def _block_values(model: LinearModel, first: int, own, x_ids, points: np.ndarray, cost):
+def _block_values(model: LinearModel, first: int, own, x_ids, points: np.ndarray,
+                  cost) -> np.ndarray:
     """With the columns x_ids at each of the points, the least cost'v over
-    the rows from first on, v the columns own, +inf where they allow none,
-    and each v: backend.solve_copies, one copy per point, with only the
-    rows' entries on x made dense. Raises _OffLattice where a copy ends
-    neither Optimal nor Infeasible."""
+    the rows from first on, v the columns own, +inf where they allow none:
+    backend.solve_copies, one copy per point, with only the rows' entries
+    on x made dense. Raises _OffLattice where a copy ends neither Optimal
+    nor Infeasible."""
     A, senses, rhs = model.rows(first, own)
     (indptr, cols, vals), _, _ = model.rows(first, x_ids)
     B = np.zeros((rhs.size, len(x_ids)))
     B[np.repeat(np.arange(rhs.size), np.diff(indptr)), cols] = vals
     lb, ub, _ = model.columns()
-    status, v = backend.solve_copies(model.name, A, senses, rhs - points @ B.T,
-                                     lb[own], ub[own], cost)
+    status, values, _ = backend.solve_copies(model.name, A, senses, rhs - points @ B.T,
+                                             lb[own], ub[own], cost)
     if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE)).all():
         raise _OffLattice
-    return np.where(status == backend.OPTIMAL, v @ cost, np.inf), v
+    return values
 
 
 def _seed_values(state: MasterState, cuts: list[_Cut], at: np.ndarray) -> np.ndarray:
@@ -558,11 +562,11 @@ def _seed_values(state: MasterState, cuts: list[_Cut], at: np.ndarray) -> np.nda
         pts = np.flatnonzero(group == g)
         F = U.F.evaluate(x[pts[0]])
         rhs, cost_k = np.repeat(h[pts], len(cuts), axis=0), np.tile(cost, (len(pts), 1))
-        status, u = backend.solve_copies(state._model.name, F, LEQ, rhs, 0.0, np.inf, cost_k)
+        status, value, _ = backend.solve_copies(state._model.name, F, LEQ, rhs, 0.0, np.inf,
+                                                cost_k)
         if not np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED)).all():
             raise _OffLattice
-        w[pts] = np.where(status == backend.OPTIMAL, -np.einsum("kn,kn->k", u, cost_k),
-                          np.inf).reshape(len(pts), len(cuts))
+        w[pts] = np.where(status == backend.OPTIMAL, -value, np.inf).reshape(len(pts), len(cuts))
     bound = (Y.d - x @ Y.B1.T) @ beta.T + w
     return np.where(is_ray, np.where(bound > _RAY_TOL, np.inf, -np.inf), bound).max(axis=1)
 
@@ -822,35 +826,41 @@ def _relaxation(state: MasterState) -> _Relaxation | None:
     runs keep it by both (Instance.fact). Raises BackendError where it ends
     neither Optimal nor Infeasible."""
     det_model, det_ids = build_deterministic_mip(state.inst)
-    det = (_lattice_relaxation(state, det_model, det_ids["x"])
-           or backend.solve_mip(det_model))
-    if det.status == backend.INFEASIBLE:
+    best = _lattice_relaxation(state, det_model, det_ids["x"])
+    if best is None:
+        det = backend.solve_mip(det_model)
+        if det.status == backend.INFEASIBLE:
+            return None
+        if det.status != backend.OPTIMAL:
+            raise BackendError(f"deterministic relaxation ended {det.status}; "
+                               "the robust value has no finite floor")
+        # the MIP's incumbent may lie above its dual bound by HiGHS's gap
+        best = det.x[det_ids["x"]], float(det.objective if det.bound is None else det.bound)
+    x0, value = best
+    if value == np.inf:
         return None
-    if det.status != backend.OPTIMAL:
-        raise BackendError(f"deterministic relaxation ended {det.status}; "
-                           "the robust value has no finite floor")
-    x0 = det.x[det_ids["x"]]
     x0.setflags(write=False)
-    # the MIP's incumbent may lie above its dual bound by HiGHS's gap
-    value = float(det.objective if det.bound is None else det.bound)
     return _Relaxation(x0, value, _eta_floor(state.inst, value))
 
 
 def _lattice_relaxation(state: MasterState, model: LinearModel,
-                        x_ids: list[int]) -> backend.SolveOutcome | None:
+                        x_ids: list[int]) -> tuple[np.ndarray, float] | None:
     """The optimum of build_deterministic_mip's model over the state's
-    lattice, exact (bound = objective): at the first point of least c1'x
-    plus the least recourse cost there, from _block_values over the columns
-    outside x; X's rows, which every point meets, are left out. None
-    where the state is off the lattice route, a column outside x is
-    integer, a copy ends neither Optimal nor Infeasible, or the points times
-    the nonzeros of those rows pass _RELAXATION_ENTRIES, a choice of speed
-    alone (backend.solve_copies bounds each LP's memory). On ddu_uk
-    p-medians at seeds 0-2 (2 vCPUs, medians of 5), these LPs against the
-    MIP took 0.08-0.09 s against 0.05-0.10 s at 12 sites (110880 entries),
-    0.16-0.18 s against 0.05-0.13 s at 14 sites and 0.33-0.45 s against
-    0.10-0.25 s at 16; at 10 and 11 sites (43200 and 70785 entries) the MIP
-    was ahead by at most 30 ms, where the LPs' bound is exact."""
+    lattice, exact: the first point of least c1'x plus the least recourse
+    cost there, from _block_values over the columns outside x, and that
+    value; (None, +inf) where every point is cut off. X's rows, which every
+    point meets, are left out. None where the state is off the lattice
+    route, a column outside x is integer, a copy ends neither Optimal nor
+    Infeasible, or the points times the nonzeros of those rows pass
+    _RELAXATION_ENTRIES (backend.solve_copies bounds each LP's memory, so
+    the threshold is a choice of speed and exactness). On ddu_uk p-medians
+    (2 vCPUs), these LPs against the MIP took 13-19 ms against 17-33 ms at
+    8 sites (s0-s3, medians of 7); at 10 and 11 sites (43200 and 70785
+    entries) the MIP was ahead by at most 30 ms, and the LPs are kept there
+    for their exact bound; past the threshold the MIP is ahead by more:
+    0.08-0.09 s against 0.05-0.10 s at 12 sites (110880 entries), 0.16-0.18
+    s against 0.05-0.13 s at 14 sites and 0.33-0.45 s against 0.10-0.25 s at
+    16 (s0-s2, medians of 5)."""
     points = state.lattice()
     if points is None:
         return None
@@ -860,17 +870,14 @@ def _lattice_relaxation(state: MasterState, model: LinearModel,
         return None
     cost = model.objective_vector()
     try:
-        values, v = _block_values(model, first, own, x_ids, points, cost[own])
+        values = _block_values(model, first, own, x_ids, points, cost[own])
     except _OffLattice:
         return None
     values += points @ cost[x_ids]
     if not np.isfinite(values).any():
-        return backend.SolveOutcome(status=backend.INFEASIBLE)
+        return None, np.inf
     k = int(np.argmin(values))
-    x = np.empty(model.n_vars)
-    x[x_ids], x[own] = points[k], v[k]
-    return backend.SolveOutcome(status=backend.OPTIMAL, objective=float(values[k]),
-                                x=x, bound=float(values[k]))
+    return points[k], float(values[k])
 
 
 def _eta_floor(inst: Instance, relaxation: float) -> float:

@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
                    help="comma list: first-stage columns of the lower ends")
     p.add_argument("--hi-cols", default=None,
                    help="comma list: first-stage columns of the upper ends")
-    p.add_argument("--binary-vertices", action="store_true")
     p.add_argument("--big-m", type=float, default=backend.DEFAULT_BIG_M,
                    help="linearization constant (default %(default)s)")
     p.add_argument("--force-upper-bound", action="store_true")
@@ -248,8 +247,7 @@ def cmd_convert(args) -> int:
             out = neutralize(inst)
         else:
             out = normalize(inst, _csv_ints(args.lo_cols, "--lo-cols"),
-                            _csv_ints(args.hi_cols, "--hi-cols"),
-                            binary_vertices=args.binary_vertices)
+                            _csv_ints(args.hi_cols, "--hi-cols"))
         new_inst = out.instance
         new_inst.metadata["reformulation"] = {"kind": out.kind,
                                               "mapping": out.mapping}

@@ -160,10 +160,12 @@ def _worst_vertices(inst: Instance, run: list) -> list[tuple[float, np.ndarray]]
                 if vals[-1][-1] == np.inf:
                     break
     else:
-        status, y = backend.solve_copies("recourse_block", Y.B2, GEQ, _pair_rhs(inst, run),
-                                         0.0, np.inf, Y.c2)
-        vals = np.split(backend.copy_values("recourse solve", status, y, Y.c2),
-                        np.cumsum([len(v) for _, v in run])[:-1])
+        status, value, _ = backend.solve_copies("recourse_block", Y.B2, GEQ,
+                                                _pair_rhs(inst, run), 0.0, np.inf, Y.c2)
+        failed = status[np.isnan(value)]
+        if failed.size:
+            raise backend.BackendError(f"recourse solve ended {failed[0]}")
+        vals = np.split(value, np.cumsum([len(v) for _, v in run])[:-1])
     return [(float(np.max(p)), v[int(np.argmax(p))]) for (_, v), p in zip(run, vals)]
 
 
@@ -288,26 +290,31 @@ def _lattice(inst: Instance) -> np.ndarray:
     points = lattice_points(X.lb[:n_int], X.ub[:n_int], X.A[int_rows, :n_int], X.b[int_rows], "x")
     if n_int < nx:      # else every row of X has been checked
         # runs of points whose copies of X, _GRID ** 2 a point at most, hold
-        # at most backend._COPIES_NONZEROS nonzeros
+        # at most backend._COPIES_NONZEROS nonzeros; their completions go
+        # into one array, a row a point unless a coupled x is gridded
         cap = max(1, int(backend._COPIES_NONZEROS
                          // (max(1, np.count_nonzero(X.A)) * _GRID ** min(2, len(coupled)))))
-        points = [x for run in backend._runs(points, cap)
-                  for x in _complete_continuous(inst, run, coupled, sep)]
-    points = np.array(points, dtype=float).reshape(len(points), nx)
+        full, n = np.empty((len(points), nx)), 0
+        for run in backend._runs(points, cap):
+            x = _complete_continuous(inst, run, coupled, sep)
+            if n + len(x) > len(full):
+                full = np.concatenate([full[:n], np.empty((len(full) + len(x), nx))])
+            full[n:n + len(x)], n = x, n + len(x)
+        points = full[:n]
     points.setflags(write=False)
     return points
 
 
 def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[int],
-                         sep: list[int]):
-    """Yield full x vectors extending the integer assignments of run (x has
-    continuous components), in order, none where X admits no extension. The
-    run shares its LPs (_xfill), one copy of the first stage per assignment:
-    a min LP of x_k and one of -x_k per coupled x pin it (a point) or grid
-    it (_GRID points) in every copy, the first dropping the copies without
-    completion, and one LP takes every (assignment, grid point) to its least
-    c1 cost over the separable x. Raises OracleError where more than two
-    coupled x stay free."""
+                         sep: list[int]) -> np.ndarray:
+    """The full x vectors extending the integer assignments of run (x has
+    continuous components), as rows in order, none where X admits no
+    extension. The run shares its LPs (_xfill), one copy of the first stage
+    per assignment: a min LP of x_k and one of -x_k per coupled x pin it (a
+    point) or grid it (_GRID points) in every copy, the first dropping the
+    copies without completion, and one LP takes every (assignment, grid
+    point) to its least c1 cost over the separable x. Raises OracleError
+    where more than two coupled x stay free."""
     X = inst.X
     nx, n_int = inst.dim_x, X.n_int
     # each copy's bounds (lb, ub), and the grids of its free coupled x
@@ -336,7 +343,7 @@ def _complete_continuous(inst: Instance, run: list[np.ndarray], coupled: list[in
         spread[-1][:, :, list(grid)] = points[:, None]
     x, ok = _xfill(inst, np.concatenate(spread), inst.c1 * np.isin(np.arange(nx), sep),
                    "separable continuous block unbounded below")
-    yield from x[ok]
+    return x[ok]
 
 
 def _xfill(inst: Instance, bounds: np.ndarray, cost: np.ndarray,
@@ -347,8 +354,8 @@ def _xfill(inst: Instance, bounds: np.ndarray, cost: np.ndarray,
     with the message unbounded if Unbounded: leaving it out could drop the
     best first stage."""
     X = inst.X
-    status, x = backend.solve_copies("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
-                                     *bounds.transpose(1, 0, 2), cost)
+    status, _, x = backend.solve_copies("xfill", X.A, GEQ, np.tile(X.b, (len(bounds), 1)),
+                                        *bounds.transpose(1, 0, 2), cost)
     failed = status[~np.isin(status, (backend.OPTIMAL, backend.INFEASIBLE))]
     if failed.size:
         raise OracleError(unbounded if failed[0] == backend.UNBOUNDED

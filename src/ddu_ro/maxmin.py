@@ -507,9 +507,10 @@ def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
     return c
 
 
-def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray
-                          ) -> tuple[ParametricLPResult, np.ndarray]:
-    """Parametric LP solve plus a verified uniqueness perturbation.
+def ensure_unique_optimum(inst: Instance, x: np.ndarray, base: ParametricLPResult
+                          ) -> np.ndarray:
+    """The cost row of base, the parametric LP at x (lp_parametric), with a
+    verified uniqueness perturbation.
 
     Lowering the costs of the nonbasic columns with zero reduced cost keeps
     the basis optimal and gives each reduced cost -epsilon, so a smaller
@@ -517,12 +518,11 @@ def ensure_unique_optimum(inst: Instance, x: np.ndarray, beta: np.ndarray
     the perturbed costs: the vertex must stay optimal with strictly negative
     reduced costs on every nonbasic column, else BackendError.
     """
-    base = lp_parametric(inst, x, beta)
     eps = 1e-4 * max(1.0, float(np.abs(base.cost_row).max()))
     c_hat = perturb_for_uniqueness(base.cost_row, base.basis, base.reduced_costs, eps)
     if not _perturbation_is_clean(inst, x, base, c_hat):
         raise BackendError("uniqueness perturbation failed to isolate the vertex")
-    return base, c_hat
+    return c_hat
 
 
 def _perturbation_is_clean(inst: Instance, x: np.ndarray,

@@ -293,12 +293,12 @@ def range_probe(A: np.ndarray, b: np.ndarray, cols, sense: str = "max") -> np.nd
     where z_j is unbounded above. Raises BackendError when a copy ends
     otherwise, as every copy does on an empty set."""
     sign = 1.0 if sense == "max" else -1.0
-    status, z = backend.solve_copies("range_probe", A, LEQ, np.tile(b, (len(cols), 1)),
-                                     0.0, np.inf, -sign * np.eye(A.shape[1])[cols])
+    status, value, _ = backend.solve_copies("range_probe", A, LEQ, np.tile(b, (len(cols), 1)),
+                                            0.0, np.inf, -sign * np.eye(A.shape[1])[cols])
     failed = status[~np.isin(status, (backend.OPTIMAL, backend.UNBOUNDED))]
     if failed.size:
         raise BackendError(f"range probe ended {failed[0]}")
-    return np.where(status == backend.OPTIMAL, z[np.arange(len(cols)), cols], np.inf)
+    return -sign * value
 
 
 def add_recourse_vars(model: LinearModel, Y: RecourseSet) -> list[int]:

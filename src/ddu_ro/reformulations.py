@@ -231,8 +231,7 @@ def _crossed_interval(inst: Instance, lo: int, hi: int) -> float:
     return float(out.objective)
 
 
-def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
-              binary_vertices: bool = False) -> ReformulationOutput:
+def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int]) -> ReformulationOutput:
     """Rescale a variable hypercube {x_l <= u <= x_h} to the fixed unit box.
 
     ``lo_cols`` and ``hi_cols`` name the first-stage columns holding the
@@ -241,23 +240,20 @@ def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
     pins v to x_l at u_i = 0 and to x_h at u_i = 1 using the endpoint
     bounds from X. At fractional u the envelope only relaxes the recourse,
     and the inner value is convex in u, so every worst case sits on a
-    vertex where the envelope is tight; values are preserved exactly.
-
-    With an LP recourse the box can be restricted to its vertices outright
-    (``binary_vertices``), which marks u integer in the output.
+    vertex where the envelope is tight; values are preserved exactly. The
+    unit box's vertices are 0/1, so the max-min enumerates them
+    (enumeration.binary_vertices) with u left continuous.
 
     A first stage that admits a crossed interval x_l > x_h is rejected:
     add the ordering rows to X first.
     """
-    U, Y, X = inst.U, inst.Y, inst.X
+    U, X = inst.U, inst.X
     nu = U.dim
     if len(lo_cols) != nu or len(hi_cols) != nu:
         raise ValueError("need one lo and one hi column per u coordinate")
     if U.n_int_u:
         raise ValueError("a hypercube set has continuous coordinates")
     _match_box_rows(U, lo_cols, hi_cols)
-    if binary_vertices and Y.n_int_y:
-        raise ValueError("restricting to box vertices needs an LP recourse")
 
     bounds = []
     for i, (lo, hi) in enumerate(zip(lo_cols, hi_cols)):
@@ -275,8 +271,7 @@ def normalize(inst: Instance, lo_cols: list[int], hi_cols: list[int],
         bounds.append(B)
 
     U0 = UncertaintySet(F=AffineMatrixMap(base=np.eye(nu)),
-                        G=np.zeros((nu, inst.dim_x)), h=np.ones(nu),
-                        n_int_u=nu if binary_vertices else 0)
+                        G=np.zeros((nu, inst.dim_x)), h=np.ones(nu))
 
     # v - x_l = u (x_h - x_l) over the columns (v | x | u), |v - x_l| <= B
     nx = inst.dim_x

@@ -380,11 +380,12 @@ def test_infeasible_and_unbounded_status():
 def test_each_copy_gets_its_own_status_in_copy_order():
     # copies of min c v s.t. v >= r, 0 <= v <= ub: optimal at r = 0, no v
     # at r = 2 <= ub = 1, unbounded at c = -1 without ub, optimal again
-    status, x = backend.solve_copies(
+    status, value, x = backend.solve_copies(
         "copies", np.array([[1.0]]), GEQ, np.array([[0.0], [2.0], [0.0], [0.5]]), 0.0,
         np.array([[1.0], [1.0], [np.inf], [1.0]]), np.array([[1.0], [1.0], [-1.0], [1.0]]))
     assert status.tolist() == [backend.OPTIMAL, backend.INFEASIBLE, backend.UNBOUNDED,
                                backend.OPTIMAL]
+    assert value.tolist() == [0.0, np.inf, -np.inf, 0.5]
     assert x[[0, 3], 0] == pytest.approx([0.0, 0.5])
     assert np.isnan(x[[1, 2]]).all()
 
@@ -409,10 +410,11 @@ def test_a_failing_copy_narrows_the_lp_by_halves(monkeypatch):
 
     monkeypatch.setattr(backend, "solve_lp", counted)
     toy = _halving_toy()
-    status, x = backend.solve_copies(*toy)
+    status, value, x = backend.solve_copies(*toy)
     failed = np.arange(16) == 11
     assert status.tolist() == np.where(failed, backend.INFEASIBLE, backend.OPTIMAL).tolist()
     assert x[~failed, 1] == pytest.approx(toy[3][~failed, 0])
+    assert value.tolist() == np.where(failed, np.inf, x[:, 1]).tolist()
     assert sizes == [16, 8, 8, 4, 2, 2, 1, 1, 4]
 
 
@@ -439,8 +441,8 @@ def test_the_run_size_leaves_each_copys_status_and_value(seed):
     for bound in (1, backend._COPIES_NONZEROS, K * A.size + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(backend, "_COPIES_NONZEROS", bound)
-            status, x = backend.solve_copies(*args)
-        outs.append((status.tolist(), backend.copy_values("runs", status, x, cost)))
+            status, value, _ = backend.solve_copies(*args)
+        outs.append((status.tolist(), value))
     want = np.where((rhs == infeasible).all(axis=1), backend.INFEASIBLE, backend.OPTIMAL)
     for status, values in outs:
         assert status == want.tolist()
@@ -461,20 +463,38 @@ def test_rows_per_copy_build_the_lp_of_shared_rows():
 
 @pytest.mark.parametrize("K", [3, 4])
 def test_copy_values_prices_each_copy_by_its_own_cost_row(K):
-    # n = 3 columns; K = n is the shape a (K, n) cost could be misread in
-    status = np.array([backend.OPTIMAL, backend.INFEASIBLE, backend.OPTIMAL,
-                       backend.UNBOUNDED][:K])
-    x = np.arange(3.0 * K).reshape(K, 3) / 7.0
-    x[status != backend.OPTIMAL] = np.nan
-    costs = np.arange(3.0 * K).reshape(K, 3) - 4.0
-    got = backend.copy_values("copies", status, x, costs)
+    # copies of min c_k'v s.t. v >= r_k, 0 <= v <= ub_k over n = 3 columns,
+    # Optimal, Infeasible (r_k past ub_k), Optimal and Unbounded (a negative
+    # cost without ub); K = n is the shape a (K, n) cost could be misread in
+    rhs = np.array([[0.5, 0.25, 1.0], [2.0, 0.0, 0.0], [0.75, 1.5, 0.0], [0.0, 0.0, 0.0]])[:K]
+    ub = np.array([[1.0] * 3, [1.0] * 3, [1.0, 2.0, 3.0], [np.inf] * 3])[:K]
+    costs = np.array([[1.0, 3.0, 7.0], [1.0, 1.0, 1.0], [-2.0, 5.0, 3.0], [1.0, -1.0, 0.0]])[:K]
+    args = ("copies", np.eye(3), GEQ, rhs, 0.0, ub)
+    status, got, x = backend.solve_copies(*args, costs)
+    assert status.tolist() == [backend.OPTIMAL, backend.INFEASIBLE, backend.OPTIMAL,
+                               backend.UNBOUNDED][:K]
     ends = {backend.INFEASIBLE: np.inf, backend.UNBOUNDED: -np.inf}
     assert got.tolist() == [float(x[k] @ costs[k]) if s == backend.OPTIMAL else ends[s]
                             for k, s in enumerate(status)]
     # one cost vector for every copy keeps x @ cost to the bit
-    one = backend.copy_values("copies", status, x, costs[0])
-    ok = status == backend.OPTIMAL
-    assert one[ok].tobytes() == (x @ costs[0])[ok].tobytes()
+    _, one, x = backend.solve_copies(*args, costs[0])
+    ok = np.isfinite(one)
+    assert ok.sum() == K - 1 and one[ok].tobytes() == (x @ costs[0])[ok].tobytes()
+
+
+def test_a_copy_that_ends_otherwise_is_worth_nan(monkeypatch):
+    real = backend.solve_lp
+
+    def numerical_at_two(model):
+        if 2.0 in model.rows()[2]:
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real(model)
+
+    monkeypatch.setattr(backend, "solve_lp", numerical_at_two)
+    status, value, _ = backend.solve_copies("copies", np.array([[1.0]]), GEQ,
+                                            np.array([[0.0], [2.0], [0.5]]), 0.0, 3.0, np.ones(1))
+    assert status.tolist() == [backend.OPTIMAL, backend.NUMERICAL, backend.OPTIMAL]
+    assert value[[0, 2]].tolist() == [0.0, 0.5] and np.isnan(value[1])
 
 
 def _row_chunk(blocks, rhs):

@@ -546,7 +546,7 @@ def _eager_reference(monkeypatch) -> list[str]:
             own = [*range(n0, m.n_vars), state.eta_id]
             A_own = A[:, own]
             A_own.sort_indices()
-            status, v = backend.solve_copies(
+            status, _, v = backend.solve_copies(
                 "eager", (A_own.indptr, A_own.indices, A_own.data), senses,
                 rhs - points[:, :n_int] @ A[:, state.x_ids[:n_int]].T,
                 lb[own], ub[own], np.r_[np.zeros(len(own) - 1), 1.0])
@@ -704,15 +704,43 @@ def test_the_lattice_relaxation_is_the_deterministic_mips_optimum(make, monkeypa
     inst = make()
     state = MasterState(inst, AlgorithmConfig(variant="parametric"))
     model, ids = build_deterministic_mip(inst)
-    out = ccg._lattice_relaxation(state, model, ids["x"])
+    x0, value = ccg._lattice_relaxation(state, model, ids["x"])
     mip = backend.solve_mip(build_deterministic_mip(inst)[0])
-    assert out.status == mip.status == backend.OPTIMAL and out.bound == out.objective
-    assert out.objective == pytest.approx(mip.objective, rel=1e-9)
+    assert mip.status == backend.OPTIMAL and value == pytest.approx(mip.objective, rel=1e-9)
+    # x0 is a lattice point, the first of least value
+    assert (state.lattice() == x0).all(axis=1).any()
     entries = len(state.lattice()) * model.rows(inst.X.A.shape[0])[0][2].size
     monkeypatch.setattr(ccg, "_RELAXATION_ENTRIES", entries)
-    assert ccg._lattice_relaxation(state, model, ids["x"]).objective == out.objective
+    assert ccg._lattice_relaxation(state, model, ids["x"])[1] == value
     monkeypatch.setattr(ccg, "_RELAXATION_ENTRIES", entries - 1)
     assert ccg._lattice_relaxation(state, model, ids["x"]) is None
+
+
+def test_a_relaxation_whose_copies_fail_is_the_mips(monkeypatch):
+    # the _det copies end Numerical, so _lattice_relaxation leaves the
+    # lattice and _relaxation solves the deterministic MIP, which an
+    # unforced run does not: the run ends as that one does, with the same
+    # relaxation value but for the last bits of HiGHS's arithmetic
+    det, real_lp, real_mip, mips = f"{_pm8().name}_det", backend.solve_lp, backend.solve_mip, []
+
+    def recorded(model, **kw):
+        mips.append(model.name)
+        return real_mip(model, **kw)
+
+    def numerical(model):
+        if model.name == det:
+            return SolveOutcome(status=backend.NUMERICAL)
+        return real_lp(model)
+
+    monkeypatch.setattr(backend, "solve_mip", recorded)
+    reference = run(_pm8(), AlgorithmConfig(variant="parametric"))
+    assert det not in mips
+    monkeypatch.setattr(backend, "solve_lp", numerical)
+    res = run(_pm8(), AlgorithmConfig(variant="parametric"))
+    assert mips.count(det) == 1
+    assert res.meta["relaxation_value"] == pytest.approx(reference.meta["relaxation_value"],
+                                                         rel=1e-12)
+    assert (res.status, res.objective) == (reference.status, reference.objective)
 
 
 def test_pm_uk8_values_fewer_copies_than_every_point_per_master():
@@ -772,6 +800,17 @@ def test_runs_on_one_instance_derive_its_lattice_and_relaxation_once(monkeypatch
         assert fresh.meta["facts"] == "computed"
         assert _outcome(res) == _outcome(fresh)
         assert res.meta["relaxation_value"] == fresh.meta["relaxation_value"]
+
+
+def test_parametric_modified_solves_the_parametric_lp_once_per_sp2_call(monkeypatch):
+    # MasterState.cut perturbs the cost row of sp2's parametric LP at its
+    # seed rather than solving that LP again
+    lps, real, sp2_calls = record_linprog(monkeypatch), ccg.sp2, []
+    monkeypatch.setattr(ccg, "sp2", lambda *a, **kw: sp2_calls.append(a) or real(*a, **kw))
+    res = run(_pm8(), AlgorithmConfig(variant="parametric-modified"))
+    assert (res.status, res.n_iterations) == ("Optimal", 6)
+    assert res.objective == pytest.approx(PM8_W, rel=1e-9)
+    assert sum(c[0] == "lp_parametric" for c in lps) == len(sp2_calls) == 6
 
 
 def test_a_run_at_another_big_m_derives_the_relaxation_again(monkeypatch):

@@ -429,6 +429,17 @@ def test_convert_normalize_needs_columns(tmp_path):
     assert (tmp_path / "dne.diu.json").exists()
 
 
+def test_convert_has_no_binary_vertices_flag(tmp_path):
+    # the unit box normalize writes is continuous; its 0/1 vertices are
+    # enumerated by the max-min, so a restriction to them has no flag
+    from tests.test_reformulations import _dne
+    path = tmp_path / "dne.json"
+    io_write(str(path), _dne())
+    assert cli.main(["convert", "normalize", str(path), "--lo-cols", "0,1",
+                     "--hi-cols", "2,3", "--binary-vertices"]) == 64
+    assert not (tmp_path / "dne.diu.json").exists()
+
+
 def test_convert_order_switch_solves_the_flat_model(tmp_path, capsys):
     from tests.test_reformulations import _objective_toy, E_HAT
     inst = _objective_toy()
@@ -490,6 +501,21 @@ def test_generate_fl_models(tmp_path):
         assert cli.main(["generate", "--model", model, "--sites", "3",
                          "--seed", "1", "-o", path]) == 0
         io_read(path)
+
+
+@pytest.mark.parametrize("model", ["fl-rhs", "fl-lhs", "fl-mip"])
+def test_generate_high_fixed_scales_the_fixed_costs_alone(tmp_path, model):
+    # --high-fixed (FLParams.high_fixed) makes the c1 of every opening
+    # decision x_d, its fixed cost, a third larger, and nothing else
+    argv = ["generate", "--model", model, "--sites", "3", "--seed", "1", "-o"]
+    base, high = str(tmp_path / "base.json"), str(tmp_path / "high.json")
+    assert cli.main(argv + [base]) == 0
+    assert cli.main(argv + [high, "--high-fixed"]) == 0
+    base, high = instance_to_dict(io_read(base)), instance_to_dict(io_read(high))
+    c1 = np.array(base.pop("c1"))
+    c1[base["metadata"]["blocks"]["x_d"]] *= 4.0 / 3.0
+    assert high.pop("c1") == c1.tolist()
+    assert high == base
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -418,8 +418,8 @@ def test_the_rows_of_x_pin_each_square_pair_at_x_d():
     lb[:nJ] = ub[:nJ] = x_d
     w_jj = X.dim - 2 * nJ * nJ + (nJ + 1) * np.arange(nJ)    # x = (... | w | z)
     cost = np.eye(X.dim)[w_jj]
-    status, z = backend.solve_copies("square_pairs", X.A, GEQ, np.tile(X.b, (2 * nJ, 1)),
-                                     lb, ub, np.vstack([cost, -cost]))
+    status, _, z = backend.solve_copies("square_pairs", X.A, GEQ, np.tile(X.b, (2 * nJ, 1)),
+                                        lb, ub, np.vstack([cost, -cost]))
     assert (status == backend.OPTIMAL).all()
     ends = z[np.arange(2 * nJ), np.tile(w_jj, 2)].reshape(2, nJ)
     assert ends == pytest.approx(np.tile(x_d, (2, 1)), abs=1e-9)
@@ -1258,6 +1258,17 @@ def test_the_batch_path_of_an_integer_recourse_takes_the_loop(monkeypatch):
         assert val == pytest.approx(1.0) and np.array_equal(u, [2.0])
 
 
+def test_the_loop_of_an_integer_recourse_stops_at_the_first_vertex_without_one(monkeypatch):
+    # y <= 1 - u with y integer: u = 2, the first vertex, has no recourse,
+    # so the loop values no later vertex of the x, which is worth +inf there
+    inst = _interval_toy(B2=[[-1.0]], E=[[-1.0]], d=[-1.0], c2=[1.0], n_int_y=1)
+    calls = _count_recourse_calls(monkeypatch)
+    got = instances.worst_case_values(inst, XS2)
+    assert [c[0] for c in calls] == [2.0, 2.0]
+    for val, u in got:
+        assert val == np.inf and np.array_equal(u, [2.0])
+
+
 def test_the_x_with_recourse_at_every_vertex_keep_their_half_of_the_block_lp(monkeypatch):
     # 0 <= y <= u + x - 1: at x = 0 the vertex u = 0 has no recourse, at
     # x = 1 every vertex has
@@ -1548,7 +1559,8 @@ def _oracle_output(res):
 
 
 def _by_loop(monkeypatch):
-    monkeypatch.setattr(instances, "_complete_continuous", _complete_by_loop)
+    monkeypatch.setattr(instances, "_complete_continuous", lambda inst, *args: np.array(
+        list(_complete_by_loop(inst, *args))).reshape(-1, inst.dim_x))
 
 
 def _completions(monkeypatch, inst):

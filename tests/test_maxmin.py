@@ -265,13 +265,15 @@ def test_a_failed_uniqueness_check_raises_after_one_perturbation(monkeypatch):
 
     monkeypatch.setattr(maxmin, "_perturbation_is_clean", unclean)
     with pytest.raises(BackendError, match="failed to isolate"):
-        ensure_unique_optimum(t1(), np.array([1.0]), np.array([0.0]))
+        ensure_unique_optimum(t1(), np.array([1.0]),
+                              lp_parametric(t1(), np.array([1.0]), np.array([0.0])))
     assert len(checks) == 1
 
 
 def test_ensure_unique_optimum_isolates_a_vertex():
     inst = t1()
-    base, c_hat = ensure_unique_optimum(inst, np.array([1.0]), np.array([0.0]))
+    base = lp_parametric(inst, np.array([1.0]), np.array([0.0]))
+    c_hat = ensure_unique_optimum(inst, np.array([1.0]), base)
     # beta = 0 leaves every u in [0,2] optimal; a block of the perturbed
     # cost row, of either form, collapses to exactly the solver's vertex
     for representation in (None, "kkt"):
@@ -333,8 +335,11 @@ def test_block_representation_follows_the_coupling(make, perturbed, expected):
     # row and per column of U
     inst = make()
     beta = np.ones(inst.Y.n_rows)
-    cost_row = (ensure_unique_optimum(inst, _open_sites(inst, (0, 3, 5)), beta)[1]
-                if perturbed else _seed_row(inst, beta))
+    if perturbed:
+        x = _open_sites(inst, (0, 3, 5))
+        cost_row = ensure_unique_optimum(inst, x, lp_parametric(inst, x, beta))
+    else:
+        cost_row = _seed_row(inst, beta)
     m = LinearModel()
     with backend.big_m(100.0):
         blk = build_optimality_block(m, inst.U, cost_row, add_first_stage(m, inst))

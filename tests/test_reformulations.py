@@ -335,13 +335,6 @@ def test_normalize_fixed_unit_interval_changes_nothing():
         oracle_exact(pinned).value)
 
 
-def test_normalize_binary_vertex_restriction_keeps_the_value():
-    inst = _dne()
-    out = normalize(inst, [0, 1], [2, 3], binary_vertices=True)
-    assert out.instance.U.n_int_u == 2
-    assert oracle_exact(out.instance).value == pytest.approx(-2.0)
-
-
 def test_normalize_rejects_crossable_intervals():
     inst = _dne()
     loose = Instance(
