@@ -14,16 +14,17 @@ HiGHS's row i is the model's row i with the model's sign; c, column bounds,
 and integrality for a MIP. solve_lp hands them to linprog, solve_mip to
 milp, both this module's: _highs solves them on one fresh _Highs of scipy's
 bundled binding (setOptionValue, passModel's rowwise arrays, run,
-getSolution; no basis, no duals) with the options scipy's function of that
+getSolution; no basis) with the options scipy's function of that
 name would add, and maps HiGHS's model status once, by one table
 (_STATUS_OF): Optimal, Infeasible and Unbounded as they are, a time or
 iteration limit TimeLimit, any other status and a model HiGHS refuses (such
 as a coefficient of 1e15) Numerical. From _highs up every solve returns a
 SolveOutcome, in the arrays' min sense until solve_lp and solve_mip restate
-it in the model's; x, the objective, the row activity A x, a MIP's dual
-bound and its node count come only with Optimal. linprog and milp keep
-scipy's names because every solve meets HiGHS there: tests replace them,
-and perfbench/tracing.py times them and reads milp's mip_node_count.
+it in the model's; x, the objective, the row activity A x, an LP's row
+duals, a MIP's dual bound and its node count come only with Optimal.
+linprog and milp keep scipy's names because every solve meets HiGHS there:
+tests replace them, and perfbench/tracing.py times them and reads milp's
+mip_node_count.
 scipy's checks stay: c, A and the row bounds a row's sense sets (rhs of <=,
 lhs of >=, both of =) must be finite, else ValueError; an Optimal LP whose
 x misses a bound or a row by more than 10 sqrt(1e-9) is Numerical; a
@@ -47,9 +48,11 @@ u x products), model.build_deterministic_mip (the u x products) and
 reformulations.order_switch (the lambda cap). A bound that differs per
 product is an argument of the envelope writers instead.
 
-solve_lp reports the status, objective and solution of an LP, no duals: the
-algorithms that need dual values take them from a dual LP of their own or
-from a basis (maxmin).
+solve_lp reports the status, objective and solution of an LP with HiGHS's
+row duals: y with c = A'y + the reduced costs, in the model's sense, so y_i
+>= 0 on a binding >= row of a min and on a binding <= row of a max. The
+row duals of copies_lp's LP are each copy's own, rows k m to (k + 1) m for
+copy k; maxmin.enumerate_outer reads the worst copy's as sp2's seed.
 
 HiGHS options of every MIP (_MIP_OPTIONS): the RINS sub-MIP (Danna, Rothberg
 and Le Pape, Math. Prog. 2005) and Feasibility Jump (Luteberget and Sartor,
@@ -335,12 +338,17 @@ def _sum_repeats(row: np.ndarray, col: np.ndarray, val: np.ndarray):
 
 @dataclass
 class SolveOutcome:
+    """One solve's status and, only where it is Optimal, its solution: x,
+    the objective, HiGHS's row activity A x, an LP's row duals (y with c =
+    A'y + the reduced costs; none for a MIP) and a MIP's dual bound and node
+    count. From solve_lp and solve_mip up, in the model's sense."""
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
     bound: float | None = None            # best dual bound from a MIP solve
     mip_node_count: int | None = None     # HiGHS's branch-and-bound nodes of a MIP
     row_activity: np.ndarray | None = None    # A x, HiGHS's row values
+    row_dual: np.ndarray | None = None        # an LP's row duals, model row order
 
     @property
     def is_optimal(self) -> bool:
@@ -403,9 +411,9 @@ _LP_OPTIONS = {"log_to_console": False, "output_flag": False, "highs_debug_level
 
 def _highs(a: HighsArrays, options: dict) -> SolveOutcome:
     """Solve a by one fresh HiGHS model: the outcome in a's min sense, with
-    x, the objective, the row activity and a MIP's dual bound and node count
-    only where it is Optimal; a model HiGHS refuses is Numerical, and so is
-    an optimum of a run that errs."""
+    x, the objective, the row activity, an LP's row duals and a MIP's dual
+    bound and node count only where it is Optimal; a model HiGHS refuses is
+    Numerical, and so is an optimum of a run that errs."""
     h = _Highs()
     for key, value in options.items():
         if h.setOptionValue(key, value) == _ERROR:
@@ -422,7 +430,8 @@ def _highs(a: HighsArrays, options: dict) -> SolveOutcome:
     info, solution = h.getInfo(), h.getSolution()
     mip = (info.mip_dual_bound, info.mip_node_count) if a.integrality.any() else (None, None)
     return SolveOutcome(OPTIMAL, info.objective_function_value, np.array(solution.col_value),
-                        *mip, np.array(solution.row_value))
+                        *mip, np.array(solution.row_value),
+                        np.array(solution.row_dual) if solution.dual_valid else None)
 
 
 def linprog(lp: HighsArrays, options=None) -> SolveOutcome:
@@ -454,14 +463,16 @@ def milp(mip: HighsArrays, options=None) -> SolveOutcome:
 
 def _restated(model: LinearModel, out: SolveOutcome) -> SolveOutcome:
     """out, an outcome of the model's HiGHS arrays, in the model's sense:
-    the objective from the model, the bound negated for a max; a stop on a
-    limit raises SolveTimeLimit instead."""
+    the objective from the model, the bound and the row duals negated for a
+    max; a stop on a limit raises SolveTimeLimit instead."""
     if out.status == TIME_LIMIT:
         raise SolveTimeLimit(f"{model.name}: HiGHS stopped on its time limit")
     if not out.is_optimal:
         return out
-    bound = out.bound if out.bound is None or model.sense == "min" else -out.bound
-    return replace(out, objective=model.objective_value(out.x), bound=bound)
+    if model.sense == "max":
+        out = replace(out, bound=None if out.bound is None else -out.bound,
+                      row_dual=None if out.row_dual is None else -out.row_dual)
+    return replace(out, objective=model.objective_value(out.x))
 
 
 def solve_lp(model: LinearModel) -> SolveOutcome:
@@ -535,29 +546,36 @@ def solve_copies(name: str, A, senses, rhs: np.ndarray, lb, ub, cost
     copies, so one failing copy of K costs about 2 log2 K LPs. Copies that
     share one feasible set (one lb, one ub, equal rhs rows) differ only in
     cost, so an Infeasible LP of them is every copy's status at once. No
-    copies, no LP."""
+    copies, no LP.
+
+    The runs and their halves wait on one explicit stack, first half on
+    top, so the LPs come in the order of a depth-first recursion and the
+    call leaves no reference cycle behind. Where one Optimal LP covers
+    every copy, x is HiGHS's own array, reshaped."""
     K, n = len(rhs), np.shape(cost)[-1]
     # written as each run ends, not while HiGHS holds its working set;
     # "Infeasible" is the longest status
-    status, x = np.empty(K, dtype="<U10"), np.empty((K, n))
+    status, x = np.empty(K, dtype="<U10"), None
     shared = np.ndim(lb) < 2 and np.ndim(ub) < 2
-
-    def solve(lo: int, hi: int) -> None:
+    cap = max(1, int(_COPIES_NONZEROS // max(1, A[2].size if isinstance(A, tuple)
+                                             else np.count_nonzero(A))))
+    stack = [(lo, min(lo + cap, K)) for lo in range(0, K, cap)][::-1]
+    while stack:
+        lo, hi = stack.pop()
         out = solve_lp(copies_lp(name, A, senses, rhs[lo:hi], *(
             a[lo:hi] if np.ndim(a) == 2 else a for a in (lb, ub, cost))))
+        if out.is_optimal and hi - lo == K:
+            status[:], x = OPTIMAL, out.x.reshape(K, n)
+            continue
+        x = np.empty((K, n)) if x is None else x
         if out.is_optimal:
             status[lo:hi], x[lo:hi] = OPTIMAL, out.x.reshape(hi - lo, n)
         elif hi - lo == 1 or (out.status == INFEASIBLE and shared
                               and (rhs[lo:hi] == rhs[lo]).all()):
             status[lo:hi], x[lo:hi] = out.status, np.nan
         else:
-            solve(lo, (lo + hi) // 2)
-            solve((lo + hi) // 2, hi)
-
-    cap = max(1, int(_COPIES_NONZEROS // max(1, A[2].size if isinstance(A, tuple)
-                                             else np.count_nonzero(A))))
-    for lo in range(0, K, cap):
-        solve(lo, min(lo + cap, K))
+            stack += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+    x = np.empty((0, n)) if x is None else x
     value = x @ cost if np.ndim(cost) < 2 else np.einsum("kn,kn->k", x, cost)
     return status, np.select([status == OPTIMAL, status == INFEASIBLE, status == UNBOUNDED],
                              [value, np.inf, -np.inf], np.nan), x

@@ -24,7 +24,9 @@ Each max-min question has one function:
 The audits: one LP at the witness (audited_dual_lp, "_polish") audits the
 screen's value on every path through the network MIP or the extended
 problem; sp2's vertex-dual and split-identity audits run on every path of
-sp2, the screen's worst case included; sp4's value is not audited.
+sp2, the screen's worst case included, as arithmetic on the enumeration's
+row duals and vertices where it answered, else by LPs; sp4's value is not
+audited.
 
 An optimality block (build_optimality_block) holds an LP over U(x) at an
 optimum of its cost row, x being model columns, by primal and dual
@@ -39,6 +41,7 @@ a set over its unbounded outer columns and so gets "kkt", all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,42 +93,78 @@ def maxmin_from_instance(inst: Instance, x: np.ndarray) -> MaxMinProblem:
 class MaxMinResult:
     """A max-min's optimum and the outer point attaining it; a route whose
     MIP or enumeration LP does not end as it must raises BackendError
-    naming that model instead."""
+    naming that model instead. The enumeration route (enumerate_outer) also
+    gives pi, the row duals of the inner LP at that point, a vertex of its
+    dual polyhedron, and vertices, the outer points it valued; the KKT and
+    product routes give neither."""
     value: float
     outer: np.ndarray
+    pi: np.ndarray | None = None
+    vertices: np.ndarray | None = None
 
 
 # -- parametric LP over U(x) ---------------------------------------------------
 
 @dataclass
 class ParametricLPResult:
-    u: np.ndarray
-    basis: BasisId
-    reduced_costs: np.ndarray     # over standard-form columns (u then slacks)
-    value: float
-    cost_row: np.ndarray          # standard-form objective (u costs, zeros)
-    beta: np.ndarray              # the beta it was solved at
+    """The optimum u and value of max{c_u'u : u in U(x)}, U(x) = {u >= 0 :
+    Fx u <= rhs}, with cost_row the standard-form objective (c_u, zeros)
+    over (u, slacks) and beta the seed it was solved at.
 
-
-def lp_parametric(inst: Instance, x: np.ndarray,
-                  beta: np.ndarray) -> ParametricLPResult:
-    """max{(-E u)' beta : u in U(x)} with a deterministic basis report.
-
-    The solver supplies an optimal point; the basis is rebuilt here over the
-    standard form [F(x) | I] from the positive support, completed with slack
-    columns (_complete_basis), then pivoted to one that prices out
+    basis and reduced_costs are rebuilt from u on first read: over the
+    standard form [F(x) | I] from the positive support, completed with
+    slack columns (_complete_basis), then pivoted to one that prices out
     (_pivot_to_dual_feasible). Duals and reduced costs come from that basis
     directly, so the report does not depend on which optimal basis HiGHS
     stopped at. At a degenerate vertex the slack completion keeps the zero
     coordinates of u nonbasic, so the basis stays feasible at first stages
-    where a zero coordinate made basic would leave U(x), and a basis cutting
-    set built from it binds there: on pm_uk8 at 56 of 56 first stages,
-    against 6 of 56 for a lowest-index completion.
-    """
+    where a zero coordinate made basic would leave U(x), and a basis
+    cutting set built from it binds there: on pm_uk8 at 56 of 56 first
+    stages, against 6 of 56 for a lowest-index completion. Only the basis
+    and parametric-modified cuts read them (ccg.MasterState.cut)."""
+    u: np.ndarray
+    value: float
+    cost_row: np.ndarray
+    beta: np.ndarray
+    Fx: np.ndarray
+    rhs: np.ndarray
+
+    @cached_property
+    def basis(self) -> BasisId:
+        A, z = self._standard_form()
+        scale = max(1.0, float(np.abs(z).max()))
+        support = [j for j in range(z.size) if z[j] > 1e-9 * scale]
+        return BasisId(tuple(_pivot_to_dual_feasible(A, self.cost_row, z,
+                                                     _complete_basis(A, support))))
+
+    @cached_property
+    def reduced_costs(self) -> np.ndarray:
+        """Over the standard-form columns (u then slacks)."""
+        return _basis_prices(self._standard_form()[0], self.cost_row,
+                             list(self.basis.indices))[1]
+
+    def _standard_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """[F(x) | I] and the point (u, slacks)."""
+        return (np.hstack([self.Fx, np.eye(self.Fx.shape[0])]),
+                np.concatenate([self.u, self.rhs - self.Fx @ self.u]))
+
+
+def lp_parametric(inst: Instance, x: np.ndarray, beta: np.ndarray,
+                  vertices: np.ndarray | None = None) -> ParametricLPResult:
+    """max{(-E u)' beta : u in U(x)}: from the listed vertices of U(x) where
+    given, as the first of them attaining the largest value, with no LP;
+    else from one LP ("lp_parametric"), HiGHS's optimal point. Its basis
+    and reduced costs follow on first read (ParametricLPResult)."""
     beta = np.asarray(beta, dtype=float)
     Fx, rhs = inst.U.at(x)
     mu, n = Fx.shape
     c_u = -(inst.Y.E.T @ beta)
+    c_full = np.concatenate([c_u, np.zeros(mu)])
+    if vertices is not None:
+        values = vertices @ c_u
+        k = int(np.argmax(values))
+        return ParametricLPResult(u=vertices[k], value=float(values[k]), cost_row=c_full,
+                                  beta=beta, Fx=Fx, rhs=rhs)
 
     out = backend.solve_lp(max_lp(Fx, rhs, c_u, "lp_parametric"))
     if out.status == backend.INFEASIBLE:
@@ -134,20 +173,8 @@ def lp_parametric(inst: Instance, x: np.ndarray,
         raise BackendError("U(x) is unbounded: boundedness assumption violated")
     if not out.is_optimal:
         raise BackendError(f"parametric LP ended {out.status}")
-
-    u_star = out.x[:n]
-    slack = rhs - Fx @ u_star
-    A = np.hstack([Fx, np.eye(mu)])
-    z = np.concatenate([u_star, slack])
-    scale = max(1.0, float(np.abs(z).max()))
-    support = [j for j in range(n + mu) if z[j] > 1e-9 * scale]
-    basis_cols = _complete_basis(A, support)
-    c_full = np.concatenate([c_u, np.zeros(mu)])
-    basis_cols = _pivot_to_dual_feasible(A, c_full, z, basis_cols)
-    _, rc = _basis_prices(A, c_full, basis_cols)
-    return ParametricLPResult(u=u_star, basis=BasisId(tuple(basis_cols)),
-                              reduced_costs=rc, value=float(out.objective),
-                              cost_row=c_full, beta=beta)
+    return ParametricLPResult(u=out.x[:n], value=float(out.objective), cost_row=c_full,
+                              beta=beta, Fx=Fx, rhs=rhs)
 
 
 def _basis_prices(A: np.ndarray, c: np.ndarray, cols: list[int]
@@ -242,7 +269,8 @@ def check_inner_feasibility(problem: MaxMinProblem
     outer set is served, and so is the whole set:
     the z where the inner LP is feasible form a convex set (the projection
     of a polyhedron) holding every vertex. The answer is then (0, worst
-    point, worst result).
+    point, worst result), the result with the worst copy's row duals and
+    the listed points, which sp2 reads in place of LPs of its own.
     Otherwise (worst None) the dual of the inner LP is max{(d - B_x z)' pi :
     pi in Pi_1}, with Pi_1 = {0 <= pi <= 1, B_y' pi <= 0}. When B_y has
     network columns and every z_j that the objective reads has a finite
@@ -341,9 +369,13 @@ def enumerate_outer(problem: MaxMinProblem) -> MaxMinResult | None:
     vertex of the outer set (the inner value is convex in the outer point):
     the largest inner value and the first point attaining it, from one LP
     ("<name>_enum") of a copy of the inner LP per point (backend.copies_lp).
-    None where it lists none or the inner LP has no columns (sp4's under an
-    all-integer recourse; the KKT MIP takes it); BackendError where the list
-    is empty, _EnumerationFailed where the LP does not end Optimal."""
+    The result also carries that copy's row duals as pi, an optimum of the
+    inner LP's dual at the point and a basic one, so a vertex of {pi >= 0 :
+    B_y' pi <= c_y} (None where HiGHS gives no duals), and the listed
+    points as vertices. None where it lists
+    none or the inner LP has no columns (sp4's under an all-integer
+    recourse; the KKT MIP takes it); BackendError where the list is empty,
+    _EnumerationFailed where the LP does not end Optimal."""
     points = None if problem.B_y.shape[1] == 0 else binary_vertices(
         problem.A_out, problem.b_out, problem.n_int_out)
     if points is None:
@@ -357,8 +389,9 @@ def enumerate_outer(problem: MaxMinProblem) -> MaxMinResult | None:
     if not out.is_optimal:
         raise _EnumerationFailed(f"{name} ended {out.status}")
     values = out.x.reshape(len(points), -1) @ problem.c_y
-    k = int(np.argmax(values))
-    return MaxMinResult(value=float(values[k]), outer=points[k])
+    k, m = int(np.argmax(values)), problem.B_y.shape[0]
+    pi = None if out.row_dual is None else out.row_dual[k * m:(k + 1) * m].copy()
+    return MaxMinResult(value=float(values[k]), outer=points[k], pi=pi, vertices=points)
 
 
 def solve_maxmin_dual(problem: MaxMinProblem) -> MaxMinResult:
@@ -400,15 +433,21 @@ def audited_dual_lp(B_y: np.ndarray, c_y: np.ndarray, rhs: np.ndarray,
                     value: float, name: str) -> backend.SolveOutcome:
     """The optimum of the recourse dual max{rhs' pi : B_y' pi <= c_y, pi >= 0}
     at one outer point, whose value a max-min route claims: BackendError,
-    naming the LP, unless the LP ends Optimal within _AUDIT_TOL (relative)
-    of value."""
+    naming the LP, unless the LP ends Optimal and agrees with value
+    (audit_value)."""
     out = backend.solve_lp(max_lp(B_y.T, c_y, rhs, name))
     if not out.is_optimal:
         raise BackendError(f"{name} ended {out.status}")
-    if abs(out.objective - value) > _AUDIT_TOL * max(1.0, abs(value)):
-        raise BackendError(f"{name}: the max-min value {value:.10g} differs from "
-                           f"the LP value {out.objective:.10g} at its outer point")
+    audit_value(value, out.objective, name)
     return out
+
+
+def audit_value(value: float, lp_value: float, name: str) -> None:
+    """BackendError, naming the check, unless a max-min route's value is
+    within _AUDIT_TOL (relative) of the LP value at its outer point."""
+    if abs(lp_value - value) > _AUDIT_TOL * max(1.0, abs(value)):
+        raise BackendError(f"{name}: the max-min value {value:.10g} differs from "
+                           f"the LP value {lp_value:.10g} at its outer point")
 
 
 # -- optimality blocks ----------------------------------------------------------

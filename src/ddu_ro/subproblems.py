@@ -20,6 +20,7 @@ from .maxmin import (
     _AUDIT_TOL,
     ParametricLPResult,
     MaxMinResult,
+    audit_value,
     audited_dual_lp,
     check_inner_feasibility,
     lp_parametric,
@@ -63,27 +64,35 @@ def sp2(inst: Instance, x: np.ndarray, kind: str = "SP2",
     has one, stands for solve_maxmin_dual, which runs only after sp1 has
     found the recourse feasible; the audits below run either way.
 
-    pi is the simplex optimum of the recourse dual at the worst-case
-    scenario u*, a vertex of Pi: a max-min route's own pi may sit at its cap
-    on rows of zero weight, and seeds off the vertices of Pi need master
-    multipliers beyond any bound. Two audits follow: the max-min value must
-    equal that uncapped LP value (audited_dual_lp; a binding cap fails it),
-    and the split identity must hold: the value equals (d - B1 x)' pi plus
-    the parametric-LP value at pi, whose solve comes back as basis_result.
-    kind names the audit LP."""
+    pi is an optimal basic dual of the recourse at the worst-case scenario
+    u*, a vertex of Pi: a max-min route's own pi may sit at its cap on rows
+    of zero weight, and seeds off the vertices of Pi need master multipliers
+    beyond any bound. On the enumeration route it is the worst copy's row
+    duals (enumerate_outer), and sp2 solves no LP: pi must lie in Pi within
+    _PI_FEAS_TOL, unclipped, and the max-min value must equal the dual
+    objective (d - B1 x - E u*)' pi (audit_value). On the other routes pi is
+    the simplex optimum of the recourse dual LP at u* ("<kind>_vertex_dual",
+    audited_dual_lp), which holds both, a binding cap failing the second.
+    Then the split identity must hold: the value equals (d - B1 x)' pi plus
+    the parametric-LP value at pi (lp_parametric, over the enumerated
+    vertices where there are some, else its LP), which comes back as
+    basis_result."""
     problem = maxmin_from_instance(inst, x)
     res = worst if worst is not None else solve_maxmin_dual(problem)
-    pi = audited_dual_lp(problem.B_y, problem.c_y, problem.d - problem.B_x @ res.outer,
-                         res.value, f"{kind}_vertex_dual").x
+    rhs, name = problem.d - problem.B_x @ res.outer, f"{kind}_vertex_dual"
+    pi = res.pi if res.pi is not None else audited_dual_lp(
+        problem.B_y, problem.c_y, rhs, res.value, name).x
     infeas = _pi_violation(inst, pi)
     if infeas > _PI_FEAS_TOL:
         raise BackendError(f"returned dual violates its polyhedron by {infeas:.2e}")
+    if res.pi is not None:
+        audit_value(res.value, float(rhs @ pi), name)
 
     # the parametric LP relaxes any integrality on u, so the split identity
     # only holds when the uncertainty set is purely continuous
     if inst.U.n_int_u:
         return SubproblemReport(value=float(res.value), u=res.outer, pi=pi)
-    lp_res = lp_parametric(inst, x, pi)
+    lp_res = lp_parametric(inst, x, pi, res.vertices)
     audit = abs(res.value - (float((inst.Y.d - inst.Y.B1 @ x) @ pi) + lp_res.value))
     if audit > _AUDIT_TOL * max(1.0, abs(res.value)):
         raise BackendError(f"split identity violated by {audit:.2e}: "

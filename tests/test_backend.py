@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import warnings
 from dataclasses import dataclass
@@ -416,6 +417,40 @@ def test_a_failing_copy_narrows_the_lp_by_halves(monkeypatch):
     assert x[~failed, 1] == pytest.approx(toy[3][~failed, 0])
     assert value.tolist() == np.where(failed, np.inf, x[:, 1]).tolist()
     assert sizes == [16, 8, 8, 4, 2, 2, 1, 1, 4]
+
+
+@pytest.mark.parametrize("halving", [False, True], ids=["plain", "halving"])
+def test_solve_copies_leaves_no_garbage_cycle(halving):
+    # every array of a call is freed on return by reference counting, not
+    # held in a cycle until the cyclic collector runs
+    name, A, senses, rhs, lb, ub, cost = _halving_toy()
+    if not halving:
+        rhs = rhs.copy()
+        rhs[11, 0] = 0.5
+    backend.solve_copies(name, A, senses, rhs, lb, ub, cost)
+    gc.collect()
+    gc.disable()
+    try:
+        status, _, _ = backend.solve_copies(name, A, senses, rhs, lb, ub, cost)
+        assert (status == backend.INFEASIBLE).sum() == int(halving)
+        del status
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_one_optimal_run_returns_highs_x_as_it_is(monkeypatch):
+    real, xs = backend.solve_lp, []
+
+    def kept(model):
+        out = real(model)
+        xs.append(out.x)
+        return out
+
+    monkeypatch.setattr(backend, "solve_lp", kept)
+    name, A, senses, rhs, lb, ub, cost = _halving_toy()
+    _, _, x = backend.solve_copies(name, A, senses, rhs[:8], lb, ub, cost)
+    assert len(xs) == 1 and x.shape == (8, 2) and np.shares_memory(x, xs[0])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -802,15 +802,43 @@ def test_runs_on_one_instance_derive_its_lattice_and_relaxation_once(monkeypatch
         assert res.meta["relaxation_value"] == fresh.meta["relaxation_value"]
 
 
-def test_parametric_modified_solves_the_parametric_lp_once_per_sp2_call(monkeypatch):
+def test_parametric_modified_solves_no_parametric_lp_on_the_enumeration_route(monkeypatch):
     # MasterState.cut perturbs the cost row of sp2's parametric LP at its
-    # seed rather than solving that LP again
+    # seed rather than solving that LP again, and sp2 takes that LP's
+    # optimum from the vertices its enumeration listed, so no sp2 call
+    # solves it either
     lps, real, sp2_calls = record_linprog(monkeypatch), ccg.sp2, []
     monkeypatch.setattr(ccg, "sp2", lambda *a, **kw: sp2_calls.append(a) or real(*a, **kw))
     res = run(_pm8(), AlgorithmConfig(variant="parametric-modified"))
     assert (res.status, res.n_iterations) == ("Optimal", 6)
     assert res.objective == pytest.approx(PM8_W, rel=1e-9)
-    assert sum(c[0] == "lp_parametric" for c in lps) == len(sp2_calls) == 6
+    assert len(sp2_calls) == 6
+    assert sum(c[0] == "lp_parametric" for c in lps) == 0
+
+
+@pytest.mark.parametrize("variant", ["parametric", "benders", "basis"])
+def test_a_worst_case_on_pm_uk8_costs_one_enumeration_lp(monkeypatch, variant):
+    # sp1's enumeration LP is the iteration's one worst-case LP: sp2 takes
+    # its duals and vertices, so no vertex dual LP and no parametric LP runs
+    inst, sp1_calls, real = _pm8(), [], ccg.sp1
+    lps = record_linprog(monkeypatch)
+    monkeypatch.setattr(ccg, "sp1", lambda *a: sp1_calls.append(a) or real(*a))
+    res = run(inst, AlgorithmConfig(variant=variant))
+    assert res.status == "Optimal" and res.objective == pytest.approx(PM8_W, rel=1e-9)
+    names = [c[0].removeprefix(inst.name) for c in lps]
+    assert not {"SP2_vertex_dual", "lp_parametric"} & set(names)
+    assert names.count("_wc_enum") == len(sp1_calls) >= res.n_iterations - 1
+
+
+def test_only_basis_cuts_rebuild_a_parametric_basis(monkeypatch):
+    # benders and parametric read sp2's parametric LP for its value alone
+    calls, real = [], maxmin._complete_basis
+    monkeypatch.setattr(maxmin, "_complete_basis",
+                        lambda *a: calls.append(1) or real(*a))
+    for variant, rebuilt in (("benders", False), ("parametric", False), ("basis", True)):
+        calls.clear()
+        assert run(_pm8(), AlgorithmConfig(variant=variant)).status == "Optimal"
+        assert bool(calls) == rebuilt
 
 
 def test_a_run_at_another_big_m_derives_the_relaxation_again(monkeypatch):

@@ -699,6 +699,108 @@ def test_sp2_audit_catches_an_understated_enumerated_value(monkeypatch):
         sp2(inst, _open_sites(inst, (0, 2, 4)))
 
 
+def _sample(inst: Instance) -> np.ndarray:
+    # about six first stages spread over the lattice
+    xs = lattice_first_stages(inst)
+    return xs[::max(1, len(xs) // 6)]
+
+
+@pytest.mark.parametrize("n_sites", [6, 8])
+def test_sp2_seeds_with_the_enumeration_lps_duals(monkeypatch, n_sites):
+    # sp2's one LP is the enumeration's, and the worst copy's row duals are
+    # the vertex dual LP's optimum at the worst point, to the bit
+    inst = _pm_uk(n_sites)
+    lps = record_linprog(monkeypatch)
+    for x in _sample(inst):
+        lps.clear()
+        r = sp2(inst, x)
+        assert [c[0] for c in lps] == [f"{inst.name}_wc_enum"]
+        problem = maxmin_from_instance(inst, x)
+        ref = maxmin.audited_dual_lp(problem.B_y, problem.c_y,
+                                     problem.d - problem.B_x @ r.u, r.value, "ref").x
+        assert np.array_equal(r.pi, ref)
+        assert r.basis_result.value == pytest.approx(
+            float(-(inst.Y.E.T @ r.pi) @ r.basis_result.u), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_sites", [6, 8])
+def test_the_enumerated_dual_is_a_vertex_of_pi(n_sites):
+    # the rows of B2' pi <= c2 and of pi >= 0 that pi holds at equality
+    # have rank m
+    inst = _pm_uk(n_sites)
+    B2t, c2, m = inst.Y.B2.T, inst.Y.c2, inst.Y.n_rows
+    for x in _sample(inst):
+        pi = sp2(inst, x).pi
+        tol = 1e-9 * max(1.0, float(np.abs(c2).max()), float(np.abs(pi).max()))
+        active = np.vstack([B2t[np.abs(B2t @ pi - c2) <= tol], np.eye(m)[np.abs(pi) <= tol]])
+        assert np.linalg.matrix_rank(active) == m
+
+
+@pytest.mark.parametrize("move", ["a negative entry", "past B2' pi <= c2"])
+def test_sp2_refuses_enumerated_duals_off_pi(monkeypatch, move):
+    # no clipping: a dual off its polyhedron is an error, whatever its sign
+    enumerate_outer = maxmin.enumerate_outer
+
+    def moved(problem):
+        res = enumerate_outer(problem)
+        pi = res.pi.copy()
+        if move == "a negative entry":
+            pi[np.flatnonzero(pi == 0.0)[0]] = -1e-3
+        else:
+            pi *= 1.01
+        return replace(res, pi=pi)
+
+    monkeypatch.setattr(maxmin, "enumerate_outer", moved)
+    inst = _pm_uk(6)
+    with pytest.raises(BackendError, match="returned dual violates its polyhedron"):
+        sp2(inst, _open_sites(inst, (0, 2, 4)))
+
+
+def test_sp2_without_enumerated_duals_solves_the_vertex_dual_lp(monkeypatch):
+    # where the enumeration brings no duals, sp2 takes the LP route's seed
+    # and still reads the parametric optimum off the listed vertices
+    inst = _pm_uk(6)
+    x = _open_sites(inst, (0, 2, 4))
+    ref = sp2(inst, x)
+    enumerate_outer = maxmin.enumerate_outer
+    monkeypatch.setattr(maxmin, "enumerate_outer",
+                        lambda problem: replace(enumerate_outer(problem), pi=None))
+    lps = record_linprog(monkeypatch)
+    got = sp2(inst, x)
+    assert [c[0] for c in lps] == [f"{inst.name}_wc_enum", "SP2_vertex_dual"]
+    assert np.array_equal(got.pi, ref.pi) and got.value == ref.value
+    assert np.array_equal(got.basis_result.u, ref.basis_result.u)
+
+
+def _eager_basis(inst: Instance, x: np.ndarray, u: np.ndarray, cost_row: np.ndarray):
+    # the basis and reduced costs as lp_parametric built them on every call
+    Fx, rhs = inst.U.at(x)
+    mu, n = Fx.shape
+    A = np.hstack([Fx, np.eye(mu)])
+    z = np.concatenate([u, rhs - Fx @ u])
+    scale = max(1.0, float(np.abs(z).max()))
+    support = [j for j in range(n + mu) if z[j] > 1e-9 * scale]
+    cols = maxmin._pivot_to_dual_feasible(A, cost_row, z, maxmin._complete_basis(A, support))
+    return BasisId(tuple(cols)), maxmin._basis_prices(A, cost_row, cols)[1]
+
+
+@pytest.mark.parametrize("n_sites", [6, 8])
+def test_the_lazy_basis_is_the_eager_one(n_sites):
+    # from sp2's vertices or from the LP, the basis and reduced costs read
+    # on demand are the ones built at once, and are built once
+    inst = _pm_uk(n_sites)
+    for x in _sample(inst):
+        r = sp2(inst, x)
+        lp = lp_parametric(inst, x, r.pi)
+        for got in (r.basis_result, lp):
+            assert "basis" not in vars(got)
+            basis, rc = _eager_basis(inst, x, got.u, got.cost_row)
+            assert got.basis == basis and np.array_equal(got.reduced_costs, rc)
+            assert got.basis is got.basis
+        assert np.array_equal(r.basis_result.u, lp.u)
+        assert r.basis_result.basis == lp.basis
+
+
 # -- network route of the feasibility check ------------------------------------
 
 def test_network_column_check():
