@@ -80,20 +80,22 @@ _RELAXATION_ENTRIES = 1e5
 
 @dataclass
 class AlgorithmConfig:
-    """Knobs of one solver run.
+    """Knobs of one solver run, each with who needs a non-default value:
 
-    cut_mode None picks the variant default: split for benders (its cuts are
-    scalar rows with nothing to unify), unified for the replicate masters.
-    The basis variant's cutting sets have no cut mode. run holds big_M in
-    backend for the run's length (backend.big_m), as it holds time_limit_s
-    (backend.deadline); an infinite time_limit_s sets no limit.
+    variant: the paper's comparison of master flavors (VARIANTS), `ddu-ro compare`;
+    tol: a run that proves a reference value (finer) or a quick study;
+    time_limit_s: a caller with a budget (held as backend.deadline; inf: none);
+    big_M: data whose bounds pass the default (held as backend.big_m);
+    pareto: a run of the paper's Pareto-optimal seeds, in the exact loop;
+    mip_recourse_mode: an instance with integer recourse;
+    diu_approx: a decision-independent set bracketed by DDU surrogates;
+    max_iterations: a study that stops the loop early.
     """
 
     variant: str = "parametric"
     tol: float = 1e-3
     time_limit_s: float = 3600.0
     big_M: float = backend.DEFAULT_BIG_M
-    cut_mode: str | None = None
     pareto: bool = False
     mip_recourse_mode: bool = False
     diu_approx: list[UncertaintySet] | str | None = None
@@ -102,12 +104,6 @@ class AlgorithmConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.cut_mode not in (None, "split", "unified"):
-            raise ValueError(f"unknown cut_mode {self.cut_mode!r}")
-        if self.variant == "benders" and self.cut_mode == "unified":
-            raise ValueError("scalar dual cuts have no recourse replicate to unify")
-        if self.variant == "basis" and self.cut_mode is not None:
-            raise ValueError("basis cutting sets have no cut_mode")
         # written so that nan fails each test
         if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
@@ -117,12 +113,6 @@ class AlgorithmConfig:
             raise ValueError("time_limit_s must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-
-    @property
-    def unified(self) -> bool:
-        if self.cut_mode is not None:
-            return self.cut_mode == "unified"
-        return self.variant != "benders"
 
 
 class _OffLattice(Exception):
@@ -375,10 +365,10 @@ class MasterState:
                     for lp in (basis_lp, at_seed)
                     if lp is not None and lp.basis not in self.basis_seeds]
             return "basis", tags[-1] if tags else ""
-        cost_row = None if at_seed is None else ensure_unique_optimum(inst, x, at_seed)
-        kind = "feasibility" if is_ray else "optimality"
-        return ("unified" if cfg.unified else kind,
-                self.add_seed(beta, is_ray, cost_row))
+        cost_row = None if at_seed is None else ensure_unique_optimum(at_seed)
+        kind = ("unified" if cfg.variant != "benders"
+                else "feasibility" if is_ray else "optimality")
+        return kind, self.add_seed(beta, is_ray, cost_row)
 
 
 def _vector_seen(pool: list[np.ndarray], v: np.ndarray, tol: float) -> bool:
@@ -399,8 +389,9 @@ def _add_dual_seed(state: MasterState, cut: _Cut) -> None:
     Scalar point pi:  eta >= pi'd - pi'B1 x - pi'E u,  u optimal for LP(x, pi).
     Scalar ray gamma: 0 >= gamma'd - gamma'B1 x - gamma'E v, v optimal for
     LP(x, gamma), which excludes exactly the x whose recourse gamma certifies
-    infeasible.  A replicate gets eta >= c2'y for points, or always in
-    unified mode.
+    infeasible.  A replicate gets eta >= c2'y for points and rays alike
+    (the unified cut): where gamma certifies x infeasible the replicate's
+    rows have no solution, and elsewhere its eta row is a valid bound.
     """
     cfg, Y, model = state.config, state.inst.Y, state._model
     beta = cut.seed
@@ -410,15 +401,14 @@ def _add_dual_seed(state: MasterState, cut: _Cut) -> None:
         row = (np.concatenate([-(Y.E.T @ beta), np.zeros(U_l.n_rows)])
                if cut.cost_row is None else cut.cost_row)
         blk = build_optimality_block(model, U_l, row, state.x_ids)
-        eta = [] if cut.is_ray and not cfg.unified else [([state.eta_id], [[1.0]])]
         if cfg.variant == "benders":
+            eta = [] if cut.is_ray else [([state.eta_id], [[1.0]])]
             model.add_rows([(state.x_ids, Y.B1.T @ beta), (blk.u_ids, Y.E.T @ beta),
                             *eta], GEQ, [Y.d @ beta])
         else:
             y_ids = add_recourse_vars(model, Y)
             add_recourse_rows(model, Y, y_ids, state.x_ids, blk.u_ids)
-            if eta:
-                model.add_rows([*eta, (y_ids, -Y.c2[None])], GEQ, [0.0])
+            model.add_rows([([state.eta_id], [[1.0]]), (y_ids, -Y.c2[None])], GEQ, [0.0])
         state.blocks[tag] = blk
 
 
@@ -657,7 +647,7 @@ def _ccg_loop(inst: Instance, config: AlgorithmConfig, mode: str,
     feas_tol = _FEAS_TOL * max(1.0, float(np.abs(inst.Y.d).max(initial=0.0)))
 
     state = MasterState(inst, config, ou_sets=ddu_sets)
-    meta: dict = {"mode": mode, "cut_mode": "unified" if config.unified else "split"}
+    meta: dict = {"mode": mode}
     records: list[IterationRecord] = []
     lb, ub = -np.inf, np.inf
     incumbent: np.ndarray | None = None

@@ -55,7 +55,6 @@ def _add_algorithm_flags(p: argparse.ArgumentParser) -> None:
                    help="wall clock budget in seconds (default %(default)s)")
     p.add_argument("--big-m", type=float, default=_DEFAULTS.big_M,
                    help="linearization constant (default %(default)s)")
-    p.add_argument("--cut-mode", choices=("split", "unified"), default=None)
     p.add_argument("--pareto", action="store_true",
                    help="strengthen cut scenarios against a reference point")
     p.add_argument("--mip-recourse", action="store_true",
@@ -137,8 +136,7 @@ def _config_from(args, inst: Instance) -> AlgorithmConfig:
             diu = uncertainty_sets_from_list(json.load(fh), diu, inst.dim_x, inst.U.dim)
     return AlgorithmConfig(variant=args.variant, tol=args.tol,
                            time_limit_s=args.time_limit, big_M=args.big_m,
-                           cut_mode=args.cut_mode, pareto=args.pareto,
-                           mip_recourse_mode=args.mip_recourse,
+                           pareto=args.pareto, mip_recourse_mode=args.mip_recourse,
                            diu_approx=diu, max_iterations=args.max_iterations)
 
 

@@ -19,10 +19,11 @@ the first dropping assignments without completion, and one LP over every
 one shortfall LP over their first vertices, which drops the x whose first
 vertex has no recourse (not narrowed: where it is not Optimal,
 recourse_value decides each pair), and one LP over every other (x, vertex)
-pair (worst_case_values). It shares nothing with the cutting-plane
-machinery beyond the LP/MIP primitives and the instance's lattice, which
+pair (worst_case_values). It shares two things with the cutting-plane
+machinery beyond the LP/MIP primitives: the instance's lattice, which
 lattice_first_stages derives once per instance for the oracle and every
-lattice master.
+lattice master, and recourse_value, which the mixed-integer recourse loop
+reprices each incumbent by (subproblems.recourse_mip_at).
 """
 
 from __future__ import annotations

@@ -546,27 +546,26 @@ def perturb_for_uniqueness(cost_row: np.ndarray, basis: BasisId,
     return c
 
 
-def ensure_unique_optimum(inst: Instance, x: np.ndarray, base: ParametricLPResult
-                          ) -> np.ndarray:
-    """The cost row of base, the parametric LP at x (lp_parametric), with a
-    verified uniqueness perturbation.
+def ensure_unique_optimum(base: ParametricLPResult) -> np.ndarray:
+    """The cost row of base, a parametric LP over U(x) (lp_parametric), with
+    a verified uniqueness perturbation.
 
     Lowering the costs of the nonbasic columns with zero reduced cost keeps
     the basis optimal and gives each reduced cost -epsilon, so a smaller
-    epsilon could not pass a check this one fails. The check re-solves with
-    the perturbed costs: the vertex must stay optimal with strictly negative
-    reduced costs on every nonbasic column, else BackendError.
+    epsilon could not pass a check this one fails. The check re-solves over
+    base's own U(x) with the perturbed costs: the vertex must stay optimal
+    with strictly negative reduced costs on every nonbasic column, else
+    BackendError.
     """
     eps = 1e-4 * max(1.0, float(np.abs(base.cost_row).max()))
     c_hat = perturb_for_uniqueness(base.cost_row, base.basis, base.reduced_costs, eps)
-    if not _perturbation_is_clean(inst, x, base, c_hat):
+    if not _perturbation_is_clean(base, c_hat):
         raise BackendError("uniqueness perturbation failed to isolate the vertex")
     return c_hat
 
 
-def _perturbation_is_clean(inst: Instance, x: np.ndarray,
-                           base: ParametricLPResult, c_hat: np.ndarray) -> bool:
-    Fx, rhs = inst.U.at(x)
+def _perturbation_is_clean(base: ParametricLPResult, c_hat: np.ndarray) -> bool:
+    Fx, rhs = base.Fx, base.rhs
     mu, n = Fx.shape
     out = backend.solve_lp(max_lp(Fx, rhs, c_hat[:n], "perturb_check"))
     if not out.is_optimal:

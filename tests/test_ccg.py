@@ -222,49 +222,34 @@ def test_pareto_selection_reaches_the_same_optimum():
         assert res.objective == pytest.approx(FLT_W, rel=1e-9)
 
 
-def test_split_mode_matches_unified():
-    split = run(_flt(), AlgorithmConfig(variant="parametric", tol=0.0,
-                                        cut_mode="split"))
-    assert split.status == "Optimal"
-    assert split.objective == pytest.approx(FLT_W, rel=1e-9)
-    kinds = {r.cut_kind for r in split.iterations}
-    assert "optimality" in kinds and "feasibility" in kinds
-
-
 # "cut_kind seed_id" per iteration of runs that all end Optimal: which cut
-# each variant adds, and when, under both cut modes and stabilization.  The
-# basis variant rejects the flt instance up front.
+# each variant adds, and when, with and without stabilization.  The basis
+# variant rejects the flt instance up front.
 _REPEAT, _GAP = "none repeat-first-stage", "none gap"
 _TRAJECTORIES = {
-    ("t1", "benders", None, False): ["optimality p0", _REPEAT],
-    ("t1", "benders", None, True): ["optimality p0", _REPEAT],
-    ("t1", "parametric", None, False): ["unified p0", _REPEAT],
-    ("t1", "parametric", None, True): ["unified p0", _REPEAT],
-    ("t1", "parametric", "split", False): ["optimality p0", _REPEAT],
-    ("t1", "parametric", "split", True): ["optimality p0", _REPEAT],
-    ("t1", "parametric-modified", None, False): ["unified p0", _REPEAT],
-    ("t1", "parametric-modified", None, True): ["unified p0", _REPEAT],
-    ("t1", "basis", None, False): ["basis b0", _REPEAT],
-    ("t1", "basis", None, True): ["basis b0", _REPEAT],
-    ("flt", "benders", None, False): ["feasibility r0", "optimality p0", _REPEAT],
-    ("flt", "benders", None, True): ["feasibility r0", "optimality p0", _REPEAT],
-    ("flt", "parametric", None, False): ["unified r0", _GAP],
-    ("flt", "parametric", None, True): ["unified r0", _GAP],
-    ("flt", "parametric", "split", False): ["feasibility r0", "optimality p0", _REPEAT],
-    ("flt", "parametric", "split", True): ["feasibility r0", "optimality p0", _REPEAT],
-    ("flt", "parametric-modified", None, False): ["unified r0", _GAP],
-    ("flt", "parametric-modified", None, True): ["unified r0", _GAP],
-    ("uk5", "benders", None, False): [f"optimality p{k}" for k in range(4)] + [_REPEAT],
-    ("uk5", "benders", None, True): [f"optimality p{k}" for k in range(5)] + [_REPEAT],
-    ("uk5", "parametric", None, False): ["unified p0", _REPEAT],
-    ("uk5", "parametric", None, True): ["unified p0", _REPEAT],
-    ("uk5", "parametric", "split", False): ["optimality p0", _REPEAT],
-    ("uk5", "parametric", "split", True): ["optimality p0", _REPEAT],
-    ("uk5", "parametric-modified", None, False): ["unified p0", _REPEAT],
-    ("uk5", "parametric-modified", None, True): ["unified p0", _REPEAT],
+    ("t1", "benders", False): ["optimality p0", _REPEAT],
+    ("t1", "benders", True): ["optimality p0", _REPEAT],
+    ("t1", "parametric", False): ["unified p0", _REPEAT],
+    ("t1", "parametric", True): ["unified p0", _REPEAT],
+    ("t1", "parametric-modified", False): ["unified p0", _REPEAT],
+    ("t1", "parametric-modified", True): ["unified p0", _REPEAT],
+    ("t1", "basis", False): ["basis b0", _REPEAT],
+    ("t1", "basis", True): ["basis b0", _REPEAT],
+    ("flt", "benders", False): ["feasibility r0", "optimality p0", _REPEAT],
+    ("flt", "benders", True): ["feasibility r0", "optimality p0", _REPEAT],
+    ("flt", "parametric", False): ["unified r0", _GAP],
+    ("flt", "parametric", True): ["unified r0", _GAP],
+    ("flt", "parametric-modified", False): ["unified r0", _GAP],
+    ("flt", "parametric-modified", True): ["unified r0", _GAP],
+    ("uk5", "benders", False): [f"optimality p{k}" for k in range(4)] + [_REPEAT],
+    ("uk5", "benders", True): [f"optimality p{k}" for k in range(5)] + [_REPEAT],
+    ("uk5", "parametric", False): ["unified p0", _REPEAT],
+    ("uk5", "parametric", True): ["unified p0", _REPEAT],
+    ("uk5", "parametric-modified", False): ["unified p0", _REPEAT],
+    ("uk5", "parametric-modified", True): ["unified p0", _REPEAT],
     # one basis cut: its slack-completed basis binds at every first stage
-    ("uk5", "basis", None, False): ["basis b0", _REPEAT],
-    ("uk5", "basis", None, True): ["basis b1", _REPEAT],
+    ("uk5", "basis", False): ["basis b0", _REPEAT],
+    ("uk5", "basis", True): ["basis b1", _REPEAT],
 }
 _TRAJECTORY_INSTANCES = {
     "t1": (t1, 1.0), "flt": (_flt, FLT_W),
@@ -273,16 +258,18 @@ _TRAJECTORY_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("name,variant,cut_mode,pareto", list(_TRAJECTORIES))
-def test_loop_trajectory_is_pinned(name, variant, cut_mode, pareto):
+# the ids keep the None that once stood for the default cut mode, so each
+# case keeps its name
+@pytest.mark.parametrize("name,variant,pareto", list(_TRAJECTORIES),
+                         ids=[f"{n}-{v}-None-{p}" for n, v, p in _TRAJECTORIES])
+def test_loop_trajectory_is_pinned(name, variant, pareto):
     make, value = _TRAJECTORY_INSTANCES[name]
-    res = run(make(), AlgorithmConfig(variant=variant, cut_mode=cut_mode,
-                                      pareto=pareto, tol=0.0))
-    expected = [tuple(step.split()) for step in _TRAJECTORIES[name, variant,
-                                                              cut_mode, pareto]]
+    res = run(make(), AlgorithmConfig(variant=variant, pareto=pareto, tol=0.0))
+    expected = [tuple(step.split()) for step in _TRAJECTORIES[name, variant, pareto]]
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(value, rel=1e-9)
     assert [(r.cut_kind, r.seed_id) for r in res.iterations] == expected
+    assert "cut_mode" not in res.meta
 
 
 # iteration counts of pm_uk8 s0 at the default tol; its masters are valued
@@ -292,8 +279,7 @@ _PM8_ITERATIONS = {"benders": 14, "parametric": 6, "parametric-modified": 6, "ba
 
 
 @pytest.mark.parametrize("name,variant", [
-    *[(name, variant) for name, variant, cut_mode, pareto in _TRAJECTORIES
-      if cut_mode is None and not pareto],
+    *[(name, variant) for name, variant, pareto in _TRAJECTORIES if not pareto],
     *[("pm_uk8", variant) for variant in _PM8_ITERATIONS]])
 def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
     # every MIP solved with HiGHS's default options instead of backend's
@@ -305,7 +291,7 @@ def test_highs_heuristics_change_no_outcome(name, variant, monkeypatch):
     else:
         make, value = _TRAJECTORY_INSTANCES[name]
         config = AlgorithmConfig(variant=variant, tol=0.0)
-        iterations = len(_TRAJECTORIES[name, variant, None, False])
+        iterations = len(_TRAJECTORIES[name, variant, False])
     res = run(make(), config)
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(value, rel=1e-9)
@@ -369,8 +355,7 @@ def test_a_lattice_over_the_point_limit_keeps_the_mip_masters(monkeypatch):
 
 _VARIANT_CONFIGS = [dict(variant="benders"), dict(variant="basis"),
                     dict(variant="parametric-modified"),
-                    *[dict(variant="parametric", cut_mode=mode, pareto=pareto)
-                      for mode in ("unified", "split") for pareto in (False, True)]]
+                    *[dict(variant="parametric", pareto=pareto) for pareto in (False, True)]]
 
 
 @pytest.mark.parametrize("make, configs", [
@@ -418,7 +403,7 @@ def _ray_toy_with_a_spare_site() -> Instance:
 
 
 def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
-    # split parametric cuts: the replicate of the optimality cut found at
+    # parametric cuts: the replicate of the point cut found at
     # x0 = 0 has no recourse against its u at x0 = 1. The second master
     # values that part at all four points, none valued before, in one LP,
     # which is Infeasible; its first half, x0 = 0, is Optimal, and its
@@ -434,7 +419,7 @@ def test_an_infeasible_copy_narrows_the_lattice_lp(monkeypatch):
 
     monkeypatch.setattr(backend, "solve_lp", recorded)
     res = run(_ray_toy_with_a_spare_site(),
-              AlgorithmConfig(variant="parametric", cut_mode="split", tol=0.0))
+              AlgorithmConfig(variant="parametric", tol=0.0))
     assert res.status == "Optimal" and res.objective == pytest.approx(1.0)
     assert res.x == pytest.approx([0.0, 0.0])
     assert (res.meta["masters_lattice"], res.meta["masters_mip"]) == (2, 0)
@@ -447,7 +432,7 @@ def test_a_numerical_lattice_lp_sends_the_master_to_the_mip(monkeypatch):
     # as above, but a master LP that would end Infeasible ends Numerical: the
     # second master's copy at x = 1 cannot be valued, so that master goes
     # to backend.solve_mip and ends where the lattice did
-    config = AlgorithmConfig(variant="parametric", cut_mode="split", tol=0.0)
+    config = AlgorithmConfig(variant="parametric", tol=0.0)
     reference = run(_ray_toy(), config)
     real = backend.solve_lp
 
@@ -514,9 +499,8 @@ def _uncoverable_toy() -> Instance:
                       c2=np.array([1.0])))
 
 
-@pytest.mark.parametrize("config", [dict(variant="benders"), dict(variant="parametric"),
-                                    dict(variant="parametric", cut_mode="split")],
-                         ids=["benders", "parametric", "parametric-split"])
+@pytest.mark.parametrize("config", [dict(variant="benders"), dict(variant="parametric")],
+                         ids=["benders", "parametric"])
 def test_a_lattice_with_every_point_cut_off_ends_master_infeasible(config):
     res = run(_uncoverable_toy(), AlgorithmConfig(**config))
     assert res.status == "Infeasible" and res.meta["reason"] == "master infeasible"
@@ -573,8 +557,7 @@ def _eager_reference(monkeypatch) -> list[str]:
     (_pm8, _VARIANT_CONFIGS),
     (_pm5_pair, [dict(diu_approx="metadata")]),
     (lambda: _ray_toy(), [dict(variant="benders", tol=0.0)]),
-    (_uncoverable_toy, [dict(variant="benders"), dict(variant="parametric"),
-                        dict(variant="parametric", cut_mode="split")]),
+    (_uncoverable_toy, [dict(variant="benders"), dict(variant="parametric")]),
     # F has a term, so benders values its seeds in one LP per F(x)
     (_lhs_toy, [dict(variant="benders", tol=0.0)]),
 ], ids=["uk5", "pm_uk8", "pm_pair5-diu", "ray_toy", "uncoverable", "lhs_toy"])
@@ -1099,6 +1082,28 @@ def test_the_eta_floor_keeps_the_fixed_bound_on_the_bench_sets():
     assert -np.inf < ccg._eta_floor(_fl_rhs2_x1e3(), FL_RHS2_X1E3_W) < ccg._ETA_LB
 
 
+def test_an_eta_floor_whose_first_stage_max_fails_raises(monkeypatch):
+    real = backend.solve_lp
+    monkeypatch.setattr(backend, "solve_lp", lambda model: (
+        SolveOutcome(status=backend.NUMERICAL) if model.name == "first_stage_max"
+        else real(model)))
+    with pytest.raises(BackendError, match="first_stage_max ended Numerical"):
+        ccg._eta_floor(t1(), 0.0)
+
+
+def test_an_infeasible_deterministic_mip_ends_every_run_infeasible():
+    # capacities at half the demand cover no scenario, not even u = 0; FL's
+    # masters leave the lattice, so the relaxation is the deterministic MIP,
+    # and the second run takes its Infeasible from the instance
+    inst = gen_robust_fl(FLParams(n_sites=2, seed=0, capacity_upper_frac=0.5), "rhs")
+    for variant, facts in (("benders", "computed"), ("parametric", "reused")):
+        res = run(inst, AlgorithmConfig(variant=variant))
+        assert res.status == "Infeasible" and res.n_iterations == 0
+        assert res.meta["reason"] == "deterministic relaxation infeasible"
+        assert res.meta["facts"] == facts
+    assert oracle_exact(inst).value == np.inf
+
+
 def _replay(state: MasterState, points, rays=()):
     # recorded seeds, points first, into the master through its one entry point
     for beta in points:
@@ -1111,11 +1116,10 @@ def _replay(state: MasterState, points, rays=()):
 def test_scalar_master_underestimates_replicate_master():
     # the same recorded seeds feed both builders; the scalar master fixes
     # each cut's scenario while the replicate reprices it, so it can only
-    # be weaker
-    source = run(_flt(), AlgorithmConfig(variant="parametric", tol=0.0,
-                                         cut_mode="split"))
+    # be weaker; benders' run on flt finds a ray and a point
+    source = run(_flt(), AlgorithmConfig(variant="benders", tol=0.0))
     seeds = (source.meta["point_seeds"], source.meta["ray_seeds"])
-    assert seeds[0] or seeds[1]
+    assert seeds[0] and seeds[1]
     inst = _flt()
     m1 = _replay(MasterState(inst, AlgorithmConfig(variant="benders")), *seeds)
     m2 = _replay(MasterState(inst, AlgorithmConfig(variant="parametric")), *seeds)
@@ -1252,20 +1256,33 @@ def _rows_permuted(inst: Instance, seed: int) -> Instance:
     (_pm8, dict(variant="parametric"), 2, PM8_W),
     # and this one was reported Infeasible
     (_pm5_pair, dict(diu_approx="metadata"), 3, PM5_PAIR_W),
-    # the pmedian bench's runs but basis, on the copies 0 and 1
+    # the pmedian bench's runs on the copies 0 and 1
     (_pm8, dict(variant="parametric"), 0, PM8_W),
     (_pm8, dict(variant="parametric"), 1, PM8_W),
     (_pm8, dict(variant="benders"), 0, PM8_W),
     (_pm8, dict(variant="benders"), 1, PM8_W),
+    (_pm8, dict(variant="basis"), 0, PM8_W),
+    (_pm8, dict(variant="basis"), 1, PM8_W),
     (_pm5_pair, dict(diu_approx="metadata"), 0, PM5_PAIR_W),
     (_pm5_pair, dict(diu_approx="metadata"), 1, PM5_PAIR_W),
 ], ids=["pm_uk8-parametric", "pm_pair5-diu", "pm_uk8-parametric-0", "pm_uk8-parametric-1",
-        "pm_uk8-benders-0", "pm_uk8-benders-1", "pm_pair5-diu-0", "pm_pair5-diu-1"])
+        "pm_uk8-benders-0", "pm_uk8-benders-1", "pm_uk8-basis-0", "pm_uk8-basis-1",
+        "pm_pair5-diu-0", "pm_pair5-diu-1"])
 def test_row_order_leaves_the_pmedian_optimum_unchanged(make, config, perm_seed,
                                                          value):
     res = run(_rows_permuted(make(), perm_seed), AlgorithmConfig(**config))
     assert res.status == "Optimal"
     assert res.objective == pytest.approx(value, rel=1e-9)
+
+
+@pytest.mark.parametrize("perm_seed", [0, 1])
+@pytest.mark.parametrize("variant", ["parametric", "parametric-modified", "benders"])
+def test_row_order_leaves_the_fl_rhs3_optimum_unchanged(variant, perm_seed):
+    # the iteration counts move with the row order; the objective does not
+    inst = gen_robust_fl(FLParams(n_sites=3, seed=0), "rhs")
+    res = run(_rows_permuted(inst, perm_seed), AlgorithmConfig(variant=variant))
+    assert res.status in ("Optimal", "GapReached")
+    assert res.objective == pytest.approx(FL_RHS_W[3, 0], rel=1e-6)
 
 
 # oracle_exact values of fl-rhs with 2 sites, at generator seeds 0 and 2
@@ -1275,12 +1292,11 @@ FL_RHS2_W = {0: -51406.065233899, 2: -42566.93112062868}
 @pytest.mark.parametrize("seed", [0, 2])
 @pytest.mark.parametrize("config", [
     dict(variant="benders"),
-    dict(variant="parametric", cut_mode="split"),
     dict(variant="parametric"),
     dict(variant="benders", big_M=1e5),
-], ids=["benders", "parametric-split", "parametric", "benders-1e5"])
+], ids=["benders", "parametric", "benders-1e5"])
 def test_two_site_fl_rhs_returns_the_oracle_value(seed, config):
-    # at big_M 1e4 benders and split parametric ended "master infeasible"
+    # at big_M 1e4 benders ended "master infeasible"
     # while the master's dual side shared the primal side's M
     res = run(gen_robust_fl(FLParams(n_sites=2, seed=seed), "rhs"),
               AlgorithmConfig(**config))
@@ -1299,10 +1315,7 @@ FL_RHS_W = {(3, 0): -68905.90943240363, (5, 0): -116370.33629796721,
 @pytest.mark.parametrize("sites, seed, config", [
     (3, 0, dict(variant="benders")),                          # was Infeasible
     (5, 1, dict(variant="benders")),                          # was Optimal -78681.064
-    (5, 0, dict(variant="parametric", cut_mode="split")),     # was Infeasible
-    (5, 1, dict(variant="parametric", cut_mode="split")),     # was GapReached -78681.064
-], ids=["fl_rhs3-s0-benders", "fl_rhs5-s1-benders", "fl_rhs5-s0-split",
-        "fl_rhs5-s1-split"])
+], ids=["fl_rhs3-s0-benders", "fl_rhs5-s1-benders"])
 def test_fl_rhs_split_cuts_return_the_reference(sites, seed, config):
     # the dual side's bound M_d scales with the block's cost row and F
     res = run(gen_robust_fl(FLParams(n_sites=sites, seed=seed), "rhs"),
@@ -1816,11 +1829,10 @@ def test_malformed_metadata_surrogate_is_a_value_error(entry, message):
 def test_config_rejects_bad_combinations():
     with pytest.raises(ValueError, match="variant"):
         AlgorithmConfig(variant="newton")
-    with pytest.raises(ValueError, match="unify"):
-        AlgorithmConfig(variant="benders", cut_mode="unified")
-    for cut_mode in ("split", "unified"):
-        with pytest.raises(ValueError, match="no cut_mode"):
-            AlgorithmConfig(variant="basis", cut_mode=cut_mode)
+    # replicate masters always write the unified cut and benders its scalar
+    # cuts, so there is no cut mode to pick
+    with pytest.raises(TypeError, match="cut_mode"):
+        AlgorithmConfig(cut_mode="split")
     with pytest.raises(ValueError, match="tol"):
         AlgorithmConfig(tol=-1.0)
     # a nan tol stopped pm_uk8 at a 32 % gap as GapReached, and an infinite

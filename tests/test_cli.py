@@ -143,6 +143,17 @@ def test_bad_flags_exit_sixty_four(t1_path, capsys):
     assert "usage" in capsys.readouterr().err or True
 
 
+def test_cut_mode_is_no_flag(t1_path, tmp_path, capsys):
+    # replicate masters always write the unified cut and benders its scalar
+    # cuts; a run.json's meta says nothing of a cut mode
+    assert cli.main(["solve", t1_path, "--cut-mode", "split",
+                     "--out", str(tmp_path)]) == 64
+    assert "--cut-mode" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+    assert cli.main(["solve", t1_path, "--out", str(tmp_path)]) == 0
+    assert "cut_mode" not in json.loads((tmp_path / "run.json").read_text())["meta"]
+
+
 def test_both_approximation_loops_exit_one(t1_path, tmp_path, capsys):
     assert cli.main(["solve", t1_path, "--mip-recourse", "--diu-approx", "metadata",
                      "--out", str(tmp_path)]) == 1

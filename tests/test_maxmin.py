@@ -259,21 +259,20 @@ def test_perturbation_noop_when_already_unique():
 def test_a_failed_uniqueness_check_raises_after_one_perturbation(monkeypatch):
     checks = []
 
-    def unclean(inst, x, base, c_hat):
+    def unclean(base, c_hat):
         checks.append(c_hat)
         return False
 
     monkeypatch.setattr(maxmin, "_perturbation_is_clean", unclean)
     with pytest.raises(BackendError, match="failed to isolate"):
-        ensure_unique_optimum(t1(), np.array([1.0]),
-                              lp_parametric(t1(), np.array([1.0]), np.array([0.0])))
+        ensure_unique_optimum(lp_parametric(t1(), np.array([1.0]), np.array([0.0])))
     assert len(checks) == 1
 
 
 def test_ensure_unique_optimum_isolates_a_vertex():
     inst = t1()
     base = lp_parametric(inst, np.array([1.0]), np.array([0.0]))
-    c_hat = ensure_unique_optimum(inst, np.array([1.0]), base)
+    c_hat = ensure_unique_optimum(base)
     # beta = 0 leaves every u in [0,2] optimal; a block of the perturbed
     # cost row, of either form, collapses to exactly the solver's vertex
     for representation in (None, "kkt"):
@@ -337,7 +336,7 @@ def test_block_representation_follows_the_coupling(make, perturbed, expected):
     beta = np.ones(inst.Y.n_rows)
     if perturbed:
         x = _open_sites(inst, (0, 3, 5))
-        cost_row = ensure_unique_optimum(inst, x, lp_parametric(inst, x, beta))
+        cost_row = ensure_unique_optimum(lp_parametric(inst, x, beta))
     else:
         cost_row = _seed_row(inst, beta)
     m = LinearModel()
@@ -447,6 +446,18 @@ def test_basis_completion_takes_slacks_before_structural_columns():
     # column 0 is the first slack's column, so the second completes it
     A = np.hstack([[[1.0, 1.0], [0.0, 1.0]], np.eye(2)])
     assert maxmin._complete_basis(A, [0]) == [0, 3]
+
+
+def test_pivoting_refuses_a_vertex_that_is_not_optimal():
+    # max z_1 from the basis {0} at z = (1, 0): over z_0 - z_1 = 1 column 1
+    # improves along a ray, over z_0 + z_1 = 1 by a positive step; either
+    # way the vertex was never optimal. With no rows the basis is empty
+    c, z = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    with pytest.raises(BackendError, match="improving ray"):
+        maxmin._pivot_to_dual_feasible(np.array([[1.0, -1.0]]), c, z, [0])
+    with pytest.raises(BackendError, match="improving step"):
+        maxmin._pivot_to_dual_feasible(np.array([[1.0, 1.0]]), c, z, [0])
+    assert maxmin._pivot_to_dual_feasible(np.zeros((0, 2)), c, z, []) == []
 
 
 def test_pm_uk8_bases_hold_at_every_first_stage():

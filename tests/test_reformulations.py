@@ -417,6 +417,36 @@ def test_order_switch_singleton_set_prices_one_scenario():
         float((single.Y.c2 + E_HAT @ u0) @ np.ones(2)))
 
 
+def test_order_switch_caps_the_lam_of_an_x_dependent_row():
+    # row 1 reads (1 + x) u_1 <= 1, so its lam meets x through F's term
+    # and takes the cap like row 0's, which meets x through G
+    inst = _objective_toy()
+    tilted = Instance(
+        name="tilt_term", c1=inst.c1, X=inst.X, Y=inst.Y,
+        U=UncertaintySet(F=AffineMatrixMap(base=np.eye(2),
+                                           terms=((0, [[0.0, 0.0], [0.0, 1.0]]),)),
+                         G=inst.U.G, h=inst.U.h))
+    best = min(float(tilted.c1 @ x) + max(_tilted_recourse_value(tilted, E_HAT, x, u)
+                                          for u in enumerate_vertices(tilted.U, x))
+               for x in (np.zeros(1), np.ones(1)))
+    with backend.big_m(7.0):
+        out = order_switch(tilted, E_HAT)
+    assert out.model.columns()[1][out.mapping["lam"]].tolist() == [7.0, 7.0]
+    assert backend.solve_mip(out.model).objective == pytest.approx(best, abs=1e-7)
+
+
+def test_order_switch_checks_e_hat_and_the_coupled_columns():
+    inst = _objective_toy()
+    with pytest.raises(ValueError, match=r"E_hat must be \(dim_y, dim_u\) = \(2, 2\)"):
+        order_switch(inst, np.ones((3, 2)))
+    # x_0 couples U(x) but takes values in [0, 2]
+    wide = Instance(name="wide", c1=inst.c1, U=inst.U, Y=inst.Y,
+                    X=FirstStageSet(A=np.zeros((0, 1)), b=np.zeros(0), n_int=1,
+                                    ub=np.array([2.0])))
+    with pytest.raises(ValueError, match=r"binary x\[0\]"):
+        order_switch(wide, E_HAT)
+
+
 def test_order_switch_rejects_row_coupled_uncertainty():
     inst = _objective_toy()
     coupled = Instance(name="c", c1=inst.c1, X=inst.X, U=inst.U,
